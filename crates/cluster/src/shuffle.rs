@@ -353,14 +353,19 @@ impl ClusterShuffler {
         (out, duration)
     }
 
-    /// Destination-side resize: obliviously sort the concatenated buckets by
-    /// `isView` (reals first, order otherwise preserved — the same network the
-    /// Shrink cache read uses, priced through the same
-    /// [`charge_sort_network`] so the two cannot drift; the sort itself is
-    /// replayed by hand here because the record ids riding outside the shares
-    /// must follow their records) and cut the prefix back to `ingest_size`. A
-    /// destination holding more real records than that keeps them all (overflow,
-    /// counted) rather than dropping data.
+    /// Destination-side resize: compact the concatenated buckets real-first and cut
+    /// the prefix back to `ingest_size`. A destination holding more real records
+    /// than that keeps them all (overflow, counted) rather than dropping data.
+    ///
+    /// This stands in for the Shrink cache read's `isView` sort and relies on two
+    /// things only: the outcome is a real-first partition (every real record ahead
+    /// of every dummy — which is all the cut and the ingest after it depend on),
+    /// and the price is the network's, charged through the same
+    /// [`charge_sort_network`] so the two cannot drift. The partition is done by
+    /// hand because the record ids riding outside the shares must follow their
+    /// records. It happens to keep the reals in bucket order; an odd-even merge
+    /// network is not a stable sort and would not, so that order is no part of
+    /// the contract.
     fn compact_and_cut(
         &mut self,
         dest: usize,
@@ -374,7 +379,7 @@ impl ClusterShuffler {
         let width = arity as u64 + 1;
         charge_sort_network(n, width, meter);
 
-        // Stable real-first order is exactly what the isView sort produces.
+        // Real-first partition: the one property of the isView sort the cut needs.
         let mut reals: Vec<(SharedRecordPair, Option<RecordId>)> = Vec::new();
         for (entry, id) in records.entries().iter().zip(&ids) {
             if entry.recover().is_view {

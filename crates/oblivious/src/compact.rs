@@ -123,6 +123,28 @@ mod tests {
         assert_eq!(cache.len(), 6);
     }
 
+    #[test]
+    fn cache_read_at_5000_equals_the_comparator_walk() {
+        // A length off every power of two, so pruned and shortened blocks occur at
+        // each level. The reference swaps whole entries at every comparator of the
+        // materialised network; shares are random, so entry-for-entry equality of
+        // both the fetched prefix and what stays behind pins the permutation.
+        let mut cache = mixed_cache(1700, 3300);
+        let mut walked = cache.clone();
+        let entries = walked.entries_mut();
+        for (lo, hi) in crate::sort::batcher_pairs(entries.len()) {
+            if entries[lo].is_view.recover() < entries[hi].is_view.recover() {
+                entries.swap(lo, hi);
+            }
+        }
+        let walked_front = walked.split_front(2000);
+
+        let fetched = cache_read(&mut cache, 2000, &mut CostMeter::new());
+        assert_eq!(fetched, walked_front);
+        assert_eq!(cache, walked);
+        assert_eq!(fetched.true_cardinality(), 1700);
+    }
+
     proptest! {
         #[test]
         fn prop_cache_read_never_skips_real_tuples(

@@ -43,7 +43,7 @@
 //! assert_eq!(out.true_cardinality(), 1);
 //! ```
 
-use crate::sort::{batcher_pair_count, oblivious_sort_by_key, SortKey, SortOrder};
+use crate::sort::{batcher_pair_count, oblivious_sort_by_key, SortOrder};
 use incshrink_mpc::cost::{CostMeter, CostReport};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
@@ -459,11 +459,10 @@ pub fn truncated_sort_merge_join<R: Rng + ?Sized>(
     meter.bytes((merged.len() * merged_arity * 4) as u64);
 
     // --- Step 2: oblivious sort by (join key, table tag): T1 records before T2 on ties.
-    oblivious_sort_by_key(&mut merged, SortOrder::Ascending, meter, |rec| SortKey {
-        primary: (u64::from(!rec.is_view) << 33)
-            | (u64::from(rec.fields[key_col]) << 1)
-            | u64::from(rec.fields[tag_col]),
-        tie: 0,
+    oblivious_sort_by_key(&mut merged, SortOrder::Ascending, meter, |rec| {
+        (u64::from(rec.is_view.recover() == 0) << 33)
+            | (u64::from(rec.fields[key_col].recover()) << 1)
+            | u64::from(rec.fields[tag_col].recover())
     });
 
     // --- Step 3: linear scan. After accessing each merged tuple, emit exactly `bound`

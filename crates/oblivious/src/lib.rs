@@ -53,7 +53,7 @@ pub use shuffle::{
     MappedRouteOutcome, ShuffleRouteOutcome, VIRTUAL_BUCKETS,
 };
 pub use sort::{
-    batcher_padded_pair_count, batcher_pair_count, batcher_pairs_iter, bitonic_merge_pair_count,
+    batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
     oblivious_sort_by_field, oblivious_sort_by_is_view, SortOrder,
 };
 pub use table::PlainTable;

@@ -13,14 +13,15 @@
 //!
 //! Two physical-layer notes:
 //!
-//! * The sorts here execute as **struct-of-arrays kernels**: each record's key is
-//!   extracted once into contiguous `u64` lanes (primary key, tie-breaker, original
-//!   position), the comparator network runs branch-free over those lanes with
-//!   xor-mask conditional swaps, and the record shares are gathered through the
-//!   index lane in a single final pass. Swap decisions depend only on the keys,
-//!   which travel with their indices, so the final arrangement — and the metered
-//!   cost, charged up front from the input length — is bit-identical to swapping
-//!   whole records at every comparator.
+//! * The sorts here execute as a **blocked, packed-word kernel**: each record's key
+//!   is extracted once, from the share words it is made of, and packed with the
+//!   record's position into one `u64` (`key << 30 | position`); the comparator
+//!   network runs branch-free over that single contiguous lane, one slice kernel
+//!   per `(p, k, j)` block of the pruned network, and the record shares are
+//!   gathered through the position bits in a single final pass. Swap decisions
+//!   depend only on the key bits, which travel with their positions, so the final
+//!   arrangement — and the metered cost, charged up front from the input length —
+//!   is bit-identical to swapping whole records at every comparator.
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
 //!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
@@ -28,8 +29,7 @@
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
-use incshrink_secretshare::columns::{eq_word, lt_word};
-use incshrink_secretshare::tuple::PlainRecord;
+use incshrink_secretshare::tuple::SharedRecordPair;
 use serde::{Deserialize, Serialize};
 
 /// Sort direction.
@@ -41,116 +41,51 @@ pub enum SortOrder {
     Descending,
 }
 
-/// A key extracted from a record for comparison purposes.
-///
-/// Keys are compared lexicographically: primary value first, then the tie-breaker.
-/// The tie-breaker implements the paper's "T1 records are ordered before T2 records"
-/// rule in the sort-merge join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct SortKey {
-    pub primary: u64,
-    pub tie: u64,
-}
+/// Low bits of a packed sort word that carry the record's original position; the
+/// remaining high bits carry its key. See [`oblivious_sort_by_key`].
+const INDEX_BITS: u32 = 30;
+const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
+/// Largest key a packed sort word can carry (34 bits). Every sort in the tree fits:
+/// `isView` needs 1 bit, [`oblivious_sort_by_field`] 33, the sort-merge join's
+/// `(isView, key, table tag)` union sort 34.
+const MAX_SORT_KEY: u64 = (1 << (64 - INDEX_BITS)) - 1;
 
 /// Enumerate the compare-exchange pairs of Batcher's odd-even merge sort for `n`
 /// elements (indices `i < j`), in execution order. Exposed so cost estimators can
-/// price sorting networks they never physically execute.
+/// price sorting networks they never physically execute, and as the materialised
+/// reference the tests hold the block engine behind the physical sorts to.
 ///
 /// Cost note: materialising the schedule is `O(n log² n)` host time and memory; the
-/// hot sort paths iterate [`batcher_pairs_iter`] instead, and when only the
-/// comparator *count* is needed (join cost models, the adaptive planner), use
-/// [`batcher_pair_count`], which computes the same number without allocating.
+/// physical sorts never do, and when only the comparator *count* is needed (join
+/// cost models, the adaptive planner), use [`batcher_pair_count`], which computes
+/// the same number without allocating.
 pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    batcher_pairs_iter(n).collect()
-}
-
-/// Streaming enumeration of the compare-exchange pairs of the pruned Batcher network
-/// for `n` elements, in the same execution order as [`batcher_pairs`] but without
-/// materialising the `O(n log² n)` schedule. This is what the physical sorts walk.
-pub fn batcher_pairs_iter(n: usize) -> BatcherPairs {
+    let mut pairs = Vec::new();
     if n < 2 {
-        return BatcherPairs {
-            n,
-            padded: 1,
-            p: 1,
-            k: 0,
-            j: 0,
-            i: 0,
-            i_end: 0,
-        };
+        return pairs;
     }
     let padded = n.next_power_of_two();
-    BatcherPairs {
-        n,
-        padded,
-        p: 1,
-        k: 1,
-        j: 0,
-        i: 0,
-        i_end: 1.min(padded - 1),
-    }
-}
-
-/// Iterator over Batcher compare-exchange pairs; see [`batcher_pairs_iter`].
-///
-/// Replicates the nested `(p, k, j, i)` loop of the materialising generator as
-/// explicit state, skipping candidates pruned by the padding rule.
-#[derive(Debug, Clone)]
-pub struct BatcherPairs {
-    n: usize,
-    padded: usize,
-    p: usize,
-    k: usize,
-    j: usize,
-    i: usize,
-    i_end: usize,
-}
-
-impl Iterator for BatcherPairs {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        loop {
-            if self.p >= self.padded {
-                return None;
-            }
-            if self.i < self.i_end {
-                let lo = self.i + self.j;
-                let hi = lo + self.k;
-                self.i += 1;
-                // Keep the comparator when both ends fall in the same 2p-block and
-                // the high end is not conceptual +∞ padding.
-                if (lo / (self.p * 2)) == (hi / (self.p * 2)) && hi < self.n {
-                    return Some((lo, hi));
+    let mut p = 1;
+    while p < padded {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < padded {
+                for lo in j..j + k.min(padded - j - k) {
+                    let hi = lo + k;
+                    // Keep the comparator when both ends fall in the same 2p-block
+                    // and the high end is not conceptual +∞ padding.
+                    if lo / (2 * p) == hi / (2 * p) && hi < n {
+                        pairs.push((lo, hi));
+                    }
                 }
-                continue;
+                j += 2 * k;
             }
-            // Advance the j offset; j < p and k <= p keep j + k < padded valid.
-            self.j += 2 * self.k;
-            if self.j + self.k < self.padded {
-                self.i = 0;
-                self.i_end = self.k.min(self.padded - self.j - self.k);
-                continue;
-            }
-            // Advance the k stride.
-            self.k /= 2;
-            if self.k >= 1 {
-                self.j = self.k % self.p;
-                self.i = 0;
-                self.i_end = self.k.min(self.padded - self.j - self.k);
-                continue;
-            }
-            // Advance the p phase.
-            self.p *= 2;
-            if self.p >= self.padded {
-                return None;
-            }
-            self.k = self.p;
-            self.j = 0;
-            self.i = 0;
-            self.i_end = self.k.min(self.padded - self.k);
+            k /= 2;
         }
+        p *= 2;
     }
+    pairs
 }
 
 /// Exact number of compare-exchange gates in the pruned Batcher odd-even merge
@@ -335,72 +270,134 @@ pub fn charge_sort_network(n: usize, width: u64, meter: &mut CostMeter) {
     meter.round();
 }
 
-/// Oblivious sort of `array` by the key produced from each record by `key_fn`.
+/// Branch-free compare-exchange of two packed sort words: swap when the *key* bits
+/// of `lo` strictly exceed those of `hi`. The index bits never take part in the
+/// comparison (`hi | INDEX_MASK` saturates them), so equal keys never swap —
+/// exactly the strict `key_lo > key_hi` test of a record-at-a-time comparator.
+#[inline(always)]
+fn compare_exchange(lo: &mut u64, hi: &mut u64) {
+    let (a, b) = (*lo, *hi);
+    let mask = u64::from(a > (b | INDEX_MASK)).wrapping_neg();
+    let d = (a ^ b) & mask;
+    *lo = a ^ d;
+    *hi = b ^ d;
+}
+
+/// One block of comparators: the first `k` words of `group` against the run that
+/// follows them, which the array end may have cut short or removed altogether.
+#[inline(always)]
+fn exchange_block(group: &mut [u64], k: usize) {
+    if group.len() > k {
+        let (lo, hi) = group.split_at_mut(k);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            compare_exchange(a, b);
+        }
+    }
+}
+
+/// Every stride-`K` block of `span`, which starts on a block origin: full `2K`
+/// groups with a compile-time trip count (the strides ≤ 4 spend their time on loop
+/// overhead, not comparators, when walked through [`exchange_block`]), then the one
+/// group the array end may have cut short.
+fn exchange_groups<const K: usize>(span: &mut [u64]) {
+    let mut groups = span.chunks_exact_mut(2 * K);
+    for group in &mut groups {
+        let (lo, hi) = group.split_at_mut(K);
+        for i in 0..K {
+            compare_exchange(&mut lo[i], &mut hi[i]);
+        }
+    }
+    exchange_block(groups.into_remainder(), K);
+}
+
+/// Run the pruned Batcher network over packed sort words — the same comparators
+/// in the same order as [`batcher_pairs`]`(words.len())`, walked block by block.
 ///
-/// `key_fn` receives the record index and the recovered record fields (reconstruction
-/// happens *inside* the simulated MPC, mirroring how a garbled-circuit comparator sees
-/// the joint value without either party learning it). Costs one secure comparison and
-/// one record-wide oblivious swap per network comparator.
+/// At level `(p, k)` the generator visits block origins `j ≡ k mod p` in steps of
+/// `2k`, and block `j` compares `[j, j + k)` with `[j + k, j + 2k)`. Both runs are
+/// `k`-aligned, so the block sits inside one `2p`-chunk unless `j + k` is a
+/// multiple of `2p`: the same-chunk test keeps or drops a block *as a whole*. The
+/// kept blocks of a chunk therefore tile `[k, 2p − k)` of it (the whole chunk when
+/// `k = p`), and the `+∞` padding rule `hi < n` only shortens the last block to
+/// `min(k, n − j − k)` comparators — which slicing to the array end does for free.
+fn run_sort_network(words: &mut [u64]) {
+    let mut p = 1;
+    while p < words.len() {
+        let mut k = p;
+        while k >= 1 {
+            let trim = if k == p { 0 } else { k };
+            for chunk in words.chunks_mut(2 * p) {
+                let end = chunk.len().min(2 * p - trim);
+                if end <= trim + k {
+                    continue;
+                }
+                let span = &mut chunk[trim..end];
+                match k {
+                    1 => exchange_groups::<1>(span),
+                    2 => exchange_groups::<2>(span),
+                    4 => exchange_groups::<4>(span),
+                    _ => span
+                        .chunks_mut(2 * k)
+                        .for_each(|group| exchange_block(group, k)),
+                }
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+}
+
+/// Oblivious sort of `array` by the key `key_fn` extracts from each record.
+///
+/// `key_fn` receives the record's share pair and reconstructs only the words its key
+/// is made of (reconstruction happens *inside* the simulated MPC, mirroring how a
+/// garbled-circuit comparator sees the joint value without either party learning
+/// it). Costs one secure comparison and one record-wide oblivious swap per network
+/// comparator, charged up front from the input length.
+///
+/// Physically, each record becomes one packed word `key << 30 | position` (a
+/// descending sort complements the key, so ties stay ties), the comparator network
+/// runs over that single `u64` lane, and the record shares are gathered through the
+/// surviving position bits in one final pass. Swap decisions depend on the key bits
+/// only, so the arrangement is the one swapping whole records at every comparator
+/// of [`batcher_pairs`] produces.
+///
+/// # Panics
+/// Panics when a key exceeds [`MAX_SORT_KEY`] or the array has more than 2³⁰
+/// entries — either would spill into the other half of the packed word.
 pub(crate) fn oblivious_sort_by_key<F>(
     array: &mut SharedArrayPair,
     order: SortOrder,
     meter: &mut CostMeter,
     key_fn: F,
 ) where
-    F: Fn(&PlainRecord) -> SortKey,
+    F: Fn(&SharedRecordPair) -> u64,
 {
     let n = array.len();
     if n < 2 {
         return;
     }
+    assert!(
+        n as u64 <= INDEX_MASK + 1,
+        "array too long for a packed sort"
+    );
     let width = array.arity().unwrap_or(1) as u64 + 1;
     charge_sort_network(n, width, meter);
 
-    // SoA kernel: reconstruct each record once into a reused scratch row to extract
-    // its key (n reconstructions instead of one per comparator), run the network
-    // branch-free over three contiguous u64 lanes, then gather the record shares
-    // through the index lane in one pass. The comparisons see exactly the keys the
-    // record-at-a-time loop saw, and the keys travel with their indices, so the
-    // final arrangement is identical.
-    let mut primary = Vec::with_capacity(n);
-    let mut tie = Vec::with_capacity(n);
-    let mut scratch = PlainRecord {
-        fields: Vec::new(),
-        is_view: false,
-    };
-    for entry in array.entries() {
-        entry.recover_into(&mut scratch);
-        let key = key_fn(&scratch);
-        primary.push(key.primary);
-        tie.push(key.tie);
-    }
-    let mut idx: Vec<u64> = (0..n as u64).collect();
-    let ascending = matches!(order, SortOrder::Ascending);
-
-    for (lo, hi) in batcher_pairs_iter(n) {
-        let (pa, pb) = (primary[lo], primary[hi]);
-        let (ta, tb) = (tie[lo], tie[hi]);
-        // Strictly out of order for the requested direction, lexicographically on
-        // (primary, tie) — computed with borrow arithmetic, not jumps.
-        let (x, y, tx, ty) = if ascending {
-            (pa, pb, ta, tb)
-        } else {
-            (pb, pa, tb, ta)
-        };
-        let out_of_order = lt_word(y, x) | (eq_word(x, y) & lt_word(ty, tx));
-        let mask = out_of_order.wrapping_neg();
-        let dp = (pa ^ pb) & mask;
-        primary[lo] = pa ^ dp;
-        primary[hi] = pb ^ dp;
-        let dt = (ta ^ tb) & mask;
-        tie[lo] = ta ^ dt;
-        tie[hi] = tb ^ dt;
-        let di = (idx[lo] ^ idx[hi]) & mask;
-        idx[lo] ^= di;
-        idx[hi] ^= di;
-    }
-
-    let perm: Vec<usize> = idx.into_iter().map(|i| i as usize).collect();
+    let mut words: Vec<u64> = (0u64..)
+        .zip(array.entries())
+        .map(|(position, entry)| {
+            let key = key_fn(entry);
+            assert!(key <= MAX_SORT_KEY, "sort key {key:#x} exceeds 34 bits");
+            let key = match order {
+                SortOrder::Ascending => key,
+                SortOrder::Descending => MAX_SORT_KEY - key,
+            };
+            key << INDEX_BITS | position
+        })
+        .collect();
+    run_sort_network(&mut words);
+    let perm: Vec<usize> = words.iter().map(|w| (w & INDEX_MASK) as usize).collect();
     array.permute_gather(&perm);
 }
 
@@ -414,21 +411,13 @@ pub fn oblivious_sort_by_field(
     meter: &mut CostMeter,
 ) {
     oblivious_sort_by_key(array, order, meter, |rec| {
-        let dummy_rank = u64::from(!rec.is_view);
-        let value = rec.fields.get(field).copied().unwrap_or(u32::MAX);
-        SortKey {
-            primary: match order {
-                // Dummies always sink to the tail regardless of direction.
-                SortOrder::Ascending => (dummy_rank << 32) | u64::from(value),
-                SortOrder::Descending => {
-                    if rec.is_view {
-                        u64::from(value)
-                    } else {
-                        0
-                    }
-                }
-            },
-            tie: 0,
+        let dummy = rec.is_view.recover() == 0;
+        let value = rec.fields.get(field).map_or(u32::MAX, |w| w.recover());
+        // Dummies always sink to the tail regardless of direction.
+        match order {
+            SortOrder::Ascending => (u64::from(dummy) << 32) | u64::from(value),
+            SortOrder::Descending if dummy => 0,
+            SortOrder::Descending => u64::from(value),
         }
     });
 }
@@ -436,9 +425,8 @@ pub fn oblivious_sort_by_field(
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_key(array, SortOrder::Ascending, meter, |rec| SortKey {
-        primary: u64::from(!rec.is_view),
-        tie: 0,
+    oblivious_sort_by_key(array, SortOrder::Ascending, meter, |rec| {
+        u64::from(rec.is_view.recover() == 0)
     });
 }
 
@@ -534,21 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn pairs_iter_matches_materialized_network() {
-        for n in 0..=400usize {
-            let from_iter: Vec<(usize, usize)> = batcher_pairs_iter(n).collect();
-            assert_eq!(from_iter, batcher_pairs(n), "n={n}");
-        }
-        for n in [1000usize, 4096, 5000] {
-            assert_eq!(
-                batcher_pairs_iter(n).count() as u64,
-                batcher_pair_count(n),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn padded_count_dominates_exact_count_and_saturates() {
         for n in 0..=4096u64 {
             assert!(
@@ -614,8 +587,9 @@ mod tests {
         }
     }
 
-    /// The pre-SoA record-at-a-time sort loop, kept as a reference implementation for
-    /// the extensional-equality proptests below.
+    /// The record-at-a-time sort loop — one recovered comparison and one whole-record
+    /// swap per comparator of the materialised network — kept as the reference
+    /// implementation the engine is held to below.
     fn reference_aos_sort(array: &mut SharedArrayPair, order: SortOrder, meter: &mut CostMeter) {
         let n = array.len();
         if n < 2 {
@@ -626,18 +600,10 @@ mod tests {
         let key = |rec: &PlainRecord| {
             let dummy_rank = u64::from(!rec.is_view);
             let value = rec.fields.first().copied().unwrap_or(u32::MAX);
-            SortKey {
-                primary: match order {
-                    SortOrder::Ascending => (dummy_rank << 32) | u64::from(value),
-                    SortOrder::Descending => {
-                        if rec.is_view {
-                            u64::from(value)
-                        } else {
-                            0
-                        }
-                    }
-                },
-                tie: 0,
+            match order {
+                SortOrder::Ascending => (dummy_rank << 32) | u64::from(value),
+                SortOrder::Descending if rec.is_view => u64::from(value),
+                SortOrder::Descending => 0,
             }
         };
         let entries = array.entries_mut();
@@ -667,6 +633,56 @@ mod tests {
                 assert_eq!(m_soa.report(), m_aos.report());
             }
         }
+    }
+
+    /// Sort `n` seeded records through the block engine and through the
+    /// comparator-at-a-time reference; shares are random, so equal arrays mean
+    /// equal permutations. `binary` draws duplicate-heavy 0/1 keys (with dummies
+    /// mixed in), otherwise full-width values for random 33-bit keys.
+    fn assert_engine_equals_comparator_walk(n: usize, seed: u64, order: SortOrder, binary: bool) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let records: Vec<PlainRecord> = (0..n)
+            .map(|_| PlainRecord {
+                fields: vec![if binary {
+                    rng.gen_range(0..2)
+                } else {
+                    rng.gen()
+                }],
+                is_view: rng.gen_range(0..4u32) != 0,
+            })
+            .collect();
+        let mut engine = SharedArrayPair::share_records(&records, &mut rng);
+        let mut walk = engine.clone();
+        let (mut m_engine, mut m_walk) = (CostMeter::new(), CostMeter::new());
+        oblivious_sort_by_field(&mut engine, 0, order, &mut m_engine);
+        reference_aos_sort(&mut walk, order, &mut m_walk);
+        assert_eq!(engine, walk, "n={n} seed={seed} {order:?} binary={binary}");
+        assert_eq!(m_engine.report(), m_walk.report());
+    }
+
+    #[test]
+    fn block_engine_equals_comparator_walk_at_every_length() {
+        for n in (0..=300usize).chain([1000, 4096, 5000]) {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                for binary in [true, false] {
+                    assert_engine_equals_comparator_walk(n, n as u64, order, binary);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 34 bits")]
+    fn key_wider_than_the_packed_word_is_rejected() {
+        // The shift would drop the key's top bit and alias it with key 0.
+        let mut arr = share_values(&[1, 2, 3], 0);
+        oblivious_sort_by_key(
+            &mut arr,
+            SortOrder::Ascending,
+            &mut CostMeter::new(),
+            |_| MAX_SORT_KEY + 1,
+        );
     }
 
     #[test]
@@ -773,6 +789,17 @@ mod tests {
             reference_aos_sort(&mut aos, order, &mut m_aos);
             prop_assert_eq!(soa, aos);
             prop_assert_eq!(m_soa.report(), m_aos.report());
+        }
+
+        #[test]
+        fn prop_block_engine_equals_comparator_walk(
+            n in 0usize..=300,
+            seed: u64,
+            descending: bool,
+            binary: bool,
+        ) {
+            let order = if descending { SortOrder::Descending } else { SortOrder::Ascending };
+            assert_engine_equals_comparator_walk(n, seed, order, binary);
         }
 
         #[test]

@@ -121,15 +121,6 @@ impl SharedRecordPair {
         }
     }
 
-    /// Recover into a caller-provided buffer, reusing its field allocation. Hot loops
-    /// (the sort key-extraction pass, lane scans) call this with one scratch record
-    /// instead of allocating a fresh `Vec` per entry via [`Self::recover`].
-    pub fn recover_into(&self, out: &mut PlainRecord) {
-        out.fields.clear();
-        out.fields.extend(self.fields.iter().map(|p| p.recover()));
-        out.is_view = self.is_view.recover() != 0;
-    }
-
     /// The record share held by `party`.
     #[must_use]
     pub fn for_party(&self, party: PartyId) -> SharedRecord {

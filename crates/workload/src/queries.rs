@@ -129,21 +129,55 @@ pub fn logical_join_group_count(
 }
 
 /// Evaluate the ground truth at every step `1..=horizon`, returning a vector indexed by
-/// `t − 1`. Used by the experiment drivers to avoid recomputing the full join per step.
+/// `t − 1` whose entries equal [`logical_join_count`]`(dataset, query, t)`.
+///
+/// One pass instead of one join per step: a matching pair enters `q_t(D_t)` at the
+/// step its later record arrives (its left record's arrival when the right relation
+/// is public), so the pairs are histogrammed by that step and prefix-summed.
 #[must_use]
 pub fn logical_join_counts_per_step(
     dataset: &Dataset,
     query: &JoinQuery,
     horizon: u64,
 ) -> Vec<u64> {
-    (1..=horizon)
-        .map(|t| logical_join_count(dataset, query, t))
-        .collect()
+    let mut counts = vec![0u64; usize::try_from(horizon).expect("horizon fits in memory")];
+    let mut right_by_key: HashMap<u32, Vec<(&[u32], u64)>> = HashMap::new();
+    for r in dataset.right.updates() {
+        let visible = if dataset.right_is_public {
+            0
+        } else {
+            r.arrival
+        };
+        right_by_key
+            .entry(r.fields[0])
+            .or_default()
+            .push((&r.fields, visible));
+    }
+    for l in dataset.left.updates() {
+        let Some(cands) = right_by_key.get(&l.fields[0]) else {
+            continue;
+        };
+        for (r, visible) in cands {
+            // Pairs complete before step 1 count from step 1 on; pairs completing
+            // after the horizon never show.
+            let step = l.arrival.max(*visible).max(1);
+            if step <= horizon && query.pair_matches(&l.fields, r) {
+                counts[(step - 1) as usize] += 1;
+            }
+        }
+    }
+    let mut running = 0u64;
+    for count in &mut counts {
+        running += *count;
+        *count = running;
+    }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpdb::CpdbGenerator;
     use crate::dataset::{DatasetKind, WorkloadParams};
     use crate::tpcds::TpcDsGenerator;
 
@@ -210,6 +244,32 @@ mod tests {
         }
         assert_eq!(per_step[59], logical_join_count(&ds, &q, 60));
         assert!(per_step[59] > 0);
+    }
+
+    #[test]
+    fn per_step_counts_equal_the_per_step_join() {
+        // Private right relation (TPC-ds) and public right relation (CPDB), with
+        // the horizon running past the last arrival.
+        let tpcds = TpcDsGenerator::new(WorkloadParams::small(DatasetKind::TpcDs)).generate();
+        let cpdb = CpdbGenerator::new(WorkloadParams::small(DatasetKind::Cpdb)).generate();
+        assert!(cpdb.right_is_public && !tpcds.right_is_public);
+        for ds in [&tpcds, &cpdb] {
+            let q = JoinQuery {
+                window: ds.join_window,
+            };
+            let horizon = ds.left.horizon().max(ds.right.horizon()) + 5;
+            let per_step = logical_join_counts_per_step(ds, &q, horizon);
+            assert_eq!(per_step.len() as u64, horizon);
+            for t in 1..=horizon {
+                assert_eq!(
+                    per_step[(t - 1) as usize],
+                    logical_join_count(ds, &q, t),
+                    "t={t}"
+                );
+            }
+            assert!(per_step[horizon as usize - 1] > 0);
+            assert!(logical_join_counts_per_step(ds, &q, 0).is_empty());
+        }
     }
 
     #[test]
