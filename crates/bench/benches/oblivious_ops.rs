@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_oblivious::{
-    cache_read, oblivious_sort_by_field, truncated_nested_loop_join, JoinSpec, PlainTable,
-    SortOrder,
+    cache_read, cache_read_incremental, oblivious_sort_by_field, truncated_nested_loop_join,
+    JoinSpec, PlainTable, SortOrder,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -16,6 +16,18 @@ fn random_array(n: usize, arity: usize, seed: u64) -> SharedArrayPair {
     let mut rng = StdRng::seed_from_u64(seed);
     let records: Vec<PlainRecord> = (0..n)
         .map(|_| PlainRecord::real((0..arity).map(|_| rng.gen()).collect()))
+        .collect();
+    SharedArrayPair::share_records(&records, &mut rng)
+}
+
+/// An exhaustively padded cache: random rows, about three in four of them dummies.
+fn padded_cache(n: usize, seed: u64) -> SharedArrayPair {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let records: Vec<PlainRecord> = (0..n)
+        .map(|_| PlainRecord {
+            fields: (0..4).map(|_| rng.gen()).collect(),
+            is_view: rng.gen_range(0..4) == 0,
+        })
         .collect();
     SharedArrayPair::share_records(&records, &mut rng)
 }
@@ -68,13 +80,27 @@ fn bench_truncated_join(c: &mut Criterion) {
 
 fn bench_cache_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_read");
-    for &n in &[256usize, 1024] {
+    for &n in &[256usize, 1024, 16384] {
+        // Cold: nothing about the cache is known, the whole array is sorted.
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let base = random_array(n, 4, 13);
+            let base = padded_cache(n, 13);
             b.iter(|| {
                 let mut cache = base.clone();
                 let mut meter = CostMeter::new();
                 cache_read(&mut cache, n / 4, &mut meter).len()
+            });
+        });
+        // Steady state, the shape every synchronisation after the first sees: the
+        // previous read left the prefix real-first, n/64 new rows sit behind it.
+        group.bench_with_input(BenchmarkId::new("steady", n), &n, |b, &n| {
+            let prefix = n - n / 64;
+            let mut base = padded_cache(n, 13);
+            cache_read(&mut base, n / 64, &mut CostMeter::new());
+            base.extend(padded_cache(n / 64, 17)).expect("same arity");
+            b.iter(|| {
+                let mut cache = base.clone();
+                let mut meter = CostMeter::new();
+                cache_read_incremental(&mut cache, prefix, n / 4, &mut meter).len()
             });
         });
     }

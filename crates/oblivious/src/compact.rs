@@ -2,10 +2,14 @@
 //!
 //! The Shrink protocols fetch a DP-noised number of tuples from the exhaustively
 //! padded secure cache. To guarantee that real tuples are always fetched before
-//! dummies, the cache is first obliviously sorted on the `isView` bit, then the first
-//! `sz` slots are cut off; the remainder stays in the cache.
+//! dummies, the cache is brought into `isView` order, then the first `sz` slots are
+//! cut off; the remainder stays in the cache — still in `isView` order. The paper
+//! re-sorts the whole cache at every read; here a read is told how long that
+//! already-ordered prefix is (a public number: previous length − previous read
+//! size) and sorts only the rows appended behind it, then bitonic-merges the two
+//! runs ([`cache_read_incremental`]).
 
-use crate::sort::oblivious_sort_by_is_view;
+use crate::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 
@@ -19,24 +23,48 @@ pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
     oblivious_sort_by_is_view(array, meter);
 }
 
-/// The secure cache read of Figure 3: obliviously sort the cache by `isView`, cut off
-/// the first `read_size` entries and return them; the remaining entries stay in
-/// `cache`. `read_size` larger than the cache simply drains it.
-///
-/// Returns the fetched entries. The servers observe only `read_size` (which the
-/// calling Shrink protocol derives from a DP mechanism) — never the true cardinality.
-///
-/// Cost: the [`oblivious_compact`] sort of the whole cache plus the `read_size`
-/// record transfer. This sort over the cache length is why keeping ΔV at the
-/// `ω·|delta|` nested-loop output contract (rather than Example 5.1's
-/// `ω·(|T1|+|T2|)`) matters: the cache, and with it every synchronization, would
-/// otherwise grow with the accumulated relation.
+/// The secure cache read of Figure 3 over a cache nothing is known about:
+/// [`cache_read_incremental`] with an empty sorted prefix, i.e. a Batcher sort of
+/// the whole cache by `isView` followed by the cut.
 pub fn cache_read(
     cache: &mut SharedArrayPair,
     read_size: usize,
     meter: &mut CostMeter,
 ) -> SharedArrayPair {
-    oblivious_sort_by_is_view(cache, meter);
+    cache_read_incremental(cache, 0, read_size, meter)
+}
+
+/// The secure cache read of Figure 3: bring the cache into `isView` order, cut off
+/// the first `read_size` entries and return them; the remaining entries stay in
+/// `cache`, real tuples first. `read_size` larger than the cache simply drains it.
+///
+/// The caller vouches that the first `sorted_prefix` entries are already real-first
+/// — what a previous read left behind, with later writes appended after it.
+///
+/// Returns the fetched entries. The servers observe only `read_size` (which the
+/// calling Shrink protocol derives from a DP mechanism) and the network's shape,
+/// a function of `sorted_prefix` and the cache length — both public already —
+/// never the true cardinality.
+///
+/// Cost, with `n` the cache length and `s = sorted_prefix`: a Batcher sort of the
+/// `n − s` appended rows (`batcher_pair_count(n − s)`), the bitonic merge of the two
+/// runs (`bitonic_merge_pair_count(n)` plus `⌊s/2⌋` reversal swaps, one round; not
+/// run when either side is empty) and the `read_size` record transfer — instead of
+/// the paper's `batcher_pair_count(n)` over the whole cache. The merge is still
+/// linear-logarithmic in the cache length, which is why keeping ΔV at the
+/// `ω·|delta|` nested-loop output contract (rather than Example 5.1's
+/// `ω·(|T1|+|T2|)`) matters: the cache, and with it every synchronization, would
+/// otherwise grow with the accumulated relation.
+///
+/// # Panics
+/// Panics when `sorted_prefix` exceeds the cache length.
+pub fn cache_read_incremental(
+    cache: &mut SharedArrayPair,
+    sorted_prefix: usize,
+    read_size: usize,
+    meter: &mut CostMeter,
+) -> SharedArrayPair {
+    oblivious_merge_by_is_view(cache, sorted_prefix, meter);
     let width = cache.arity().unwrap_or(0) as u64 + 1;
     meter.bytes(read_size.min(cache.len()) as u64 * width * 4);
     meter.round();
@@ -46,7 +74,11 @@ pub fn cache_read(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incshrink_secretshare::tuple::PlainRecord;
+    use crate::sort::{
+        batcher_pair_count, batcher_pairs, bitonic_merge_pair_count, bitonic_merge_pairs,
+    };
+    use incshrink_mpc::cost::CostReport;
+    use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -123,6 +155,15 @@ mod tests {
         assert_eq!(cache.len(), 6);
     }
 
+    /// Swap whole entries at every comparator of `pairs`, offset by `base`.
+    fn walk(entries: &mut [SharedRecordPair], base: usize, pairs: &[(usize, usize)]) {
+        for &(lo, hi) in pairs {
+            if entries[base + lo].is_view.recover() < entries[base + hi].is_view.recover() {
+                entries.swap(base + lo, base + hi);
+            }
+        }
+    }
+
     #[test]
     fn cache_read_at_5000_equals_the_comparator_walk() {
         // A length off every power of two, so pruned and shortened blocks occur at
@@ -131,18 +172,79 @@ mod tests {
         // both the fetched prefix and what stays behind pins the permutation.
         let mut cache = mixed_cache(1700, 3300);
         let mut walked = cache.clone();
-        let entries = walked.entries_mut();
-        for (lo, hi) in crate::sort::batcher_pairs(entries.len()) {
-            if entries[lo].is_view.recover() < entries[hi].is_view.recover() {
-                entries.swap(lo, hi);
-            }
-        }
+        walk(walked.entries_mut(), 0, &batcher_pairs(5000));
         let walked_front = walked.split_front(2000);
 
         let fetched = cache_read(&mut cache, 2000, &mut CostMeter::new());
         assert_eq!(fetched, walked_front);
         assert_eq!(cache, walked);
         assert_eq!(fetched.true_cardinality(), 1700);
+
+        // The steady state: 3000 ordered rows stay behind, 2000 unordered ones are
+        // appended, and the next read sorts those, reverses the prefix and runs the
+        // bitonic cleaner over all 5000.
+        let delta = mixed_cache(900, 1100);
+        cache.extend(delta.clone()).unwrap();
+        walked.extend(delta).unwrap();
+        let entries = walked.entries_mut();
+        walk(entries, 3000, &batcher_pairs(2000));
+        entries[..3000].reverse();
+        walk(entries, 0, &bitonic_merge_pairs(5000));
+        let walked_front = walked.split_front(500);
+
+        let fetched = cache_read_incremental(&mut cache, 3000, 500, &mut CostMeter::new());
+        assert_eq!(fetched, walked_front);
+        assert_eq!(cache, walked);
+        assert_eq!(fetched.true_cardinality(), 500);
+        assert_eq!(cache.true_cardinality(), 400);
+    }
+
+    #[test]
+    fn read_cost_is_a_function_of_prefix_and_length_alone() {
+        let width = 3u64; // two fields + isView
+        for (s, n) in [
+            (0usize, 40usize),
+            (1, 2),
+            (7, 8),
+            (30, 40),
+            (39, 40),
+            (40, 40),
+        ] {
+            let expected = {
+                let merged = s > 0 && s < n;
+                let sort = batcher_pair_count(n - s);
+                let merge = if merged {
+                    bitonic_merge_pair_count(n)
+                } else {
+                    0
+                };
+                let reversal = if merged { s as u64 / 2 } else { 0 };
+                CostReport {
+                    secure_compares: sort + merge,
+                    secure_swaps: (sort + merge + reversal) * width,
+                    bytes_communicated: 5.min(n as u64) * width * 4,
+                    rounds: u64::from(n - s >= 2) + u64::from(merged) + 1,
+                    ..CostReport::default()
+                }
+            };
+            // Same public sizes, different contents: a prefix of reals then dummies,
+            // against an all-dummy prefix, each with its own tail.
+            for (prefix_real, tail_real) in [(s / 2, (n - s) / 3), (0, n - s)] {
+                let mut cache = mixed_cache(prefix_real, 0);
+                cache.extend(mixed_cache(0, s - prefix_real)).unwrap();
+                cache
+                    .extend(mixed_cache(tail_real, n - s - tail_real))
+                    .unwrap();
+                let mut meter = CostMeter::new();
+                let fetched = cache_read_incremental(&mut cache, s, 5, &mut meter);
+                assert_eq!(meter.report(), expected, "s={s} n={n}");
+                assert_eq!(
+                    fetched.true_cardinality(),
+                    (prefix_real + tail_real).min(5),
+                    "s={s} n={n}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -12,8 +12,10 @@
 //!   (Algorithm 4), with analytic per-operator cost models.
 //! * [`planner`] — adaptive join planning: pick the cheaper truncated-join operator
 //!   from a secure-compare cost model over the public input sizes.
-//! * [`compact`] — the cache-read primitive of Figure 3: sort by `isView` so real
-//!   tuples precede dummies, then cut a prefix of a given (DP-noised) size.
+//! * [`compact`] — the cache-read primitive of Figure 3: bring the cache into
+//!   `isView` order so real tuples precede dummies (sorting only what was appended
+//!   behind the prefix the previous read left ordered, then merging), then cut a
+//!   prefix of a given (DP-noised) size.
 //! * [`shuffle`] — oblivious permutation plus secure re-routing of a batch into
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
@@ -37,7 +39,7 @@ pub mod table;
 pub use aggregate::{
     oblivious_count, oblivious_group_count, oblivious_group_count_over_domain, oblivious_sum,
 };
-pub use compact::{cache_read, oblivious_compact};
+pub use compact::{cache_read, cache_read_incremental, oblivious_compact};
 pub use filter::{oblivious_filter, Predicate, PredicateKind};
 pub use join::{
     delta_sort_merge_join_cost, nested_loop_join_cost, push_padded, truncated_match,

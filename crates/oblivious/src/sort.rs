@@ -25,7 +25,10 @@
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
 //!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
-//!   [`bitonic_merge_pair_count`] prices it.
+//!   [`bitonic_merge_pair_count`] prices it. The Shrink cache read executes it: the
+//!   rows a read leaves behind are already in `isView` order, so the next read
+//!   sorts only what was appended since and merges it in
+//!   ([`crate::compact::cache_read_incremental`]).
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -310,6 +313,20 @@ fn exchange_groups<const K: usize>(span: &mut [u64]) {
     exchange_block(groups.into_remainder(), K);
 }
 
+/// One stride-`k` stage over `span`, which starts on a block origin: every `2k`
+/// group compares its first `k` words with the run that follows them.
+#[inline]
+fn exchange_stride(span: &mut [u64], k: usize) {
+    match k {
+        1 => exchange_groups::<1>(span),
+        2 => exchange_groups::<2>(span),
+        4 => exchange_groups::<4>(span),
+        _ => span
+            .chunks_mut(2 * k)
+            .for_each(|group| exchange_block(group, k)),
+    }
+}
+
 /// Run the pruned Batcher network over packed sort words — the same comparators
 /// in the same order as [`batcher_pairs`]`(words.len())`, walked block by block.
 ///
@@ -328,17 +345,8 @@ fn run_sort_network(words: &mut [u64]) {
             let trim = if k == p { 0 } else { k };
             for chunk in words.chunks_mut(2 * p) {
                 let end = chunk.len().min(2 * p - trim);
-                if end <= trim + k {
-                    continue;
-                }
-                let span = &mut chunk[trim..end];
-                match k {
-                    1 => exchange_groups::<1>(span),
-                    2 => exchange_groups::<2>(span),
-                    4 => exchange_groups::<4>(span),
-                    _ => span
-                        .chunks_mut(2 * k)
-                        .for_each(|group| exchange_block(group, k)),
+                if end > trim + k {
+                    exchange_stride(&mut chunk[trim..end], k);
                 }
             }
             k /= 2;
@@ -347,26 +355,48 @@ fn run_sort_network(words: &mut [u64]) {
     }
 }
 
-/// Oblivious sort of `array` by the key `key_fn` extracts from each record.
+/// Run the bitonic cleaner over packed sort words in valley form — the same
+/// comparators in the same order as [`bitonic_merge_pairs`]`(words.len())`. Stage
+/// `k` compares `(l, l + k)` for `l mod 2k < k`: the first `k` words of every `2k`
+/// group against the rest of it, the last group cut short by the array end exactly
+/// where the `+∞` padding rule drops comparators.
+fn run_bitonic_merge(words: &mut [u64]) {
+    let mut k = words.len().next_power_of_two() / 2;
+    while k >= 1 {
+        exchange_stride(words, k);
+        k /= 2;
+    }
+}
+
+/// Oblivious sort of `array` by the key `key_fn` extracts from each record, given
+/// that its first `sorted_prefix` entries are already in that order (`0`: nothing
+/// is known, the whole array is sorted).
 ///
 /// `key_fn` receives the record's share pair and reconstructs only the words its key
 /// is made of (reconstruction happens *inside* the simulated MPC, mirroring how a
 /// garbled-circuit comparator sees the joint value without either party learning
-/// it). Costs one secure comparison and one record-wide oblivious swap per network
-/// comparator, charged up front from the input length.
+/// it). The network is a function of the two public sizes only: a Batcher sort of
+/// the tail `[sorted_prefix, n)`, then — when there is a prefix to merge it into —
+/// the fixed reversal of the prefix into valley form and the bitonic cleaner of
+/// [`bitonic_merge_pairs`] over all `n`. One secure comparison and one record-wide
+/// oblivious swap per comparator, `⌊sorted_prefix/2⌋` swaps for the reversal and
+/// one round per network, charged up front; `sorted_prefix = n` runs and charges
+/// nothing.
 ///
 /// Physically, each record becomes one packed word `key << 30 | position` (a
 /// descending sort complements the key, so ties stay ties), the comparator network
 /// runs over that single `u64` lane, and the record shares are gathered through the
 /// surviving position bits in one final pass. Swap decisions depend on the key bits
 /// only, so the arrangement is the one swapping whole records at every comparator
-/// of [`batcher_pairs`] produces.
+/// of [`batcher_pairs`] (and [`bitonic_merge_pairs`]) produces.
 ///
 /// # Panics
-/// Panics when a key exceeds [`MAX_SORT_KEY`] or the array has more than 2³⁰
-/// entries — either would spill into the other half of the packed word.
+/// Panics when `sorted_prefix` exceeds the array length, a key exceeds
+/// [`MAX_SORT_KEY`] or the array has more than 2³⁰ entries — the latter two would
+/// spill into the other half of the packed word.
 pub(crate) fn oblivious_sort_by_key<F>(
     array: &mut SharedArrayPair,
+    sorted_prefix: usize,
     order: SortOrder,
     meter: &mut CostMeter,
     key_fn: F,
@@ -374,7 +404,8 @@ pub(crate) fn oblivious_sort_by_key<F>(
     F: Fn(&SharedRecordPair) -> u64,
 {
     let n = array.len();
-    if n < 2 {
+    assert!(sorted_prefix <= n, "sorted prefix longer than the array");
+    if n < 2 || sorted_prefix == n {
         return;
     }
     assert!(
@@ -382,7 +413,13 @@ pub(crate) fn oblivious_sort_by_key<F>(
         "array too long for a packed sort"
     );
     let width = array.arity().unwrap_or(1) as u64 + 1;
-    charge_sort_network(n, width, meter);
+    charge_sort_network(n - sorted_prefix, width, meter);
+    if sorted_prefix > 0 {
+        let pairs = bitonic_merge_pair_count(n);
+        meter.compares(pairs);
+        meter.swaps(pairs + sorted_prefix as u64 / 2, width);
+        meter.round();
+    }
 
     let mut words: Vec<u64> = (0u64..)
         .zip(array.entries())
@@ -396,7 +433,11 @@ pub(crate) fn oblivious_sort_by_key<F>(
             key << INDEX_BITS | position
         })
         .collect();
-    run_sort_network(&mut words);
+    run_sort_network(&mut words[sorted_prefix..]);
+    if sorted_prefix > 0 {
+        words[..sorted_prefix].reverse();
+        run_bitonic_merge(&mut words);
+    }
     let perm: Vec<usize> = words.iter().map(|w| (w & INDEX_MASK) as usize).collect();
     array.permute_gather(&perm);
 }
@@ -410,7 +451,7 @@ pub fn oblivious_sort_by_field(
     order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    oblivious_sort_by_key(array, order, meter, |rec| {
+    oblivious_sort_by_key(array, 0, order, meter, |rec| {
         let dummy = rec.is_view.recover() == 0;
         let value = rec.fields.get(field).map_or(u32::MAX, |w| w.recover());
         // Dummies always sink to the tail regardless of direction.
@@ -425,7 +466,17 @@ pub fn oblivious_sort_by_field(
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_key(array, SortOrder::Ascending, meter, |rec| {
+    oblivious_merge_by_is_view(array, 0, meter);
+}
+
+/// [`oblivious_sort_by_is_view`] for an array whose first `sorted_prefix` entries
+/// are already real-first: only the tail is sorted, then merged in.
+pub(crate) fn oblivious_merge_by_is_view(
+    array: &mut SharedArrayPair,
+    sorted_prefix: usize,
+    meter: &mut CostMeter,
+) {
+    oblivious_sort_by_key(array, sorted_prefix, SortOrder::Ascending, meter, |rec| {
         u64::from(rec.is_view.recover() == 0)
     });
 }
@@ -672,6 +723,99 @@ mod tests {
         }
     }
 
+    /// `n` seeded keys arranged in valley form for every given split — a random
+    /// `split`-subset descending, the rest ascending behind it — through the
+    /// blocked merge kernel and through [`bitonic_merge_pairs`] one comparator at a
+    /// time. Positions make every word distinct, so equal vectors mean equal
+    /// permutations.
+    fn assert_merge_kernel_equals_comparator_walk(
+        n: usize,
+        splits: impl Iterator<Item = usize>,
+        binary: bool,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut sorted: Vec<u64> = (0..n)
+            .map(|_| {
+                if binary {
+                    rng.gen_range(0..2)
+                } else {
+                    rng.gen::<u64>() >> 31
+                }
+            })
+            .collect();
+        sorted.sort_unstable();
+        // Key `i` of `sorted` goes to the prefix when its rank is below the split.
+        let mut rank: Vec<usize> = (0..n).collect();
+        rank.shuffle(&mut rng);
+        let pairs = bitonic_merge_pairs(n);
+        for split in splits {
+            let keyed = || sorted.iter().zip(&rank);
+            let prefix = keyed().rev().filter(|(_, &r)| r < split);
+            let tail = keyed().filter(|(_, &r)| r >= split);
+            let mut walk: Vec<u64> = (0u64..)
+                .zip(prefix.chain(tail))
+                .map(|(position, (key, _))| key << INDEX_BITS | position)
+                .collect();
+            let mut kernel = walk.clone();
+            run_bitonic_merge(&mut kernel);
+            for &(lo, hi) in &pairs {
+                if walk[lo] >> INDEX_BITS > walk[hi] >> INDEX_BITS {
+                    walk.swap(lo, hi);
+                }
+            }
+            assert_eq!(kernel, walk, "n={n} split={split} binary={binary}");
+            assert!(
+                kernel
+                    .iter()
+                    .map(|w| w >> INDEX_BITS)
+                    .eq(sorted.iter().copied()),
+                "n={n} split={split} binary={binary}: not merged"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_kernel_equals_comparator_walk_at_every_length_and_split() {
+        for binary in [true, false] {
+            for n in 0..=300usize {
+                assert_merge_kernel_equals_comparator_walk(n, 0..=n, binary);
+            }
+            for n in [1000usize, 4096, 5000] {
+                let splits = [0, 1, n / 64, n / 2, n - n / 64, n - 1, n];
+                assert_merge_kernel_equals_comparator_walk(n, splits.into_iter(), binary);
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_prefix_only_sorts_and_charges_the_tail() {
+        // Prefix 4 of 7 ascending already; the tail is not.
+        let values = [1, 4, 6, 9, 8, 2, 5];
+        let width = 2;
+        let mut arr = share_values(&values, 0);
+        let mut meter = CostMeter::new();
+        oblivious_sort_by_key(&mut arr, 4, SortOrder::Ascending, &mut meter, |rec| {
+            u64::from(rec.fields[0].recover())
+        });
+        let keys: Vec<u32> = arr.recover_all().iter().map(|r| r.fields[0]).collect();
+        assert_eq!(keys, vec![1, 2, 4, 5, 6, 8, 9]);
+        let pairs = batcher_pair_count(3) + bitonic_merge_pair_count(7);
+        let report = meter.take();
+        assert_eq!(report.secure_compares, pairs);
+        assert_eq!(report.secure_swaps, (pairs + 4 / 2) * width);
+        assert_eq!(report.rounds, 2);
+
+        // A prefix that covers the array: nothing runs, nothing is charged.
+        let before = arr.clone();
+        oblivious_sort_by_key(&mut arr, 7, SortOrder::Ascending, &mut meter, |_| {
+            unreachable!("no key is extracted")
+        });
+        assert_eq!(arr, before);
+        assert!(meter.report().is_empty());
+    }
+
     #[test]
     #[should_panic(expected = "exceeds 34 bits")]
     fn key_wider_than_the_packed_word_is_rejected() {
@@ -679,6 +823,7 @@ mod tests {
         let mut arr = share_values(&[1, 2, 3], 0);
         oblivious_sort_by_key(
             &mut arr,
+            0,
             SortOrder::Ascending,
             &mut CostMeter::new(),
             |_| MAX_SORT_KEY + 1,

@@ -165,13 +165,17 @@ impl SharedArrayPair {
     }
 
     /// Split off the first `n` entries (cache read / cut-off step of Shrink). If `n`
-    /// exceeds the length, the whole array is taken.
+    /// exceeds the length, the whole array is taken. The fetched prefix is the short
+    /// side of a cache read, so it is the one copied out: the remainder slides down
+    /// inside its own allocation.
     pub fn split_front(&mut self, n: usize) -> SharedArrayPair {
-        let n = n.min(self.entries.len());
-        let rest = self.entries.split_off(n);
-        let front = std::mem::replace(&mut self.entries, rest);
+        let entries = if n >= self.entries.len() {
+            std::mem::take(&mut self.entries)
+        } else {
+            self.entries.drain(..n).collect()
+        };
         SharedArrayPair {
-            entries: front,
+            entries,
             arity: self.arity,
         }
     }
@@ -199,14 +203,18 @@ impl SharedArrayPair {
             self.entries.len(),
             "permutation length mismatch"
         );
+        // The capacity carries over: an array that is appended to between sorts (the
+        // secure cache) would otherwise regrow — and copy itself — after each one.
+        let capacity = self.entries.capacity();
         let mut slots: Vec<Option<SharedRecordPair>> = std::mem::take(&mut self.entries)
             .into_iter()
             .map(Some)
             .collect();
-        self.entries = perm
-            .iter()
-            .map(|&src| slots[src].take().expect("perm must be a permutation"))
-            .collect();
+        self.entries = Vec::with_capacity(capacity);
+        self.entries.extend(
+            perm.iter()
+                .map(|&src| slots[src].take().expect("perm must be a permutation")),
+        );
     }
 
     /// Keep only the entries whose `(index, entry)` the predicate accepts, preserving
@@ -297,6 +305,20 @@ mod tests {
     }
 
     #[test]
+    fn split_front_keeps_contents_and_order_on_both_sides() {
+        let whole = sample_array(5, 4, 2);
+        for n in [0usize, 1, 4, 8, 9, 10, 100] {
+            let mut rest = whole.clone();
+            let front = rest.split_front(n);
+            let cut = n.min(whole.len());
+            assert_eq!(front.entries(), &whole.entries()[..cut], "n={n}");
+            assert_eq!(rest.entries(), &whole.entries()[cut..], "n={n}");
+            assert_eq!(front.arity(), Some(2));
+            assert_eq!(rest.arity(), Some(2));
+        }
+    }
+
+    #[test]
     fn retain_with_keeps_order_and_indices() {
         let mut arr = sample_array(6, 0, 2);
         let before = arr.recover_all();
@@ -359,7 +381,10 @@ mod tests {
     fn permute_gather_rearranges_entries() {
         let mut arr = sample_array(5, 0, 2);
         let before = arr.recover_all();
+        arr.entries.reserve(11);
+        let capacity = arr.entries.capacity();
         arr.permute_gather(&[3, 0, 4, 1, 2]);
+        assert!(arr.entries.capacity() >= capacity, "spare capacity is kept");
         let after = arr.recover_all();
         for (j, &src) in [3usize, 0, 4, 1, 2].iter().enumerate() {
             assert_eq!(after[j], before[src]);
