@@ -140,8 +140,8 @@ pub struct BucketMove {
 }
 
 /// Group planned moves into one transfer per `(from, to)` shard edge, in a
-/// deterministic (sorted) order — both cluster drivers execute migrations
-/// through this grouping so their trajectories stay bit-for-bit comparable.
+/// deterministic (sorted) order — the order the cluster driver executes the
+/// transfers in, which fixes the migrator's rng draw sequence on either host.
 #[must_use]
 pub fn group_moves(moves: &[BucketMove]) -> Vec<((usize, usize), Vec<usize>)> {
     let mut grouped: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
@@ -209,8 +209,8 @@ impl ElasticReport {
 /// The routing-side elastic state owned by the [`crate::ClusterShuffler`]: the
 /// virtual-bucket assignment table, the per-window load tallies, the DP cut
 /// plan and the split/merge planner. Lives wherever the shuffler lives (the
-/// driver in the sequential cluster, the broker thread in the parallel
-/// runtime), so routing decisions are made exactly once per step in both.
+/// driver thread on the inline host, the broker thread on the threaded one),
+/// so routing decisions are made exactly once per step on both.
 #[derive(Debug)]
 pub struct ElasticRouting {
     config: ElasticConfig,

@@ -36,6 +36,12 @@
 //! per-shard view scans — the linear-in-view cost that dominates query time — shrink
 //! roughly by `1/S`.
 //!
+//! The cluster has **one driver and two hosts** ([`runtime`]): a single step
+//! loop that reaches its shards through a small private set of requests, served
+//! either inline on the calling thread ([`ShardedSimulation`], the reference
+//! run) or by one OS thread per shard plus an upload broker
+//! ([`ParallelShardedSimulation`]) — the two replay each other bit for bit.
+//!
 //! [`ShardedSimulation`] with one shard reproduces the single-pair
 //! `incshrink::Simulation` exactly (same seed ⇒ same per-step trace); the
 //! `scaleout` benchmark binary sweeps `S ∈ {1, 2, 4, 8}` over both evaluation
@@ -54,8 +60,6 @@ pub mod shuffle;
 pub use elastic::{BucketMove, ElasticConfig, ElasticReport, ElasticRouting, ViewMigrator};
 pub use executor::ScatterGatherExecutor;
 pub use router::{shard_of, ShardRouter};
-pub use runtime::{ParallelRunReport, ParallelShardedSimulation, RuntimeStats};
-pub use sharded::{
-    shard_config, shard_pipelines, ClusterPrivacy, ClusterRunReport, ShardReport, ShardedSimulation,
-};
+pub use runtime::{ParallelRunReport, ParallelShardedSimulation, RuntimeStats, ShardedSimulation};
+pub use sharded::{shard_config, shard_pipelines, ClusterPrivacy, ClusterRunReport, ShardReport};
 pub use shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};

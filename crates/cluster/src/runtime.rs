@@ -1,14 +1,26 @@
-//! The true parallel cluster runtime: shards as OS threads, uploads through a
-//! broker actor.
+//! The cluster driver: one step loop, two hosts for the shards it steps.
 //!
-//! [`crate::ShardedSimulation`] *models* cluster parallelism — it steps the
-//! shard pipelines sequentially and reports "slowest shard" timings from the
-//! cost model. [`ParallelShardedSimulation`] *executes* it: every
-//! `ShardPipeline` runs on its own OS thread behind a command/response channel
-//! (a shard actor message loop), and an upload **broker** thread accepts the
-//! owner streams, batches them per step, and routes/shuffles the resulting
-//! `StepUploads` to the shard threads with exactly
-//! `ClusterShuffler::route_step`'s semantics.
+//! [`ClusterSimulation`] generalizes the single-pair `incshrink::Simulation` to
+//! `S` server pairs: the workload is hash-partitioned by join key
+//! ([`crate::router`]), every shard runs its own complete Transform-and-Shrink
+//! pipeline (`incshrink::ShardPipeline`) with an **ε/S privacy budget**
+//! ([`crate::sharded::ClusterPrivacy`]), and the analyst's counting query is
+//! scatter-gathered across the shard views ([`crate::executor`]). Set-up, the
+//! step loop, query accounting, the migration schedule and report assembly are
+//! written once (`ClusterSimulation::drive`); the driver reaches its shards
+//! only through the private `ShardHost` requests — *step `t`*, *query*,
+//! *export / import a partition*, *finish* — which have exactly two
+//! implementations, selected by type name:
+//!
+//! * [`ShardedSimulation`] hosts the shards **inline**: a `Vec` of pipelines
+//!   stepped one after the other on the calling thread. It *models* cluster
+//!   parallelism (per-step time is the slowest shard's, from the cost model)
+//!   and is the reference every determinism test compares against.
+//! * [`ParallelShardedSimulation`] hosts them on **threads** and *executes*
+//!   the parallelism: every pipeline runs on its own OS thread behind a
+//!   command/response channel, and an upload **broker** thread accepts the
+//!   owner streams, batches them per step, and routes/shuffles the resulting
+//!   `StepUploads` to the shard threads.
 //!
 //! ```text
 //!             driver (this thread)
@@ -19,34 +31,38 @@
 //!      ◀───────────────── step replies / query partials ───┘
 //! ```
 //!
+//! Both hosts run the same per-command handlers (`Shard`) and the same
+//! shuffle phase (`ShuffleState::route`); the inline host calls them
+//! directly where the threaded one sends a message.
+//!
 //! # The replay contract
 //!
-//! The threaded runtime replays the sequential driver **bit for bit** — same
-//! analyst answers, same view share words (checked by fingerprint), same
-//! ε-ledger, same padded sizes — at every shard count, on both workloads, co-
-//! partitioned and shuffled. Three mechanisms make that work:
+//! The threaded host replays the inline one **bit for bit** — same analyst
+//! answers, same view share words (checked by fingerprint), same ε-ledger,
+//! same padded sizes — at every shard count, on both workloads, co-partitioned
+//! and shuffled. Three mechanisms make that work:
 //!
 //! * **Same randomness topology.** Each shard owns its pipeline (and its rngs)
 //!   wholesale; the broker owns the arrival rngs and the shuffler. No rng is
 //!   ever shared across threads, so no schedule can reorder draws.
 //! * **Lockstep steps.** The driver releases step `t+1` only after every shard
-//!   has replied for step `t`, mirroring the sequential loop's barrier. Within
-//!   a step the shards genuinely run concurrently — that concurrency is
-//!   invisible to the trajectory because shard states are disjoint.
+//!   has replied for step `t`. Within a step the shard threads genuinely run
+//!   concurrently — that concurrency is invisible to the trajectory because
+//!   shard states are disjoint.
 //! * **Deterministic aggregation order.** The driver collects replies and
 //!   query partials indexed by shard, so sums, maxima and the secure-add merge
 //!   see them in shard order no matter which thread finished first.
 //!
 //! Telemetry collectors installed on the driver thread are handed to every
 //! worker (`incshrink_telemetry::current_collectors`), so the ε-ledger and
-//! server-observable trace land in the same sinks as a sequential run. Events
+//! server-observable trace land in the same sinks as an inline run. Events
 //! from different `(step, shard)` coordinates may interleave differently under
 //! different schedules; `incshrink_telemetry::audit::canonical_observable_trace`
 //! recovers the schedule-independent order the equivalence tests compare.
-//! `runtime.step` spans are stamped with the shard identity (one thread per
-//! shard); *measured* wall-clock lives in those spans and in
-//! [`RuntimeStats`], while simulated QET keeps coming from the cost model —
-//! the two may disagree (host scheduling, cache effects), the traces may not.
+//! `runtime.step` spans are stamped with the shard identity; *measured*
+//! wall-clock lives in those spans and in [`RuntimeStats`], while simulated
+//! QET keeps coming from the cost model — the two may disagree (host
+//! scheduling, cache effects), the traces may not.
 //!
 //! # Failure semantics
 //!
@@ -75,11 +91,11 @@ use crate::sharded::{
     ClusterRunReport, ShardReport, SHARD_SEED_STRIDE,
 };
 use crate::shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
-use incshrink::framework::{PipelineStepOutcome, StepUploads};
-use incshrink::metrics::{relative_error, SummaryBuilder};
+use incshrink::framework::StepUploads;
+use incshrink::metrics::{ShardStep, SummaryBuilder};
 use incshrink::query::{Query, QueryEngine, QueryOutcome};
-use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline, StepRecord, UpdateStrategy};
-use incshrink_mpc::cost::{CostModel, SimDuration};
+use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline, UpdateStrategy};
+use incshrink_mpc::cost::CostModel;
 use incshrink_mpc::PartyMode;
 use incshrink_storage::{Relation, UploadBatch};
 use incshrink_telemetry::Collector;
@@ -91,218 +107,97 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Commands the driver (and broker) send to a shard thread.
-enum ShardCommand {
-    /// Run one upload epoch from the pipeline's own workload (co-partitioned).
-    Advance { t: u64 },
-    /// Run one upload epoch over broker-routed uploads (shuffled).
-    AdvanceWith { t: u64, uploads: Box<StepUploads> },
-    /// Execute the analyst query against this shard's view (or NM baseline)
-    /// and return the partial outcome for the driver's secure-add merge.
-    Query { query: Query, t: u64 },
-    /// Elastic migration: extract the listed virtual buckets' state (view
-    /// partition, active records, ledger budgets) and ship it to the driver.
-    ExportPartition { buckets: Vec<usize> },
-    /// Elastic migration: adopt a (DP-padded) partition, re-sharing everything
-    /// with randomness seeded by the driver's migrator.
-    ImportPartition {
-        partition: Box<MigratedPartition>,
-        import_seed: u64,
-    },
-    /// Test hook: panic inside the shard thread (teardown regression tests).
-    Crash { message: String },
-    /// Test hook: kill one of this shard's MPC party executors mid-run. Under
-    /// [`PartyMode::Actor`]/[`PartyMode::Tcp`] a party thread exits and the
-    /// next protocol round panics with `incshrink_mpc::PARTY_CRASH_MESSAGE`;
-    /// in-process mode panics immediately. Either way the panic rides the same
-    /// teardown/propagation path as a shard-thread panic.
-    PartyCrash,
-    /// Report end-of-run statistics and exit the thread.
-    Finish,
+/// One shard pipeline and its index: the per-command handlers both hosts run —
+/// the inline host by calling them, a shard thread from its message loop.
+struct Shard {
+    index: usize,
+    pipeline: ShardPipeline,
 }
 
-/// What a shard thread reports back after one step.
-struct ShardStepReply {
-    outcome: PipelineStepOutcome,
-    true_count: u64,
-    view_len: usize,
-    view_real: usize,
-    cache_len: usize,
-    view_mb: f64,
-}
-
-/// End-of-run statistics from one shard thread.
+/// End-of-run statistics of one shard.
 struct ShardFinal {
     report: ShardReport,
     host_transform_secs: f64,
 }
 
-enum ShardReply {
-    Step(ShardStepReply),
-    Query(Box<QueryOutcome>),
-    /// An exported migration partition plus the (public, padded) view length
-    /// the extraction scanned, for the driver-side cost accounting.
-    Partition {
-        partition: Box<MigratedPartition>,
-        view_len: usize,
-    },
-    /// Acknowledges an [`ShardCommand::ImportPartition`].
-    Imported,
-    Final(Box<ShardFinal>),
-}
-
-/// One shard pipeline running as an actor on its own OS thread.
-struct ShardActor {
-    commands: Sender<ShardCommand>,
-    replies: Receiver<ShardReply>,
-    handle: JoinHandle<()>,
-}
-
-impl ShardActor {
-    fn spawn(shard: usize, pipeline: ShardPipeline, collectors: Vec<Arc<dyn Collector>>) -> Self {
-        let (commands, command_rx) = channel::<ShardCommand>();
-        let (reply_tx, replies) = channel::<ShardReply>();
-        let handle = std::thread::Builder::new()
-            .name(format!("incshrink-shard-{shard}"))
-            .spawn(move || shard_main(shard, pipeline, collectors, &command_rx, &reply_tx))
-            .expect("spawn shard thread");
-        Self {
-            commands,
-            replies,
-            handle,
-        }
-    }
-}
-
-/// The shard thread's message loop. Exits when told to [`ShardCommand::Finish`]
-/// or when every command sender is gone.
-fn shard_main(
-    shard: usize,
-    mut pipeline: ShardPipeline,
-    collectors: Vec<Arc<dyn Collector>>,
-    commands: &Receiver<ShardCommand>,
-    replies: &Sender<ShardReply>,
-) {
-    // Re-install the driver's collectors for this thread's lifetime: the
-    // telemetry stack is thread-local, and the ε-ledger entries and observable
-    // sizes this shard emits belong in the same trace as the driver's.
-    let _guards: Vec<_> = collectors
-        .into_iter()
-        .map(incshrink_telemetry::install)
-        .collect();
-    let step = |pipeline: &mut ShardPipeline, t: u64, uploads: Option<Box<StepUploads>>| {
-        // Scope exactly like the sequential driver wraps `p.advance(t)`; the
-        // extra `runtime.step` span carries this thread's measured wall-clock
-        // stamped with the shard identity (one thread per shard).
-        let _shard_scope = incshrink_telemetry::shard_scope(shard as u64);
-        let _span = incshrink_telemetry::span!("runtime.step", step = t, shard = shard as u64);
+impl Shard {
+    /// Run upload epoch `t`: from the pipeline's own workload (co-partitioned,
+    /// `uploads = None`) or over shuffle-routed uploads. The `runtime.step`
+    /// span carries the measured wall-clock of this shard's step, stamped with
+    /// the shard identity.
+    fn step(&mut self, t: u64, uploads: Option<StepUploads>) -> ShardStep {
+        let _shard_scope = incshrink_telemetry::shard_scope(self.index as u64);
+        let _span = incshrink_telemetry::span!("runtime.step", step = t, shard = self.index as u64);
         let outcome = match uploads {
-            None => pipeline.advance(t),
-            Some(uploads) => pipeline.advance_with_uploads(t, *uploads),
+            None => self.pipeline.advance(t),
+            Some(uploads) => self.pipeline.advance_with_uploads(t, uploads),
         };
-        ShardStepReply {
-            outcome,
-            true_count: pipeline.true_count(t),
-            view_len: pipeline.view().len(),
-            view_real: pipeline.view().true_cardinality(),
-            cache_len: pipeline.cache_len(),
-            view_mb: pipeline.view().size_mb(),
+        ShardStep::observe(&self.pipeline, t, outcome)
+    }
+
+    /// Answer the analyst query over this shard — a view scan, or the NM
+    /// baseline's per-shard join recomputation — for the driver's secure-add
+    /// merge.
+    fn query(&self, query: &Query, t: u64) -> QueryOutcome {
+        if self.pipeline.config().strategy == UpdateStrategy::NonMaterialized {
+            self.pipeline.nm_engine(t).execute(query)
+        } else {
+            self.pipeline.execute_query(query)
         }
-    };
-    while let Ok(command) = commands.recv() {
-        let reply = match command {
-            ShardCommand::Advance { t } => ShardReply::Step(step(&mut pipeline, t, None)),
-            ShardCommand::AdvanceWith { t, uploads } => {
-                ShardReply::Step(step(&mut pipeline, t, Some(uploads)))
-            }
-            ShardCommand::Query { query, t } => {
-                let partial = if pipeline.config().strategy == UpdateStrategy::NonMaterialized {
-                    pipeline.nm_engine(t).execute(&query)
-                } else {
-                    pipeline.execute_query(&query)
-                };
-                ShardReply::Query(Box::new(partial))
-            }
-            ShardCommand::ExportPartition { buckets } => {
-                let view_len = pipeline.view().len();
-                ShardReply::Partition {
-                    partition: Box::new(pipeline.export_partition(&buckets)),
-                    view_len,
-                }
-            }
-            ShardCommand::ImportPartition {
-                partition,
-                import_seed,
-            } => {
-                pipeline.import_partition(*partition, import_seed);
-                ShardReply::Imported
-            }
-            ShardCommand::Crash { message } => panic!("{message}"),
-            ShardCommand::PartyCrash => {
-                pipeline.inject_party_crash();
-                continue; // Actor/Tcp: the *next* protocol round panics.
-            }
-            ShardCommand::Finish => {
-                let _ = replies.send(ShardReply::Final(Box::new(ShardFinal {
-                    report: ShardReport {
-                        shard,
-                        sync_count: pipeline.view().sync_count(),
-                        view_len: pipeline.view().len(),
-                        view_real: pipeline.view().true_cardinality(),
-                        cache_len: pipeline.cache_len(),
-                        truncation_losses: pipeline.truncation_losses(),
-                        mpc_secs: pipeline.elapsed().as_secs_f64(),
-                        view_fingerprint: pipeline.view().fingerprint(),
-                    },
-                    host_transform_secs: pipeline.host_transform_secs(),
-                })));
-                return;
-            }
-        };
-        if replies.send(reply).is_err() {
-            return; // Driver is gone; exit cleanly.
+    }
+
+    /// Elastic migration: extract the listed virtual buckets' state, plus the
+    /// (public, padded) view length the extraction scanned for the driver-side
+    /// cost accounting.
+    fn export(&mut self, buckets: &[usize]) -> (MigratedPartition, usize) {
+        let view_len = self.pipeline.view().len();
+        (self.pipeline.export_partition(buckets), view_len)
+    }
+
+    fn finish(&self) -> ShardFinal {
+        let view = self.pipeline.view();
+        ShardFinal {
+            report: ShardReport {
+                shard: self.index,
+                sync_count: view.sync_count(),
+                view_len: view.len(),
+                view_real: view.true_cardinality(),
+                cache_len: self.pipeline.cache_len(),
+                truncation_losses: self.pipeline.truncation_losses(),
+                mpc_secs: self.pipeline.elapsed().as_secs_f64(),
+                view_fingerprint: view.fingerprint(),
+            },
+            host_transform_secs: self.pipeline.host_transform_secs(),
         }
     }
 }
 
-/// Commands the driver sends to the broker thread.
-enum BrokerCommand {
-    /// Batch this step's owner streams and route them to the shard threads.
-    Step { t: u64 },
-    /// Report cumulative shuffle statistics and exit the thread.
-    Finish,
-}
-
-enum BrokerReply {
-    /// All of step `t`'s uploads were dispatched to the shard threads, plus
-    /// any bucket moves the elastic control plane planned when closing the
-    /// step (the driver executes the state transfers after the step's
-    /// maintenance and query complete — same schedule as the sequential
-    /// driver).
-    Routed { moves: Vec<BucketMove> },
-    /// Boxed: the cumulative stats payload dwarfs the per-step `Routed` reply.
-    Final(Box<BrokerFinal>),
-}
-
-/// End-of-run payload of [`BrokerReply::Final`].
-struct BrokerFinal {
-    stats: ShuffleStats,
-    host_shuffle_secs: f64,
-    elastic: Option<ElasticReport>,
-}
-
-/// Owner-stream state the broker thread owns under [`RoutingPolicy::Shuffled`]:
-/// per-arrival-shard workload slices and upload rngs, plus the shuffler.
+/// The shuffle phase's owner-stream state under [`RoutingPolicy::Shuffled`]:
+/// per-arrival-shard workload slices and upload rngs, plus the shuffler (and the
+/// elastic control plane it drives). Owned by the driver thread on the inline
+/// host and by the broker thread on the threaded one.
 struct ShuffleState {
     arrival_parts: Vec<Dataset>,
     arrival_rngs: Vec<StdRng>,
     shuffler: ClusterShuffler,
-    left_ingest: usize,
-    right_ingest: usize,
+    /// `(join-key column, per-shard ingest size)` of the left relation.
+    left: (usize, usize),
+    /// The same for the right relation; `None` when it is public (no uploads).
+    right: Option<(usize, usize)>,
     /// When set, owner streams are consumed in randomly sized chunks before
     /// each per-step batch is sealed — the soak test's proof that broker batch
     /// boundaries cannot affect the trajectory.
     chunk_rng: Option<StdRng>,
+    /// Host seconds spent in [`Self::route`] (`Summary::host_shuffle_secs`).
+    host_secs: f64,
+}
+
+/// End-of-run statistics of the shuffle phase (all-default when co-partitioned).
+#[derive(Default)]
+struct ShuffleFinal {
+    stats: ShuffleStats,
+    host_shuffle_secs: f64,
+    elastic: Option<ElasticReport>,
 }
 
 impl ShuffleState {
@@ -338,29 +233,306 @@ impl ShuffleState {
 
     /// Batch every arrival shard's step-`t` stream for `relation` and shuffle-
     /// route the batches to their join-key owners.
-    fn route(&mut self, t: u64, relation: Relation, dataset: &Dataset) -> Vec<UploadBatch> {
+    fn route_relation(
+        &mut self,
+        t: u64,
+        relation: Relation,
+        (key_column, ingest): (usize, usize),
+    ) -> Vec<UploadBatch> {
         let batches: Vec<UploadBatch> = self
             .arrival_parts
             .iter()
             .zip(self.arrival_rngs.iter_mut())
             .map(|(part, rng)| Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng))
             .collect();
-        let (key_column, ingest) = match relation {
-            Relation::Left => (dataset.left.schema.key_column, self.left_ingest),
-            Relation::Right => (dataset.right.schema.key_column, self.right_ingest),
-        };
         let (routed, _) = self
             .shuffler
             .route_step(t, relation, key_column, &batches, ingest);
         routed
     }
+
+    /// The shuffle phase of step `t`: seal and route both relations, then close
+    /// the elastic control step — window releases, cut refreshes and any
+    /// planned moves happen there, after every relation is routed, with the
+    /// assignment switch taking effect for step `t+1`'s routing. Returns every
+    /// shard's uploads in shard order plus the planned moves, whose *state*
+    /// transfer the driver executes at the end of the step.
+    fn route(&mut self, t: u64) -> (impl Iterator<Item = StepUploads>, Vec<BucketMove>) {
+        let started = Instant::now();
+        let left_routed = self.route_relation(t, Relation::Left, self.left);
+        let right_routed = self
+            .right
+            .map(|right| self.route_relation(t, Relation::Right, right));
+        let moves = self.shuffler.finish_step(t);
+        self.host_secs += started.elapsed().as_secs_f64();
+        let mut rights = right_routed.map(Vec::into_iter);
+        let uploads = left_routed.into_iter().map(move |left| StepUploads {
+            left,
+            right: rights
+                .as_mut()
+                .map(|it| it.next().expect("one routed right batch per shard")),
+        });
+        (uploads, moves)
+    }
+
+    /// End-of-run statistics; all-default for a co-partitioned run, which has
+    /// no shuffle state.
+    fn finish(state: Option<&Self>) -> ShuffleFinal {
+        state.map_or_else(ShuffleFinal::default, |s| ShuffleFinal {
+            stats: s.shuffler.stats(),
+            host_shuffle_secs: s.host_secs,
+            elastic: s.shuffler.elastic_report(),
+        })
+    }
+}
+
+/// A worker thread of the host died; the driver must retire it ([`lost`]).
+struct WorkerLost;
+
+type Hosted<T> = Result<T, WorkerLost>;
+
+/// Everything the cluster driver asks of whatever hosts its shards. Replies
+/// are always in shard order.
+trait ShardHost: Sized {
+    /// Run upload epoch `t` on every shard (shuffle phase included); returns
+    /// the shard reports and the bucket moves the elastic control plane
+    /// planned when closing the step.
+    fn step(&mut self, t: u64) -> Hosted<(Vec<ShardStep>, Vec<BucketMove>)>;
+    /// Every shard's partial answer to `query` at step `t`.
+    fn query(&mut self, query: &Query, t: u64) -> Hosted<Vec<QueryOutcome>>;
+    /// Extract `buckets` from shard `shard` ([`Shard::export`]).
+    fn export_partition(
+        &mut self,
+        shard: usize,
+        buckets: Vec<usize>,
+    ) -> Hosted<(MigratedPartition, usize)>;
+    /// Have shard `shard` adopt a (DP-padded) partition, re-sharing everything
+    /// with randomness seeded by the driver's migrator.
+    fn import_partition(
+        &mut self,
+        shard: usize,
+        partition: MigratedPartition,
+        import_seed: u64,
+    ) -> Hosted<()>;
+    /// End-of-run statistics of every shard and of the shuffle phase.
+    fn finals(&mut self) -> Hosted<(Vec<ShardFinal>, ShuffleFinal)>;
+    /// Retire the host: join its worker threads — re-raising the first worker
+    /// panic, if any — and return how many were joined.
+    fn retire(self) -> usize;
+}
+
+/// A worker died mid-run: retiring the host re-raises the worker's panic — or
+/// fail loudly if it exited without one.
+fn lost(host: impl ShardHost) -> ! {
+    let _ = host.retire();
+    panic!("cluster worker exited unexpectedly mid-run");
+}
+
+/// The inline host: every shard stepped in turn on the driver's thread.
+struct InlineHost {
+    shards: Vec<Shard>,
+    shuffle: Option<ShuffleState>,
+}
+
+impl ShardHost for InlineHost {
+    fn step(&mut self, t: u64) -> Hosted<(Vec<ShardStep>, Vec<BucketMove>)> {
+        Ok(match &mut self.shuffle {
+            None => (
+                self.shards.iter_mut().map(|s| s.step(t, None)).collect(),
+                Vec::new(),
+            ),
+            Some(state) => {
+                let (uploads, moves) = state.route(t);
+                let replies = self
+                    .shards
+                    .iter_mut()
+                    .zip(uploads)
+                    .map(|(shard, uploads)| shard.step(t, Some(uploads)))
+                    .collect();
+                (replies, moves)
+            }
+        })
+    }
+
+    fn query(&mut self, query: &Query, t: u64) -> Hosted<Vec<QueryOutcome>> {
+        Ok(self.shards.iter().map(|s| s.query(query, t)).collect())
+    }
+
+    fn export_partition(
+        &mut self,
+        shard: usize,
+        buckets: Vec<usize>,
+    ) -> Hosted<(MigratedPartition, usize)> {
+        Ok(self.shards[shard].export(&buckets))
+    }
+
+    fn import_partition(
+        &mut self,
+        shard: usize,
+        partition: MigratedPartition,
+        import_seed: u64,
+    ) -> Hosted<()> {
+        self.shards[shard]
+            .pipeline
+            .import_partition(partition, import_seed);
+        Ok(())
+    }
+
+    fn finals(&mut self) -> Hosted<(Vec<ShardFinal>, ShuffleFinal)> {
+        Ok((
+            self.shards.iter().map(Shard::finish).collect(),
+            ShuffleState::finish(self.shuffle.as_ref()),
+        ))
+    }
+
+    fn retire(self) -> usize {
+        0
+    }
+}
+
+/// Commands the driver (and broker) send to a shard thread.
+enum ShardCommand {
+    /// [`Shard::step`] from the pipeline's own workload (co-partitioned).
+    Advance { t: u64 },
+    /// [`Shard::step`] over broker-routed uploads (shuffled).
+    AdvanceWith { t: u64, uploads: Box<StepUploads> },
+    /// [`Shard::query`].
+    Query { query: Query, t: u64 },
+    /// [`Shard::export`].
+    ExportPartition { buckets: Vec<usize> },
+    /// `ShardPipeline::import_partition`.
+    ImportPartition {
+        partition: Box<MigratedPartition>,
+        import_seed: u64,
+    },
+    /// Test hook: panic inside the shard thread (teardown regression tests).
+    Crash { message: String },
+    /// Test hook: kill one of this shard's MPC party executors mid-run. Under
+    /// [`PartyMode::Actor`]/[`PartyMode::Tcp`] a party thread exits and the
+    /// next protocol round panics with `incshrink_mpc::PARTY_CRASH_MESSAGE`;
+    /// in-process mode panics immediately. Either way the panic rides the same
+    /// teardown/propagation path as a shard-thread panic.
+    PartyCrash,
+    /// Report [`Shard::finish`] and exit the thread.
+    Finish,
+}
+
+enum ShardReply {
+    Step(ShardStep),
+    Query(Box<QueryOutcome>),
+    Partition {
+        partition: Box<MigratedPartition>,
+        view_len: usize,
+    },
+    /// Acknowledges an [`ShardCommand::ImportPartition`].
+    Imported,
+    Final(Box<ShardFinal>),
+}
+
+/// One shard running as an actor on its own OS thread.
+struct ShardActor {
+    commands: Sender<ShardCommand>,
+    replies: Receiver<ShardReply>,
+    handle: JoinHandle<()>,
+}
+
+impl ShardActor {
+    fn spawn(shard: Shard, collectors: Vec<Arc<dyn Collector>>) -> Self {
+        let (commands, command_rx) = channel::<ShardCommand>();
+        let (reply_tx, replies) = channel::<ShardReply>();
+        let handle = std::thread::Builder::new()
+            .name(format!("incshrink-shard-{}", shard.index))
+            .spawn(move || shard_main(shard, collectors, &command_rx, &reply_tx))
+            .expect("spawn shard thread");
+        Self {
+            commands,
+            replies,
+            handle,
+        }
+    }
+
+    fn send(&self, command: ShardCommand) -> Hosted<()> {
+        self.commands.send(command).map_err(|_| WorkerLost)
+    }
+
+    fn recv(&self) -> Hosted<ShardReply> {
+        self.replies.recv().map_err(|_| WorkerLost)
+    }
+}
+
+/// The shard thread's message loop. Exits when told to [`ShardCommand::Finish`]
+/// or when every command sender is gone.
+fn shard_main(
+    mut shard: Shard,
+    collectors: Vec<Arc<dyn Collector>>,
+    commands: &Receiver<ShardCommand>,
+    replies: &Sender<ShardReply>,
+) {
+    // Re-install the driver's collectors for this thread's lifetime: the
+    // telemetry stack is thread-local, and the ε-ledger entries and observable
+    // sizes this shard emits belong in the same trace as the driver's.
+    let _guards: Vec<_> = collectors
+        .into_iter()
+        .map(incshrink_telemetry::install)
+        .collect();
+    while let Ok(command) = commands.recv() {
+        let reply = match command {
+            ShardCommand::Advance { t } => ShardReply::Step(shard.step(t, None)),
+            ShardCommand::AdvanceWith { t, uploads } => {
+                ShardReply::Step(shard.step(t, Some(*uploads)))
+            }
+            ShardCommand::Query { query, t } => ShardReply::Query(Box::new(shard.query(&query, t))),
+            ShardCommand::ExportPartition { buckets } => {
+                let (partition, view_len) = shard.export(&buckets);
+                ShardReply::Partition {
+                    partition: Box::new(partition),
+                    view_len,
+                }
+            }
+            ShardCommand::ImportPartition {
+                partition,
+                import_seed,
+            } => {
+                shard.pipeline.import_partition(*partition, import_seed);
+                ShardReply::Imported
+            }
+            ShardCommand::Crash { message } => panic!("{message}"),
+            ShardCommand::PartyCrash => {
+                shard.pipeline.inject_party_crash();
+                continue; // Actor/Tcp: the *next* protocol round panics.
+            }
+            ShardCommand::Finish => {
+                let _ = replies.send(ShardReply::Final(Box::new(shard.finish())));
+                return;
+            }
+        };
+        if replies.send(reply).is_err() {
+            return; // Driver is gone; exit cleanly.
+        }
+    }
+}
+
+/// Commands the driver sends to the broker thread.
+enum BrokerCommand {
+    /// Batch this step's owner streams and route them to the shard threads.
+    Step { t: u64 },
+    /// Report the shuffle phase's [`ShuffleFinal`] and exit the thread.
+    Finish,
+}
+
+enum BrokerReply {
+    /// All of step `t`'s uploads were dispatched to the shard threads, plus
+    /// any bucket moves the elastic control plane planned when closing the
+    /// step.
+    Routed { moves: Vec<BucketMove> },
+    /// Boxed: the cumulative stats payload dwarfs the per-step `Routed` reply.
+    Final(Box<ShuffleFinal>),
 }
 
 /// The broker thread's message loop: accept owner streams, batch per step,
 /// route to shard threads. Exits on [`BrokerCommand::Finish`], a closed command
 /// channel, or a dead shard (whose teardown the driver then drives).
 fn broker_main(
-    dataset: &Dataset,
     mut shuffle: Option<ShuffleState>,
     shard_commands: &[Sender<ShardCommand>],
     collectors: Vec<Arc<dyn Collector>>,
@@ -371,7 +543,6 @@ fn broker_main(
         .into_iter()
         .map(incshrink_telemetry::install)
         .collect();
-    let mut host_shuffle_secs = 0.0;
     while let Ok(command) = commands.recv() {
         match command {
             BrokerCommand::Step { t } => {
@@ -379,30 +550,18 @@ fn broker_main(
                 let mut moves = Vec::new();
                 let dispatched = match &mut shuffle {
                     // Co-partitioned: every pipeline owns its arrival shard's
-                    // workload and builds its own uploads (the bit-for-bit
-                    // historical path) — the broker just releases the step.
+                    // workload and builds its own uploads — the broker just
+                    // releases the step.
                     None => shard_commands
                         .iter()
                         .all(|tx| tx.send(ShardCommand::Advance { t }).is_ok()),
                     Some(state) => {
-                        let started = Instant::now();
-                        let left_routed = state.route(t, Relation::Left, dataset);
-                        let right_routed = (!dataset.right_is_public)
-                            .then(|| state.route(t, Relation::Right, dataset));
-                        // Close the elastic control step after routing every
-                        // relation — same point in the step as the sequential
-                        // driver, so releases land at identical trace
-                        // coordinates.
-                        moves = state.shuffler.finish_step(t);
-                        host_shuffle_secs += started.elapsed().as_secs_f64();
-                        let mut rights = right_routed.map(Vec::into_iter);
-                        shard_commands.iter().zip(left_routed).all(|(tx, left)| {
-                            let right = rights
-                                .as_mut()
-                                .map(|it| it.next().expect("one routed right batch per shard"));
+                        let (uploads, planned) = state.route(t);
+                        moves = planned;
+                        shard_commands.iter().zip(uploads).all(|(tx, uploads)| {
                             tx.send(ShardCommand::AdvanceWith {
                                 t,
-                                uploads: Box::new(StepUploads { left, right }),
+                                uploads: Box::new(uploads),
                             })
                             .is_ok()
                         })
@@ -415,50 +574,171 @@ fn broker_main(
                 }
             }
             BrokerCommand::Finish => {
-                let stats = shuffle
-                    .as_ref()
-                    .map(|s| s.shuffler.stats())
-                    .unwrap_or_default();
-                let elastic = shuffle.as_ref().and_then(|s| s.shuffler.elastic_report());
-                let _ = replies.send(BrokerReply::Final(Box::new(BrokerFinal {
-                    stats,
-                    host_shuffle_secs,
-                    elastic,
-                })));
+                let done = ShuffleState::finish(shuffle.as_ref());
+                let _ = replies.send(BrokerReply::Final(Box::new(done)));
                 return;
             }
         }
     }
 }
 
-/// The live actor system: shard threads plus the broker thread, owned by the
-/// driver. Dropping the command senders (in [`ActorSystem::teardown`]) is what
-/// lets every worker's `recv` loop exit, so teardown can never deadlock.
-struct ActorSystem {
+/// The threaded host — the live actor system: shard threads plus the broker
+/// thread, owned by the driver.
+struct ThreadHost {
     actors: Vec<ShardActor>,
     broker_commands: Sender<BrokerCommand>,
     broker_replies: Receiver<BrokerReply>,
     broker_handle: JoinHandle<()>,
+    hooks: Threads,
 }
 
-impl ActorSystem {
-    /// Drop every command sender, join every worker thread, and re-raise the
-    /// first worker panic (if any). Returns the number of threads joined.
-    fn teardown(self) -> usize {
-        let Self {
+impl ThreadHost {
+    fn spawn(shards: Vec<Shard>, shuffle: Option<ShuffleState>, hooks: Threads) -> Self {
+        let collectors = incshrink_telemetry::current_collectors();
+        let actors: Vec<ShardActor> = shards
+            .into_iter()
+            .map(|shard| ShardActor::spawn(shard, collectors.clone()))
+            .collect();
+        let shard_senders: Vec<Sender<ShardCommand>> =
+            actors.iter().map(|a| a.commands.clone()).collect();
+        let (broker_commands, broker_command_rx) = channel::<BrokerCommand>();
+        let (broker_reply_tx, broker_replies) = channel::<BrokerReply>();
+        let broker_handle = std::thread::Builder::new()
+            .name("incshrink-broker".to_string())
+            .spawn(move || {
+                broker_main(
+                    shuffle,
+                    &shard_senders,
+                    collectors,
+                    &broker_command_rx,
+                    &broker_reply_tx,
+                );
+            })
+            .expect("spawn broker thread");
+        Self {
             actors,
             broker_commands,
             broker_replies,
             broker_handle,
-        } = self;
-        drop(broker_commands);
-        drop(broker_replies);
-        let mut handles = Vec::with_capacity(actors.len() + 1);
-        for actor in actors {
+            hooks,
+        }
+    }
+
+    /// One reply per shard thread, in shard order, so every aggregate the
+    /// driver computes is order-deterministic.
+    fn gather<T>(&self, expect: impl Fn(ShardReply) -> Option<T>) -> Hosted<Vec<T>> {
+        let reply = |actor: &ShardActor| {
+            let reply = expect(actor.recv()?);
+            Ok(reply.expect("protocol desync: unexpected shard reply"))
+        };
+        self.actors.iter().map(reply).collect()
+    }
+}
+
+impl ShardHost for ThreadHost {
+    fn step(&mut self, t: u64) -> Hosted<(Vec<ShardStep>, Vec<BucketMove>)> {
+        // Test hooks ride the same queue as the step release, so the shard (or
+        // its party) dies just before it starts step `t`.
+        if let Some((shard, _)) = self.hooks.injected_crash.filter(|&(_, at)| at == t) {
+            let message = format!("injected crash on shard {shard} at step {t}");
+            let _ = self.actors[shard].send(ShardCommand::Crash { message });
+        }
+        if let Some((shard, _)) = self.hooks.injected_party_crash.filter(|&(_, at)| at == t) {
+            let _ = self.actors[shard].send(ShardCommand::PartyCrash);
+        }
+        // Release the step through the broker, then wait for its ack before
+        // reading shard replies: a broker that died mid-dispatch must be
+        // detected here, not by blocking on a shard that never got work.
+        self.broker_commands
+            .send(BrokerCommand::Step { t })
+            .map_err(|_| WorkerLost)?;
+        let moves = match self.broker_replies.recv().map_err(|_| WorkerLost)? {
+            BrokerReply::Routed { moves } => moves,
+            BrokerReply::Final(_) => panic!("protocol desync: expected Routed broker reply"),
+        };
+        // The shards are now advancing concurrently.
+        let replies = self.gather(|reply| match reply {
+            ShardReply::Step(step) => Some(step),
+            _ => None,
+        })?;
+        Ok((replies, moves))
+    }
+
+    fn query(&mut self, query: &Query, t: u64) -> Hosted<Vec<QueryOutcome>> {
+        // Safe to send now — every shard already replied for step `t`, so the
+        // query command cannot race the step command.
+        for actor in &self.actors {
+            actor.send(ShardCommand::Query {
+                query: query.clone(),
+                t,
+            })?;
+        }
+        self.gather(|reply| match reply {
+            ShardReply::Query(partial) => Some(*partial),
+            _ => None,
+        })
+    }
+
+    fn export_partition(
+        &mut self,
+        shard: usize,
+        buckets: Vec<usize>,
+    ) -> Hosted<(MigratedPartition, usize)> {
+        self.actors[shard].send(ShardCommand::ExportPartition { buckets })?;
+        match self.actors[shard].recv()? {
+            ShardReply::Partition {
+                partition,
+                view_len,
+            } => Ok((*partition, view_len)),
+            _ => panic!("protocol desync: expected Partition reply"),
+        }
+    }
+
+    fn import_partition(
+        &mut self,
+        shard: usize,
+        partition: MigratedPartition,
+        import_seed: u64,
+    ) -> Hosted<()> {
+        self.actors[shard].send(ShardCommand::ImportPartition {
+            partition: Box::new(partition),
+            import_seed,
+        })?;
+        match self.actors[shard].recv()? {
+            ShardReply::Imported => Ok(()),
+            _ => panic!("protocol desync: expected Imported reply"),
+        }
+    }
+
+    fn finals(&mut self) -> Hosted<(Vec<ShardFinal>, ShuffleFinal)> {
+        self.broker_commands
+            .send(BrokerCommand::Finish)
+            .map_err(|_| WorkerLost)?;
+        let shuffle = match self.broker_replies.recv().map_err(|_| WorkerLost)? {
+            BrokerReply::Final(done) => *done,
+            BrokerReply::Routed { .. } => panic!("protocol desync: expected Final broker reply"),
+        };
+        for actor in &self.actors {
+            actor.send(ShardCommand::Finish)?;
+        }
+        let shards = self.gather(|reply| match reply {
+            ShardReply::Final(done) => Some(*done),
+            _ => None,
+        })?;
+        Ok((shards, shuffle))
+    }
+
+    /// Drop every command sender — which is what lets every worker's `recv`
+    /// loop exit, so this can never deadlock — then join every worker thread.
+    fn retire(self) -> usize {
+        drop(self.broker_commands);
+        drop(self.broker_replies);
+        let mut handles = Vec::with_capacity(self.actors.len() + 1);
+        for actor in self.actors {
             drop(actor.commands); // Unblock the shard's recv loop first...
             handles.push(actor.handle); // ...then join below.
         }
-        handles.push(broker_handle);
+        handles.push(self.broker_handle);
         let mut joined = 0usize;
         let mut panic_payload = None;
         for handle in handles {
@@ -472,16 +752,9 @@ impl ActorSystem {
         }
         joined
     }
-
-    /// Teardown after a worker died unexpectedly: join everything, re-raise the
-    /// worker's panic — or fail loudly if it exited without one.
-    fn abort(self) -> ! {
-        let _ = self.teardown();
-        panic!("cluster worker exited unexpectedly mid-run");
-    }
 }
 
-/// Measured (host) timing of one threaded cluster run — the counterpart of the
+/// Measured (host) timing of one cluster run — the counterpart of the
 /// *modeled* QET/Transform/Shrink timings inside the [`ClusterRunReport`].
 #[derive(Debug, Clone)]
 pub struct RuntimeStats {
@@ -491,38 +764,44 @@ pub struct RuntimeStats {
     /// soak test's no-leak witness.
     pub threads_joined: usize,
     /// Measured wall-clock per step (broker routing + concurrent shard
-    /// advances + query scatter-gather).
+    /// advances + query scatter-gather + migrations).
     pub step_wall_secs: Vec<f64>,
-    /// Measured wall-clock of the whole run loop.
+    /// Measured wall-clock of the whole run loop, from the first step to the
+    /// last worker thread joined.
     pub total_wall_secs: f64,
 }
 
-impl RuntimeStats {
-    /// Mean measured wall-clock per step.
-    #[must_use]
-    pub fn mean_step_wall_secs(&self) -> f64 {
-        if self.step_wall_secs.is_empty() {
-            0.0
-        } else {
-            self.total_wall_secs / self.step_wall_secs.len() as f64
-        }
-    }
-}
-
 /// Result of one threaded cluster run: the simulated trajectory (identical to
-/// the sequential driver's, by contract) plus measured runtime statistics.
+/// the inline host's, by contract) plus measured runtime statistics.
 #[derive(Debug, Clone)]
 pub struct ParallelRunReport {
-    /// The simulated cluster trajectory — compares equal to the sequential
-    /// [`crate::ShardedSimulation`] run of the same configuration.
+    /// The simulated cluster trajectory — compares equal to the
+    /// [`ShardedSimulation`] run of the same configuration.
     pub report: ClusterRunReport,
     /// Measured wall-clock of the threaded execution.
     pub runtime: RuntimeStats,
 }
 
-/// The threaded cluster driver: same constructor surface and replay contract as
-/// [`crate::ShardedSimulation`], executed over real OS threads.
-pub struct ParallelShardedSimulation {
+/// Host selector of [`ShardedSimulation`]: shards stepped inline on the
+/// calling thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Inline;
+
+/// Host selector of [`ParallelShardedSimulation`]: one OS thread per shard
+/// plus the upload broker. Carries the threads-only test hooks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Threads {
+    ingest_chunk_seed: Option<u64>,
+    injected_crash: Option<(usize, u64)>,
+    injected_party_crash: Option<(usize, u64)>,
+}
+
+/// The sharded cluster simulation: `S` hash-partitioned shard pipelines
+/// stepped in lockstep with a scatter-gather query executor on top, optionally
+/// behind a shuffle phase re-routing non-co-partitioned arrivals to their
+/// join-key owners. `H` selects what hosts the shards; use it through the
+/// [`ShardedSimulation`] and [`ParallelShardedSimulation`] aliases.
+pub struct ClusterSimulation<H> {
     dataset: Dataset,
     config: IncShrinkConfig,
     shards: usize,
@@ -531,18 +810,24 @@ pub struct ParallelShardedSimulation {
     routing: RoutingPolicy,
     party_mode: PartyMode,
     elastic: Option<ElasticConfig>,
-    ingest_chunk_seed: Option<u64>,
-    injected_crash: Option<(usize, u64)>,
-    injected_party_crash: Option<(usize, u64)>,
+    host: H,
 }
 
-impl ParallelShardedSimulation {
-    /// Create a threaded cluster simulation over a workload.
+/// The cluster simulation with its shards hosted inline: the sequential
+/// reference run, returning the [`ClusterRunReport`].
+pub type ShardedSimulation = ClusterSimulation<Inline>;
+
+/// The cluster simulation with its shards hosted on OS threads: same
+/// constructor surface and replay contract as [`ShardedSimulation`], returning
+/// a [`ParallelRunReport`].
+pub type ParallelShardedSimulation = ClusterSimulation<Threads>;
+
+impl<H: Default> ClusterSimulation<H> {
+    /// Create a cluster simulation over a workload.
     ///
     /// # Panics
     /// Panics when `shards` is zero or the configuration fails
-    /// `IncShrinkConfig::validate` (before or after the ε/S split) — the same
-    /// rejections as the sequential driver.
+    /// `IncShrinkConfig::validate` (before or after the ε/S split).
     #[must_use]
     pub fn new(dataset: Dataset, config: IncShrinkConfig, shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "cluster needs at least one shard");
@@ -560,12 +845,12 @@ impl ParallelShardedSimulation {
             routing: RoutingPolicy::CoPartitioned,
             party_mode: PartyMode::from_env(),
             elastic: None,
-            ingest_chunk_seed: None,
-            injected_crash: None,
-            injected_party_crash: None,
+            host: H::default(),
         }
     }
+}
 
+impl<H> ClusterSimulation<H> {
     /// Use a non-default cost model (e.g. WAN) for the simulated timings.
     #[must_use]
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
@@ -573,8 +858,22 @@ impl ParallelShardedSimulation {
         self
     }
 
-    /// Select how uploads are routed to shard pipelines (see
-    /// [`crate::ShardedSimulation::with_routing_policy`]).
+    /// Select how each shard's two MPC servers execute
+    /// ([`incshrink_mpc::PartyMode`]): in-process struct calls (the default),
+    /// actor threads over in-memory channels, or actor threads over a loopback
+    /// TCP socket. The simulated trajectory is mode-invariant by contract.
+    #[must_use]
+    pub fn with_party_mode(mut self, party_mode: PartyMode) -> Self {
+        self.party_mode = party_mode;
+        self
+    }
+
+    /// Select how uploads are routed to shard pipelines. The default,
+    /// [`RoutingPolicy::CoPartitioned`], requires a workload whose arrival
+    /// partition *is* the join key and keeps the pre-shuffle run loop bit for bit
+    /// (see its rustdoc for the one deliberate cadence difference);
+    /// [`RoutingPolicy::Shuffled`] inserts the [`crate::shuffle`] phase and also
+    /// handles workloads partitioned by a non-join attribute.
     ///
     /// # Panics
     /// Panics when the policy fails [`RoutingPolicy::validate`] (e.g. a
@@ -586,13 +885,15 @@ impl ParallelShardedSimulation {
         self
     }
 
-    /// Enable the elastic sharding control plane (see
-    /// [`crate::ShardedSimulation::with_elastic`]). Same replay contract as the
-    /// sequential driver: identical seed and config produce the identical
-    /// trajectory, ledger, and migration schedule in every party mode.
+    /// Attach the elastic sharding control plane ([`crate::elastic`]):
+    /// skew-aware split/merge rebalancing of the bucket-ownership table with
+    /// ε-accounted oblivious view migration, plus DP-sized ingest cuts. Only
+    /// meaningful together with [`RoutingPolicy::Shuffled`] — `run` panics
+    /// otherwise. Identical seed and config produce the identical trajectory,
+    /// ledger, and migration schedule on both hosts and in every party mode.
     ///
     /// # Panics
-    /// Panics when the config fails [`ElasticConfig::validate`].
+    /// Panics when the configuration fails [`ElasticConfig::validate`].
     #[must_use]
     pub fn with_elastic(mut self, elastic: ElasticConfig) -> Self {
         elastic.validate();
@@ -600,127 +901,36 @@ impl ParallelShardedSimulation {
         self
     }
 
-    /// Feed the broker's owner streams in randomly sized chunks (seeded by
-    /// `seed`) instead of one slice per step. The trajectory is invariant in
-    /// the chunking — that invariance is what the soak test hammers.
-    #[must_use]
-    pub fn with_ingest_chunk_seed(mut self, seed: u64) -> Self {
-        self.ingest_chunk_seed = Some(seed);
-        self
-    }
-
-    /// Select how each shard's two MPC servers execute (see
-    /// [`crate::ShardedSimulation::with_party_mode`]).
-    #[must_use]
-    pub fn with_party_mode(mut self, party_mode: PartyMode) -> Self {
-        self.party_mode = party_mode;
-        self
-    }
-
-    /// Test hook: make shard `shard`'s thread panic at the start of step
-    /// `step`, to exercise the teardown/propagation path.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_injected_crash(mut self, shard: usize, step: u64) -> Self {
-        self.injected_crash = Some((shard, step));
-        self
-    }
-
-    /// Test hook: kill one of shard `shard`'s MPC party executors at the start
-    /// of step `step` ([`ShardCommand::PartyCrash`]). Exercises the contract
-    /// that a dead *party* — a disconnected channel or TCP peer, not just a
-    /// panicking shard thread — propagates to the driver through the same
-    /// teardown path as [`Self::with_injected_crash`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_injected_party_crash(mut self, shard: usize, step: u64) -> Self {
-        self.injected_party_crash = Some((shard, step));
-        self
-    }
-
-    /// Spawn the actor system for this run's configuration.
-    fn spawn_actors(
-        &self,
-        pipelines: Vec<ShardPipeline>,
-        shuffle_state: Option<ShuffleState>,
-    ) -> ActorSystem {
-        let collectors = incshrink_telemetry::current_collectors();
-        let actors: Vec<ShardActor> = pipelines
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| ShardActor::spawn(i, p, collectors.clone()))
-            .collect();
-        let shard_senders: Vec<Sender<ShardCommand>> =
-            actors.iter().map(|a| a.commands.clone()).collect();
-        let (broker_commands, broker_command_rx) = channel::<BrokerCommand>();
-        let (broker_reply_tx, broker_replies) = channel::<BrokerReply>();
-        let broker_dataset = self.dataset.clone();
-        let broker_handle = std::thread::Builder::new()
-            .name("incshrink-broker".to_string())
-            .spawn(move || {
-                broker_main(
-                    &broker_dataset,
-                    shuffle_state,
-                    &shard_senders,
-                    collectors,
-                    &broker_command_rx,
-                    &broker_reply_tx,
-                )
-            })
-            .expect("spawn broker thread");
-        ActorSystem {
-            actors,
-            broker_commands,
-            broker_replies,
-            broker_handle,
-        }
-    }
-
-    /// Run the threaded cluster simulation to completion.
-    ///
-    /// # Panics
-    /// Panics on the same non-routable workloads as the sequential driver, and
-    /// re-raises (via `std::panic::resume_unwind`) any panic from a worker
-    /// thread after tearing the actor system down.
-    #[must_use]
-    #[allow(clippy::too_many_lines)]
-    pub fn run(self) -> ParallelRunReport {
+    /// Reject non-viable configurations, then build what a host hosts: the
+    /// shard pipelines and, under [`RoutingPolicy::Shuffled`], the shuffle
+    /// phase's state. Co-partitioned pipelines own their arrival shard's
+    /// workload and build their own uploads; shuffled pipelines own the
+    /// *join-key* partition (their ground truth), while uploads are built per
+    /// *arrival* shard and re-routed through the shuffle phase each step.
+    fn set_up(&self, ingest_chunk_seed: Option<u64>) -> (Vec<Shard>, Option<ShuffleState>) {
         assert_routable(&self.dataset, self.shards, self.routing);
         assert_elastic_viable(&self.config, self.routing, self.elastic.as_ref());
-        let config = self.config;
-        let shards = self.shards;
-        let seed = self.seed;
-        let cost_model = self.cost_model;
-        let routing = self.routing;
-        let steps = self.dataset.params.steps;
-        let kind = self.dataset.kind;
-        let per_shard_config = shard_config(&config, shards);
+        let (dataset, shards, seed) = (&self.dataset, self.shards, self.seed);
+        let per_shard_config = shard_config(&self.config, shards);
         let router = ShardRouter::new(shards);
-
-        // Shard ownership mirrors the sequential driver exactly: co-partitioned
-        // pipelines own their arrival shard's workload; shuffled pipelines own
-        // the join-key partition while the broker owns the arrival streams.
-        let (pipelines, shuffle_state) = match routing {
-            RoutingPolicy::CoPartitioned => (
-                build_pipelines(
-                    router.partition(&self.dataset),
-                    per_shard_config,
-                    seed,
-                    cost_model,
-                    self.party_mode,
-                ),
-                None,
-            ),
-            RoutingPolicy::Shuffled { bucket_cushion } => (
-                build_pipelines(
-                    router.partition_by_join_key(&self.dataset),
-                    per_shard_config,
-                    seed,
-                    cost_model,
-                    self.party_mode,
-                ),
-                Some(ShuffleState {
-                    arrival_parts: router.partition(&self.dataset),
+        let (parts, shuffle) = match self.routing {
+            RoutingPolicy::CoPartitioned => (router.partition(dataset), None),
+            RoutingPolicy::Shuffled { bucket_cushion } => {
+                // The elastic control plane lives with the shuffler it drives;
+                // its releases derive from the cluster seed, never from party
+                // or thread randomness.
+                let mut shuffler =
+                    ClusterShuffler::new(shards, bucket_cushion, self.cost_model, seed);
+                if let Some(cfg) = self.elastic {
+                    shuffler.enable_elastic(ElasticRouting::new(
+                        shards,
+                        per_shard_config.epsilon,
+                        seed,
+                        cfg,
+                    ));
+                }
+                let state = ShuffleState {
+                    arrival_parts: router.partition(dataset),
                     arrival_rngs: (0..shards)
                         .map(|i| {
                             StdRng::seed_from_u64(
@@ -728,313 +938,154 @@ impl ParallelShardedSimulation {
                             )
                         })
                         .collect(),
-                    shuffler: {
-                        // The elastic control plane lives on the broker thread
-                        // with the shuffler it drives; its releases derive from
-                        // the cluster seed, so the trajectory matches the
-                        // sequential driver bit for bit.
-                        let mut shuffler =
-                            ClusterShuffler::new(shards, bucket_cushion, cost_model, seed);
-                        if let Some(cfg) = self.elastic {
-                            shuffler.enable_elastic(ElasticRouting::new(
-                                shards,
-                                per_shard_config.epsilon,
-                                seed,
-                                cfg,
-                            ));
-                        }
-                        shuffler
-                    },
-                    left_ingest: router.shard_batch_size(self.dataset.left_batch_size),
-                    right_ingest: router.shard_batch_size(self.dataset.right_batch_size),
-                    chunk_rng: self.ingest_chunk_seed.map(StdRng::seed_from_u64),
-                }),
-            ),
+                    shuffler,
+                    left: (
+                        dataset.left.schema.key_column,
+                        router.shard_batch_size(dataset.left_batch_size),
+                    ),
+                    right: (!dataset.right_is_public).then(|| {
+                        (
+                            dataset.right.schema.key_column,
+                            router.shard_batch_size(dataset.right_batch_size),
+                        )
+                    }),
+                    chunk_rng: ingest_chunk_seed.map(StdRng::seed_from_u64),
+                    host_secs: 0.0,
+                };
+                (router.partition_by_join_key(dataset), Some(state))
+            }
         };
-        let injected_crash = self.injected_crash;
-        let injected_party_crash = self.injected_party_crash;
-        // The migration executor stays driver-owned (its rng derives from the
-        // cluster seed, never from party or thread randomness), mirroring the
-        // sequential driver's ownership so elastic trajectories are identical
-        // across party execution modes.
-        let mut migrator = self.elastic.map(|cfg| {
+        let pipelines = build_pipelines(
+            parts,
+            per_shard_config,
+            seed,
+            self.cost_model,
+            self.party_mode,
+        );
+        let shards = pipelines
+            .into_iter()
+            .enumerate()
+            .map(|(index, pipeline)| Shard { index, pipeline })
+            .collect();
+        (shards, shuffle)
+    }
+
+    /// The cluster step loop, written once over whatever hosts the shards.
+    fn drive(self, mut host: impl ShardHost) -> ParallelRunReport {
+        let Self {
+            dataset,
+            config,
+            shards,
+            seed,
+            cost_model,
+            routing,
+            elastic,
+            ..
+        } = self;
+        let steps = dataset.params.steps;
+        // The migration executor is driver-owned (its rng derives from the
+        // cluster seed, never from party or thread randomness), so elastic
+        // trajectories are identical across hosts and party execution modes.
+        let mut migrator = elastic.map(|cfg| {
             ViewMigrator::new(
-                cfg.migrate_slice * per_shard_config.epsilon,
+                cfg.migrate_slice * shard_config(&config, shards).epsilon,
                 seed,
                 cost_model,
             )
         });
-        let system = self.spawn_actors(pipelines, shuffle_state);
-
         let merger = ScatterGatherExecutor::new(cost_model);
         let counting_query = Query::count();
         let mut builder = SummaryBuilder::new();
         let mut trace = Vec::with_capacity(steps as usize);
         let mut max_shard_qet_sum = 0.0;
         let mut aggregation_sum = 0.0;
-        let mut queries = 0u64;
         let mut host_query_secs = 0.0;
         let mut step_wall_secs = Vec::with_capacity(steps as usize);
         let run_started = Instant::now();
 
         for t in 1..=steps {
             let step_started = Instant::now();
-            if let Some((crash_shard, crash_step)) = injected_crash {
-                if t == crash_step {
-                    let _ = system.actors[crash_shard]
-                        .commands
-                        .send(ShardCommand::Crash {
-                            message: format!("injected crash on shard {crash_shard} at step {t}"),
-                        });
-                }
-            }
-            if let Some((crash_shard, crash_step)) = injected_party_crash {
-                if t == crash_step {
-                    // The command rides the same queue as the step release, so
-                    // the party dies just before the shard starts step `t`.
-                    let _ = system.actors[crash_shard]
-                        .commands
-                        .send(ShardCommand::PartyCrash);
-                }
-            }
-            // Release the step through the broker, then wait for its ack before
-            // reading shard replies: a broker that died mid-dispatch must be
-            // detected here, not by blocking on a shard that never got work.
-            if system
-                .broker_commands
-                .send(BrokerCommand::Step { t })
-                .is_err()
-            {
-                system.abort();
-            }
-            let pending_moves = match system.broker_replies.recv() {
-                Ok(BrokerReply::Routed { moves }) => moves,
-                Ok(BrokerReply::Final(_)) => {
-                    panic!("protocol desync: expected Routed broker reply")
-                }
-                Err(_) => system.abort(),
+            let Ok((replies, pending_moves)) = host.step(t) else {
+                lost(host)
             };
 
-            // The shards are now advancing concurrently; collect their replies
-            // in shard order so every aggregate below is order-deterministic.
-            let collected: Result<Vec<ShardStepReply>, ()> = system
-                .actors
-                .iter()
-                .map(|actor| match actor.replies.recv() {
-                    Ok(ShardReply::Step(reply)) => Ok(reply),
-                    Ok(_) => panic!("protocol desync: expected Step reply"),
-                    Err(_) => Err(()),
-                })
-                .collect();
-            let step_replies = match collected {
-                Ok(replies) => replies,
-                Err(()) => system.abort(),
-            };
-
-            let outcomes: Vec<PipelineStepOutcome> =
-                step_replies.iter().map(|r| r.outcome).collect();
-            let transform_max = outcomes.iter().filter_map(|o| o.transform_duration).max();
-            let shrink_max = outcomes.iter().filter_map(|o| o.shrink_duration).max();
-            let shrink_did_work = outcomes.iter().any(|o| o.shrink_did_work);
-            let synced = outcomes.iter().any(|o| o.synced);
-            if let Some(duration) = transform_max {
-                builder.record_transform(duration);
-            }
-            for outcome in &outcomes {
-                if let Some(report) = outcome.transform_report {
-                    builder.record_transform_compares(report.secure_compares);
-                }
-            }
-            if let Some(duration) = shrink_max {
-                builder.record_shrink(duration, shrink_did_work);
-            }
-            let true_count: u64 = step_replies.iter().map(|r| r.true_count).sum();
-
-            // Scatter-gather query: partials on the shard threads (safe to send
-            // now — every shard already replied for step `t`, so the query
-            // command cannot race the step command), merge on the driver.
-            let mut answer = None;
-            let mut l1 = 0.0;
-            let mut qet = SimDuration::ZERO;
+            // Scatter-gather query: partials from the shards, merged here
+            // through the secure-add tree.
+            let mut query = None;
             if t % config.query_interval == 0 {
                 let _query_step_scope = incshrink_telemetry::step_scope(t);
                 let mut query_span = incshrink_telemetry::span!("query", step = t);
                 let query_started = Instant::now();
-                let scattered = system.actors.iter().all(|actor| {
-                    actor
-                        .commands
-                        .send(ShardCommand::Query {
-                            query: counting_query.clone(),
-                            t,
-                        })
-                        .is_ok()
-                });
-                if !scattered {
-                    system.abort();
-                }
-                let collected: Result<Vec<QueryOutcome>, ()> = system
-                    .actors
-                    .iter()
-                    .map(|actor| match actor.replies.recv() {
-                        Ok(ShardReply::Query(partial)) => Ok(*partial),
-                        Ok(_) => panic!("protocol desync: expected Query reply"),
-                        Err(_) => Err(()),
-                    })
-                    .collect();
-                let partials = match collected {
-                    Ok(partials) => partials,
-                    Err(()) => system.abort(),
+                let Ok(partials) = host.query(&counting_query, t) else {
+                    lost(host)
                 };
                 let gathered = merger.merge(&counting_query, &partials);
                 host_query_secs += query_started.elapsed().as_secs_f64();
                 query_span.record_sim_secs(gathered.qet.as_secs_f64());
                 query_span.record_cost(gathered.report.into());
                 drop(query_span);
-                let gathered_answer = gathered.value.expect_scalar();
                 let breakdown = gathered.shards.expect("scatter-gather breakdown");
-                answer = Some(gathered_answer);
-                l1 = gathered_answer.abs_diff(true_count) as f64;
-                qet = gathered.qet;
                 max_shard_qet_sum += breakdown.max_shard_qet.as_secs_f64();
                 aggregation_sum += breakdown.aggregation_qet.as_secs_f64();
-                queries += 1;
-                builder.record_query(l1, relative_error(gathered_answer, true_count), qet);
+                query = Some((gathered.value.expect_scalar(), gathered.qet));
             }
-
-            builder.record_view_size(step_replies.iter().map(|r| r.view_mb).sum());
-            trace.push(StepRecord {
-                time: t,
-                true_count,
-                answer,
-                l1_error: l1,
-                qet_secs: qet.as_secs_f64(),
-                transform_secs: transform_max.map_or(0.0, SimDuration::as_secs_f64),
-                shrink_secs: shrink_max.map_or(0.0, SimDuration::as_secs_f64),
-                view_len: step_replies.iter().map(|r| r.view_len).sum(),
-                view_real: step_replies.iter().map(|r| r.view_real).sum(),
-                cache_len: step_replies.iter().map(|r| r.cache_len).sum(),
-                synced,
-            });
+            trace.push(builder.record_step(t, &replies, query));
 
             // Execute planned migrations after the step's maintenance and
-            // query are done — same schedule as the sequential driver. The
-            // export/import round-trips are synchronous per edge, so the
+            // query are done: export the moving buckets from each source
+            // shard, DP-pad/price/re-seed the transfer, import at the
+            // destination. The round trips are synchronous per edge, so the
             // grouped, sorted `group_moves` order fully determines the
             // migrator's rng draw sequence.
             if !pending_moves.is_empty() {
                 let migrator = migrator.as_mut().expect("moves imply an elastic migrator");
                 for ((from, to), buckets) in group_moves(&pending_moves) {
-                    if system.actors[from]
-                        .commands
-                        .send(ShardCommand::ExportPartition { buckets })
-                        .is_err()
-                    {
-                        system.abort();
-                    }
-                    let (partition, view_len) = match system.actors[from].replies.recv() {
-                        Ok(ShardReply::Partition {
-                            partition,
-                            view_len,
-                        }) => (partition, view_len),
-                        Ok(_) => panic!("protocol desync: expected Partition reply"),
-                        Err(_) => system.abort(),
+                    let Ok((partition, view_len)) = host.export_partition(from, buckets) else {
+                        lost(host)
                     };
-                    let (part, import_seed) = migrator.prepare(t, to, *partition, view_len);
-                    if system.actors[to]
-                        .commands
-                        .send(ShardCommand::ImportPartition {
-                            partition: Box::new(part),
-                            import_seed,
-                        })
-                        .is_err()
-                    {
-                        system.abort();
-                    }
-                    match system.actors[to].replies.recv() {
-                        Ok(ShardReply::Imported) => {}
-                        Ok(_) => panic!("protocol desync: expected Imported reply"),
-                        Err(_) => system.abort(),
+                    let (partition, import_seed) = migrator.prepare(t, to, partition, view_len);
+                    if host.import_partition(to, partition, import_seed).is_err() {
+                        lost(host);
                     }
                 }
             }
             step_wall_secs.push(step_started.elapsed().as_secs_f64());
         }
 
-        // Collect end-of-run statistics, then retire the actor system.
-        let finished = system.broker_commands.send(BrokerCommand::Finish).is_ok();
-        if !finished {
-            system.abort();
-        }
-        let (shuffle_stats, host_shuffle_secs, elastic_routing_report) =
-            match system.broker_replies.recv() {
-                Ok(BrokerReply::Final(done)) => (done.stats, done.host_shuffle_secs, done.elastic),
-                Ok(BrokerReply::Routed { .. }) => {
-                    panic!("protocol desync: expected Final broker reply")
-                }
-                Err(_) => system.abort(),
-            };
-        let elastic_report = elastic_routing_report.map(|mut routing_side| {
-            if let Some(m) = &migrator {
-                routing_side.merge(&m.report());
-            }
-            routing_side
-        });
-        if !system
-            .actors
-            .iter()
-            .all(|actor| actor.commands.send(ShardCommand::Finish).is_ok())
-        {
-            system.abort();
-        }
-        let collected: Result<Vec<ShardFinal>, ()> = system
-            .actors
-            .iter()
-            .map(|actor| match actor.replies.recv() {
-                Ok(ShardReply::Final(f)) => Ok(*f),
-                Ok(_) => panic!("protocol desync: expected Final reply"),
-                Err(_) => Err(()),
-            })
-            .collect();
-        let finals = match collected {
-            Ok(finals) => finals,
-            Err(()) => system.abort(),
+        let Ok((finals, shuffle)) = host.finals() else {
+            lost(host)
         };
-        let threads_joined = system.teardown();
+        let threads_joined = host.retire();
         let total_wall_secs = run_started.elapsed().as_secs_f64();
-
         builder.record_totals(
             finals.iter().map(|f| f.report.sync_count).sum(),
             finals.iter().map(|f| f.report.truncation_losses).sum(),
         );
         builder.record_host_transform_secs(finals.iter().map(|f| f.host_transform_secs).sum());
         builder.record_host_query_secs(host_query_secs);
-        builder.record_host_shuffle_secs(host_shuffle_secs);
-
-        let div = |sum: f64| {
-            if queries == 0 {
-                0.0
-            } else {
-                sum / queries as f64
+        builder.record_host_shuffle_secs(shuffle.host_shuffle_secs);
+        let summary = builder.build();
+        let per_query = |sum: f64| sum / summary.queries_issued.max(1) as f64;
+        let elastic_report = shuffle.elastic.map(|mut routing_side| {
+            if let Some(m) = &migrator {
+                routing_side.merge(&m.report());
             }
-        };
+            routing_side
+        });
         ParallelRunReport {
             report: ClusterRunReport {
-                dataset: kind,
+                dataset: dataset.kind,
                 config,
                 shards,
                 routing,
                 steps: trace,
-                summary: builder.build(),
+                summary,
                 shard_reports: finals.into_iter().map(|f| f.report).collect(),
                 privacy: ClusterPrivacy::compose(&config, shards),
-                avg_max_shard_qet_secs: div(max_shard_qet_sum),
-                avg_aggregation_secs: div(aggregation_sum),
-                avg_shuffle_secs: if steps == 0 {
-                    0.0
-                } else {
-                    shuffle_stats.total_secs / steps as f64
-                },
-                shuffle: shuffle_stats,
+                avg_max_shard_qet_secs: per_query(max_shard_qet_sum),
+                avg_aggregation_secs: per_query(aggregation_sum),
+                avg_shuffle_secs: shuffle.stats.total_secs / steps.max(1) as f64,
+                shuffle: shuffle.stats,
                 elastic: elastic_report,
             },
             runtime: RuntimeStats {
@@ -1044,5 +1095,67 @@ impl ParallelShardedSimulation {
                 total_wall_secs,
             },
         }
+    }
+}
+
+impl ClusterSimulation<Inline> {
+    /// Run the cluster simulation to completion on the calling thread.
+    ///
+    /// # Panics
+    /// Panics when the workload is *not* co-partitioned (its arrival-partition
+    /// column differs from the join key) but the routing policy is
+    /// [`RoutingPolicy::CoPartitioned`]: maintaining such a view shard-locally
+    /// would silently lose every cross-shard join pair. Also panics when
+    /// [`Self::with_elastic`] is combined with co-partitioned routing, or
+    /// elastic migration with `transform_batch > 1`.
+    #[must_use]
+    pub fn run(self) -> ClusterRunReport {
+        let (shards, shuffle) = self.set_up(None);
+        self.drive(InlineHost { shards, shuffle }).report
+    }
+}
+
+impl ClusterSimulation<Threads> {
+    /// Feed the broker's owner streams in randomly sized chunks (seeded by
+    /// `seed`) instead of one slice per step. The trajectory is invariant in
+    /// the chunking — that invariance is what the soak test hammers.
+    #[must_use]
+    pub fn with_ingest_chunk_seed(mut self, seed: u64) -> Self {
+        self.host.ingest_chunk_seed = Some(seed);
+        self
+    }
+
+    /// Test hook: make shard `shard`'s thread panic at the start of step
+    /// `step`, to exercise the teardown/propagation path.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_injected_crash(mut self, shard: usize, step: u64) -> Self {
+        self.host.injected_crash = Some((shard, step));
+        self
+    }
+
+    /// Test hook: kill one of shard `shard`'s MPC party executors at the start
+    /// of step `step`. Exercises the contract that a dead *party* — a
+    /// disconnected channel or TCP peer, not just a panicking shard thread —
+    /// propagates to the driver through the same teardown path as
+    /// [`Self::with_injected_crash`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_injected_party_crash(mut self, shard: usize, step: u64) -> Self {
+        self.host.injected_party_crash = Some((shard, step));
+        self
+    }
+
+    /// Run the cluster simulation to completion over real OS threads.
+    ///
+    /// # Panics
+    /// Panics on the same configurations as [`ShardedSimulation::run`] (before
+    /// any thread is spawned), and re-raises (via `std::panic::resume_unwind`)
+    /// any panic from a worker thread after tearing the actor system down.
+    #[must_use]
+    pub fn run(self) -> ParallelRunReport {
+        let (shards, shuffle) = self.set_up(self.host.ingest_chunk_seed);
+        let host = ThreadHost::spawn(shards, shuffle, self.host);
+        self.drive(host)
     }
 }

@@ -1,13 +1,10 @@
-//! The sharded cluster simulation driver.
+//! The cluster run's vocabulary: the per-shard configuration split, the privacy
+//! composition, the report shapes, and the configuration rejections the driver
+//! ([`crate::runtime`]) applies before any shard exists.
 //!
-//! [`ShardedSimulation`] generalizes the single-pair `incshrink::Simulation` to `S`
-//! server pairs: the workload is hash-partitioned by join key ([`crate::router`]),
-//! every shard runs its own complete Transform-and-Shrink pipeline
-//! (`incshrink::ShardPipeline`) with an **ε/S privacy budget**, and the analyst's
-//! counting query is scatter-gathered across the shard views
-//! ([`crate::executor`]). Per-step wall-clock is the slowest shard (pairs execute in
-//! parallel); the per-step trace reuses `StepRecord`/`Summary` so all existing
-//! Table-2 style reporting works on cluster runs unchanged.
+//! Per-step wall-clock in a [`ClusterRunReport`] is the slowest shard (pairs
+//! execute in parallel); the per-step trace reuses `StepRecord`/`Summary` so all
+//! existing Table-2 style reporting works on cluster runs unchanged.
 //!
 //! # Privacy composition
 //!
@@ -21,21 +18,14 @@
 //! that bound invariant in the cluster size; [`ClusterPrivacy`] evaluates both bounds
 //! through `incshrink_dp::accountant`.
 
-use crate::elastic::{BucketMove, ElasticConfig, ElasticReport, ElasticRouting, ViewMigrator};
-use crate::executor::ScatterGatherExecutor;
+use crate::elastic::{ElasticConfig, ElasticReport};
 use crate::router::ShardRouter;
-use crate::shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
-use incshrink::framework::StepUploads;
-use incshrink::metrics::{relative_error, SummaryBuilder};
-use incshrink::query::{Query, QueryEngine, QueryOutcome};
+use crate::shuffle::{RoutingPolicy, ShuffleStats};
 use incshrink::{IncShrinkConfig, ShardPipeline, StepRecord, Summary, UpdateStrategy};
 use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
-use incshrink_mpc::cost::{CostModel, SimDuration};
+use incshrink_mpc::cost::CostModel;
 use incshrink_mpc::PartyMode;
-use incshrink_storage::{Relation, UploadBatch};
 use incshrink_workload::{Dataset, DatasetKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Per-shard seed stride (golden-ratio increment): shard 0 keeps the cluster seed, so
@@ -123,8 +113,8 @@ pub struct ShardReport {
     /// Total simulated MPC time on this shard's server pair.
     pub mpc_secs: f64,
     /// Digest of the final view's exact share words
-    /// (`incshrink::MaterializedView::fingerprint`). Two drivers replayed the
-    /// same trajectory iff these agree shard for shard — the parallel runtime's
+    /// (`incshrink::MaterializedView::fingerprint`). Two hosts replayed the
+    /// same trajectory iff these agree shard for shard — the threaded host's
     /// equivalence tests compare them instead of shipping views around.
     pub view_fingerprint: u64,
 }
@@ -134,8 +124,8 @@ pub struct ShardReport {
 ///
 /// Equality is *semantic* equality of the simulated trajectory: every field
 /// compares exactly except the summary's host-time fields (see `Summary`'s
-/// `PartialEq`), so `sequential_report == threaded_report` is precisely the
-/// parallel runtime's bit-for-bit replay contract.
+/// `PartialEq`), so `inline_report == threaded_report` is precisely the
+/// runtime's bit-for-bit replay contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterRunReport {
     /// Which dataset kind was replayed.
@@ -166,7 +156,8 @@ pub struct ClusterRunReport {
     /// [`RoutingPolicy::CoPartitioned`]).
     pub shuffle: ShuffleStats,
     /// Elastic control-plane statistics, when the run used
-    /// [`ShardedSimulation::with_elastic`] (`None` on static runs).
+    /// [`crate::runtime::ClusterSimulation::with_elastic`] (`None` on static
+    /// runs).
     pub elastic: Option<ElasticReport>,
 }
 
@@ -221,8 +212,7 @@ pub fn shard_config(config: &IncShrinkConfig, shards: usize) -> IncShrinkConfig 
 /// Panic unless `routing` can maintain `dataset`'s view on `shards` shards
 /// without losing cross-shard join pairs. A single shard owns every key, so
 /// even a non-co-partitioned arrival cannot split a join pair — the guard only
-/// applies to real clusters. Shared by the sequential and threaded drivers so
-/// they reject exactly the same configurations with the same message.
+/// applies to real clusters.
 pub(crate) fn assert_routable(dataset: &Dataset, shards: usize, routing: RoutingPolicy) {
     let offending: Vec<String> = [&dataset.left.schema, &dataset.right.schema]
         .into_iter()
@@ -248,7 +238,6 @@ pub(crate) fn assert_routable(dataset: &Dataset, shards: usize, routing: Routing
 /// this run: the control plane drives the shuffle phase's routing table (there
 /// is nothing to adapt under co-partitioned arrivals), and migration moves
 /// shard state between steps, which a deferred Transform batch would straddle.
-/// Shared by both drivers so they reject the same configurations identically.
 pub(crate) fn assert_elastic_viable(
     config: &IncShrinkConfig,
     routing: RoutingPolicy,
@@ -298,7 +287,7 @@ pub(crate) fn build_pipelines(
 /// Build the `S` shard pipelines of a (co-partitioned) cluster run: hash-partition
 /// `dataset` by join key and construct one `ShardPipeline` per shard with the ε/S
 /// [`shard_config`] and the cluster's per-shard seed schedule. This is exactly the
-/// construction [`ShardedSimulation::run`] uses under
+/// construction [`crate::ShardedSimulation`] uses under
 /// [`RoutingPolicy::CoPartitioned`], so external drivers (benches, examples,
 /// replay tests) that step these pipelines reproduce the simulation's shard state
 /// bit for bit.
@@ -323,432 +312,10 @@ pub fn shard_pipelines(
     )
 }
 
-/// The sharded cluster simulation: `S` hash-partitioned shard pipelines stepped in
-/// lockstep with a scatter-gather query executor on top, optionally behind a
-/// shuffle phase re-routing non-co-partitioned arrivals to their join-key owners.
-pub struct ShardedSimulation {
-    dataset: Dataset,
-    config: IncShrinkConfig,
-    shards: usize,
-    seed: u64,
-    cost_model: CostModel,
-    routing: RoutingPolicy,
-    party_mode: PartyMode,
-    elastic: Option<ElasticConfig>,
-}
-
-impl ShardedSimulation {
-    /// Create a cluster simulation over a workload.
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero or the configuration fails
-    /// `IncShrinkConfig::validate` (before or after the ε/S split).
-    #[must_use]
-    pub fn new(dataset: Dataset, config: IncShrinkConfig, shards: usize, seed: u64) -> Self {
-        assert!(shards > 0, "cluster needs at least one shard");
-        for cfg in [&config, &shard_config(&config, shards)] {
-            if let Some(problem) = cfg.validate() {
-                panic!("invalid IncShrink cluster configuration: {problem}");
-            }
-        }
-        Self {
-            dataset,
-            config,
-            shards,
-            seed,
-            cost_model: CostModel::default(),
-            routing: RoutingPolicy::CoPartitioned,
-            party_mode: PartyMode::from_env(),
-            elastic: None,
-        }
-    }
-
-    /// Use a non-default cost model (e.g. WAN) for the simulated timings.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// Select how each shard's two MPC servers execute
-    /// ([`incshrink_mpc::PartyMode`]): in-process struct calls (the default),
-    /// actor threads over in-memory channels, or actor threads over a loopback
-    /// TCP socket. The simulated trajectory is mode-invariant by contract.
-    #[must_use]
-    pub fn with_party_mode(mut self, party_mode: PartyMode) -> Self {
-        self.party_mode = party_mode;
-        self
-    }
-
-    /// Select how uploads are routed to shard pipelines. The default,
-    /// [`RoutingPolicy::CoPartitioned`], requires a workload whose arrival
-    /// partition *is* the join key and keeps the pre-shuffle run loop bit for bit
-    /// (see its rustdoc for the one deliberate cadence difference);
-    /// [`RoutingPolicy::Shuffled`] inserts the [`crate::shuffle`] phase and also
-    /// handles workloads partitioned by a non-join attribute.
-    #[must_use]
-    pub fn with_routing_policy(mut self, routing: RoutingPolicy) -> Self {
-        routing.validate();
-        self.routing = routing;
-        self
-    }
-
-    /// Attach the elastic sharding control plane ([`crate::elastic`]):
-    /// skew-aware split/merge rebalancing of the bucket-ownership table with
-    /// ε-accounted oblivious view migration, plus DP-sized ingest cuts. Only
-    /// meaningful together with [`RoutingPolicy::Shuffled`] — `run` panics
-    /// otherwise.
-    ///
-    /// # Panics
-    /// Panics when the configuration fails [`ElasticConfig::validate`].
-    #[must_use]
-    pub fn with_elastic(mut self, elastic: ElasticConfig) -> Self {
-        elastic.validate();
-        self.elastic = Some(elastic);
-        self
-    }
-
-    /// Run the cluster simulation to completion.
-    ///
-    /// # Panics
-    /// Panics when the workload is *not* co-partitioned (its arrival-partition
-    /// column differs from the join key) but the routing policy is
-    /// [`RoutingPolicy::CoPartitioned`]: maintaining such a view shard-locally
-    /// would silently lose every cross-shard join pair.
-    #[must_use]
-    pub fn run(self) -> ClusterRunReport {
-        let ShardedSimulation {
-            dataset,
-            config,
-            shards,
-            seed,
-            cost_model,
-            routing,
-            party_mode,
-            elastic,
-        } = self;
-
-        assert_routable(&dataset, shards, routing);
-        assert_elastic_viable(&config, routing, elastic.as_ref());
-
-        let steps = dataset.params.steps;
-        let kind = dataset.kind;
-        let per_shard_config = shard_config(&config, shards);
-        let router = ShardRouter::new(shards);
-        let make_pipelines = |parts: Vec<Dataset>| {
-            build_pipelines(parts, per_shard_config, seed, cost_model, party_mode)
-        };
-
-        // Per-routing-policy upload paths. Co-partitioned: pipelines own their
-        // arrival shard's workload and build their own uploads (the historical
-        // path, bit for bit). Shuffled: pipelines own the *join-key* partition
-        // (their ground truth), while uploads are built per *arrival* shard and
-        // re-routed through the shuffle phase each step.
-        let mut shuffled_path = match routing {
-            RoutingPolicy::CoPartitioned => None,
-            RoutingPolicy::Shuffled { bucket_cushion } => {
-                let arrival_parts = router.partition(&dataset);
-                let arrival_rngs: Vec<StdRng> = (0..shards)
-                    .map(|i| {
-                        StdRng::seed_from_u64(
-                            seed ^ 0x0B17_A5E5 ^ (i as u64).wrapping_mul(SHARD_SEED_STRIDE),
-                        )
-                    })
-                    .collect();
-                let mut shuffler = ClusterShuffler::new(shards, bucket_cushion, cost_model, seed);
-                if let Some(cfg) = elastic {
-                    shuffler.enable_elastic(ElasticRouting::new(
-                        shards,
-                        per_shard_config.epsilon,
-                        seed,
-                        cfg,
-                    ));
-                }
-                Some((arrival_parts, arrival_rngs, shuffler))
-            }
-        };
-        let mut pipelines: Vec<ShardPipeline> = match routing {
-            RoutingPolicy::CoPartitioned => make_pipelines(router.partition(&dataset)),
-            RoutingPolicy::Shuffled { .. } => {
-                make_pipelines(router.partition_by_join_key(&dataset))
-            }
-        };
-        let left_ingest = router.shard_batch_size(dataset.left_batch_size);
-        let right_ingest = router.shard_batch_size(dataset.right_batch_size);
-        // The migration executor is driver-owned (its rng derives from the
-        // cluster seed, never from party randomness), so elastic trajectories
-        // are identical across party execution modes.
-        let mut migrator = elastic.map(|cfg| {
-            ViewMigrator::new(
-                cfg.migrate_slice * per_shard_config.epsilon,
-                seed,
-                cost_model,
-            )
-        });
-        // The unbound executor merges the NM baseline's per-shard outcomes; view
-        // strategies bind a fresh executor to the current shard views per query.
-        let merger = ScatterGatherExecutor::new(cost_model);
-        let counting_query = Query::count();
-
-        let mut builder = SummaryBuilder::new();
-        let mut trace = Vec::with_capacity(steps as usize);
-        let mut max_shard_qet_sum = 0.0;
-        let mut aggregation_sum = 0.0;
-        let mut queries = 0u64;
-        let mut host_query_secs = 0.0;
-        let mut host_shuffle_secs = 0.0;
-
-        for t in 1..=steps {
-            // Step every shard pipeline; the pairs run in parallel, so the cluster's
-            // per-phase wall-clock is the slowest shard.
-            let mut pending_moves: Vec<BucketMove> = Vec::new();
-            let outcomes: Vec<_> = match &mut shuffled_path {
-                None => pipelines
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let _shard_scope = incshrink_telemetry::shard_scope(i as u64);
-                        p.advance(t)
-                    })
-                    .collect(),
-                Some((arrival_parts, arrival_rngs, shuffler)) => {
-                    let batches_for = |relation: Relation,
-                                       rngs: &mut [StdRng],
-                                       parts: &[Dataset]|
-                     -> Vec<UploadBatch> {
-                        parts
-                            .iter()
-                            .zip(rngs.iter_mut())
-                            .map(|(part, rng)| {
-                                let db = match relation {
-                                    Relation::Left => &part.left,
-                                    Relation::Right => &part.right,
-                                };
-                                let size = match relation {
-                                    Relation::Left => part.left_batch_size,
-                                    Relation::Right => part.right_batch_size,
-                                };
-                                UploadBatch::from_updates(
-                                    relation,
-                                    t,
-                                    &db.arrivals_at(t),
-                                    db.schema.arity(),
-                                    size,
-                                    rng,
-                                )
-                            })
-                            .collect()
-                    };
-
-                    // Per-step durations are accumulated by the shuffler itself
-                    // (`ShuffleStats::total_secs`, left and right phases adding up
-                    // since each arrival pair shuffles them sequentially), which is
-                    // where the report's shuffle timing comes from.
-                    let left_batches = batches_for(Relation::Left, arrival_rngs, arrival_parts);
-                    let shuffle_started = std::time::Instant::now();
-                    let (left_routed, _) = shuffler.route_step(
-                        t,
-                        Relation::Left,
-                        dataset.left.schema.key_column,
-                        &left_batches,
-                        left_ingest,
-                    );
-                    host_shuffle_secs += shuffle_started.elapsed().as_secs_f64();
-                    let right_routed = if dataset.right_is_public {
-                        None
-                    } else {
-                        let right_batches =
-                            batches_for(Relation::Right, arrival_rngs, arrival_parts);
-                        let shuffle_started = std::time::Instant::now();
-                        let (routed, _) = shuffler.route_step(
-                            t,
-                            Relation::Right,
-                            dataset.right.schema.key_column,
-                            &right_batches,
-                            right_ingest,
-                        );
-                        host_shuffle_secs += shuffle_started.elapsed().as_secs_f64();
-                        Some(routed)
-                    };
-                    // Close the elastic control step after routing every
-                    // relation: window releases, cut refreshes and any planned
-                    // moves happen here, with the assignment switch taking
-                    // effect for step t+1's routing. The *state* transfer for
-                    // the moves executes at the end of this step's body.
-                    pending_moves = shuffler.finish_step(t);
-                    let mut rights = right_routed.map(Vec::into_iter);
-                    pipelines
-                        .iter_mut()
-                        .zip(left_routed)
-                        .enumerate()
-                        .map(|(i, (p, left))| {
-                            let _shard_scope = incshrink_telemetry::shard_scope(i as u64);
-                            let right = rights
-                                .as_mut()
-                                .map(|it| it.next().expect("one routed right batch per shard"));
-                            p.advance_with_uploads(t, StepUploads { left, right })
-                        })
-                        .collect()
-                }
-            };
-            let transform_max = outcomes.iter().filter_map(|o| o.transform_duration).max();
-            let shrink_max = outcomes.iter().filter_map(|o| o.shrink_duration).max();
-            let shrink_did_work = outcomes.iter().any(|o| o.shrink_did_work);
-            let synced = outcomes.iter().any(|o| o.synced);
-            if let Some(duration) = transform_max {
-                builder.record_transform(duration);
-            }
-            // Secure-compare totals sum across shards (the pairs run in parallel, but
-            // every gate is still evaluated somewhere), unlike the wall-clock maxima.
-            for outcome in &outcomes {
-                if let Some(report) = outcome.transform_report {
-                    builder.record_transform_compares(report.secure_compares);
-                }
-            }
-            if let Some(duration) = shrink_max {
-                builder.record_shrink(duration, shrink_did_work);
-            }
-
-            // Ground truth: the equi-join partition makes shard truths sum to the
-            // global truth.
-            let true_count: u64 = pipelines.iter().map(|p| p.true_count(t)).sum();
-
-            // Scatter-gather query.
-            let mut answer = None;
-            let mut l1 = 0.0;
-            let mut qet = SimDuration::ZERO;
-            if t % config.query_interval == 0 {
-                let _query_step_scope = incshrink_telemetry::step_scope(t);
-                let mut query_span = incshrink_telemetry::span!("query", step = t);
-                let query_started = std::time::Instant::now();
-                let gathered = match config.strategy {
-                    UpdateStrategy::NonMaterialized => {
-                        // NM recomputes the oblivious join per shard; merge the
-                        // per-shard baseline outcomes through the secure-add tree.
-                        let partials: Vec<QueryOutcome> = pipelines
-                            .iter()
-                            .map(|p| p.nm_engine(t).execute(&counting_query))
-                            .collect();
-                        merger.merge(&counting_query, &partials)
-                    }
-                    _ => {
-                        let views: Vec<&_> = pipelines.iter().map(ShardPipeline::view).collect();
-                        ScatterGatherExecutor::over(cost_model, views).execute(&counting_query)
-                    }
-                };
-                host_query_secs += query_started.elapsed().as_secs_f64();
-                query_span.record_sim_secs(gathered.qet.as_secs_f64());
-                query_span.record_cost(gathered.report.into());
-                drop(query_span);
-                let gathered_answer = gathered.value.expect_scalar();
-                let breakdown = gathered.shards.expect("scatter-gather breakdown");
-                answer = Some(gathered_answer);
-                l1 = gathered_answer.abs_diff(true_count) as f64;
-                qet = gathered.qet;
-                max_shard_qet_sum += breakdown.max_shard_qet.as_secs_f64();
-                aggregation_sum += breakdown.aggregation_qet.as_secs_f64();
-                queries += 1;
-                builder.record_query(l1, relative_error(gathered_answer, true_count), qet);
-            }
-
-            let view_mb: f64 = pipelines.iter().map(|p| p.view().size_mb()).sum();
-            builder.record_view_size(view_mb);
-            trace.push(StepRecord {
-                time: t,
-                true_count,
-                answer,
-                l1_error: l1,
-                qet_secs: qet.as_secs_f64(),
-                transform_secs: transform_max.map_or(0.0, SimDuration::as_secs_f64),
-                shrink_secs: shrink_max.map_or(0.0, SimDuration::as_secs_f64),
-                view_len: pipelines.iter().map(|p| p.view().len()).sum(),
-                view_real: pipelines.iter().map(|p| p.view().true_cardinality()).sum(),
-                cache_len: pipelines.iter().map(ShardPipeline::cache_len).sum(),
-                synced,
-            });
-
-            // Execute planned migrations after the step's maintenance and query
-            // are done: export the moving buckets from each source pipeline,
-            // DP-pad/price/re-seed the transfer, import at the destination.
-            if !pending_moves.is_empty() {
-                let migrator = migrator.as_mut().expect("moves imply an elastic migrator");
-                for ((from, to), buckets) in crate::elastic::group_moves(&pending_moves) {
-                    let source_view_len = pipelines[from].view().len();
-                    let part = pipelines[from].export_partition(&buckets);
-                    let (part, import_seed) = migrator.prepare(t, to, part, source_view_len);
-                    pipelines[to].import_partition(part, import_seed);
-                }
-            }
-        }
-
-        builder.record_totals(
-            pipelines.iter().map(|p| p.view().sync_count()).sum(),
-            pipelines.iter().map(ShardPipeline::truncation_losses).sum(),
-        );
-        builder.record_host_transform_secs(
-            pipelines
-                .iter()
-                .map(ShardPipeline::host_transform_secs)
-                .sum(),
-        );
-        builder.record_host_query_secs(host_query_secs);
-        builder.record_host_shuffle_secs(host_shuffle_secs);
-        let shard_reports: Vec<ShardReport> = pipelines
-            .iter()
-            .enumerate()
-            .map(|(shard, p)| ShardReport {
-                shard,
-                sync_count: p.view().sync_count(),
-                view_len: p.view().len(),
-                view_real: p.view().true_cardinality(),
-                cache_len: p.cache_len(),
-                truncation_losses: p.truncation_losses(),
-                mpc_secs: p.elapsed().as_secs_f64(),
-                view_fingerprint: p.view().fingerprint(),
-            })
-            .collect();
-
-        let div = |sum: f64| {
-            if queries == 0 {
-                0.0
-            } else {
-                sum / queries as f64
-            }
-        };
-        let (shuffle_stats, elastic_routing_report) = shuffled_path
-            .map(|(_, _, shuffler)| (shuffler.stats(), shuffler.elastic_report()))
-            .unwrap_or_default();
-        let elastic_report = elastic_routing_report.map(|mut routing_side| {
-            if let Some(m) = &migrator {
-                routing_side.merge(&m.report());
-            }
-            routing_side
-        });
-        ClusterRunReport {
-            dataset: kind,
-            config,
-            shards,
-            routing,
-            steps: trace,
-            summary: builder.build(),
-            shard_reports,
-            privacy: ClusterPrivacy::compose(&config, shards),
-            avg_max_shard_qet_secs: div(max_shard_qet_sum),
-            avg_aggregation_secs: div(aggregation_sum),
-            avg_shuffle_secs: if steps == 0 {
-                0.0
-            } else {
-                shuffle_stats.total_secs / steps as f64
-            },
-            shuffle: shuffle_stats,
-            elastic: elastic_report,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedSimulation;
     use incshrink_workload::{TpcDsGenerator, WorkloadParams};
 
     fn dataset(steps: u64) -> Dataset {

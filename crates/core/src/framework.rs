@@ -15,7 +15,7 @@
 
 use crate::baselines::{delta_routing, route_delta, DeltaRouting};
 use crate::config::{IncShrinkConfig, UpdateStrategy};
-use crate::metrics::{relative_error, Summary, SummaryBuilder};
+use crate::metrics::{ShardStep, Summary, SummaryBuilder};
 use crate::query::{
     view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
 };
@@ -690,21 +690,9 @@ impl Simulation {
 
         for t in 1..=steps {
             let outcome = pipeline.advance(t);
-            if let Some(duration) = outcome.transform_duration {
-                builder.record_transform(duration);
-            }
-            if let Some(report) = outcome.transform_report {
-                builder.record_transform_compares(report.secure_compares);
-            }
-            if let Some(duration) = outcome.shrink_duration {
-                builder.record_shrink(duration, outcome.shrink_did_work);
-            }
 
             // --- Query.
-            let true_count = pipeline.true_count(t);
-            let mut answer = None;
-            let mut l1 = 0.0;
-            let mut qet = SimDuration::ZERO;
+            let mut query = None;
             if t % config.query_interval == 0 {
                 let _step_scope = incshrink_telemetry::step_scope(t);
                 let mut query_span = incshrink_telemetry::span!("query");
@@ -722,31 +710,11 @@ impl Simulation {
                 query_span.record_sim_secs(outcome.qet.as_secs_f64());
                 query_span.record_cost(outcome.report.into());
                 drop(query_span);
-                let (ans, duration) = (outcome.value.expect_scalar(), outcome.qet);
-                answer = Some(ans);
-                l1 = ans.abs_diff(true_count) as f64;
-                qet = duration;
-                builder.record_query(l1, relative_error(ans, true_count), duration);
+                query = Some((outcome.value.expect_scalar(), outcome.qet));
             }
 
-            builder.record_view_size(pipeline.view().size_mb());
-            trace.push(StepRecord {
-                time: t,
-                true_count,
-                answer,
-                l1_error: l1,
-                qet_secs: qet.as_secs_f64(),
-                transform_secs: outcome
-                    .transform_duration
-                    .map_or(0.0, SimDuration::as_secs_f64),
-                shrink_secs: outcome
-                    .shrink_duration
-                    .map_or(0.0, SimDuration::as_secs_f64),
-                view_len: pipeline.view().len(),
-                view_real: pipeline.view().true_cardinality(),
-                cache_len: pipeline.cache_len(),
-                synced: outcome.synced,
-            });
+            let step = ShardStep::observe(&pipeline, t, outcome);
+            trace.push(builder.record_step(t, &[step], query));
         }
 
         builder.record_totals(pipeline.view().sync_count(), pipeline.truncation_losses());

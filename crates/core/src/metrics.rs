@@ -6,6 +6,7 @@
 //! (Figure 9). [`Summary`] aggregates exactly those quantities from the per-step
 //! [`crate::framework::StepRecord`]s.
 
+use crate::framework::{PipelineStepOutcome, ShardPipeline, StepRecord};
 use incshrink_mpc::cost::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -53,9 +54,12 @@ pub struct Summary {
     /// summed across shards for cluster runs). Excluded from `PartialEq` like
     /// [`Self::host_transform_secs`].
     pub host_query_secs: f64,
-    /// Host wall-clock seconds spent routing upload batches through the cluster
-    /// shuffle phase (0 for single-pair and co-located runs). Excluded from
-    /// `PartialEq` like [`Self::host_transform_secs`].
+    /// Host wall-clock seconds of the cluster shuffle phase, clocked per step
+    /// around everything the phase does on the host: sealing every arrival
+    /// shard's padded batch, shuffle-routing both relations, and closing the
+    /// elastic control step — the same definition on both cluster hosts (0 for
+    /// single-pair and co-partitioned runs). Excluded from `PartialEq` like
+    /// [`Self::host_transform_secs`].
     pub host_shuffle_secs: f64,
 }
 
@@ -74,6 +78,43 @@ impl PartialEq for Summary {
             && self.truncation_losses == other.truncation_losses
             && self.queries_issued == other.queries_issued
             && self.transform_secure_compares == other.transform_secure_compares
+    }
+}
+
+/// One pipeline's contribution to one step of a run's trace: the maintenance
+/// outcome plus the truth and the sizes a [`StepRecord`] reports. A single pair
+/// folds one of these per step, a cluster one per shard
+/// ([`SummaryBuilder::record_step`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ShardStep {
+    /// What the step's uploads, Transform and Shrink did.
+    pub outcome: PipelineStepOutcome,
+    /// Ground-truth answer over the pipeline's data at this step.
+    pub true_count: u64,
+    /// View length (real + dummy) after the step.
+    pub view_len: usize,
+    /// Real view entries after the step.
+    pub view_real: usize,
+    /// Secure-cache length after the step.
+    pub cache_len: usize,
+    /// View size in megabytes after the step.
+    pub view_mb: f64,
+}
+
+impl ShardStep {
+    /// Read `pipeline`'s state right after it advanced through step `t` with
+    /// `outcome`.
+    #[must_use]
+    pub fn observe(pipeline: &ShardPipeline, t: u64, outcome: PipelineStepOutcome) -> Self {
+        let view = pipeline.view();
+        Self {
+            outcome,
+            true_count: pipeline.true_count(t),
+            view_len: view.len(),
+            view_real: view.true_cardinality(),
+            cache_len: pipeline.cache_len(),
+            view_mb: view.size_mb(),
+        }
     }
 }
 
@@ -104,6 +145,56 @@ impl SummaryBuilder {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fold step `t` into the summary and return its trace record — the one step
+    /// fold behind both the single-pair simulation (a one-element `shards`) and
+    /// the cluster driver (every shard's report, in shard order). Server pairs
+    /// run in parallel, so the step's Transform / Shrink time is the slowest
+    /// shard's; secure-compare totals sum (every gate is still evaluated
+    /// somewhere); truths and sizes sum because the equi-join partition is
+    /// lossless. `query` is the analyst's `(answer, QET)` when one was issued.
+    pub fn record_step(
+        &mut self,
+        t: u64,
+        shards: &[ShardStep],
+        query: Option<(u64, SimDuration)>,
+    ) -> StepRecord {
+        let outcomes = || shards.iter().map(|s| &s.outcome);
+        let transform_max = outcomes().filter_map(|o| o.transform_duration).max();
+        let shrink_max = outcomes().filter_map(|o| o.shrink_duration).max();
+        if let Some(duration) = transform_max {
+            self.record_transform(duration);
+        }
+        for report in outcomes().filter_map(|o| o.transform_report) {
+            self.record_transform_compares(report.secure_compares);
+        }
+        if let Some(duration) = shrink_max {
+            self.record_shrink(duration, outcomes().any(|o| o.shrink_did_work));
+        }
+        let true_count = shards.iter().map(|s| s.true_count).sum();
+        let (answer, l1_error, qet) = match query {
+            Some((answer, qet)) => {
+                let l1 = answer.abs_diff(true_count) as f64;
+                self.record_query(l1, relative_error(answer, true_count), qet);
+                (Some(answer), l1, qet)
+            }
+            None => (None, 0.0, SimDuration::ZERO),
+        };
+        self.record_view_size(shards.iter().map(|s| s.view_mb).sum());
+        StepRecord {
+            time: t,
+            true_count,
+            answer,
+            l1_error,
+            qet_secs: qet.as_secs_f64(),
+            transform_secs: transform_max.map_or(0.0, SimDuration::as_secs_f64),
+            shrink_secs: shrink_max.map_or(0.0, SimDuration::as_secs_f64),
+            view_len: shards.iter().map(|s| s.view_len).sum(),
+            view_real: shards.iter().map(|s| s.view_real).sum(),
+            cache_len: shards.iter().map(|s| s.cache_len).sum(),
+            synced: outcomes().any(|o| o.synced),
+        }
     }
 
     /// Record one issued query.
