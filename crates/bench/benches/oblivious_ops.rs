@@ -2,7 +2,9 @@
 //! the simulation; the *simulated* MPC cost is reported by the figure binaries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use incshrink_mpc::cost::CostMeter;
+use incshrink::query::{FilterExpr, Query, QueryEngine, ViewEngine};
+use incshrink::MaterializedView;
+use incshrink_mpc::cost::{CostMeter, CostModel};
 use incshrink_oblivious::{
     cache_read, cache_read_incremental, oblivious_sort_by_field, truncated_nested_loop_join,
     JoinSpec, PlainTable, SortOrder,
@@ -107,10 +109,54 @@ fn bench_cache_read(c: &mut Criterion) {
     group.finish();
 }
 
+/// The analyst's four query kinds over a column-major view: one section per
+/// operation, cost per query as the view grows. Rows are
+/// `(key in 0..16, time in 0..100, key, time)`, one in eight a dummy.
+fn bench_view_query(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view_query");
+    let operations = [
+        ("count", Query::count()),
+        (
+            "filtered_count",
+            Query::count().filter(FilterExpr::le(1, 50)),
+        ),
+        ("filtered_sum", Query::sum(3).filter(FilterExpr::le(1, 50))),
+        ("group_count_16", Query::group_count(0, (0..16).collect())),
+    ];
+    let views: Vec<MaterializedView> = [4096usize, 16384, 65536]
+        .iter()
+        .map(|&n| {
+            let mut rng = StdRng::seed_from_u64(19);
+            let records: Vec<PlainRecord> = (0..n)
+                .map(|i| {
+                    let (key, time) = (rng.gen_range(0..16), rng.gen_range(0..100));
+                    PlainRecord {
+                        fields: vec![key, time, key, time],
+                        is_view: i % 8 != 0,
+                    }
+                })
+                .collect();
+            let mut view = MaterializedView::new();
+            view.append(SharedArrayPair::share_records(&records, &mut rng));
+            view
+        })
+        .collect();
+    for (name, query) in &operations {
+        for view in &views {
+            let engine = ViewEngine::new(view, CostModel::default());
+            group.bench_with_input(BenchmarkId::new(*name, view.len()), view, |b, _| {
+                b.iter(|| engine.execute(query).value);
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_oblivious_sort,
     bench_truncated_join,
-    bench_cache_read
+    bench_cache_read,
+    bench_view_query
 );
 criterion_main!(benches);

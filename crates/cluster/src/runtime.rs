@@ -93,8 +93,8 @@ use crate::sharded::{
 use crate::shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
 use incshrink::framework::StepUploads;
 use incshrink::metrics::{ShardStep, SummaryBuilder};
-use incshrink::query::{Query, QueryEngine, QueryOutcome};
-use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline, UpdateStrategy};
+use incshrink::query::{Query, QueryOutcome};
+use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline};
 use incshrink_mpc::cost::CostModel;
 use incshrink_mpc::PartyMode;
 use incshrink_storage::{Relation, UploadBatch};
@@ -139,11 +139,7 @@ impl Shard {
     /// baseline's per-shard join recomputation — for the driver's secure-add
     /// merge.
     fn query(&self, query: &Query, t: u64) -> QueryOutcome {
-        if self.pipeline.config().strategy == UpdateStrategy::NonMaterialized {
-            self.pipeline.nm_engine(t).execute(query)
-        } else {
-            self.pipeline.execute_query(query)
-        }
+        self.pipeline.answer_query(query, t)
     }
 
     /// Elastic migration: extract the listed virtual buckets' state, plus the

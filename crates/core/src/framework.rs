@@ -365,9 +365,7 @@ impl ShardPipeline {
         }
         let moved = move |key: u32| mask[incshrink_oblivious::shuffle::bucket_of(key)];
         let left_key = self.dataset.left.schema.key_column;
-        let view_entries = self
-            .view
-            .migrate_out(&mut |fields| fields.get(left_key).is_some_and(|&k| moved(k)));
+        let view_entries = self.view.migrate_out(left_key, &moved);
         let (active_left, active_right) = self.transform.export_active(&moved);
         MigratedPartition {
             view_entries,
@@ -430,6 +428,17 @@ impl ShardPipeline {
     #[must_use]
     pub fn execute_query(&self, query: &Query) -> QueryOutcome {
         self.query_engine().execute(query)
+    }
+
+    /// Answer the analyst's `query` at step `t` the way this pipeline's strategy
+    /// does: the NM baseline recomputes (and exactly answers) the full join, every
+    /// other strategy scans its materialized view.
+    #[must_use]
+    pub fn answer_query(&self, query: &Query, t: u64) -> QueryOutcome {
+        match self.config.strategy {
+            UpdateStrategy::NonMaterialized => self.nm_engine(t).execute(query),
+            _ => self.execute_query(query),
+        }
     }
 
     /// The NM-baseline engine over this pipeline's accumulated outsourced data at
@@ -697,15 +706,7 @@ impl Simulation {
                 let _step_scope = incshrink_telemetry::step_scope(t);
                 let mut query_span = incshrink_telemetry::span!("query");
                 let started = std::time::Instant::now();
-                // The counting query goes through the typed engine layer: the NM
-                // baseline recomputes (and exactly answers) the full join, every
-                // other strategy scans its materialized view.
-                let outcome = match config.strategy {
-                    UpdateStrategy::NonMaterialized => {
-                        pipeline.nm_engine(t).execute(&Query::count())
-                    }
-                    _ => pipeline.execute_query(&Query::count()),
-                };
+                let outcome = pipeline.answer_query(&Query::count(), t);
                 host_query_secs += started.elapsed().as_secs_f64();
                 query_span.record_sim_secs(outcome.qet.as_secs_f64());
                 query_span.record_cost(outcome.report.into());

@@ -14,9 +14,16 @@
 //! [`Query::group_count`], each optionally restricted by [`Query::filter`] conjuncts
 //! over view columns ([`FilterExpr`]). [`Query::compile`] lowers the AST to a
 //! [`PhysicalPlan`] — one *fused* oblivious scan in which the selection folds into the
-//! aggregate operator's predicate slot (`incshrink_oblivious::aggregate` natively
-//! takes predicates), so a filtered query costs exactly what its unfiltered form
-//! costs and selectivity never leaks. Engines execute the plan:
+//! aggregate operator's predicate slot, so a filtered query costs exactly what its
+//! unfiltered form costs and selectivity never leaks. The view is column-major at
+//! rest ([`MaterializedView::entries`]), so the plan *names its lanes*: the filter
+//! conjunction becomes a branch-free 0/1 selection mask built from the `isView` lane
+//! and the filter columns, and the aggregate's lane body
+//! (`incshrink_oblivious::aggregate::{count,sum,group_count}_selected`) combines it
+//! with the one column the aggregate reads. No lane the plan does not name is
+//! recovered, nothing is transposed per query (that happened once, when the batch
+//! was synchronized), and no per-row closure or scratch record is built. Host time
+//! follows the lanes read; the modeled cost does not. Engines execute the plan:
 //!
 //! * [`ViewEngine`] — the single-pair backend: one scan of a [`MaterializedView`].
 //! * `ScatterGatherExecutor` (in `incshrink-cluster`) — per-shard partial aggregates
@@ -38,11 +45,8 @@
 
 use crate::view::MaterializedView;
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
-use incshrink_oblivious::aggregate::{
-    oblivious_count, oblivious_group_count_over_domain, oblivious_sum,
-};
-use incshrink_oblivious::filter::Predicate;
-use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_oblivious::aggregate::{count_selected, group_count_selected, sum_selected};
+use incshrink_secretshare::columns::{eq_word, lt_word, SharedColumnsPair};
 use serde::{Deserialize, Serialize};
 
 /// One conjunct of a query's selection predicate, over view columns. Records lacking
@@ -308,21 +312,46 @@ impl PhysicalPlan<'_> {
         format!("scan[filter: {pred}] -> {agg}")
     }
 
-    /// Execute the fused scan over `entries`, pricing through `model`.
-    #[must_use]
-    pub fn execute(&self, entries: &SharedArrayPair, model: &CostModel) -> QueryOutcome {
-        let mut meter = CostMeter::new();
-        let query = self.query;
-        let predicate = Predicate::new("query-filter", move |fields| query.matches_filters(fields));
-        let value = match &query.aggregate {
-            AggregateSpec::Count => {
-                QueryValue::Scalar(oblivious_count(entries, &predicate, &mut meter))
+    /// The scan's selection as one 0/1 word per view row: `isView ∧ filters`,
+    /// lowered conjunct by conjunct to branch-free lane arithmetic. Each conjunct
+    /// reads only the column it names, and — as in [`FilterExpr::matches`] — a
+    /// column the view does not have matches nothing.
+    fn selection_mask(&self, entries: &SharedColumnsPair) -> Vec<u64> {
+        let mut mask = entries.real_mask();
+        for filter in &self.query.filters {
+            match *filter {
+                // v <= bound  ⇔  ¬(bound < v)
+                FilterExpr::Le { field, bound } => {
+                    entries.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(u64::from(bound), v));
+                }
+                // v >= bound  ⇔  ¬(v < bound)
+                FilterExpr::Ge { field, bound } => {
+                    entries.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(v, u64::from(bound)));
+                }
+                FilterExpr::Eq { field, value } => {
+                    entries.narrow_mask(field, &mut mask, |v| eq_word(v, u64::from(value)));
+                }
             }
+        }
+        mask
+    }
+
+    /// Execute the fused scan over the view's column-major `entries`, pricing
+    /// through `model`. Only the `isView` lane and the lanes the plan names (its
+    /// filter columns and the aggregate's column) are recovered; the meter is charged
+    /// from the public `(len, arity, |domain|)` alone, so the cost does not depend on
+    /// which lanes were read.
+    #[must_use]
+    pub fn execute(&self, entries: &SharedColumnsPair, model: &CostModel) -> QueryOutcome {
+        let mut meter = CostMeter::new();
+        let mask = self.selection_mask(entries);
+        let value = match &self.query.aggregate {
+            AggregateSpec::Count => QueryValue::Scalar(count_selected(entries, &mask, &mut meter)),
             AggregateSpec::Sum { field } => {
-                QueryValue::Scalar(oblivious_sum(entries, *field, &predicate, &mut meter))
+                QueryValue::Scalar(sum_selected(entries, *field, &mask, &mut meter))
             }
             AggregateSpec::GroupCount { field, domain } => QueryValue::Vector(
-                oblivious_group_count_over_domain(entries, *field, domain, &predicate, &mut meter),
+                group_count_selected(entries, *field, domain, &mask, &mut meter),
             ),
         };
         let report = meter.take();

@@ -1,7 +1,17 @@
 //! View definitions and the materialized view object.
+//!
+//! The view is **column-major at rest**: [`MaterializedView`] keeps its entries as
+//! the share lanes of a [`SharedColumnsPair`] (one lane per field per party plus the
+//! `isView` lanes), because the view is written tens of rows at a time — once per
+//! synchronization — and read whole by every analyst query. [`MaterializedView::append`]
+//! transposes only the incoming batch onto the lane tails, so a query scan
+//! (`crate::query::PhysicalPlan::execute`) touches just the lanes its plan names and
+//! never pays a transposition. The cache, upload batches and shuffle buckets stay
+//! record-major ([`SharedArrayPair`]); batches arrive in that layout.
 
 use incshrink_oblivious::JoinSpec;
 use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_workload::{Dataset, JoinQuery};
 use serde::{Deserialize, Serialize};
@@ -77,10 +87,13 @@ impl ViewDefinition {
 }
 
 /// The growing materialized view `V = {V_t}`: a secret-shared array of view entries
-/// plus dummy tuples introduced by the DP-sized synchronizations.
+/// plus dummy tuples introduced by the DP-sized synchronizations, kept column-major
+/// (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MaterializedView {
-    entries: SharedArrayPair,
+    entries: SharedColumnsPair,
+    /// Running count of real entries, so the per-step metrics never rescan the view.
+    real: usize,
     syncs: u64,
 }
 
@@ -103,19 +116,26 @@ impl MaterializedView {
         self.entries.is_empty()
     }
 
-    /// Number of real view entries (protocol-internal / evaluation use).
+    /// Number of real view entries (protocol-internal / evaluation use). Constant
+    /// time: the count is maintained by the three mutators.
     #[must_use]
     pub fn true_cardinality(&self) -> usize {
-        self.entries.true_cardinality()
+        debug_assert_eq!(
+            self.real,
+            self.entries.true_cardinality(),
+            "running real-row count drifted from the isView lanes"
+        );
+        self.real
     }
 
-    /// The secret-shared view entries the analyst's oblivious query scans run over.
-    /// Columns follow the canonical `left fields ++ right fields` layout of the view
-    /// definition's join (mirrored Transform invocations swap their output back — see
+    /// The secret-shared view entries the analyst's oblivious query scans run over,
+    /// as column-major share lanes. Columns follow the canonical
+    /// `left fields ++ right fields` layout of the view definition's join (mirrored
+    /// Transform invocations swap their output back — see
     /// [`ViewDefinition::join_spec_reversed`]), which is what the typed query API's
     /// field indices address.
     #[must_use]
-    pub fn entries(&self) -> &SharedArrayPair {
+    pub fn entries(&self) -> &SharedColumnsPair {
         &self.entries
     }
 
@@ -131,38 +151,44 @@ impl MaterializedView {
         self.syncs
     }
 
-    /// Append a batch of synchronized entries (`V ← V ∪ o`).
+    /// Append a batch of synchronized entries (`V ← V ∪ o`): the batch is
+    /// transposed onto the lane tails, the rows already materialized are not touched.
     pub fn append(&mut self, batch: SharedArrayPair) {
         if batch.is_empty() {
             return;
         }
         self.syncs += 1;
-        self.entries
-            .extend(batch)
-            .expect("view entries share one arity");
+        self.migrate_in(batch);
     }
 
-    /// Remove and return the *real* view entries whose plaintext satisfies
-    /// `moved` (elastic migration: the predicate selects the key range leaving
-    /// this shard). Dummy entries stay behind, the sync counter is untouched —
-    /// migration is an ownership transfer, not a Shrink synchronization.
+    /// Remove and return the *real* view entries whose `key_column` value
+    /// satisfies `moved` (elastic migration: the predicate selects the key range
+    /// leaving this shard), compacting the lanes in place and keeping the order of
+    /// what stays. Only the key and `isView` lanes are recovered to decide; a key
+    /// column the view does not have moves nothing. Dummy entries stay behind, the
+    /// sync counter is untouched — migration is an ownership transfer, not a Shrink
+    /// synchronization.
     ///
     /// The recovery happens inside the migration protocol (both parties'
     /// shares meet exactly as they do inside [`shuffle
     /// routing`](incshrink_oblivious::shuffle::shuffle_route)); the caller
     /// re-shares the records with fresh randomness before they reach the
     /// destination pair.
-    pub fn migrate_out(&mut self, moved: &mut dyn FnMut(&[u32]) -> bool) -> Vec<PlainRecord> {
-        let mut out = Vec::new();
-        self.entries.retain_with(|_, entry| {
-            let plain = entry.recover();
-            if plain.is_view && moved(&plain.fields) {
-                out.push(plain);
-                false
-            } else {
-                true
-            }
-        });
+    pub fn migrate_out(
+        &mut self,
+        key_column: usize,
+        moved: &dyn Fn(u32) -> bool,
+    ) -> Vec<PlainRecord> {
+        let mut leaving = self.entries.real_mask();
+        self.entries
+            .narrow_mask(key_column, &mut leaving, |key| u64::from(moved(key as u32)));
+        let out: Vec<PlainRecord> = (0..self.len())
+            .filter(|&i| leaving[i] != 0)
+            .map(|i| self.entries.recover_row(i))
+            .collect();
+        let keep: Vec<bool> = leaving.iter().map(|&l| l == 0).collect();
+        self.entries.retain_rows(&keep);
+        self.real -= out.len();
         out
     }
 
@@ -171,11 +197,9 @@ impl MaterializedView {
     /// [`Self::append`] this does not bump the sync counter: migrations are
     /// ownership transfers, not Shrink synchronizations.
     pub fn migrate_in(&mut self, batch: SharedArrayPair) {
-        if batch.is_empty() {
-            return;
-        }
+        self.real += batch.true_cardinality();
         self.entries
-            .extend(batch)
+            .extend_from_pair(&batch)
             .expect("view entries share one arity");
     }
 
@@ -183,8 +207,7 @@ impl MaterializedView {
     /// "materialized view size" rows.
     #[must_use]
     pub fn size_bytes(&self) -> u64 {
-        let width = self.entries.arity().map_or(0, |a| (a + 1) * 4);
-        (self.len() * width) as u64
+        (self.len() * (self.entries.arity() + 1) * 4) as u64
     }
 
     /// Size in megabytes.
@@ -200,7 +223,9 @@ impl MaterializedView {
     /// hash collisions), which is how the parallel cluster runtime's equivalence
     /// tests compare whole shard views without shipping them across threads.
     /// The mix is a splitmix64-style avalanche over a running state, so entry
-    /// order, share assignment and dummy placement all matter.
+    /// order, share assignment and dummy placement all matter. Words are mixed
+    /// record by record (each entry's field shares in column order, then its
+    /// `isView` shares), so the digest does not depend on the layout at rest.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         fn mix(state: u64, word: u64) -> u64 {
@@ -209,14 +234,18 @@ impl MaterializedView {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
+        let fields: Vec<(&[u64], &[u64])> = (0..self.entries.arity())
+            .filter_map(|f| self.entries.field_shares(f))
+            .collect();
+        let (view0, view1) = self.entries.is_view_shares();
         let mut state = mix(0x1C5_811A_D0F1, self.syncs);
-        for entry in self.entries.entries() {
-            for pair in &entry.fields {
-                state = mix(state, u64::from(pair.s0));
-                state = mix(state, u64::from(pair.s1));
+        for i in 0..self.len() {
+            for (s0, s1) in &fields {
+                state = mix(state, s0[i]);
+                state = mix(state, s1[i]);
             }
-            state = mix(state, u64::from(entry.is_view.s0));
-            state = mix(state, u64::from(entry.is_view.s1));
+            state = mix(state, view0[i]);
+            state = mix(state, view1[i]);
         }
         state
     }
@@ -298,7 +327,7 @@ mod tests {
         ));
         assert_eq!(source.sync_count(), 1);
 
-        let moved = source.migrate_out(&mut |fields| fields[0] == 10);
+        let moved = source.migrate_out(0, &|key| key == 10);
         assert_eq!(moved.len(), 2);
         assert!(moved.iter().all(|r| r.fields[0] == 10));
         assert_eq!(source.true_cardinality(), 1, "key 20 stays");

@@ -16,11 +16,17 @@
 //! the simulated QET reflects bandwidth at large views.
 //!
 //! # Physical evaluation
-//! Each aggregate recovers the array once into column-major lanes
-//! ([`incshrink_secretshare::SharedColumnsPair`]) and combines them with branch-free
-//! word arithmetic — the predicate mask comes from [`Predicate::mask_lane`], the
-//! accumulation is a masked add per lane slot. No per-record `PlainRecord`
-//! allocation happens anywhere on the scan.
+//! Each aggregate has one body, written over column-major lanes
+//! ([`incshrink_secretshare::SharedColumnsPair`]): [`count_selected`],
+//! [`sum_selected`] and [`group_count_selected`] take the array's lanes plus a
+//! selection mask (one 0/1 word per row, `isView ∧ predicate`), charge the meter
+//! from the public `(len, arity, |domain|)` and combine the mask with the one field
+//! lane they name in branch-free word arithmetic — a masked add per lane slot, no
+//! per-record allocation. An array that is column-major at rest (the materialized
+//! view) calls the bodies directly and pays no transposition; the
+//! `&SharedArrayPair` entry points ([`oblivious_count`], [`oblivious_sum`],
+//! [`oblivious_group_count_over_domain`]) transpose once, take their mask from
+//! [`Predicate::mask_columns`] and run the same body.
 
 use crate::filter::Predicate;
 use incshrink_mpc::cost::CostMeter;
@@ -28,18 +34,98 @@ use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
 use std::collections::BTreeMap;
 
-/// Bytes of share traffic a linear scan of `array` feeds into the circuit.
-fn scan_input_bytes(array: &SharedArrayPair) -> u64 {
-    (array.len() * (array.arity().unwrap_or(0) + 1) * 4) as u64
+/// Bytes of share traffic a linear scan of `columns` feeds into the circuit.
+fn scan_input_bytes(columns: &SharedColumnsPair) -> u64 {
+    (columns.len() * (columns.arity() + 1) * 4) as u64
 }
 
-/// Recover all field lanes plus the `isView` lane of `array` in one pass.
-fn recovered_lanes(array: &SharedArrayPair) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let columns = SharedColumnsPair::from_pair(array);
-    let lanes = (0..columns.arity())
-        .map(|f| columns.recovered_field_lane(f))
-        .collect();
-    (lanes, columns.recovered_is_view_lane())
+/// Recover field `field` of every row, or `None` when the array has no such column.
+fn field_lane(columns: &SharedColumnsPair, field: usize) -> Option<Vec<u64>> {
+    (field < columns.arity()).then(|| columns.recovered_field_lane(field))
+}
+
+/// Count the rows of `columns` that `mask` selects — the lane body of
+/// [`oblivious_count`]. `mask` holds one 0/1 word per row (`isView ∧ predicate`, as
+/// [`Predicate::mask_columns`] builds it). Charges one secure comparison, one AND
+/// and one addition per row, the scanned shares as input traffic and 8 bytes for
+/// the revealed count — whatever the mask selects.
+///
+/// # Panics
+/// Panics when `mask` does not hold one word per row.
+pub fn count_selected(columns: &SharedColumnsPair, mask: &[u64], meter: &mut CostMeter) -> u64 {
+    assert_eq!(mask.len(), columns.len(), "one mask word per row");
+    let n = columns.len() as u64;
+    meter.compares(n);
+    meter.ands(n);
+    meter.adds(n);
+    meter.bytes(scan_input_bytes(columns) + 8);
+    meter.round();
+    mask.iter().sum()
+}
+
+/// Sum `field` over the rows of `columns` that `mask` selects — the lane body of
+/// [`oblivious_sum`], with saturating 64-bit arithmetic. A column the array does
+/// not have sums to 0; the charge is the same either way.
+///
+/// # Panics
+/// Panics when `mask` does not hold one word per row.
+pub fn sum_selected(
+    columns: &SharedColumnsPair,
+    field: usize,
+    mask: &[u64],
+    meter: &mut CostMeter,
+) -> u64 {
+    assert_eq!(mask.len(), columns.len(), "one mask word per row");
+    let n = columns.len() as u64;
+    meter.compares(n);
+    meter.ands(n);
+    meter.adds(2 * n);
+    meter.bytes(scan_input_bytes(columns) + 8);
+    meter.round();
+    columns.field_shares(field).map_or(0, |(s0, s1)| {
+        // mask is 0/1 and lane values are widened u32s, so the product is exact.
+        (mask.iter().zip(s0).zip(s1))
+            .fold(0u64, |acc, ((&m, &a), &b)| acc.saturating_add(m * (a ^ b)))
+    })
+}
+
+/// Count the rows of `columns` that `mask` selects, grouped over a *public* `domain`
+/// of `group_field` values — the lane body of [`oblivious_group_count_over_domain`],
+/// which documents the output contract, leakage and cost. A column the array does
+/// not have yields an all-zero vector of the public width.
+///
+/// # Panics
+/// Panics when `mask` does not hold one word per row.
+pub fn group_count_selected(
+    columns: &SharedColumnsPair,
+    group_field: usize,
+    domain: &[u32],
+    mask: &[u64],
+    meter: &mut CostMeter,
+) -> Vec<u64> {
+    assert_eq!(mask.len(), columns.len(), "one mask word per row");
+    let n = columns.len() as u64;
+    let d = domain.len() as u64;
+    if d == 0 {
+        return Vec::new();
+    }
+    meter.compares(n * d);
+    meter.ands(n * d);
+    meter.adds(n * d);
+    meter.bytes(scan_input_bytes(columns) + 8 * d);
+    meter.round();
+    let Some(lane) = field_lane(columns, group_field) else {
+        return vec![0; domain.len()];
+    };
+    domain
+        .iter()
+        .map(|&value| {
+            mask.iter()
+                .zip(&lane)
+                .map(|(&m, &key)| m & eq_word(key, u64::from(value)))
+                .sum()
+        })
+        .collect()
 }
 
 /// Obliviously count the real (`isView = 1`) entries of `array` that satisfy
@@ -51,14 +137,8 @@ pub fn oblivious_count(
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
 ) -> u64 {
-    let n = array.len() as u64;
-    meter.compares(n);
-    meter.ands(n);
-    meter.adds(n);
-    meter.bytes(scan_input_bytes(array) + 8);
-    meter.round();
-    let (lanes, view) = recovered_lanes(array);
-    predicate.mask_lane(&lanes, &view).iter().sum()
+    let columns = SharedColumnsPair::from_pair(array);
+    count_selected(&columns, &predicate.mask_columns(&columns), meter)
 }
 
 /// Obliviously sum `field` over the real entries of `array` that satisfy `predicate`.
@@ -70,22 +150,8 @@ pub fn oblivious_sum(
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
 ) -> u64 {
-    let n = array.len() as u64;
-    meter.compares(n);
-    meter.ands(n);
-    meter.adds(2 * n);
-    meter.bytes(scan_input_bytes(array) + 8);
-    meter.round();
-    let (lanes, view) = recovered_lanes(array);
-    let mask = predicate.mask_lane(&lanes, &view);
-    match lanes.get(field) {
-        // mask is 0/1 and lane values are widened u32s, so the product is exact.
-        Some(lane) => mask
-            .iter()
-            .zip(lane)
-            .fold(0u64, |acc, (&m, &v)| acc.saturating_add(m * v)),
-        None => 0,
-    }
+    let columns = SharedColumnsPair::from_pair(array);
+    sum_selected(&columns, field, &predicate.mask_columns(&columns), meter)
 }
 
 /// Obliviously count real entries grouped by the value of `group_field`. The output
@@ -100,17 +166,17 @@ pub fn oblivious_group_count(
     group_field: usize,
     meter: &mut CostMeter,
 ) -> BTreeMap<u32, u64> {
-    let n = array.len() as u64;
+    let columns = SharedColumnsPair::from_pair(array);
+    let n = columns.len() as u64;
     meter.compares(n);
     meter.ands(n);
     meter.adds(n);
-    meter.bytes(scan_input_bytes(array) + 8 * 16);
+    meter.bytes(scan_input_bytes(&columns) + 8 * 16);
     meter.round();
-    let (lanes, view) = recovered_lanes(array);
     let mut groups = BTreeMap::new();
-    if let Some(lane) = lanes.get(group_field) {
-        for (&key, &v) in lane.iter().zip(&view) {
-            if v != 0 {
+    if let Some(lane) = field_lane(&columns, group_field) {
+        for (&key, &real) in lane.iter().zip(&columns.real_mask()) {
+            if real != 0 {
                 *groups.entry(key as u32).or_insert(0u64) += 1;
             }
         }
@@ -141,30 +207,9 @@ pub fn oblivious_group_count_over_domain(
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
 ) -> Vec<u64> {
-    let n = array.len() as u64;
-    let d = domain.len() as u64;
-    if d == 0 {
-        return Vec::new();
-    }
-    meter.compares(n * d);
-    meter.ands(n * d);
-    meter.adds(n * d);
-    meter.bytes(scan_input_bytes(array) + 8 * d);
-    meter.round();
-    let (lanes, view) = recovered_lanes(array);
-    let mask = predicate.mask_lane(&lanes, &view);
-    let Some(lane) = lanes.get(group_field) else {
-        return vec![0; domain.len()];
-    };
-    domain
-        .iter()
-        .map(|&value| {
-            mask.iter()
-                .zip(lane)
-                .map(|(&m, &key)| m & eq_word(key, u64::from(value)))
-                .sum()
-        })
-        .collect()
+    let columns = SharedColumnsPair::from_pair(array);
+    let mask = predicate.mask_columns(&columns);
+    group_count_selected(&columns, group_field, domain, &mask, meter)
 }
 
 #[cfg(test)]
@@ -305,6 +350,13 @@ mod tests {
         // Missing group field counts nothing but keeps the public output width.
         let counts = oblivious_group_count_over_domain(&arr, 9, &[0, 1], &all, &mut meter);
         assert_eq!(counts, vec![0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one mask word per row")]
+    fn lane_bodies_reject_a_mask_of_the_wrong_length() {
+        let columns = SharedColumnsPair::from_pair(&array_with(&[(1, 5), (2, 15)], 1));
+        let _ = count_selected(&columns, &[1, 1], &mut CostMeter::new());
     }
 
     #[test]

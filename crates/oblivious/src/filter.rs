@@ -111,55 +111,43 @@ impl<'a> Predicate<'a> {
         }
     }
 
-    /// Evaluate `is_view ∧ predicate` over recovered lanes, producing a 0/1 mask
-    /// word per record. Structured kinds run branch-free over whole lanes; opaque
-    /// closures gather each record's fields into a reused scratch buffer.
-    ///
-    /// `lanes` must hold one recovered lane per field and `view` the recovered
-    /// `isView` lane, all of equal length (as produced by
-    /// [`SharedColumnsPair::recovered_field_lane`] /
-    /// [`SharedColumnsPair::recovered_is_view_lane`]).
+    /// Evaluate `is_view ∧ predicate` over a column-major array, producing a 0/1
+    /// mask word per record. Structured kinds run branch-free and read only the
+    /// `isView` lane and the one field lane they name; opaque closures recover
+    /// every lane and gather each record's fields into a reused scratch buffer.
     #[must_use]
-    pub fn mask_lane(&self, lanes: &[Vec<u64>], view: &[u64]) -> Vec<u64> {
-        // Shares decode to exactly 0 or 1 for `isView`, but booleanize anyway so a
-        // hand-built lane cannot poison the mask arithmetic.
-        let view_bit = |v: u64| 1 ^ eq_word(v, 0);
+    pub fn mask_columns(&self, columns: &SharedColumnsPair) -> Vec<u64> {
+        let mut mask = columns.real_mask();
         match self.kind {
-            PredicateKind::All => view.iter().map(|&v| view_bit(v)).collect(),
-            PredicateKind::Le { field, bound } => match lanes.get(field) {
-                Some(lane) => view
-                    .iter()
-                    .zip(lane)
-                    // a <= bound  ⇔  ¬(bound < a)
-                    .map(|(&v, &a)| view_bit(v) & (1 ^ lt_word(u64::from(bound), a)))
-                    .collect(),
-                // Missing field reads as u32::MAX: matches only a saturated bound.
-                None => {
-                    let hit = u64::from(bound == u32::MAX);
-                    view.iter().map(|&v| view_bit(v) & hit).collect()
+            PredicateKind::All => {}
+            // Missing field reads as u32::MAX: matches only a saturated bound.
+            PredicateKind::Le { field, bound } if field >= columns.arity() => {
+                if bound != u32::MAX {
+                    mask.fill(0);
                 }
-            },
-            PredicateKind::Eq { field, value } => match lanes.get(field) {
-                Some(lane) => view
-                    .iter()
-                    .zip(lane)
-                    .map(|(&v, &a)| view_bit(v) & eq_word(a, u64::from(value)))
-                    .collect(),
-                // Missing field never equals anything.
-                None => vec![0; view.len()],
-            },
+            }
+            PredicateKind::Le { field, bound } => {
+                // a <= bound  ⇔  ¬(bound < a)
+                columns.narrow_mask(field, &mut mask, |a| 1 ^ lt_word(u64::from(bound), a));
+            }
+            // Missing field never equals anything.
+            PredicateKind::Eq { field, value } => {
+                columns.narrow_mask(field, &mut mask, |a| eq_word(a, u64::from(value)));
+            }
             PredicateKind::Opaque => {
+                let lanes: Vec<Vec<u64>> = (0..columns.arity())
+                    .map(|f| columns.recovered_field_lane(f))
+                    .collect();
                 let mut scratch = vec![0u32; lanes.len()];
-                (0..view.len())
-                    .map(|i| {
-                        for (slot, lane) in scratch.iter_mut().zip(lanes) {
-                            *slot = lane[i] as u32;
-                        }
-                        u64::from(view[i] != 0 && (self.test)(&scratch))
-                    })
-                    .collect()
+                for (i, m) in mask.iter_mut().enumerate() {
+                    for (slot, lane) in scratch.iter_mut().zip(&lanes) {
+                        *slot = lane[i] as u32;
+                    }
+                    *m = u64::from(*m != 0 && (self.test)(&scratch));
+                }
             }
         }
+        mask
     }
 }
 
@@ -186,11 +174,10 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
     meter.round();
 
     let columns = SharedColumnsPair::from_pair(input);
+    let keep = predicate.mask_columns(&columns);
     let lanes: Vec<Vec<u64>> = (0..columns.arity())
         .map(|f| columns.recovered_field_lane(f))
         .collect();
-    let view = columns.recovered_is_view_lane();
-    let keep = predicate.mask_lane(&lanes, &view);
 
     // Re-share record-major so the mask words come off the rng in exactly the order
     // `SharedRecordPair::share` would draw them.

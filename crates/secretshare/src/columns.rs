@@ -18,7 +18,7 @@
 //! zeros mask), never a data-dependent jump, mirroring how a real garbled-circuit
 //! backend would evaluate the same gates in constant time.
 
-use crate::tuple::{SharedRecord, SharedRecordPair};
+use crate::tuple::{PlainRecord, SharedRecord, SharedRecordPair};
 use crate::value::{PartyId, SharePair};
 use serde::{Deserialize, Serialize};
 
@@ -78,23 +78,66 @@ impl SharedColumnsPair {
     /// lanes, see [`Self::to_pair`]).
     #[must_use]
     pub fn from_pair(pair: &crate::SharedArrayPair) -> Self {
-        let n = pair.len();
         let arity = pair.arity().unwrap_or(0);
         let mut out = Self {
-            lanes0: vec![Vec::with_capacity(n); arity],
-            lanes1: vec![Vec::with_capacity(n); arity],
-            view0: Vec::with_capacity(n),
-            view1: Vec::with_capacity(n),
+            lanes0: vec![Vec::new(); arity],
+            lanes1: vec![Vec::new(); arity],
+            ..Self::default()
         };
-        for entry in pair.entries() {
-            for (f, share) in entry.fields.iter().enumerate() {
-                out.lanes0[f].push(u64::from(share.s0));
-                out.lanes1[f].push(u64::from(share.s1));
-            }
-            out.view0.push(u64::from(entry.is_view.s0));
-            out.view1.push(u64::from(entry.is_view.s1));
-        }
+        out.extend_from_pair(pair)
+            .expect("fresh lanes take the array's arity");
         out
+    }
+
+    /// Transpose `batch` onto the lane tails (`V ← V ∪ o` for an array kept
+    /// column-major at rest): the existing rows are not touched, so the cost is the
+    /// batch's, not the array's. An empty array of arity 0 is untyped and adopts the
+    /// batch's arity, like [`crate::SharedArrayPair::extend`].
+    ///
+    /// # Errors
+    /// Returns [`crate::ShareError::ShapeMismatch`] when `batch` is non-empty and its
+    /// arity differs from this array's; nothing is appended in that case.
+    pub fn extend_from_pair(&mut self, batch: &crate::SharedArrayPair) -> crate::Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let incoming = batch.arity().unwrap_or(0);
+        if self.is_empty() && self.arity() == 0 {
+            self.lanes0.resize(incoming, Vec::new());
+            self.lanes1.resize(incoming, Vec::new());
+        } else if self.arity() != incoming {
+            return Err(crate::ShareError::ShapeMismatch {
+                detail: format!("lane arity {}, batch arity {incoming}", self.arity()),
+            });
+        }
+        for lane in self.lanes0.iter_mut().chain(&mut self.lanes1) {
+            lane.reserve(batch.len());
+        }
+        self.view0.reserve(batch.len());
+        self.view1.reserve(batch.len());
+        for entry in batch.entries() {
+            for (f, share) in entry.fields.iter().enumerate() {
+                self.lanes0[f].push(u64::from(share.s0));
+                self.lanes1[f].push(u64::from(share.s1));
+            }
+            self.view0.push(u64::from(entry.is_view.s0));
+            self.view1.push(u64::from(entry.is_view.s1));
+        }
+        Ok(())
+    }
+
+    /// Keep only the rows whose `keep` flag is set, compacting every lane in place
+    /// and preserving order.
+    ///
+    /// # Panics
+    /// Panics when `keep` does not hold one flag per row.
+    pub fn retain_rows(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.len(), "one keep flag per row");
+        let lanes = self.lanes0.iter_mut().chain(&mut self.lanes1);
+        for lane in lanes.chain([&mut self.view0, &mut self.view1]) {
+            let mut flags = keep.iter();
+            lane.retain(|_| *flags.next().expect("one keep flag per row"));
+        }
     }
 
     /// Transpose back to the record-major layout. Lane words are truncated to their
@@ -136,6 +179,80 @@ impl SharedColumnsPair {
     #[must_use]
     pub fn arity(&self) -> usize {
         self.lanes0.len()
+    }
+
+    /// Recover row `i` to plaintext (`isView` is set when its recovered word is
+    /// non-zero, as in [`SharedRecordPair::recover`]).
+    ///
+    /// # Panics
+    /// Panics when `i >= len`.
+    #[must_use]
+    pub fn recover_row(&self, i: usize) -> PlainRecord {
+        PlainRecord {
+            fields: (self.lanes0.iter().zip(&self.lanes1))
+                .map(|(a, b)| (a[i] ^ b[i]) as u32)
+                .collect(),
+            is_view: self.view0[i] != self.view1[i],
+        }
+    }
+
+    /// Recover every row to plaintext (test / in-protocol use only), equal to
+    /// [`crate::SharedArrayPair::recover_all`] of the transposed array.
+    #[must_use]
+    pub fn recover_all(&self) -> Vec<PlainRecord> {
+        (0..self.len()).map(|i| self.recover_row(i)).collect()
+    }
+
+    /// Count rows whose recovered `isView` word is non-zero. Protocol-internal, like
+    /// [`crate::SharedArrayPair::true_cardinality`]: it reconstructs the flag.
+    #[must_use]
+    pub fn true_cardinality(&self) -> usize {
+        (self.view0.iter().zip(&self.view1))
+            .filter(|(a, b)| a != b)
+            .count()
+    }
+
+    /// Both parties' share lanes of field `f` (`S0`'s, then `S1`'s), or `None` when
+    /// the array has no such column.
+    #[must_use]
+    pub fn field_shares(&self, f: usize) -> Option<(&[u64], &[u64])> {
+        Some((self.lanes0.get(f)?, self.lanes1.get(f)?))
+    }
+
+    /// Both parties' `isView` share lanes (`S0`'s, then `S1`'s).
+    #[must_use]
+    pub fn is_view_shares(&self) -> (&[u64], &[u64]) {
+        (&self.view0, &self.view1)
+    }
+
+    /// The selection every scan starts from: one 0/1 word per row, 1 where the
+    /// recovered `isView` word is non-zero. Shares decode to exactly 0 or 1, but the
+    /// words are booleanized anyway so a hand-built lane cannot poison the mask
+    /// arithmetic downstream.
+    #[must_use]
+    pub fn real_mask(&self) -> Vec<u64> {
+        (self.view0.iter().zip(&self.view1))
+            .map(|(&a, &b)| 1 ^ eq_word(a, b))
+            .collect()
+    }
+
+    /// Narrow a selection mask by one column test, branch-free:
+    /// `mask[i] &= test(field f of row i)`, where `test` returns a 0/1 word. Only
+    /// field `f`'s two share lanes are read. A column the array does not have
+    /// matches nothing.
+    ///
+    /// # Panics
+    /// Panics when `mask` does not hold one word per row.
+    pub fn narrow_mask(&self, f: usize, mask: &mut [u64], test: impl Fn(u64) -> u64) {
+        assert_eq!(mask.len(), self.len(), "lane length mismatch");
+        match self.field_shares(f) {
+            Some((s0, s1)) => {
+                for ((m, &a), &b) in mask.iter_mut().zip(s0).zip(s1) {
+                    *m &= test(a ^ b);
+                }
+            }
+            None => mask.fill(0),
+        }
     }
 
     /// Recover field `f` of every record into one plaintext lane (`s0 ^ s1` per
@@ -424,6 +541,40 @@ mod tests {
     }
 
     #[test]
+    fn extend_adopts_an_arity_once_and_rejects_another() {
+        let mut cols = SharedColumnsPair::default();
+        cols.extend_from_pair(&SharedArrayPair::new()).unwrap();
+        assert_eq!(
+            (cols.len(), cols.arity()),
+            (0, 0),
+            "empty batches are no-ops"
+        );
+        cols.extend_from_pair(&sample_pair(2, 1, 3, 5)).unwrap();
+        assert_eq!((cols.len(), cols.arity()), (3, 3));
+        let before = cols.clone();
+        assert!(cols.extend_from_pair(&sample_pair(1, 0, 2, 5)).is_err());
+        assert_eq!(cols, before, "a rejected batch appends nothing");
+        // Emptied lanes keep their arity, like a typed record-major array.
+        cols.retain_rows(&[false; 3]);
+        assert_eq!((cols.len(), cols.arity()), (0, 3));
+        assert!(cols.extend_from_pair(&sample_pair(1, 0, 2, 5)).is_err());
+    }
+
+    #[test]
+    fn masks_read_one_column_and_missing_columns_match_nothing() {
+        let cols = SharedColumnsPair::from_pair(&sample_pair(4, 2, 2, 19));
+        // Rows are (31·i, 31·i + 1) for i in 0..4, then two dummies.
+        assert_eq!(cols.real_mask(), vec![1, 1, 1, 1, 0, 0]);
+        assert_eq!(cols.true_cardinality(), 4);
+        let mut mask = cols.real_mask();
+        cols.narrow_mask(1, &mut mask, |v| lt_word(v, 60));
+        assert_eq!(mask, vec![1, 1, 0, 0, 0, 0]);
+        assert!(cols.field_shares(2).is_none());
+        cols.narrow_mask(2, &mut mask, |_| 1);
+        assert_eq!(mask, vec![0; 6], "a column the array lacks matches nothing");
+    }
+
+    #[test]
     fn per_party_columns_reassemble() {
         let pair = sample_pair(3, 1, 2, 13);
         let cols = SharedColumnsPair::from_pair(&pair);
@@ -496,6 +647,37 @@ mod tests {
             let pair = SharedArrayPair::share_records(&plain, &mut rng);
             let cols = SharedColumnsPair::from_pair(&pair);
             prop_assert_eq!(cols.to_pair().recover_all(), plain);
+        }
+
+        #[test]
+        fn prop_chunked_append_and_compaction_match_record_major(
+            records in proptest::collection::vec(
+                (proptest::collection::vec(any::<u32>(), 6), any::<bool>(), any::<bool>()), 0..40),
+            arity in 0usize..=6,
+            chunk in 1usize..9,
+            seed: u64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plain: Vec<PlainRecord> = records.iter()
+                .map(|(fields, is_view, _)| PlainRecord { fields: fields[..arity].to_vec(), is_view: *is_view })
+                .collect();
+            let mut pair = SharedArrayPair::share_records(&plain, &mut rng);
+
+            // Appending chunk by chunk lands on the same lanes as one transposition.
+            let mut cols = SharedColumnsPair::default();
+            for batch in pair.entries().chunks(chunk) {
+                cols.extend_from_pair(&batch.iter().cloned().collect()).unwrap();
+            }
+            prop_assert_eq!(&cols, &SharedColumnsPair::from_pair(&pair));
+            prop_assert_eq!(cols.recover_all(), pair.recover_all());
+            prop_assert_eq!(cols.true_cardinality(), pair.true_cardinality());
+
+            // In-place compaction keeps exactly the flagged rows, in order.
+            let keep: Vec<bool> = records.iter().map(|r| r.2).collect();
+            cols.retain_rows(&keep);
+            pair.retain_with(|i, _| keep[i]);
+            prop_assert_eq!(cols.len(), pair.len());
+            prop_assert_eq!(cols.to_pair().entries(), pair.entries());
         }
 
         #[test]
