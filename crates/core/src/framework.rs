@@ -20,7 +20,7 @@ use crate::query::{
     view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
 };
 use crate::shrink::ShrinkProtocol;
-use crate::transform::{BudgetedRecord, StepInputs, TransformProtocol};
+use crate::transform::{BudgetedRecord, PublicRelation, StepInputs, TransformProtocol};
 use crate::view::{MaterializedView, ViewDefinition};
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
 use incshrink_mpc::party::ObservedEvent;
@@ -234,15 +234,10 @@ impl ShardPipeline {
         let view_def = ViewDefinition::for_dataset(&dataset);
         let truth = logical_join_counts_per_step(&dataset, &view_def.as_query(), steps);
 
-        let public_right: Option<Vec<Vec<u32>>> = dataset.right_is_public.then(|| {
-            dataset
-                .right
-                .updates()
-                .iter()
-                .map(|u| u.fields.clone())
-                .collect()
+        let public_right = dataset.right_is_public.then(|| {
+            PublicRelation::from_rows(dataset.right.updates().iter().map(|u| u.fields.as_slice()))
         });
-        let public_right_len = public_right.as_ref().map_or(0, Vec::len);
+        let public_right_len = public_right.as_ref().map_or(0, PublicRelation::len);
 
         let transform = TransformProtocol::new(
             view_def,
@@ -388,13 +383,8 @@ impl ShardPipeline {
                 &mut rng,
             ));
         }
-        self.transform.import_active(
-            partition.active_left,
-            partition.active_right,
-            self.left_arity,
-            self.right_arity,
-            &mut rng,
-        );
+        self.transform
+            .import_active(partition.active_left, partition.active_right);
     }
 
     /// Ground-truth logical answer over this pipeline's (shard of the) data at step

@@ -16,42 +16,73 @@
 //!
 //! # Incremental execution
 //!
-//! Two mechanisms make the hot path *incremental* rather than recompute-from-scratch:
+//! In the real protocol the servers already hold the outsourced shares and
+//! `σ ← σ ‖ ΔV` is an append: an invocation joins only the new delta against data
+//! that is already there. The simulation's host cost follows the same shape — per
+//! invocation it is `O(|Δ|)` plus one ledger charge per active record.
 //!
-//! * **Delta share cache** — the secret-shared encodings of the accumulated active
-//!   relations are kept across invocations ([`DeltaShareCache`]); each step only the
-//!   new delta is shared and appended, and encodings are evicted in lockstep with
-//!   contribution-budget expiry. This mirrors the real protocol, where the servers
-//!   already hold the outsourced shares and `σ ← σ || ΔV` is an append, never a
-//!   re-share. Cached encodings recover to exactly what a from-scratch re-share
-//!   would produce (property-tested), so trajectories are unchanged.
-//! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] replays up to `k`
+//! * **What is kept across invocations** is, per accumulated relation, the
+//!   plaintext mirror of its still-active records plus a persistent join-key index
+//!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
+//!   are pushed at the tail; nothing is recovered, re-shared or re-indexed per step.
+//!   A *public* right relation (CPDB's Award table) never changes, so
+//!   [`TransformProtocol::new`] indexes it once: a sorted `(key, position)` vector
+//!   for the candidate walk and a sorted time column, from which the window
+//!   cardinality the meter needs is two `partition_point`s. No copy of the inner
+//!   relations' *shares* is kept: `OutsourcedStore` already holds them and nothing
+//!   downstream observes their words — ΔV's shares are drawn fresh from the
+//!   per-invocation stream in [`incshrink_oblivious::push_padded`].
+//! * **Why mirror-driven matching is the same simulated circuit.** Every truncated
+//!   join operator in `incshrink_oblivious::join` derives its output from
+//!   [`incshrink_oblivious::truncated_match_rows`] over recovered plaintext and
+//!   charges the data-independent schedule separately. The mirror *is* that
+//!   recovered plaintext (appends and evictions move in lockstep with what a
+//!   recovery of the active shares would return), and a candidate walk visits
+//!   matching inner rows in ascending position order — the order the operator's
+//!   scan does — so ΔV, budgets and truncation losses are identical to running
+//!   [`incshrink_oblivious::truncated_nested_loop_join`] over a fresh sharing of the
+//!   same rows (lockstep-tested). Window pruning of the public relation needs no
+//!   scan either: a candidate outside the window fails the θ-condition the walk
+//!   already evaluates.
+//! * **Why expiry is a prefix, and when it is not.** Records enter at the tail with
+//!   budget `b − ω` and every active record is charged ω per covered step, so
+//!   remaining budgets are non-decreasing along the mirror and the records that
+//!   expire in a step are always its first few: eviction pops them off the front
+//!   and unlinks them from the index in O(expired). Elastic migration breaks the
+//!   ordering — [`TransformProtocol::import_active`] appends records whose
+//!   remaining budgets are whatever they were at the source — so a later expiry can
+//!   strike mid-relation; that case, and [`TransformProtocol::export_active`]
+//!   pulling a key range out of the middle, rebuild the index from the mirror.
+//! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
 //!   deferred upload steps as one invocation: the per-step plaintext functionality
-//!   (ledger charges, truncated matching via
-//!   [`incshrink_oblivious::truncated_match`], per-step counter reshares) is
-//!   reproduced *exactly*, while the oblivious join work is priced once over the
-//!   combined delta by the adaptive planner ([`incshrink_oblivious::planner`]).
-//!   Upload epochs are public metadata (the servers observe every batch arrival), so
-//!   restricting the batched join to the same cross-epoch pairs the per-step
-//!   invocations would produce costs no extra oblivious work. DP-relevant state —
-//!   counter values, reshare cadence, ΔV contents — is invariant in `k`.
+//!   (ledger charges, truncated matching, per-step counter reshares) is the same
+//!   loop body whatever `k` is, and only the pricing differs — a single step under
+//!   the nested-loop plan is charged the paper-literal per-step join, a batch is
+//!   priced once over the combined delta by the adaptive planner
+//!   ([`incshrink_oblivious::planner`]). Upload epochs are public metadata (the
+//!   servers observe every batch arrival), so restricting the batched join to the
+//!   same cross-epoch pairs the per-step invocations would produce costs no extra
+//!   oblivious work. DP-relevant state — counter values, reshare cadence, ΔV
+//!   contents — is invariant in `k`.
 
 use crate::config::JoinPlanMode;
 use crate::view::ViewDefinition;
 use incshrink_dp::accountant::ContributionLedger;
-use incshrink_mpc::cost::{CostReport, SimDuration};
+use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::planner::{
     charge_planned_join, plan_join, plan_join_calibrated, Calibration, JoinAlgorithm,
 };
 use incshrink_oblivious::{
-    push_padded, truncated_match_rows, truncated_nested_loop_join, KeyIndex, RowRef,
+    nested_loop_join_cost, push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
-use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
+use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{RecordId, UploadBatch};
+use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use std::collections::VecDeque;
 
 /// Name under which the cardinality counter is secret-shared on the two servers.
 pub const CARDINALITY_SHARE: &str = "cardinality";
@@ -67,14 +98,24 @@ pub struct ActiveRecord {
     pub fields: Vec<u32>,
 }
 
+impl ActiveRecord {
+    fn key(&self, column: usize) -> Option<u32> {
+        self.fields.get(column).copied()
+    }
+}
+
 /// An active record bundled with its remaining contribution budget — the unit
 /// shipped between shards during elastic migration ([`TransformProtocol::export_active`]
 /// / [`TransformProtocol::import_active`]).
 pub type BudgetedRecord = (ActiveRecord, u64);
 
 /// One owner upload step deferred for batched Transform execution: the padded upload
-/// batches plus the *unpruned* outsourced-relation sizes at that step (the quantities
-/// [`TransformProtocol::invoke`] takes as arguments).
+/// batches plus the *unpruned* outsourced-relation sizes at that step.
+///
+/// `full_right_len` / `full_left_len` are the sizes of the entire relation the deltas
+/// are joined against; the difference between those and the active sets is charged
+/// to the cost meter so simulated time reflects a join against the whole outsourced
+/// relation even though retired records are (correctly) excluded from the matching.
 #[derive(Debug, Clone)]
 pub struct StepInputs {
     /// The left relation's padded upload batch.
@@ -87,144 +128,303 @@ pub struct StepInputs {
     pub full_left_len: usize,
 }
 
-/// The secret-shared encodings of one accumulated active relation, kept across
-/// Transform invocations so only the per-step delta ever needs sharing.
+/// One accumulated relation's still-active records, kept across Transform
+/// invocations together with their join-key index (see the module docs).
 ///
-/// Invariant: `records[i]` is the plaintext mirror of `shares[i]` — appends and
-/// evictions move in lockstep, and the recovered share sequence always equals what a
-/// full `share_active`-style re-share of `records` would produce.
-#[derive(Debug, Default)]
-pub struct DeltaShareCache {
-    records: Vec<ActiveRecord>,
-    shares: SharedArrayPair,
+/// Invariant: `index` equals a [`KeyIndex`] built from scratch over `records` by
+/// `key_column` — appends and evictions update both in lockstep.
+#[derive(Debug)]
+struct ActiveRelation {
+    records: VecDeque<ActiveRecord>,
+    index: KeyIndex,
+    key_column: usize,
 }
 
-impl DeltaShareCache {
-    /// Number of active records in the cache.
-    #[must_use]
-    pub fn len(&self) -> usize {
+impl ActiveRelation {
+    fn new(key_column: usize) -> Self {
+        Self {
+            records: VecDeque::new(),
+            index: KeyIndex::default(),
+            key_column,
+        }
+    }
+
+    fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True when no records are active.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+    fn push(&mut self, rec: ActiveRecord) {
+        self.index.push(rec.key(self.key_column));
+        self.records.push_back(rec);
     }
 
-    /// The plaintext mirror of the cached relation.
-    #[must_use]
-    pub fn records(&self) -> &[ActiveRecord] {
-        &self.records
-    }
-
-    /// The cached secret-shared encodings (index-aligned with [`Self::records`]).
-    #[must_use]
-    pub fn shares(&self) -> &SharedArrayPair {
-        &self.shares
-    }
-
-    /// Clone of the field vectors, in cache order (the plaintext inner relation the
-    /// truncated matching runs over).
-    #[must_use]
-    pub fn fields(&self) -> Vec<Vec<u32>> {
-        self.records.iter().map(|r| r.fields.clone()).collect()
-    }
-
-    /// Fix the share array's arity before the first append so empty caches still
-    /// describe the relation shape the joins expect.
-    fn ensure_arity(&mut self, arity: usize) {
-        if self.shares.arity().is_none() {
-            self.shares = SharedArrayPair::with_arity(arity);
+    /// The step's real arrivals (the batch positions carrying an id) turn active.
+    fn activate(&mut self, ids: &[Option<RecordId>], arrivals: Vec<PlainRecord>) {
+        for (id, rec) in ids.iter().zip(arrivals) {
+            if let Some(id) = *id {
+                self.push(ActiveRecord {
+                    id,
+                    fields: rec.fields,
+                });
+            }
         }
     }
 
-    /// Charge ω to every cached record and evict the ones whose budget expired
-    /// (`tuples expire` eviction): the plaintext mirror and the share encoding are
-    /// dropped together so indices stay aligned.
+    /// The from-scratch index the persistent one must equal.
+    fn fresh_index(&self) -> KeyIndex {
+        let keys = self.records.iter().map(|rec| rec.key(self.key_column));
+        keys.collect()
+    }
+
+    /// Charge ω to every active record and evict the ones whose budget expired
+    /// (`tuples expire` eviction). Budgets are non-decreasing along the relation
+    /// unless migration imported uneven ones, so the expired records are normally a
+    /// prefix and are unlinked from the front; stragglers behind a surviving record
+    /// take the rebuild path.
     fn charge_and_evict(&mut self, ledger: &mut ContributionLedger, omega: u64) {
-        let keep: Vec<bool> = self
-            .records
-            .iter()
-            .map(|rec| ledger.charge(rec.id, omega))
-            .collect();
-        if keep.iter().all(|k| *k) {
-            return;
+        // Expired records: the leading run, then positions (counted after that run
+        // is gone) of any that sit behind a survivor.
+        let mut prefix = 0usize;
+        let mut stragglers: Vec<usize> = Vec::new();
+        for (i, rec) in self.records.iter().enumerate() {
+            if !ledger.charge(rec.id, omega) {
+                if i == prefix {
+                    prefix += 1;
+                } else {
+                    stragglers.push(i - prefix);
+                }
+            }
         }
-        let mut record_keep = keep.iter();
-        self.records
-            .retain(|_| *record_keep.next().expect("aligned"));
-        self.shares.retain_with(|i, _| keep[i]);
+        for rec in self.records.drain(..prefix) {
+            self.index.pop_front(rec.key(self.key_column));
+        }
+        if !stragglers.is_empty() {
+            let mut position = 0usize;
+            self.records.retain(|_| {
+                position += 1;
+                stragglers.binary_search(&(position - 1)).is_err()
+            });
+            self.index = self.fresh_index();
+        }
+        debug_assert!(
+            self.index == self.fresh_index(),
+            "persistent key index drifted from the active mirror"
+        );
     }
 
-    /// Remove and return the records satisfying `moved`, dropping the plaintext
-    /// mirror and the share encoding in lockstep (elastic migration: the
-    /// selected records leave for another shard, where [`Self::append`] re-shares
-    /// them with fresh randomness).
-    fn extract(&mut self, moved: &mut dyn FnMut(&ActiveRecord) -> bool) -> Vec<ActiveRecord> {
-        let take: Vec<bool> = self.records.iter().map(&mut *moved).collect();
-        if take.iter().all(|t| !t) {
+    /// Remove and return the records whose join key satisfies `moved` (elastic
+    /// migration: they leave for another shard). Extraction is not a prefix, so the
+    /// index is rebuilt over what stays.
+    fn extract(&mut self, moved: &dyn Fn(u32) -> bool) -> Vec<ActiveRecord> {
+        let key_column = self.key_column;
+        let leaves = |rec: &ActiveRecord| rec.key(key_column).is_some_and(moved);
+        if !self.records.iter().any(leaves) {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        let mut flags = take.iter();
-        self.records.retain(|rec| {
-            if *flags.next().expect("aligned") {
-                out.push(rec.clone());
-                false
-            } else {
-                true
-            }
-        });
-        self.shares.retain_with(|i, _| !take[i]);
-        out
+        let (out, kept): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut self.records)
+            .into_iter()
+            .partition(leaves);
+        self.records = kept;
+        self.index = self.fresh_index();
+        out.into()
     }
 
-    /// Append freshly arrived records: share each one once (the incremental delta —
-    /// this is the only place sharing happens) and extend both sides in lockstep.
-    fn append<R: Rng + ?Sized>(&mut self, new: Vec<ActiveRecord>, arity: usize, rng: &mut R) {
-        self.ensure_arity(arity);
-        for rec in &new {
-            self.shares
-                .push(SharedRecordPair::share(
-                    &PlainRecord::real(rec.fields.clone()),
-                    rng,
-                ))
-                .expect("uniform arity");
+    fn join_into(
+        &self,
+        out: &mut DeltaOut,
+        outer: &[PlainRecord],
+        spec: &JoinSpec<'_>,
+    ) -> (usize, u64) {
+        out.join(
+            outer,
+            |i| &self.records[i].fields,
+            |key| self.index.candidates(key),
+            spec,
+        )
+    }
+}
+
+/// A public right relation (CPDB's Award table) stored flat: row `i` is
+/// `fields[i·arity .. (i+1)·arity]`. Public rows carry no contribution budget and
+/// never change, so the relation is built once and only ever read.
+#[derive(Debug, Clone, Default)]
+pub struct PublicRelation {
+    fields: Vec<u32>,
+    arity: usize,
+}
+
+impl PublicRelation {
+    /// Copy `rows` into one flat allocation.
+    ///
+    /// # Panics
+    /// Panics when the rows do not all have the same, non-zero, number of columns.
+    #[must_use]
+    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a [u32]>) -> Self {
+        let mut rows = rows.into_iter().peekable();
+        let arity = rows.peek().map_or(0, |row| row.len());
+        let mut fields = Vec::with_capacity(rows.size_hint().0 * arity);
+        for row in rows {
+            assert!(
+                arity > 0 && row.len() == arity,
+                "public relation rows must share one non-zero arity"
+            );
+            fields.extend_from_slice(row);
         }
-        self.records.extend(new);
+        Self { fields, arity }
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.fields.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// True when the relation has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.fields.is_empty()
+    }
+
+    fn row(&self, position: usize) -> &[u32] {
+        &self.fields[position * self.arity..(position + 1) * self.arity]
     }
 }
 
-/// Lazily shared encodings of a *public* right relation (CPDB's Award table): each
-/// row is shared at most once over the protocol lifetime, then window-pruned
-/// selections reuse the cached encoding instead of re-sharing per step. Public rows
-/// carry no contribution budget, so nothing ever needs eviction.
-#[derive(Debug, Default)]
-struct PublicShareCache {
-    shares: Vec<Option<SharedRecordPair>>,
+/// The public right relation plus its static indexes, built once in
+/// [`TransformProtocol::new`].
+struct IndexedPublic {
+    rows: PublicRelation,
+    /// `(join key, position)` sorted ascending: a key's candidates are one
+    /// contiguous run, in ascending position order.
+    by_key: Vec<(u32, usize)>,
+    /// The time column, sorted, for window cardinalities.
+    times: Vec<u32>,
 }
 
-impl PublicShareCache {
-    fn select<R: Rng + ?Sized>(
+impl IndexedPublic {
+    fn build(rows: PublicRelation, view: &ViewDefinition) -> Self {
+        let column = |c: usize| {
+            let rows = &rows;
+            (0..rows.len()).map(move |i| rows.row(i).get(c).copied())
+        };
+        let mut by_key: Vec<(u32, usize)> = column(view.right_key)
+            .enumerate()
+            .filter_map(|(i, key)| Some((key?, i)))
+            .collect();
+        by_key.sort_unstable();
+        let mut times: Vec<u32> = column(view.right_time).map(|t| t.unwrap_or(0)).collect();
+        times.sort_unstable();
+        Self {
+            by_key,
+            times,
+            rows,
+        }
+    }
+
+    /// Number of public rows inside the join window of the given left delta —
+    /// `[min time, max time + window]` over its real records, empty when it has
+    /// none. A real oblivious execution would scan exactly these rows (the rest of
+    /// the relation is charged separately as the skipped gap).
+    fn window_len(
+        &self,
+        view: &ViewDefinition,
+        ids: &[Option<RecordId>],
+        outer: &[PlainRecord],
+    ) -> usize {
+        let times = ids
+            .iter()
+            .zip(outer)
+            .filter(|(id, _)| id.is_some())
+            .filter_map(|(_, rec)| rec.fields.get(view.left_time).copied());
+        let (lo, hi) = times.fold((u32::MAX, 0), |(lo, hi), t| (lo.min(t), hi.max(t)));
+        if lo > hi {
+            return 0;
+        }
+        let hi = hi.saturating_add(view.window);
+        let below = self.times.partition_point(|&t| t < lo);
+        self.times.partition_point(|&t| t <= hi) - below
+    }
+
+    fn join_into(
+        &self,
+        out: &mut DeltaOut,
+        outer: &[PlainRecord],
+        spec: &JoinSpec<'_>,
+    ) -> (usize, u64) {
+        let candidates = |key: u32| {
+            let start = self.by_key.partition_point(|&(k, _)| k < key);
+            self.by_key[start..]
+                .iter()
+                .take_while(move |&&(k, _)| k == key)
+                .map(|&(_, position)| position)
+        };
+        out.join(outer, |i| self.rows.row(i), candidates, spec)
+    }
+}
+
+/// The ΔV under assembly: every joined delta appends one `ω`-slot block per outer
+/// row, its shares drawn from the invocation's `0xA11CE ^ time_step` stream.
+struct DeltaOut {
+    rows: SharedArrayPair,
+    rng: StdRng,
+    omega: usize,
+    arity: usize,
+}
+
+impl DeltaOut {
+    /// Match `outer` (a padded delta, dummies included) against an inner relation
+    /// given as row access plus ascending key candidates, and append the padded
+    /// output. Returns `(real entries emitted, matching pairs before truncation)`.
+    fn join<'i, C: Iterator<Item = usize>>(
         &mut self,
-        public: &[Vec<u32>],
-        indices: &[usize],
-        arity: usize,
-        rng: &mut R,
-    ) -> SharedArrayPair {
-        if self.shares.len() < public.len() {
-            self.shares.resize_with(public.len(), || None);
-        }
-        let mut out = SharedArrayPair::with_arity(arity);
-        for &i in indices {
-            let entry = self.shares[i].get_or_insert_with(|| {
-                SharedRecordPair::share(&PlainRecord::real(public[i].clone()), rng)
-            });
-            out.push(entry.clone()).expect("uniform arity");
-        }
-        out
+        outer: &[PlainRecord],
+        inner: impl Fn(usize) -> &'i [u32],
+        candidates: impl Fn(u32) -> C,
+        spec: &JoinSpec<'_>,
+    ) -> (usize, u64) {
+        let mut entries = 0usize;
+        let pairs = truncated_match_rows(
+            outer.iter().map(RowRef::from),
+            inner,
+            candidates,
+            spec,
+            self.omega,
+            |produced| {
+                entries += produced.len();
+                push_padded(
+                    &mut self.rows,
+                    produced,
+                    self.omega,
+                    self.arity,
+                    &mut self.rng,
+                );
+            },
+        );
+        (entries, pairs)
     }
+}
+
+/// Charge one step's paper-literal nested-loop join — `|Δ|` outer rows against the
+/// `inner_len` rows the join scans — inside a `join.nested_loop` span the caller
+/// keeps open over the match, plus the rows host-side pruning skipped (retired
+/// records, public rows outside the window), so simulated time reflects a join
+/// against the `full_inner_len` rows of the entire outsourced relation.
+fn charge_nested_loop_step(
+    meter: &mut CostMeter,
+    outer_len: usize,
+    inner_len: usize,
+    full_inner_len: usize,
+    omega: usize,
+    out_arity: usize,
+) -> Span {
+    let mut span = incshrink_telemetry::span!("join.nested_loop");
+    let cost = nested_loop_join_cost(outer_len, inner_len, omega, out_arity);
+    span.record_cost(cost.into());
+    meter.record(cost);
+    let skipped = full_inner_len.saturating_sub(inner_len) as u64;
+    meter.compares(outer_len as u64 * skipped);
+    meter.ands(2 * outer_len as u64 * skipped);
+    span
 }
 
 /// Result of one Transform invocation (single-step or batched).
@@ -253,13 +453,15 @@ pub struct TransformOutcome {
 /// reshared once per covered upload step.
 pub struct TransformProtocol {
     view: ViewDefinition,
+    /// `left ⋈ right` and its mirror, built once (each boxes its θ-condition).
+    spec: JoinSpec<'static>,
+    spec_reversed: JoinSpec<'static>,
     omega: u64,
     ledger: ContributionLedger,
-    active_left: DeltaShareCache,
-    active_right: DeltaShareCache,
-    /// Full public right relation (CPDB's Award table), when the right side is public.
-    public_right: Option<Vec<Vec<u32>>>,
-    public_cache: PublicShareCache,
+    active_left: ActiveRelation,
+    active_right: ActiveRelation,
+    /// The public right relation (CPDB's Award table), when the right side is public.
+    public_right: Option<IndexedPublic>,
     join_plan: JoinPlanMode,
     calibration: Option<Calibration>,
     initialized: bool,
@@ -274,18 +476,19 @@ impl TransformProtocol {
         view: ViewDefinition,
         truncation_bound: u64,
         contribution_budget: u64,
-        public_right: Option<Vec<Vec<u32>>>,
+        public_right: Option<PublicRelation>,
     ) -> Self {
         assert!(truncation_bound >= 1);
         assert!(contribution_budget >= truncation_bound);
         Self {
             view,
+            spec: view.join_spec(),
+            spec_reversed: view.join_spec_reversed(),
             omega: truncation_bound,
             ledger: ContributionLedger::new(contribution_budget),
-            active_left: DeltaShareCache::default(),
-            active_right: DeltaShareCache::default(),
-            public_right,
-            public_cache: PublicShareCache::default(),
+            active_left: ActiveRelation::new(view.left_key),
+            active_right: ActiveRelation::new(view.right_key),
+            public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
             join_plan: JoinPlanMode::NestedLoop,
             calibration: None,
             initialized: false,
@@ -329,14 +532,6 @@ impl TransformProtocol {
         (self.active_left.len(), self.active_right.len())
     }
 
-    /// The delta share caches `(left, right)` — exposed so tests can verify the
-    /// cached encodings stay equivalent to a from-scratch re-share of the active
-    /// relations.
-    #[must_use]
-    pub fn share_caches(&self) -> (&DeltaShareCache, &DeltaShareCache) {
-        (&self.active_left, &self.active_right)
-    }
-
     /// Cumulative number of real join pairs dropped because of the ω truncation.
     #[must_use]
     pub fn truncation_losses(&self) -> u64 {
@@ -354,14 +549,8 @@ impl TransformProtocol {
         &mut self,
         moved: &dyn Fn(u32) -> bool,
     ) -> (Vec<BudgetedRecord>, Vec<BudgetedRecord>) {
-        let left_key = self.view.left_key;
-        let right_key = self.view.right_key;
-        let left = self
-            .active_left
-            .extract(&mut |rec| rec.fields.get(left_key).is_some_and(|&k| moved(k)));
-        let right = self
-            .active_right
-            .extract(&mut |rec| rec.fields.get(right_key).is_some_and(|&k| moved(k)));
+        let left = self.active_left.extract(moved);
+        let right = self.active_right.extract(moved);
         let mut carry = |recs: Vec<ActiveRecord>| -> Vec<BudgetedRecord> {
             recs.into_iter()
                 .map(|rec| {
@@ -373,135 +562,20 @@ impl TransformProtocol {
         (carry(left), carry(right))
     }
 
-    /// Adopt active records migrated from another shard: resume each record's
-    /// contribution budget and re-share its encoding with fresh randomness
-    /// (`rng` is the migration protocol's randomness, not party randomness, so
-    /// trajectories stay identical across party execution modes).
-    pub fn import_active<R: Rng + ?Sized>(
-        &mut self,
-        left: Vec<BudgetedRecord>,
-        right: Vec<BudgetedRecord>,
-        left_arity: usize,
-        right_arity: usize,
-        rng: &mut R,
-    ) {
-        let adopt = |ledger: &mut ContributionLedger,
-                     cache: &mut DeltaShareCache,
-                     batch: Vec<BudgetedRecord>,
-                     arity: usize,
-                     rng: &mut R| {
-            if batch.is_empty() {
-                return;
-            }
-            let mut records = Vec::with_capacity(batch.len());
+    /// Adopt active records migrated from another shard, resuming each record's
+    /// contribution budget. They join the tail of the active relations whatever
+    /// their remaining budgets are, which is what can make a later expiry
+    /// non-prefix (see the module docs).
+    pub fn import_active(&mut self, left: Vec<BudgetedRecord>, right: Vec<BudgetedRecord>) {
+        for (side, batch) in [
+            (&mut self.active_left, left),
+            (&mut self.active_right, right),
+        ] {
             for (rec, remaining) in batch {
-                ledger.import(rec.id, remaining);
-                records.push(rec);
-            }
-            cache.append(records, arity, rng);
-        };
-        adopt(
-            &mut self.ledger,
-            &mut self.active_left,
-            left,
-            left_arity,
-            rng,
-        );
-        adopt(
-            &mut self.ledger,
-            &mut self.active_right,
-            right,
-            right_arity,
-            rng,
-        );
-    }
-
-    fn batch_real_records(batch: &UploadBatch) -> Vec<ActiveRecord> {
-        batch
-            .ids
-            .iter()
-            .zip(batch.records.entries().iter())
-            .filter_map(|(id, rec)| {
-                id.map(|id| ActiveRecord {
-                    id,
-                    fields: rec.recover().fields,
-                })
-            })
-            .collect()
-    }
-
-    /// Indices of the public rows inside the join window of the given left delta
-    /// (host-side pruning; the cost of the skipped rows is charged separately so
-    /// simulated time reflects a join against the entire relation).
-    fn public_window_indices(
-        view: &ViewDefinition,
-        public: &[Vec<u32>],
-        new_left: &[ActiveRecord],
-    ) -> Vec<usize> {
-        let times: Vec<u32> = new_left
-            .iter()
-            .filter_map(|r| r.fields.get(view.left_time).copied())
-            .collect();
-        let (lo, hi) = match (times.iter().min(), times.iter().max()) {
-            (Some(&lo), Some(&hi)) => (lo, hi.saturating_add(view.window)),
-            _ => (u32::MAX, 0),
-        };
-        public
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                let t = r.get(view.right_time).copied().unwrap_or(0);
-                t >= lo && t <= hi
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Count the real join pairs that exist among this invocation's inputs *before*
-    /// truncation. The difference between this and the emitted entries is the
-    /// truncation loss tracked for the ω-sweep experiment of Section 7.4.
-    ///
-    /// Host-side bookkeeping over plaintext mirrors: `index` is the [`KeyIndex`]
-    /// over the inner rows' join-key column (`right_key` normally, `left_key` under
-    /// the reversed orientation) — the same index the truncated-match replay walks,
-    /// built once per snapshot and shared. Walking only index candidates turns the
-    /// former `O(|outer|·|inner|)` scan into `O(|outer| + matches)`; the count is
-    /// order-independent, so the result is exactly the quadratic scan's.
-    fn count_potential_pairs(
-        &self,
-        outer: &[ActiveRecord],
-        inner: &[RowRef<'_>],
-        index: &KeyIndex,
-        reversed: bool,
-    ) -> u64 {
-        // Under the reversed orientation the inner rows sit on the join's left side.
-        let outer_key = if reversed {
-            self.view.right_key
-        } else {
-            self.view.left_key
-        };
-        let mut pairs = 0u64;
-        for o in outer {
-            let Some(&key) = o.fields.get(outer_key) else {
-                continue;
-            };
-            for &ii in index.candidates(key) {
-                // Key equality holds by index construction; what remains is the
-                // temporal window condition of the view definition.
-                let row = inner[ii].fields;
-                let (l, r) = if reversed {
-                    (row, o.fields.as_slice())
-                } else {
-                    (o.fields.as_slice(), row)
-                };
-                let lt = l.get(self.view.left_time).copied().unwrap_or(0);
-                let rt = r.get(self.view.right_time).copied().unwrap_or(0);
-                if rt >= lt && rt - lt <= self.view.window {
-                    pairs += 1;
-                }
+                self.ledger.import(rec.id, remaining);
+                side.push(rec);
             }
         }
-        pairs
     }
 
     /// Resolve the plan mode to a concrete algorithm for the given public sizes.
@@ -518,21 +592,11 @@ impl TransformProtocol {
         }
     }
 
-    /// Run one Transform invocation over the owner deltas submitted at this time step.
-    ///
-    /// `delta_left` is the left relation's padded upload; `delta_right` is the right
-    /// relation's padded upload (absent when the right relation is public).
-    /// `full_right_len` / `full_left_len` are the *unpruned* sizes of the relation the
-    /// deltas are joined against; the difference between those and the active sets is
-    /// charged to the cost meter so simulated time reflects a join against the entire
-    /// outsourced relation even though retired records are (correctly) excluded from
-    /// the plaintext matching.
-    ///
-    /// This is the exact per-step path (`k = 1`, nested-loop accounting): its meter
-    /// and server-randomness trace is unchanged from the original implementation, so
-    /// default-configuration trajectories replay bit for bit. The only difference is
-    /// that the inner relations come from the [`DeltaShareCache`] instead of being
-    /// re-shared from scratch — share randomness, which nothing downstream observes.
+    /// Run one Transform invocation over the owner deltas submitted at a single time
+    /// step: [`Self::invoke_batched`] over one [`StepInputs`] built from clones of
+    /// the given batches. Under the default nested-loop plan the meter and
+    /// server-randomness trace is the original per-step protocol's, so
+    /// default-configuration trajectories replay bit for bit.
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -541,184 +605,28 @@ impl TransformProtocol {
         full_right_len: usize,
         full_left_len: usize,
     ) -> TransformOutcome {
-        // Algorithm 1 line 1-2: on the first invocation, initialise and share c = 0.
-        if !self.initialized {
-            ctx.reshare_and_store(CARDINALITY_SHARE, 0);
-            self.initialized = true;
-        }
-
-        let left_arity = delta_left.records.arity().unwrap_or(2);
-        let right_arity = delta_right
-            .and_then(|d| d.records.arity())
-            .or_else(|| {
-                self.public_right
-                    .as_ref()
-                    .and_then(|p| p.first().map(Vec::len))
-            })
-            .unwrap_or(left_arity);
-
-        // Contribution accounting: charge ω to every record used as input.
-        let new_left = Self::batch_real_records(delta_left);
-        for rec in &new_left {
-            self.ledger.register(rec.id);
-            let charged = self.ledger.charge(rec.id, self.omega);
-            debug_assert!(charged, "fresh records always have budget >= omega");
-        }
-        let new_right: Vec<ActiveRecord> = delta_right
-            .map(Self::batch_real_records)
-            .unwrap_or_default();
-        for rec in &new_right {
-            self.ledger.register(rec.id);
-            let charged = self.ledger.charge(rec.id, self.omega);
-            debug_assert!(charged, "fresh records always have budget >= omega");
-        }
-        self.active_left
-            .charge_and_evict(&mut self.ledger, self.omega);
-        self.active_right
-            .charge_and_evict(&mut self.ledger, self.omega);
-        self.active_left.ensure_arity(left_arity);
-        self.active_right.ensure_arity(right_arity);
-
-        // Build the inner relations the deltas join against: cached encodings plus
-        // fresh shares for whatever arrived since the last invocation — never a full
-        // re-share of the accumulated relation.
-        let omega = self.omega as usize;
-        let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
-        let mut share_rng =
-            StdRng::seed_from_u64(0x5EED_0000 ^ ctx.time_step().wrapping_mul(0x9E37_79B9));
-
-        let (public_inner, public_indices): (Option<SharedArrayPair>, Vec<usize>) =
-            if let Some(public) = &self.public_right {
-                // Public right relation: prune to the join window for host-side speed;
-                // the skipped records are charged to the meter below.
-                let indices = Self::public_window_indices(&self.view, public, &new_left);
-                let shared =
-                    self.public_cache
-                        .select(public, &indices, right_arity, &mut share_rng);
-                (Some(shared), indices)
-            } else {
-                (None, Vec::new())
-            };
-        let inner_right_records: &SharedArrayPair = public_inner
-            .as_ref()
-            .unwrap_or_else(|| self.active_right.shares());
-        let inner_left_records: &SharedArrayPair = self.active_left.shares();
-
-        // Truncation-loss bookkeeping (evaluation metric, not protocol state), over
-        // borrowed row views — no field clones on this path.
-        let inner_right_rows: Vec<RowRef<'_>> = match &self.public_right {
-            Some(public) => public_indices
-                .iter()
-                .map(|&i| RowRef {
-                    fields: &public[i],
-                    is_view: true,
-                })
-                .collect(),
-            None => self
-                .active_right
-                .records()
-                .iter()
-                .map(|r| RowRef {
-                    fields: &r.fields,
-                    is_view: true,
-                })
-                .collect(),
+        let step = StepInputs {
+            delta_left: delta_left.clone(),
+            delta_right: delta_right.cloned(),
+            full_right_len,
+            full_left_len,
         };
-        let inner_left_rows: Vec<RowRef<'_>> = self
-            .active_left
-            .records()
-            .iter()
-            .map(|r| RowRef {
-                fields: &r.fields,
-                is_view: true,
-            })
-            .collect();
-        let right_index = KeyIndex::build(&inner_right_rows, self.view.right_key);
-        let left_index = KeyIndex::build(&inner_left_rows, self.view.left_key);
-        let potential_pairs =
-            self.count_potential_pairs(&new_left, &inner_right_rows, &right_index, false)
-                + self.count_potential_pairs(&new_right, &inner_left_rows, &left_index, true);
-
-        // ΔV part 1: new left records ⋈ accumulated right relation.
-        let spec = self.view.join_spec();
-        let join_left = truncated_nested_loop_join(
-            &delta_left.records,
-            inner_right_records,
-            &spec,
-            omega,
-            ctx.meter(),
-            &mut rng,
-        );
-        // Charge the records the plaintext pruning skipped, so simulated time matches
-        // an oblivious join against the full outsourced relation.
-        let skipped_right = full_right_len.saturating_sub(inner_right_records.len()) as u64;
-        ctx.meter()
-            .compares(delta_left.records.len() as u64 * skipped_right);
-        ctx.meter()
-            .ands(2 * delta_left.records.len() as u64 * skipped_right);
-
-        // ΔV part 2: new right records ⋈ accumulated left relation (private-right
-        // workloads only).
-        let join_right = delta_right.map(|d| {
-            let spec_rev = self.view.join_spec_reversed();
-            let joined = truncated_nested_loop_join(
-                &d.records,
-                inner_left_records,
-                &spec_rev,
-                omega,
-                ctx.meter(),
-                &mut rng,
-            );
-            let skipped_left = full_left_len.saturating_sub(inner_left_records.len()) as u64;
-            ctx.meter().compares(d.records.len() as u64 * skipped_left);
-            ctx.meter().ands(2 * d.records.len() as u64 * skipped_left);
-            joined
-        });
-
-        // Assemble ΔV.
-        let mut delta = SharedArrayPair::with_arity(left_arity + right_arity);
-        delta.extend(join_left).expect("arity");
-        if let Some(j) = join_right {
-            delta.extend(j).expect("arity");
-        }
-
-        // Algorithm 1 lines 4-6: recover the counter, add the new cardinality, and
-        // re-share it with fresh joint randomness.
-        let new_entries = delta.true_cardinality();
-        self.total_truncation_losses += potential_pairs.saturating_sub(new_entries as u64);
-        ctx.meter().ands(delta.len() as u64);
-        let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
-        ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);
-
-        // The new records become part of the accumulated relations for future steps
-        // (they retain budget b − ω); their encodings enter the delta share cache.
-        self.active_left
-            .append(new_left, left_arity, &mut share_rng);
-        self.active_right
-            .append(new_right, right_arity, &mut share_rng);
-
-        let (report, duration) = ctx.charge();
-        ctx.advance_time_step();
-        TransformOutcome {
-            delta,
-            new_entries,
-            report,
-            duration,
-            steps_covered: 1,
-        }
+        self.invoke_batched(ctx, std::slice::from_ref(&step))
     }
 
-    /// Run one *batched* Transform invocation over up to `k` deferred upload steps.
+    /// Run one Transform invocation over up to `k` deferred upload steps.
     ///
-    /// The plaintext functionality is the exact sequential composition of the
-    /// per-step [`Self::invoke`] calls — identical ΔV contents (per-step slices in
-    /// order), ledger charges, active-set evolution, truncation losses, and one
-    /// cardinality recover/reshare *per covered step* (the counter message cadence
-    /// the servers observe is part of the update-pattern leakage and must not change
-    /// with `k`). Only the oblivious join work differs: it is priced once over the
-    /// combined delta against the relation size at flush time, using the operator the
-    /// plan mode selects. With `steps.len() == 1` and nested-loop planning this
-    /// delegates to [`Self::invoke`], so `k = 1` runs are bit-for-bit unchanged.
+    /// The plaintext functionality is the sequential composition of the covered
+    /// steps — per step: ledger charges, the truncated match of each delta against
+    /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
+    /// recover/reshare (the counter message cadence the servers observe is part of
+    /// the update-pattern leakage and must not change with `k`), and the arrivals
+    /// turning active — so ΔV contents, active-set evolution and truncation losses
+    /// do not depend on how steps are grouped. Only the price of the oblivious join
+    /// work does: a single step under [`JoinPlanMode::NestedLoop`] is charged the
+    /// paper-literal per-step nested-loop join against the relation as of that step;
+    /// anything else is priced once over the combined delta against the relation
+    /// size at flush time, using the operator the plan mode selects.
     pub fn invoke_batched(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -733,189 +641,127 @@ impl TransformProtocol {
                 steps_covered: 0,
             };
         }
-        if steps.len() == 1 && self.join_plan == JoinPlanMode::NestedLoop {
-            let step = &steps[0];
-            return self.invoke(
-                ctx,
-                &step.delta_left,
-                step.delta_right.as_ref(),
-                step.full_right_len,
-                step.full_left_len,
-            );
-        }
-
+        // Algorithm 1 line 1-2: on the first invocation, initialise and share c = 0.
         if !self.initialized {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
             self.initialized = true;
         }
 
-        // Relation arities are uniform across a batch; derive them like the per-step
-        // path does, falling back across steps for all-empty deltas.
+        // Relation arities are uniform across a batch; fall back across steps for
+        // all-empty deltas.
         let left_arity = steps
             .iter()
             .find_map(|s| s.delta_left.records.arity())
             .unwrap_or(2);
+        let public_arity = || Some(self.public_right.as_ref()?.rows.arity).filter(|&a| a > 0);
         let right_arity = steps
             .iter()
             .find_map(|s| s.delta_right.as_ref().and_then(|d| d.records.arity()))
-            .or_else(|| {
-                self.public_right
-                    .as_ref()
-                    .and_then(|p| p.first().map(Vec::len))
-            })
+            .or_else(public_arity)
             .unwrap_or(left_arity);
         let out_arity = left_arity + right_arity;
-        let merged_arity = left_arity.max(right_arity) + 2;
         let omega = self.omega as usize;
+        // Pricing (see the method docs): per step inside the loop, or amortized after.
+        let per_step_nested_loop = steps.len() == 1 && self.join_plan == JoinPlanMode::NestedLoop;
+        let nested_loop_span = |meter: &mut CostMeter,
+                                outer: &[PlainRecord],
+                                inner_len: usize,
+                                full_len: usize| {
+            per_step_nested_loop.then(|| {
+                charge_nested_loop_step(meter, outer.len(), inner_len, full_len, omega, out_arity)
+            })
+        };
 
-        let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
-        let mut share_rng =
-            StdRng::seed_from_u64(0x5EED_0000 ^ ctx.time_step().wrapping_mul(0x9E37_79B9));
-
-        let mut delta = SharedArrayPair::with_arity(out_arity);
+        let mut out = DeltaOut {
+            rows: SharedArrayPair::with_arity(out_arity),
+            rng: StdRng::seed_from_u64(0xA11CE ^ ctx.time_step()),
+            omega,
+            arity: out_arity,
+        };
         let mut total_new_entries = 0usize;
         let mut outer_left_total = 0usize;
         let mut outer_right_total = 0usize;
-        let mut has_private_right = false;
 
         for step in steps {
-            // --- Per-step contribution accounting, exactly as the per-step path.
-            let new_left = Self::batch_real_records(&step.delta_left);
-            for rec in &new_left {
-                self.ledger.register(rec.id);
-                let charged = self.ledger.charge(rec.id, self.omega);
-                debug_assert!(charged, "fresh records always have budget >= omega");
-            }
-            let new_right: Vec<ActiveRecord> = step
-                .delta_right
-                .as_ref()
-                .map(Self::batch_real_records)
-                .unwrap_or_default();
-            for rec in &new_right {
-                self.ledger.register(rec.id);
-                let charged = self.ledger.charge(rec.id, self.omega);
-                debug_assert!(charged, "fresh records always have budget >= omega");
-            }
+            // --- Contribution accounting: charge ω to every record used as input.
+            let outer_left = self.charge_arrivals(&step.delta_left);
+            let outer_right = step.delta_right.as_ref().map(|d| self.charge_arrivals(d));
             self.active_left
                 .charge_and_evict(&mut self.ledger, self.omega);
             self.active_right
                 .charge_and_evict(&mut self.ledger, self.omega);
 
-            // --- Per-step inner snapshots (active sets as of this step): borrowed
-            // row views over the plaintext mirrors — no field clones — plus one key
-            // index per side, shared by the pair count and the truncated-match
-            // replay below.
-            let inner_right_rows: Vec<RowRef<'_>> = if let Some(public) = &self.public_right {
-                let indices = Self::public_window_indices(&self.view, public, &new_left);
-                indices
-                    .iter()
-                    .map(|&i| RowRef {
-                        fields: &public[i],
-                        is_view: true,
-                    })
-                    .collect()
-            } else {
-                self.active_right
-                    .records()
-                    .iter()
-                    .map(|r| RowRef {
-                        fields: &r.fields,
-                        is_view: true,
-                    })
-                    .collect()
+            // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
+            let inner_len = match &self.public_right {
+                Some(public) => public.window_len(&self.view, &step.delta_left.ids, &outer_left),
+                None => self.active_right.len(),
             };
-            let inner_left_rows: Vec<RowRef<'_>> = self
-                .active_left
-                .records()
-                .iter()
-                .map(|r| RowRef {
-                    fields: &r.fields,
-                    is_view: true,
-                })
-                .collect();
-            let right_index = KeyIndex::build(&inner_right_rows, self.view.right_key);
-            let left_index = KeyIndex::build(&inner_left_rows, self.view.left_key);
+            let span = nested_loop_span(ctx.meter(), &outer_left, inner_len, step.full_right_len);
+            let (mut step_entries, mut potential_pairs) = match &self.public_right {
+                Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
+                None => self
+                    .active_right
+                    .join_into(&mut out, &outer_left, &self.spec),
+            };
+            drop(span);
+            outer_left_total += outer_left.len();
 
-            let potential_pairs =
-                self.count_potential_pairs(&new_left, &inner_right_rows, &right_index, false)
-                    + self.count_potential_pairs(&new_right, &inner_left_rows, &left_index, true);
-
-            // --- Replay this step's truncated joins on plaintext; the oblivious work
-            // is priced once, after the loop, over the combined delta.
-            let mut step_entries = 0usize;
-            let outer_plain = batch_plain_records(&step.delta_left);
-            let outer_rows: Vec<RowRef<'_>> = outer_plain.iter().map(RowRef::from).collect();
-            let spec = self.view.join_spec();
-            for produced in
-                truncated_match_rows(&outer_rows, &inner_right_rows, &right_index, &spec, omega)
-            {
-                step_entries += produced.len();
-                push_padded(&mut delta, produced, omega, out_arity, &mut rng);
+            // --- ΔV part 2: new right records ⋈ accumulated left relation
+            // (private-right workloads only).
+            if let Some(outer_right) = &outer_right {
+                let inner_len = self.active_left.len();
+                let span =
+                    nested_loop_span(ctx.meter(), outer_right, inner_len, step.full_left_len);
+                let (entries, pairs) =
+                    self.active_left
+                        .join_into(&mut out, outer_right, &self.spec_reversed);
+                drop(span);
+                step_entries += entries;
+                potential_pairs += pairs;
+                outer_right_total += outer_right.len();
             }
-            outer_left_total += outer_plain.len();
-
-            if let Some(d) = &step.delta_right {
-                has_private_right = true;
-                let outer_plain = batch_plain_records(d);
-                let outer_rows: Vec<RowRef<'_>> = outer_plain.iter().map(RowRef::from).collect();
-                let spec_rev = self.view.join_spec_reversed();
-                for produced in truncated_match_rows(
-                    &outer_rows,
-                    &inner_left_rows,
-                    &left_index,
-                    &spec_rev,
-                    omega,
-                ) {
-                    step_entries += produced.len();
-                    push_padded(&mut delta, produced, omega, out_arity, &mut rng);
-                }
-                outer_right_total += outer_plain.len();
-            }
-
+            // Truncation-loss bookkeeping (evaluation metric, not protocol state).
             self.total_truncation_losses += potential_pairs.saturating_sub(step_entries as u64);
 
-            // --- Per-step counter cadence: the AND-scan of this step's ΔV slice plus
-            // one recover/reshare, exactly like a per-step invocation.
-            let step_delta_len = (step.delta_left.records.len()
-                + step.delta_right.as_ref().map_or(0, |d| d.records.len()))
-                * omega;
-            ctx.meter().ands(step_delta_len as u64);
+            // --- Algorithm 1 lines 4-6, once per covered step: the AND-scan of this
+            // step's ΔV slice, then recover the counter, add the new cardinality and
+            // re-share it with fresh joint randomness.
+            let padded = outer_left.len() + outer_right.as_ref().map_or(0, Vec::len);
+            ctx.meter().ands((padded * omega) as u64);
             let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
             ctx.reshare_and_store(CARDINALITY_SHARE, counter + step_entries as u32);
             total_new_entries += step_entries;
 
-            // --- The step's arrivals become active (and cached) for later steps of
-            // this very batch, which is how cross-step pairs inside the batch appear.
-            self.active_left
-                .append(new_left, left_arity, &mut share_rng);
-            self.active_right
-                .append(new_right, right_arity, &mut share_rng);
+            // --- The step's arrivals become active (budget b − ω left) for later
+            // steps — of this very batch too, which is how cross-step pairs inside a
+            // batch appear.
+            self.active_left.activate(&step.delta_left.ids, outer_left);
+            if let (Some(batch), Some(outer_right)) = (&step.delta_right, outer_right) {
+                self.active_right.activate(&batch.ids, outer_right);
+            }
         }
 
         // --- Price the amortized joins: one planned oblivious join per direction
         // over the combined delta against the full relation as of flush time.
-        let last = steps.last().expect("non-empty batch");
-        let algo_left = self.choose_algorithm(outer_left_total, last.full_right_len);
-        charge_planned_join(
-            ctx.meter(),
-            algo_left,
-            outer_left_total,
-            last.full_right_len,
-            omega,
-            out_arity,
-            merged_arity,
-        );
-        if has_private_right {
-            let algo_right = self.choose_algorithm(outer_right_total, last.full_left_len);
-            charge_planned_join(
-                ctx.meter(),
-                algo_right,
-                outer_right_total,
-                last.full_left_len,
-                omega,
-                out_arity,
-                merged_arity,
-            );
+        if !per_step_nested_loop {
+            let last = steps.last().expect("non-empty batch");
+            let merged_arity = left_arity.max(right_arity) + 2;
+            let right_direction = steps
+                .iter()
+                .any(|s| s.delta_right.is_some())
+                .then_some((outer_right_total, last.full_left_len));
+            let left_direction = (outer_left_total, last.full_right_len);
+            for (outer_len, inner_len) in std::iter::once(left_direction).chain(right_direction) {
+                charge_planned_join(
+                    ctx.meter(),
+                    self.choose_algorithm(outer_len, inner_len),
+                    outer_len,
+                    inner_len,
+                    omega,
+                    out_arity,
+                    merged_arity,
+                );
+            }
         }
 
         let (report, duration) = ctx.charge();
@@ -923,24 +769,29 @@ impl TransformProtocol {
             ctx.advance_time_step();
         }
         TransformOutcome {
-            delta,
+            delta: out.rows,
             new_entries: total_new_entries,
             report,
             duration,
             steps_covered: steps.len(),
         }
     }
-}
 
-/// Recover an upload batch's padded records (dummies included — they participate in
-/// the oblivious join shape but never match).
-fn batch_plain_records(batch: &UploadBatch) -> Vec<PlainRecord> {
-    batch
-        .records
-        .entries()
-        .iter()
-        .map(|e| e.recover())
-        .collect()
+    /// Recover an upload batch's padded records once (dummies included — they take
+    /// part in the oblivious join shape but never match) and charge ω to each real
+    /// one: a fresh record always has budget `b ≥ ω`.
+    fn charge_arrivals(&mut self, batch: &UploadBatch) -> Vec<PlainRecord> {
+        for id in batch.ids.iter().flatten() {
+            let charged = self.ledger.charge(*id, self.omega);
+            debug_assert!(charged, "fresh records always have budget >= omega");
+        }
+        batch
+            .records
+            .entries()
+            .iter()
+            .map(|e| e.recover())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -949,8 +800,7 @@ mod tests {
     use incshrink_mpc::cost::CostModel;
     use incshrink_mpc::TwoPartyContext;
     use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
 
     fn view_def() -> ViewDefinition {
         ViewDefinition {
@@ -1049,11 +899,9 @@ mod tests {
         assert_eq!(transform.active_counts().0, 1);
         // Second invocation: the record is charged again and hits its budget.
         let _ = transform.invoke(&mut ctx, &empty_l(2), Some(&empty_r(2)), 2, 2);
-        // Third invocation: it is excluded (retired) before any join — and its cached
-        // share encoding is evicted with it.
+        // Third invocation: it is excluded (retired) before any join.
         let _ = transform.invoke(&mut ctx, &empty_l(3), Some(&empty_r(3)), 2, 2);
         assert_eq!(transform.active_counts().0, 0);
-        assert!(transform.share_caches().0.shares().is_empty());
 
         // A matching return arriving now can no longer produce a view entry.
         let right = batch(Relation::Right, 4, &[(5, 9, 4)], 2);
@@ -1064,7 +912,8 @@ mod tests {
     #[test]
     fn public_right_relation_joins_without_budget_tracking() {
         let mut ctx = TwoPartyContext::new(4, CostModel::default());
-        let public: Vec<Vec<u32>> = vec![vec![5, 12], vec![5, 30], vec![6, 14]];
+        let public = [[5u32, 12], [5, 30], [6, 14]];
+        let public = PublicRelation::from_rows(public.iter().map(|row| row.as_slice()));
         let mut transform = TransformProtocol::new(view_def(), 10, 20, Some(public));
         // One allegation for officer 5 at time 10: award at 12 is in window, at 30 not.
         let left = batch(Relation::Left, 10, &[(1, 5, 10)], 3);
@@ -1108,35 +957,131 @@ mod tests {
         assert_eq!(rep_a, rep_b);
     }
 
-    #[test]
-    fn share_cache_tracks_active_relations_exactly() {
-        let mut ctx = TwoPartyContext::new(7, CostModel::default());
-        let mut transform = TransformProtocol::new(view_def(), 1, 3, None);
-        for t in 1..=5u64 {
-            let left = batch(Relation::Left, t, &[(t * 10, t as u32, t as u32)], 2);
-            let right = batch(Relation::Right, t, &[(t * 10 + 1, t as u32, t as u32)], 2);
-            let _ = transform.invoke(
-                &mut ctx,
-                &left,
-                Some(&right),
-                2 * t as usize,
-                2 * t as usize,
+    fn real_rows<'a>(rows: impl Iterator<Item = &'a [u32]>) -> Vec<RowRef<'a>> {
+        rows.map(|fields| RowRef {
+            fields,
+            is_view: true,
+        })
+        .collect()
+    }
+
+    /// A from-scratch [`KeyIndex::build`] over a relation's mirror — what its
+    /// persistent index must equal after every operation.
+    fn rebuilt_index(relation: &ActiveRelation) -> KeyIndex {
+        let rows = real_rows(relation.records.iter().map(|rec| rec.fields.as_slice()));
+        KeyIndex::build(&rows, relation.key_column)
+    }
+
+    fn assert_indexes_match_mirrors(transform: &TransformProtocol, after: &str) {
+        for relation in [&transform.active_left, &transform.active_right] {
+            assert!(
+                relation.index == rebuilt_index(relation),
+                "index drifted from the mirror after {after}"
             );
-            let (lc, rc) = transform.share_caches();
-            for cache in [lc, rc] {
-                assert_eq!(cache.shares().len(), cache.records().len());
-                let recovered: Vec<Vec<u32>> = cache
-                    .shares()
-                    .recover_all()
-                    .into_iter()
-                    .map(|r| r.fields)
-                    .collect();
-                assert_eq!(recovered, cache.fields(), "cache stays share-aligned");
+        }
+    }
+
+    #[test]
+    fn uneven_imported_budgets_expire_mid_relation() {
+        // Migration appends records whose remaining budgets are out of order, so the
+        // next expiries are not a prefix: ids 2 and 4 go first, from between 1, 3, 5.
+        let mut ctx = TwoPartyContext::new(7, CostModel::default());
+        let mut transform = TransformProtocol::new(view_def(), 1, 5, None);
+        let imported = [(1u64, 3u64), (2, 1), (3, 3), (4, 1), (5, 2)]
+            .map(|(id, remaining)| {
+                let fields = vec![(id % 2) as u32, 1];
+                (ActiveRecord { id, fields }, remaining)
+            })
+            .to_vec();
+        transform.import_active(imported, Vec::new());
+        let ids = |t: &TransformProtocol| -> Vec<u64> {
+            t.active_left.records.iter().map(|r| r.id).collect()
+        };
+        let empty = |relation, t| batch(relation, t, &[], 2);
+        let mut survivors = Vec::new();
+        for t in 1..=4u64 {
+            let left = empty(Relation::Left, t);
+            let _ = transform.invoke(&mut ctx, &left, Some(&empty(Relation::Right, t)), 0, 0);
+            assert_indexes_match_mirrors(&transform, "a non-prefix expiry");
+            survivors.push(ids(&transform));
+        }
+        assert_eq!(
+            survivors,
+            [vec![1, 2, 3, 4, 5], vec![1, 3, 5], vec![1, 3], vec![]]
+        );
+    }
+
+    proptest! {
+        /// The persistent key indexes equal `KeyIndex::build` over the mirrors — and
+        /// the mirrors equal a plain budget model — after every call of a random
+        /// sequence of appends, charge-and-evict with tight budgets, exports, and
+        /// imports with uneven remaining budgets (non-prefix expiry).
+        #[test]
+        fn prop_persistent_index_equals_a_rebuild_over_the_mirror(
+            ops in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(0u32..4, 0..4), proptest::collection::vec(0u64..4, 0..4)),
+                1..24,
+            ),
+            budget in 1u64..4,
+        ) {
+            let mut ctx = TwoPartyContext::new(11, CostModel::default());
+            let mut transform = TransformProtocol::new(view_def(), 1, budget, None);
+            // Per side: (id, key, remaining budget), in mirror order.
+            let mut model: [Vec<(u64, u32, u64)>; 2] = [Vec::new(), Vec::new()];
+            let mut next_id = 1u64;
+            for (t, (kind, keys, budgets)) in ops.iter().enumerate() {
+                let t = t as u64 + 1;
+                if *kind < 2 {
+                    // An upload step: survivors are charged, arrivals join the tail.
+                    let mut arrivals = |keys: &[u32]| -> Vec<(u64, u32, u32)> {
+                        keys.iter().map(|&k| { next_id += 1; (next_id, k, t as u32) }).collect()
+                    };
+                    let left = arrivals(keys);
+                    let right = arrivals(&budgets.iter().map(|&b| b as u32).collect::<Vec<_>>());
+                    let _ = transform.invoke(
+                        &mut ctx,
+                        &batch(Relation::Left, t, &left, 4),
+                        Some(&batch(Relation::Right, t, &right, 4)),
+                        0,
+                        0,
+                    );
+                    for (side, rows) in model.iter_mut().zip([&left, &right]) {
+                        side.retain_mut(|(_, _, remaining)| {
+                            let alive = *remaining >= 1;
+                            *remaining = remaining.saturating_sub(1);
+                            alive
+                        });
+                        side.extend(rows.iter().map(|&(id, key, _)| (id, key, budget - 1)));
+                    }
+                } else {
+                    // Migration: one key parity leaves; under kind 2 it comes back
+                    // at the tail with arbitrary (uneven) remaining budgets.
+                    let parity = keys.len() as u32 % 2;
+                    let (mut left, mut right) = transform.export_active(&|k| k % 2 == parity);
+                    assert_indexes_match_mirrors(&transform, "an export");
+                    for side in &mut model {
+                        side.retain(|&(_, key, _)| key % 2 != parity);
+                    }
+                    if *kind == 2 {
+                        let mut drawn = budgets.iter().cycle();
+                        for (side, batch) in model.iter_mut().zip([&mut left, &mut right]) {
+                            for (rec, remaining) in batch.iter_mut() {
+                                *remaining = drawn.next().map_or(*remaining, |&b| b.min(budget));
+                                side.push((rec.id, rec.fields[0], *remaining));
+                            }
+                        }
+                        transform.import_active(left, right);
+                    }
+                }
+                assert_indexes_match_mirrors(&transform, "an operation");
+                for (side, relation) in model.iter().zip([&transform.active_left, &transform.active_right]) {
+                    let mirror: Vec<(u64, u32)> =
+                        relation.records.iter().map(|r| (r.id, r.fields[0])).collect();
+                    let expected: Vec<(u64, u32)> = side.iter().map(|&(id, key, _)| (id, key)).collect();
+                    prop_assert_eq!(mirror, expected);
+                }
             }
         }
-        // b = 3, ω = 1: records survive three invocations, so at t = 5 only the last
-        // three steps' arrivals are still active.
-        assert_eq!(transform.active_counts(), (3, 3));
     }
 
     #[test]
@@ -1144,8 +1089,8 @@ mod tests {
         // The pre-index implementation: a full O(|outer|·|inner|) predicate scan.
         fn reference(
             view: &ViewDefinition,
-            outer: &[ActiveRecord],
-            inner: &[&[u32]],
+            outer: &[Vec<u32>],
+            inner: &[Vec<u32>],
             reversed: bool,
         ) -> u64 {
             let mut pairs = 0u64;
@@ -1154,9 +1099,9 @@ mod tests {
                     .iter()
                     .filter(|row| {
                         let (l, r) = if reversed {
-                            (**row, o.fields.as_slice())
+                            (row.as_slice(), o.as_slice())
                         } else {
-                            (o.fields.as_slice(), **row)
+                            (o.as_slice(), row.as_slice())
                         };
                         let keys = l.get(view.left_key) == r.get(view.right_key)
                             && l.get(view.left_key).is_some();
@@ -1182,37 +1127,30 @@ mod tests {
             },
         ];
         for view in views {
-            let transform = TransformProtocol::new(view, 1, 10, None);
-            let outer: Vec<ActiveRecord> = (0..48u32)
-                .map(|i| ActiveRecord {
-                    id: u64::from(i),
-                    fields: (0..i % 4).map(|c| (i * 7 + c * 13) % 13).collect(),
-                })
+            let outer: Vec<Vec<u32>> = (0..48u32)
+                .map(|i| (0..i % 4).map(|c| (i * 7 + c * 13) % 13).collect())
                 .collect();
-            let inner_rows: Vec<Vec<u32>> = (0..48u32)
+            let inner: Vec<Vec<u32>> = (0..48u32)
                 .map(|i| (0..(i + 2) % 4).map(|c| (i * 11 + c * 3) % 13).collect())
                 .collect();
-            let inner: Vec<&[u32]> = inner_rows.iter().map(Vec::as_slice).collect();
-            let inner_refs: Vec<RowRef<'_>> = inner_rows
-                .iter()
-                .map(|row| RowRef {
-                    fields: row,
-                    is_view: true,
-                })
-                .collect();
-            for reversed in [false, true] {
+            let outer_refs = real_rows(outer.iter().map(Vec::as_slice));
+            let inner_refs = real_rows(inner.iter().map(Vec::as_slice));
+            for (reversed, spec) in [(false, view.join_spec()), (true, view.join_spec_reversed())] {
                 // The inner side is keyed on the column the join condition reads
                 // from it: right_key when it plays the right role, left_key when
                 // the direction is reversed.
-                let key_col = if reversed {
-                    transform.view.left_key
-                } else {
-                    transform.view.right_key
-                };
-                let index = KeyIndex::build(&inner_refs, key_col);
+                let index = KeyIndex::build(&inner_refs, spec.right_key);
+                let counted = truncated_match_rows(
+                    outer_refs.iter().copied(),
+                    |i| inner_refs[i].fields,
+                    |key| index.candidates(key),
+                    &spec,
+                    1,
+                    |_| {},
+                );
                 assert_eq!(
-                    transform.count_potential_pairs(&outer, &inner_refs, &index, reversed),
-                    reference(&transform.view, &outer, &inner, reversed),
+                    counted,
+                    reference(&view, &outer, &inner, reversed),
                     "reversed = {reversed}"
                 );
             }

@@ -89,8 +89,7 @@ impl ContributionLedger {
     /// budget), in which case nothing is deducted and the caller must exclude the
     /// record from the transformation input.
     pub fn charge(&mut self, record_id: u64, omega: u64) -> bool {
-        self.register(record_id);
-        let remaining = self.remaining.get_mut(&record_id).expect("just registered");
+        let remaining = self.remaining.entry(record_id).or_insert(self.total_budget);
         if *remaining >= omega {
             *remaining -= omega;
             if *remaining < omega {

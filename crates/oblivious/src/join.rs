@@ -45,12 +45,15 @@
 
 use crate::sort::{batcher_pair_count, oblivious_sort_by_key, SortOrder};
 use incshrink_mpc::cost::{CostMeter, CostReport};
+use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use rand::Rng;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Boxed θ-condition evaluated over `(left_fields, right_fields)`.
-pub type ThetaCondition<'a> = Box<dyn Fn(&[u32], &[u32]) -> bool + 'a>;
+pub type ThetaCondition<'a> = Box<dyn Fn(&[u32], &[u32]) -> bool + Send + Sync + 'a>;
 
 /// Description of an equi-join with an optional extra θ-condition.
 pub struct JoinSpec<'a> {
@@ -89,7 +92,7 @@ impl<'a> JoinSpec<'a> {
     pub fn with_condition(
         left_key: usize,
         right_key: usize,
-        condition: impl Fn(&[u32], &[u32]) -> bool + 'a,
+        condition: impl Fn(&[u32], &[u32]) -> bool + Send + Sync + 'a,
     ) -> Self {
         Self {
             left_key,
@@ -132,9 +135,8 @@ fn join_output_arity(left: &SharedArrayPair, right: &SharedArrayPair) -> usize {
 ///
 /// This runs on recovered plaintext and is therefore **protocol-internal**: the
 /// simulated MPC operators call it to derive their (identical) outputs and charge the
-/// oblivious cost separately, and the batched Transform uses it to replay several
-/// per-step joins inside one amortized invocation. It performs no metering and leaks
-/// nothing by construction — it never executes outside the simulated circuit.
+/// oblivious cost separately. It performs no metering and leaks nothing by
+/// construction — it never executes outside the simulated circuit.
 #[must_use]
 pub fn truncated_match(
     outer: &[PlainRecord],
@@ -142,16 +144,23 @@ pub fn truncated_match(
     spec: &JoinSpec<'_>,
     bound: usize,
 ) -> Vec<Vec<Vec<u32>>> {
-    let outer_rows: Vec<RowRef<'_>> = outer.iter().map(RowRef::from).collect();
     let inner_rows: Vec<RowRef<'_>> = inner.iter().map(RowRef::from).collect();
     let index = KeyIndex::build(&inner_rows, spec.right_key);
-    truncated_match_rows(&outer_rows, &inner_rows, &index, spec, bound)
+    let mut produced = Vec::with_capacity(outer.len());
+    let _ = truncated_match_rows(
+        outer.iter().map(RowRef::from),
+        |ii| inner_rows[ii].fields,
+        |key| index.candidates(key),
+        spec,
+        bound,
+        |rows| produced.push(rows),
+    );
+    produced
 }
 
 /// Borrowed plaintext row: the view of one record the host-side truncated-join
-/// bookkeeping needs. Lets callers that already hold plaintext relations (the
-/// batched Transform's active-set mirrors, a public relation's rows) drive
-/// [`truncated_match_rows`] without cloning every field vector per step.
+/// bookkeeping needs. Lets callers that already hold plaintext relations drive
+/// [`truncated_match_rows`] without cloning field vectors.
 #[derive(Debug, Clone, Copy)]
 pub struct RowRef<'a> {
     /// The record's column values.
@@ -169,98 +178,173 @@ impl<'a> From<&'a PlainRecord> for RowRef<'a> {
     }
 }
 
+/// Chain terminator: no later row carries the same join key.
+const NO_LINK: usize = usize::MAX;
+
 /// Host-side key index over the real rows of an inner relation: join-key value →
-/// ascending list of row positions. Build it once per relation snapshot and share
-/// it between the truncation-loss pair count and the truncated-match replay — both
-/// walk candidates in ascending position order, which is exactly the order the
-/// quadratic reference scan visits, so results are bit-identical to a full scan.
+/// ascending row positions — exactly the order the quadratic reference scan visits
+/// matching rows in, so a candidate walk is bit-identical to a full scan.
+///
+/// The index is *incremental*: a relation that only grows at the tail and expires
+/// from the front (Transform's accumulated active relations) keeps it across
+/// invocations with [`Self::push`] / [`Self::pop_front`] at O(1) each, instead of
+/// re-indexing every row per call. Rows are addressed by an absolute sequence
+/// number (`base` + position), so popping the front never renumbers a link: each
+/// key's rows form a chain through `next`, entered at `chains[key].0`.
 #[derive(Debug, Default)]
 pub struct KeyIndex {
-    map: incshrink_mpc::hash::FxHashMap<u32, Vec<usize>>,
+    /// Sequence number of position 0 (the count of rows popped so far).
+    base: usize,
+    /// Per live position: sequence number of the next row with the same key.
+    next: VecDeque<usize>,
+    /// key → (first, last) sequence numbers of the key's chain.
+    chains: FxHashMap<u32, (usize, usize)>,
 }
 
 impl KeyIndex {
     /// Index `rows` by the `key` column, skipping dummies and rows without it.
     #[must_use]
     pub fn build(rows: &[RowRef<'_>], key: usize) -> Self {
-        let mut map: incshrink_mpc::hash::FxHashMap<u32, Vec<usize>> =
-            incshrink_mpc::hash::FxHashMap::default();
-        for (ii, row) in rows.iter().enumerate() {
-            if row.is_view {
-                if let Some(&k) = row.fields.get(key) {
-                    map.entry(k).or_default().push(ii);
-                }
+        let key_of = |row: &RowRef<'_>| row.fields.get(key).copied().filter(|_| row.is_view);
+        rows.iter().map(key_of).collect()
+    }
+
+    /// Append the next position. A row without a key (`None`: a dummy, or too short
+    /// to hold the key column) occupies its position but is never a candidate.
+    pub fn push(&mut self, key: Option<u32>) {
+        let seq = self.base + self.next.len();
+        self.next.push_back(NO_LINK);
+        let Some(key) = key else { return };
+        match self.chains.entry(key) {
+            Entry::Occupied(mut chain) => {
+                let (_, last) = chain.get_mut();
+                self.next[*last - self.base] = seq;
+                *last = seq;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((seq, seq));
             }
         }
-        Self { map }
+    }
+
+    /// Unlink position 0, which was pushed with `key`; every later position shifts
+    /// down by one.
+    ///
+    /// # Panics
+    /// Panics when the index is empty or `key` is not the key position 0 was pushed
+    /// with (the chain head would not be the row being removed).
+    pub fn pop_front(&mut self, key: Option<u32>) {
+        let link = self.next.pop_front().expect("pop_front on an empty index");
+        if let Some(key) = key {
+            let Entry::Occupied(mut chain) = self.chains.entry(key) else {
+                panic!("front row's key has no chain");
+            };
+            assert_eq!(
+                chain.get().0,
+                self.base,
+                "front row must head its key chain"
+            );
+            if link == NO_LINK {
+                chain.remove();
+            } else {
+                chain.get_mut().0 = link;
+            }
+        }
+        self.base += 1;
     }
 
     /// Ascending positions of the real rows carrying join-key value `key`.
-    #[must_use]
-    pub fn candidates(&self, key: u32) -> &[usize] {
-        self.map.get(&key).map_or(&[], Vec::as_slice)
+    pub fn candidates(&self, key: u32) -> impl Iterator<Item = usize> + '_ {
+        let live = |seq: usize| (seq != NO_LINK).then_some(seq);
+        let first = self.chains.get(&key).and_then(|chain| live(chain.0));
+        std::iter::successors(first, move |&seq| live(self.next[seq - self.base]))
+            .map(move |seq| seq - self.base)
     }
 }
 
-/// [`truncated_match`] over borrowed rows with a prebuilt [`KeyIndex`] for `inner`
-/// (indexed by `spec.right_key`). The quadratic reference scan only mutates state
-/// (budgets, emission) at positions where both records are real and the equi-keys
-/// agree, and it visits those positions in ascending order — exactly the order each
-/// candidate list preserves — so walking only the index candidates reproduces its
-/// output bit for bit in O(|outer| + |inner| + matches) instead of
-/// O(|outer|·|inner|). This is plaintext bookkeeping inside the simulated circuit;
+/// Index a relation given as its rows' keys in position order ([`KeyIndex::push`]
+/// each).
+impl FromIterator<Option<u32>> for KeyIndex {
+    fn from_iter<I: IntoIterator<Item = Option<u32>>>(keys: I) -> Self {
+        let mut index = Self::default();
+        for key in keys {
+            index.push(key);
+        }
+        index
+    }
+}
+
+/// Two indexes are equal when they cover the same number of positions and list the
+/// same candidates for every key — independent of how many rows were ever popped.
+impl PartialEq for KeyIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.next.len() == other.next.len()
+            && self.chains.len() == other.chains.len()
+            && self
+                .chains
+                .keys()
+                .all(|&key| self.candidates(key).eq(other.candidates(key)))
+    }
+}
+
+/// The one truncated matching loop: [`truncated_match`] generalised over where the
+/// inner relation lives. `inner(position)` yields a row's fields and
+/// `candidates(key)` the ascending positions of the real inner rows carrying that
+/// key — a [`KeyIndex`] built for the call, a persistent one kept across calls, or a
+/// static sorted index over a public relation. `emit` receives each outer row's
+/// produced rows (at most `bound`), in outer order; the return value is the number
+/// of matching pairs that exist *before* truncation (the ω-sweep's loss
+/// bookkeeping), counted on the same walk.
+///
+/// The quadratic reference scan only mutates state (budgets, emission) at positions
+/// where both records are real and the equi-keys agree, and it visits those
+/// positions in ascending order — exactly the order each candidate walk preserves —
+/// so walking only the candidates reproduces its output bit for bit in
+/// O(|outer| + matches). This is plaintext bookkeeping inside the simulated circuit;
 /// the metered oblivious cost is charged separately by the callers and still
 /// reflects the full data-independent schedule.
-#[must_use]
-pub fn truncated_match_rows(
-    outer: &[RowRef<'_>],
-    inner: &[RowRef<'_>],
-    index: &KeyIndex,
+pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
+    outer: impl IntoIterator<Item = RowRef<'o>>,
+    inner: impl Fn(usize) -> &'i [u32],
+    candidates: impl Fn(u32) -> C,
     spec: &JoinSpec<'_>,
     bound: usize,
-) -> Vec<Vec<Vec<u32>>> {
-    let mut inner_budget: Vec<usize> = vec![bound; inner.len()];
-
-    outer
-        .iter()
-        .map(|orec| {
-            let mut produced: Vec<Vec<u32>> = Vec::new();
-            if !orec.is_view {
-                return produced;
+    mut emit: impl FnMut(Vec<Vec<u32>>),
+) -> u64 {
+    // Budget spent per inner position, shared by every outer row of the call.
+    let mut inner_used: FxHashMap<usize, usize> = FxHashMap::default();
+    let mut potential_pairs = 0u64;
+    for orec in outer {
+        let mut produced: Vec<Vec<u32>> = Vec::new();
+        let key = orec.fields.get(spec.left_key).filter(|_| orec.is_view);
+        for ii in key.into_iter().flat_map(|&key| candidates(key)) {
+            let ifields = inner(ii);
+            if !spec
+                .condition
+                .as_ref()
+                .map_or(true, |c| c(orec.fields, ifields))
+            {
+                continue;
             }
-            let Some(&key) = orec.fields.get(spec.left_key) else {
-                return produced;
+            potential_pairs += 1;
+            if produced.len() == bound {
+                continue;
+            }
+            let used = inner_used.entry(ii).or_insert(0);
+            if *used == bound {
+                continue;
+            }
+            *used += 1;
+            let (first, second) = if spec.swap_output {
+                (ifields, orec.fields)
+            } else {
+                (orec.fields, ifields)
             };
-            let mut outer_budget = bound;
-            for &ii in index.candidates(key) {
-                if outer_budget == 0 {
-                    break;
-                }
-                if inner_budget[ii] == 0 {
-                    continue;
-                }
-                let irec = &inner[ii];
-                let extra = spec
-                    .condition
-                    .as_ref()
-                    .map_or(true, |c| c(orec.fields, irec.fields));
-                if extra {
-                    let mut fields = Vec::with_capacity(orec.fields.len() + irec.fields.len());
-                    let (first, second) = if spec.swap_output {
-                        (irec.fields, orec.fields)
-                    } else {
-                        (orec.fields, irec.fields)
-                    };
-                    fields.extend_from_slice(first);
-                    fields.extend_from_slice(second);
-                    produced.push(fields);
-                    outer_budget -= 1;
-                    inner_budget[ii] -= 1;
-                }
-            }
-            produced
-        })
-        .collect()
+            produced.push([first, second].concat());
+        }
+        emit(produced);
+    }
+    potential_pairs
 }
 
 /// Oblivious-operation counts of one [`truncated_nested_loop_join`] invocation over
@@ -375,7 +459,7 @@ pub fn delta_sort_merge_join_cost(
 
 /// Append one `bound`-slot output block — real join tuples first (truncated to
 /// `bound`), dummy padding after — the per-outer output layout shared by every
-/// truncated join operator. Exposed (alongside [`truncated_match`]) so the batched
+/// truncated join operator. Exposed (alongside [`truncated_match_rows`]) so
 /// Transform assembles ΔV with exactly the layout the physical operators produce;
 /// the block structure is public (it depends only on `bound`), the contents are
 /// fresh shares.
@@ -929,6 +1013,55 @@ mod tests {
                 truncated_match(&outer, &inner, &spec, bound),
                 reference_quadratic_match(&outer, &inner, &spec, bound)
             );
+            // The same walk counts the pairs that exist before truncation.
+            let inner_rows: Vec<RowRef<'_>> = inner.iter().map(RowRef::from).collect();
+            let index = KeyIndex::build(&inner_rows, spec.right_key);
+            let counted = truncated_match_rows(
+                outer.iter().map(RowRef::from),
+                |ii| inner_rows[ii].fields,
+                |key| index.candidates(key),
+                &spec,
+                bound,
+                |_| {},
+            );
+            let all_pairs = outer.iter().flat_map(|o| inner.iter().map(move |i| (o, i)));
+            let expected = all_pairs
+                .filter(|(o, i)| o.is_view && i.is_view && spec.matches(&o.fields, &i.fields))
+                .count();
+            prop_assert_eq!(counted, expected as u64);
+        }
+
+        #[test]
+        fn prop_pushed_and_popped_index_equals_a_build_over_the_live_rows(
+            ops in proptest::collection::vec(0u32..6, 1..60),
+        ) {
+            // Each operation appends a row keyed 0..5 (5 stands for a keyless row);
+            // every third one pops the front first. The window of live rows slides,
+            // the candidate lists must stay those of a from-scratch build.
+            let mut live: std::collections::VecDeque<Option<u32>> = Default::default();
+            let mut index = KeyIndex::default();
+            for (step, key) in ops.into_iter().enumerate() {
+                let key = Some(key).filter(|&k| k < 5);
+                if step % 3 == 2 {
+                    if let Some(front) = live.pop_front() {
+                        index.pop_front(front);
+                    }
+                }
+                live.push_back(key);
+                index.push(key);
+                let fields: Vec<Vec<u32>> =
+                    live.iter().map(|k| k.iter().copied().collect()).collect();
+                let rows: Vec<RowRef<'_>> = fields
+                    .iter()
+                    .map(|fields| RowRef { fields, is_view: true })
+                    .collect();
+                let rebuilt = KeyIndex::build(&rows, 0);
+                prop_assert!(index == rebuilt);
+                for key in 0..5 {
+                    let expected = (0..live.len()).filter(|&i| live[i] == Some(key));
+                    prop_assert!(index.candidates(key).eq(expected));
+                }
+            }
         }
     }
 }

@@ -218,9 +218,7 @@ impl SharedArrayPair {
     }
 
     /// Keep only the entries whose `(index, entry)` the predicate accepts, preserving
-    /// order. This is the eviction primitive of the Transform delta-share cache: when
-    /// a record's contribution budget expires, its cached share encoding is dropped in
-    /// lockstep with its plaintext mirror so the two stay index-aligned.
+    /// order.
     pub fn retain_with<F>(&mut self, mut keep: F)
     where
         F: FnMut(usize, &SharedRecordPair) -> bool,

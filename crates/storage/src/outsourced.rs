@@ -10,7 +10,7 @@
 use crate::logical::LogicalUpdate;
 use crate::schema::{RecordId, Relation};
 use incshrink_secretshare::arrays::SharedArrayPair;
-use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
+use incshrink_secretshare::tuple::SharedRecordPair;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -44,19 +44,18 @@ impl UploadBatch {
         rng: &mut R,
     ) -> Self {
         let mut records = SharedArrayPair::with_arity(arity);
-        let mut ids = Vec::new();
+        let mut ids = Vec::with_capacity(updates.len().max(padded_size));
+        // share_row / share_dummy draw mask words in exactly the order
+        // share(&PlainRecord) would, without cloning each update's fields first.
         for u in updates {
             records
-                .push(SharedRecordPair::share(
-                    &PlainRecord::real(u.fields.clone()),
-                    rng,
-                ))
+                .push(SharedRecordPair::share_row(&u.fields, true, rng))
                 .expect("uniform arity");
             ids.push(Some(u.id));
         }
         while records.len() < padded_size {
             records
-                .push(SharedRecordPair::share(&PlainRecord::dummy(arity), rng))
+                .push(SharedRecordPair::share_dummy(arity, rng))
                 .expect("uniform arity");
             ids.push(None);
         }
