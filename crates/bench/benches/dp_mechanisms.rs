@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use incshrink_dp::joint::joint_laplace_noise;
 use incshrink_dp::{LaplaceMechanism, NumericAboveThreshold};
 use incshrink_mpc::cost::CostModel;
-use incshrink_mpc::runtime::TwoPartyContext;
+use incshrink_mpc::{PartyContext, PartyMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,7 +19,7 @@ fn bench_laplace_sampling(c: &mut Criterion) {
 
 fn bench_joint_noise(c: &mut Criterion) {
     c.bench_function("joint_laplace_noise", |b| {
-        let mut ctx = TwoPartyContext::new(2, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 2, CostModel::default());
         b.iter(|| joint_laplace_noise(&mut ctx, 10.0, 1.5, 42.0));
     });
 }

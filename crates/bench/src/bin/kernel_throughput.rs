@@ -24,7 +24,7 @@
 
 use incshrink_bench::report::fmt;
 use incshrink_bench::{print_table, write_json};
-use incshrink_mpc::PartyMode;
+use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
 use incshrink_secretshare::columns::{add_lane, cswap_lane, lt_lane, mux_lane};
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_secretshare::{SharedArrayPair, SharedColumnsPair};
@@ -47,14 +47,13 @@ struct KernelRow {
     speedup: f64,
 }
 
-/// One measured party-channel transport point: `payload_words` shares exchanged
-/// per protocol round (one `ShareBatch` each way) over the named transport.
+/// One measured party-mode point: what one protocol round (a one-word reshare
+/// or recovery — the only payload production ships) costs the driver when the
+/// two servers run as actor threads under `mode`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ChannelRow {
-    transport: String,
-    payload_words: usize,
+    mode: String,
     ns_per_round: f64,
-    ns_per_word: f64,
 }
 
 /// Measured SoA seconds-per-op, in the shape
@@ -223,51 +222,21 @@ fn measure_soa(kernel: &str, arr: &SharedArrayPair, reps: usize) -> f64 {
     ns
 }
 
-/// Time `rounds` symmetric `exchange_shares` round trips of `payload_words`
-/// words over one of the pluggable party transports, peer endpoint on its own
-/// thread — the cost a plan's protocol round actually pays under the actor and
-/// TCP execution modes.
-fn measure_channel(transport: &str, payload_words: usize, rounds: usize) -> f64 {
-    let (mut near, mut far) = match transport {
-        "mpsc" => incshrink_mpc::endpoint_pair(0xC0DE),
-        "tcp" => incshrink_mpc::endpoint_pair_tcp(0xC0DE).expect("loopback socket pair"),
-        other => unreachable!("unknown transport {other}"),
-    };
-    let words: Vec<u32> = (0..payload_words as u32).collect();
-    let peer_words = words.clone();
-    let peer = std::thread::spawn(move || {
-        for _ in 0..=rounds {
-            let _ = far.exchange_shares(&peer_words).expect("peer exchange");
-        }
-    });
-    // One warm-up round absorbs thread start-up and socket buffer growth.
-    let _ = near.exchange_shares(&words).expect("warm-up exchange");
+/// Time `rounds` protocol rounds through a [`PartyContext`] of `mode`,
+/// alternating reshare and recover of one word — the cost a plan's protocol
+/// round actually pays under the actor and TCP execution modes.
+fn measure_channel(mode: PartyMode, rounds: usize) -> f64 {
+    let mut ctx = PartyContext::new(mode, 0xC0DE, CostModel::default());
+    // One warm-up pair absorbs thread start-up and socket buffer growth.
+    ctx.reshare_and_store("probe", 0);
+    let _ = ctx.recover_named("probe");
+    let pairs = rounds.div_ceil(2);
     let started = Instant::now();
-    for _ in 0..rounds {
-        black_box(near.exchange_shares(&words).expect("exchange"));
+    for value in 0..pairs as u32 {
+        ctx.reshare_and_store("probe", value);
+        black_box(ctx.recover_named("probe"));
     }
-    let ns = started.elapsed().as_secs_f64() * 1e9 / rounds as f64;
-    peer.join().expect("peer endpoint thread");
-    ns
-}
-
-/// Sweep both transports, per-word vs batched payloads: the per-word row is the
-/// round-trip latency floor (what `Calibration::secs_per_channel_round` prices),
-/// the batched rows show how one `ShareBatch` per operator round amortizes it.
-fn measure_channels(rounds: usize) -> Vec<ChannelRow> {
-    let mut rows = Vec::new();
-    for transport in ["mpsc", "tcp"] {
-        for payload_words in [1usize, 64, 1024] {
-            let ns_per_round = measure_channel(transport, payload_words, rounds);
-            rows.push(ChannelRow {
-                transport: transport.to_string(),
-                payload_words,
-                ns_per_round,
-                ns_per_word: ns_per_round / payload_words as f64,
-            });
-        }
-    }
-    rows
+    started.elapsed().as_secs_f64() * 1e9 / (2 * pairs) as f64
 }
 
 fn main() {
@@ -310,30 +279,25 @@ fn main() {
         &table,
     );
 
-    // Party-channel transport: round-trip cost per protocol round, per-word vs
-    // batched, on both pluggable transports.
+    // Party-channel transport: cost per protocol round under both actor modes.
     let channel_rounds = std::env::var("INCSHRINK_CHANNEL_ROUNDS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&r| r > 0)
         .unwrap_or(2000);
-    let channel_rows = measure_channels(channel_rounds);
-    let channel_table: Vec<Vec<String>> = channel_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.transport.clone(),
-                r.payload_words.to_string(),
-                fmt(r.ns_per_round),
-                fmt(r.ns_per_word),
-            ]
+    let channel_rows: Vec<ChannelRow> = [PartyMode::Actor, PartyMode::Tcp]
+        .into_iter()
+        .map(|mode| ChannelRow {
+            mode: mode.label().to_string(),
+            ns_per_round: measure_channel(mode, channel_rounds),
         })
         .collect();
-    println!("\n=== Party-channel round trips ({channel_rounds} rounds/point, exchange_shares both ways) ===\n");
-    print_table(
-        &["transport", "words/round", "ns/round", "ns/word"],
-        &channel_table,
-    );
+    let channel_table: Vec<Vec<String>> = channel_rows
+        .iter()
+        .map(|r| vec![r.mode.clone(), fmt(r.ns_per_round)])
+        .collect();
+    println!("\n=== Party protocol rounds ({channel_rounds} rounds/point, one-word reshare + recover) ===\n");
+    print_table(&["party mode", "ns/round"], &channel_table);
 
     // Calibration: measured SoA seconds-per-op at the largest size (steady state).
     let largest = *sizes.iter().max().expect("non-empty");
@@ -345,20 +309,12 @@ fn main() {
     };
     // Transport pricing follows the selected execution mode: in-process party
     // calls cross no channel (0.0 keeps the calibration gate-only); actor and
-    // TCP runs pay their measured single-word round trip per protocol round.
+    // TCP runs pay their measured round.
     let party_mode = PartyMode::from_env();
-    let round_trip_for = |transport: &str| -> f64 {
-        channel_rows
-            .iter()
-            .find(|r| r.transport == transport && r.payload_words == 1)
-            .map(|r| r.ns_per_round * 1e-9)
-            .expect("transport measured")
-    };
-    let secs_per_channel_round = match party_mode {
-        PartyMode::InProcess => 0.0,
-        PartyMode::Actor => round_trip_for("mpsc"),
-        PartyMode::Tcp => round_trip_for("tcp"),
-    };
+    let secs_per_channel_round = channel_rows
+        .iter()
+        .find(|r| r.mode == party_mode.label())
+        .map_or(0.0, |r| r.ns_per_round * 1e-9);
     let calibration = MeasuredCalibration {
         secs_per_compare: at("compare"),
         secs_per_swap: at("swap"),

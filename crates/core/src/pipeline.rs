@@ -381,7 +381,7 @@ impl TwoLevelPipeline {
 mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
-    use incshrink_mpc::TwoPartyContext;
+    use incshrink_mpc::{PartyContext, PartyMode};
     use incshrink_oblivious::PlainTable;
 
     fn view_def() -> ViewDefinition {
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn two_level_pipeline_produces_joined_view() {
-        let mut ctx = TwoPartyContext::new(1, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 1, CostModel::default());
         // Selection keeps every record with time <= 1000 (i.e. everything real).
         let mut pipeline = TwoLevelPipeline::new(
             view_def(),
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn selection_predicate_drops_non_matching_records() {
-        let mut ctx = TwoPartyContext::new(2, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 2, CostModel::default());
         // Selection keeps only records with time <= 5.
         let mut pipeline = TwoLevelPipeline::new(
             view_def(),
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn caches_drain_over_time_with_frequent_syncs() {
-        let mut ctx = TwoPartyContext::new(4, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 4, CostModel::default());
         let mut pipeline = TwoLevelPipeline::new(
             view_def(),
             1,
@@ -522,7 +522,7 @@ mod tests {
         // The plan mode changes join *cost accounting*, never what the pipeline
         // releases: identical final/intermediate views under every mode.
         let run = |mode: JoinPlanMode| {
-            let mut ctx = TwoPartyContext::new(9, CostModel::default());
+            let mut ctx = PartyContext::new(PartyMode::InProcess, 9, CostModel::default());
             let mut pipeline = TwoLevelPipeline::new(
                 view_def(),
                 1,
@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn query_engine_counts_the_final_view() {
         use crate::query::{Query, QueryEngine, QueryValue};
-        let mut ctx = TwoPartyContext::new(3, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 3, CostModel::default());
         let mut pipeline = TwoLevelPipeline::new(
             view_def(),
             1,

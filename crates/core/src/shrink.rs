@@ -209,7 +209,7 @@ impl ShrinkProtocol {
 mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
-    use incshrink_mpc::TwoPartyContext;
+    use incshrink_mpc::{PartyContext, PartyMode};
     use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use rand::rngs::StdRng;
@@ -238,8 +238,8 @@ mod tests {
         SharedArrayPair::share_records(&records, &mut rng)
     }
 
-    fn ctx_with_counter(seed: u64, counter: u32) -> TwoPartyContext {
-        let mut ctx = TwoPartyContext::new(seed, CostModel::default());
+    fn ctx_with_counter(seed: u64, counter: u32) -> PartyContext {
+        let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         ctx.reshare_and_store(CARDINALITY_SHARE, counter);
         let _ = ctx.charge();
         ctx
@@ -301,8 +301,9 @@ mod tests {
         let mut view = MaterializedView::new();
         let _ = shrink.step(&mut ctx, &mut cache, &mut view, 1);
 
-        let s0 = ctx.servers.s0.load_share(NOISY_THRESHOLD_SHARE).unwrap();
-        let s1 = ctx.servers.s1.load_share(NOISY_THRESHOLD_SHARE).unwrap();
+        let servers = ctx.local_servers().expect("in-process servers");
+        let s0 = servers.s0.load_share(NOISY_THRESHOLD_SHARE).unwrap();
+        let s1 = servers.s1.load_share(NOISY_THRESHOLD_SHARE).unwrap();
         let recovered = f64::from(s0.word ^ s1.word) / THRESHOLD_SCALE;
         // The recovered threshold is θ plus Laplace noise; it must exist and be
         // non-negative, and neither share alone is the scaled threshold.

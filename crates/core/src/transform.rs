@@ -798,7 +798,7 @@ impl TransformProtocol {
 mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
-    use incshrink_mpc::TwoPartyContext;
+    use incshrink_mpc::{PartyContext, PartyMode};
     use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
     use proptest::prelude::*;
 
@@ -834,7 +834,7 @@ mod tests {
 
     #[test]
     fn transform_produces_padded_delta_and_counts_entries() {
-        let mut ctx = TwoPartyContext::new(1, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 1, CostModel::default());
         let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
 
         // Step 1: two sales arrive, no returns yet.
@@ -861,7 +861,7 @@ mod tests {
 
     #[test]
     fn truncation_bound_limits_per_record_contribution() {
-        let mut ctx = TwoPartyContext::new(2, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 2, CostModel::default());
         // ω = 2 but three matching right records exist for the same left key.
         let mut transform = TransformProtocol::new(view_def(), 2, 4, None);
         let left = batch(Relation::Left, 1, &[(1, 7, 1)], 2);
@@ -888,7 +888,7 @@ mod tests {
 
     #[test]
     fn records_retire_after_budget_exhaustion() {
-        let mut ctx = TwoPartyContext::new(3, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 3, CostModel::default());
         // b = 2, ω = 1: a record may participate in two invocations then retires.
         let mut transform = TransformProtocol::new(view_def(), 1, 2, None);
         let left = batch(Relation::Left, 1, &[(1, 9, 1)], 2);
@@ -911,7 +911,7 @@ mod tests {
 
     #[test]
     fn public_right_relation_joins_without_budget_tracking() {
-        let mut ctx = TwoPartyContext::new(4, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 4, CostModel::default());
         let public = [[5u32, 12], [5, 30], [6, 14]];
         let public = PublicRelation::from_rows(public.iter().map(|row| row.as_slice()));
         let mut transform = TransformProtocol::new(view_def(), 10, 20, Some(public));
@@ -925,14 +925,15 @@ mod tests {
 
     #[test]
     fn cardinality_counter_is_secret_shared_between_servers() {
-        let mut ctx = TwoPartyContext::new(5, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 5, CostModel::default());
         let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
         let left = batch(Relation::Left, 1, &[(1, 1, 1)], 2);
         let right = batch(Relation::Right, 1, &[(2, 1, 1)], 2);
         let _ = transform.invoke(&mut ctx, &left, Some(&right), 0, 0);
 
-        let s0 = ctx.servers.s0.load_share(CARDINALITY_SHARE).unwrap();
-        let s1 = ctx.servers.s1.load_share(CARDINALITY_SHARE).unwrap();
+        let servers = ctx.local_servers().expect("in-process servers");
+        let s0 = servers.s0.load_share(CARDINALITY_SHARE).unwrap();
+        let s1 = servers.s1.load_share(CARDINALITY_SHARE).unwrap();
         let true_counter = ctx.recover_named(CARDINALITY_SHARE).unwrap();
         assert_eq!(s0.word ^ s1.word, true_counter);
         // Overwhelmingly, neither share alone equals the counter.
@@ -944,7 +945,7 @@ mod tests {
         // Two runs with identical batch sizes but different data must produce ΔV of
         // identical length and identical operation counts.
         let run = |rows_l: &[(u64, u32, u32)], rows_r: &[(u64, u32, u32)]| {
-            let mut ctx = TwoPartyContext::new(6, CostModel::default());
+            let mut ctx = PartyContext::new(PartyMode::InProcess, 6, CostModel::default());
             let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
             let left = batch(Relation::Left, 1, rows_l, 4);
             let right = batch(Relation::Right, 1, rows_r, 4);
@@ -985,7 +986,7 @@ mod tests {
     fn uneven_imported_budgets_expire_mid_relation() {
         // Migration appends records whose remaining budgets are out of order, so the
         // next expiries are not a prefix: ids 2 and 4 go first, from between 1, 3, 5.
-        let mut ctx = TwoPartyContext::new(7, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
         let mut transform = TransformProtocol::new(view_def(), 1, 5, None);
         let imported = [(1u64, 3u64), (2, 1), (3, 3), (4, 1), (5, 2)]
             .map(|(id, remaining)| {
@@ -1024,7 +1025,7 @@ mod tests {
             ),
             budget in 1u64..4,
         ) {
-            let mut ctx = TwoPartyContext::new(11, CostModel::default());
+            let mut ctx = PartyContext::new(PartyMode::InProcess, 11, CostModel::default());
             let mut transform = TransformProtocol::new(view_def(), 1, budget, None);
             // Per side: (id, key, remaining budget), in mirror order.
             let mut model: [Vec<(u64, u32, u64)>; 2] = [Vec::new(), Vec::new()];
@@ -1203,7 +1204,7 @@ mod tests {
             .collect();
 
         // Sequential per-step execution.
-        let mut ctx_a = TwoPartyContext::new(8, CostModel::default());
+        let mut ctx_a = PartyContext::new(PartyMode::InProcess, 8, CostModel::default());
         let mut seq = TransformProtocol::new(view_def(), 1, 10, None);
         let mut seq_delta: Vec<PlainRecord> = Vec::new();
         let mut seq_entries = 0;
@@ -1220,7 +1221,7 @@ mod tests {
         }
 
         // One batched invocation over the same six steps.
-        let mut ctx_b = TwoPartyContext::new(8, CostModel::default());
+        let mut ctx_b = PartyContext::new(PartyMode::InProcess, 8, CostModel::default());
         let mut batched =
             TransformProtocol::new(view_def(), 1, 10, None).with_join_plan(JoinPlanMode::Adaptive);
         let out = batched.invoke_batched(&mut ctx_b, &steps);

@@ -8,7 +8,7 @@ use incshrink::prelude::*;
 use incshrink::transform::{PublicRelation, StepInputs, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
 use incshrink_mpc::cost::{CostModel, CostReport};
-use incshrink_mpc::runtime::TwoPartyContext;
+use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::truncated_nested_loop_join;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -93,7 +93,7 @@ proptest! {
         let steps = build_steps(&left_keys[..steps_len], &right_keys_seed[..steps_len]);
 
         // Reference: strict per-step invocations (ω = 1, small budget ⇒ expiry).
-        let mut ctx_seq = TwoPartyContext::new(seed ^ 1, CostModel::default());
+        let mut ctx_seq = PartyContext::new(PartyMode::InProcess, seed ^ 1, CostModel::default());
         let mut seq = TransformProtocol::new(view_def(), 1, budget, None);
         let mut seq_delta: Vec<PlainRecord> = Vec::new();
         for s in &steps {
@@ -108,7 +108,7 @@ proptest! {
         }
 
         // Batched: the same steps in random chunks (flush interleavings).
-        let mut ctx_bat = TwoPartyContext::new(seed ^ 1, CostModel::default());
+        let mut ctx_bat = PartyContext::new(PartyMode::InProcess, seed ^ 1, CostModel::default());
         let mut bat = TransformProtocol::new(view_def(), 1, budget, None)
             .with_join_plan(JoinPlanMode::Adaptive);
         let mut bat_delta: Vec<PlainRecord> = Vec::new();
@@ -177,7 +177,7 @@ impl ReferenceTransform {
 
     fn invoke(
         &mut self,
-        ctx: &mut TwoPartyContext,
+        ctx: &mut PartyContext,
         step: &StepInputs,
     ) -> (Vec<PlainRecord>, usize, CostReport) {
         if !self.initialized {
@@ -229,7 +229,7 @@ impl ReferenceTransform {
         };
         let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
         let bound = omega as usize;
-        let gap = |ctx: &mut TwoPartyContext, outer: usize, full: usize, scanned: usize| {
+        let gap = |ctx: &mut PartyContext, outer: usize, full: usize, scanned: usize| {
             let skipped = full.saturating_sub(scanned) as u64;
             ctx.meter().compares(outer as u64 * skipped);
             ctx.meter().ands(2 * outer as u64 * skipped);
@@ -309,8 +309,8 @@ proptest! {
                 .map(|rows| PublicRelation::from_rows(rows.iter().map(Vec::as_slice))),
         );
         let mut reference = ReferenceTransform::new(view_def(), omega, budget, public);
-        let mut ctx = TwoPartyContext::new(seed, CostModel::default());
-        let mut ctx_ref = TwoPartyContext::new(seed, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
+        let mut ctx_ref = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         for step in &steps {
             let out = transform.invoke(
                 &mut ctx,

@@ -55,11 +55,11 @@ pub fn joint_noised_size(
 mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
-    use incshrink_mpc::TwoPartyContext;
+    use incshrink_mpc::{PartyContext, PartyMode};
 
     #[test]
     fn joint_noise_has_zero_mean_and_expected_spread() {
-        let mut ctx = TwoPartyContext::new(99, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 99, CostModel::default());
         let n = 20_000;
         let scale = 4.0; // sensitivity 2, epsilon 0.5
         let samples: Vec<f64> = (0..n)
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn joint_noise_is_charged_to_the_meter() {
-        let mut ctx = TwoPartyContext::new(3, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 3, CostModel::default());
         let _ = joint_laplace_noise(&mut ctx, 1.0, 1.0, 10.0);
         let (report, duration) = ctx.charge();
         assert!(report.bytes_communicated > 0);
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn joint_noised_size_clamps_and_rounds() {
-        let mut ctx = TwoPartyContext::new(5, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 5, CostModel::default());
         let mut zeros = 0;
         let mut larger = 0;
         for _ in 0..300 {
@@ -101,8 +101,8 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_noise_streams() {
-        let mut a = TwoPartyContext::new(1, CostModel::default());
-        let mut b = TwoPartyContext::new(2, CostModel::default());
+        let mut a = PartyContext::new(PartyMode::InProcess, 1, CostModel::default());
+        let mut b = PartyContext::new(PartyMode::InProcess, 2, CostModel::default());
         let xa: Vec<f64> = (0..8)
             .map(|_| joint_laplace_noise(&mut a, 1.0, 1.0, 0.0))
             .collect();
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
     fn invalid_epsilon_panics() {
-        let mut ctx = TwoPartyContext::new(1, CostModel::default());
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 1, CostModel::default());
         let _ = joint_laplace_noise(&mut ctx, 1.0, 0.0, 0.0);
     }
 }

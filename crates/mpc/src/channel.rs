@@ -1,124 +1,92 @@
-//! Message-passing party transport: the two servers as independent actors.
+//! The party-to-party link: one server's half of the three joint operations.
 //!
-//! [`TwoPartyContext`](crate::TwoPartyContext) executes both parties inside one
-//! struct — faithful accounting, but physically a single thread of control. This
-//! module splits the pair into two [`PartyEndpoint`]s connected by a pluggable
-//! [`PartyTransport`] — `std::sync::mpsc` channels ([`endpoint_pair`]) or a real
-//! loopback TCP socket ([`endpoint_pair_tcp`]) — so each party can run on its
-//! own OS thread and every protocol round is an actual message exchange
-//! ([`PartyMessage`]).
+//! In the actor modes each of the two servers runs on its own thread (see
+//! [`crate::exec`]) and owns one [`PartyEndpoint`]: its [`Server`] state plus a
+//! [`PartyTransport`] to the peer — `std::sync::mpsc` channels
+//! ([`endpoint_pair`]) or a real loopback TCP socket ([`endpoint_pair_tcp`]).
+//! Every joint operation is an actual [`PartyMessage`] exchange: each side
+//! sends before it receives, so the two threads never deadlock. The module is
+//! crate-private; the only way in is [`PartyContext`](crate::PartyContext).
 //!
 //! # Wire format (TCP transport)
 //!
 //! Each message is framed as a 4-byte little-endian payload length followed by
-//! the payload: one tag byte plus the message body in little-endian words. The
-//! codec is laid out so that for every *metered* message kind the body size
-//! equals the metered byte charge exactly — a [`PartyMessage::RandContribution`]
-//! body is 12 bytes (the metered `4 + 8`), a [`PartyMessage::ReshareMask`] body
-//! is 4, a [`PartyMessage::ShareBatch`] body is `4·len` (the word count derives
-//! from the frame length; an empty batch is a legal 1-byte frame). That makes
-//! the bytes-on-the-wire vs [`CostReport`] reconciliation an exact identity:
-//! per endpoint, `wire_bytes_sent == 5·messages_sent + metered_bytes` over the
-//! hot-path operations (5 = frame header + tag). [`PartyMessage::MaskedCompare`]
-//! / [`PartyMessage::MaskedAdd`] ship 8-byte bodies that are deliberately *not*
-//! metered as bytes — their communication rides inside the per-gate cost, as
-//! documented under *Accounting parity* below.
+//! the payload: one tag byte plus the message body in little-endian words — a
+//! [`PartyMessage::RandContribution`] body is 12 bytes, a
+//! [`PartyMessage::ReshareMask`] body is 4, a [`PartyMessage::ShareBatch`] body
+//! is `4·len` (the word count derives from the frame length; an empty batch —
+//! "value absent" — is a legal 1-byte payload). The body is exactly this
+//! party's half of what the driver's meter prices for the operation, so
+//! per endpoint `wire_bytes_sent == 5·messages_sent + metered channel bytes / 2`
+//! (5 = frame header + tag) — the identity the driver asserts at every charge
+//! of a tcp-mode run.
 //!
-//! # Accounting parity
+//! # What the endpoint does not do
 //!
-//! The non-negotiable contract is that the *combined* cost of an endpoint pair
-//! equals the shared-context cost, operation for operation:
-//!
-//! * **Bytes** are metered as bytes *sent* per endpoint; the pair's total is the
-//!   sum ([`combined_report`]). `joint_randomness` sends a 4-byte word and an
-//!   8-byte word from each side → 24 bytes total, exactly the shared context's
-//!   `4 + 4 + 8 + 8`. A reshare sends one 4-byte mask per side → 8 bytes; a
-//!   one-word share exchange likewise.
-//! * **Rounds and gates** describe the *joint* protocol, so both endpoints meter
-//!   the same count and [`combined_report`] asserts they agree and keeps one
-//!   side's value (not the sum — two parties evaluating one gate is still one
-//!   gate).
-//! * **Compares and adds** charge the gate count only, with no explicit byte
-//!   traffic — the in-process kernels fold the garbled-circuit communication
-//!   into `secs_per_compare`/`secs_per_add`, and the endpoint path must not
-//!   double-charge it. The masked-wire messages exchanged here are the
-//!   simulated stand-in for labels that ride inside that per-gate cost.
-//! * **Randomness draws** happen on each party's own [`Server`] rng in the same
-//!   order as the shared context (`S0`'s word before `S1`'s), so the XOR-combined
-//!   outputs are bit-identical to `TwoPartyContext` with the same seed.
+//! Endpoints meter nothing: the bytes and rounds of a joint operation are
+//! charged once, on the driver's meter, in every mode. An endpoint only counts
+//! what it really wrote to the link ([`WireCounters`]). Randomness draws happen
+//! on each party's own [`Server`] rng in the order of the in-process context
+//! (word before word64), so the XOR-combined outputs are bit-identical to it.
 //!
 //! # Failure semantics
 //!
-//! Every operation that touches the channel returns `Result<_, ChannelError>`:
-//! when the peer endpoint is dropped (its thread panicked or exited), `send`
-//! and `recv` both fail immediately with [`ChannelError::Disconnected`] instead
-//! of hanging — the regression tests assert a clean error, never a deadlock.
+//! Every operation returns `Result<_, ChannelError>`, never panics on what the
+//! peer sent and never hangs on a dead peer: a dropped peer endpoint (its thread
+//! exited or panicked) is [`ChannelError::Disconnected`], bytes that do not
+//! decode to the expected message are [`ChannelError::Malformed`], any other
+//! socket failure is [`ChannelError::Io`]. The party thread exits on any of
+//! them and the driver surfaces that as
+//! [`PARTY_CRASH_MESSAGE`](crate::PARTY_CRASH_MESSAGE).
 
-use crate::cost::{CostMeter, CostReport};
-use crate::party::Server;
+use crate::party::{Server, ServerPair};
 use crate::runtime::JointRandomness;
-use incshrink_secretshare::{PartyId, Share, SharePair};
+use incshrink_secretshare::{PartyId, SharePair};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// One protocol message between the two party actors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PartyMessage {
-    /// Joint-randomness contribution: each server's fresh uniform words.
-    RandContribution {
-        /// 32-bit contribution `z_i`.
-        word: u32,
-        /// 64-bit contribution for fixed-point seeds.
-        word64: u64,
-    },
+pub(crate) enum PartyMessage {
+    /// Joint-randomness contribution: the sender's fresh uniform words.
+    RandContribution { word: u32, word64: u64 },
     /// A reshare round: the sender's fresh mask word `z_i`.
-    ReshareMask {
-        /// The mask contribution.
-        mask: u32,
-    },
-    /// A batch of share words (share exchange / named-value recovery). An empty
-    /// batch signals "value not present" during recovery.
-    ShareBatch {
-        /// The sender's share words, in position order.
-        words: Vec<u32>,
-    },
-    /// Masked compare wires: the sender's shares of both operands.
-    MaskedCompare {
-        /// Sender's share of the left operand.
-        a: u32,
-        /// Sender's share of the right operand.
-        b: u32,
-    },
-    /// Masked add wires: the sender's shares of both summands.
-    MaskedAdd {
-        /// Sender's share of the left summand.
-        a: u32,
-        /// Sender's share of the right summand.
-        b: u32,
-    },
+    ReshareMask { mask: u32 },
+    /// The sender's share words for a named-value recovery; an empty batch
+    /// signals "value not present".
+    ShareBatch { words: Vec<u32> },
 }
 
-/// Channel-transport failure.
+/// Party-link failure. Any of these ends the party thread that hit it, which
+/// the protocol driver reports as [`PARTY_CRASH_MESSAGE`](crate::PARTY_CRASH_MESSAGE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelError {
     /// The peer endpoint was dropped (its thread exited or panicked); the
     /// protocol cannot make progress.
     Disconnected,
+    /// The peer sent bytes that do not decode to the message the protocol
+    /// expects at this point (bad frame length, unknown tag, wrong body size,
+    /// wrong message kind).
+    Malformed,
+    /// The socket failed in a way other than a closed connection.
+    Io(std::io::ErrorKind),
 }
 
 impl std::fmt::Display for ChannelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Disconnected => write!(f, "peer party endpoint disconnected"),
+            Self::Malformed => write!(f, "peer party endpoint sent a malformed message"),
+            Self::Io(kind) => write!(f, "party socket I/O failed: {kind:?}"),
         }
     }
 }
 
 impl std::error::Error for ChannelError {}
 
-/// Result alias for channel-transport operations.
-pub type ChannelResult<T> = Result<T, ChannelError>;
+/// Result alias for party-link operations.
+pub(crate) type ChannelResult<T> = Result<T, ChannelError>;
 
 /// Message tags of the length-prefixed TCP codec (one byte after the frame
 /// header). Kept in a tiny private namespace so encode/decode can't drift.
@@ -126,140 +94,95 @@ mod tag {
     pub const RAND: u8 = 0;
     pub const RESHARE: u8 = 1;
     pub const SHARE_BATCH: u8 = 2;
-    pub const COMPARE: u8 = 3;
-    pub const ADD: u8 = 4;
 }
 
 /// Bytes of the TCP frame header plus tag byte — the per-message wire overhead
-/// on top of the (metered) message body.
-pub const WIRE_FRAME_OVERHEAD: u64 = 5;
+/// on top of the message body.
+pub(crate) const WIRE_FRAME_OVERHEAD: u64 = 5;
+
+/// Largest payload (tag + body) a frame header may announce.
+const MAX_FRAME_PAYLOAD: usize = 1 << 24;
 
 fn encode_frame(msg: &PartyMessage) -> Vec<u8> {
-    let (tag, body): (u8, Vec<u8>) = match msg {
+    let mut frame = vec![0u8; 4];
+    match msg {
         PartyMessage::RandContribution { word, word64 } => {
-            let mut b = Vec::with_capacity(12);
-            b.extend_from_slice(&word.to_le_bytes());
-            b.extend_from_slice(&word64.to_le_bytes());
-            (tag::RAND, b)
+            frame.push(tag::RAND);
+            frame.extend_from_slice(&word.to_le_bytes());
+            frame.extend_from_slice(&word64.to_le_bytes());
         }
-        PartyMessage::ReshareMask { mask } => (tag::RESHARE, mask.to_le_bytes().to_vec()),
+        PartyMessage::ReshareMask { mask } => {
+            frame.push(tag::RESHARE);
+            frame.extend_from_slice(&mask.to_le_bytes());
+        }
         PartyMessage::ShareBatch { words } => {
-            let mut b = Vec::with_capacity(4 * words.len());
+            frame.push(tag::SHARE_BATCH);
             for w in words {
-                b.extend_from_slice(&w.to_le_bytes());
+                frame.extend_from_slice(&w.to_le_bytes());
             }
-            (tag::SHARE_BATCH, b)
         }
-        PartyMessage::MaskedCompare { a, b } => {
-            let mut body = Vec::with_capacity(8);
-            body.extend_from_slice(&a.to_le_bytes());
-            body.extend_from_slice(&b.to_le_bytes());
-            (tag::COMPARE, body)
-        }
-        PartyMessage::MaskedAdd { a, b } => {
-            let mut body = Vec::with_capacity(8);
-            body.extend_from_slice(&a.to_le_bytes());
-            body.extend_from_slice(&b.to_le_bytes());
-            (tag::ADD, body)
-        }
-    };
-    let payload_len = (body.len() + 1) as u32;
-    let mut frame = Vec::with_capacity(4 + payload_len as usize);
-    frame.extend_from_slice(&payload_len.to_le_bytes());
-    frame.push(tag);
-    frame.extend_from_slice(&body);
+    }
+    let payload_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
     frame
 }
 
-fn u32_at(body: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(body[offset..offset + 4].try_into().expect("4-byte slice"))
-}
-
-fn decode_frame(tag: u8, body: &[u8]) -> PartyMessage {
-    match tag {
-        tag::RAND => {
-            assert_eq!(body.len(), 12, "RandContribution body is 4 + 8 bytes");
-            PartyMessage::RandContribution {
-                word: u32_at(body, 0),
-                word64: u64::from_le_bytes(body[4..12].try_into().expect("8-byte slice")),
-            }
-        }
-        tag::RESHARE => {
-            assert_eq!(body.len(), 4, "ReshareMask body is one word");
-            PartyMessage::ReshareMask {
-                mask: u32_at(body, 0),
-            }
-        }
-        tag::SHARE_BATCH => {
-            assert_eq!(body.len() % 4, 0, "ShareBatch body is whole words");
-            PartyMessage::ShareBatch {
-                words: (0..body.len() / 4).map(|i| u32_at(body, 4 * i)).collect(),
-            }
-        }
-        tag::COMPARE => {
-            assert_eq!(body.len(), 8, "MaskedCompare body is two words");
-            PartyMessage::MaskedCompare {
-                a: u32_at(body, 0),
-                b: u32_at(body, 4),
-            }
-        }
-        tag::ADD => {
-            assert_eq!(body.len(), 8, "MaskedAdd body is two words");
-            PartyMessage::MaskedAdd {
-                a: u32_at(body, 0),
-                b: u32_at(body, 4),
-            }
-        }
-        other => panic!("protocol desync: unknown wire tag {other}"),
+/// Decode one frame payload (tag byte + body). Everything here is
+/// peer-supplied, so every mismatch is an error value, never a panic.
+fn decode_frame(payload: &[u8]) -> ChannelResult<PartyMessage> {
+    let (&tag, body) = payload.split_first().ok_or(ChannelError::Malformed)?;
+    let word = |chunk: &[u8]| u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+    match (tag, body.len()) {
+        (tag::RAND, 12) => Ok(PartyMessage::RandContribution {
+            word: word(&body[..4]),
+            word64: u64::from_le_bytes(body[4..].try_into().expect("8-byte tail")),
+        }),
+        (tag::RESHARE, 4) => Ok(PartyMessage::ReshareMask { mask: word(body) }),
+        (tag::SHARE_BATCH, len) if len % 4 == 0 => Ok(PartyMessage::ShareBatch {
+            words: body.chunks_exact(4).map(word).collect(),
+        }),
+        _ => Err(ChannelError::Malformed),
     }
 }
 
-/// Map a socket error to the transport failure semantics: a peer that closed
-/// the connection (its thread exited or panicked) is [`ChannelError::Disconnected`],
-/// exactly like a dropped mpsc endpoint.
-fn io_to_channel(err: &std::io::Error) -> ChannelError {
+/// Map a socket error to the link's failure semantics: a peer that closed the
+/// connection (its thread exited or panicked) is [`ChannelError::Disconnected`],
+/// exactly like a dropped mpsc endpoint; anything else is [`ChannelError::Io`].
+fn io_to_channel(err: std::io::Error) -> ChannelError {
     match err.kind() {
         std::io::ErrorKind::UnexpectedEof
         | std::io::ErrorKind::BrokenPipe
         | std::io::ErrorKind::ConnectionReset
         | std::io::ErrorKind::ConnectionAborted => ChannelError::Disconnected,
-        other => panic!("party socket I/O failed unrecoverably: {other:?} ({err})"),
+        other => ChannelError::Io(other),
     }
 }
 
-/// The physical link between two [`PartyEndpoint`]s: in-memory channels or a
-/// real loopback TCP socket speaking the length-prefixed [`PartyMessage`] codec.
+/// The physical link between two [`PartyEndpoint`]s.
 #[derive(Debug)]
-pub enum PartyTransport {
+enum PartyTransport {
     /// `std::sync::mpsc` pair — messages move as Rust values, no serialization.
     Mpsc {
-        /// Sender towards the peer endpoint.
         peer: Sender<PartyMessage>,
-        /// This endpoint's inbox.
         inbox: Receiver<PartyMessage>,
     },
-    /// A connected TCP stream (loopback in tests/benches, but nothing in the
-    /// codec assumes it): every message is serialized, framed and actually
-    /// written to the socket.
-    Tcp {
-        /// The connected stream (Nagle disabled — every round is latency-bound).
-        stream: TcpStream,
-    },
+    /// A connected TCP stream (Nagle disabled — every round is latency-bound):
+    /// every message is serialized, framed and actually written to the socket.
+    Tcp { stream: TcpStream },
 }
 
 impl PartyTransport {
-    fn send(&mut self, msg: &PartyMessage) -> ChannelResult<u64> {
+    /// Send one message; returns the bytes actually written to the link.
+    fn send(&mut self, msg: PartyMessage) -> ChannelResult<u64> {
         match self {
             PartyTransport::Mpsc { peer, .. } => peer
-                .send(msg.clone())
+                .send(msg)
                 .map(|()| 0)
                 .map_err(|_| ChannelError::Disconnected),
             PartyTransport::Tcp { stream } => {
-                let frame = encode_frame(msg);
-                stream
-                    .write_all(&frame)
-                    .map_err(|e| io_to_channel(&e))
-                    .map(|()| frame.len() as u64)
+                let frame = encode_frame(&msg);
+                stream.write_all(&frame).map_err(io_to_channel)?;
+                Ok(frame.len() as u64)
             }
         }
     }
@@ -271,198 +194,131 @@ impl PartyTransport {
             }
             PartyTransport::Tcp { stream } => {
                 let mut header = [0u8; 4];
-                stream
-                    .read_exact(&mut header)
-                    .map_err(|e| io_to_channel(&e))?;
+                stream.read_exact(&mut header).map_err(io_to_channel)?;
                 let payload_len = u32::from_le_bytes(header) as usize;
-                assert!(
-                    (1..=(1 << 24)).contains(&payload_len),
-                    "protocol desync: implausible frame length {payload_len}"
-                );
+                if !(1..=MAX_FRAME_PAYLOAD).contains(&payload_len) {
+                    return Err(ChannelError::Malformed);
+                }
                 let mut payload = vec![0u8; payload_len];
-                stream
-                    .read_exact(&mut payload)
-                    .map_err(|e| io_to_channel(&e))?;
-                Ok(decode_frame(payload[0], &payload[1..]))
+                stream.read_exact(&mut payload).map_err(io_to_channel)?;
+                decode_frame(&payload)
             }
         }
     }
 }
 
-/// One party of a two-party protocol, running over a message channel.
-///
-/// Built in pairs by [`endpoint_pair`]; the two endpoints are symmetric and
-/// every operation must be called on *both*, from two threads of control (each
-/// side sends before it receives, so concurrent calls never deadlock — but a
-/// single thread driving both endpoints sequentially would block on the first
-/// `recv`, which is the point: these are real message-passing actors).
+/// What one endpoint really put on the link — the measured side of the tcp
+/// reconciliation. Bytes are 0 over mpsc (messages move as values) and full
+/// frame bytes over TCP; the message count is transport-independent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WireCounters {
+    pub bytes_sent: u64,
+    pub messages_sent: u64,
+}
+
+/// One of the two servers, running its half of each joint operation over a
+/// link to the other. The two endpoints of a pair are symmetric and every
+/// operation must be called on *both*, from two threads of control.
 #[derive(Debug)]
-pub struct PartyEndpoint {
+pub(crate) struct PartyEndpoint {
     server: Server,
     transport: PartyTransport,
-    meter: CostMeter,
-    /// Actual bytes written to the link by this endpoint (0 on mpsc, where
-    /// messages move as values; frame bytes on TCP).
-    wire_bytes_sent: u64,
-    /// Messages sent by this endpoint, transport-independent.
-    messages_sent: u64,
+    wire: WireCounters,
 }
 
-fn endpoint_with(id: PartyId, seed: u64, transport: PartyTransport) -> PartyEndpoint {
-    let seed = match id {
-        PartyId::S0 => seed,
-        PartyId::S1 => seed.wrapping_add(0x5151_5151),
-    };
-    PartyEndpoint {
-        server: Server::new(id, seed),
+/// Seeds follow [`ServerPair::new`], so a pair of endpoints replays the rng
+/// streams of the in-process context bit for bit.
+fn endpoints(seed: u64, link0: PartyTransport, link1: PartyTransport) -> [PartyEndpoint; 2] {
+    let ServerPair { s0, s1 } = ServerPair::new(seed);
+    [(s0, link0), (s1, link1)].map(|(server, transport)| PartyEndpoint {
+        server,
         transport,
-        meter: CostMeter::new(),
-        wire_bytes_sent: 0,
-        messages_sent: 0,
-    }
+        wire: WireCounters::default(),
+    })
 }
 
-/// Create a connected pair of party endpoints from a master seed, linked by
-/// in-memory `std::sync::mpsc` channels.
-///
-/// Seeds follow `ServerPair::new(seed)` exactly (`S1` at
-/// `seed.wrapping_add(0x5151_5151)`), so an endpoint pair replays the rng
-/// streams of `TwoPartyContext::with_seed(seed)` bit for bit.
-#[must_use]
-pub fn endpoint_pair(seed: u64) -> (PartyEndpoint, PartyEndpoint) {
+/// A connected pair of party endpoints (`S0`, `S1`) linked by in-memory
+/// `std::sync::mpsc` channels.
+pub(crate) fn endpoint_pair(seed: u64) -> [PartyEndpoint; 2] {
     let (to_s1, from_s0) = channel();
     let (to_s0, from_s1) = channel();
-    (
-        endpoint_with(
-            PartyId::S0,
-            seed,
-            PartyTransport::Mpsc {
-                peer: to_s1,
-                inbox: from_s1,
-            },
-        ),
-        endpoint_with(
-            PartyId::S1,
-            seed,
-            PartyTransport::Mpsc {
-                peer: to_s0,
-                inbox: from_s0,
-            },
-        ),
+    endpoints(
+        seed,
+        PartyTransport::Mpsc {
+            peer: to_s1,
+            inbox: from_s1,
+        },
+        PartyTransport::Mpsc {
+            peer: to_s0,
+            inbox: from_s0,
+        },
     )
 }
 
-/// Create a connected pair of party endpoints linked by a real loopback TCP
-/// socket speaking the length-prefixed [`PartyMessage`] codec.
-///
-/// Identical rng seeding and accounting to [`endpoint_pair`] — the only
-/// difference is that every message is serialized and actually written to a
-/// socket, so [`PartyEndpoint::wire_bytes_sent`] counts real bytes that can be
-/// reconciled against the metered charge. Nagle's algorithm is disabled on both
-/// streams; every protocol round is latency-bound and must flush immediately.
-///
-/// # Errors
-/// Propagates socket setup failures (bind / connect / accept on `127.0.0.1:0`).
-pub fn endpoint_pair_tcp(seed: u64) -> std::io::Result<(PartyEndpoint, PartyEndpoint)> {
+/// A connected loopback socket pair with Nagle's algorithm disabled: every
+/// protocol round is latency-bound and must flush immediately.
+fn loopback_streams() -> std::io::Result<(TcpStream, TcpStream)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     // Single-threaded connect-then-accept is safe: the kernel's SYN queue holds
     // the pending connection until `accept` picks it up.
-    let s0_stream = TcpStream::connect(listener.local_addr()?)?;
-    let (s1_stream, _) = listener.accept()?;
-    s0_stream.set_nodelay(true)?;
-    s1_stream.set_nodelay(true)?;
-    Ok((
-        endpoint_with(PartyId::S0, seed, PartyTransport::Tcp { stream: s0_stream }),
-        endpoint_with(PartyId::S1, seed, PartyTransport::Tcp { stream: s1_stream }),
+    let near = TcpStream::connect(listener.local_addr()?)?;
+    let (far, _) = listener.accept()?;
+    near.set_nodelay(true)?;
+    far.set_nodelay(true)?;
+    Ok((near, far))
+}
+
+/// A connected pair of party endpoints linked by a real loopback TCP socket
+/// speaking the length-prefixed [`PartyMessage`] codec. Same seeding as
+/// [`endpoint_pair`]; the only difference is that every message is serialized
+/// and actually written to a socket.
+///
+/// # Errors
+/// Propagates socket setup failures (bind / connect / accept on `127.0.0.1:0`).
+pub(crate) fn endpoint_pair_tcp(seed: u64) -> std::io::Result<[PartyEndpoint; 2]> {
+    let (s0_stream, s1_stream) = loopback_streams()?;
+    Ok(endpoints(
+        seed,
+        PartyTransport::Tcp { stream: s0_stream },
+        PartyTransport::Tcp { stream: s1_stream },
     ))
 }
 
 impl PartyEndpoint {
     /// Which party this endpoint plays.
-    #[must_use]
-    pub fn id(&self) -> PartyId {
+    pub(crate) fn id(&self) -> PartyId {
         self.server.id
     }
 
-    /// Read access to the underlying server (share store, transcript).
-    #[must_use]
-    pub fn server(&self) -> &Server {
-        &self.server
-    }
-
-    /// Mutable access to the underlying server, for the party actor loop
-    /// (transcript appends, share-store maintenance).
-    pub fn server_mut(&mut self) -> &mut Server {
+    /// The underlying server, for the party actor loop's transcript appends.
+    pub(crate) fn server_mut(&mut self) -> &mut Server {
         &mut self.server
     }
 
-    /// This endpoint's accumulated cost (bytes are bytes *sent* by this side;
-    /// gates and rounds describe the joint protocol). Combine the two sides
-    /// with [`combined_report`].
-    #[must_use]
-    pub fn report(&self) -> CostReport {
-        self.meter.report()
-    }
-
-    /// Drain this endpoint's meter, returning and resetting the accumulated
-    /// cost (the per-charge analogue of [`Self::report`]).
-    pub fn take_report(&mut self) -> CostReport {
-        self.meter.take()
-    }
-
-    /// Exclusive access to this endpoint's cost meter, for operators that run
-    /// on the party thread and charge gates directly.
-    pub fn meter(&mut self) -> &mut CostMeter {
-        &mut self.meter
-    }
-
-    /// Actual bytes this endpoint wrote to the link: 0 over mpsc (messages
-    /// move as Rust values), full frame bytes over TCP. On the hot-path
-    /// operations the TCP invariant is
-    /// `wire_bytes_sent == 5·messages_sent + metered_bytes`.
-    #[must_use]
-    pub fn wire_bytes_sent(&self) -> u64 {
-        self.wire_bytes_sent
-    }
-
-    /// Messages this endpoint sent, transport-independent.
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+    /// What this endpoint has written to the link so far.
+    pub(crate) fn wire(&self) -> WireCounters {
+        self.wire
     }
 
     fn send(&mut self, msg: PartyMessage) -> ChannelResult<()> {
-        let wire = self.transport.send(&msg)?;
-        self.wire_bytes_sent += wire;
-        self.messages_sent += 1;
+        self.wire.bytes_sent += self.transport.send(msg)?;
+        self.wire.messages_sent += 1;
         Ok(())
     }
 
-    fn recv(&mut self) -> ChannelResult<PartyMessage> {
-        self.transport.recv()
-    }
-
     /// Jointly sample randomness: send this server's fresh uniform words,
-    /// receive the peer's, XOR-combine. Matches
-    /// `TwoPartyContext::joint_randomness` output and (combined) cost exactly.
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    pub fn joint_randomness(&mut self) -> ChannelResult<JointRandomness> {
+    /// receive the peer's, XOR-combine.
+    pub(crate) fn joint_randomness(&mut self) -> ChannelResult<JointRandomness> {
         let word = self.server.random_word();
         let word64 = self.server.random_word64();
         self.send(PartyMessage::RandContribution { word, word64 })?;
         let PartyMessage::RandContribution {
             word: peer_word,
             word64: peer_word64,
-        } = self.recv()?
+        } = self.transport.recv()?
         else {
-            panic!("protocol desync: expected RandContribution");
+            return Err(ChannelError::Malformed);
         };
-        // 4 + 8 bytes sent by this side; the pair sums to the shared context's
-        // 24-byte charge. One joint round.
-        self.meter.bytes(4 + 8);
-        self.meter.round();
         Ok(JointRandomness {
             word: word ^ peer_word,
             word64: word64 ^ peer_word64,
@@ -470,17 +326,12 @@ impl PartyEndpoint {
     }
 
     /// Re-share `value` inside the protocol with peer-exchanged masks and store
-    /// this party's resulting share under `name`. Matches
-    /// `TwoPartyContext::reshare_and_store` (same mask draws, same stored
-    /// words, combined 8 bytes + 1 round).
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    pub fn reshare_and_store(&mut self, name: &str, value: u32) -> ChannelResult<()> {
+    /// this party's resulting share under `name`.
+    pub(crate) fn reshare_and_store(&mut self, name: &str, value: u32) -> ChannelResult<()> {
         let own_mask = self.server.random_word();
         self.send(PartyMessage::ReshareMask { mask: own_mask })?;
-        let PartyMessage::ReshareMask { mask: peer_mask } = self.recv()? else {
-            panic!("protocol desync: expected ReshareMask");
+        let PartyMessage::ReshareMask { mask: peer_mask } = self.transport.recv()? else {
+            return Err(ChannelError::Malformed);
         };
         // `reshare_joint(value, z0, z1)` must see the masks in party order.
         let (z0, z1) = match self.id() {
@@ -489,184 +340,108 @@ impl PartyEndpoint {
         };
         let pair = SharePair::reshare_joint(value, z0, z1);
         self.server.store_share(name, pair.for_party(self.id()));
-        self.meter.bytes(4);
-        self.meter.round();
         Ok(())
     }
 
-    /// Recover a named shared value by exchanging the stored shares. Returns
-    /// `None` (charging nothing, like the shared context) when the value was
-    /// never stored.
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    ///
-    /// # Panics
-    /// Panics when exactly one side holds the share — the stores are updated in
-    /// protocol lockstep, so asymmetric presence is a driver bug, not a state
-    /// the protocol can continue from.
-    pub fn recover_named(&mut self, name: &str) -> ChannelResult<Option<u32>> {
+    /// Recover a named shared value by exchanging the stored shares; `None`
+    /// when neither party holds it. The stores are updated in protocol
+    /// lockstep, so a value present on exactly one side can only mean the peer
+    /// answered something else: [`ChannelError::Malformed`].
+    pub(crate) fn recover_named(&mut self, name: &str) -> ChannelResult<Option<u32>> {
         let own = self.server.load_share(name);
         self.send(PartyMessage::ShareBatch {
             words: own.iter().map(|s| s.word).collect(),
         })?;
-        let PartyMessage::ShareBatch { words: peer_words } = self.recv()? else {
-            panic!("protocol desync: expected ShareBatch");
+        let PartyMessage::ShareBatch { words: peer_words } = self.transport.recv()? else {
+            return Err(ChannelError::Malformed);
         };
         match (own, peer_words.first()) {
-            (Some(own), Some(&peer_word)) => {
-                self.meter.bytes(4);
-                self.meter.round();
-                Ok(Some(own.word ^ peer_word))
-            }
+            (Some(own), Some(&peer_word)) => Ok(Some(own.word ^ peer_word)),
             (None, None) => Ok(None),
-            _ => panic!("share-store desync: '{name}' present on exactly one party"),
+            _ => Err(ChannelError::Malformed),
         }
-    }
-
-    /// Exchange a batch of share words with the peer (one round, `4·len` bytes
-    /// each way), returning the peer's words.
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    pub fn exchange_shares(&mut self, words: &[u32]) -> ChannelResult<Vec<u32>> {
-        self.send(PartyMessage::ShareBatch {
-            words: words.to_vec(),
-        })?;
-        let PartyMessage::ShareBatch { words: peer_words } = self.recv()? else {
-            panic!("protocol desync: expected ShareBatch");
-        };
-        self.meter.bytes(4 * words.len() as u64);
-        self.meter.round();
-        Ok(peer_words)
-    }
-
-    /// Jointly evaluate `a < b` over one share of each operand. Charges one
-    /// secure compare and — like the in-process compare kernels — no explicit
-    /// bytes: the wire exchange rides inside the per-gate cost.
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    pub fn compare_lt(&mut self, a: Share, b: Share) -> ChannelResult<bool> {
-        debug_assert_eq!(a.holder, self.id(), "compare over this party's shares");
-        debug_assert_eq!(b.holder, self.id(), "compare over this party's shares");
-        self.send(PartyMessage::MaskedCompare {
-            a: a.word,
-            b: b.word,
-        })?;
-        let PartyMessage::MaskedCompare {
-            a: peer_a,
-            b: peer_b,
-        } = self.recv()?
-        else {
-            panic!("protocol desync: expected MaskedCompare");
-        };
-        self.meter.compares(1);
-        Ok((a.word ^ peer_a) < (b.word ^ peer_b))
-    }
-
-    /// Jointly evaluate `a + b` (wrapping) over one share of each summand,
-    /// revealing the sum inside the protocol. Charges one secure add and no
-    /// explicit bytes, mirroring the in-process add kernels.
-    ///
-    /// # Errors
-    /// [`ChannelError::Disconnected`] when the peer endpoint is gone.
-    pub fn add_reveal(&mut self, a: Share, b: Share) -> ChannelResult<u32> {
-        debug_assert_eq!(a.holder, self.id(), "add over this party's shares");
-        debug_assert_eq!(b.holder, self.id(), "add over this party's shares");
-        self.send(PartyMessage::MaskedAdd {
-            a: a.word,
-            b: b.word,
-        })?;
-        let PartyMessage::MaskedAdd {
-            a: peer_a,
-            b: peer_b,
-        } = self.recv()?
-        else {
-            panic!("protocol desync: expected MaskedAdd");
-        };
-        self.meter.adds(1);
-        Ok((a.word ^ peer_a).wrapping_add(b.word ^ peer_b))
-    }
-}
-
-/// Combine the two endpoints' cost reports into the joint protocol cost.
-///
-/// Bytes sum (each side metered what it sent); gate counts and rounds describe
-/// the joint protocol and must agree between the sides — the result carries the
-/// agreed value once, which is what makes an endpoint pair's combined report
-/// equal `TwoPartyContext`'s for the same operation sequence.
-///
-/// # Panics
-/// Panics when the two sides' gate or round counts disagree (a protocol desync).
-#[must_use]
-pub fn combined_report(a: &CostReport, b: &CostReport) -> CostReport {
-    assert_eq!(
-        (
-            a.secure_compares,
-            a.secure_swaps,
-            a.secure_ands,
-            a.secure_adds,
-            a.rounds
-        ),
-        (
-            b.secure_compares,
-            b.secure_swaps,
-            b.secure_ands,
-            b.secure_adds,
-            b.rounds
-        ),
-        "endpoint gate/round accounting desynced"
-    );
-    CostReport {
-        bytes_communicated: a.bytes_communicated + b.bytes_communicated,
-        ..*a
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostModel, PartyContext, PartyExec, PartyMode};
+
+    /// Run `f` on both endpoints of a pair, `S1` on its own thread.
+    fn on_both<R: Send>(
+        pair: &mut [PartyEndpoint; 2],
+        f: impl Fn(&mut PartyEndpoint) -> R + Sync,
+    ) -> [R; 2] {
+        let [e0, e1] = pair;
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(|| f(e1));
+            [f(e0), peer.join().expect("party-1 thread panicked")]
+        })
+    }
+
+    fn in_process(seed: u64) -> PartyContext {
+        PartyContext::new(PartyMode::InProcess, seed, CostModel::default())
+    }
 
     #[test]
     fn joint_randomness_matches_shared_context() {
-        let mut ctx = crate::TwoPartyContext::with_seed(1234);
-        let expected = ctx.joint_randomness();
-        let (mut e0, mut e1) = endpoint_pair(1234);
-        let party1 = std::thread::spawn(move || {
-            let r1 = e1.joint_randomness().unwrap();
-            (r1, e1.report())
-        });
-        let r0 = e0.joint_randomness().unwrap();
-        let (r1, report1) = party1.join().unwrap();
-        assert_eq!(r0, expected);
-        assert_eq!(r1, expected);
-        let (report, _) = ctx.charge();
-        assert_eq!(combined_report(&e0.report(), &report1), report);
+        let expected = in_process(1234).joint_randomness();
+        let got = on_both(&mut endpoint_pair(1234), |e| e.joint_randomness().unwrap());
+        assert_eq!(got, [expected, expected]);
     }
 
     #[test]
     fn reshare_then_recover_round_trips() {
-        let (mut e0, mut e1) = endpoint_pair(7);
-        let party1 = std::thread::spawn(move || {
-            e1.reshare_and_store("c", 99).unwrap();
-            let present = e1.recover_named("c").unwrap();
-            let absent = e1.recover_named("absent").unwrap();
-            (present, absent)
+        let got = on_both(&mut endpoint_pair(7), |e| {
+            e.reshare_and_store("c", 99).unwrap();
+            (
+                e.recover_named("c").unwrap(),
+                e.recover_named("absent").unwrap(),
+            )
         });
-        e0.reshare_and_store("c", 99).unwrap();
-        assert_eq!(e0.recover_named("c").unwrap(), Some(99));
-        assert_eq!(e0.recover_named("absent").unwrap(), None);
-        let (present, absent) = party1.join().unwrap();
-        assert_eq!(present, Some(99));
-        assert_eq!(absent, None);
+        assert_eq!(got, [(Some(99), None), (Some(99), None)]);
+    }
+
+    /// A dead peer must surface as `Disconnected` on *every* operation — the
+    /// regression contract for the teardown path (no operation may block on a
+    /// link whose other end is gone).
+    fn assert_dropped_peer_fails_every_operation([mut e0, e1]: [PartyEndpoint; 2]) {
+        drop(e1);
+        assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
+        assert_eq!(
+            e0.reshare_and_store("x", 1),
+            Err(ChannelError::Disconnected)
+        );
+        assert_eq!(e0.recover_named("x"), Err(ChannelError::Disconnected));
     }
 
     #[test]
     fn disconnect_is_an_error_not_a_hang() {
-        let (mut e0, e1) = endpoint_pair(3);
-        drop(e1);
-        assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
+        assert_dropped_peer_fails_every_operation(endpoint_pair(3));
+        // The error is well-formed for callers that surface it.
+        assert_eq!(
+            ChannelError::Disconnected.to_string(),
+            "peer party endpoint disconnected"
+        );
+    }
+
+    #[test]
+    fn tcp_disconnect_is_an_error_not_a_hang() {
+        assert_dropped_peer_fails_every_operation(endpoint_pair_tcp(3).unwrap());
+    }
+
+    /// The mid-protocol variant: the peer dies *between* operations it already
+    /// participated in. Completed results stay valid; the next operation fails.
+    #[test]
+    fn peer_death_mid_protocol_fails_the_next_operation() {
+        for mut pair in [endpoint_pair(44), endpoint_pair_tcp(44).unwrap()] {
+            let [first, peer_first] = on_both(&mut pair, |e| e.joint_randomness().unwrap());
+            assert_eq!(first, peer_first, "joint randomness must agree");
+            let [mut e0, e1] = pair;
+            drop(e1);
+            assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
+        }
     }
 
     #[test]
@@ -681,80 +456,85 @@ mod tests {
             PartyMessage::ShareBatch {
                 words: vec![1, u32::MAX, 7],
             },
-            PartyMessage::MaskedCompare { a: 3, b: 9 },
-            PartyMessage::MaskedAdd { a: u32::MAX, b: 1 },
         ];
         for msg in messages {
             let frame = encode_frame(&msg);
             let payload_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
             assert_eq!(payload_len, frame.len() - 4, "header matches payload");
-            assert_eq!(decode_frame(frame[4], &frame[5..]), msg, "round trip");
+            assert_eq!(decode_frame(&frame[4..]), Ok(msg), "round trip");
         }
+    }
+
+    /// Whatever the peer writes to the socket, the receiving party gets an
+    /// error value: no panic, and (the writer closes after its bytes) no hang.
+    #[test]
+    fn malformed_frames_are_errors_not_panics() {
+        let oversized = (MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes();
+        let cases: [(&str, &[u8], ChannelError); 5] = [
+            ("zero-length frame", &[0, 0, 0, 0], ChannelError::Malformed),
+            ("length > 2^24", &oversized, ChannelError::Malformed),
+            ("unknown tag", &[1, 0, 0, 0, 9], ChannelError::Malformed),
+            (
+                "11-byte RandContribution body",
+                &[12, 0, 0, 0, tag::RAND, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+                ChannelError::Malformed,
+            ),
+            (
+                "EOF mid-payload",
+                &[13, 0, 0, 0, tag::RAND, 1, 2, 3],
+                ChannelError::Disconnected,
+            ),
+        ];
+        for (label, bytes, expected) in cases {
+            let (mut peer, stream) = loopback_streams().unwrap();
+            peer.write_all(bytes).unwrap();
+            drop(peer);
+            let mut transport = PartyTransport::Tcp { stream };
+            assert_eq!(transport.recv(), Err(expected), "{label}");
+        }
+        // A well-formed message of the wrong kind is malformed *for the
+        // operation* that receives it.
+        let [mut e0, mut e1] = endpoint_pair_tcp(5).unwrap();
+        e1.send(PartyMessage::ReshareMask { mask: 1 }).unwrap();
+        assert_eq!(e0.joint_randomness(), Err(ChannelError::Malformed));
     }
 
     /// Drive the same operation sequence over mpsc and TCP endpoints and the
-    /// shared context: outputs, stored shares and combined cost must be
-    /// bit-for-bit identical across all three.
+    /// in-process context: outputs agree bit for bit, and each TCP endpoint's
+    /// socket bytes are frame overhead plus its half of the metered bytes.
     #[test]
     fn tcp_pair_replays_mpsc_pair_and_shared_context() {
-        fn drive(mut e: PartyEndpoint) -> (JointRandomness, Option<u32>, CostReport, u64, u64) {
-            let r = e.joint_randomness().unwrap();
-            e.reshare_and_store("c", 1234).unwrap();
-            let recovered = e.recover_named("c").unwrap();
-            let _peer = e.exchange_shares(&[5, 6, 7]).unwrap();
-            (
-                r,
-                recovered,
-                e.report(),
-                e.wire_bytes_sent(),
-                e.messages_sent(),
-            )
-        }
-        let mut ctx = crate::TwoPartyContext::with_seed(0xC0DE);
-        let expected_rand = ctx.joint_randomness();
-        ctx.reshare_and_store("c", 1234);
-        let expected_recovered = ctx.recover_named("c");
-        // The shared-context stand-in for `exchange_shares(&[_; 3])`: both
-        // sides send 3 words in one joint round.
-        ctx.meter().bytes(2 * 4 * 3);
-        ctx.meter().round();
-        let (expected_report, _) = ctx.charge();
+        let mut ctx = in_process(0xC0DE);
+        let expected = (
+            ctx.joint_randomness(),
+            {
+                ctx.reshare_and_store("c", 1234);
+                ctx.recover_named("c")
+            },
+            ctx.recover_named("absent"),
+        );
+        let (report, _) = ctx.charge();
+        assert_eq!(report.rounds, 3, "the absent recovery is not a round");
 
-        for (label, (e0, e1)) in [
-            ("mpsc", endpoint_pair(0xC0DE)),
-            ("tcp", endpoint_pair_tcp(0xC0DE).unwrap()),
+        for (tcp, mut pair) in [
+            (false, endpoint_pair(0xC0DE)),
+            (true, endpoint_pair_tcp(0xC0DE).unwrap()),
         ] {
-            let party1 = std::thread::spawn(move || drive(e1));
-            let (r0, rec0, report0, wire0, msgs0) = drive(e0);
-            let (r1, rec1, report1, wire1, msgs1) = party1.join().unwrap();
-            assert_eq!(r0, expected_rand, "{label}: S0 randomness");
-            assert_eq!(r1, expected_rand, "{label}: S1 randomness");
-            assert_eq!(rec0, expected_recovered, "{label}: S0 recovery");
-            assert_eq!(rec1, expected_recovered, "{label}: S1 recovery");
-            assert_eq!(
-                combined_report(&report0, &report1),
-                expected_report,
-                "{label}: combined cost"
-            );
-            for (wire, msgs, report) in [(wire0, msgs0, &report0), (wire1, msgs1, &report1)] {
-                assert_eq!(msgs, 4, "{label}: one message per op per side");
-                if label == "mpsc" {
-                    assert_eq!(wire, 0, "mpsc moves values, not bytes");
-                } else {
-                    assert_eq!(
-                        wire,
-                        WIRE_FRAME_OVERHEAD * msgs + report.bytes_communicated,
-                        "tcp: wire bytes reconcile with metered bytes"
-                    );
-                }
+            let got = on_both(&mut pair, |e| {
+                let joint = e.joint_randomness().unwrap();
+                e.reshare_and_store("c", 1234).unwrap();
+                let present = e.recover_named("c").unwrap();
+                (
+                    (joint, present, e.recover_named("absent").unwrap()),
+                    e.wire(),
+                )
+            });
+            for (values, wire) in got {
+                assert_eq!(values, expected, "tcp = {tcp}");
+                assert_eq!(wire.messages_sent, 4, "one message per op per side");
+                let priced = WIRE_FRAME_OVERHEAD * 4 + report.bytes_communicated / 2;
+                assert_eq!(wire.bytes_sent, if tcp { priced } else { 0 }, "tcp = {tcp}");
             }
         }
-    }
-
-    #[test]
-    fn tcp_disconnect_is_an_error_not_a_hang() {
-        let (mut e0, e1) = endpoint_pair_tcp(3).unwrap();
-        drop(e1);
-        assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
     }
 }

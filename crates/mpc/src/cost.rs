@@ -4,7 +4,8 @@
 //! the bytes shipped between the parties. Every oblivious operator in this repository
 //! reports how many *secure comparisons*, *conditional swaps*, *secure ANDs* and bytes
 //! it consumed; [`CostModel`] converts those counts into a [`SimDuration`] using
-//! per-operation constants calibrated against the paper's Table 2 (see DESIGN.md §5).
+//! per-operation constants calibrated against the paper's Table 2 (see
+//! `docs/ARCHITECTURE.md` § "Share flow" and the `table2` row of § "Experiment binaries").
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};

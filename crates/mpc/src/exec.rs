@@ -1,41 +1,26 @@
-//! The party execution layer: *who runs the two servers* as a pluggable axis.
+//! The party execution layer: *who hosts the two servers*.
 //!
 //! Every protocol round in the Transform/Shrink hot path goes through the
-//! [`PartyExec`] trait, which has exactly three implementations:
+//! [`PartyExec`] trait, whose one implementor is
+//! [`PartyContext`](crate::PartyContext). A [`PartyMode`] picks where that
+//! context keeps the two servers:
 //!
-//! * [`TwoPartyContext`] — **in-process**: both parties inside one struct, the
-//!   zero-overhead default and the accounting reference;
-//! * [`ActorPartyExec`] over mpsc — **actor**: two OS threads per pipeline,
-//!   each owning one [`PartyEndpoint`] + `Server`, exchanging
-//!   [`PartyMessage`](crate::PartyMessage)s over `std::sync::mpsc`;
-//! * [`ActorPartyExec`] over TCP — **tcp**: the same actor pair over a real
-//!   loopback socket with the length-prefixed codec, so
-//!   [`NetworkConfig`](crate::NetworkConfig) describes a link that exists and
-//!   actual socket bytes can be reconciled against metered bytes.
+//! * **inprocess** — both inside the context struct, the zero-overhead default;
+//! * **actor** — two OS threads per context, each owning one server and
+//!   exchanging messages with the other over `std::sync::mpsc`;
+//! * **tcp** — the same actor pair over a real loopback socket with the
+//!   length-prefixed codec, so actual socket bytes can be reconciled against
+//!   metered bytes.
 //!
-//! The non-negotiable contract: all three modes produce bit-for-bit identical
-//! protocol outputs, cost reports, telemetry observables and ε-ledgers for the
-//! same seed and workload. The modes differ only in *measured host time* (and,
-//! for tcp, in real bytes hitting a socket). This holds because:
-//!
-//! * rng draws happen on each party's own `Server` in the same order in every
-//!   mode (see the channel module's *Accounting parity* notes);
-//! * the driver meters operator gates on its own meter while the parties meter
-//!   only channel bytes/rounds, and [`charge`](PartyExec::charge) sums the two
-//!   — exactly the single-meter total of the in-process context;
-//! * the `party_bytes` observable is derived from the *metered* channel
-//!   charges, not the transport, so the canonical trace is mode-invariant.
-//!
-//! The trait is sealed: the equality contract is proven for these three
-//! implementations and external ones could silently break it.
+//! This module holds the mode, the trait, and the actor host: the party thread
+//! loop and the driver's handle to it. The trait is sealed: the mode-equality
+//! contract (see [`crate::runtime`]) is proven for the one context and external
+//! implementations could silently break it.
 
-use crate::channel::{
-    combined_report, endpoint_pair, endpoint_pair_tcp, ChannelError, PartyEndpoint,
-    WIRE_FRAME_OVERHEAD,
-};
-use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
-use crate::party::{mirror_to_telemetry, ObservedEvent};
-use crate::runtime::{emit_party_bytes, JointRandomness, TwoPartyContext};
+use crate::channel::{PartyEndpoint, WireCounters};
+use crate::cost::{CostMeter, CostReport, SimDuration};
+use crate::party::ObservedEvent;
+use crate::runtime::JointRandomness;
 use incshrink_secretshare::PartyId;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -46,12 +31,12 @@ use std::thread::JoinHandle;
 /// same teardown path, and tests grep for this prefix.
 pub const PARTY_CRASH_MESSAGE: &str = "party thread exited mid-round";
 
-/// Which implementation of [`PartyExec`] runs the two servers.
+/// Where a [`PartyContext`](crate::PartyContext) hosts the two servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartyMode {
-    /// Both parties inside one `TwoPartyContext` — zero overhead, the default.
+    /// Both parties inside the context struct — zero overhead, the default.
     InProcess,
-    /// Two OS threads exchanging `PartyMessage`s over `std::sync::mpsc`.
+    /// Two OS threads exchanging messages over `std::sync::mpsc`.
     Actor,
     /// Two OS threads over a loopback TCP socket (length-prefixed codec).
     Tcp,
@@ -106,16 +91,13 @@ impl std::fmt::Display for PartyMode {
 }
 
 mod sealed {
-    /// Seals [`PartyExec`](super::PartyExec) to this crate's implementations.
+    /// Seals [`PartyExec`](super::PartyExec) to this crate's one context.
     pub trait Sealed {}
-    impl Sealed for crate::TwoPartyContext {}
-    impl Sealed for super::ActorPartyExec {}
-    impl Sealed for super::PartyContext {}
+    impl Sealed for crate::PartyContext {}
 }
 
 /// The protocol surface the Transform/Shrink hot path needs from whoever runs
-/// the two parties. Sealed — see the module docs for the equality contract the
-/// three implementations uphold.
+/// the two parties. Sealed — see the module docs.
 pub trait PartyExec: sealed::Sealed {
     /// Jointly sample randomness (each party contributes fresh uniform words,
     /// XOR-combined).
@@ -128,9 +110,13 @@ pub trait PartyExec: sealed::Sealed {
     fn recover_named(&mut self, name: &str) -> Option<u32>;
     /// The driver-side meter on which oblivious operators record their gates.
     fn meter(&mut self) -> &mut CostMeter;
-    /// Drain all accumulated cost (driver gates + party channel traffic),
-    /// convert to simulated time, advance the clock, and emit the
-    /// `party_bytes` observable for the charge window.
+    /// Drain the meter (operator gates + the bytes and rounds of the joint
+    /// operations since the previous charge), convert to simulated time,
+    /// advance the clock, and emit the `party_bytes` observable for the charge
+    /// window. Protocols call this at the end of each invocation so
+    /// per-invocation timings can be attributed to Transform / Shrink / queries.
+    /// In tcp mode it also asserts that the real socket bytes reconcile with
+    /// the metered ones.
     fn charge(&mut self) -> (CostReport, SimDuration);
     /// Current logical time step.
     fn time_step(&self) -> u64;
@@ -143,38 +129,9 @@ pub trait PartyExec: sealed::Sealed {
     fn observe_both(&mut self, event: ObservedEvent);
 }
 
-impl PartyExec for TwoPartyContext {
-    fn joint_randomness(&mut self) -> JointRandomness {
-        TwoPartyContext::joint_randomness(self)
-    }
-    fn reshare_and_store(&mut self, name: &str, value: u32) {
-        TwoPartyContext::reshare_and_store(self, name, value);
-    }
-    fn recover_named(&mut self, name: &str) -> Option<u32> {
-        TwoPartyContext::recover_named(self, name)
-    }
-    fn meter(&mut self) -> &mut CostMeter {
-        TwoPartyContext::meter(self)
-    }
-    fn charge(&mut self) -> (CostReport, SimDuration) {
-        TwoPartyContext::charge(self)
-    }
-    fn time_step(&self) -> u64 {
-        TwoPartyContext::time_step(self)
-    }
-    fn advance_time_step(&mut self) {
-        TwoPartyContext::advance_time_step(self);
-    }
-    fn elapsed(&self) -> SimDuration {
-        TwoPartyContext::elapsed(self)
-    }
-    fn observe_both(&mut self, event: ObservedEvent) {
-        self.servers.observe_both(event);
-    }
-}
-
 /// A command from the protocol driver to one party actor.
-enum PartyCommand {
+#[derive(Debug)]
+pub(crate) enum PartyCommand {
     JointRandomness,
     Reshare {
         name: String,
@@ -185,83 +142,66 @@ enum PartyCommand {
     },
     /// Fire-and-forget transcript append — no reply, no protocol round.
     Observe(ObservedEvent),
-    /// Drain the party's meter and report its wire counters.
-    TakeReport,
-    /// Injected fault: exit the actor loop immediately, mid-protocol.
-    Crash,
-    /// Clean end of simulation.
-    Shutdown,
+    /// Leave the actor loop now: the clean end of a simulation when the driver
+    /// is dropping its handle, an injected fault when it is not.
+    Exit,
 }
 
 /// One party actor's answer to a driver command.
 #[derive(Debug, PartialEq)]
-enum PartyReply {
+pub(crate) enum PartyReply {
     Randomness(JointRandomness),
     Done,
     Recovered(Option<u32>),
-    Report {
-        report: CostReport,
-        wire_bytes_sent: u64,
-        messages_sent: u64,
-    },
 }
 
-/// The party actor loop: owns one [`PartyEndpoint`], executes protocol rounds
-/// against the peer actor, answers the driver. Exits silently on peer
-/// disconnect (dropping the reply sender is the death notice the driver turns
-/// into a panic).
+/// The party actor loop: owns one [`PartyEndpoint`], executes its half of each
+/// joint operation against the peer actor, answers the driver with the result
+/// and what it has really written to the link so far. Exits silently on any
+/// link error — peer gone, malformed frame, socket failure — dropping the reply
+/// sender is the death notice the driver turns into a panic.
 fn party_main(
     mut endpoint: PartyEndpoint,
     commands: Receiver<PartyCommand>,
-    replies: Sender<PartyReply>,
+    replies: Sender<(PartyReply, WireCounters)>,
 ) {
     for command in commands {
         let reply = match command {
-            PartyCommand::JointRandomness => match endpoint.joint_randomness() {
-                Ok(r) => PartyReply::Randomness(r),
-                Err(ChannelError::Disconnected) => return,
-            },
-            PartyCommand::Reshare { name, value } => {
-                match endpoint.reshare_and_store(&name, value) {
-                    Ok(()) => PartyReply::Done,
-                    Err(ChannelError::Disconnected) => return,
-                }
+            PartyCommand::JointRandomness => {
+                endpoint.joint_randomness().map(PartyReply::Randomness)
             }
-            PartyCommand::Recover { name } => match endpoint.recover_named(&name) {
-                Ok(v) => PartyReply::Recovered(v),
-                Err(ChannelError::Disconnected) => return,
-            },
+            PartyCommand::Reshare { name, value } => endpoint
+                .reshare_and_store(&name, value)
+                .map(|()| PartyReply::Done),
+            PartyCommand::Recover { name } => {
+                endpoint.recover_named(&name).map(PartyReply::Recovered)
+            }
             PartyCommand::Observe(event) => {
                 endpoint.server_mut().observe(event);
                 continue;
             }
-            PartyCommand::TakeReport => PartyReply::Report {
-                report: endpoint.take_report(),
-                wire_bytes_sent: endpoint.wire_bytes_sent(),
-                messages_sent: endpoint.messages_sent(),
-            },
-            PartyCommand::Crash => return,
-            PartyCommand::Shutdown => return,
+            PartyCommand::Exit => return,
         };
-        if replies.send(reply).is_err() {
+        let Ok(reply) = reply else { return };
+        if replies.send((reply, endpoint.wire())).is_err() {
             return; // driver gone (it panicked or was torn down)
         }
     }
 }
 
 /// The driver's handle to one party actor thread.
-struct PartyHandle {
+#[derive(Debug)]
+pub(crate) struct PartyHandle {
     id: PartyId,
     commands: Sender<PartyCommand>,
-    replies: Receiver<PartyReply>,
+    replies: Receiver<(PartyReply, WireCounters)>,
     thread: Option<JoinHandle<()>>,
-    /// Cumulative metered channel bytes this party reported — the reference
-    /// value for the tcp wire reconciliation.
-    metered_bytes: u64,
+    /// The party's wire counters as of its latest reply.
+    wire: WireCounters,
 }
 
 impl PartyHandle {
-    fn spawn(endpoint: PartyEndpoint) -> Self {
+    pub(crate) fn spawn(endpoint: PartyEndpoint) -> Self {
         let id = endpoint.id();
         let (command_tx, command_rx) = channel();
         let (reply_tx, reply_rx) = channel();
@@ -274,337 +214,73 @@ impl PartyHandle {
             commands: command_tx,
             replies: reply_rx,
             thread: Some(thread),
-            metered_bytes: 0,
+            wire: WireCounters::default(),
         }
     }
 
-    fn send(&self, command: PartyCommand, step: u64) {
+    pub(crate) fn id(&self) -> PartyId {
+        self.id
+    }
+
+    pub(crate) fn wire(&self) -> WireCounters {
+        self.wire
+    }
+
+    pub(crate) fn send(&self, command: PartyCommand, step: u64) {
         if self.commands.send(command).is_err() {
             panic!("{PARTY_CRASH_MESSAGE} (party {:?}, step {step})", self.id);
         }
     }
 
-    fn recv(&self, step: u64) -> PartyReply {
-        self.replies
-            .recv()
-            .unwrap_or_else(|_| panic!("{PARTY_CRASH_MESSAGE} (party {:?}, step {step})", self.id))
+    fn recv(&mut self, step: u64) -> PartyReply {
+        let Ok((reply, wire)) = self.replies.recv() else {
+            panic!("{PARTY_CRASH_MESSAGE} (party {:?}, step {step})", self.id);
+        };
+        self.wire = wire;
+        reply
     }
 }
 
 impl Drop for PartyHandle {
     fn drop(&mut self) {
-        let _ = self.commands.send(PartyCommand::Shutdown);
+        let _ = self.commands.send(PartyCommand::Exit);
         if let Some(thread) = self.thread.take() {
-            // A party thread never panics on clean shutdown; if it died from a
-            // disconnect the driver has already panicked, so don't double up.
+            // A party thread never panics; if it died from a disconnect the
+            // driver has already panicked, so don't double up.
             let _ = thread.join();
         }
     }
 }
 
-/// [`PartyExec`] over two real party actor threads (mpsc or TCP transport).
+/// One protocol round: the same command to both actors, the one reply they
+/// must agree on back. The `party.send`/`party.recv` spans time the
+/// driver-side channel cost — host time only, invisible to the canonical trace.
 ///
-/// The driver keeps the cost model, clock, logical step and its own meter (on
-/// which oblivious operators record gates); the actors keep the servers, their
-/// transcripts and the channel meters. [`charge`](PartyExec::charge) drains
-/// both sides and sums them — bit-for-bit the in-process total.
-pub struct ActorPartyExec {
-    mode: PartyMode,
-    parties: [PartyHandle; 2],
-    meter: CostMeter,
-    cost_model: CostModel,
-    clock: SimDuration,
-    time_step: u64,
-    channel_bytes: u64,
-}
-
-impl std::fmt::Debug for ActorPartyExec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActorPartyExec")
-            .field("mode", &self.mode)
-            .field("time_step", &self.time_step)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ActorPartyExec {
-    /// Spawn the two party actors over the transport `mode` selects.
-    ///
-    /// # Panics
-    /// Panics when `mode` is [`PartyMode::InProcess`] (no actors to spawn) or
-    /// when the loopback socket pair cannot be set up in tcp mode.
-    #[must_use]
-    pub fn new(mode: PartyMode, seed: u64, cost_model: CostModel) -> Self {
-        let (e0, e1) = match mode {
-            PartyMode::Actor => endpoint_pair(seed),
-            PartyMode::Tcp => {
-                endpoint_pair_tcp(seed).expect("loopback socket pair for tcp party mode")
-            }
-            PartyMode::InProcess => panic!("in-process mode has no party actors to spawn"),
-        };
-        Self {
-            mode,
-            parties: [PartyHandle::spawn(e0), PartyHandle::spawn(e1)],
-            meter: CostMeter::new(),
-            cost_model,
-            clock: SimDuration::ZERO,
-            time_step: 0,
-            channel_bytes: 0,
+/// # Panics
+/// Panics with [`PARTY_CRASH_MESSAGE`] when a party thread has died, and when
+/// the two parties computed different results.
+pub(crate) fn round(
+    parties: &mut [PartyHandle; 2],
+    step: u64,
+    make: impl Fn() -> PartyCommand,
+) -> PartyReply {
+    {
+        let _send = incshrink_telemetry::span!("party.send", step = step);
+        for party in &*parties {
+            party.send(make(), step);
         }
     }
-
-    /// The transport mode the actors run over.
-    #[must_use]
-    pub fn mode(&self) -> PartyMode {
-        self.mode
-    }
-
-    /// One protocol round: the same command to both actors, both replies back.
-    /// The `party.send`/`party.recv` spans time the driver-side channel cost —
-    /// host time only, invisible to the canonical trace.
-    fn round(&mut self, make: impl Fn() -> PartyCommand) -> (PartyReply, PartyReply) {
-        let step = self.time_step;
-        {
-            let _send = incshrink_telemetry::span!("party.send", step = step);
-            for party in &self.parties {
-                party.send(make(), step);
-            }
-        }
-        let _recv = incshrink_telemetry::span!("party.recv", step = step);
-        let r0 = self.parties[0].recv(step);
-        let r1 = self.parties[1].recv(step);
-        (r0, r1)
-    }
-
-    /// Inject a fault: one party actor exits mid-protocol. The next protocol
-    /// round observes the death (`Disconnected` on the peer, a closed reply
-    /// channel on the driver) and panics with [`PARTY_CRASH_MESSAGE`].
-    pub fn inject_crash(&mut self) {
-        let step = self.time_step;
-        self.parties[1].send(PartyCommand::Crash, step);
-    }
-}
-
-impl PartyExec for ActorPartyExec {
-    fn joint_randomness(&mut self) -> JointRandomness {
-        let (r0, r1) = self.round(|| PartyCommand::JointRandomness);
-        let PartyReply::Randomness(v0) = r0 else {
-            panic!("protocol desync: expected Randomness reply");
-        };
-        assert_eq!(
-            r1,
-            PartyReply::Randomness(v0),
-            "party actors disagree on joint randomness"
-        );
-        self.channel_bytes += 4 + 4 + 8 + 8;
-        v0
-    }
-
-    fn reshare_and_store(&mut self, name: &str, value: u32) {
-        let (r0, r1) = self.round(|| PartyCommand::Reshare {
-            name: name.to_string(),
-            value,
-        });
-        assert_eq!((r0, r1), (PartyReply::Done, PartyReply::Done));
-        self.channel_bytes += 8;
-    }
-
-    fn recover_named(&mut self, name: &str) -> Option<u32> {
-        let (r0, r1) = self.round(|| PartyCommand::Recover {
-            name: name.to_string(),
-        });
-        let PartyReply::Recovered(v0) = r0 else {
-            panic!("protocol desync: expected Recovered reply");
-        };
-        assert_eq!(
-            r1,
-            PartyReply::Recovered(v0),
-            "party actors disagree on recovered value"
-        );
-        if v0.is_some() {
-            self.channel_bytes += 8;
-        }
-        v0
-    }
-
-    fn meter(&mut self) -> &mut CostMeter {
-        &mut self.meter
-    }
-
-    fn charge(&mut self) -> (CostReport, SimDuration) {
-        let driver = self.meter.take();
-        let (r0, r1) = self.round(|| PartyCommand::TakeReport);
-        let mut party_reports = [CostReport::default(), CostReport::default()];
-        for (slot, (party, reply)) in party_reports
-            .iter_mut()
-            .zip(self.parties.iter_mut().zip([r0, r1]))
-        {
-            let PartyReply::Report {
-                report,
-                wire_bytes_sent,
-                messages_sent,
-            } = reply
-            else {
-                panic!("protocol desync: expected Report reply");
-            };
-            party.metered_bytes += report.bytes_communicated;
-            match self.mode {
-                // Real sockets: every byte on the wire must be explained by
-                // frame overhead plus the metered charge — the cost model as
-                // measurement, not claim.
-                PartyMode::Tcp => assert_eq!(
-                    wire_bytes_sent,
-                    WIRE_FRAME_OVERHEAD * messages_sent + party.metered_bytes,
-                    "party {:?}: socket bytes do not reconcile with metered bytes",
-                    party.id
-                ),
-                // mpsc moves values, not bytes.
-                PartyMode::Actor => assert_eq!(wire_bytes_sent, 0),
-                PartyMode::InProcess => unreachable!("no actors in in-process mode"),
-            }
-            *slot = report;
-        }
-        let report = driver + combined_report(&party_reports[0], &party_reports[1]);
-        let duration = self.cost_model.simulate(&report);
-        self.clock += duration;
-        emit_party_bytes(std::mem::take(&mut self.channel_bytes), self.time_step);
-        (report, duration)
-    }
-
-    fn time_step(&self) -> u64 {
-        self.time_step
-    }
-
-    fn advance_time_step(&mut self) {
-        self.time_step += 1;
-    }
-
-    fn elapsed(&self) -> SimDuration {
-        self.clock
-    }
-
-    fn observe_both(&mut self, event: ObservedEvent) {
-        // Telemetry is mirrored driver-side so the event stream keeps program
-        // order relative to spans and ε entries; the actors only append to
-        // their transcripts (fire-and-forget, no protocol round).
-        mirror_to_telemetry(&event);
-        let step = self.time_step;
-        for party in &self.parties {
-            party.send(PartyCommand::Observe(event.clone()), step);
-        }
-    }
-}
-
-/// A party execution context of any [`PartyMode`] — what the core crate's
-/// `ShardPipeline` stores, dispatching every [`PartyExec`] call to the mode's
-/// implementation.
-#[derive(Debug)]
-pub enum PartyContext {
-    /// Both parties in-process (the default).
-    InProcess(TwoPartyContext),
-    /// Two party actor threads (mpsc or TCP transport).
-    Actor(ActorPartyExec),
-}
-
-impl PartyContext {
-    /// Build a context of the given mode from a master seed and cost model.
-    /// All modes replay each other bit for bit from the same seed.
-    #[must_use]
-    pub fn new(mode: PartyMode, seed: u64, cost_model: CostModel) -> Self {
-        match mode {
-            PartyMode::InProcess => PartyContext::InProcess(TwoPartyContext::new(seed, cost_model)),
-            PartyMode::Actor | PartyMode::Tcp => {
-                PartyContext::Actor(ActorPartyExec::new(mode, seed, cost_model))
-            }
-        }
-    }
-
-    /// Which mode this context runs.
-    #[must_use]
-    pub fn mode(&self) -> PartyMode {
-        match self {
-            PartyContext::InProcess(_) => PartyMode::InProcess,
-            PartyContext::Actor(a) => a.mode(),
-        }
-    }
-
-    /// Inject a party-level fault at the current step: in actor modes one
-    /// party thread exits mid-protocol and the next round panics with
-    /// [`PARTY_CRASH_MESSAGE`]; in-process, the death is immediate (there is
-    /// no thread whose absence could surface later).
-    pub fn inject_party_crash(&mut self) {
-        match self {
-            PartyContext::InProcess(ctx) => {
-                panic!(
-                    "{PARTY_CRASH_MESSAGE} (in-process, step {})",
-                    ctx.time_step()
-                )
-            }
-            PartyContext::Actor(actor) => actor.inject_crash(),
-        }
-    }
-}
-
-impl PartyExec for PartyContext {
-    fn joint_randomness(&mut self) -> JointRandomness {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::joint_randomness(c),
-            PartyContext::Actor(c) => PartyExec::joint_randomness(c),
-        }
-    }
-    fn reshare_and_store(&mut self, name: &str, value: u32) {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::reshare_and_store(c, name, value),
-            PartyContext::Actor(c) => PartyExec::reshare_and_store(c, name, value),
-        }
-    }
-    fn recover_named(&mut self, name: &str) -> Option<u32> {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::recover_named(c, name),
-            PartyContext::Actor(c) => PartyExec::recover_named(c, name),
-        }
-    }
-    fn meter(&mut self) -> &mut CostMeter {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::meter(c),
-            PartyContext::Actor(c) => PartyExec::meter(c),
-        }
-    }
-    fn charge(&mut self) -> (CostReport, SimDuration) {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::charge(c),
-            PartyContext::Actor(c) => PartyExec::charge(c),
-        }
-    }
-    fn time_step(&self) -> u64 {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::time_step(c),
-            PartyContext::Actor(c) => PartyExec::time_step(c),
-        }
-    }
-    fn advance_time_step(&mut self) {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::advance_time_step(c),
-            PartyContext::Actor(c) => PartyExec::advance_time_step(c),
-        }
-    }
-    fn elapsed(&self) -> SimDuration {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::elapsed(c),
-            PartyContext::Actor(c) => PartyExec::elapsed(c),
-        }
-    }
-    fn observe_both(&mut self, event: ObservedEvent) {
-        match self {
-            PartyContext::InProcess(c) => PartyExec::observe_both(c, event),
-            PartyContext::Actor(c) => PartyExec::observe_both(c, event),
-        }
-    }
+    let _recv = incshrink_telemetry::span!("party.recv", step = step);
+    let r0 = parties[0].recv(step);
+    let r1 = parties[1].recv(step);
+    assert_eq!(r0, r1, "party actors disagree on the round's result");
+    r0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostModel, PartyContext};
 
     /// Drive the identical protocol sequence through every mode and assert
     /// bit-for-bit equal outputs, charges and clocks.
@@ -629,7 +305,7 @@ mod tests {
 
     #[test]
     fn all_modes_replay_in_process_bit_for_bit() {
-        let mut reference = TwoPartyContext::with_seed(0x5EED);
+        let mut reference = PartyContext::new(PartyMode::InProcess, 0x5EED, CostModel::default());
         let expected = drive(&mut reference);
         for mode in [PartyMode::Actor, PartyMode::Tcp] {
             let mut ctx = PartyContext::new(mode, 0x5EED, CostModel::default());
@@ -649,23 +325,25 @@ mod tests {
 
     #[test]
     fn injected_crash_panics_with_the_crash_message() {
-        let result = std::panic::catch_unwind(|| {
-            let mut ctx = PartyContext::new(PartyMode::Actor, 9, CostModel::default());
-            ctx.inject_party_crash();
-            // The next protocol round observes the dead party.
-            for _ in 0..4 {
-                let _ = ctx.joint_randomness();
-            }
-        });
-        let payload = result.expect_err("crash must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            message.contains(PARTY_CRASH_MESSAGE),
-            "unexpected panic payload: {message}"
-        );
+        for mode in [PartyMode::Actor, PartyMode::Tcp] {
+            let result = std::panic::catch_unwind(|| {
+                let mut ctx = PartyContext::new(mode, 9, CostModel::default());
+                ctx.inject_party_crash();
+                // The next protocol round observes the dead party.
+                for _ in 0..4 {
+                    let _ = ctx.joint_randomness();
+                }
+            });
+            let payload = result.expect_err("crash must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.contains(PARTY_CRASH_MESSAGE),
+                "{mode}: unexpected panic payload: {message}"
+            );
+        }
     }
 
     #[test]

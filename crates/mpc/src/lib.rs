@@ -4,7 +4,9 @@
 //! circuits and runs them across two GCP machines. This reproduction replaces the
 //! cryptographic back end with a **share-level simulation**:
 //!
-//! * data really is XOR secret-shared between two [`party::Server`] structs,
+//! * data really is XOR secret-shared between two [`party::Server`] structs, run by
+//!   the one [`PartyContext`] — inside it, or on two actor threads linked by mpsc
+//!   channels or a loopback socket ([`PartyMode`]),
 //! * every oblivious operation executes over the shares and is *metered* — the number
 //!   of secure comparisons, conditional swaps, secure ANDs and bytes exchanged is
 //!   recorded in a [`cost::CostReport`], and
@@ -12,30 +14,26 @@
 //!   seconds so end-to-end experiments can report Transform/Shrink/query execution
 //!   times whose *relative* magnitudes mirror the paper's measurements.
 //!
-//! See DESIGN.md §2 for why this substitution preserves the evaluation's shape.
+//! See `docs/ARCHITECTURE.md` § "Share flow" for why this substitution preserves the
+//! evaluation's shape, and § "Party execution layer" for who hosts the servers.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod channel;
+mod channel;
 pub mod cost;
 pub mod exec;
 pub mod hash;
 pub mod multiserver;
-pub mod network;
 pub mod party;
 pub mod runtime;
 
-pub use channel::{
-    endpoint_pair, endpoint_pair_tcp, ChannelError, PartyEndpoint, PartyMessage,
-    WIRE_FRAME_OVERHEAD,
-};
+pub use channel::ChannelError;
 pub use cost::{CostModel, CostReport, SimDuration};
-pub use exec::{ActorPartyExec, PartyContext, PartyExec, PartyMode, PARTY_CRASH_MESSAGE};
+pub use exec::{PartyExec, PartyMode, PARTY_CRASH_MESSAGE};
 pub use multiserver::MultiServerContext;
-pub use network::NetworkConfig;
 pub use party::{Server, ServerPair};
-pub use runtime::{JointRandomness, TwoPartyContext};
+pub use runtime::{JointRandomness, PartyContext};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! and every server contributes a random string to the joint noise so a single honest
 //! server suffices for the noise to be unpredictable (tolerating up to N − 1
 //! corruptions). This module provides that generalised execution context; the
-//! framework crate keeps using the 2-server [`crate::runtime::TwoPartyContext`] as the
+//! framework crate keeps using the 2-server [`crate::PartyContext`] as the
 //! paper's evaluation does, and the N-server context is exercised by its own tests and
 //! ablation benches.
 

@@ -94,13 +94,6 @@ impl Server {
             .map(|&word| Share::new(word, self.id))
     }
 
-    /// Remove a named share, returning it if present.
-    pub fn remove_share(&mut self, name: &str) -> Option<Share> {
-        self.stored_shares
-            .remove(name)
-            .map(|word| Share::new(word, self.id))
-    }
-
     /// Record an event visible to this server in the clear.
     pub fn observe(&mut self, event: ObservedEvent) {
         self.transcript.push(event);
@@ -183,9 +176,8 @@ impl ServerPair {
 }
 
 /// Mirror an observed event to any installed telemetry collector. Shared by
-/// every party-execution mode (the in-process `ServerPair` and the driver side
-/// of the actor modes) so the telemetry stream is identical regardless of who
-/// runs the servers.
+/// the in-process `ServerPair` and the driver side of the actor modes, so the
+/// telemetry stream is identical wherever the servers live.
 pub(crate) fn mirror_to_telemetry(event: &ObservedEvent) {
     if !incshrink_telemetry::installed() {
         return;
@@ -239,8 +231,6 @@ mod tests {
         let loaded = pair.load_share_pair("cardinality").unwrap();
         assert_eq!(loaded.recover(), 4242);
         assert!(pair.load_share_pair("missing").is_none());
-        assert!(pair.s0.remove_share("cardinality").is_some());
-        assert!(pair.load_share_pair("cardinality").is_none());
     }
 
     #[test]

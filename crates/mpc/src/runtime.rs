@@ -1,14 +1,30 @@
-//! The two-party protocol execution context.
+//! The party protocol execution context.
 //!
-//! [`TwoPartyContext`] bundles the two servers, a cost meter and the simulated clock.
-//! Protocols (Transform, Shrink, query evaluation) borrow the context, perform
-//! share-level work, record their oblivious-operation counts, and advance simulated
-//! time. [`JointRandomness`] implements the paper's joint noise-seed generation, in
-//! which each server contributes a uniform word and the protocol combines them with
-//! XOR so that neither server can predict or bias the result (Section 5.2).
+//! [`PartyContext`] is the one way to run the two servers: it owns the driver
+//! state — cost meter, cost model, simulated clock, logical step — exactly once,
+//! plus the two servers wherever the [`PartyMode`] puts them (inside the struct,
+//! or on two actor threads hosted by [`crate::exec`]). Protocols (Transform,
+//! Shrink, query evaluation) borrow the context through [`PartyExec`], perform
+//! share-level work, record their oblivious-operation counts, and advance
+//! simulated time. [`JointRandomness`] implements the paper's joint noise-seed
+//! generation, in which each server contributes a uniform word and the protocol
+//! combines them with XOR so that neither server can predict or bias the result
+//! (Section 5.2).
+//!
+//! All three modes produce bit-for-bit identical protocol outputs, cost
+//! reports, telemetry observables and ε-ledgers for the same seed and workload;
+//! they differ only in *measured host time* (and, for tcp, in real bytes hitting
+//! a socket). This holds because rng draws happen on each party's own `Server`
+//! in the same order wherever it lives, and because everything that is priced —
+//! operator gates and the bytes and rounds of the three joint operations alike —
+//! is charged on the one driver meter, never by the transport.
 
+use crate::channel::{endpoint_pair, endpoint_pair_tcp, WIRE_FRAME_OVERHEAD};
 use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
-use crate::party::ServerPair;
+use crate::exec::{
+    round, PartyCommand, PartyExec, PartyHandle, PartyMode, PartyReply, PARTY_CRASH_MESSAGE,
+};
+use crate::party::{mirror_to_telemetry, ObservedEvent, ServerPair};
 use incshrink_secretshare::SharePair;
 use serde::{Deserialize, Serialize};
 
@@ -44,125 +60,243 @@ impl JointRandomness {
     }
 }
 
-/// Execution context for a simulated 2PC protocol.
+/// Metered bytes of one joint-randomness round: a 4-byte and an 8-byte
+/// contribution from each server.
+const JOINT_RANDOMNESS_BYTES: u64 = 2 * (4 + 8);
+/// Metered bytes of one reshare round: one 4-byte mask from each server.
+const RESHARE_BYTES: u64 = 2 * 4;
+/// Metered bytes of one named recovery: one 4-byte share from each server.
+const RECOVER_BYTES: u64 = 2 * 4;
+
+/// Where the two non-colluding servers live.
 #[derive(Debug)]
-pub struct TwoPartyContext {
-    /// The two non-colluding servers.
-    pub servers: ServerPair,
-    /// Cost model used to convert operation counts to time.
-    pub cost_model: CostModel,
+enum Parties {
+    /// Both inside this struct: joint operations are function calls.
+    Local(ServerPair),
+    /// Each on its own actor thread, linked by mpsc channels or (`tcp`) a
+    /// loopback socket: joint operations are message exchanges.
+    Remote {
+        tcp: bool,
+        handles: [PartyHandle; 2],
+    },
+}
+
+/// Execution context for a simulated 2PC protocol, in any [`PartyMode`].
+#[derive(Debug)]
+pub struct PartyContext {
+    parties: Parties,
+    cost_model: CostModel,
     meter: CostMeter,
     clock: SimDuration,
     time_step: u64,
+    /// Channel bytes metered since the previous charge.
     channel_bytes: u64,
+    /// Channel bytes metered over the whole run, up to the previous charge —
+    /// the priced side of the tcp wire reconciliation.
+    charged_channel_bytes: u64,
 }
 
-impl TwoPartyContext {
-    /// Build a context from a master seed and a cost model.
+impl PartyContext {
+    /// Build a context of the given mode from a master seed and a cost model.
+    /// All modes replay each other bit for bit from the same seed.
+    ///
+    /// # Panics
+    /// Panics when the loopback socket pair cannot be set up in tcp mode.
     #[must_use]
-    pub fn new(seed: u64, cost_model: CostModel) -> Self {
+    pub fn new(mode: PartyMode, seed: u64, cost_model: CostModel) -> Self {
+        let parties = match mode {
+            PartyMode::InProcess => Parties::Local(ServerPair::new(seed)),
+            PartyMode::Actor => Parties::Remote {
+                tcp: false,
+                handles: endpoint_pair(seed).map(PartyHandle::spawn),
+            },
+            PartyMode::Tcp => Parties::Remote {
+                tcp: true,
+                handles: endpoint_pair_tcp(seed)
+                    .expect("loopback socket pair for tcp party mode")
+                    .map(PartyHandle::spawn),
+            },
+        };
         Self {
-            servers: ServerPair::new(seed),
+            parties,
             cost_model,
             meter: CostMeter::new(),
             clock: SimDuration::ZERO,
             time_step: 0,
             channel_bytes: 0,
+            charged_channel_bytes: 0,
         }
     }
 
-    /// Context with the default (LAN) cost model.
+    /// Which mode this context runs.
     #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(seed, CostModel::default())
-    }
-
-    /// Current logical time step (owner upload epochs).
-    #[must_use]
-    pub fn time_step(&self) -> u64 {
-        self.time_step
-    }
-
-    /// Advance the logical time step by one epoch.
-    pub fn advance_time_step(&mut self) {
-        self.time_step += 1;
-    }
-
-    /// Access to the cost meter for recording oblivious operations.
-    pub fn meter(&mut self) -> &mut CostMeter {
-        &mut self.meter
-    }
-
-    /// Drain the meter, convert its report to simulated time, advance the clock, and
-    /// return `(report, duration)`. Protocols call this at the end of each invocation
-    /// so per-invocation timings can be attributed to Transform / Shrink / queries.
-    ///
-    /// Channel bytes accumulated since the previous charge (joint randomness,
-    /// reshares, named recoveries — the party-to-party traffic) are emitted as a
-    /// `party_bytes` telemetry observable. The count is derived from the metered
-    /// charges, not the transport, so every party-execution mode emits the
-    /// identical event stream.
-    pub fn charge(&mut self) -> (CostReport, SimDuration) {
-        let report = self.meter.take();
-        let duration = self.cost_model.simulate(&report);
-        self.clock += duration;
-        emit_party_bytes(std::mem::take(&mut self.channel_bytes), self.time_step);
-        (report, duration)
-    }
-
-    /// Total simulated time elapsed so far.
-    #[must_use]
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock
-    }
-
-    /// Jointly sample randomness: each server contributes fresh uniform words, the
-    /// protocol XOR-combines them. Charges the communication of the contributions.
-    pub fn joint_randomness(&mut self) -> JointRandomness {
-        let z0 = self.servers.s0.random_word();
-        let z1 = self.servers.s1.random_word();
-        let w0 = self.servers.s0.random_word64();
-        let w1 = self.servers.s1.random_word64();
-        self.meter.bytes(4 + 4 + 8 + 8);
-        self.meter.round();
-        self.channel_bytes += 4 + 4 + 8 + 8;
-        JointRandomness {
-            word: z0 ^ z1,
-            word64: w0 ^ w1,
+    pub fn mode(&self) -> PartyMode {
+        match self.parties {
+            Parties::Local(_) => PartyMode::InProcess,
+            Parties::Remote { tcp: false, .. } => PartyMode::Actor,
+            Parties::Remote { tcp: true, .. } => PartyMode::Tcp,
         }
     }
 
-    /// Re-share a value inside MPC using server-contributed masks
-    /// (Section 5.1 "Secret-sharing inside MPC") and store it under `name` on both
-    /// servers. Charges the communication of the resulting shares.
-    pub fn reshare_and_store(&mut self, name: &str, value: u32) {
-        let z0 = self.servers.s0.random_word();
-        let z1 = self.servers.s1.random_word();
-        let pair = SharePair::reshare_joint(value, z0, z1);
-        self.servers.store_share_pair(name, pair);
-        self.meter.bytes(8);
-        self.meter.round();
-        self.channel_bytes += 8;
+    /// The two servers (share stores, transcripts) when they live inside this
+    /// context; `None` in the actor modes, where that state lives on the party
+    /// threads.
+    #[must_use]
+    pub fn local_servers(&self) -> Option<&ServerPair> {
+        match &self.parties {
+            Parties::Local(servers) => Some(servers),
+            Parties::Remote { .. } => None,
+        }
     }
 
-    /// Recover a named shared value inside the protocol. Returns `None` when the value
-    /// was never stored. Charges one exchange of the shares.
-    pub fn recover_named(&mut self, name: &str) -> Option<u32> {
-        let pair = self.servers.load_share_pair(name)?;
-        self.meter.bytes(8);
+    /// Inject a party-level fault at the current step: in the actor modes one
+    /// party thread exits mid-protocol and the next joint operation panics with
+    /// [`PARTY_CRASH_MESSAGE`]; in-process, the death is immediate (there is
+    /// no thread whose absence could surface later).
+    pub fn inject_party_crash(&mut self) {
+        match &self.parties {
+            Parties::Local(_) => {
+                panic!(
+                    "{PARTY_CRASH_MESSAGE} (in-process, step {})",
+                    self.time_step
+                )
+            }
+            Parties::Remote { handles, .. } => handles[1].send(PartyCommand::Exit, self.time_step),
+        }
+    }
+
+    /// Price one joint operation's party-to-party traffic: `bytes` over one
+    /// round, on the driver meter, wherever the servers live.
+    fn channel_round(&mut self, bytes: u64) {
+        self.meter.bytes(bytes);
         self.meter.round();
-        self.channel_bytes += 8;
-        Some(pair.recover())
+        self.channel_bytes += bytes;
     }
 }
 
-/// Mirror a charge's accumulated channel bytes into telemetry as a
-/// `party_bytes` observable. Shared by every party-execution mode so the
-/// canonical trace is mode-invariant; silent when telemetry is not installed
-/// or no channel traffic occurred since the last charge.
-pub(crate) fn emit_party_bytes(bytes: u64, step: u64) {
-    if bytes > 0 && incshrink_telemetry::installed() {
-        incshrink_telemetry::observe(incshrink_telemetry::ObserveKind::PartyBytes, step, bytes);
+impl PartyExec for PartyContext {
+    fn joint_randomness(&mut self) -> JointRandomness {
+        let joint = match &mut self.parties {
+            Parties::Local(servers) => JointRandomness {
+                word: servers.s0.random_word() ^ servers.s1.random_word(),
+                word64: servers.s0.random_word64() ^ servers.s1.random_word64(),
+            },
+            Parties::Remote { handles, .. } => {
+                match round(handles, self.time_step, || PartyCommand::JointRandomness) {
+                    PartyReply::Randomness(joint) => joint,
+                    other => panic!("protocol desync: expected Randomness, got {other:?}"),
+                }
+            }
+        };
+        self.channel_round(JOINT_RANDOMNESS_BYTES);
+        joint
+    }
+
+    fn reshare_and_store(&mut self, name: &str, value: u32) {
+        match &mut self.parties {
+            Parties::Local(servers) => {
+                let z0 = servers.s0.random_word();
+                let z1 = servers.s1.random_word();
+                servers.store_share_pair(name, SharePair::reshare_joint(value, z0, z1));
+            }
+            Parties::Remote { handles, .. } => {
+                let reply = round(handles, self.time_step, || PartyCommand::Reshare {
+                    name: name.to_string(),
+                    value,
+                });
+                assert_eq!(reply, PartyReply::Done, "protocol desync: expected Done");
+            }
+        }
+        self.channel_round(RESHARE_BYTES);
+    }
+
+    fn recover_named(&mut self, name: &str) -> Option<u32> {
+        let value = match &mut self.parties {
+            Parties::Local(servers) => servers.load_share_pair(name).map(|pair| pair.recover()),
+            Parties::Remote { handles, .. } => {
+                let command = || PartyCommand::Recover {
+                    name: name.to_string(),
+                };
+                match round(handles, self.time_step, command) {
+                    PartyReply::Recovered(value) => value,
+                    other => panic!("protocol desync: expected Recovered, got {other:?}"),
+                }
+            }
+        };
+        if value.is_some() {
+            self.channel_round(RECOVER_BYTES);
+        }
+        value
+    }
+
+    fn meter(&mut self) -> &mut CostMeter {
+        &mut self.meter
+    }
+
+    fn charge(&mut self) -> (CostReport, SimDuration) {
+        let report = self.meter.take();
+        let duration = self.cost_model.simulate(&report);
+        self.clock += duration;
+        let bytes = std::mem::take(&mut self.channel_bytes);
+        self.charged_channel_bytes += bytes;
+        if let Parties::Remote { tcp, handles } = &self.parties {
+            for party in handles {
+                let wire = party.wire();
+                // Real sockets: every byte on the wire must be explained by
+                // frame overhead plus this party's half of the metered charge —
+                // the cost model as measurement, not claim. mpsc moves values,
+                // not bytes.
+                let priced = if *tcp {
+                    WIRE_FRAME_OVERHEAD * wire.messages_sent + self.charged_channel_bytes / 2
+                } else {
+                    0
+                };
+                assert_eq!(
+                    wire.bytes_sent,
+                    priced,
+                    "party {:?}: socket bytes do not reconcile with metered bytes",
+                    party.id()
+                );
+            }
+        }
+        // Derived from the metered charges, not the transport, so every mode
+        // emits the identical event stream.
+        if bytes > 0 && incshrink_telemetry::installed() {
+            incshrink_telemetry::observe(
+                incshrink_telemetry::ObserveKind::PartyBytes,
+                self.time_step,
+                bytes,
+            );
+        }
+        (report, duration)
+    }
+
+    fn time_step(&self) -> u64 {
+        self.time_step
+    }
+
+    fn advance_time_step(&mut self) {
+        self.time_step += 1;
+    }
+
+    fn elapsed(&self) -> SimDuration {
+        self.clock
+    }
+
+    fn observe_both(&mut self, event: ObservedEvent) {
+        match &mut self.parties {
+            Parties::Local(servers) => servers.observe_both(event),
+            Parties::Remote { handles, .. } => {
+                // Telemetry is mirrored driver-side so the event stream keeps
+                // program order relative to spans and ε entries; the actors
+                // only append to their transcripts (fire-and-forget, no
+                // protocol round).
+                mirror_to_telemetry(&event);
+                for party in handles {
+                    party.send(PartyCommand::Observe(event.clone()), self.time_step);
+                }
+            }
+        }
     }
 }
 
@@ -171,9 +305,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn in_process(seed: u64) -> PartyContext {
+        PartyContext::new(PartyMode::InProcess, seed, CostModel::default())
+    }
+
     #[test]
     fn joint_randomness_in_unit_interval() {
-        let mut ctx = TwoPartyContext::with_seed(11);
+        let mut ctx = in_process(11);
         for _ in 0..256 {
             let r = ctx.joint_randomness();
             let u = r.unit_interval();
@@ -184,7 +322,7 @@ mod tests {
 
     #[test]
     fn charge_drains_meter_and_advances_clock() {
-        let mut ctx = TwoPartyContext::with_seed(1);
+        let mut ctx = in_process(1);
         ctx.meter().compares(1000);
         let (report, d1) = ctx.charge();
         assert_eq!(report.secure_compares, 1000);
@@ -198,19 +336,20 @@ mod tests {
 
     #[test]
     fn reshare_and_recover_named_value() {
-        let mut ctx = TwoPartyContext::with_seed(5);
+        let mut ctx = in_process(5);
         ctx.reshare_and_store("counter", 321);
         assert_eq!(ctx.recover_named("counter"), Some(321));
         assert_eq!(ctx.recover_named("absent"), None);
         // Each server's stored share alone is not the value (overwhelmingly likely).
-        let s0 = ctx.servers.s0.load_share("counter").unwrap();
-        let s1 = ctx.servers.s1.load_share("counter").unwrap();
+        let servers = ctx.local_servers().expect("in-process servers");
+        let s0 = servers.s0.load_share("counter").unwrap();
+        let s1 = servers.s1.load_share("counter").unwrap();
         assert_eq!(s0.word ^ s1.word, 321);
     }
 
     #[test]
     fn time_steps_advance() {
-        let mut ctx = TwoPartyContext::with_seed(2);
+        let mut ctx = in_process(2);
         assert_eq!(ctx.time_step(), 0);
         ctx.advance_time_step();
         ctx.advance_time_step();

@@ -1,244 +1,63 @@
-//! Protocol-level tests for the message-passing party transport
-//! (`incshrink_mpc::channel`): random operation sequences over an endpoint
-//! pair must replay the shared `TwoPartyContext` — same outputs, same combined
-//! cost report — and a dropped endpoint must surface as a clean
-//! `Disconnected` error on every operation, never a hang.
+//! Mode-parity property for the party context, through the public API only:
+//! a random script of joint operations, meter gates, charges and step advances
+//! must produce the same values, the same `CostReport` per charge and the same
+//! simulated clock wherever the two servers live — inside the context they
+//! share, on two actor threads, or on two actor threads across a loopback
+//! socket (where every `charge()` also reconciles real socket bytes against
+//! the metered ones).
 
-use incshrink_mpc::channel::combined_report;
-use incshrink_mpc::cost::CostReport;
-use incshrink_mpc::{endpoint_pair, ChannelError, PartyEndpoint, TwoPartyContext};
-use incshrink_secretshare::{PartyId, SharePair};
+use incshrink_mpc::cost::{CostReport, SimDuration};
+use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// One scripted protocol operation. Both endpoints (and the reference context)
-/// execute the same script in the same order.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Rand,
-    Reshare { name: usize, value: u32 },
-    Recover { name: usize },
-}
 
 const NAMES: [&str; 3] = ["a", "b", "c"];
 
-fn decode(ops: &[(u8, u32)]) -> Vec<Op> {
-    ops.iter()
-        .map(|&(code, value)| match code % 3 {
-            0 => Op::Rand,
-            1 => Op::Reshare {
-                name: (value % 3) as usize,
-                value,
-            },
-            _ => Op::Recover {
-                name: (value % 3) as usize,
-            },
-        })
-        .collect()
-}
+/// What one script leaves behind: the value trace, the report of every charge,
+/// and the final (clock, logical step).
+type Outcome = (Vec<(u64, u64)>, Vec<CostReport>, SimDuration, u64);
 
-/// Run the script on one endpoint; returns a value trace that must agree
-/// between the two parties and with the shared context.
-fn run_endpoint(endpoint: &mut PartyEndpoint, script: &[Op]) -> Vec<(u64, u64)> {
-    script
-        .iter()
-        .map(|op| match *op {
-            Op::Rand => {
-                let r = endpoint.joint_randomness().expect("peer alive");
-                (u64::from(r.word), r.word64)
-            }
-            Op::Reshare { name, value } => {
-                endpoint
-                    .reshare_and_store(NAMES[name], value)
-                    .expect("peer alive");
-                (0, 0)
-            }
-            Op::Recover { name } => {
-                match endpoint.recover_named(NAMES[name]).expect("peer alive") {
-                    Some(value) => (1, u64::from(value)),
-                    None => (0, 0),
-                }
-            }
-        })
-        .collect()
-}
-
-/// Run the same script on the shared-context reference implementation.
-fn run_context(ctx: &mut TwoPartyContext, script: &[Op]) -> Vec<(u64, u64)> {
-    script
-        .iter()
-        .map(|op| match *op {
-            Op::Rand => {
+/// Run the script `(opcode, operand)*` on a fresh context of `mode`.
+fn run(mode: PartyMode, seed: u64, script: &[(u8, u32)]) -> Outcome {
+    let mut ctx = PartyContext::new(mode, seed, CostModel::default());
+    let mut trace = Vec::new();
+    let mut reports = Vec::new();
+    for &(code, value) in script {
+        let name = NAMES[(value % 3) as usize];
+        match code % 5 {
+            0 => {
                 let r = ctx.joint_randomness();
-                (u64::from(r.word), r.word64)
+                trace.push((u64::from(r.word), r.word64));
             }
-            Op::Reshare { name, value } => {
-                ctx.reshare_and_store(NAMES[name], value);
-                (0, 0)
-            }
-            Op::Recover { name } => match ctx.recover_named(NAMES[name]) {
-                Some(value) => (1, u64::from(value)),
+            1 => ctx.reshare_and_store(name, value),
+            2 => trace.push(match ctx.recover_named(name) {
+                Some(recovered) => (1, u64::from(recovered)),
                 None => (0, 0),
-            },
-        })
-        .collect()
+            }),
+            3 => {
+                ctx.meter().compares(u64::from(value % 97));
+                ctx.meter().swaps(u64::from(value % 13), 2);
+            }
+            _ => {
+                reports.push(ctx.charge().0);
+                ctx.advance_time_step();
+            }
+        }
+    }
+    reports.push(ctx.charge().0);
+    (trace, reports, ctx.elapsed(), ctx.time_step())
 }
 
 proptest! {
-    // The transport-parity property: any interleaving-free script of joint
-    // randomness, reshares and recoveries produces, over an endpoint pair,
-    // exactly the shared context's outputs AND exactly its cost report
-    // (bytes summed across the two senders, gates/rounds counted once).
+    // The in-process context — both servers sharing one struct — is the
+    // reference every other mode must replay.
     #[test]
     fn random_op_sequences_replay_the_shared_context(
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..6, any::<u32>()), 1..24),
+        script in proptest::collection::vec((0u8..10, any::<u32>()), 1..32),
     ) {
-        let script = decode(&ops);
-        let mut ctx = TwoPartyContext::with_seed(seed);
-        let expected_trace = run_context(&mut ctx, &script);
-        let (expected_report, _) = ctx.charge();
-
-        let (mut e0, mut e1) = endpoint_pair(seed);
-        let party1 = {
-            let script = script.clone();
-            std::thread::spawn(move || {
-                let trace = run_endpoint(&mut e1, &script);
-                (trace, e1.report())
-            })
-        };
-        let trace0 = run_endpoint(&mut e0, &script);
-        let (trace1, report1) = party1.join().expect("party-1 thread panicked");
-
-        prop_assert_eq!(&trace0, &expected_trace, "party 0 diverged from the shared context");
-        prop_assert_eq!(&trace1, &expected_trace, "party 1 diverged from the shared context");
-        prop_assert_eq!(combined_report(&e0.report(), &report1), expected_report);
+        let expected = run(PartyMode::InProcess, seed, &script);
+        for mode in PartyMode::ALL {
+            prop_assert_eq!(&run(mode, seed, &script), &expected, "{} diverged", mode);
+        }
     }
-
-    // Joint compare/add over an endpoint pair: correct plaintext semantics at
-    // exactly one gate of cost — no bytes, no rounds, matching the in-process
-    // kernels that fold wire traffic into the per-gate cost.
-    #[test]
-    fn compare_and_add_parity(a in any::<u32>(), b in any::<u32>(), share_seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(share_seed);
-        let pa = SharePair::share(a, &mut rng);
-        let pb = SharePair::share(b, &mut rng);
-        let (mut e0, mut e1) = endpoint_pair(share_seed ^ 0xC0FE);
-        let party1 = std::thread::spawn(move || {
-            let lt = e1.compare_lt(pa.for_party(PartyId::S1), pb.for_party(PartyId::S1))
-                .expect("peer alive");
-            let sum = e1.add_reveal(pa.for_party(PartyId::S1), pb.for_party(PartyId::S1))
-                .expect("peer alive");
-            (lt, sum, e1.report())
-        });
-        let lt0 = e0.compare_lt(pa.for_party(PartyId::S0), pb.for_party(PartyId::S0))
-            .expect("peer alive");
-        let sum0 = e0.add_reveal(pa.for_party(PartyId::S0), pb.for_party(PartyId::S0))
-            .expect("peer alive");
-        let (lt1, sum1, report1) = party1.join().expect("party-1 thread panicked");
-
-        prop_assert_eq!(lt0, a < b);
-        prop_assert_eq!(lt1, a < b);
-        prop_assert_eq!(sum0, a.wrapping_add(b));
-        prop_assert_eq!(sum1, a.wrapping_add(b));
-        let expected = CostReport {
-            secure_compares: 1,
-            secure_adds: 1,
-            ..CostReport::default()
-        };
-        prop_assert_eq!(combined_report(&e0.report(), &report1), expected);
-    }
-
-    // Share-batch exchange: the peer's words arrive verbatim (so XOR recovery
-    // works element-wise) at 4·len bytes per direction and one joint round.
-    #[test]
-    fn exchange_shares_round_trips(values in proptest::collection::vec(any::<u32>(), 0..16), share_seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(share_seed);
-        let pairs: Vec<SharePair> = values.iter().map(|&v| SharePair::share(v, &mut rng)).collect();
-        let words0: Vec<u32> = pairs.iter().map(|p| p.for_party(PartyId::S0).word).collect();
-        let words1: Vec<u32> = pairs.iter().map(|p| p.for_party(PartyId::S1).word).collect();
-
-        let (mut e0, mut e1) = endpoint_pair(share_seed ^ 0xBEEF);
-        let party1 = {
-            let words1 = words1.clone();
-            std::thread::spawn(move || {
-                let peer = e1.exchange_shares(&words1).expect("peer alive");
-                (peer, e1.report())
-            })
-        };
-        let peer_of_0 = e0.exchange_shares(&words0).expect("peer alive");
-        let (peer_of_1, report1) = party1.join().expect("party-1 thread panicked");
-
-        prop_assert_eq!(&peer_of_0, &words1);
-        prop_assert_eq!(&peer_of_1, &words0);
-        let recovered: Vec<u32> = words0.iter().zip(&peer_of_0).map(|(w0, w1)| w0 ^ w1).collect();
-        prop_assert_eq!(recovered, values.clone());
-        let expected = CostReport {
-            bytes_communicated: 8 * values.len() as u64,
-            rounds: 1,
-            ..CostReport::default()
-        };
-        prop_assert_eq!(combined_report(&e0.report(), &report1), expected);
-    }
-}
-
-/// A dead peer must surface as `Disconnected` on *every* operation — the
-/// regression contract for the teardown path (no operation may block on a
-/// channel whose other end is gone).
-#[test]
-fn dropped_endpoint_is_an_error_on_every_operation() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let pair = SharePair::share(5, &mut rng);
-    let (mut e0, e1) = endpoint_pair(9);
-    drop(e1);
-    assert_eq!(
-        e0.joint_randomness().unwrap_err(),
-        ChannelError::Disconnected
-    );
-    assert_eq!(
-        e0.reshare_and_store("x", 1).unwrap_err(),
-        ChannelError::Disconnected
-    );
-    assert_eq!(
-        e0.recover_named("x").unwrap_err(),
-        ChannelError::Disconnected
-    );
-    assert_eq!(
-        e0.exchange_shares(&[1, 2, 3]).unwrap_err(),
-        ChannelError::Disconnected
-    );
-    assert_eq!(
-        e0.compare_lt(pair.for_party(PartyId::S0), pair.for_party(PartyId::S0))
-            .unwrap_err(),
-        ChannelError::Disconnected
-    );
-    assert_eq!(
-        e0.add_reveal(pair.for_party(PartyId::S0), pair.for_party(PartyId::S0))
-            .unwrap_err(),
-        ChannelError::Disconnected
-    );
-    // The error is well-formed for callers that surface it.
-    assert_eq!(
-        ChannelError::Disconnected.to_string(),
-        "peer party endpoint disconnected"
-    );
-}
-
-/// The mid-protocol variant: the peer dies *between* operations it already
-/// participated in. Completed results stay valid; the next operation fails.
-#[test]
-fn peer_death_mid_protocol_fails_the_next_operation() {
-    let (mut e0, mut e1) = endpoint_pair(44);
-    let party1 = std::thread::spawn(move || {
-        // Participate in exactly one exchange, then die.
-        e1.joint_randomness().expect("peer alive")
-    });
-    let first = e0.joint_randomness().expect("peer still alive");
-    let peer_first = party1.join().expect("party-1 thread panicked");
-    assert_eq!(first, peer_first, "joint randomness must agree");
-    assert_eq!(
-        e0.joint_randomness().unwrap_err(),
-        ChannelError::Disconnected
-    );
 }

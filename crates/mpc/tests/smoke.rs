@@ -1,12 +1,11 @@
 //! Crate-boundary smoke test: joint randomness and cost metering through the
 //! public 2PC-context API.
 
-use incshrink_mpc::cost::CostModel;
-use incshrink_mpc::runtime::TwoPartyContext;
+use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
 
 #[test]
 fn joint_randomness_unit_interval_stays_strictly_inside() {
-    let mut ctx = TwoPartyContext::new(7, CostModel::default());
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
     for _ in 0..1000 {
         let r = ctx.joint_randomness();
         let u = r.unit_interval();
@@ -18,7 +17,7 @@ fn joint_randomness_unit_interval_stays_strictly_inside() {
 
 #[test]
 fn named_shares_roundtrip_and_costs_accumulate() {
-    let mut ctx = TwoPartyContext::with_seed(9);
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 9, CostModel::default());
     ctx.reshare_and_store("counter", 4242);
     assert_eq!(ctx.recover_named("counter"), Some(4242));
     assert_eq!(ctx.recover_named("missing"), None);

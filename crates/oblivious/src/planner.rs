@@ -123,12 +123,12 @@ pub struct Calibration {
     pub secs_per_and: f64,
     /// Measured seconds per secure 32-bit addition.
     pub secs_per_add: f64,
-    /// Measured seconds per party-channel protocol round (one command/reply
-    /// round trip on the transport carrying `incshrink_mpc::PartyMessage`s).
+    /// Measured seconds per party-channel protocol round (one joint operation
+    /// of an `incshrink_mpc::PartyContext` whose servers run as actor threads).
     /// Zero — the default — prices transport as free, which is honest for the
-    /// in-process execution mode; `kernel_throughput` measures the mpsc and
-    /// loopback-TCP round trips so actor/TCP deployments can weigh the rounds
-    /// a plan actually performs.
+    /// in-process execution mode; `kernel_throughput` measures the round under
+    /// the `actor` and `tcp` party modes so those deployments can weigh the
+    /// rounds a plan actually performs.
     pub secs_per_channel_round: f64,
 }
 

@@ -3,7 +3,8 @@
 //! The paper evaluates on the TPC-ds Sales/Returns tables and on the Chicago Police
 //! Database (CPDB) Allegation/Award tables. Neither raw dataset ships with this
 //! reproduction, so this crate generates synthetic growing databases whose *statistics*
-//! match the quantities the evaluation actually depends on (DESIGN.md §2):
+//! match the quantities the evaluation actually depends on (`docs/ARCHITECTURE.md`
+//! § "Paper → code", workloads row):
 //!
 //! * arrival rate of new view entries per time step (≈2.7/day for TPC-ds,
 //!   ≈9.8/5-day step for CPDB),

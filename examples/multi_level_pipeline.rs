@@ -11,7 +11,7 @@ use incshrink::config::JoinPlanMode;
 use incshrink::pipeline::TwoLevelPipeline;
 use incshrink::view::ViewDefinition;
 use incshrink_mpc::cost::CostModel;
-use incshrink_mpc::runtime::TwoPartyContext;
+use incshrink_mpc::{PartyContext, PartyMode};
 use incshrink_oblivious::PlainTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,7 +56,7 @@ fn main() {
         pipeline.total_epsilon()
     );
 
-    let mut ctx = TwoPartyContext::new(0xE44, CostModel::default());
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 0xE44, CostModel::default());
     let mut total_mpc = 0.0;
     for t in 1..=steps {
         // Owner uploads a padded batch of 6 records; 3 are real allegations.

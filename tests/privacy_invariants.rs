@@ -6,7 +6,7 @@ use incshrink_dp::bounds::timer_deferred_bound;
 use incshrink_dp::mechanisms::{run_leakage, TimerLeakage, UpdateLeakage};
 use incshrink_mpc::cost::CostModel;
 use incshrink_mpc::party::ObservedEvent;
-use incshrink_mpc::runtime::TwoPartyContext;
+use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,14 +53,12 @@ fn observed_upload_sizes_are_data_independent() {
 fn server_transcripts_contain_only_padded_and_noised_counts() {
     // Drive the two-party context directly and verify that what each server observes
     // is limited to the declared event types.
-    let mut ctx = TwoPartyContext::new(3, CostModel::default());
-    ctx.servers
-        .observe_both(ObservedEvent::UploadBatch { time: 1, count: 8 });
-    ctx.servers
-        .observe_both(ObservedEvent::CacheAppend { time: 1, count: 8 });
-    ctx.servers
-        .observe_both(ObservedEvent::ViewSync { time: 2, count: 5 });
-    for server in [&ctx.servers.s0, &ctx.servers.s1] {
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 3, CostModel::default());
+    ctx.observe_both(ObservedEvent::UploadBatch { time: 1, count: 8 });
+    ctx.observe_both(ObservedEvent::CacheAppend { time: 1, count: 8 });
+    ctx.observe_both(ObservedEvent::ViewSync { time: 2, count: 5 });
+    let servers = ctx.local_servers().expect("in-process servers");
+    for server in [&servers.s0, &servers.s1] {
         assert_eq!(server.transcript().len(), 3);
         for event in server.transcript() {
             match event {
@@ -77,13 +75,14 @@ fn server_transcripts_contain_only_padded_and_noised_counts() {
 
 #[test]
 fn named_shares_on_each_server_are_masked() {
-    let mut ctx = TwoPartyContext::new(4, CostModel::default());
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 4, CostModel::default());
     // Re-share the same value many times; the individual share words observed by S0
     // must not be constant (they are masked with fresh joint randomness each time).
     let mut s0_words = Vec::new();
     for _ in 0..32 {
         ctx.reshare_and_store("cardinality", 1234);
-        s0_words.push(ctx.servers.s0.load_share("cardinality").unwrap().word);
+        let servers = ctx.local_servers().expect("in-process servers");
+        s0_words.push(servers.s0.load_share("cardinality").unwrap().word);
     }
     s0_words.sort_unstable();
     s0_words.dedup();
