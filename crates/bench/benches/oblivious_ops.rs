@@ -6,8 +6,8 @@ use incshrink::query::{FilterExpr, Query, QueryEngine, ViewEngine};
 use incshrink::MaterializedView;
 use incshrink_mpc::cost::{CostMeter, CostModel};
 use incshrink_oblivious::{
-    cache_read, cache_read_incremental, oblivious_sort_by_field, truncated_nested_loop_join,
-    JoinSpec, PlainTable, SortOrder,
+    cache_read, oblivious_compact, oblivious_merge_by_is_view, oblivious_sort_by_field,
+    truncated_nested_loop_join, JoinSpec, PlainTable, SortOrder,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -92,17 +92,20 @@ fn bench_cache_read(c: &mut Criterion) {
                 cache_read(&mut cache, n / 4, &mut meter).len()
             });
         });
-        // Steady state, the shape every synchronisation after the first sees: the
-        // previous read left the prefix real-first, n/64 new rows sit behind it.
-        group.bench_with_input(BenchmarkId::new("steady", n), &n, |b, &n| {
-            let prefix = n - n / 64;
-            let mut base = padded_cache(n, 13);
-            cache_read(&mut base, n / 64, &mut CostMeter::new());
-            base.extend(padded_cache(n / 64, 17)).expect("same arity");
+        // What the secure cache runs instead: no sort, the merge-only operator
+        // folding a sealed run of n/64 rows into an older one.
+        group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, &n| {
+            let split = n - n / 64;
+            let mut base = padded_cache(split, 13);
+            oblivious_compact(&mut base, &mut CostMeter::new());
+            let mut newer = padded_cache(n / 64, 17);
+            oblivious_compact(&mut newer, &mut CostMeter::new());
+            base.extend(newer).expect("same arity");
             b.iter(|| {
-                let mut cache = base.clone();
+                let mut runs = base.clone();
                 let mut meter = CostMeter::new();
-                cache_read_incremental(&mut cache, prefix, n / 4, &mut meter).len()
+                oblivious_merge_by_is_view(&mut runs, split, SortOrder::Ascending, &mut meter);
+                runs.len()
             });
         });
     }

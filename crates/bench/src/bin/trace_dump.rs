@@ -80,6 +80,34 @@ fn main() {
         }
     }
 
+    // Where the secure cache merged runs: a `shrink` span stamps how many merges its
+    // cuts performed and over how many rows, which tells a merge burst from a sort.
+    let mut merging: Vec<(u64, u64, Option<u64>, u64)> = events
+        .iter()
+        .filter_map(|event| match event {
+            Event::Span(span) if span.name == "shrink" => span.cost.map(|cost| (span, cost)),
+            _ => None,
+        })
+        .filter(|(_, cost)| cost.merges > 0)
+        .map(|(span, cost)| (cost.merged_rows, cost.merges, span.step, span.host_nanos))
+        .collect();
+    if !merging.is_empty() {
+        merging.sort_by(|a, b| b.cmp(a));
+        println!(
+            "\ncache run merges: {} over {} rows in {} shrink span(s); largest:",
+            merging.iter().map(|m| m.1).sum::<u64>(),
+            merging.iter().map(|m| m.0).sum::<u64>(),
+            merging.len()
+        );
+        for (rows, merges, step, host_nanos) in merging.iter().take(5) {
+            let step = step.map_or("(unstamped)".to_string(), |s| format!("step {s:>6}"));
+            println!(
+                "  {step}  {merges} merge(s), {rows} rows, {:.6}s",
+                *host_nanos as f64 / 1e9
+            );
+        }
+    }
+
     // One grep-able line per trace: runs that replayed the same semantic
     // trajectory (same observables + ε-ledger, any schedule, any party
     // execution mode) print the same fingerprint — CI compares these lines

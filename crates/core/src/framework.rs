@@ -29,6 +29,7 @@ use incshrink_oblivious::planner::Calibration;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{OutsourcedStore, Relation, SecureCache, UploadBatch};
+use incshrink_telemetry::CostDelta;
 use incshrink_workload::{logical_join_counts_per_step, Dataset, DatasetKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -309,6 +310,12 @@ impl ShardPipeline {
         self.cache.len()
     }
 
+    /// The secure cache (its public layout and activity counters).
+    #[must_use]
+    pub fn cache(&self) -> &SecureCache {
+        &self.cache
+    }
+
     /// Cumulative real join pairs dropped by the ω truncation.
     #[must_use]
     pub fn truncation_losses(&self) -> u64 {
@@ -536,7 +543,9 @@ impl ShardPipeline {
         let _step_span = incshrink_telemetry::span!("pipeline.step");
         let mut outcome = PipelineStepOutcome::default();
 
-        // --- Owner uploads (fixed-size padded batches every step).
+        // --- Owner uploads (fixed-size padded batches every step), accumulated for
+        // Transform when the strategy maintains the view.
+        let ingest_span = incshrink_telemetry::span!("ingest");
         let left_batch = uploads.left;
         self.ctx.observe_both(ObservedEvent::UploadBatch {
             time: t,
@@ -553,10 +562,9 @@ impl ShardPipeline {
             self.store.ingest(batch);
         }
 
-        // --- Transform (strategy dependent): accumulate the step, flush when the
-        // batch is full or the DP accounting needs a current counter.
         let routing = delta_routing(self.config.strategy, t);
-        if routing != DeltaRouting::NoTransform && routing != DeltaRouting::Drop {
+        let maintained = routing != DeltaRouting::NoTransform && routing != DeltaRouting::Drop;
+        if maintained {
             let full_right_len = if self.dataset.right_is_public {
                 self.public_right_len
             } else {
@@ -569,38 +577,47 @@ impl ShardPipeline {
                 full_right_len,
                 full_left_len,
             });
-            if self.transform_flush_due(t) {
-                let mut transform_span = incshrink_telemetry::span!("transform");
-                let started = std::time::Instant::now();
-                let transform_outcome = self.transform.invoke_batched(&mut self.ctx, &self.pending);
-                self.host_transform_secs += started.elapsed().as_secs_f64();
-                transform_span.record_sim_secs(transform_outcome.duration.as_secs_f64());
-                transform_span.record_cost(transform_outcome.report.into());
-                drop(transform_span);
-                self.pending.clear();
-                outcome.transform_duration = Some(transform_outcome.duration);
-                outcome.transform_report = Some(transform_outcome.report);
-                self.ctx.observe_both(ObservedEvent::CacheAppend {
-                    time: t,
-                    count: transform_outcome.delta.len(),
-                });
-                if let Some(delta) = route_delta(routing, transform_outcome.delta, &mut self.view) {
-                    self.cache.write(delta);
-                }
+        }
+        drop(ingest_span);
+
+        // --- Transform (strategy dependent): flush the accumulated steps when the
+        // batch is full or the DP accounting needs a current counter. OTM after its
+        // one-time materialization and NM only ingest: owners still upload, but the
+        // servers perform no view maintenance work.
+        if maintained && self.transform_flush_due(t) {
+            let mut transform_span = incshrink_telemetry::span!("transform");
+            let started = std::time::Instant::now();
+            let transform_outcome = self.transform.invoke_batched(&mut self.ctx, &self.pending);
+            self.host_transform_secs += started.elapsed().as_secs_f64();
+            transform_span.record_sim_secs(transform_outcome.duration.as_secs_f64());
+            transform_span.record_cost(transform_outcome.report.into());
+            drop(transform_span);
+            self.pending.clear();
+            outcome.transform_duration = Some(transform_outcome.duration);
+            outcome.transform_report = Some(transform_outcome.report);
+            self.ctx.observe_both(ObservedEvent::CacheAppend {
+                time: t,
+                count: transform_outcome.delta.len(),
+            });
+            if let Some(delta) = route_delta(routing, transform_outcome.delta, &mut self.view) {
+                self.cache.write(delta);
             }
-        } else if routing == DeltaRouting::Drop {
-            // OTM after its one-time materialization: owners still upload, but the
-            // servers perform no view maintenance work.
         }
 
         // --- Shrink (DP strategies only).
         if self.config.strategy.uses_shrink() {
             let mut shrink_span = incshrink_telemetry::span!("shrink");
+            let before = self.cache.stats();
             let shrink_outcome =
                 self.shrink
                     .step(&mut self.ctx, &mut self.cache, &mut self.view, t);
+            let after = self.cache.stats();
             shrink_span.record_sim_secs(shrink_outcome.duration.as_secs_f64());
-            shrink_span.record_cost(shrink_outcome.report.into());
+            shrink_span.record_cost(CostDelta {
+                merges: after.merges - before.merges,
+                merged_rows: after.merged_rows - before.merged_rows,
+                ..shrink_outcome.report.into()
+            });
             drop(shrink_span);
             outcome.shrink_duration = Some(shrink_outcome.duration);
             outcome.shrink_did_work = shrink_outcome.updated || shrink_outcome.flushed;

@@ -145,6 +145,7 @@ impl From<CostReport> for incshrink_telemetry::CostDelta {
             adds: report.secure_adds,
             bytes: report.bytes_communicated,
             rounds: report.rounds,
+            ..Default::default()
         }
     }
 }

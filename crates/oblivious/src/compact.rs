@@ -3,13 +3,13 @@
 //! The Shrink protocols fetch a DP-noised number of tuples from the exhaustively
 //! padded secure cache. To guarantee that real tuples are always fetched before
 //! dummies, the cache is brought into `isView` order, then the first `sz` slots are
-//! cut off; the remainder stays in the cache — still in `isView` order. The paper
-//! re-sorts the whole cache at every read; here a read is told how long that
-//! already-ordered prefix is (a public number: previous length − previous read
-//! size) and sorts only the rows appended behind it, then bitonic-merges the two
-//! runs ([`cache_read_incremental`]).
+//! cut off; the remainder stays in the cache — still in `isView` order.
+//! [`cache_read`] is that operation as the paper writes it, a sort of everything it
+//! is handed. The secure cache (`incshrink_storage::SecureCache`) hands it only the
+//! few rows per run a cut can reach, and keeps the rest in order with the merge-only
+//! operator [`crate::sort::oblivious_merge_by_is_view`].
 
-use crate::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view};
+use crate::sort::oblivious_sort_by_is_view;
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 
@@ -23,48 +23,25 @@ pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
     oblivious_sort_by_is_view(array, meter);
 }
 
-/// The secure cache read of Figure 3 over a cache nothing is known about:
-/// [`cache_read_incremental`] with an empty sorted prefix, i.e. a Batcher sort of
-/// the whole cache by `isView` followed by the cut.
+/// The secure cache read of Figure 3: Batcher-sort the whole of `cache` by `isView`,
+/// cut off the first `read_size` entries and return them; the remaining entries stay
+/// in `cache`, real tuples first. `read_size` larger than the cache simply drains it.
+///
+/// The servers observe only `read_size` (which the calling Shrink protocol derives
+/// from a DP mechanism) and the network's shape, a function of the cache length —
+/// never the true cardinality.
+///
+/// Cost, with `n` the cache length: `batcher_pair_count(n)` comparisons and
+/// record-wide swaps in one round, then the `read_size` record transfer in another.
+/// Linear-logarithmic in `n`, which is why keeping ΔV at the `ω·|delta|`
+/// nested-loop output contract (rather than Example 5.1's `ω·(|T1|+|T2|)`) matters:
+/// the cache would otherwise grow with the accumulated relation.
 pub fn cache_read(
     cache: &mut SharedArrayPair,
     read_size: usize,
     meter: &mut CostMeter,
 ) -> SharedArrayPair {
-    cache_read_incremental(cache, 0, read_size, meter)
-}
-
-/// The secure cache read of Figure 3: bring the cache into `isView` order, cut off
-/// the first `read_size` entries and return them; the remaining entries stay in
-/// `cache`, real tuples first. `read_size` larger than the cache simply drains it.
-///
-/// The caller vouches that the first `sorted_prefix` entries are already real-first
-/// — what a previous read left behind, with later writes appended after it.
-///
-/// Returns the fetched entries. The servers observe only `read_size` (which the
-/// calling Shrink protocol derives from a DP mechanism) and the network's shape,
-/// a function of `sorted_prefix` and the cache length — both public already —
-/// never the true cardinality.
-///
-/// Cost, with `n` the cache length and `s = sorted_prefix`: a Batcher sort of the
-/// `n − s` appended rows (`batcher_pair_count(n − s)`), the bitonic merge of the two
-/// runs (`bitonic_merge_pair_count(n)` plus `⌊s/2⌋` reversal swaps, one round; not
-/// run when either side is empty) and the `read_size` record transfer — instead of
-/// the paper's `batcher_pair_count(n)` over the whole cache. The merge is still
-/// linear-logarithmic in the cache length, which is why keeping ΔV at the
-/// `ω·|delta|` nested-loop output contract (rather than Example 5.1's
-/// `ω·(|T1|+|T2|)`) matters: the cache, and with it every synchronization, would
-/// otherwise grow with the accumulated relation.
-///
-/// # Panics
-/// Panics when `sorted_prefix` exceeds the cache length.
-pub fn cache_read_incremental(
-    cache: &mut SharedArrayPair,
-    sorted_prefix: usize,
-    read_size: usize,
-    meter: &mut CostMeter,
-) -> SharedArrayPair {
-    oblivious_merge_by_is_view(cache, sorted_prefix, meter);
+    oblivious_sort_by_is_view(cache, meter);
     let width = cache.arity().unwrap_or(0) as u64 + 1;
     meter.bytes(read_size.min(cache.len()) as u64 * width * 4);
     meter.round();
@@ -74,10 +51,7 @@ pub fn cache_read_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sort::{
-        batcher_pair_count, batcher_pairs, bitonic_merge_pair_count, bitonic_merge_pairs,
-    };
-    use incshrink_mpc::cost::CostReport;
+    use crate::sort::{batcher_pairs, bitonic_merge_pairs, oblivious_merge_by_is_view, SortOrder};
     use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -180,71 +154,27 @@ mod tests {
         assert_eq!(cache, walked);
         assert_eq!(fetched.true_cardinality(), 1700);
 
-        // The steady state: 3000 ordered rows stay behind, 2000 unordered ones are
-        // appended, and the next read sorts those, reverses the prefix and runs the
-        // bitonic cleaner over all 5000.
-        let delta = mixed_cache(900, 1100);
+        // The merge-only operator over what stayed behind and a second sorted run:
+        // reverse the first run, then the bitonic cleaner over all 5000 — no sort.
+        let mut delta = mixed_cache(900, 1100);
+        oblivious_compact(&mut delta, &mut CostMeter::new());
         cache.extend(delta.clone()).unwrap();
         walked.extend(delta).unwrap();
         let entries = walked.entries_mut();
-        walk(entries, 3000, &batcher_pairs(2000));
         entries[..3000].reverse();
         walk(entries, 0, &bitonic_merge_pairs(5000));
-        let walked_front = walked.split_front(500);
 
-        let fetched = cache_read_incremental(&mut cache, 3000, 500, &mut CostMeter::new());
-        assert_eq!(fetched, walked_front);
+        oblivious_merge_by_is_view(
+            &mut cache,
+            3000,
+            SortOrder::Ascending,
+            &mut CostMeter::new(),
+        );
         assert_eq!(cache, walked);
-        assert_eq!(fetched.true_cardinality(), 500);
-        assert_eq!(cache.true_cardinality(), 400);
-    }
-
-    #[test]
-    fn read_cost_is_a_function_of_prefix_and_length_alone() {
-        let width = 3u64; // two fields + isView
-        for (s, n) in [
-            (0usize, 40usize),
-            (1, 2),
-            (7, 8),
-            (30, 40),
-            (39, 40),
-            (40, 40),
-        ] {
-            let expected = {
-                let merged = s > 0 && s < n;
-                let sort = batcher_pair_count(n - s);
-                let merge = if merged {
-                    bitonic_merge_pair_count(n)
-                } else {
-                    0
-                };
-                let reversal = if merged { s as u64 / 2 } else { 0 };
-                CostReport {
-                    secure_compares: sort + merge,
-                    secure_swaps: (sort + merge + reversal) * width,
-                    bytes_communicated: 5.min(n as u64) * width * 4,
-                    rounds: u64::from(n - s >= 2) + u64::from(merged) + 1,
-                    ..CostReport::default()
-                }
-            };
-            // Same public sizes, different contents: a prefix of reals then dummies,
-            // against an all-dummy prefix, each with its own tail.
-            for (prefix_real, tail_real) in [(s / 2, (n - s) / 3), (0, n - s)] {
-                let mut cache = mixed_cache(prefix_real, 0);
-                cache.extend(mixed_cache(0, s - prefix_real)).unwrap();
-                cache
-                    .extend(mixed_cache(tail_real, n - s - tail_real))
-                    .unwrap();
-                let mut meter = CostMeter::new();
-                let fetched = cache_read_incremental(&mut cache, s, 5, &mut meter);
-                assert_eq!(meter.report(), expected, "s={s} n={n}");
-                assert_eq!(
-                    fetched.true_cardinality(),
-                    (prefix_real + tail_real).min(5),
-                    "s={s} n={n}"
-                );
-            }
-        }
+        assert!(cache.entries()[..900]
+            .iter()
+            .all(|e| e.is_view.recover() == 1));
+        assert_eq!(cache.true_cardinality(), 900);
     }
 
     proptest! {

@@ -543,7 +543,7 @@ pub fn truncated_sort_merge_join<R: Rng + ?Sized>(
     meter.bytes((merged.len() * merged_arity * 4) as u64);
 
     // --- Step 2: oblivious sort by (join key, table tag): T1 records before T2 on ties.
-    oblivious_sort_by_key(&mut merged, 0, SortOrder::Ascending, meter, |rec| {
+    oblivious_sort_by_key(&mut merged, SortOrder::Ascending, meter, |rec| {
         (u64::from(rec.is_view.recover() == 0) << 33)
             | (u64::from(rec.fields[key_col].recover()) << 1)
             | u64::from(rec.fields[tag_col].recover())

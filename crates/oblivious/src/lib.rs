@@ -12,10 +12,10 @@
 //!   (Algorithm 4), with analytic per-operator cost models.
 //! * [`planner`] — adaptive join planning: pick the cheaper truncated-join operator
 //!   from a secure-compare cost model over the public input sizes.
-//! * [`compact`] — the cache-read primitive of Figure 3: bring the cache into
-//!   `isView` order so real tuples precede dummies (sorting only what was appended
-//!   behind the prefix the previous read left ordered, then merging), then cut a
-//!   prefix of a given (DP-noised) size.
+//! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
+//!   `isView` order so real tuples precede dummies, then cut a prefix of a given
+//!   (DP-noised) size. The secure cache applies it to the few rows per run a cut can
+//!   reach and keeps its runs ordered with [`sort`]'s merge-only operator.
 //! * [`shuffle`] — oblivious permutation plus secure re-routing of a batch into
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
@@ -39,7 +39,7 @@ pub mod table;
 pub use aggregate::{
     oblivious_count, oblivious_group_count, oblivious_group_count_over_domain, oblivious_sum,
 };
-pub use compact::{cache_read, cache_read_incremental, oblivious_compact};
+pub use compact::{cache_read, oblivious_compact};
 pub use filter::{oblivious_filter, Predicate, PredicateKind};
 pub use join::{
     delta_sort_merge_join_cost, nested_loop_join_cost, push_padded, truncated_match,
@@ -56,6 +56,6 @@ pub use shuffle::{
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
-    oblivious_sort_by_field, oblivious_sort_by_is_view, SortOrder,
+    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view, SortOrder,
 };
 pub use table::PlainTable;

@@ -25,10 +25,11 @@
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
 //!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
-//!   [`bitonic_merge_pair_count`] prices it. The Shrink cache read executes it: the
-//!   rows a read leaves behind are already in `isView` order, so the next read
-//!   sorts only what was appended since and merges it in
-//!   ([`crate::compact::cache_read_incremental`]).
+//!   [`bitonic_merge_pair_count`] prices it. The secure cache executes it: its rows
+//!   rest in `isView`-ordered runs of public length, a synchronisation sorts only
+//!   what was appended since the last one, and [`oblivious_merge_by_is_view`] — the
+//!   merge-only operator, no sort — folds two adjacent runs into one, moving the
+//!   records in place along the cycles of the network's permutation.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -45,7 +46,7 @@ pub enum SortOrder {
 }
 
 /// Low bits of a packed sort word that carry the record's original position; the
-/// remaining high bits carry its key. See [`oblivious_sort_by_key`].
+/// remaining high bits carry its key. See [`network_permutation`].
 const INDEX_BITS: u32 = 30;
 const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 /// Largest key a packed sort word can carry (34 bits). Every sort in the tree fits:
@@ -368,59 +369,35 @@ fn run_bitonic_merge(words: &mut [u64]) {
     }
 }
 
-/// Oblivious sort of `array` by the key `key_fn` extracts from each record, given
-/// that its first `sorted_prefix` entries are already in that order (`0`: nothing
-/// is known, the whole array is sorted).
+/// The permutation `network` applies to `array`'s packed sort words: position `j`
+/// of the result names the record that ends there.
 ///
-/// `key_fn` receives the record's share pair and reconstructs only the words its key
-/// is made of (reconstruction happens *inside* the simulated MPC, mirroring how a
+/// Each record becomes one word `key << 30 | position` — `key_fn` receives the
+/// record's share pair and reconstructs only the words its key is made of
+/// (reconstruction happens *inside* the simulated MPC, mirroring how a
 /// garbled-circuit comparator sees the joint value without either party learning
-/// it). The network is a function of the two public sizes only: a Batcher sort of
-/// the tail `[sorted_prefix, n)`, then — when there is a prefix to merge it into —
-/// the fixed reversal of the prefix into valley form and the bitonic cleaner of
-/// [`bitonic_merge_pairs`] over all `n`. One secure comparison and one record-wide
-/// oblivious swap per comparator, `⌊sorted_prefix/2⌋` swaps for the reversal and
-/// one round per network, charged up front; `sorted_prefix = n` runs and charges
-/// nothing.
-///
-/// Physically, each record becomes one packed word `key << 30 | position` (a
-/// descending sort complements the key, so ties stay ties), the comparator network
-/// runs over that single `u64` lane, and the record shares are gathered through the
+/// it); a descending order complements the key, so ties stay ties. `network` runs
+/// over that single `u64` lane, and the caller moves the record shares through the
 /// surviving position bits in one final pass. Swap decisions depend on the key bits
 /// only, so the arrangement is the one swapping whole records at every comparator
-/// of [`batcher_pairs`] (and [`bitonic_merge_pairs`]) produces.
+/// of the network produces.
 ///
 /// # Panics
-/// Panics when `sorted_prefix` exceeds the array length, a key exceeds
-/// [`MAX_SORT_KEY`] or the array has more than 2³⁰ entries — the latter two would
-/// spill into the other half of the packed word.
-pub(crate) fn oblivious_sort_by_key<F>(
-    array: &mut SharedArrayPair,
-    sorted_prefix: usize,
+/// Panics when a key exceeds [`MAX_SORT_KEY`] or the array has more than 2³⁰
+/// entries — either would spill into the other half of the packed word.
+fn network_permutation<F>(
+    array: &SharedArrayPair,
     order: SortOrder,
-    meter: &mut CostMeter,
     key_fn: F,
-) where
+    network: impl FnOnce(&mut [u64]),
+) -> Vec<usize>
+where
     F: Fn(&SharedRecordPair) -> u64,
 {
-    let n = array.len();
-    assert!(sorted_prefix <= n, "sorted prefix longer than the array");
-    if n < 2 || sorted_prefix == n {
-        return;
-    }
     assert!(
-        n as u64 <= INDEX_MASK + 1,
+        array.len() as u64 <= INDEX_MASK + 1,
         "array too long for a packed sort"
     );
-    let width = array.arity().unwrap_or(1) as u64 + 1;
-    charge_sort_network(n - sorted_prefix, width, meter);
-    if sorted_prefix > 0 {
-        let pairs = bitonic_merge_pair_count(n);
-        meter.compares(pairs);
-        meter.swaps(pairs + sorted_prefix as u64 / 2, width);
-        meter.round();
-    }
-
     let mut words: Vec<u64> = (0u64..)
         .zip(array.entries())
         .map(|(position, entry)| {
@@ -433,13 +410,37 @@ pub(crate) fn oblivious_sort_by_key<F>(
             key << INDEX_BITS | position
         })
         .collect();
-    run_sort_network(&mut words[sorted_prefix..]);
-    if sorted_prefix > 0 {
-        words[..sorted_prefix].reverse();
-        run_bitonic_merge(&mut words);
+    network(&mut words);
+    words
+        .into_iter()
+        .map(|w| (w & INDEX_MASK) as usize)
+        .collect()
+}
+
+/// Oblivious sort of `array` by the key `key_fn` extracts from each record: the
+/// Batcher network of [`batcher_pairs`] over the packed words of
+/// [`network_permutation`]. One secure comparison and one record-wide oblivious swap per
+/// comparator, one round, charged up front from the (public) length.
+pub(crate) fn oblivious_sort_by_key<F>(
+    array: &mut SharedArrayPair,
+    order: SortOrder,
+    meter: &mut CostMeter,
+    key_fn: F,
+) where
+    F: Fn(&SharedRecordPair) -> u64,
+{
+    if array.len() < 2 {
+        return;
     }
-    let perm: Vec<usize> = words.iter().map(|w| (w & INDEX_MASK) as usize).collect();
+    let width = array.arity().unwrap_or(1) as u64 + 1;
+    charge_sort_network(array.len(), width, meter);
+    let perm = network_permutation(array, order, key_fn, run_sort_network);
     array.permute_gather(&perm);
+}
+
+/// The `isView` sort key: real tuples (0) before dummies (1) when ascending.
+fn dummy_rank(rec: &SharedRecordPair) -> u64 {
+    u64::from(rec.is_view.recover() == 0)
 }
 
 /// Oblivious sort by a single attribute column (ascending or descending). Dummy
@@ -451,7 +452,7 @@ pub fn oblivious_sort_by_field(
     order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    oblivious_sort_by_key(array, 0, order, meter, |rec| {
+    oblivious_sort_by_key(array, order, meter, |rec| {
         let dummy = rec.is_view.recover() == 0;
         let value = rec.fields.get(field).map_or(u32::MAX, |w| w.recover());
         // Dummies always sink to the tail regardless of direction.
@@ -466,19 +467,47 @@ pub fn oblivious_sort_by_field(
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_merge_by_is_view(array, 0, meter);
+    oblivious_sort_by_key(array, SortOrder::Ascending, meter, dummy_rank);
 }
 
-/// [`oblivious_sort_by_is_view`] for an array whose first `sorted_prefix` entries
-/// are already real-first: only the tail is sorted, then merged in.
-pub(crate) fn oblivious_merge_by_is_view(
+/// The merge-only operator: two adjacent `isView`-ordered runs become one.
+///
+/// `array[..split]` and `array[split..]` must each be in `isView` order already —
+/// `Ascending`: real tuples first, as [`oblivious_sort_by_is_view`] leaves them;
+/// `Descending`: the same order read back to front, which is how the secure cache
+/// keeps its runs — and the whole array comes out in that order. No sort runs: the
+/// first run is reversed into valley form (a fixed permutation, `⌊split/2⌋`
+/// record-wide swaps) and the bitonic cleaner of [`bitonic_merge_pairs`] runs over
+/// the packed words — `bitonic_merge_pair_count(n)` secure comparisons and swaps,
+/// one round, a function of the two public lengths alone. An empty side runs and
+/// charges nothing. On the host the records are rearranged in place
+/// ([`SharedArrayPair::permute_in_place`]): between two ordered runs most rows keep
+/// their place, and a merge that allocated a second copy of the run made the cost
+/// of a large one depend on the state of the allocator.
+///
+/// # Panics
+/// Panics when `split` exceeds the array length.
+pub fn oblivious_merge_by_is_view(
     array: &mut SharedArrayPair,
-    sorted_prefix: usize,
+    split: usize,
+    order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    oblivious_sort_by_key(array, sorted_prefix, SortOrder::Ascending, meter, |rec| {
-        u64::from(rec.is_view.recover() == 0)
-    });
+    let n = array.len();
+    assert!(split <= n, "split beyond the array");
+    if split == 0 || split == n {
+        return;
+    }
+    let pairs = bitonic_merge_pair_count(n);
+    meter.compares(pairs);
+    meter.swaps(
+        pairs + split as u64 / 2,
+        array.arity().unwrap_or(1) as u64 + 1,
+    );
+    meter.round();
+    array.entries_mut()[..split].reverse();
+    let mut perm = network_permutation(array, order, dummy_rank, run_bitonic_merge);
+    array.permute_in_place(&mut perm);
 }
 
 #[cfg(test)]
@@ -789,31 +818,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sorted_prefix_only_sorts_and_charges_the_tail() {
-        // Prefix 4 of 7 ascending already; the tail is not.
-        let values = [1, 4, 6, 9, 8, 2, 5];
-        let width = 2;
-        let mut arr = share_values(&values, 0);
-        let mut meter = CostMeter::new();
-        oblivious_sort_by_key(&mut arr, 4, SortOrder::Ascending, &mut meter, |rec| {
-            u64::from(rec.fields[0].recover())
-        });
-        let keys: Vec<u32> = arr.recover_all().iter().map(|r| r.fields[0]).collect();
-        assert_eq!(keys, vec![1, 2, 4, 5, 6, 8, 9]);
-        let pairs = batcher_pair_count(3) + bitonic_merge_pair_count(7);
-        let report = meter.take();
-        assert_eq!(report.secure_compares, pairs);
-        assert_eq!(report.secure_swaps, (pairs + 4 / 2) * width);
-        assert_eq!(report.rounds, 2);
+    /// Two adjacent `isView`-ordered runs of `n` rows in all, `reals.0` real rows in
+    /// the first `split` and `reals.1` in the rest, with fresh shares per row.
+    fn two_runs(
+        n: usize,
+        split: usize,
+        reals: (usize, usize),
+        order: SortOrder,
+    ) -> SharedArrayPair {
+        let mut rng = StdRng::seed_from_u64((n * 31 + split) as u64);
+        let run = |len: usize, real: usize| {
+            let mut rows: Vec<PlainRecord> = (0..len)
+                .map(|i| PlainRecord {
+                    fields: vec![i as u32],
+                    is_view: i < real,
+                })
+                .collect();
+            if order == SortOrder::Descending {
+                rows.reverse();
+            }
+            rows
+        };
+        let mut rows = run(split, reals.0);
+        rows.extend(run(n - split, reals.1));
+        SharedArrayPair::share_records(&rows, &mut rng)
+    }
 
-        // A prefix that covers the array: nothing runs, nothing is charged.
-        let before = arr.clone();
-        oblivious_sort_by_key(&mut arr, 7, SortOrder::Ascending, &mut meter, |_| {
-            unreachable!("no key is extracted")
-        });
-        assert_eq!(arr, before);
-        assert!(meter.report().is_empty());
+    /// The merge-only operator against whole-entry swaps at every comparator of
+    /// the materialised cleaner; shares are random, so equal arrays mean equal
+    /// permutations.
+    fn assert_merge_operator_equals_comparator_walk(
+        n: usize,
+        split: usize,
+        reals: (usize, usize),
+        order: SortOrder,
+    ) {
+        let mut merged = two_runs(n, split, reals, order);
+        let mut walked = merged.clone();
+        let mut meter = CostMeter::new();
+        oblivious_merge_by_is_view(&mut merged, split, order, &mut meter);
+
+        let rank = |rec: &SharedRecordPair| match order {
+            SortOrder::Ascending => dummy_rank(rec),
+            SortOrder::Descending => 1 - dummy_rank(rec),
+        };
+        let entries = walked.entries_mut();
+        let merging = split > 0 && split < n;
+        if merging {
+            entries[..split].reverse();
+            for (lo, hi) in bitonic_merge_pairs(n) {
+                if rank(&entries[lo]) > rank(&entries[hi]) {
+                    entries.swap(lo, hi);
+                }
+            }
+        }
+        assert_eq!(merged, walked, "n={n} split={split} {order:?}");
+        assert!(
+            merged
+                .entries()
+                .windows(2)
+                .all(|w| rank(&w[0]) <= rank(&w[1])),
+            "n={n} split={split} {order:?}: not merged"
+        );
+        let pairs = if merging {
+            bitonic_merge_pair_count(n)
+        } else {
+            0
+        };
+        let report = meter.report();
+        assert_eq!(report.secure_compares, pairs);
+        let reversal = if merging { split as u64 / 2 } else { 0 };
+        assert_eq!(report.secure_swaps, (pairs + reversal) * 2);
+        assert_eq!(report.rounds, u64::from(merging));
+    }
+
+    #[test]
+    fn merge_operator_equals_comparator_walk_at_every_length_and_split() {
+        for n in 0..=300usize {
+            for split in 0..=n {
+                // Real counts sweep with the split, so all-real, all-dummy and
+                // mixed runs meet on either side.
+                let reals = (split * (n % 4) / 3, (n - split) * (split % 4) / 3);
+                let order = if (n + split) % 2 == 0 {
+                    SortOrder::Ascending
+                } else {
+                    SortOrder::Descending
+                };
+                assert_merge_operator_equals_comparator_walk(n, split, reals, order);
+            }
+        }
+        for n in [1000usize, 4096, 5000] {
+            for split in [0, 1, n / 64, n / 2, n - n / 64, n - 1, n] {
+                for order in [SortOrder::Ascending, SortOrder::Descending] {
+                    let reals = (split / 3, (n - split) / 2);
+                    assert_merge_operator_equals_comparator_walk(n, split, reals, order);
+                }
+            }
+        }
     }
 
     #[test]
@@ -823,7 +924,6 @@ mod tests {
         let mut arr = share_values(&[1, 2, 3], 0);
         oblivious_sort_by_key(
             &mut arr,
-            0,
             SortOrder::Ascending,
             &mut CostMeter::new(),
             |_| MAX_SORT_KEY + 1,

@@ -180,6 +180,18 @@ impl SharedArrayPair {
         }
     }
 
+    /// Split off the last `n` entries, order kept (the whole array when `n` exceeds
+    /// the length). Costs `O(n)` however long the array is, where
+    /// [`Self::split_front`] slides the whole remainder down: the secure cache keeps
+    /// its runs back to front so that a cut is this one.
+    pub fn split_back(&mut self, n: usize) -> SharedArrayPair {
+        let at = self.entries.len().saturating_sub(n);
+        SharedArrayPair {
+            entries: self.entries.split_off(at),
+            arity: self.arity,
+        }
+    }
+
     /// Drop every entry (cache recycle step of the flush mechanism).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -203,18 +215,44 @@ impl SharedArrayPair {
             self.entries.len(),
             "permutation length mismatch"
         );
-        // The capacity carries over: an array that is appended to between sorts (the
-        // secure cache) would otherwise regrow — and copy itself — after each one.
-        let capacity = self.entries.capacity();
         let mut slots: Vec<Option<SharedRecordPair>> = std::mem::take(&mut self.entries)
             .into_iter()
             .map(Some)
             .collect();
-        self.entries = Vec::with_capacity(capacity);
-        self.entries.extend(
-            perm.iter()
-                .map(|&src| slots[src].take().expect("perm must be a permutation")),
+        // Sized to the rows, not to the old capacity: a sorted tail rests in the
+        // secure cache as a run of its own.
+        self.entries = perm
+            .iter()
+            .map(|&src| slots[src].take().expect("perm must be a permutation"))
+            .collect();
+    }
+
+    /// The rearrangement of [`Self::permute_gather`] without a second array: walks
+    /// the cycles of `perm`, swapping records, and leaves `perm` the identity. A row
+    /// that stays where it is costs one word's read, so this is the one to use when
+    /// few rows move (merging ordered runs); on a random permutation the gather is
+    /// about twice as fast.
+    ///
+    /// # Panics
+    /// Panics when `perm` is not a permutation of `0..len`.
+    pub fn permute_in_place(&mut self, perm: &mut [usize]) {
+        assert_eq!(
+            perm.len(),
+            self.entries.len(),
+            "permutation length mismatch"
         );
+        for start in 0..perm.len() {
+            let mut at = start;
+            loop {
+                let src = std::mem::replace(&mut perm[at], at);
+                if src == start {
+                    break;
+                }
+                assert_ne!(src, at, "perm must be a permutation");
+                self.entries.swap(at, src);
+                at = src;
+            }
+        }
     }
 
     /// Keep only the entries whose `(index, entry)` the predicate accepts, preserving
@@ -313,6 +351,13 @@ mod tests {
             assert_eq!(rest.entries(), &whole.entries()[cut..], "n={n}");
             assert_eq!(front.arity(), Some(2));
             assert_eq!(rest.arity(), Some(2));
+
+            let mut rest = whole.clone();
+            let back = rest.split_back(n);
+            let kept = whole.len() - cut;
+            assert_eq!(back.entries(), &whole.entries()[kept..], "back n={n}");
+            assert_eq!(rest.entries(), &whole.entries()[..kept], "back n={n}");
+            assert_eq!(back.arity(), Some(2));
         }
     }
 
@@ -382,7 +427,10 @@ mod tests {
         arr.entries.reserve(11);
         let capacity = arr.entries.capacity();
         arr.permute_gather(&[3, 0, 4, 1, 2]);
-        assert!(arr.entries.capacity() >= capacity, "spare capacity is kept");
+        assert!(
+            arr.entries.capacity() < capacity,
+            "spare capacity is dropped"
+        );
         let after = arr.recover_all();
         for (j, &src) in [3usize, 0, 4, 1, 2].iter().enumerate() {
             assert_eq!(after[j], before[src]);
@@ -391,6 +439,30 @@ mod tests {
         let mut empty = SharedArrayPair::new();
         empty.permute_gather(&[]);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn permute_in_place_equals_permute_gather() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [0usize, 1, 2, 7, 64, 257] {
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let mut gathered = sample_array(n, 0, 1);
+            let mut walked = gathered.clone();
+            gathered.permute_gather(&perm);
+            walked.permute_in_place(&mut perm);
+            assert_eq!(walked, gathered, "n = {n}");
+            assert!(perm.iter().copied().eq(0..n), "perm is left the identity");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "perm must be a permutation")]
+    fn permute_in_place_rejects_a_repeated_source() {
+        let mut arr = sample_array(3, 0, 1);
+        arr.permute_in_place(&mut [1, 1, 2]);
     }
 
     #[test]

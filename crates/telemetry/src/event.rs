@@ -6,7 +6,8 @@ use serde::{Serialize, Value};
 
 /// Counts of primitive oblivious operations attributed to one span.
 ///
-/// Mirrors `incshrink_mpc::cost::CostReport` field-for-field without depending
+/// Mirrors `incshrink_mpc::cost::CostReport` field-for-field (plus the secure
+/// cache's two merge counts, which are bookkeeping, not priced gates) without depending
 /// on the mpc crate (telemetry sits below it in the crate graph); the mpc crate
 /// provides the `CostReport -> CostDelta` conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,6 +24,11 @@ pub struct CostDelta {
     pub bytes: u64,
     /// Distinct protocol rounds.
     pub rounds: u64,
+    /// Run merges of the secure cache (no `CostReport` counterpart: the `shrink`
+    /// span stamps it, so a merge burst can be told from a large sort).
+    pub merges: u64,
+    /// Rows those merges covered.
+    pub merged_rows: u64,
 }
 
 impl CostDelta {
@@ -34,6 +40,8 @@ impl CostDelta {
         self.adds = self.adds.saturating_add(rhs.adds);
         self.bytes = self.bytes.saturating_add(rhs.bytes);
         self.rounds = self.rounds.saturating_add(rhs.rounds);
+        self.merges = self.merges.saturating_add(rhs.merges);
+        self.merged_rows = self.merged_rows.saturating_add(rhs.merged_rows);
     }
 }
 
@@ -223,6 +231,8 @@ impl CostDelta {
             ("adds".to_string(), Value::UInt(self.adds)),
             ("bytes".to_string(), Value::UInt(self.bytes)),
             ("rounds".to_string(), Value::UInt(self.rounds)),
+            ("merges".to_string(), Value::UInt(self.merges)),
+            ("merged_rows".to_string(), Value::UInt(self.merged_rows)),
         ])
     }
 
@@ -237,6 +247,9 @@ impl CostDelta {
             adds: as_u64(entries, "adds")?,
             bytes: as_u64(entries, "bytes")?,
             rounds: as_u64(entries, "rounds")?,
+            // Absent from traces recorded before the cache had runs.
+            merges: as_opt_u64(entries, "merges")?.unwrap_or(0),
+            merged_rows: as_opt_u64(entries, "merged_rows")?.unwrap_or(0),
         })
     }
 }
@@ -367,6 +380,8 @@ mod tests {
                 adds: 4,
                 bytes: 5,
                 rounds: 6,
+                merges: 7,
+                merged_rows: 8,
             }),
         }));
         roundtrip(Event::Span(SpanRecord {
