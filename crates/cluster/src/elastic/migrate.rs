@@ -146,6 +146,7 @@ mod tests {
                 .collect(),
             active_right: Vec::new(),
             view_arity: 4,
+            window_rows: (active, 0),
         }
     }
 

@@ -28,7 +28,7 @@ use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::planner::Calibration;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{OutsourcedStore, Relation, SecureCache, UploadBatch};
+use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, SecureCache, UploadBatch};
 use incshrink_telemetry::CostDelta;
 use incshrink_workload::{logical_join_counts_per_step, Dataset, DatasetKind};
 use rand::rngs::StdRng;
@@ -149,6 +149,11 @@ pub struct MigratedPartition {
     /// Arity of view entries (`left_arity + right_arity`), kept so dummy
     /// padding can be built even when no real view entry migrates.
     pub view_arity: usize,
+    /// Padded rows of the source's public active windows (left, right) at export.
+    /// How many of them moved is private, so the destination's windows grow by one
+    /// block of these lengths each — the price of keeping Transform's join sizes
+    /// public across a migration.
+    pub window_rows: (usize, usize),
 }
 
 impl MigratedPartition {
@@ -254,7 +259,7 @@ impl ShardPipeline {
         Self {
             ctx: PartyContext::new(party_mode, seed, cost_model),
             upload_rng: StdRng::seed_from_u64(seed ^ 0x0B17_A5E5),
-            store: OutsourcedStore::new(),
+            store: OutsourcedStore::new(transform.window_steps()),
             cache: SecureCache::new(),
             view: MaterializedView::new(),
             transform,
@@ -374,14 +379,16 @@ impl ShardPipeline {
             active_left,
             active_right,
             view_arity: self.left_arity + self.right_arity,
+            window_rows: self.transform.window_rows(),
         }
     }
 
     /// Adopt a migrated partition: re-share the view entries (reals plus the
-    /// dummy padding the migration protocol added) and resume the active
-    /// records' budgets. `seed` derives the re-sharing randomness — the driver
-    /// draws it from the migration rng, so sequential and actor drivers replay
-    /// identically and no party randomness is consumed.
+    /// dummy padding the migration protocol added), take each side's active
+    /// records in as one window block padded to the source's public window length,
+    /// and resume their budgets. `seed` derives the re-sharing randomness — the
+    /// driver draws it from the migration rng, so sequential and actor drivers
+    /// replay identically and no party randomness is consumed.
     pub fn import_partition(&mut self, partition: MigratedPartition, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         if !partition.view_entries.is_empty() {
@@ -390,8 +397,47 @@ impl ShardPipeline {
                 &mut rng,
             ));
         }
-        self.transform
-            .import_active(partition.active_left, partition.active_right);
+        let sides = [
+            (Relation::Left, &partition.active_left, self.left_arity),
+            (Relation::Right, &partition.active_right, self.right_arity),
+        ];
+        for ((relation, active, arity), rows) in sides
+            .into_iter()
+            .zip([partition.window_rows.0, partition.window_rows.1])
+        {
+            let moved: Vec<LogicalUpdate> = active
+                .iter()
+                .map(|(rec, _)| LogicalUpdate {
+                    id: rec.id,
+                    relation,
+                    arrival: 0,
+                    fields: rec.fields.clone(),
+                })
+                .collect();
+            let moved: Vec<&LogicalUpdate> = moved.iter().collect();
+            self.store.adopt(UploadBatch::from_updates(
+                relation, 0, &moved, arity, rows, &mut rng,
+            ));
+        }
+        self.transform.import_active(
+            partition.active_left,
+            partition.active_right,
+            partition.window_rows,
+        );
+        self.debug_assert_windows_agree();
+    }
+
+    /// The store's physical window and the lengths Transform prices are two views
+    /// of one public quantity.
+    fn debug_assert_windows_agree(&self) {
+        debug_assert_eq!(
+            self.transform.window_rows(),
+            (
+                self.store.relation(Relation::Left).window_rows(),
+                self.store.relation(Relation::Right).window_rows(),
+            ),
+            "Transform prices a window the store does not hold"
+        );
     }
 
     /// Ground-truth logical answer over this pipeline's (shard of the) data at step
@@ -523,6 +569,14 @@ impl ShardPipeline {
         StepUploads { left, right }
     }
 
+    /// Move one step's upload batches into the store.
+    fn ingest(&mut self, step: StepInputs) {
+        self.store.ingest(step.delta_left);
+        if let Some(batch) = step.delta_right {
+            self.store.ingest(batch);
+        }
+    }
+
     /// Run one upload epoch: owner uploads, Transform (strategy dependent) and Shrink
     /// (DP strategies only). Queries are issued separately via [`Self::query`] so a
     /// cluster driver can scatter-gather them across shards.
@@ -543,40 +597,30 @@ impl ShardPipeline {
         let _step_span = incshrink_telemetry::span!("pipeline.step");
         let mut outcome = PipelineStepOutcome::default();
 
-        // --- Owner uploads (fixed-size padded batches every step), accumulated for
-        // Transform when the strategy maintains the view.
+        // --- Owner uploads (fixed-size padded batches every step): deferred for
+        // Transform when the strategy maintains the view, otherwise handed straight
+        // to the store.
         let ingest_span = incshrink_telemetry::span!("ingest");
-        let left_batch = uploads.left;
         self.ctx.observe_both(ObservedEvent::UploadBatch {
             time: t,
-            count: left_batch.len(),
+            count: uploads.left.len(),
         });
-        self.store.ingest(&left_batch);
-
-        let right_batch = uploads.right;
-        if let Some(batch) = &right_batch {
+        if let Some(batch) = &uploads.right {
             self.ctx.observe_both(ObservedEvent::UploadBatch {
                 time: t,
                 count: batch.len(),
             });
-            self.store.ingest(batch);
         }
-
         let routing = delta_routing(self.config.strategy, t);
         let maintained = routing != DeltaRouting::NoTransform && routing != DeltaRouting::Drop;
+        let step = StepInputs {
+            delta_left: uploads.left,
+            delta_right: uploads.right,
+        };
         if maintained {
-            let full_right_len = if self.dataset.right_is_public {
-                self.public_right_len
-            } else {
-                self.store.relation(Relation::Right).len()
-            };
-            let full_left_len = self.store.relation(Relation::Left).len();
-            self.pending.push(StepInputs {
-                delta_left: left_batch,
-                delta_right: right_batch,
-                full_right_len,
-                full_left_len,
-            });
+            self.pending.push(step);
+        } else {
+            self.ingest(step);
         }
         drop(ingest_span);
 
@@ -590,9 +634,20 @@ impl ShardPipeline {
             let transform_outcome = self.transform.invoke_batched(&mut self.ctx, &self.pending);
             self.host_transform_secs += started.elapsed().as_secs_f64();
             transform_span.record_sim_secs(transform_outcome.duration.as_secs_f64());
-            transform_span.record_cost(transform_outcome.report.into());
+            transform_span.record_cost(CostDelta {
+                window_rows: transform_outcome.window_rows as u64,
+                ..transform_outcome.report.into()
+            });
             drop(transform_span);
-            self.pending.clear();
+            // The covered batches become the newest blocks of the store's window.
+            let ingest_span = incshrink_telemetry::span!("ingest");
+            let mut covered = std::mem::take(&mut self.pending);
+            for step in covered.drain(..) {
+                self.ingest(step);
+            }
+            self.pending = covered;
+            self.debug_assert_windows_agree();
+            drop(ingest_span);
             outcome.transform_duration = Some(transform_outcome.duration);
             outcome.transform_report = Some(transform_outcome.report);
             self.ctx.observe_both(ObservedEvent::CacheAppend {

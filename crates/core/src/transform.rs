@@ -11,59 +11,81 @@
 //!
 //! Lifetime contribution budgets (Section 5.1, "Contribution over time") are enforced
 //! here: every record used as Transform input is charged ω against its budget `b`;
-//! retired records are excluded from future invocations, which is what makes the
-//! composed transformation `b`-stable and the total privacy loss bounded.
+//! retired records are excluded from future invocations — their batches leave the
+//! join input altogether — which is what makes the composed transformation
+//! `b`-stable and the total privacy loss bounded.
 //!
 //! # Incremental execution
 //!
 //! In the real protocol the servers already hold the outsourced shares and
 //! `σ ← σ ‖ ΔV` is an append: an invocation joins only the new delta against data
-//! that is already there. The simulation's host cost follows the same shape — per
-//! invocation it is `O(|Δ|)` plus one ledger charge per active record.
+//! it can still join with. Both the modeled cost and the simulation's host cost
+//! follow that shape — per invocation, `|Δ|` against a window of public length.
 //!
-//! * **What is kept across invocations** is, per accumulated relation, the
-//!   plaintext mirror of its still-active records plus a persistent join-key index
+//! * **The join input is the public active window.** A record is charged ω when it
+//!   arrives and ω at every later step, *whether or not it matches*, so the batch
+//!   it came in retires `b/ω − 1` steps after its upload — a function of the upload
+//!   step, `b` and ω, which the servers already know (DP-Sync's update pattern:
+//!   batch sizes and arrival times). Per accumulated relation Transform therefore
+//!   tracks the padded lengths of the batches of the last `b/ω − 1` steps
+//!   ([`incshrink_storage::ActiveWindow`], the same sliding window the
+//!   `OutsourcedStore` keeps the batches' shares in) and prices every join as
+//!   `join_cost(|Δ|, window rows)`: dummies included, retired batches excluded, no
+//!   term for the rest of the relation. This is a **declared deviation** from
+//!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
+//!   the horizon); the whole-relation price is one
+//!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
+//!   that wants it. A *public* right relation (CPDB's Award table) is scanned over
+//!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
+//!   number, since a record's time column is its upload step — two
+//!   `partition_point`s on a time column sorted once in [`TransformProtocol::new`].
+//! * **What is kept for the matching** is, per accumulated relation, the plaintext
+//!   mirror of the window's real records plus a persistent join-key index
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
-//!   are pushed at the tail; nothing is recovered, re-shared or re-indexed per step.
-//!   A *public* right relation (CPDB's Award table) never changes, so
-//!   [`TransformProtocol::new`] indexes it once: a sorted `(key, position)` vector
-//!   for the candidate walk and a sorted time column, from which the window
-//!   cardinality the meter needs is two `partition_point`s. No copy of the inner
-//!   relations' *shares* is kept: `OutsourcedStore` already holds them and nothing
-//!   downstream observes their words — ΔV's shares are drawn fresh from the
-//!   per-invocation stream in [`incshrink_oblivious::push_padded`].
+//!   are pushed at the tail; nothing is recovered, re-shared or re-indexed per
+//!   step, so the host does `O(|Δ|)` work plus one ledger charge per active
+//!   record. No copy of the window's *shares* is kept here: the store holds them
+//!   and nothing downstream observes their words — ΔV's shares are drawn fresh from
+//!   the per-invocation stream in [`incshrink_oblivious::push_padded`].
 //! * **Why mirror-driven matching is the same simulated circuit.** Every truncated
 //!   join operator in `incshrink_oblivious::join` derives its output from
 //!   [`incshrink_oblivious::truncated_match_rows`] over recovered plaintext and
-//!   charges the data-independent schedule separately. The mirror *is* that
-//!   recovered plaintext (appends and evictions move in lockstep with what a
-//!   recovery of the active shares would return), and a candidate walk visits
-//!   matching inner rows in ascending position order — the order the operator's
-//!   scan does — so ΔV, budgets and truncation losses are identical to running
-//!   [`incshrink_oblivious::truncated_nested_loop_join`] over a fresh sharing of the
-//!   same rows (lockstep-tested). Window pruning of the public relation needs no
-//!   scan either: a candidate outside the window fails the θ-condition the walk
-//!   already evaluates.
+//!   charges the data-independent schedule separately. The mirror *is* the
+//!   recovered plaintext of the window's real rows (a dummy never matches), in the
+//!   window's block order, and a candidate walk visits matching inner rows in
+//!   ascending position order — the order the operator's scan does — so ΔV, budgets
+//!   and truncation losses are identical to running
+//!   [`incshrink_oblivious::truncated_nested_loop_join`] over the store's padded
+//!   window shares, and so is the `CostReport` (lockstep-tested over both).
 //! * **Why expiry is a prefix, and when it is not.** Records enter at the tail with
 //!   budget `b − ω` and every active record is charged ω per covered step, so
 //!   remaining budgets are non-decreasing along the mirror and the records that
-//!   expire in a step are always its first few: eviction pops them off the front
-//!   and unlinks them from the index in O(expired). Elastic migration breaks the
-//!   ordering — [`TransformProtocol::import_active`] appends records whose
-//!   remaining budgets are whatever they were at the source — so a later expiry can
-//!   strike mid-relation; that case, and [`TransformProtocol::export_active`]
-//!   pulling a key range out of the middle, rebuild the index from the mirror.
+//!   expire in a step are always its first few — the real records of the batch the
+//!   window just dropped: eviction pops them off the front and unlinks them from
+//!   the index in O(expired). Elastic migration breaks the ordering —
+//!   [`TransformProtocol::import_active`] appends records whose remaining budgets
+//!   are whatever they were at the source — so a later expiry can strike
+//!   mid-relation; that case, and [`TransformProtocol::export_active`] pulling a
+//!   key range out of the middle, rebuild the index from the mirror.
+//! * **Migration keeps the window public by the conservative rule.** Which rows a
+//!   migration moves is private, so the source's window keeps its blocks until
+//!   they age out, and the destination's grows by one block of the source's window
+//!   length at export, live for a full `b/ω − 1` steps (no imported record has more
+//!   budget left than a fresh one). A cluster that migrates at every cooldown pays
+//!   for it in Transform seconds.
 //! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
 //!   deferred upload steps as one invocation: the per-step plaintext functionality
 //!   (ledger charges, truncated matching, per-step counter reshares) is the same
 //!   loop body whatever `k` is, and only the pricing differs — a single step under
-//!   the nested-loop plan is charged the paper-literal per-step join, a batch is
-//!   priced once over the combined delta by the adaptive planner
-//!   ([`incshrink_oblivious::planner`]). Upload epochs are public metadata (the
-//!   servers observe every batch arrival), so restricting the batched join to the
-//!   same cross-epoch pairs the per-step invocations would produce costs no extra
-//!   oblivious work. DP-relevant state — counter values, reshare cadence, ΔV
-//!   contents — is invariant in `k`.
+//!   the nested-loop plan is charged Algorithm 4 over that step's window, a batch
+//!   is priced once over the combined delta, by the adaptive planner
+//!   ([`incshrink_oblivious::planner`]), against every row one of its steps can
+//!   join with (the first step's window plus the batches the earlier steps
+//!   append). Upload epochs are public metadata (the servers observe every batch
+//!   arrival), so restricting the batched join to the same cross-epoch pairs the
+//!   per-step invocations would produce costs no extra oblivious work.
+//!   DP-relevant state — counter values, reshare cadence, ΔV contents — is
+//!   invariant in `k`.
 
 use crate::config::JoinPlanMode;
 use crate::view::ViewDefinition;
@@ -78,7 +100,7 @@ use incshrink_oblivious::{
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{RecordId, UploadBatch};
+use incshrink_storage::{ActiveWindow, RecordId, UploadBatch};
 use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +111,8 @@ pub const CARDINALITY_SHARE: &str = "cardinality";
 
 /// A record currently eligible to participate in view transformations (it still has
 /// contribution budget). The framework keeps these as the plaintext mirror of the
-/// secret-shared outsourced store; the joins themselves run over shares.
+/// real rows of the store's secret-shared active window; the joins themselves run
+/// over shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveRecord {
     /// The record's id, used for contribution accounting.
@@ -109,35 +132,31 @@ impl ActiveRecord {
 /// / [`TransformProtocol::import_active`]).
 pub type BudgetedRecord = (ActiveRecord, u64);
 
-/// One owner upload step deferred for batched Transform execution: the padded upload
-/// batches plus the *unpruned* outsourced-relation sizes at that step.
-///
-/// `full_right_len` / `full_left_len` are the sizes of the entire relation the deltas
-/// are joined against; the difference between those and the active sets is charged
-/// to the cost meter so simulated time reflects a join against the whole outsourced
-/// relation even though retired records are (correctly) excluded from the matching.
+/// One owner upload step deferred for batched Transform execution: its padded
+/// upload batches. What each delta is joined against — the public active window —
+/// is the protocol's own state, not an input.
 #[derive(Debug, Clone)]
 pub struct StepInputs {
     /// The left relation's padded upload batch.
     pub delta_left: UploadBatch,
     /// The right relation's padded upload batch (absent when the right is public).
     pub delta_right: Option<UploadBatch>,
-    /// Unpruned size of the right relation the left delta joins against.
-    pub full_right_len: usize,
-    /// Unpruned size of the left relation the right delta joins against.
-    pub full_left_len: usize,
 }
 
-/// One accumulated relation's still-active records, kept across Transform
-/// invocations together with their join-key index (see the module docs).
+/// One accumulated relation as Transform sees it: the *public active window* — the
+/// padded lengths of the upload batches a delta can still join with, which is what
+/// every join is priced over — and, for the matching, the plaintext mirror of the
+/// window's real records with their join-key index (see the module docs).
 ///
-/// Invariant: `index` equals a [`KeyIndex`] built from scratch over `records` by
-/// `key_column` — appends and evictions update both in lockstep.
+/// Invariants: `index` equals a [`KeyIndex`] built from scratch over `records` by
+/// `key_column` — appends and evictions update both in lockstep; and every mirrored
+/// record sits in a live window block, so `records.len() <= window.rows()`.
 #[derive(Debug)]
 struct ActiveRelation {
     records: VecDeque<ActiveRecord>,
     index: KeyIndex,
     key_column: usize,
+    window: ActiveWindow<()>,
 }
 
 impl ActiveRelation {
@@ -146,6 +165,7 @@ impl ActiveRelation {
             records: VecDeque::new(),
             index: KeyIndex::default(),
             key_column,
+            window: ActiveWindow::default(),
         }
     }
 
@@ -158,7 +178,8 @@ impl ActiveRelation {
         self.records.push_back(rec);
     }
 
-    /// The step's real arrivals (the batch positions carrying an id) turn active.
+    /// The real arrivals of a batch the window admitted (the positions carrying an
+    /// id) turn active.
     fn activate(&mut self, ids: &[Option<RecordId>], arrivals: Vec<PlainRecord>) {
         for (id, rec) in ids.iter().zip(arrivals) {
             if let Some(id) = *id {
@@ -177,7 +198,9 @@ impl ActiveRelation {
     }
 
     /// Charge ω to every active record and evict the ones whose budget expired
-    /// (`tuples expire` eviction). Budgets are non-decreasing along the relation
+    /// (`tuples expire` eviction) — the real records of exactly the batches the
+    /// window dropped after the previous step, since retirement is charged whether
+    /// or not a record matched. Budgets are non-decreasing along the relation
     /// unless migration imported uneven ones, so the expired records are normally a
     /// prefix and are unlinked from the front; stragglers behind a surviving record
     /// take the rebuild path.
@@ -210,11 +233,16 @@ impl ActiveRelation {
             self.index == self.fresh_index(),
             "persistent key index drifted from the active mirror"
         );
+        debug_assert!(
+            self.records.len() <= self.window.rows(),
+            "an active record outlived its window block"
+        );
     }
 
     /// Remove and return the records whose join key satisfies `moved` (elastic
     /// migration: they leave for another shard). Extraction is not a prefix, so the
-    /// index is rebuilt over what stays.
+    /// index is rebuilt over what stays. The window keeps its blocks until they age
+    /// out: which rows left is private, when a batch arrived is not.
     fn extract(&mut self, moved: &dyn Fn(u32) -> bool) -> Vec<ActiveRecord> {
         let key_column = self.key_column;
         let leaves = |rec: &ActiveRecord| rec.key(key_column).is_some_and(moved);
@@ -321,26 +349,15 @@ impl IndexedPublic {
         }
     }
 
-    /// Number of public rows inside the join window of the given left delta —
-    /// `[min time, max time + window]` over its real records, empty when it has
-    /// none. A real oblivious execution would scan exactly these rows (the rest of
-    /// the relation is charged separately as the skipped gap).
-    fn window_len(
-        &self,
-        view: &ViewDefinition,
-        ids: &[Option<RecordId>],
-        outer: &[PlainRecord],
-    ) -> usize {
-        let times = ids
-            .iter()
-            .zip(outer)
-            .filter(|(id, _)| id.is_some())
-            .filter_map(|(_, rec)| rec.fields.get(view.left_time).copied());
-        let (lo, hi) = times.fold((u32::MAX, 0), |(lo, hi), t| (lo.min(t), hi.max(t)));
-        if lo > hi {
-            return 0;
-        }
-        let hi = hi.saturating_add(view.window);
+    /// Number of public rows a left delta uploaded over steps `first..=last` scans:
+    /// those timed `[first, last + window]`. A record's time column is its upload
+    /// step, so no row outside that range can satisfy the θ-condition — and the
+    /// range is fixed by the step numbers alone, never by the delta's contents.
+    fn range_len(&self, view: &ViewDefinition, first: u64, last: u64) -> usize {
+        let lo = u32::try_from(first).unwrap_or(u32::MAX);
+        let hi = u32::try_from(last)
+            .unwrap_or(u32::MAX)
+            .saturating_add(view.window);
         let below = self.times.partition_point(|&t| t < lo);
         self.times.partition_point(|&t| t <= hi) - below
     }
@@ -404,16 +421,13 @@ impl DeltaOut {
     }
 }
 
-/// Charge one step's paper-literal nested-loop join — `|Δ|` outer rows against the
-/// `inner_len` rows the join scans — inside a `join.nested_loop` span the caller
-/// keeps open over the match, plus the rows host-side pruning skipped (retired
-/// records, public rows outside the window), so simulated time reflects a join
-/// against the `full_inner_len` rows of the entire outsourced relation.
+/// Charge one step's nested-loop join (Algorithm 4) — `|Δ|` outer rows against the
+/// `inner_len` rows of the public active window — inside a `join.nested_loop` span
+/// the caller keeps open over the match.
 fn charge_nested_loop_step(
     meter: &mut CostMeter,
     outer_len: usize,
     inner_len: usize,
-    full_inner_len: usize,
     omega: usize,
     out_arity: usize,
 ) -> Span {
@@ -421,9 +435,6 @@ fn charge_nested_loop_step(
     let cost = nested_loop_join_cost(outer_len, inner_len, omega, out_arity);
     span.record_cost(cost.into());
     meter.record(cost);
-    let skipped = full_inner_len.saturating_sub(inner_len) as u64;
-    meter.compares(outer_len as u64 * skipped);
-    meter.ands(2 * outer_len as u64 * skipped);
     span
 }
 
@@ -441,6 +452,9 @@ pub struct TransformOutcome {
     /// How many owner upload steps this invocation covered (1 for the per-step path,
     /// up to `k` for batched execution).
     pub steps_covered: usize,
+    /// Inner rows this invocation's joins were priced over, summed over its joins:
+    /// public active-window lengths (or the step-fixed range of a public relation).
+    pub window_rows: usize,
 }
 
 /// The Transform protocol state.
@@ -448,9 +462,14 @@ pub struct TransformOutcome {
 /// # Leakage
 /// Everything the servers observe — upload batch sizes, ΔV sizes, the counter
 /// reshare cadence, the join operation schedule — is a deterministic function of
-/// public quantities (batch sizes, relation lengths, ω, the plan mode and `k`).
-/// Batched execution defers join *work*, never messages: the counter is still
-/// reshared once per covered upload step.
+/// public quantities: the padded sizes of the batches uploaded so far, `b`, ω, the
+/// plan mode and `k`. In particular the inner side of every join is the public
+/// active window (padded batch lengths of the last `b/ω − 1` steps, or the range of
+/// the public relation the step numbers fix), never the number of *real* active
+/// records or the span of a delta's private time column: two upload streams of
+/// equal padded sizes get equal `CostReport`s at every step (property-tested in
+/// `tests/incremental.rs`). Batched execution defers join *work*, never messages:
+/// the counter is still reshared once per covered upload step.
 pub struct TransformProtocol {
     view: ViewDefinition,
     /// `left ⋈ right` and its mirror, built once (each boxes its θ-condition).
@@ -464,7 +483,8 @@ pub struct TransformProtocol {
     public_right: Option<IndexedPublic>,
     join_plan: JoinPlanMode,
     calibration: Option<Calibration>,
-    initialized: bool,
+    /// Upload steps covered so far — the clock the window blocks expire on.
+    covered: u64,
     total_truncation_losses: u64,
 }
 
@@ -491,7 +511,7 @@ impl TransformProtocol {
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
             join_plan: JoinPlanMode::NestedLoop,
             calibration: None,
-            initialized: false,
+            covered: 0,
             total_truncation_losses: 0,
         }
     }
@@ -532,6 +552,24 @@ impl TransformProtocol {
         (self.active_left.len(), self.active_right.len())
     }
 
+    /// How many steps after its own an uploaded batch stays joinable: `b/ω − 1`. A
+    /// record is charged ω on arrival and ω per later step whether or not it
+    /// matches, so when its batch retires is fixed by the upload step, `b` and ω.
+    #[must_use]
+    pub fn window_steps(&self) -> u64 {
+        self.ledger.total_budget() / self.omega - 1
+    }
+
+    /// Padded rows of each side's public active window — what the next step's
+    /// deltas are priced against.
+    #[must_use]
+    pub fn window_rows(&self) -> (usize, usize) {
+        (
+            self.active_left.window.rows(),
+            self.active_right.window.rows(),
+        )
+    }
+
     /// Cumulative number of real join pairs dropped because of the ω truncation.
     #[must_use]
     pub fn truncation_losses(&self) -> u64 {
@@ -565,12 +603,23 @@ impl TransformProtocol {
     /// Adopt active records migrated from another shard, resuming each record's
     /// contribution budget. They join the tail of the active relations whatever
     /// their remaining budgets are, which is what can make a later expiry
-    /// non-prefix (see the module docs).
-    pub fn import_active(&mut self, left: Vec<BudgetedRecord>, right: Vec<BudgetedRecord>) {
-        for (side, batch) in [
-            (&mut self.active_left, left),
-            (&mut self.active_right, right),
+    /// non-prefix (see the module docs). `source_window` is the source's
+    /// [`Self::window_rows`] at export: how many of its rows moved is private, so
+    /// each side's window grows by one block of that public length, live for a full
+    /// [`Self::window_steps`] — no imported record can outlive it.
+    pub fn import_active(
+        &mut self,
+        left: Vec<BudgetedRecord>,
+        right: Vec<BudgetedRecord>,
+        source_window: (usize, usize),
+    ) {
+        let window_steps = self.window_steps();
+        for (side, batch, rows) in [
+            (&mut self.active_left, left, source_window.0),
+            (&mut self.active_right, right, source_window.1),
         ] {
+            debug_assert!(batch.len() <= rows, "more records than their window held");
+            side.window.admit(self.covered, window_steps, rows, ());
             for (rec, remaining) in batch {
                 self.ledger.import(rec.id, remaining);
                 side.push(rec);
@@ -594,24 +643,44 @@ impl TransformProtocol {
 
     /// Run one Transform invocation over the owner deltas submitted at a single time
     /// step: [`Self::invoke_batched`] over one [`StepInputs`] built from clones of
-    /// the given batches. Under the default nested-loop plan the meter and
-    /// server-randomness trace is the original per-step protocol's, so
-    /// default-configuration trajectories replay bit for bit.
+    /// the given batches.
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
         delta_left: &UploadBatch,
         delta_right: Option<&UploadBatch>,
-        full_right_len: usize,
-        full_left_len: usize,
     ) -> TransformOutcome {
         let step = StepInputs {
             delta_left: delta_left.clone(),
             delta_right: delta_right.cloned(),
-            full_right_len,
-            full_left_len,
         };
         self.invoke_batched(ctx, std::slice::from_ref(&step))
+    }
+
+    /// The inner rows a batch of deferred steps is priced against, per direction
+    /// (left deltas' inner, right deltas' inner): the window the first covered step
+    /// sees plus the batches the earlier steps of this very batch append — every
+    /// row some covered step can still join with. For one step that is its window.
+    fn batch_inner_rows(&self, steps: &[StepInputs]) -> (usize, usize) {
+        let (earlier, last) = steps.split_at(steps.len() - 1);
+        let appended_left: usize = earlier.iter().map(|s| s.delta_left.len()).sum();
+        let appended_right: usize = earlier
+            .iter()
+            .filter_map(|s| s.delta_right.as_ref())
+            .map(UploadBatch::len)
+            .sum();
+        let inner_of_left = match &self.public_right {
+            Some(public) => public.range_len(
+                &self.view,
+                steps[0].delta_left.time,
+                last[0].delta_left.time,
+            ),
+            None => self.active_right.window.rows() + appended_right,
+        };
+        (
+            inner_of_left,
+            self.active_left.window.rows() + appended_left,
+        )
     }
 
     /// Run one Transform invocation over up to `k` deferred upload steps.
@@ -621,12 +690,13 @@ impl TransformProtocol {
     /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
     /// recover/reshare (the counter message cadence the servers observe is part of
     /// the update-pattern leakage and must not change with `k`), and the arrivals
-    /// turning active — so ΔV contents, active-set evolution and truncation losses
-    /// do not depend on how steps are grouped. Only the price of the oblivious join
-    /// work does: a single step under [`JoinPlanMode::NestedLoop`] is charged the
-    /// paper-literal per-step nested-loop join against the relation as of that step;
-    /// anything else is priced once over the combined delta against the relation
-    /// size at flush time, using the operator the plan mode selects.
+    /// joining the window and turning active — so ΔV contents,
+    /// active-set evolution and truncation losses do not depend on how steps are
+    /// grouped. Only the price of the oblivious join work does: a single step under
+    /// [`JoinPlanMode::NestedLoop`] is charged Algorithm 4 over that step's public
+    /// active window; anything else is priced once over the combined delta against
+    /// every row a covered step can join with (`batch_inner_rows`), using the
+    /// operator the plan mode selects.
     pub fn invoke_batched(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -639,12 +709,12 @@ impl TransformProtocol {
                 report: CostReport::default(),
                 duration: SimDuration::ZERO,
                 steps_covered: 0,
+                window_rows: 0,
             };
         }
         // Algorithm 1 line 1-2: on the first invocation, initialise and share c = 0.
-        if !self.initialized {
+        if self.covered == 0 {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
-            self.initialized = true;
         }
 
         // Relation arities are uniform across a batch; fall back across steps for
@@ -663,14 +733,15 @@ impl TransformProtocol {
         let omega = self.omega as usize;
         // Pricing (see the method docs): per step inside the loop, or amortized after.
         let per_step_nested_loop = steps.len() == 1 && self.join_plan == JoinPlanMode::NestedLoop;
-        let nested_loop_span = |meter: &mut CostMeter,
-                                outer: &[PlainRecord],
-                                inner_len: usize,
-                                full_len: usize| {
-            per_step_nested_loop.then(|| {
-                charge_nested_loop_step(meter, outer.len(), inner_len, full_len, omega, out_arity)
-            })
-        };
+        let batch_inner = (!per_step_nested_loop).then(|| self.batch_inner_rows(steps));
+        let mut window_rows = 0usize;
+        let mut nested_loop_span =
+            |meter: &mut CostMeter, outer: &[PlainRecord], inner_len: usize| {
+                per_step_nested_loop.then(|| {
+                    window_rows += inner_len;
+                    charge_nested_loop_step(meter, outer.len(), inner_len, omega, out_arity)
+                })
+            };
 
         let mut out = DeltaOut {
             rows: SharedArrayPair::with_arity(out_arity),
@@ -681,8 +752,10 @@ impl TransformProtocol {
         let mut total_new_entries = 0usize;
         let mut outer_left_total = 0usize;
         let mut outer_right_total = 0usize;
+        let window_steps = self.window_steps();
 
         for step in steps {
+            self.covered += 1;
             // --- Contribution accounting: charge ω to every record used as input.
             let outer_left = self.charge_arrivals(&step.delta_left);
             let outer_right = step.delta_right.as_ref().map(|d| self.charge_arrivals(d));
@@ -692,11 +765,25 @@ impl TransformProtocol {
                 .charge_and_evict(&mut self.ledger, self.omega);
 
             // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
+            let upload_step = step.delta_left.time;
+            debug_assert!(
+                self.public_right.is_none()
+                    || step
+                        .delta_left
+                        .ids
+                        .iter()
+                        .zip(&outer_left)
+                        .all(|(id, rec)| {
+                            let time = rec.fields.get(self.view.left_time);
+                            id.is_none() || time.map(|&t| u64::from(t)) == Some(upload_step)
+                        }),
+                "the public range is fixed by the step: a record's time is its upload step"
+            );
             let inner_len = match &self.public_right {
-                Some(public) => public.window_len(&self.view, &step.delta_left.ids, &outer_left),
-                None => self.active_right.len(),
+                Some(public) => public.range_len(&self.view, upload_step, upload_step),
+                None => self.active_right.window.rows(),
             };
-            let span = nested_loop_span(ctx.meter(), &outer_left, inner_len, step.full_right_len);
+            let span = nested_loop_span(ctx.meter(), &outer_left, inner_len);
             let (mut step_entries, mut potential_pairs) = match &self.public_right {
                 Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
                 None => self
@@ -709,9 +796,8 @@ impl TransformProtocol {
             // --- ΔV part 2: new right records ⋈ accumulated left relation
             // (private-right workloads only).
             if let Some(outer_right) = &outer_right {
-                let inner_len = self.active_left.len();
-                let span =
-                    nested_loop_span(ctx.meter(), outer_right, inner_len, step.full_left_len);
+                let inner_len = self.active_left.window.rows();
+                let span = nested_loop_span(ctx.meter(), outer_right, inner_len);
                 let (entries, pairs) =
                     self.active_left
                         .join_into(&mut out, outer_right, &self.spec_reversed);
@@ -732,26 +818,32 @@ impl TransformProtocol {
             ctx.reshare_and_store(CARDINALITY_SHARE, counter + step_entries as u32);
             total_new_entries += step_entries;
 
-            // --- The step's arrivals become active (budget b − ω left) for later
-            // steps — of this very batch too, which is how cross-step pairs inside a
-            // batch appear.
+            // --- The step's batches join the window and their real records become
+            // active (budget b − ω left) for later steps — of this very batch too,
+            // which is how cross-step pairs inside a batch appear.
+            self.active_left
+                .window
+                .admit(self.covered, window_steps, step.delta_left.len(), ());
             self.active_left.activate(&step.delta_left.ids, outer_left);
             if let (Some(batch), Some(outer_right)) = (&step.delta_right, outer_right) {
+                self.active_right
+                    .window
+                    .admit(self.covered, window_steps, batch.len(), ());
                 self.active_right.activate(&batch.ids, outer_right);
             }
         }
 
         // --- Price the amortized joins: one planned oblivious join per direction
-        // over the combined delta against the full relation as of flush time.
-        if !per_step_nested_loop {
-            let last = steps.last().expect("non-empty batch");
+        // over the combined delta.
+        if let Some((inner_of_left, inner_of_right)) = batch_inner {
             let merged_arity = left_arity.max(right_arity) + 2;
             let right_direction = steps
                 .iter()
                 .any(|s| s.delta_right.is_some())
-                .then_some((outer_right_total, last.full_left_len));
-            let left_direction = (outer_left_total, last.full_right_len);
+                .then_some((outer_right_total, inner_of_right));
+            let left_direction = (outer_left_total, inner_of_left);
             for (outer_len, inner_len) in std::iter::once(left_direction).chain(right_direction) {
+                window_rows += inner_len;
                 charge_planned_join(
                     ctx.meter(),
                     self.choose_algorithm(outer_len, inner_len),
@@ -774,6 +866,7 @@ impl TransformProtocol {
             report,
             duration,
             steps_covered: steps.len(),
+            window_rows,
         }
     }
 
@@ -840,7 +933,7 @@ mod tests {
         // Step 1: two sales arrive, no returns yet.
         let left = batch(Relation::Left, 1, &[(1, 100, 1), (2, 200, 1)], 4);
         let right = batch(Relation::Right, 1, &[], 4);
-        let out = transform.invoke(&mut ctx, &left, Some(&right), 0, 0);
+        let out = transform.invoke(&mut ctx, &left, Some(&right));
         assert_eq!(out.new_entries, 0);
         // ΔV padded size = ω·(|deltaL| + |deltaR|).
         assert_eq!(out.delta.len(), 4 + 4);
@@ -850,7 +943,7 @@ mod tests {
         // Step 2: a matching return for pid 100 arrives within the window.
         let left2 = batch(Relation::Left, 2, &[], 4);
         let right2 = batch(Relation::Right, 2, &[(3, 100, 3)], 4);
-        let out2 = transform.invoke(&mut ctx, &left2, Some(&right2), 8, 8);
+        let out2 = transform.invoke(&mut ctx, &left2, Some(&right2));
         assert_eq!(out2.new_entries, 1);
         assert_eq!(out2.delta.true_cardinality(), 1);
 
@@ -868,20 +961,8 @@ mod tests {
         let right = batch(Relation::Right, 1, &[(2, 7, 2), (3, 7, 3), (4, 7, 4)], 4);
         // Right delta joins against active left — but left only becomes active after
         // its own invocation, so feed left first, then right in the next invocation.
-        let _ = transform.invoke(
-            &mut ctx,
-            &left,
-            Some(&batch(Relation::Right, 1, &[], 4)),
-            0,
-            0,
-        );
-        let out = transform.invoke(
-            &mut ctx,
-            &batch(Relation::Left, 2, &[], 2),
-            Some(&right),
-            4,
-            2,
-        );
+        let _ = transform.invoke(&mut ctx, &left, Some(&batch(Relation::Right, 1, &[], 4)));
+        let out = transform.invoke(&mut ctx, &batch(Relation::Left, 2, &[], 2), Some(&right));
         assert_eq!(out.new_entries, 2, "ω=2 caps the pairs generated");
         assert_eq!(transform.truncation_losses(), 1);
     }
@@ -895,17 +976,27 @@ mod tests {
         let empty_r = |t| batch(Relation::Right, t, &[], 2);
         let empty_l = |t| batch(Relation::Left, t, &[], 2);
 
-        let _ = transform.invoke(&mut ctx, &left, Some(&empty_r(1)), 0, 0);
+        let _ = transform.invoke(&mut ctx, &left, Some(&empty_r(1)));
         assert_eq!(transform.active_counts().0, 1);
         // Second invocation: the record is charged again and hits its budget.
-        let _ = transform.invoke(&mut ctx, &empty_l(2), Some(&empty_r(2)), 2, 2);
+        let _ = transform.invoke(&mut ctx, &empty_l(2), Some(&empty_r(2)));
+        assert_eq!(
+            transform.window_rows(),
+            (2, 2),
+            "b/ω − 1 = 1 batch per side"
+        );
         // Third invocation: it is excluded (retired) before any join.
-        let _ = transform.invoke(&mut ctx, &empty_l(3), Some(&empty_r(3)), 2, 2);
+        let _ = transform.invoke(&mut ctx, &empty_l(3), Some(&empty_r(3)));
         assert_eq!(transform.active_counts().0, 0);
+        assert_eq!(
+            transform.window_rows(),
+            (2, 2),
+            "the window slides, it does not grow"
+        );
 
         // A matching return arriving now can no longer produce a view entry.
         let right = batch(Relation::Right, 4, &[(5, 9, 4)], 2);
-        let out = transform.invoke(&mut ctx, &empty_l(4), Some(&right), 2, 2);
+        let out = transform.invoke(&mut ctx, &empty_l(4), Some(&right));
         assert_eq!(out.new_entries, 0);
     }
 
@@ -917,7 +1008,7 @@ mod tests {
         let mut transform = TransformProtocol::new(view_def(), 10, 20, Some(public));
         // One allegation for officer 5 at time 10: award at 12 is in window, at 30 not.
         let left = batch(Relation::Left, 10, &[(1, 5, 10)], 3);
-        let out = transform.invoke(&mut ctx, &left, None, 3, 0);
+        let out = transform.invoke(&mut ctx, &left, None);
         assert_eq!(out.new_entries, 1);
         assert_eq!(out.delta.len(), 30, "ω·|deltaL| exhaustive padding");
         assert_eq!(transform.active_counts(), (1, 0));
@@ -929,7 +1020,7 @@ mod tests {
         let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
         let left = batch(Relation::Left, 1, &[(1, 1, 1)], 2);
         let right = batch(Relation::Right, 1, &[(2, 1, 1)], 2);
-        let _ = transform.invoke(&mut ctx, &left, Some(&right), 0, 0);
+        let _ = transform.invoke(&mut ctx, &left, Some(&right));
 
         let servers = ctx.local_servers().expect("in-process servers");
         let s0 = servers.s0.load_share(CARDINALITY_SHARE).unwrap();
@@ -949,7 +1040,7 @@ mod tests {
             let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
             let left = batch(Relation::Left, 1, rows_l, 4);
             let right = batch(Relation::Right, 1, rows_r, 4);
-            let out = transform.invoke(&mut ctx, &left, Some(&right), 0, 0);
+            let out = transform.invoke(&mut ctx, &left, Some(&right));
             (out.delta.len(), out.report)
         };
         let (len_a, rep_a) = run(&[(1, 1, 1), (2, 2, 1)], &[(3, 1, 2)]);
@@ -994,7 +1085,7 @@ mod tests {
                 (ActiveRecord { id, fields }, remaining)
             })
             .to_vec();
-        transform.import_active(imported, Vec::new());
+        transform.import_active(imported, Vec::new(), (5, 0));
         let ids = |t: &TransformProtocol| -> Vec<u64> {
             t.active_left.records.iter().map(|r| r.id).collect()
         };
@@ -1002,7 +1093,7 @@ mod tests {
         let mut survivors = Vec::new();
         for t in 1..=4u64 {
             let left = empty(Relation::Left, t);
-            let _ = transform.invoke(&mut ctx, &left, Some(&empty(Relation::Right, t)), 0, 0);
+            let _ = transform.invoke(&mut ctx, &left, Some(&empty(Relation::Right, t)));
             assert_indexes_match_mirrors(&transform, "a non-prefix expiry");
             survivors.push(ids(&transform));
         }
@@ -1043,8 +1134,6 @@ mod tests {
                         &mut ctx,
                         &batch(Relation::Left, t, &left, 4),
                         Some(&batch(Relation::Right, t, &right, 4)),
-                        0,
-                        0,
                     );
                     for (side, rows) in model.iter_mut().zip([&left, &right]) {
                         side.retain_mut(|(_, _, remaining)| {
@@ -1067,11 +1156,13 @@ mod tests {
                         let mut drawn = budgets.iter().cycle();
                         for (side, batch) in model.iter_mut().zip([&mut left, &mut right]) {
                             for (rec, remaining) in batch.iter_mut() {
-                                *remaining = drawn.next().map_or(*remaining, |&b| b.min(budget));
+                                // An active record has been charged at least once.
+                                *remaining = drawn.next().map_or(*remaining, |&b| b.min(budget - 1));
                                 side.push((rec.id, rec.fields[0], *remaining));
                             }
                         }
-                        transform.import_active(left, right);
+                        let window = (left.len(), right.len());
+                        transform.import_active(left, right, window);
                     }
                 }
                 assert_indexes_match_mirrors(&transform, "an operation");
@@ -1198,8 +1289,6 @@ mod tests {
                     &[(t * 2 + 1, ((t + 1) % 3) as u32, t as u32 + 1)],
                     3,
                 )),
-                full_right_len: 3 * t as usize,
-                full_left_len: 3 * t as usize,
             })
             .collect();
 
@@ -1209,13 +1298,7 @@ mod tests {
         let mut seq_delta: Vec<PlainRecord> = Vec::new();
         let mut seq_entries = 0;
         for s in &steps {
-            let out = seq.invoke(
-                &mut ctx_a,
-                &s.delta_left,
-                s.delta_right.as_ref(),
-                s.full_right_len,
-                s.full_left_len,
-            );
+            let out = seq.invoke(&mut ctx_a, &s.delta_left, s.delta_right.as_ref());
             seq_entries += out.new_entries;
             seq_delta.extend(out.delta.recover_all());
         }

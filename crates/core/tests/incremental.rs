@@ -1,8 +1,9 @@
 //! Incremental-Transform invariants: the mirror-driven, persistently indexed
 //! invocation must be indistinguishable from the share-array nested-loop operator
-//! over a fresh sharing of the same rows, and `k`-step batching must leave every
-//! DP-relevant quantity (padding volume, read sizes, QET, answers) untouched while
-//! shrinking join work.
+//! over the padded share rows of the store's public active window, its cost must be
+//! a function of padded sizes only at every step, and `k`-step batching must leave
+//! every DP-relevant quantity (padding volume, read sizes, QET, answers) untouched
+//! while shrinking join work.
 
 use incshrink::prelude::*;
 use incshrink::transform::{PublicRelation, StepInputs, TransformProtocol, CARDINALITY_SHARE};
@@ -12,7 +13,7 @@ use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::truncated_nested_loop_join;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
+use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, UploadBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,8 +70,6 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<StepInput
             StepInputs {
                 delta_left: batch(Relation::Left, t, &lrows, 3),
                 delta_right: Some(batch(Relation::Right, t, &rrows, 3)),
-                full_right_len: 3 * t as usize,
-                full_left_len: 3 * t as usize,
             }
         })
         .collect()
@@ -97,13 +96,7 @@ proptest! {
         let mut seq = TransformProtocol::new(view_def(), 1, budget, None);
         let mut seq_delta: Vec<PlainRecord> = Vec::new();
         for s in &steps {
-            let out = seq.invoke(
-                &mut ctx_seq,
-                &s.delta_left,
-                s.delta_right.as_ref(),
-                s.full_right_len,
-                s.full_left_len,
-            );
+            let out = seq.invoke(&mut ctx_seq, &s.delta_left, s.delta_right.as_ref());
             seq_delta.extend(out.delta.recover_all());
         }
 
@@ -128,20 +121,23 @@ proptest! {
     }
 }
 
-/// The pre-index Transform step, written from scratch over the share-array
-/// operator: every invocation re-shares the still-active rows (or the
-/// window-pruned public rows), runs [`truncated_nested_loop_join`] per direction,
-/// and adds the skipped-rows gap charge. What `TransformProtocol::invoke` must
-/// equal, step for step.
+/// Algorithm 1 written from scratch over the share-array operator and the store:
+/// every invocation runs [`truncated_nested_loop_join`] per direction over the
+/// *padded share rows* of the store's active window (dummies included, blocks in
+/// arrival order) — or, for a public right relation, over a sharing of the rows the
+/// step number fixes — then hands the step's batches to the store. It keeps no
+/// budgets and no active set: the window is the retirement rule. What
+/// `TransformProtocol::invoke` must equal, step for step.
 struct ReferenceTransform {
     view: ViewDefinition,
     omega: u64,
-    budget: u64,
-    /// Per side: (fields, remaining budget) of the active records, in arrival order.
-    active: [Vec<(Vec<u32>, u64)>; 2],
+    store: OutsourcedStore,
     public: Option<Vec<Vec<u32>>>,
     initialized: bool,
     losses: u64,
+    /// Real records per side that took part in the latest step or arrived in it —
+    /// what `TransformProtocol`'s mirror holds until the next step's charges.
+    active: (usize, usize),
 }
 
 impl ReferenceTransform {
@@ -149,18 +145,27 @@ impl ReferenceTransform {
         Self {
             view,
             omega,
-            budget,
-            active: [Vec::new(), Vec::new()],
+            store: OutsourcedStore::new(budget / omega - 1),
             public,
             initialized: false,
             losses: 0,
+            active: (0, 0),
         }
     }
 
-    fn real_rows(batch: &UploadBatch) -> Vec<Vec<u32>> {
-        let rows = batch.records.recover_all();
-        let real = batch.ids.iter().zip(rows).filter(|(id, _)| id.is_some());
-        real.map(|(_, row)| row.fields).collect()
+    /// One relation's window as the operator's inner input: its padded batches,
+    /// concatenated in arrival order.
+    fn window(&self, relation: Relation) -> SharedArrayPair {
+        let mut rows = SharedArrayPair::with_arity(2);
+        for batch in self.store.relation(relation).window() {
+            rows.extend(batch.records.clone()).expect("uniform arity");
+        }
+        rows
+    }
+
+    fn real_rows(rows: &SharedArrayPair) -> Vec<Vec<u32>> {
+        let real = rows.recover_all().into_iter().filter(|row| row.is_view);
+        real.map(|row| row.fields).collect()
     }
 
     /// Quadratic count of the pairs that exist before truncation.
@@ -184,70 +189,40 @@ impl ReferenceTransform {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
             self.initialized = true;
         }
-        let omega = self.omega;
-        for side in &mut self.active {
-            side.retain_mut(|(_, remaining)| {
-                let charged = *remaining >= omega;
-                if charged {
-                    *remaining -= omega;
-                }
-                charged
-            });
-        }
-        let new_left = Self::real_rows(&step.delta_left);
-        let new_right = step.delta_right.as_ref().map(Self::real_rows);
-
-        let rows_of = |side: &[(Vec<u32>, u64)]| -> Vec<Vec<u32>> {
-            side.iter().map(|(fields, _)| fields.clone()).collect()
-        };
-        let inner_right: Vec<Vec<u32>> = match &self.public {
+        let inner_right = match &self.public {
             Some(public) => {
-                let times = new_left.iter().map(|l| l[self.view.left_time]);
-                let (lo, hi) = match (times.clone().min(), times.max()) {
-                    (Some(lo), Some(hi)) => (lo, hi.saturating_add(self.view.window)),
-                    _ => (u32::MAX, 0),
-                };
-                let in_window = |r: &&Vec<u32>| (lo..=hi).contains(&r[self.view.right_time]);
-                public.iter().filter(in_window).cloned().collect()
+                // The public rows timed [t, t + window], in relation order.
+                let t = step.delta_left.time as u32;
+                let in_range = |r: &&Vec<u32>| (t..=t + self.view.window).contains(&r[1]);
+                let rows: Vec<PlainRecord> = public
+                    .iter()
+                    .filter(in_range)
+                    .map(|row| PlainRecord::real(row.clone()))
+                    .collect();
+                let mut share_rng = StdRng::seed_from_u64(0xF5E5 ^ ctx.time_step());
+                let mut shared = SharedArrayPair::with_arity(2);
+                shared
+                    .extend(SharedArrayPair::share_records(&rows, &mut share_rng))
+                    .expect("uniform arity");
+                shared
             }
-            None => rows_of(&self.active[1]),
+            None => self.window(Relation::Right),
         };
-        let inner_left = rows_of(&self.active[0]);
-        let mut potential = self.pairs(&new_left, &inner_right);
-        if let Some(new_right) = &new_right {
-            potential += self.pairs(&inner_left, new_right);
-        }
+        let inner_left = self.window(Relation::Left);
 
-        let mut share_rng = StdRng::seed_from_u64(0xF5E5 ^ ctx.time_step());
-        let mut fresh = |rows: &[Vec<u32>], arity: usize| {
-            let mut shared = SharedArrayPair::with_arity(arity);
-            let rows: Vec<PlainRecord> = rows.iter().cloned().map(PlainRecord::real).collect();
-            shared
-                .extend(SharedArrayPair::share_records(&rows, &mut share_rng))
-                .expect("uniform arity");
-            shared
-        };
         let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
-        let bound = omega as usize;
-        let gap = |ctx: &mut PartyContext, outer: usize, full: usize, scanned: usize| {
-            let skipped = full.saturating_sub(scanned) as u64;
-            ctx.meter().compares(outer as u64 * skipped);
-            ctx.meter().ands(2 * outer as u64 * skipped);
-        };
-
-        let inner = fresh(&inner_right, 2);
-        let spec = self.view.join_spec();
+        let bound = self.omega as usize;
         let outer = &step.delta_left.records;
+        let mut potential = self.pairs(&Self::real_rows(outer), &Self::real_rows(&inner_right));
+        let spec = self.view.join_spec();
         let mut delta =
-            truncated_nested_loop_join(outer, &inner, &spec, bound, ctx.meter(), &mut rng);
-        gap(ctx, outer.len(), step.full_right_len, inner.len());
+            truncated_nested_loop_join(outer, &inner_right, &spec, bound, ctx.meter(), &mut rng);
         if let Some(batch) = &step.delta_right {
-            let inner = fresh(&inner_left, 2);
-            let spec = self.view.join_spec_reversed();
             let outer = &batch.records;
+            potential += self.pairs(&Self::real_rows(&inner_left), &Self::real_rows(outer));
+            let spec = self.view.join_spec_reversed();
             let joined =
-                truncated_nested_loop_join(outer, &inner, &spec, bound, ctx.meter(), &mut rng);
-            gap(ctx, outer.len(), step.full_left_len, inner.len());
+                truncated_nested_loop_join(outer, &inner_left, &spec, bound, ctx.meter(), &mut rng);
             delta.extend(joined).expect("uniform arity");
         }
 
@@ -257,14 +232,15 @@ impl ReferenceTransform {
         let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
         ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);
 
-        let fresh_budget = self.budget - omega;
-        self.active[0].extend(new_left.into_iter().map(|row| (row, fresh_budget)));
-        self.active[1].extend(
-            new_right
-                .into_iter()
-                .flatten()
-                .map(|row| (row, fresh_budget)),
+        let arrived_right = step.delta_right.as_ref().map_or(0, UploadBatch::real_count);
+        self.active = (
+            inner_left.true_cardinality() + step.delta_left.real_count(),
+            self.window(Relation::Right).true_cardinality() + arrived_right,
         );
+        self.store.ingest(step.delta_left.clone());
+        if let Some(batch) = &step.delta_right {
+            self.store.ingest(batch.clone());
+        }
         let (report, _) = ctx.charge();
         ctx.advance_time_step();
         (delta.recover_all(), new_entries, report)
@@ -273,19 +249,19 @@ impl ReferenceTransform {
 
 proptest! {
     /// Reference lockstep: over random private-right and public-right streams —
-    /// including steps with no real left record (the empty public window) and
-    /// ω > 1 with several outer rows contending for one inner row — every
-    /// invocation's ΔV (recovered rows in order, length, `new_entries`), its
-    /// `CostReport`, the truncation losses and the active counts equal the
-    /// share-array nested-loop operator over a fresh sharing of the same rows plus
-    /// the gap charge.
+    /// including steps with no real left record and ω > 1 with several outer rows
+    /// contending for one inner row, across budgets from "retired on arrival" to
+    /// several steps — every invocation's ΔV (recovered rows in order, length,
+    /// `new_entries`), its `CostReport`, the truncation losses and the active
+    /// counts equal the share-array nested-loop operator over the padded share rows
+    /// of the store's window. Nothing else is charged: there is no gap term.
     #[test]
     fn prop_transform_equals_the_share_array_operator_in_lockstep(
         left_keys in proptest::collection::vec(proptest::collection::vec(0u32..3, 0..4), 2..9),
         right_keys in proptest::collection::vec(proptest::collection::vec(0u32..3, 0..4), 2..9),
         public_rows in proptest::collection::vec((0u32..3, 0u32..24), 0..40),
         omega in 1u64..4,
-        extra_budget in 0u64..5,
+        extra_budget in 0u64..9,
         public_right: bool,
         seed: u64,
     ) {
@@ -293,10 +269,9 @@ proptest! {
         let mut steps = build_steps(&left_keys[..steps_len], &right_keys[..steps_len]);
         let public: Option<Vec<Vec<u32>>> = public_right
             .then(|| public_rows.iter().map(|&(key, time)| vec![key, time]).collect());
-        if let Some(public) = &public {
+        if public.is_some() {
             for step in &mut steps {
                 step.delta_right = None;
-                step.full_right_len = public.len();
             }
         }
         let budget = omega + extra_budget;
@@ -312,27 +287,101 @@ proptest! {
         let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         let mut ctx_ref = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         for step in &steps {
-            let out = transform.invoke(
-                &mut ctx,
-                &step.delta_left,
-                step.delta_right.as_ref(),
-                step.full_right_len,
-                step.full_left_len,
-            );
+            let out = transform.invoke(&mut ctx, &step.delta_left, step.delta_right.as_ref());
             let (delta, new_entries, report) = reference.invoke(&mut ctx_ref, step);
             prop_assert_eq!(out.delta.recover_all(), delta);
             prop_assert_eq!(out.new_entries, new_entries);
             prop_assert_eq!(out.report, report);
             prop_assert_eq!(transform.truncation_losses(), reference.losses);
+            prop_assert_eq!(transform.active_counts(), reference.active);
+            let store = &reference.store;
             prop_assert_eq!(
-                transform.active_counts(),
-                (reference.active[0].len(), reference.active[1].len())
+                transform.window_rows(),
+                (
+                    store.relation(Relation::Left).window_rows(),
+                    store.relation(Relation::Right).window_rows(),
+                )
             );
         }
         prop_assert_eq!(
             ctx.recover_named(CARDINALITY_SHARE),
             ctx_ref.recover_named(CARDINALITY_SHARE)
         );
+    }
+
+    /// Transform's modeled cost is a function of padded sizes only, at every step:
+    /// two upload streams of equal padded batch sizes — each all-dummy, mixed or
+    /// all-real, chosen independently — get equal `CostReport`s, window lengths and
+    /// ΔV sizes from the first invocation through a window's fill, slide and
+    /// turnover (≥ 2·W + 2 steps), private-right and public-right. (The first
+    /// invocation alone cannot tell: nothing is active yet.)
+    #[test]
+    fn prop_transform_cost_is_a_function_of_padded_sizes_at_every_step(
+        fills in (0u8..3, 0u8..3),
+        keys in proptest::collection::vec((0u32..3, 0u32..3, 0usize..4, 0usize..4), 12),
+        public_rows in proptest::collection::vec((0u32..3, 0u32..24), 0..40),
+        omega in 1u64..3,
+        window_steps in 0u64..4,
+        extra_steps in 0usize..3,
+        adaptive: bool,
+        public_right: bool,
+        seed: u64,
+    ) {
+        const PADDED: usize = 3;
+        let budget = omega * (window_steps + 1);
+        let steps = 2 * window_steps as usize + 2 + extra_steps;
+        // One stream: per step, `fill` decides how many of the PADDED rows are real.
+        let stream = |fill: u8, id_base: u64| -> Vec<StepInputs> {
+            (0..steps)
+                .map(|i| {
+                    let t = i as u64 + 1;
+                    let (lkey, rkey, lmixed, rmixed) = keys[i];
+                    let reals = |mixed: usize| match fill {
+                        0 => 0,
+                        1 => mixed.min(PADDED),
+                        _ => PADDED,
+                    };
+                    let rows = |n: usize, key: u32, side: u64, time: u32| -> Vec<(u64, u32, u32)> {
+                        (0..n as u64)
+                            .map(|j| (id_base + t * 100 + side * 10 + j, (key + j as u32) % 3, time))
+                            .collect()
+                    };
+                    let lrows = rows(reals(lmixed), lkey, 0, t as u32);
+                    let rrows = rows(reals(rmixed), rkey, 1, t as u32 + 1);
+                    StepInputs {
+                        delta_left: batch(Relation::Left, t, &lrows, PADDED),
+                        delta_right: (!public_right)
+                            .then(|| batch(Relation::Right, t, &rrows, PADDED)),
+                    }
+                })
+                .collect()
+        };
+        let run = |steps: &[StepInputs]| -> Vec<(CostReport, usize, usize, (usize, usize))> {
+            let public = public_right.then(|| {
+                let rows: Vec<[u32; 2]> = public_rows.iter().map(|&(k, t)| [k, t]).collect();
+                PublicRelation::from_rows(rows.iter().map(|row| row.as_slice()))
+            });
+            let mode = if adaptive { JoinPlanMode::Adaptive } else { JoinPlanMode::NestedLoop };
+            let mut transform =
+                TransformProtocol::new(view_def(), omega, budget, public).with_join_plan(mode);
+            let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
+            steps
+                .iter()
+                .map(|s| {
+                    let out = transform.invoke(&mut ctx, &s.delta_left, s.delta_right.as_ref());
+                    (out.report, out.window_rows, out.delta.len(), transform.window_rows())
+                })
+                .collect()
+        };
+        let (a, b) = (run(&stream(fills.0, 0)), run(&stream(fills.1, 1_000_000)));
+        prop_assert_eq!(&a, &b);
+        // The window is full from step W + 1 on and never longer than W batches.
+        let full = window_steps as usize * PADDED;
+        for (i, (_, _, _, window)) in a.iter().enumerate() {
+            let expected = full.min((i + 1) * PADDED);
+            let right = if public_right { 0 } else { expected };
+            prop_assert_eq!(*window, (expected, right), "after step {}", i + 1);
+        }
     }
 }
 
@@ -438,8 +487,10 @@ fn ant_strategy_forces_per_step_flush() {
 }
 
 /// Summed Transform `CostReport` and truncation losses of two default-configuration
-/// runs, recorded at the commit before Transform's matching moved off the share
-/// arrays: "the simulated trajectory is equal to the digit" as a `cargo test`.
+/// runs: "the simulated trajectory is equal to the digit" as a `cargo test`. The
+/// losses (and bytes and rounds: ΔV sizes and the reshare cadence) date from before
+/// Transform's matching moved off the share arrays; the gate counts were
+/// re-recorded when the join input became the public active window.
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -454,12 +505,12 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             tpcds(200),
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (cost(2_497_738, 3_635_900, 3_543_781, 56_508, 801), 0),
+            (cost(1_520_825, 6_831_940, 311_539, 56_508, 801), 0),
         ),
         (
             cpdb(100),
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 }),
-            (cost(2_007_296, 5_388_480, 1_867_200, 161_608, 301), 1),
+            (cost(1_239_312, 5_726_360, 196_080, 161_608, 301), 1),
         ),
     ];
     for (dataset, config, (golden, losses)) in runs {

@@ -357,6 +357,7 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
             rounds: 486,
             merges: 54,
             merged_rows: 22_150,
+            window_rows: 0,
         }
     );
 }

@@ -383,20 +383,20 @@ pub fn nested_loop_join_cost(
 /// exactly what the physical operator meters.
 ///
 /// Cost shape, with `n = |outer| + |inner|`: share the tagged union (`n` records of
-/// `merged_arity` words), obliviously sort the *delta run only* by `(join key, table
-/// tag)` (`batcher_pair_count(|outer|)` compares + record-wide swaps — the
-/// accumulated inner relation is already in key order from previous invocations),
-/// then **bitonic-merge** the two sorted runs
+/// `merged_arity` words), obliviously sort *each run* by `(join key, table tag)`
+/// (`batcher_pair_count(|outer|) + batcher_pair_count(|inner|)` compares +
+/// record-wide swaps — the inner run is Transform's sliding window, whose batches
+/// arrive and retire in upload order, so no earlier invocation leaves it in key
+/// order), then **bitonic-merge** the two sorted runs
 /// ([`crate::sort::bitonic_merge_pair_count`]`(n)` compares + record-wide swaps,
 /// plus the fixed `⌊|outer|/2⌋`-swap valley reversal of the delta run — see
 /// [`crate::sort::bitonic_merge_pairs`]), scan the merged relation emitting `bound`
 /// slots per position (`n·bound` compares and ANDs), obliviously compact the
 /// `bound·n` emission down to the *public* `bound·|outer|` prefix
-/// (`batcher_pair_count(bound·n)` compares + swaps), and write the output. The
-/// bitonic merge replaces the previous full `batcher_pair_count(n)` re-sort of the
-/// nearly-sorted union — `O(n log n)` instead of `O(n log² n)` comparators, which
-/// is what shifts the planner's NLJ↔SMJ crossover toward smaller inner relations.
-/// Depends only on public sizes, never on data.
+/// (`batcher_pair_count(bound·n)` compares + swaps), and write the output. Every
+/// term is work the operator does on the arrays it is handed, so
+/// [`crate::planner::plan_join`] compares two executable plans. Depends only on
+/// public sizes, never on data.
 #[must_use]
 pub fn delta_sort_merge_join_cost(
     outer_len: usize,
@@ -407,7 +407,7 @@ pub fn delta_sort_merge_join_cost(
 ) -> CostReport {
     let nm = outer_len + inner_len;
     let emission = nm.saturating_mul(bound);
-    let bp_delta_sort = batcher_pair_count(outer_len);
+    let run_sorts = [outer_len, inner_len].map(|run| (run >= 2).then(|| batcher_pair_count(run)));
     let bm_merge = crate::sort::bitonic_merge_pair_count(nm);
     let bp_compact = batcher_pair_count(emission);
     let merged_width = merged_arity as u64 + 1;
@@ -418,11 +418,11 @@ pub fn delta_sort_merge_join_cost(
             .saturating_mul(4),
         ..CostReport::default()
     };
-    if outer_len >= 2 {
-        report.secure_compares = report.secure_compares.saturating_add(bp_delta_sort);
+    for bp_run_sort in run_sorts.into_iter().flatten() {
+        report.secure_compares = report.secure_compares.saturating_add(bp_run_sort);
         report.secure_swaps = report
             .secure_swaps
-            .saturating_add(bp_delta_sort.saturating_mul(merged_width));
+            .saturating_add(bp_run_sort.saturating_mul(merged_width));
         report.rounds += 1;
     }
     if nm >= 2 {
@@ -627,9 +627,10 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// [`truncated_nested_loop_join`] on large inner relations: it produces the **same
 /// output contract** (exhaustively padded to `bound · |outer|` entries, identical
 /// real join tuples via [`truncated_match`]) but replaces the `|outer|·|inner|`
-/// compare matrix and the `|outer|` per-buffer sorts with a small Batcher sort of
-/// the `|outer|`-record delta run, a bitonic merge of the two sorted runs, and one
-/// Batcher compaction of the `bound · (|outer| + |inner|)` emission.
+/// compare matrix and the `|outer|` per-buffer sorts with one Batcher sort per run
+/// (the `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of
+/// the two sorted runs, and one Batcher compaction of the
+/// `bound · (|outer| + |inner|)` emission.
 ///
 /// # Leakage
 /// Oblivious: the sort network, the per-position `bound`-slot emission and the

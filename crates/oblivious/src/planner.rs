@@ -3,12 +3,12 @@
 //! The two truncated join operators have sharply different cost profiles:
 //! [`crate::join::truncated_nested_loop_join`] pays `|outer|·|inner|` secure compares
 //! plus `|outer|` per-buffer Batcher sorts (quadratic in the inner relation), while
-//! [`crate::join::truncated_sort_merge_delta_join`] pays a Batcher sort of the
-//! `|outer|`-record delta run, a bitonic merge of the sorted runs, and a Batcher
-//! compaction of the `b·(|outer| + |inner|)` emission. For the tiny inner relations
-//! of early time steps the nested loop wins; once the accumulated relation grows —
+//! [`crate::join::truncated_sort_merge_delta_join`] pays a Batcher sort of each run
+//! (the `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of
+//! the sorted runs, and a Batcher compaction of the `b·(|outer| + |inner|)`
+//! emission. For tiny inner relations the nested loop wins; as the window grows —
 //! and especially once `k`-step batching raises `|outer|` — the sort-merge form is
-//! integer factors cheaper.
+//! integer factors cheaper, unless a large `b` inflates its compaction.
 //!
 //! [`plan_join`] picks the operator with the smaller **secure-compare** count from a
 //! cost model over `(|outer|, |inner|, b)` alone. Secure compares dominate
@@ -87,14 +87,16 @@ pub fn nested_loop_secure_compares(outer_len: usize, inner_len: usize) -> u64 {
 }
 
 /// Modelled secure-compare count of a delta sort-merge join with `n = |outer| +
-/// |inner|`: `batcher_pair_count(|outer|) + bitonic_merge_pair_count(n) + n·b +
-/// batcher_pair_count(b·n)` — a Batcher sort of the delta run alone, a bitonic merge
-/// of the two sorted runs (the accumulated relation is already key-ordered), the
-/// `b`-bounded merge scan, and the Batcher compaction of the padded emission.
+/// |inner|`: `batcher_pair_count(|outer|) + batcher_pair_count(|inner|) +
+/// bitonic_merge_pair_count(n) + n·b + batcher_pair_count(b·n)` — a Batcher sort of
+/// each run (a sliding window is not key-ordered for free), a bitonic merge of the
+/// two sorted runs, the `b`-bounded merge scan, and the Batcher compaction of the
+/// padded emission.
 #[must_use]
 pub fn sort_merge_secure_compares(outer_len: usize, inner_len: usize, bound: usize) -> u64 {
     let n = outer_len + inner_len;
     batcher_pair_count(outer_len)
+        .saturating_add(batcher_pair_count(inner_len))
         .saturating_add(bitonic_merge_pair_count(n))
         .saturating_add((n as u64).saturating_mul(bound as u64))
         .saturating_add(batcher_pair_count(n.saturating_mul(bound)))
@@ -256,8 +258,8 @@ pub fn nested_loop_op_counts(outer_len: usize, inner_len: usize) -> CostReport {
 }
 
 /// Width-free op-count model of a delta sort-merge join with `n = |outer| +
-/// |inner|`: the compares of [`sort_merge_secure_compares`]; swaps for the delta-run
-/// sort, the bitonic merge (plus the `⌊|outer|/2⌋`-swap valley reversal) and the
+/// |inner|`: the compares of [`sort_merge_secure_compares`]; swaps for the two run
+/// sorts, the bitonic merge (plus the `⌊|outer|/2⌋`-swap valley reversal) and the
 /// emission compaction; one AND per emission-scan step.
 #[must_use]
 pub fn sort_merge_op_counts(outer_len: usize, inner_len: usize, bound: usize) -> CostReport {
@@ -266,6 +268,7 @@ pub fn sort_merge_op_counts(outer_len: usize, inner_len: usize, bound: usize) ->
     CostReport {
         secure_compares: sort_merge_secure_compares(outer_len, inner_len, bound),
         secure_swaps: batcher_pair_count(outer_len)
+            .saturating_add(batcher_pair_count(inner_len))
             .saturating_add(bitonic_merge_pair_count(n))
             .saturating_add(outer_len as u64 / 2)
             .saturating_add(batcher_pair_count(emission)),
@@ -438,9 +441,30 @@ mod tests {
         // Large inner: per-outer Batcher sorts dominate, the union sort wins.
         let plan = plan_join(8, 2000, 1);
         assert_eq!(plan.algorithm, JoinAlgorithm::SortMerge);
-        assert!(plan.sort_merge_compares * 4 < plan.nested_loop_compares);
+        assert!(plan.sort_merge_compares * 3 < plan.nested_loop_compares);
         // The crossover is monotone-ish: much bigger bounds penalise the compaction.
         assert!(sort_merge_secure_compares(8, 2000, 10) > sort_merge_secure_compares(8, 2000, 1));
+    }
+
+    #[test]
+    fn plan_choices_at_the_benchmark_window_shapes() {
+        // What Transform's joins look like once the inner side is the public active
+        // window (per step, `k = 1`): TPC-ds |Δ| = 7 against 9 batches of 7, ω = 1;
+        // CPDB |Δ| = 8 against ~110 public rows, ω = 10. With the inner run's sort
+        // priced, sort-merge still wins the first and the `b·n` compaction still
+        // loses the second — no single plan wins both.
+        let tpcds = plan_join(7, 63, 1);
+        assert_eq!(tpcds.algorithm, JoinAlgorithm::SortMerge);
+        assert_eq!(
+            (tpcds.sort_merge_compares, tpcds.nested_loop_compares),
+            (1_559, 4_200)
+        );
+        let cpdb = plan_join(8, 110, 10);
+        assert_eq!(cpdb.algorithm, JoinAlgorithm::NestedLoop);
+        assert_eq!(
+            (cpdb.nested_loop_compares, cpdb.sort_merge_compares),
+            (10_824, 35_281)
+        );
     }
 
     #[test]

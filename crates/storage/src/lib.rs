@@ -6,8 +6,9 @@
 //!
 //! * [`schema`] — relation schemas and timestamped logical records.
 //! * [`logical`] — the owner-side growing logical database `D = {D_t}` (insert-only).
-//! * [`outsourced`] — the secret-shared outsourced store `DS` held by the two servers,
-//!   with the owners' padded-batch upload pipeline.
+//! * [`outsourced`] — the secret-shared outsourced store `DS` held by the two servers
+//!   (the public active window of padded batches plus lifetime counters), with the
+//!   owners' padded-batch upload pipeline.
 //! * [`cache`] — the secure outsourced cache `σ` with flush bookkeeping.
 
 #![deny(missing_docs)]
@@ -20,5 +21,5 @@ pub mod schema;
 
 pub use cache::SecureCache;
 pub use logical::{GrowingDatabase, LogicalUpdate};
-pub use outsourced::{OutsourcedStore, UploadBatch};
+pub use outsourced::{ActiveWindow, OutsourcedStore, UploadBatch};
 pub use schema::{RecordId, Relation, Schema};

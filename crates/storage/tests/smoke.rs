@@ -41,8 +41,8 @@ fn padded_upload_batches_hide_the_arrival_count() {
     assert_eq!(batch.records.len(), 6, "padded to the fixed batch size");
     assert_eq!(batch.real_count(), 1);
 
-    let mut store = OutsourcedStore::new();
-    store.ingest(&batch);
+    let mut store = OutsourcedStore::new(1);
+    store.ingest(batch);
     assert_eq!(store.relation(Relation::Left).len(), 6);
 }
 

@@ -21,6 +21,7 @@
 //! accountant's claimed budget can be reconciled with the ε actually spent.
 
 use crate::event::{Event, ObserveKind, ObserveRecord};
+use std::collections::BTreeMap;
 
 /// Project a trace onto its *semantic* events — server observables and ε-ledger
 /// entries — in a canonical order, so traces recorded under different physical
@@ -250,6 +251,14 @@ pub struct Expectations {
     pub bucket_size: Option<u64>,
     /// No single ledger entry may spend more than this ε.
     pub max_epsilon: Option<f64>,
+    /// Transform's join input is the public active window of this many steps
+    /// (`b/ω − 1`): every `transform` span's `window_rows` must equal the sum of
+    /// the upload batch sizes its shard observed over that many preceding steps —
+    /// the cost of step `t` is a function of the batch sizes up to `t`, `b` and ω.
+    /// For runs with both relations private, per-step Transform and no elastic
+    /// imports (a public relation's range and an imported block are public too,
+    /// but not derivable from upload sizes).
+    pub window_steps: Option<u64>,
 }
 
 /// A passed audit: what was checked.
@@ -305,7 +314,8 @@ impl std::error::Error for AuditError {}
 /// than its predecessor's marks the start of a new run, and the structural
 /// checks restart with it.
 ///
-/// Exact checks run for each `Some` field of [`Expectations`].
+/// Exact checks run for each `Some` field of [`Expectations`]; the window check
+/// is the one place a span is audited (its `window_rows` stamp, not its timing).
 ///
 /// # Errors
 /// Returns an [`AuditError`] listing every violated claim.
@@ -323,10 +333,32 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
     // order).
     type BucketLanes = Vec<(Option<u64>, Vec<u64>)>;
     let mut bucket_lanes: Vec<((u64, u64), BucketLanes)> = Vec::new();
+    // Per-shard upload batches `(step, size)` still inside the window. Segmented
+    // on its own: a shard's upload steps only ever advance within one run.
+    type Uploads = Vec<(u64, u64)>;
+    let mut uploads: BTreeMap<Option<u64>, Uploads> = BTreeMap::new();
 
     for event in events {
         match event {
-            Event::Span(_) => report.spans_seen += 1,
+            Event::Span(span) => {
+                report.spans_seen += 1;
+                let stamped = (span.name == "transform")
+                    .then_some(span.cost.zip(span.step))
+                    .flatten();
+                if let (Some(window), Some((cost, step))) = (expect.window_steps, stamped) {
+                    let batches = uploads.entry(span.shard).or_default();
+                    batches.retain(|&(at, _)| at + window >= step);
+                    let live = batches.iter().filter(|&&(at, _)| at < step);
+                    let expected: u64 = live.map(|&(_, size)| size).sum();
+                    if cost.window_rows != expected {
+                        violations.push(format!(
+                            "transform at step {step} (shard {:?}) joined against {} rows, \
+                             expected the {expected} rows uploaded over the {window} preceding steps",
+                            span.shard, cost.window_rows
+                        ));
+                    }
+                }
+            }
             Event::Observe(o) => {
                 report.observes_checked += 1;
                 if last_step.is_some_and(|last| o.step < last) {
@@ -408,7 +440,15 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
                             ));
                         }
                     }
-                    ObserveKind::UploadBatch => {}
+                    ObserveKind::UploadBatch => {
+                        if expect.window_steps.is_some() {
+                            let batches = uploads.entry(o.shard).or_default();
+                            if batches.last().is_some_and(|&(last, _)| o.step < last) {
+                                batches.clear();
+                            }
+                            batches.push((o.step, o.count));
+                        }
+                    }
                 }
             }
             Event::Epsilon(e) => {
@@ -465,7 +505,7 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LedgerEntry, SpanRecord};
+    use crate::event::{CostDelta, LedgerEntry, SpanRecord};
 
     fn ob(kind: ObserveKind, step: u64, shard: Option<u64>, count: u64) -> Event {
         Event::Observe(ObserveRecord {
@@ -590,6 +630,7 @@ mod tests {
                 timer_interval: Some(10),
                 bucket_size: Some(6),
                 max_epsilon: Some(0.15),
+                window_steps: None,
             },
         )
         .expect("clean trace");
@@ -636,6 +677,49 @@ mod tests {
     }
 
     #[test]
+    fn transform_window_must_equal_the_preceding_upload_sizes() {
+        let transform = |step: u64, window_rows: u64| {
+            Event::Span(SpanRecord {
+                name: "transform".to_string(),
+                step: Some(step),
+                shard: None,
+                depth: 1,
+                host_nanos: 1,
+                sim_nanos: None,
+                cost: Some(CostDelta {
+                    window_rows,
+                    ..CostDelta::default()
+                }),
+            })
+        };
+        // Two relations of 4 and 3 rows a step, a window of two steps: 0, 7, 14, 14.
+        let trace = |stamps: [u64; 4]| -> Vec<Event> {
+            (1..=4u64)
+                .flat_map(|t| {
+                    [
+                        ob(ObserveKind::UploadBatch, t, None, 4),
+                        ob(ObserveKind::UploadBatch, t, None, 3),
+                        transform(t, stamps[t as usize - 1]),
+                    ]
+                })
+                .collect()
+        };
+        let expect = Expectations {
+            window_steps: Some(2),
+            ..Expectations::default()
+        };
+        check_trace(&trace([0, 7, 14, 14]), &expect).expect("the window slides");
+        // A second run in the same trace starts from an empty window.
+        let two_runs = [trace([0, 7, 14, 14]), trace([0, 7, 14, 14])].concat();
+        check_trace(&two_runs, &expect).expect("runs are segmented at upload-step resets");
+        // A join over everything uploaded so far (or over a data-dependent count)
+        // is not a function of the window.
+        let err = check_trace(&trace([0, 7, 14, 21]), &expect).expect_err("grew past the window");
+        assert!(err.to_string().contains("joined against 21 rows"), "{err}");
+        check_trace(&trace([0, 7, 14, 21]), &Expectations::default()).expect("check is opt-in");
+    }
+
+    #[test]
     fn check_trace_flags_every_violation_class() {
         let events = vec![
             ob(ObserveKind::CacheAppend, 1, None, 8),
@@ -655,6 +739,7 @@ mod tests {
                 timer_interval: Some(10),
                 bucket_size: None,
                 max_epsilon: Some(0.15),
+                window_steps: None,
             },
         )
         .expect_err("dirty trace");

@@ -7,7 +7,8 @@ use serde::{Serialize, Value};
 /// Counts of primitive oblivious operations attributed to one span.
 ///
 /// Mirrors `incshrink_mpc::cost::CostReport` field-for-field (plus the secure
-/// cache's two merge counts, which are bookkeeping, not priced gates) without depending
+/// cache's two merge counts and Transform's window length, which are bookkeeping,
+/// not priced gates) without depending
 /// on the mpc crate (telemetry sits below it in the crate graph); the mpc crate
 /// provides the `CostReport -> CostDelta` conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,6 +30,10 @@ pub struct CostDelta {
     pub merges: u64,
     /// Rows those merges covered.
     pub merged_rows: u64,
+    /// Inner rows the span's joins were priced over (no `CostReport` counterpart:
+    /// the `transform` span stamps the public active-window length, so the auditor
+    /// can check it against the upload sizes the servers saw).
+    pub window_rows: u64,
 }
 
 impl CostDelta {
@@ -42,6 +47,7 @@ impl CostDelta {
         self.rounds = self.rounds.saturating_add(rhs.rounds);
         self.merges = self.merges.saturating_add(rhs.merges);
         self.merged_rows = self.merged_rows.saturating_add(rhs.merged_rows);
+        self.window_rows = self.window_rows.saturating_add(rhs.window_rows);
     }
 }
 
@@ -233,6 +239,7 @@ impl CostDelta {
             ("rounds".to_string(), Value::UInt(self.rounds)),
             ("merges".to_string(), Value::UInt(self.merges)),
             ("merged_rows".to_string(), Value::UInt(self.merged_rows)),
+            ("window_rows".to_string(), Value::UInt(self.window_rows)),
         ])
     }
 
@@ -247,9 +254,11 @@ impl CostDelta {
             adds: as_u64(entries, "adds")?,
             bytes: as_u64(entries, "bytes")?,
             rounds: as_u64(entries, "rounds")?,
-            // Absent from traces recorded before the cache had runs.
+            // Absent from traces recorded before the cache had runs / Transform a
+            // window.
             merges: as_opt_u64(entries, "merges")?.unwrap_or(0),
             merged_rows: as_opt_u64(entries, "merged_rows")?.unwrap_or(0),
+            window_rows: as_opt_u64(entries, "window_rows")?.unwrap_or(0),
         })
     }
 }
@@ -382,6 +391,7 @@ mod tests {
                 rounds: 6,
                 merges: 7,
                 merged_rows: 8,
+                window_rows: 9,
             }),
         }));
         roundtrip(Event::Span(SpanRecord {

@@ -268,6 +268,8 @@ fn leakage_auditor_passes_on_both_workloads_with_config_expectations() {
         flush_interval: Some(timer.flush_interval),
         timer_interval: Some(10),
         max_epsilon: Some(timer.epsilon),
+        // Transform joins against the b/ω − 1 = 9 preceding steps' uploads.
+        window_steps: Some(timer.contribution_budget / timer.truncation_bound - 1),
         ..Expectations::default()
     };
     check_trace(&events, &expect).expect("timer trace violates its leakage claims");
@@ -303,6 +305,7 @@ fn cluster_traces_audit_cleanly_and_stamp_shards() {
         flush_interval: Some(split.flush_interval),
         timer_interval: Some(interval),
         max_epsilon: Some(split.epsilon),
+        window_steps: Some(split.contribution_budget / split.truncation_bound - 1),
         ..Expectations::default()
     };
     check_trace(&events, &expect).expect("cluster trace violates its leakage claims");
