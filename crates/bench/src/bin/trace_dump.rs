@@ -5,6 +5,7 @@
 //! ```text
 //! INCSHRINK_TRACE=trace.jsonl cargo run -p incshrink-bench --bin fig4
 //! cargo run -p incshrink-bench --bin trace_dump trace.jsonl
+//! cargo run -p incshrink-bench --bin trace_dump -- --diff a.jsonl b.jsonl
 //! ```
 //!
 //! The trace path comes from the first CLI argument, falling back to
@@ -12,9 +13,15 @@
 //! structural audit ([`incshrink_telemetry::audit::check_trace`] with no
 //! config-derived expectations) finds a violation — which is what lets CI treat
 //! a smoke trace as a machine-checked artifact rather than an opaque log.
+//!
+//! `--diff` compares two traces' canonical observable traces
+//! ([`incshrink_telemetry::audit::canonical_observable_trace`], the events the
+//! fingerprint digests): it prints the index and both sides of the first event
+//! that differs and exits 1, or exits 0 when the two are equal.
 
 use incshrink_telemetry::audit::{
-    canonical_trace_fingerprint, check_trace, Expectations, LedgerSummary,
+    canonical_observable_trace, canonical_trace_fingerprint, check_trace, Expectations,
+    LedgerSummary,
 };
 use incshrink_telemetry::{per_step_host_secs, Event, PhaseProfile};
 
@@ -27,12 +34,9 @@ fn trace_path() -> Option<String> {
     })
 }
 
-fn main() {
-    let Some(path) = trace_path() else {
-        eprintln!("usage: trace_dump <trace.jsonl>   (or set INCSHRINK_TRACE)");
-        std::process::exit(2);
-    };
-    let text = match std::fs::read_to_string(&path) {
+/// Read and parse a JSONL trace, exiting 1 on an unreadable file or line.
+fn load(path: &str) -> Vec<Event> {
+    let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("FAIL: could not read trace {path}: {e}");
@@ -59,6 +63,43 @@ fn main() {
         eprintln!("FAIL: {bad_lines} unparseable line(s)");
         std::process::exit(1);
     }
+    events
+}
+
+/// Print the first divergence of two traces' canonical observable traces.
+fn diff(a: &str, b: &str) -> ! {
+    let canonical = |path| canonical_observable_trace(&load(path));
+    let (a, b) = (canonical(a), canonical(b));
+    let shorter = a.len().min(b.len());
+    let first = a.iter().zip(&b).position(|(x, y)| x != y);
+    let Some(index) = first.or((a.len() != b.len()).then_some(shorter)) else {
+        println!("canonical traces equal: {} events", a.len());
+        std::process::exit(0);
+    };
+    let show = |event: Option<&Event>| match event {
+        Some(event) => serde_json::to_string(event).expect("events serialize infallibly"),
+        None => "(end of trace)".to_string(),
+    };
+    println!("first divergence at canonical event {index}:");
+    println!("  a: {}", show(a.get(index)));
+    println!("  b: {}", show(b.get(index)));
+    std::process::exit(1);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("--diff") {
+        let [_, _, a, b] = args.as_slice() else {
+            eprintln!("usage: trace_dump --diff <a.jsonl> <b.jsonl>");
+            std::process::exit(2);
+        };
+        diff(a, b);
+    }
+    let Some(path) = trace_path() else {
+        eprintln!("usage: trace_dump <trace.jsonl>   (or set INCSHRINK_TRACE)");
+        std::process::exit(2);
+    };
+    let events = load(&path);
 
     let profile = PhaseProfile::from_events(&events);
     println!("\n{}", profile.render());

@@ -126,9 +126,9 @@ pub struct StepUploads {
 
 /// The state leaving a shard when the elastic control plane migrates a set of
 /// virtual key-range buckets to another owner: the real materialized-view
-/// entries of the range, plus both sides' still-active records (with their
-/// remaining contribution budgets) so future cross-time join pairs form at the
-/// new owner.
+/// entries of the range, plus both sides' still-active records (each with the
+/// number of steps it may still join at — its remaining contribution budget in
+/// units of ω) so future cross-time join pairs form at the new owner.
 ///
 /// Produced by [`ShardPipeline::export_partition`], consumed by
 /// [`ShardPipeline::import_partition`]. The plaintext here is
@@ -142,9 +142,9 @@ pub struct MigratedPartition {
     /// dummy records here — they pad the shipped size to its public DP target
     /// and land in the destination view like Shrink's dummies do.
     pub view_entries: Vec<PlainRecord>,
-    /// Active left-relation records with their remaining contribution budgets.
+    /// Active left-relation records with the steps each has left.
     pub active_left: Vec<BudgetedRecord>,
-    /// Active right-relation records with their remaining contribution budgets.
+    /// Active right-relation records with the steps each has left.
     pub active_right: Vec<BudgetedRecord>,
     /// Arity of view entries (`left_arity + right_arity`), kept so dummy
     /// padding can be built even when no real view entry migrates.
@@ -349,7 +349,7 @@ impl ShardPipeline {
 
     /// Extract everything this shard holds for the virtual key-range `buckets`
     /// (see [`incshrink_oblivious::shuffle::bucket_of`]): real view entries,
-    /// both sides' active records, and their remaining contribution budgets.
+    /// both sides' active records, and the steps each of them has left.
     /// Secure-cache rows in flight are *not* moved — they synchronize into this
     /// shard's view on their normal cadence, and cluster-level query answers
     /// are sums over all shards, so where a row materializes does not affect
@@ -386,9 +386,9 @@ impl ShardPipeline {
     /// Adopt a migrated partition: re-share the view entries (reals plus the
     /// dummy padding the migration protocol added), take each side's active
     /// records in as one window block padded to the source's public window length,
-    /// and resume their budgets. `seed` derives the re-sharing randomness — the
-    /// driver draws it from the migration rng, so sequential and actor drivers
-    /// replay identically and no party randomness is consumed.
+    /// stamped with the steps they have left. `seed` derives the re-sharing
+    /// randomness — the driver draws it from the migration rng, so sequential and
+    /// actor drivers replay identically and no party randomness is consumed.
     pub fn import_partition(&mut self, partition: MigratedPartition, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         if !partition.view_entries.is_empty() {

@@ -10,10 +10,11 @@
 //!    randomness (Section 5.1, "Secret-sharing inside MPC").
 //!
 //! Lifetime contribution budgets (Section 5.1, "Contribution over time") are enforced
-//! here: every record used as Transform input is charged ω against its budget `b`;
-//! retired records are excluded from future invocations — their batches leave the
-//! join input altogether — which is what makes the composed transformation
-//! `b`-stable and the total privacy loss bounded.
+//! here, structurally: every invocation a record takes part in charges ω against its
+//! budget `b`, and it takes part in the one it arrives in plus the `W = b/ω − 1`
+//! after, never more — past that its batch leaves the join input altogether — which
+//! is what makes the composed transformation `b`-stable and the total privacy loss
+//! bounded. Arrival ids are monotone, so no record is ever admitted twice.
 //!
 //! # Incremental execution
 //!
@@ -43,39 +44,42 @@
 //!   mirror of the window's real records plus a persistent join-key index
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
 //!   are pushed at the tail; nothing is recovered, re-shared or re-indexed per
-//!   step, so the host does `O(|Δ|)` work plus one ledger charge per active
-//!   record. No copy of the window's *shares* is kept here: the store holds them
-//!   and nothing downstream observes their words — ΔV's shares are drawn fresh from
-//!   the per-invocation stream in [`incshrink_oblivious::push_padded`].
+//!   step, so the host does `O(|Δ|)` work plus one pop per expired record. No copy
+//!   of the window's *shares* is kept here: the store holds them and nothing
+//!   downstream observes their words — ΔV's shares are drawn fresh from the
+//!   per-invocation stream in [`incshrink_oblivious::push_padded`].
 //! * **Why mirror-driven matching is the same simulated circuit.** Every truncated
 //!   join operator in `incshrink_oblivious::join` derives its output from
 //!   [`incshrink_oblivious::truncated_match_rows`] over recovered plaintext and
 //!   charges the data-independent schedule separately. The mirror *is* the
 //!   recovered plaintext of the window's real rows (a dummy never matches), in the
 //!   window's block order, and a candidate walk visits matching inner rows in
-//!   ascending position order — the order the operator's scan does — so ΔV, budgets
-//!   and truncation losses are identical to running
+//!   ascending position order — the order the operator's scan does — so ΔV and
+//!   truncation losses are identical to running
 //!   [`incshrink_oblivious::truncated_nested_loop_join`] over the store's padded
 //!   window shares, and so is the `CostReport` (lockstep-tested over both).
-//! * **Why expiry is a prefix, and when it is not.** Records enter at the tail with
-//!   budget `b − ω` and every active record is charged ω per covered step, so
-//!   remaining budgets are non-decreasing along the mirror and the records that
-//!   expire in a step are always its first few — the real records of the batch the
-//!   window just dropped: eviction pops them off the front and unlinks them from
-//!   the index in O(expired). Elastic migration breaks the ordering —
-//!   [`TransformProtocol::import_active`] appends records whose remaining budgets
-//!   are whatever they were at the source — so a later expiry can strike
-//!   mid-relation; that case, and [`TransformProtocol::export_active`] pulling a
-//!   key range out of the middle, rebuild the index from the mirror.
+//! * **The budget is a stamp.** Every mirrored record carries the last step it may
+//!   join at: `c + W` for an arrival admitted at step `c`, `covered + steps left`
+//!   for an import. Arrival stamps never decrease along the mirror, so what expires
+//!   in a step is normally a prefix — the real records of the batch the window just
+//!   dropped — popped off the front and unlinked from the index in O(expired).
+//!   Elastic migration breaks the ordering: [`TransformProtocol::import_active`]
+//!   appends records with whatever steps they had left at the source, and
+//!   [`TransformProtocol::export_active`] takes a key range out of the middle. Such
+//!   records die *in place* (an export sets the stamp to 0) and the candidate walk
+//!   skips every record whose stamp has passed. Positions never move, so the walk
+//!   meets the live records in the order a compacted mirror would hold them, and
+//!   the ω-truncation keeps the same first candidates. A dead record leaves with
+//!   the front, at the latest when its window block retires.
 //! * **Migration keeps the window public by the conservative rule.** Which rows a
 //!   migration moves is private, so the source's window keeps its blocks until
 //!   they age out, and the destination's grows by one block of the source's window
 //!   length at export, live for a full `b/ω − 1` steps (no imported record has more
-//!   budget left than a fresh one). A cluster that migrates at every cooldown pays
+//!   steps left than a fresh one). A cluster that migrates at every cooldown pays
 //!   for it in Transform seconds.
 //! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
 //!   deferred upload steps as one invocation: the per-step plaintext functionality
-//!   (ledger charges, truncated matching, per-step counter reshares) is the same
+//!   (eviction, truncated matching, per-step counter reshares) is the same
 //!   loop body whatever `k` is, and only the pricing differs — a single step under
 //!   the nested-loop plan is charged Algorithm 4 over that step's window, a batch
 //!   is priced once over the combined delta, by the adaptive planner
@@ -89,7 +93,6 @@
 
 use crate::config::JoinPlanMode;
 use crate::view::ViewDefinition;
-use incshrink_dp::accountant::ContributionLedger;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::planner::{
@@ -127,9 +130,10 @@ impl ActiveRecord {
     }
 }
 
-/// An active record bundled with its remaining contribution budget — the unit
-/// shipped between shards during elastic migration ([`TransformProtocol::export_active`]
-/// / [`TransformProtocol::import_active`]).
+/// An active record bundled with how many more steps it may join at — its
+/// remaining contribution budget in units of ω — the unit shipped between shards
+/// during elastic migration ([`TransformProtocol::export_active`] /
+/// [`TransformProtocol::import_active`]).
 pub type BudgetedRecord = (ActiveRecord, u64);
 
 /// One owner upload step deferred for batched Transform execution: its padded
@@ -146,14 +150,16 @@ pub struct StepInputs {
 /// One accumulated relation as Transform sees it: the *public active window* — the
 /// padded lengths of the upload batches a delta can still join with, which is what
 /// every join is priced over — and, for the matching, the plaintext mirror of the
-/// window's real records with their join-key index (see the module docs).
+/// window's real records, each stamped with the last step it may join at, with
+/// their join-key index (see the module docs).
 ///
 /// Invariants: `index` equals a [`KeyIndex`] built from scratch over `records` by
 /// `key_column` — appends and evictions update both in lockstep; and every mirrored
-/// record sits in a live window block, so `records.len() <= window.rows()`.
+/// record, live or dead, sits in a live window block, so
+/// `records.len() <= window.rows()`.
 #[derive(Debug)]
 struct ActiveRelation {
-    records: VecDeque<ActiveRecord>,
+    records: VecDeque<(ActiveRecord, u64)>,
     index: KeyIndex,
     key_column: usize,
     window: ActiveWindow<()>,
@@ -169,65 +175,54 @@ impl ActiveRelation {
         }
     }
 
-    fn len(&self) -> usize {
-        self.records.len()
+    /// The records that may still join at step `covered`.
+    fn live(&self, covered: u64) -> impl Iterator<Item = &ActiveRecord> {
+        let live = self
+            .records
+            .iter()
+            .filter(move |(_, stamp)| *stamp >= covered);
+        live.map(|(rec, _)| rec)
     }
 
-    fn push(&mut self, rec: ActiveRecord) {
-        self.index.push(rec.key(self.key_column));
-        self.records.push_back(rec);
-    }
-
-    /// The real arrivals of a batch the window admitted (the positions carrying an
-    /// id) turn active.
-    fn activate(&mut self, ids: &[Option<RecordId>], arrivals: Vec<PlainRecord>) {
-        for (id, rec) in ids.iter().zip(arrivals) {
-            if let Some(id) = *id {
-                self.push(ActiveRecord {
-                    id,
-                    fields: rec.fields,
-                });
-            }
+    /// A block of `rows` padded rows joins the window at step `covered` and its real
+    /// `records` join the mirror, each stamped `covered` plus its steps left. The
+    /// `b`-bound is structural: no record is admitted with more steps left than a
+    /// fresh arrival's `window_steps`.
+    fn admit(
+        &mut self,
+        covered: u64,
+        window_steps: u64,
+        rows: usize,
+        records: impl IntoIterator<Item = BudgetedRecord>,
+    ) {
+        self.window.admit(covered, window_steps, rows, ());
+        for (rec, steps_left) in records {
+            debug_assert!(
+                steps_left <= window_steps,
+                "a record would join past its contribution budget"
+            );
+            self.index.push(rec.key(self.key_column));
+            self.records.push_back((rec, covered + steps_left));
         }
     }
 
     /// The from-scratch index the persistent one must equal.
     fn fresh_index(&self) -> KeyIndex {
-        let keys = self.records.iter().map(|rec| rec.key(self.key_column));
+        let keys = self.records.iter().map(|(rec, _)| rec.key(self.key_column));
         keys.collect()
     }
 
-    /// Charge ω to every active record and evict the ones whose budget expired
-    /// (`tuples expire` eviction) — the real records of exactly the batches the
-    /// window dropped after the previous step, since retirement is charged whether
-    /// or not a record matched. Budgets are non-decreasing along the relation
-    /// unless migration imported uneven ones, so the expired records are normally a
-    /// prefix and are unlinked from the front; stragglers behind a surviving record
-    /// take the rebuild path.
-    fn charge_and_evict(&mut self, ledger: &mut ContributionLedger, omega: u64) {
-        // Expired records: the leading run, then positions (counted after that run
-        // is gone) of any that sit behind a survivor.
-        let mut prefix = 0usize;
-        let mut stragglers: Vec<usize> = Vec::new();
-        for (i, rec) in self.records.iter().enumerate() {
-            if !ledger.charge(rec.id, omega) {
-                if i == prefix {
-                    prefix += 1;
-                } else {
-                    stragglers.push(i - prefix);
-                }
+    /// Pop the records whose last step is before `covered` off the front of the
+    /// mirror (`tuples expire` eviction) — without migration, the real records of
+    /// exactly the batches the window dropped after the previous step. A dead record
+    /// behind a live one stays in place until the front reaches it.
+    fn evict(&mut self, covered: u64) {
+        while let Some((rec, stamp)) = self.records.front() {
+            if *stamp >= covered {
+                break;
             }
-        }
-        for rec in self.records.drain(..prefix) {
             self.index.pop_front(rec.key(self.key_column));
-        }
-        if !stragglers.is_empty() {
-            let mut position = 0usize;
-            self.records.retain(|_| {
-                position += 1;
-                stragglers.binary_search(&(position - 1)).is_err()
-            });
-            self.index = self.fresh_index();
+            self.records.pop_front();
         }
         debug_assert!(
             self.index == self.fresh_index(),
@@ -239,37 +234,65 @@ impl ActiveRelation {
         );
     }
 
-    /// Remove and return the records whose join key satisfies `moved` (elastic
-    /// migration: they leave for another shard). Extraction is not a prefix, so the
-    /// index is rebuilt over what stays. The window keeps its blocks until they age
-    /// out: which rows left is private, when a batch arrived is not.
-    fn extract(&mut self, moved: &dyn Fn(u32) -> bool) -> Vec<ActiveRecord> {
+    /// Mark the live records whose join key satisfies `moved` dead in place and
+    /// return them with their steps left (elastic migration: they leave for another
+    /// shard). Nothing moves, so the index stays as it is. The window keeps its
+    /// blocks until they age out: which rows left is private, when a batch arrived
+    /// is not.
+    fn extract(&mut self, moved: &dyn Fn(u32) -> bool, covered: u64) -> Vec<BudgetedRecord> {
         let key_column = self.key_column;
-        let leaves = |rec: &ActiveRecord| rec.key(key_column).is_some_and(moved);
-        if !self.records.iter().any(leaves) {
-            return Vec::new();
-        }
-        let (out, kept): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut self.records)
-            .into_iter()
-            .partition(leaves);
-        self.records = kept;
-        self.index = self.fresh_index();
-        out.into()
+        self.records
+            .iter_mut()
+            .filter(|(rec, stamp)| *stamp >= covered && rec.key(key_column).is_some_and(moved))
+            .map(|(rec, stamp)| (rec.clone(), std::mem::replace(stamp, 0) - covered))
+            .collect()
     }
 
+    /// Match `outer` against the records that may still join at step `covered`.
     fn join_into(
         &self,
         out: &mut DeltaOut,
         outer: &[PlainRecord],
         spec: &JoinSpec<'_>,
+        covered: u64,
     ) -> (usize, u64) {
         out.join(
             outer,
-            |i| &self.records[i].fields,
-            |key| self.index.candidates(key),
+            |i| &self.records[i].0.fields,
+            |key| {
+                let candidates = self.index.candidates(key);
+                candidates.filter(move |&i| self.records[i].1 >= covered)
+            },
             spec,
         )
     }
+}
+
+/// The real records of a padded upload batch (the positions carrying an id), each
+/// with a fresh arrival's `window_steps` to go.
+fn arrivals(
+    batch: &UploadBatch,
+    records: Vec<PlainRecord>,
+    window_steps: u64,
+) -> impl Iterator<Item = BudgetedRecord> + '_ {
+    batch.ids.iter().zip(records).filter_map(move |(id, rec)| {
+        let rec = ActiveRecord {
+            id: (*id)?,
+            fields: rec.fields,
+        };
+        Some((rec, window_steps))
+    })
+}
+
+/// Recover an upload batch's padded records once — dummies included: they take part
+/// in the oblivious join shape but never match.
+fn recover_padded(batch: &UploadBatch) -> Vec<PlainRecord> {
+    batch
+        .records
+        .entries()
+        .iter()
+        .map(|e| e.recover())
+        .collect()
 }
 
 /// A public right relation (CPDB's Award table) stored flat: row `i` is
@@ -476,7 +499,8 @@ pub struct TransformProtocol {
     spec: JoinSpec<'static>,
     spec_reversed: JoinSpec<'static>,
     omega: u64,
-    ledger: ContributionLedger,
+    /// `W = b/ω − 1`: how many steps after its own an uploaded batch stays joinable.
+    window_steps: u64,
     active_left: ActiveRelation,
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
@@ -505,7 +529,7 @@ impl TransformProtocol {
             spec: view.join_spec(),
             spec_reversed: view.join_spec_reversed(),
             omega: truncation_bound,
-            ledger: ContributionLedger::new(contribution_budget),
+            window_steps: contribution_budget / truncation_bound - 1,
             active_left: ActiveRelation::new(view.left_key),
             active_right: ActiveRelation::new(view.right_key),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
@@ -540,16 +564,13 @@ impl TransformProtocol {
         self.calibration = calibration;
     }
 
-    /// The contribution ledger (exposed for privacy-accounting inspection).
-    #[must_use]
-    pub fn ledger(&self) -> &ContributionLedger {
-        &self.ledger
-    }
-
     /// Number of currently active (non-retired) records on each side.
     #[must_use]
     pub fn active_counts(&self) -> (usize, usize) {
-        (self.active_left.len(), self.active_right.len())
+        (
+            self.active_left.live(self.covered).count(),
+            self.active_right.live(self.covered).count(),
+        )
     }
 
     /// How many steps after its own an uploaded batch stays joinable: `b/ω − 1`. A
@@ -557,7 +578,7 @@ impl TransformProtocol {
     /// matches, so when its batch retires is fixed by the upload step, `b` and ω.
     #[must_use]
     pub fn window_steps(&self) -> u64 {
-        self.ledger.total_budget() / self.omega - 1
+        self.window_steps
     }
 
     /// Padded rows of each side's public active window — what the next step's
@@ -576,54 +597,41 @@ impl TransformProtocol {
         self.total_truncation_losses
     }
 
-    /// Extract the active records whose join key satisfies `moved`, together
-    /// with each record's remaining contribution budget (elastic migration:
-    /// future arrivals for that key range route to another shard, so its
-    /// active records must follow or cross-time join pairs would be lost).
-    /// The records stop being tracked here; the destination's
-    /// [`Self::import_active`] resumes the budgets, so the lifetime `b`-bound
-    /// is preserved across the move.
+    /// Extract the active records whose join key satisfies `moved`, each with the
+    /// number of steps it may still join at (elastic migration: future arrivals
+    /// for that key range route to another shard, so its active records must
+    /// follow or cross-time join pairs would be lost). The records die here in
+    /// place; the destination's [`Self::import_active`] stamps them with the steps
+    /// they have left, so the lifetime `b`-bound is preserved across the move.
     pub fn export_active(
         &mut self,
         moved: &dyn Fn(u32) -> bool,
     ) -> (Vec<BudgetedRecord>, Vec<BudgetedRecord>) {
-        let left = self.active_left.extract(moved);
-        let right = self.active_right.extract(moved);
-        let mut carry = |recs: Vec<ActiveRecord>| -> Vec<BudgetedRecord> {
-            recs.into_iter()
-                .map(|rec| {
-                    let remaining = self.ledger.forget(rec.id);
-                    (rec, remaining)
-                })
-                .collect()
-        };
-        (carry(left), carry(right))
+        (
+            self.active_left.extract(moved, self.covered),
+            self.active_right.extract(moved, self.covered),
+        )
     }
 
-    /// Adopt active records migrated from another shard, resuming each record's
-    /// contribution budget. They join the tail of the active relations whatever
-    /// their remaining budgets are, which is what can make a later expiry
-    /// non-prefix (see the module docs). `source_window` is the source's
-    /// [`Self::window_rows`] at export: how many of its rows moved is private, so
-    /// each side's window grows by one block of that public length, live for a full
-    /// [`Self::window_steps`] — no imported record can outlive it.
+    /// Adopt active records migrated from another shard, each live for the steps
+    /// it had left at the source. They join the tail of the active relations
+    /// whatever those are, which is what can make a later expiry non-prefix (see
+    /// the module docs). `source_window` is the source's [`Self::window_rows`] at
+    /// export: how many of its rows moved is private, so each side's window grows
+    /// by one block of that public length, live for a full [`Self::window_steps`]
+    /// — no imported record can outlive it.
     pub fn import_active(
         &mut self,
         left: Vec<BudgetedRecord>,
         right: Vec<BudgetedRecord>,
         source_window: (usize, usize),
     ) {
-        let window_steps = self.window_steps();
         for (side, batch, rows) in [
             (&mut self.active_left, left, source_window.0),
             (&mut self.active_right, right, source_window.1),
         ] {
             debug_assert!(batch.len() <= rows, "more records than their window held");
-            side.window.admit(self.covered, window_steps, rows, ());
-            for (rec, remaining) in batch {
-                self.ledger.import(rec.id, remaining);
-                side.push(rec);
-            }
+            side.admit(self.covered, self.window_steps, rows, batch);
         }
     }
 
@@ -686,13 +694,12 @@ impl TransformProtocol {
     /// Run one Transform invocation over up to `k` deferred upload steps.
     ///
     /// The plaintext functionality is the sequential composition of the covered
-    /// steps — per step: ledger charges, the truncated match of each delta against
-    /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
-    /// recover/reshare (the counter message cadence the servers observe is part of
-    /// the update-pattern leakage and must not change with `k`), and the arrivals
-    /// joining the window and turning active — so ΔV contents,
-    /// active-set evolution and truncation losses do not depend on how steps are
-    /// grouped. Only the price of the oblivious join work does: a single step under
+    /// steps — per step: eviction of expired records, the truncated match of each
+    /// delta against the relation accumulated so far, its `ω`-padded ΔV slice, one
+    /// cardinality recover/reshare (the counter message cadence the servers observe
+    /// is part of the update-pattern leakage and must not change with `k`), and the
+    /// arrivals joining the window and turning active — so ΔV contents, active-set
+    /// evolution and truncation losses do not depend on how steps are grouped. Only the price of the oblivious join work does: a single step under
     /// [`JoinPlanMode::NestedLoop`] is charged Algorithm 4 over that step's public
     /// active window; anything else is priced once over the combined delta against
     /// every row a covered step can join with (`batch_inner_rows`), using the
@@ -752,17 +759,15 @@ impl TransformProtocol {
         let mut total_new_entries = 0usize;
         let mut outer_left_total = 0usize;
         let mut outer_right_total = 0usize;
-        let window_steps = self.window_steps();
+        let window_steps = self.window_steps;
 
         for step in steps {
             self.covered += 1;
-            // --- Contribution accounting: charge ω to every record used as input.
-            let outer_left = self.charge_arrivals(&step.delta_left);
-            let outer_right = step.delta_right.as_ref().map(|d| self.charge_arrivals(d));
-            self.active_left
-                .charge_and_evict(&mut self.ledger, self.omega);
-            self.active_right
-                .charge_and_evict(&mut self.ledger, self.omega);
+            // --- Contribution accounting: records whose last step has passed retire.
+            let outer_left = recover_padded(&step.delta_left);
+            let outer_right = step.delta_right.as_ref().map(recover_padded);
+            self.active_left.evict(self.covered);
+            self.active_right.evict(self.covered);
 
             // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
             let upload_step = step.delta_left.time;
@@ -786,9 +791,10 @@ impl TransformProtocol {
             let span = nested_loop_span(ctx.meter(), &outer_left, inner_len);
             let (mut step_entries, mut potential_pairs) = match &self.public_right {
                 Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
-                None => self
-                    .active_right
-                    .join_into(&mut out, &outer_left, &self.spec),
+                None => {
+                    self.active_right
+                        .join_into(&mut out, &outer_left, &self.spec, self.covered)
+                }
             };
             drop(span);
             outer_left_total += outer_left.len();
@@ -798,9 +804,12 @@ impl TransformProtocol {
             if let Some(outer_right) = &outer_right {
                 let inner_len = self.active_left.window.rows();
                 let span = nested_loop_span(ctx.meter(), outer_right, inner_len);
-                let (entries, pairs) =
-                    self.active_left
-                        .join_into(&mut out, outer_right, &self.spec_reversed);
+                let (entries, pairs) = self.active_left.join_into(
+                    &mut out,
+                    outer_right,
+                    &self.spec_reversed,
+                    self.covered,
+                );
                 drop(span);
                 step_entries += entries;
                 potential_pairs += pairs;
@@ -819,17 +828,16 @@ impl TransformProtocol {
             total_new_entries += step_entries;
 
             // --- The step's batches join the window and their real records become
-            // active (budget b − ω left) for later steps — of this very batch too,
-            // which is how cross-step pairs inside a batch appear.
+            // active (live for the next W steps) for later steps — of this very batch
+            // too, which is how cross-step pairs inside a batch appear.
+            let left = &step.delta_left;
+            let fresh = arrivals(left, outer_left, window_steps);
             self.active_left
-                .window
-                .admit(self.covered, window_steps, step.delta_left.len(), ());
-            self.active_left.activate(&step.delta_left.ids, outer_left);
+                .admit(self.covered, window_steps, left.len(), fresh);
             if let (Some(batch), Some(outer_right)) = (&step.delta_right, outer_right) {
+                let fresh = arrivals(batch, outer_right, window_steps);
                 self.active_right
-                    .window
-                    .admit(self.covered, window_steps, batch.len(), ());
-                self.active_right.activate(&batch.ids, outer_right);
+                    .admit(self.covered, window_steps, batch.len(), fresh);
             }
         }
 
@@ -868,22 +876,6 @@ impl TransformProtocol {
             steps_covered: steps.len(),
             window_rows,
         }
-    }
-
-    /// Recover an upload batch's padded records once (dummies included — they take
-    /// part in the oblivious join shape but never match) and charge ω to each real
-    /// one: a fresh record always has budget `b ≥ ω`.
-    fn charge_arrivals(&mut self, batch: &UploadBatch) -> Vec<PlainRecord> {
-        for id in batch.ids.iter().flatten() {
-            let charged = self.ledger.charge(*id, self.omega);
-            debug_assert!(charged, "fresh records always have budget >= omega");
-        }
-        batch
-            .records
-            .entries()
-            .iter()
-            .map(|e| e.recover())
-            .collect()
     }
 }
 
@@ -978,7 +970,7 @@ mod tests {
 
         let _ = transform.invoke(&mut ctx, &left, Some(&empty_r(1)));
         assert_eq!(transform.active_counts().0, 1);
-        // Second invocation: the record is charged again and hits its budget.
+        // Second invocation: the record joins at its last step (stamp 1 + W = 2).
         let _ = transform.invoke(&mut ctx, &empty_l(2), Some(&empty_r(2)));
         assert_eq!(
             transform.window_rows(),
@@ -1060,7 +1052,12 @@ mod tests {
     /// A from-scratch [`KeyIndex::build`] over a relation's mirror — what its
     /// persistent index must equal after every operation.
     fn rebuilt_index(relation: &ActiveRelation) -> KeyIndex {
-        let rows = real_rows(relation.records.iter().map(|rec| rec.fields.as_slice()));
+        let rows = real_rows(
+            relation
+                .records
+                .iter()
+                .map(|(rec, _)| rec.fields.as_slice()),
+        );
         KeyIndex::build(&rows, relation.key_column)
     }
 
@@ -1076,7 +1073,8 @@ mod tests {
     #[test]
     fn uneven_imported_budgets_expire_mid_relation() {
         // Migration appends records whose remaining budgets are out of order, so the
-        // next expiries are not a prefix: ids 2 and 4 go first, from between 1, 3, 5.
+        // next expiries are not a prefix: ids 2 and 4 die first, in place between
+        // 1, 3 and 5.
         let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
         let mut transform = TransformProtocol::new(view_def(), 1, 5, None);
         let imported = [(1u64, 3u64), (2, 1), (3, 3), (4, 1), (5, 2)]
@@ -1087,7 +1085,7 @@ mod tests {
             .to_vec();
         transform.import_active(imported, Vec::new(), (5, 0));
         let ids = |t: &TransformProtocol| -> Vec<u64> {
-            t.active_left.records.iter().map(|r| r.id).collect()
+            t.active_left.live(t.covered).map(|r| r.id).collect()
         };
         let empty = |relation, t| batch(relation, t, &[], 2);
         let mut survivors = Vec::new();
@@ -1103,11 +1101,45 @@ mod tests {
         );
     }
 
+    #[test]
+    fn dead_records_left_in_the_mirror_never_join() {
+        // Behind live record 1 (key 8) sit two dead ones: record 2 (key 7), exported,
+        // and record 10 (key 6), imported with one step left. A later right delta
+        // matching all three keys joins record 1 alone.
+        let mut ctx = PartyContext::new(PartyMode::InProcess, 12, CostModel::default());
+        let mut transform = TransformProtocol::new(view_def(), 1, 5, None);
+        let left = batch(Relation::Left, 1, &[(1, 8, 1), (2, 7, 1)], 2);
+        let _ = transform.invoke(&mut ctx, &left, Some(&batch(Relation::Right, 1, &[], 3)));
+        let (exported, _) = transform.export_active(&|key| key == 7);
+        assert_eq!(exported.len(), 1);
+        assert_eq!(exported[0].1, 4, "W = b/ω − 1 = 4 steps were left");
+        let imported = ActiveRecord {
+            id: 10,
+            fields: vec![6, 1],
+        };
+        transform.import_active(vec![(imported, 1)], Vec::new(), (1, 0));
+        let empty_left = |t| batch(Relation::Left, t, &[], 2);
+        let empty_right = batch(Relation::Right, 2, &[], 3);
+        let _ = transform.invoke(&mut ctx, &empty_left(2), Some(&empty_right));
+        let right = batch(Relation::Right, 3, &[(20, 8, 3), (21, 7, 3), (22, 6, 3)], 3);
+        let out = transform.invoke(&mut ctx, &empty_left(3), Some(&right));
+        assert_eq!(transform.active_left.records.len(), 3, "dead in place");
+        assert_eq!(transform.active_counts().0, 1);
+        let delta = out.delta.recover_all().into_iter();
+        let joined: Vec<Vec<u32>> = delta
+            .filter(|row| row.is_view)
+            .map(|row| row.fields)
+            .collect();
+        assert_eq!(out.new_entries, 1);
+        assert_eq!(joined, [vec![8, 1, 8, 3]]);
+    }
+
     proptest! {
         /// The persistent key indexes equal `KeyIndex::build` over the mirrors — and
-        /// the mirrors equal a plain budget model — after every call of a random
-        /// sequence of appends, charge-and-evict with tight budgets, exports, and
-        /// imports with uneven remaining budgets (non-prefix expiry).
+        /// the mirrors' live records equal a plain budget model, none of them live
+        /// in more than `b/ω` covered steps — after every call of a random sequence
+        /// of appends, evictions with tight budgets, exports, and imports with
+        /// uneven remaining budgets (non-prefix expiry).
         #[test]
         fn prop_persistent_index_equals_a_rebuild_over_the_mirror(
             ops in proptest::collection::vec(
@@ -1120,6 +1152,8 @@ mod tests {
             let mut transform = TransformProtocol::new(view_def(), 1, budget, None);
             // Per side: (id, key, remaining budget), in mirror order.
             let mut model: [Vec<(u64, u32, u64)>; 2] = [Vec::new(), Vec::new()];
+            // Per id: the covered steps it was live in.
+            let mut live_steps = std::collections::HashMap::<u64, u64>::new();
             let mut next_id = 1u64;
             for (t, (kind, keys, budgets)) in ops.iter().enumerate() {
                 let t = t as u64 + 1;
@@ -1143,9 +1177,16 @@ mod tests {
                         });
                         side.extend(rows.iter().map(|&(id, key, _)| (id, key, budget - 1)));
                     }
+                    for relation in [&transform.active_left, &transform.active_right] {
+                        for rec in relation.live(transform.covered) {
+                            let steps = live_steps.entry(rec.id).or_default();
+                            *steps += 1;
+                            prop_assert!(*steps <= budget, "record {} outlived b/ω", rec.id);
+                        }
+                    }
                 } else {
                     // Migration: one key parity leaves; under kind 2 it comes back
-                    // at the tail with arbitrary (uneven) remaining budgets.
+                    // at the tail with uneven remaining budgets.
                     let parity = keys.len() as u32 % 2;
                     let (mut left, mut right) = transform.export_active(&|k| k % 2 == parity);
                     assert_indexes_match_mirrors(&transform, "an export");
@@ -1156,8 +1197,8 @@ mod tests {
                         let mut drawn = budgets.iter().cycle();
                         for (side, batch) in model.iter_mut().zip([&mut left, &mut right]) {
                             for (rec, remaining) in batch.iter_mut() {
-                                // An active record has been charged at least once.
-                                *remaining = drawn.next().map_or(*remaining, |&b| b.min(budget - 1));
+                                // A record never gains budget in transit.
+                                *remaining = drawn.next().map_or(*remaining, |&b| b.min(*remaining));
                                 side.push((rec.id, rec.fields[0], *remaining));
                             }
                         }
@@ -1167,8 +1208,8 @@ mod tests {
                 }
                 assert_indexes_match_mirrors(&transform, "an operation");
                 for (side, relation) in model.iter().zip([&transform.active_left, &transform.active_right]) {
-                    let mirror: Vec<(u64, u32)> =
-                        relation.records.iter().map(|r| (r.id, r.fields[0])).collect();
+                    let live = relation.live(transform.covered);
+                    let mirror: Vec<(u64, u32)> = live.map(|r| (r.id, r.fields[0])).collect();
                     let expected: Vec<(u64, u32)> = side.iter().map(|&(id, key, _)| (id, key)).collect();
                     prop_assert_eq!(mirror, expected);
                 }

@@ -10,10 +10,13 @@
 //!    the composed transformation is `b`-stable and the total privacy loss is bounded
 //!    by `b · max_i ε_i` (Theorem 3 specialised to budgeted contributions).
 //!
-//! [`ContributionLedger`] tracks the per-record budgets; [`PrivacyAccountant`] tracks
+//! The budget needs no per-record bookkeeping: a record is charged ω per invocation
+//! whether or not it matches, so it retires a fixed `b/ω − 1` steps after its upload
+//! step. `incshrink::transform` enforces that by stamping each active record with
+//! the last step it may join at, against the same public window
+//! (`incshrink_storage::ActiveWindow`) the servers keep. [`PrivacyAccountant`] tracks
 //! the ε consumed by each mechanism application and evaluates the Theorem-3 bound.
 
-use incshrink_mpc::hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// A q-stable transformation descriptor (Lemma 1).
@@ -29,120 +32,6 @@ impl StableTransform {
     #[must_use]
     pub fn amplified_epsilon(&self, mechanism_epsilon: f64) -> f64 {
         self.stability as f64 * mechanism_epsilon
-    }
-}
-
-/// Per-record lifetime contribution budgets.
-///
-/// `charge` is called whenever a record is used as input to Transform (regardless of
-/// whether a real view tuple came out of it — the paper charges the truncation limit ω
-/// per use). Records whose remaining budget is below the next charge are *retired*.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ContributionLedger {
-    total_budget: u64,
-    // Charged once per active record per upload step — a hot path; the
-    // deterministic fast hasher matters here (record ids are workload-internal,
-    // never adversarial).
-    remaining: FxHashMap<u64, u64>,
-    retired: u64,
-}
-
-impl ContributionLedger {
-    /// Create a ledger assigning `total_budget` (the paper's `b`) to every new record.
-    #[must_use]
-    pub fn new(total_budget: u64) -> Self {
-        Self {
-            total_budget,
-            remaining: FxHashMap::default(),
-            retired: 0,
-        }
-    }
-
-    /// The lifetime budget assigned to each record.
-    #[must_use]
-    pub fn total_budget(&self) -> u64 {
-        self.total_budget
-    }
-
-    /// Register a new record (idempotent).
-    pub fn register(&mut self, record_id: u64) {
-        self.remaining.entry(record_id).or_insert(self.total_budget);
-    }
-
-    /// Remaining budget for a record; unregistered records have the full budget.
-    #[must_use]
-    pub fn remaining(&self, record_id: u64) -> u64 {
-        self.remaining
-            .get(&record_id)
-            .copied()
-            .unwrap_or(self.total_budget)
-    }
-
-    /// Whether the record may still be fed to Transform with per-use charge `omega`.
-    #[must_use]
-    pub fn is_active(&self, record_id: u64, omega: u64) -> bool {
-        self.remaining(record_id) >= omega
-    }
-
-    /// Charge `omega` units against a record's budget. Returns `true` when the charge
-    /// was applied; `false` when the record had already been retired (insufficient
-    /// budget), in which case nothing is deducted and the caller must exclude the
-    /// record from the transformation input.
-    pub fn charge(&mut self, record_id: u64, omega: u64) -> bool {
-        let remaining = self.remaining.entry(record_id).or_insert(self.total_budget);
-        if *remaining >= omega {
-            *remaining -= omega;
-            if *remaining < omega {
-                self.retired += 1;
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remove a record from the ledger (elastic migration: the record's budget
-    /// travels with it to the destination shard). Returns the remaining budget
-    /// to hand to [`Self::import`] on the other side; forgetting an unseen
-    /// record returns the full budget, mirroring [`Self::remaining`].
-    ///
-    /// The retired counter is a cumulative historical statistic and is left
-    /// untouched — a migrated-away retiree still retired *here*.
-    pub fn forget(&mut self, record_id: u64) -> u64 {
-        self.remaining
-            .remove(&record_id)
-            .unwrap_or(self.total_budget)
-    }
-
-    /// Adopt a record migrated from another shard with `remaining` budget left.
-    /// The per-record lifetime bound is preserved because exactly one ledger
-    /// tracks the record at any time ([`Self::forget`] on the source precedes
-    /// `import` on the destination).
-    pub fn import(&mut self, record_id: u64, remaining: u64) {
-        debug_assert!(
-            remaining <= self.total_budget,
-            "imported budget exceeds the lifetime bound"
-        );
-        self.remaining.insert(record_id, remaining);
-    }
-
-    /// Number of records whose budget has dropped below one more `omega`-charge.
-    #[must_use]
-    pub fn retired_count(&self) -> u64 {
-        self.retired
-    }
-
-    /// Number of records the ledger has seen.
-    #[must_use]
-    pub fn tracked_records(&self) -> usize {
-        self.remaining.len()
-    }
-
-    /// Maximum lifetime contribution any record can ever make — the `b` bound used in
-    /// the Theorem-3 style accounting.
-    #[must_use]
-    pub fn lifetime_stability(&self) -> u64 {
-        self.total_budget
     }
 }
 
@@ -293,57 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_forget_and_import_preserve_the_budget() {
-        let mut source = ContributionLedger::new(10);
-        let mut dest = ContributionLedger::new(10);
-        assert!(source.charge(7, 4));
-        let carried = source.forget(7);
-        assert_eq!(carried, 6);
-        assert_eq!(source.remaining(7), 10, "forgotten records read as fresh");
-        dest.import(7, carried);
-        assert_eq!(dest.remaining(7), 6);
-        assert!(dest.charge(7, 4));
-        assert!(!dest.charge(7, 4), "lifetime bound survives the migration");
-        // Forgetting a never-seen record hands over the full budget.
-        assert_eq!(dest.forget(999), 10);
-    }
-
-    #[test]
-    fn ledger_charges_and_retires() {
-        let mut ledger = ContributionLedger::new(10);
-        assert_eq!(ledger.total_budget(), 10);
-        assert_eq!(ledger.remaining(5), 10);
-        assert!(ledger.is_active(5, 4));
-
-        assert!(ledger.charge(5, 4));
-        assert_eq!(ledger.remaining(5), 6);
-        assert!(ledger.charge(5, 4));
-        assert_eq!(ledger.remaining(5), 2);
-        // Remaining 2 < 4: record is retired for ω=4 charges.
-        assert!(!ledger.is_active(5, 4));
-        assert!(!ledger.charge(5, 4));
-        assert_eq!(ledger.remaining(5), 2, "failed charge deducts nothing");
-        assert_eq!(ledger.retired_count(), 1);
-        assert_eq!(ledger.tracked_records(), 1);
-
-        // A different record still has its full budget.
-        assert!(ledger.charge(6, 4));
-        assert_eq!(ledger.lifetime_stability(), 10);
-    }
-
-    #[test]
-    fn ledger_exact_budget_consumption() {
-        let mut ledger = ContributionLedger::new(6);
-        assert!(ledger.charge(1, 3));
-        assert!(ledger.charge(1, 3));
-        assert_eq!(ledger.remaining(1), 0);
-        assert!(!ledger.charge(1, 1));
-        // ω = 0 charges are always allowed and never retire anything.
-        assert!(ledger.charge(2, 0));
-        assert_eq!(ledger.remaining(2), 6);
-    }
-
-    #[test]
     fn accountant_budgeted_vs_unbudgeted() {
         let mut acc = PrivacyAccountant::new();
         assert!(acc.is_empty());
@@ -409,20 +247,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_ledger_never_exceeds_lifetime_budget(
-            budget in 1u64..20, omega in 1u64..5, charges in 1usize..50) {
-            let mut ledger = ContributionLedger::new(budget);
-            let mut consumed = 0u64;
-            for _ in 0..charges {
-                if ledger.charge(42, omega) {
-                    consumed += omega;
-                }
-            }
-            prop_assert!(consumed <= budget);
-            prop_assert_eq!(ledger.remaining(42), budget - consumed);
-        }
-
         #[test]
         fn prop_budgeted_epsilon_independent_of_invocation_count(
             eps in 0.01f64..2.0, b in 1u64..30, n in 1usize..200) {

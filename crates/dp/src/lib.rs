@@ -16,8 +16,9 @@
 //! * [`cut`] — Shrinkwrap-style DP sizing of intermediate results: noisy
 //!   per-bucket load releases and report-noisy-max bucket picks for the elastic
 //!   sharding control plane.
-//! * [`accountant`] — q-stability bookkeeping, per-record contribution budgets, and
-//!   sequential/parallel composition (Lemma 2, Theorem 3).
+//! * [`accountant`] — q-stability bookkeeping and sequential/parallel composition
+//!   (Lemma 2, Theorem 3); the per-record contribution budget is enforced by
+//!   Transform's window, not counted here.
 //! * [`bounds`] — closed-form error bounds of Theorems 4, 5 and 6 (deferred-data and
 //!   dummy-data bounds) used by the experiment harness and by property tests.
 //! * [`sync`] — owner-side record-synchronization strategies from DP-Sync (Section 8,
@@ -36,7 +37,7 @@ pub mod svt;
 pub mod sync;
 pub mod user_level;
 
-pub use accountant::{ContributionLedger, PrivacyAccountant, StableTransform};
+pub use accountant::{PrivacyAccountant, StableTransform};
 pub use bounds::{ant_deferred_bound, timer_deferred_bound, timer_dummy_bound};
 pub use cut::NoisyCutSizer;
 pub use joint::joint_laplace_noise;

@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for host-side bookkeeping maps.
 //!
 //! The simulator keeps several plaintext-side maps on hot per-step paths — the
-//! contribution ledger charges every active record once per upload step, and the
-//! truncated-join replay builds a key index per invocation. `std`'s default
+//! persistent join-key index Transform keeps over its active records, and the
+//! per-call budget map of the truncated matching loop. `std`'s default
 //! SipHash is DoS-resistant but pays ~10× the latency these integer-keyed,
 //! protocol-internal maps need; none of them are exposed to adversarial keys
 //! (record ids and join keys come from the simulated workload itself).

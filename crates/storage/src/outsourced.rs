@@ -4,9 +4,9 @@
 //! at predetermined intervals (Section 2.3). The outsourcing servers keep, per
 //! relation, the batches of the public *active window* ([`ActiveWindow`]) — what the
 //! Transform protocol joins new data against — and count the rest. Record ids ride
-//! along with each stored record *outside* the shares — they are needed for
-//! contribution accounting and carry no information beyond arrival order, which the
-//! servers observe anyway.
+//! along with each stored record *outside* the shares — they name records in
+//! Transform's active mirror and carry no information beyond arrival order, which
+//! the servers observe anyway.
 
 use crate::logical::LogicalUpdate;
 use crate::schema::{RecordId, Relation};

@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Globally unique identifier of a logical record. Used by the contribution ledger to
-/// track how many view tuples a record has generated over its lifetime.
+/// Globally unique identifier of a logical record, assigned in arrival order. It
+/// names a record in Transform's active mirror and across elastic migrations.
 pub type RecordId = u64;
 
 /// Identifier of a relation participating in a view definition.

@@ -1,7 +1,7 @@
 //! Privacy-facing integration tests: what the servers observe, what the ledger allows,
 //! and how the protocols' visible behaviour lines up with the DP leakage profile.
 
-use incshrink_dp::accountant::{ContributionLedger, MechanismApplication, PrivacyAccountant};
+use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
 use incshrink_dp::bounds::timer_deferred_bound;
 use incshrink_dp::mechanisms::{run_leakage, TimerLeakage, UpdateLeakage};
 use incshrink_mpc::cost::CostModel;
@@ -91,13 +91,45 @@ fn named_shares_on_each_server_are_masked() {
 
 #[test]
 fn contribution_budget_bounds_lifetime_epsilon() {
-    // Simulate 500 Transform invocations with a per-invocation ε and check the
-    // accountant's budgeted bound stays flat while the naive bound diverges.
-    let mut ledger = ContributionLedger::new(10);
+    // Drive 500 Transform invocations, each followed by an ε-mechanism release: one
+    // record takes part in exactly b/ω of them, so the accountant's budgeted bound
+    // stays flat while the naive bound diverges.
+    use incshrink::transform::TransformProtocol;
+    use incshrink::ViewDefinition;
+    use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
+
+    let (omega, budget) = (1u64, 10u64);
+    let view = ViewDefinition {
+        left_key: 0,
+        left_time: 1,
+        right_key: 0,
+        right_time: 1,
+        window: 1_000,
+    };
+    let mut transform = TransformProtocol::new(view, omega, budget, None);
+    let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut batch = |relation, time: u64, id: Option<u64>| {
+        let updates: Vec<LogicalUpdate> = id
+            .into_iter()
+            .map(|id| LogicalUpdate {
+                id,
+                relation,
+                arrival: time,
+                fields: vec![5, time as u32],
+            })
+            .collect();
+        let refs: Vec<&LogicalUpdate> = updates.iter().collect();
+        UploadBatch::from_updates(relation, time, &refs, 2, 1, &mut rng)
+    };
     let mut accountant = PrivacyAccountant::new();
-    let mut uses = 0u64;
-    for _ in 0..500 {
-        if ledger.charge(7, 1) {
+    let (mut uses, mut joined) = (0u64, 0usize);
+    for t in 1..=500u64 {
+        // Record 7 arrives at step 1; a matching right record arrives every step.
+        let left = batch(Relation::Left, t, (t == 1).then_some(7));
+        let right = batch(Relation::Right, t, Some(1_000 + t));
+        joined += transform.invoke(&mut ctx, &left, Some(&right)).new_entries;
+        if transform.active_counts().0 == 1 {
             uses += 1;
         }
         accountant.record(MechanismApplication {
@@ -106,9 +138,14 @@ fn contribution_budget_bounds_lifetime_epsilon() {
             disjoint: false,
         });
     }
-    assert_eq!(uses, 10, "record retired after its budget");
+    assert_eq!(uses, budget / omega, "record retired after its budget");
+    assert_eq!(
+        joined as u64,
+        budget / omega - 1,
+        "it joins only while active"
+    );
     assert!(accountant.unbudgeted_epsilon() > 70.0);
-    assert!((accountant.budgeted_epsilon(ledger.lifetime_stability()) - 1.5).abs() < 1e-9);
+    assert!((accountant.budgeted_epsilon(budget) - 1.5).abs() < 1e-9);
 }
 
 #[test]
