@@ -1,15 +1,18 @@
-//! Incremental-Transform sweep: `k`-step join batching × adaptive join planning on
-//! both evaluation workloads.
+//! Incremental-Transform sweep: `k`-step join batching on both evaluation workloads.
 //!
 //! For each batching factor `k ∈ {1, 2, 4, 8}` the sweep runs the default `sDPTimer`
-//! configuration with the adaptive join planner and reports the total secure-compare
-//! count Transform metered, the per-invocation Transform time, and the answer-quality
-//! columns. Because batching defers join *work* but never DP messages (the
-//! cardinality counter is reshared once per covered step and the batch always flushes
-//! before a synchronization), the error / QET / view columns are invariant in `k` —
-//! the sweep prints an `answers=k1` column verifying exactly that — while the
-//! Transform compare count moves with how much of the active window the steps of a
-//! batch share (≈ 2× fewer at `k = 4` on TPC-ds; more, not fewer, on CPDB).
+//! configuration and reports the total secure-compare count Transform metered, the
+//! share of its joins the planner priced as the sort-merge join, the per-invocation
+//! Transform time, and the answer-quality columns. Because batching defers join
+//! *work* but never DP messages (the cardinality counter is reshared once per
+//! covered step and the batch always flushes before a synchronization), the error /
+//! QET / view columns are invariant in `k` — the sweep prints an `answers=k1` column
+//! verifying exactly that — while the Transform cost moves with how much of the
+//! active window the steps of a batch share.
+//!
+//! `INCSHRINK_CALIBRATION` plans the joins under a measured `kernel_throughput`
+//! calibration instead of the run's cost model; the sort-merge share shows what it
+//! chose.
 //!
 //! ```bash
 //! cargo run -p incshrink-bench --bin incremental_transform --release
@@ -21,14 +24,17 @@ use incshrink::prelude::*;
 use incshrink_bench::report::fmt;
 use incshrink_bench::{build_dataset, default_steps, print_table, write_json};
 use incshrink_oblivious::planner::Calibration;
+use incshrink_telemetry::{Collector, Event};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One row of the incremental sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct IncrementalRow {
     dataset: String,
     k: u64,
-    join_plan: String,
+    sort_merge_share: f64,
     transform_secure_compares: u64,
     compare_reduction_vs_k1: f64,
     host_transform_secs: f64,
@@ -52,6 +58,37 @@ fn sweep_ks() -> Vec<u64> {
         None => vec![1, 2, 4, 8],
         Some(1) => vec![1],
         Some(k) => vec![1, k],
+    }
+}
+
+/// Counts the joins Transform priced, by operator: the `join.*` spans that carry
+/// the planned report.
+#[derive(Default)]
+struct PricedJoins {
+    nested_loop: AtomicU64,
+    sort_merge: AtomicU64,
+}
+
+impl PricedJoins {
+    /// Share of the priced joins that were sort-merge joins (0 when none were).
+    fn sort_merge_share(&self) -> f64 {
+        let sort_merge = self.sort_merge.load(Ordering::Relaxed);
+        let total = sort_merge + self.nested_loop.load(Ordering::Relaxed);
+        sort_merge as f64 / total.max(1) as f64
+    }
+}
+
+impl Collector for PricedJoins {
+    fn record(&self, event: Event) {
+        let Event::Span(span) = event else { return };
+        let counter = match span.name.as_str() {
+            "join.nested_loop" => &self.nested_loop,
+            "join.sort_merge" => &self.sort_merge,
+            _ => return,
+        };
+        if span.cost.is_some() {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -98,36 +135,36 @@ fn main() {
             DatasetKind::Cpdb => {
                 IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval })
             }
-        }
-        .with_join_plan(JoinPlanMode::Adaptive);
+        };
         let dataset = build_dataset(kind, steps, 0xAB1E);
-        println!(
-            "\n=== {kind} ({steps} upload epochs, sDPTimer T = {interval}, plan = {}) ===\n",
-            base.join_plan
-        );
+        println!("\n=== {kind} ({steps} upload epochs, sDPTimer T = {interval}) ===\n");
 
-        let reports: Vec<RunReport> = ks
+        let (reports, shares): (Vec<RunReport>, Vec<f64>) = ks
             .iter()
             .map(|&k| {
-                Simulation::new(dataset.clone(), base.with_transform_batch(k), 0x1AC4)
+                let priced = Arc::new(PricedJoins::default());
+                let guard = incshrink_telemetry::install(priced.clone());
+                let report = Simulation::new(dataset.clone(), base.with_transform_batch(k), 0x1AC4)
                     .with_calibration(calibration)
-                    .run()
+                    .run();
+                drop(guard);
+                (report, priced.sort_merge_share())
             })
-            .collect();
+            .unzip();
         let k1 = &reports[0];
         let k1_compares = k1.summary.transform_secure_compares.max(1);
         let k1_answers: Vec<Option<u64>> = k1.steps.iter().map(|s| s.answer).collect();
 
         let rows: Vec<IncrementalRow> = ks
             .iter()
-            .zip(reports.iter())
-            .map(|(&k, report)| {
+            .zip(reports.iter().zip(&shares))
+            .map(|(&k, (report, &sort_merge_share))| {
                 let s = &report.summary;
                 let answers: Vec<Option<u64>> = report.steps.iter().map(|st| st.answer).collect();
                 IncrementalRow {
                     dataset: report.dataset.to_string(),
                     k,
-                    join_plan: report.config.join_plan.to_string(),
+                    sort_merge_share,
                     transform_secure_compares: s.transform_secure_compares,
                     compare_reduction_vs_k1: k1_compares as f64
                         / s.transform_secure_compares.max(1) as f64,
@@ -149,6 +186,7 @@ fn main() {
             .map(|r| {
                 vec![
                     r.k.to_string(),
+                    format!("{:.2}", r.sort_merge_share),
                     r.transform_secure_compares.to_string(),
                     format!("{:.2}x", r.compare_reduction_vs_k1),
                     fmt(r.host_transform_secs),
@@ -166,6 +204,7 @@ fn main() {
         print_table(
             &[
                 "k",
+                "SMJ share",
                 "transform compares",
                 "vs k=1",
                 "host(s)",
@@ -187,9 +226,10 @@ fn main() {
     println!(
         "\nExpected shape: every k row answers the analyst identically (answers=k1 true, \
          identical QET / view / sync columns — the DP accounting is untouched by \
-         batching). The Transform secure-compare total drops where one amortized \
-         sort-merge join over the active window replaces k per-step joins (TPC-ds, \
-         ω = 1); on CPDB (ω = 10) the combined delta's wider public range and the \
-         ω·n compaction make a batch cost more than its steps."
+         batching). TPC-ds (ω = 1) prices most joins as sort-merge joins once the \
+         window fills, and its Transform cost drops where one amortized join over \
+         the active window replaces k per-step joins; on CPDB (ω = 10) the ω·n \
+         compaction keeps the nested loop, and the combined delta's wider public \
+         range makes a batch cost more than its steps."
     );
 }

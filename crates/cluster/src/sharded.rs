@@ -192,8 +192,8 @@ impl ClusterRunReport {
 ///   per-shard padding at the single-pair level while the real entries shrink by
 ///   `1/S`.
 ///
-/// The incremental-execution knobs (`transform_batch` `k` and `join_plan`) pass
-/// through untouched: each shard pipeline batches and plans its own Transform, and
+/// The incremental-execution knob (`transform_batch` `k`) passes through
+/// untouched: each shard pipeline batches and plans its own Transform, and
 /// because batching never changes what a pipeline releases, cluster traces are
 /// invariant in `k` exactly like single-pair traces.
 #[must_use]

@@ -52,15 +52,13 @@ fn one_shard_cluster_reproduces_single_pair_simulation_exactly() {
     }
 }
 
-/// The incremental knobs ride through the cluster layer unchanged: a 1-shard cluster
-/// at `k = 4` with adaptive join planning still replays the single-pair simulation at
-/// the same knobs, trace for trace.
+/// The incremental knob rides through the cluster layer unchanged: a 1-shard
+/// cluster at `k = 4`, its joins planned per batch, still replays the single-pair
+/// simulation at the same knob, trace for trace.
 #[test]
 fn one_shard_cluster_preserves_batched_transform_trace() {
     let seed = 0xBA7C;
-    let config = timer(10)
-        .with_transform_batch(4)
-        .with_join_plan(JoinPlanMode::Adaptive);
+    let config = timer(10).with_transform_batch(4);
     let dataset = tpcds(60);
     let single = Simulation::new(dataset.clone(), config, seed).run();
     let cluster = ShardedSimulation::new(dataset, config, 1, seed).run();

@@ -7,11 +7,12 @@
 //! [`IncShrinkConfig::timer_interval_for_threshold`]), truncation bound ω = 1 / 10
 //! and contribution budget b = 10 / 20 for the TPC-ds / CPDB workloads respectively.
 //!
-//! On top of the paper parameters, two incremental-execution knobs control *how* the
-//! same protocol is executed (never *what* it releases): [`IncShrinkConfig::transform_batch`]
-//! (`k`-step join batching) and [`IncShrinkConfig::join_plan`] (nested-loop vs
-//! sort-merge vs adaptive truncated joins). Their defaults (`k = 1`, nested loop)
-//! replay the original per-step trajectories bit for bit.
+//! On top of the paper parameters, one incremental-execution knob controls *how* the
+//! same protocol is executed (never *what* it releases):
+//! [`IncShrinkConfig::transform_batch`] (`k`-step join batching). Which truncated-join
+//! operator Transform charges is not a knob: the planner
+//! (`incshrink_oblivious::planner`) charges the cheaper one under the run's cost
+//! model.
 
 use serde::{Deserialize, Serialize};
 
@@ -74,39 +75,6 @@ impl std::fmt::Display for UpdateStrategy {
     }
 }
 
-/// How the Transform hot path picks its truncated-join operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JoinPlanMode {
-    /// Always run the nested-loop join (Algorithm 4) with the original cost
-    /// accounting — the historical behaviour, and the default so existing trajectories
-    /// replay bit for bit.
-    NestedLoop,
-    /// Always run the delta-oriented sort-merge join (Example 5.1 with the
-    /// nested-loop output contract).
-    SortMerge,
-    /// Let `incshrink_oblivious::planner` pick the cheaper operator per invocation
-    /// from the public `(|outer|, |inner|, ω)` sizes.
-    Adaptive,
-}
-
-impl JoinPlanMode {
-    /// Short label used in experiment tables.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            JoinPlanMode::NestedLoop => "nlj",
-            JoinPlanMode::SortMerge => "smj",
-            JoinPlanMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for JoinPlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
-
 /// Full framework configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IncShrinkConfig {
@@ -134,11 +102,6 @@ pub struct IncShrinkConfig {
     /// Only `sDPTimer` runs benefit from `k > 1`: `sDPANT` inspects the counter every
     /// step and the non-DP baselines route ΔV per step, forcing an effective `k = 1`.
     pub transform_batch: u64,
-    /// Which truncated-join operator Transform runs (the multi-level pipeline takes
-    /// the same mode via `TwoLevelPipeline::with_join_plan`). Defaults to
-    /// [`JoinPlanMode::NestedLoop`] so existing trajectories replay bit for bit;
-    /// [`JoinPlanMode::Adaptive`] is where `k > 1` batching pays off.
-    pub join_plan: JoinPlanMode,
 }
 
 impl IncShrinkConfig {
@@ -154,7 +117,6 @@ impl IncShrinkConfig {
             flush_size: 15,
             query_interval: 1,
             transform_batch: 1,
-            join_plan: JoinPlanMode::NestedLoop,
         }
     }
 
@@ -170,7 +132,6 @@ impl IncShrinkConfig {
             flush_size: 15,
             query_interval: 1,
             transform_batch: 1,
-            join_plan: JoinPlanMode::NestedLoop,
         }
     }
 
@@ -178,13 +139,6 @@ impl IncShrinkConfig {
     #[must_use]
     pub fn with_transform_batch(mut self, k: u64) -> Self {
         self.transform_batch = k;
-        self
-    }
-
-    /// Builder-style override of the truncated-join plan mode.
-    #[must_use]
-    pub fn with_join_plan(mut self, mode: JoinPlanMode) -> Self {
-        self.join_plan = mode;
         self
     }
 
@@ -264,23 +218,18 @@ mod tests {
         assert_eq!(c.contribution_budget, 20);
         assert!(c.validate().is_none());
 
-        // The incremental knobs default to the exact-replay configuration.
+        // The incremental knob defaults to per-step Transform.
         assert_eq!(t.transform_batch, 1);
-        assert_eq!(t.join_plan, JoinPlanMode::NestedLoop);
         assert_eq!(c.transform_batch, 1);
-        assert_eq!(c.join_plan, JoinPlanMode::NestedLoop);
     }
 
     #[test]
     fn builder_overrides_incremental_knobs() {
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 })
-            .with_transform_batch(4)
-            .with_join_plan(JoinPlanMode::Adaptive);
+            .with_transform_batch(4);
         assert_eq!(cfg.transform_batch, 4);
-        assert_eq!(cfg.join_plan, JoinPlanMode::Adaptive);
         assert!(cfg.validate().is_none());
-        assert_eq!(JoinPlanMode::SortMerge.to_string(), "smj");
-        assert_eq!(JoinPlanMode::Adaptive.label(), "adaptive");
+        assert!(cfg.with_transform_batch(0).validate().is_some());
     }
 
     #[test]

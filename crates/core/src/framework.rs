@@ -250,8 +250,7 @@ impl ShardPipeline {
             config.truncation_bound,
             config.contribution_budget,
             public_right,
-        )
-        .with_join_plan(config.join_plan);
+        );
         let shrink = ShrinkProtocol::new(&config);
         let left_arity = dataset.left.schema.arity();
         let right_arity = dataset.right.schema.arity();
@@ -276,10 +275,9 @@ impl ShardPipeline {
         }
     }
 
-    /// Override the adaptive join planner's cost weights with a measured
-    /// [`Calibration`] (e.g. loaded from `kernel_throughput` output). `None` — the
-    /// default — keeps the integer compare-count planner, leaving trajectories
-    /// unchanged.
+    /// Plan Transform's joins under a measured [`Calibration`] (e.g. loaded from
+    /// `kernel_throughput` output) instead of the run's cost model. `None` — the
+    /// default — plans under the run's model. Releases never depend on it.
     pub fn set_calibration(&mut self, calibration: Option<Calibration>) {
         self.transform.set_calibration(calibration);
     }
@@ -638,7 +636,6 @@ impl ShardPipeline {
                 window_rows: transform_outcome.window_rows as u64,
                 ..transform_outcome.report.into()
             });
-            drop(transform_span);
             // The covered batches become the newest blocks of the store's window.
             let ingest_span = incshrink_telemetry::span!("ingest");
             let mut covered = std::mem::take(&mut self.pending);
@@ -650,6 +647,7 @@ impl ShardPipeline {
             drop(ingest_span);
             outcome.transform_duration = Some(transform_outcome.duration);
             outcome.transform_report = Some(transform_outcome.report);
+            // Algorithm 1 line 7, σ ← σ ‖ ΔV, is part of Transform and of its span.
             self.ctx.observe_both(ObservedEvent::CacheAppend {
                 time: t,
                 count: transform_outcome.delta.len(),
@@ -657,6 +655,7 @@ impl ShardPipeline {
             if let Some(delta) = route_delta(routing, transform_outcome.delta, &mut self.view) {
                 self.cache.write(delta);
             }
+            drop(transform_span);
         }
 
         // --- Shrink (DP strategies only).
@@ -721,8 +720,8 @@ impl Simulation {
         self
     }
 
-    /// Drive the adaptive join planner with a measured [`Calibration`] instead of
-    /// the default integer compare-count model.
+    /// Plan Transform's joins under a measured [`Calibration`] instead of the
+    /// run's cost model.
     #[must_use]
     pub fn with_calibration(mut self, calibration: Option<Calibration>) -> Self {
         self.calibration = calibration;

@@ -54,7 +54,7 @@ pub mod view;
 
 /// Convenient re-exports for examples, tests and the benchmark harness.
 pub mod prelude {
-    pub use crate::config::{IncShrinkConfig, JoinPlanMode, UpdateStrategy};
+    pub use crate::config::{IncShrinkConfig, UpdateStrategy};
     pub use crate::framework::{
         MigratedPartition, PipelineStepOutcome, RunReport, ShardPipeline, Simulation, StepRecord,
         StepUploads,
@@ -70,7 +70,7 @@ pub mod prelude {
     };
 }
 
-pub use config::{IncShrinkConfig, JoinPlanMode, UpdateStrategy};
+pub use config::{IncShrinkConfig, UpdateStrategy};
 pub use framework::{
     MigratedPartition, PipelineStepOutcome, RunReport, ShardPipeline, Simulation, StepRecord,
     StepUploads,

@@ -42,8 +42,7 @@ pub struct Summary {
     pub truncation_losses: u64,
     /// Number of queries issued.
     pub queries_issued: u64,
-    /// Total secure comparisons metered inside Transform invocations — the quantity
-    /// the `k`-step batching + adaptive join planning exists to shrink (summed across
+    /// Total secure comparisons metered inside Transform invocations (summed across
     /// shards for cluster runs).
     pub transform_secure_compares: u64,
     /// Host wall-clock seconds this process spent inside Transform invocations — a

@@ -11,12 +11,10 @@
 //! a selection over the newly uploaded private relation followed by a join against a
 //! public relation, each stage with its own secure cache and sDPTimer-style
 //! synchronization. Total leakage is the sequential composition ε₁ + ε₂. The join
-//! stage picks its truncated operator via [`TwoLevelPipeline::with_join_plan`]
-//! (default: nested loop, the historical behaviour); in adaptive mode the planner
-//! (`incshrink_oblivious::planner`) decides from *public* sizes only — the same cost
-//! model the batched Transform uses.
+//! stage charges the truncated operator the planner (`incshrink_oblivious::planner`)
+//! prices lower under the run's cost model, on *public* sizes only — the same planner
+//! Transform uses.
 
-use crate::config::JoinPlanMode;
 use crate::extensions::{budget_alloc, OperatorKind, OperatorProfile};
 use crate::view::{MaterializedView, ViewDefinition};
 use incshrink_dp::joint::joint_noised_size;
@@ -24,7 +22,7 @@ use incshrink_mpc::cost::{CostReport, SimDuration};
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::filter::Predicate;
 use incshrink_oblivious::oblivious_filter;
-use incshrink_oblivious::planner::{charge_full_relation_gap, plan_join, JoinAlgorithm};
+use incshrink_oblivious::planner::{charge_full_relation_gap, plan_join, JoinAlgorithm, JoinShape};
 use incshrink_oblivious::{truncated_nested_loop_join, truncated_sort_merge_delta_join};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
@@ -82,7 +80,6 @@ pub struct TwoLevelPipeline {
     intermediate: MaterializedView,
     final_view: MaterializedView,
     public_right: Vec<Vec<u32>>,
-    join_plan: JoinPlanMode,
     rng: StdRng,
 }
 
@@ -119,17 +116,8 @@ impl TwoLevelPipeline {
             intermediate: MaterializedView::new(),
             final_view: MaterializedView::new(),
             public_right,
-            join_plan: JoinPlanMode::NestedLoop,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Builder-style override of the stage-2 truncated-join plan mode (default:
-    /// nested loop, preserving the original operator and cost accounting).
-    #[must_use]
-    pub fn with_join_plan(mut self, mode: JoinPlanMode) -> Self {
-        self.join_plan = mode;
-        self
     }
 
     /// Allocate the total ε across the two stages with the Appendix-D.2 optimisation
@@ -241,6 +229,70 @@ impl TwoLevelPipeline {
         shared
     }
 
+    /// Stage 2's join of a stage-1 release against the public relation, planned and
+    /// priced on the public shape `(|input|, |public_right|)`. The physical join
+    /// scans only the public rows timed within the window of the release's real
+    /// records, a private span, so the gap to the whole relation is topped up under
+    /// the operator that ran: the metered cost is the whole-relation price.
+    fn join_public(
+        &mut self,
+        ctx: &mut impl PartyExec,
+        input: &SharedArrayPair,
+    ) -> SharedArrayPair {
+        let plain_times: Vec<u32> = input
+            .entries()
+            .iter()
+            .map(|e| e.recover())
+            .filter(|r| r.is_view)
+            .filter_map(|r| r.fields.get(self.view.left_time).copied())
+            .collect();
+        let (lo, hi) = match (plain_times.iter().min(), plain_times.iter().max()) {
+            (Some(&lo), Some(&hi)) => (lo, hi.saturating_add(self.view.window)),
+            _ => (u32::MAX, 0),
+        };
+        let right_arity = self.public_right.first().map_or(2, Vec::len);
+        let inner = self.share_public_window(lo, hi, right_arity);
+        let spec = self.view.join_spec();
+        let left_arity = input.arity().unwrap_or(2);
+        let shape = JoinShape {
+            outer: input.len(),
+            inner: self.public_right.len(),
+            bound: self.truncation_bound as usize,
+            out_arity: left_arity + right_arity,
+            merged_arity: left_arity.max(right_arity) + 2,
+        };
+        let algorithm = plan_join(shape, &ctx.cost_model()).algorithm;
+        let joined = match algorithm {
+            JoinAlgorithm::NestedLoop => truncated_nested_loop_join(
+                input,
+                &inner,
+                &spec,
+                shape.bound,
+                ctx.meter(),
+                &mut self.rng,
+            ),
+            JoinAlgorithm::SortMerge => truncated_sort_merge_delta_join(
+                input,
+                &inner,
+                &spec,
+                shape.bound,
+                ctx.meter(),
+                &mut self.rng,
+            ),
+        };
+        charge_full_relation_gap(
+            ctx.meter(),
+            algorithm,
+            shape.outer,
+            inner.len(),
+            shape.inner,
+            shape.bound,
+            shape.out_arity,
+            shape.merged_arity,
+        );
+        joined
+    }
+
     /// Process one time step: stage 1 filters the newly uploaded batch into its cache
     /// and periodically releases a DP-sized batch into the intermediate view; the
     /// released entries immediately become stage 2's input, which joins them against
@@ -285,75 +337,10 @@ impl TwoLevelPipeline {
         }
 
         // --- Stage 2: join the stage-1 release against the public relation.
-        if let Some(input) = stage2_input {
-            if !input.is_empty() {
-                let plain_times: Vec<u32> = input
-                    .entries()
-                    .iter()
-                    .map(|e| e.recover())
-                    .filter(|r| r.is_view)
-                    .filter_map(|r| r.fields.get(self.view.left_time).copied())
-                    .collect();
-                let (lo, hi) = match (plain_times.iter().min(), plain_times.iter().max()) {
-                    (Some(&lo), Some(&hi)) => (lo, hi.saturating_add(self.view.window)),
-                    _ => (u32::MAX, 0),
-                };
-                let right_arity = self.public_right.first().map_or(2, Vec::len);
-                let inner = self.share_public_window(lo, hi, right_arity);
-                let spec = self.view.join_spec();
-                let bound = self.truncation_bound as usize;
-                // Resolve the plan from *public* sizes only: the window-pruned inner
-                // length derives from private timestamps, so it must steer neither
-                // the operator choice nor (alone) the metered schedule — the full
-                // public relation length is what an oblivious execution would scan.
-                let algorithm = match self.join_plan {
-                    JoinPlanMode::NestedLoop => JoinAlgorithm::NestedLoop,
-                    JoinPlanMode::SortMerge => JoinAlgorithm::SortMerge,
-                    JoinPlanMode::Adaptive => {
-                        plan_join(input.len(), self.public_right.len(), bound).algorithm
-                    }
-                };
-                let joined = match algorithm {
-                    JoinAlgorithm::NestedLoop => truncated_nested_loop_join(
-                        &input,
-                        &inner,
-                        &spec,
-                        bound,
-                        ctx.meter(),
-                        &mut self.rng,
-                    ),
-                    JoinAlgorithm::SortMerge => truncated_sort_merge_delta_join(
-                        &input,
-                        &inner,
-                        &spec,
-                        bound,
-                        ctx.meter(),
-                        &mut self.rng,
-                    ),
-                };
-                if self.join_plan == JoinPlanMode::NestedLoop {
-                    // Historical compensation for the window-skipped public rows,
-                    // kept verbatim so default-mode trajectories are unchanged.
-                    let skipped = self.public_right.len().saturating_sub(inner.len()) as u64;
-                    ctx.meter().compares(input.len() as u64 * skipped);
-                } else {
-                    // Top up to the full-relation cost under the operator that ran.
-                    let out_arity = input.arity().unwrap_or(2) + right_arity;
-                    let merged_arity = input.arity().unwrap_or(2).max(right_arity) + 2;
-                    charge_full_relation_gap(
-                        ctx.meter(),
-                        algorithm,
-                        input.len(),
-                        inner.len(),
-                        self.public_right.len(),
-                        bound,
-                        out_arity,
-                        merged_arity,
-                    );
-                }
-                self.counter2 += joined.true_cardinality() as u32;
-                self.cache2.write(joined);
-            }
+        if let Some(input) = stage2_input.filter(|input| !input.is_empty()) {
+            let joined = self.join_public(ctx, &input);
+            self.counter2 += joined.true_cardinality() as u32;
+            self.cache2.write(joined);
         }
         if time % self.stage2.interval == 0 {
             let size = joint_noised_size(
@@ -518,11 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn join_plan_modes_release_identically() {
-        // The plan mode changes join *cost accounting*, never what the pipeline
-        // releases: identical final/intermediate views under every mode.
-        let run = |mode: JoinPlanMode| {
-            let mut ctx = PartyContext::new(PartyMode::InProcess, 9, CostModel::default());
+    fn stage_two_cost_is_a_function_of_public_sizes() {
+        // Two stage-1 releases of equal padded length whose real records span
+        // different times: the public rows inside their time windows differ, the
+        // metered stage-2 cost must not.
+        let report = |rows: &[(u32, u32)]| {
+            let mut ctx = PartyContext::new(PartyMode::InProcess, 5, CostModel::default());
             let mut pipeline = TwoLevelPipeline::new(
                 view_def(),
                 1,
@@ -532,25 +520,13 @@ mod tests {
                 stage(50.0, 2, 2),
                 public_table(0..40),
                 7,
-            )
-            .with_join_plan(mode);
-            let mut compares = 0u64;
-            for t in 1..=12u64 {
-                let batch = upload(&[(t as u32, t as u32)], 4, t);
-                let outcome = pipeline.step(&mut ctx, &batch, t);
-                compares += outcome.report.secure_compares;
-            }
-            (
-                pipeline.final_view().true_cardinality(),
-                pipeline.intermediate_view().true_cardinality(),
-                compares,
-            )
+            );
+            let joined = pipeline.join_public(&mut ctx, &upload(rows, 6, 1));
+            (joined.len(), ctx.charge().0)
         };
-        let (nlj_final, nlj_mid, nlj_cost) = run(JoinPlanMode::NestedLoop);
-        let (ada_final, ada_mid, ada_cost) = run(JoinPlanMode::Adaptive);
-        assert_eq!(nlj_final, ada_final);
-        assert_eq!(nlj_mid, ada_mid);
-        assert!(nlj_cost > 0 && ada_cost > 0);
+        let narrow = report(&[(3, 5)]);
+        let wide = report(&[(3, 5), (9, 30), (20, 44)]);
+        assert_eq!(narrow, wide);
     }
 
     #[test]

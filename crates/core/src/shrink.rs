@@ -225,7 +225,6 @@ mod tests {
             flush_size: 5,
             query_interval: 1,
             transform_batch: 1,
-            join_plan: crate::config::JoinPlanMode::NestedLoop,
         }
     }
 

@@ -55,9 +55,9 @@
 //!   recovered plaintext of the window's real rows (a dummy never matches), in the
 //!   window's block order, and a candidate walk visits matching inner rows in
 //!   ascending position order — the order the operator's scan does — so ΔV and
-//!   truncation losses are identical to running
-//!   [`incshrink_oblivious::truncated_nested_loop_join`] over the store's padded
-//!   window shares, and so is the `CostReport` (lockstep-tested over both).
+//!   truncation losses are identical to running the planned share-array operator
+//!   over the store's padded window shares, and so is the `CostReport`
+//!   (lockstep-tested over both).
 //! * **The budget is a stamp.** Every mirrored record carries the last step it may
 //!   join at: `c + W` for an arrival admitted at step `c`, `covered + steps left`
 //!   for an import. Arrival stamps never decrease along the mirror, so what expires
@@ -77,30 +77,30 @@
 //!   length at export, live for a full `b/ω − 1` steps (no imported record has more
 //!   steps left than a fresh one). A cluster that migrates at every cooldown pays
 //!   for it in Transform seconds.
+//! * **One join path, planned on the public shape.** Each direction's join is
+//!   charged as the truncated operator the planner
+//!   ([`incshrink_oblivious::planner`]) prices lower under the run's cost model —
+//!   Algorithm 4's nested loop or Example 5.1's sort-merge join, which emit the same
+//!   ΔV — for the shape `(|Δ|, window rows, ω, arities)`. Both candidates' reports
+//!   are memoised per shape, so a repeated shape costs two dot products. The match
+//!   runs inside a span named after the planned operator, which records its cost.
 //! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
 //!   deferred upload steps as one invocation: the per-step plaintext functionality
 //!   (eviction, truncated matching, per-step counter reshares) is the same
-//!   loop body whatever `k` is, and only the pricing differs — a single step under
-//!   the nested-loop plan is charged Algorithm 4 over that step's window, a batch
-//!   is priced once over the combined delta, by the adaptive planner
-//!   ([`incshrink_oblivious::planner`]), against every row one of its steps can
+//!   loop body whatever `k` is, and only the pricing differs — each direction is
+//!   planned once over the combined delta against every row one of its steps can
 //!   join with (the first step's window plus the batches the earlier steps
-//!   append). Upload epochs are public metadata (the servers observe every batch
-//!   arrival), so restricting the batched join to the same cross-epoch pairs the
-//!   per-step invocations would produce costs no extra oblivious work.
-//!   DP-relevant state — counter values, reshare cadence, ΔV contents — is
-//!   invariant in `k`.
+//!   append); for `k = 1` that is the step's window. Upload epochs are public
+//!   metadata (the servers observe every batch arrival), so restricting the
+//!   batched join to the same cross-epoch pairs the per-step invocations would
+//!   produce costs no extra oblivious work. DP-relevant state — counter values,
+//!   reshare cadence, ΔV contents — is invariant in `k`.
 
-use crate::config::JoinPlanMode;
 use crate::view::ViewDefinition;
-use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
+use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use incshrink_mpc::PartyExec;
-use incshrink_oblivious::planner::{
-    charge_planned_join, plan_join, plan_join_calibrated, Calibration, JoinAlgorithm,
-};
-use incshrink_oblivious::{
-    nested_loop_join_cost, push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef,
-};
+use incshrink_oblivious::planner::{Calibration, JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
+use incshrink_oblivious::{push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{ActiveWindow, RecordId, UploadBatch};
@@ -444,21 +444,35 @@ impl DeltaOut {
     }
 }
 
-/// Charge one step's nested-loop join (Algorithm 4) — `|Δ|` outer rows against the
-/// `inner_len` rows of the public active window — inside a `join.nested_loop` span
-/// the caller keeps open over the match.
-fn charge_nested_loop_step(
-    meter: &mut CostMeter,
-    outer_len: usize,
-    inner_len: usize,
-    omega: usize,
-    out_arity: usize,
-) -> Span {
-    let mut span = incshrink_telemetry::span!("join.nested_loop");
-    let cost = nested_loop_join_cost(outer_len, inner_len, omega, out_arity);
-    span.record_cost(cost.into());
-    meter.record(cost);
-    span
+/// One direction's planned join within an invocation: its report is charged once,
+/// at the direction's first match.
+struct PlannedJoin {
+    plan: JoinPlan,
+    charged: bool,
+}
+
+impl PlannedJoin {
+    fn new(plan: JoinPlan) -> Self {
+        Self {
+            plan,
+            charged: false,
+        }
+    }
+
+    /// Open the span a match of this direction runs in, named after the planned
+    /// operator. The first one also charges the planned report, on the meter and on
+    /// the span.
+    fn span(&mut self, meter: &mut CostMeter) -> Span {
+        let mut span = match self.plan.algorithm {
+            JoinAlgorithm::NestedLoop => incshrink_telemetry::span!("join.nested_loop"),
+            JoinAlgorithm::SortMerge => incshrink_telemetry::span!("join.sort_merge"),
+        };
+        if !std::mem::replace(&mut self.charged, true) {
+            span.record_cost(self.plan.report.into());
+            meter.record(self.plan.report);
+        }
+        span
+    }
 }
 
 /// Result of one Transform invocation (single-step or batched).
@@ -486,11 +500,11 @@ pub struct TransformOutcome {
 /// Everything the servers observe — upload batch sizes, ΔV sizes, the counter
 /// reshare cadence, the join operation schedule — is a deterministic function of
 /// public quantities: the padded sizes of the batches uploaded so far, `b`, ω, the
-/// plan mode and `k`. In particular the inner side of every join is the public
-/// active window (padded batch lengths of the last `b/ω − 1` steps, or the range of
-/// the public relation the step numbers fix), never the number of *real* active
-/// records or the span of a delta's private time column: two upload streams of
-/// equal padded sizes get equal `CostReport`s at every step (property-tested in
+/// planning cost model and `k`. In particular the inner side of every join is the
+/// public active window (padded batch lengths of the last `b/ω − 1` steps, or the
+/// range of the public relation the step numbers fix), never the number of *real*
+/// active records or the span of a delta's private time column: two upload streams
+/// of equal padded sizes get equal `CostReport`s at every step (property-tested in
 /// `tests/incremental.rs`). Batched execution defers join *work*, never messages:
 /// the counter is still reshared once per covered upload step.
 pub struct TransformProtocol {
@@ -505,8 +519,10 @@ pub struct TransformProtocol {
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
-    join_plan: JoinPlanMode,
-    calibration: Option<Calibration>,
+    /// A measured planning model replacing the run's ([`Calibration`]).
+    calibration: Option<CostModel>,
+    /// Both join operators' reports per public shape planned so far.
+    plans: PlanMemo,
     /// Upload steps covered so far — the clock the window blocks expire on.
     covered: u64,
     total_truncation_losses: u64,
@@ -533,25 +549,16 @@ impl TransformProtocol {
             active_left: ActiveRelation::new(view.left_key),
             active_right: ActiveRelation::new(view.right_key),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
-            join_plan: JoinPlanMode::NestedLoop,
             calibration: None,
+            plans: PlanMemo::default(),
             covered: 0,
             total_truncation_losses: 0,
         }
     }
 
-    /// Builder-style override of the truncated-join plan mode (default: nested loop,
-    /// which preserves the original cost accounting bit for bit).
-    #[must_use]
-    pub fn with_join_plan(mut self, mode: JoinPlanMode) -> Self {
-        self.join_plan = mode;
-        self
-    }
-
-    /// Builder-style override of the planner's cost weights with a measured
-    /// [`Calibration`] (e.g. loaded from `kernel_throughput` output). Only affects
-    /// the [`JoinPlanMode::Adaptive`] mode; `None` (the default) keeps the exact
-    /// integer compare-count planner, so default trajectories are unchanged.
+    /// Builder-style override of the planning model with a measured
+    /// [`Calibration`] (e.g. loaded from `kernel_throughput` output). `None` (the
+    /// default) plans under the cost model of the context each invocation runs in.
     #[must_use]
     pub fn with_calibration(mut self, calibration: Option<Calibration>) -> Self {
         self.set_calibration(calibration);
@@ -561,7 +568,7 @@ impl TransformProtocol {
     /// In-place variant of [`Self::with_calibration`] for drivers holding the
     /// protocol inside a pipeline.
     pub fn set_calibration(&mut self, calibration: Option<Calibration>) {
-        self.calibration = calibration;
+        self.calibration = calibration.map(|measured| measured.cost_model());
     }
 
     /// Number of currently active (non-retired) records on each side.
@@ -635,20 +642,6 @@ impl TransformProtocol {
         }
     }
 
-    /// Resolve the plan mode to a concrete algorithm for the given public sizes.
-    fn choose_algorithm(&self, outer_len: usize, inner_len: usize) -> JoinAlgorithm {
-        match self.join_plan {
-            JoinPlanMode::NestedLoop => JoinAlgorithm::NestedLoop,
-            JoinPlanMode::SortMerge => JoinAlgorithm::SortMerge,
-            JoinPlanMode::Adaptive => match &self.calibration {
-                Some(cal) => {
-                    plan_join_calibrated(outer_len, inner_len, self.omega as usize, cal).algorithm
-                }
-                None => plan_join(outer_len, inner_len, self.omega as usize).algorithm,
-            },
-        }
-    }
-
     /// Run one Transform invocation over the owner deltas submitted at a single time
     /// step: [`Self::invoke_batched`] over one [`StepInputs`] built from clones of
     /// the given batches.
@@ -699,11 +692,11 @@ impl TransformProtocol {
     /// cardinality recover/reshare (the counter message cadence the servers observe
     /// is part of the update-pattern leakage and must not change with `k`), and the
     /// arrivals joining the window and turning active — so ΔV contents, active-set
-    /// evolution and truncation losses do not depend on how steps are grouped. Only the price of the oblivious join work does: a single step under
-    /// [`JoinPlanMode::NestedLoop`] is charged Algorithm 4 over that step's public
-    /// active window; anything else is priced once over the combined delta against
-    /// every row a covered step can join with (`batch_inner_rows`), using the
-    /// operator the plan mode selects.
+    /// evolution and truncation losses do not depend on how steps are grouped. Only
+    /// the price of the oblivious join work does: each direction is planned once
+    /// over the combined delta against every row a covered step can join with
+    /// (`batch_inner_rows`), and charged as the operator the planning model prices
+    /// lower.
     pub fn invoke_batched(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -738,17 +731,30 @@ impl TransformProtocol {
             .unwrap_or(left_arity);
         let out_arity = left_arity + right_arity;
         let omega = self.omega as usize;
-        // Pricing (see the method docs): per step inside the loop, or amortized after.
-        let per_step_nested_loop = steps.len() == 1 && self.join_plan == JoinPlanMode::NestedLoop;
-        let batch_inner = (!per_step_nested_loop).then(|| self.batch_inner_rows(steps));
-        let mut window_rows = 0usize;
-        let mut nested_loop_span =
-            |meter: &mut CostMeter, outer: &[PlainRecord], inner_len: usize| {
-                per_step_nested_loop.then(|| {
-                    window_rows += inner_len;
-                    charge_nested_loop_step(meter, outer.len(), inner_len, omega, out_arity)
-                })
+        // Plan each direction's join over the combined delta (see the method docs).
+        let (inner_of_left, inner_of_right) = self.batch_inner_rows(steps);
+        let model = self.calibration.unwrap_or_else(|| ctx.cost_model());
+        let mut plan = |outer: usize, inner: usize| {
+            let shape = JoinShape {
+                outer,
+                inner,
+                bound: omega,
+                out_arity,
+                merged_arity: left_arity.max(right_arity) + 2,
             };
+            PlannedJoin::new(self.plans.plan(shape, &model))
+        };
+        let outer_of_left = steps.iter().map(|s| s.delta_left.len()).sum();
+        let mut left_join = plan(outer_of_left, inner_of_left);
+        let mut rights = steps
+            .iter()
+            .filter_map(|s| s.delta_right.as_ref())
+            .peekable();
+        let mut right_join = rights
+            .peek()
+            .is_some()
+            .then(|| plan(rights.map(UploadBatch::len).sum(), inner_of_right));
+        let window_rows = inner_of_left + right_join.as_ref().map_or(0, |_| inner_of_right);
 
         let mut out = DeltaOut {
             rows: SharedArrayPair::with_arity(out_arity),
@@ -757,8 +763,6 @@ impl TransformProtocol {
             arity: out_arity,
         };
         let mut total_new_entries = 0usize;
-        let mut outer_left_total = 0usize;
-        let mut outer_right_total = 0usize;
         let window_steps = self.window_steps;
 
         for step in steps {
@@ -784,11 +788,7 @@ impl TransformProtocol {
                         }),
                 "the public range is fixed by the step: a record's time is its upload step"
             );
-            let inner_len = match &self.public_right {
-                Some(public) => public.range_len(&self.view, upload_step, upload_step),
-                None => self.active_right.window.rows(),
-            };
-            let span = nested_loop_span(ctx.meter(), &outer_left, inner_len);
+            let span = left_join.span(ctx.meter());
             let (mut step_entries, mut potential_pairs) = match &self.public_right {
                 Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
                 None => {
@@ -797,13 +797,11 @@ impl TransformProtocol {
                 }
             };
             drop(span);
-            outer_left_total += outer_left.len();
 
             // --- ΔV part 2: new right records ⋈ accumulated left relation
             // (private-right workloads only).
-            if let Some(outer_right) = &outer_right {
-                let inner_len = self.active_left.window.rows();
-                let span = nested_loop_span(ctx.meter(), outer_right, inner_len);
+            if let (Some(outer_right), Some(right_join)) = (&outer_right, &mut right_join) {
+                let span = right_join.span(ctx.meter());
                 let (entries, pairs) = self.active_left.join_into(
                     &mut out,
                     outer_right,
@@ -813,7 +811,6 @@ impl TransformProtocol {
                 drop(span);
                 step_entries += entries;
                 potential_pairs += pairs;
-                outer_right_total += outer_right.len();
             }
             // Truncation-loss bookkeeping (evaluation metric, not protocol state).
             self.total_truncation_losses += potential_pairs.saturating_sub(step_entries as u64);
@@ -838,29 +835,6 @@ impl TransformProtocol {
                 let fresh = arrivals(batch, outer_right, window_steps);
                 self.active_right
                     .admit(self.covered, window_steps, batch.len(), fresh);
-            }
-        }
-
-        // --- Price the amortized joins: one planned oblivious join per direction
-        // over the combined delta.
-        if let Some((inner_of_left, inner_of_right)) = batch_inner {
-            let merged_arity = left_arity.max(right_arity) + 2;
-            let right_direction = steps
-                .iter()
-                .any(|s| s.delta_right.is_some())
-                .then_some((outer_right_total, inner_of_right));
-            let left_direction = (outer_left_total, inner_of_left);
-            for (outer_len, inner_len) in std::iter::once(left_direction).chain(right_direction) {
-                window_rows += inner_len;
-                charge_planned_join(
-                    ctx.meter(),
-                    self.choose_algorithm(outer_len, inner_len),
-                    outer_len,
-                    inner_len,
-                    omega,
-                    out_arity,
-                    merged_arity,
-                );
             }
         }
 
@@ -1292,31 +1266,34 @@ mod tests {
 
     #[test]
     fn calibration_threads_through_to_adaptive_plan_choices() {
-        let base =
-            TransformProtocol::new(view_def(), 1, 10, None).with_join_plan(JoinPlanMode::Adaptive);
-        let defaulted = TransformProtocol::new(view_def(), 1, 10, None)
-            .with_join_plan(JoinPlanMode::Adaptive)
-            .with_calibration(Some(Calibration::default()));
-        let swap_heavy = Calibration {
-            secs_per_swap: Calibration::default().secs_per_compare * 10.0,
+        // A calibration replaces the planning model and nothing else: a calibrated
+        // run charges exactly what an uncalibrated run under the calibration's own
+        // model charges — and a round-heavy calibration moves the TPC-ds-shaped
+        // window (ω = 1, nine batches of 7) off the LAN model's sort-merge pick.
+        let round_heavy = Calibration {
+            secs_per_channel_round: 1e-2,
             ..Calibration::default()
         };
-        let weighted = TransformProtocol::new(view_def(), 1, 10, None)
-            .with_join_plan(JoinPlanMode::Adaptive)
-            .with_calibration(Some(swap_heavy));
-
-        // The default calibration reproduces the integer planner's choices...
-        for inner in [0usize, 1, 5, 64, 500, 2000, 4096] {
-            assert_eq!(
-                base.choose_algorithm(8, inner),
-                defaulted.choose_algorithm(8, inner),
-                "inner = {inner}"
-            );
-        }
-        // ...while a measured swap weight moves at least one crossover.
-        let flipped = (0..=4096usize)
-            .any(|inner| base.choose_algorithm(8, inner) != weighted.choose_algorithm(8, inner));
-        assert!(flipped, "swap-heavy calibration must move a plan choice");
+        let reports = |calibration: Option<Calibration>, model: CostModel| {
+            let mut ctx = PartyContext::new(PartyMode::InProcess, 9, model);
+            let mut transform =
+                TransformProtocol::new(view_def(), 1, 10, None).with_calibration(calibration);
+            (1..=12u64)
+                .map(|t| {
+                    let left = batch(Relation::Left, t, &[], 7);
+                    let right = batch(Relation::Right, t, &[], 7);
+                    transform.invoke(&mut ctx, &left, Some(&right)).report
+                })
+                .collect::<Vec<_>>()
+        };
+        let lan = reports(None, CostModel::default());
+        let calibrated = reports(Some(round_heavy), CostModel::default());
+        assert_eq!(calibrated, reports(None, round_heavy.cost_model()));
+        assert_ne!(
+            calibrated, lan,
+            "a round-heavy calibration must move a plan choice"
+        );
+        assert_eq!(reports(None, CostModel::default()), lan);
     }
 
     #[test]
@@ -1346,8 +1323,7 @@ mod tests {
 
         // One batched invocation over the same six steps.
         let mut ctx_b = PartyContext::new(PartyMode::InProcess, 8, CostModel::default());
-        let mut batched =
-            TransformProtocol::new(view_def(), 1, 10, None).with_join_plan(JoinPlanMode::Adaptive);
+        let mut batched = TransformProtocol::new(view_def(), 1, 10, None);
         let out = batched.invoke_batched(&mut ctx_b, &steps);
 
         assert_eq!(out.steps_covered, 6);

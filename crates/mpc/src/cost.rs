@@ -229,9 +229,8 @@ impl CostModel {
     }
 
     /// Seconds attributable to gate evaluation alone (compares, swaps, ANDs, adds) —
-    /// no bytes or round latency. This is the portion of the model that host-side
-    /// kernel throughput measurements can re-calibrate, so the adaptive join planner
-    /// prices candidate plans through exactly this function.
+    /// no bytes or round latency: the portion of the model that host-side kernel
+    /// throughput measurements can re-calibrate.
     #[must_use]
     pub fn op_secs(&self, report: &CostReport) -> f64 {
         report.secure_compares as f64 * self.secs_per_compare

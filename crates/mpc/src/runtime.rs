@@ -271,6 +271,10 @@ impl PartyExec for PartyContext {
         (report, duration)
     }
 
+    fn cost_model(&self) -> CostModel {
+        self.cost_model
+    }
+
     fn time_step(&self) -> u64 {
         self.time_step
     }

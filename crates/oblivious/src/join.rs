@@ -1,7 +1,7 @@
 //! Truncated oblivious joins and their cost models.
 //!
 //! Three instantiations of the paper's *truncated view transformation*, plus the
-//! analytic cost functions the adaptive planner ([`crate::planner`]) chooses between:
+//! analytic cost functions the join planner ([`crate::planner`]) chooses between:
 //!
 //! * [`truncated_nested_loop_join`] — Algorithm 4: for each outer tuple, scan the
 //!   inner table, generate joins only while both tuples have remaining contribution
@@ -20,9 +20,9 @@
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The per-operator
-//! secure-compare counts are exposed as [`nested_loop_join_cost`] and
-//! [`delta_sort_merge_join_cost`]; [`crate::planner::plan_join`] compares them to pick
-//! the cheaper operator for given `(|outer|, |inner|, b)`, and
+//! reports are exposed as [`nested_loop_join_cost`] and
+//! [`delta_sort_merge_join_cost`]; [`crate::planner::plan_join`] prices both under a
+//! cost model to pick the cheaper operator for a public shape, and
 //! [`crate::planner::plan_and_execute`] runs the winner.
 //!
 //! ```
@@ -588,7 +588,7 @@ pub fn truncated_sort_merge_join<R: Rng + ?Sized>(
 /// # Cost
 /// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, out_arity)`:
 /// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer Batcher sorts —
-/// the quadratic term the adaptive planner ([`crate::planner`]) trades against the
+/// the quadratic term the join planner ([`crate::planner`]) trades against the
 /// sort-merge variant.
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
@@ -623,7 +623,7 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// union–sort–scan pipeline followed by an oblivious compaction to the public
 /// `bound · |outer|` output prefix.
 ///
-/// This is the operator the adaptive planner substitutes for
+/// This is the operator the join planner substitutes for
 /// [`truncated_nested_loop_join`] on large inner relations: it produces the **same
 /// output contract** (exhaustively padded to `bound · |outer|` entries, identical
 /// real join tuples via [`truncated_match`]) but replaces the `|outer|·|inner|`

@@ -10,8 +10,8 @@
 //! * [`join`] — `b`-truncated oblivious joins: sort-merge (Example 5.1, plus its
 //!   delta-oriented variant with the nested-loop output contract) and nested-loop
 //!   (Algorithm 4), with analytic per-operator cost models.
-//! * [`planner`] — adaptive join planning: pick the cheaper truncated-join operator
-//!   from a secure-compare cost model over the public input sizes.
+//! * [`planner`] — cost-based join planning: charge the truncated-join operator a
+//!   cost model prices lower at the public input shape.
 //! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
 //!   `isView` order so real tuples precede dummies, then cut a prefix of a given
 //!   (DP-noised) size. The secure cache applies it to the few rows per run a cut can
@@ -47,8 +47,8 @@ pub use join::{
     truncated_sort_merge_join, JoinSpec, KeyIndex, RowRef,
 };
 pub use planner::{
-    charge_full_relation_gap, charge_planned_join, plan_and_execute, plan_join,
-    plan_join_calibrated, Calibration, JoinAlgorithm, JoinPlan,
+    charge_full_relation_gap, plan_and_execute, plan_join, Calibration, JoinAlgorithm,
+    JoinCandidates, JoinPlan, JoinShape, PlanMemo,
 };
 pub use shuffle::{
     bucket_of, destination_of, oblivious_shuffle, shuffle_route, shuffle_route_mapped,

@@ -1,40 +1,40 @@
-//! Adaptive oblivious-join planning.
+//! Cost-based oblivious-join planning.
 //!
-//! The two truncated join operators have sharply different cost profiles:
-//! [`crate::join::truncated_nested_loop_join`] pays `|outer|·|inner|` secure compares
-//! plus `|outer|` per-buffer Batcher sorts (quadratic in the inner relation), while
-//! [`crate::join::truncated_sort_merge_delta_join`] pays a Batcher sort of each run
-//! (the `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of
-//! the sorted runs, and a Batcher compaction of the `b·(|outer| + |inner|)`
-//! emission. For tiny inner relations the nested loop wins; as the window grows —
-//! and especially once `k`-step batching raises `|outer|` — the sort-merge form is
-//! integer factors cheaper, unless a large `b` inflates its compaction.
+//! The two truncated join operators share one output contract and have sharply
+//! different cost profiles: [`crate::join::truncated_nested_loop_join`]
+//! (Algorithm 4) pays `|outer|·|inner|` secure compares plus `|outer|` per-buffer
+//! Batcher sorts with record-wide swaps, in one round, while
+//! [`crate::join::truncated_sort_merge_delta_join`] (Example 5.1) pays a Batcher
+//! sort of each run, a bitonic merge of the sorted runs and a Batcher compaction
+//! of the `b·(|outer| + |inner|)` emission, over up to five rounds. For tiny inner
+//! relations, large `b` or expensive rounds the nested loop wins; otherwise the
+//! sort-merge form is integer factors cheaper.
 //!
-//! [`plan_join`] picks the operator with the smaller **secure-compare** count from a
-//! cost model over `(|outer|, |inner|, b)` alone. Secure compares dominate
-//! garbled-circuit join cost (each is 32 AND gates, and swap counts track compare
-//! counts within a small factor), so a compare-count model orders the two operators
-//! correctly everywhere that matters while staying a pure function of public sizes.
+//! [`JoinShape::candidates`] builds both operators' exact [`CostReport`]s — what
+//! the share-array operators meter — and [`JoinCandidates::choose`] charges the one
+//! whose [`CostModel::simulate`] is lower under the caller's model, ties going to
+//! the nested loop. The planner weighs seconds, not compare counts: under
+//! [`CostModel::wan`] the sort-merge join's extra rounds outweigh the gates it
+//! saves at the TPC-ds window shape, so a compare-count planner would double the
+//! WAN price there. The reports do not depend on the model, so [`PlanMemo`] keeps
+//! them per shape and a lookup costs two dot products.
 //!
-//! [`plan_join_calibrated`] generalises this to *measured* throughput: a
-//! [`Calibration`] (loadable from `bench --bin kernel_throughput` JSON output)
-//! weighs each operator's compare/swap/AND counts by measured seconds-per-op, so
-//! adaptive planning tracks the hardware instead of the gate-count proxy. The
-//! default calibration weighs compares only, in which case the decision reduces —
-//! exactly, with no floating-point rounding — to [`plan_join`]'s integer comparison.
+//! A measured [`Calibration`] (loadable from `bench --bin kernel_throughput` JSON
+//! output) replaces the planning model with host-measured weights.
 //!
 //! # Leakage
-//! The plan decision is computed from the *public* array lengths and the public
-//! truncation bound — quantities both servers already observe — so adaptivity adds no
-//! leakage: for any fixed input sizes the chosen operator, and hence the entire
-//! operation schedule, is a deterministic public function.
+//! The plan decision is computed from the *public* array lengths, arities and
+//! truncation bound — quantities both servers already observe — and a public cost
+//! model, so planning adds no leakage: for any fixed input sizes the chosen
+//! operator, and hence the entire operation schedule, is a deterministic public
+//! function.
 
 use crate::join::{
     delta_sort_merge_join_cost, nested_loop_join_cost, truncated_nested_loop_join,
     truncated_sort_merge_delta_join, JoinSpec,
 };
-use crate::sort::{batcher_pair_count, bitonic_merge_pair_count};
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
+use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -65,53 +65,197 @@ impl std::fmt::Display for JoinAlgorithm {
     }
 }
 
-/// Outcome of one planning decision: the winner plus both candidates' modelled
-/// secure-compare counts (exposed so experiments can report the margin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The public shape of one truncated join: everything either operator's cost
+/// depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JoinShape {
+    /// Padded outer (delta) length.
+    pub outer: usize,
+    /// Padded inner length.
+    pub inner: usize,
+    /// Truncation bound ω.
+    pub bound: usize,
+    /// Output record arity (outer + inner columns).
+    pub out_arity: usize,
+    /// Arity of the sort-merge join's tagged union (widest side + 2).
+    pub merged_arity: usize,
+}
+
+impl JoinShape {
+    /// The shape of joining `outer` against `inner`, with the arities the
+    /// physical operators derive from the arrays.
+    #[must_use]
+    pub fn of(outer: &SharedArrayPair, inner: &SharedArrayPair, bound: usize) -> Self {
+        let (outer_arity, inner_arity) = (outer.arity().unwrap_or(0), inner.arity().unwrap_or(0));
+        Self {
+            outer: outer.len(),
+            inner: inner.len(),
+            bound,
+            out_arity: outer_arity + inner_arity,
+            merged_arity: outer_arity.max(inner_arity) + 2,
+        }
+    }
+
+    /// Both operators' exact reports at this shape.
+    #[must_use]
+    pub fn candidates(&self) -> JoinCandidates {
+        JoinCandidates {
+            nested_loop: nested_loop_join_cost(self.outer, self.inner, self.bound, self.out_arity),
+            sort_merge: delta_sort_merge_join_cost(
+                self.outer,
+                self.inner,
+                self.bound,
+                self.out_arity,
+                self.merged_arity,
+            ),
+        }
+    }
+}
+
+/// What each operator would meter at one [`JoinShape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinCandidates {
+    /// [`nested_loop_join_cost`] at the shape.
+    pub nested_loop: CostReport,
+    /// [`delta_sort_merge_join_cost`] at the shape.
+    pub sort_merge: CostReport,
+}
+
+impl JoinCandidates {
+    /// The report of `algorithm`.
+    #[must_use]
+    pub fn report(&self, algorithm: JoinAlgorithm) -> CostReport {
+        match algorithm {
+            JoinAlgorithm::NestedLoop => self.nested_loop,
+            JoinAlgorithm::SortMerge => self.sort_merge,
+        }
+    }
+
+    /// The candidate `model` prices lower; ties go to the nested loop.
+    #[must_use]
+    pub fn choose(&self, model: &CostModel) -> JoinPlan {
+        let algorithm = if model.simulate(&self.sort_merge) < model.simulate(&self.nested_loop) {
+            JoinAlgorithm::SortMerge
+        } else {
+            JoinAlgorithm::NestedLoop
+        };
+        JoinPlan {
+            algorithm,
+            report: self.report(algorithm),
+        }
+    }
+}
+
+/// Outcome of one planning decision: the operator to charge and its report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// The cheaper operator for the given sizes.
+    /// The cheaper operator under the planning model.
     pub algorithm: JoinAlgorithm,
-    /// Modelled secure compares of the nested-loop candidate.
-    pub nested_loop_compares: u64,
-    /// Modelled secure compares of the delta sort-merge candidate.
-    pub sort_merge_compares: u64,
+    /// What that operator meters at the planned shape.
+    pub report: CostReport,
 }
 
-/// Modelled secure-compare count of a `b`-truncated nested-loop join:
-/// `|outer|·|inner| + |outer| · batcher_pair_count(|inner|)`.
+/// Choose the cheaper truncated-join operator for `shape` under `model`.
 #[must_use]
-pub fn nested_loop_secure_compares(outer_len: usize, inner_len: usize) -> u64 {
-    let o = outer_len as u64;
-    o.saturating_mul(inner_len as u64)
-        .saturating_add(o.saturating_mul(batcher_pair_count(inner_len)))
+pub fn plan_join(shape: JoinShape, model: &CostModel) -> JoinPlan {
+    shape.candidates().choose(model)
 }
 
-/// Modelled secure-compare count of a delta sort-merge join with `n = |outer| +
-/// |inner|`: `batcher_pair_count(|outer|) + batcher_pair_count(|inner|) +
-/// bitonic_merge_pair_count(n) + n·b + batcher_pair_count(b·n)` — a Batcher sort of
-/// each run (a sliding window is not key-ordered for free), a bitonic merge of the
-/// two sorted runs, the `b`-bounded merge scan, and the Batcher compaction of the
-/// padded emission.
-#[must_use]
-pub fn sort_merge_secure_compares(outer_len: usize, inner_len: usize, bound: usize) -> u64 {
-    let n = outer_len + inner_len;
-    batcher_pair_count(outer_len)
-        .saturating_add(batcher_pair_count(inner_len))
-        .saturating_add(bitonic_merge_pair_count(n))
-        .saturating_add((n as u64).saturating_mul(bound as u64))
-        .saturating_add(batcher_pair_count(n.saturating_mul(bound)))
+/// [`JoinCandidates`] memoised per [`JoinShape`], so a repeated shape is planned
+/// with two `simulate` dot products instead of ~10 sort-network pair counts.
+///
+/// Bounded: when a new shape finds the memo full it starts over. A run meets few
+/// shapes — one per direction once the window fills, a handful for a public
+/// relation's step-fixed range — so the bound only caps pathological streams.
+#[derive(Debug, Default)]
+pub struct PlanMemo {
+    shapes: FxHashMap<JoinShape, JoinCandidates>,
 }
 
-/// Measured seconds-per-primitive-operation, used by [`plan_join_calibrated`] to
-/// turn the planner's op-count models into predicted wall-clock.
+impl PlanMemo {
+    /// Most shapes kept before the memo starts over.
+    const CAPACITY: usize = 256;
+
+    /// [`plan_join`], with the candidates priced once per shape.
+    pub fn plan(&mut self, shape: JoinShape, model: &CostModel) -> JoinPlan {
+        if self.shapes.len() >= Self::CAPACITY && !self.shapes.contains_key(&shape) {
+            self.shapes.clear();
+        }
+        let candidates = self
+            .shapes
+            .entry(shape)
+            .or_insert_with(|| shape.candidates());
+        candidates.choose(model)
+    }
+}
+
+/// Plan under `model` and physically execute the chosen operator over shared
+/// arrays, which meters the winner's full oblivious cost. Returns the padded output
+/// (always the nested-loop contract: `bound · |outer|` entries) and the algorithm
+/// that ran.
+pub fn plan_and_execute<R: Rng + ?Sized>(
+    outer: &SharedArrayPair,
+    inner: &SharedArrayPair,
+    spec: &JoinSpec<'_>,
+    bound: usize,
+    model: &CostModel,
+    meter: &mut CostMeter,
+    rng: &mut R,
+) -> (SharedArrayPair, JoinAlgorithm) {
+    let algorithm = plan_join(JoinShape::of(outer, inner, bound), model).algorithm;
+    let out = match algorithm {
+        JoinAlgorithm::NestedLoop => {
+            truncated_nested_loop_join(outer, inner, spec, bound, meter, rng)
+        }
+        JoinAlgorithm::SortMerge => {
+            truncated_sort_merge_delta_join(outer, inner, spec, bound, meter, rng)
+        }
+    };
+    (out, algorithm)
+}
+
+/// Charge the cost *gap* between joining against the full public relation
+/// (`full_inner_len`) and the physically scanned subset (`scanned_inner_len`),
+/// under the operator that ran: the compensation that keeps simulated time a
+/// function of public sizes when host-side pruning shrinks the plaintext inner
+/// relation even though the real oblivious protocol would scan everything.
+#[allow(clippy::too_many_arguments)]
+pub fn charge_full_relation_gap(
+    meter: &mut CostMeter,
+    algorithm: JoinAlgorithm,
+    outer_len: usize,
+    scanned_inner_len: usize,
+    full_inner_len: usize,
+    bound: usize,
+    out_arity: usize,
+    merged_arity: usize,
+) {
+    if bound == 0 || full_inner_len <= scanned_inner_len {
+        return;
+    }
+    let report = |inner| {
+        let shape = JoinShape {
+            outer: outer_len,
+            inner,
+            bound,
+            out_arity,
+            merged_arity,
+        };
+        shape.candidates().report(algorithm)
+    };
+    meter.record(report(full_inner_len).saturating_sub(report(scanned_inner_len)));
+}
+
+/// Measured seconds-per-primitive-operation: a planning model that replaces the
+/// run's [`CostModel`] when a caller plans by host measurements instead
+/// ([`Calibration::cost_model`]).
 ///
 /// The intended source is the JSON emitted by `cargo run -p incshrink-bench --bin
 /// kernel_throughput` (see [`Calibration::from_json_str`]), whose numbers come from
 /// timing the SoA share kernels on the host that will actually run the protocol. The
 /// [`Default`] calibration is *honest about what it knows*: it weighs secure
-/// compares at the [`CostModel`] LAN constant and everything else at zero, which
-/// makes [`plan_join_calibrated`] reduce — by exact integer comparison, with no
-/// floating-point round-off — to [`plan_join`].
+/// compares at the [`CostModel`] LAN constant and everything else at zero, so it
+/// plans by compare counts alone.
 ///
 /// All fields default individually, so a partial JSON object (say, compares only)
 /// parses with the remaining weights at their defaults.
@@ -147,18 +291,6 @@ impl Default for Calibration {
 }
 
 impl Calibration {
-    /// True when only compares carry weight. In that regime the relative order of two
-    /// plans is scale-invariant in `secs_per_compare`, so the planner can (and does)
-    /// fall back to the exact integer compare-count decision of [`plan_join`].
-    #[must_use]
-    pub fn is_compare_only(&self) -> bool {
-        self.secs_per_compare > 0.0
-            && self.secs_per_swap == 0.0
-            && self.secs_per_and == 0.0
-            && self.secs_per_add == 0.0
-            && self.secs_per_channel_round == 0.0
-    }
-
     /// Parse a calibration from JSON. Accepts a bare object
     /// (`{"secs_per_compare": ..., ...}`), the `kernel_throughput` report whose
     /// calibration lives under a top-level `"calibration"` key, or the bench
@@ -223,206 +355,20 @@ impl Calibration {
         Ok(calibration)
     }
 
-    /// Predicted wall-clock seconds of an op-count report under this calibration —
-    /// the gate-only pricing path ([`CostModel::op_secs`]) with measured weights,
-    /// plus the measured transport cost of the report's protocol rounds (each
-    /// round is one party-channel round trip under the actor/TCP execution
-    /// modes; the default weight of zero reduces this to the gate-only figure).
+    /// The planning model these measurements define: the measured gate weights,
+    /// the measured party-channel round as the round price, and bytes unpriced —
+    /// nothing measures them.
     #[must_use]
-    pub fn predict_secs(&self, report: &CostReport) -> f64 {
+    pub fn cost_model(&self) -> CostModel {
         CostModel {
             secs_per_compare: self.secs_per_compare,
             secs_per_swap: self.secs_per_swap,
             secs_per_and: self.secs_per_and,
             secs_per_add: self.secs_per_add,
             secs_per_byte: 0.0,
-            secs_per_round: 0.0,
-        }
-        .op_secs(report)
-            + report.rounds as f64 * self.secs_per_channel_round
-    }
-}
-
-/// Width-free op-count model of a `b`-truncated nested-loop join: the compares of
-/// [`nested_loop_secure_compares`], one per-outer Batcher sort's worth of swaps, and
-/// two AND gates per `(outer, inner)` pair (match bit ∧ budget bit).
-#[must_use]
-pub fn nested_loop_op_counts(outer_len: usize, inner_len: usize) -> CostReport {
-    let o = outer_len as u64;
-    CostReport {
-        secure_compares: nested_loop_secure_compares(outer_len, inner_len),
-        secure_swaps: o.saturating_mul(batcher_pair_count(inner_len)),
-        secure_ands: 2u64.saturating_mul(o.saturating_mul(inner_len as u64)),
-        ..CostReport::default()
-    }
-}
-
-/// Width-free op-count model of a delta sort-merge join with `n = |outer| +
-/// |inner|`: the compares of [`sort_merge_secure_compares`]; swaps for the two run
-/// sorts, the bitonic merge (plus the `⌊|outer|/2⌋`-swap valley reversal) and the
-/// emission compaction; one AND per emission-scan step.
-#[must_use]
-pub fn sort_merge_op_counts(outer_len: usize, inner_len: usize, bound: usize) -> CostReport {
-    let n = outer_len + inner_len;
-    let emission = n.saturating_mul(bound);
-    CostReport {
-        secure_compares: sort_merge_secure_compares(outer_len, inner_len, bound),
-        secure_swaps: batcher_pair_count(outer_len)
-            .saturating_add(batcher_pair_count(inner_len))
-            .saturating_add(bitonic_merge_pair_count(n))
-            .saturating_add(outer_len as u64 / 2)
-            .saturating_add(batcher_pair_count(emission)),
-        secure_ands: emission as u64,
-        ..CostReport::default()
-    }
-}
-
-/// Choose the cheaper truncated-join operator for the given public sizes. Ties go to
-/// the nested loop (the historically default operator, so degenerate sizes — empty
-/// inputs, `bound = 0` — keep their established cost accounting).
-#[must_use]
-pub fn plan_join(outer_len: usize, inner_len: usize, bound: usize) -> JoinPlan {
-    let nested_loop_compares = nested_loop_secure_compares(outer_len, inner_len);
-    let sort_merge_compares = sort_merge_secure_compares(outer_len, inner_len, bound);
-    let algorithm = if nested_loop_compares <= sort_merge_compares {
-        JoinAlgorithm::NestedLoop
-    } else {
-        JoinAlgorithm::SortMerge
-    };
-    JoinPlan {
-        algorithm,
-        nested_loop_compares,
-        sort_merge_compares,
-    }
-}
-
-/// Choose the cheaper truncated-join operator under a measured [`Calibration`].
-///
-/// A compare-only calibration (the default) delegates to [`plan_join`]'s exact
-/// integer comparison — the compare-count order is scale-invariant in
-/// `secs_per_compare`, and routing through `f64` could flip integer ties. Otherwise
-/// each candidate's width-free op counts ([`nested_loop_op_counts`],
-/// [`sort_merge_op_counts`]) are priced in predicted seconds and the cheaper plan
-/// wins, ties again going to the nested loop. The reported compare counts stay the
-/// exact integer model either way.
-#[must_use]
-pub fn plan_join_calibrated(
-    outer_len: usize,
-    inner_len: usize,
-    bound: usize,
-    calibration: &Calibration,
-) -> JoinPlan {
-    if calibration.is_compare_only() {
-        return plan_join(outer_len, inner_len, bound);
-    }
-    let nested_loop_secs = calibration.predict_secs(&nested_loop_op_counts(outer_len, inner_len));
-    let sort_merge_secs =
-        calibration.predict_secs(&sort_merge_op_counts(outer_len, inner_len, bound));
-    let algorithm = if nested_loop_secs <= sort_merge_secs {
-        JoinAlgorithm::NestedLoop
-    } else {
-        JoinAlgorithm::SortMerge
-    };
-    JoinPlan {
-        algorithm,
-        nested_loop_compares: nested_loop_secure_compares(outer_len, inner_len),
-        sort_merge_compares: sort_merge_secure_compares(outer_len, inner_len, bound),
-    }
-}
-
-/// Plan and physically execute the chosen operator over shared arrays, metering the
-/// winner's full oblivious cost. Returns the padded output (always the nested-loop
-/// contract: `bound · |outer|` entries) and the algorithm that ran.
-pub fn plan_and_execute<R: Rng + ?Sized>(
-    outer: &SharedArrayPair,
-    inner: &SharedArrayPair,
-    spec: &JoinSpec<'_>,
-    bound: usize,
-    meter: &mut CostMeter,
-    rng: &mut R,
-) -> (SharedArrayPair, JoinAlgorithm) {
-    let plan = plan_join(outer.len(), inner.len(), bound);
-    let out = match plan.algorithm {
-        JoinAlgorithm::NestedLoop => {
-            truncated_nested_loop_join(outer, inner, spec, bound, meter, rng)
-        }
-        JoinAlgorithm::SortMerge => {
-            truncated_sort_merge_delta_join(outer, inner, spec, bound, meter, rng)
-        }
-    };
-    (out, plan.algorithm)
-}
-
-/// Charge the full modelled cost of a planned join at the given sizes without
-/// physically executing it — identical, count for count, to what the corresponding
-/// physical operator would meter. Used by the batched Transform, which replays the
-/// per-step plaintext functionality but prices the work as one amortized join.
-pub fn charge_planned_join(
-    meter: &mut CostMeter,
-    algorithm: JoinAlgorithm,
-    outer_len: usize,
-    inner_len: usize,
-    bound: usize,
-    out_arity: usize,
-    merged_arity: usize,
-) {
-    if bound == 0 {
-        return;
-    }
-    match algorithm {
-        JoinAlgorithm::NestedLoop => {
-            meter.record(nested_loop_join_cost(
-                outer_len, inner_len, bound, out_arity,
-            ));
-        }
-        JoinAlgorithm::SortMerge => {
-            meter.record(delta_sort_merge_join_cost(
-                outer_len,
-                inner_len,
-                bound,
-                out_arity,
-                merged_arity,
-            ));
+            secs_per_round: self.secs_per_channel_round,
         }
     }
-}
-
-/// Charge the cost *gap* between joining against the full outsourced relation
-/// (`full_inner_len`) and the physically scanned subset (`scanned_inner_len`): the
-/// compensation that keeps simulated time honest when host-side pruning shrinks the
-/// plaintext inner relation (retired records, public-window pruning) even though the
-/// real oblivious protocol would scan everything.
-#[allow(clippy::too_many_arguments)]
-pub fn charge_full_relation_gap(
-    meter: &mut CostMeter,
-    algorithm: JoinAlgorithm,
-    outer_len: usize,
-    scanned_inner_len: usize,
-    full_inner_len: usize,
-    bound: usize,
-    out_arity: usize,
-    merged_arity: usize,
-) {
-    if bound == 0 || full_inner_len <= scanned_inner_len {
-        return;
-    }
-    let (full, scanned) = match algorithm {
-        JoinAlgorithm::NestedLoop => (
-            nested_loop_join_cost(outer_len, full_inner_len, bound, out_arity),
-            nested_loop_join_cost(outer_len, scanned_inner_len, bound, out_arity),
-        ),
-        JoinAlgorithm::SortMerge => (
-            delta_sort_merge_join_cost(outer_len, full_inner_len, bound, out_arity, merged_arity),
-            delta_sort_merge_join_cost(
-                outer_len,
-                scanned_inner_len,
-                bound,
-                out_arity,
-                merged_arity,
-            ),
-        ),
-    };
-    meter.record(full.saturating_sub(scanned));
 }
 
 #[cfg(test)]
@@ -430,45 +376,80 @@ mod tests {
     use super::*;
     use crate::table::PlainTable;
     use incshrink_mpc::cost::CostMeter;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A join of two two-column relations, the shape every benchmark view has.
+    fn shape(outer: usize, inner: usize, bound: usize) -> JoinShape {
+        JoinShape {
+            outer,
+            inner,
+            bound,
+            out_arity: 4,
+            merged_arity: 4,
+        }
+    }
+
     #[test]
     fn planner_prefers_nested_loop_on_tiny_inners_and_sort_merge_on_large() {
-        // Tiny inner: the quadratic term is negligible, NLJ avoids the big sorts.
-        assert_eq!(plan_join(4, 2, 1).algorithm, JoinAlgorithm::NestedLoop);
-        assert_eq!(plan_join(0, 0, 1).algorithm, JoinAlgorithm::NestedLoop);
-        // Large inner: per-outer Batcher sorts dominate, the union sort wins.
-        let plan = plan_join(8, 2000, 1);
+        let lan = CostModel::default();
+        // Tiny inner: the quadratic term is negligible and the nested loop's one
+        // round beats the sort-merge join's five.
+        assert_eq!(
+            plan_join(shape(4, 2, 1), &lan).algorithm,
+            JoinAlgorithm::NestedLoop
+        );
+        // Empty inputs price equally: the tie goes to the nested loop.
+        assert_eq!(
+            plan_join(shape(0, 0, 1), &lan).algorithm,
+            JoinAlgorithm::NestedLoop
+        );
+        // Large inner: per-outer Batcher sorts dominate, the run sorts win.
+        let plan = plan_join(shape(8, 2000, 1), &lan);
         assert_eq!(plan.algorithm, JoinAlgorithm::SortMerge);
-        assert!(plan.sort_merge_compares * 3 < plan.nested_loop_compares);
-        // The crossover is monotone-ish: much bigger bounds penalise the compaction.
-        assert!(sort_merge_secure_compares(8, 2000, 10) > sort_merge_secure_compares(8, 2000, 1));
+        let nested_loop = shape(8, 2000, 1).candidates().nested_loop;
+        assert!(
+            3.0 * lan.simulate(&plan.report).as_secs_f64()
+                < lan.simulate(&nested_loop).as_secs_f64()
+        );
+        // Much bigger bounds penalise the compaction.
+        let compares = |bound| {
+            shape(8, 2000, bound)
+                .candidates()
+                .sort_merge
+                .secure_compares
+        };
+        assert!(compares(10) > compares(1));
     }
 
     #[test]
     fn plan_choices_at_the_benchmark_window_shapes() {
         // What Transform's joins look like once the inner side is the public active
-        // window (per step, `k = 1`): TPC-ds |Δ| = 7 against 9 batches of 7, ω = 1;
-        // CPDB |Δ| = 8 against ~110 public rows, ω = 10. With the inner run's sort
-        // priced, sort-merge still wins the first and the `b·n` compaction still
-        // loses the second — no single plan wins both.
-        let tpcds = plan_join(7, 63, 1);
-        assert_eq!(tpcds.algorithm, JoinAlgorithm::SortMerge);
+        // window: TPC-ds |Δ| = 7 against 9 batches of 7, ω = 1; CPDB |Δ| = 8
+        // against ~110 public rows, ω = 10. Under the LAN model sort-merge wins the
+        // first and its `ω·n` compaction loses the second; under WAN its extra
+        // rounds lose the first too — no single operator wins everywhere.
+        let (lan, wan) = (CostModel::default(), CostModel::wan());
         assert_eq!(
-            (tpcds.sort_merge_compares, tpcds.nested_loop_compares),
-            (1_559, 4_200)
+            plan_join(shape(7, 63, 1), &lan).algorithm,
+            JoinAlgorithm::SortMerge
         );
-        let cpdb = plan_join(8, 110, 10);
-        assert_eq!(cpdb.algorithm, JoinAlgorithm::NestedLoop);
         assert_eq!(
-            (cpdb.nested_loop_compares, cpdb.sort_merge_compares),
-            (10_824, 35_281)
+            plan_join(shape(8, 110, 10), &lan).algorithm,
+            JoinAlgorithm::NestedLoop
         );
+        assert_eq!(
+            plan_join(shape(7, 63, 1), &wan).algorithm,
+            JoinAlgorithm::NestedLoop
+        );
+        // A compare-count planner would pick sort-merge under WAN as well.
+        let tpcds = shape(7, 63, 1).candidates();
+        assert!(tpcds.sort_merge.secure_compares < tpcds.nested_loop.secure_compares);
     }
 
     #[test]
-    fn charge_planned_join_matches_physical_execution() {
+    fn candidate_reports_match_physical_execution() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut left = PlainTable::new(&["k", "t"]);
         let mut right = PlainTable::new(&["k", "t"]);
@@ -480,6 +461,8 @@ mod tests {
         }
         let (l, r) = (left.share(&mut rng), right.share(&mut rng));
         let spec = JoinSpec::equi(0, 0);
+        let shape = JoinShape::of(&l, &r, 2);
+        assert_eq!(shape, self::shape(7, 19, 2));
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::SortMerge] {
             let mut physical = CostMeter::new();
             let out = match algorithm {
@@ -491,22 +474,18 @@ mod tests {
                 }
             };
             assert_eq!(out.len(), 2 * l.len(), "{algorithm}: output contract");
-            let mut modelled = CostMeter::new();
-            let merged_arity = 2 + 2;
-            charge_planned_join(
-                &mut modelled,
-                algorithm,
-                l.len(),
-                r.len(),
-                2,
-                4,
-                merged_arity,
-            );
             assert_eq!(
                 physical.report(),
-                modelled.report(),
-                "{algorithm}: modelled charge must equal the physical meter"
+                shape.candidates().report(algorithm),
+                "{algorithm}: the candidate report must equal the physical meter"
             );
+        }
+        // Planned execution meters exactly the plan's report, under either model.
+        for model in [CostModel::default(), CostModel::wan()] {
+            let mut meter = CostMeter::new();
+            let (_, algorithm) = plan_and_execute(&l, &r, &spec, 2, &model, &mut meter, &mut rng);
+            let plan = plan_join(shape, &model);
+            assert_eq!((algorithm, meter.report()), (plan.algorithm, plan.report));
         }
     }
 
@@ -536,16 +515,53 @@ mod tests {
         assert_eq!(nlj.len(), smj.len());
     }
 
+    proptest! {
+        /// Over random shapes, under the LAN and the WAN model: the planned report
+        /// is the candidate of the planned operator, no candidate is priced lower,
+        /// and a memo hit plans exactly what a fresh pricing does.
+        #[test]
+        fn prop_the_plan_is_the_cheaper_candidate_and_memo_hits_match_fresh_pricing(
+            shapes in proptest::collection::vec(
+                (0usize..40, 0usize..200, 1usize..12, (1usize..4, 1usize..4)),
+                1..16,
+            ),
+        ) {
+            let mut memo = PlanMemo::default();
+            for model in [CostModel::default(), CostModel::wan()] {
+                // Twice over the shapes: the second pass is all memo hits.
+                for &(outer, inner, bound, (a, b)) in shapes.iter().chain(&shapes) {
+                    let shape = JoinShape { outer, inner, bound, out_arity: a + b, merged_arity: a.max(b) + 2 };
+                    let plan = memo.plan(shape, &model);
+                    prop_assert_eq!(plan, plan_join(shape, &model));
+                    let candidates = shape.candidates();
+                    prop_assert_eq!(plan.report, candidates.report(plan.algorithm));
+                    let charged = model.simulate(&plan.report);
+                    prop_assert!(charged <= model.simulate(&candidates.nested_loop));
+                    prop_assert!(charged <= model.simulate(&candidates.sort_merge));
+                }
+            }
+        }
+    }
+
     #[test]
     fn default_calibration_reproduces_the_integer_planner() {
-        let calibration = Calibration::default();
-        assert!(calibration.is_compare_only());
+        // The default calibration weighs compares alone, so it plans by the exact
+        // integer compare counts of the two candidates (ties to the nested loop).
+        let model = Calibration::default().cost_model();
         for outer in [0usize, 1, 2, 4, 8, 16, 64, 256] {
             for inner in [0usize, 1, 2, 5, 17, 100, 500, 2000] {
-                for bound in [0usize, 1, 2, 10] {
+                for bound in [1usize, 2, 10] {
+                    let candidates = shape(outer, inner, bound).candidates();
+                    let expected = if candidates.sort_merge.secure_compares
+                        < candidates.nested_loop.secure_compares
+                    {
+                        JoinAlgorithm::SortMerge
+                    } else {
+                        JoinAlgorithm::NestedLoop
+                    };
                     assert_eq!(
-                        plan_join_calibrated(outer, inner, bound, &calibration),
-                        plan_join(outer, inner, bound),
+                        plan_join(shape(outer, inner, bound), &model).algorithm,
+                        expected,
                         "o={outer} i={inner} b={bound}"
                     );
                 }
@@ -556,29 +572,24 @@ mod tests {
     #[test]
     fn swap_heavy_calibration_moves_the_planner_crossover() {
         // Weighting swaps changes the relative price of the two operators (their
-        // swap:compare ratios differ), so some sizes that the compare-only planner
+        // swap:compare ratios differ), so some sizes that the compare-only model
         // decides one way must flip under a swap-heavy calibration — and wherever
         // the decisions differ, the calibrated pick must be the one its own model
-        // predicts is cheaper.
+        // prices lower.
+        let compare_only = Calibration::default().cost_model();
         let swap_heavy = Calibration {
             secs_per_swap: 10.0 * Calibration::default().secs_per_compare,
             ..Calibration::default()
-        };
-        assert!(!swap_heavy.is_compare_only());
+        }
+        .cost_model();
         let mut flipped = 0usize;
         for inner in 1..=4096usize {
-            let base = plan_join(8, inner, 1);
-            let calibrated = plan_join_calibrated(8, inner, 1, &swap_heavy);
+            let base = plan_join(shape(8, inner, 1), &compare_only);
+            let calibrated = plan_join(shape(8, inner, 1), &swap_heavy);
             if base.algorithm != calibrated.algorithm {
                 flipped += 1;
-                let nlj_secs = swap_heavy.predict_secs(&nested_loop_op_counts(8, inner));
-                let smj_secs = swap_heavy.predict_secs(&sort_merge_op_counts(8, inner, 1));
-                let (winner_secs, loser_secs) = match calibrated.algorithm {
-                    JoinAlgorithm::NestedLoop => (nlj_secs, smj_secs),
-                    JoinAlgorithm::SortMerge => (smj_secs, nlj_secs),
-                };
                 assert!(
-                    winner_secs <= loser_secs,
+                    swap_heavy.simulate(&calibrated.report) <= swap_heavy.simulate(&base.report),
                     "inner={inner}: calibrated pick must be predicted-cheaper"
                 );
             }
@@ -617,21 +628,31 @@ mod tests {
 
     #[test]
     fn channel_round_weight_prices_transport() {
-        // A non-zero round weight leaves compare-only territory (the planner
-        // must weigh rounds, not just gates) and adds exactly
-        // rounds × secs_per_channel_round on top of the gate-only figure.
+        // The calibrated model prices each protocol round at the measured channel
+        // round, on top of the gate-only figure — enough, here, to move the TPC-ds
+        // window shape back to the one-round nested loop.
         let transported = Calibration {
-            secs_per_channel_round: 1e-5,
+            secs_per_channel_round: 1e-2,
             ..Calibration::default()
         };
-        assert!(!transported.is_compare_only());
         let report = CostReport {
             secure_compares: 100,
+            bytes_communicated: 64,
             rounds: 3,
             ..CostReport::default()
         };
-        let gate_only = Calibration::default().predict_secs(&report);
-        assert!((transported.predict_secs(&report) - gate_only - 3.0e-5).abs() < 1e-18);
+        let secs =
+            |calibration: Calibration| calibration.cost_model().simulate(&report).as_secs_f64();
+        assert!((secs(transported) - secs(Calibration::default()) - 3.0e-2).abs() < 1e-9);
+        let tpcds = shape(7, 63, 1);
+        assert_eq!(
+            plan_join(tpcds, &Calibration::default().cost_model()).algorithm,
+            JoinAlgorithm::SortMerge
+        );
+        assert_eq!(
+            plan_join(tpcds, &transported.cost_model()).algorithm,
+            JoinAlgorithm::NestedLoop
+        );
 
         // The key round-trips through both the JSON reader and serde.
         let parsed = Calibration::from_json_str(r#"{"secs_per_channel_round": 2.5e-6}"#).unwrap();
@@ -664,17 +685,10 @@ mod tests {
     fn full_relation_gap_tops_up_to_the_full_cost() {
         for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::SortMerge] {
             let mut scanned_plus_gap = CostMeter::new();
-            charge_planned_join(&mut scanned_plus_gap, algorithm, 6, 40, 2, 4, 4);
+            scanned_plus_gap.record(shape(6, 40, 2).candidates().report(algorithm));
             charge_full_relation_gap(&mut scanned_plus_gap, algorithm, 6, 40, 100, 2, 4, 4);
-            let mut full = CostMeter::new();
-            charge_planned_join(&mut full, algorithm, 6, 100, 2, 4, 4);
-            let (a, b) = (scanned_plus_gap.report(), full.report());
-            // Compares/ands/swaps/bytes top up exactly; rounds are not re-charged.
-            assert_eq!(a.secure_compares, b.secure_compares, "{algorithm}");
-            assert_eq!(a.secure_ands, b.secure_ands, "{algorithm}");
-            assert_eq!(a.secure_swaps, b.secure_swaps, "{algorithm}");
-            assert_eq!(a.bytes_communicated, b.bytes_communicated, "{algorithm}");
-            assert!(a.rounds >= b.rounds, "{algorithm}");
+            let full = shape(6, 100, 2).candidates().report(algorithm);
+            assert_eq!(scanned_plus_gap.report(), full, "{algorithm}");
         }
     }
 }

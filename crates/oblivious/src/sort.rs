@@ -61,7 +61,7 @@ const MAX_SORT_KEY: u64 = (1 << (64 - INDEX_BITS)) - 1;
 ///
 /// Cost note: materialising the schedule is `O(n log² n)` host time and memory; the
 /// physical sorts never do, and when only the comparator *count* is needed (join
-/// cost models, the adaptive planner), use [`batcher_pair_count`], which computes
+/// cost models, the join planner), use [`batcher_pair_count`], which computes
 /// the same number without allocating.
 pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
@@ -99,7 +99,7 @@ pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
 ///
 /// This is the primitive every join cost model in this crate is built on: the
 /// comparator count is a *public* function of the (public) input length, so pricing a
-/// network — or letting the adaptive planner compare two candidate networks — leaks
+/// network — or letting the join planner compare two candidate networks — leaks
 /// nothing beyond what the array sizes already reveal. Cost-model callers invoke it
 /// several times per Transform flush with arguments as large as the padded emission
 /// (`bound · n`), so it must never pay a near-linear walk.

@@ -7,7 +7,6 @@
 //! cargo run --example multi_level_pipeline --release
 //! ```
 
-use incshrink::config::JoinPlanMode;
 use incshrink::pipeline::TwoLevelPipeline;
 use incshrink::view::ViewDefinition;
 use incshrink_mpc::cost::CostModel;
@@ -47,10 +46,7 @@ fn main() {
         6,
         public,
         0x11,
-    )
-    // Let the planner pick nested-loop vs sort-merge for the join stage from the
-    // public (batch, relation) sizes — the released views are identical either way.
-    .with_join_plan(JoinPlanMode::Adaptive);
+    );
     println!(
         "two-level pipeline: total ε = {:.2} split across selection + join",
         pipeline.total_epsilon()
