@@ -65,6 +65,8 @@ fn main() {
         "# Expected shape: error drops sharply as ω grows past the maximum record\n\
          # multiplicity (truncation losses vanish), then flattens / worsens slightly as the\n\
          # extra DP noise dominates; QET decreases for small ω (smaller view) and degrades\n\
-         # for large ω; Shrink time grows with ω while Transform time stays flat."
+         # for large ω; Shrink time grows with ω and Transform time more slowly (each\n\
+         # per-outer buffer keeps its first ω slots through a top-ω selection network,\n\
+         # which approaches a full sort of the window as ω grows)."
     );
 }

@@ -8,7 +8,8 @@
 //! covered step and the batch always flushes before a synchronization), the error /
 //! QET / view columns are invariant in `k` — the sweep prints an `answers=k1` column
 //! verifying exactly that — while the Transform cost moves with how much of the
-//! active window the steps of a batch share.
+//! active window the steps of a batch share. With Algorithm 4's per-outer buffers
+//! priced as top-ω selections, no `k > 1` beats `k = 1` on either workload.
 //!
 //! `INCSHRINK_CALIBRATION` plans the joins under a measured `kernel_throughput`
 //! calibration instead of the run's cost model; the sort-merge share shows what it
@@ -18,6 +19,8 @@
 //! cargo run -p incshrink-bench --bin incremental_transform --release
 //! INCSHRINK_BENCH_STEPS=2 INCSHRINK_BENCH_K=4 \
 //!     cargo run -p incshrink-bench --bin incremental_transform --release  # CI smoke
+//! INCSHRINK_BENCH_STEPS=16 INCSHRINK_BENCH_K=8 \
+//!     cargo run -p incshrink-bench --bin incremental_transform --release  # SMJ share > 0
 //! ```
 
 use incshrink::prelude::*;
@@ -226,10 +229,11 @@ fn main() {
     println!(
         "\nExpected shape: every k row answers the analyst identically (answers=k1 true, \
          identical QET / view / sync columns — the DP accounting is untouched by \
-         batching). TPC-ds (ω = 1) prices most joins as sort-merge joins once the \
-         window fills, and its Transform cost drops where one amortized join over \
-         the active window replaces k per-step joins; on CPDB (ω = 10) the ω·n \
-         compaction keeps the nested loop, and the combined delta's wider public \
-         range makes a batch cost more than its steps."
+         batching). At k = 1 both workloads price every join as the nested loop, \
+         whose per-outer top-ω selection is linear in the window. On TPC-ds (ω = 1) \
+         a batch's combined delta is large enough for the sort-merge join to win \
+         some batches, yet no k > 1 brings the MPC total below k = 1's; on \
+         CPDB (ω = 10) the combined delta's wider public range makes a batch cost \
+         more than its steps."
     );
 }

@@ -36,7 +36,9 @@
 //!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
 //!   the horizon); the whole-relation price is one
 //!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
-//!   that wants it. A *public* right relation (CPDB's Award table) is scanned over
+//!   that wants it (plus `|Δ|·(batcher_pair_count(n) − select_first_pair_count(n,
+//!   ω))` compares and record-wide swaps for the paper's full per-buffer sorts). A
+//!   *public* right relation (CPDB's Award table) is scanned over
 //!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
 //!   number, since a record's time column is its upload step — two
 //!   `partition_point`s on a time column sorted once in [`TransformProtocol::new`].
@@ -84,6 +86,12 @@
 //!   ΔV — for the shape `(|Δ|, window rows, ω, arities)`. Both candidates' reports
 //!   are memoised per shape, so a repeated shape costs two dot products. The match
 //!   runs inside a span named after the planned operator, which records its cost.
+//!   Where either operator sorts an array only to keep its first slots (each
+//!   per-outer buffer, the delta form's emission), it is priced as the top-k
+//!   selection network ([`incshrink_oblivious::select_first_pair_count`]): the
+//!   same slots on fixed public wires, so ΔV and every released size are those of
+//!   the full sort. At both benchmark window shapes the nested loop wins; the
+//!   sort-merge join wins the larger combined deltas of `k`-step batches.
 //! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
 //!   deferred upload steps as one invocation: the per-step plaintext functionality
 //!   (eviction, truncated matching, per-step counter reshares) is the same
@@ -1268,8 +1276,9 @@ mod tests {
     fn calibration_threads_through_to_adaptive_plan_choices() {
         // A calibration replaces the planning model and nothing else: a calibrated
         // run charges exactly what an uncalibrated run under the calibration's own
-        // model charges — and a round-heavy calibration moves the TPC-ds-shaped
-        // window (ω = 1, nine batches of 7) off the LAN model's sort-merge pick.
+        // model charges — and a round-heavy calibration moves a window shaped like
+        // a k = 4 TPC-ds batch (ω = 1, 28-row deltas against up to nine batches of
+        // 28) off the LAN model's sort-merge pick.
         let round_heavy = Calibration {
             secs_per_channel_round: 1e-2,
             ..Calibration::default()
@@ -1280,8 +1289,8 @@ mod tests {
                 TransformProtocol::new(view_def(), 1, 10, None).with_calibration(calibration);
             (1..=12u64)
                 .map(|t| {
-                    let left = batch(Relation::Left, t, &[], 7);
-                    let right = batch(Relation::Right, t, &[], 7);
+                    let left = batch(Relation::Left, t, &[], 28);
+                    let right = batch(Relation::Right, t, &[], 28);
                     transform.invoke(&mut ctx, &left, Some(&right)).report
                 })
                 .collect::<Vec<_>>()

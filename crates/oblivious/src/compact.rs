@@ -33,7 +33,7 @@ pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
 ///
 /// Cost, with `n` the cache length: `batcher_pair_count(n)` comparisons and
 /// record-wide swaps in one round, then the `read_size` record transfer in another.
-/// Linear-logarithmic in `n`, which is why keeping ΔV at the `ω·|delta|`
+/// `O(n log² n)` in `n`, which is why keeping ΔV at the `ω·|delta|`
 /// nested-loop output contract (rather than Example 5.1's `ω·(|T1|+|T2|)`) matters:
 /// the cache would otherwise grow with the accumulated relation.
 pub fn cache_read(

@@ -5,7 +5,7 @@
 //!
 //! * [`truncated_nested_loop_join`] — Algorithm 4: for each outer tuple, scan the
 //!   inner table, generate joins only while both tuples have remaining contribution
-//!   budget, obliviously sort each per-outer buffer and keep its first `b` slots.
+//!   budget, and keep the first `b` slots of each per-outer buffer in sorted order.
 //!   The output is exhaustively padded to `b · |outer|` entries.
 //! * [`truncated_sort_merge_join`] — Example 5.1: union both tables, obliviously sort
 //!   by join key (left-table records break ties first), then linearly scan, emitting
@@ -17,6 +17,14 @@
 //!   sort + scan, followed by an oblivious compaction that cuts the emission down to
 //!   the *public* `b · |outer|` prefix, so it is a drop-in replacement for the
 //!   nested-loop operator (identical output contract, different cost profile).
+//!
+//! The two operators the planner chooses between sort an array only to keep its
+//! head: Algorithm 4 the first `b` of each `|inner|`-slot buffer, the delta form the
+//! first `b · |outer|` of its emission. Each is priced with the top-k selection network
+//! ([`crate::sort::select_first_pair_count`]), which leaves exactly those slots, in
+//! order, on fixed public wires — the same function and the same leakage as the
+//! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
+//! Algorithm 4), for fewer comparators and record-wide swaps.
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The per-operator
@@ -43,7 +51,7 @@
 //! assert_eq!(out.true_cardinality(), 1);
 //! ```
 
-use crate::sort::{batcher_pair_count, oblivious_sort_by_key, SortOrder};
+use crate::sort::{batcher_pair_count, oblivious_sort_by_key, select_first_pair_count, SortOrder};
 use incshrink_mpc::cost::{CostMeter, CostReport};
 use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -352,9 +360,12 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 /// `out_arity` — exactly what the physical operator meters.
 ///
 /// Cost shape: `|outer|·|inner|` secure compares and `2·|outer|·|inner|` AND gates for
-/// the match/budget checks, plus a Batcher sort of each per-outer buffer of `|inner|`
-/// slots (`|outer| · batcher_pair_count(|inner|)` compares and record-wide swaps), plus
-/// the `b·|outer|` output write. Depends only on public sizes, never on data.
+/// the match/budget checks; per outer tuple, the top-`bound` selection network over
+/// its buffer of `|inner|` slots (`|outer| · select_first_pair_count(|inner|, bound)`
+/// compares and record-wide swaps — Algorithm 4 sorts the buffer and keeps its first
+/// `bound` slots, and the network leaves exactly those); and the `b·|outer|` output
+/// write. The selection is part of the same circuit as the compare matrix, so the
+/// whole join is one round. Depends only on public sizes, never on data.
 #[must_use]
 pub fn nested_loop_join_cost(
     outer_len: usize,
@@ -364,12 +375,12 @@ pub fn nested_loop_join_cost(
 ) -> CostReport {
     let o = outer_len as u64;
     let i = inner_len as u64;
-    let bp = batcher_pair_count(inner_len);
+    let select = select_first_pair_count(inner_len, bound);
     let width = out_arity as u64 + 1;
     CostReport {
-        secure_compares: o.saturating_mul(i).saturating_add(o.saturating_mul(bp)),
+        secure_compares: o.saturating_mul(i).saturating_add(o.saturating_mul(select)),
         secure_ands: 2u64.saturating_mul(o).saturating_mul(i),
-        secure_swaps: o.saturating_mul(bp).saturating_mul(width),
+        secure_swaps: o.saturating_mul(select).saturating_mul(width),
         secure_adds: 0,
         bytes_communicated: o
             .saturating_mul(bound as u64)
@@ -392,9 +403,11 @@ pub fn nested_loop_join_cost(
 /// plus the fixed `⌊|outer|/2⌋`-swap valley reversal of the delta run — see
 /// [`crate::sort::bitonic_merge_pairs`]), scan the merged relation emitting `bound`
 /// slots per position (`n·bound` compares and ANDs), obliviously compact the
-/// `bound·n` emission down to the *public* `bound·|outer|` prefix
-/// (`batcher_pair_count(bound·n)` compares + swaps), and write the output. Every
-/// term is work the operator does on the arrays it is handed, so
+/// `bound·n` emission down to the *public* `bound·|outer|` prefix with the top-k
+/// selection network (`select_first_pair_count(bound·n, bound·|outer|)` compares +
+/// swaps — the compaction keeps the real slots first and the cut reads only the
+/// prefix, so the rest of the emission is never ordered), and write the output.
+/// Every term is work the operator does on the arrays it is handed, so
 /// [`crate::planner::plan_join`] compares two executable plans. Depends only on
 /// public sizes, never on data.
 #[must_use]
@@ -409,7 +422,7 @@ pub fn delta_sort_merge_join_cost(
     let emission = nm.saturating_mul(bound);
     let run_sorts = [outer_len, inner_len].map(|run| (run >= 2).then(|| batcher_pair_count(run)));
     let bm_merge = crate::sort::bitonic_merge_pair_count(nm);
-    let bp_compact = batcher_pair_count(emission);
+    let compact = select_first_pair_count(emission, outer_len.saturating_mul(bound));
     let merged_width = merged_arity as u64 + 1;
     let out_width = out_arity as u64 + 1;
     let mut report = CostReport {
@@ -441,11 +454,11 @@ pub fn delta_sort_merge_join_cost(
         .secure_ands
         .saturating_add((nm as u64).saturating_mul(bound as u64));
     report.rounds += 1;
-    if emission >= 2 {
-        report.secure_compares = report.secure_compares.saturating_add(bp_compact);
+    if compact > 0 {
+        report.secure_compares = report.secure_compares.saturating_add(compact);
         report.secure_swaps = report
             .secure_swaps
-            .saturating_add(bp_compact.saturating_mul(out_width));
+            .saturating_add(compact.saturating_mul(out_width));
         report.rounds += 1;
     }
     report.bytes_communicated = report.bytes_communicated.saturating_add(
@@ -587,8 +600,9 @@ pub fn truncated_sort_merge_join<R: Rng + ?Sized>(
 ///
 /// # Cost
 /// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, out_arity)`:
-/// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer Batcher sorts —
-/// the quadratic term the join planner ([`crate::planner`]) trades against the
+/// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer top-`bound`
+/// selection networks (`|inner| − 1` comparators each at `bound = 1`) — the
+/// quadratic term the join planner ([`crate::planner`]) trades against the
 /// sort-merge variant.
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
@@ -607,8 +621,9 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     let outer_plain: Vec<PlainRecord> = outer.entries().iter().map(|e| e.recover()).collect();
     let inner_plain: Vec<PlainRecord> = inner.entries().iter().map(|e| e.recover()).collect();
 
-    // Cost accounting: |outer|·|inner| secure comparisons and budget checks, plus an
-    // oblivious sort of each per-outer buffer of |inner| slots, plus the output write.
+    // Cost accounting: |outer|·|inner| secure comparisons and budget checks, plus a
+    // top-`bound` selection over each per-outer buffer of |inner| slots, plus the
+    // output write.
     let cost = nested_loop_join_cost(outer_plain.len(), inner_plain.len(), bound, out_arity);
     join_span.record_cost(cost.into());
     meter.record(cost);
@@ -624,25 +639,29 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// `bound · |outer|` output prefix.
 ///
 /// This is the operator the join planner substitutes for
-/// [`truncated_nested_loop_join`] on large inner relations: it produces the **same
-/// output contract** (exhaustively padded to `bound · |outer|` entries, identical
-/// real join tuples via [`truncated_match`]) but replaces the `|outer|·|inner|`
-/// compare matrix and the `|outer|` per-buffer sorts with one Batcher sort per run
-/// (the `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of
-/// the two sorted runs, and one Batcher compaction of the
-/// `bound · (|outer| + |inner|)` emission.
+/// [`truncated_nested_loop_join`] where it prices lower (large `|outer|` against a
+/// large inner relation): it produces the **same output contract** (exhaustively
+/// padded to `bound · |outer|` entries, identical real join tuples via
+/// [`truncated_match`]) but replaces the `|outer|·|inner|` compare matrix and the
+/// `|outer|` per-buffer selections with one Batcher sort per run (the
+/// `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of the
+/// two sorted runs, and one compaction of the `bound · (|outer| + |inner|)` emission
+/// by the top-`bound · |outer|` selection network.
 ///
 /// # Leakage
 /// Oblivious: the sort network, the per-position `bound`-slot emission and the
-/// compaction cut are fixed by the public lengths. Cutting the compacted emission at
-/// `bound · |outer|` is safe because at most `bound` real tuples exist per outer
-/// record (Eq. 3), so the prefix length is a public function of `|outer|`.
+/// compaction network with its output wires are fixed by the public lengths.
+/// Cutting the compacted emission at `bound · |outer|` is safe because at most
+/// `bound` real tuples exist per outer record (Eq. 3), so the prefix length is a
+/// public function of `|outer|`.
 ///
 /// # Cost
 /// Exactly [`delta_sort_merge_join_cost`]. The merged union and the compaction
 /// network are priced but not physically permuted — the simulation derives the
 /// identical output from [`truncated_match`] directly, the established idiom for
-/// operators whose data movement does not affect the recovered result.
+/// operators whose data movement does not affect the recovered result. Pricing
+/// the compaction as a selection rather than Example 5.1's full Batcher sort
+/// changes no output: the cut reads only the prefix the selection leaves in order.
 pub fn truncated_sort_merge_delta_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
     inner: &SharedArrayPair,

@@ -56,6 +56,7 @@ pub use shuffle::{
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
-    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view, SortOrder,
+    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view,
+    select_first_pair_count, SortOrder,
 };
 pub use table::PlainTable;

@@ -1,23 +1,26 @@
 //! Cost-based oblivious-join planning.
 //!
-//! The two truncated join operators share one output contract and have sharply
-//! different cost profiles: [`crate::join::truncated_nested_loop_join`]
-//! (Algorithm 4) pays `|outer|·|inner|` secure compares plus `|outer|` per-buffer
-//! Batcher sorts with record-wide swaps, in one round, while
-//! [`crate::join::truncated_sort_merge_delta_join`] (Example 5.1) pays a Batcher
-//! sort of each run, a bitonic merge of the sorted runs and a Batcher compaction
-//! of the `b·(|outer| + |inner|)` emission, over up to five rounds. For tiny inner
-//! relations, large `b` or expensive rounds the nested loop wins; otherwise the
-//! sort-merge form is integer factors cheaper.
+//! The two truncated join operators share one output contract and have different
+//! cost profiles: [`crate::join::truncated_nested_loop_join`] (Algorithm 4) pays
+//! `|outer|·|inner|` secure compares plus `|outer|` per-buffer top-`b` selection
+//! networks with record-wide swaps (`|inner| − 1` comparators each at `b = 1`), in
+//! one round, while [`crate::join::truncated_sort_merge_delta_join`]
+//! (Example 5.1) pays a Batcher sort of each run, a bitonic merge of the sorted
+//! runs and a top-`b·|outer|` selection over the `b·(|outer| + |inner|)` emission,
+//! over up to five rounds. The nested loop is linear in `|inner|` per outer tuple,
+//! so the sort-merge join wins only once the delta itself is large — from a few
+//! dozen rows at `b = 1` under the LAN model (a `k`-step batch of TPC-ds), from
+//! about seventy at `b = 10`. Small deltas, large `b` and expensive rounds keep the
+//! nested loop; at both benchmark window shapes it wins.
 //!
 //! [`JoinShape::candidates`] builds both operators' exact [`CostReport`]s — what
 //! the share-array operators meter — and [`JoinCandidates::choose`] charges the one
 //! whose [`CostModel::simulate`] is lower under the caller's model, ties going to
 //! the nested loop. The planner weighs seconds, not compare counts: under
 //! [`CostModel::wan`] the sort-merge join's extra rounds outweigh the gates it
-//! saves at the TPC-ds window shape, so a compare-count planner would double the
-//! WAN price there. The reports do not depend on the model, so [`PlanMemo`] keeps
-//! them per shape and a lookup costs two dot products.
+//! saves at a `k = 4` TPC-ds batch shape, which a compare-count planner would
+//! charge as the sort-merge join. The reports do not depend on the model, so
+//! [`PlanMemo`] keeps them per shape and a lookup costs two dot products.
 //!
 //! A measured [`Calibration`] (loadable from `bench --bin kernel_throughput` JSON
 //! output) replaces the planning model with host-measured weights.
@@ -405,17 +408,25 @@ mod tests {
             plan_join(shape(0, 0, 1), &lan).algorithm,
             JoinAlgorithm::NestedLoop
         );
-        // Large inner: per-outer Batcher sorts dominate, the run sorts win.
-        let plan = plan_join(shape(8, 2000, 1), &lan);
+        // A small delta keeps the nested loop even against a large inner: at ω = 1
+        // its per-outer selections cost |inner| − 1 comparators each, less than
+        // sorting the inner run.
+        assert_eq!(
+            plan_join(shape(8, 2000, 1), &lan).algorithm,
+            JoinAlgorithm::NestedLoop
+        );
+        // A large delta against a large inner: the |outer|·|inner| compare matrix
+        // dominates, the run sorts win.
+        let plan = plan_join(shape(256, 2000, 1), &lan);
         assert_eq!(plan.algorithm, JoinAlgorithm::SortMerge);
-        let nested_loop = shape(8, 2000, 1).candidates().nested_loop;
+        let nested_loop = shape(256, 2000, 1).candidates().nested_loop;
         assert!(
             3.0 * lan.simulate(&plan.report).as_secs_f64()
                 < lan.simulate(&nested_loop).as_secs_f64()
         );
         // Much bigger bounds penalise the compaction.
         let compares = |bound| {
-            shape(8, 2000, bound)
+            shape(256, 2000, bound)
                 .candidates()
                 .sort_merge
                 .secure_compares
@@ -427,25 +438,27 @@ mod tests {
     fn plan_choices_at_the_benchmark_window_shapes() {
         // What Transform's joins look like once the inner side is the public active
         // window: TPC-ds |Δ| = 7 against 9 batches of 7, ω = 1; CPDB |Δ| = 8
-        // against ~110 public rows, ω = 10. Under the LAN model sort-merge wins the
-        // first and its `ω·n` compaction loses the second; under WAN its extra
-        // rounds lose the first too — no single operator wins everywhere.
+        // against ~110 public rows, ω = 10. With Algorithm 4's buffers priced as
+        // top-ω selections the nested loop wins both under LAN and WAN.
         let (lan, wan) = (CostModel::default(), CostModel::wan());
-        assert_eq!(
-            plan_join(shape(7, 63, 1), &lan).algorithm,
-            JoinAlgorithm::SortMerge
-        );
-        assert_eq!(
-            plan_join(shape(8, 110, 10), &lan).algorithm,
-            JoinAlgorithm::NestedLoop
-        );
-        assert_eq!(
-            plan_join(shape(7, 63, 1), &wan).algorithm,
-            JoinAlgorithm::NestedLoop
-        );
+        for model in [lan, wan] {
+            for window in [shape(7, 63, 1), shape(8, 110, 10)] {
+                assert_eq!(
+                    plan_join(window, &model).algorithm,
+                    JoinAlgorithm::NestedLoop
+                );
+            }
+        }
+        // A large delta still tips LAN to sort-merge: a k = 4 TPC-ds batch joins 28
+        // rows against the first step's window plus the 21 rows the earlier steps
+        // append. Under WAN the extra rounds lose it again — no single operator
+        // wins everywhere.
+        let batch = shape(28, 84, 1);
+        assert_eq!(plan_join(batch, &lan).algorithm, JoinAlgorithm::SortMerge);
+        assert_eq!(plan_join(batch, &wan).algorithm, JoinAlgorithm::NestedLoop);
         // A compare-count planner would pick sort-merge under WAN as well.
-        let tpcds = shape(7, 63, 1).candidates();
-        assert!(tpcds.sort_merge.secure_compares < tpcds.nested_loop.secure_compares);
+        let batch = batch.candidates();
+        assert!(batch.sort_merge.secure_compares < batch.nested_loop.secure_compares);
     }
 
     #[test]
@@ -582,10 +595,12 @@ mod tests {
             ..Calibration::default()
         }
         .cost_model();
+        // |Δ| = 32 at ω = 1, where the compare-only model picks sort-merge on most
+        // inner sizes.
         let mut flipped = 0usize;
         for inner in 1..=4096usize {
-            let base = plan_join(shape(8, inner, 1), &compare_only);
-            let calibrated = plan_join(shape(8, inner, 1), &swap_heavy);
+            let base = plan_join(shape(32, inner, 1), &compare_only);
+            let calibrated = plan_join(shape(32, inner, 1), &swap_heavy);
             if base.algorithm != calibrated.algorithm {
                 flipped += 1;
                 assert!(
@@ -629,8 +644,8 @@ mod tests {
     #[test]
     fn channel_round_weight_prices_transport() {
         // The calibrated model prices each protocol round at the measured channel
-        // round, on top of the gate-only figure — enough, here, to move the TPC-ds
-        // window shape back to the one-round nested loop.
+        // round, on top of the gate-only figure — enough, here, to move a k = 4
+        // TPC-ds batch shape back to the one-round nested loop.
         let transported = Calibration {
             secs_per_channel_round: 1e-2,
             ..Calibration::default()
@@ -644,13 +659,13 @@ mod tests {
         let secs =
             |calibration: Calibration| calibration.cost_model().simulate(&report).as_secs_f64();
         assert!((secs(transported) - secs(Calibration::default()) - 3.0e-2).abs() < 1e-9);
-        let tpcds = shape(7, 63, 1);
+        let batch = shape(28, 84, 1);
         assert_eq!(
-            plan_join(tpcds, &Calibration::default().cost_model()).algorithm,
+            plan_join(batch, &Calibration::default().cost_model()).algorithm,
             JoinAlgorithm::SortMerge
         );
         assert_eq!(
-            plan_join(tpcds, &transported.cost_model()).algorithm,
+            plan_join(batch, &transported.cost_model()).algorithm,
             JoinAlgorithm::NestedLoop
         );
 

@@ -3,15 +3,16 @@
 //! The comparison/swap schedule of a sorting network depends only on the input
 //! *length*, never on the data, which is what makes it oblivious: executed inside a
 //! 2PC, the servers learn nothing beyond the (public) array size. The paper uses
-//! Batcher networks for both the truncated sort-merge join (Example 5.1) and the cache
-//! read of the Shrink protocols (Figure 3, `ObliSort(σ, key = isView)`).
+//! Batcher networks for the truncated joins (Algorithm 4's per-outer buffers,
+//! Example 5.1's union sort and compaction) and the cache read of the Shrink
+//! protocols (Figure 3, `ObliSort(σ, key = isView)`).
 //!
 //! The network is generated for arbitrary lengths by conceptually padding to the next
 //! power of two with `+∞` keys at the tail and dropping comparators that touch the
 //! padding — a standard, correctness-preserving specialisation of Batcher's
 //! construction.
 //!
-//! Two physical-layer notes:
+//! Three notes beyond the plain sort:
 //!
 //! * The sorts here execute as a **blocked, packed-word kernel**: each record's key
 //!   is extracted once, from the share words it is made of, and packed with the
@@ -30,6 +31,12 @@
 //!   what was appended since the last one, and [`oblivious_merge_by_is_view`] — the
 //!   merge-only operator, no sort — folds two adjacent runs into one, moving the
 //!   records in place along the cycles of the network's permutation.
+//! * For sorting an array only to keep its first `k` slots — what both truncated
+//!   joins do — a full sort pays for an order the output never reads:
+//!   [`select_first_pairs`] is the top-`k` selection network (Batcher-sorted blocks
+//!   of `k`, then a tournament of bitonic merges that keep `k` wires each), and
+//!   [`select_first_pair_count`] prices it — `n − 1` comparators at `k = 1`, never
+//!   more than [`batcher_pair_count`]`(n)`.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -256,6 +263,97 @@ pub fn bitonic_merge_pair_count(n: usize) -> u64 {
         k /= 2;
     }
     count
+}
+
+/// Compare-exchange pairs and output wires of the **top-`k` selection network** over
+/// `n` wires: each pair `(lo, hi)` leaves the smaller key on wire `lo` and the larger
+/// on wire `hi`, and once the pairs have run in order the `min(k, n)` returned output
+/// wires hold the `k` smallest keys, ascending. The materialised reference for
+/// [`select_first_pair_count`], as [`batcher_pairs`] is for [`batcher_pair_count`].
+///
+/// Construction: Batcher-sort the wires in blocks of `k` (the last block may be
+/// shorter), then merge the sorted survivor lists pairwise in a tournament — level
+/// by level, neighbours `(0, 1), (2, 3), …`, an odd last list passing up unmerged.
+/// A node over lists `A` and `B` runs [`bitonic_merge_pairs`]`(|A| + |B|)` over the
+/// wires of `reverse(A) ++ B` (valley form) and keeps the first `k` of them. The
+/// reversal only relabels wires inside the network, so it costs no swaps (which is
+/// also why a pair's wires need not ascend). Where this network is not smaller than
+/// the full Batcher sort of `n` wires, the sort is returned instead, with output
+/// wires `0..min(k, n)`.
+///
+/// The schedule is a function of the public `(n, k)` alone: a circuit that sorts an
+/// array only to read its first `k` slots can run this instead, with the same
+/// output and the same leakage.
+pub fn select_first_pairs(n: usize, k: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+    if n == 0 || k == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let mut pairs = Vec::new();
+    // Sorted survivor lists: wires holding ascending keys.
+    let mut lists: Vec<Vec<usize>> = Vec::new();
+    for start in (0..n).step_by(k) {
+        let len = k.min(n - start);
+        let block = batcher_pairs(len).into_iter();
+        pairs.extend(block.map(|(lo, hi)| (start + lo, start + hi)));
+        lists.push((start..start + len).collect());
+    }
+    while lists.len() > 1 {
+        let mut level = lists.into_iter();
+        lists = Vec::new();
+        while let Some(a) = level.next() {
+            let Some(b) = level.next() else {
+                lists.push(a);
+                break;
+            };
+            let mut valley: Vec<usize> = a.into_iter().rev().chain(b).collect();
+            let merge = bitonic_merge_pairs(valley.len()).into_iter();
+            pairs.extend(merge.map(|(lo, hi)| (valley[lo], valley[hi])));
+            valley.truncate(k);
+            lists.push(valley);
+        }
+    }
+    if pairs.len() as u64 >= batcher_pair_count(n) {
+        return (batcher_pairs(n), (0..k.min(n)).collect());
+    }
+    (pairs, lists.pop().unwrap_or_default())
+}
+
+/// Exact comparator count of [`select_first_pairs`]`(n, k)`, computed without
+/// allocating: every full block sorts the same `batcher_pair_count(k)` network and
+/// every tournament node over two full lists merges the same `2k` wires, so the
+/// count is one loop over the `O(log(n/k))` tournament levels. The short block is
+/// the last list of every level until a full list meets it; that node keeps `k`
+/// wires, so every list above it is full.
+///
+/// At most [`batcher_pair_count`]`(n)`, equal to it when `k ≥ n`, and `n − 1` at
+/// `k = 1`. Join cost models price "sort, then keep the first `k`" with it, and the
+/// join planner calls it on every shape its memo has not seen, hence no allocation.
+#[must_use]
+pub fn select_first_pair_count(n: usize, k: usize) -> u64 {
+    if n < 2 || k == 0 {
+        return 0;
+    }
+    let sort = batcher_pair_count(n);
+    if k >= n {
+        return sort;
+    }
+    let (mut full, short) = (n / k, n % k);
+    let mut count = full as u64 * batcher_pair_count(k) + batcher_pair_count(short);
+    let full_merge = bitonic_merge_pair_count(2 * k);
+    let mut short = (short > 0).then_some(short);
+    while full + usize::from(short.is_some()) > 1 {
+        count += (full / 2) as u64 * full_merge;
+        match short {
+            // An odd number of full lists: the last one meets the short list.
+            Some(len) if full % 2 == 1 => {
+                count += bitonic_merge_pair_count(k + len);
+                full = full / 2 + 1;
+                short = None;
+            }
+            _ => full -= full / 2,
+        }
+    }
+    count.min(sort)
 }
 
 /// Charge one Batcher network pass over `n` records of `width` shared words —
@@ -667,6 +765,95 @@ mod tests {
         }
     }
 
+    /// Run a [`select_first_pairs`] network over `keys` — min to the pair's first
+    /// wire — and read its output wires.
+    fn run_selection<T: Copy + Ord>(
+        (pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>),
+        keys: &mut [T],
+    ) -> Vec<T> {
+        for &(lo, hi) in pairs {
+            if keys[lo] > keys[hi] {
+                keys.swap(lo, hi);
+            }
+        }
+        outputs.iter().map(|&wire| keys[wire]).collect()
+    }
+
+    #[test]
+    fn select_count_matches_materialized_network() {
+        for n in 0..=300usize {
+            let ks = [0, 1, 2, 3, 5, 7, 8, 10, 16, 31, 64];
+            let edges = [n.saturating_sub(1), n, n + 1];
+            for k in ks.into_iter().chain(edges) {
+                let (pairs, outputs) = select_first_pairs(n, k);
+                assert_eq!(
+                    select_first_pair_count(n, k),
+                    pairs.len() as u64,
+                    "n={n} k={k}"
+                );
+                assert_eq!(outputs.len(), k.min(n), "n={n} k={k}");
+                assert!(pairs.iter().all(|&(lo, hi)| lo != hi && lo.max(hi) < n));
+            }
+        }
+        // The emission shapes of the benchmark workloads' delta sort-merge joins.
+        for n in [1180usize, 4096, 20_080] {
+            for k in [1, 7, 10, 80, 100, n / 2, n - 1] {
+                let pairs = select_first_pairs(n, k).0;
+                assert_eq!(
+                    select_first_pair_count(n, k),
+                    pairs.len() as u64,
+                    "n={n} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_count_is_bounded_by_the_sort_and_linear_at_k_one() {
+        for n in 0..=2000usize {
+            let sort = batcher_pair_count(n);
+            assert_eq!(
+                select_first_pair_count(n, 1),
+                n.saturating_sub(1) as u64,
+                "n={n}"
+            );
+            for k in [1usize, 2, 3, 7, 10, 16, 64, 100, n / 3, n / 2] {
+                assert!(select_first_pair_count(n, k) <= sort, "n={n} k={k}");
+            }
+            for k in [n, n + 1, 2 * n + 5] {
+                assert_eq!(select_first_pair_count(n, k), sort, "n={n} k={k}");
+            }
+        }
+        // The per-outer buffers of the benchmark windows (TPC-ds 63 rows at ω = 1,
+        // CPDB 110 at ω = 10) and a 7-of-70 emission.
+        assert_eq!(select_first_pair_count(63, 1), 62);
+        assert_eq!(batcher_pair_count(63), 537);
+        assert_eq!(select_first_pair_count(110, 10), 752);
+        assert_eq!(batcher_pair_count(110), 1243);
+        assert_eq!(select_first_pair_count(70, 7), 385);
+        assert_eq!(batcher_pair_count(70), 731);
+    }
+
+    #[test]
+    fn selection_keeps_the_first_values_of_every_01_input() {
+        // The 0-1 principle holds for selection networks: a network that leaves the
+        // first min(k, n) values of the sorted input, ascending, on its output
+        // wires for every 0-1 input does so for every input.
+        for n in 0..=12usize {
+            for k in 0..=n + 1 {
+                let network = select_first_pairs(n, k);
+                for bits in 0u32..1 << n {
+                    let mut keys: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
+                    let mut expect = keys.clone();
+                    expect.sort_unstable();
+                    expect.truncate(k);
+                    let got = run_selection(&network, &mut keys);
+                    assert_eq!(got, expect, "n={n} k={k} bits={bits:b}");
+                }
+            }
+        }
+    }
+
     /// The record-at-a-time sort loop — one recovered comparison and one whole-record
     /// swap per comparator of the materialised network — kept as the reference
     /// implementation the engine is held to below.
@@ -1069,6 +1256,22 @@ mod tests {
                 }
             }
             prop_assert_eq!(merged, batcher);
+        }
+
+        /// Distinct `(¬isView, position)` keys — the order the delta sort-merge
+        /// join's compaction keeps — so the output wires must hold exactly the
+        /// first `k` real positions, then the first dummies.
+        #[test]
+        fn prop_selection_keeps_the_first_real_positions(
+            is_view in proptest::collection::vec(any::<bool>(), 0..301),
+            k in 0usize..=320,
+        ) {
+            let mut keys: Vec<(bool, usize)> = is_view.iter().map(|&real| !real).zip(0..).collect();
+            let mut expect = keys.clone();
+            expect.sort_unstable();
+            expect.truncate(k);
+            let network = select_first_pairs(keys.len(), k);
+            prop_assert_eq!(run_selection(&network, &mut keys), expect);
         }
 
         #[test]
