@@ -290,6 +290,31 @@ fn threaded_runtime_replays_elastic_runs_bit_for_bit() {
     }
 }
 
+/// The threaded broker pauses only after steps that plan moves, and queries
+/// ride every `query_interval`-th step: with a query every third step, some
+/// pauses fall between query steps and the replay must still be exact.
+#[test]
+fn threaded_runtime_replays_elastic_runs_with_sparse_queries_bit_for_bit() {
+    let config = IncShrinkConfig {
+        query_interval: 3,
+        ..timer_cfg()
+    };
+    let dataset = skewed(36, 1.2, 23);
+    let (sequential, threaded) =
+        run_both_elastic(&dataset, config, 4, 0x9A9A, ElasticConfig::default());
+    let migration_steps: Vec<u64> = ledger(&sequential.1)
+        .iter()
+        .filter(|e| e.mechanism == "elastic.migrate")
+        .filter_map(|e| e.step)
+        .collect();
+    assert!(
+        migration_steps.iter().any(|t| t % 3 != 0),
+        "no move fell between query steps: {migration_steps:?}"
+    );
+    assert_eq!(sequential.0.summary.queries_issued, 36 / 3);
+    assert_elastic_bit_for_bit(&sequential, &threaded);
+}
+
 /// A one-shard cluster with migration disabled exercises the DP-cut machinery
 /// with nothing to rebalance; the threaded runtime must still replay the
 /// sequential driver bit for bit.

@@ -14,14 +14,14 @@ use std::time::Duration;
 
 use incshrink::prelude::*;
 use incshrink_cluster::{
-    shard_config, ClusterRunReport, ParallelRunReport, ParallelShardedSimulation, RoutingPolicy,
-    ShardedSimulation,
+    shard_config, ClusterRunReport, ElasticConfig, ParallelRunReport, ParallelShardedSimulation,
+    RoutingPolicy, ShardedSimulation,
 };
 use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
 use incshrink_mpc::{PartyMode, PARTY_CRASH_MESSAGE};
 use incshrink_telemetry::audit::{canonical_observable_trace, LedgerSummary};
 use incshrink_telemetry::{install, Event, InMemory};
-use incshrink_workload::to_store_partitioned;
+use incshrink_workload::{to_store_partitioned, to_zipf_skewed};
 use proptest::prelude::*;
 
 fn tpcds(steps: u64, seed: u64) -> Dataset {
@@ -278,6 +278,51 @@ fn shard_thread_panic_propagates_to_the_driver() {
             "driver panic must carry the shard thread's payload, got: {message:?}"
         );
     }
+}
+
+/// With elastic rebalancing on, the broker pauses after every step that plans
+/// moves and otherwise runs ahead of the driver; a crash hook set inside such a
+/// stretch still fires at the start of its step and reaches the driver.
+#[test]
+fn crash_inside_a_run_ahead_stretch_propagates_to_the_driver() {
+    let dataset = to_store_partitioned(&to_zipf_skewed(&tpcds(20, 24), 1.2, 24), 8, 0.5, 77);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ParallelShardedSimulation::new(dataset, timer_cfg(), 4, 0xBAD)
+            .with_routing_policy(RoutingPolicy::shuffled())
+            .with_elastic(ElasticConfig::default())
+            .with_injected_crash(2, 7)
+            .run()
+    }))
+    .expect_err("injected shard crash must panic the driver");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default();
+    assert!(
+        message.contains("injected crash on shard 2 at step 7"),
+        "driver panic must carry the shard thread's payload, got: {message:?}"
+    );
+}
+
+/// `step_wall_secs` are the intervals between consecutive step completions at
+/// the driver: one per step, summing to no more than the run's wall time.
+#[test]
+fn step_wall_secs_are_completion_intervals_within_the_run_wall() {
+    let dataset = to_store_partitioned(&tpcds(30, 27), 8, 0.5, 77);
+    let run = ParallelShardedSimulation::new(dataset, timer_cfg(), 2, 0x5EC5)
+        .with_routing_policy(RoutingPolicy::shuffled())
+        .with_elastic(ElasticConfig::default())
+        .run();
+    let intervals = &run.runtime.step_wall_secs;
+    assert_eq!(intervals.len(), 30, "one interval per step");
+    assert!(intervals.iter().all(|&secs| secs >= 0.0));
+    let sum: f64 = intervals.iter().sum();
+    assert!(
+        sum <= run.runtime.total_wall_secs,
+        "step intervals sum to {sum} s, above the run's {} s",
+        run.runtime.total_wall_secs
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! Configurations the cluster driver rejects at `run`: each one must be refused
 //! with the same message whichever host the shards would have run on, and — on
-//! the threaded front — before any worker thread exists.
+//! the threaded front — before any worker thread exists. The threads-only crash
+//! hooks are rejected there too when they name a shard the cluster lacks.
 //!
 //! This file holds a single test on purpose: it swaps the process-wide panic
 //! hook around each rejected run, which concurrent tests would race.
@@ -106,6 +107,26 @@ fn both_fronts_reject_the_same_configurations_before_any_thread_is_spawned() {
         assert_eq!(
             owners_at_panic, baseline,
             "a worker thread held the collectors when {fragment:?} was rejected"
+        );
+    }
+
+    type Hook = fn(ParallelShardedSimulation, usize, u64) -> ParallelShardedSimulation;
+    let hooks: [Hook; 2] = [
+        ParallelShardedSimulation::with_injected_crash,
+        ParallelShardedSimulation::with_injected_party_crash,
+    ];
+    for hook in hooks {
+        let (message, owners_at_panic) = rejected(&sink, || {
+            let sim = ParallelShardedSimulation::new(co_partitioned.clone(), timer, 2, 5);
+            let _ = hook(sim, 2, 3).run();
+        });
+        assert!(
+            message.contains("a crash hook names shard 2, but the cluster has 2 shards"),
+            "unexpected rejection: {message:?}"
+        );
+        assert_eq!(
+            owners_at_panic, baseline,
+            "a worker thread held the collectors when a crash hook was rejected"
         );
     }
     assert!(sink.take().is_empty(), "a rejected run emitted events");

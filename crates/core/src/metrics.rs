@@ -49,9 +49,11 @@ pub struct Summary {
     /// *real* measurement (unlike the simulated columns), the quantity the SoA
     /// kernel work optimizes (summed across shards for cluster runs).
     pub host_transform_secs: f64,
-    /// Host wall-clock seconds spent executing queries (scatter-gather included;
-    /// summed across shards for cluster runs). Excluded from `PartialEq` like
-    /// [`Self::host_transform_secs`].
+    /// Host wall-clock seconds spent executing queries, summed over queries. A
+    /// single pair times each query's evaluation; a cluster run charges each
+    /// query the slowest shard's evaluation time (shards answer concurrently,
+    /// right after their step) plus the driver's merge time. Excluded from
+    /// `PartialEq` like [`Self::host_transform_secs`].
     pub host_query_secs: f64,
     /// Host wall-clock seconds of the cluster shuffle phase, clocked per step
     /// around everything the phase does on the host: sealing every arrival
@@ -221,7 +223,7 @@ impl SummaryBuilder {
         self.host_transform_secs += secs;
     }
 
-    /// Record host wall-clock seconds spent executing queries (additive per shard).
+    /// Record host wall-clock seconds spent executing queries (additive).
     pub fn record_host_query_secs(&mut self, secs: f64) {
         self.host_query_secs += secs;
     }

@@ -312,7 +312,10 @@ impl std::error::Error for AuditError {}
 /// binary does) are segmented at step-counter resets: observable steps within
 /// one simulation only ever advance, so an observable whose step is *smaller*
 /// than its predecessor's marks the start of a new run, and the structural
-/// checks restart with it.
+/// checks restart with it. Shuffle buckets are segmented on their own stream:
+/// one thread emits every bucket observe of a run in step order, while a
+/// threaded cluster's broker runs ahead of the shards, so their observes for
+/// earlier steps interleave with the buckets of later ones.
 ///
 /// Exact checks run for each `Some` field of [`Expectations`]; the window check
 /// is the one place a span is audited (its `window_rows` stamp, not its timing).
@@ -333,6 +336,8 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
     // order).
     type BucketLanes = Vec<(Option<u64>, Vec<u64>)>;
     let mut bucket_lanes: Vec<((u64, u64), BucketLanes)> = Vec::new();
+    let mut bucket_run = 0u64;
+    let mut last_bucket_step: Option<u64> = None;
     // Per-shard upload batches `(step, size)` still inside the window. Segmented
     // on its own: a shard's upload steps only ever advance within one run.
     type Uploads = Vec<(u64, u64)>;
@@ -385,13 +390,17 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
                         }
                     }
                     ObserveKind::ShuffleBucket => {
+                        if last_bucket_step.is_some_and(|last| o.step < last) {
+                            bucket_run += 1;
+                        }
+                        last_bucket_step = Some(o.step);
                         let lanes = match bucket_lanes
                             .iter_mut()
-                            .find(|(key, _)| *key == (run, o.step))
+                            .find(|(key, _)| *key == (bucket_run, o.step))
                         {
                             Some((_, lanes)) => lanes,
                             None => {
-                                bucket_lanes.push(((run, o.step), Vec::new()));
+                                bucket_lanes.push(((bucket_run, o.step), Vec::new()));
                                 &mut bucket_lanes.last_mut().expect("just pushed").1
                             }
                         };
@@ -674,6 +683,43 @@ mod tests {
         skew[3] = ob(ObserveKind::ShuffleBucket, 1, Some(1), 5);
         let err = check_trace(&skew, &Expectations::default()).expect_err("destination skew");
         assert!(err.to_string().contains("asymmetric"));
+    }
+
+    #[test]
+    fn bucket_symmetry_is_segmented_on_the_bucket_stream_alone() {
+        let bucket = |step: u64, shard: u64, count: u64| {
+            ob(ObserveKind::ShuffleBucket, step, Some(shard), count)
+        };
+        let append = |step: u64, shard: u64| ob(ObserveKind::CacheAppend, step, Some(shard), 8);
+        // A threaded broker routes step 3 (left relation, then right) while
+        // the shards still append for step 1. Segmenting on every observable
+        // would cut step 3 between its two phases and compare [6] with [4].
+        let interleaved = vec![
+            bucket(3, 0, 6),
+            append(1, 0),
+            bucket(3, 1, 6),
+            bucket(3, 0, 4),
+            append(1, 1),
+            bucket(3, 1, 4),
+        ];
+        check_trace(&interleaved, &Expectations::default()).expect("interleaving is clean");
+        // A genuinely asymmetric step is still caught through the interleaving.
+        let mut skew = interleaved.clone();
+        skew[5] = bucket(3, 1, 5);
+        let err = check_trace(&skew, &Expectations::default()).expect_err("destination skew");
+        assert!(err.to_string().contains("step 3 are asymmetric"), "{err}");
+        // A second run, over three shards, restarts the bucket stream at step
+        // 1: merged into the first run's step 1, shard 2's lane would be short.
+        let first = vec![
+            bucket(1, 0, 6),
+            bucket(1, 1, 6),
+            append(1, 0),
+            bucket(2, 0, 6),
+            bucket(2, 1, 6),
+        ];
+        let second = vec![bucket(1, 0, 9), bucket(1, 1, 9), bucket(1, 2, 9)];
+        check_trace(&[first, second].concat(), &Expectations::default())
+            .expect("runs are segmented at bucket-step resets");
     }
 
     #[test]
