@@ -42,8 +42,7 @@ pub fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
 /// binary writes: the binary name, a schema version, run metadata (the sorted
 /// `INCSHRINK_*` environment knobs that shaped the run), and the payload under a
 /// `"rows"` key. One envelope shape across all binaries means downstream tooling
-/// (and `incshrink_oblivious::planner::Calibration::from_json_str`) parses every
-/// `results/*.json` the same way.
+/// parses every `results/*.json` the same way.
 #[must_use]
 pub fn envelope<T: Serialize + ?Sized>(bin: &str, rows: &T) -> serde_json::Value {
     use serde::Value;

@@ -934,7 +934,7 @@ impl<H> ClusterSimulation<H> {
     /// *arrival* shard and re-routed through the shuffle phase each step.
     fn set_up(&self, ingest_chunk_seed: Option<u64>) -> (Vec<Shard>, Option<ShuffleState>) {
         assert_routable(&self.dataset, self.shards, self.routing);
-        assert_elastic_viable(&self.config, self.routing, self.elastic.as_ref());
+        assert_elastic_viable(self.routing, self.elastic.as_ref());
         let (dataset, shards, seed) = (&self.dataset, self.shards, self.seed);
         let per_shard_config = shard_config(&self.config, shards);
         let router = ShardRouter::new(shards);
@@ -1140,8 +1140,7 @@ impl ClusterSimulation<Inline> {
     /// column differs from the join key) but the routing policy is
     /// [`RoutingPolicy::CoPartitioned`]: maintaining such a view shard-locally
     /// would silently lose every cross-shard join pair. Also panics when
-    /// [`Self::with_elastic`] is combined with co-partitioned routing, or
-    /// elastic migration with `transform_batch > 1`.
+    /// [`Self::with_elastic`] is combined with co-partitioned routing.
     #[must_use]
     pub fn run(self) -> ClusterRunReport {
         let (shards, shuffle) = self.set_up(None);

@@ -183,19 +183,16 @@ impl ClusterRunReport {
 ///   entries `f` single-pair steps accumulate, so a shard accruing at `1/S` of that
 ///   rate reaches the same fill level only every `S·f` steps. Leaving `f` at the
 ///   single-pair cadence would make each shard flush `S×` too often relative to its
-///   arrival rate — extra counter-inspecting Shrink actions that both break the
-///   per-shard padding argument below and force the deferred Transform batch to
-///   flush early, defeating `transform_batch > 1`. Fewer, equally sized
+///   arrival rate — extra counter-inspecting Shrink actions that break the
+///   per-shard padding argument below. Fewer, equally sized
 ///   releases per shard is also what bounds the per-shard dummy padding: each
 ///   release pads by `O(b·S/ε)` expected dummies, so keeping the *number* of
 ///   releases (synchronizations *and* flushes) at `1/S` of the single-pair run keeps
 ///   per-shard padding at the single-pair level while the real entries shrink by
 ///   `1/S`.
 ///
-/// The incremental-execution knob (`transform_batch` `k`) passes through
-/// untouched: each shard pipeline batches and plans its own Transform, and
-/// because batching never changes what a pipeline releases, cluster traces are
-/// invariant in `k` exactly like single-pair traces.
+/// Everything else passes through untouched: each shard pipeline runs one
+/// Transform per upload step and plans its joins under the run's cost model.
 #[must_use]
 pub fn shard_config(config: &IncShrinkConfig, shards: usize) -> IncShrinkConfig {
     let mut cfg = *config;
@@ -234,29 +231,16 @@ pub(crate) fn assert_routable(dataset: &Dataset, shards: usize, routing: Routing
     }
 }
 
-/// Panic unless the elastic control-plane configuration (if any) is viable for
-/// this run: the control plane drives the shuffle phase's routing table (there
-/// is nothing to adapt under co-partitioned arrivals), and migration moves
-/// shard state between steps, which a deferred Transform batch would straddle.
-pub(crate) fn assert_elastic_viable(
-    config: &IncShrinkConfig,
-    routing: RoutingPolicy,
-    elastic: Option<&ElasticConfig>,
-) {
-    let Some(cfg) = elastic else { return };
+/// Panic unless the elastic control plane (if any) has something to drive: it
+/// adapts the shuffle phase's routing table, and co-partitioned arrivals have
+/// no shuffle.
+pub(crate) fn assert_elastic_viable(routing: RoutingPolicy, elastic: Option<&ElasticConfig>) {
     assert!(
-        matches!(routing, RoutingPolicy::Shuffled { .. }),
+        elastic.is_none() || matches!(routing, RoutingPolicy::Shuffled { .. }),
         "the elastic control plane drives the shuffle phase's routing table: \
          use RoutingPolicy::Shuffled (co-partitioned arrivals have no shuffle \
          to adapt)"
     );
-    if cfg.enable_migration {
-        assert!(
-            config.transform_batch <= 1,
-            "elastic migration cannot relocate shard state around a deferred \
-             Transform batch: use transform_batch = 1 or disable migration"
-        );
-    }
 }
 
 /// Construct pre-partitioned shard datasets into pipelines on the cluster's

@@ -131,8 +131,8 @@ fn assert_bit_for_bit(
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance sweep: both workloads × S ∈ {1, 2, 4} × both routing policies
-// × transform batch k ∈ {1, 4}, every cell bit-for-bit.
+// The acceptance sweep: both workloads × S ∈ {1, 2, 4} × both routing policies,
+// every cell bit-for-bit.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -141,17 +141,14 @@ fn threaded_runtime_replays_sequential_bit_for_bit_across_the_matrix() {
     for (base, config) in [(tpcds(36, 21), timer_cfg()), (cpdb(30, 22), ant_cfg())] {
         for shards in [1usize, 2, 4] {
             for routing in [RoutingPolicy::CoPartitioned, RoutingPolicy::shuffled()] {
-                for k in [1u64, 4] {
-                    // The shuffled policy earns its keep on workloads that
-                    // arrive partitioned by a non-join attribute.
-                    let dataset = match routing {
-                        RoutingPolicy::CoPartitioned => base.clone(),
-                        RoutingPolicy::Shuffled { .. } => to_store_partitioned(&base, 8, 0.5, 77),
-                    };
-                    let config = config.with_transform_batch(k);
-                    let (sequential, threaded) = run_both(&dataset, config, shards, seed, routing);
-                    assert_bit_for_bit(&sequential, &threaded, shards);
-                }
+                // The shuffled policy earns its keep on workloads that arrive
+                // partitioned by a non-join attribute.
+                let dataset = match routing {
+                    RoutingPolicy::CoPartitioned => base.clone(),
+                    RoutingPolicy::Shuffled { .. } => to_store_partitioned(&base, 8, 0.5, 77),
+                };
+                let (sequential, threaded) = run_both(&dataset, config, shards, seed, routing);
+                assert_bit_for_bit(&sequential, &threaded, shards);
             }
         }
     }
@@ -168,7 +165,6 @@ proptest! {
         sim_seed in 0u64..1024,
         shards_idx in 0usize..3,
         shuffled in any::<bool>(),
-        k_batched in any::<bool>(),
     ) {
         let shards = [1usize, 2, 4][shards_idx];
         let base = TpcDsGenerator::new(WorkloadParams {
@@ -185,8 +181,7 @@ proptest! {
         } else {
             (base, RoutingPolicy::CoPartitioned)
         };
-        let config = timer_cfg().with_transform_batch(if k_batched { 4 } else { 1 });
-        let (sequential, threaded) = run_both(&dataset, config, shards, sim_seed, routing);
+        let (sequential, threaded) = run_both(&dataset, timer_cfg(), shards, sim_seed, routing);
         assert_bit_for_bit(&sequential, &threaded, shards);
     }
 }

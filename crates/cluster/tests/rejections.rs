@@ -67,13 +67,6 @@ fn both_fronts_reject_the_same_configurations_before_any_thread_is_spawned() {
             Some(ElasticConfig::default()),
             "the elastic control plane drives the shuffle phase's routing table",
         ),
-        (
-            &store_partitioned,
-            timer.with_transform_batch(4),
-            RoutingPolicy::shuffled(),
-            Some(ElasticConfig::default()),
-            "elastic migration cannot relocate shard state around a deferred Transform batch",
-        ),
     ];
 
     let sink = Arc::new(InMemory::new());

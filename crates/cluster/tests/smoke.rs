@@ -52,21 +52,6 @@ fn one_shard_cluster_reproduces_single_pair_simulation_exactly() {
     }
 }
 
-/// The incremental knob rides through the cluster layer unchanged: a 1-shard
-/// cluster at `k = 4`, its joins planned per batch, still replays the single-pair
-/// simulation at the same knob, trace for trace.
-#[test]
-fn one_shard_cluster_preserves_batched_transform_trace() {
-    let seed = 0xBA7C;
-    let config = timer(10).with_transform_batch(4);
-    let dataset = tpcds(60);
-    let single = Simulation::new(dataset.clone(), config, seed).run();
-    let cluster = ShardedSimulation::new(dataset, config, 1, seed).run();
-    assert_eq!(single.steps, cluster.steps);
-    assert_eq!(single.summary, cluster.summary);
-    assert!(single.summary.transform_secure_compares > 0);
-}
-
 /// The equi-join hash partition is lossless: per-shard ground truths sum to the
 /// global ground truth at every step, on both workloads.
 #[test]

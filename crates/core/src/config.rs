@@ -7,12 +7,10 @@
 //! [`IncShrinkConfig::timer_interval_for_threshold`]), truncation bound ω = 1 / 10
 //! and contribution budget b = 10 / 20 for the TPC-ds / CPDB workloads respectively.
 //!
-//! On top of the paper parameters, one incremental-execution knob controls *how* the
-//! same protocol is executed (never *what* it releases):
-//! [`IncShrinkConfig::transform_batch`] (`k`-step join batching). Which truncated-join
-//! operator Transform charges is not a knob: the planner
-//! (`incshrink_oblivious::planner`) charges the cheaper one under the run's cost
-//! model.
+//! There is no execution knob beside the paper parameters: Transform runs once per
+//! upload step, and which truncated-join operator it charges is not a knob either —
+//! the planner (`incshrink_oblivious::planner`) charges the cheaper one under the
+//! run's cost model.
 
 use serde::{Deserialize, Serialize};
 
@@ -93,15 +91,6 @@ pub struct IncShrinkConfig {
     /// Issue the evaluation query every this many steps (1 = every step, as in the
     /// paper's evaluation).
     pub query_interval: u64,
-    /// Transform batching factor `k`: accumulate up to `k` owner upload steps and
-    /// amortize one oblivious join over the batch. `1` (the default) preserves the
-    /// original per-step Transform exactly. Batching only stretches the *join* work —
-    /// the cardinality counter is still reshared once per covered step and the batch
-    /// is always flushed before any Shrink step that inspects the counter, so the DP
-    /// timer/threshold accounting (and hence the privacy guarantee) is untouched.
-    /// Only `sDPTimer` runs benefit from `k > 1`: `sDPANT` inspects the counter every
-    /// step and the non-DP baselines route ΔV per step, forcing an effective `k = 1`.
-    pub transform_batch: u64,
 }
 
 impl IncShrinkConfig {
@@ -116,7 +105,6 @@ impl IncShrinkConfig {
             flush_interval: 2000,
             flush_size: 15,
             query_interval: 1,
-            transform_batch: 1,
         }
     }
 
@@ -131,15 +119,7 @@ impl IncShrinkConfig {
             flush_interval: 2000,
             flush_size: 15,
             query_interval: 1,
-            transform_batch: 1,
         }
-    }
-
-    /// Builder-style override of the Transform batching factor `k`.
-    #[must_use]
-    pub fn with_transform_batch(mut self, k: u64) -> Self {
-        self.transform_batch = k;
-        self
     }
 
     /// Derive the `sDPTimer` interval that corresponds to an `sDPANT` threshold θ for a
@@ -183,9 +163,6 @@ impl IncShrinkConfig {
         if self.query_interval == 0 {
             return Some("query interval must be positive".into());
         }
-        if self.transform_batch == 0 {
-            return Some("transform batch k must be at least 1".into());
-        }
         if let UpdateStrategy::DpTimer { interval } = self.strategy {
             if interval == 0 {
                 return Some("sDPTimer interval must be positive".into());
@@ -217,19 +194,6 @@ mod tests {
         assert_eq!(c.truncation_bound, 10);
         assert_eq!(c.contribution_budget, 20);
         assert!(c.validate().is_none());
-
-        // The incremental knob defaults to per-step Transform.
-        assert_eq!(t.transform_batch, 1);
-        assert_eq!(c.transform_batch, 1);
-    }
-
-    #[test]
-    fn builder_overrides_incremental_knobs() {
-        let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 })
-            .with_transform_batch(4);
-        assert_eq!(cfg.transform_batch, 4);
-        assert!(cfg.validate().is_none());
-        assert!(cfg.with_transform_batch(0).validate().is_some());
     }
 
     #[test]
@@ -265,9 +229,6 @@ mod tests {
         cfg.query_interval = 0;
         assert!(cfg.validate().unwrap().contains("query interval"));
         cfg.query_interval = 1;
-        cfg.transform_batch = 0;
-        assert!(cfg.validate().unwrap().contains("transform batch"));
-        cfg.transform_batch = 1;
         cfg.strategy = UpdateStrategy::DpTimer { interval: 0 };
         assert!(cfg.validate().unwrap().contains("sDPTimer"));
         cfg.strategy = UpdateStrategy::DpAnt { threshold: 0.0 };

@@ -20,12 +20,11 @@ use crate::query::{
     view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
 };
 use crate::shrink::ShrinkProtocol;
-use crate::transform::{BudgetedRecord, PublicRelation, StepInputs, TransformProtocol};
+use crate::transform::{BudgetedRecord, PublicRelation, TransformProtocol};
 use crate::view::{MaterializedView, ViewDefinition};
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
 use incshrink_mpc::party::ObservedEvent;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
-use incshrink_oblivious::planner::Calibration;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, SecureCache, UploadBatch};
@@ -92,12 +91,10 @@ impl RunReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineStepOutcome {
     /// Simulated Transform time; `None` when the strategy did not invoke Transform
-    /// this step (NM always, OTM after its one-time materialization, and every
-    /// accumulation step of a `k > 1` batch, whose deferred work lands on the flush
-    /// step).
+    /// this step (NM always, OTM after its one-time materialization).
     pub transform_duration: Option<SimDuration>,
-    /// Oblivious-operation counts of the Transform invocation that flushed this step
-    /// (`None` whenever `transform_duration` is).
+    /// Oblivious-operation counts of this step's Transform invocation (`None`
+    /// whenever `transform_duration` is).
     pub transform_report: Option<CostReport>,
     /// Simulated Shrink time; `None` for strategies that never run Shrink.
     pub shrink_duration: Option<SimDuration>,
@@ -193,9 +190,6 @@ pub struct ShardPipeline {
     view: MaterializedView,
     transform: TransformProtocol,
     shrink: ShrinkProtocol,
-    /// Upload steps deferred for the next batched Transform flush (empty at every
-    /// Shrink counter inspection — see [`Self::transform_flush_due`]).
-    pending: Vec<StepInputs>,
     truth: Vec<u64>,
     public_right_len: usize,
     left_arity: usize,
@@ -263,7 +257,6 @@ impl ShardPipeline {
             view: MaterializedView::new(),
             transform,
             shrink,
-            pending: Vec::new(),
             truth,
             public_right_len,
             left_arity,
@@ -273,13 +266,6 @@ impl ShardPipeline {
             config,
             cost_model,
         }
-    }
-
-    /// Plan Transform's joins under a measured [`Calibration`] (e.g. loaded from
-    /// `kernel_throughput` output) instead of the run's cost model. `None` — the
-    /// default — plans under the run's model. Releases never depend on it.
-    pub fn set_calibration(&mut self, calibration: Option<Calibration>) {
-        self.transform.set_calibration(calibration);
     }
 
     /// Host wall-clock seconds this pipeline has spent inside Transform invocations
@@ -352,18 +338,8 @@ impl ShardPipeline {
     /// shard's view on their normal cadence, and cluster-level query answers
     /// are sums over all shards, so where a row materializes does not affect
     /// correctness.
-    ///
-    /// # Panics
-    /// Panics when a deferred Transform batch is pending (`transform_batch >
-    /// 1` mid-window): migrating around un-invoked uploads would desynchronize
-    /// the batched replay. The elastic driver migrates only at step boundaries
-    /// where `k = 1` keeps this empty.
     #[must_use]
     pub fn export_partition(&mut self, buckets: &[usize]) -> MigratedPartition {
-        assert!(
-            self.pending.is_empty(),
-            "cannot migrate around a deferred Transform batch (transform_batch > 1)"
-        );
         let mut mask = [false; incshrink_oblivious::shuffle::VIRTUAL_BUCKETS];
         for &b in buckets {
             mask[b] = true;
@@ -510,33 +486,6 @@ impl ShardPipeline {
         self.nm_engine(0).execute(&Query::count()).qet
     }
 
-    /// Whether the deferred Transform batch must flush at step `t`.
-    ///
-    /// The batch flushes when (a) it holds `k` steps, (b) the run ends, or (c) the
-    /// *next thing this step* is a Shrink action that inspects the cardinality
-    /// counter — an `sDPTimer` synchronization or a scheduled cache flush — so the
-    /// counter the DP noise is added to always reflects every uploaded record,
-    /// exactly as in per-step execution. `sDPANT` compares the (noised) counter
-    /// against its threshold *every* step, and the non-DP strategies route ΔV
-    /// directly, so both force an effective `k = 1`; batching pays off on `sDPTimer`
-    /// cadences, where steps between synchronizations never read the counter.
-    fn transform_flush_due(&self, t: u64) -> bool {
-        let k = match self.config.strategy {
-            UpdateStrategy::DpTimer { .. } => self.config.transform_batch.max(1),
-            _ => 1,
-        };
-        if self.pending.len() as u64 >= k || t >= self.dataset.params.steps {
-            return true;
-        }
-        match self.config.strategy {
-            UpdateStrategy::DpTimer { interval } => {
-                t % interval == 0
-                    || (self.config.flush_interval > 0 && t % self.config.flush_interval == 0)
-            }
-            _ => true,
-        }
-    }
-
     /// Build this step's padded owner upload batches from the pipeline's own
     /// workload — the default upload path, factored out so a cluster shuffle phase
     /// can substitute externally routed batches via
@@ -568,9 +517,9 @@ impl ShardPipeline {
     }
 
     /// Move one step's upload batches into the store.
-    fn ingest(&mut self, step: StepInputs) {
-        self.store.ingest(step.delta_left);
-        if let Some(batch) = step.delta_right {
+    fn ingest(&mut self, uploads: StepUploads) {
+        self.store.ingest(uploads.left);
+        if let Some(batch) = uploads.right {
             self.store.ingest(batch);
         }
     }
@@ -595,7 +544,7 @@ impl ShardPipeline {
         let _step_span = incshrink_telemetry::span!("pipeline.step");
         let mut outcome = PipelineStepOutcome::default();
 
-        // --- Owner uploads (fixed-size padded batches every step): deferred for
+        // --- Owner uploads (fixed-size padded batches every step): kept for
         // Transform when the strategy maintains the view, otherwise handed straight
         // to the store.
         let ingest_span = incshrink_telemetry::span!("ingest");
@@ -611,38 +560,32 @@ impl ShardPipeline {
         }
         let routing = delta_routing(self.config.strategy, t);
         let maintained = routing != DeltaRouting::NoTransform && routing != DeltaRouting::Drop;
-        let step = StepInputs {
-            delta_left: uploads.left,
-            delta_right: uploads.right,
-        };
-        if maintained {
-            self.pending.push(step);
+        let uploads = if maintained {
+            Some(uploads)
         } else {
-            self.ingest(step);
-        }
+            self.ingest(uploads);
+            None
+        };
         drop(ingest_span);
 
-        // --- Transform (strategy dependent): flush the accumulated steps when the
-        // batch is full or the DP accounting needs a current counter. OTM after its
+        // --- Transform (strategy dependent), once per upload step. OTM after its
         // one-time materialization and NM only ingest: owners still upload, but the
         // servers perform no view maintenance work.
-        if maintained && self.transform_flush_due(t) {
+        if let Some(uploads) = uploads {
             let mut transform_span = incshrink_telemetry::span!("transform");
             let started = std::time::Instant::now();
-            let transform_outcome = self.transform.invoke_batched(&mut self.ctx, &self.pending);
+            let transform_outcome =
+                self.transform
+                    .invoke(&mut self.ctx, &uploads.left, uploads.right.as_ref());
             self.host_transform_secs += started.elapsed().as_secs_f64();
             transform_span.record_sim_secs(transform_outcome.duration.as_secs_f64());
             transform_span.record_cost(CostDelta {
                 window_rows: transform_outcome.window_rows as u64,
                 ..transform_outcome.report.into()
             });
-            // The covered batches become the newest blocks of the store's window.
+            // The step's batches become the newest blocks of the store's window.
             let ingest_span = incshrink_telemetry::span!("ingest");
-            let mut covered = std::mem::take(&mut self.pending);
-            for step in covered.drain(..) {
-                self.ingest(step);
-            }
-            self.pending = covered;
+            self.ingest(uploads);
             self.debug_assert_windows_agree();
             drop(ingest_span);
             outcome.transform_duration = Some(transform_outcome.duration);
@@ -689,7 +632,6 @@ pub struct Simulation {
     config: IncShrinkConfig,
     seed: u64,
     cost_model: CostModel,
-    calibration: Option<Calibration>,
     party_mode: PartyMode,
 }
 
@@ -708,7 +650,6 @@ impl Simulation {
             config,
             seed,
             cost_model: CostModel::default(),
-            calibration: None,
             party_mode: PartyMode::from_env(),
         }
     }
@@ -717,14 +658,6 @@ impl Simulation {
     #[must_use]
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
         self.cost_model = model;
-        self
-    }
-
-    /// Plan Transform's joins under a measured [`Calibration`] instead of the
-    /// run's cost model.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Option<Calibration>) -> Self {
-        self.calibration = calibration;
         self
     }
 
@@ -744,7 +677,6 @@ impl Simulation {
             config,
             seed,
             cost_model,
-            calibration,
             party_mode,
         } = self;
 
@@ -752,7 +684,6 @@ impl Simulation {
         let kind = dataset.kind;
         let mut pipeline =
             ShardPipeline::with_party_mode(dataset, config, seed, cost_model, party_mode);
-        pipeline.set_calibration(calibration);
 
         let mut builder = SummaryBuilder::new();
         let mut trace = Vec::with_capacity(steps as usize);

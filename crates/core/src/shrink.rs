@@ -224,7 +224,6 @@ mod tests {
             flush_interval: 50,
             flush_size: 5,
             query_interval: 1,
-            transform_batch: 1,
         }
     }
 

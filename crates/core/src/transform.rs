@@ -91,23 +91,13 @@
 //!   selection network ([`incshrink_oblivious::select_first_pair_count`]): the
 //!   same slots on fixed public wires, so ΔV and every released size are those of
 //!   the full sort. At both benchmark window shapes the nested loop wins; the
-//!   sort-merge join wins the larger combined deltas of `k`-step batches.
-//! * **`k`-step batching** — [`TransformProtocol::invoke_batched`] runs up to `k`
-//!   deferred upload steps as one invocation: the per-step plaintext functionality
-//!   (eviction, truncated matching, per-step counter reshares) is the same
-//!   loop body whatever `k` is, and only the pricing differs — each direction is
-//!   planned once over the combined delta against every row one of its steps can
-//!   join with (the first step's window plus the batches the earlier steps
-//!   append); for `k = 1` that is the step's window. Upload epochs are public
-//!   metadata (the servers observe every batch arrival), so restricting the
-//!   batched join to the same cross-epoch pairs the per-step invocations would
-//!   produce costs no extra oblivious work. DP-relevant state — counter values,
-//!   reshare cadence, ΔV contents — is invariant in `k`.
+//!   sort-merge join wins `fig9`'s scaled deltas under the LAN model (TPC-ds at
+//!   scale 4: 28 rows against a 192-row window, ω = 1).
 
 use crate::view::ViewDefinition;
-use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
+use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
 use incshrink_mpc::PartyExec;
-use incshrink_oblivious::planner::{Calibration, JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
+use incshrink_oblivious::planner::{JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
 use incshrink_oblivious::{push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -143,17 +133,6 @@ impl ActiveRecord {
 /// during elastic migration ([`TransformProtocol::export_active`] /
 /// [`TransformProtocol::import_active`]).
 pub type BudgetedRecord = (ActiveRecord, u64);
-
-/// One owner upload step deferred for batched Transform execution: its padded
-/// upload batches. What each delta is joined against — the public active window —
-/// is the protocol's own state, not an input.
-#[derive(Debug, Clone)]
-pub struct StepInputs {
-    /// The left relation's padded upload batch.
-    pub delta_left: UploadBatch,
-    /// The right relation's padded upload batch (absent when the right is public).
-    pub delta_right: Option<UploadBatch>,
-}
 
 /// One accumulated relation as Transform sees it: the *public active window* — the
 /// padded lengths of the upload batches a delta can still join with, which is what
@@ -380,15 +359,13 @@ impl IndexedPublic {
         }
     }
 
-    /// Number of public rows a left delta uploaded over steps `first..=last` scans:
-    /// those timed `[first, last + window]`. A record's time column is its upload
-    /// step, so no row outside that range can satisfy the θ-condition — and the
-    /// range is fixed by the step numbers alone, never by the delta's contents.
-    fn range_len(&self, view: &ViewDefinition, first: u64, last: u64) -> usize {
-        let lo = u32::try_from(first).unwrap_or(u32::MAX);
-        let hi = u32::try_from(last)
-            .unwrap_or(u32::MAX)
-            .saturating_add(view.window);
+    /// Number of public rows a left delta uploaded at `step` scans: those timed
+    /// `[step, step + window]`. A record's time column is its upload step, so no
+    /// row outside that range can satisfy the θ-condition — and the range is fixed
+    /// by the step number alone, never by the delta's contents.
+    fn range_len(&self, view: &ViewDefinition, step: u64) -> usize {
+        let lo = u32::try_from(step).unwrap_or(u32::MAX);
+        let hi = lo.saturating_add(view.window);
         let below = self.times.partition_point(|&t| t < lo);
         self.times.partition_point(|&t| t <= hi) - below
     }
@@ -452,38 +429,19 @@ impl DeltaOut {
     }
 }
 
-/// One direction's planned join within an invocation: its report is charged once,
-/// at the direction's first match.
-struct PlannedJoin {
-    plan: JoinPlan,
-    charged: bool,
+/// Open the span one direction's match runs in, named after the planned operator,
+/// and charge the planned report on the meter and on the span.
+fn join_span(plan: &JoinPlan, meter: &mut CostMeter) -> Span {
+    let mut span = match plan.algorithm {
+        JoinAlgorithm::NestedLoop => incshrink_telemetry::span!("join.nested_loop"),
+        JoinAlgorithm::SortMerge => incshrink_telemetry::span!("join.sort_merge"),
+    };
+    span.record_cost(plan.report.into());
+    meter.record(plan.report);
+    span
 }
 
-impl PlannedJoin {
-    fn new(plan: JoinPlan) -> Self {
-        Self {
-            plan,
-            charged: false,
-        }
-    }
-
-    /// Open the span a match of this direction runs in, named after the planned
-    /// operator. The first one also charges the planned report, on the meter and on
-    /// the span.
-    fn span(&mut self, meter: &mut CostMeter) -> Span {
-        let mut span = match self.plan.algorithm {
-            JoinAlgorithm::NestedLoop => incshrink_telemetry::span!("join.nested_loop"),
-            JoinAlgorithm::SortMerge => incshrink_telemetry::span!("join.sort_merge"),
-        };
-        if !std::mem::replace(&mut self.charged, true) {
-            span.record_cost(self.plan.report.into());
-            meter.record(self.plan.report);
-        }
-        span
-    }
-}
-
-/// Result of one Transform invocation (single-step or batched).
+/// Result of one Transform invocation.
 #[derive(Debug, Clone)]
 pub struct TransformOutcome {
     /// The exhaustively padded ΔV to append to the secure cache.
@@ -494,9 +452,6 @@ pub struct TransformOutcome {
     pub report: CostReport,
     /// Simulated execution time of this invocation.
     pub duration: SimDuration,
-    /// How many owner upload steps this invocation covered (1 for the per-step path,
-    /// up to `k` for batched execution).
-    pub steps_covered: usize,
     /// Inner rows this invocation's joins were priced over, summed over its joins:
     /// public active-window lengths (or the step-fixed range of a public relation).
     pub window_rows: usize,
@@ -507,14 +462,13 @@ pub struct TransformOutcome {
 /// # Leakage
 /// Everything the servers observe — upload batch sizes, ΔV sizes, the counter
 /// reshare cadence, the join operation schedule — is a deterministic function of
-/// public quantities: the padded sizes of the batches uploaded so far, `b`, ω, the
-/// planning cost model and `k`. In particular the inner side of every join is the
+/// public quantities: the padded sizes of the batches uploaded so far, `b`, ω and
+/// the planning cost model. In particular the inner side of every join is the
 /// public active window (padded batch lengths of the last `b/ω − 1` steps, or the
 /// range of the public relation the step numbers fix), never the number of *real*
 /// active records or the span of a delta's private time column: two upload streams
 /// of equal padded sizes get equal `CostReport`s at every step (property-tested in
-/// `tests/incremental.rs`). Batched execution defers join *work*, never messages:
-/// the counter is still reshared once per covered upload step.
+/// `tests/incremental.rs`).
 pub struct TransformProtocol {
     view: ViewDefinition,
     /// `left ⋈ right` and its mirror, built once (each boxes its θ-condition).
@@ -527,8 +481,6 @@ pub struct TransformProtocol {
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
-    /// A measured planning model replacing the run's ([`Calibration`]).
-    calibration: Option<CostModel>,
     /// Both join operators' reports per public shape planned so far.
     plans: PlanMemo,
     /// Upload steps covered so far — the clock the window blocks expire on.
@@ -557,26 +509,10 @@ impl TransformProtocol {
             active_left: ActiveRelation::new(view.left_key),
             active_right: ActiveRelation::new(view.right_key),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
-            calibration: None,
             plans: PlanMemo::default(),
             covered: 0,
             total_truncation_losses: 0,
         }
-    }
-
-    /// Builder-style override of the planning model with a measured
-    /// [`Calibration`] (e.g. loaded from `kernel_throughput` output). `None` (the
-    /// default) plans under the cost model of the context each invocation runs in.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Option<Calibration>) -> Self {
-        self.set_calibration(calibration);
-        self
-    }
-
-    /// In-place variant of [`Self::with_calibration`] for drivers holding the
-    /// protocol inside a pipeline.
-    pub fn set_calibration(&mut self, calibration: Option<Calibration>) {
-        self.calibration = calibration.map(|measured| measured.cost_model());
     }
 
     /// Number of currently active (non-retired) records on each side.
@@ -650,98 +586,42 @@ impl TransformProtocol {
         }
     }
 
-    /// Run one Transform invocation over the owner deltas submitted at a single time
-    /// step: [`Self::invoke_batched`] over one [`StepInputs`] built from clones of
-    /// the given batches.
+    /// Run one Transform invocation over the owner deltas submitted at one upload
+    /// step: eviction of expired records, the truncated match of each delta against
+    /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
+    /// recover/reshare, and the step's arrivals joining the window and turning
+    /// active. Each direction's join is planned on its public shape — `|Δ|` against
+    /// the other side's window rows, or against the public rows the step fixes —
+    /// and charged as the operator the context's cost model prices lower.
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
         delta_left: &UploadBatch,
         delta_right: Option<&UploadBatch>,
     ) -> TransformOutcome {
-        let step = StepInputs {
-            delta_left: delta_left.clone(),
-            delta_right: delta_right.cloned(),
-        };
-        self.invoke_batched(ctx, std::slice::from_ref(&step))
-    }
-
-    /// The inner rows a batch of deferred steps is priced against, per direction
-    /// (left deltas' inner, right deltas' inner): the window the first covered step
-    /// sees plus the batches the earlier steps of this very batch append — every
-    /// row some covered step can still join with. For one step that is its window.
-    fn batch_inner_rows(&self, steps: &[StepInputs]) -> (usize, usize) {
-        let (earlier, last) = steps.split_at(steps.len() - 1);
-        let appended_left: usize = earlier.iter().map(|s| s.delta_left.len()).sum();
-        let appended_right: usize = earlier
-            .iter()
-            .filter_map(|s| s.delta_right.as_ref())
-            .map(UploadBatch::len)
-            .sum();
-        let inner_of_left = match &self.public_right {
-            Some(public) => public.range_len(
-                &self.view,
-                steps[0].delta_left.time,
-                last[0].delta_left.time,
-            ),
-            None => self.active_right.window.rows() + appended_right,
-        };
-        (
-            inner_of_left,
-            self.active_left.window.rows() + appended_left,
-        )
-    }
-
-    /// Run one Transform invocation over up to `k` deferred upload steps.
-    ///
-    /// The plaintext functionality is the sequential composition of the covered
-    /// steps — per step: eviction of expired records, the truncated match of each
-    /// delta against the relation accumulated so far, its `ω`-padded ΔV slice, one
-    /// cardinality recover/reshare (the counter message cadence the servers observe
-    /// is part of the update-pattern leakage and must not change with `k`), and the
-    /// arrivals joining the window and turning active — so ΔV contents, active-set
-    /// evolution and truncation losses do not depend on how steps are grouped. Only
-    /// the price of the oblivious join work does: each direction is planned once
-    /// over the combined delta against every row a covered step can join with
-    /// (`batch_inner_rows`), and charged as the operator the planning model prices
-    /// lower.
-    pub fn invoke_batched(
-        &mut self,
-        ctx: &mut impl PartyExec,
-        steps: &[StepInputs],
-    ) -> TransformOutcome {
-        if steps.is_empty() {
-            return TransformOutcome {
-                delta: SharedArrayPair::new(),
-                new_entries: 0,
-                report: CostReport::default(),
-                duration: SimDuration::ZERO,
-                steps_covered: 0,
-                window_rows: 0,
-            };
-        }
         // Algorithm 1 line 1-2: on the first invocation, initialise and share c = 0.
         if self.covered == 0 {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
         }
 
-        // Relation arities are uniform across a batch; fall back across steps for
-        // all-empty deltas.
-        let left_arity = steps
-            .iter()
-            .find_map(|s| s.delta_left.records.arity())
-            .unwrap_or(2);
+        // Arities fall back for all-empty deltas.
+        let left_arity = delta_left.records.arity().unwrap_or(2);
         let public_arity = || Some(self.public_right.as_ref()?.rows.arity).filter(|&a| a > 0);
-        let right_arity = steps
-            .iter()
-            .find_map(|s| s.delta_right.as_ref().and_then(|d| d.records.arity()))
+        let right_arity = delta_right
+            .and_then(|d| d.records.arity())
             .or_else(public_arity)
             .unwrap_or(left_arity);
         let out_arity = left_arity + right_arity;
         let omega = self.omega as usize;
-        // Plan each direction's join over the combined delta (see the method docs).
-        let (inner_of_left, inner_of_right) = self.batch_inner_rows(steps);
-        let model = self.calibration.unwrap_or_else(|| ctx.cost_model());
+        // Plan each direction's join on its public shape: the inner side is the
+        // other relation's window before this step's arrivals join it.
+        let upload_step = delta_left.time;
+        let inner_of_left = match &self.public_right {
+            Some(public) => public.range_len(&self.view, upload_step),
+            None => self.active_right.window.rows(),
+        };
+        let inner_of_right = self.active_left.window.rows();
+        let model = ctx.cost_model();
         let mut plan = |outer: usize, inner: usize| {
             let shape = JoinShape {
                 outer,
@@ -750,19 +630,11 @@ impl TransformProtocol {
                 out_arity,
                 merged_arity: left_arity.max(right_arity) + 2,
             };
-            PlannedJoin::new(self.plans.plan(shape, &model))
+            self.plans.plan(shape, &model)
         };
-        let outer_of_left = steps.iter().map(|s| s.delta_left.len()).sum();
-        let mut left_join = plan(outer_of_left, inner_of_left);
-        let mut rights = steps
-            .iter()
-            .filter_map(|s| s.delta_right.as_ref())
-            .peekable();
-        let mut right_join = rights
-            .peek()
-            .is_some()
-            .then(|| plan(rights.map(UploadBatch::len).sum(), inner_of_right));
-        let window_rows = inner_of_left + right_join.as_ref().map_or(0, |_| inner_of_right);
+        let left_plan = plan(delta_left.len(), inner_of_left);
+        let right_plan = delta_right.map(|batch| plan(batch.len(), inner_of_right));
+        let window_rows = inner_of_left + right_plan.map_or(0, |_| inner_of_right);
 
         let mut out = DeltaOut {
             rows: SharedArrayPair::with_arity(out_arity),
@@ -770,92 +642,74 @@ impl TransformProtocol {
             omega,
             arity: out_arity,
         };
-        let mut total_new_entries = 0usize;
-        let window_steps = self.window_steps;
+        self.covered += 1;
+        // --- Contribution accounting: records whose last step has passed retire.
+        let outer_left = recover_padded(delta_left);
+        let outer_right = delta_right.map(recover_padded);
+        self.active_left.evict(self.covered);
+        self.active_right.evict(self.covered);
 
-        for step in steps {
-            self.covered += 1;
-            // --- Contribution accounting: records whose last step has passed retire.
-            let outer_left = recover_padded(&step.delta_left);
-            let outer_right = step.delta_right.as_ref().map(recover_padded);
-            self.active_left.evict(self.covered);
-            self.active_right.evict(self.covered);
+        // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
+        debug_assert!(
+            self.public_right.is_none()
+                || delta_left.ids.iter().zip(&outer_left).all(|(id, rec)| {
+                    let time = rec.fields.get(self.view.left_time);
+                    id.is_none() || time.map(|&t| u64::from(t)) == Some(upload_step)
+                }),
+            "the public range is fixed by the step: a record's time is its upload step"
+        );
+        let span = join_span(&left_plan, ctx.meter());
+        let (mut new_entries, mut potential_pairs) = match &self.public_right {
+            Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
+            None => self
+                .active_right
+                .join_into(&mut out, &outer_left, &self.spec, self.covered),
+        };
+        drop(span);
 
-            // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
-            let upload_step = step.delta_left.time;
-            debug_assert!(
-                self.public_right.is_none()
-                    || step
-                        .delta_left
-                        .ids
-                        .iter()
-                        .zip(&outer_left)
-                        .all(|(id, rec)| {
-                            let time = rec.fields.get(self.view.left_time);
-                            id.is_none() || time.map(|&t| u64::from(t)) == Some(upload_step)
-                        }),
-                "the public range is fixed by the step: a record's time is its upload step"
+        // --- ΔV part 2: new right records ⋈ accumulated left relation
+        // (private-right workloads only).
+        if let (Some(outer_right), Some(right_plan)) = (&outer_right, &right_plan) {
+            let span = join_span(right_plan, ctx.meter());
+            let (entries, pairs) = self.active_left.join_into(
+                &mut out,
+                outer_right,
+                &self.spec_reversed,
+                self.covered,
             );
-            let span = left_join.span(ctx.meter());
-            let (mut step_entries, mut potential_pairs) = match &self.public_right {
-                Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
-                None => {
-                    self.active_right
-                        .join_into(&mut out, &outer_left, &self.spec, self.covered)
-                }
-            };
             drop(span);
+            new_entries += entries;
+            potential_pairs += pairs;
+        }
+        // Truncation-loss bookkeeping (evaluation metric, not protocol state).
+        self.total_truncation_losses += potential_pairs.saturating_sub(new_entries as u64);
 
-            // --- ΔV part 2: new right records ⋈ accumulated left relation
-            // (private-right workloads only).
-            if let (Some(outer_right), Some(right_join)) = (&outer_right, &mut right_join) {
-                let span = right_join.span(ctx.meter());
-                let (entries, pairs) = self.active_left.join_into(
-                    &mut out,
-                    outer_right,
-                    &self.spec_reversed,
-                    self.covered,
-                );
-                drop(span);
-                step_entries += entries;
-                potential_pairs += pairs;
-            }
-            // Truncation-loss bookkeeping (evaluation metric, not protocol state).
-            self.total_truncation_losses += potential_pairs.saturating_sub(step_entries as u64);
+        // --- Algorithm 1 lines 4-6: the AND-scan of ΔV, then recover the counter,
+        // add the new cardinality and re-share it with fresh joint randomness.
+        let padded = outer_left.len() + outer_right.as_ref().map_or(0, Vec::len);
+        ctx.meter().ands((padded * omega) as u64);
+        let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
+        ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);
 
-            // --- Algorithm 1 lines 4-6, once per covered step: the AND-scan of this
-            // step's ΔV slice, then recover the counter, add the new cardinality and
-            // re-share it with fresh joint randomness.
-            let padded = outer_left.len() + outer_right.as_ref().map_or(0, Vec::len);
-            ctx.meter().ands((padded * omega) as u64);
-            let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
-            ctx.reshare_and_store(CARDINALITY_SHARE, counter + step_entries as u32);
-            total_new_entries += step_entries;
-
-            // --- The step's batches join the window and their real records become
-            // active (live for the next W steps) for later steps — of this very batch
-            // too, which is how cross-step pairs inside a batch appear.
-            let left = &step.delta_left;
-            let fresh = arrivals(left, outer_left, window_steps);
-            self.active_left
-                .admit(self.covered, window_steps, left.len(), fresh);
-            if let (Some(batch), Some(outer_right)) = (&step.delta_right, outer_right) {
-                let fresh = arrivals(batch, outer_right, window_steps);
-                self.active_right
-                    .admit(self.covered, window_steps, batch.len(), fresh);
-            }
+        // --- The step's batches join the window and their real records become
+        // active (live for the next W steps).
+        let window_steps = self.window_steps;
+        let fresh = arrivals(delta_left, outer_left, window_steps);
+        self.active_left
+            .admit(self.covered, window_steps, delta_left.len(), fresh);
+        if let (Some(batch), Some(outer_right)) = (delta_right, outer_right) {
+            let fresh = arrivals(batch, outer_right, window_steps);
+            self.active_right
+                .admit(self.covered, window_steps, batch.len(), fresh);
         }
 
         let (report, duration) = ctx.charge();
-        for _ in steps {
-            ctx.advance_time_step();
-        }
+        ctx.advance_time_step();
         TransformOutcome {
             delta: out.rows,
-            new_entries: total_new_entries,
+            new_entries,
             report,
             duration,
-            steps_covered: steps.len(),
             window_rows,
         }
     }
@@ -866,6 +720,7 @@ mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
     use incshrink_mpc::{PartyContext, PartyMode};
+    use incshrink_oblivious::plan_join;
     use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
     use proptest::prelude::*;
 
@@ -912,7 +767,6 @@ mod tests {
         // ΔV padded size = ω·(|deltaL| + |deltaR|).
         assert_eq!(out.delta.len(), 4 + 4);
         assert!(out.duration.as_secs_f64() > 0.0);
-        assert_eq!(out.steps_covered, 1);
 
         // Step 2: a matching return for pid 100 arrives within the window.
         let left2 = batch(Relation::Left, 2, &[], 4);
@@ -1273,77 +1127,50 @@ mod tests {
     }
 
     #[test]
-    fn calibration_threads_through_to_adaptive_plan_choices() {
-        // A calibration replaces the planning model and nothing else: a calibrated
-        // run charges exactly what an uncalibrated run under the calibration's own
-        // model charges — and a round-heavy calibration moves a window shaped like
-        // a k = 4 TPC-ds batch (ω = 1, 28-row deltas against up to nine batches of
-        // 28) off the LAN model's sort-merge pick.
-        let round_heavy = Calibration {
-            secs_per_channel_round: 1e-2,
-            ..Calibration::default()
-        };
-        let reports = |calibration: Option<Calibration>, model: CostModel| {
+    fn the_context_cost_model_drives_the_plan_choice() {
+        // 28-row deltas at ω = 1, b = 10 against windows of up to nine batches of
+        // 28: under LAN the sort-merge join wins once the window is large enough,
+        // under WAN its extra rounds keep the nested loop. Each invocation charges
+        // its model's plan for both directions; the plan moves no release.
+        let run = |model: CostModel| {
             let mut ctx = PartyContext::new(PartyMode::InProcess, 9, model);
-            let mut transform =
-                TransformProtocol::new(view_def(), 1, 10, None).with_calibration(calibration);
+            let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
             (1..=12u64)
                 .map(|t| {
-                    let left = batch(Relation::Left, t, &[], 28);
-                    let right = batch(Relation::Right, t, &[], 28);
-                    transform.invoke(&mut ctx, &left, Some(&right)).report
+                    let (left_window, right_window) = transform.window_rows();
+                    let plan = |inner| plan_join(shape_28(inner), &model);
+                    let plans = [plan(right_window), plan(left_window)];
+                    let left = batch(Relation::Left, t, &[(2 * t, 1, t as u32)], 28);
+                    let right = batch(Relation::Right, t, &[(2 * t + 1, 1, t as u32)], 28);
+                    let out = transform.invoke(&mut ctx, &left, Some(&right));
+                    let joins: CostReport = plans.iter().map(|plan| plan.report).sum();
+                    let rest = out.report.saturating_sub(joins);
+                    assert_eq!(rest + joins, out.report, "t={t}: both plans are charged");
+                    (plans[0].algorithm, rest, out.delta.len(), out.new_entries)
                 })
                 .collect::<Vec<_>>()
         };
-        let lan = reports(None, CostModel::default());
-        let calibrated = reports(Some(round_heavy), CostModel::default());
-        assert_eq!(calibrated, reports(None, round_heavy.cost_model()));
-        assert_ne!(
-            calibrated, lan,
-            "a round-heavy calibration must move a plan choice"
+        let (lan, wan) = (run(CostModel::default()), run(CostModel::wan()));
+        assert!(
+            lan.iter().zip(&wan).any(|(l, w)| {
+                (l.0, w.0) == (JoinAlgorithm::SortMerge, JoinAlgorithm::NestedLoop)
+            }),
+            "no step where LAN plans sort-merge and WAN the nested loop"
         );
-        assert_eq!(reports(None, CostModel::default()), lan);
+        for (t, (l, w)) in lan.iter().zip(&wan).enumerate() {
+            assert_eq!(l.1, w.1, "t={}: only the joins depend on the model", t + 1);
+            assert_eq!((l.2, l.3), (w.2, w.3), "t={}: ΔV is model-free", t + 1);
+        }
     }
 
-    #[test]
-    fn batched_invocation_replays_sequential_invocations() {
-        let steps: Vec<StepInputs> = (1..=6u64)
-            .map(|t| StepInputs {
-                delta_left: batch(Relation::Left, t, &[(t * 2, (t % 3) as u32, t as u32)], 3),
-                delta_right: Some(batch(
-                    Relation::Right,
-                    t,
-                    &[(t * 2 + 1, ((t + 1) % 3) as u32, t as u32 + 1)],
-                    3,
-                )),
-            })
-            .collect();
-
-        // Sequential per-step execution.
-        let mut ctx_a = PartyContext::new(PartyMode::InProcess, 8, CostModel::default());
-        let mut seq = TransformProtocol::new(view_def(), 1, 10, None);
-        let mut seq_delta: Vec<PlainRecord> = Vec::new();
-        let mut seq_entries = 0;
-        for s in &steps {
-            let out = seq.invoke(&mut ctx_a, &s.delta_left, s.delta_right.as_ref());
-            seq_entries += out.new_entries;
-            seq_delta.extend(out.delta.recover_all());
+    /// A 28-row TPC-ds-shaped delta against `inner` window rows, ω = 1.
+    fn shape_28(inner: usize) -> JoinShape {
+        JoinShape {
+            outer: 28,
+            inner,
+            bound: 1,
+            out_arity: 4,
+            merged_arity: 4,
         }
-
-        // One batched invocation over the same six steps.
-        let mut ctx_b = PartyContext::new(PartyMode::InProcess, 8, CostModel::default());
-        let mut batched = TransformProtocol::new(view_def(), 1, 10, None);
-        let out = batched.invoke_batched(&mut ctx_b, &steps);
-
-        assert_eq!(out.steps_covered, 6);
-        assert_eq!(out.new_entries, seq_entries);
-        assert_eq!(out.delta.recover_all(), seq_delta, "identical ΔV plaintext");
-        assert_eq!(batched.active_counts(), seq.active_counts());
-        assert_eq!(batched.truncation_losses(), seq.truncation_losses());
-        assert_eq!(
-            ctx_a.recover_named(CARDINALITY_SHARE),
-            ctx_b.recover_named(CARDINALITY_SHARE),
-            "identical counter state"
-        );
     }
 }

@@ -2,11 +2,10 @@
 //! invocation must be indistinguishable from the planner-chosen share-array operator
 //! over the padded share rows of the store's public active window, its cost must be
 //! a function of padded sizes only at every step and never above paper-literal
-//! Algorithm 4's over the same window, and `k`-step batching must leave every
-//! DP-relevant quantity (padding volume, read sizes, QET, answers) untouched.
+//! Algorithm 4's over the same window.
 
 use incshrink::prelude::*;
-use incshrink::transform::{PublicRelation, StepInputs, TransformProtocol, CARDINALITY_SHARE};
+use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
 use incshrink_mpc::cost::{CostModel, CostReport};
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
@@ -43,9 +42,13 @@ fn batch(relation: Relation, time: u64, rows: &[(u64, u32, u32)], padded: usize)
     UploadBatch::from_updates(relation, time, &refs, 2, padded, &mut rng)
 }
 
+/// One upload step's padded batches: the left one and, for a private right
+/// relation, the right one.
+type Step = (UploadBatch, Option<UploadBatch>);
+
 /// Build a random step sequence from proptest-drawn row keys. Record ids are unique
 /// across the run; times advance with the step so the join window stays meaningful.
-fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<StepInputs> {
+fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
     let mut next_id = 1u64;
     let steps = left_keys.len();
     (0..steps)
@@ -67,57 +70,12 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<StepInput
                     (id, k, t as u32 + 1)
                 })
                 .collect();
-            StepInputs {
-                delta_left: batch(Relation::Left, t, &lrows, 4),
-                delta_right: Some(batch(Relation::Right, t, &rrows, 4)),
-            }
+            (
+                batch(Relation::Left, t, &lrows, 4),
+                Some(batch(Relation::Right, t, &rrows, 4)),
+            )
         })
         .collect()
-}
-
-proptest! {
-    /// Across random step sequences with record expiry (tight budgets) and random
-    /// batch-flush interleavings, the batched protocol replays the sequential one
-    /// exactly.
-    #[test]
-    fn prop_cached_delta_sharing_equals_full_resharing(
-        left_keys in proptest::collection::vec(proptest::collection::vec(0u32..4, 0..3), 2..9),
-        right_keys_seed in proptest::collection::vec(proptest::collection::vec(0u32..4, 0..3), 2..9),
-        budget in 1u64..5,
-        chunk in 1usize..4,
-        seed: u64,
-    ) {
-        // Align lengths (proptest draws them independently).
-        let steps_len = left_keys.len().min(right_keys_seed.len());
-        let steps = build_steps(&left_keys[..steps_len], &right_keys_seed[..steps_len]);
-
-        // Reference: strict per-step invocations (ω = 1, small budget ⇒ expiry).
-        let mut ctx_seq = PartyContext::new(PartyMode::InProcess, seed ^ 1, CostModel::default());
-        let mut seq = TransformProtocol::new(view_def(), 1, budget, None);
-        let mut seq_delta: Vec<PlainRecord> = Vec::new();
-        for s in &steps {
-            let out = seq.invoke(&mut ctx_seq, &s.delta_left, s.delta_right.as_ref());
-            seq_delta.extend(out.delta.recover_all());
-        }
-
-        // Batched: the same steps in random chunks (flush interleavings).
-        let mut ctx_bat = PartyContext::new(PartyMode::InProcess, seed ^ 1, CostModel::default());
-        let mut bat = TransformProtocol::new(view_def(), 1, budget, None);
-        let mut bat_delta: Vec<PlainRecord> = Vec::new();
-        for group in steps.chunks(chunk) {
-            let out = bat.invoke_batched(&mut ctx_bat, group);
-            bat_delta.extend(out.delta.recover_all());
-        }
-
-        // Identical plaintext protocol state however the steps were chunked.
-        prop_assert_eq!(bat_delta, seq_delta);
-        prop_assert_eq!(bat.active_counts(), seq.active_counts());
-        prop_assert_eq!(bat.truncation_losses(), seq.truncation_losses());
-        prop_assert_eq!(
-            ctx_bat.recover_named(CARDINALITY_SHARE),
-            ctx_seq.recover_named(CARDINALITY_SHARE)
-        );
-    }
 }
 
 /// Algorithm 1 written from scratch over the share-array operators and the store:
@@ -183,7 +141,7 @@ impl ReferenceTransform {
     fn invoke(
         &mut self,
         ctx: &mut PartyContext,
-        step: &StepInputs,
+        (delta_left, delta_right): &Step,
     ) -> (Vec<PlainRecord>, usize, CostReport) {
         if !self.initialized {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
@@ -192,7 +150,7 @@ impl ReferenceTransform {
         let inner_right = match &self.public {
             Some(public) => {
                 // The public rows timed [t, t + window], in relation order.
-                let t = step.delta_left.time as u32;
+                let t = delta_left.time as u32;
                 let in_range = |r: &&Vec<u32>| (t..=t + self.view.window).contains(&r[1]);
                 let rows: Vec<PlainRecord> = public
                     .iter()
@@ -219,10 +177,10 @@ impl ReferenceTransform {
                         ctx: &mut PartyContext| {
             plan_and_execute(outer, inner, spec, bound, &model, ctx.meter(), &mut rng).0
         };
-        let outer = &step.delta_left.records;
+        let outer = &delta_left.records;
         let mut potential = self.pairs(&Self::real_rows(outer), &Self::real_rows(&inner_right));
         let mut delta = join(outer, &inner_right, &self.view.join_spec(), ctx);
-        if let Some(batch) = &step.delta_right {
+        if let Some(batch) = delta_right {
             let outer = &batch.records;
             potential += self.pairs(&Self::real_rows(&inner_left), &Self::real_rows(outer));
             let joined = join(outer, &inner_left, &self.view.join_spec_reversed(), ctx);
@@ -235,13 +193,13 @@ impl ReferenceTransform {
         let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
         ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);
 
-        let arrived_right = step.delta_right.as_ref().map_or(0, UploadBatch::real_count);
+        let arrived_right = delta_right.as_ref().map_or(0, UploadBatch::real_count);
         self.active = (
-            inner_left.true_cardinality() + step.delta_left.real_count(),
+            inner_left.true_cardinality() + delta_left.real_count(),
             self.window(Relation::Right).true_cardinality() + arrived_right,
         );
-        self.store.ingest(step.delta_left.clone());
-        if let Some(batch) = &step.delta_right {
+        self.store.ingest(delta_left.clone());
+        if let Some(batch) = delta_right {
             self.store.ingest(batch.clone());
         }
         let (report, _) = ctx.charge();
@@ -273,8 +231,8 @@ proptest! {
         let public: Option<Vec<Vec<u32>>> = public_right
             .then(|| public_rows.iter().map(|&(key, time)| vec![key, time]).collect());
         if public.is_some() {
-            for step in &mut steps {
-                step.delta_right = None;
+            for (_, delta_right) in &mut steps {
+                *delta_right = None;
             }
         }
         let budget = omega + extra_budget;
@@ -290,7 +248,7 @@ proptest! {
         let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         let mut ctx_ref = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
         for step in &steps {
-            let out = transform.invoke(&mut ctx, &step.delta_left, step.delta_right.as_ref());
+            let out = transform.invoke(&mut ctx, &step.0, step.1.as_ref());
             let (delta, new_entries, report) = reference.invoke(&mut ctx_ref, step);
             prop_assert_eq!(out.delta.recover_all(), delta);
             prop_assert_eq!(out.new_entries, new_entries);
@@ -333,7 +291,7 @@ proptest! {
         let budget = omega * (window_steps + 1);
         let steps = 2 * window_steps as usize + 2 + extra_steps;
         // One stream: per step, `fill` decides how many of the PADDED rows are real.
-        let stream = |fill: u8, id_base: u64| -> Vec<StepInputs> {
+        let stream = |fill: u8, id_base: u64| -> Vec<Step> {
             (0..steps)
                 .map(|i| {
                     let t = i as u64 + 1;
@@ -350,15 +308,14 @@ proptest! {
                     };
                     let lrows = rows(reals(lmixed), lkey, 0, t as u32);
                     let rrows = rows(reals(rmixed), rkey, 1, t as u32 + 1);
-                    StepInputs {
-                        delta_left: batch(Relation::Left, t, &lrows, PADDED),
-                        delta_right: (!public_right)
-                            .then(|| batch(Relation::Right, t, &rrows, PADDED)),
-                    }
+                    (
+                        batch(Relation::Left, t, &lrows, PADDED),
+                        (!public_right).then(|| batch(Relation::Right, t, &rrows, PADDED)),
+                    )
                 })
                 .collect()
         };
-        let run = |steps: &[StepInputs]| -> Vec<(CostReport, usize, usize, (usize, usize))> {
+        let run = |steps: &[Step]| -> Vec<(CostReport, usize, usize, (usize, usize))> {
             let public = public_right.then(|| {
                 let rows: Vec<[u32; 2]> = public_rows.iter().map(|&(k, t)| [k, t]).collect();
                 PublicRelation::from_rows(rows.iter().map(|row| row.as_slice()))
@@ -367,8 +324,8 @@ proptest! {
             let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
             steps
                 .iter()
-                .map(|s| {
-                    let out = transform.invoke(&mut ctx, &s.delta_left, s.delta_right.as_ref());
+                .map(|(delta_left, delta_right)| {
+                    let out = transform.invoke(&mut ctx, delta_left, delta_right.as_ref());
                     (out.report, out.window_rows, out.delta.len(), transform.window_rows())
                 })
                 .collect()
@@ -401,44 +358,6 @@ fn cpdb(steps: u64) -> Dataset {
         seed: 78,
     })
     .generate()
-}
-
-/// Regression: `k > 1` batching leaves the answers, the DP padding volume and the
-/// QET of every step invariant (batching defers join work, never DP messages).
-/// Only the modeled Transform seconds move with `k`.
-#[test]
-fn batching_leaves_dp_padding_and_qet_invariant() {
-    for (dataset, interval) in [(tpcds(90), 11u64), (cpdb(60), 3u64)] {
-        let base = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval });
-        let k1 = Simulation::new(dataset.clone(), base.with_transform_batch(1), 0xFACE).run();
-        let k4 = Simulation::new(dataset.clone(), base.with_transform_batch(4), 0xFACE).run();
-
-        assert_eq!(k1.horizon(), k4.horizon());
-        for (a, b) in k1.steps.iter().zip(k4.steps.iter()) {
-            assert_eq!(a.answer, b.answer, "t={}: answers invariant in k", a.time);
-            assert_eq!(a.synced, b.synced, "t={}: sync schedule invariant", a.time);
-            assert_eq!(
-                a.view_len, b.view_len,
-                "t={}: view length invariant",
-                a.time
-            );
-            assert_eq!(
-                a.view_len - a.view_real,
-                b.view_len - b.view_real,
-                "t={}: DP padding volume invariant",
-                a.time
-            );
-            assert!(
-                (a.qet_secs - b.qet_secs).abs() < 1e-12,
-                "t={}: QET invariant ({} vs {})",
-                a.time,
-                a.qet_secs,
-                b.qet_secs
-            );
-            assert!((a.l1_error - b.l1_error).abs() < 1e-9);
-        }
-        assert_eq!(k1.summary.sync_count, k4.summary.sync_count);
-    }
 }
 
 /// Paper-literal Algorithm 4 at one join shape: the `|outer|·|inner|` compare
@@ -545,18 +464,6 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
         }
         assert!(cheaper_steps > 0, "{kind}: never cheaper than Algorithm 4");
     }
-}
-
-/// `sDPANT` inspects the counter every step, so batching degrades gracefully to an
-/// effective `k = 1`: the trace is *identical*, not merely equivalent.
-#[test]
-fn ant_strategy_forces_per_step_flush() {
-    let dataset = cpdb(50);
-    let cfg = IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 });
-    let k1 = Simulation::new(dataset.clone(), cfg, 0xA17).run();
-    let k8 = Simulation::new(dataset, cfg.with_transform_batch(8), 0xA17).run();
-    assert_eq!(k1.steps, k8.steps);
-    assert_eq!(k1.summary, k8.summary);
 }
 
 /// Summed Transform `CostReport` and truncation losses of two default-configuration

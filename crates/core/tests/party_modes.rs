@@ -4,8 +4,8 @@
 //! to everything the simulation computes. These tests drive full single-pair
 //! simulations through all three [`PartyMode`]s and assert the `RunReport`s,
 //! canonical observable traces (server-visible sizes + ε-ledger), and trace
-//! fingerprints are identical, across random workloads, both Shrink
-//! strategies, and both transform batch settings. Every `charge()` of the tcp
+//! fingerprints are identical, across random workloads and both Shrink
+//! strategies. Every `charge()` of the tcp
 //! runs also asserts that the bytes really written to the socket reconcile
 //! exactly with the metered ones.
 
@@ -66,8 +66,8 @@ fn assert_modes_agree(dataset: &Dataset, config: IncShrinkConfig, seed: u64) {
 
 #[test]
 fn fig4_style_runs_are_party_mode_invariant() {
-    // The fig4 shape: both workloads, their default strategies, both batch
-    // settings — the exact cells the paper's Figure 4 sweeps.
+    // The fig4 shape: both workloads and their default strategies — the exact
+    // cells the paper's Figure 4 sweeps.
     let tpcds = TpcDsGenerator::new(WorkloadParams {
         steps: 30,
         view_entries_per_step: 2.7,
@@ -83,15 +83,13 @@ fn fig4_style_runs_are_party_mode_invariant() {
     let timer = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
     let ant = IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 });
     for (dataset, config) in [(&tpcds, timer), (&cpdb, ant)] {
-        for k in [1u64, 4] {
-            assert_modes_agree(dataset, config.with_transform_batch(k), 0xF164);
-        }
+        assert_modes_agree(dataset, config, 0xF164);
     }
 }
 
 proptest! {
     // Random workloads through the same contract: arbitrary seeds, horizons,
-    // rates, strategies and batch settings must never expose a transport- or
+    // rates and strategies must never expose a transport- or
     // schedule-dependent divergence between the three execution modes.
     #[test]
     fn random_runs_are_party_mode_invariant(
@@ -100,7 +98,6 @@ proptest! {
         data_seed in 0u64..1024,
         sim_seed in 0u64..1024,
         ant_strategy in any::<bool>(),
-        k_batched in any::<bool>(),
     ) {
         let dataset = TpcDsGenerator::new(WorkloadParams {
             steps,
@@ -112,8 +109,7 @@ proptest! {
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpAnt { threshold: 12.0 })
         } else {
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 5 })
-        }
-        .with_transform_batch(if k_batched { 4 } else { 1 });
+        };
         assert_modes_agree(&dataset, config, sim_seed);
     }
 }

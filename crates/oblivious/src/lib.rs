@@ -47,8 +47,8 @@ pub use join::{
     truncated_sort_merge_join, JoinSpec, KeyIndex, RowRef,
 };
 pub use planner::{
-    charge_full_relation_gap, plan_and_execute, plan_join, Calibration, JoinAlgorithm,
-    JoinCandidates, JoinPlan, JoinShape, PlanMemo,
+    charge_full_relation_gap, plan_and_execute, plan_join, JoinAlgorithm, JoinCandidates, JoinPlan,
+    JoinShape, PlanMemo,
 };
 pub use shuffle::{
     bucket_of, destination_of, oblivious_shuffle, shuffle_route, shuffle_route_mapped,

@@ -9,7 +9,7 @@
 //! runs and a top-`b·|outer|` selection over the `b·(|outer| + |inner|)` emission,
 //! over up to five rounds. The nested loop is linear in `|inner|` per outer tuple,
 //! so the sort-merge join wins only once the delta itself is large — from a few
-//! dozen rows at `b = 1` under the LAN model (a `k`-step batch of TPC-ds), from
+//! dozen rows at `b = 1` under the LAN model (`fig9`'s scaled TPC-ds deltas), from
 //! about seventy at `b = 10`. Small deltas, large `b` and expensive rounds keep the
 //! nested loop; at both benchmark window shapes it wins.
 //!
@@ -18,12 +18,10 @@
 //! whose [`CostModel::simulate`] is lower under the caller's model, ties going to
 //! the nested loop. The planner weighs seconds, not compare counts: under
 //! [`CostModel::wan`] the sort-merge join's extra rounds outweigh the gates it
-//! saves at a `k = 4` TPC-ds batch shape, which a compare-count planner would
+//! saves at `fig9`'s scale-4 TPC-ds shape, which a compare-count planner would
 //! charge as the sort-merge join. The reports do not depend on the model, so
-//! [`PlanMemo`] keeps them per shape and a lookup costs two dot products.
-//!
-//! A measured [`Calibration`] (loadable from `bench --bin kernel_throughput` JSON
-//! output) replaces the planning model with host-measured weights.
+//! [`PlanMemo`] keeps them per shape and a lookup costs two dot products. There is
+//! one planning model: the caller's, which is the run's own.
 //!
 //! # Leakage
 //! The plan decision is computed from the *public* array lengths, arities and
@@ -249,131 +247,6 @@ pub fn charge_full_relation_gap(
     meter.record(report(full_inner_len).saturating_sub(report(scanned_inner_len)));
 }
 
-/// Measured seconds-per-primitive-operation: a planning model that replaces the
-/// run's [`CostModel`] when a caller plans by host measurements instead
-/// ([`Calibration::cost_model`]).
-///
-/// The intended source is the JSON emitted by `cargo run -p incshrink-bench --bin
-/// kernel_throughput` (see [`Calibration::from_json_str`]), whose numbers come from
-/// timing the SoA share kernels on the host that will actually run the protocol. The
-/// [`Default`] calibration is *honest about what it knows*: it weighs secure
-/// compares at the [`CostModel`] LAN constant and everything else at zero, so it
-/// plans by compare counts alone.
-///
-/// All fields default individually, so a partial JSON object (say, compares only)
-/// parses with the remaining weights at their defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Calibration {
-    /// Measured seconds per secure 32-bit comparison.
-    pub secs_per_compare: f64,
-    /// Measured seconds per oblivious word swap.
-    pub secs_per_swap: f64,
-    /// Measured seconds per secure single-bit AND / multiplexer gate.
-    pub secs_per_and: f64,
-    /// Measured seconds per secure 32-bit addition.
-    pub secs_per_add: f64,
-    /// Measured seconds per party-channel protocol round (one joint operation
-    /// of an `incshrink_mpc::PartyContext` whose servers run as actor threads).
-    /// Zero — the default — prices transport as free, which is honest for the
-    /// in-process execution mode; `kernel_throughput` measures the round under
-    /// the `actor` and `tcp` party modes so those deployments can weigh the
-    /// rounds a plan actually performs.
-    pub secs_per_channel_round: f64,
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Self {
-            secs_per_compare: CostModel::default().secs_per_compare,
-            secs_per_swap: 0.0,
-            secs_per_and: 0.0,
-            secs_per_add: 0.0,
-            secs_per_channel_round: 0.0,
-        }
-    }
-}
-
-impl Calibration {
-    /// Parse a calibration from JSON. Accepts a bare object
-    /// (`{"secs_per_compare": ..., ...}`), the `kernel_throughput` report whose
-    /// calibration lives under a top-level `"calibration"` key, or the bench
-    /// envelope (`incshrink_bench::report::write_json`) that nests that report
-    /// under a `"rows"` key. Unknown keys are ignored; absent fields keep their
-    /// [`Default`] values.
-    ///
-    /// # Errors
-    /// Returns a [`serde_json::ParseError`] when the input is not valid JSON, the
-    /// (possibly unwrapped) value is not an object, or a calibration field is not a
-    /// number.
-    pub fn from_json_str(json: &str) -> Result<Self, serde_json::ParseError> {
-        let value = serde_json::from_str(json)?;
-        let serde_json::Value::Object(mut entries) = value else {
-            return Err(serde_json::ParseError::new(
-                "calibration must be a JSON object",
-                0,
-            ));
-        };
-        // The bench envelope nests the whole kernel_throughput payload under a
-        // `"rows"` object key; descend through it first (the payload's own
-        // `"rows"` field is an array, so a raw report is never double-unwrapped).
-        if let Some(idx) = entries
-            .iter()
-            .position(|(k, v)| k == "rows" && matches!(v, serde_json::Value::Object(_)))
-        {
-            if let serde_json::Value::Object(inner) = entries.swap_remove(idx).1 {
-                entries = inner;
-            }
-        }
-        if let Some(idx) = entries.iter().position(|(k, _)| k == "calibration") {
-            let serde_json::Value::Object(inner) = entries.swap_remove(idx).1 else {
-                return Err(serde_json::ParseError::new(
-                    "`calibration` key must hold a JSON object",
-                    0,
-                ));
-            };
-            entries = inner;
-        }
-        let as_secs = |key: &str, value: &serde_json::Value| match *value {
-            serde_json::Value::Float(f) => Ok(f),
-            serde_json::Value::UInt(u) => Ok(u as f64),
-            serde_json::Value::Int(i) => Ok(i as f64),
-            _ => Err(serde_json::ParseError::new(
-                format!("`{key}` must be a number"),
-                0,
-            )),
-        };
-        let mut calibration = Self::default();
-        for (key, value) in &entries {
-            match key.as_str() {
-                "secs_per_compare" => calibration.secs_per_compare = as_secs(key, value)?,
-                "secs_per_swap" => calibration.secs_per_swap = as_secs(key, value)?,
-                "secs_per_and" => calibration.secs_per_and = as_secs(key, value)?,
-                "secs_per_add" => calibration.secs_per_add = as_secs(key, value)?,
-                "secs_per_channel_round" => {
-                    calibration.secs_per_channel_round = as_secs(key, value)?;
-                }
-                _ => {}
-            }
-        }
-        Ok(calibration)
-    }
-
-    /// The planning model these measurements define: the measured gate weights,
-    /// the measured party-channel round as the round price, and bytes unpriced —
-    /// nothing measures them.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        CostModel {
-            secs_per_compare: self.secs_per_compare,
-            secs_per_swap: self.secs_per_swap,
-            secs_per_and: self.secs_per_and,
-            secs_per_add: self.secs_per_add,
-            secs_per_byte: 0.0,
-            secs_per_round: self.secs_per_channel_round,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,16 +322,22 @@ mod tests {
                 );
             }
         }
-        // A large delta still tips LAN to sort-merge: a k = 4 TPC-ds batch joins 28
-        // rows against the first step's window plus the 21 rows the earlier steps
-        // append. Under WAN the extra rounds lose it again — no single operator
-        // wins everywhere.
-        let batch = shape(28, 84, 1);
-        assert_eq!(plan_join(batch, &lan).algorithm, JoinAlgorithm::SortMerge);
-        assert_eq!(plan_join(batch, &wan).algorithm, JoinAlgorithm::NestedLoop);
+        // A large delta still tips LAN to sort-merge: fig9's TPC-ds at scale 4
+        // joins 28-row deltas of four-column records against a 192-row window.
+        // Under WAN the extra rounds lose it again — no single operator wins
+        // everywhere.
+        let scaled = JoinShape {
+            outer: 28,
+            inner: 192,
+            bound: 1,
+            out_arity: 8,
+            merged_arity: 6,
+        };
+        assert_eq!(plan_join(scaled, &lan).algorithm, JoinAlgorithm::SortMerge);
+        assert_eq!(plan_join(scaled, &wan).algorithm, JoinAlgorithm::NestedLoop);
         // A compare-count planner would pick sort-merge under WAN as well.
-        let batch = batch.candidates();
-        assert!(batch.sort_merge.secure_compares < batch.nested_loop.secure_compares);
+        let scaled = scaled.candidates();
+        assert!(scaled.sort_merge.secure_compares < scaled.nested_loop.secure_compares);
     }
 
     #[test]
@@ -554,146 +433,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn default_calibration_reproduces_the_integer_planner() {
-        // The default calibration weighs compares alone, so it plans by the exact
-        // integer compare counts of the two candidates (ties to the nested loop).
-        let model = Calibration::default().cost_model();
-        for outer in [0usize, 1, 2, 4, 8, 16, 64, 256] {
-            for inner in [0usize, 1, 2, 5, 17, 100, 500, 2000] {
-                for bound in [1usize, 2, 10] {
-                    let candidates = shape(outer, inner, bound).candidates();
-                    let expected = if candidates.sort_merge.secure_compares
-                        < candidates.nested_loop.secure_compares
-                    {
-                        JoinAlgorithm::SortMerge
-                    } else {
-                        JoinAlgorithm::NestedLoop
-                    };
-                    assert_eq!(
-                        plan_join(shape(outer, inner, bound), &model).algorithm,
-                        expected,
-                        "o={outer} i={inner} b={bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swap_heavy_calibration_moves_the_planner_crossover() {
-        // Weighting swaps changes the relative price of the two operators (their
-        // swap:compare ratios differ), so some sizes that the compare-only model
-        // decides one way must flip under a swap-heavy calibration — and wherever
-        // the decisions differ, the calibrated pick must be the one its own model
-        // prices lower.
-        let compare_only = Calibration::default().cost_model();
-        let swap_heavy = Calibration {
-            secs_per_swap: 10.0 * Calibration::default().secs_per_compare,
-            ..Calibration::default()
-        }
-        .cost_model();
-        // |Δ| = 32 at ω = 1, where the compare-only model picks sort-merge on most
-        // inner sizes.
-        let mut flipped = 0usize;
-        for inner in 1..=4096usize {
-            let base = plan_join(shape(32, inner, 1), &compare_only);
-            let calibrated = plan_join(shape(32, inner, 1), &swap_heavy);
-            if base.algorithm != calibrated.algorithm {
-                flipped += 1;
-                assert!(
-                    swap_heavy.simulate(&calibrated.report) <= swap_heavy.simulate(&base.report),
-                    "inner={inner}: calibrated pick must be predicted-cheaper"
-                );
-            }
-        }
-        assert!(
-            flipped > 0,
-            "a swap-heavy calibration must move at least one crossover point"
-        );
-    }
-
-    #[test]
-    fn calibration_parses_bare_and_wrapped_json() {
-        let bare: Calibration =
-            Calibration::from_json_str(r#"{"secs_per_compare": 1e-6, "secs_per_swap": 2e-7}"#)
-                .unwrap();
-        assert!((bare.secs_per_compare - 1e-6).abs() < 1e-18);
-        assert!((bare.secs_per_swap - 2e-7).abs() < 1e-18);
-        // Unlisted fields take their defaults.
-        assert_eq!(bare.secs_per_and, 0.0);
-
-        let wrapped = Calibration::from_json_str(
-            r#"{"host": "bench-box", "calibration": {"secs_per_compare": 3e-8,
-                "secs_per_swap": 4e-9, "secs_per_and": 5e-10, "secs_per_add": 6e-9}}"#,
-        )
-        .unwrap();
-        assert!((wrapped.secs_per_compare - 3e-8).abs() < 1e-20);
-        assert!((wrapped.secs_per_and - 5e-10).abs() < 1e-22);
-
-        // Round-trip through serde keeps every field.
-        let json = serde_json::to_string(&wrapped).unwrap();
-        assert_eq!(Calibration::from_json_str(&json).unwrap(), wrapped);
-
-        assert!(Calibration::from_json_str("not json").is_err());
-        assert!(Calibration::from_json_str(r#"{"secs_per_compare": "fast"}"#).is_err());
-    }
-
-    #[test]
-    fn channel_round_weight_prices_transport() {
-        // The calibrated model prices each protocol round at the measured channel
-        // round, on top of the gate-only figure — enough, here, to move a k = 4
-        // TPC-ds batch shape back to the one-round nested loop.
-        let transported = Calibration {
-            secs_per_channel_round: 1e-2,
-            ..Calibration::default()
-        };
-        let report = CostReport {
-            secure_compares: 100,
-            bytes_communicated: 64,
-            rounds: 3,
-            ..CostReport::default()
-        };
-        let secs =
-            |calibration: Calibration| calibration.cost_model().simulate(&report).as_secs_f64();
-        assert!((secs(transported) - secs(Calibration::default()) - 3.0e-2).abs() < 1e-9);
-        let batch = shape(28, 84, 1);
-        assert_eq!(
-            plan_join(batch, &Calibration::default().cost_model()).algorithm,
-            JoinAlgorithm::SortMerge
-        );
-        assert_eq!(
-            plan_join(batch, &transported.cost_model()).algorithm,
-            JoinAlgorithm::NestedLoop
-        );
-
-        // The key round-trips through both the JSON reader and serde.
-        let parsed = Calibration::from_json_str(r#"{"secs_per_channel_round": 2.5e-6}"#).unwrap();
-        assert!((parsed.secs_per_channel_round - 2.5e-6).abs() < 1e-18);
-        let json = serde_json::to_string(&transported).unwrap();
-        assert_eq!(Calibration::from_json_str(&json).unwrap(), transported);
-    }
-
-    #[test]
-    fn calibration_parses_the_bench_envelope() {
-        // The bench envelope nests the kernel_throughput payload (whose own
-        // "rows" field is an array) under a top-level "rows" object key.
-        let enveloped = Calibration::from_json_str(
-            r#"{"bin": "kernel_throughput", "schema_version": 1, "meta": {},
-                "rows": {"rows": [{"n": 4096}],
-                         "calibration": {"secs_per_compare": 3e-8, "secs_per_add": 6e-9}}}"#,
-        )
-        .unwrap();
-        assert!((enveloped.secs_per_compare - 3e-8).abs() < 1e-20);
-        assert!((enveloped.secs_per_add - 6e-9).abs() < 1e-20);
-        // A raw report whose "rows" is an array is not double-unwrapped.
-        let raw = Calibration::from_json_str(
-            r#"{"rows": [{"n": 4096}], "calibration": {"secs_per_compare": 3e-8}}"#,
-        )
-        .unwrap();
-        assert!((raw.secs_per_compare - 3e-8).abs() < 1e-20);
     }
 
     #[test]
