@@ -26,7 +26,7 @@ use incshrink_storage::Relation;
 
 /// Per-destination ingest-cut plan fed by noisy per-bucket releases.
 #[derive(Debug)]
-pub struct CutPlan {
+pub(crate) struct CutPlan {
     sizer: NoisyCutSizer,
     margin: usize,
     window: u64,
@@ -70,7 +70,7 @@ impl CutPlan {
 
     /// Record the static worst-case cut for `relation` (DP cuts are capped by
     /// it). First value wins; the static cut is a run constant.
-    pub fn note_static_cut(&mut self, relation: Relation, ingest_size: usize) {
+    pub(crate) fn note_static_cut(&mut self, relation: Relation, ingest_size: usize) {
         let slot = &mut self.static_cut[relation_index(relation)];
         if slot.is_none() {
             *slot = Some(ingest_size);
@@ -97,7 +97,7 @@ impl CutPlan {
 
     /// Recompute the per-destination cuts from the smoothed estimates and the
     /// current bucket-ownership table.
-    pub fn refresh_cuts(&mut self, assignment: &[usize], shards: usize) {
+    pub(crate) fn refresh_cuts(&mut self, assignment: &[usize], shards: usize) {
         for idx in 0..2 {
             let Some(est) = &self.smoothed[idx] else {
                 continue;
@@ -126,7 +126,7 @@ impl CutPlan {
 
     /// The current per-destination cuts for `relation`, if a release happened.
     #[must_use]
-    pub fn cuts_for(&self, relation: Relation) -> Option<&[usize]> {
+    pub(crate) fn cuts_for(&self, relation: Relation) -> Option<&[usize]> {
         self.cuts[relation_index(relation)].as_deref()
     }
 }

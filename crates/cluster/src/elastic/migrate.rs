@@ -1,6 +1,6 @@
 //! The oblivious view-migration protocol executor.
 //!
-//! A planned [`super::BucketMove`] changes which shard *routes* a key range;
+//! A planned `BucketMove` changes which shard *routes* a key range;
 //! this module moves the *state* — the materialized-view partition and the
 //! active join-candidate records of the migrating buckets — from the old owner
 //! to the new one without revealing the migrated key range's true size:
@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 
 /// Executes planned bucket moves: DP-pads, prices and re-seeds each transfer.
 #[derive(Debug)]
-pub struct ViewMigrator {
+pub(crate) struct ViewMigrator {
     mechanism: LaplaceMechanism,
     rng: StdRng,
     cost_model: CostModel,
@@ -59,12 +59,6 @@ impl ViewMigrator {
         }
     }
 
-    /// The ε each transfer's shipped-size release spends.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.mechanism.epsilon
-    }
-
     /// Prepare one exported partition for shipment to shard `to`: pad the view
     /// entries with dummies to a DP-noised size, stamp the release into the
     /// ε-ledger, price the transfer, and draw the destination's re-sharing
@@ -73,7 +67,7 @@ impl ViewMigrator {
     ///
     /// Returns the padded partition and the seed to pass to
     /// [`incshrink::ShardPipeline::import_partition`].
-    pub fn prepare(
+    pub(crate) fn prepare(
         &mut self,
         time: u64,
         to: usize,

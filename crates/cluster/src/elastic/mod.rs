@@ -34,16 +34,15 @@ pub mod migrate;
 pub mod planner;
 pub mod stats;
 
-pub use migrate::ViewMigrator;
-pub use planner::Planner;
-pub use stats::LoadTracker;
-
 use crate::shuffle::ShuffleStats;
 use cut::CutPlan;
 use incshrink_mpc::cost::CostReport;
 use incshrink_oblivious::shuffle::VIRTUAL_BUCKETS;
 use incshrink_storage::Relation;
+pub(crate) use migrate::ViewMigrator;
+use planner::Planner;
 use serde::{Deserialize, Serialize};
+use stats::LoadTracker;
 
 /// Configuration of the elastic control plane.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -122,7 +121,7 @@ impl ElasticConfig {
 
     /// Whether any control-plane feature is active.
     #[must_use]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.enable_migration || self.enable_dp_cut
     }
 }
@@ -130,7 +129,7 @@ impl ElasticConfig {
 /// One planned ownership transfer: virtual bucket `bucket` moves from shard
 /// `from` to shard `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BucketMove {
+pub(crate) struct BucketMove {
     /// The virtual bucket changing owner.
     pub bucket: usize,
     /// Current owner.
@@ -143,7 +142,7 @@ pub struct BucketMove {
 /// deterministic (sorted) order — the order the cluster driver executes the
 /// transfers in, which fixes the migrator's rng draw sequence on either host.
 #[must_use]
-pub fn group_moves(moves: &[BucketMove]) -> Vec<((usize, usize), Vec<usize>)> {
+pub(crate) fn group_moves(moves: &[BucketMove]) -> Vec<((usize, usize), Vec<usize>)> {
     let mut grouped: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
         std::collections::BTreeMap::new();
     for m in moves {
@@ -154,7 +153,7 @@ pub fn group_moves(moves: &[BucketMove]) -> Vec<((usize, usize), Vec<usize>)> {
 
 /// Cumulative control-plane statistics of one cluster run, merged from the
 /// routing side ([`ElasticRouting`], which may live on the broker thread) and
-/// the migration executor ([`ViewMigrator`], which lives with the driver).
+/// the migration executor (`ViewMigrator`, which lives with the driver).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ElasticReport {
     /// Planned split actions (a hot shard shed buckets).
@@ -276,14 +275,14 @@ impl ElasticRouting {
 
     /// Record the per-virtual-bucket real counts of one routed batch
     /// (protocol-internal tally; only noisy releases of it become public).
-    pub fn observe_routed(&mut self, relation: Relation, bucket_reals: &[u64]) {
+    pub(crate) fn observe_routed(&mut self, relation: Relation, bucket_reals: &[u64]) {
         self.tracker.tally(relation, bucket_reals);
     }
 
     /// The per-destination ingest cuts for `relation`, when DP cuts are active
     /// and at least one release has happened.
     #[must_use]
-    pub fn cuts_for(&self, relation: Relation) -> Option<&[usize]> {
+    pub(crate) fn cuts_for(&self, relation: Relation) -> Option<&[usize]> {
         if !self.config.enable_dp_cut {
             return None;
         }
@@ -292,7 +291,7 @@ impl ElasticRouting {
 
     /// Tell the cut plan what the static worst-case cut for `relation` is (its
     /// DP cuts never exceed it). Recorded on first route of each relation.
-    pub fn note_static_cut(&mut self, relation: Relation, ingest_size: usize) {
+    pub(crate) fn note_static_cut(&mut self, relation: Relation, ingest_size: usize) {
         self.cut_plan.note_static_cut(relation, ingest_size);
     }
 
@@ -302,7 +301,7 @@ impl ElasticRouting {
     /// and — when migration is enabled — ask the planner for split/merge
     /// moves, applying them to the assignment table immediately (the *state*
     /// transfer is the driver's job, via [`ViewMigrator`]). Returns the moves.
-    pub fn finish_step(&mut self, time: u64, stats: &ShuffleStats) -> Vec<BucketMove> {
+    pub(crate) fn finish_step(&mut self, time: u64, stats: &ShuffleStats) -> Vec<BucketMove> {
         self.steps_in_window += 1;
         if self.steps_in_window < self.config.window {
             return Vec::new();

@@ -18,7 +18,7 @@ use super::{BucketMove, ElasticConfig};
 
 /// The split/merge planner (hysteresis + cooldown state).
 #[derive(Debug)]
-pub struct Planner {
+pub(crate) struct Planner {
     config: ElasticConfig,
     last_action: Option<u64>,
     /// Per-destination cut-overflow counts at the last plan (deltas trigger

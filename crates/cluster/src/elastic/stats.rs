@@ -4,7 +4,7 @@
 //! window is open. The raw tallies are *protocol-internal* (they are exactly
 //! the counts the routing protocol recovers inside
 //! [`incshrink_oblivious::shuffle::shuffle_route_mapped`]); nothing leaves
-//! this struct except through [`LoadTracker::release`], which buys a noisy
+//! this struct except through `LoadTracker::release`, which buys a noisy
 //! copy from the DP sizer and feeds the per-bucket load EWMA from the *noisy*
 //! values. The planner therefore only ever sees ε-accounted releases plus the
 //! already-public overflow counters.
@@ -26,7 +26,7 @@ pub(super) const EWMA_ALPHA: f64 = 0.5;
 
 /// Windowed per-virtual-bucket load tracker.
 #[derive(Debug)]
-pub struct LoadTracker {
+pub(crate) struct LoadTracker {
     /// Per relation, per virtual bucket: real records routed this window.
     tally: [Vec<u64>; 2],
     /// Whether the relation was routed at all this window (a relation that
@@ -96,7 +96,7 @@ impl LoadTracker {
 
     /// The per-bucket load estimate (noisy-release EWMA, per window).
     #[must_use]
-    pub fn ewma(&self) -> &[f64] {
+    pub(crate) fn ewma(&self) -> &[f64] {
         &self.ewma
     }
 }

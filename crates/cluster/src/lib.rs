@@ -57,9 +57,9 @@ pub mod runtime;
 pub mod sharded;
 pub mod shuffle;
 
-pub use elastic::{BucketMove, ElasticConfig, ElasticReport, ElasticRouting, ViewMigrator};
+pub use elastic::ElasticConfig;
 pub use executor::ScatterGatherExecutor;
 pub use router::{shard_of, ShardRouter};
 pub use runtime::{ParallelRunReport, ParallelShardedSimulation, RuntimeStats, ShardedSimulation};
-pub use sharded::{shard_config, shard_pipelines, ClusterPrivacy, ClusterRunReport, ShardReport};
-pub use shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
+pub use sharded::{shard_config, shard_pipelines, ClusterRunReport};
+pub use shuffle::{ClusterShuffler, RoutingPolicy};

@@ -153,7 +153,7 @@ impl ShardRouter {
     /// ground truths are evaluated against (shard truths sum to the global truth for
     /// equi-join views).
     #[must_use]
-    pub fn partition_by_join_key(&self, dataset: &Dataset) -> Vec<Dataset> {
+    pub(crate) fn partition_by_join_key(&self, dataset: &Dataset) -> Vec<Dataset> {
         self.partition_dataset_by(
             dataset,
             dataset.left.schema.key_column,

@@ -66,7 +66,7 @@ impl ClusterPrivacy {
     /// # Panics
     /// Panics when `shards` is zero.
     #[must_use]
-    pub fn compose(config: &IncShrinkConfig, shards: usize) -> Self {
+    pub(crate) fn compose(config: &IncShrinkConfig, shards: usize) -> Self {
         assert!(shards > 0, "cluster needs at least one shard");
         let per_shard_epsilon = config.epsilon / shards as f64;
 

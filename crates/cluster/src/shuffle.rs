@@ -142,7 +142,7 @@ pub struct ShuffleStats {
 impl ShuffleStats {
     /// Zeroed statistics with per-destination counters sized for `shards`.
     #[must_use]
-    pub fn for_shards(shards: usize) -> Self {
+    pub(crate) fn for_shards(shards: usize) -> Self {
         Self {
             bucket_overflows: vec![0; shards],
             cut_overflows: vec![0; shards],
@@ -188,7 +188,7 @@ impl ClusterShuffler {
     ///
     /// # Panics
     /// Panics when the control plane was built for a different shard count.
-    pub fn enable_elastic(&mut self, routing: ElasticRouting) {
+    pub(crate) fn enable_elastic(&mut self, routing: ElasticRouting) {
         assert_eq!(
             routing.shards(),
             self.shards,
@@ -215,7 +215,7 @@ impl ClusterShuffler {
     /// caller must invoke it exactly once per step, after routing every
     /// relation of that step, and execute the returned moves before the next
     /// step's routing (the assignment table has already switched).
-    pub fn finish_step(&mut self, time: u64) -> Vec<BucketMove> {
+    pub(crate) fn finish_step(&mut self, time: u64) -> Vec<BucketMove> {
         match self.elastic.as_mut() {
             Some(el) => el.finish_step(time, &self.stats),
             None => Vec::new(),

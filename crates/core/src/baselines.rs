@@ -18,7 +18,7 @@ use incshrink_secretshare::arrays::SharedArrayPair;
 
 /// How a strategy routes the Transform output ΔV at one time step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaRouting {
+pub(crate) enum DeltaRouting {
     /// Write ΔV into the secure cache (DP strategies).
     ToCache,
     /// Append ΔV directly to the materialized view (EP; OTM on its first step).
@@ -31,7 +31,7 @@ pub enum DeltaRouting {
 
 /// Decide how ΔV is routed for `strategy` at time `step` (1-based).
 #[must_use]
-pub fn delta_routing(strategy: UpdateStrategy, step: u64) -> DeltaRouting {
+pub(crate) fn delta_routing(strategy: UpdateStrategy, step: u64) -> DeltaRouting {
     match strategy {
         UpdateStrategy::DpTimer { .. } | UpdateStrategy::DpAnt { .. } => DeltaRouting::ToCache,
         UpdateStrategy::ExhaustivePadding => DeltaRouting::ToView,
@@ -47,7 +47,7 @@ pub fn delta_routing(strategy: UpdateStrategy, step: u64) -> DeltaRouting {
 }
 
 /// Apply a routing decision to the produced ΔV.
-pub fn route_delta(
+pub(crate) fn route_delta(
     routing: DeltaRouting,
     delta: SharedArrayPair,
     view: &mut MaterializedView,

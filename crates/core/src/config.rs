@@ -51,15 +51,9 @@ impl UpdateStrategy {
         }
     }
 
-    /// Whether this strategy maintains a materialized view at all.
-    #[must_use]
-    pub fn uses_view(&self) -> bool {
-        !matches!(self, UpdateStrategy::NonMaterialized)
-    }
-
     /// Whether this strategy uses the secure cache + Shrink pipeline.
     #[must_use]
-    pub fn uses_shrink(&self) -> bool {
+    pub(crate) fn uses_shrink(&self) -> bool {
         matches!(
             self,
             UpdateStrategy::DpTimer { .. } | UpdateStrategy::DpAnt { .. }
@@ -243,8 +237,6 @@ mod tests {
         assert_eq!(UpdateStrategy::OneTimeMaterialization.label(), "OTM");
         assert_eq!(UpdateStrategy::NonMaterialized.to_string(), "NM");
 
-        assert!(UpdateStrategy::DpTimer { interval: 5 }.uses_view());
-        assert!(!UpdateStrategy::NonMaterialized.uses_view());
         assert!(UpdateStrategy::DpAnt { threshold: 1.0 }.uses_shrink());
         assert!(!UpdateStrategy::ExhaustivePadding.uses_shrink());
         assert!(!UpdateStrategy::OneTimeMaterialization.uses_shrink());

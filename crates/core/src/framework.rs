@@ -437,7 +437,7 @@ impl ShardPipeline {
     /// The typed query engine over this pipeline's materialized view: the analyst
     /// entry point for [`Query`]s beyond the hardwired count.
     #[must_use]
-    pub fn query_engine(&self) -> ViewEngine<'_> {
+    pub(crate) fn query_engine(&self) -> ViewEngine<'_> {
         ViewEngine::new(&self.view, self.cost_model)
     }
 

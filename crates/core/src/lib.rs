@@ -43,10 +43,8 @@
 
 pub mod baselines;
 pub mod config;
-pub mod extensions;
 pub mod framework;
 pub mod metrics;
-pub mod pipeline;
 pub mod query;
 pub mod shrink;
 pub mod transform;
@@ -56,8 +54,7 @@ pub mod view;
 pub mod prelude {
     pub use crate::config::{IncShrinkConfig, UpdateStrategy};
     pub use crate::framework::{
-        MigratedPartition, PipelineStepOutcome, RunReport, ShardPipeline, Simulation, StepRecord,
-        StepUploads,
+        MigratedPartition, RunReport, ShardPipeline, Simulation, StepRecord, StepUploads,
     };
     pub use crate::metrics::Summary;
     pub use crate::query::{
@@ -72,12 +69,11 @@ pub mod prelude {
 
 pub use config::{IncShrinkConfig, UpdateStrategy};
 pub use framework::{
-    MigratedPartition, PipelineStepOutcome, RunReport, ShardPipeline, Simulation, StepRecord,
-    StepUploads,
+    MigratedPartition, RunReport, ShardPipeline, Simulation, StepRecord, StepUploads,
 };
 pub use metrics::Summary;
 pub use query::{
-    AggregateSpec, FilterExpr, NmBaselineEngine, PhysicalPlan, Query, QueryEngine, QueryOutcome,
-    QueryValue, ShardBreakdown, ShardPartial, ViewEngine,
+    AggregateSpec, FilterExpr, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryValue,
+    ShardBreakdown, ShardPartial, ViewEngine,
 };
 pub use view::{MaterializedView, ViewDefinition};

@@ -199,7 +199,7 @@ impl SummaryBuilder {
     }
 
     /// Record one issued query.
-    pub fn record_query(&mut self, l1: f64, relative: f64, qet: SimDuration) {
+    pub(crate) fn record_query(&mut self, l1: f64, relative: f64, qet: SimDuration) {
         self.l1_sum += l1;
         self.rel_sum += relative;
         self.qet_sum += qet.as_secs_f64();
@@ -207,13 +207,13 @@ impl SummaryBuilder {
     }
 
     /// Record one Transform invocation.
-    pub fn record_transform(&mut self, duration: SimDuration) {
+    pub(crate) fn record_transform(&mut self, duration: SimDuration) {
         self.transform_sum += duration.as_secs_f64();
         self.transform_count += 1;
     }
 
     /// Record the secure comparisons one Transform invocation metered.
-    pub fn record_transform_compares(&mut self, secure_compares: u64) {
+    pub(crate) fn record_transform_compares(&mut self, secure_compares: u64) {
         self.transform_compares = self.transform_compares.saturating_add(secure_compares);
     }
 
@@ -236,7 +236,7 @@ impl SummaryBuilder {
 
     /// Record one Shrink step (only steps that did DP work are counted so the average
     /// reflects per-invocation cost, matching the paper's "average execution time").
-    pub fn record_shrink(&mut self, duration: SimDuration, did_work: bool) {
+    pub(crate) fn record_shrink(&mut self, duration: SimDuration, did_work: bool) {
         if did_work {
             self.shrink_sum += duration.as_secs_f64();
             self.shrink_count += 1;
@@ -244,7 +244,7 @@ impl SummaryBuilder {
     }
 
     /// Record the view size observed at one step.
-    pub fn record_view_size(&mut self, mb: f64) {
+    pub(crate) fn record_view_size(&mut self, mb: f64) {
         self.view_mb_sum += mb;
         self.view_samples += 1;
         self.final_view_mb = mb;

@@ -215,7 +215,7 @@ impl Query {
 
     /// Whether a record's plaintext fields pass every filter conjunct.
     #[must_use]
-    pub fn matches_filters(&self, fields: &[u32]) -> bool {
+    pub(crate) fn matches_filters(&self, fields: &[u32]) -> bool {
         self.filters.iter().all(|f| f.matches(fields))
     }
 
@@ -377,7 +377,7 @@ pub enum QueryValue {
 impl QueryValue {
     /// The scalar answer, if this is one.
     #[must_use]
-    pub fn as_scalar(&self) -> Option<u64> {
+    pub(crate) fn as_scalar(&self) -> Option<u64> {
         match self {
             Self::Scalar(v) => Some(*v),
             Self::Vector(_) => None,
@@ -516,7 +516,7 @@ enum NmAnswerSource<'a> {
 
 /// The non-materialized (standard SOGDB) baseline as a query engine: every query
 /// prices a full oblivious sort-merge join over the outsourced relations (per
-/// Example 5.1, via [`non_materialized_query_cost`]) and answers *exactly* — the
+/// Example 5.1, via `non_materialized_query_cost`) and answers *exactly* — the
 /// recomputed join has no view error by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct NmBaselineEngine<'a> {
@@ -535,7 +535,7 @@ impl NmBaselineEngine<'static> {
     /// uses this form (it keeps per-step counts, not materialized pair rows); every
     /// other query shape needs [`NmBaselineEngine::with_joined_rows`].
     #[must_use]
-    pub fn for_count(
+    pub(crate) fn for_count(
         n_left: u64,
         n_right: u64,
         arity: u64,
@@ -580,7 +580,7 @@ impl<'a> NmBaselineEngine<'a> {
 
 impl QueryEngine for NmBaselineEngine<'_> {
     /// # Panics
-    /// Panics when the engine was built with [`NmBaselineEngine::for_count`] but the
+    /// Panics when the engine was built with `NmBaselineEngine::for_count` but the
     /// query is not the *unfiltered* count — answering a sum (or a filtered count)
     /// from the total would be silently wrong.
     fn execute(&self, query: &Query) -> QueryOutcome {
@@ -627,18 +627,6 @@ pub struct QueryResult {
     pub report: CostReport,
 }
 
-/// Number of compare-exchange gates in a Batcher odd-even merge network of `n`
-/// elements, computed analytically (`≈ n·log²n/4`); used to price joins that are never
-/// physically executed (the NM baseline over the full outsourced data).
-///
-/// Delegates to [`incshrink_oblivious::batcher_padded_pair_count`] — the single
-/// definition of the analytic padded-network formula (this function used to carry
-/// its own identical copy). Saturates at `u64::MAX` instead of overflowing.
-#[must_use]
-pub fn batcher_comparator_count(n: u64) -> u64 {
-    incshrink_oblivious::batcher_padded_pair_count(n)
-}
-
 /// Execute the counting query over the materialized view: one oblivious linear scan,
 /// equivalent to `ViewEngine::execute(&Query::count())` (which it delegates to, so
 /// the legacy entry point and the typed API can never diverge).
@@ -656,7 +644,7 @@ pub fn view_count_query(view: &MaterializedView, model: &CostModel) -> QueryResu
 /// join over the full outsourced relations (sizes `n_left`, `n_right` padded records of
 /// width `arity` words) followed by a truncated linear scan, per Example 5.1.
 #[must_use]
-pub fn non_materialized_query_cost(
+pub(crate) fn non_materialized_query_cost(
     n_left: u64,
     n_right: u64,
     arity: u64,
@@ -664,7 +652,7 @@ pub fn non_materialized_query_cost(
     model: &CostModel,
 ) -> (SimDuration, CostReport) {
     let n = n_left + n_right;
-    let comparators = batcher_comparator_count(n);
+    let comparators = incshrink_oblivious::batcher_padded_pair_count(n);
     let report = CostReport {
         secure_compares: comparators + n * truncation_bound,
         secure_swaps: comparators * (arity + 1),
@@ -674,13 +662,6 @@ pub fn non_materialized_query_cost(
         rounds: 2,
     };
     (model.simulate(&report), report)
-}
-
-/// The true answer the NM baseline returns (it recomputes the join exactly, so its
-/// error is zero by construction).
-#[must_use]
-pub fn non_materialized_answer(true_count: u64) -> u64 {
-    true_count
 }
 
 #[cfg(test)]
@@ -700,58 +681,6 @@ mod tests {
         let mut v = MaterializedView::new();
         v.append(SharedArrayPair::share_records(&records, &mut rng));
         v
-    }
-
-    #[test]
-    fn batcher_count_growth() {
-        assert_eq!(batcher_comparator_count(0), 0);
-        assert_eq!(batcher_comparator_count(1), 0);
-        assert!(batcher_comparator_count(2) >= 1);
-        let small = batcher_comparator_count(1_000);
-        let large = batcher_comparator_count(1_000_000);
-        assert!(large > small * 900, "n log^2 n growth");
-        // Analytic formula is an upper bound on the pruned arbitrary-n network.
-        for n in [3usize, 5, 17, 33, 100] {
-            let actual = incshrink_oblivious::sort::batcher_pairs(n).len() as u64;
-            assert!(actual <= batcher_comparator_count(n as u64));
-        }
-    }
-
-    #[test]
-    fn batcher_count_saturates_instead_of_overflowing() {
-        // For n beyond ~2^57 the u64 product p·k·(k+1) used to wrap around; the u128
-        // computation must stay monotone and saturate at u64::MAX.
-        let big = batcher_comparator_count(1 << 50);
-        let bigger = batcher_comparator_count(1 << 54);
-        assert!(bigger > big, "count stays monotone past the old overflow");
-        assert_eq!(batcher_comparator_count(u64::MAX), u64::MAX, "saturates");
-        assert_eq!(batcher_comparator_count(1 << 57), u64::MAX, "saturates");
-        // Sanity: the exact value just below the saturation region.
-        assert_eq!(
-            batcher_comparator_count(1 << 40),
-            (1u64 << 40) * 40 * 41 / 4
-        );
-    }
-
-    #[test]
-    fn batcher_count_delegation_matches_the_historical_formula() {
-        // The local copy of the analytic formula this function carried before
-        // delegating to the oblivious crate; the delegation must agree everywhere.
-        fn historical(n: u64) -> u64 {
-            if n < 2 {
-                return 0;
-            }
-            let p = u128::from(n).next_power_of_two();
-            let k = u128::from(p.trailing_zeros());
-            u64::try_from((p * k * (k + 1)) / 4).unwrap_or(u64::MAX)
-        }
-        for n in 0..=(1u64 << 20) {
-            assert_eq!(batcher_comparator_count(n), historical(n), "n={n}");
-        }
-        // u128-saturation edge: beyond ~2^57 the product exceeds u64.
-        for n in [1u64 << 56, (1 << 57) - 1, 1 << 57, 1 << 63, u64::MAX] {
-            assert_eq!(batcher_comparator_count(n), historical(n), "n={n}");
-        }
     }
 
     #[test]
@@ -906,7 +835,6 @@ mod tests {
         let (nm_qet, report) = non_materialized_query_cost(50_000, 10_000, 2, 1, &model);
         assert!(nm_qet.as_secs_f64() > view_qet.as_secs_f64() * 100.0);
         assert!(report.secure_swaps > report.secure_compares);
-        assert_eq!(non_materialized_answer(42), 42);
     }
 
     #[test]

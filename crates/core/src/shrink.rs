@@ -19,13 +19,13 @@ use incshrink_mpc::PartyExec;
 use incshrink_storage::SecureCache;
 
 /// Name under which the (scaled) noisy threshold is secret-shared on both servers.
-pub const NOISY_THRESHOLD_SHARE: &str = "noisy_threshold";
+pub(crate) const NOISY_THRESHOLD_SHARE: &str = "noisy_threshold";
 /// Fixed-point scale used to secret-share the (fractional) noisy threshold as a word.
 const THRESHOLD_SCALE: f64 = 1024.0;
 
 /// Result of one Shrink step.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ShrinkOutcome {
+pub(crate) struct ShrinkOutcome {
     /// Whether a view synchronization was performed this step.
     pub updated: bool,
     /// The DP-noised read size used for the synchronization (0 when not updated).
@@ -40,14 +40,13 @@ pub struct ShrinkOutcome {
 
 /// The Shrink protocol state for the DP strategies.
 #[derive(Debug)]
-pub struct ShrinkProtocol {
+pub(crate) struct ShrinkProtocol {
     epsilon: f64,
     contribution_bound: u64,
     strategy: UpdateStrategy,
     flush_interval: u64,
     flush_size: usize,
     ant_initialized: bool,
-    updates_issued: u64,
 }
 
 impl ShrinkProtocol {
@@ -61,14 +60,7 @@ impl ShrinkProtocol {
             flush_interval: config.flush_interval,
             flush_size: config.flush_size,
             ant_initialized: false,
-            updates_issued: 0,
         }
-    }
-
-    /// Number of view synchronizations issued so far.
-    #[must_use]
-    pub fn updates_issued(&self) -> u64 {
-        self.updates_issued
     }
 
     fn store_noisy_threshold(&self, ctx: &mut impl PartyExec, threshold: f64) {
@@ -121,7 +113,6 @@ impl ShrinkProtocol {
         // walk that grows with the number of synchronizations, which inverts the
         // paper's Figure 6 crossover for the frequently-updating sDPANT).
         ctx.reshare_and_store(CARDINALITY_SHARE, counter.saturating_sub(fetched_real));
-        self.updates_issued += 1;
         read_size
     }
 
@@ -258,7 +249,6 @@ mod tests {
         }
         let out = shrink.step(&mut ctx, &mut cache, &mut view, 10);
         assert!(out.updated);
-        assert_eq!(shrink.updates_issued(), 1);
         // With ε = 100 the noise is negligible: read size ≈ true counter (6).
         assert!((out.read_size as i64 - 6).abs() <= 1);
         assert!(view.true_cardinality() >= 5);

@@ -65,9 +65,9 @@
 //!   for an import. Arrival stamps never decrease along the mirror, so what expires
 //!   in a step is normally a prefix — the real records of the batch the window just
 //!   dropped — popped off the front and unlinked from the index in O(expired).
-//!   Elastic migration breaks the ordering: [`TransformProtocol::import_active`]
+//!   Elastic migration breaks the ordering: `TransformProtocol::import_active`
 //!   appends records with whatever steps they had left at the source, and
-//!   [`TransformProtocol::export_active`] takes a key range out of the middle. Such
+//!   `TransformProtocol::export_active` takes a key range out of the middle. Such
 //!   records die *in place* (an export sets the stamp to 0) and the candidate walk
 //!   skips every record whose stamp has passed. Positions never move, so the walk
 //!   meets the live records in the order a compacted mirror would hold them, and
@@ -132,7 +132,7 @@ impl ActiveRecord {
 /// remaining contribution budget in units of ω — the unit shipped between shards
 /// during elastic migration ([`TransformProtocol::export_active`] /
 /// [`TransformProtocol::import_active`]).
-pub type BudgetedRecord = (ActiveRecord, u64);
+pub(crate) type BudgetedRecord = (ActiveRecord, u64);
 
 /// One accumulated relation as Transform sees it: the *public active window* — the
 /// padded lengths of the upload batches a delta can still join with, which is what
@@ -554,7 +554,7 @@ impl TransformProtocol {
     /// follow or cross-time join pairs would be lost). The records die here in
     /// place; the destination's [`Self::import_active`] stamps them with the steps
     /// they have left, so the lifetime `b`-bound is preserved across the move.
-    pub fn export_active(
+    pub(crate) fn export_active(
         &mut self,
         moved: &dyn Fn(u32) -> bool,
     ) -> (Vec<BudgetedRecord>, Vec<BudgetedRecord>) {
@@ -571,7 +571,7 @@ impl TransformProtocol {
     /// export: how many of its rows moved is private, so each side's window grows
     /// by one block of that public length, live for a full [`Self::window_steps`]
     /// — no imported record can outlive it.
-    pub fn import_active(
+    pub(crate) fn import_active(
         &mut self,
         left: Vec<BudgetedRecord>,
         right: Vec<BudgetedRecord>,

@@ -139,12 +139,6 @@ impl MaterializedView {
         &self.entries
     }
 
-    /// Number of dummy tuples carried by the view.
-    #[must_use]
-    pub fn dummy_count(&self) -> usize {
-        self.len() - self.true_cardinality()
-    }
-
     /// Number of synchronization operations applied so far.
     #[must_use]
     pub fn sync_count(&self) -> u64 {
@@ -306,7 +300,6 @@ mod tests {
         view.append(SharedArrayPair::new()); // empty appends are ignored
         assert_eq!(view.len(), 3);
         assert_eq!(view.true_cardinality(), 2);
-        assert_eq!(view.dummy_count(), 1);
         assert_eq!(view.sync_count(), 1);
         assert_eq!(view.size_bytes(), 3 * 5 * 4);
         assert!(view.size_mb() > 0.0);
@@ -331,7 +324,7 @@ mod tests {
         assert_eq!(moved.len(), 2);
         assert!(moved.iter().all(|r| r.fields[0] == 10));
         assert_eq!(source.true_cardinality(), 1, "key 20 stays");
-        assert_eq!(source.dummy_count(), 1, "dummies stay behind");
+        assert_eq!(source.len(), 2, "dummies stay behind");
         assert_eq!(source.sync_count(), 1, "migration is not a sync");
 
         let mut dest = MaterializedView::new();

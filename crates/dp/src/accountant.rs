@@ -19,22 +19,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A q-stable transformation descriptor (Lemma 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StableTransform {
-    /// Stability constant: each input record affects at most `stability` output rows.
-    pub stability: u64,
-}
-
-impl StableTransform {
-    /// Effective privacy parameter of an ε-DP mechanism applied to the transformation's
-    /// output (Lemma 2): `q · ε`.
-    #[must_use]
-    pub fn amplified_epsilon(&self, mechanism_epsilon: f64) -> f64 {
-        self.stability as f64 * mechanism_epsilon
-    }
-}
-
 /// One mechanism application recorded by the accountant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MechanismApplication {
@@ -100,22 +84,13 @@ impl PrivacyAccountant {
         &self.applications
     }
 
-    /// Largest per-invocation mechanism ε recorded (0 when empty).
-    #[must_use]
-    pub fn max_mechanism_epsilon(&self) -> f64 {
-        self.applications
-            .iter()
-            .map(|a| a.mechanism_epsilon)
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Rebuild an accountant from a replayed telemetry ε-ledger: each
     /// [`LedgerEntry`](incshrink_telemetry::LedgerEntry) is one mechanism
     /// invocation at its per-invocation ε, recorded as a 1-stable sequential
     /// application (stability amplification is already reflected in the
     /// entry's sensitivity, not its ε).
     #[must_use]
-    pub fn replay_ledger(entries: &[incshrink_telemetry::LedgerEntry]) -> Self {
+    pub(crate) fn replay_ledger(entries: &[incshrink_telemetry::LedgerEntry]) -> Self {
         let mut accountant = Self::new();
         for entry in entries {
             accountant.record(MechanismApplication {
@@ -176,12 +151,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn stable_transform_amplification() {
-        let t = StableTransform { stability: 10 };
-        assert!((t.amplified_epsilon(0.15) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn accountant_budgeted_vs_unbudgeted() {
         let mut acc = PrivacyAccountant::new();
         assert!(acc.is_empty());
@@ -233,7 +202,6 @@ mod tests {
         // reconciles; a single overspend does not.
         let within: Vec<_> = (0..40).map(|_| entry(0.15)).collect();
         assert!(claimed.reconciles_with_ledger(&within, 10));
-        assert!((claimed.max_mechanism_epsilon() - 0.15).abs() < 1e-12);
         let mut overspent = within.clone();
         overspent.push(entry(0.2));
         assert!(!claimed.reconciles_with_ledger(&overspent, 10));

@@ -1,13 +1,12 @@
-//! Closed-form utility bounds (Theorems 4, 5, 6 and Corollary 11).
+//! Closed-form utility bounds (Theorem 4 and Corollary 11).
 //!
-//! The experiment harness uses these to pick cache-flush sizes, and the property tests
-//! use them to check that the implemented protocols' deferred-data behaviour stays
-//! within the proven envelopes with the stated probability.
+//! The tests use these to check that the implemented protocols' deferred-data
+//! behaviour stays within the proven envelopes with the stated probability.
 
 /// Corollary 11: the sum of `k` i.i.d. `Lap(Δ/ε)` variables exceeds
 /// `2·(Δ/ε)·sqrt(k·ln(1/β))` with probability at most `β` (valid for `k ≥ 4·ln(1/β)`).
 #[must_use]
-pub fn laplace_sum_tail_bound(sensitivity: f64, epsilon: f64, k: u64, beta: f64) -> f64 {
+pub(crate) fn laplace_sum_tail_bound(sensitivity: f64, epsilon: f64, k: u64, beta: f64) -> f64 {
     assert!(beta > 0.0 && beta < 1.0, "beta must lie in (0,1)");
     assert!(epsilon > 0.0 && sensitivity > 0.0);
     2.0 * (sensitivity / epsilon) * ((k as f64) * (1.0 / beta).ln()).sqrt()
@@ -19,70 +18,6 @@ pub fn laplace_sum_tail_bound(sensitivity: f64, epsilon: f64, k: u64, beta: f64)
 #[must_use]
 pub fn timer_deferred_bound(contribution_bound: u64, epsilon: f64, k: u64, beta: f64) -> f64 {
     laplace_sum_tail_bound(contribution_bound as f64, epsilon, k, beta)
-}
-
-/// Theorem 5: bound on the number of *dummy* entries inserted into the materialized
-/// view after the `k`-th `sDPTimer` update, with flush interval `f`, flush size `s`
-/// and update interval `t_interval`: `O(2b√k/ε) + s·k·T/f`.
-#[must_use]
-pub fn timer_dummy_bound(
-    contribution_bound: u64,
-    epsilon: f64,
-    k: u64,
-    beta: f64,
-    flush_interval: u64,
-    flush_size: u64,
-    update_interval: u64,
-) -> f64 {
-    assert!(flush_interval > 0, "flush interval must be positive");
-    timer_deferred_bound(contribution_bound, epsilon, k, beta)
-        + (flush_size as f64) * (k as f64) * (update_interval as f64) / (flush_interval as f64)
-}
-
-/// Theorem 6: bound on deferred data at time `t` under `sDPANT`:
-/// `16b·(ln t + ln(2/β))/ε` (the paper states the asymptotic `O(16·b·log t / ε)`).
-#[must_use]
-pub fn ant_deferred_bound(contribution_bound: u64, epsilon: f64, t: u64, beta: f64) -> f64 {
-    assert!(beta > 0.0 && beta < 1.0);
-    assert!(epsilon > 0.0);
-    let t = t.max(2) as f64;
-    16.0 * contribution_bound as f64 * (t.ln() + (2.0 / beta).ln()) / epsilon
-}
-
-/// Theorem 6 (second part): total dummy data inserted into the view by time `t` under
-/// `sDPANT` with cache flushes every `f` steps of size `s`: deferred bound + `s·⌊t/f⌋`.
-#[must_use]
-pub fn ant_dummy_bound(
-    contribution_bound: u64,
-    epsilon: f64,
-    t: u64,
-    beta: f64,
-    flush_interval: u64,
-    flush_size: u64,
-) -> f64 {
-    assert!(flush_interval > 0);
-    ant_deferred_bound(contribution_bound, epsilon, t, beta)
-        + (flush_size * (t / flush_interval)) as f64
-}
-
-/// Theorem 17 (Appendix D.1): error bound of the composed DP-Sync + IncShrink system
-/// when the owner's record-synchronization strategy is (α, β)-accurate:
-/// `b·α + deferred_bound`. `timer` selects which Shrink bound to add.
-#[must_use]
-pub fn composed_error_bound(
-    contribution_bound: u64,
-    epsilon: f64,
-    owner_alpha: f64,
-    k_or_t: u64,
-    beta: f64,
-    timer: bool,
-) -> f64 {
-    let shrink = if timer {
-        timer_deferred_bound(contribution_bound, epsilon, k_or_t, beta)
-    } else {
-        ant_deferred_bound(contribution_bound, epsilon, k_or_t, beta)
-    };
-    contribution_bound as f64 * owner_alpha + shrink
 }
 
 #[cfg(test)]
@@ -101,32 +36,6 @@ mod tests {
         assert!((b2 / b1 - 2.0).abs() < 1e-9, "sqrt scaling in k");
         let tight = timer_deferred_bound(10, 2.0, 16, 0.05);
         assert!((b1 / tight - 2.0).abs() < 1e-9, "1/epsilon scaling");
-
-        // ANT bound grows logarithmically with t.
-        let a1 = ant_deferred_bound(10, 1.0, 100, 0.05);
-        let a2 = ant_deferred_bound(10, 1.0, 10_000, 0.05);
-        assert!(a2 > a1);
-        assert!(a2 / a1 < 3.0, "log, not polynomial, growth");
-    }
-
-    #[test]
-    fn dummy_bounds_add_flush_contribution() {
-        let base = timer_deferred_bound(10, 1.5, 20, 0.05);
-        let with_flush = timer_dummy_bound(10, 1.5, 20, 0.05, 2000, 15, 10);
-        assert!((with_flush - base - 15.0 * 20.0 * 10.0 / 2000.0).abs() < 1e-9);
-
-        let ant_base = ant_deferred_bound(20, 1.5, 4000, 0.05);
-        let ant_flush = ant_dummy_bound(20, 1.5, 4000, 0.05, 2000, 15);
-        assert!((ant_flush - ant_base - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn composed_bound_is_additive_in_owner_error() {
-        let without_owner = composed_error_bound(10, 1.0, 0.0, 25, 0.05, true);
-        let with_owner = composed_error_bound(10, 1.0, 7.0, 25, 0.05, true);
-        assert!((with_owner - without_owner - 70.0).abs() < 1e-9);
-        let ant = composed_error_bound(10, 1.0, 7.0, 25, 0.05, false);
-        assert!(ant > 0.0);
     }
 
     #[test]
@@ -164,10 +73,6 @@ mod tests {
             let large = timer_deferred_bound(b * 2, eps, k, beta);
             prop_assert!(small > 0.0);
             prop_assert!(large > small);
-            let ant_small = ant_deferred_bound(b, eps, k, beta);
-            let ant_large = ant_deferred_bound(b * 2, eps, k, beta);
-            prop_assert!(ant_small > 0.0);
-            prop_assert!(ant_large > ant_small);
         }
     }
 }

@@ -4,29 +4,22 @@
 //! every route. Shrinkwrap's observation is that a small ε buys a *noisy* load
 //! estimate, and sizing the intermediate to that estimate (plus a safety
 //! margin) instead of the worst case trades a little privacy budget for a lot
-//! of padding. [`NoisyCutSizer`] packages the two releases the elastic control
-//! plane needs:
+//! of padding. [`NoisyCutSizer`] packages the release the elastic control
+//! plane needs: [`NoisyCutSizer::noisy_counts_signed`], one Laplace release per
+//! *virtual bucket* of the routing key space. The buckets partition the records,
+//! so by parallel composition the joint release of all buckets is `ε`-DP and the
+//! sizer emits **one** ledger entry per invocation, not one per bucket.
 //!
-//! * [`NoisyCutSizer::noisy_counts`] — one Laplace release per *virtual bucket*
-//!   of the routing key space. The buckets partition the records, so by
-//!   parallel composition the joint release of all buckets is `ε`-DP and the
-//!   sizer emits **one** ledger entry per invocation, not one per bucket.
-//! * [`NoisyCutSizer::noisy_max`] — report-noisy-max over the bucket counts
-//!   (each count perturbed with fresh `Lap(1/ε)` noise, the argmax index
-//!   released). Used to pick the hottest bucket when a split has to choose
-//!   what to move; releasing only the argmax is `ε`-DP by the classic
-//!   report-noisy-max argument.
-//!
-//! Both releases stamp the ambient telemetry scopes, so the cluster driver
+//! The release stamps the ambient telemetry scopes, so the cluster driver
 //! wraps calls in `mechanism_scope("elastic.cut")` and the spend lands in the
-//! PR 7 ε-ledger where [`crate::accountant::PrivacyAccountant::replay_ledger`]
-//! reconciles it against the claimed bound.
+//! ε-ledger, which [`crate::accountant::PrivacyAccountant::reconciles_with_ledger`]
+//! checks against the claimed bound.
 
 use crate::laplace::LaplaceMechanism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// DP sizer releasing noisy per-bucket load counts and noisy-max bucket picks.
+/// DP sizer releasing noisy per-bucket load counts.
 ///
 /// Deterministic for a given seed: the cluster drivers feed it a seed derived
 /// from the cluster seed, so elastic runs replay bit-for-bit across party
@@ -57,26 +50,13 @@ impl NoisyCutSizer {
         self.mechanism.epsilon
     }
 
-    /// Release a noisy copy of per-bucket record counts (clamped to
-    /// non-negative integers). One `ε`-DP release by parallel composition over
-    /// the disjoint buckets; emits a single ledger entry under the ambient
-    /// telemetry scopes.
-    pub fn noisy_counts(&mut self, true_counts: &[u64]) -> Vec<u64> {
-        let released: Vec<u64> = true_counts
-            .iter()
-            .map(|&c| self.mechanism.randomize_count(c, &mut self.rng))
-            .collect();
-        incshrink_telemetry::epsilon_spent(self.mechanism.epsilon, 1.0);
-        released
-    }
-
-    /// Release a *signed* noisy copy of per-bucket record counts — same
-    /// `ε`-DP release as [`Self::noisy_counts`] (parallel composition, one
-    /// ledger entry), but without the per-bucket non-negativity clamp. Summing
-    /// many clamped near-zero buckets biases the aggregate upward by roughly
-    /// the noise scale per bucket; downstream consumers that aggregate (the
-    /// elastic per-destination cut sizing) need the unbiased signed values and
-    /// clamp only the final sum.
+    /// Release a *signed* noisy copy of per-bucket record counts: one `ε`-DP
+    /// release by parallel composition over the disjoint buckets, with a single
+    /// ledger entry under the ambient telemetry scopes. There is no per-bucket
+    /// non-negativity clamp: summing many clamped near-zero buckets biases the
+    /// aggregate upward by roughly the noise scale per bucket, so consumers that
+    /// aggregate (the elastic per-destination cut sizing) take the unbiased
+    /// signed values and clamp only the final sum.
     pub fn noisy_counts_signed(&mut self, true_counts: &[u64]) -> Vec<f64> {
         let released: Vec<f64> = true_counts
             .iter()
@@ -84,24 +64,6 @@ impl NoisyCutSizer {
             .collect();
         incshrink_telemetry::epsilon_spent(self.mechanism.epsilon, 1.0);
         released
-    }
-
-    /// Report-noisy-max: the index of the largest count after fresh `Lap(1/ε)`
-    /// perturbation of each. One `ε`-DP release; emits a single ledger entry.
-    ///
-    /// # Panics
-    /// Panics on an empty slice.
-    pub fn noisy_max(&mut self, true_counts: &[u64]) -> usize {
-        assert!(!true_counts.is_empty(), "noisy_max over no buckets");
-        let winner = true_counts
-            .iter()
-            .map(|&c| self.mechanism.randomize(c as f64, &mut self.rng))
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        incshrink_telemetry::epsilon_spent(self.mechanism.epsilon, 1.0);
-        winner
     }
 }
 
@@ -114,21 +76,11 @@ mod tests {
     #[test]
     fn releases_are_deterministic_per_seed() {
         let counts = [0u64, 5, 1, 40, 2];
-        let a = NoisyCutSizer::new(0.5, 9).noisy_counts(&counts);
-        let b = NoisyCutSizer::new(0.5, 9).noisy_counts(&counts);
+        let a = NoisyCutSizer::new(0.5, 9).noisy_counts_signed(&counts);
+        let b = NoisyCutSizer::new(0.5, 9).noisy_counts_signed(&counts);
         assert_eq!(a, b);
-        let c = NoisyCutSizer::new(0.5, 10).noisy_counts(&counts);
+        let c = NoisyCutSizer::new(0.5, 10).noisy_counts_signed(&counts);
         assert_ne!(a, c, "different seed, different noise");
-    }
-
-    #[test]
-    fn noisy_max_finds_a_dominant_bucket() {
-        let mut sizer = NoisyCutSizer::new(2.0, 4);
-        // The gap (10_000 vs 0) dwarfs Lap(1/2) noise.
-        let counts = [0u64, 0, 10_000, 0];
-        for _ in 0..20 {
-            assert_eq!(sizer.noisy_max(&counts), 2);
-        }
     }
 
     #[test]
@@ -137,8 +89,8 @@ mod tests {
         let _guard = install(sink.clone());
         let _mech = incshrink_telemetry::mechanism_scope("elastic.cut");
         let mut sizer = NoisyCutSizer::new(0.25, 7);
-        let _ = sizer.noisy_counts(&[3, 1, 4, 1, 5]);
-        let _ = sizer.noisy_max(&[3, 1, 4, 1, 5]);
+        let _ = sizer.noisy_counts_signed(&[3, 1, 4, 1, 5]);
+        let _ = sizer.noisy_counts_signed(&[2, 7, 1, 8]);
         let entries: Vec<_> = sink
             .events()
             .into_iter()

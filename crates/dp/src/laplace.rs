@@ -66,7 +66,7 @@ impl LaplaceMechanism {
     }
 
     /// Apply the mechanism to a true value.
-    pub fn randomize<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64 {
+    pub(crate) fn randomize<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64 {
         true_value + self.sample_noise(rng)
     }
 

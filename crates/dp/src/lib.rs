@@ -19,10 +19,8 @@
 //! * [`accountant`] — q-stability bookkeeping and sequential/parallel composition
 //!   (Lemma 2, Theorem 3); the per-record contribution budget is enforced by
 //!   Transform's window, not counted here.
-//! * [`bounds`] — closed-form error bounds of Theorems 4, 5 and 6 (deferred-data and
-//!   dummy-data bounds) used by the experiment harness and by property tests.
-//! * [`sync`] — owner-side record-synchronization strategies from DP-Sync (Section 8,
-//!   "Connecting with DP-Sync").
+//! * [`bounds`] — the closed-form deferred-data bound of Theorem 4 (and the
+//!   Corollary 11 Laplace-sum tail it rests on), checked by the property tests.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,15 +32,11 @@ pub mod joint;
 pub mod laplace;
 pub mod mechanisms;
 pub mod svt;
-pub mod sync;
-pub mod user_level;
 
-pub use accountant::{PrivacyAccountant, StableTransform};
-pub use bounds::{ant_deferred_bound, timer_deferred_bound, timer_dummy_bound};
+pub use accountant::PrivacyAccountant;
+pub use bounds::timer_deferred_bound;
 pub use cut::NoisyCutSizer;
 pub use joint::joint_laplace_noise;
 pub use laplace::{laplace_from_unit, LaplaceMechanism};
-pub use mechanisms::{AntLeakage, TimerLeakage, UpdateLeakage};
+pub use mechanisms::{TimerLeakage, UpdateLeakage};
 pub use svt::NumericAboveThreshold;
-pub use sync::{FixedIntervalSync, RecordSyncStrategy, SyncDecision};
-pub use user_level::{achieved_epsilon_at, correlated_epsilon, event_epsilon_for, PrivacyUnit};

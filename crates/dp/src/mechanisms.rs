@@ -1,14 +1,13 @@
-//! Leakage-profile mechanisms `M_timer` and `M_ant` (Theorems 7, 8, 12, 13).
+//! The leakage-profile mechanism `M_timer` (Theorems 7 and 12).
 //!
 //! The SIM-CDP security argument shows that everything an admissible adversary sees
 //! during protocol execution can be simulated from the output of a DP mechanism over
-//! the growing database. These are those mechanisms, implemented standalone over a
-//! plaintext stream of per-step new-view-entry counts. Tests and benches use them to
-//! check that the *protocols'* observable synchronization sizes are distributed like
-//! the mechanisms' outputs (same triggering times, same noise scales).
+//! the growing database. This is that mechanism for `sDPTimer`, implemented
+//! standalone over a plaintext stream of per-step new-view-entry counts. Tests use it
+//! to check that the *protocol's* observable synchronization sizes are distributed
+//! like the mechanism's outputs (same triggering times, same noise scales).
 
 use crate::laplace::LaplaceMechanism;
-use crate::svt::{NumericAboveThreshold, SvtOutcome};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -80,48 +79,6 @@ impl UpdateLeakage for TimerLeakage {
     }
 }
 
-/// `M_ant`: the sparse-vector mechanism of Algorithm 5 wrapped as an update-leakage
-/// profile (threshold θ, contribution bound `b`, privacy parameter ε).
-#[derive(Debug, Clone)]
-pub struct AntLeakage {
-    svt: NumericAboveThreshold,
-    epsilon: f64,
-}
-
-impl AntLeakage {
-    /// Create the mechanism.
-    pub fn new<R: Rng + ?Sized>(
-        threshold: f64,
-        contribution_bound: u64,
-        epsilon: f64,
-        rng: &mut R,
-    ) -> Self {
-        Self {
-            svt: NumericAboveThreshold::new(threshold, contribution_bound as f64, epsilon, rng),
-            epsilon,
-        }
-    }
-}
-
-impl UpdateLeakage for AntLeakage {
-    fn step<R: Rng + ?Sized>(&mut self, time: u64, new_entries: u64, rng: &mut R) -> LeakageEvent {
-        match self.svt.step(new_entries, rng) {
-            SvtOutcome::Below => LeakageEvent {
-                time,
-                released: None,
-            },
-            SvtOutcome::Released { noised_count } => LeakageEvent {
-                time,
-                released: Some(noised_count),
-            },
-        }
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
 /// Run a leakage mechanism over a whole stream of per-step new-entry counts and return
 /// the trace. Convenience for tests and the benchmark harness.
 pub fn run_leakage<M: UpdateLeakage, R: Rng + ?Sized>(
@@ -170,36 +127,6 @@ mod tests {
         assert_eq!(releases.len(), 2);
         assert!((releases[0] - 20.0).abs() < 1.0);
         assert!(releases[1].abs() < 1.0);
-    }
-
-    #[test]
-    fn ant_leakage_fires_when_enough_entries_accumulate() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut m = AntLeakage::new(30.0, 1, 50.0, &mut rng);
-        let stream: Vec<u64> = vec![3; 200];
-        let trace = run_leakage(&mut m, &stream, &mut rng);
-        let releases = trace.iter().filter(|e| e.released.is_some()).count();
-        // Should fire roughly every 10 steps.
-        assert!((15..=25).contains(&releases), "releases = {releases}");
-        assert!((m.epsilon() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ant_fires_faster_on_denser_streams() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let sparse: Vec<u64> = vec![1; 300];
-        let burst: Vec<u64> = vec![10; 300];
-        let mut m1 = AntLeakage::new(30.0, 1, 20.0, &mut rng);
-        let r1 = run_leakage(&mut m1, &sparse, &mut rng)
-            .iter()
-            .filter(|e| e.released.is_some())
-            .count();
-        let mut m2 = AntLeakage::new(30.0, 1, 20.0, &mut rng);
-        let r2 = run_leakage(&mut m2, &burst, &mut rng)
-            .iter()
-            .filter(|e| e.released.is_some())
-            .count();
-        assert!(r2 > r1 * 3, "burst {r2} vs sparse {r1}");
     }
 
     #[test]

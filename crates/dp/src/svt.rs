@@ -60,7 +60,7 @@ impl NumericAboveThreshold {
     }
 
     /// Draw a fresh noisy threshold `θ + Lap(2Δ/ε₁)`.
-    pub fn refresh_threshold<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    pub(crate) fn refresh_threshold<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let mech = LaplaceMechanism::new(2.0 * self.sensitivity, self.epsilon1);
         self.noisy_threshold = mech.randomize(self.threshold, rng);
     }
@@ -69,12 +69,6 @@ impl NumericAboveThreshold {
     #[must_use]
     pub fn noisy_threshold(&self) -> f64 {
         self.noisy_threshold
-    }
-
-    /// The running (un-noised) count accumulated since the last release.
-    #[must_use]
-    pub fn running_count(&self) -> f64 {
-        self.running_count
     }
 
     /// Feed the number of new items arriving at this time step; returns whether a
@@ -140,7 +134,7 @@ mod tests {
         // One big burst should fire immediately and reset.
         let out = svt.step(100, &mut rng);
         assert!(matches!(out, SvtOutcome::Released { .. }));
-        assert_eq!(svt.running_count(), 0.0);
+        assert_eq!(svt.running_count, 0.0);
     }
 
     #[test]

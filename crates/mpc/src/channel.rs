@@ -91,9 +91,9 @@ pub(crate) type ChannelResult<T> = Result<T, ChannelError>;
 /// Message tags of the length-prefixed TCP codec (one byte after the frame
 /// header). Kept in a tiny private namespace so encode/decode can't drift.
 mod tag {
-    pub const RAND: u8 = 0;
-    pub const RESHARE: u8 = 1;
-    pub const SHARE_BATCH: u8 = 2;
+    pub(crate) const RAND: u8 = 0;
+    pub(crate) const RESHARE: u8 = 1;
+    pub(crate) const SHARE_BATCH: u8 = 2;
 }
 
 /// Bytes of the TCP frame header plus tag byte — the per-message wire overhead

@@ -9,10 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
-use std::time::Duration;
 
-/// Simulated wall-clock duration. A thin wrapper over [`Duration`] so that simulated
-/// time is never confused with host time in the experiment drivers.
+/// Simulated wall-clock duration, in nanoseconds. A type of its own so that
+/// simulated time is never confused with host time in the experiment drivers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SimDuration {
     nanos: u128,
@@ -37,12 +36,6 @@ impl SimDuration {
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.nanos as f64 / 1e9
-    }
-
-    /// Convert to a standard [`Duration`].
-    #[must_use]
-    pub fn to_std(self) -> Duration {
-        Duration::from_nanos(self.nanos.min(u128::from(u64::MAX)) as u64)
     }
 
     /// Saturating scalar multiplication, used when replaying one measured protocol
@@ -92,26 +85,6 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// A report describing a single round that only exchanges `bytes`.
-    #[must_use]
-    pub fn communication_only(bytes: u64) -> Self {
-        Self {
-            bytes_communicated: bytes,
-            rounds: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Total primitive gate count (compares weighted as 32 ANDs, adds as 32 ANDs,
-    /// swaps proportional to record width are already expanded by the caller).
-    #[must_use]
-    pub fn total_gates(&self) -> u64 {
-        self.secure_compares * 32
-            + self.secure_adds * 32
-            + self.secure_ands
-            + self.secure_swaps * 32
-    }
-
     /// True when the report is all zeros.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -232,7 +205,7 @@ impl CostModel {
     /// no bytes or round latency: the portion of the model that host-side kernel
     /// throughput measurements can re-calibrate.
     #[must_use]
-    pub fn op_secs(&self, report: &CostReport) -> f64 {
+    pub(crate) fn op_secs(&self, report: &CostReport) -> f64 {
         report.secure_compares as f64 * self.secs_per_compare
             + report.secure_swaps as f64 * self.secs_per_swap
             + report.secure_ands as f64 * self.secs_per_and
@@ -326,7 +299,6 @@ mod tests {
         assert!((a.scale(2.0).as_secs_f64() - 3.0).abs() < 1e-9);
         let total: SimDuration = [a, b, b].into_iter().sum();
         assert!((total.as_secs_f64() - 2.5).abs() < 1e-9);
-        assert_eq!(a.to_std(), Duration::from_millis(1500));
     }
 
     #[test]
@@ -339,11 +311,14 @@ mod tests {
             bytes_communicated: 100,
             rounds: 1,
         };
-        let b = CostReport::communication_only(50);
+        let b = CostReport {
+            bytes_communicated: 50,
+            rounds: 1,
+            ..CostReport::default()
+        };
         let c = a + b;
         assert_eq!(c.bytes_communicated, 150);
         assert_eq!(c.rounds, 2);
-        assert_eq!(a.total_gates(), 2 * 32 + 32 + 4 + 3 * 32);
         assert!(!a.is_empty());
         assert!(CostReport::default().is_empty());
         let summed: CostReport = [a, b].into_iter().sum();
@@ -409,7 +384,11 @@ mod tests {
         meter.adds(7);
         meter.bytes(64);
         meter.round();
-        meter.record(CostReport::communication_only(36));
+        meter.record(CostReport {
+            bytes_communicated: 36,
+            rounds: 1,
+            ..CostReport::default()
+        });
         let report = meter.report();
         assert_eq!(report.secure_compares, 5);
         assert_eq!(report.secure_swaps, 8);

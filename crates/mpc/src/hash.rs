@@ -82,13 +82,10 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`] (zero-sized, `Default`-constructible).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Drop-in `HashMap` with the deterministic fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// Drop-in `HashSet` with the deterministic fast hasher.
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

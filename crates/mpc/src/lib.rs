@@ -24,16 +24,14 @@ mod channel;
 pub mod cost;
 pub mod exec;
 pub mod hash;
-pub mod multiserver;
 pub mod party;
 pub mod runtime;
 
 pub use channel::ChannelError;
 pub use cost::{CostModel, CostReport, SimDuration};
 pub use exec::{PartyExec, PartyMode, PARTY_CRASH_MESSAGE};
-pub use multiserver::MultiServerContext;
-pub use party::{Server, ServerPair};
-pub use runtime::{JointRandomness, PartyContext};
+pub use party::Server;
+pub use runtime::PartyContext;
 
 #[cfg(test)]
 mod tests {

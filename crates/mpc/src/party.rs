@@ -71,17 +71,17 @@ impl Server {
     }
 
     /// Draw a uniformly random 32-bit word (the `z_i` contributions of Algorithms 1-3).
-    pub fn random_word(&mut self) -> u32 {
+    pub(crate) fn random_word(&mut self) -> u32 {
         self.rng.gen()
     }
 
     /// Draw a uniformly random 64-bit word.
-    pub fn random_word64(&mut self) -> u64 {
+    pub(crate) fn random_word64(&mut self) -> u64 {
         self.rng.gen()
     }
 
     /// Store a named share (e.g. `"cardinality"` or `"noisy_threshold"`).
-    pub fn store_share(&mut self, name: &str, share: Share) {
+    pub(crate) fn store_share(&mut self, name: &str, share: Share) {
         debug_assert_eq!(share.holder, self.id);
         self.stored_shares.insert(name.to_string(), share.word);
     }
@@ -103,12 +103,6 @@ impl Server {
     #[must_use]
     pub fn transcript(&self) -> &[ObservedEvent] {
         &self.transcript
-    }
-
-    /// Number of named shares currently stored.
-    #[must_use]
-    pub fn stored_share_count(&self) -> usize {
-        self.stored_shares.len()
     }
 }
 
@@ -160,7 +154,7 @@ impl ServerPair {
     }
 
     /// Store the two halves of a shared word under the same name on each server.
-    pub fn store_share_pair(&mut self, name: &str, pair: incshrink_secretshare::SharePair) {
+    pub(crate) fn store_share_pair(&mut self, name: &str, pair: incshrink_secretshare::SharePair) {
         self.s0.store_share(name, pair.for_party(PartyId::S0));
         self.s1.store_share(name, pair.for_party(PartyId::S1));
     }
@@ -168,7 +162,7 @@ impl ServerPair {
     /// Load and recombine a named shared word. Returns `None` when either server is
     /// missing its share. This models "the protocol recovers `c` internally".
     #[must_use]
-    pub fn load_share_pair(&self, name: &str) -> Option<incshrink_secretshare::SharePair> {
+    pub(crate) fn load_share_pair(&self, name: &str) -> Option<incshrink_secretshare::SharePair> {
         let a = self.s0.load_share(name)?;
         let b = self.s1.load_share(name)?;
         Some(incshrink_secretshare::SharePair::from_shares(a, b))
@@ -227,7 +221,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let shared = SharePair::share(4242, &mut rng);
         pair.store_share_pair("cardinality", shared);
-        assert_eq!(pair.s0.stored_share_count(), 1);
         let loaded = pair.load_share_pair("cardinality").unwrap();
         assert_eq!(loaded.recover(), 4242);
         assert!(pair.load_share_pair("missing").is_none());

@@ -5,10 +5,9 @@
 //! shared register while linearly scanning the array — the access pattern is a fixed
 //! left-to-right pass, so nothing about which entries are real leaks. This module
 //! provides the oblivious COUNT / SUM primitives (optionally filtered by a predicate)
-//! plus grouped counts: [`oblivious_group_count`] reveals the discovered group keys
-//! (protocol-internal use) while [`oblivious_group_count_over_domain`] answers over a
-//! *public* domain with a data-independent output width — the variant the analyst
-//! query API compiles to.
+//! plus grouped counts: [`oblivious_group_count_over_domain`] answers over a
+//! *public* domain with a data-independent output width, which is what the analyst
+//! query API compiles GROUP-COUNT to.
 //!
 //! Every scan prices its share traffic like the other oblivious operators: the
 //! entries' shares (`(arity + 1) · 4` bytes each) are fed into the circuit as garbled
@@ -26,13 +25,12 @@
 //! view) calls the bodies directly and pays no transposition; the
 //! `&SharedArrayPair` entry points ([`oblivious_count`], [`oblivious_sum`],
 //! [`oblivious_group_count_over_domain`]) transpose once, take their mask from
-//! [`Predicate::mask_columns`] and run the same body.
+//! `Predicate::mask_columns` and run the same body.
 
 use crate::filter::Predicate;
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
-use std::collections::BTreeMap;
 
 /// Bytes of share traffic a linear scan of `columns` feeds into the circuit.
 fn scan_input_bytes(columns: &SharedColumnsPair) -> u64 {
@@ -46,7 +44,7 @@ fn field_lane(columns: &SharedColumnsPair, field: usize) -> Option<Vec<u64>> {
 
 /// Count the rows of `columns` that `mask` selects — the lane body of
 /// [`oblivious_count`]. `mask` holds one 0/1 word per row (`isView ∧ predicate`, as
-/// [`Predicate::mask_columns`] builds it). Charges one secure comparison, one AND
+/// `Predicate::mask_columns` builds it). Charges one secure comparison, one AND
 /// and one addition per row, the scanned shares as input traffic and 8 bytes for
 /// the revealed count — whatever the mask selects.
 ///
@@ -154,36 +152,6 @@ pub fn oblivious_sum(
     sum_selected(&columns, field, &predicate.mask_columns(&columns), meter)
 }
 
-/// Obliviously count real entries grouped by the value of `group_field`. The output
-/// map's *keys* are revealed (group-by results are part of the query answer); the scan
-/// itself remains a fixed pass over the array. Dummy entries contribute to no group.
-///
-/// Because the revealed key set is data-dependent, this variant is protocol-internal;
-/// the analyst query API compiles GROUP-COUNT to
-/// [`oblivious_group_count_over_domain`], whose output width is a public constant.
-pub fn oblivious_group_count(
-    array: &SharedArrayPair,
-    group_field: usize,
-    meter: &mut CostMeter,
-) -> BTreeMap<u32, u64> {
-    let columns = SharedColumnsPair::from_pair(array);
-    let n = columns.len() as u64;
-    meter.compares(n);
-    meter.ands(n);
-    meter.adds(n);
-    meter.bytes(scan_input_bytes(&columns) + 8 * 16);
-    meter.round();
-    let mut groups = BTreeMap::new();
-    if let Some(lane) = field_lane(&columns, group_field) {
-        for (&key, &real) in lane.iter().zip(&columns.real_mask()) {
-            if real != 0 {
-                *groups.entry(key as u32).or_insert(0u64) += 1;
-            }
-        }
-    }
-    groups
-}
-
 /// Obliviously count the real entries that satisfy `predicate`, grouped over a
 /// *public* `domain` of `group_field` values. The output is one secret-shared counter
 /// per domain value (returned revealed, index-aligned with `domain`); entries whose
@@ -193,8 +161,8 @@ pub fn oblivious_group_count(
 ///
 /// # Leakage
 /// None beyond the public `(|array|, arity, |domain|)`: the scan is a fixed pass and
-/// the output width is the domain size, a query constant — unlike
-/// [`oblivious_group_count`], no data-dependent key set is revealed.
+/// the output width is the domain size, a query constant: no data-dependent key set
+/// is revealed.
 ///
 /// # Cost
 /// Per entry and domain slot one equality comparison, one AND (the predicate mask
@@ -261,20 +229,7 @@ mod tests {
                 .fold(0u64, u64::saturating_add)
         }
 
-        pub fn group_count(array: &SharedArrayPair, group_field: usize) -> BTreeMap<u32, u64> {
-            let mut groups = BTreeMap::new();
-            for entry in array.entries() {
-                let plain = entry.recover();
-                if plain.is_view {
-                    if let Some(&key) = plain.fields.get(group_field) {
-                        *groups.entry(key).or_insert(0u64) += 1;
-                    }
-                }
-            }
-            groups
-        }
-
-        pub fn group_count_over_domain(
+        pub(crate) fn group_count_over_domain(
             array: &SharedArrayPair,
             group_field: usize,
             domain: &[u32],
@@ -318,17 +273,6 @@ mod tests {
         assert_eq!(oblivious_sum(&arr, 1, &small, &mut meter), 20);
         // Missing field sums to zero.
         assert_eq!(oblivious_sum(&arr, 7, &all, &mut meter), 0);
-    }
-
-    #[test]
-    fn group_count_by_key() {
-        let mut meter = CostMeter::new();
-        let arr = array_with(&[(1, 5), (1, 6), (2, 7), (3, 8), (3, 9)], 3);
-        let groups = oblivious_group_count(&arr, 0, &mut meter);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[&1], 2);
-        assert_eq!(groups[&2], 1);
-        assert_eq!(groups[&3], 2);
     }
 
     #[test]
@@ -394,7 +338,6 @@ mod tests {
         let all = Predicate::all("all");
         assert_eq!(oblivious_count(&arr, &all, &mut meter), 0);
         assert_eq!(oblivious_sum(&arr, 0, &all, &mut meter), 0);
-        assert!(oblivious_group_count(&arr, 0, &mut meter).is_empty());
     }
 
     /// Every predicate shape the lane kernels handle, plus the opaque fallback.
@@ -417,10 +360,6 @@ mod tests {
             let arr = array_with(&rows, dummies);
             let all = Predicate::all("all");
             prop_assert_eq!(oblivious_count(&arr, &all, &mut meter), rows.len() as u64);
-
-            let groups = oblivious_group_count(&arr, 0, &mut meter);
-            let total: u64 = groups.values().sum();
-            prop_assert_eq!(total, rows.len() as u64);
         }
 
         #[test]
@@ -452,10 +391,6 @@ mod tests {
             prop_assert_eq!(
                 oblivious_sum(&arr, field, &predicate, &mut meter),
                 reference::sum(&arr, field, &predicate)
-            );
-            prop_assert_eq!(
-                oblivious_group_count(&arr, field, &mut meter),
-                reference::group_count(&arr, field)
             );
             let domain = [0u32, 1, 3, 5, 7, 11];
             prop_assert_eq!(

@@ -24,7 +24,7 @@ use incshrink_secretshare::tuple::SharedRecordPair;
 use rand::Rng;
 
 /// Boxed predicate function over a record's plaintext field values.
-pub type PredicateFn<'a> = Box<dyn Fn(&[u32]) -> bool + 'a>;
+pub(crate) type PredicateFn<'a> = Box<dyn Fn(&[u32]) -> bool + 'a>;
 
 /// Structural shape of a [`Predicate`], discovered by its constructor.
 ///
@@ -116,7 +116,7 @@ impl<'a> Predicate<'a> {
     /// `isView` lane and the one field lane they name; opaque closures recover
     /// every lane and gather each record's fields into a reused scratch buffer.
     #[must_use]
-    pub fn mask_columns(&self, columns: &SharedColumnsPair) -> Vec<u64> {
+    pub(crate) fn mask_columns(&self, columns: &SharedColumnsPair) -> Vec<u64> {
         let mut mask = columns.real_mask();
         match self.kind {
             PredicateKind::All => {}

@@ -1,22 +1,19 @@
 //! Truncated oblivious joins and their cost models.
 //!
-//! Three instantiations of the paper's *truncated view transformation*, plus the
+//! Two instantiations of the paper's *truncated view transformation*, plus the
 //! analytic cost functions the join planner ([`crate::planner`]) chooses between:
 //!
 //! * [`truncated_nested_loop_join`] — Algorithm 4: for each outer tuple, scan the
 //!   inner table, generate joins only while both tuples have remaining contribution
 //!   budget, and keep the first `b` slots of each per-outer buffer in sorted order.
 //!   The output is exhaustively padded to `b · |outer|` entries.
-//! * [`truncated_sort_merge_join`] — Example 5.1: union both tables, obliviously sort
-//!   by join key (left-table records break ties first), then linearly scan, emitting
-//!   exactly `b` (possibly dummy) output tuples after accessing each merged tuple.
-//!   The output is therefore exhaustively padded to `b · (|T1| + |T2|)` entries while
-//!   each input record contributes at most `b` real join tuples.
 //! * [`truncated_sort_merge_delta_join`] — the delta-oriented instantiation of
-//!   Example 5.1 used by the incremental Transform hot path: same union + oblivious
-//!   sort + scan, followed by an oblivious compaction that cuts the emission down to
-//!   the *public* `b · |outer|` prefix, so it is a drop-in replacement for the
-//!   nested-loop operator (identical output contract, different cost profile).
+//!   Example 5.1's sort-merge join used by the incremental Transform hot path: union
+//!   both tables, obliviously sort by join key (left-table records break ties
+//!   first), scan emitting `b` slots per merged tuple, then obliviously compact the
+//!   emission down to the *public* `b · |outer|` prefix, so it is a drop-in
+//!   replacement for the nested-loop operator (identical output contract, different
+//!   cost profile).
 //!
 //! The two operators the planner chooses between sort an array only to keep its
 //! head: Algorithm 4 the first `b` of each `|inner|`-slot buffer, the delta form the
@@ -29,7 +26,7 @@
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The per-operator
 //! reports are exposed as [`nested_loop_join_cost`] and
-//! [`delta_sort_merge_join_cost`]; [`crate::planner::plan_join`] prices both under a
+//! `delta_sort_merge_join_cost`; [`crate::planner::plan_join`] prices both under a
 //! cost model to pick the cheaper operator for a public shape, and
 //! [`crate::planner::plan_and_execute`] runs the winner.
 //!
@@ -51,7 +48,7 @@
 //! assert_eq!(out.true_cardinality(), 1);
 //! ```
 
-use crate::sort::{batcher_pair_count, oblivious_sort_by_key, select_first_pair_count, SortOrder};
+use crate::sort::{batcher_pair_count, select_first_pair_count};
 use incshrink_mpc::cost::{CostMeter, CostReport};
 use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -61,7 +58,7 @@ use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Boxed θ-condition evaluated over `(left_fields, right_fields)`.
-pub type ThetaCondition<'a> = Box<dyn Fn(&[u32], &[u32]) -> bool + Send + Sync + 'a>;
+pub(crate) type ThetaCondition<'a> = Box<dyn Fn(&[u32], &[u32]) -> bool + Send + Sync + 'a>;
 
 /// Description of an equi-join with an optional extra θ-condition.
 pub struct JoinSpec<'a> {
@@ -146,7 +143,7 @@ fn join_output_arity(left: &SharedArrayPair, right: &SharedArrayPair) -> usize {
 /// oblivious cost separately. It performs no metering and leaks nothing by
 /// construction — it never executes outside the simulated circuit.
 #[must_use]
-pub fn truncated_match(
+pub(crate) fn truncated_match(
     outer: &[PlainRecord],
     inner: &[PlainRecord],
     spec: &JoinSpec<'_>,
@@ -295,7 +292,7 @@ impl PartialEq for KeyIndex {
     }
 }
 
-/// The one truncated matching loop: [`truncated_match`] generalised over where the
+/// The one truncated matching loop: `truncated_match` generalised over where the
 /// inner relation lives. `inner(position)` yields a row's fields and
 /// `candidates(key)` the ascending positions of the real inner rows carrying that
 /// key — a [`KeyIndex`] built for the call, a persistent one kept across calls, or a
@@ -401,7 +398,7 @@ pub fn nested_loop_join_cost(
 /// order), then **bitonic-merge** the two sorted runs
 /// ([`crate::sort::bitonic_merge_pair_count`]`(n)` compares + record-wide swaps,
 /// plus the fixed `⌊|outer|/2⌋`-swap valley reversal of the delta run — see
-/// [`crate::sort::bitonic_merge_pairs`]), scan the merged relation emitting `bound`
+/// `sort::bitonic_merge_pairs`), scan the merged relation emitting `bound`
 /// slots per position (`n·bound` compares and ANDs), obliviously compact the
 /// `bound·n` emission down to the *public* `bound·|outer|` prefix with the top-k
 /// selection network (`select_first_pair_count(bound·n, bound·|outer|)` compares +
@@ -411,7 +408,7 @@ pub fn nested_loop_join_cost(
 /// [`crate::planner::plan_join`] compares two executable plans. Depends only on
 /// public sizes, never on data.
 #[must_use]
-pub fn delta_sort_merge_join_cost(
+pub(crate) fn delta_sort_merge_join_cost(
     outer_len: usize,
     inner_len: usize,
     bound: usize,
@@ -497,95 +494,6 @@ pub fn push_padded<R: Rng + ?Sized>(
     }
 }
 
-/// `b`-truncated oblivious sort-merge join (Example 5.1).
-///
-/// Returns an exhaustively padded array of exactly `bound * (left.len() + right.len())`
-/// records; real join tuples have `isView = 1`. Each input record (from either side)
-/// contributes at most `bound` real tuples.
-///
-/// # Leakage
-/// Oblivious: the union size, the Batcher sort schedule and the `bound`-slot
-/// emission per merged position are fixed by the public input lengths; only hidden
-/// `isView` bits distinguish real join tuples from dummies.
-///
-/// # Cost
-/// One Batcher sort of the `|T1| + |T2|` union (`batcher_pair_count` compares and
-/// record-wide swaps) plus a linear scan emitting `bound` slots per position. Use
-/// [`truncated_sort_merge_delta_join`] when the nested-loop output contract
-/// (`bound · |outer|` entries) is required — this variant's `bound·(|T1|+|T2|)`
-/// output is the one-shot Example 5.1 shape, not the incremental ΔV shape.
-pub fn truncated_sort_merge_join<R: Rng + ?Sized>(
-    left: &SharedArrayPair,
-    right: &SharedArrayPair,
-    spec: &JoinSpec<'_>,
-    bound: usize,
-    meter: &mut CostMeter,
-    rng: &mut R,
-) -> SharedArrayPair {
-    let out_arity = join_output_arity(left, right);
-    let mut out = SharedArrayPair::with_arity(out_arity);
-    if bound == 0 {
-        return out;
-    }
-
-    // --- Step 1: union with a table tag (0 = left, 1 = right) as tie-breaker.
-    // The merged relation is padded to a uniform arity so it can be obliviously sorted.
-    let merged_arity = left.arity().unwrap_or(0).max(right.arity().unwrap_or(0)) + 2;
-    let mut merged = SharedArrayPair::with_arity(merged_arity);
-    let tag_col = merged_arity - 2;
-    let key_col = merged_arity - 1;
-    let mut append_side =
-        |side: &SharedArrayPair, tag: u32, key_idx: usize, merged: &mut SharedArrayPair| {
-            for entry in side.entries() {
-                let plain = entry.recover();
-                let mut fields = plain.fields.clone();
-                fields.resize(merged_arity - 2, 0);
-                fields.push(tag);
-                fields.push(plain.fields.get(key_idx).copied().unwrap_or(u32::MAX));
-                let rec = PlainRecord {
-                    fields,
-                    is_view: plain.is_view,
-                };
-                merged
-                    .push(SharedRecordPair::share(&rec, rng))
-                    .expect("uniform arity");
-            }
-        };
-    append_side(left, 0, spec.left_key, &mut merged);
-    append_side(right, 1, spec.right_key, &mut merged);
-    meter.bytes((merged.len() * merged_arity * 4) as u64);
-
-    // --- Step 2: oblivious sort by (join key, table tag): T1 records before T2 on ties.
-    oblivious_sort_by_key(&mut merged, SortOrder::Ascending, meter, |rec| {
-        (u64::from(rec.is_view.recover() == 0) << 33)
-            | (u64::from(rec.fields[key_col].recover()) << 1)
-            | u64::from(rec.fields[tag_col].recover())
-    });
-
-    // --- Step 3: linear scan. After accessing each merged tuple, emit exactly `bound`
-    // output slots (real joins first, then dummies), tracking contributions. The scan
-    // cost is charged against the merged relation; the matching itself is re-derived
-    // from the original tables (identical output semantics, simpler bookkeeping than
-    // threading origins through the sorted permutation).
-    let n = merged.len();
-    meter.compares((n * bound) as u64);
-    meter.ands((n * bound) as u64);
-    meter.round();
-
-    let left_plain: Vec<PlainRecord> = left.entries().iter().map(|e| e.recover()).collect();
-    let right_plain: Vec<PlainRecord> = right.entries().iter().map(|e| e.recover()).collect();
-    for produced in truncated_match(&left_plain, &right_plain, spec, bound) {
-        push_padded(&mut out, produced, bound, out_arity, rng);
-    }
-    // The right-side positions of the merged scan also emit `bound` slots each; with
-    // left-driven matching these are all dummies (every real join was already emitted
-    // at its left record), preserving the exhaustive |output| = bound·(n1+n2).
-    for _ in 0..right_plain.len() {
-        push_padded(&mut out, Vec::new(), bound, out_arity, rng);
-    }
-    out
-}
-
 /// `b`-truncated oblivious nested-loop join (Algorithm 4).
 ///
 /// Output is exhaustively padded to `bound * outer.len()` records. Both the outer and
@@ -642,7 +550,7 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// [`truncated_nested_loop_join`] where it prices lower (large `|outer|` against a
 /// large inner relation): it produces the **same output contract** (exhaustively
 /// padded to `bound · |outer|` entries, identical real join tuples via
-/// [`truncated_match`]) but replaces the `|outer|·|inner|` compare matrix and the
+/// `truncated_match`) but replaces the `|outer|·|inner|` compare matrix and the
 /// `|outer|` per-buffer selections with one Batcher sort per run (the
 /// `|outer|`-record delta and the `|inner|`-record window), a bitonic merge of the
 /// two sorted runs, and one compaction of the `bound · (|outer| + |inner|)` emission
@@ -656,9 +564,9 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// public function of `|outer|`.
 ///
 /// # Cost
-/// Exactly [`delta_sort_merge_join_cost`]. The merged union and the compaction
+/// Exactly `delta_sort_merge_join_cost`. The merged union and the compaction
 /// network are priced but not physically permuted — the simulation derives the
-/// identical output from [`truncated_match`] directly, the established idiom for
+/// identical output from `truncated_match` directly, the established idiom for
 /// operators whose data movement does not affect the recovered result. Pricing
 /// the compaction as a selection rather than Example 5.1's full Batcher sort
 /// changes no output: the cut reads only the prefix the selection leaves in order.
@@ -837,65 +745,6 @@ mod tests {
         // values might coincide.
         let expected: usize = 4; // pid1x1, pid2x1, pid3x2
         assert_eq!(out.true_cardinality(), expected);
-    }
-
-    #[test]
-    fn sort_merge_join_matches_nested_loop_semantics() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut meter = CostMeter::new();
-        let sales = sales_table().share(&mut rng);
-        let returns = returns_table().share(&mut rng);
-        let spec = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
-        let smj = truncated_sort_merge_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
-        assert_eq!(smj.len(), 2 * (sales.len() + returns.len()));
-
-        let spec2 = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
-        let nlj = truncated_nested_loop_join(&sales, &returns, &spec2, 2, &mut meter, &mut rng);
-
-        let mut a = real_rows(&smj);
-        let mut b = real_rows(&nlj);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sort_merge_join_output_size_is_data_independent() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let spec = JoinSpec::equi(0, 0);
-
-        let mut m1 = CostMeter::new();
-        let out1 = truncated_sort_merge_join(
-            &sales_table().share(&mut rng),
-            &returns_table().share(&mut rng),
-            &spec,
-            3,
-            &mut m1,
-            &mut rng,
-        );
-
-        // Same sizes, totally different content: no matches at all.
-        let mut t1 = PlainTable::new(&["pid", "sale_date"]);
-        t1.push_row(vec![100, 1]);
-        t1.push_row(vec![200, 2]);
-        t1.push_row(vec![300, 3]);
-        let mut t2 = PlainTable::new(&["pid", "return_date"]);
-        for i in 0..4 {
-            t2.push_row(vec![900 + i, 5]);
-        }
-        let mut m2 = CostMeter::new();
-        let out2 = truncated_sort_merge_join(
-            &t1.share(&mut rng),
-            &t2.share(&mut rng),
-            &spec,
-            3,
-            &mut m2,
-            &mut rng,
-        );
-
-        assert_eq!(out1.len(), out2.len());
-        assert_eq!(m1.report(), m2.report());
-        assert_eq!(out2.true_cardinality(), 0);
     }
 
     #[test]

@@ -36,23 +36,16 @@ pub mod shuffle;
 pub mod sort;
 pub mod table;
 
-pub use aggregate::{
-    oblivious_count, oblivious_group_count, oblivious_group_count_over_domain, oblivious_sum,
-};
+pub use aggregate::{oblivious_count, oblivious_group_count_over_domain, oblivious_sum};
 pub use compact::{cache_read, oblivious_compact};
-pub use filter::{oblivious_filter, Predicate, PredicateKind};
+pub use filter::{oblivious_filter, Predicate};
 pub use join::{
-    delta_sort_merge_join_cost, nested_loop_join_cost, push_padded, truncated_match,
-    truncated_match_rows, truncated_nested_loop_join, truncated_sort_merge_delta_join,
-    truncated_sort_merge_join, JoinSpec, KeyIndex, RowRef,
+    nested_loop_join_cost, push_padded, truncated_match_rows, truncated_nested_loop_join,
+    truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,
 };
-pub use planner::{
-    charge_full_relation_gap, plan_and_execute, plan_join, JoinAlgorithm, JoinCandidates, JoinPlan,
-    JoinShape, PlanMemo,
-};
+pub use planner::{plan_and_execute, plan_join, JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
 pub use shuffle::{
-    bucket_of, destination_of, oblivious_shuffle, shuffle_route, shuffle_route_mapped,
-    MappedRouteOutcome, ShuffleRouteOutcome, VIRTUAL_BUCKETS,
+    bucket_of, destination_of, shuffle_route, shuffle_route_mapped, VIRTUAL_BUCKETS,
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,

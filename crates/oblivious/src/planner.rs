@@ -14,7 +14,7 @@
 //! nested loop; at both benchmark window shapes it wins.
 //!
 //! [`JoinShape::candidates`] builds both operators' exact [`CostReport`]s — what
-//! the share-array operators meter — and [`JoinCandidates::choose`] charges the one
+//! the share-array operators meter — and `JoinCandidates::choose` charges the one
 //! whose [`CostModel::simulate`] is lower under the caller's model, ties going to
 //! the nested loop. The planner weighs seconds, not compare counts: under
 //! [`CostModel::wan`] the sort-merge join's extra rounds outweigh the gates it
@@ -118,7 +118,7 @@ impl JoinShape {
 pub struct JoinCandidates {
     /// [`nested_loop_join_cost`] at the shape.
     pub nested_loop: CostReport,
-    /// [`delta_sort_merge_join_cost`] at the shape.
+    /// `delta_sort_merge_join_cost` at the shape.
     pub sort_merge: CostReport,
 }
 
@@ -134,7 +134,7 @@ impl JoinCandidates {
 
     /// The candidate `model` prices lower; ties go to the nested loop.
     #[must_use]
-    pub fn choose(&self, model: &CostModel) -> JoinPlan {
+    pub(crate) fn choose(&self, model: &CostModel) -> JoinPlan {
         let algorithm = if model.simulate(&self.sort_merge) < model.simulate(&self.nested_loop) {
             JoinAlgorithm::SortMerge
         } else {
@@ -213,38 +213,6 @@ pub fn plan_and_execute<R: Rng + ?Sized>(
         }
     };
     (out, algorithm)
-}
-
-/// Charge the cost *gap* between joining against the full public relation
-/// (`full_inner_len`) and the physically scanned subset (`scanned_inner_len`),
-/// under the operator that ran: the compensation that keeps simulated time a
-/// function of public sizes when host-side pruning shrinks the plaintext inner
-/// relation even though the real oblivious protocol would scan everything.
-#[allow(clippy::too_many_arguments)]
-pub fn charge_full_relation_gap(
-    meter: &mut CostMeter,
-    algorithm: JoinAlgorithm,
-    outer_len: usize,
-    scanned_inner_len: usize,
-    full_inner_len: usize,
-    bound: usize,
-    out_arity: usize,
-    merged_arity: usize,
-) {
-    if bound == 0 || full_inner_len <= scanned_inner_len {
-        return;
-    }
-    let report = |inner| {
-        let shape = JoinShape {
-            outer: outer_len,
-            inner,
-            bound,
-            out_arity,
-            merged_arity,
-        };
-        shape.candidates().report(algorithm)
-    };
-    meter.record(report(full_inner_len).saturating_sub(report(scanned_inner_len)));
 }
 
 #[cfg(test)]
@@ -432,17 +400,6 @@ mod tests {
                     prop_assert!(charged <= model.simulate(&candidates.sort_merge));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn full_relation_gap_tops_up_to_the_full_cost() {
-        for algorithm in [JoinAlgorithm::NestedLoop, JoinAlgorithm::SortMerge] {
-            let mut scanned_plus_gap = CostMeter::new();
-            scanned_plus_gap.record(shape(6, 40, 2).candidates().report(algorithm));
-            charge_full_relation_gap(&mut scanned_plus_gap, algorithm, 6, 40, 100, 2, 4, 4);
-            let full = shape(6, 100, 2).candidates().report(algorithm);
-            assert_eq!(scanned_plus_gap.report(), full, "{algorithm}");
         }
     }
 }

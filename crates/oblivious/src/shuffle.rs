@@ -41,10 +41,8 @@ use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use rand::Rng;
 
 /// The Fisher–Yates swap schedule realizing one uniform permutation of `n` slots.
-/// Both [`oblivious_shuffle`] (which applies it to the shares in place) and
-/// [`shuffle_route`] (which applies it to an index vector so side-band metadata can
-/// follow) draw their permutation here, priced via
-/// [`charge_sort_network`] — one implementation, one price.
+/// [`shuffle_route`] applies it to an index vector so side-band metadata can
+/// follow, and prices it via [`charge_sort_network`].
 fn permutation_swaps<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<(usize, usize)> {
     (1..n).rev().map(|i| (i, rng.gen_range(0..=i))).collect()
 }
@@ -64,32 +62,6 @@ pub struct ShuffleRouteOutcome {
     /// Number of buckets whose real count exceeded `bucket_size` this invocation
     /// (each one leaks that destination's true count for the step).
     pub overflows: u64,
-}
-
-/// Obliviously permute `array` into a uniformly random order.
-///
-/// Realized as a Batcher sort over per-record random tags — the comparator schedule
-/// depends only on the length, and sorting uniform tags yields a uniform
-/// permutation — so the physical effect simulated here is a Fisher–Yates shuffle
-/// while the meter is charged for the full network.
-///
-/// Cost: `batcher_pair_count(n)` secure comparisons and record-wide swaps, one
-/// round. Leakage: nothing beyond the public length `n`.
-pub fn oblivious_shuffle<R: Rng + ?Sized>(
-    array: &mut SharedArrayPair,
-    meter: &mut CostMeter,
-    rng: &mut R,
-) {
-    let n = array.len();
-    if n < 2 {
-        return;
-    }
-    let width = array.arity().unwrap_or(1) as u64 + 1;
-    charge_sort_network(n, width, meter);
-    let entries = array.entries_mut();
-    for (i, j) in permutation_swaps(n, rng) {
-        entries.swap(i, j);
-    }
 }
 
 /// SplitMix64 finalizer evaluated *inside* the MPC on the hidden routing key. The
@@ -310,7 +282,6 @@ fn route_inner<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sort::batcher_pair_count;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -324,21 +295,6 @@ mod tests {
             .collect();
         records.extend((0..dummies).map(|_| PlainRecord::dummy(2)));
         SharedArrayPair::share_records(&records, &mut rng)
-    }
-
-    #[test]
-    fn shuffle_preserves_multiset_and_charges_network() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut meter = CostMeter::new();
-        let mut arr = batch(&[5, 9, 2, 7, 4, 1], 2);
-        let mut before: Vec<Vec<u32>> = arr.recover_all().into_iter().map(|r| r.fields).collect();
-        oblivious_shuffle(&mut arr, &mut meter, &mut rng);
-        let mut after: Vec<Vec<u32>> = arr.recover_all().into_iter().map(|r| r.fields).collect();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after);
-        assert_eq!(meter.report().secure_compares, batcher_pair_count(8));
-        assert!(meter.report().secure_swaps > 0);
     }
 
     #[test]

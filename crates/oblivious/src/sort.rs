@@ -24,7 +24,7 @@
 //!   arrangement — and the metered cost, charged up front from the input length —
 //!   is bit-identical to swapping whole records at every comparator.
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
-//!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
+//!   delta union) a full Batcher re-sort is overkill: `bitonic_merge_pairs` is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
 //!   [`bitonic_merge_pair_count`] prices it. The secure cache executes it: its rows
 //!   rest in `isView`-ordered runs of public length, a synchronisation sorts only
@@ -33,7 +33,7 @@
 //!   records in place along the cycles of the network's permutation.
 //! * For sorting an array only to keep its first `k` slots — what both truncated
 //!   joins do — a full sort pays for an order the output never reads:
-//!   [`select_first_pairs`] is the top-`k` selection network (Batcher-sorted blocks
+//!   `select_first_pairs` is the top-`k` selection network (Batcher-sorted blocks
 //!   of `k`, then a tournament of bitonic merges that keep `k` wires each), and
 //!   [`select_first_pair_count`] prices it — `n − 1` comparators at `k = 1`, never
 //!   more than [`batcher_pair_count`]`(n)`.
@@ -62,15 +62,15 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 const MAX_SORT_KEY: u64 = (1 << (64 - INDEX_BITS)) - 1;
 
 /// Enumerate the compare-exchange pairs of Batcher's odd-even merge sort for `n`
-/// elements (indices `i < j`), in execution order. Exposed so cost estimators can
-/// price sorting networks they never physically execute, and as the materialised
-/// reference the tests hold the block engine behind the physical sorts to.
+/// elements (indices `i < j`), in execution order: the materialised reference the
+/// tests hold the block engine behind the physical sorts to.
 ///
 /// Cost note: materialising the schedule is `O(n log² n)` host time and memory; the
 /// physical sorts never do, and when only the comparator *count* is needed (join
 /// cost models, the join planner), use [`batcher_pair_count`], which computes
 /// the same number without allocating.
-pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
+#[cfg(test)]
+pub(crate) fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     if n < 2 {
         return pairs;
@@ -228,7 +228,8 @@ pub fn batcher_padded_pair_count(n: u64) -> u64 {
 /// the array in valley form; the cleaner then yields the fully ascending merge.
 /// This replaces a full `O(n log² n)`-comparator Batcher re-sort of a nearly-sorted
 /// union with `O(n log n)` comparators.
-pub fn bitonic_merge_pairs(n: usize) -> Vec<(usize, usize)> {
+#[cfg(test)]
+pub(crate) fn bitonic_merge_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     if n < 2 {
         return pairs;
@@ -246,7 +247,7 @@ pub fn bitonic_merge_pairs(n: usize) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Exact comparator count of [`bitonic_merge_pairs`]`(n)`, computed in `O(log n)`
+/// Exact comparator count of `bitonic_merge_pairs(n)`, computed in `O(log n)`
 /// arithmetic without materialising the schedule. Depends only on the total length
 /// `n`, never on where the valley sits — the count is a public function of the
 /// public size, exactly like [`batcher_pair_count`].
@@ -269,12 +270,12 @@ pub fn bitonic_merge_pair_count(n: usize) -> u64 {
 /// `n` wires: each pair `(lo, hi)` leaves the smaller key on wire `lo` and the larger
 /// on wire `hi`, and once the pairs have run in order the `min(k, n)` returned output
 /// wires hold the `k` smallest keys, ascending. The materialised reference for
-/// [`select_first_pair_count`], as [`batcher_pairs`] is for [`batcher_pair_count`].
+/// [`select_first_pair_count`], as `batcher_pairs` is for [`batcher_pair_count`].
 ///
 /// Construction: Batcher-sort the wires in blocks of `k` (the last block may be
 /// shorter), then merge the sorted survivor lists pairwise in a tournament — level
 /// by level, neighbours `(0, 1), (2, 3), …`, an odd last list passing up unmerged.
-/// A node over lists `A` and `B` runs [`bitonic_merge_pairs`]`(|A| + |B|)` over the
+/// A node over lists `A` and `B` runs `bitonic_merge_pairs(|A| + |B|)` over the
 /// wires of `reverse(A) ++ B` (valley form) and keeps the first `k` of them. The
 /// reversal only relabels wires inside the network, so it costs no swaps (which is
 /// also why a pair's wires need not ascend). Where this network is not smaller than
@@ -284,7 +285,8 @@ pub fn bitonic_merge_pair_count(n: usize) -> u64 {
 /// The schedule is a function of the public `(n, k)` alone: a circuit that sorts an
 /// array only to read its first `k` slots can run this instead, with the same
 /// output and the same leakage.
-pub fn select_first_pairs(n: usize, k: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+#[cfg(test)]
+pub(crate) fn select_first_pairs(n: usize, k: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
     if n == 0 || k == 0 {
         return (Vec::new(), Vec::new());
     }
@@ -318,7 +320,7 @@ pub fn select_first_pairs(n: usize, k: usize) -> (Vec<(usize, usize)>, Vec<usize
     (pairs, lists.pop().unwrap_or_default())
 }
 
-/// Exact comparator count of [`select_first_pairs`]`(n, k)`, computed without
+/// Exact comparator count of `select_first_pairs(n, k)`, computed without
 /// allocating: every full block sorts the same `batcher_pair_count(k)` network and
 /// every tournament node over two full lists merges the same `2k` wires, so the
 /// count is one loop over the `O(log(n/k))` tournament levels. The short block is
@@ -427,7 +429,7 @@ fn exchange_stride(span: &mut [u64], k: usize) {
 }
 
 /// Run the pruned Batcher network over packed sort words — the same comparators
-/// in the same order as [`batcher_pairs`]`(words.len())`, walked block by block.
+/// in the same order as `batcher_pairs(words.len())`, walked block by block.
 ///
 /// At level `(p, k)` the generator visits block origins `j ≡ k mod p` in steps of
 /// `2k`, and block `j` compares `[j, j + k)` with `[j + k, j + 2k)`. Both runs are
@@ -455,7 +457,7 @@ fn run_sort_network(words: &mut [u64]) {
 }
 
 /// Run the bitonic cleaner over packed sort words in valley form — the same
-/// comparators in the same order as [`bitonic_merge_pairs`]`(words.len())`. Stage
+/// comparators in the same order as `bitonic_merge_pairs(words.len())`. Stage
 /// `k` compares `(l, l + k)` for `l mod 2k < k`: the first `k` words of every `2k`
 /// group against the rest of it, the last group cut short by the array end exactly
 /// where the `+∞` padding rule drops comparators.
@@ -516,7 +518,7 @@ where
 }
 
 /// Oblivious sort of `array` by the key `key_fn` extracts from each record: the
-/// Batcher network of [`batcher_pairs`] over the packed words of
+/// Batcher network of `batcher_pairs` over the packed words of
 /// [`network_permutation`]. One secure comparison and one record-wide oblivious swap per
 /// comparator, one round, charged up front from the (public) length.
 pub(crate) fn oblivious_sort_by_key<F>(
@@ -575,7 +577,7 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
 /// `Descending`: the same order read back to front, which is how the secure cache
 /// keeps its runs — and the whole array comes out in that order. No sort runs: the
 /// first run is reversed into valley form (a fixed permutation, `⌊split/2⌋`
-/// record-wide swaps) and the bitonic cleaner of [`bitonic_merge_pairs`] runs over
+/// record-wide swaps) and the bitonic cleaner of `bitonic_merge_pairs` runs over
 /// the packed words — `bitonic_merge_pair_count(n)` secure comparisons and swaps,
 /// one round, a function of the two public lengths alone. An empty side runs and
 /// charges nothing. On the host the records are rearranged in place
@@ -707,7 +709,13 @@ mod tests {
                 "n={n}"
             );
         }
-        // The analytic formula saturates rather than overflowing for huge n.
+        // Exact just below the saturation region...
+        assert_eq!(
+            batcher_padded_pair_count(1 << 40),
+            (1u64 << 40) * 40 * 41 / 4
+        );
+        // ...and saturating rather than overflowing beyond it.
+        assert_eq!(batcher_padded_pair_count(1 << 57), u64::MAX);
         assert_eq!(batcher_padded_pair_count(u64::MAX), u64::MAX);
         assert_eq!(batcher_padded_pair_count(0), 0);
         assert_eq!(batcher_padded_pair_count(1), 0);
@@ -765,7 +773,7 @@ mod tests {
         }
     }
 
-    /// Run a [`select_first_pairs`] network over `keys` — min to the pair's first
+    /// Run a `select_first_pairs` network over `keys` — min to the pair's first
     /// wire — and read its output wires.
     fn run_selection<T: Copy + Ord>(
         (pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>),
@@ -941,7 +949,7 @@ mod tests {
 
     /// `n` seeded keys arranged in valley form for every given split — a random
     /// `split`-subset descending, the rest ascending behind it — through the
-    /// blocked merge kernel and through [`bitonic_merge_pairs`] one comparator at a
+    /// blocked merge kernel and through `bitonic_merge_pairs` one comparator at a
     /// time. Positions make every word distinct, so equal vectors mean equal
     /// permutations.
     fn assert_merge_kernel_equals_comparator_walk(

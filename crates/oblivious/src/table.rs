@@ -72,7 +72,12 @@ impl PlainTable {
     }
 
     /// Secret-share all rows and pad with dummies up to `padded_len`.
-    pub fn share_padded<R: Rng + ?Sized>(&self, padded_len: usize, rng: &mut R) -> SharedArrayPair {
+    #[cfg(test)]
+    pub(crate) fn share_padded<R: Rng + ?Sized>(
+        &self,
+        padded_len: usize,
+        rng: &mut R,
+    ) -> SharedArrayPair {
         let arity = self.columns.len();
         let mut records: Vec<PlainRecord> = self
             .rows

@@ -29,19 +29,6 @@ impl SharedArray {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Total size in bytes of this party's shares (communication accounting).
-    ///
-    /// Constant time: every record in an array has the same arity (the pair container
-    /// enforces this at append time), so the total is `first.byte_len() * len`. This
-    /// accessor sits on the share-traffic accounting hot path and must not walk the
-    /// records.
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        self.records
-            .first()
-            .map_or(0, |r| r.byte_len() * self.records.len())
-    }
 }
 
 /// Both parties' shares of an array of records.
@@ -406,18 +393,7 @@ mod tests {
         let v0 = arr.for_party(PartyId::S0);
         let v1 = arr.for_party(PartyId::S1);
         assert_eq!(v0.len(), v1.len());
-        assert_eq!(v0.byte_len(), v1.byte_len());
         assert!(!v0.is_empty());
-    }
-
-    #[test]
-    fn byte_len_matches_per_record_sum() {
-        for (n_real, n_dummy, arity) in [(0, 0, 0), (3, 2, 4), (1, 0, 1), (0, 5, 7)] {
-            let view = sample_array(n_real, n_dummy, arity).for_party(PartyId::S0);
-            let walked: usize = view.records.iter().map(SharedRecord::byte_len).sum();
-            assert_eq!(view.byte_len(), walked);
-        }
-        assert_eq!(SharedArray::default().byte_len(), 0);
     }
 
     #[test]

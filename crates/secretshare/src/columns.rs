@@ -18,12 +18,12 @@
 //! zeros mask), never a data-dependent jump, mirroring how a real garbled-circuit
 //! backend would evaluate the same gates in constant time.
 
-use crate::tuple::{PlainRecord, SharedRecord, SharedRecordPair};
-use crate::value::{PartyId, SharePair};
+use crate::tuple::PlainRecord;
+use crate::value::PartyId;
 use serde::{Deserialize, Serialize};
 
 /// One party's column-major view of a shared array: one lane per field plus the
-/// `isView` lane. Mirrors [`crate::SharedArray`] the way [`SharedColumnsPair`]
+/// `isView` lane. Mirrors [`crate::arrays::SharedArray`] the way [`SharedColumnsPair`]
 /// mirrors [`crate::SharedArrayPair`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SharedColumns {
@@ -72,10 +72,10 @@ pub struct SharedColumnsPair {
 }
 
 impl SharedColumnsPair {
-    /// Transpose a record-major array into lanes. Lossless: `to_pair` restores an
-    /// array equal to the input (including the arity tag when at least one record
-    /// exists — an empty untyped array round-trips to an empty array of arity 0
-    /// lanes, see [`Self::to_pair`]).
+    /// Transpose a record-major array into lanes. Lossless: transposing back
+    /// restores an array equal to the input (including the arity tag when at least
+    /// one record exists — an empty untyped array round-trips to an empty array of
+    /// arity 0 lanes).
     #[must_use]
     pub fn from_pair(pair: &crate::SharedArrayPair) -> Self {
         let arity = pair.arity().unwrap_or(0);
@@ -140,29 +140,6 @@ impl SharedColumnsPair {
         }
     }
 
-    /// Transpose back to the record-major layout. Lane words are truncated to their
-    /// low 32 bits; this is the exact inverse of the widening in [`Self::from_pair`].
-    #[must_use]
-    pub fn to_pair(&self) -> crate::SharedArrayPair {
-        let mut out = crate::SharedArrayPair::with_arity(self.arity());
-        for i in 0..self.len() {
-            let rec = SharedRecordPair {
-                fields: (0..self.arity())
-                    .map(|f| SharePair {
-                        s0: self.lanes0[f][i] as u32,
-                        s1: self.lanes1[f][i] as u32,
-                    })
-                    .collect(),
-                is_view: SharePair {
-                    s0: self.view0[i] as u32,
-                    s1: self.view1[i] as u32,
-                },
-            };
-            out.push(rec).expect("lanes have uniform arity");
-        }
-        out
-    }
-
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -182,7 +159,7 @@ impl SharedColumnsPair {
     }
 
     /// Recover row `i` to plaintext (`isView` is set when its recovered word is
-    /// non-zero, as in [`SharedRecordPair::recover`]).
+    /// non-zero, as in [`crate::SharedRecordPair::recover`]).
     ///
     /// # Panics
     /// Panics when `i >= len`.
@@ -257,7 +234,7 @@ impl SharedColumnsPair {
 
     /// Recover field `f` of every record into one plaintext lane (`s0 ^ s1` per
     /// position; values fit in 32 bits). Protocol-internal / test use only, exactly
-    /// like [`SharedRecordPair::recover`].
+    /// like [`crate::SharedRecordPair::recover`].
     ///
     /// # Panics
     /// Panics when `f >= arity`.
@@ -280,34 +257,6 @@ impl SharedColumnsPair {
             .collect()
     }
 
-    /// Buffer-reusing variant of [`Self::recovered_field_lane`]: recover field `f`
-    /// into `out`, clearing it first. Hot loops that recover lanes every iteration
-    /// use this to avoid re-allocating lane-sized buffers (large lanes otherwise hit
-    /// the allocator's mmap path and pay page faults per call).
-    ///
-    /// # Panics
-    /// Panics when `f >= arity`.
-    pub fn recover_field_lane_into(&self, f: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(
-            self.lanes0[f]
-                .iter()
-                .zip(self.lanes1[f].iter())
-                .map(|(&a, &b)| a ^ b),
-        );
-    }
-
-    /// Buffer-reusing variant of [`Self::recovered_is_view_lane`].
-    pub fn recover_is_view_lane_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(
-            self.view0
-                .iter()
-                .zip(self.view1.iter())
-                .map(|(&a, &b)| a ^ b),
-        );
-    }
-
     /// The column view held by one party.
     #[must_use]
     pub fn for_party(&self, party: PartyId) -> SharedColumns {
@@ -321,57 +270,11 @@ impl SharedColumnsPair {
             holder: party,
         }
     }
-
-    /// Rebuild the pair from both parties' column views.
-    ///
-    /// # Errors
-    /// Returns [`crate::ShareError::ShapeMismatch`] when shapes disagree or both
-    /// views belong to the same party.
-    pub fn from_columns(a: &SharedColumns, b: &SharedColumns) -> crate::Result<Self> {
-        if a.holder == b.holder {
-            return Err(crate::ShareError::ShapeMismatch {
-                detail: format!("both column views held by {}", a.holder),
-            });
-        }
-        if a.arity() != b.arity() || a.len() != b.len() {
-            return Err(crate::ShareError::ShapeMismatch {
-                detail: format!(
-                    "column shapes {}x{} vs {}x{}",
-                    a.arity(),
-                    a.len(),
-                    b.arity(),
-                    b.len()
-                ),
-            });
-        }
-        let (lo, hi) = if a.holder == PartyId::S0 {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        Ok(Self {
-            lanes0: lo.lanes.clone(),
-            lanes1: hi.lanes.clone(),
-            view0: lo.is_view.clone(),
-            view1: hi.is_view.clone(),
-        })
-    }
 }
 
 impl From<&crate::SharedArrayPair> for SharedColumnsPair {
     fn from(pair: &crate::SharedArrayPair) -> Self {
         Self::from_pair(pair)
-    }
-}
-
-/// Per-party record view reconstructed from a [`SharedColumns`] position (used by
-/// code that needs to hand a single lane row back to record-major consumers).
-#[must_use]
-pub fn column_row(cols: &SharedColumns, i: usize) -> SharedRecord {
-    SharedRecord {
-        fields: cols.lanes.iter().map(|lane| lane[i] as u32).collect(),
-        is_view: cols.is_view[i] as u32,
-        holder: cols.holder,
     }
 }
 
@@ -408,7 +311,7 @@ pub fn eq_word(a: u64, b: u64) -> u64 {
 /// mask and the result is `b ^ ((a ^ b) & mask)` — the arithmetic mux.
 #[inline]
 #[must_use]
-pub fn mux_word(sel: u64, a: u64, b: u64) -> u64 {
+pub(crate) fn mux_word(sel: u64, a: u64, b: u64) -> u64 {
     debug_assert!(sel <= 1, "mux selector must be a 0/1 word");
     b ^ ((a ^ b) & sel.wrapping_neg())
 }
@@ -416,7 +319,7 @@ pub fn mux_word(sel: u64, a: u64, b: u64) -> u64 {
 /// Branch-free conditional swap of `x` and `y` when `sel == 1` (`sel` must be 0/1):
 /// the xor-mask trick `d = (x ^ y) & mask; x ^= d; y ^= d`.
 #[inline]
-pub fn cswap_word(sel: u64, x: &mut u64, y: &mut u64) {
+pub(crate) fn cswap_word(sel: u64, x: &mut u64, y: &mut u64) {
     debug_assert!(sel <= 1, "cswap selector must be a 0/1 word");
     let d = (*x ^ *y) & sel.wrapping_neg();
     *x ^= d;
@@ -431,26 +334,6 @@ pub fn lt_lane(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     assert_eq!(a.len(), b.len(), "lane length mismatch");
     out.clear();
     out.extend(a.iter().zip(b.iter()).map(|(&x, &y)| lt_word(x, y)));
-}
-
-/// Lane-wise equality: `out[i] = (a[i] == b[i]) as u64`.
-///
-/// # Panics
-/// Panics when the slices have different lengths.
-pub fn eq_lane(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    assert_eq!(a.len(), b.len(), "lane length mismatch");
-    out.clear();
-    out.extend(a.iter().zip(b.iter()).map(|(&x, &y)| eq_word(x, y)));
-}
-
-/// Lane-wise wrapping add: `out[i] = a[i] + b[i] (mod 2^64)`.
-///
-/// # Panics
-/// Panics when the slices have different lengths.
-pub fn add_lane(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    assert_eq!(a.len(), b.len(), "lane length mismatch");
-    out.clear();
-    out.extend(a.iter().zip(b.iter()).map(|(&x, &y)| x.wrapping_add(y)));
 }
 
 /// Lane-wise mux: `out[i] = if sel[i] == 1 { a[i] } else { b[i] }` without branching.
@@ -485,11 +368,37 @@ pub fn cswap_lane(sel: &[u64], a: &mut [u64], b: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::PlainRecord;
+    use crate::tuple::SharedRecordPair;
+    use crate::value::SharePair;
     use crate::SharedArrayPair;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    impl SharedColumnsPair {
+        /// Transpose back to the record-major layout. Lane words are truncated to their
+        /// low 32 bits; this is the exact inverse of the widening in [`Self::from_pair`].
+        #[must_use]
+        fn to_pair(&self) -> SharedArrayPair {
+            let mut out = SharedArrayPair::with_arity(self.arity());
+            for i in 0..self.len() {
+                let rec = SharedRecordPair {
+                    fields: (0..self.arity())
+                        .map(|f| SharePair {
+                            s0: self.lanes0[f][i] as u32,
+                            s1: self.lanes1[f][i] as u32,
+                        })
+                        .collect(),
+                    is_view: SharePair {
+                        s0: self.view0[i] as u32,
+                        s1: self.view1[i] as u32,
+                    },
+                };
+                out.push(rec).expect("lanes have uniform arity");
+            }
+            out
+        }
+    }
 
     fn sample_pair(n_real: usize, n_dummy: usize, arity: usize, seed: u64) -> SharedArrayPair {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -529,15 +438,6 @@ mod tests {
         let views = cols.recovered_is_view_lane();
         let expect: Vec<u64> = plain.iter().map(|r| u64::from(r.is_view)).collect();
         assert_eq!(views, expect);
-
-        // The buffer-reusing variants agree and clear any stale contents.
-        let mut buf = vec![u64::MAX; 100];
-        for f in 0..4 {
-            cols.recover_field_lane_into(f, &mut buf);
-            assert_eq!(buf, cols.recovered_field_lane(f));
-        }
-        cols.recover_is_view_lane_into(&mut buf);
-        assert_eq!(buf, views);
     }
 
     #[test]
@@ -583,23 +483,12 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_eq!(a.arity(), 2);
         assert!(!a.is_empty());
-        let rebuilt = SharedColumnsPair::from_columns(&a, &b).unwrap();
-        assert_eq!(rebuilt, cols);
-        // Row extraction matches the record-major per-party view.
-        let rec_view = pair.for_party(PartyId::S1);
-        for i in 0..cols.len() {
-            assert_eq!(column_row(&a, i), rec_view.records[i]);
+        for f in 0..2 {
+            let xored: Vec<u64> = (a.lanes[f].iter().zip(&b.lanes[f]))
+                .map(|(x, y)| x ^ y)
+                .collect();
+            assert_eq!(xored, cols.recovered_field_lane(f));
         }
-    }
-
-    #[test]
-    fn from_columns_rejects_bad_shapes() {
-        let cols = SharedColumnsPair::from_pair(&sample_pair(2, 0, 2, 17));
-        let a = cols.for_party(PartyId::S0);
-        assert!(SharedColumnsPair::from_columns(&a, &a).is_err());
-        let other = SharedColumnsPair::from_pair(&sample_pair(3, 0, 2, 17));
-        let b = other.for_party(PartyId::S1);
-        assert!(SharedColumnsPair::from_columns(&a, &b).is_err());
     }
 
     #[test]
@@ -690,10 +579,6 @@ mod tests {
 
             lt_lane(&a, &b, &mut out);
             prop_assert_eq!(&out, &a.iter().zip(&b).map(|(&x, &y)| u64::from(x < y)).collect::<Vec<_>>());
-            eq_lane(&a, &b, &mut out);
-            prop_assert_eq!(&out, &a.iter().zip(&b).map(|(&x, &y)| u64::from(x == y)).collect::<Vec<_>>());
-            add_lane(&a, &b, &mut out);
-            prop_assert_eq!(&out, &a.iter().zip(&b).map(|(&x, &y)| x.wrapping_add(y)).collect::<Vec<_>>());
             mux_lane(&sel, &a, &b, &mut out);
             prop_assert_eq!(&out, &sel.iter().zip(a.iter().zip(&b))
                 .map(|(&s, (&x, &y))| if s == 1 { x } else { y }).collect::<Vec<_>>());

@@ -6,23 +6,21 @@
 //! * `share(x)` samples `x1` uniformly at random and sets `x2 = x ⊕ x1`.
 //! * `recover((x1, x2))` returns `x1 ⊕ x2`.
 //!
-//! This crate provides that scheme for `u32` and `u64` words, a generalised
-//! k-out-of-k variant (Appendix A.2 of the paper), and convenience containers for
-//! secret-shared tuples and arrays that the MPC simulation layer operates on.
+//! This crate provides that scheme for `u32` words, and containers for
+//! secret-shared tuples, arrays and columns that the MPC simulation layer
+//! operates on.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod arrays;
 pub mod columns;
-pub mod multi;
 pub mod tuple;
 pub mod value;
 
-pub use arrays::{SharedArray, SharedArrayPair};
-pub use columns::{SharedColumns, SharedColumnsPair};
-pub use multi::{recover_multi, share_multi, MultiShares};
-pub use tuple::{SharedRecord, SharedRecordPair, PLAIN_DUMMY_MARKER};
+pub use arrays::SharedArrayPair;
+pub use columns::SharedColumnsPair;
+pub use tuple::SharedRecordPair;
 pub use value::{PartyId, Share, SharePair};
 
 /// Errors produced by secret-sharing operations.
@@ -34,11 +32,6 @@ pub enum ShareError {
         /// Human readable description of the mismatch.
         detail: String,
     },
-    /// A multi-party sharing was asked to operate with an unsupported party count.
-    InvalidPartyCount {
-        /// The number of parties requested.
-        requested: usize,
-    },
 }
 
 impl std::fmt::Display for ShareError {
@@ -46,9 +39,6 @@ impl std::fmt::Display for ShareError {
         match self {
             ShareError::ShapeMismatch { detail } => {
                 write!(f, "share shape mismatch: {detail}")
-            }
-            ShareError::InvalidPartyCount { requested } => {
-                write!(f, "invalid party count: {requested} (need >= 2)")
             }
         }
     }
@@ -71,8 +61,6 @@ mod tests {
             detail: "lengths 3 vs 4".into(),
         };
         assert!(e.to_string().contains("lengths 3 vs 4"));
-        let e = ShareError::InvalidPartyCount { requested: 1 };
-        assert!(e.to_string().contains('1'));
     }
 
     #[test]

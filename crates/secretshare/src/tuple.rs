@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Sentinel value placed in every field of a plaintext dummy record before sharing.
 /// Purely a debugging aid — the shares of a dummy are indistinguishable from the
 /// shares of a real record.
-pub const PLAIN_DUMMY_MARKER: u32 = 0xFFFF_FFFF;
+pub(crate) const PLAIN_DUMMY_MARKER: u32 = 0xFFFF_FFFF;
 
 /// A plaintext record: fixed-arity row of 32-bit words plus the `isView` flag.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,12 +66,6 @@ impl SharedRecord {
     pub fn arity(&self) -> usize {
         self.fields.len()
     }
-
-    /// Size of this share in bytes (used by the communication cost model).
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        (self.fields.len() + 1) * 4
-    }
 }
 
 /// Both parties' shares of one record.
@@ -101,7 +95,7 @@ impl SharedRecordPair {
     }
 
     /// Share a dummy record of the given arity (every field carries
-    /// [`PLAIN_DUMMY_MARKER`]) without allocating the plaintext marker vector.
+    /// `PLAIN_DUMMY_MARKER`) without allocating the plaintext marker vector.
     /// Draws exactly the masks `share(&PlainRecord::dummy(arity), rng)` would.
     pub fn share_dummy<R: Rng + ?Sized>(arity: usize, rng: &mut R) -> Self {
         Self {
@@ -210,7 +204,6 @@ mod tests {
         let shared = SharedRecordPair::share(&r, &mut rng);
         let a = shared.for_party(PartyId::S0);
         let b = shared.for_party(PartyId::S1);
-        assert_eq!(a.byte_len(), 12);
         let rebuilt = SharedRecordPair::from_shares(&b, &a).unwrap();
         assert_eq!(rebuilt.recover(), r);
     }

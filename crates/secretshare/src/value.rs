@@ -1,4 +1,4 @@
-//! Single-word XOR shares over `Z_2^32` (and `Z_2^64`).
+//! Single-word XOR shares over `Z_2^32`.
 //!
 //! A [`Share`] is the piece held by one party; a [`SharePair`] bundles both pieces and
 //! models the `⟦x⟧_m` notation from the paper. The pair type is only ever materialised
@@ -67,26 +67,6 @@ impl Share {
     pub fn new(word: u32, holder: PartyId) -> Self {
         Self { word, holder }
     }
-
-    /// XOR a public constant into this share. Only one party should apply a public
-    /// constant; applying it on both sides cancels out.
-    #[must_use]
-    pub fn xor_const(self, c: u32) -> Self {
-        Self {
-            word: self.word ^ c,
-            holder: self.holder,
-        }
-    }
-
-    /// XOR with another share held by the *same* party (local linear operation).
-    #[must_use]
-    pub fn xor_local(self, other: Share) -> Share {
-        debug_assert_eq!(self.holder, other.holder, "xor_local crosses parties");
-        Share {
-            word: self.word ^ other.word,
-            holder: self.holder,
-        }
-    }
 }
 
 /// Both shares of a 32-bit word: `⟦x⟧ = (x0, x1)` with `x = x0 ⊕ x1`.
@@ -103,16 +83,6 @@ impl SharePair {
     pub fn share<R: Rng + ?Sized>(x: u32, rng: &mut R) -> Self {
         let s0: u32 = rng.gen();
         Self { s0, s1: x ^ s0 }
-    }
-
-    /// Deterministic sharing used by the paper's protocol initialisation
-    /// (Algorithm 1 line 2): `(r, r ⊕ x)` for a caller-chosen mask `r`.
-    #[must_use]
-    pub fn share_with_mask(x: u32, mask: u32) -> Self {
-        Self {
-            s0: mask,
-            s1: x ^ mask,
-        }
     }
 
     /// Joint re-sharing *inside* MPC (Section 5.1, "Secret-sharing inside MPC"):
@@ -171,29 +141,6 @@ impl SharePair {
     }
 }
 
-/// Both shares of a 64-bit word, used for secret-shared fixed-point noise seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SharePair64 {
-    /// Share held by `S0`.
-    pub s0: u64,
-    /// Share held by `S1`.
-    pub s1: u64,
-}
-
-impl SharePair64 {
-    /// Share a 64-bit word.
-    pub fn share<R: Rng + ?Sized>(x: u64, rng: &mut R) -> Self {
-        let s0: u64 = rng.gen();
-        Self { s0, s1: x ^ s0 }
-    }
-
-    /// Recover the 64-bit word.
-    #[must_use]
-    pub fn recover(self) -> u64 {
-        self.s0 ^ self.s1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,13 +156,6 @@ mod tests {
         assert_eq!(PartyId::S1.index(), 1);
         assert_eq!(PartyId::both(), [PartyId::S0, PartyId::S1]);
         assert_eq!(PartyId::S0.to_string(), "S0");
-    }
-
-    #[test]
-    fn share_with_mask_is_consistent() {
-        let p = SharePair::share_with_mask(0x1234_5678, 0xAAAA_AAAA);
-        assert_eq!(p.recover(), 0x1234_5678);
-        assert_eq!(p.s0, 0xAAAA_AAAA);
     }
 
     #[test]
@@ -252,24 +192,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn xor_const_applied_by_one_party_only() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let pair = SharePair::share(10, &mut rng);
-        let s0 = pair.for_party(PartyId::S0).xor_const(6);
-        let s1 = pair.for_party(PartyId::S1);
-        let rebuilt = SharePair::from_shares(s0, s1);
-        assert_eq!(rebuilt.recover(), 10 ^ 6);
-    }
-
-    #[test]
-    fn share64_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for x in [0u64, u64::MAX, 0x0123_4567_89AB_CDEF] {
-            assert_eq!(SharePair64::share(x, &mut rng).recover(), x);
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_share_recover_roundtrip(x: u32, seed: u64) {
@@ -284,15 +206,6 @@ mod tests {
             let pa = SharePair::share(a, &mut rng);
             let pb = SharePair::share(b, &mut rng);
             prop_assert_eq!(pa.xor(pb).recover(), a ^ b);
-        }
-
-        #[test]
-        fn prop_single_share_is_mask_independent_of_secret(x: u32, y: u32, mask: u32) {
-            // With the same mask, the S0 share is identical regardless of the secret:
-            // a single share carries no information about the shared value.
-            let px = SharePair::share_with_mask(x, mask);
-            let py = SharePair::share_with_mask(y, mask);
-            prop_assert_eq!(px.s0, py.s0);
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! Crate-boundary smoke test: the public secret-sharing API round-trips.
 
-use incshrink_secretshare::{recover_multi, share_multi, PartyId, SharePair};
+use incshrink_secretshare::{PartyId, SharePair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,16 +15,4 @@ fn share_recover_roundtrip_via_public_api() {
             SharePair::from_shares(pair.for_party(PartyId::S0), pair.for_party(PartyId::S1));
         assert_eq!(rebuilt.recover(), x);
     }
-}
-
-#[test]
-fn multi_party_share_recover_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(2);
-    let shares = share_multi(0x1234_5678, 5, &mut rng).expect("5 parties supported");
-    assert_eq!(shares.party_count(), 5);
-    assert_eq!(shares.recover(), 0x1234_5678);
-    assert_eq!(
-        recover_multi(shares.shares()).expect("well-formed"),
-        0x1234_5678
-    );
 }

@@ -128,17 +128,6 @@ impl GrowingDatabase {
     pub fn horizon(&self) -> u64 {
         self.updates.iter().map(|u| u.arrival).max().unwrap_or(0)
     }
-
-    /// Average number of arrivals per step over the horizon, used to derive the
-    /// `sDPANT` threshold ⇄ `sDPTimer` interval correspondence of the evaluation.
-    #[must_use]
-    pub fn mean_arrival_rate(&self) -> f64 {
-        let horizon = self.horizon();
-        if horizon == 0 {
-            return 0.0;
-        }
-        self.updates.len() as f64 / horizon as f64
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +162,6 @@ mod tests {
         assert_eq!(db.arrivals_at(3).len(), 0);
         assert_eq!(db.arrivals_between(1, 4).len(), 4);
         assert_eq!(db.horizon(), 4);
-        assert!((db.mean_arrival_rate() - 1.5).abs() < 1e-12);
         assert_eq!(db.updates().len(), 6);
     }
 
@@ -183,7 +171,6 @@ mod tests {
         let db = GrowingDatabase::new(schema, Relation::Right);
         assert!(db.is_empty());
         assert_eq!(db.horizon(), 0);
-        assert_eq!(db.mean_arrival_rate(), 0.0);
     }
 
     proptest! {

@@ -191,7 +191,6 @@ pub struct OutsourcedStore {
     left: StoredRelation,
     right: StoredRelation,
     window_steps: u64,
-    uploads_seen: u64,
 }
 
 impl OutsourcedStore {
@@ -224,7 +223,6 @@ impl OutsourcedStore {
         target
             .window
             .admit(batch.time, window_steps, batch.len(), batch);
-        self.uploads_seen += 1;
     }
 
     /// Adopt a padded batch another server pair shipped (elastic migration) as one
@@ -246,26 +244,6 @@ impl OutsourcedStore {
             Relation::Left => &self.left,
             Relation::Right => &self.right,
         }
-    }
-
-    /// Number of upload batches ingested so far.
-    #[must_use]
-    pub fn uploads_seen(&self) -> u64 {
-        self.uploads_seen
-    }
-
-    /// Total number of (padded) records ever uploaded across both relations.
-    #[must_use]
-    pub fn total_len(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
-
-    /// Total uploaded bytes (both parties' shares counted once — i.e. logical record
-    /// width), used for storage-size reporting.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        let width = |r: &StoredRelation| r.arity.map_or(0, |a| (a + 1) * 4 * r.len());
-        (width(&self.left) + width(&self.right)) as u64
     }
 }
 
@@ -340,11 +318,8 @@ mod tests {
         ));
 
         // Lifetime counters answer for everything ever uploaded...
-        assert_eq!(store.uploads_seen(), 5);
         assert_eq!(store.relation(Relation::Left).len(), 16);
         assert_eq!(store.relation(Relation::Right).len(), 4);
-        assert_eq!(store.total_len(), 20);
-        assert_eq!(store.total_bytes(), 20 * 3 * 4);
         // ...while only the window's batches are held, oldest first.
         let left = store.relation(Relation::Left);
         assert_eq!(left.window_rows(), 8);
@@ -364,7 +339,6 @@ mod tests {
         store.adopt(batch(0, &mut rng));
         assert_eq!(store.relation(Relation::Left).window_rows(), 6);
         assert_eq!(store.relation(Relation::Left).len(), 3);
-        assert_eq!(store.uploads_seen(), 1);
         // Step 2's upload retires both step-1 blocks.
         store.ingest(batch(2, &mut rng));
         assert_eq!(store.relation(Relation::Left).window_rows(), 3);

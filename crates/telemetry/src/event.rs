@@ -93,7 +93,7 @@ pub enum ObserveKind {
 impl ObserveKind {
     /// Stable wire name used in the JSON encoding.
     #[must_use]
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             ObserveKind::UploadBatch => "upload_batch",
             ObserveKind::CacheAppend => "cache_append",
@@ -266,7 +266,7 @@ impl CostDelta {
 impl Event {
     /// Encode the event as a JSON value (the JSONL line format).
     #[must_use]
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         match self {
             Event::Span(s) => Value::Object(vec![
                 ("ev".to_string(), Value::String("span".to_string())),
@@ -309,7 +309,7 @@ impl Event {
     ///
     /// # Errors
     /// Returns a [`SchemaError`] naming the first field that fails validation.
-    pub fn from_json_value(value: &Value) -> Result<Self, SchemaError> {
+    pub(crate) fn from_json_value(value: &Value) -> Result<Self, SchemaError> {
         let Value::Object(entries) = value else {
             return Err(SchemaError::new("event must be a JSON object"));
         };

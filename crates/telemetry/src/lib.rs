@@ -51,8 +51,8 @@ pub use event::{
 };
 pub use profile::{per_step_host_secs, PhaseProfile, PhaseStat};
 pub use scope::{
-    current_mechanism, current_shard, current_step, epsilon_spent, mechanism_scope, observe,
-    shard_scope, step_scope, MechanismScope, ShardScope, StepScope,
+    epsilon_spent, mechanism_scope, observe, shard_scope, step_scope, MechanismScope, ShardScope,
+    StepScope,
 };
 pub use sink::{InMemory, Jsonl};
 pub use span::Span;

@@ -92,22 +92,10 @@ impl Drop for MechanismScope {
     }
 }
 
-/// The step set by the innermost active [`step_scope`], if any.
-#[must_use]
-pub fn current_step() -> Option<u64> {
-    with_state(|s| s.step())
-}
-
 /// The shard set by the innermost active [`shard_scope`], if any.
 #[must_use]
-pub fn current_shard() -> Option<u64> {
+pub(crate) fn current_shard() -> Option<u64> {
     with_state(|s| s.shard())
-}
-
-/// The label pushed by the innermost active [`mechanism_scope`], if any.
-#[must_use]
-pub fn current_mechanism() -> Option<&'static str> {
-    with_state(|s| s.mechanism())
 }
 
 /// Emit a server-observable size (shard taken from the ambient scope). No-op
@@ -161,9 +149,9 @@ mod tests {
         let _step = step_scope(9);
         let _shard = shard_scope(2);
         let _mech = mechanism_scope("timer.sync");
-        assert_eq!(current_step(), None);
+        assert_eq!(with_state(|s| s.step()), None);
         assert_eq!(current_shard(), None);
-        assert_eq!(current_mechanism(), None);
+        assert_eq!(with_state(|s| s.mechanism()), None);
         observe(ObserveKind::ViewSync, 9, 10);
         epsilon_spent(0.5, 1.0);
     }
@@ -174,18 +162,18 @@ mod tests {
         let _guard = install(sink.clone());
         {
             let _outer = step_scope(1);
-            assert_eq!(current_step(), Some(1));
+            assert_eq!(with_state(|s| s.step()), Some(1));
             {
                 let _inner = step_scope(2);
                 let _shard = shard_scope(3);
                 let _mech = mechanism_scope("ant.counter");
-                assert_eq!(current_step(), Some(2));
+                assert_eq!(with_state(|s| s.step()), Some(2));
                 assert_eq!(current_shard(), Some(3));
                 epsilon_spent(0.25, 2.0);
             }
-            assert_eq!(current_step(), Some(1));
+            assert_eq!(with_state(|s| s.step()), Some(1));
             assert_eq!(current_shard(), None);
-            assert_eq!(current_mechanism(), None);
+            assert_eq!(with_state(|s| s.mechanism()), None);
             epsilon_spent(0.5, 1.0);
         }
         let events = sink.events();

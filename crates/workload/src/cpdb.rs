@@ -40,13 +40,13 @@ impl CpdbGenerator {
 
     /// Allegation schema: `(officer_id, end_date)`.
     #[must_use]
-    pub fn allegation_schema() -> Schema {
+    pub(crate) fn allegation_schema() -> Schema {
         Schema::new("allegation", &["officer_id", "end_date"], 0, 1)
     }
 
     /// Award schema: `(officer_id, award_date)`.
     #[must_use]
-    pub fn award_schema() -> Schema {
+    pub(crate) fn award_schema() -> Schema {
         Schema::new("award", &["officer_id", "award_date"], 0, 1)
     }
 
@@ -171,7 +171,6 @@ mod tests {
         let ds = CpdbGenerator::default_config().generate();
         assert!(ds.right_is_public);
         assert_eq!(ds.right_batch_size, 0);
-        assert_eq!(ds.private_relations(), vec![Relation::Left]);
     }
 
     #[test]

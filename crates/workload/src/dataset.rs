@@ -1,6 +1,6 @@
 //! Dataset container shared by the generators.
 
-use incshrink_storage::{GrowingDatabase, Relation};
+use incshrink_storage::GrowingDatabase;
 use serde::{Deserialize, Serialize};
 
 /// Which evaluation dataset a generated workload mimics.
@@ -97,26 +97,6 @@ impl Dataset {
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.params.steps
-    }
-
-    /// Mean number of new view entries per step measured on the generated data (used
-    /// by the evaluation to set the `sDPTimer` interval from the `sDPANT` threshold).
-    #[must_use]
-    pub fn measured_view_rate(&self, join_count_at_horizon: u64) -> f64 {
-        if self.params.steps == 0 {
-            return 0.0;
-        }
-        join_count_at_horizon as f64 / self.params.steps as f64
-    }
-
-    /// Which relation sides are private (and therefore uploaded by owner clients).
-    #[must_use]
-    pub fn private_relations(&self) -> Vec<Relation> {
-        if self.right_is_public {
-            vec![Relation::Left]
-        } else {
-            vec![Relation::Left, Relation::Right]
-        }
     }
 }
 

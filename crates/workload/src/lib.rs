@@ -36,4 +36,4 @@ pub use queries::{
 };
 pub use tpcds::TpcDsGenerator;
 pub use variants::{scale_dataset, to_burst, to_sparse, WorkloadVariant};
-pub use zipf::{bucket_load_profile, to_zipf_skewed};
+pub use zipf::to_zipf_skewed;

@@ -32,7 +32,7 @@ impl JoinQuery {
     /// time field never match: a malformed single-field record must not spuriously
     /// join as if it carried timestamp 0.
     #[must_use]
-    pub fn pair_matches(&self, left: &[u32], right: &[u32]) -> bool {
+    pub(crate) fn pair_matches(&self, left: &[u32], right: &[u32]) -> bool {
         if left.first() != right.first() || left.is_empty() {
             return false;
         }

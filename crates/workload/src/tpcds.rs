@@ -33,13 +33,13 @@ impl TpcDsGenerator {
 
     /// Sales schema: `(pid, sale_date)`.
     #[must_use]
-    pub fn sales_schema() -> Schema {
+    pub(crate) fn sales_schema() -> Schema {
         Schema::new("sales", &["pid", "sale_date"], 0, 1)
     }
 
     /// Returns schema: `(pid, return_date)`.
     #[must_use]
-    pub fn returns_schema() -> Schema {
+    pub(crate) fn returns_schema() -> Schema {
         Schema::new("returns", &["pid", "return_date"], 0, 1)
     }
 

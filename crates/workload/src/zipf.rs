@@ -118,19 +118,6 @@ pub fn to_zipf_skewed(base: &Dataset, zipf_s: f64, seed: u64) -> Dataset {
     }
 }
 
-/// Left-relation key mass per virtual routing bucket — the load profile the
-/// elastic planner has to survive. Used by tests and the `elastic` benchmark
-/// to report achieved skew.
-#[must_use]
-pub fn bucket_load_profile(dataset: &Dataset) -> Vec<u64> {
-    let key = dataset.left.schema.key_column;
-    let mut counts = vec![0u64; VIRTUAL_BUCKETS];
-    for u in dataset.left.updates() {
-        counts[bucket_of(u.fields[key])] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +125,16 @@ mod tests {
     use crate::partitioned::to_store_partitioned;
     use crate::queries::{logical_join_count, JoinQuery};
     use crate::tpcds::TpcDsGenerator;
+
+    /// Left-relation key mass per virtual routing bucket.
+    fn bucket_load_profile(dataset: &Dataset) -> Vec<u64> {
+        let key = dataset.left.schema.key_column;
+        let mut counts = vec![0u64; VIRTUAL_BUCKETS];
+        for u in dataset.left.updates() {
+            counts[bucket_of(u.fields[key])] += 1;
+        }
+        counts
+    }
 
     fn base() -> Dataset {
         TpcDsGenerator::new(WorkloadParams {
