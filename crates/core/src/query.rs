@@ -838,6 +838,28 @@ mod tests {
     }
 
     #[test]
+    fn batcher_count_growth() {
+        // With no truncated scan, the NM join's compares are exactly the padded
+        // Batcher network over the union.
+        let model = CostModel::default();
+        let compares = |n: u64| {
+            non_materialized_query_cost(n, 0, 2, 0, &model)
+                .1
+                .secure_compares
+        };
+        assert_eq!(compares(0), 0);
+        assert_eq!(compares(1), 0);
+        assert!(compares(2) >= 1);
+        let small = compares(1_000);
+        let large = compares(1_000_000);
+        assert!(large > small * 900, "n log^2 n growth");
+        // The padded count is an upper bound on the pruned arbitrary-n network.
+        for n in [3u64, 5, 17, 33, 100] {
+            assert!(incshrink_oblivious::batcher_pair_count(n as usize) <= compares(n));
+        }
+    }
+
+    #[test]
     fn nm_cost_grows_with_data_size() {
         let model = CostModel::default();
         let (small, _) = non_materialized_query_cost(1_000, 1_000, 2, 1, &model);

@@ -151,6 +151,18 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn stable_transform_amplification() {
+        // Lemma 2: an ε-DP mechanism over a q-stable transformation is qε-DP.
+        let mut acc = PrivacyAccountant::new();
+        acc.record(MechanismApplication {
+            mechanism_epsilon: 0.15,
+            stability: 10,
+            disjoint: false,
+        });
+        assert!((acc.unbudgeted_epsilon() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn accountant_budgeted_vs_unbudgeted() {
         let mut acc = PrivacyAccountant::new();
         assert!(acc.is_empty());

@@ -84,6 +84,23 @@ mod tests {
     }
 
     #[test]
+    fn noisy_max_finds_a_dominant_bucket() {
+        let mut sizer = NoisyCutSizer::new(2.0, 4);
+        // The gap (10_000 vs 0) dwarfs Lap(1/2) noise, so the hottest bucket of
+        // every signed release is the true one.
+        let counts = [0u64, 0, 10_000, 0];
+        for _ in 0..20 {
+            let released = sizer.noisy_counts_signed(&counts);
+            let hottest = released
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i);
+            assert_eq!(hottest, Some(2));
+        }
+    }
+
+    #[test]
     fn each_release_emits_one_ledger_entry() {
         let sink = Arc::new(incshrink_telemetry::InMemory::default());
         let _guard = install(sink.clone());

@@ -677,6 +677,65 @@ mod tests {
     }
 
     #[test]
+    fn sort_merge_join_matches_nested_loop_semantics() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut meter = CostMeter::new();
+        let sales = sales_table().share(&mut rng);
+        let returns = returns_table().share(&mut rng);
+        let spec = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
+        let smj = truncated_sort_merge_delta_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
+        assert_eq!(smj.len(), 2 * sales.len());
+
+        let spec2 = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
+        let nlj = truncated_nested_loop_join(&sales, &returns, &spec2, 2, &mut meter, &mut rng);
+
+        let mut a = real_rows(&smj);
+        let mut b = real_rows(&nlj);
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sort_merge_join_output_size_is_data_independent() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let spec = JoinSpec::equi(0, 0);
+
+        let mut m1 = CostMeter::new();
+        let out1 = truncated_sort_merge_delta_join(
+            &sales_table().share(&mut rng),
+            &returns_table().share(&mut rng),
+            &spec,
+            3,
+            &mut m1,
+            &mut rng,
+        );
+
+        // Same sizes, totally different content: no matches at all.
+        let mut t1 = PlainTable::new(&["pid", "sale_date"]);
+        t1.push_row(vec![100, 1]);
+        t1.push_row(vec![200, 2]);
+        t1.push_row(vec![300, 3]);
+        let mut t2 = PlainTable::new(&["pid", "return_date"]);
+        for i in 0..4 {
+            t2.push_row(vec![900 + i, 5]);
+        }
+        let mut m2 = CostMeter::new();
+        let out2 = truncated_sort_merge_delta_join(
+            &t1.share(&mut rng),
+            &t2.share(&mut rng),
+            &spec,
+            3,
+            &mut m2,
+            &mut rng,
+        );
+
+        assert_eq!(out1.len(), out2.len());
+        assert_eq!(m1.report(), m2.report());
+        assert_eq!(out2.true_cardinality(), 0);
+    }
+
+    #[test]
     fn nested_loop_truncation_bound_limits_contribution() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut meter = CostMeter::new();

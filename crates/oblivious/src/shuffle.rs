@@ -298,6 +298,33 @@ mod tests {
     }
 
     #[test]
+    fn shuffle_preserves_multiset_and_charges_network() {
+        // One destination sized to the real count: routing is a pure shuffle.
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut meter = CostMeter::new();
+        let arr = batch(&[5, 9, 2, 7, 4, 1], 2);
+        let fields = |a: &SharedArrayPair| {
+            let mut real: Vec<Vec<u32>> = a
+                .recover_all()
+                .into_iter()
+                .filter(|r| r.is_view)
+                .map(|r| r.fields)
+                .collect();
+            real.sort();
+            real
+        };
+        let out = shuffle_route(&arr, 0, 1, 6, &mut meter, &mut rng);
+        assert_eq!(out.overflows, 0);
+        assert_eq!(fields(&arr), fields(&out.buckets[0]));
+        assert_eq!(
+            meter.report().secure_compares,
+            crate::sort::batcher_pair_count(8)
+        );
+        assert!(meter.report().secure_swaps > 0);
+        assert!(meter.report().bytes_communicated > 0);
+    }
+
+    #[test]
     fn route_places_every_real_record_on_its_destination() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut meter = CostMeter::new();
