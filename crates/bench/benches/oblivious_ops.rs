@@ -104,7 +104,8 @@ fn bench_cache_read(c: &mut Criterion) {
             b.iter(|| {
                 let mut runs = base.clone();
                 let mut meter = CostMeter::new();
-                oblivious_merge_by_is_view(&mut runs, split, SortOrder::Ascending, &mut meter);
+                let lens = [split, n / 64];
+                oblivious_merge_by_is_view(&mut runs, &lens, SortOrder::Ascending, &mut meter);
                 runs.len()
             });
         });

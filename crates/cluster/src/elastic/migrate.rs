@@ -26,7 +26,7 @@ use super::ElasticReport;
 use incshrink::MigratedPartition;
 use incshrink_dp::LaplaceMechanism;
 use incshrink_mpc::cost::{CostMeter, CostModel};
-use incshrink_oblivious::sort::charge_sort_network;
+use incshrink_oblivious::Network;
 use incshrink_secretshare::tuple::PlainRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,7 +94,7 @@ impl ViewMigrator {
         // rounds of the export/import handshake.
         let mut meter = CostMeter::new();
         let width = part.view_arity as u64 + 1;
-        charge_sort_network(source_view_len, width, &mut meter);
+        Network::sort(source_view_len).charge(width, &mut meter);
         meter.bytes(part.shipped_records() as u64 * width * 4);
         meter.round();
         meter.round();

@@ -38,7 +38,7 @@
 use crate::elastic::{BucketMove, ElasticReport, ElasticRouting};
 use incshrink_mpc::cost::{CostMeter, CostModel, SimDuration};
 use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
-use incshrink_oblivious::sort::charge_sort_network;
+use incshrink_oblivious::Network;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use incshrink_storage::{RecordId, Relation, UploadBatch};
@@ -361,7 +361,7 @@ impl ClusterShuffler {
     /// things only: the outcome is a real-first partition (every real record ahead
     /// of every dummy — which is all the cut and the ingest after it depend on),
     /// and the price is the network's, charged through the same
-    /// [`charge_sort_network`] so the two cannot drift. The partition is done by
+    /// [`Network::charge`] so the two cannot drift. The partition is done by
     /// hand because the record ids riding outside the shares must follow their
     /// records. It happens to keep the reals in bucket order; an odd-even merge
     /// network is not a stable sort and would not, so that order is no part of
@@ -377,7 +377,7 @@ impl ClusterShuffler {
         let n = records.len();
         let arity = records.arity().unwrap_or(1);
         let width = arity as u64 + 1;
-        charge_sort_network(n, width, meter);
+        Network::sort(n).charge(width, meter);
 
         // Real-first partition: the one property of the isView sort the cut needs.
         let mut reals: Vec<(SharedRecordPair, Option<RecordId>)> = Vec::new();

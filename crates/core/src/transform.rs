@@ -36,8 +36,8 @@
 //!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
 //!   the horizon); the whole-relation price is one
 //!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
-//!   that wants it (plus `|Δ|·(batcher_pair_count(n) − select_first_pair_count(n,
-//!   ω))` compares and record-wide swaps for the paper's full per-buffer sorts). A
+//!   that wants it (plus `|Δ|·(batcher_pair_count(n) − Network::select(n,
+//!   ω).count())` compares and record-wide swaps for the paper's full per-buffer sorts). A
 //!   *public* right relation (CPDB's Award table) is scanned over
 //!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
 //!   number, since a record's time column is its upload step — two
@@ -88,9 +88,9 @@
 //!   runs inside a span named after the planned operator, which records its cost.
 //!   Where either operator sorts an array only to keep its first slots (each
 //!   per-outer buffer, the delta form's emission), it is priced as the top-k
-//!   selection network ([`incshrink_oblivious::select_first_pair_count`]): the
-//!   same slots on fixed public wires, so ΔV and every released size are those of
-//!   the full sort. At both benchmark window shapes the nested loop wins; the
+//!   selection network ([`incshrink_oblivious::Network::select`], which drops every
+//!   comparator feeding no kept slot): the same slots on fixed public wires, so ΔV
+//!   and every released size are those of the full sort. At both benchmark window shapes the nested loop wins; the
 //!   sort-merge join wins `fig9`'s scaled deltas under the LAN model (TPC-ds at
 //!   scale 4: 28 rows against a 192-row window, ω = 1).
 

@@ -473,7 +473,9 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
 /// window, TPC-ds's report again when its joins began to be planned, and both
 /// when the truncated joins' "sort, then keep the first ω" became a top-ω
 /// selection network (both windows now plan the nested loop; TPC-ds's ANDs, bytes
-/// and rounds are those of the nested loop again).
+/// and rounds are those of the nested loop again), and CPDB's compares and swaps
+/// when that network dropped the comparators feeding no kept slot (ω = 1 leaves
+/// nothing to drop).
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -493,7 +495,7 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             cpdb(100),
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 }),
-            (cost(740_560, 3_232_600, 196_080, 161_608, 301), 1),
+            (cost(663_912, 2_849_360, 196_080, 161_608, 301), 1),
         ),
     ];
     for (dataset, config, (golden, losses)) in runs {

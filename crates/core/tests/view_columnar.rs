@@ -292,7 +292,9 @@ fn out_of_range_columns_match_nothing_and_cost_the_same() {
 
 /// View fingerprints of the two fig4-shaped trajectories, recorded with the
 /// record-major view before the layout changed: the lanes hold the same share
-/// words in the same order, so the digests are these literals.
+/// words in the same order, so the digests are these literals. Re-recorded once
+/// since, when the cache's candidate read became a merge: a different network may
+/// fetch other reals of equal `isView`, never a different number of them.
 #[test]
 fn trajectory_fingerprints_equal_the_record_major_goldens() {
     let tpcds = TpcDsGenerator::new(WorkloadParams {
@@ -311,12 +313,12 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
         (
             tpcds,
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (0x781E_ADB5_3D6B_E6A2_u64, 237, 174, 8),
+            (0x2F91_C26C_9D49_33DB_u64, 237, 174, 8),
         ),
         (
             cpdb,
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 }),
-            (0x19AB_5CE5_8CEF_6BA3_u64, 1197, 533, 22),
+            (0x92E1_6327_8C5F_652E_u64, 1197, 533, 22),
         ),
     ];
     // Every `shrink` span of both trajectories, summed.
@@ -349,14 +351,14 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
     assert_eq!(
         shrink,
         CostDelta {
-            compares: 219_333,
-            swaps: 1_115_855,
+            compares: 174_320,
+            swaps: 871_600,
             ands: 0,
             adds: 7_616,
             bytes: 33_192,
-            rounds: 486,
-            merges: 54,
-            merged_rows: 22_150,
+            rounds: 475,
+            merges: 53,
+            merged_rows: 21_656,
             window_rows: 0,
         }
     );

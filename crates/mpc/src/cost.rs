@@ -222,17 +222,34 @@ impl CostModel {
     }
 }
 
-/// A running accumulator of operation counts, shared by nested oblivious operators.
+/// A running accumulator of operation counts, shared by nested oblivious operators,
+/// and the [`CostModel`] they are priced with.
 #[derive(Debug, Default, Clone)]
 pub struct CostMeter {
     total: CostReport,
+    model: CostModel,
 }
 
 impl CostMeter {
-    /// Fresh meter.
+    /// Fresh meter, priced with the default model.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh meter, priced with `model`.
+    #[must_use]
+    pub(crate) fn priced(model: CostModel) -> Self {
+        Self {
+            model,
+            ..Self::default()
+        }
+    }
+
+    /// The model this meter's operations are priced with.
+    #[must_use]
+    pub(crate) fn model(&self) -> CostModel {
+        self.model
     }
 
     /// Record additional operations.
@@ -279,6 +296,34 @@ impl CostMeter {
     /// Reset the meter and return what had been accumulated.
     pub fn take(&mut self) -> CostReport {
         std::mem::take(&mut self.total)
+    }
+}
+
+/// A telemetry span over a stretch of metered work: on [`Self::close`] it records
+/// the operations the meter accrued while it was open and their simulated time
+/// under the meter's model — how an operator splits its cost into named
+/// sub-phases. Inert, like every span, when no collector is installed.
+#[must_use = "close the span to record it"]
+pub struct MeteredSpan {
+    span: incshrink_telemetry::Span,
+    before: CostReport,
+}
+
+impl MeteredSpan {
+    /// Open a span named `name` over the work `meter` records from now on.
+    pub fn enter(name: &'static str, meter: &CostMeter) -> Self {
+        Self {
+            span: incshrink_telemetry::Span::enter(name),
+            before: meter.report(),
+        }
+    }
+
+    /// Close the span, stamping it with what `meter` accrued since it opened.
+    pub fn close(mut self, meter: &CostMeter) {
+        let cost = meter.report().saturating_sub(self.before);
+        self.span
+            .record_sim_secs(meter.model.simulate(&cost).as_secs_f64());
+        self.span.record_cost(cost.into());
     }
 }
 

@@ -85,7 +85,7 @@ enum Parties {
 #[derive(Debug)]
 pub struct PartyContext {
     parties: Parties,
-    cost_model: CostModel,
+    /// Operator gates since the previous charge, priced with the run's model.
     meter: CostMeter,
     clock: SimDuration,
     time_step: u64,
@@ -119,8 +119,7 @@ impl PartyContext {
         };
         Self {
             parties,
-            cost_model,
-            meter: CostMeter::new(),
+            meter: CostMeter::priced(cost_model),
             clock: SimDuration::ZERO,
             time_step: 0,
             channel_bytes: 0,
@@ -235,7 +234,7 @@ impl PartyExec for PartyContext {
 
     fn charge(&mut self) -> (CostReport, SimDuration) {
         let report = self.meter.take();
-        let duration = self.cost_model.simulate(&report);
+        let duration = self.meter.model().simulate(&report);
         self.clock += duration;
         let bytes = std::mem::take(&mut self.channel_bytes);
         self.charged_channel_bytes += bytes;
@@ -272,7 +271,7 @@ impl PartyExec for PartyContext {
     }
 
     fn cost_model(&self) -> CostModel {
-        self.cost_model
+        self.meter.model()
     }
 
     fn time_step(&self) -> u64 {

@@ -5,8 +5,9 @@
 //! dummies, the cache is brought into `isView` order, then the first `sz` slots are
 //! cut off; the remainder stays in the cache — still in `isView` order.
 //! [`cache_read`] is that operation as the paper writes it, a sort of everything it
-//! is handed. The secure cache (`incshrink_storage::SecureCache`) hands it only the
-//! few rows per run a cut can reach, and keeps the rest in order with the merge-only
+//! is handed. The secure cache (`incshrink_storage::SecureCache`) never sorts more
+//! than what arrived since its last cut: it keeps its rows in real-first runs and
+//! reads by merging the few rows per run a cut can reach, both with the merge-only
 //! operator [`crate::sort::oblivious_merge_by_is_view`].
 
 use crate::sort::oblivious_sort_by_is_view;
@@ -51,7 +52,7 @@ pub fn cache_read(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sort::{batcher_pairs, bitonic_merge_pairs, oblivious_merge_by_is_view, SortOrder};
+    use crate::sort::{batcher_pairs, oblivious_merge_by_is_view, Network, SortOrder};
     use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -129,11 +130,11 @@ mod tests {
         assert_eq!(cache.len(), 6);
     }
 
-    /// Swap whole entries at every comparator of `pairs`, offset by `base`.
-    fn walk(entries: &mut [SharedRecordPair], base: usize, pairs: &[(usize, usize)]) {
+    /// Swap whole entries at every comparator of `pairs`, real rows to the front.
+    fn walk(entries: &mut [SharedRecordPair], pairs: &[(usize, usize)]) {
         for &(lo, hi) in pairs {
-            if entries[base + lo].is_view.recover() < entries[base + hi].is_view.recover() {
-                entries.swap(base + lo, base + hi);
+            if entries[lo].is_view.recover() < entries[hi].is_view.recover() {
+                entries.swap(lo, hi);
             }
         }
     }
@@ -146,7 +147,7 @@ mod tests {
         // both the fetched prefix and what stays behind pins the permutation.
         let mut cache = mixed_cache(1700, 3300);
         let mut walked = cache.clone();
-        walk(walked.entries_mut(), 0, &batcher_pairs(5000));
+        walk(walked.entries_mut(), &batcher_pairs(5000));
         let walked_front = walked.split_front(2000);
 
         let fetched = cache_read(&mut cache, 2000, &mut CostMeter::new());
@@ -155,22 +156,26 @@ mod tests {
         assert_eq!(fetched.true_cardinality(), 1700);
 
         // The merge-only operator over what stayed behind and a second sorted run:
-        // reverse the first run, then the bitonic cleaner over all 5000 — no sort.
+        // the bitonic cleaner over all 5000 in valley form, read back through its
+        // output wires — no sort.
         let mut delta = mixed_cache(900, 1100);
         oblivious_compact(&mut delta, &mut CostMeter::new());
         cache.extend(delta.clone()).unwrap();
         walked.extend(delta).unwrap();
-        let entries = walked.entries_mut();
-        entries[..3000].reverse();
-        walk(entries, 0, &bitonic_merge_pairs(5000));
+        let (pairs, outputs) = Network::merge(&[3000, 2000]).pairs();
+        walk(walked.entries_mut(), &pairs);
+        let walked: Vec<_> = outputs
+            .iter()
+            .map(|&wire| walked.entries()[wire].clone())
+            .collect();
 
         oblivious_merge_by_is_view(
             &mut cache,
-            3000,
+            &[3000, 2000],
             SortOrder::Ascending,
             &mut CostMeter::new(),
         );
-        assert_eq!(cache, walked);
+        assert_eq!(cache.entries(), walked);
         assert!(cache.entries()[..900]
             .iter()
             .all(|e| e.is_view.recover() == 1));

@@ -18,7 +18,7 @@
 //! The two operators the planner chooses between sort an array only to keep its
 //! head: Algorithm 4 the first `b` of each `|inner|`-slot buffer, the delta form the
 //! first `b · |outer|` of its emission. Each is priced with the top-k selection network
-//! ([`crate::sort::select_first_pair_count`]), which leaves exactly those slots, in
+//! ([`crate::sort::Network::select`]), which leaves exactly those slots, in
 //! order, on fixed public wires — the same function and the same leakage as the
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
 //! Algorithm 4), for fewer comparators and record-wide swaps.
@@ -48,7 +48,7 @@
 //! assert_eq!(out.true_cardinality(), 1);
 //! ```
 
-use crate::sort::{batcher_pair_count, select_first_pair_count};
+use crate::sort::{batcher_pair_count, Network};
 use incshrink_mpc::cost::{CostMeter, CostReport};
 use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -358,7 +358,7 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 ///
 /// Cost shape: `|outer|·|inner|` secure compares and `2·|outer|·|inner|` AND gates for
 /// the match/budget checks; per outer tuple, the top-`bound` selection network over
-/// its buffer of `|inner|` slots (`|outer| · select_first_pair_count(|inner|, bound)`
+/// its buffer of `|inner|` slots (`|outer| ·` [`Network::select`]`(|inner|, bound)`
 /// compares and record-wide swaps — Algorithm 4 sorts the buffer and keeps its first
 /// `bound` slots, and the network leaves exactly those); and the `b·|outer|` output
 /// write. The selection is part of the same circuit as the compare matrix, so the
@@ -372,7 +372,7 @@ pub fn nested_loop_join_cost(
 ) -> CostReport {
     let o = outer_len as u64;
     let i = inner_len as u64;
-    let select = select_first_pair_count(inner_len, bound);
+    let select = Network::select(inner_len, bound).count();
     let width = out_arity as u64 + 1;
     CostReport {
         secure_compares: o.saturating_mul(i).saturating_add(o.saturating_mul(select)),
@@ -396,12 +396,12 @@ pub fn nested_loop_join_cost(
 /// record-wide swaps — the inner run is Transform's sliding window, whose batches
 /// arrive and retire in upload order, so no earlier invocation leaves it in key
 /// order), then **bitonic-merge** the two sorted runs
-/// ([`crate::sort::bitonic_merge_pair_count`]`(n)` compares + record-wide swaps,
-/// plus the fixed `⌊|outer|/2⌋`-swap valley reversal of the delta run — see
-/// `sort::bitonic_merge_pairs`), scan the merged relation emitting `bound`
+/// ([`crate::sort::bitonic_merge_pair_count`]`(n)` compares + record-wide swaps;
+/// the valley reversal of the delta run relabels wires, see [`Network::merge`]),
+/// scan the merged relation emitting `bound`
 /// slots per position (`n·bound` compares and ANDs), obliviously compact the
 /// `bound·n` emission down to the *public* `bound·|outer|` prefix with the top-k
-/// selection network (`select_first_pair_count(bound·n, bound·|outer|)` compares +
+/// selection network (`Network::select(bound·n, bound·|outer|)` compares +
 /// swaps — the compaction keeps the real slots first and the cut reads only the
 /// prefix, so the rest of the emission is never ordered), and write the output.
 /// Every term is work the operator does on the arrays it is handed, so
@@ -419,7 +419,7 @@ pub(crate) fn delta_sort_merge_join_cost(
     let emission = nm.saturating_mul(bound);
     let run_sorts = [outer_len, inner_len].map(|run| (run >= 2).then(|| batcher_pair_count(run)));
     let bm_merge = crate::sort::bitonic_merge_pair_count(nm);
-    let compact = select_first_pair_count(emission, outer_len.saturating_mul(bound));
+    let compact = Network::select(emission, outer_len.saturating_mul(bound)).count();
     let merged_width = merged_arity as u64 + 1;
     let out_width = out_arity as u64 + 1;
     let mut report = CostReport {
@@ -437,11 +437,9 @@ pub(crate) fn delta_sort_merge_join_cost(
     }
     if nm >= 2 {
         report.secure_compares = report.secure_compares.saturating_add(bm_merge);
-        report.secure_swaps = report.secure_swaps.saturating_add(
-            bm_merge
-                .saturating_add(outer_len as u64 / 2)
-                .saturating_mul(merged_width),
-        );
+        report.secure_swaps = report
+            .secure_swaps
+            .saturating_add(bm_merge.saturating_mul(merged_width));
         report.rounds += 1;
     }
     report.secure_compares = report

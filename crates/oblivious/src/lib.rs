@@ -3,8 +3,9 @@
 //! These are the MPC building blocks IncShrink's Transform and Shrink protocols are
 //! compiled from (Section 5 and Appendix A.1 of the paper):
 //!
-//! * [`sort`] — Batcher odd-even merge sorting networks; data-independent comparison
-//!   sequence, so the access pattern leaks nothing about the data.
+//! * [`sort`] — one sorting-network generator (Batcher-sorted blocks, a bitonic
+//!   merge tournament, the kept wires) for every sort, merge and top-`k` selection;
+//!   data-independent comparison sequence, so the access pattern leaks nothing.
 //! * [`filter`] — oblivious selection: every input row is emitted, only the hidden
 //!   `isView` bit distinguishes matches from dummies (Appendix A.1.1).
 //! * [`join`] — `b`-truncated oblivious joins: sort-merge (Example 5.1, plus its
@@ -14,8 +15,8 @@
 //!   cost model prices lower at the public input shape.
 //! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
 //!   `isView` order so real tuples precede dummies, then cut a prefix of a given
-//!   (DP-noised) size. The secure cache applies it to the few rows per run a cut can
-//!   reach and keeps its runs ordered with [`sort`]'s merge-only operator.
+//!   (DP-noised) size. The secure cache keeps its runs ordered with [`sort`]'s
+//!   merge-only operator and reads by merging the few rows per run a cut can reach.
 //! * [`shuffle`] — oblivious permutation plus secure re-routing of a batch into
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
@@ -49,7 +50,7 @@ pub use shuffle::{
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
-    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view,
-    select_first_pair_count, SortOrder,
+    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view, Network,
+    SortOrder,
 };
 pub use table::PlainTable;

@@ -34,7 +34,7 @@
 //! * the scatter — the padded buckets' bytes shipped to the destination pairs in
 //!   one round (shares are re-randomized in transit, which costs no gates).
 
-use crate::sort::charge_sort_network;
+use crate::sort::Network;
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
@@ -42,7 +42,7 @@ use rand::Rng;
 
 /// The Fisher–Yates swap schedule realizing one uniform permutation of `n` slots.
 /// [`shuffle_route`] applies it to an index vector so side-band metadata can
-/// follow, and prices it via [`charge_sort_network`].
+/// follow, and prices it via [`Network::charge`].
 fn permutation_swaps<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<(usize, usize)> {
     (1..n).rev().map(|i| (i, rng.gen_range(0..=i))).collect()
 }
@@ -217,7 +217,7 @@ fn route_inner<R: Rng + ?Sized>(
 
     // Phase 1 — unlinkability: permute the batch under a Batcher network over
     // random tags before any routing decision is made.
-    charge_sort_network(n, width, meter);
+    Network::sort(n).charge(width, meter);
     let mut order: Vec<usize> = (0..n).collect();
     for (i, j) in permutation_swaps(n, rng) {
         order.swap(i, j);

@@ -1,42 +1,31 @@
-//! Oblivious sorting via Batcher's odd-even merge sorting network.
+//! Oblivious sorting, merging and selection networks.
 //!
 //! The comparison/swap schedule of a sorting network depends only on the input
 //! *length*, never on the data, which is what makes it oblivious: executed inside a
 //! 2PC, the servers learn nothing beyond the (public) array size. The paper uses
-//! Batcher networks for the truncated joins (Algorithm 4's per-outer buffers,
+//! sorting networks for the truncated joins (Algorithm 4's per-outer buffers,
 //! Example 5.1's union sort and compaction) and the cache read of the Shrink
 //! protocols (Figure 3, `ObliSort(σ, key = isView)`).
 //!
-//! The network is generated for arbitrary lengths by conceptually padding to the next
-//! power of two with `+∞` keys at the tail and dropping comparators that touch the
-//! padding — a standard, correctness-preserving specialisation of Batcher's
-//! construction.
+//! Every network here is one [`Network`] — blocks of public length, a tournament of
+//! bitonic merges over their sorted lists, the wires the caller keeps — in one of
+//! three cases:
 //!
-//! Three notes beyond the plain sort:
+//! * [`Network::sort`] — Batcher's odd-even merge sort, generated for arbitrary
+//!   lengths by padding to the next power of two with `+∞` keys and dropping the
+//!   comparators that touch the padding; [`batcher_pair_count`] prices it.
+//! * [`Network::merge`] — sorted runs folded into one. The secure cache executes it
+//!   with [`oblivious_merge_by_is_view`] for its run merges and its candidate read.
+//! * [`Network::select`] — the top-`k` selection both truncated joins are priced
+//!   with, since each sorts an array only to keep its head.
 //!
-//! * The sorts here execute as a **blocked, packed-word kernel**: each record's key
-//!   is extracted once, from the share words it is made of, and packed with the
-//!   record's position into one `u64` (`key << 30 | position`); the comparator
-//!   network runs branch-free over that single contiguous lane, one slice kernel
-//!   per `(p, k, j)` block of the pruned network, and the record shares are
-//!   gathered through the position bits in a single final pass. Swap decisions
-//!   depend only on the key bits, which travel with their positions, so the final
-//!   arrangement — and the metered cost, charged up front from the input length —
-//!   is bit-identical to swapping whole records at every comparator.
-//! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
-//!   delta union) a full Batcher re-sort is overkill: `bitonic_merge_pairs` is the
-//!   `O(n log n)`-comparator bitonic merge network for that case, and
-//!   [`bitonic_merge_pair_count`] prices it. The secure cache executes it: its rows
-//!   rest in `isView`-ordered runs of public length, a synchronisation sorts only
-//!   what was appended since the last one, and [`oblivious_merge_by_is_view`] — the
-//!   merge-only operator, no sort — folds two adjacent runs into one, moving the
-//!   records in place along the cycles of the network's permutation.
-//! * For sorting an array only to keep its first `k` slots — what both truncated
-//!   joins do — a full sort pays for an order the output never reads:
-//!   `select_first_pairs` is the top-`k` selection network (Batcher-sorted blocks
-//!   of `k`, then a tournament of bitonic merges that keep `k` wires each), and
-//!   [`select_first_pair_count`] prices it — `n − 1` comparators at `k = 1`, never
-//!   more than [`batcher_pair_count`]`(n)`.
+//! The networks execute as a **blocked, packed-word kernel**: each record's key is
+//! extracted once and packed with the record's position into one `u64`
+//! (`key << 30 | position`); the comparators run branch-free over that single lane,
+//! one slice kernel per stage, and the record shares move through the position bits
+//! in one final pass. Swap decisions depend only on the key bits, so the arrangement
+//! — and the cost, charged from the public lengths — is bit-identical to swapping
+//! whole records at every comparator.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -62,13 +51,8 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 const MAX_SORT_KEY: u64 = (1 << (64 - INDEX_BITS)) - 1;
 
 /// Enumerate the compare-exchange pairs of Batcher's odd-even merge sort for `n`
-/// elements (indices `i < j`), in execution order: the materialised reference the
-/// tests hold the block engine behind the physical sorts to.
-///
-/// Cost note: materialising the schedule is `O(n log² n)` host time and memory; the
-/// physical sorts never do, and when only the comparator *count* is needed (join
-/// cost models, the join planner), use [`batcher_pair_count`], which computes
-/// the same number without allocating.
+/// elements (indices `i < j`), in execution order: the block sorts of
+/// [`Network::pairs`], the materialised reference the tests hold the kernels to.
 #[cfg(test)]
 pub(crate) fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
@@ -215,163 +199,270 @@ pub fn batcher_padded_pair_count(n: u64) -> u64 {
     u64::try_from(p * k * (k + 1) / 4).unwrap_or(u64::MAX)
 }
 
-/// Compare-exchange pairs (indices `lo < hi`, in execution order) of the bitonic
-/// merge network for `n` elements in **valley form**: the array must hold a
-/// descending run followed by an ascending run (any split point, including empty
-/// runs). The network is the standard bitonic cleaner — stages of stride
-/// `k = p/2, p/4, …, 1` over the array padded to `p = 2^⌈log n⌉` with `+∞` keys at
-/// the tail, comparing `(l, l+k)` whenever `l mod 2k < k`, with comparators that
-/// touch the padding dropped (they are no-ops: `+∞` never moves down).
+/// One comparator network, a function of public sizes alone: the wires are cut into
+/// blocks, each Batcher-sorted unless it arrives sorted; the blocks' sorted lists
+/// meet in a tournament of bitonic merges; the caller reads the first `keep` wires.
 ///
-/// To merge two *ascending* runs `A ‖ B`, first reverse `A` in place — a fixed,
-/// data-independent permutation of `⌊|A|/2⌋` swaps with no comparators — which puts
-/// the array in valley form; the cleaner then yields the fully ascending merge.
-/// This replaces a full `O(n log² n)`-comparator Batcher re-sort of a nearly-sorted
-/// union with `O(n log n)` comparators.
-#[cfg(test)]
-pub(crate) fn bitonic_merge_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    if n < 2 {
-        return pairs;
-    }
-    let padded = n.next_power_of_two();
-    let mut k = padded / 2;
-    while k >= 1 {
-        for l in 0..n - k {
-            if l % (2 * k) < k {
-                pairs.push((l, l + k));
-            }
-        }
-        k /= 2;
-    }
-    pairs
+/// The tournament pairs neighbouring lists level by level, an odd last list passing
+/// up unmerged (the tree that splits the blocks at the largest power of two below
+/// their number). A node runs the bitonic cleaner over `reverse(A) ++ B` and passes
+/// up its first `min(|A| + |B|, keep)` wires, a list longer than `keep` cut to its
+/// head. The cleaner's stride-`s` stage compares `(l, l + s)` for `l mod 2s < s`
+/// over a power-of-two length padded with `+∞` keys; a comparator touching the
+/// padding, or in a `2s` group that starts at or past the kept length, feeds no kept
+/// wire and is dropped. Where the Batcher sort of every wire is no larger, the
+/// network is that sort, with the first `keep` wires kept.
+#[derive(Debug, Clone, Copy)]
+pub struct Network<'a> {
+    blocks: Blocks<'a>,
+    sorted: bool,
+    keep: usize,
+    comparators: u64,
+    /// Whether the tournament provides the comparators, else the Batcher sort.
+    tournament: bool,
 }
 
-/// Exact comparator count of `bitonic_merge_pairs(n)`, computed in `O(log n)`
-/// arithmetic without materialising the schedule. Depends only on the total length
-/// `n`, never on where the valley sits — the count is a public function of the
-/// public size, exactly like [`batcher_pair_count`].
-#[must_use]
-pub fn bitonic_merge_pair_count(n: usize) -> u64 {
-    if n < 2 {
+#[derive(Debug, Clone, Copy)]
+enum Blocks<'a> {
+    /// `n` wires in blocks of `len`, the last one possibly shorter.
+    Even { n: usize, len: usize },
+    /// Blocks of these lengths, in wire order.
+    Runs(&'a [usize]),
+}
+
+impl Blocks<'_> {
+    fn count(&self) -> usize {
+        match *self {
+            Blocks::Even { n, len } => n.div_ceil(len),
+            Blocks::Runs(lens) => lens.len(),
+        }
+    }
+
+    /// Wires of the `count` blocks from `first` on.
+    fn wires(&self, first: usize, count: usize) -> usize {
+        match *self {
+            Blocks::Even { n, len } => n.min((first + count) * len) - first * len,
+            Blocks::Runs(lens) => lens[first..first + count].iter().sum(),
+        }
+    }
+}
+
+/// The largest power of two below `count ≥ 2`: where the tournament splits.
+fn split_point(count: usize) -> usize {
+    1 << (count - 1).ilog2()
+}
+
+/// Comparators of one tournament node: the cleaner over `a + b` wires, keeping the
+/// first `kept`.
+fn merge_pair_count(a: usize, b: usize, kept: usize) -> u64 {
+    if a == 0 || b == 0 {
         return 0;
     }
-    let padded = n.next_power_of_two();
-    let mut count = 0u64;
-    let mut k = padded / 2;
-    while k >= 1 {
-        count += count_mod_below(0, n - k, 2 * k, k);
-        k /= 2;
+    let n = a + b;
+    let mut count = 0;
+    let mut s = n.next_power_of_two() / 2;
+    while s >= 1 {
+        count += count_mod_below(0, (n - s).min(kept.next_multiple_of(2 * s)), 2 * s, s);
+        s /= 2;
     }
     count
 }
 
-/// Compare-exchange pairs and output wires of the **top-`k` selection network** over
-/// `n` wires: each pair `(lo, hi)` leaves the smaller key on wire `lo` and the larger
-/// on wire `hi`, and once the pairs have run in order the `min(k, n)` returned output
-/// wires hold the `k` smallest keys, ascending. The materialised reference for
-/// [`select_first_pair_count`], as `batcher_pairs` is for [`batcher_pair_count`].
-///
-/// Construction: Batcher-sort the wires in blocks of `k` (the last block may be
-/// shorter), then merge the sorted survivor lists pairwise in a tournament — level
-/// by level, neighbours `(0, 1), (2, 3), …`, an odd last list passing up unmerged.
-/// A node over lists `A` and `B` runs `bitonic_merge_pairs(|A| + |B|)` over the
-/// wires of `reverse(A) ++ B` (valley form) and keeps the first `k` of them. The
-/// reversal only relabels wires inside the network, so it costs no swaps (which is
-/// also why a pair's wires need not ascend). Where this network is not smaller than
-/// the full Batcher sort of `n` wires, the sort is returned instead, with output
-/// wires `0..min(k, n)`.
-///
-/// The schedule is a function of the public `(n, k)` alone: a circuit that sorts an
-/// array only to read its first `k` slots can run this instead, with the same
-/// output and the same leakage.
-#[cfg(test)]
-pub(crate) fn select_first_pairs(n: usize, k: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
-    if n == 0 || k == 0 {
-        return (Vec::new(), Vec::new());
+impl<'a> Network<'a> {
+    /// Batcher's odd-even merge sort of `n` wires, every wire kept.
+    #[must_use]
+    pub fn sort(n: usize) -> Network<'static> {
+        Network::select(n, n)
     }
-    let mut pairs = Vec::new();
-    // Sorted survivor lists: wires holding ascending keys.
-    let mut lists: Vec<Vec<usize>> = Vec::new();
-    for start in (0..n).step_by(k) {
-        let len = k.min(n - start);
-        let block = batcher_pairs(len).into_iter();
-        pairs.extend(block.map(|(lo, hi)| (start + lo, start + hi)));
-        lists.push((start..start + len).collect());
+
+    /// Merge adjacent sorted runs of these lengths into one, every wire kept.
+    #[must_use]
+    pub fn merge(runs: &'a [usize]) -> Self {
+        Network::new(Blocks::Runs(runs), true, usize::MAX)
     }
-    while lists.len() > 1 {
-        let mut level = lists.into_iter();
-        lists = Vec::new();
-        while let Some(a) = level.next() {
-            let Some(b) = level.next() else {
-                lists.push(a);
-                break;
-            };
-            let mut valley: Vec<usize> = a.into_iter().rev().chain(b).collect();
-            let merge = bitonic_merge_pairs(valley.len()).into_iter();
-            pairs.extend(merge.map(|(lo, hi)| (valley[lo], valley[hi])));
-            valley.truncate(k);
-            lists.push(valley);
+
+    /// The top-`k` selection over `n` wires: Batcher-sorted blocks of `k`, the first
+    /// `k` wires kept — the `k` smallest keys, ascending. `n − 1` comparators at
+    /// `k = 1`, the sort of `n` wires once `k ≥ n`.
+    #[must_use]
+    pub fn select(n: usize, k: usize) -> Network<'static> {
+        Network::new(Blocks::Even { n, len: k.max(1) }, false, k)
+    }
+
+    /// The network planned, without materialising it: the tournament's
+    /// comparators, or the Batcher sort's where those are no more. The join planner
+    /// plans both candidates on every shape its memo has not seen, hence no
+    /// allocation, and the tally's memo: without it a planner miss walks every
+    /// block, ~100× slower at an emission of 10 × 5 000 wires.
+    fn new(blocks: Blocks<'a>, sorted: bool, keep: usize) -> Self {
+        let mut network = Network {
+            blocks,
+            sorted,
+            keep,
+            comparators: 0,
+            tournament: false,
+        };
+        let n = network.wires();
+        if keep > 0 && n >= 2 {
+            let memo = &mut [None; usize::BITS as usize];
+            let (_, tournament) = network.tally(0, blocks.count(), memo);
+            let sort = batcher_pair_count(n);
+            network.comparators = tournament.min(sort);
+            network.tournament = tournament < sort;
+        }
+        network
+    }
+
+    /// Number of wires.
+    fn wires(&self) -> usize {
+        self.blocks.wires(0, self.blocks.count())
+    }
+
+    /// What the subtree over `count` blocks from `first` on hands its parent: the
+    /// length of its sorted list (the wires that can still reach a kept one) and
+    /// its comparators. A subtree over `2^d` blocks of one length is the same
+    /// wherever it sits, so `memo[d]` keeps it: `O(log n)` distinct subtrees, and
+    /// `O(log² n)` work, for even blocks.
+    fn tally(&self, first: usize, count: usize, memo: &mut [Option<(usize, u64)>]) -> (usize, u64) {
+        let depth = count.ilog2() as usize;
+        let uniform = count.is_power_of_two()
+            && matches!(self.blocks, Blocks::Even { n, len } if (first + count) * len <= n);
+        if let (true, Some(tally)) = (uniform, memo[depth]) {
+            return tally;
+        }
+        let tally = if count == 1 {
+            let len = self.blocks.wires(first, 1);
+            let sort = batcher_pair_count(if self.sorted { 0 } else { len });
+            (len.min(self.keep), sort)
+        } else {
+            let half = split_point(count);
+            let a = self.tally(first, half, memo);
+            let b = self.tally(first + half, count - half, memo);
+            let wires = (a.0 + b.0).min(self.keep);
+            (wires, a.1 + b.1 + merge_pair_count(a.0, b.0, wires))
+        };
+        if uniform {
+            memo[depth] = Some(tally);
+        }
+        tally
+    }
+
+    /// Exact comparator count: at most [`batcher_pair_count`] of the wires, 0 when
+    /// nothing is kept.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.comparators
+    }
+
+    /// Charge the network over `width`-word records without executing it: one secure
+    /// comparison and one record-wide swap per comparator, one round; nothing when
+    /// there is no comparator. A valley reversal relabels wires — each server
+    /// reverses its own shares — so it costs no gate, although the host kernel moves
+    /// the words. The single place a network's price is defined: the physical sorts
+    /// and merges here, the shuffle operator's permutation, and callers that must
+    /// permute side-band metadata alongside the shares (the cluster's
+    /// destination-side compaction) all charge through it. Returns the comparators.
+    pub fn charge(&self, width: u64, meter: &mut CostMeter) -> u64 {
+        if self.comparators > 0 {
+            meter.compares(self.comparators);
+            meter.swaps(self.comparators, width);
+            meter.round();
+        }
+        self.comparators
+    }
+
+    /// Run the network over packed sort words, one per wire. Every wire must be
+    /// kept: the kernel merges whole runs in place.
+    fn run(&self, words: &mut [u64]) {
+        debug_assert!(self.keep >= words.len() && self.wires() == words.len());
+        if self.tournament {
+            self.run_subtree(words, 0, self.blocks.count());
+        } else {
+            run_sort_network(words);
         }
     }
-    if pairs.len() as u64 >= batcher_pair_count(n) {
-        return (batcher_pairs(n), (0..k.min(n)).collect());
-    }
-    (pairs, lists.pop().unwrap_or_default())
-}
 
-/// Exact comparator count of `select_first_pairs(n, k)`, computed without
-/// allocating: every full block sorts the same `batcher_pair_count(k)` network and
-/// every tournament node over two full lists merges the same `2k` wires, so the
-/// count is one loop over the `O(log(n/k))` tournament levels. The short block is
-/// the last list of every level until a full list meets it; that node keeps `k`
-/// wires, so every list above it is full.
-///
-/// At most [`batcher_pair_count`]`(n)`, equal to it when `k ≥ n`, and `n − 1` at
-/// `k = 1`. Join cost models price "sort, then keep the first `k`" with it, and the
-/// join planner calls it on every shape its memo has not seen, hence no allocation.
-#[must_use]
-pub fn select_first_pair_count(n: usize, k: usize) -> u64 {
-    if n < 2 || k == 0 {
-        return 0;
-    }
-    let sort = batcher_pair_count(n);
-    if k >= n {
-        return sort;
-    }
-    let (mut full, short) = (n / k, n % k);
-    let mut count = full as u64 * batcher_pair_count(k) + batcher_pair_count(short);
-    let full_merge = bitonic_merge_pair_count(2 * k);
-    let mut short = (short > 0).then_some(short);
-    while full + usize::from(short.is_some()) > 1 {
-        count += (full / 2) as u64 * full_merge;
-        match short {
-            // An odd number of full lists: the last one meets the short list.
-            Some(len) if full % 2 == 1 => {
-                count += bitonic_merge_pair_count(k + len);
-                full = full / 2 + 1;
-                short = None;
+    fn run_subtree(&self, words: &mut [u64], first: usize, count: usize) {
+        if count == 1 {
+            if !self.sorted {
+                run_sort_network(words);
             }
-            _ => full -= full / 2,
+            return;
+        }
+        let half = split_point(count);
+        let (a, b) = words.split_at_mut(self.blocks.wires(first, half));
+        self.run_subtree(a, first, half);
+        self.run_subtree(b, first + half, count - half);
+        if !a.is_empty() && !b.is_empty() {
+            a.reverse();
+            run_bitonic_merge(words);
         }
     }
-    count.min(sort)
+
+    /// The materialised network: compare-exchange pairs in execution order — each
+    /// leaves the smaller key on its first wire — and the kept output wires, whose
+    /// keys end ascending. The reference the count and the kernels are held to.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let (n, mut pairs) = (self.wires(), Vec::new());
+        let outputs = match self.tournament {
+            _ if self.keep == 0 => Vec::new(),
+            true => self.subtree_pairs(0, self.blocks.count(), 0, &mut pairs),
+            false => {
+                pairs = batcher_pairs(n);
+                (0..self.keep.min(n)).collect()
+            }
+        };
+        (pairs, outputs)
+    }
+
+    #[cfg(test)]
+    fn subtree_pairs(
+        &self,
+        first: usize,
+        count: usize,
+        start: usize,
+        pairs: &mut Vec<(usize, usize)>,
+    ) -> Vec<usize> {
+        if count == 1 {
+            let len = self.blocks.wires(first, 1);
+            if !self.sorted {
+                pairs.extend(
+                    batcher_pairs(len)
+                        .iter()
+                        .map(|&(lo, hi)| (start + lo, start + hi)),
+                );
+            }
+            return (start..start + len.min(self.keep)).collect();
+        }
+        let half = split_point(count);
+        let a = self.subtree_pairs(first, half, start, pairs);
+        let b_start = start + self.blocks.wires(first, half);
+        let b = self.subtree_pairs(first + half, count - half, b_start, pairs);
+        if a.is_empty() || b.is_empty() {
+            return if a.is_empty() { b } else { a };
+        }
+        let mut valley: Vec<usize> = a.into_iter().rev().chain(b).collect();
+        let (n, kept) = (valley.len(), valley.len().min(self.keep));
+        let mut s = n.next_power_of_two() / 2;
+        while s >= 1 {
+            for l in 0..(n - s).min(kept.next_multiple_of(2 * s)) {
+                if l % (2 * s) < s {
+                    pairs.push((valley[l], valley[l + s]));
+                }
+            }
+            s /= 2;
+        }
+        valley.truncate(kept);
+        valley
+    }
 }
 
-/// Charge one Batcher network pass over `n` records of `width` shared words —
-/// `batcher_pair_count(n)` secure comparisons and record-wide swaps in one round —
-/// without executing it. The single place the network's price is defined: the
-/// physical sorts below, the shuffle operator's permutation, and callers that must
-/// permute side-band metadata alongside the shares (the cluster's destination-side
-/// compaction) all charge through here, so the pricing cannot drift between them.
-pub fn charge_sort_network(n: usize, width: u64, meter: &mut CostMeter) {
-    if n < 2 {
-        return;
-    }
-    let pairs = batcher_pair_count(n);
-    meter.compares(pairs);
-    meter.swaps(pairs, width);
-    meter.round();
+/// Comparators of [`Network::merge`] over two non-empty runs of `n` wires in all:
+/// the bitonic cleaner's count depends on `n` alone, never on the split.
+#[must_use]
+pub fn bitonic_merge_pair_count(n: usize) -> u64 {
+    Network::merge(&[n / 2, n - n / 2]).count()
 }
 
 /// Branch-free compare-exchange of two packed sort words: swap when the *key* bits
@@ -457,7 +548,7 @@ fn run_sort_network(words: &mut [u64]) {
 }
 
 /// Run the bitonic cleaner over packed sort words in valley form — the same
-/// comparators in the same order as `bitonic_merge_pairs(words.len())`. Stage
+/// comparators in the same order as a [`Network::merge`] node keeping every wire. Stage
 /// `k` compares `(l, l + k)` for `l mod 2k < k`: the first `k` words of every `2k`
 /// group against the rest of it, the last group cut short by the array end exactly
 /// where the `+∞` padding rule drops comparators.
@@ -517,8 +608,8 @@ where
         .collect()
 }
 
-/// Oblivious sort of `array` by the key `key_fn` extracts from each record: the
-/// Batcher network of `batcher_pairs` over the packed words of
+/// Oblivious sort of `array` by the key `key_fn` extracts from each record:
+/// [`Network::sort`] over the packed words of
 /// [`network_permutation`]. One secure comparison and one record-wide oblivious swap per
 /// comparator, one round, charged up front from the (public) length.
 pub(crate) fn oblivious_sort_by_key<F>(
@@ -532,8 +623,7 @@ pub(crate) fn oblivious_sort_by_key<F>(
     if array.len() < 2 {
         return;
     }
-    let width = array.arity().unwrap_or(1) as u64 + 1;
-    charge_sort_network(array.len(), width, meter);
+    Network::sort(array.len()).charge(array.arity().unwrap_or(1) as u64 + 1, meter);
     let perm = network_permutation(array, order, key_fn, run_sort_network);
     array.permute_gather(&perm);
 }
@@ -570,43 +660,32 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
     oblivious_sort_by_key(array, SortOrder::Ascending, meter, dummy_rank);
 }
 
-/// The merge-only operator: two adjacent `isView`-ordered runs become one.
+/// The merge-only operator: adjacent `isView`-ordered runs of the given lengths
+/// become one.
 ///
-/// `array[..split]` and `array[split..]` must each be in `isView` order already —
-/// `Ascending`: real tuples first, as [`oblivious_sort_by_is_view`] leaves them;
-/// `Descending`: the same order read back to front, which is how the secure cache
-/// keeps its runs — and the whole array comes out in that order. No sort runs: the
-/// first run is reversed into valley form (a fixed permutation, `⌊split/2⌋`
-/// record-wide swaps) and the bitonic cleaner of `bitonic_merge_pairs` runs over
-/// the packed words — `bitonic_merge_pair_count(n)` secure comparisons and swaps,
-/// one round, a function of the two public lengths alone. An empty side runs and
-/// charges nothing. On the host the records are rearranged in place
-/// ([`SharedArrayPair::permute_in_place`]): between two ordered runs most rows keep
-/// their place, and a merge that allocated a second copy of the run made the cost
-/// of a large one depend on the state of the allocator.
+/// Each run must be in `isView` order already — `Ascending`: real tuples first, as
+/// [`oblivious_sort_by_is_view`] leaves them; `Descending`: the same order read back
+/// to front, which is how the secure cache keeps its runs — and the whole array
+/// comes out in that order. No sort runs: [`Network::merge`] executes on the packed
+/// words and is charged by [`Network::charge`], a single run nothing. The records
+/// are rearranged in place ([`SharedArrayPair::permute_in_place`]): between ordered
+/// runs most rows keep their place, and a copy of a large run made the cost of a
+/// merge depend on the state of the allocator.
 ///
 /// # Panics
-/// Panics when `split` exceeds the array length.
+/// Panics when the run lengths do not add up to the array length.
 pub fn oblivious_merge_by_is_view(
     array: &mut SharedArrayPair,
-    split: usize,
+    runs: &[usize],
     order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    let n = array.len();
-    assert!(split <= n, "split beyond the array");
-    if split == 0 || split == n {
+    let network = Network::merge(runs);
+    assert_eq!(network.wires(), array.len(), "runs must tile the array");
+    if network.charge(array.arity().unwrap_or(1) as u64 + 1, meter) == 0 {
         return;
     }
-    let pairs = bitonic_merge_pair_count(n);
-    meter.compares(pairs);
-    meter.swaps(
-        pairs + split as u64 / 2,
-        array.arity().unwrap_or(1) as u64 + 1,
-    );
-    meter.round();
-    array.entries_mut()[..split].reverse();
-    let mut perm = network_permutation(array, order, dummy_rank, run_bitonic_merge);
+    let mut perm = network_permutation(array, order, dummy_rank, |words| network.run(words));
     array.permute_in_place(&mut perm);
 }
 
@@ -645,19 +724,12 @@ mod tests {
 
     #[test]
     fn pair_count_matches_materialized_network() {
-        for n in 0..=400usize {
-            assert_eq!(
-                batcher_pair_count(n),
-                batcher_pairs(n).len() as u64,
-                "n={n}"
-            );
-        }
-        for n in [1000usize, 4096, 5000] {
-            assert_eq!(
-                batcher_pair_count(n),
-                batcher_pairs(n).len() as u64,
-                "n={n}"
-            );
+        for n in (0..=400usize).chain([1000, 4096, 5000]) {
+            let count = batcher_pair_count(n);
+            assert_eq!(count, batcher_pairs(n).len() as u64, "n={n}");
+            let sort = Network::sort(n);
+            assert_eq!(sort.count(), count, "n={n}");
+            assert_eq!(sort.pairs().0.len() as u64, count, "n={n}");
         }
     }
 
@@ -721,60 +793,8 @@ mod tests {
         assert_eq!(batcher_padded_pair_count(1), 0);
     }
 
-    /// Reverse the first `a` elements (valley form), apply the bitonic cleaner.
-    fn bitonic_merge_runs(mut data: Vec<u32>, a: usize) -> Vec<u32> {
-        data[..a].reverse();
-        for (lo, hi) in bitonic_merge_pairs(data.len()) {
-            if data[lo] > data[hi] {
-                data.swap(lo, hi);
-            }
-        }
-        data
-    }
-
-    #[test]
-    fn bitonic_merge_sorts_all_01_run_pairs() {
-        // Exhaustive over 0-1 inputs: an ascending 0-1 run of length m is determined
-        // by its number of zeros, so (a+1)(b+1) inputs cover every 0-1 run pair. By
-        // the 0-1 principle (restricted to the monotone-closed class of two-run
-        // inputs), sorting all of these proves the network merges arbitrary runs of
-        // these lengths.
-        for n in 0..=33usize {
-            for a in 0..=n {
-                let b = n - a;
-                for za in 0..=a {
-                    for zb in 0..=b {
-                        let mut input = vec![0u32; za];
-                        input.extend(std::iter::repeat(1).take(a - za));
-                        input.extend(std::iter::repeat(0).take(zb));
-                        input.extend(std::iter::repeat(1).take(b - zb));
-                        let merged = bitonic_merge_runs(input.clone(), a);
-                        let mut expect = input;
-                        expect.sort_unstable();
-                        assert_eq!(merged, expect, "n={n} a={a} za={za} zb={zb}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitonic_count_matches_pairs_and_is_cheaper_than_batcher() {
-        for n in 0..=400usize {
-            assert_eq!(
-                bitonic_merge_pair_count(n),
-                bitonic_merge_pairs(n).len() as u64,
-                "n={n}"
-            );
-        }
-        // The merge must beat the full re-sort once the union is non-trivial.
-        for n in [8usize, 64, 1000, 4096] {
-            assert!(bitonic_merge_pair_count(n) < batcher_pair_count(n), "n={n}");
-        }
-    }
-
-    /// Run a `select_first_pairs` network over `keys` — min to the pair's first
-    /// wire — and read its output wires.
+    /// Run a materialised network over `keys` — min to the pair's first wire — and
+    /// read its output wires.
     fn run_selection<T: Copy + Ord>(
         (pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>),
         keys: &mut [T],
@@ -788,17 +808,34 @@ mod tests {
     }
 
     #[test]
+    fn bitonic_count_matches_pairs_and_is_cheaper_than_batcher() {
+        for n in 0..=400usize {
+            let count = bitonic_merge_pair_count(n);
+            for a in [1, n / 3, n / 2, n.saturating_sub(1)] {
+                if a == 0 || a >= n {
+                    continue;
+                }
+                let runs = [a, n - a];
+                let merge = Network::merge(&runs);
+                assert_eq!(merge.count(), count, "n={n} a={a}");
+                assert_eq!(merge.pairs().0.len() as u64, count, "n={n} a={a}");
+            }
+        }
+        // The merge must beat the full re-sort once the union is non-trivial.
+        for n in [8usize, 64, 1000, 4096] {
+            assert!(bitonic_merge_pair_count(n) < batcher_pair_count(n), "n={n}");
+        }
+    }
+
+    #[test]
     fn select_count_matches_materialized_network() {
         for n in 0..=300usize {
             let ks = [0, 1, 2, 3, 5, 7, 8, 10, 16, 31, 64];
             let edges = [n.saturating_sub(1), n, n + 1];
             for k in ks.into_iter().chain(edges) {
-                let (pairs, outputs) = select_first_pairs(n, k);
-                assert_eq!(
-                    select_first_pair_count(n, k),
-                    pairs.len() as u64,
-                    "n={n} k={k}"
-                );
+                let select = Network::select(n, k);
+                let (pairs, outputs) = select.pairs();
+                assert_eq!(select.count(), pairs.len() as u64, "n={n} k={k}");
                 assert_eq!(outputs.len(), k.min(n), "n={n} k={k}");
                 assert!(pairs.iter().all(|&(lo, hi)| lo != hi && lo.max(hi) < n));
             }
@@ -806,40 +843,61 @@ mod tests {
         // The emission shapes of the benchmark workloads' delta sort-merge joins.
         for n in [1180usize, 4096, 20_080] {
             for k in [1, 7, 10, 80, 100, n / 2, n - 1] {
-                let pairs = select_first_pairs(n, k).0;
-                assert_eq!(
-                    select_first_pair_count(n, k),
-                    pairs.len() as u64,
-                    "n={n} k={k}"
-                );
+                let select = Network::select(n, k);
+                assert_eq!(select.count(), select.pairs().0.len() as u64, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitonic_merge_sorts_all_01_run_pairs() {
+        // Exhaustive over 0-1 inputs: an ascending 0-1 run of length m is determined
+        // by its number of zeros, so (a+1)(b+1) inputs cover every 0-1 run pair. By
+        // the 0-1 principle (restricted to the monotone-closed class of two-run
+        // inputs), sorting all of these proves the network merges arbitrary runs of
+        // these lengths.
+        for n in 0..=33usize {
+            for a in 0..=n {
+                let network = Network::merge(&[a, n - a]).pairs();
+                for za in 0..=a {
+                    for zb in 0..=n - a {
+                        let mut input = vec![0u32; za];
+                        input.extend(std::iter::repeat(1).take(a - za));
+                        input.extend(std::iter::repeat(0).take(zb));
+                        input.extend(std::iter::repeat(1).take(n - a - zb));
+                        let mut expect = input.clone();
+                        expect.sort_unstable();
+                        let merged = run_selection(&network, &mut input);
+                        assert_eq!(merged, expect, "n={n} a={a} za={za} zb={zb}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn select_count_is_bounded_by_the_sort_and_linear_at_k_one() {
+        let select = |n, k| Network::select(n, k).count();
         for n in 0..=2000usize {
             let sort = batcher_pair_count(n);
-            assert_eq!(
-                select_first_pair_count(n, 1),
-                n.saturating_sub(1) as u64,
-                "n={n}"
-            );
+            assert_eq!(Network::sort(n).count(), sort, "n={n}");
+            assert_eq!(select(n, 1), n.saturating_sub(1) as u64, "n={n}");
             for k in [1usize, 2, 3, 7, 10, 16, 64, 100, n / 3, n / 2] {
-                assert!(select_first_pair_count(n, k) <= sort, "n={n} k={k}");
+                assert!(select(n, k) <= sort, "n={n} k={k}");
             }
             for k in [n, n + 1, 2 * n + 5] {
-                assert_eq!(select_first_pair_count(n, k), sort, "n={n} k={k}");
+                assert_eq!(select(n, k), sort, "n={n} k={k}");
             }
         }
         // The per-outer buffers of the benchmark windows (TPC-ds 63 rows at ω = 1,
-        // CPDB 110 at ω = 10) and a 7-of-70 emission.
-        assert_eq!(select_first_pair_count(63, 1), 62);
+        // CPDB 110 at ω = 10), a 7-of-70 emission and a 10-of-100 buffer.
+        assert_eq!(select(63, 1), 62);
         assert_eq!(batcher_pair_count(63), 537);
-        assert_eq!(select_first_pair_count(110, 10), 752);
+        assert_eq!(select(110, 10), 662);
         assert_eq!(batcher_pair_count(110), 1243);
-        assert_eq!(select_first_pair_count(70, 7), 385);
+        assert_eq!(select(70, 7), 322);
         assert_eq!(batcher_pair_count(70), 731);
+        assert_eq!(select(100, 10), 599);
     }
 
     #[test]
@@ -849,7 +907,7 @@ mod tests {
         // wires for every 0-1 input does so for every input.
         for n in 0..=12usize {
             for k in 0..=n + 1 {
-                let network = select_first_pairs(n, k);
+                let network = Network::select(n, k).pairs();
                 for bits in 0u32..1 << n {
                     let mut keys: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
                     let mut expect = keys.clone();
@@ -862,6 +920,21 @@ mod tests {
         }
     }
 
+    /// A backward liveness walk: the comparators of `pairs` that feed none of the
+    /// `outputs` wires.
+    fn dead_comparators((pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>)) -> usize {
+        let mut live: std::collections::HashSet<usize> = outputs.iter().copied().collect();
+        let mut dead = 0;
+        for &(lo, hi) in pairs.iter().rev() {
+            if live.contains(&lo) || live.contains(&hi) {
+                live.extend([lo, hi]);
+            } else {
+                dead += 1;
+            }
+        }
+        dead
+    }
+
     /// The record-at-a-time sort loop — one recovered comparison and one whole-record
     /// swap per comparator of the materialised network — kept as the reference
     /// implementation the engine is held to below.
@@ -870,8 +943,7 @@ mod tests {
         if n < 2 {
             return;
         }
-        let width = array.arity().unwrap_or(1) as u64 + 1;
-        charge_sort_network(n, width, meter);
+        Network::sort(n).charge(array.arity().unwrap_or(1) as u64 + 1, meter);
         let key = |rec: &PlainRecord| {
             let dummy_rank = u64::from(!rec.is_view);
             let value = rec.fields.first().copied().unwrap_or(u32::MAX);
@@ -947,168 +1019,157 @@ mod tests {
         }
     }
 
-    /// `n` seeded keys arranged in valley form for every given split — a random
-    /// `split`-subset descending, the rest ascending behind it — through the
-    /// blocked merge kernel and through `bitonic_merge_pairs` one comparator at a
-    /// time. Positions make every word distinct, so equal vectors mean equal
-    /// permutations.
-    fn assert_merge_kernel_equals_comparator_walk(
-        n: usize,
-        splits: impl Iterator<Item = usize>,
-        binary: bool,
-    ) {
-        use rand::seq::SliceRandom;
+    /// Seeded keys in ascending runs of the given lengths, as packed words whose
+    /// positions make every word distinct: through the executed network and through
+    /// its materialised pairs one comparator at a time, read back through the output
+    /// wires. Equal vectors mean equal permutations.
+    fn assert_merge_kernel_equals_comparator_walk(runs: &[usize], seed: u64, binary: bool) {
         use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let mut sorted: Vec<u64> = (0..n)
-            .map(|_| {
-                if binary {
-                    rng.gen_range(0..2)
-                } else {
-                    rng.gen::<u64>() >> 31
-                }
-            })
-            .collect();
-        sorted.sort_unstable();
-        // Key `i` of `sorted` goes to the prefix when its rank is below the split.
-        let mut rank: Vec<usize> = (0..n).collect();
-        rank.shuffle(&mut rng);
-        let pairs = bitonic_merge_pairs(n);
-        for split in splits {
-            let keyed = || sorted.iter().zip(&rank);
-            let prefix = keyed().rev().filter(|(_, &r)| r < split);
-            let tail = keyed().filter(|(_, &r)| r >= split);
-            let mut walk: Vec<u64> = (0u64..)
-                .zip(prefix.chain(tail))
-                .map(|(position, (key, _))| key << INDEX_BITS | position)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut keys = Vec::new();
+        for &len in runs {
+            let mut run: Vec<u64> = (0..len)
+                .map(|_| {
+                    if binary {
+                        rng.gen_range(0..2)
+                    } else {
+                        rng.gen::<u64>() >> 31
+                    }
+                })
                 .collect();
-            let mut kernel = walk.clone();
-            run_bitonic_merge(&mut kernel);
-            for &(lo, hi) in &pairs {
-                if walk[lo] >> INDEX_BITS > walk[hi] >> INDEX_BITS {
-                    walk.swap(lo, hi);
-                }
-            }
-            assert_eq!(kernel, walk, "n={n} split={split} binary={binary}");
-            assert!(
-                kernel
-                    .iter()
-                    .map(|w| w >> INDEX_BITS)
-                    .eq(sorted.iter().copied()),
-                "n={n} split={split} binary={binary}: not merged"
-            );
+            run.sort_unstable();
+            keys.extend(run);
         }
+        let mut walk: Vec<u64> = (0u64..)
+            .zip(&keys)
+            .map(|(at, key)| key << INDEX_BITS | at)
+            .collect();
+        let mut kernel = walk.clone();
+        let network = Network::merge(runs);
+        network.run(&mut kernel);
+        let (pairs, outputs) = network.pairs();
+        for (lo, hi) in pairs {
+            if walk[lo] >> INDEX_BITS > walk[hi] >> INDEX_BITS {
+                walk.swap(lo, hi);
+            }
+        }
+        let walked: Vec<u64> = outputs.iter().map(|&wire| walk[wire]).collect();
+        assert_eq!(kernel, walked, "runs={runs:?} binary={binary}");
+        keys.sort_unstable();
+        assert!(
+            kernel.iter().map(|w| w >> INDEX_BITS).eq(keys),
+            "runs={runs:?}: not merged"
+        );
+    }
+
+    /// Every split of every length to 300, then a few of three lengths off and on
+    /// a power of two.
+    fn splits() -> impl Iterator<Item = (usize, usize)> {
+        small_splits().chain(large_splits())
+    }
+
+    fn small_splits() -> impl Iterator<Item = (usize, usize)> {
+        (0..=300usize).flat_map(|n| (0..=n).map(move |split| (n, split)))
+    }
+
+    fn large_splits() -> impl Iterator<Item = (usize, usize)> {
+        [1000usize, 4096, 5000]
+            .into_iter()
+            .flat_map(|n| [0, 1, n / 64, n / 2, n - n / 64, n - 1, n].map(|split| (n, split)))
     }
 
     #[test]
     fn merge_kernel_equals_comparator_walk_at_every_length_and_split() {
         for binary in [true, false] {
-            for n in 0..=300usize {
-                assert_merge_kernel_equals_comparator_walk(n, 0..=n, binary);
-            }
-            for n in [1000usize, 4096, 5000] {
-                let splits = [0, 1, n / 64, n / 2, n - n / 64, n - 1, n];
-                assert_merge_kernel_equals_comparator_walk(n, splits.into_iter(), binary);
+            for (n, split) in splits() {
+                assert_merge_kernel_equals_comparator_walk(&[split, n - split], n as u64, binary);
             }
         }
     }
 
-    /// Two adjacent `isView`-ordered runs of `n` rows in all, `reals.0` real rows in
-    /// the first `split` and `reals.1` in the rest, with fresh shares per row.
-    fn two_runs(
-        n: usize,
-        split: usize,
-        reals: (usize, usize),
-        order: SortOrder,
-    ) -> SharedArrayPair {
-        let mut rng = StdRng::seed_from_u64((n * 31 + split) as u64);
-        let run = |len: usize, real: usize| {
-            let mut rows: Vec<PlainRecord> = (0..len)
+    /// Adjacent `isView`-ordered runs of the given lengths, `reals[r]` real rows in
+    /// run `r`, with fresh shares per row.
+    fn runs_of(lens: &[usize], reals: &[usize], order: SortOrder) -> SharedArrayPair {
+        let mut rng = StdRng::seed_from_u64(lens.iter().fold(7, |h, &l| h * 31 + l as u64));
+        let mut rows = Vec::new();
+        for (&len, &real) in lens.iter().zip(reals) {
+            let mut run: Vec<PlainRecord> = (0..len)
                 .map(|i| PlainRecord {
                     fields: vec![i as u32],
                     is_view: i < real,
                 })
                 .collect();
             if order == SortOrder::Descending {
-                rows.reverse();
+                run.reverse();
             }
-            rows
-        };
-        let mut rows = run(split, reals.0);
-        rows.extend(run(n - split, reals.1));
+            rows.extend(run);
+        }
         SharedArrayPair::share_records(&rows, &mut rng)
     }
 
-    /// The merge-only operator against whole-entry swaps at every comparator of
-    /// the materialised cleaner; shares are random, so equal arrays mean equal
-    /// permutations.
+    /// The merge-only operator against whole-entry swaps at every comparator of the
+    /// materialised network, read back through its output wires; shares are random,
+    /// so equal arrays mean equal permutations. The charge is the network's.
     fn assert_merge_operator_equals_comparator_walk(
-        n: usize,
-        split: usize,
-        reals: (usize, usize),
+        lens: &[usize],
+        reals: &[usize],
         order: SortOrder,
     ) {
-        let mut merged = two_runs(n, split, reals, order);
-        let mut walked = merged.clone();
+        let mut merged = runs_of(lens, reals, order);
+        let mut entries = merged.entries().to_vec();
         let mut meter = CostMeter::new();
-        oblivious_merge_by_is_view(&mut merged, split, order, &mut meter);
+        oblivious_merge_by_is_view(&mut merged, lens, order, &mut meter);
 
         let rank = |rec: &SharedRecordPair| match order {
             SortOrder::Ascending => dummy_rank(rec),
             SortOrder::Descending => 1 - dummy_rank(rec),
         };
-        let entries = walked.entries_mut();
-        let merging = split > 0 && split < n;
-        if merging {
-            entries[..split].reverse();
-            for (lo, hi) in bitonic_merge_pairs(n) {
-                if rank(&entries[lo]) > rank(&entries[hi]) {
-                    entries.swap(lo, hi);
-                }
+        let (pairs, outputs) = Network::merge(lens).pairs();
+        for &(lo, hi) in &pairs {
+            if rank(&entries[lo]) > rank(&entries[hi]) {
+                entries.swap(lo, hi);
             }
         }
-        assert_eq!(merged, walked, "n={n} split={split} {order:?}");
+        let walked: Vec<_> = outputs.iter().map(|&wire| entries[wire].clone()).collect();
+        assert_eq!(merged.entries(), walked, "lens={lens:?} {order:?}");
         assert!(
             merged
                 .entries()
                 .windows(2)
                 .all(|w| rank(&w[0]) <= rank(&w[1])),
-            "n={n} split={split} {order:?}: not merged"
+            "lens={lens:?} {order:?}: not merged"
         );
-        let pairs = if merging {
-            bitonic_merge_pair_count(n)
-        } else {
-            0
-        };
         let report = meter.report();
-        assert_eq!(report.secure_compares, pairs);
-        let reversal = if merging { split as u64 / 2 } else { 0 };
-        assert_eq!(report.secure_swaps, (pairs + reversal) * 2);
-        assert_eq!(report.rounds, u64::from(merging));
+        assert_eq!(report.secure_compares, pairs.len() as u64);
+        assert_eq!(report.secure_swaps, 2 * pairs.len() as u64);
+        assert_eq!(report.rounds, u64::from(!pairs.is_empty()));
     }
 
     #[test]
     fn merge_operator_equals_comparator_walk_at_every_length_and_split() {
-        for n in 0..=300usize {
-            for split in 0..=n {
-                // Real counts sweep with the split, so all-real, all-dummy and
-                // mixed runs meet on either side.
-                let reals = (split * (n % 4) / 3, (n - split) * (split % 4) / 3);
-                let order = if (n + split) % 2 == 0 {
-                    SortOrder::Ascending
-                } else {
-                    SortOrder::Descending
-                };
-                assert_merge_operator_equals_comparator_walk(n, split, reals, order);
+        for (n, split) in small_splits() {
+            // Real counts sweep with the split, so all-real, all-dummy and mixed
+            // runs meet on either side.
+            let reals = [split * (n % 4) / 3, (n - split) * (split % 4) / 3];
+            let order = [SortOrder::Ascending, SortOrder::Descending][(n + split) % 2];
+            assert_merge_operator_equals_comparator_walk(&[split, n - split], &reals, order);
+        }
+        for (n, split) in large_splits() {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let reals = [split / 3, (n - split) / 2];
+                assert_merge_operator_equals_comparator_walk(&[split, n - split], &reals, order);
             }
         }
-        for n in [1000usize, 4096, 5000] {
-            for split in [0, 1, n / 64, n / 2, n - n / 64, n - 1, n] {
-                for order in [SortOrder::Ascending, SortOrder::Descending] {
-                    let reals = (split / 3, (n - split) / 2);
-                    assert_merge_operator_equals_comparator_walk(n, split, reals, order);
-                }
-            }
+    }
+
+    #[test]
+    fn tournament_at_5000_equals_the_comparator_walk() {
+        // The candidate read's shape: the heads of a cache's runs, one per run,
+        // some short, some all real, merged in one tournament.
+        let lens = [1200, 5, 1200, 900, 1, 1694];
+        let reals = [1200, 2, 300, 0, 1, 847];
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            assert_merge_operator_equals_comparator_walk(&lens, &reals, order);
         }
     }
 
@@ -1251,18 +1312,11 @@ mod tests {
             let mut b = run_b;
             a.sort_unstable();
             b.sort_unstable();
-            let split = a.len();
+            let network = Network::merge(&[a.len(), b.len()]).pairs();
             let mut input = a;
             input.extend_from_slice(&b);
-
-            let merged = bitonic_merge_runs(input.clone(), split);
-
-            let mut batcher = input;
-            for (lo, hi) in batcher_pairs(batcher.len()) {
-                if batcher[lo] > batcher[hi] {
-                    batcher.swap(lo, hi);
-                }
-            }
+            let batcher = run_selection(&Network::sort(input.len()).pairs(), &mut input.clone());
+            let merged = run_selection(&network, &mut input);
             prop_assert_eq!(merged, batcher);
         }
 
@@ -1278,8 +1332,55 @@ mod tests {
             let mut expect = keys.clone();
             expect.sort_unstable();
             expect.truncate(k);
-            let network = select_first_pairs(keys.len(), k);
+            let network = Network::select(keys.len(), k).pairs();
             prop_assert_eq!(run_selection(&network, &mut keys), expect);
+        }
+
+        /// The one generator over random blocks, sortedness and keep sizes: the
+        /// count is the materialised network's and at most the Batcher sort's; the
+        /// kept wires hold the smallest keys of every 0-1 input, as the unpruned
+        /// network's do; a tournament with no block longer than it keeps carries no
+        /// comparator that feeds no kept wire; the executed runs merge like it.
+        #[test]
+        fn prop_network_generator_counts_keeps_and_prunes(
+            lens in proptest::collection::vec(0usize..24, 0..9),
+            sorted: bool,
+            keep in 0usize..100,
+            seed: u64,
+        ) {
+            use rand::Rng;
+            let n: usize = lens.iter().sum();
+            let network = Network::new(Blocks::Runs(&lens), sorted, keep);
+            let full = Network::new(Blocks::Runs(&lens), sorted, n);
+            for net in [network, full, Network::select(n, keep)] {
+                let materialised = net.pairs();
+                prop_assert_eq!(net.count(), materialised.0.len() as u64);
+                prop_assert!(net.count() <= batcher_pair_count(n));
+                prop_assert_eq!(materialised.1.len(), net.keep.min(n));
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut keys: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2)).collect();
+            if sorted {
+                let mut start = 0;
+                for &len in &lens {
+                    keys[start..start + len].sort_unstable();
+                    start += len;
+                }
+            }
+            let mut expect = keys.clone();
+            expect.sort_unstable();
+            expect.truncate(keep);
+            let pairs = network.pairs();
+            prop_assert_eq!(run_selection(&pairs, &mut keys.clone()), expect.clone());
+            let mut unpruned = run_selection(&full.pairs(), &mut keys);
+            unpruned.truncate(keep);
+            prop_assert_eq!(unpruned, expect);
+            if network.tournament && (sorted || lens.iter().all(|&len| len <= keep)) {
+                prop_assert_eq!(dead_comparators(&pairs), 0);
+            }
+            if sorted {
+                assert_merge_kernel_equals_comparator_walk(&lens, seed, seed % 2 == 0);
+            }
         }
 
         #[test]

@@ -11,14 +11,17 @@
 //! the cache rests as a short list of **real-first runs** of public length plus the
 //! rows written since the last read, and a read costs in proportion to what arrived:
 //! it sorts only those new rows into a run, merges runs log-structured-merge
-//! fashion, and runs Figure 3 ([`cache_read`]) over the few rows at the head of
-//! each run — the only ones a fetch of that size can reach. See [`SecureCache`].
+//! fashion, and merges the few rows at the head of each run — the only ones a fetch
+//! of that size can reach — instead of sorting them. See [`SecureCache`].
 
-use incshrink_mpc::cost::CostMeter;
-use incshrink_oblivious::compact::cache_read;
+use incshrink_mpc::cost::{CostMeter, MeteredSpan};
 use incshrink_oblivious::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view, SortOrder};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use serde::{Deserialize, Serialize};
+
+/// The merge rule's ratio: the newest run is merged into its elder while the elder
+/// counts at most this many times the newer's sealed tails.
+const MERGE_RATIO: u32 = 2;
 
 /// Statistics about cache activity, for experiment reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,26 +46,29 @@ pub struct CacheStats {
 ///
 /// **Layout.** Sealed runs, oldest first, each in `isView` order, then the unsorted
 /// tail of rows written since the last cut. A cut (`read` or `flush`) of public size
-/// `sz` (1) *seals*: Batcher-sorts the tail into a new run; (2) *gathers* the first
-/// `min(sz, len)` rows of every run — each run is real-first, so those hold
+/// `sz` (1) *seals*: Batcher-sorts the tail into a new run; (2) *reads*: takes the
+/// first `min(sz, len)` rows of every run — each run is real-first, so those hold
 /// `min(sz, reals in the run)` reals and together at least `min(sz, reals in the
-/// cache)` — and runs Figure 3 over these candidates alone: the fetched prefix
-/// holds exactly as many reals as a sort of the whole cache would have fetched;
-/// (3) writes the unfetched candidates back as the newest run.
+/// cache)` — merges these heads into one real-first list with the merge-only
+/// operator (a tournament of bitonic merges, or the Batcher sort where that is
+/// smaller) and fetches its first `sz` rows: exactly as many reals as a sort of the
+/// whole cache would have fetched; (3) writes the unfetched candidates back as the
+/// newest run, still real-first.
 ///
 /// **Merge rule.** Every run counts the sealed tails merged into it: a sealed tail
 /// enters with 1, written-back candidates with 0 (their rows were counted when they
 /// were first sealed). Whenever a run is added, the last two runs are merged while
-/// the older counts no more than the newer — a binary counter over the seals since
-/// the last flush, so a row is merged `O(log s)` times instead of once per cut, at
-/// cuts fixed by *when* cuts happen alone (a length rule is tipped all the way up
-/// the list by every DP-noised cut size: one noise draw, one more whole-cache merge).
+/// the older counts at most `MERGE_RATIO` = 2 times the newer, at cuts fixed by
+/// *when* cuts happen alone (a length rule is tipped all the way up the list by
+/// every DP-noised cut size: one noise draw, one more whole-cache merge). A ratio
+/// of 1 is a binary counter; 2 merges a little earlier and leaves fewer heads for
+/// every read to merge, which prices lower on both benchmark ingest workloads.
 ///
-/// **Run count.** Between cuts the counts fall strictly with age, and the positive
-/// ones are distinct powers of two (a merge adds equals, or absorbs a 0) that sum to
-/// at most the `s` seals since the last flush: at most `⌊log₂ s⌋ + 1` counted runs
-/// plus the one candidates run, `k ≤ ⌊log₂ s⌋ + 2`. A cut only removes runs it
-/// empties, which keeps the order strict.
+/// **Run count.** Between cuts every count is more than twice the next newer one (a
+/// merge stops exactly there; a 0 is absorbed), and the counts sum to at most the
+/// `s` seals since the last flush: at most `⌊log₂ s⌋ + 1` counted runs plus the one
+/// candidates run, `k ≤ ⌊log₂ s⌋ + 2`. A cut only removes runs it empties, which
+/// keeps the ratios.
 ///
 /// **Leakage.** Run lengths, the merge schedule, the candidate count and every
 /// network shape are a function of the sequence of write sizes, cut sizes and
@@ -137,34 +143,40 @@ impl SecureCache {
             .expect("view entries share one arity");
     }
 
-    /// Add the real-first `rows`, holding `seals` sealed tails, as the newest run,
-    /// then merge the last two runs while the older counts no more than the newer.
-    fn push_run(&mut self, mut rows: SharedArrayPair, seals: u32, meter: &mut CostMeter) {
+    /// Add `rows`, in run order (back to front: dummies, then reals) and holding
+    /// `seals` sealed tails, as the newest run, then merge the last two runs while
+    /// the merge rule asks for it.
+    fn push_run(&mut self, rows: SharedArrayPair, seals: u32, meter: &mut CostMeter) {
         if rows.is_empty() {
             return;
         }
-        rows.entries_mut().reverse();
         self.runs.push(Run { rows, seals });
+        let mut span = None;
         while let [.., older, newer] = &self.runs[..] {
-            if older.seals > newer.seals {
+            if older.seals > MERGE_RATIO * newer.seals {
                 break;
             }
+            span.get_or_insert_with(|| MeteredSpan::enter("cache.merge", meter));
             let newer = self.runs.pop().expect("two runs");
             let older = self.runs.last_mut().expect("two runs");
-            let split = older.rows.len();
+            let runs = [older.rows.len(), newer.rows.len()];
             older.seals += newer.seals;
             older
                 .rows
                 .extend(newer.rows)
                 .expect("view entries share one arity");
-            oblivious_merge_by_is_view(&mut older.rows, split, SortOrder::Descending, meter);
+            oblivious_merge_by_is_view(&mut older.rows, &runs, SortOrder::Descending, meter);
             self.stats.merges += 1;
             self.stats.merged_rows += older.rows.len() as u64;
+        }
+        if let Some(span) = span {
+            span.close(meter);
         }
     }
 
     /// Seal the tail, fetch the first `size` entries in `isView` order out of the
-    /// heads of the runs, and write the unfetched candidates back.
+    /// heads of the runs, and write the unfetched candidates back — in the child
+    /// spans `cache.seal`, `cache.merge` (where runs merge) and `cache.read`.
     fn cut(&mut self, size: usize, meter: &mut CostMeter) -> SharedArrayPair {
         debug_assert!(
             self.runs.iter().all(|run| run
@@ -174,18 +186,30 @@ impl SecureCache {
                 .all(|w| w[0].is_view.recover() <= w[1].is_view.recover())),
             "every run must be real-first (kept back to front: dummies, then reals)"
         );
+        let seal = MeteredSpan::enter("cache.seal", meter);
         let mut tail = std::mem::take(&mut self.tail);
         oblivious_sort_by_is_view(&mut tail, meter);
+        tail.entries_mut().reverse();
+        seal.close(meter);
         self.push_run(tail, 1, meter);
 
-        let mut candidates = SharedArrayPair::new();
+        let read = MeteredSpan::enter("cache.read", meter);
+        let (mut heads, mut candidates) = (Vec::new(), SharedArrayPair::new());
         for run in &mut self.runs {
+            let head = run.rows.split_back(size);
+            heads.push(head.len());
             candidates
-                .extend(run.rows.split_back(size))
+                .extend(head)
                 .expect("view entries share one arity");
         }
         self.runs.retain(|run| !run.rows.is_empty());
-        let fetched = cache_read(&mut candidates, size, meter);
+        oblivious_merge_by_is_view(&mut candidates, &heads, SortOrder::Descending, meter);
+        let mut fetched = candidates.split_back(size);
+        let width = candidates.arity().unwrap_or(0) as u64 + 1;
+        meter.bytes(fetched.len() as u64 * width * 4);
+        meter.round();
+        fetched.entries_mut().reverse();
+        read.close(meter);
         self.push_run(candidates, 0, meter);
         fetched
     }
@@ -214,11 +238,13 @@ impl SecureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incshrink_oblivious::compact::cache_read;
+    use incshrink_oblivious::{batcher_pair_count, compact::cache_read};
     use incshrink_secretshare::tuple::PlainRecord;
+    use incshrink_telemetry::{Event, InMemory};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn delta(real: usize, dummy: usize) -> SharedArrayPair {
         let mut rng = StdRng::seed_from_u64(7);
@@ -322,8 +348,8 @@ mod tests {
         assert_eq!(cache.flush(2, &mut meter).true_cardinality(), 1);
         assert_eq!(
             meter.take().secure_compares,
-            incshrink_oblivious::batcher_pair_count(2),
-            "nothing new to seal"
+            0,
+            "nothing new to seal, and one run's head is in order already"
         );
         assert!(cache.is_empty() && cache.run_lens().is_empty());
         assert_eq!(cache.stats().recycled, 7);
@@ -377,15 +403,16 @@ mod tests {
 
     /// The layout as a pure function of released sizes: `(length, seals)` of every
     /// run (oldest first) and the tail length after `op` — what `CacheAppend` /
-    /// `ViewSync` / `CacheFlush` already tell both servers.
-    fn reference_layout(runs: &mut Vec<(usize, u32)>, tail: &mut usize, op: Op) {
+    /// `ViewSync` / `CacheFlush` already tell both servers. Returns the number of
+    /// candidates a cut reads (0 for a write).
+    fn reference_layout(runs: &mut Vec<(usize, u32)>, tail: &mut usize, op: Op) -> usize {
         fn push(runs: &mut Vec<(usize, u32)>, (rows, seals): (usize, u32)) {
             if rows == 0 {
                 return;
             }
             runs.push((rows, seals));
             while let [.., older, newer] = runs[..] {
-                if older.1 > newer.1 {
+                if older.1 > 2 * newer.1 {
                     break;
                 }
                 runs.truncate(runs.len() - 2);
@@ -393,7 +420,10 @@ mod tests {
             }
         }
         match op {
-            Op::Write(rows) => *tail += rows,
+            Op::Write(rows) => {
+                *tail += rows;
+                0
+            }
             Op::Read(size) | Op::Flush(size) => {
                 push(runs, (std::mem::take(tail), 1));
                 let candidates: usize = runs.iter().map(|r| r.0.min(size)).sum();
@@ -403,6 +433,7 @@ mod tests {
                 if matches!(op, Op::Flush(_)) {
                     runs.clear();
                 }
+                candidates
             }
         }
     }
@@ -410,7 +441,8 @@ mod tests {
     proptest! {
         /// Equal released sizes, different contents: equal layouts — the one the
         /// size sequence alone predicts — and equal charges, operation by
-        /// operation.
+        /// operation; and no cut's read charges more than a Batcher sort of the
+        /// candidates it merges.
         #[test]
         fn prop_layout_and_cost_are_a_function_of_released_sizes(
             ops in proptest::collection::vec((0u8..5, 0usize..40), 0..40),
@@ -419,8 +451,10 @@ mod tests {
             let contents: [fn(usize) -> usize; 3] = [|_| 0, |rows| rows / 3, |rows| rows];
             let mut caches = contents.map(|real| (real, SecureCache::new(), CostMeter::new()));
             let (mut runs, mut tail) = (Vec::new(), 0);
+            let sink = Arc::new(InMemory::new());
+            let _guard = incshrink_telemetry::install(sink.clone());
             for op in ops.into_iter().map(op) {
-                reference_layout(&mut runs, &mut tail, op);
+                let batcher = batcher_pair_count(reference_layout(&mut runs, &mut tail, op));
                 let mut charged = Vec::new();
                 for (real, cache, meter) in &mut caches {
                     match op {
@@ -434,6 +468,13 @@ mod tests {
                     charged.push(meter.take());
                 }
                 prop_assert!(charged.iter().all(|report| *report == charged[0]), "{:?}", op);
+                for event in sink.take() {
+                    if let Event::Span(span) = event {
+                        let cost = span.cost.expect("cut spans carry their cost");
+                        let read = span.name == "cache.read";
+                        prop_assert!(!read || (cost.compares <= batcher && cost.swaps <= 2 * batcher));
+                    }
+                }
             }
         }
 

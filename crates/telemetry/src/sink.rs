@@ -10,11 +10,17 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+/// Events per [`InMemory`] chunk.
+const CHUNK: usize = 1024;
+
 /// Collector buffering every event in memory, for tests and the leakage
-/// auditor.
+/// auditor. Events are kept in fixed-capacity chunks, so recording one never
+/// moves those already held: a single growing `Vec` would copy the whole trace
+/// each time it doubles, inside whichever span happens to be closing, and that
+/// host time would land on its parent as unattributed self time.
 #[derive(Default)]
 pub struct InMemory {
-    events: Mutex<Vec<Event>>,
+    chunks: Mutex<Vec<Vec<Event>>>,
 }
 
 impl InMemory {
@@ -27,25 +33,30 @@ impl InMemory {
     /// Snapshot of the events recorded so far, in emission order.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.events
+        self.chunks
             .lock()
             .expect("telemetry buffer poisoned")
-            .clone()
+            .concat()
     }
 
     /// Drain and return the recorded events.
     #[must_use]
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("telemetry buffer poisoned"))
+        std::mem::take(&mut *self.chunks.lock().expect("telemetry buffer poisoned")).concat()
     }
 }
 
 impl Collector for InMemory {
     fn record(&self, event: Event) {
-        self.events
-            .lock()
-            .expect("telemetry buffer poisoned")
-            .push(event);
+        let mut chunks = self.chunks.lock().expect("telemetry buffer poisoned");
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(event),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(event);
+                chunks.push(chunk);
+            }
+        }
     }
 }
 
