@@ -3,7 +3,7 @@
 //! config-free structural leakage audit.
 //!
 //! ```text
-//! INCSHRINK_TRACE=trace.jsonl cargo run -p incshrink-bench --bin fig4
+//! INCSHRINK_TRACE=trace.jsonl cargo run -p incshrink-bench --bin sweep -- fig4
 //! cargo run -p incshrink-bench --bin trace_dump trace.jsonl
 //! cargo run -p incshrink-bench --bin trace_dump -- --diff a.jsonl b.jsonl
 //! ```

@@ -1,9 +1,9 @@
-//! Shared experiment harness for the benchmark binaries.
+//! Experiment harness for the paper's evaluation (Section 7).
 //!
-//! Every table and figure of the paper's evaluation (Section 7) has a binary in
-//! `src/bin/` that regenerates it; the heavy lifting — building datasets, running the
-//! simulation for each strategy/parameter point, formatting rows — lives here so the
-//! binaries stay thin and the logic is unit-testable.
+//! [`experiments`] holds Table 2, Figures 4–9 and the cluster scale-out sweep
+//! as data, run by one loop; the `sweep` binary runs them by name
+//! (`sweep fig5 table2 …`). The `query_mix` and `elastic` binaries, which
+//! step their own runs, share the dataset builder and the reporters.
 //!
 //! Scale control: the binaries default to a laptop-friendly horizon
 //! ([`default_steps`]); set `INCSHRINK_BENCH_STEPS` to change it (e.g. 720 for a
@@ -15,10 +15,8 @@
 pub mod experiments;
 pub mod report;
 
-pub use experiments::{
-    build_dataset, default_steps, run_strategy, strategy_set, ComparisonRow, ExperimentPoint,
-};
-pub use report::{envelope, print_csv, print_table, write_json};
+pub use experiments::{build_dataset, default_steps};
+pub use report::{print_table, write_json};
 
 /// Keeps the experiment binary's telemetry sink installed for the duration of
 /// the run (dropping it flushes the JSONL trace). Returned by [`init`].

@@ -31,7 +31,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Print rows as CSV to stdout (header first).
-pub fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", headers.join(","));
     for row in rows {
         println!("{}", row.join(","));
@@ -44,7 +44,7 @@ pub fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
 /// `"rows"` key. One envelope shape across all binaries means downstream tooling
 /// parses every `results/*.json` the same way.
 #[must_use]
-pub fn envelope<T: Serialize + ?Sized>(bin: &str, rows: &T) -> serde_json::Value {
+pub(crate) fn envelope<T: Serialize + ?Sized>(bin: &str, rows: &T) -> serde_json::Value {
     use serde::Value;
     let mut meta: Vec<(String, Value)> = std::env::vars()
         .filter(|(key, _)| key.starts_with("INCSHRINK_"))
@@ -60,8 +60,9 @@ pub fn envelope<T: Serialize + ?Sized>(bin: &str, rows: &T) -> serde_json::Value
 }
 
 /// Serialize a result object as JSON under `results/<name>.json`, wrapped in the
-/// shared [`envelope`] (best effort: errors are reported to stderr but do not
-/// abort the experiment).
+/// shared report envelope — `bin`, `schema_version`, `meta` (the run's
+/// `INCSHRINK_*` variables) and `rows` (best effort: errors are reported to
+/// stderr but do not abort the experiment).
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let dir = Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -97,7 +98,7 @@ pub fn fmt(v: f64) -> String {
 
 /// Format an improvement factor ("123x" or "N/A" for non-positive baselines).
 #[must_use]
-pub fn fmt_improvement(baseline: f64, value: f64) -> String {
+pub(crate) fn fmt_improvement(baseline: f64, value: f64) -> String {
     if value <= 0.0 || baseline <= 0.0 {
         "N/A".to_string()
     } else {

@@ -1,6 +1,6 @@
 //! Goldens for every experiment output: "equal to the digit" as a test.
 //!
-//! Each experiment binary runs at a small horizon in a fresh directory under
+//! Each experiment runs at a small horizon in a fresh directory under
 //! `CARGO_TARGET_TMPDIR`. Its `results/<name>.json` — the report envelope
 //! without `meta` (the `INCSHRINK_*` knobs of the run) and each row without
 //! `wall_secs` (the only host-clock field) — must equal `goldens/<name>.json`
@@ -120,55 +120,66 @@ fn check(name: &str, dir: &Path) {
     }
 }
 
-/// Run one figure/table binary at the golden horizon and check its output.
-fn figure(name: &str, exe: &str) {
-    let dir = run(name, exe, &[], &[("INCSHRINK_BENCH_STEPS", STEPS)]);
+/// Run one `sweep` experiment at the golden horizon and check its output.
+fn sweep(name: &str) {
+    let dir = run(
+        name,
+        env!("CARGO_BIN_EXE_sweep"),
+        &[name],
+        &[("INCSHRINK_BENCH_STEPS", STEPS)],
+    );
     check(name, &dir);
 }
 
 #[test]
 fn table2_matches_golden() {
-    figure("table2", env!("CARGO_BIN_EXE_table2"));
+    sweep("table2");
 }
 
 #[test]
 fn fig4_matches_golden() {
-    figure("fig4", env!("CARGO_BIN_EXE_fig4"));
+    sweep("fig4");
 }
 
 #[test]
 fn fig5_matches_golden() {
-    figure("fig5", env!("CARGO_BIN_EXE_fig5"));
+    sweep("fig5");
 }
 
 #[test]
 fn fig6_matches_golden() {
-    figure("fig6", env!("CARGO_BIN_EXE_fig6"));
+    sweep("fig6");
 }
 
 #[test]
 fn fig7_matches_golden() {
-    figure("fig7", env!("CARGO_BIN_EXE_fig7"));
+    sweep("fig7");
 }
 
 #[test]
 fn fig8_matches_golden() {
-    figure("fig8", env!("CARGO_BIN_EXE_fig8"));
+    sweep("fig8");
 }
 
 #[test]
 fn fig9_matches_golden() {
-    figure("fig9", env!("CARGO_BIN_EXE_fig9"));
+    sweep("fig9");
 }
 
 #[test]
 fn scaleout_matches_golden() {
-    figure("scaleout", env!("CARGO_BIN_EXE_scaleout"));
+    sweep("scaleout");
 }
 
 #[test]
 fn query_mix_matches_golden() {
-    figure("query_mix", env!("CARGO_BIN_EXE_query_mix"));
+    let dir = run(
+        "query_mix",
+        env!("CARGO_BIN_EXE_query_mix"),
+        &[],
+        &[("INCSHRINK_BENCH_STEPS", STEPS)],
+    );
+    check("query_mix", &dir);
 }
 
 #[test]
@@ -214,8 +225,8 @@ fn fig4_trace_fingerprint_is_equal_in_every_party_mode() {
             .join("trace.jsonl");
         let dir = run(
             &label,
-            env!("CARGO_BIN_EXE_fig4"),
-            &[],
+            env!("CARGO_BIN_EXE_sweep"),
+            &["fig4"],
             &[
                 ("INCSHRINK_BENCH_STEPS", STEPS),
                 ("INCSHRINK_PARTY_MODE", mode),

@@ -42,10 +42,34 @@
 //! run) or by one OS thread per shard plus an upload broker
 //! ([`ParallelShardedSimulation`]) — the two replay each other bit for bit.
 //!
-//! [`ShardedSimulation`] with one shard reproduces the single-pair
-//! `incshrink::Simulation` exactly (same seed ⇒ same per-step trace); the
-//! `scaleout` benchmark binary sweeps `S ∈ {1, 2, 4, 8}` over both evaluation
-//! workloads.
+//! [`ShardedSimulation`] with one shard is the single-pair run of the paper:
+//! shard 0 keeps the whole workload and the cluster seed, so it steps one
+//! `incshrink::ShardPipeline` exactly as a hand-stepped one would (same seed ⇒
+//! same per-step trace). The `sweep` benchmark binary's `scaleout` experiment
+//! sweeps `S ∈ {1, 2, 4, 8}` over both evaluation workloads.
+//!
+//! ## Quick start
+//!
+//! ```
+//! use incshrink::prelude::*;
+//! use incshrink_cluster::ShardedSimulation;
+//!
+//! // A small TPC-ds-like workload (Sales ⋈ Returns within 10 days).
+//! let dataset = TpcDsGenerator::new(WorkloadParams {
+//!     steps: 40,
+//!     view_entries_per_step: 2.7,
+//!     seed: 1,
+//! })
+//! .generate();
+//!
+//! // Default paper configuration: sDPTimer, ε = 1.5, ω = 1, b = 10, on one
+//! // server pair.
+//! let config = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
+//! let report = ShardedSimulation::new(dataset, config, 1, 0xFEED).run();
+//!
+//! assert!(report.summary.avg_relative_error < 0.5);
+//! println!("avg L1 error {:.2}", report.summary.avg_l1_error);
+//! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

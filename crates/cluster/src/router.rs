@@ -137,7 +137,8 @@ impl ShardRouter {
     /// ([`crate::shuffle`]).
     ///
     /// With a single shard this returns the input workload unchanged, which is what
-    /// lets a 1-shard cluster reproduce the single-pair simulation exactly.
+    /// makes a 1-shard cluster the single-pair run: one pipeline over the whole
+    /// workload.
     #[must_use]
     pub fn partition(&self, dataset: &Dataset) -> Vec<Dataset> {
         self.partition_dataset_by(

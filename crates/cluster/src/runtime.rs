@@ -1,15 +1,16 @@
 //! The cluster driver: one step loop, two hosts for the shards it steps.
 //!
-//! [`ClusterSimulation`] generalizes the single-pair `incshrink::Simulation` to
-//! `S` server pairs: the workload is hash-partitioned by join key
-//! ([`crate::router`]), every shard runs its own complete Transform-and-Shrink
-//! pipeline (`incshrink::ShardPipeline`) with an **ε/S privacy budget**
-//! ([`crate::sharded::ClusterPrivacy`]), and the analyst's counting query is
-//! scatter-gathered across the shard views ([`crate::executor`]). Set-up, the
-//! step loop, query accounting, the migration schedule and report assembly are
-//! written once (`ClusterSimulation::drive`); the driver reaches its shards
-//! only through the private `ShardHost` requests — *step `t`* (its query
-//! included), *export / import a partition*, *finish* — which have exactly two
+//! [`ClusterSimulation`] runs the end-to-end loop of the paper's Figure 1 on
+//! `S` server pairs (one shard is the single-pair run): the workload is
+//! hash-partitioned by join key ([`crate::router`]), every shard runs its own
+//! complete Transform-and-Shrink pipeline (`incshrink::ShardPipeline`) with an
+//! **ε/S privacy budget** ([`crate::sharded::ClusterPrivacy`]), and the
+//! analyst's counting query is scatter-gathered across the shard views
+//! ([`crate::executor`]). Set-up, the step loop, query accounting, the
+//! migration schedule and report assembly are written once
+//! (`ClusterSimulation::drive`); the driver reaches its shards only through
+//! the private `ShardHost` requests — *step `t`* (its query included),
+//! *export / import a partition*, *finish* — which have exactly two
 //! implementations, selected by type name:
 //!
 //! * [`ShardedSimulation`] hosts the shards **inline**: a `Vec` of pipelines

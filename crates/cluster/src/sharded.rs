@@ -29,7 +29,8 @@ use incshrink_workload::{Dataset, DatasetKind};
 use serde::{Deserialize, Serialize};
 
 /// Per-shard seed stride (golden-ratio increment): shard 0 keeps the cluster seed, so
-/// a 1-shard cluster replays the single-pair simulation bit for bit.
+/// a 1-shard cluster replays a single `ShardPipeline` built with that seed bit for
+/// bit.
 pub(crate) const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Cluster-level privacy bounds evaluated via `incshrink_dp::accountant`.
@@ -119,8 +120,8 @@ pub struct ShardReport {
     pub view_fingerprint: u64,
 }
 
-/// Full result of one cluster run. Mirrors `incshrink::RunReport` (same
-/// [`StepRecord`] / [`Summary`] shapes) with shard-level detail on top.
+/// Full result of one run: the per-step [`StepRecord`] trace and the Table-2
+/// style [`Summary`], with shard-level detail on top.
 ///
 /// Equality is *semantic* equality of the simulated trajectory: every field
 /// compares exactly except the summary's host-time fields (see `Summary`'s
@@ -244,8 +245,8 @@ pub(crate) fn assert_elastic_viable(routing: RoutingPolicy, elastic: Option<&Ela
 }
 
 /// Construct pre-partitioned shard datasets into pipelines on the cluster's
-/// per-shard seed schedule (shard 0 keeps `seed`, so one shard replays the
-/// single-pair simulation bit for bit).
+/// per-shard seed schedule (shard 0 keeps `seed`, so one shard replays a
+/// single `ShardPipeline` built with `seed` bit for bit).
 pub(crate) fn build_pipelines(
     parts: Vec<Dataset>,
     per_shard_config: IncShrinkConfig,

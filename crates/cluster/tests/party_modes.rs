@@ -2,16 +2,17 @@
 //! that the *way* the two MPC servers run — in-process struct calls, actor
 //! threads over mpsc, actor threads over a loopback TCP socket — is invisible
 //! to everything the simulation computes. These tests drive full single-pair
-//! simulations through all three [`PartyMode`]s and assert the `RunReport`s,
-//! canonical observable traces (server-visible sizes + ε-ledger), and trace
-//! fingerprints are identical, across random workloads and both Shrink
-//! strategies. Every `charge()` of the tcp
-//! runs also asserts that the bytes really written to the socket reconcile
-//! exactly with the metered ones.
+//! runs (one-shard inline clusters) through all three [`PartyMode`]s and
+//! assert the reports, canonical observable traces (server-visible sizes +
+//! ε-ledger), and trace fingerprints are identical, across random workloads
+//! and both Shrink strategies. Every `charge()` of the tcp runs also asserts
+//! that the bytes really written to the socket reconcile exactly with the
+//! metered ones.
 
 use std::sync::Arc;
 
 use incshrink::prelude::*;
+use incshrink_cluster::{ClusterRunReport, ShardedSimulation};
 use incshrink_mpc::PartyMode;
 use incshrink_telemetry::audit::{canonical_observable_trace, canonical_trace_fingerprint};
 use incshrink_telemetry::{install, Event, InMemory};
@@ -32,9 +33,9 @@ fn run_mode(
     config: IncShrinkConfig,
     seed: u64,
     mode: PartyMode,
-) -> (RunReport, Vec<Event>) {
+) -> (ClusterRunReport, Vec<Event>) {
     traced(|| {
-        Simulation::new(dataset.clone(), config, seed)
+        ShardedSimulation::new(dataset.clone(), config, 1, seed)
             .with_party_mode(mode)
             .run()
     })

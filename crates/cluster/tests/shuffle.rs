@@ -47,7 +47,7 @@ fn shuffled_cluster_answers_non_co_partitioned_workload_correctly() {
 
     // Single-pair reference: same records, same ground truth (the store column is
     // join-irrelevant), no sharding.
-    let single = Simulation::new(dataset.clone(), config, 9).run();
+    let single = ShardedSimulation::new(dataset.clone(), config, 1, 9).run();
 
     for shards in [1usize, 2, 4, 8] {
         let report = ShardedSimulation::new(dataset.clone(), config, shards, 9)
@@ -106,12 +106,30 @@ fn co_partitioned_policy_rejects_non_co_partitioned_workload() {
 /// correctly) at S = 1 without a shuffle.
 #[test]
 fn single_shard_accepts_non_co_partitioned_workload() {
-    let report = ShardedSimulation::new(store_partitioned(20), timer(10), 1, 1).run();
-    let single = Simulation::new(store_partitioned(20), timer(10), 1).run();
-    assert_eq!(
-        report.steps, single.steps,
-        "one shard = the single-pair run"
-    );
+    let dataset = store_partitioned(20);
+    let report = ShardedSimulation::new(dataset.clone(), timer(10), 1, 1).run();
+    // One shard = the single-pair run: one pipeline over the whole workload.
+    let mut single = ShardPipeline::new(dataset, timer(10), 1, CostModel::default());
+    for step in &report.steps {
+        let t = step.time;
+        let _ = single.advance(t);
+        let answer = step.answer.map(|_| {
+            single
+                .answer_query(&Query::count(), t)
+                .value
+                .expect_scalar()
+        });
+        assert_eq!(
+            (step.answer, step.true_count, step.view_len, step.cache_len),
+            (
+                answer,
+                single.true_count(t),
+                single.view().len(),
+                single.cache_len()
+            ),
+            "t={t}: one shard = the single-pair run"
+        );
+    }
 }
 
 /// `RoutingPolicy::CoPartitioned` replays the pre-shuffle run *loop* bit for bit:

@@ -1,9 +1,10 @@
-//! Smoke tests for the cluster crate: 1-shard equivalence with the single-pair
-//! simulation, scale-out behaviour of the scatter-gather executor, and the composed
-//! DP error bound for S > 1.
+//! Smoke tests for the cluster crate: a short single-pair run, 1-shard
+//! equivalence with a hand-stepped pipeline, scale-out behaviour of the
+//! scatter-gather executor, and the composed DP error bound for S > 1.
 
 use incshrink::prelude::*;
 use incshrink_cluster::{ShardRouter, ShardedSimulation};
+use incshrink_mpc::cost::{CostModel, SimDuration};
 use incshrink_workload::logical_join_count;
 
 fn tpcds(steps: u64) -> Dataset {
@@ -28,8 +29,27 @@ fn timer(interval: u64) -> IncShrinkConfig {
     IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval })
 }
 
-/// Acceptance criterion: a 1-shard cluster reproduces the single-pair simulation
-/// *exactly* on the same seed — not just the answers, the whole per-step trace.
+#[test]
+fn short_simulation_produces_sane_summary() {
+    let config = timer(10);
+    assert!(config.validate().is_none(), "default config is valid");
+
+    let report = ShardedSimulation::new(tpcds(30), config, 1, 0xFEED).run();
+    assert_eq!(report.horizon(), 30);
+    assert!(report.summary.queries_issued > 0);
+    assert!(
+        report.summary.sync_count >= 2,
+        "two timer firings in 30 steps"
+    );
+    assert!(report.summary.avg_l1_error.is_finite());
+    assert!(report.summary.total_mpc_secs > 0.0);
+}
+
+/// Acceptance criterion: a 1-shard cluster reproduces the single server pair
+/// *exactly* on the same seed — the reference is one `ShardPipeline` stepped by
+/// hand (advance, then the counting query on query steps), checked at every
+/// step: the answers, the view and cache lengths, the sync flags and the
+/// modeled times.
 #[test]
 fn one_shard_cluster_reproduces_single_pair_simulation_exactly() {
     let seed = 0xC1D5;
@@ -40,13 +60,41 @@ fn one_shard_cluster_reproduces_single_pair_simulation_exactly() {
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 }),
         ),
     ] {
-        let single = Simulation::new(dataset.clone(), config, seed).run();
-        let cluster = ShardedSimulation::new(dataset, config, 1, seed).run();
-        assert_eq!(
-            single.steps, cluster.steps,
-            "trace must match step for step"
-        );
-        assert_eq!(single.summary, cluster.summary);
+        let cluster = ShardedSimulation::new(dataset.clone(), config, 1, seed).run();
+        let mut single = ShardPipeline::new(dataset, config, seed, CostModel::default());
+        assert_eq!(cluster.horizon(), single.steps());
+        let secs = |d: Option<SimDuration>| d.map_or(0.0, SimDuration::as_secs_f64);
+        for step in &cluster.steps {
+            let t = step.time;
+            let outcome = single.advance(t);
+            let query =
+                (t % config.query_interval == 0).then(|| single.answer_query(&Query::count(), t));
+            let view = single.view();
+            assert_eq!(
+                (step.answer, step.qet_secs),
+                (
+                    query.as_ref().map(|q| q.value.expect_scalar()),
+                    secs(query.map(|q| q.qet))
+                ),
+                "t={t}: answer"
+            );
+            assert_eq!(step.true_count, single.true_count(t), "t={t}: truth");
+            assert_eq!(
+                (step.view_len, step.view_real, step.cache_len),
+                (view.len(), view.true_cardinality(), single.cache_len()),
+                "t={t}: view and cache lengths"
+            );
+            assert_eq!(step.synced, outcome.synced, "t={t}: sync flag");
+            assert_eq!(
+                (step.transform_secs, step.shrink_secs),
+                (
+                    secs(outcome.transform_duration),
+                    secs(outcome.shrink_duration)
+                ),
+                "t={t}: modeled times"
+            );
+        }
+        assert_eq!(cluster.summary.sync_count, single.view().sync_count());
         assert_eq!(cluster.shards, 1);
         assert!((cluster.privacy.per_shard_epsilon - config.epsilon).abs() < 1e-12);
     }

@@ -1,21 +1,21 @@
-//! The end-to-end IncShrink simulation driver.
+//! One server pair's view-maintenance stack, stepped one upload epoch at a time.
 //!
-//! [`Simulation`] replays a workload's upload epochs against the framework exactly as
-//! Figure 1 describes: owners upload padded batches each step, Transform converts them
-//! into cached view entries, Shrink synchronizes DP-sized batches into the
-//! materialized view (or a baseline strategy routes ΔV directly), and the analyst's
-//! counting query is issued every `query_interval` steps. The result is a
-//! [`RunReport`] with a per-step trace and the Table-2 style [`Summary`].
+//! [`ShardPipeline`] holds the machinery of one server pair — context,
+//! outsourced store, secure cache, Transform, Shrink, materialized view — and
+//! replays a workload's upload epochs exactly as Figure 1 describes: owners
+//! upload padded batches each step, Transform converts them into cached view
+//! entries, and Shrink synchronizes DP-sized batches into the materialized view
+//! (or a baseline strategy routes ΔV directly). The analyst's queries are
+//! answered separately ([`ShardPipeline::answer_query`]).
 //!
-//! The maintenance machinery of one server pair — context, outsourced store, secure
-//! cache, Transform, Shrink, materialized view — is factored into [`ShardPipeline`] so
-//! that the same code path serves both the single-pair [`Simulation`] and the sharded
-//! cluster driver (`incshrink-cluster`), which steps `S` independent pipelines in
-//! lockstep and scatter-gathers the analyst's query across their views.
+//! The end-to-end run — the step loop, the counting query every
+//! `query_interval` steps, the per-step [`StepRecord`] trace and the Table-2
+//! style summary — is the cluster crate's (`incshrink-cluster`): its one-shard
+//! inline `ShardedSimulation` is the single-pair run, and `S` shards step `S`
+//! of these pipelines and scatter-gather the query across their views.
 
 use crate::baselines::{delta_routing, route_delta, DeltaRouting};
 use crate::config::{IncShrinkConfig, UpdateStrategy};
-use crate::metrics::{ShardStep, Summary, SummaryBuilder};
 use crate::query::{
     view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
 };
@@ -29,7 +29,7 @@ use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, SecureCache, UploadBatch};
 use incshrink_telemetry::CostDelta;
-use incshrink_workload::{logical_join_counts_per_step, Dataset, DatasetKind};
+use incshrink_workload::{logical_join_counts_per_step, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -60,31 +60,6 @@ pub struct StepRecord {
     pub cache_len: usize,
     /// Whether Shrink issued a view synchronization this step.
     pub synced: bool,
-}
-
-/// Full result of one simulation run.
-///
-/// Equality goes through [`Summary`]'s host-time-excluding `PartialEq`, so two
-/// reports compare equal exactly when they describe the same simulated
-/// trajectory — the comparison the cross-party-mode replay tests rely on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunReport {
-    /// Which dataset kind was replayed.
-    pub dataset: DatasetKind,
-    /// The configuration used.
-    pub config: IncShrinkConfig,
-    /// Per-step trace.
-    pub steps: Vec<StepRecord>,
-    /// Aggregated summary (Table-2 style statistics).
-    pub summary: Summary,
-}
-
-impl RunReport {
-    /// Convenience accessor: the number of simulated steps.
-    #[must_use]
-    pub fn horizon(&self) -> u64 {
-        self.steps.len() as u64
-    }
 }
 
 /// Outcome of one [`ShardPipeline::advance`] call (uploads + Transform + Shrink).
@@ -175,10 +150,9 @@ impl MigratedPartition {
 /// store, secure cache, Transform, Shrink and the materialized view, stepped one
 /// upload epoch at a time.
 ///
-/// [`Simulation`] drives a single pipeline; the cluster layer drives `S` of them
-/// (one per shard) in lockstep and answers queries by scatter-gathering over their
-/// views. Keeping both drivers on this type is what guarantees a 1-shard cluster run
-/// reproduces the single-pair simulation exactly.
+/// The cluster layer drives one of them per shard and answers queries by
+/// scatter-gathering over their views; with one shard, that run is the
+/// single-pair run.
 pub struct ShardPipeline {
     dataset: Dataset,
     config: IncShrinkConfig,
@@ -626,202 +600,22 @@ impl ShardPipeline {
     }
 }
 
-/// The end-to-end simulation.
-pub struct Simulation {
-    dataset: Dataset,
-    config: IncShrinkConfig,
-    seed: u64,
-    cost_model: CostModel,
-    party_mode: PartyMode,
-}
-
-impl Simulation {
-    /// Create a simulation over a workload with a configuration and RNG seed.
-    ///
-    /// # Panics
-    /// Panics when the configuration fails [`IncShrinkConfig::validate`].
-    #[must_use]
-    pub fn new(dataset: Dataset, config: IncShrinkConfig, seed: u64) -> Self {
-        if let Some(problem) = config.validate() {
-            panic!("invalid IncShrink configuration: {problem}");
-        }
-        Self {
-            dataset,
-            config,
-            seed,
-            cost_model: CostModel::default(),
-            party_mode: PartyMode::from_env(),
-        }
-    }
-
-    /// Use a non-default cost model (e.g. WAN) for the simulated timings.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// Run the MPC parties in an explicit [`PartyMode`] instead of the
-    /// `INCSHRINK_PARTY_MODE` default. Trajectories are mode-invariant.
-    #[must_use]
-    pub fn with_party_mode(mut self, party_mode: PartyMode) -> Self {
-        self.party_mode = party_mode;
-        self
-    }
-
-    /// Run the simulation to completion.
-    #[must_use]
-    pub fn run(self) -> RunReport {
-        let Simulation {
-            dataset,
-            config,
-            seed,
-            cost_model,
-            party_mode,
-        } = self;
-
-        let steps = dataset.params.steps;
-        let kind = dataset.kind;
-        let mut pipeline =
-            ShardPipeline::with_party_mode(dataset, config, seed, cost_model, party_mode);
-
-        let mut builder = SummaryBuilder::new();
-        let mut trace = Vec::with_capacity(steps as usize);
-        let mut host_query_secs = 0.0;
-
-        for t in 1..=steps {
-            let outcome = pipeline.advance(t);
-
-            // --- Query.
-            let mut query = None;
-            if t % config.query_interval == 0 {
-                let _step_scope = incshrink_telemetry::step_scope(t);
-                let mut query_span = incshrink_telemetry::span!("query");
-                let started = std::time::Instant::now();
-                let outcome = pipeline.answer_query(&Query::count(), t);
-                host_query_secs += started.elapsed().as_secs_f64();
-                query_span.record_sim_secs(outcome.qet.as_secs_f64());
-                query_span.record_cost(outcome.report.into());
-                drop(query_span);
-                query = Some((outcome.value.expect_scalar(), outcome.qet));
-            }
-
-            let step = ShardStep::observe(&pipeline, t, outcome);
-            trace.push(builder.record_step(t, &[step], query));
-        }
-
-        builder.record_totals(pipeline.view().sync_count(), pipeline.truncation_losses());
-        builder.record_host_transform_secs(pipeline.host_transform_secs());
-        builder.record_host_query_secs(host_query_secs);
-        RunReport {
-            dataset: kind,
-            config,
-            steps: trace,
-            summary: builder.build(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incshrink_workload::{CpdbGenerator, TpcDsGenerator, WorkloadParams};
-
-    fn tpcds_small() -> Dataset {
-        TpcDsGenerator::new(WorkloadParams {
-            steps: 60,
-            view_entries_per_step: 2.7,
-            seed: 21,
-        })
-        .generate()
-    }
-
-    fn cpdb_small() -> Dataset {
-        CpdbGenerator::new(WorkloadParams {
-            steps: 50,
-            view_entries_per_step: 9.8,
-            seed: 22,
-        })
-        .generate()
-    }
-
-    #[test]
-    fn dp_timer_run_produces_low_relative_error() {
-        let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-        let report = Simulation::new(tpcds_small(), cfg, 1).run();
-        assert_eq!(report.horizon(), 60);
-        assert!(report.summary.sync_count >= 5, "periodic updates happened");
-        assert!(
-            report.summary.avg_relative_error < 0.6,
-            "avg relative error {} too large",
-            report.summary.avg_relative_error
-        );
-        assert!(report.summary.avg_qet_secs > 0.0);
-        assert!(report.summary.avg_transform_secs > 0.0);
-        // The final view contains most of the true entries.
-        let last = report.steps.last().unwrap();
-        assert!(last.view_real as u64 <= last.true_count);
-        assert!(last.view_real as f64 >= last.true_count as f64 * 0.5);
-    }
-
-    #[test]
-    fn dp_ant_run_on_cpdb_tracks_truth() {
-        let cfg = IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 });
-        let report = Simulation::new(cpdb_small(), cfg, 2).run();
-        assert!(report.summary.sync_count >= 3);
-        assert!(
-            report.summary.avg_relative_error < 0.6,
-            "avg relative error {}",
-            report.summary.avg_relative_error
-        );
-    }
-
-    #[test]
-    fn ep_is_exact_but_slower_and_larger_than_dp() {
-        let ds = tpcds_small();
-        let dp_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-        let ep_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::ExhaustivePadding);
-        let dp = Simulation::new(ds.clone(), dp_cfg, 3).run();
-        let ep = Simulation::new(ds, ep_cfg, 3).run();
-
-        assert!(ep.summary.avg_l1_error <= dp.summary.avg_l1_error + 1e-9);
-        assert!(ep.summary.avg_qet_secs > dp.summary.avg_qet_secs);
-        assert!(ep.summary.final_view_mb > dp.summary.final_view_mb);
-    }
-
-    #[test]
-    fn otm_is_fast_but_inaccurate() {
-        let ds = tpcds_small();
-        let otm_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::OneTimeMaterialization);
-        let otm = Simulation::new(ds, otm_cfg, 4).run();
-        // Relative error converges towards 1 because the view never updates.
-        assert!(otm.summary.avg_relative_error > 0.7);
-        assert!(otm.summary.final_view_mb < 0.01);
-    }
-
-    #[test]
-    fn nm_is_exact_but_much_slower_than_view_based() {
-        let ds = tpcds_small();
-        let nm_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::NonMaterialized);
-        let dp_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-        let nm = Simulation::new(ds.clone(), nm_cfg, 5).run();
-        let dp = Simulation::new(ds, dp_cfg, 5).run();
-
-        assert!(nm.summary.avg_l1_error < 1e-9, "NM recomputes exactly");
-        assert!(
-            nm.summary.avg_qet_secs > dp.summary.avg_qet_secs * 5.0,
-            "NM {} vs DP {}",
-            nm.summary.avg_qet_secs,
-            dp.summary.avg_qet_secs
-        );
-        assert_eq!(nm.summary.sync_count, 0);
-    }
+    use incshrink_workload::{TpcDsGenerator, WorkloadParams};
 
     #[test]
     #[should_panic(expected = "invalid IncShrink configuration")]
     fn invalid_config_is_rejected() {
+        let dataset = TpcDsGenerator::new(WorkloadParams {
+            steps: 60,
+            view_entries_per_step: 2.7,
+            seed: 21,
+        })
+        .generate();
         let mut cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
         cfg.epsilon = -1.0;
-        let _ = Simulation::new(tpcds_small(), cfg, 1);
+        let _ = ShardPipeline::new(dataset, cfg, 1, CostModel::default());
     }
 }

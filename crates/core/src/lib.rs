@@ -14,8 +14,11 @@
 //!
 //! ## Quick start
 //!
+//! One server pair, stepped by hand:
+//!
 //! ```
 //! use incshrink::prelude::*;
+//! use incshrink_mpc::cost::CostModel;
 //!
 //! // A small TPC-ds-like workload (Sales ⋈ Returns within 10 days).
 //! let dataset = TpcDsGenerator::new(WorkloadParams {
@@ -27,16 +30,26 @@
 //!
 //! // Default paper configuration: sDPTimer, ε = 1.5, ω = 1, b = 10.
 //! let config = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-//! let report = Simulation::new(dataset, config, 0xFEED).run();
+//! let mut pipeline = ShardPipeline::new(dataset, config, 0xFEED, CostModel::default());
 //!
-//! assert!(report.summary.avg_relative_error < 0.5);
-//! println!("avg L1 error {:.2}", report.summary.avg_l1_error);
+//! // Each upload epoch: owners upload padded batches, Transform caches the new
+//! // view entries, and Shrink synchronizes a DP-sized batch every T steps.
+//! for t in 1..=40 {
+//!     pipeline.advance(t);
+//! }
+//! let outcome = pipeline.answer_query(&Query::count(), 40);
+//! let (answer, truth) = (outcome.value.expect_scalar(), pipeline.true_count(40));
+//! assert!(answer <= truth && answer as f64 >= 0.5 * truth as f64);
+//! println!("count {answer} of {truth}, QET {:.6} s", outcome.qet.as_secs_f64());
 //! ```
+//!
+//! The end-to-end run — the step loop, the analyst's query every
+//! `query_interval` steps and the Table-2 style [`Summary`] — is
+//! `incshrink_cluster::ShardedSimulation` with one shard.
 //!
 //! The crates underneath (`incshrink-secretshare`, `incshrink-mpc`,
 //! `incshrink-oblivious`, `incshrink-dp`, `incshrink-storage`, `incshrink-workload`)
-//! provide the substrates; this crate wires them into the framework of the paper and
-//! exposes the experiment drivers used by the benchmark harness.
+//! provide the substrates; this crate wires them into the framework of the paper.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,9 +66,7 @@ pub mod view;
 /// Convenient re-exports for examples, tests and the benchmark harness.
 pub mod prelude {
     pub use crate::config::{IncShrinkConfig, UpdateStrategy};
-    pub use crate::framework::{
-        MigratedPartition, RunReport, ShardPipeline, Simulation, StepRecord, StepUploads,
-    };
+    pub use crate::framework::{MigratedPartition, ShardPipeline, StepRecord, StepUploads};
     pub use crate::metrics::Summary;
     pub use crate::query::{
         FilterExpr, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryValue, ViewEngine,
@@ -68,9 +79,7 @@ pub mod prelude {
 }
 
 pub use config::{IncShrinkConfig, UpdateStrategy};
-pub use framework::{
-    MigratedPartition, RunReport, ShardPipeline, Simulation, StepRecord, StepUploads,
-};
+pub use framework::{MigratedPartition, ShardPipeline, StepRecord, StepUploads};
 pub use metrics::Summary;
 pub use query::{
     AggregateSpec, FilterExpr, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryValue,

@@ -49,17 +49,16 @@ pub struct Summary {
     /// *real* measurement (unlike the simulated columns), the quantity the SoA
     /// kernel work optimizes (summed across shards for cluster runs).
     pub host_transform_secs: f64,
-    /// Host wall-clock seconds spent executing queries, summed over queries. A
-    /// single pair times each query's evaluation; a cluster run charges each
-    /// query the slowest shard's evaluation time (shards answer concurrently,
-    /// right after their step) plus the driver's merge time. Excluded from
-    /// `PartialEq` like [`Self::host_transform_secs`].
+    /// Host wall-clock seconds spent executing queries, summed over queries:
+    /// each query is charged the slowest shard's evaluation time (shards answer
+    /// concurrently, right after their step) plus the driver's merge time.
+    /// Excluded from `PartialEq` like [`Self::host_transform_secs`].
     pub host_query_secs: f64,
     /// Host wall-clock seconds of the cluster shuffle phase, clocked per step
     /// around everything the phase does on the host: sealing every arrival
     /// shard's padded batch, shuffle-routing both relations, and closing the
     /// elastic control step — the same definition on both cluster hosts (0 for
-    /// single-pair and co-partitioned runs). Excluded from `PartialEq` like
+    /// co-partitioned runs). Excluded from `PartialEq` like
     /// [`Self::host_transform_secs`].
     pub host_shuffle_secs: f64,
 }
@@ -83,9 +82,8 @@ impl PartialEq for Summary {
 }
 
 /// One pipeline's contribution to one step of a run's trace: the maintenance
-/// outcome plus the truth and the sizes a [`StepRecord`] reports. A single pair
-/// folds one of these per step, a cluster one per shard
-/// ([`SummaryBuilder::record_step`]).
+/// outcome plus the truth and the sizes a [`StepRecord`] reports. A run folds
+/// one of these per shard and step ([`SummaryBuilder::record_step`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardStep {
     /// What the step's uploads, Transform and Shrink did.
@@ -148,9 +146,9 @@ impl SummaryBuilder {
         Self::default()
     }
 
-    /// Fold step `t` into the summary and return its trace record — the one step
-    /// fold behind both the single-pair simulation (a one-element `shards`) and
-    /// the cluster driver (every shard's report, in shard order). Server pairs
+    /// Fold step `t` into the summary and return its trace record — the cluster
+    /// driver's step fold over every shard's report, in shard order (one
+    /// element for a single-pair run). Server pairs
     /// run in parallel, so the step's Transform / Shrink time is the slowest
     /// shard's; secure-compare totals sum (every gate is still evaluated
     /// somewhere); truths and sizes sum because the equi-join partition is

@@ -1,4 +1,4 @@
-//! Oblivious compaction and the Shrink cache-read operation (Figure 3).
+//! The Shrink cache read of Figure 3: compact by `isView`, then cut.
 //!
 //! The Shrink protocols fetch a DP-noised number of tuples from the exhaustively
 //! padded secure cache. To guarantee that real tuples are always fetched before
@@ -13,16 +13,6 @@
 use crate::sort::oblivious_sort_by_is_view;
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
-
-/// Obliviously compact `array` so that all real tuples precede all dummy tuples.
-/// The length is unchanged; only the (hidden) order moves.
-///
-/// Cost: one Batcher sort on the `isView` key — `batcher_pair_count(n)` secure
-/// comparisons and record-wide swaps ([`crate::sort::batcher_pair_count`]). Leakage:
-/// none beyond the public length `n`.
-pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_is_view(array, meter);
-}
 
 /// The secure cache read of Figure 3: Batcher-sort the whole of `cache` by `isView`,
 /// cut off the first `read_size` entries and return them; the remaining entries stay
@@ -81,7 +71,7 @@ mod tests {
     fn compact_moves_real_tuples_to_front() {
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(4, 6);
-        oblivious_compact(&mut cache, &mut meter);
+        oblivious_sort_by_is_view(&mut cache, &mut meter);
         let plain = cache.recover_all();
         assert!(plain[..4].iter().all(|r| r.is_view));
         assert!(plain[4..].iter().all(|r| !r.is_view));
@@ -159,7 +149,7 @@ mod tests {
         // the bitonic cleaner over all 5000 in valley form, read back through its
         // output wires — no sort.
         let mut delta = mixed_cache(900, 1100);
-        oblivious_compact(&mut delta, &mut CostMeter::new());
+        oblivious_sort_by_is_view(&mut delta, &mut CostMeter::new());
         cache.extend(delta.clone()).unwrap();
         walked.extend(delta).unwrap();
         let (pairs, outputs) = Network::merge(&[3000, 2000]).pairs();

@@ -31,19 +31,18 @@
 //! [`crate::planner::plan_and_execute`] runs the winner.
 //!
 //! ```
-//! use incshrink_oblivious::{truncated_nested_loop_join, JoinSpec, PlainTable};
+//! use incshrink_oblivious::{truncated_nested_loop_join, JoinSpec};
 //! use incshrink_mpc::cost::CostMeter;
+//! use incshrink_secretshare::{tuple::PlainRecord, SharedArrayPair};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut meter = CostMeter::new();
-//! let mut sales = PlainTable::new(&["pid", "day"]);
-//! sales.push_row(vec![1, 10]);
-//! let mut returns = PlainTable::new(&["pid", "day"]);
-//! returns.push_row(vec![1, 15]);
+//! // One (pid, day) row on each side.
+//! let sales = SharedArrayPair::share_records(&[PlainRecord::real(vec![1, 10])], &mut rng);
+//! let returns = SharedArrayPair::share_records(&[PlainRecord::real(vec![1, 15])], &mut rng);
 //! let spec = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
-//! let out = truncated_nested_loop_join(
-//!     &sales.share(&mut rng), &returns.share(&mut rng), &spec, 2, &mut meter, &mut rng);
+//! let out = truncated_nested_loop_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
 //! assert_eq!(out.len(), 2); // b · |outer|, regardless of the data
 //! assert_eq!(out.true_cardinality(), 1);
 //! ```

@@ -35,10 +35,11 @@ pub mod join;
 pub mod planner;
 pub mod shuffle;
 pub mod sort;
-pub mod table;
+#[cfg(test)]
+mod table;
 
 pub use aggregate::{oblivious_count, oblivious_group_count_over_domain, oblivious_sum};
-pub use compact::{cache_read, oblivious_compact};
+pub use compact::cache_read;
 pub use filter::{oblivious_filter, Predicate};
 pub use join::{
     nested_loop_join_cost, push_padded, truncated_match_rows, truncated_nested_loop_join,
@@ -53,4 +54,3 @@ pub use sort::{
     oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view, Network,
     SortOrder,
 };
-pub use table::PlainTable;

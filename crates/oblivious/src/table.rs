@@ -1,4 +1,4 @@
-//! Plaintext table helpers used by operator implementations and tests.
+//! Plaintext table helpers for the operator tests.
 //!
 //! The oblivious operators consume and produce [`SharedArrayPair`]s; this module
 //! provides a small plaintext table abstraction for constructing inputs and checking
@@ -11,17 +11,17 @@ use serde::{Deserialize, Serialize};
 
 /// A plaintext relation: a list of rows plus named column metadata.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlainTable {
+pub(crate) struct PlainTable {
     /// Column names, purely descriptive.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Rows; every row must have `columns.len()` fields.
-    pub rows: Vec<Vec<u32>>,
+    pub(crate) rows: Vec<Vec<u32>>,
 }
 
 impl PlainTable {
     /// Build a table from column names.
     #[must_use]
-    pub fn new(columns: &[&str]) -> Self {
+    pub(crate) fn new(columns: &[&str]) -> Self {
         Self {
             columns: columns.iter().map(|s| (*s).to_string()).collect(),
             rows: Vec::new(),
@@ -32,7 +32,7 @@ impl PlainTable {
     ///
     /// # Panics
     /// Panics when the row arity does not match the column count.
-    pub fn push_row(&mut self, row: Vec<u32>) {
+    pub(crate) fn push_row(&mut self, row: Vec<u32>) {
         assert_eq!(
             row.len(),
             self.columns.len(),
@@ -45,24 +45,24 @@ impl PlainTable {
 
     /// Number of rows.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when the table has no rows.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Column index by name.
     #[must_use]
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
     }
 
     /// Secret-share all rows as real records.
-    pub fn share<R: Rng + ?Sized>(&self, rng: &mut R) -> SharedArrayPair {
+    pub(crate) fn share<R: Rng + ?Sized>(&self, rng: &mut R) -> SharedArrayPair {
         let records: Vec<PlainRecord> = self
             .rows
             .iter()
@@ -72,7 +72,6 @@ impl PlainTable {
     }
 
     /// Secret-share all rows and pad with dummies up to `padded_len`.
-    #[cfg(test)]
     pub(crate) fn share_padded<R: Rng + ?Sized>(
         &self,
         padded_len: usize,

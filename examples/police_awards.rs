@@ -11,6 +11,7 @@
 //! ```
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 
 fn main() {
     let dataset = CpdbGenerator::new(WorkloadParams {
@@ -30,7 +31,7 @@ fn main() {
         let mut config = IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 });
         config.truncation_bound = omega;
         config.contribution_budget = 2 * omega;
-        let report = Simulation::new(dataset.clone(), config, 0xCB0 + omega).run();
+        let report = ShardedSimulation::new(dataset.clone(), config, 1, 0xCB0 + omega).run();
         let s = &report.summary;
         println!(
             "{:>6} {:>6} {:>12.2} {:>12.3} {:>16}",

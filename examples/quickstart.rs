@@ -6,6 +6,7 @@
 //! ```
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 
 fn main() {
     // 1. Generate a growing workload: Sales ⋈ Returns with a 10-day window, ~2.7 new
@@ -26,7 +27,7 @@ fn main() {
     // 3. Run the end-to-end simulation: owners upload padded batches, Transform caches
     //    truncated join results, Shrink synchronizes DP-sized batches, and the analyst
     //    issues the counting query every step.
-    let report = Simulation::new(dataset, config, 0xC0FFEE).run();
+    let report = ShardedSimulation::new(dataset, config, 1, 0xC0FFEE).run();
 
     // 4. Inspect the results.
     let s = &report.summary;

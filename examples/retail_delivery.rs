@@ -11,12 +11,13 @@
 //! ```
 
 use incshrink::prelude::*;
+use incshrink_cluster::{ClusterRunReport, ShardedSimulation};
 
-fn run(strategy: UpdateStrategy, dataset: &Dataset) -> RunReport {
+fn run(strategy: UpdateStrategy, dataset: &Dataset) -> ClusterRunReport {
     let mut config = IncShrinkConfig::tpcds_default(strategy);
     // Queries every 5 steps keep the NM baseline's simulated cost manageable.
     config.query_interval = 5;
-    Simulation::new(dataset.clone(), config, 0xDE11).run()
+    ShardedSimulation::new(dataset.clone(), config, 1, 0xDE11).run()
 }
 
 fn main() {

@@ -42,7 +42,7 @@ fn main() {
     // 3. Run the single-pair baseline and the sharded cluster on the same seed. Each
     //    shard gets its own server pair, secure cache, Transform and Shrink instance
     //    with an ε/S budget; the analyst's count query is scatter-gathered.
-    let single = Simulation::new(dataset.clone(), config, 0xFEED).run();
+    let single = ShardedSimulation::new(dataset.clone(), config, 1, 0xFEED).run();
     let cluster = ShardedSimulation::new(dataset, config, shards, 0xFEED).run();
 
     println!(

@@ -6,6 +6,7 @@
 //! ```
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 
 fn main() {
     let dataset = TpcDsGenerator::new(WorkloadParams {
@@ -26,11 +27,11 @@ fn main() {
         let mut timer_cfg =
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 11 });
         timer_cfg.epsilon = epsilon;
-        let timer = Simulation::new(dataset.clone(), timer_cfg, 17).run();
+        let timer = ShardedSimulation::new(dataset.clone(), timer_cfg, 1, 17).run();
 
         let mut ant_cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpAnt { threshold: 30.0 });
         ant_cfg.epsilon = epsilon;
-        let ant = Simulation::new(dataset.clone(), ant_cfg, 17).run();
+        let ant = ShardedSimulation::new(dataset.clone(), ant_cfg, 1, 17).run();
 
         println!(
             "{:>8.2} | {:>12.2} {:>12.5} | {:>12.2} {:>12.5}",

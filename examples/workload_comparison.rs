@@ -9,10 +9,11 @@
 //! ```
 
 use incshrink::prelude::*;
+use incshrink_cluster::{ClusterRunReport, ShardedSimulation};
 
-fn run(strategy: UpdateStrategy, dataset: &Dataset) -> RunReport {
+fn run(strategy: UpdateStrategy, dataset: &Dataset) -> ClusterRunReport {
     let config = IncShrinkConfig::tpcds_default(strategy);
-    Simulation::new(dataset.clone(), config, 0x50C1A1).run()
+    ShardedSimulation::new(dataset.clone(), config, 1, 0x50C1A1).run()
 }
 
 fn main() {

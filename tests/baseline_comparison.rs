@@ -3,6 +3,7 @@
 //! *who wins on which axis*, and those orderings must hold on the synthetic workloads.
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 
 fn dataset(kind: DatasetKind, steps: u64, seed: u64) -> Dataset {
     let params = WorkloadParams {
@@ -22,7 +23,9 @@ fn run(ds: &Dataset, strategy: UpdateStrategy, seed: u64) -> Summary {
         DatasetKind::Cpdb => IncShrinkConfig::cpdb_default(strategy),
     };
     cfg.query_interval = 5;
-    Simulation::new(ds.clone(), cfg, seed).run().summary
+    ShardedSimulation::new(ds.clone(), cfg, 1, seed)
+        .run()
+        .summary
 }
 
 struct AllRuns {
@@ -96,7 +99,7 @@ fn dp_protocols_trade_privacy_for_accuracy_and_efficiency() {
         let mut cfg = IncShrinkConfig::tpcds_default(strategy);
         cfg.epsilon = eps;
         cfg.query_interval = 2;
-        Simulation::new(ds.clone(), cfg, 9).run().summary
+        ShardedSimulation::new(ds.clone(), cfg, 1, 9).run().summary
     };
 
     let timer_tight = run_eps(UpdateStrategy::DpTimer { interval: 11 }, 0.05);
@@ -160,8 +163,8 @@ fn scaling_increases_total_mpc_time_roughly_linearly() {
     let base = dataset(DatasetKind::TpcDs, 60, 0xACE);
     let doubled = scale_dataset(&base, 2.0, 7);
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 11 });
-    let small = Simulation::new(base, cfg, 2).run().summary;
-    let large = Simulation::new(doubled, cfg, 2).run().summary;
+    let small = ShardedSimulation::new(base, cfg, 1, 2).run().summary;
+    let large = ShardedSimulation::new(doubled, cfg, 1, 2).run().summary;
     let ratio = large.total_mpc_secs / small.total_mpc_secs;
     assert!(
         ratio > 1.3 && ratio < 4.5,

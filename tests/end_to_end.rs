@@ -2,6 +2,7 @@
 //! check the invariants that tie all the crates together.
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 
 fn tpcds(steps: u64, seed: u64) -> Dataset {
     TpcDsGenerator::new(WorkloadParams {
@@ -24,7 +25,7 @@ fn cpdb(steps: u64, seed: u64) -> Dataset {
 #[test]
 fn timer_view_never_overcounts_and_eventually_catches_up() {
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let report = Simulation::new(tpcds(80, 1), cfg, 11).run();
+    let report = ShardedSimulation::new(tpcds(80, 1), cfg, 1, 11).run();
 
     for step in &report.steps {
         // The view never contains more real entries than the logical truth: every real
@@ -53,7 +54,7 @@ fn timer_view_never_overcounts_and_eventually_catches_up() {
 #[test]
 fn ant_behaves_on_cpdb_with_public_relation() {
     let cfg = IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 });
-    let report = Simulation::new(cpdb(60, 2), cfg, 12).run();
+    let report = ShardedSimulation::new(cpdb(60, 2), cfg, 1, 12).run();
     assert!(
         report.summary.sync_count > 0,
         "ANT must fire on a dense stream"
@@ -71,7 +72,7 @@ fn ant_behaves_on_cpdb_with_public_relation() {
 fn query_interval_controls_number_of_queries() {
     let mut cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
     cfg.query_interval = 4;
-    let report = Simulation::new(tpcds(40, 3), cfg, 13).run();
+    let report = ShardedSimulation::new(tpcds(40, 3), cfg, 1, 13).run();
     assert_eq!(report.summary.queries_issued, 10);
     let answered = report.steps.iter().filter(|s| s.answer.is_some()).count();
     assert_eq!(answered, 10);
@@ -84,8 +85,8 @@ fn query_interval_controls_number_of_queries() {
 fn deterministic_given_same_seed() {
     let ds = tpcds(40, 4);
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let a = Simulation::new(ds.clone(), cfg, 99).run();
-    let b = Simulation::new(ds, cfg, 99).run();
+    let a = ShardedSimulation::new(ds.clone(), cfg, 1, 99).run();
+    let b = ShardedSimulation::new(ds, cfg, 1, 99).run();
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.steps, b.steps);
 }
@@ -94,8 +95,8 @@ fn deterministic_given_same_seed() {
 fn different_seeds_change_the_noise_but_not_the_truth() {
     let ds = tpcds(40, 5);
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let a = Simulation::new(ds.clone(), cfg, 1).run();
-    let b = Simulation::new(ds, cfg, 2).run();
+    let a = ShardedSimulation::new(ds.clone(), cfg, 1, 1).run();
+    let b = ShardedSimulation::new(ds, cfg, 1, 2).run();
     let truth_a: Vec<u64> = a.steps.iter().map(|s| s.true_count).collect();
     let truth_b: Vec<u64> = b.steps.iter().map(|s| s.true_count).collect();
     assert_eq!(truth_a, truth_b, "ground truth is data, not noise");
@@ -109,7 +110,7 @@ fn different_seeds_change_the_noise_but_not_the_truth() {
 #[test]
 fn shrink_time_is_only_charged_when_work_happens() {
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 20 });
-    let report = Simulation::new(tpcds(40, 6), cfg, 7).run();
+    let report = ShardedSimulation::new(tpcds(40, 6), cfg, 1, 7).run();
     for step in &report.steps {
         if step.synced {
             assert!(step.shrink_secs > 0.0);
@@ -125,8 +126,8 @@ fn wan_cost_model_slows_everything_down_but_keeps_accuracy() {
     use incshrink_mpc::cost::CostModel;
     let ds = tpcds(40, 8);
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let lan = Simulation::new(ds.clone(), cfg, 3).run();
-    let wan = Simulation::new(ds, cfg, 3)
+    let lan = ShardedSimulation::new(ds.clone(), cfg, 1, 3).run();
+    let wan = ShardedSimulation::new(ds, cfg, 1, 3)
         .with_cost_model(CostModel::wan())
         .run();
     assert!(wan.summary.total_mpc_secs > lan.summary.total_mpc_secs);

@@ -1,6 +1,7 @@
 //! Privacy-facing integration tests: what the servers observe, what the ledger allows,
 //! and how the protocols' visible behaviour lines up with the DP leakage profile.
 
+use incshrink_cluster::ShardedSimulation;
 use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
 use incshrink_dp::bounds::timer_deferred_bound;
 use incshrink_dp::mechanisms::{run_leakage, TimerLeakage, UpdateLeakage};
@@ -32,7 +33,7 @@ fn observed_upload_sizes_are_data_independent() {
 
     let observe = |ds: Dataset| -> Vec<usize> {
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-        let report = Simulation::new(ds, cfg, 5).run();
+        let report = ShardedSimulation::new(ds, cfg, 1, 5).run();
         // Upload observations are not exported directly; use the per-step cache growth
         // as the proxy: ΔV length is ω·(batch sizes), identical across the two runs.
         report
@@ -160,7 +161,7 @@ fn protocol_sync_sizes_match_the_leakage_mechanism_distribution() {
     })
     .generate();
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let report = Simulation::new(ds.clone(), cfg, 21).run();
+    let report = ShardedSimulation::new(ds.clone(), cfg, 1, 21).run();
     let protocol_sync_times: Vec<u64> = report
         .steps
         .iter()
@@ -207,7 +208,7 @@ fn deferred_data_respects_theorem_4_bound() {
     })
     .generate();
     let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-    let report = Simulation::new(ds, cfg, 31).run();
+    let report = ShardedSimulation::new(ds, cfg, 1, 31).run();
 
     let mut k = 0u64;
     for step in &report.steps {

@@ -92,9 +92,10 @@ fn tracing_is_bit_for_bit_neutral_on_single_pair_replays() {
     let scenarios: [(Dataset, IncShrinkConfig); 2] =
         [(tpcds(40, 7), timer_cfg()), (cpdb(40, 7), ant_cfg())];
     for (i, (dataset, cfg)) in scenarios.into_iter().enumerate() {
-        let plain = Simulation::new(dataset.clone(), cfg, 0x5EED).run();
+        let plain = ShardedSimulation::new(dataset.clone(), cfg, 1, 0x5EED).run();
 
-        let (in_memory, events) = traced(|| Simulation::new(dataset.clone(), cfg, 0x5EED).run());
+        let (in_memory, events) =
+            traced(|| ShardedSimulation::new(dataset.clone(), cfg, 1, 0x5EED).run());
         assert_eq!(
             plain.summary, in_memory.summary,
             "InMemory collector perturbed the summary"
@@ -113,7 +114,7 @@ fn tracing_is_bit_for_bit_neutral_on_single_pair_replays() {
         ));
         let sink = Jsonl::create(&path).expect("temp trace file");
         let guard = install(Arc::new(sink));
-        let jsonl = Simulation::new(dataset, cfg, 0x5EED).run();
+        let jsonl = ShardedSimulation::new(dataset, cfg, 1, 0x5EED).run();
         drop(guard);
         assert_eq!(
             plain.summary, jsonl.summary,
@@ -187,8 +188,8 @@ proptest! {
         let dataset = tpcds(16, data_seed);
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval });
 
-        let plain = Simulation::new(dataset.clone(), cfg, sim_seed).run();
-        let (with_trace, _) = traced(|| Simulation::new(dataset.clone(), cfg, sim_seed).run());
+        let plain = ShardedSimulation::new(dataset.clone(), cfg, 1, sim_seed).run();
+        let (with_trace, _) = traced(|| ShardedSimulation::new(dataset.clone(), cfg, 1, sim_seed).run());
         prop_assert_eq!(&plain.summary, &with_trace.summary);
         prop_assert_eq!(&plain.steps, &with_trace.steps);
 
@@ -209,7 +210,7 @@ proptest! {
 #[test]
 fn epsilon_ledger_reconciles_with_the_accountant() {
     let cfg = timer_cfg();
-    let (_, events) = traced(|| Simulation::new(tpcds(40, 11), cfg, 0x5EED).run());
+    let (_, events) = traced(|| ShardedSimulation::new(tpcds(40, 11), cfg, 1, 0x5EED).run());
     let entries = ledger_entries(&events);
     assert!(!entries.is_empty(), "timer run spent no ε");
     for entry in &entries {
@@ -237,7 +238,7 @@ fn epsilon_ledger_reconciles_with_the_accountant() {
     // ANT splits ε across three mechanisms: threshold ε/4, counter ε/8 per
     // resharing, sync ε/2 per release.
     let ant = ant_cfg();
-    let (_, ant_events) = traced(|| Simulation::new(cpdb(40, 11), ant, 0x5EED).run());
+    let (_, ant_events) = traced(|| ShardedSimulation::new(cpdb(40, 11), ant, 1, 0x5EED).run());
     let summary = LedgerSummary::from_events(&ant_events);
     assert!(summary.entries > 0, "ANT run spent no ε");
     let eps = ant.epsilon;
@@ -263,7 +264,7 @@ fn leakage_auditor_passes_on_both_workloads_with_config_expectations() {
     let timer = timer_cfg();
     let mut timer_ds = tpcds(40, 17);
     pin_batch_sizes(&mut timer_ds, 1);
-    let (_, events) = traced(|| Simulation::new(timer_ds, timer, 0x5EED).run());
+    let (_, events) = traced(|| ShardedSimulation::new(timer_ds, timer, 1, 0x5EED).run());
     let expect = Expectations {
         flush_interval: Some(timer.flush_interval),
         timer_interval: Some(10),
@@ -277,7 +278,7 @@ fn leakage_auditor_passes_on_both_workloads_with_config_expectations() {
     let ant = ant_cfg();
     let mut ant_ds = cpdb(40, 17);
     pin_batch_sizes(&mut ant_ds, 1);
-    let (_, ant_events) = traced(|| Simulation::new(ant_ds, ant, 0x5EED).run());
+    let (_, ant_events) = traced(|| ShardedSimulation::new(ant_ds, ant, 1, 0x5EED).run());
     let expect = Expectations {
         flush_interval: Some(ant.flush_interval),
         // ANT sync times come from the noised counter, not a public clock.
@@ -346,8 +347,8 @@ proptest! {
         sparse.right_batch_size = dense.right_batch_size;
 
         let timer = timer_cfg();
-        let (_, a) = traced(|| Simulation::new(dense.clone(), timer, 0x5EED).run());
-        let (_, b) = traced(|| Simulation::new(sparse.clone(), timer, 0x5EED).run());
+        let (_, a) = traced(|| ShardedSimulation::new(dense.clone(), timer, 1, 0x5EED).run());
+        let (_, b) = traced(|| ShardedSimulation::new(sparse.clone(), timer, 1, 0x5EED).run());
         // sDPTimer releases on a public clock: sync times are part of the
         // noise-free profile.
         prop_assert_eq!(
@@ -356,8 +357,8 @@ proptest! {
         );
 
         let ant = IncShrinkConfig::tpcds_default(UpdateStrategy::DpAnt { threshold: 30.0 });
-        let (_, a) = traced(|| Simulation::new(dense, ant, 0x5EED).run());
-        let (_, b) = traced(|| Simulation::new(sparse, ant, 0x5EED).run());
+        let (_, a) = traced(|| ShardedSimulation::new(dense, ant, 1, 0x5EED).run());
+        let (_, b) = traced(|| ShardedSimulation::new(sparse, ant, 1, 0x5EED).run());
         // sDPANT sync times are outputs of the noised counter-vs-threshold
         // comparison — DP-protected, excluded from the invariant profile.
         prop_assert_eq!(

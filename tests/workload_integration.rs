@@ -2,6 +2,7 @@
 //! scaling, and the CPDB public-relation path all have to work end to end.
 
 use incshrink::prelude::*;
+use incshrink_cluster::ShardedSimulation;
 use incshrink_workload::logical_join_count;
 
 #[test]
@@ -27,7 +28,7 @@ fn sparse_standard_burst_preserve_framework_invariants() {
             _ => assert_eq!(count, standard_count),
         }
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 11 });
-        let report = Simulation::new(ds, cfg, 10).run();
+        let report = ShardedSimulation::new(ds, cfg, 1, 10).run();
         let last = report.steps.last().unwrap();
         assert!(
             last.view_real as u64 <= last.true_count,
@@ -47,7 +48,7 @@ fn cpdb_public_relation_never_uploads_awards() {
     .generate();
     assert!(ds.right_is_public);
     let cfg = IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 });
-    let report = Simulation::new(ds, cfg, 11).run();
+    let report = ShardedSimulation::new(ds, cfg, 1, 11).run();
     // With the award table public, the view still tracks the logical truth.
     let last = report.steps.last().unwrap();
     assert!(last.true_count > 0);
@@ -66,7 +67,7 @@ fn scaled_workloads_run_end_to_end() {
     for scale in [0.5, 2.0] {
         let ds = scale_dataset(&base, scale, 3);
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpAnt { threshold: 30.0 });
-        let report = Simulation::new(ds, cfg, 12).run();
+        let report = ShardedSimulation::new(ds, cfg, 1, 12).run();
         assert_eq!(report.horizon(), 40);
         assert!(report.summary.total_mpc_secs > 0.0);
     }
@@ -86,7 +87,7 @@ fn truncation_bound_sweep_reduces_losses_monotonically() {
         let mut cfg = IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 });
         cfg.truncation_bound = omega;
         cfg.contribution_budget = 2 * omega;
-        let report = Simulation::new(ds.clone(), cfg, 13).run();
+        let report = ShardedSimulation::new(ds.clone(), cfg, 1, 13).run();
         losses.push(report.summary.truncation_losses);
     }
     assert!(losses[0] >= losses[1]);
