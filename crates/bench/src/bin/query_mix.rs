@@ -3,11 +3,11 @@
 //!
 //! For each shard count the cluster partitions the workload, runs `S` independent
 //! Transform-and-Shrink pipelines (sDPTimer defaults, ε/S budget), and answers the
-//! whole query mix through the typed engine layer every query epoch:
-//! `ScatterGatherExecutor` scans the shard views in parallel and merges the partial
-//! answers — element-wise for the group-count vector — through the secure-add tree,
-//! while `NmBaselineEngine` prices what the same query would cost without a view
-//! (a full oblivious join over the outsourced data). Errors are measured against the
+//! whole query mix every query epoch: each shard runs `Query::execute` over its
+//! view, `ScatterGatherExecutor::merge` combines the partial answers — element-wise
+//! for the group-count vector — through the secure-add tree, and
+//! `NmBaselineEngine` prices what the same query would cost without a view (a full
+//! oblivious join over the outsourced data). Errors are measured against the
 //! generalized logical ground truths (`logical_join_rows` + `Query::evaluate_plaintext`).
 //!
 //! ```bash
@@ -87,7 +87,7 @@ fn main() {
              query every {query_interval}) ===\n"
         );
         for q in &queries {
-            println!("  {:<28} plan: {}", q.label(), q.compile().explain());
+            println!("  {:<28} plan: {}", q.label(), q.explain());
         }
         println!();
 
@@ -133,6 +133,7 @@ fn main() {
             })
             .collect();
 
+        let merger = ScatterGatherExecutor::new(model);
         for &shards in &shard_counts {
             let mut pipelines = shard_pipelines(&dataset, &config, shards, 0x7AB2, model);
 
@@ -152,10 +153,9 @@ fn main() {
                     continue;
                 };
                 issued += 1;
-                let views: Vec<&_> = pipelines.iter().map(ShardPipeline::view).collect();
-                let cluster = ScatterGatherExecutor::over(model, views);
                 for (qi, q) in queries.iter().enumerate() {
-                    let outcome = cluster.execute(q);
+                    let partials: Vec<_> = pipelines.iter().map(|p| p.execute_query(q)).collect();
+                    let outcome = merger.merge(q, &partials);
                     let breakdown = outcome.shards.expect("cluster breakdown");
                     l1[qi] += outcome.value.l1_error(&epoch.truths[qi]);
                     max_shard[qi] += breakdown.max_shard_qet.as_secs_f64();
@@ -178,7 +178,7 @@ fn main() {
                 all_rows.push(QueryMixRow {
                     dataset: kind.to_string(),
                     query: q.label(),
-                    plan: q.compile().explain(),
+                    plan: q.explain(),
                     shards,
                     queries_issued: issued,
                     avg_l1_error: div(l1[qi]),

@@ -9,68 +9,34 @@
 //! the aggregation rounds** — which is how sharding turns the view scan's linear
 //! cost into roughly `|V|/S`.
 //!
-//! [`ScatterGatherExecutor`] is the cluster's [`QueryEngine`] implementation: bind it
-//! to the shard views with [`ScatterGatherExecutor::over`] and `execute` any
-//! [`Query`]; [`ScatterGatherExecutor::merge`] combines per-shard outcomes produced
-//! elsewhere (the NM baseline recomputes per-shard joins instead of scanning views).
+//! [`ScatterGatherExecutor::merge`] combines the per-shard outcomes — each shard's
+//! `Query::execute` over its view, or the NM baseline's per-shard join
+//! recomputation — into the cluster outcome.
 
-use incshrink::query::{
-    Query, QueryEngine, QueryOutcome, ShardBreakdown, ShardPartial, ViewEngine,
-};
-use incshrink::MaterializedView;
+use incshrink::query::{Query, QueryOutcome, ShardBreakdown};
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
 
-/// Fans typed analyst queries out to every shard view and obliviously aggregates the
-/// partial answers. The unbound form (no views, [`ScatterGatherExecutor::new`]) still
-/// merges externally produced per-shard outcomes via
-/// [`ScatterGatherExecutor::merge`].
-#[derive(Debug, Clone)]
-pub struct ScatterGatherExecutor<'v> {
+/// Obliviously aggregates the shards' partial answers to a typed analyst query.
+#[derive(Debug, Clone, Copy)]
+pub struct ScatterGatherExecutor {
     cost_model: CostModel,
-    views: Vec<&'v MaterializedView>,
 }
 
-impl Default for ScatterGatherExecutor<'static> {
-    fn default() -> Self {
-        Self::new(CostModel::default())
-    }
-}
-
-impl ScatterGatherExecutor<'static> {
-    /// An unbound executor pricing the aggregation with `cost_model`; bind shard
-    /// views with [`Self::over`] to execute queries, or feed [`Self::merge`]
-    /// directly.
+impl ScatterGatherExecutor {
+    /// An executor pricing the aggregation with `cost_model`.
     #[must_use]
     pub fn new(cost_model: CostModel) -> Self {
-        Self {
-            cost_model,
-            views: Vec::new(),
-        }
-    }
-}
-
-impl<'v> ScatterGatherExecutor<'v> {
-    /// An executor bound to the cluster's shard views (one per shard, in shard
-    /// order), pricing shard scans and aggregation with `cost_model`.
-    #[must_use]
-    pub fn over(cost_model: CostModel, views: Vec<&'v MaterializedView>) -> Self {
-        Self { cost_model, views }
+        Self { cost_model }
     }
 
-    /// Oblivious-operation cost of combining `shards` secret-shared scalar partial
-    /// answers: a binary tree of secure additions (`S − 1` adds over `⌈log₂ S⌉`
-    /// communication rounds) followed by one reveal round towards the analyst. A
-    /// single shard needs no cross-shard combine at all, so its report is empty —
-    /// which is what makes a 1-shard cluster query cost exactly the single-pair cost.
-    #[must_use]
-    pub fn aggregation_cost(shards: usize) -> CostReport {
-        Self::aggregation_cost_for_width(shards, 1)
-    }
-
-    /// [`Self::aggregation_cost`] generalized to `width`-slot vector answers
-    /// (group-by over a public domain): every tree level adds all `width` slots
-    /// element-wise *within* its round, so the adds and bytes scale with the width
-    /// while the round count stays `⌈log₂ S⌉ + 1`.
+    /// Oblivious-operation cost of combining `shards` secret-shared partial answers
+    /// of `width` slots each: a binary tree of secure additions (`S − 1` adds per
+    /// slot over `⌈log₂ S⌉` communication rounds) followed by one reveal round
+    /// towards the analyst. Every tree level adds all `width` slots element-wise
+    /// *within* its round, so the adds and bytes scale with the width while the
+    /// round count stays `⌈log₂ S⌉ + 1`. A single shard needs no cross-shard
+    /// combine at all, so its report is empty — which is what makes a 1-shard
+    /// cluster query cost exactly the single-pair cost.
     #[must_use]
     pub fn aggregation_cost_for_width(shards: usize, width: usize) -> CostReport {
         if shards <= 1 || width == 0 {
@@ -85,11 +51,11 @@ impl<'v> ScatterGatherExecutor<'v> {
         }
     }
 
-    /// Combine per-shard query outcomes (however they were produced — view scans
-    /// here, per-shard join recomputations in the NM baseline) into the cluster
+    /// Combine per-shard query outcomes (however they were produced — view scans,
+    /// or per-shard join recomputations in the NM baseline) into the cluster
     /// outcome: answers accumulate through the secure-add tree, the QET is the
     /// slowest shard plus the aggregation, the report sums every gate evaluated
-    /// anywhere, and [`QueryOutcome::shards`] carries the per-shard decomposition.
+    /// anywhere, and [`QueryOutcome::shards`] carries that decomposition.
     ///
     /// # Panics
     /// Panics when `partials` is empty or the shard answers disagree in shape
@@ -113,15 +79,6 @@ impl<'v> ScatterGatherExecutor<'v> {
             .max()
             .unwrap_or(SimDuration::ZERO);
         let report = partials.iter().map(|p| p.report).sum::<CostReport>() + aggregation;
-        let per_shard = partials
-            .iter()
-            .enumerate()
-            .map(|(shard, p)| ShardPartial {
-                shard,
-                value: p.value.clone(),
-                qet: p.qet,
-            })
-            .collect();
         merge_span.record_sim_secs(aggregation_qet.as_secs_f64());
         merge_span.record_cost(aggregation.into());
         QueryOutcome {
@@ -131,31 +88,8 @@ impl<'v> ScatterGatherExecutor<'v> {
             shards: Some(ShardBreakdown {
                 max_shard_qet,
                 aggregation_qet,
-                per_shard,
             }),
         }
-    }
-}
-
-impl QueryEngine for ScatterGatherExecutor<'_> {
-    /// Scatter `query` across the bound shard views (one fused oblivious scan per
-    /// shard, executed in parallel by the shard pairs) and gather the partial
-    /// answers through the secure-add tree.
-    ///
-    /// # Panics
-    /// Panics when the executor is unbound (no views) — an empty scatter has no
-    /// meaningful answer.
-    fn execute(&self, query: &Query) -> QueryOutcome {
-        assert!(
-            !self.views.is_empty(),
-            "ScatterGatherExecutor::execute needs bound shard views (use ::over)"
-        );
-        let partials: Vec<QueryOutcome> = self
-            .views
-            .iter()
-            .map(|view| ViewEngine::new(view, self.cost_model).execute(query))
-            .collect();
-        self.merge(query, &partials)
     }
 }
 
@@ -163,7 +97,7 @@ impl QueryEngine for ScatterGatherExecutor<'_> {
 mod tests {
     use super::*;
     use incshrink::query::QueryValue;
-    use incshrink_mpc::cost::SimDuration;
+    use incshrink::MaterializedView;
     use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use rand::rngs::StdRng;
@@ -192,17 +126,25 @@ mod tests {
         v
     }
 
+    /// Scan every view with `query` and merge the shard outcomes.
+    fn scatter_gather(views: &[&MaterializedView], query: &Query) -> QueryOutcome {
+        let model = CostModel::default();
+        let partials: Vec<QueryOutcome> = views.iter().map(|v| query.execute(v, &model)).collect();
+        ScatterGatherExecutor::new(model).merge(query, &partials)
+    }
+
     #[test]
     fn aggregation_cost_is_free_for_one_shard_and_logarithmic_after() {
-        assert!(ScatterGatherExecutor::aggregation_cost(0).is_empty());
-        assert!(ScatterGatherExecutor::aggregation_cost(1).is_empty());
-        let two = ScatterGatherExecutor::aggregation_cost(2);
+        let scalar = |shards| ScatterGatherExecutor::aggregation_cost_for_width(shards, 1);
+        assert!(scalar(0).is_empty());
+        assert!(scalar(1).is_empty());
+        let two = scalar(2);
         assert_eq!(two.secure_adds, 1);
         assert_eq!(two.rounds, 2, "one tree level + reveal");
-        let eight = ScatterGatherExecutor::aggregation_cost(8);
+        let eight = scalar(8);
         assert_eq!(eight.secure_adds, 7);
         assert_eq!(eight.rounds, 4, "three tree levels + reveal");
-        assert_eq!(ScatterGatherExecutor::aggregation_cost(5).rounds, 4);
+        assert_eq!(scalar(5).rounds, 4);
     }
 
     #[test]
@@ -212,7 +154,7 @@ mod tests {
         assert_eq!(wide.bytes_communicated, 8 * 4 * 12);
         assert_eq!(
             wide.rounds,
-            ScatterGatherExecutor::aggregation_cost(4).rounds,
+            ScatterGatherExecutor::aggregation_cost_for_width(4, 1).rounds,
             "per-slot adds share the tree rounds"
         );
         assert!(ScatterGatherExecutor::aggregation_cost_for_width(4, 0).is_empty());
@@ -221,7 +163,7 @@ mod tests {
 
     #[test]
     fn merge_sums_answers_and_takes_slowest_shard() {
-        let exec = ScatterGatherExecutor::default();
+        let exec = ScatterGatherExecutor::new(CostModel::default());
         let partials = [
             scalar_outcome(10, dur(0.2)),
             scalar_outcome(5, dur(0.7)),
@@ -233,13 +175,11 @@ mod tests {
         assert_eq!(shards.max_shard_qet, dur(0.7));
         assert!(shards.aggregation_qet.as_secs_f64() > 0.0);
         assert_eq!(res.qet, shards.max_shard_qet + shards.aggregation_qet);
-        assert_eq!(shards.per_shard.len(), 3);
-        assert_eq!(shards.per_shard[1].shard, 1);
     }
 
     #[test]
     fn single_shard_merge_matches_local_cost_exactly() {
-        let exec = ScatterGatherExecutor::default();
+        let exec = ScatterGatherExecutor::new(CostModel::default());
         let res = exec.merge(&Query::count(), &[scalar_outcome(42, dur(0.3))]);
         assert_eq!(res.value, QueryValue::Scalar(42));
         assert_eq!(res.qet, dur(0.3), "no aggregation overhead for one shard");
@@ -251,13 +191,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let a = make_view(&mut rng, 7, 3);
         let b = make_view(&mut rng, 2, 100);
-        let exec = ScatterGatherExecutor::over(CostModel::default(), vec![&a, &b]);
-        let res = exec.execute(&Query::count());
+        let res = scatter_gather(&[&a, &b], &Query::count());
         assert_eq!(res.value, QueryValue::Scalar(9));
         // Shard b carries far more padding, so it is the slowest shard.
-        let shards = res.shards.expect("cluster breakdown");
-        assert_eq!(shards.max_shard_qet, shards.per_shard[1].qet);
-        assert!(shards.per_shard[1].qet > shards.per_shard[0].qet);
+        let model = CostModel::default();
+        let (scan_a, scan_b) = (
+            Query::count().execute(&a, &model).qet,
+            Query::count().execute(&b, &model).qet,
+        );
+        assert!(scan_b > scan_a);
+        assert_eq!(res.shards.expect("cluster breakdown").max_shard_qet, scan_b);
     }
 
     #[test]
@@ -266,12 +209,11 @@ mod tests {
         // Field-0 values 0..7 on shard a, 0..3 on shard b.
         let a = make_view(&mut rng, 7, 1);
         let b = make_view(&mut rng, 3, 5);
-        let exec = ScatterGatherExecutor::over(CostModel::default(), vec![&a, &b]);
         let q = Query::group_count(0, vec![0, 1, 2, 5, 9]);
-        let res = exec.execute(&q);
+        let res = scatter_gather(&[&a, &b], &q);
         // Values 0, 1, 2 exist on both shards; 5 only on shard a; 9 nowhere.
         assert_eq!(res.value, QueryValue::Vector(vec![2, 2, 2, 1, 0]));
-        let single = ViewEngine::new(&a, CostModel::default()).execute(&q);
+        let single = q.execute(&a, &CostModel::default());
         assert!(
             res.report.secure_adds > single.report.secure_adds,
             "merge adds the element-wise tree on top of the shard scans"
@@ -279,8 +221,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bound shard views")]
-    fn unbound_executor_rejects_execute() {
-        let _ = ScatterGatherExecutor::default().execute(&Query::count());
+    #[should_panic(expected = "at least one shard outcome")]
+    fn merge_rejects_an_empty_scatter() {
+        let _ = ScatterGatherExecutor::new(CostModel::default()).merge(&Query::count(), &[]);
     }
 }

@@ -1,15 +1,22 @@
-//! Integration tests for the cluster's typed query engine: the scatter-gather trait
-//! path must reproduce the legacy per-shard-scan + secure-add-tree composition bit
-//! for bit on scaleout trajectories, the aggregation tree must price non-power-of-two
-//! clusters correctly, and cluster answers must agree with the plaintext logical
-//! ground truth — element-wise for vector answers.
+//! Integration tests for the cluster's query path: per-shard `Query::execute` scans
+//! merged by `ScatterGatherExecutor::merge` must reproduce the per-shard-scan +
+//! secure-add-tree composition bit for bit on scaleout trajectories, the
+//! aggregation tree must price non-power-of-two clusters correctly, and cluster
+//! answers must agree with the plaintext logical ground truth — element-wise for
+//! vector answers.
 
 use incshrink::prelude::*;
-use incshrink::query::view_count_query;
 use incshrink_cluster::{shard_pipelines, ScatterGatherExecutor, ShardedSimulation};
 use incshrink_mpc::cost::CostModel;
 use incshrink_workload::logical_join_rows;
 use proptest::prelude::*;
+
+/// Scan every shard view with `query` and merge the partial answers.
+fn scatter_gather(views: &[&MaterializedView], query: &Query) -> QueryOutcome {
+    let model = CostModel::default();
+    let partials: Vec<QueryOutcome> = views.iter().map(|v| query.execute(v, &model)).collect();
+    ScatterGatherExecutor::new(model).merge(query, &partials)
+}
 
 fn tpcds(steps: u64) -> Dataset {
     TpcDsGenerator::new(WorkloadParams {
@@ -30,8 +37,8 @@ fn cpdb(steps: u64) -> Dataset {
 }
 
 /// The scaleout trajectories: at every queried step the cluster trace (produced by
-/// the trait-based scatter-gather path inside `ShardedSimulation`) must equal the
-/// legacy composition — per-shard `view_count_query` scans, summed answers, slowest
+/// the scatter-gather path inside `ShardedSimulation`) must equal the composition
+/// written out here — per-shard `Query::count()` scans, summed answers, slowest
 /// shard plus the scalar aggregation tree — bit for bit, for S ∈ {1, 2, 4}.
 #[test]
 fn typed_cluster_count_replays_scaleout_composition_bit_for_bit() {
@@ -49,11 +56,13 @@ fn typed_cluster_count_replays_scaleout_composition_bit_for_bit() {
             }
             let partials: Vec<_> = pipelines
                 .iter()
-                .map(|p| view_count_query(p.view(), &model))
+                .map(|p| p.execute_query(&Query::count()))
                 .collect();
-            let answer: u64 = partials.iter().map(|r| r.answer).sum();
+            let answer: u64 = partials.iter().map(|r| r.value.expect_scalar()).sum();
             let max_qet = partials.iter().map(|r| r.qet).max().unwrap();
-            let agg = model.simulate(&ScatterGatherExecutor::aggregation_cost(shards));
+            let agg = model.simulate(&ScatterGatherExecutor::aggregation_cost_for_width(
+                shards, 1,
+            ));
             assert_eq!(step.answer, Some(answer), "S={shards} t={t}");
             assert_eq!(
                 step.qet_secs,
@@ -70,7 +79,7 @@ fn typed_cluster_count_replays_scaleout_composition_bit_for_bit() {
 #[test]
 fn aggregation_cost_at_non_power_of_two_shard_counts() {
     for (shards, want_adds, want_rounds) in [(3usize, 2u64, 3u64), (5, 4, 4), (7, 6, 4)] {
-        let cost = ScatterGatherExecutor::aggregation_cost(shards);
+        let cost = ScatterGatherExecutor::aggregation_cost_for_width(shards, 1);
         assert_eq!(cost.secure_adds, want_adds, "S={shards}");
         assert_eq!(cost.rounds, want_rounds, "S={shards} = ⌈log2 S⌉ + 1");
         assert_eq!(cost.bytes_communicated, 8 * shards as u64, "S={shards}");
@@ -118,9 +127,8 @@ fn cluster_generalized_aggregates_match_logical_ground_truth() {
             Query::group_count(0, domain),
         ];
         let views: Vec<&_> = pipelines.iter().map(ShardPipeline::view).collect();
-        let cluster = ScatterGatherExecutor::over(CostModel::default(), views);
         for q in &queries {
-            let outcome = cluster.execute(q);
+            let outcome = scatter_gather(&views, q);
             assert_eq!(
                 outcome.value,
                 q.evaluate_plaintext(&rows),
@@ -129,7 +137,6 @@ fn cluster_generalized_aggregates_match_logical_ground_truth() {
                 dataset.kind
             );
             let breakdown = outcome.shards.expect("cluster breakdown");
-            assert_eq!(breakdown.per_shard.len(), 4);
             assert_eq!(
                 outcome.qet,
                 breakdown.max_shard_qet + breakdown.aggregation_qet
@@ -157,7 +164,7 @@ fn view_from_rows(rows: &[Vec<u32>], dummies: usize, seed: u64) -> MaterializedV
 proptest! {
     /// However rows are distributed across shards, the scatter-gathered answer for
     /// every query shape equals the plaintext ground truth over the union of rows —
-    /// the cluster engine agrees with the single-pair engine and with the truth.
+    /// the cluster agrees with the single-pair scan and with the truth.
     #[test]
     fn prop_cluster_answers_match_plaintext_truth_for_any_partition(
         rows in proptest::collection::vec(proptest::collection::vec(0u32..40, 4usize), 0..24),
@@ -173,9 +180,9 @@ proptest! {
             .enumerate()
             .map(|(i, part)| view_from_rows(part, dummies, 31 + i as u64))
             .collect();
-        let cluster = ScatterGatherExecutor::over(CostModel::default(), views.iter().collect());
+        let views: Vec<&MaterializedView> = views.iter().collect();
         let single = view_from_rows(&rows, dummies, 99);
-        let single_engine = ViewEngine::new(&single, CostModel::default());
+        let model = CostModel::default();
         let queries = [
             Query::count(),
             Query::count().filter(FilterExpr::le(1, 20)),
@@ -185,8 +192,8 @@ proptest! {
         ];
         for q in &queries {
             let truth = q.evaluate_plaintext(&rows);
-            prop_assert_eq!(&cluster.execute(q).value, &truth, "cluster: {}", q.label());
-            prop_assert_eq!(&single_engine.execute(q).value, &truth, "single: {}", q.label());
+            prop_assert_eq!(&scatter_gather(&views, q).value, &truth, "cluster: {}", q.label());
+            prop_assert_eq!(&q.execute(&single, &model).value, &truth, "single: {}", q.label());
         }
     }
 }

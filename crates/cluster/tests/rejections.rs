@@ -1,4 +1,4 @@
-//! Configurations the cluster driver rejects at `run`: each one must be refused
+//! Configurations the cluster driver rejects at `new` or at `run`: each one must be refused
 //! with the same message whichever host the shards would have run on, and — on
 //! the threaded front — before any worker thread exists. The threads-only crash
 //! hooks are rejected there too when they name a shard the cluster lacks.
@@ -66,6 +66,39 @@ fn both_fronts_reject_the_same_configurations_before_any_thread_is_spawned() {
             RoutingPolicy::CoPartitioned,
             Some(ElasticConfig::default()),
             "the elastic control plane drives the shuffle phase's routing table",
+        ),
+        (
+            &co_partitioned,
+            IncShrinkConfig {
+                epsilon: f64::INFINITY,
+                ..timer
+            },
+            RoutingPolicy::CoPartitioned,
+            None,
+            "invalid IncShrink cluster configuration: epsilon must be positive and finite, got inf",
+        ),
+        (
+            &co_partitioned,
+            IncShrinkConfig {
+                epsilon: f64::NAN,
+                ..timer
+            },
+            RoutingPolicy::CoPartitioned,
+            None,
+            "invalid IncShrink cluster configuration: epsilon must be positive and finite, got NaN",
+        ),
+        (
+            &co_partitioned,
+            IncShrinkConfig {
+                strategy: UpdateStrategy::DpAnt {
+                    threshold: f64::NAN,
+                },
+                ..timer
+            },
+            RoutingPolicy::CoPartitioned,
+            None,
+            "invalid IncShrink cluster configuration: sDPANT threshold must be positive and \
+             finite, got NaN",
         ),
     ];
 

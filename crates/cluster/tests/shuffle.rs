@@ -173,9 +173,12 @@ fn co_partitioned_policy_replays_pre_shuffle_loop_bit_for_bit() {
         let outcomes: Vec<_> = pipelines.iter_mut().map(|p| p.advance(t)).collect();
         let true_count: u64 = pipelines.iter().map(|p| p.true_count(t)).sum();
         assert_eq!(step.true_count, true_count, "t={t}");
-        let views: Vec<&_> = pipelines.iter().map(|p| p.view()).collect();
+        let partials: Vec<_> = pipelines
+            .iter()
+            .map(|p| p.execute_query(&counting_query))
+            .collect();
         let gathered =
-            ScatterGatherExecutor::over(CostModel::default(), views).execute(&counting_query);
+            ScatterGatherExecutor::new(CostModel::default()).merge(&counting_query, &partials);
         assert_eq!(step.answer, Some(gathered.value.expect_scalar()), "t={t}");
         assert_eq!(step.qet_secs, gathered.qet.as_secs_f64(), "t={t}");
         let transform_max = outcomes

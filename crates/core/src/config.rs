@@ -139,8 +139,12 @@ impl IncShrinkConfig {
     /// Validate parameter sanity; returns a description of the first problem found.
     #[must_use]
     pub fn validate(&self) -> Option<String> {
-        if self.epsilon <= 0.0 {
-            return Some(format!("epsilon must be positive, got {}", self.epsilon));
+        // Written so NaN fails too: every comparison with NaN is false.
+        if !(self.epsilon > 0.0 && self.epsilon.is_finite()) {
+            return Some(format!(
+                "epsilon must be positive and finite, got {}",
+                self.epsilon
+            ));
         }
         if self.truncation_bound == 0 {
             return Some("truncation bound ω must be at least 1".into());
@@ -163,8 +167,10 @@ impl IncShrinkConfig {
             }
         }
         if let UpdateStrategy::DpAnt { threshold } = self.strategy {
-            if threshold <= 0.0 {
-                return Some("sDPANT threshold must be positive".into());
+            if !(threshold > 0.0 && threshold.is_finite()) {
+                return Some(format!(
+                    "sDPANT threshold must be positive and finite, got {threshold}"
+                ));
             }
         }
         None
@@ -227,6 +233,28 @@ mod tests {
         assert!(cfg.validate().unwrap().contains("sDPTimer"));
         cfg.strategy = UpdateStrategy::DpAnt { threshold: 0.0 };
         assert!(cfg.validate().unwrap().contains("sDPANT"));
+    }
+
+    #[test]
+    fn validation_rejects_a_non_finite_epsilon_or_threshold() {
+        let timer = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
+        for (epsilon, shown) in [(f64::INFINITY, "inf"), (f64::NAN, "NaN")] {
+            let cfg = IncShrinkConfig { epsilon, ..timer };
+            assert_eq!(
+                cfg.validate().as_deref(),
+                Some(format!("epsilon must be positive and finite, got {shown}").as_str())
+            );
+        }
+        for (threshold, shown) in [(f64::NAN, "NaN"), (f64::INFINITY, "inf")] {
+            let cfg = IncShrinkConfig {
+                strategy: UpdateStrategy::DpAnt { threshold },
+                ..timer
+            };
+            assert_eq!(
+                cfg.validate().as_deref(),
+                Some(format!("sDPANT threshold must be positive and finite, got {shown}").as_str())
+            );
+        }
     }
 
     #[test]

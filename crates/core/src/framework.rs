@@ -16,9 +16,7 @@
 
 use crate::baselines::{delta_routing, route_delta, DeltaRouting};
 use crate::config::{IncShrinkConfig, UpdateStrategy};
-use crate::query::{
-    view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
-};
+use crate::query::{NmBaselineEngine, Query, QueryOutcome};
 use crate::shrink::ShrinkProtocol;
 use crate::transform::{BudgetedRecord, PublicRelation, TransformProtocol};
 use crate::view::{MaterializedView, ViewDefinition};
@@ -402,23 +400,10 @@ impl ShardPipeline {
         self.truth[(t - 1) as usize]
     }
 
-    /// Execute the counting query over this pipeline's view: one oblivious scan.
-    #[must_use]
-    pub fn query(&self) -> QueryResult {
-        view_count_query(&self.view, &self.cost_model)
-    }
-
-    /// The typed query engine over this pipeline's materialized view: the analyst
-    /// entry point for [`Query`]s beyond the hardwired count.
-    #[must_use]
-    pub(crate) fn query_engine(&self) -> ViewEngine<'_> {
-        ViewEngine::new(&self.view, self.cost_model)
-    }
-
-    /// Execute a typed analyst query over this pipeline's view.
+    /// Execute a typed analyst query over this pipeline's view: one oblivious scan.
     #[must_use]
     pub fn execute_query(&self, query: &Query) -> QueryOutcome {
-        self.query_engine().execute(query)
+        query.execute(&self.view, &self.cost_model)
     }
 
     /// Answer the analyst's `query` at step `t` the way this pipeline's strategy
@@ -499,7 +484,7 @@ impl ShardPipeline {
     }
 
     /// Run one upload epoch: owner uploads, Transform (strategy dependent) and Shrink
-    /// (DP strategies only). Queries are issued separately via [`Self::query`] so a
+    /// (DP strategies only). Queries are issued separately via [`Self::answer_query`] so a
     /// cluster driver can scatter-gather them across shards.
     pub fn advance(&mut self, t: u64) -> PipelineStepOutcome {
         let uploads = self.upload_batches(t);

@@ -68,9 +68,7 @@ pub mod prelude {
     pub use crate::config::{IncShrinkConfig, UpdateStrategy};
     pub use crate::framework::{MigratedPartition, ShardPipeline, StepRecord, StepUploads};
     pub use crate::metrics::Summary;
-    pub use crate::query::{
-        FilterExpr, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryValue, ViewEngine,
-    };
+    pub use crate::query::{FilterExpr, NmBaselineEngine, Query, QueryOutcome, QueryValue};
     pub use crate::view::{MaterializedView, ViewDefinition};
     pub use incshrink_workload::{
         scale_dataset, to_burst, to_sparse, to_store_partitioned, CpdbGenerator, Dataset,
@@ -82,7 +80,6 @@ pub use config::{IncShrinkConfig, UpdateStrategy};
 pub use framework::{MigratedPartition, ShardPipeline, StepRecord, StepUploads};
 pub use metrics::Summary;
 pub use query::{
-    AggregateSpec, FilterExpr, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryValue,
-    ShardBreakdown, ShardPartial, ViewEngine,
+    AggregateSpec, FilterExpr, NmBaselineEngine, Query, QueryOutcome, QueryValue, ShardBreakdown,
 };
 pub use view::{MaterializedView, ViewDefinition};

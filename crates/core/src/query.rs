@@ -1,5 +1,4 @@
-//! The typed analyst query layer: a [`Query`] AST, its oblivious physical plan, and
-//! the [`QueryEngine`] trait the execution backends implement.
+//! The typed analyst query layer: the [`Query`] AST and its one plan body.
 //!
 //! The evaluation queries are rewritten over the materialized view: because the view
 //! definition *is* the query's join, answering an aggregate only requires an oblivious
@@ -8,30 +7,31 @@
 //! outsourced data for every query, which is what produces the multiple-orders-of-
 //! magnitude QET gap of Table 2.
 //!
-//! # AST → plan → engine
+//! # AST → plan body
 //!
 //! [`Query`] is the analyst-facing builder: [`Query::count`], [`Query::sum`] and
 //! [`Query::group_count`], each optionally restricted by [`Query::filter`] conjuncts
-//! over view columns ([`FilterExpr`]). [`Query::compile`] lowers the AST to a
-//! [`PhysicalPlan`] — one *fused* oblivious scan in which the selection folds into the
+//! over view columns ([`FilterExpr`]). [`Query::execute`] runs it as one *fused*
+//! oblivious scan of a [`MaterializedView`], in which the selection folds into the
 //! aggregate operator's predicate slot, so a filtered query costs exactly what its
-//! unfiltered form costs and selectivity never leaks. The view is column-major at
-//! rest ([`MaterializedView::entries`]), so the plan *names its lanes*: the filter
-//! conjunction becomes a branch-free 0/1 selection mask built from the `isView` lane
-//! and the filter columns, and the aggregate's lane body
-//! (`incshrink_oblivious::aggregate::{count,sum,group_count}_selected`) combines it
-//! with the one column the aggregate reads. No lane the plan does not name is
-//! recovered, nothing is transposed per query (that happened once, when the batch
-//! was synchronized), and no per-row closure or scratch record is built. Host time
-//! follows the lanes read; the modeled cost does not. Engines execute the plan:
+//! unfiltered form costs and selectivity never leaks; [`Query::explain`] names that
+//! scan. The view is column-major at rest ([`MaterializedView::entries`]), so the
+//! scan *names its lanes*: the filter conjunction becomes a branch-free 0/1
+//! selection mask built from the `isView` lane and the filter columns
+//! (`incshrink_oblivious::filter::selection_mask`, the one predicate lowering), and
+//! the aggregate's lane body (`incshrink_oblivious::aggregate::{count,sum,group_count}_selected`)
+//! combines it with the one column the aggregate reads. No lane the plan does not
+//! name is recovered, nothing is transposed per query (that happened once, when the
+//! batch was synchronized), and no per-row closure or scratch record is built. Host
+//! time follows the lanes read; the modeled cost does not. Around that body:
 //!
-//! * [`ViewEngine`] — the single-pair backend: one scan of a [`MaterializedView`].
-//! * `ScatterGatherExecutor` (in `incshrink-cluster`) — per-shard partial aggregates
-//!   merged through a secure-add tree, element-wise for vector answers.
-//! * [`NmBaselineEngine`] — prices the full oblivious join the standard SOGDB mode
-//!   would re-execute, and answers exactly (the join recomputes the truth).
+//! * `ShardPipeline::execute_query` runs it over one server pair's view.
+//! * `ScatterGatherExecutor::merge` (in `incshrink-cluster`) combines the shards'
+//!   outcomes through a secure-add tree, element-wise for vector answers.
+//! * [`NmBaselineEngine::execute`] prices the full oblivious join the standard SOGDB
+//!   mode would re-execute, and answers exactly (the join recomputes the truth).
 //!
-//! Every engine returns a [`QueryOutcome`]: the scalar-or-vector [`QueryValue`], the
+//! Each returns a [`QueryOutcome`]: the scalar-or-vector [`QueryValue`], the
 //! simulated QET, and the [`CostReport`] priced through the same [`CostModel`] as the
 //! maintenance protocols.
 //!
@@ -46,76 +46,9 @@
 use crate::view::MaterializedView;
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use incshrink_oblivious::aggregate::{count_selected, group_count_selected, sum_selected};
-use incshrink_secretshare::columns::{eq_word, lt_word, SharedColumnsPair};
+use incshrink_oblivious::filter::selection_mask;
+pub use incshrink_oblivious::filter::FilterExpr;
 use serde::{Deserialize, Serialize};
-
-/// One conjunct of a query's selection predicate, over view columns. Records lacking
-/// the referenced column never match (mirroring the join layer's treatment of
-/// malformed records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FilterExpr {
-    /// `fields[field] <= bound`.
-    Le {
-        /// View column index.
-        field: usize,
-        /// Inclusive upper bound.
-        bound: u32,
-    },
-    /// `fields[field] >= bound`.
-    Ge {
-        /// View column index.
-        field: usize,
-        /// Inclusive lower bound.
-        bound: u32,
-    },
-    /// `fields[field] == value`.
-    Eq {
-        /// View column index.
-        field: usize,
-        /// The value to match.
-        value: u32,
-    },
-}
-
-impl FilterExpr {
-    /// `fields[field] <= bound`.
-    #[must_use]
-    pub fn le(field: usize, bound: u32) -> Self {
-        Self::Le { field, bound }
-    }
-
-    /// `fields[field] >= bound`.
-    #[must_use]
-    pub fn ge(field: usize, bound: u32) -> Self {
-        Self::Ge { field, bound }
-    }
-
-    /// `fields[field] == value`.
-    #[must_use]
-    pub fn eq(field: usize, value: u32) -> Self {
-        Self::Eq { field, value }
-    }
-
-    /// Evaluate the conjunct over a record's plaintext fields. This single definition
-    /// backs both the oblivious predicate slot and the plaintext ground-truth
-    /// evaluation, so the two can never drift apart.
-    #[must_use]
-    pub fn matches(&self, fields: &[u32]) -> bool {
-        match *self {
-            Self::Le { field, bound } => fields.get(field).is_some_and(|&v| v <= bound),
-            Self::Ge { field, bound } => fields.get(field).is_some_and(|&v| v >= bound),
-            Self::Eq { field, value } => fields.get(field) == Some(&value),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match *self {
-            Self::Le { field, bound } => format!("f{field} <= {bound}"),
-            Self::Ge { field, bound } => format!("f{field} >= {bound}"),
-            Self::Eq { field, value } => format!("f{field} == {value}"),
-        }
-    }
-}
 
 /// The aggregate a query computes over the (filtered) view entries.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -232,19 +165,71 @@ impl Query {
         if self.filters.is_empty() {
             agg
         } else {
-            let conj: Vec<String> = self.filters.iter().map(FilterExpr::describe).collect();
-            format!("{agg}|{}", conj.join(" & "))
+            format!("{agg}|{}", self.conjunction())
         }
     }
 
-    /// Lower the AST to its oblivious physical plan (see [`PhysicalPlan`]).
+    /// The filter conjuncts joined with ` & `.
+    fn conjunction(&self) -> String {
+        let conjuncts: Vec<String> = self.filters.iter().map(ToString::to_string).collect();
+        conjuncts.join(" & ")
+    }
+
+    /// The fused scan [`Self::execute`] runs, for logs and examples
+    /// (e.g. `scan[filter: f1 <= 30] -> oblivious_sum(f3)`).
     #[must_use]
-    pub fn compile(&self) -> PhysicalPlan<'_> {
-        PhysicalPlan { query: self }
+    pub fn explain(&self) -> String {
+        let pred = if self.filters.is_empty() {
+            "all".to_string()
+        } else {
+            self.conjunction()
+        };
+        let agg = match &self.aggregate {
+            AggregateSpec::Count => "oblivious_count".to_string(),
+            AggregateSpec::Sum { field } => format!("oblivious_sum(f{field})"),
+            AggregateSpec::GroupCount { field, domain } => {
+                format!(
+                    "oblivious_group_count_over_domain(f{field}, |D| = {})",
+                    domain.len()
+                )
+            }
+        };
+        format!("scan[filter: {pred}] -> {agg}")
+    }
+
+    /// Run the query as one fused oblivious scan of `view`'s column-major entries,
+    /// pricing through `model`. The selection occupies the aggregate operator's
+    /// predicate slot: the per-entry comparison the aggregate already charges covers
+    /// the predicate circuit, the access pattern stays a fixed left-to-right pass,
+    /// and the cost is independent of both the filter *and* its selectivity. Only
+    /// the `isView` lane and the lanes the query names (its filter columns and the
+    /// aggregate's column) are recovered; the meter is charged from the public
+    /// `(len, arity, |domain|)` alone.
+    #[must_use]
+    pub fn execute(&self, view: &MaterializedView, model: &CostModel) -> QueryOutcome {
+        let entries = view.entries();
+        let mut meter = CostMeter::new();
+        let mask = selection_mask(entries, &self.filters);
+        let value = match &self.aggregate {
+            AggregateSpec::Count => QueryValue::Scalar(count_selected(entries, &mask, &mut meter)),
+            AggregateSpec::Sum { field } => {
+                QueryValue::Scalar(sum_selected(entries, *field, &mask, &mut meter))
+            }
+            AggregateSpec::GroupCount { field, domain } => QueryValue::Vector(
+                group_count_selected(entries, *field, domain, &mask, &mut meter),
+            ),
+        };
+        let report = meter.take();
+        QueryOutcome {
+            value,
+            qet: model.simulate(&report),
+            report,
+            shards: None,
+        }
     }
 
     /// Evaluate the query over *plaintext* rows — the logical ground truth the
-    /// engines' answers are compared against (rows typically come from
+    /// query answers are compared against (rows typically come from
     /// `incshrink_workload::logical_join_rows`, whose `left ++ right` layout matches
     /// the view's canonical column order). Exactly the aggregate the oblivious plan
     /// computes, minus sharing, padding and DP noise.
@@ -271,95 +256,6 @@ impl Query {
                 }
                 QueryValue::Vector(counts)
             }
-        }
-    }
-}
-
-/// The physical plan a [`Query`] compiles to: one fused oblivious scan in which the
-/// selection conjunction occupies the aggregate operator's predicate slot. Fusing is
-/// free obliviousness: the per-entry comparison the aggregate already charges covers
-/// the predicate circuit, the access pattern stays a fixed left-to-right pass, and
-/// the cost becomes independent of both the filter *and* its selectivity.
-#[derive(Debug, Clone, Copy)]
-pub struct PhysicalPlan<'q> {
-    query: &'q Query,
-}
-
-impl PhysicalPlan<'_> {
-    /// Human-readable plan description (for logs and examples).
-    #[must_use]
-    pub fn explain(&self) -> String {
-        let pred = if self.query.filters.is_empty() {
-            "all".to_string()
-        } else {
-            self.query
-                .filters
-                .iter()
-                .map(FilterExpr::describe)
-                .collect::<Vec<_>>()
-                .join(" & ")
-        };
-        let agg = match &self.query.aggregate {
-            AggregateSpec::Count => "oblivious_count".to_string(),
-            AggregateSpec::Sum { field } => format!("oblivious_sum(f{field})"),
-            AggregateSpec::GroupCount { field, domain } => {
-                format!(
-                    "oblivious_group_count_over_domain(f{field}, |D| = {})",
-                    domain.len()
-                )
-            }
-        };
-        format!("scan[filter: {pred}] -> {agg}")
-    }
-
-    /// The scan's selection as one 0/1 word per view row: `isView ∧ filters`,
-    /// lowered conjunct by conjunct to branch-free lane arithmetic. Each conjunct
-    /// reads only the column it names, and — as in [`FilterExpr::matches`] — a
-    /// column the view does not have matches nothing.
-    fn selection_mask(&self, entries: &SharedColumnsPair) -> Vec<u64> {
-        let mut mask = entries.real_mask();
-        for filter in &self.query.filters {
-            match *filter {
-                // v <= bound  ⇔  ¬(bound < v)
-                FilterExpr::Le { field, bound } => {
-                    entries.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(u64::from(bound), v));
-                }
-                // v >= bound  ⇔  ¬(v < bound)
-                FilterExpr::Ge { field, bound } => {
-                    entries.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(v, u64::from(bound)));
-                }
-                FilterExpr::Eq { field, value } => {
-                    entries.narrow_mask(field, &mut mask, |v| eq_word(v, u64::from(value)));
-                }
-            }
-        }
-        mask
-    }
-
-    /// Execute the fused scan over the view's column-major `entries`, pricing
-    /// through `model`. Only the `isView` lane and the lanes the plan names (its
-    /// filter columns and the aggregate's column) are recovered; the meter is charged
-    /// from the public `(len, arity, |domain|)` alone, so the cost does not depend on
-    /// which lanes were read.
-    #[must_use]
-    pub fn execute(&self, entries: &SharedColumnsPair, model: &CostModel) -> QueryOutcome {
-        let mut meter = CostMeter::new();
-        let mask = self.selection_mask(entries);
-        let value = match &self.query.aggregate {
-            AggregateSpec::Count => QueryValue::Scalar(count_selected(entries, &mask, &mut meter)),
-            AggregateSpec::Sum { field } => {
-                QueryValue::Scalar(sum_selected(entries, *field, &mask, &mut meter))
-            }
-            AggregateSpec::GroupCount { field, domain } => QueryValue::Vector(
-                group_count_selected(entries, *field, domain, &mask, &mut meter),
-            ),
-        };
-        let report = meter.take();
-        QueryOutcome {
-            value,
-            qet: model.simulate(&report),
-            report,
-            shards: None,
         }
     }
 }
@@ -441,17 +337,6 @@ impl QueryValue {
     }
 }
 
-/// One shard's contribution to a scatter-gathered query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardPartial {
-    /// Shard index.
-    pub shard: usize,
-    /// The shard's partial answer (protocol-internal; exposed for reporting).
-    pub value: QueryValue,
-    /// Simulated execution time of the shard's local scan (or join recomputation).
-    pub qet: SimDuration,
-}
-
 /// Per-shard decomposition of a scatter-gathered [`QueryOutcome`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardBreakdown {
@@ -459,8 +344,6 @@ pub struct ShardBreakdown {
     pub max_shard_qet: SimDuration,
     /// Simulated time of the cross-shard oblivious aggregation tree.
     pub aggregation_qet: SimDuration,
-    /// Per-shard partial answers.
-    pub per_shard: Vec<ShardPartial>,
 }
 
 /// A query answer together with its simulated execution time and operation counts.
@@ -472,37 +355,8 @@ pub struct QueryOutcome {
     pub qet: SimDuration,
     /// Oblivious-operation counts of the query.
     pub report: CostReport,
-    /// Per-shard decomposition, populated by scatter-gathering engines only.
+    /// Per-shard decomposition, populated by `ScatterGatherExecutor::merge` only.
     pub shards: Option<ShardBreakdown>,
-}
-
-/// A query execution backend: compiles and runs [`Query`]s against whatever state it
-/// fronts (a single-pair view, a cluster of shard views, or the priced-but-never-
-/// materialized NM join), returning answers, QET and costs in one [`QueryOutcome`].
-pub trait QueryEngine {
-    /// Execute `query` and return its outcome.
-    fn execute(&self, query: &Query) -> QueryOutcome;
-}
-
-/// The single-pair execution backend: one oblivious scan of a materialized view.
-#[derive(Debug, Clone, Copy)]
-pub struct ViewEngine<'v> {
-    view: &'v MaterializedView,
-    model: CostModel,
-}
-
-impl<'v> ViewEngine<'v> {
-    /// An engine scanning `view`, priced through `model`.
-    #[must_use]
-    pub fn new(view: &'v MaterializedView, model: CostModel) -> Self {
-        Self { view, model }
-    }
-}
-
-impl QueryEngine for ViewEngine<'_> {
-    fn execute(&self, query: &Query) -> QueryOutcome {
-        query.compile().execute(self.view.entries(), &self.model)
-    }
 }
 
 /// Where an [`NmBaselineEngine`] gets its (exact) answers from.
@@ -514,7 +368,7 @@ enum NmAnswerSource<'a> {
     Rows(&'a [Vec<u32>]),
 }
 
-/// The non-materialized (standard SOGDB) baseline as a query engine: every query
+/// The non-materialized (standard SOGDB) baseline: every query
 /// prices a full oblivious sort-merge join over the outsourced relations (per
 /// Example 5.1, via `non_materialized_query_cost`) and answers *exactly* — the
 /// recomputed join has no view error by construction.
@@ -578,12 +432,15 @@ impl<'a> NmBaselineEngine<'a> {
     }
 }
 
-impl QueryEngine for NmBaselineEngine<'_> {
+impl NmBaselineEngine<'_> {
+    /// Price the full join `query` would recompute and answer it exactly.
+    ///
     /// # Panics
     /// Panics when the engine was built with `NmBaselineEngine::for_count` but the
     /// query is not the *unfiltered* count — answering a sum (or a filtered count)
     /// from the total would be silently wrong.
-    fn execute(&self, query: &Query) -> QueryOutcome {
+    #[must_use]
+    pub fn execute(&self, query: &Query) -> QueryOutcome {
         let (_, mut report) = non_materialized_query_cost(
             self.n_left,
             self.n_right,
@@ -615,31 +472,6 @@ impl QueryEngine for NmBaselineEngine<'_> {
     }
 }
 
-/// A counting-query answer together with its simulated execution time (the legacy
-/// shape of the pre-AST API, kept for the counting call sites and reports).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueryResult {
-    /// The (possibly approximate) count returned to the analyst.
-    pub answer: u64,
-    /// Simulated query execution time.
-    pub qet: SimDuration,
-    /// Oblivious-operation counts of the query.
-    pub report: CostReport,
-}
-
-/// Execute the counting query over the materialized view: one oblivious linear scan,
-/// equivalent to `ViewEngine::execute(&Query::count())` (which it delegates to, so
-/// the legacy entry point and the typed API can never diverge).
-#[must_use]
-pub fn view_count_query(view: &MaterializedView, model: &CostModel) -> QueryResult {
-    let outcome = ViewEngine::new(view, *model).execute(&Query::count());
-    QueryResult {
-        answer: outcome.value.expect_scalar(),
-        qet: outcome.qet,
-        report: outcome.report,
-    }
-}
-
 /// Cost of answering the query without a view (NM baseline): an oblivious sort-merge
 /// join over the full outsourced relations (sizes `n_left`, `n_right` padded records of
 /// width `arity` words) followed by a truncated linear scan, per Example 5.1.
@@ -667,19 +499,25 @@ pub(crate) fn non_materialized_query_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incshrink_oblivious::{oblivious_count, Predicate};
     use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn view_with(real: usize, dummy: usize) -> MaterializedView {
+    /// `real` rows `(i, 0, 0, 0)` followed by `dummy` dummies, shared.
+    fn array_with(real: usize, dummy: usize) -> SharedArrayPair {
         let mut rng = StdRng::seed_from_u64(3);
         let mut records: Vec<PlainRecord> = (0..real)
             .map(|i| PlainRecord::real(vec![i as u32, 0, 0, 0]))
             .collect();
         records.extend((0..dummy).map(|_| PlainRecord::dummy(4)));
+        SharedArrayPair::share_records(&records, &mut rng)
+    }
+
+    fn view_with(real: usize, dummy: usize) -> MaterializedView {
         let mut v = MaterializedView::new();
-        v.append(SharedArrayPair::share_records(&records, &mut rng));
+        v.append(array_with(real, dummy));
         v
     }
 
@@ -687,31 +525,36 @@ mod tests {
     fn view_query_counts_real_entries_and_charges_scan() {
         let model = CostModel::default();
         let view = view_with(7, 13);
-        let res = view_count_query(&view, &model);
-        assert_eq!(res.answer, 7);
+        let res = Query::count().execute(&view, &model);
+        assert_eq!(res.value, QueryValue::Scalar(7));
         assert_eq!(res.report.secure_compares, 20);
         // The scan prices its share traffic: 20 arity-4 entries at (4+1)·4 bytes
         // each, plus the 8-byte revealed count (regression for the flat-8 pricing).
         assert_eq!(res.report.bytes_communicated, 20 * 20 + 8);
         assert!(res.qet.as_secs_f64() > 0.0);
+        assert_eq!(res.qet, model.simulate(&res.report));
 
         // More dummies make the same query slower (Observation 4).
         let padded = view_with(7, 200);
-        let slower = view_count_query(&padded, &model);
-        assert_eq!(slower.answer, 7);
+        let slower = Query::count().execute(&padded, &model);
+        assert_eq!(slower.value, QueryValue::Scalar(7));
         assert!(slower.qet > res.qet);
     }
 
     #[test]
     fn legacy_count_and_typed_engine_agree_bit_for_bit() {
+        // The record-major counting operator the counting query used to run, and
+        // `Query::count()` over the column-major view built from the same shares.
         let model = CostModel::default();
         for (real, dummy) in [(0, 0), (7, 13), (100, 3)] {
             let view = view_with(real, dummy);
-            let legacy = view_count_query(&view, &model);
-            let outcome = ViewEngine::new(&view, model).execute(&Query::count());
-            assert_eq!(QueryValue::Scalar(legacy.answer), outcome.value);
-            assert_eq!(legacy.qet, outcome.qet);
-            assert_eq!(legacy.report, outcome.report);
+            let array = array_with(real, dummy);
+            let mut meter = CostMeter::new();
+            let legacy = oblivious_count(&array, &Predicate::all("count"), &mut meter);
+            let typed = Query::count().execute(&view, &model);
+            assert_eq!(typed.value, QueryValue::Scalar(legacy));
+            assert_eq!(typed.report, meter.take());
+            assert_eq!(typed.qet, model.simulate(&typed.report));
         }
     }
 
@@ -721,14 +564,17 @@ mod tests {
         // and hence the leakage — is independent of the filter and its selectivity.
         let model = CostModel::default();
         let view = view_with(9, 6);
-        let engine = ViewEngine::new(&view, model);
-        let plain = engine.execute(&Query::count());
-        let filtered = engine.execute(&Query::count().filter(FilterExpr::le(0, 3)));
+        let plain = Query::count().execute(&view, &model);
+        let filtered = Query::count()
+            .filter(FilterExpr::le(0, 3))
+            .execute(&view, &model);
         assert_eq!(plain.report, filtered.report);
         assert_eq!(plain.qet, filtered.qet);
         assert_eq!(filtered.value, QueryValue::Scalar(4), "ids 0..=3 pass");
 
-        let sum = engine.execute(&Query::sum(0).filter(FilterExpr::le(0, 3)));
+        let sum = Query::sum(0)
+            .filter(FilterExpr::le(0, 3))
+            .execute(&view, &model);
         assert_eq!(sum.value, QueryValue::Scalar(6), "ids 0 + 1 + 2 + 3");
     }
 
@@ -736,26 +582,22 @@ mod tests {
     fn group_count_answers_over_public_domain() {
         let model = CostModel::default();
         let view = view_with(5, 2);
-        let engine = ViewEngine::new(&view, model);
         let q = Query::group_count(0, vec![0, 2, 4, 9]);
-        let outcome = engine.execute(&q);
+        let outcome = q.execute(&view, &model);
         assert_eq!(outcome.value, QueryValue::Vector(vec![1, 1, 1, 0]));
         assert_eq!(outcome.value.width(), q.output_width());
         // Cost scales with the domain width, not the data.
-        let wide = engine.execute(&Query::group_count(0, (0..32).collect()));
+        let wide = Query::group_count(0, (0..32).collect()).execute(&view, &model);
         assert!(wide.report.secure_compares > outcome.report.secure_compares);
     }
 
     #[test]
     fn plan_explains_the_fused_scan() {
         let q = Query::sum(3).filter(FilterExpr::le(1, 30));
-        assert_eq!(
-            q.compile().explain(),
-            "scan[filter: f1 <= 30] -> oblivious_sum(f3)"
-        );
+        assert_eq!(q.explain(), "scan[filter: f1 <= 30] -> oblivious_sum(f3)");
         assert_eq!(q.label(), "sum(f3)|f1 <= 30");
         assert_eq!(
-            Query::count().compile().explain(),
+            Query::count().explain(),
             "scan[filter: all] -> oblivious_count"
         );
     }
@@ -831,7 +673,7 @@ mod tests {
     fn nm_query_is_orders_of_magnitude_slower_than_view_scan() {
         let model = CostModel::default();
         let view = view_with(100, 100);
-        let view_qet = view_count_query(&view, &model).qet;
+        let view_qet = Query::count().execute(&view, &model).qet;
         let (nm_qet, report) = non_materialized_query_cost(50_000, 10_000, 2, 1, &model);
         assert!(nm_qet.as_secs_f64() > view_qet.as_secs_f64() * 100.0);
         assert!(report.secure_swaps > report.secure_compares);
@@ -871,10 +713,10 @@ mod tests {
     fn empty_view_query() {
         let model = CostModel::default();
         let view = MaterializedView::new();
-        let res = view_count_query(&view, &model);
-        assert_eq!(res.answer, 0);
+        let res = Query::count().execute(&view, &model);
+        assert_eq!(res.value, QueryValue::Scalar(0));
         assert_eq!(res.report.secure_compares, 0);
-        let sum = ViewEngine::new(&view, model).execute(&Query::sum(2));
+        let sum = Query::sum(2).execute(&view, &model);
         assert_eq!(sum.value, QueryValue::Scalar(0));
     }
 }

@@ -5,7 +5,7 @@
 //! `isView` lanes), because the view is written tens of rows at a time — once per
 //! synchronization — and read whole by every analyst query. [`MaterializedView::append`]
 //! transposes only the incoming batch onto the lane tails, so a query scan
-//! (`crate::query::PhysicalPlan::execute`) touches just the lanes its plan names and
+//! (`crate::query::Query::execute`) touches just the lanes its query names and
 //! never pays a transposition. The cache, upload batches and shuffle buckets stay
 //! record-major ([`SharedArrayPair`]); batches arrive in that layout.
 

@@ -1,11 +1,12 @@
-//! Integration tests for the typed analyst query layer: the legacy counting entry
-//! points and the `Query` AST → plan → `ViewEngine`/`NmBaselineEngine` path must
-//! agree bit for bit on the evaluation trajectories, view entries must expose the
-//! canonical `left ++ right` column layout the AST addresses, and every engine must
-//! agree with the plaintext logical ground truth on random views.
+//! Integration tests for the typed analyst query layer: `Query::count()` through
+//! the view scan and the NM baseline must reproduce the counting query's charge and
+//! answers bit for bit on the evaluation trajectories, view entries must expose the
+//! canonical `left ++ right` column layout the AST addresses, and the view scan and
+//! the NM baseline must agree with the plaintext logical ground truth on random
+//! views.
 
 use incshrink::prelude::*;
-use incshrink_mpc::cost::CostModel;
+use incshrink_mpc::cost::{CostModel, CostReport};
 use incshrink_workload::{logical_join_group_count, logical_join_rows, logical_join_sum};
 use proptest::prelude::*;
 
@@ -28,9 +29,10 @@ fn cpdb(steps: u64) -> Dataset {
 }
 
 /// The fig4-style trajectories (both workloads, their default DP strategies): at
-/// every step the typed `Query::count()` through `ViewEngine` must reproduce the
-/// legacy `view_count_query` answer, QET and cost report bit for bit, and the
-/// NM-baseline engine must reproduce the legacy NM pricing and exact answer.
+/// every step the typed `Query::count()` over the view must answer the view's real
+/// row count and charge exactly one counting scan of it — one compare, AND and add
+/// per entry, its shares plus the 8-byte answer, one round — and the NM-baseline
+/// engine must reproduce the NM pricing and exact answer.
 #[test]
 fn typed_count_replays_fig4_trajectories_bit_for_bit() {
     let runs = [
@@ -49,11 +51,24 @@ fn typed_count_replays_fig4_trajectories_bit_for_bit() {
         for t in 1..=steps {
             let _ = pipeline.advance(t);
 
-            let legacy = pipeline.query();
+            let view = pipeline.view();
+            let (n, width) = (view.len() as u64, view.entries().arity() as u64 + 1);
+            let scan = CostReport {
+                secure_compares: n,
+                secure_ands: n,
+                secure_adds: n,
+                bytes_communicated: n * width * 4 + 8,
+                rounds: 1,
+                ..CostReport::default()
+            };
             let typed = pipeline.execute_query(&Query::count());
-            assert_eq!(legacy.answer, typed.value.expect_scalar(), "t={t}");
-            assert_eq!(legacy.qet, typed.qet, "t={t}");
-            assert_eq!(legacy.report, typed.report, "t={t}");
+            assert_eq!(
+                typed.value.expect_scalar(),
+                view.true_cardinality() as u64,
+                "t={t}"
+            );
+            assert_eq!(typed.report, scan, "t={t}");
+            assert_eq!(typed.qet, CostModel::default().simulate(&scan), "t={t}");
             assert!(
                 typed.shards.is_none(),
                 "single-pair outcome has no breakdown"
@@ -188,9 +203,9 @@ fn query_mix() -> Vec<Query> {
 }
 
 proptest! {
-    /// Every `QueryEngine` implementation agrees with the plaintext logical ground
-    /// truth on random views: `ViewEngine` over the shared (dummy-padded) rows and
-    /// `NmBaselineEngine` over the same rows as its recomputed join.
+    /// The view scan and the NM baseline agree with the plaintext logical ground
+    /// truth on random views: `Query::execute` over the shared (dummy-padded) rows
+    /// and `NmBaselineEngine` over the same rows as its recomputed join.
     #[test]
     fn prop_engines_agree_with_plaintext_ground_truth(
         rows in proptest::collection::vec(
@@ -200,7 +215,7 @@ proptest! {
         dummies in 0usize..8,
     ) {
         let view = view_from_rows(&rows, dummies, 11);
-        let view_engine = ViewEngine::new(&view, CostModel::default());
+        let model = CostModel::default();
         let nm = NmBaselineEngine::with_joined_rows(
             rows.len() as u64 + 5,
             rows.len() as u64 + 3,
@@ -211,7 +226,7 @@ proptest! {
         );
         for q in query_mix() {
             let truth = q.evaluate_plaintext(&rows);
-            prop_assert_eq!(&view_engine.execute(&q).value, &truth, "view: {}", q.label());
+            prop_assert_eq!(&q.execute(&view, &model).value, &truth, "view: {}", q.label());
             prop_assert_eq!(&nm.execute(&q).value, &truth, "nm: {}", q.label());
         }
     }
@@ -226,9 +241,9 @@ proptest! {
         let b: Vec<Vec<u32>> = a.iter().map(|r| r.iter().map(|v| v ^ 21).collect()).collect();
         let view_a = view_from_rows(&a, 3, seed);
         let view_b = view_from_rows(&b, 3, seed ^ 1);
+        let model = CostModel::default();
         for q in query_mix() {
-            let ra = ViewEngine::new(&view_a, CostModel::default()).execute(&q);
-            let rb = ViewEngine::new(&view_b, CostModel::default()).execute(&q);
+            let (ra, rb) = (q.execute(&view_a, &model), q.execute(&view_b, &model));
             prop_assert_eq!(ra.report, rb.report, "{}", q.label());
             prop_assert_eq!(ra.qet, rb.qet, "{}", q.label());
         }

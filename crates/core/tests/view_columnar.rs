@@ -11,10 +11,10 @@
 use incshrink::prelude::*;
 use incshrink::AggregateSpec;
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
-use incshrink_oblivious::{
-    oblivious_count, oblivious_group_count_over_domain, oblivious_sum, Predicate,
-};
+use incshrink_oblivious::aggregate::sum_selected;
+use incshrink_oblivious::{oblivious_count, oblivious_group_count_over_domain, Predicate};
 use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_telemetry::{CostDelta, Event, InMemory};
 use proptest::prelude::*;
@@ -140,8 +140,8 @@ fn random_query(arity: usize, rng: &mut StdRng) -> Query {
     query
 }
 
-/// What the `&SharedArrayPair` operator the query's aggregate names charges for a
-/// scan of `array` (the filter never changes the charge).
+/// What the `&SharedArrayPair` operator the query's aggregate names (the lane body,
+/// for a sum) charges for a scan of `array` (the filter never changes the charge).
 fn record_major_charge(query: &Query, array: &SharedArrayPair) -> CostReport {
     let mut meter = CostMeter::new();
     let all = Predicate::all("all");
@@ -150,7 +150,8 @@ fn record_major_charge(query: &Query, array: &SharedArrayPair) -> CostReport {
             let _ = oblivious_count(array, &all, &mut meter);
         }
         AggregateSpec::Sum { field } => {
-            let _ = oblivious_sum(array, *field, &all, &mut meter);
+            let columns = SharedColumnsPair::from_pair(array);
+            let _ = sum_selected(&columns, *field, &columns.real_mask(), &mut meter);
         }
         AggregateSpec::GroupCount { field, domain } => {
             let _ = oblivious_group_count_over_domain(array, *field, domain, &all, &mut meter);
@@ -203,7 +204,7 @@ proptest! {
                 .collect();
             for _ in 0..3 {
                 let query = random_query(arity, &mut rng);
-                let outcome = ViewEngine::new(&view, model).execute(&query);
+                let outcome = query.execute(&view, &model);
                 prop_assert_eq!(
                     &outcome.value,
                     &query.evaluate_plaintext(&real_rows),
@@ -234,7 +235,7 @@ fn out_of_range_columns_match_nothing_and_cost_the_same() {
         .map(|r| r.fields)
         .collect();
     assert!(rows.len() > 10, "precondition: the view holds real rows");
-    let engine = ViewEngine::new(&view, CostModel::default());
+    let model = CostModel::default();
     let missing = arity + 5;
 
     type Case = (&'static str, fn(usize) -> Query, QueryValue);
@@ -262,32 +263,24 @@ fn out_of_range_columns_match_nothing_and_cost_the_same() {
         ),
     ];
     for (name, build, expected) in table {
-        let out_of_range = engine.execute(&build(missing));
+        let out_of_range = build(missing).execute(&view, &model);
         assert_eq!(out_of_range.value, expected, "{name}");
         assert_eq!(
             out_of_range.value,
             build(missing).evaluate_plaintext(&rows),
-            "{name}: engine follows the plaintext evaluation"
+            "{name}: the scan follows the plaintext evaluation"
         );
-        let in_range = engine.execute(&build(1));
+        let in_range = build(1).execute(&view, &model);
         assert_eq!(out_of_range.report, in_range.report, "{name}: cost report");
         assert_eq!(out_of_range.qet, in_range.qet, "{name}: qet");
     }
     // Every row passes the in-range forms of the two saturated filters, so the
     // zeros above come from the missing column, not from the bounds.
     let every = QueryValue::Scalar(rows.len() as u64);
-    assert_eq!(
-        engine
-            .execute(&Query::count().filter(FilterExpr::le(1, u32::MAX)))
-            .value,
-        every
-    );
-    assert_eq!(
-        engine
-            .execute(&Query::count().filter(FilterExpr::ge(1, 0)))
-            .value,
-        every
-    );
+    for saturated in [FilterExpr::le(1, u32::MAX), FilterExpr::ge(1, 0)] {
+        let query = Query::count().filter(saturated);
+        assert_eq!(query.execute(&view, &model).value, every);
+    }
 }
 
 /// View fingerprints of the two fig4-shaped trajectories, recorded with the

@@ -8,8 +8,6 @@
 //! * [`joint`] — the joint noise-adding protocol `JointNoise(S0, S1, Δ, ε, x)` of
 //!   Section 5.2, built on the simulated 2PC runtime so that neither server controls
 //!   or predicts the randomness.
-//! * [`svt`] — the Numeric Above Noisy Threshold mechanism (Algorithm 5) underpinning
-//!   `sDPANT`.
 //! * [`mechanisms`] — the leakage-profile mechanisms `M_timer` and `M_ant` used in the
 //!   security proofs (Theorems 7 & 8); implemented standalone so tests and benches can
 //!   compare the protocols' observable leakage against these mechanisms.
@@ -31,7 +29,6 @@ pub mod cut;
 pub mod joint;
 pub mod laplace;
 pub mod mechanisms;
-pub mod svt;
 
 pub use accountant::PrivacyAccountant;
 pub use bounds::timer_deferred_bound;
@@ -39,4 +36,3 @@ pub use cut::NoisyCutSizer;
 pub use joint::joint_laplace_noise;
 pub use laplace::{laplace_from_unit, LaplaceMechanism};
 pub use mechanisms::{TimerLeakage, UpdateLeakage};
-pub use svt::NumericAboveThreshold;

@@ -1,7 +1,6 @@
-//! Crate-boundary smoke test: Laplace mechanism sign/scale behaviour and SVT.
+//! Crate-boundary smoke test: Laplace mechanism sign/scale behaviour.
 
-use incshrink_dp::svt::SvtOutcome;
-use incshrink_dp::{laplace_from_unit, LaplaceMechanism, NumericAboveThreshold};
+use incshrink_dp::{laplace_from_unit, LaplaceMechanism};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,16 +30,4 @@ fn laplace_mechanism_empirical_mean_abs_matches_scale() {
         "mean |noise| {mean_abs} should approximate scale {}",
         mech.scale()
     );
-}
-
-#[test]
-fn svt_fires_above_threshold_with_loose_privacy() {
-    let mut rng = StdRng::seed_from_u64(5);
-    // Large ε: noise is negligible, so the outcome tracks the true comparison.
-    let mut svt = NumericAboveThreshold::new(10.0, 1.0, 400.0, &mut rng);
-    assert!(matches!(svt.step(0, &mut rng), SvtOutcome::Below));
-    assert!(matches!(
-        svt.step(50, &mut rng),
-        SvtOutcome::Released { .. }
-    ));
 }

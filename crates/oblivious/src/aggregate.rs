@@ -23,11 +23,11 @@
 //! lane they name in branch-free word arithmetic — a masked add per lane slot, no
 //! per-record allocation. An array that is column-major at rest (the materialized
 //! view) calls the bodies directly and pays no transposition; the
-//! `&SharedArrayPair` entry points ([`oblivious_count`], [`oblivious_sum`],
+//! `&SharedArrayPair` entry points ([`oblivious_count`],
 //! [`oblivious_group_count_over_domain`]) transpose once, take their mask from
-//! `Predicate::mask_columns` and run the same body.
+//! [`selection_mask`] and run the same body.
 
-use crate::filter::Predicate;
+use crate::filter::{selection_mask, Predicate};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
@@ -44,7 +44,7 @@ fn field_lane(columns: &SharedColumnsPair, field: usize) -> Option<Vec<u64>> {
 
 /// Count the rows of `columns` that `mask` selects — the lane body of
 /// [`oblivious_count`]. `mask` holds one 0/1 word per row (`isView ∧ predicate`, as
-/// `Predicate::mask_columns` builds it). Charges one secure comparison, one AND
+/// [`selection_mask`] builds it). Charges one secure comparison, one AND
 /// and one addition per row, the scanned shares as input traffic and 8 bytes for
 /// the revealed count — whatever the mask selects.
 ///
@@ -61,9 +61,10 @@ pub fn count_selected(columns: &SharedColumnsPair, mask: &[u64], meter: &mut Cos
     mask.iter().sum()
 }
 
-/// Sum `field` over the rows of `columns` that `mask` selects — the lane body of
-/// [`oblivious_sum`], with saturating 64-bit arithmetic. A column the array does
-/// not have sums to 0; the charge is the same either way.
+/// Sum `field` over the rows of `columns` that `mask` selects, with saturating
+/// 64-bit arithmetic (the paper's aggregates are counts; sums complete the
+/// analyst query layer's operator set). A column the array does not have sums
+/// to 0; the charge is the same either way.
 ///
 /// # Panics
 /// Panics when `mask` does not hold one word per row.
@@ -136,20 +137,8 @@ pub fn oblivious_count(
     meter: &mut CostMeter,
 ) -> u64 {
     let columns = SharedColumnsPair::from_pair(array);
-    count_selected(&columns, &predicate.mask_columns(&columns), meter)
-}
-
-/// Obliviously sum `field` over the real entries of `array` that satisfy `predicate`.
-/// Saturating 64-bit arithmetic (the paper's aggregates are counts; sums are provided
-/// for completeness of the operator set).
-pub fn oblivious_sum(
-    array: &SharedArrayPair,
-    field: usize,
-    predicate: &Predicate<'_>,
-    meter: &mut CostMeter,
-) -> u64 {
-    let columns = SharedColumnsPair::from_pair(array);
-    sum_selected(&columns, field, &predicate.mask_columns(&columns), meter)
+    let mask = selection_mask(&columns, &predicate.conjuncts);
+    count_selected(&columns, &mask, meter)
 }
 
 /// Obliviously count the real entries that satisfy `predicate`, grouped over a
@@ -176,13 +165,14 @@ pub fn oblivious_group_count_over_domain(
     meter: &mut CostMeter,
 ) -> Vec<u64> {
     let columns = SharedColumnsPair::from_pair(array);
-    let mask = predicate.mask_columns(&columns);
+    let mask = selection_mask(&columns, &predicate.conjuncts);
     group_count_selected(&columns, group_field, domain, &mask, meter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::FilterExpr;
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -198,6 +188,19 @@ mod tests {
         SharedArrayPair::share_records(&records, &mut rng)
     }
 
+    /// `SUM(field)` over the rows of `array` that `predicate` selects: the lane
+    /// body on the array's lanes.
+    fn sum(
+        array: &SharedArrayPair,
+        field: usize,
+        predicate: &Predicate<'_>,
+        meter: &mut CostMeter,
+    ) -> u64 {
+        let columns = SharedColumnsPair::from_pair(array);
+        let mask = selection_mask(&columns, &predicate.conjuncts);
+        sum_selected(&columns, field, &mask, meter)
+    }
+
     /// Record-major reference implementations (what the lane kernels replaced),
     /// kept as extensional-equality oracles.
     mod reference {
@@ -209,7 +212,7 @@ mod tests {
                 .iter()
                 .filter(|e| {
                     let plain = e.recover();
-                    plain.is_view && (predicate.test)(&plain.fields)
+                    plain.is_view && predicate.matches(&plain.fields)
                 })
                 .count() as u64
         }
@@ -220,7 +223,7 @@ mod tests {
                 .iter()
                 .map(|e| {
                     let plain = e.recover();
-                    if plain.is_view && (predicate.test)(&plain.fields) {
+                    if plain.is_view && predicate.matches(&plain.fields) {
                         u64::from(plain.fields.get(field).copied().unwrap_or(0))
                     } else {
                         0
@@ -238,7 +241,7 @@ mod tests {
             let mut counts = vec![0u64; domain.len()];
             for entry in array.entries() {
                 let plain = entry.recover();
-                if plain.is_view && (predicate.test)(&plain.fields) {
+                if plain.is_view && predicate.matches(&plain.fields) {
                     if let Some(&key) = plain.fields.get(group_field) {
                         for (slot, &value) in domain.iter().enumerate() {
                             if value == key {
@@ -268,11 +271,11 @@ mod tests {
         let mut meter = CostMeter::new();
         let arr = array_with(&[(1, 5), (2, 15), (3, 25)], 2);
         let all = Predicate::all("all");
-        assert_eq!(oblivious_sum(&arr, 1, &all, &mut meter), 45);
+        assert_eq!(sum(&arr, 1, &all, &mut meter), 45);
         let small = Predicate::le("f1 <= 15", 1, 15);
-        assert_eq!(oblivious_sum(&arr, 1, &small, &mut meter), 20);
+        assert_eq!(sum(&arr, 1, &small, &mut meter), 20);
         // Missing field sums to zero.
-        assert_eq!(oblivious_sum(&arr, 7, &all, &mut meter), 0);
+        assert_eq!(sum(&arr, 7, &all, &mut meter), 0);
     }
 
     #[test]
@@ -337,18 +340,20 @@ mod tests {
         let arr = SharedArrayPair::new();
         let all = Predicate::all("all");
         assert_eq!(oblivious_count(&arr, &all, &mut meter), 0);
-        assert_eq!(oblivious_sum(&arr, 0, &all, &mut meter), 0);
+        assert_eq!(sum(&arr, 0, &all, &mut meter), 0);
     }
 
-    /// Every predicate shape the lane kernels handle, plus the opaque fallback.
+    /// Every predicate shape the lane kernels handle.
     fn predicate_under_test(which: u8) -> Predicate<'static> {
-        match which % 4 {
-            0 => Predicate::all("all"),
-            1 => Predicate::le("le", 1, 40),
-            2 => Predicate::eq("eq", 0, 3),
-            _ => Predicate::new("opaque", |fields| {
-                fields.iter().copied().sum::<u32>() % 3 != 0
-            }),
+        let conjuncts = match which % 4 {
+            0 => vec![],
+            1 => vec![FilterExpr::le(1, 40)],
+            2 => vec![FilterExpr::eq(0, 3)],
+            _ => vec![FilterExpr::ge(0, 2), FilterExpr::le(1, 60)],
+        };
+        Predicate {
+            name: "under test",
+            conjuncts,
         }
     }
 
@@ -368,7 +373,7 @@ mod tests {
             let arr = array_with(&rows, 3);
             let all = Predicate::all("all");
             let expect: u64 = rows.iter().map(|&(_, v)| u64::from(v)).sum();
-            prop_assert_eq!(oblivious_sum(&arr, 1, &all, &mut meter), expect);
+            prop_assert_eq!(sum(&arr, 1, &all, &mut meter), expect);
         }
 
         #[test]
@@ -389,7 +394,7 @@ mod tests {
                 reference::count(&arr, &predicate)
             );
             prop_assert_eq!(
-                oblivious_sum(&arr, field, &predicate, &mut meter),
+                sum(&arr, field, &predicate, &mut meter),
                 reference::sum(&arr, field, &predicate)
             );
             let domain = [0u32, 1, 3, 5, 7, 11];

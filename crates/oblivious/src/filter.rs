@@ -1,4 +1,5 @@
-//! Oblivious selection (filter) — Appendix A.1.1.
+//! Oblivious selection (filter) — Appendix A.1.1 — and the one predicate language
+//! of the oblivious scans.
 //!
 //! Each input record can contribute to the output of a selection at most once, so no
 //! extra truncation machinery is needed. To preserve obliviousness the operator
@@ -6,88 +7,141 @@
 //! `isView` bit cleared and become dummies. The servers observe only the (public)
 //! input length.
 //!
-//! # Physical evaluation
-//! The operator recovers the input once into column-major lanes
-//! ([`incshrink_secretshare::SharedColumnsPair`]) and, for the structurally known
-//! predicate shapes ([`PredicateKind::All`] / [`PredicateKind::Le`] /
-//! [`PredicateKind::Eq`]), evaluates the keep mask as branch-free word arithmetic
-//! over whole lanes — no per-record allocation, no data-dependent branches.
-//! Arbitrary closures ([`PredicateKind::Opaque`]) fall back to a per-record
-//! evaluation over a reused scratch buffer. Either way the re-shared output draws
-//! its masks in exactly the order the record-major implementation did, so
-//! trajectories are bit-identical.
+//! # Predicates
+//! A selection is a conjunction of [`FilterExpr`] column tests. [`selection_mask`]
+//! lowers it once, to one 0/1 word per row (`isView ∧ conjuncts`) in branch-free
+//! arithmetic over column-major lanes ([`incshrink_secretshare::SharedColumnsPair`]):
+//! each conjunct reads only the lane it names, and a column the array does not have
+//! matches nothing. It is the only mask builder: [`oblivious_filter`], the
+//! `&SharedArrayPair` aggregates of [`crate::aggregate`] (through a [`Predicate`],
+//! a name plus conjuncts) and the analyst query layer's plan body all call it. The
+//! filter re-shares its output drawing masks in exactly the order the record-major
+//! implementation did, so trajectories are bit-identical.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, lt_word, SharedColumnsPair};
 use incshrink_secretshare::tuple::SharedRecordPair;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// Boxed predicate function over a record's plaintext field values.
-pub(crate) type PredicateFn<'a> = Box<dyn Fn(&[u32]) -> bool + 'a>;
-
-/// Structural shape of a [`Predicate`], discovered by its constructor.
-///
-/// The SoA filter and aggregate kernels evaluate the structured shapes as
-/// branch-free lane arithmetic; [`PredicateKind::Opaque`] closures are evaluated
-/// record by record. The two paths are extensionally identical — `kind` only
-/// selects the physical evaluation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredicateKind {
-    /// Matches every record.
-    All,
+/// One conjunct of a selection, over record columns. A record lacking the
+/// referenced column never matches (mirroring the join layer's treatment of
+/// malformed records).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FilterExpr {
     /// `fields[field] <= bound`.
     Le {
-        /// Index of the compared field.
+        /// Column index.
         field: usize,
         /// Inclusive upper bound.
         bound: u32,
     },
+    /// `fields[field] >= bound`.
+    Ge {
+        /// Column index.
+        field: usize,
+        /// Inclusive lower bound.
+        bound: u32,
+    },
     /// `fields[field] == value`.
     Eq {
-        /// Index of the compared field.
+        /// Column index.
         field: usize,
-        /// Value the field must equal.
+        /// The value to match.
         value: u32,
     },
-    /// Arbitrary closure; no lane form, evaluated per record.
-    Opaque,
 }
 
-/// A selection predicate over plaintext field values.
+impl FilterExpr {
+    /// `fields[field] <= bound`.
+    #[must_use]
+    pub fn le(field: usize, bound: u32) -> Self {
+        Self::Le { field, bound }
+    }
+
+    /// `fields[field] >= bound`.
+    #[must_use]
+    pub fn ge(field: usize, bound: u32) -> Self {
+        Self::Ge { field, bound }
+    }
+
+    /// `fields[field] == value`.
+    #[must_use]
+    pub fn eq(field: usize, value: u32) -> Self {
+        Self::Eq { field, value }
+    }
+
+    /// Evaluate the conjunct over a record's plaintext fields — the rule
+    /// [`selection_mask`] computes obliviously, and the plaintext ground truth.
+    #[must_use]
+    pub fn matches(&self, fields: &[u32]) -> bool {
+        match *self {
+            Self::Le { field, bound } => fields.get(field).is_some_and(|&v| v <= bound),
+            Self::Ge { field, bound } => fields.get(field).is_some_and(|&v| v >= bound),
+            Self::Eq { field, value } => fields.get(field) == Some(&value),
+        }
+    }
+}
+
+impl fmt::Display for FilterExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::Le { field, bound } => write!(f, "f{field} <= {bound}"),
+            Self::Ge { field, bound } => write!(f, "f{field} >= {bound}"),
+            Self::Eq { field, value } => write!(f, "f{field} == {value}"),
+        }
+    }
+}
+
+/// The selection `isView ∧ conjuncts` as one 0/1 word per row of `columns`,
+/// lowered conjunct by conjunct to branch-free lane arithmetic. Each conjunct reads
+/// only the column it names; as in [`FilterExpr::matches`], a column the array does
+/// not have matches nothing.
+#[must_use]
+pub fn selection_mask(columns: &SharedColumnsPair, conjuncts: &[FilterExpr]) -> Vec<u64> {
+    let mut mask = columns.real_mask();
+    for conjunct in conjuncts {
+        match *conjunct {
+            // v <= bound  ⇔  ¬(bound < v)
+            FilterExpr::Le { field, bound } => {
+                columns.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(u64::from(bound), v));
+            }
+            // v >= bound  ⇔  ¬(v < bound)
+            FilterExpr::Ge { field, bound } => {
+                columns.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(v, u64::from(bound)));
+            }
+            FilterExpr::Eq { field, value } => {
+                columns.narrow_mask(field, &mut mask, |v| eq_word(v, u64::from(value)));
+            }
+        }
+    }
+    mask
+}
+
+/// A named selection predicate: a conjunction of [`FilterExpr`]s (none = every
+/// real record).
 ///
-/// The closure is evaluated "inside" the simulated MPC: in a garbled-circuit
+/// The conjuncts are evaluated "inside" the simulated MPC: in a garbled-circuit
 /// execution the predicate circuit would see the joint value without revealing it to
 /// either server. The cost accounting charges one secure comparison and one AND gate
 /// per record regardless of the outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predicate<'a> {
-    /// Human-readable name used in logs and plan explanations.
+    /// Human-readable name used in logs.
     pub name: &'a str,
-    /// The predicate function over the record's fields.
-    pub test: PredicateFn<'a>,
-    /// Structural shape, used to pick the physical evaluation strategy.
-    pub kind: PredicateKind,
+    /// The conjuncts every selected record satisfies.
+    pub conjuncts: Vec<FilterExpr>,
 }
 
 impl<'a> Predicate<'a> {
-    /// Build a predicate from a closure. The closure's structure is unknown, so
-    /// kernels evaluate it record by record ([`PredicateKind::Opaque`]).
-    #[must_use]
-    pub fn new(name: &'a str, test: impl Fn(&[u32]) -> bool + 'a) -> Self {
-        Self {
-            name,
-            test: Box::new(test),
-            kind: PredicateKind::Opaque,
-        }
-    }
-
-    /// The always-true predicate (an unfiltered scan); evaluates lane-wise.
+    /// The always-true predicate (an unfiltered scan).
     #[must_use]
     pub fn all(name: &'a str) -> Self {
         Self {
             name,
-            test: Box::new(|_| true),
-            kind: PredicateKind::All,
+            conjuncts: Vec::new(),
         }
     }
 
@@ -96,58 +150,14 @@ impl<'a> Predicate<'a> {
     pub fn le(name: &'a str, field: usize, bound: u32) -> Self {
         Self {
             name,
-            test: Box::new(move |fields| fields.get(field).copied().unwrap_or(u32::MAX) <= bound),
-            kind: PredicateKind::Le { field, bound },
+            conjuncts: vec![FilterExpr::le(field, bound)],
         }
     }
 
-    /// Equality predicate on one field.
-    #[must_use]
-    pub fn eq(name: &'a str, field: usize, value: u32) -> Self {
-        Self {
-            name,
-            test: Box::new(move |fields| fields.get(field).copied() == Some(value)),
-            kind: PredicateKind::Eq { field, value },
-        }
-    }
-
-    /// Evaluate `is_view ∧ predicate` over a column-major array, producing a 0/1
-    /// mask word per record. Structured kinds run branch-free and read only the
-    /// `isView` lane and the one field lane they name; opaque closures recover
-    /// every lane and gather each record's fields into a reused scratch buffer.
-    #[must_use]
-    pub(crate) fn mask_columns(&self, columns: &SharedColumnsPair) -> Vec<u64> {
-        let mut mask = columns.real_mask();
-        match self.kind {
-            PredicateKind::All => {}
-            // Missing field reads as u32::MAX: matches only a saturated bound.
-            PredicateKind::Le { field, bound } if field >= columns.arity() => {
-                if bound != u32::MAX {
-                    mask.fill(0);
-                }
-            }
-            PredicateKind::Le { field, bound } => {
-                // a <= bound  ⇔  ¬(bound < a)
-                columns.narrow_mask(field, &mut mask, |a| 1 ^ lt_word(u64::from(bound), a));
-            }
-            // Missing field never equals anything.
-            PredicateKind::Eq { field, value } => {
-                columns.narrow_mask(field, &mut mask, |a| eq_word(a, u64::from(value)));
-            }
-            PredicateKind::Opaque => {
-                let lanes: Vec<Vec<u64>> = (0..columns.arity())
-                    .map(|f| columns.recovered_field_lane(f))
-                    .collect();
-                let mut scratch = vec![0u32; lanes.len()];
-                for (i, m) in mask.iter_mut().enumerate() {
-                    for (slot, lane) in scratch.iter_mut().zip(&lanes) {
-                        *slot = lane[i] as u32;
-                    }
-                    *m = u64::from(*m != 0 && (self.test)(&scratch));
-                }
-            }
-        }
-        mask
+    /// Whether a record's plaintext fields satisfy every conjunct.
+    #[cfg(test)]
+    pub(crate) fn matches(&self, fields: &[u32]) -> bool {
+        self.conjuncts.iter().all(|c| c.matches(fields))
     }
 }
 
@@ -174,7 +184,7 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
     meter.round();
 
     let columns = SharedColumnsPair::from_pair(input);
-    let keep = predicate.mask_columns(&columns);
+    let keep = selection_mask(&columns, &predicate.conjuncts);
     let lanes: Vec<Vec<u64>> = (0..columns.arity())
         .map(|f| columns.recovered_field_lane(f))
         .collect();
@@ -195,6 +205,9 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{
+        count_selected, group_count_selected, oblivious_count, oblivious_group_count_over_domain,
+    };
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -218,7 +231,7 @@ mod tests {
         meter.round();
         for entry in input.entries() {
             let plain = entry.recover();
-            let keep = plain.is_view && (predicate.test)(&plain.fields);
+            let keep = plain.is_view && predicate.matches(&plain.fields);
             let rewritten = PlainRecord {
                 fields: plain.fields,
                 is_view: keep,
@@ -238,6 +251,13 @@ mod tests {
             PlainRecord::real(vec![7, 70]),
         ];
         SharedArrayPair::share_records(&records, &mut rng)
+    }
+
+    fn conjunction(conjuncts: &[FilterExpr]) -> Predicate<'static> {
+        Predicate {
+            name: "conjunction",
+            conjuncts: conjuncts.to_vec(),
+        }
     }
 
     #[test]
@@ -265,19 +285,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut meter = CostMeter::new();
         let input = input_array();
-        let pred = Predicate::eq("field1 == 70", 1, 70);
+        let pred = conjunction(&[FilterExpr::eq(1, 70)]);
         let out = oblivious_filter(&input, &pred, &mut meter, &mut rng);
         assert_eq!(out.true_cardinality(), 1);
 
-        // Predicate over a non-existent field matches nothing (le with u32::MAX bound
-        // would match everything, eq never matches).
-        let pred = Predicate::eq("missing", 9, 1);
+        // A conjunct over a non-existent field matches nothing, whatever its bound:
+        // a missing field does not read as u32::MAX.
+        let pred = conjunction(&[FilterExpr::eq(9, 1)]);
         let out = oblivious_filter(&input, &pred, &mut meter, &mut rng);
         assert_eq!(out.true_cardinality(), 0);
-        assert_eq!(pred.name, "missing");
         let le_missing_saturated = Predicate::le("missing <= MAX", 9, u32::MAX);
         let out = oblivious_filter(&input, &le_missing_saturated, &mut meter, &mut rng);
-        assert_eq!(out.true_cardinality(), 3);
+        assert_eq!(out.true_cardinality(), 0);
         let le_missing = Predicate::le("missing <= 5", 9, 5);
         let out = oblivious_filter(&input, &le_missing, &mut meter, &mut rng);
         assert_eq!(out.true_cardinality(), 0);
@@ -285,18 +304,16 @@ mod tests {
 
     #[test]
     fn constructors_record_their_structure() {
-        assert_eq!(Predicate::all("all").kind, PredicateKind::All);
+        assert!(Predicate::all("all").conjuncts.is_empty());
         assert_eq!(
-            Predicate::le("le", 1, 9).kind,
-            PredicateKind::Le { field: 1, bound: 9 }
+            Predicate::le("le", 1, 9).conjuncts,
+            [FilterExpr::Le { field: 1, bound: 9 }]
         );
-        assert_eq!(
-            Predicate::eq("eq", 0, 3).kind,
-            PredicateKind::Eq { field: 0, value: 3 }
-        );
-        assert_eq!(Predicate::new("f", |_| true).kind, PredicateKind::Opaque);
-        // `all()` and the equivalent opaque closure agree through the closure too.
-        assert!((Predicate::all("all").test)(&[1, 2]));
+        assert_eq!(Predicate::le("le", 1, 9).name, "le");
+        assert_eq!(FilterExpr::eq(0, 3), FilterExpr::Eq { field: 0, value: 3 });
+        assert_eq!(FilterExpr::ge(2, 5).to_string(), "f2 >= 5");
+        // The empty conjunction matches every record.
+        assert!(Predicate::all("all").matches(&[1, 2]));
     }
 
     #[test]
@@ -305,11 +322,11 @@ mod tests {
         let input = input_array();
 
         let mut m1 = CostMeter::new();
-        let all = Predicate::new("always", |_| true);
+        let all = Predicate::all("always");
         let _ = oblivious_filter(&input, &all, &mut m1, &mut rng);
 
         let mut m2 = CostMeter::new();
-        let none = Predicate::new("never", |_| false);
+        let none = Predicate::le("never", 9, 0);
         let _ = oblivious_filter(&input, &none, &mut m2, &mut rng);
 
         assert_eq!(m1.report(), m2.report());
@@ -320,21 +337,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut meter = CostMeter::new();
         let input = SharedArrayPair::new();
-        let pred = Predicate::new("always", |_| true);
+        let pred = Predicate::all("always");
         let out = oblivious_filter(&input, &pred, &mut meter, &mut rng);
         assert!(out.is_empty());
     }
 
-    /// Every predicate shape the lane kernel handles, plus the opaque fallback.
+    /// Every predicate shape the lane kernel handles.
     fn predicate_under_test(which: u8) -> Predicate<'static> {
-        match which % 5 {
+        match which % 4 {
             0 => Predicate::all("all"),
             1 => Predicate::le("le", 0, 7),
-            2 => Predicate::eq("eq", 1, 3),
-            3 => Predicate::le("le-missing", 9, u32::MAX),
-            _ => Predicate::new("opaque", |fields| {
-                fields.iter().copied().sum::<u32>() % 2 == 0
-            }),
+            2 => conjunction(&[FilterExpr::eq(1, 3)]),
+            _ => Predicate::le("le-missing", 9, u32::MAX),
+        }
+    }
+
+    /// A conjunct of the given shape; columns 2 and 3 of arity-2 rows are missing.
+    fn conjunct((shape, field, bound): (u8, usize, u32)) -> FilterExpr {
+        match shape {
+            0 => FilterExpr::le(field, bound),
+            1 => FilterExpr::ge(field, bound),
+            _ => FilterExpr::eq(field, bound),
         }
     }
 
@@ -342,7 +365,7 @@ mod tests {
         #[test]
         fn prop_soa_filter_extensionally_equals_aos_filter(
             rows in proptest::collection::vec((0u32..12, 0u32..6, any::<bool>()), 0..40),
-            which in 0u8..5,
+            which in 0u8..4,
             seed in 0u64..1000,
         ) {
             let mut share_rng = StdRng::seed_from_u64(seed);
@@ -365,6 +388,50 @@ mod tests {
             prop_assert_eq!(soa, aos);
             prop_assert_eq!(meter_soa.report(), meter_aos.report());
             prop_assert_eq!(rng_soa.gen::<u64>(), rng_aos.gen::<u64>());
+        }
+
+        /// The `&SharedArrayPair` operators equal the lane bodies run directly on
+        /// `selection_mask`, for every conjunct shape, missing columns included —
+        /// and the mask is the plaintext rule `isView ∧ FilterExpr::matches`.
+        #[test]
+        fn prop_array_operators_equal_the_lane_bodies_for_every_filter_shape(
+            rows in proptest::collection::vec((0u32..12, 0u32..12, any::<bool>()), 0..40),
+            shapes in proptest::collection::vec((0u8..3, 0usize..4, 0u32..12), 0..4),
+            group_field in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let records: Vec<PlainRecord> = rows
+                .iter()
+                .map(|&(a, b, real)| PlainRecord { fields: vec![a, b], is_view: real })
+                .collect();
+            let input = SharedArrayPair::share_records(&records, &mut rng);
+            let conjuncts: Vec<FilterExpr> = shapes.into_iter().map(conjunct).collect();
+            let predicate = conjunction(&conjuncts);
+            let columns = SharedColumnsPair::from_pair(&input);
+            let mask = selection_mask(&columns, &conjuncts);
+
+            let plain: Vec<u64> = records
+                .iter()
+                .map(|r| u64::from(r.is_view && predicate.matches(&r.fields)))
+                .collect();
+            prop_assert_eq!(&mask, &plain);
+
+            let (mut operator, mut body) = (CostMeter::new(), CostMeter::new());
+            prop_assert_eq!(
+                oblivious_count(&input, &predicate, &mut operator),
+                count_selected(&columns, &mask, &mut body)
+            );
+            let domain = [0u32, 1, 3, 5, 7, 11];
+            prop_assert_eq!(
+                oblivious_group_count_over_domain(&input, group_field, &domain, &predicate, &mut operator),
+                group_count_selected(&columns, group_field, &domain, &mask, &mut body)
+            );
+            prop_assert_eq!(operator.report(), body.report());
+
+            let filtered = oblivious_filter(&input, &predicate, &mut CostMeter::new(), &mut rng);
+            let kept: Vec<u64> = filtered.recover_all().iter().map(|r| u64::from(r.is_view)).collect();
+            prop_assert_eq!(kept, mask);
         }
     }
 }

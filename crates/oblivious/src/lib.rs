@@ -7,7 +7,8 @@
 //!   merge tournament, the kept wires) for every sort, merge and top-`k` selection;
 //!   data-independent comparison sequence, so the access pattern leaks nothing.
 //! * [`filter`] — oblivious selection: every input row is emitted, only the hidden
-//!   `isView` bit distinguishes matches from dummies (Appendix A.1.1).
+//!   `isView` bit distinguishes matches from dummies (Appendix A.1.1); and the one
+//!   predicate language, [`FilterExpr`] conjuncts lowered once to a lane mask.
 //! * [`join`] — `b`-truncated oblivious joins: sort-merge (Example 5.1, plus its
 //!   delta-oriented variant with the nested-loop output contract) and nested-loop
 //!   (Algorithm 4), with analytic per-operator cost models.
@@ -38,9 +39,9 @@ pub mod sort;
 #[cfg(test)]
 mod table;
 
-pub use aggregate::{oblivious_count, oblivious_group_count_over_domain, oblivious_sum};
+pub use aggregate::{oblivious_count, oblivious_group_count_over_domain};
 pub use compact::cache_read;
-pub use filter::{oblivious_filter, Predicate};
+pub use filter::{oblivious_filter, selection_mask, FilterExpr, Predicate};
 pub use join::{
     nested_loop_join_cost, push_padded, truncated_match_rows, truncated_nested_loop_join,
     truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,

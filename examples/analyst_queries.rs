@@ -1,7 +1,8 @@
-//! The typed analyst query API: build [`Query`]s with the AST, run them through the
-//! [`QueryEngine`] backends — single-pair [`ViewEngine`], the S = 4 cluster's
-//! `ScatterGatherExecutor`, and the [`NmBaselineEngine`] — and compare the answers
-//! against the generalized logical ground truths.
+//! The typed analyst query API: build [`Query`]s with the AST, run each one as a
+//! fused oblivious scan of a single pair's view ([`Query::execute`]), of the S = 4
+//! cluster's shard views merged by `ScatterGatherExecutor::merge`, and through the
+//! [`NmBaselineEngine`] — and compare the answers against the generalized logical
+//! ground truths.
 //!
 //! ```bash
 //! cargo run --example analyst_queries --release
@@ -36,11 +37,11 @@ fn main() {
     ];
     println!("analyst query mix (TPC-ds, {steps} epochs):");
     for q in &queries {
-        println!("  {:<24} -> {}", q.label(), q.compile().explain());
+        println!("  {:<24} -> {}", q.label(), q.explain());
     }
 
     // 3. Single-pair run: maintain the view with the sDPTimer defaults, then answer
-    //    every query with one fused oblivious view scan (ViewEngine).
+    //    every query with one fused oblivious view scan.
     let mut single = ShardPipeline::new(dataset.clone(), config, 0xFEED, CostModel::default());
     for t in 1..=steps {
         let _ = single.advance(t);
@@ -70,8 +71,11 @@ fn main() {
         &rows,
     );
 
-    let views: Vec<&_> = pipelines.iter().map(ShardPipeline::view).collect();
-    let cluster = ScatterGatherExecutor::over(CostModel::default(), views);
+    let merger = ScatterGatherExecutor::new(CostModel::default());
+    let cluster = |q: &Query| {
+        let partials: Vec<_> = pipelines.iter().map(|p| p.execute_query(q)).collect();
+        merger.merge(q, &partials)
+    };
     println!(
         "\n{:<24} {:>14} {:>10} {:>14} {:>10} {:>12}",
         "query", "single answer", "L1", "cluster answer", "L1", "NM QET gap"
@@ -79,7 +83,7 @@ fn main() {
     for q in &queries {
         let truth = q.evaluate_plaintext(&rows);
         let sv = single.execute_query(q);
-        let cv = cluster.execute(q);
+        let cv = cluster(q);
         let nm_outcome = nm.execute(q);
         let show = |v: &QueryValue| match v {
             QueryValue::Scalar(s) => s.to_string(),
@@ -96,10 +100,7 @@ fn main() {
         );
     }
 
-    let breakdown = cluster
-        .execute(&queries[0])
-        .shards
-        .expect("cluster breakdown");
+    let breakdown = cluster(&queries[0]).shards.expect("cluster breakdown");
     println!(
         "\ncluster QET decomposes into the slowest shard scan ({:.4}s) plus the \
          {}-shard aggregation tree ({:.4}s); the NM baseline recomputes the full \

@@ -3,8 +3,9 @@
 //! architecture notes, the CI workflows or the verify recipe mention is read
 //! somewhere in the Rust sources, every `--bin <name>` they run is a bench
 //! binary, every `--example <name>` is a registered example, and every
-//! back-ticked Rust path (`a::b`) in the prose names declared identifiers. A
-//! deleted knob, binary, example or item cannot linger in the docs.
+//! back-ticked Rust path (`a::b`) or bare CamelCase name (`Query`) in the prose
+//! names declared identifiers. A deleted knob, binary, example or item cannot
+//! linger in the docs.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -145,6 +146,22 @@ fn rust_paths(text: &str) -> Vec<Vec<String>> {
         }
     }
     paths
+}
+
+/// The back-ticked spans of `text` that are one bare CamelCase identifier
+/// (`Query`, `SharedColumnsPair`): an upper-case first letter, a lower-case
+/// letter somewhere, nothing but identifier characters.
+fn bare_type_names(text: &str) -> BTreeSet<String> {
+    text.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| {
+            span.starts_with(|c: char| c.is_ascii_uppercase())
+                && span.contains(|c: char| c.is_ascii_lowercase())
+                && span.chars().all(ident_char)
+        })
+        .map(str::to_string)
+        .collect()
 }
 
 /// Every identifier the sources declare: items, fields, enum variants, module
@@ -299,6 +316,9 @@ fn documented_examples_are_registered_and_exist() {
     assert!(missing.is_empty(), "no such example: {missing:#?}");
 }
 
+/// Standard-library names the prose mentions bare.
+const STD_TYPES: [&str; 3] = ["PartialEq", "Vec", "VecDeque"];
+
 #[test]
 fn documented_rust_paths_name_declared_identifiers() {
     let mut sources = Vec::new();
@@ -317,9 +337,12 @@ fn documented_rust_paths_name_declared_identifiers() {
         .iter()
         .filter(|p| p.exists())
     {
-        for path in rust_paths(&strip_code_fences(&read(doc))) {
-            if path[0] == "std" {
-                continue; // the standard library is declared elsewhere
+        let text = strip_code_fences(&read(doc));
+        let bare = bare_type_names(&text).into_iter().map(|name| vec![name]);
+        for path in rust_paths(&text).into_iter().chain(bare) {
+            // The standard library is declared elsewhere.
+            if path[0] == "std" || STD_TYPES.contains(&path[0].as_str()) {
+                continue;
             }
             let unknown: Vec<&String> = path.iter().filter(|id| !declared.contains(*id)).collect();
             if !unknown.is_empty() {
@@ -358,5 +381,11 @@ fn the_scanners_take_whole_names() {
     assert_eq!(
         rust_paths(&strip_code_fences(text)),
         [vec!["a", "b"], vec!["x", "y", "z"], vec!["shrink", "sync"]]
+    );
+    let text = "`QueryEngine` and `Vec<u64>`, `ALL_CAPS`, `isView`, `Query::count`, \
+                `B` and `PartialEq`; not Unticked";
+    assert_eq!(
+        bare_type_names(text).into_iter().collect::<Vec<_>>(),
+        ["PartialEq", "QueryEngine"]
     );
 }
