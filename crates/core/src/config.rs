@@ -8,9 +8,8 @@
 //! and contribution budget b = 10 / 20 for the TPC-ds / CPDB workloads respectively.
 //!
 //! There is no execution knob beside the paper parameters: Transform runs once per
-//! upload step, and which truncated-join operator it charges is not a knob either —
-//! the planner (`incshrink_oblivious::planner`) charges the cheaper one under the
-//! run's cost model.
+//! upload step, and every join it charges is Algorithm 4's truncated nested loop
+//! ([`incshrink_oblivious::nested_loop_join_cost`]), whatever the cost model.
 
 use serde::{Deserialize, Serialize};
 

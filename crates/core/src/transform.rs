@@ -50,14 +50,14 @@
 //!   of the window's *shares* is kept here: the store holds them and nothing
 //!   downstream observes their words — ΔV's shares are drawn fresh from the
 //!   per-invocation stream in [`incshrink_oblivious::push_padded`].
-//! * **Why mirror-driven matching is the same simulated circuit.** Every truncated
-//!   join operator in `incshrink_oblivious::join` derives its output from
+//! * **Why mirror-driven matching is the same simulated circuit.** Algorithm 4's
+//!   share-array operator derives its output from
 //!   [`incshrink_oblivious::truncated_match_rows`] over recovered plaintext and
 //!   charges the data-independent schedule separately. The mirror *is* the
 //!   recovered plaintext of the window's real rows (a dummy never matches), in the
 //!   window's block order, and a candidate walk visits matching inner rows in
 //!   ascending position order — the order the operator's scan does — so ΔV and
-//!   truncation losses are identical to running the planned share-array operator
+//!   truncation losses are identical to running that operator
 //!   over the store's padded window shares, and so is the `CostReport`
 //!   (lockstep-tested over both).
 //! * **The budget is a stamp.** Every mirrored record carries the last step it may
@@ -79,26 +79,25 @@
 //!   length at export, live for a full `b/ω − 1` steps (no imported record has more
 //!   steps left than a fresh one). A cluster that migrates at every cooldown pays
 //!   for it in Transform seconds.
-//! * **One join path, planned on the public shape.** Each direction's join is
-//!   charged as the truncated operator the planner
-//!   ([`incshrink_oblivious::planner`]) prices lower under the run's cost model —
-//!   Algorithm 4's nested loop or Example 5.1's sort-merge join, which emit the same
-//!   ΔV — for the shape `(|Δ|, window rows, ω, arities)`. Both candidates' reports
-//!   are memoised per shape, so a repeated shape costs two dot products. The match
-//!   runs inside a span named after the planned operator, which records its cost.
-//!   Where either operator sorts an array only to keep its first slots (each
-//!   per-outer buffer, the delta form's emission), it is priced as the top-k
-//!   selection network ([`incshrink_oblivious::Network::select`], which drops every
-//!   comparator feeding no kept slot): the same slots on fixed public wires, so ΔV
-//!   and every released size are those of the full sort. At both benchmark window shapes the nested loop wins; the
-//!   sort-merge join wins `fig9`'s scaled deltas under the LAN model (TPC-ds at
-//!   scale 4: 28 rows against a 192-row window, ω = 1).
+//! * **One join operator, priced on the public shape.** Each direction's join is
+//!   charged as Algorithm 4's truncated nested loop:
+//!   [`incshrink_oblivious::nested_loop_join_cost`] at `(|Δ|, window rows, ω,
+//!   output arity)`, memoised per shape, so the operation schedule is a function of
+//!   the public sizes alone and never of the cost model, which only turns the
+//!   schedule into seconds. The match runs inside a `join.nested_loop` span, which
+//!   records that cost. Algorithm 4 sorts each per-outer buffer only to keep its
+//!   first ω slots, so the sort is priced as the top-ω selection network
+//!   ([`incshrink_oblivious::Network::select`], which drops every comparator feeding
+//!   no kept slot): the same slots on fixed public wires, so ΔV and every released
+//!   size are those of the full sort.
 
 use crate::view::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
+use incshrink_mpc::hash::FxHashMap;
 use incshrink_mpc::PartyExec;
-use incshrink_oblivious::planner::{JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
-use incshrink_oblivious::{push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef};
+use incshrink_oblivious::{
+    nested_loop_join_cost, push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef,
+};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{ActiveWindow, RecordId, UploadBatch};
@@ -429,15 +428,12 @@ impl DeltaOut {
     }
 }
 
-/// Open the span one direction's match runs in, named after the planned operator,
-/// and charge the planned report on the meter and on the span.
-fn join_span(plan: &JoinPlan, meter: &mut CostMeter) -> Span {
-    let mut span = match plan.algorithm {
-        JoinAlgorithm::NestedLoop => incshrink_telemetry::span!("join.nested_loop"),
-        JoinAlgorithm::SortMerge => incshrink_telemetry::span!("join.sort_merge"),
-    };
-    span.record_cost(plan.report.into());
-    meter.record(plan.report);
+/// Open the span one direction's match runs in and charge the join's report on
+/// the meter and on the span.
+fn join_span(report: CostReport, meter: &mut CostMeter) -> Span {
+    let mut span = incshrink_telemetry::span!("join.nested_loop");
+    span.record_cost(report.into());
+    meter.record(report);
     span
 }
 
@@ -462,13 +458,13 @@ pub struct TransformOutcome {
 /// # Leakage
 /// Everything the servers observe — upload batch sizes, ΔV sizes, the counter
 /// reshare cadence, the join operation schedule — is a deterministic function of
-/// public quantities: the padded sizes of the batches uploaded so far, `b`, ω and
-/// the planning cost model. In particular the inner side of every join is the
-/// public active window (padded batch lengths of the last `b/ω − 1` steps, or the
-/// range of the public relation the step numbers fix), never the number of *real*
-/// active records or the span of a delta's private time column: two upload streams
-/// of equal padded sizes get equal `CostReport`s at every step (property-tested in
-/// `tests/incremental.rs`).
+/// public quantities: the padded sizes of the batches uploaded so far, `b` and ω —
+/// not the cost model, which prices the schedule but never picks it. In particular
+/// the inner side of every join is the public active window (padded batch lengths
+/// of the last `b/ω − 1` steps, or the range of the public relation the step
+/// numbers fix), never the number of *real* active records or the span of a
+/// delta's private time column: two upload streams of equal padded sizes get
+/// equal `CostReport`s at every step (property-tested in `tests/incremental.rs`).
 pub struct TransformProtocol {
     view: ViewDefinition,
     /// `left ⋈ right` and its mirror, built once (each boxes its θ-condition).
@@ -481,8 +477,8 @@ pub struct TransformProtocol {
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
-    /// Both join operators' reports per public shape planned so far.
-    plans: PlanMemo,
+    /// [`nested_loop_join_cost`] per `(outer, inner, output arity)` priced so far.
+    join_costs: FxHashMap<(usize, usize, usize), CostReport>,
     /// Upload steps covered so far — the clock the window blocks expire on.
     covered: u64,
     total_truncation_losses: u64,
@@ -509,7 +505,7 @@ impl TransformProtocol {
             active_left: ActiveRelation::new(view.left_key),
             active_right: ActiveRelation::new(view.right_key),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
-            plans: PlanMemo::default(),
+            join_costs: FxHashMap::default(),
             covered: 0,
             total_truncation_losses: 0,
         }
@@ -586,13 +582,29 @@ impl TransformProtocol {
         }
     }
 
+    /// [`nested_loop_join_cost`] of `outer` padded rows against `inner`, priced once
+    /// per shape. A run meets few shapes, so a new one that finds the memo full
+    /// just starts it over.
+    fn join_cost(&mut self, outer: usize, inner: usize, out_arity: usize) -> CostReport {
+        const CAPACITY: usize = 256;
+        let shape = (outer, inner, out_arity);
+        if self.join_costs.len() >= CAPACITY && !self.join_costs.contains_key(&shape) {
+            self.join_costs.clear();
+        }
+        let omega = self.omega as usize;
+        *self
+            .join_costs
+            .entry(shape)
+            .or_insert_with(|| nested_loop_join_cost(outer, inner, omega, out_arity))
+    }
+
     /// Run one Transform invocation over the owner deltas submitted at one upload
     /// step: eviction of expired records, the truncated match of each delta against
     /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
     /// recover/reshare, and the step's arrivals joining the window and turning
-    /// active. Each direction's join is planned on its public shape — `|Δ|` against
-    /// the other side's window rows, or against the public rows the step fixes —
-    /// and charged as the operator the context's cost model prices lower.
+    /// active. Each direction's join is charged as Algorithm 4 at its public shape:
+    /// `|Δ|` against the other side's window rows, or against the public rows the
+    /// step fixes.
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -613,7 +625,7 @@ impl TransformProtocol {
             .unwrap_or(left_arity);
         let out_arity = left_arity + right_arity;
         let omega = self.omega as usize;
-        // Plan each direction's join on its public shape: the inner side is the
+        // Price each direction's join on its public shape: the inner side is the
         // other relation's window before this step's arrivals join it.
         let upload_step = delta_left.time;
         let inner_of_left = match &self.public_right {
@@ -621,20 +633,10 @@ impl TransformProtocol {
             None => self.active_right.window.rows(),
         };
         let inner_of_right = self.active_left.window.rows();
-        let model = ctx.cost_model();
-        let mut plan = |outer: usize, inner: usize| {
-            let shape = JoinShape {
-                outer,
-                inner,
-                bound: omega,
-                out_arity,
-                merged_arity: left_arity.max(right_arity) + 2,
-            };
-            self.plans.plan(shape, &model)
-        };
-        let left_plan = plan(delta_left.len(), inner_of_left);
-        let right_plan = delta_right.map(|batch| plan(batch.len(), inner_of_right));
-        let window_rows = inner_of_left + right_plan.map_or(0, |_| inner_of_right);
+        let left_join = self.join_cost(delta_left.len(), inner_of_left, out_arity);
+        let right_join =
+            delta_right.map(|batch| self.join_cost(batch.len(), inner_of_right, out_arity));
+        let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
 
         let mut out = DeltaOut {
             rows: SharedArrayPair::with_arity(out_arity),
@@ -658,7 +660,7 @@ impl TransformProtocol {
                 }),
             "the public range is fixed by the step: a record's time is its upload step"
         );
-        let span = join_span(&left_plan, ctx.meter());
+        let span = join_span(left_join, ctx.meter());
         let (mut new_entries, mut potential_pairs) = match &self.public_right {
             Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
             None => self
@@ -669,8 +671,8 @@ impl TransformProtocol {
 
         // --- ΔV part 2: new right records ⋈ accumulated left relation
         // (private-right workloads only).
-        if let (Some(outer_right), Some(right_plan)) = (&outer_right, &right_plan) {
-            let span = join_span(right_plan, ctx.meter());
+        if let (Some(outer_right), Some(right_join)) = (&outer_right, right_join) {
+            let span = join_span(right_join, ctx.meter());
             let (entries, pairs) = self.active_left.join_into(
                 &mut out,
                 outer_right,
@@ -720,7 +722,6 @@ mod tests {
     use super::*;
     use incshrink_mpc::cost::CostModel;
     use incshrink_mpc::{PartyContext, PartyMode};
-    use incshrink_oblivious::plan_join;
     use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
     use proptest::prelude::*;
 
@@ -1127,50 +1128,33 @@ mod tests {
     }
 
     #[test]
-    fn the_context_cost_model_drives_the_plan_choice() {
+    fn the_cost_model_moves_seconds_not_the_schedule() {
         // 28-row deltas at ω = 1, b = 10 against windows of up to nine batches of
-        // 28: under LAN the sort-merge join wins once the window is large enough,
-        // under WAN its extra rounds keep the nested loop. Each invocation charges
-        // its model's plan for both directions; the plan moves no release.
+        // 28 — the shape of fig9's scaled TPC-ds deltas. Under the LAN and the WAN
+        // model every invocation charges Algorithm 4 for both directions and the
+        // same report, and releases the same ΔV; only the seconds differ.
         let run = |model: CostModel| {
             let mut ctx = PartyContext::new(PartyMode::InProcess, 9, model);
             let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
             (1..=12u64)
                 .map(|t| {
                     let (left_window, right_window) = transform.window_rows();
-                    let plan = |inner| plan_join(shape_28(inner), &model);
-                    let plans = [plan(right_window), plan(left_window)];
+                    let joins = nested_loop_join_cost(28, right_window, 1, 4)
+                        + nested_loop_join_cost(28, left_window, 1, 4);
                     let left = batch(Relation::Left, t, &[(2 * t, 1, t as u32)], 28);
                     let right = batch(Relation::Right, t, &[(2 * t + 1, 1, t as u32)], 28);
                     let out = transform.invoke(&mut ctx, &left, Some(&right));
-                    let joins: CostReport = plans.iter().map(|plan| plan.report).sum();
                     let rest = out.report.saturating_sub(joins);
-                    assert_eq!(rest + joins, out.report, "t={t}: both plans are charged");
-                    (plans[0].algorithm, rest, out.delta.len(), out.new_entries)
+                    assert_eq!(rest + joins, out.report, "t={t}: both joins are charged");
+                    let schedule = (out.report, out.delta.len(), out.new_entries);
+                    (schedule, out.duration)
                 })
                 .collect::<Vec<_>>()
         };
         let (lan, wan) = (run(CostModel::default()), run(CostModel::wan()));
-        assert!(
-            lan.iter().zip(&wan).any(|(l, w)| {
-                (l.0, w.0) == (JoinAlgorithm::SortMerge, JoinAlgorithm::NestedLoop)
-            }),
-            "no step where LAN plans sort-merge and WAN the nested loop"
-        );
         for (t, (l, w)) in lan.iter().zip(&wan).enumerate() {
-            assert_eq!(l.1, w.1, "t={}: only the joins depend on the model", t + 1);
-            assert_eq!((l.2, l.3), (w.2, w.3), "t={}: ΔV is model-free", t + 1);
-        }
-    }
-
-    /// A 28-row TPC-ds-shaped delta against `inner` window rows, ω = 1.
-    fn shape_28(inner: usize) -> JoinShape {
-        JoinShape {
-            outer: 28,
-            inner,
-            bound: 1,
-            out_arity: 4,
-            merged_arity: 4,
+            assert_eq!(l.0, w.0, "t={}: the schedule is model-free", t + 1);
+            assert!(l.1 < w.1, "t={}: WAN prices it slower", t + 1);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Incremental-Transform invariants: the mirror-driven, persistently indexed
-//! invocation must be indistinguishable from the planner-chosen share-array operator
+//! invocation must be indistinguishable from Algorithm 4's share-array operator
 //! over the padded share rows of the store's public active window, its cost must be
 //! a function of padded sizes only at every step and never above paper-literal
 //! Algorithm 4's over the same window.
@@ -9,7 +9,9 @@ use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE}
 use incshrink::ViewDefinition;
 use incshrink_mpc::cost::{CostModel, CostReport};
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
-use incshrink_oblivious::{batcher_pair_count, plan_and_execute, plan_join, JoinShape, JoinSpec};
+use incshrink_oblivious::{
+    batcher_pair_count, nested_loop_join_cost, truncated_nested_loop_join, JoinSpec,
+};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, UploadBatch};
@@ -79,8 +81,8 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
 }
 
 /// Algorithm 1 written from scratch over the share-array operators and the store:
-/// every invocation runs the operator [`plan_and_execute`] picks under the context's
-/// cost model, per direction, over the *padded share rows* of the store's active
+/// every invocation runs [`truncated_nested_loop_join`] (Algorithm 4) per
+/// direction over the *padded share rows* of the store's active
 /// window (dummies included, blocks in arrival order) — or, for a public right
 /// relation, over a sharing of the rows the step number fixes — then hands the
 /// step's batches to the store. It keeps no budgets and no active set: the window
@@ -170,12 +172,11 @@ impl ReferenceTransform {
 
         let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
         let bound = self.omega as usize;
-        let model = ctx.cost_model();
         let mut join = |outer: &SharedArrayPair,
                         inner: &SharedArrayPair,
                         spec: &JoinSpec<'_>,
                         ctx: &mut PartyContext| {
-            plan_and_execute(outer, inner, spec, bound, &model, ctx.meter(), &mut rng).0
+            truncated_nested_loop_join(outer, inner, spec, bound, ctx.meter(), &mut rng)
         };
         let outer = &delta_left.records;
         let mut potential = self.pairs(&Self::real_rows(outer), &Self::real_rows(&inner_right));
@@ -214,7 +215,7 @@ proptest! {
     /// contending for one inner row, across budgets from "retired on arrival" to
     /// several steps — every invocation's ΔV (recovered rows in order, length,
     /// `new_entries`), its `CostReport`, the truncation losses and the active
-    /// counts equal the planner-chosen share-array operator over the padded share
+    /// counts equal Algorithm 4's share-array operator over the padded share
     /// rows of the store's window. Nothing else is charged: there is no gap term.
     #[test]
     fn prop_transform_equals_the_share_array_operator_in_lockstep(
@@ -378,13 +379,13 @@ fn algorithm_4(outer: usize, inner: usize, omega: usize, out_arity: usize) -> Co
 
 /// End to end, on both workloads: every invocation's modeled Transform seconds are
 /// at most those of paper-literal Algorithm 4 over the same window — the
-/// invocation's report with each planned join replaced by [`algorithm_4`] at its
-/// public shape — so planning and the top-ω selection can only lower
-/// `modeled_mpc_s`, and both workloads' windows are where they do. The shapes
+/// invocation's report with each join's [`nested_loop_join_cost`] replaced by
+/// [`algorithm_4`] at its public shape — so the top-ω selection can only lower
+/// `modeled_mpc_s`, and both workloads' windows are where it does. The shapes
 /// come from the public sizes alone: each delta against the other side's window
 /// (an `OutsourcedStore` fed the same batches), or CPDB's Award rows the step fixes.
 #[test]
-fn planned_transform_never_costs_more_than_algorithm_4() {
+fn transform_never_costs_more_than_algorithm_4() {
     let runs = [
         (
             tpcds(120),
@@ -409,10 +410,8 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
         for t in 1..=dataset.params.steps {
             let uploads = pipeline.upload_batches(t);
             let arity = |batch: &UploadBatch| batch.records.arity();
-            let left_arity = arity(&uploads.left).unwrap_or(0);
             let right_arity = uploads.right.as_ref().and_then(arity).or(public_arity);
-            let right_arity = right_arity.unwrap_or(0);
-            let out_arity = left_arity + right_arity;
+            let out_arity = arity(&uploads.left).unwrap_or(0) + right_arity.unwrap_or(0);
             let inner_of_left = match public {
                 Some(rows) => {
                     let steps = t as u32..=t as u32 + view.window;
@@ -429,25 +428,16 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
             }
             store.ingest(uploads.left.clone());
 
-            let planned = pipeline.advance_with_uploads(t, uploads).transform_report;
-            let planned = planned.expect("the timer transforms every step");
+            let charged = pipeline.advance_with_uploads(t, uploads).transform_report;
+            let charged = charged.expect("the timer transforms every step");
             let joins: CostReport = shapes
                 .iter()
-                .map(|&(outer, inner)| {
-                    let shape = JoinShape {
-                        outer,
-                        inner,
-                        bound: omega,
-                        out_arity,
-                        merged_arity: left_arity.max(right_arity) + 2,
-                    };
-                    plan_join(shape, &model).report
-                })
+                .map(|&(outer, inner)| nested_loop_join_cost(outer, inner, omega, out_arity))
                 .sum();
-            let rest = planned.saturating_sub(joins);
+            let rest = charged.saturating_sub(joins);
             assert_eq!(
                 rest + joins,
-                planned,
+                charged,
                 "{kind} t={t}: the joins are in the report"
             );
             let paper = rest
@@ -455,12 +445,12 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
                     .iter()
                     .map(|&(outer, inner)| algorithm_4(outer, inner, omega, out_arity))
                     .sum();
-            let (planned, paper) = (model.simulate(&planned), model.simulate(&paper));
+            let (charged, paper) = (model.simulate(&charged), model.simulate(&paper));
             assert!(
-                planned <= paper,
-                "{kind} t={t}: planned {planned:?} above Algorithm 4's {paper:?}"
+                charged <= paper,
+                "{kind} t={t}: charged {charged:?} above Algorithm 4's {paper:?}"
             );
-            cheaper_steps += usize::from(planned < paper);
+            cheaper_steps += usize::from(charged < paper);
         }
         assert!(cheaper_steps > 0, "{kind}: never cheaper than Algorithm 4");
     }
@@ -472,7 +462,7 @@ fn planned_transform_never_costs_more_than_algorithm_4() {
 /// gate counts were re-recorded when the join input became the public active
 /// window, TPC-ds's report again when its joins began to be planned, and both
 /// when the truncated joins' "sort, then keep the first ω" became a top-ω
-/// selection network (both windows now plan the nested loop; TPC-ds's ANDs, bytes
+/// selection network (both windows now charge the nested loop; TPC-ds's ANDs, bytes
 /// and rounds are those of the nested loop again), and CPDB's compares and swaps
 /// when that network dropped the comparators feeding no kept slot (ω = 1 leaves
 /// nothing to drop).

@@ -18,7 +18,7 @@
 //! implementations could silently break it.
 
 use crate::channel::{PartyEndpoint, WireCounters};
-use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
+use crate::cost::{CostMeter, CostReport, SimDuration};
 use crate::party::ObservedEvent;
 use crate::runtime::JointRandomness;
 use incshrink_secretshare::PartyId;
@@ -118,9 +118,6 @@ pub trait PartyExec: sealed::Sealed {
     /// In tcp mode it also asserts that the real socket bytes reconcile with
     /// the metered ones.
     fn charge(&mut self) -> (CostReport, SimDuration);
-    /// The model [`Self::charge`] prices reports with: what a protocol choosing
-    /// between equivalent oblivious operators minimises.
-    fn cost_model(&self) -> CostModel;
     /// Current logical time step.
     fn time_step(&self) -> u64;
     /// Advance the logical time step by one epoch.

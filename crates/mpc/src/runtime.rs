@@ -270,10 +270,6 @@ impl PartyExec for PartyContext {
         (report, duration)
     }
 
-    fn cost_model(&self) -> CostModel {
-        self.meter.model()
-    }
-
     fn time_step(&self) -> u64 {
         self.time_step
     }

@@ -1,34 +1,34 @@
 //! Truncated oblivious joins and their cost models.
 //!
-//! Two instantiations of the paper's *truncated view transformation*, plus the
-//! analytic cost functions the join planner ([`crate::planner`]) chooses between:
+//! Two instantiations of the paper's *truncated view transformation*, each with
+//! the analytic cost function its physical operator meters:
 //!
 //! * [`truncated_nested_loop_join`] — Algorithm 4: for each outer tuple, scan the
 //!   inner table, generate joins only while both tuples have remaining contribution
 //!   budget, and keep the first `b` slots of each per-outer buffer in sorted order.
-//!   The output is exhaustively padded to `b · |outer|` entries.
+//!   The output is exhaustively padded to `b · |outer|` entries. This is Transform's
+//!   one join operator: every invocation charges [`nested_loop_join_cost`] at each
+//!   direction's public shape.
 //! * [`truncated_sort_merge_delta_join`] — the delta-oriented instantiation of
-//!   Example 5.1's sort-merge join used by the incremental Transform hot path: union
-//!   both tables, obliviously sort by join key (left-table records break ties
-//!   first), scan emitting `b` slots per merged tuple, then obliviously compact the
-//!   emission down to the *public* `b · |outer|` prefix, so it is a drop-in
-//!   replacement for the nested-loop operator (identical output contract, different
-//!   cost profile).
+//!   Example 5.1's sort-merge join: union both tables, obliviously sort by join key
+//!   (left-table records break ties first), scan emitting `b` slots per merged
+//!   tuple, then obliviously compact the emission down to the *public*
+//!   `b · |outer|` prefix, so it has the nested-loop operator's output contract and
+//!   a different cost profile. It is a standalone operator: Transform never runs
+//!   it, the benchmark probes it next to the nested loop.
 //!
-//! The two operators the planner chooses between sort an array only to keep its
-//! head: Algorithm 4 the first `b` of each `|inner|`-slot buffer, the delta form the
-//! first `b · |outer|` of its emission. Each is priced with the top-k selection network
+//! Both operators sort an array only to keep its head: Algorithm 4 the first `b` of
+//! each `|inner|`-slot buffer, the delta form the first `b · |outer|` of its
+//! emission. Each is priced with the top-k selection network
 //! ([`crate::sort::Network::select`]), which leaves exactly those slots, in
 //! order, on fixed public wires — the same function and the same leakage as the
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
 //! Algorithm 4), for fewer comparators and record-wide swaps.
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
-//! on the input lengths and the truncation bound, never on the data. The per-operator
-//! reports are exposed as [`nested_loop_join_cost`] and
-//! `delta_sort_merge_join_cost`; [`crate::planner::plan_join`] prices both under a
-//! cost model to pick the cheaper operator for a public shape, and
-//! [`crate::planner::plan_and_execute`] runs the winner.
+//! on the input lengths and the truncation bound, never on the data. The
+//! per-operator reports are exposed as [`nested_loop_join_cost`] and
+//! `delta_sort_merge_join_cost`.
 //!
 //! ```
 //! use incshrink_oblivious::{truncated_nested_loop_join, JoinSpec};
@@ -403,9 +403,8 @@ pub fn nested_loop_join_cost(
 /// selection network (`Network::select(bound·n, bound·|outer|)` compares +
 /// swaps — the compaction keeps the real slots first and the cut reads only the
 /// prefix, so the rest of the emission is never ordered), and write the output.
-/// Every term is work the operator does on the arrays it is handed, so
-/// [`crate::planner::plan_join`] compares two executable plans. Depends only on
-/// public sizes, never on data.
+/// Every term is work the operator does on the arrays it is handed. Depends only
+/// on public sizes, never on data.
 #[must_use]
 pub(crate) fn delta_sort_merge_join_cost(
     outer_len: usize,
@@ -506,9 +505,7 @@ pub fn push_padded<R: Rng + ?Sized>(
 /// # Cost
 /// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, out_arity)`:
 /// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer top-`bound`
-/// selection networks (`|inner| − 1` comparators each at `bound = 1`) — the
-/// quadratic term the join planner ([`crate::planner`]) trades against the
-/// sort-merge variant.
+/// selection networks (`|inner| − 1` comparators each at `bound = 1`).
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
     inner: &SharedArrayPair,
@@ -543,9 +540,9 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 /// union–sort–scan pipeline followed by an oblivious compaction to the public
 /// `bound · |outer|` output prefix.
 ///
-/// This is the operator the join planner substitutes for
-/// [`truncated_nested_loop_join`] where it prices lower (large `|outer|` against a
-/// large inner relation): it produces the **same output contract** (exhaustively
+/// A standalone alternative to [`truncated_nested_loop_join`], cheaper under the
+/// LAN model for a large `|outer|` against a large inner relation; Transform does
+/// not run it. It produces the **same output contract** (exhaustively
 /// padded to `bound · |outer|` entries, identical real join tuples via
 /// `truncated_match`) but replaces the `|outer|·|inner|` compare matrix and the
 /// `|outer|` per-buffer selections with one Batcher sort per run (the
@@ -677,20 +674,53 @@ mod tests {
     fn sort_merge_join_matches_nested_loop_semantics() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut meter = CostMeter::new();
-        let sales = sales_table().share(&mut rng);
-        let returns = returns_table().share(&mut rng);
-        let spec = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
-        let smj = truncated_sort_merge_delta_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
-        assert_eq!(smj.len(), 2 * sales.len());
+        // Q1 over the sales and returns tables; then a padded outer (dummies
+        // included) under a θ-condition that several inner rows per key pass.
+        let mut left = PlainTable::new(&["k", "t"]);
+        let mut right = PlainTable::new(&["k", "t"]);
+        (0..9u32).for_each(|i| left.push_row(vec![i % 4, i]));
+        (0..9u32).for_each(|i| right.push_row(vec![i % 4, i + 2]));
+        let inputs = [
+            (
+                sales_table().share(&mut rng),
+                returns_table().share(&mut rng),
+                JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10),
+            ),
+            (
+                left.share_padded(12, &mut rng),
+                right.share(&mut rng),
+                JoinSpec::with_condition(0, 0, |l, r| r[1] >= l[1]),
+            ),
+        ];
+        for (outer, inner, spec) in &inputs {
+            let smj = truncated_sort_merge_delta_join(outer, inner, spec, 2, &mut meter, &mut rng);
+            let nlj = truncated_nested_loop_join(outer, inner, spec, 2, &mut meter, &mut rng);
+            assert_eq!(smj.len(), 2 * outer.len());
+            assert_eq!(nlj.len(), smj.len());
+            assert_eq!(real_rows(&smj), real_rows(&nlj));
+        }
+    }
 
-        let spec2 = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
-        let nlj = truncated_nested_loop_join(&sales, &returns, &spec2, 2, &mut meter, &mut rng);
-
-        let mut a = real_rows(&smj);
-        let mut b = real_rows(&nlj);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+    #[test]
+    fn cost_functions_match_physical_execution() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut left = PlainTable::new(&["k", "t"]);
+        let mut right = PlainTable::new(&["k", "t"]);
+        (0..7u32).for_each(|i| left.push_row(vec![i % 3, i]));
+        (0..19u32).for_each(|i| right.push_row(vec![i % 3, i + 1]));
+        let (l, r) = (left.share(&mut rng), right.share(&mut rng));
+        let spec = JoinSpec::equi(0, 0);
+        let (mut nested_loop, mut sort_merge) = (CostMeter::new(), CostMeter::new());
+        let nlj = truncated_nested_loop_join(&l, &r, &spec, 2, &mut nested_loop, &mut rng);
+        let smj = truncated_sort_merge_delta_join(&l, &r, &spec, 2, &mut sort_merge, &mut rng);
+        assert_eq!(
+            (nlj.len(), smj.len()),
+            (14, 14),
+            "output contract: b · |outer|"
+        );
+        assert_eq!(nested_loop.report(), nested_loop_join_cost(7, 19, 2, 4));
+        let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 4, 4);
+        assert_eq!(sort_merge.report(), sort_merge_cost);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! * [`filter`] — oblivious selection: every input row is emitted, only the hidden
 //!   `isView` bit distinguishes matches from dummies (Appendix A.1.1); and the one
 //!   predicate language, [`FilterExpr`] conjuncts lowered once to a lane mask.
-//! * [`join`] — `b`-truncated oblivious joins: sort-merge (Example 5.1, plus its
-//!   delta-oriented variant with the nested-loop output contract) and nested-loop
-//!   (Algorithm 4), with analytic per-operator cost models.
-//! * [`planner`] — cost-based join planning: charge the truncated-join operator a
-//!   cost model prices lower at the public input shape.
+//! * [`join`] — `b`-truncated oblivious joins: Algorithm 4's nested loop, the one
+//!   operator Transform charges, with its analytic cost; and the delta-oriented
+//!   form of Example 5.1's sort-merge join (same output contract), kept as a
+//!   standalone operator the benchmark probes.
 //! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
 //!   `isView` order so real tuples precede dummies, then cut a prefix of a given
 //!   (DP-noised) size. The secure cache keeps its runs ordered with [`sort`]'s
@@ -33,7 +32,6 @@ pub mod aggregate;
 pub mod compact;
 pub mod filter;
 pub mod join;
-pub mod planner;
 pub mod shuffle;
 pub mod sort;
 #[cfg(test)]
@@ -46,7 +44,6 @@ pub use join::{
     nested_loop_join_cost, push_padded, truncated_match_rows, truncated_nested_loop_join,
     truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,
 };
-pub use planner::{plan_and_execute, plan_join, JoinAlgorithm, JoinPlan, JoinShape, PlanMemo};
 pub use shuffle::{
     bucket_of, destination_of, shuffle_route, shuffle_route_mapped, VIRTUAL_BUCKETS,
 };

@@ -90,9 +90,9 @@ pub(crate) fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
 ///
 /// This is the primitive every join cost model in this crate is built on: the
 /// comparator count is a *public* function of the (public) input length, so pricing a
-/// network — or letting the join planner compare two candidate networks — leaks
-/// nothing beyond what the array sizes already reveal. Cost-model callers invoke it
-/// several times per Transform flush with arguments as large as the padded emission
+/// network leaks nothing beyond what the array sizes already reveal. Cost-model
+/// callers invoke it on every join shape Transform's memo has not seen, and the
+/// sort-merge join's cost with arguments as large as the padded emission
 /// (`bound · n`), so it must never pay a near-linear walk.
 #[must_use]
 pub fn batcher_pair_count(n: usize) -> u64 {
@@ -290,10 +290,11 @@ impl<'a> Network<'a> {
     }
 
     /// The network planned, without materialising it: the tournament's
-    /// comparators, or the Batcher sort's where those are no more. The join planner
-    /// plans both candidates on every shape its memo has not seen, hence no
-    /// allocation, and the tally's memo: without it a planner miss walks every
-    /// block, ~100× slower at an emission of 10 × 5 000 wires.
+    /// comparators, or the Batcher sort's where those are no more. Transform prices
+    /// a selection on every join shape its memo has not seen, hence no allocation;
+    /// the sort-merge join's cost selects over its whole emission, hence the
+    /// tally's memo: without it that select walks every block, ~100× slower at an
+    /// emission of 10 × 5 000 wires.
     fn new(blocks: Blocks<'a>, sorted: bool, keep: usize) -> Self {
         let mut network = Network {
             blocks,
