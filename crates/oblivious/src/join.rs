@@ -674,31 +674,33 @@ mod tests {
     fn sort_merge_join_matches_nested_loop_semantics() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut meter = CostMeter::new();
-        // Q1 over the sales and returns tables; then a padded outer (dummies
-        // included) under a θ-condition that several inner rows per key pass.
+        let sales = sales_table().share(&mut rng);
+        let returns = returns_table().share(&mut rng);
+        let spec = JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10);
+        let smj = truncated_sort_merge_delta_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
+        let nlj = truncated_nested_loop_join(&sales, &returns, &spec, 2, &mut meter, &mut rng);
+        assert_eq!(smj.len(), 2 * sales.len());
+        assert_eq!(nlj.len(), smj.len());
+        assert_eq!(real_rows(&smj), real_rows(&nlj));
+    }
+
+    #[test]
+    fn both_operators_produce_identical_real_tuples() {
+        // A padded outer (dummies included) under a θ-condition that several
+        // inner rows per key pass.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut meter = CostMeter::new();
         let mut left = PlainTable::new(&["k", "t"]);
         let mut right = PlainTable::new(&["k", "t"]);
         (0..9u32).for_each(|i| left.push_row(vec![i % 4, i]));
         (0..9u32).for_each(|i| right.push_row(vec![i % 4, i + 2]));
-        let inputs = [
-            (
-                sales_table().share(&mut rng),
-                returns_table().share(&mut rng),
-                JoinSpec::with_condition(0, 0, |l, r| r[1].saturating_sub(l[1]) <= 10),
-            ),
-            (
-                left.share_padded(12, &mut rng),
-                right.share(&mut rng),
-                JoinSpec::with_condition(0, 0, |l, r| r[1] >= l[1]),
-            ),
-        ];
-        for (outer, inner, spec) in &inputs {
-            let smj = truncated_sort_merge_delta_join(outer, inner, spec, 2, &mut meter, &mut rng);
-            let nlj = truncated_nested_loop_join(outer, inner, spec, 2, &mut meter, &mut rng);
-            assert_eq!(smj.len(), 2 * outer.len());
-            assert_eq!(nlj.len(), smj.len());
-            assert_eq!(real_rows(&smj), real_rows(&nlj));
-        }
+        let (l, r) = (left.share_padded(12, &mut rng), right.share(&mut rng));
+        let spec = JoinSpec::with_condition(0, 0, |a, b| b[1] >= a[1]);
+        let nlj = truncated_nested_loop_join(&l, &r, &spec, 2, &mut meter, &mut rng);
+        let smj = truncated_sort_merge_delta_join(&l, &r, &spec, 2, &mut meter, &mut rng);
+        assert_eq!(smj.len(), 2 * l.len());
+        assert_eq!(nlj.len(), smj.len());
+        assert_eq!(real_rows(&nlj), real_rows(&smj));
     }
 
     #[test]
