@@ -8,8 +8,9 @@
 //! `goldens/fig4.fingerprint` in every party execution mode.
 //!
 //! On a mismatch the test writes the recomputed file beside the run and fails,
-//! naming the first differing row. A declared move is re-blessed by copying
-//! that file over the golden, so it shows up as a reviewable diff.
+//! naming each differing field with the number of rows it differs in, and the
+//! first differing row. A declared move is re-blessed by copying that file over
+//! the golden, so it shows up as a reviewable diff.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -80,6 +81,50 @@ fn rows(text: &str) -> Vec<Value> {
     }
 }
 
+/// The value of field `name` in `row`, when `row` is an object that has it.
+fn field<'a>(row: &'a Value, name: &str) -> Option<&'a Value> {
+    match row {
+        Value::Object(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// The field names of `row`, in order; none when it is not an object.
+fn names(row: &Value) -> Vec<&str> {
+    match row {
+        Value::Object(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Every field that differs between paired rows, with the number of rows it
+/// differs in, in order of first appearance: `total_mpc_secs ×14, …`.
+fn differing_fields(want: &[Value], got: &[Value]) -> String {
+    let mut tally: Vec<(&str, usize)> = Vec::new();
+    for (w, g) in want.iter().zip(got) {
+        let mut fields = names(w);
+        for name in names(g) {
+            if !fields.contains(&name) {
+                fields.push(name);
+            }
+        }
+        for name in fields
+            .into_iter()
+            .filter(|name| field(w, name) != field(g, name))
+        {
+            match tally.iter_mut().find(|(seen, _)| *seen == name) {
+                Some((_, count)) => *count += 1,
+                None => tally.push((name, 1)),
+            }
+        }
+    }
+    let tally: Vec<String> = tally
+        .iter()
+        .map(|(name, n)| format!("{name} ×{n}"))
+        .collect();
+    tally.join(", ")
+}
+
 /// Where two stripped envelopes first part.
 fn first_difference(golden: &str, run: &str) -> String {
     if golden.is_empty() {
@@ -88,7 +133,8 @@ fn first_difference(golden: &str, run: &str) -> String {
     let (want, got) = (rows(golden), rows(run));
     match want.iter().zip(&got).position(|(w, g)| w != g) {
         Some(i) => format!(
-            "row {i} differs:\n  golden: {}\n  run:    {}",
+            "fields that differ: {}\nrow {i} differs:\n  golden: {}\n  run:    {}",
+            differing_fields(&want, &got),
             serde_json::to_string(&want[i]).expect("render"),
             serde_json::to_string(&got[i]).expect("render")
         ),
@@ -197,20 +243,13 @@ fn elastic_matches_golden() {
     // What the golden must keep saying, whatever a re-bless moves: the smoke
     // profile plans a split, and every run's ε-ledger reconciles.
     let golden = std::fs::read_to_string(Path::new(GOLDENS).join("elastic.json")).unwrap();
-    let field = |row: &Value, name: &str| match row {
-        Value::Object(entries) => entries
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    };
     let rows = rows(&golden);
     assert!(rows
         .iter()
-        .all(|row| field(row, "ledger_reconciles") == Some(Value::Bool(true))));
+        .all(|row| field(row, "ledger_reconciles") == Some(&Value::Bool(true))));
     assert!(rows
         .iter()
-        .any(|row| matches!(field(row, "splits"), Some(Value::UInt(n)) if n >= 1)));
+        .any(|row| matches!(field(row, "splits"), Some(&Value::UInt(n)) if n >= 1)));
 }
 
 #[test]

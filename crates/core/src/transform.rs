@@ -36,9 +36,10 @@
 //!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
 //!   the horizon); the whole-relation price is one
 //!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
-//!   that wants it (plus `|Δ|·(batcher_pair_count(n) − Network::select(n,
-//!   ω).count())` compares and record-wide swaps for the paper's full per-buffer sorts). A
-//!   *public* right relation (CPDB's Award table) is scanned over
+//!   that wants it. The paper's full per-buffer sorts add `|Δ|·(batcher_pair_count(n)
+//!   − Network::select(n, ω).count())` compares to it, and swap whole output rows
+//!   at every comparator where the selection swaps only the inner columns and the
+//!   match flag. A *public* right relation (CPDB's Award table) is scanned over
 //!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
 //!   number, since a record's time column is its upload step — two
 //!   `partition_point`s on a time column sorted once in [`TransformProtocol::new`].
@@ -82,14 +83,18 @@
 //! * **One join operator, priced on the public shape.** Each direction's join is
 //!   charged as Algorithm 4's truncated nested loop:
 //!   [`incshrink_oblivious::nested_loop_join_cost`] at `(|Δ|, window rows, ω,
-//!   output arity)`, memoised per shape, so the operation schedule is a function of
-//!   the public sizes alone and never of the cost model, which only turns the
-//!   schedule into seconds. The match runs inside a `join.nested_loop` span, which
-//!   records that cost. Algorithm 4 sorts each per-outer buffer only to keep its
-//!   first ω slots, so the sort is priced as the top-ω selection network
+//!   outer arity, inner arity)`, memoised per shape, so the operation schedule is a
+//!   function of the public sizes alone and never of the cost model, which only
+//!   turns the schedule into seconds. The match runs inside a `join.nested_loop`
+//!   span, which records that cost. Algorithm 4 sorts each per-outer buffer only to
+//!   keep its first ω slots, so the sort is priced as the top-ω selection network
 //!   ([`incshrink_oblivious::Network::select`], which drops every comparator feeding
-//!   no kept slot): the same slots on fixed public wires, so ΔV and every released
-//!   size are those of the full sort.
+//!   no kept slot and takes the cheaper of two leaf lengths): the same slots on
+//!   fixed public wires, so ΔV and every released size are those of the full sort.
+//!   The network carries what varies across one buffer, the inner tuple's columns
+//!   and the match flag; the outer tuple's shares, the same in every slot, are
+//!   copied into the kept slots after it, a local operation with no gate (a
+//!   declared kernel substitution, docs/ARCHITECTURE.md's Algorithm 4 row).
 
 use crate::view::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
@@ -477,8 +482,9 @@ pub struct TransformProtocol {
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
-    /// [`nested_loop_join_cost`] per `(outer, inner, output arity)` priced so far.
-    join_costs: FxHashMap<(usize, usize, usize), CostReport>,
+    /// [`nested_loop_join_cost`] per `(outer, inner, outer arity, inner arity)`
+    /// priced so far.
+    join_costs: FxHashMap<(usize, usize, usize, usize), CostReport>,
     /// Upload steps covered so far — the clock the window blocks expire on.
     covered: u64,
     total_truncation_losses: u64,
@@ -582,12 +588,12 @@ impl TransformProtocol {
         }
     }
 
-    /// [`nested_loop_join_cost`] of `outer` padded rows against `inner`, priced once
-    /// per shape. A run meets few shapes, so a new one that finds the memo full
-    /// just starts it over.
-    fn join_cost(&mut self, outer: usize, inner: usize, out_arity: usize) -> CostReport {
+    /// [`nested_loop_join_cost`] of `outer` padded rows against `inner`, with the
+    /// two sides' arities, priced once per shape. A run meets few shapes, so a new
+    /// one that finds the memo full just starts it over.
+    fn join_cost(&mut self, outer: usize, inner: usize, arities: (usize, usize)) -> CostReport {
         const CAPACITY: usize = 256;
-        let shape = (outer, inner, out_arity);
+        let shape = (outer, inner, arities.0, arities.1);
         if self.join_costs.len() >= CAPACITY && !self.join_costs.contains_key(&shape) {
             self.join_costs.clear();
         }
@@ -595,7 +601,7 @@ impl TransformProtocol {
         *self
             .join_costs
             .entry(shape)
-            .or_insert_with(|| nested_loop_join_cost(outer, inner, omega, out_arity))
+            .or_insert_with(|| nested_loop_join_cost(outer, inner, omega, arities.0, arities.1))
     }
 
     /// Run one Transform invocation over the owner deltas submitted at one upload
@@ -633,9 +639,9 @@ impl TransformProtocol {
             None => self.active_right.window.rows(),
         };
         let inner_of_right = self.active_left.window.rows();
-        let left_join = self.join_cost(delta_left.len(), inner_of_left, out_arity);
-        let right_join =
-            delta_right.map(|batch| self.join_cost(batch.len(), inner_of_right, out_arity));
+        let left_join = self.join_cost(delta_left.len(), inner_of_left, (left_arity, right_arity));
+        let right_join = delta_right
+            .map(|batch| self.join_cost(batch.len(), inner_of_right, (right_arity, left_arity)));
         let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
 
         let mut out = DeltaOut {
@@ -1139,8 +1145,8 @@ mod tests {
             (1..=12u64)
                 .map(|t| {
                     let (left_window, right_window) = transform.window_rows();
-                    let joins = nested_loop_join_cost(28, right_window, 1, 4)
-                        + nested_loop_join_cost(28, left_window, 1, 4);
+                    let joins = nested_loop_join_cost(28, right_window, 1, 2, 2)
+                        + nested_loop_join_cost(28, left_window, 1, 2, 2);
                     let left = batch(Relation::Left, t, &[(2 * t, 1, t as u32)], 28);
                     let right = batch(Relation::Right, t, &[(2 * t + 1, 1, t as u32)], 28);
                     let out = transform.invoke(&mut ctx, &left, Some(&right));

@@ -23,7 +23,10 @@
 //! ([`crate::sort::Network::select`]), which leaves exactly those slots, in
 //! order, on fixed public wires — the same function and the same leakage as the
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
-//! Algorithm 4), for fewer comparators and record-wide swaps.
+//! Algorithm 4), for fewer comparators and swaps. Algorithm 4's network also
+//! swaps narrower words than the paper's: only the inner tuple's columns and the
+//! match flag, the outer tuple being the same in every slot of a buffer (see
+//! [`nested_loop_join_cost`]).
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The
@@ -352,35 +355,43 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 }
 
 /// Oblivious-operation counts of one [`truncated_nested_loop_join`] invocation over
-/// `outer_len × inner_len` inputs with truncation bound `bound` and output arity
-/// `out_arity` — exactly what the physical operator meters.
+/// `outer_len × inner_len` inputs of `outer_arity` and `inner_arity` columns with
+/// truncation bound `bound` — exactly what the physical operator meters.
 ///
 /// Cost shape: `|outer|·|inner|` secure compares and `2·|outer|·|inner|` AND gates for
 /// the match/budget checks; per outer tuple, the top-`bound` selection network over
 /// its buffer of `|inner|` slots (`|outer| ·` [`Network::select`]`(|inner|, bound)`
-/// compares and record-wide swaps — Algorithm 4 sorts the buffer and keeps its first
-/// `bound` slots, and the network leaves exactly those); and the `b·|outer|` output
-/// write. The selection is part of the same circuit as the compare matrix, so the
-/// whole join is one round. Depends only on public sizes, never on data.
+/// compares — Algorithm 4 sorts the buffer and keeps its first `bound` slots, and the
+/// network leaves exactly those); and the `b·|outer|` output write of
+/// `outer_arity + inner_arity + 1` words a slot. The network's swaps carry
+/// `inner_arity + 1` words: the inner tuple and the match flag, the only columns
+/// that differ across one buffer. The outer tuple's shares are the same in every
+/// slot, so they are copied into the kept slots after the network, a local
+/// operation with no gate — a **declared kernel substitution** for Algorithm 4's
+/// sort of whole output rows, which keeps the same slots on the same wires. The
+/// selection is part of the same circuit as the compare matrix, so the whole join
+/// is one round. Depends only on public sizes, never on data.
 #[must_use]
 pub fn nested_loop_join_cost(
     outer_len: usize,
     inner_len: usize,
     bound: usize,
-    out_arity: usize,
+    outer_arity: usize,
+    inner_arity: usize,
 ) -> CostReport {
     let o = outer_len as u64;
     let i = inner_len as u64;
     let select = Network::select(inner_len, bound).count();
-    let width = out_arity as u64 + 1;
+    let carried = inner_arity as u64 + 1;
+    let out_width = (outer_arity + inner_arity) as u64 + 1;
     CostReport {
         secure_compares: o.saturating_mul(i).saturating_add(o.saturating_mul(select)),
         secure_ands: 2u64.saturating_mul(o).saturating_mul(i),
-        secure_swaps: o.saturating_mul(select).saturating_mul(width),
+        secure_swaps: o.saturating_mul(select).saturating_mul(carried),
         secure_adds: 0,
         bytes_communicated: o
             .saturating_mul(bound as u64)
-            .saturating_mul(width)
+            .saturating_mul(out_width)
             .saturating_mul(4),
         rounds: 1,
     }
@@ -503,7 +514,8 @@ pub fn push_padded<R: Rng + ?Sized>(
 /// the data shows up. The servers learn nothing beyond `(|outer|, |inner|, bound)`.
 ///
 /// # Cost
-/// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, out_arity)`:
+/// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, outer arity, inner
+/// arity)`:
 /// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer top-`bound`
 /// selection networks (`|inner| − 1` comparators each at `bound = 1`).
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
@@ -526,7 +538,14 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     // Cost accounting: |outer|·|inner| secure comparisons and budget checks, plus a
     // top-`bound` selection over each per-outer buffer of |inner| slots, plus the
     // output write.
-    let cost = nested_loop_join_cost(outer_plain.len(), inner_plain.len(), bound, out_arity);
+    let arities = [outer, inner].map(|side| side.arity().unwrap_or(0));
+    let cost = nested_loop_join_cost(
+        outer_plain.len(),
+        inner_plain.len(),
+        bound,
+        arities[0],
+        arities[1],
+    );
     join_span.record_cost(cost.into());
     meter.record(cost);
 
@@ -706,9 +725,10 @@ mod tests {
     #[test]
     fn cost_functions_match_physical_execution() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut left = PlainTable::new(&["k", "t"]);
+        // Sides of different widths: the selection's swaps carry the inner side's.
+        let mut left = PlainTable::new(&["k", "t", "x"]);
         let mut right = PlainTable::new(&["k", "t"]);
-        (0..7u32).for_each(|i| left.push_row(vec![i % 3, i]));
+        (0..7u32).for_each(|i| left.push_row(vec![i % 3, i, 2 * i]));
         (0..19u32).for_each(|i| right.push_row(vec![i % 3, i + 1]));
         let (l, r) = (left.share(&mut rng), right.share(&mut rng));
         let spec = JoinSpec::equi(0, 0);
@@ -720,8 +740,12 @@ mod tests {
             (14, 14),
             "output contract: b · |outer|"
         );
-        assert_eq!(nested_loop.report(), nested_loop_join_cost(7, 19, 2, 4));
-        let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 4, 4);
+        let nested_loop_cost = nested_loop_join_cost(7, 19, 2, 3, 2);
+        assert_eq!(nested_loop.report(), nested_loop_cost);
+        let select = Network::select(19, 2).count();
+        assert_eq!(nested_loop_cost.secure_swaps, 7 * select * 3);
+        assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
+        let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);
     }
 
@@ -762,6 +786,46 @@ mod tests {
         assert_eq!(out1.len(), out2.len());
         assert_eq!(m1.report(), m2.report());
         assert_eq!(out2.true_cardinality(), 0);
+    }
+
+    #[test]
+    fn selection_over_the_inner_columns_keeps_the_slots_of_whole_rows() {
+        // Algorithm 4's per-outer buffer holds `outer ++ inner_j ++ match_j` in slot
+        // j, and the network orders it matches first. Running the network over
+        // `inner_j ++ match_j` alone and attaching the outer tuple to the kept slots
+        // afterwards leaves the same rows on the same wires.
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+        let outer = [7u32, 8, 9];
+        let matches_first = |lo: &[u32], hi: &[u32]| lo.last() < hi.last();
+        let apply = |pairs: &[(usize, usize)], rows: &mut [Vec<u32>]| {
+            for &(lo, hi) in pairs {
+                if matches_first(&rows[lo], &rows[hi]) {
+                    rows.swap(lo, hi);
+                }
+            }
+        };
+        for n in 0..=40usize {
+            for k in 0..=n {
+                let (pairs, outputs) = Network::select(n, k).pairs();
+                let narrow: Vec<Vec<u32>> = (0..n as u32)
+                    .map(|j| vec![j, 100 + j, rng.gen_range(0..2)])
+                    .collect();
+                let mut whole: Vec<Vec<u32>> = narrow
+                    .iter()
+                    .map(|row| [&outer[..], row].concat())
+                    .collect();
+                let matches = narrow.iter().filter(|row| row[2] == 1).count();
+                let mut narrow = narrow;
+                apply(&pairs, &mut whole);
+                apply(&pairs, &mut narrow);
+                for &wire in &outputs {
+                    let attached = [&outer[..], &narrow[wire]].concat();
+                    assert_eq!(whole[wire], attached, "n={n} k={k} wire={wire}");
+                }
+                let kept = outputs.iter().filter(|&&wire| narrow[wire][2] == 1).count();
+                assert_eq!(kept, matches.min(k), "n={n} k={k}: the matches are kept");
+            }
+        }
     }
 
     #[test]

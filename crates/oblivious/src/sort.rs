@@ -17,7 +17,9 @@
 //! * [`Network::merge`] — sorted runs folded into one. The secure cache executes it
 //!   with [`oblivious_merge_by_is_view`] for its run merges and its candidate read.
 //! * [`Network::select`] — the top-`k` selection both truncated joins are priced
-//!   with, since each sorts an array only to keep its head.
+//!   with, since each sorts an array only to keep its head. Its leaves are blocks
+//!   of `k` or of `k.next_power_of_two()` wires, whichever counts fewer
+//!   comparators.
 //!
 //! The networks execute as a **blocked, packed-word kernel**: each record's key is
 //! extracted once and packed with the record's position into one `u64`
@@ -281,12 +283,15 @@ impl<'a> Network<'a> {
         Network::new(Blocks::Runs(runs), true, usize::MAX)
     }
 
-    /// The top-`k` selection over `n` wires: Batcher-sorted blocks of `k`, the first
-    /// `k` wires kept — the `k` smallest keys, ascending. `n − 1` comparators at
-    /// `k = 1`, the sort of `n` wires once `k ≥ n`.
+    /// The top-`k` selection over `n` wires: Batcher-sorted blocks of `k` or of
+    /// `k.next_power_of_two()`, whichever tallies fewer comparators (neither wins
+    /// everywhere; `k` on a tie), the first `k` wires kept — the `k` smallest keys,
+    /// ascending. `n − 1` comparators at `k = 1`, the sort of `n` wires once `k ≥ n`.
     #[must_use]
     pub fn select(n: usize, k: usize) -> Network<'static> {
-        Network::new(Blocks::Even { n, len: k.max(1) }, false, k)
+        let leaves = |len: usize| Network::new(Blocks::Even { n, len: len.max(1) }, false, k);
+        let power_of_two = leaves(k.min(n).next_power_of_two());
+        std::cmp::min_by_key(leaves(k), power_of_two, Network::count)
     }
 
     /// The network planned, without materialising it: the tournament's
@@ -710,16 +715,11 @@ mod tests {
     fn batcher_pairs_sort_arbitrary_lengths() {
         for n in 0..33usize {
             let pairs = batcher_pairs(n);
+            assert!(pairs.iter().all(|&(lo, hi)| lo < hi && hi < n));
             // Apply the network to a worst-case (reverse sorted) plain array.
             let mut data: Vec<usize> = (0..n).rev().collect();
-            for (lo, hi) in &pairs {
-                assert!(lo < hi && *hi < n);
-                if data[*lo] > data[*hi] {
-                    data.swap(*lo, *hi);
-                }
-            }
-            let expect: Vec<usize> = (0..n).collect();
-            assert_eq!(data, expect, "network failed for n={n}");
+            let sorted = run_selection(&(pairs, (0..n).collect()), &mut data);
+            assert!(sorted.into_iter().eq(0..n), "network failed for n={n}");
         }
     }
 
@@ -879,12 +879,16 @@ mod tests {
     #[test]
     fn select_count_is_bounded_by_the_sort_and_linear_at_k_one() {
         let select = |n, k| Network::select(n, k).count();
+        let leaves = |n, k: usize, len: usize| {
+            Network::new(Blocks::Even { n, len: len.max(1) }, false, k).count()
+        };
         for n in 0..=2000usize {
             let sort = batcher_pair_count(n);
             assert_eq!(Network::sort(n).count(), sort, "n={n}");
             assert_eq!(select(n, 1), n.saturating_sub(1) as u64, "n={n}");
             for k in [1usize, 2, 3, 7, 10, 16, 64, 100, n / 3, n / 2] {
                 assert!(select(n, k) <= sort, "n={n} k={k}");
+                assert!(select(n, k) <= leaves(n, k, k), "n={n} k={k}");
             }
             for k in [n, n + 1, 2 * n + 5] {
                 assert_eq!(select(n, k), sort, "n={n} k={k}");
@@ -894,29 +898,52 @@ mod tests {
         // CPDB 110 at ω = 10), a 7-of-70 emission and a 10-of-100 buffer.
         assert_eq!(select(63, 1), 62);
         assert_eq!(batcher_pair_count(63), 537);
-        assert_eq!(select(110, 10), 662);
+        assert_eq!(select(110, 10), 617);
         assert_eq!(batcher_pair_count(110), 1243);
-        assert_eq!(select(70, 7), 322);
+        assert_eq!(select(70, 7), 307);
         assert_eq!(batcher_pair_count(70), 731);
-        assert_eq!(select(100, 10), 599);
+        assert_eq!(select(100, 10), 561);
+        // Neither leaf length wins everywhere, hence the minimum.
+        assert_eq!((leaves(110, 10, 10), leaves(110, 10, 16)), (662, 617));
+        assert_eq!((leaves(17, 10, 10), leaves(17, 10, 16)), (76, 80));
+        assert_eq!(select(17, 10), 76);
     }
 
     #[test]
     fn selection_keeps_the_first_values_of_every_01_input() {
         // The 0-1 principle holds for selection networks: a network that leaves the
         // first min(k, n) values of the sorted input, ascending, on its output
-        // wires for every 0-1 input does so for every input.
-        for n in 0..=12usize {
+        // wires for every 0-1 input does so for every input. Bit-sliced — bit `x`
+        // of wire `i` is bit `i` of input `x`, a comparator is an AND and an OR — so
+        // that n reaches 20, where leaves longer than `k` are picked.
+        use std::mem::take;
+        for n in 0..=20usize {
+            let words = (1usize << n).div_ceil(64);
+            let lanes = |bit: &dyn Fn(usize) -> bool| -> Vec<u64> {
+                let mut lane = vec![0; words];
+                (0..1 << n)
+                    .filter(|&x| bit(x))
+                    .for_each(|x| lane[x / 64] |= 1 << (x % 64));
+                lane
+            };
+            let wires: Vec<Vec<u64>> = (0..n).map(|i| lanes(&|x| x >> i & 1 == 1)).collect();
+            // Output j of the sorted input is 1 iff the input has at least n − j ones.
+            let sorted: Vec<Vec<u64>> = (0..n)
+                .map(|j| lanes(&|x| x.count_ones() as usize >= n - j))
+                .collect();
             for k in 0..=n + 1 {
-                let network = Network::select(n, k).pairs();
-                for bits in 0u32..1 << n {
-                    let mut keys: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
-                    let mut expect = keys.clone();
-                    expect.sort_unstable();
-                    expect.truncate(k);
-                    let got = run_selection(&network, &mut keys);
-                    assert_eq!(got, expect, "n={n} k={k} bits={bits:b}");
+                let (pairs, outputs) = Network::select(n, k).pairs();
+                let mut wires = wires.clone();
+                for (lo, hi) in pairs {
+                    let (mut min, mut max) = (take(&mut wires[lo]), take(&mut wires[hi]));
+                    for (a, b) in min.iter_mut().zip(&mut max) {
+                        (*a, *b) = (*a & *b, *a | *b);
+                    }
+                    (wires[lo], wires[hi]) = (min, max);
                 }
+                let got: Vec<&Vec<u64>> = outputs.iter().map(|&wire| &wires[wire]).collect();
+                let expect: Vec<&Vec<u64>> = sorted.iter().take(k).collect();
+                assert!(got == expect, "n={n} k={k}");
             }
         }
     }
@@ -972,15 +999,22 @@ mod tests {
     fn soa_sort_equals_aos_sort_on_edges() {
         for (values, dummies) in [(vec![], 0usize), (vec![7], 0), (vec![], 1), (vec![3, 3], 2)] {
             for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let mut soa = share_values(&values, dummies);
-                let mut aos = soa.clone();
-                let (mut m_soa, mut m_aos) = (CostMeter::new(), CostMeter::new());
-                oblivious_sort_by_field(&mut soa, 0, order, &mut m_soa);
-                reference_aos_sort(&mut aos, order, &mut m_aos);
-                assert_eq!(soa, aos);
-                assert_eq!(m_soa.report(), m_aos.report());
+                assert_soa_equals_aos(&values, dummies, order);
             }
         }
+    }
+
+    /// Same share words out (not just same plaintext), same meter deltas. Neither
+    /// implementation draws randomness, so rng consumption is trivially identical
+    /// as well.
+    fn assert_soa_equals_aos(values: &[u32], dummies: usize, order: SortOrder) {
+        let mut soa = share_values(values, dummies);
+        let mut aos = soa.clone();
+        let (mut m_soa, mut m_aos) = (CostMeter::new(), CostMeter::new());
+        oblivious_sort_by_field(&mut soa, 0, order, &mut m_soa);
+        reference_aos_sort(&mut aos, order, &mut m_aos);
+        assert_eq!(soa, aos, "{values:?} + {dummies} dummies {order:?}");
+        assert_eq!(m_soa.report(), m_aos.report());
     }
 
     /// Sort `n` seeded records through the block engine and through the
@@ -1133,13 +1167,8 @@ mod tests {
         }
         let walked: Vec<_> = outputs.iter().map(|&wire| entries[wire].clone()).collect();
         assert_eq!(merged.entries(), walked, "lens={lens:?} {order:?}");
-        assert!(
-            merged
-                .entries()
-                .windows(2)
-                .all(|w| rank(&w[0]) <= rank(&w[1])),
-            "lens={lens:?} {order:?}: not merged"
-        );
+        let ranks: Vec<u64> = merged.entries().iter().map(rank).collect();
+        assert!(ranks.is_sorted(), "lens={lens:?} {order:?}: not merged");
         let report = meter.report();
         assert_eq!(report.secure_compares, pairs.len() as u64);
         assert_eq!(report.secure_swaps, 2 * pairs.len() as u64);
@@ -1179,26 +1208,22 @@ mod tests {
     fn key_wider_than_the_packed_word_is_rejected() {
         // The shift would drop the key's top bit and alias it with key 0.
         let mut arr = share_values(&[1, 2, 3], 0);
-        oblivious_sort_by_key(
-            &mut arr,
-            SortOrder::Ascending,
-            &mut CostMeter::new(),
-            |_| MAX_SORT_KEY + 1,
-        );
+        let meter = &mut CostMeter::new();
+        oblivious_sort_by_key(&mut arr, SortOrder::Ascending, meter, |_| MAX_SORT_KEY + 1);
     }
 
     #[test]
     fn sort_by_field_ascending_and_descending() {
         let mut meter = CostMeter::new();
-        let mut arr = share_values(&[5, 1, 9, 3, 7], 0);
-        oblivious_sort_by_field(&mut arr, 0, SortOrder::Ascending, &mut meter);
-        let keys: Vec<u32> = arr.recover_all().iter().map(|r| r.fields[0]).collect();
-        assert_eq!(keys, vec![1, 3, 5, 7, 9]);
-
-        let mut arr = share_values(&[5, 1, 9, 3, 7], 0);
-        oblivious_sort_by_field(&mut arr, 0, SortOrder::Descending, &mut meter);
-        let keys: Vec<u32> = arr.recover_all().iter().map(|r| r.fields[0]).collect();
-        assert_eq!(keys, vec![9, 7, 5, 3, 1]);
+        for (order, expect) in [
+            (SortOrder::Ascending, [1, 3, 5, 7, 9]),
+            (SortOrder::Descending, [9, 7, 5, 3, 1]),
+        ] {
+            let mut arr = share_values(&[5, 1, 9, 3, 7], 0);
+            oblivious_sort_by_field(&mut arr, 0, order, &mut meter);
+            let keys: Vec<u32> = arr.recover_all().iter().map(|r| r.fields[0]).collect();
+            assert_eq!(keys, expect);
+        }
         assert!(meter.report().secure_compares > 0);
         assert!(meter.report().secure_swaps > 0);
     }
@@ -1219,46 +1244,40 @@ mod tests {
     fn sort_by_is_view_moves_real_tuples_first() {
         let mut rng = StdRng::seed_from_u64(3);
         // Interleave dummies and real records.
-        let mut records = Vec::new();
-        for i in 0..10u32 {
-            if i % 2 == 0 {
-                records.push(PlainRecord::dummy(2));
-            } else {
-                records.push(PlainRecord::real(vec![i, i * 10]));
-            }
-        }
+        let records: Vec<PlainRecord> = (0..10u32)
+            .map(|i| match i % 2 {
+                0 => PlainRecord::dummy(2),
+                _ => PlainRecord::real(vec![i, i * 10]),
+            })
+            .collect();
         let mut arr = SharedArrayPair::share_records(&records, &mut rng);
-        let mut meter = CostMeter::new();
-        oblivious_sort_by_is_view(&mut arr, &mut meter);
+        oblivious_sort_by_is_view(&mut arr, &mut CostMeter::new());
         let plain = arr.recover_all();
         assert!(plain[..5].iter().all(|r| r.is_view));
         assert!(plain[5..].iter().all(|r| !r.is_view));
     }
 
+    /// What sorting these values ascending charges.
+    fn sort_cost(values: &[u32]) -> incshrink_mpc::cost::CostReport {
+        let mut meter = CostMeter::new();
+        let mut array = share_values(values, 0);
+        oblivious_sort_by_field(&mut array, 0, SortOrder::Ascending, &mut meter);
+        meter.report()
+    }
+
     #[test]
     fn cost_depends_only_on_length() {
         // Two arrays of equal length but very different contents must cost the same.
-        let mut m1 = CostMeter::new();
-        let mut a1 = share_values(&[1, 2, 3, 4, 5, 6, 7, 8], 0);
-        oblivious_sort_by_field(&mut a1, 0, SortOrder::Ascending, &mut m1);
-
-        let mut m2 = CostMeter::new();
-        let mut a2 = share_values(&[8, 8, 8, 8, 1, 1, 1, 1], 0);
-        oblivious_sort_by_field(&mut a2, 0, SortOrder::Ascending, &mut m2);
-
-        assert_eq!(m1.report(), m2.report());
+        let (a, b) = ([1, 2, 3, 4, 5, 6, 7, 8], [8, 8, 8, 8, 1, 1, 1, 1]);
+        assert_eq!(sort_cost(&a), sort_cost(&b));
     }
 
     #[test]
     fn empty_and_singleton_are_noops() {
-        let mut meter = CostMeter::new();
-        let mut empty = share_values(&[], 0);
-        oblivious_sort_by_field(&mut empty, 0, SortOrder::Ascending, &mut meter);
-        assert!(meter.report().is_empty());
-
+        assert!(sort_cost(&[]).is_empty());
+        assert!(sort_cost(&[9]).is_empty());
         let mut single = share_values(&[9], 0);
-        oblivious_sort_by_field(&mut single, 0, SortOrder::Ascending, &mut meter);
-        assert!(meter.report().is_empty());
+        oblivious_sort_by_field(&mut single, 0, SortOrder::Ascending, &mut CostMeter::new());
         assert_eq!(single.recover_all()[0].fields[0], 9);
     }
 
@@ -1280,17 +1299,8 @@ mod tests {
             dummies in 0usize..6,
             descending: bool,
         ) {
-            // Same share words out (not just same plaintext), same meter deltas.
-            // Neither implementation draws randomness, so rng consumption is
-            // trivially identical as well.
             let order = if descending { SortOrder::Descending } else { SortOrder::Ascending };
-            let mut soa = share_values(&values, dummies);
-            let mut aos = soa.clone();
-            let (mut m_soa, mut m_aos) = (CostMeter::new(), CostMeter::new());
-            oblivious_sort_by_field(&mut soa, 0, order, &mut m_soa);
-            reference_aos_sort(&mut aos, order, &mut m_aos);
-            prop_assert_eq!(soa, aos);
-            prop_assert_eq!(m_soa.report(), m_aos.report());
+            assert_soa_equals_aos(&values, dummies, order);
         }
 
         #[test]
@@ -1389,21 +1399,11 @@ mod tests {
             a in proptest::collection::vec(any::<u32>(), 2..40),
             seed: u64,
         ) {
-            let mut shuffled = a.clone();
-            // Deterministic permutation based on seed.
-            let mut rng = StdRng::seed_from_u64(seed);
             use rand::seq::SliceRandom;
-            shuffled.shuffle(&mut rng);
-
-            let mut m1 = CostMeter::new();
-            let mut arr1 = share_values(&a, 0);
-            oblivious_sort_by_field(&mut arr1, 0, SortOrder::Ascending, &mut m1);
-
-            let mut m2 = CostMeter::new();
-            let mut arr2 = share_values(&shuffled, 0);
-            oblivious_sort_by_field(&mut arr2, 0, SortOrder::Ascending, &mut m2);
-
-            prop_assert_eq!(m1.report(), m2.report());
+            // Deterministic permutation based on seed.
+            let mut shuffled = a.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(sort_cost(&a), sort_cost(&shuffled));
         }
     }
 }
