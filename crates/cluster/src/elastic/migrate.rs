@@ -90,11 +90,11 @@ impl ViewMigrator {
 
         // Price the transfer: the extraction is an oblivious compaction scan
         // of the whole source view (the real network cannot touch only the
-        // moving entries), plus shipping the padded partition and the two
-        // rounds of the export/import handshake.
+        // moving entries), keyed by a flag, plus shipping the padded partition
+        // and the two rounds of the export/import handshake.
         let mut meter = CostMeter::new();
         let width = part.view_arity as u64 + 1;
-        Network::sort(source_view_len).charge(width, &mut meter);
+        Network::sort(source_view_len).charge_flag_keyed(part.view_arity as u64, &mut meter);
         meter.bytes(part.shipped_records() as u64 * width * 4);
         meter.round();
         meter.round();

@@ -360,8 +360,8 @@ impl ClusterShuffler {
     /// This stands in for the Shrink cache read's `isView` sort and relies on two
     /// things only: the outcome is a real-first partition (every real record ahead
     /// of every dummy — which is all the cut and the ingest after it depend on),
-    /// and the price is the network's, charged through the same
-    /// [`Network::charge`] so the two cannot drift. The partition is done by
+    /// and the price is that sort's, the flag-keyed circuit charged through the
+    /// same [`Network::charge_flag_keyed`] so the two cannot drift. The partition is done by
     /// hand because the record ids riding outside the shares must follow their
     /// records. It happens to keep the reals in bucket order; an odd-even merge
     /// network is not a stable sort and would not, so that order is no part of
@@ -377,7 +377,7 @@ impl ClusterShuffler {
         let n = records.len();
         let arity = records.arity().unwrap_or(1);
         let width = arity as u64 + 1;
-        Network::sort(n).charge(width, meter);
+        Network::sort(n).charge_flag_keyed(arity as u64, meter);
 
         // Real-first partition: the one property of the isView sort the cut needs.
         let mut reals: Vec<(SharedRecordPair, Option<RecordId>)> = Vec::new();
@@ -411,5 +411,126 @@ impl ClusterShuffler {
         meter.bytes(out.len() as u64 * width * 4);
         meter.round();
         (out, out_ids)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incshrink_mpc::cost::CostReport;
+    use incshrink_oblivious::{
+        cache_read, nested_loop_join_cost, oblivious_sort_by_field, SortOrder,
+    };
+    use incshrink_storage::SecureCache;
+    use incshrink_telemetry::{CostDelta, Event, InMemory};
+    use std::sync::Arc;
+
+    /// `real` real rows of three columns, then `dummy` dummies.
+    fn rows(real: usize, dummy: usize) -> SharedArrayPair {
+        let mut records: Vec<PlainRecord> = (0..real as u32)
+            .map(|i| PlainRecord::real(vec![i, 7, i % 3]))
+            .collect();
+        records.extend((0..dummy).map(|_| PlainRecord::dummy(3)));
+        SharedArrayPair::share_records(&records, &mut StdRng::seed_from_u64(3))
+    }
+
+    /// Every network keyed by the `isView` / match flag alone is priced as the
+    /// one-bit circuit: no secure comparison, one AND and a swap of the other
+    /// words per comparator of the network it runs.
+    #[test]
+    fn flag_keyed_sites_charge_one_and_per_comparator_and_no_compare() {
+        // The secure cache's sub-phases, from its spans. The sizes script a seal
+        // of 12 rows, a merge of runs 9 and 8, and a read merging two heads of 4.
+        let sink = Arc::new(InMemory::new());
+        let guard = incshrink_telemetry::install(sink.clone());
+        let (mut cache, mut meter) = (SecureCache::new(), CostMeter::new());
+        for (written, size) in [(12, 3), (8, 0), (6, 0), (5, 4)] {
+            cache.write(rows(written / 3, written - written / 3));
+            drop(cache.read(size, &mut meter));
+        }
+        drop(guard);
+        assert_eq!(cache.run_lens(), [19, 1, 4]);
+        let spans: Vec<(String, CostDelta)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Span(span) => Some((span.name, span.cost?)),
+                _ => None,
+            })
+            .collect();
+        // The `nth` span named `name`.
+        let span = |name: &str, nth: usize| {
+            let mut named = spans.iter().filter(|(n, _)| n == name);
+            named
+                .nth(nth)
+                .expect("the script reaches every sub-phase")
+                .1
+        };
+
+        let mut read = CostMeter::new();
+        drop(cache_read(&mut rows(40, 60), 30, &mut read));
+        // Algorithm 4's selection for one outer row: the join less its key matrix.
+        let (inner, omega) = (63, 10);
+        let selection = nested_loop_join_cost(1, inner, omega, 2, 3).saturating_sub(CostReport {
+            secure_compares: inner as u64,
+            secure_ands: 2 * inner as u64,
+            ..CostReport::default()
+        });
+        let mut compact = CostMeter::new();
+        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
+        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
+
+        // Every site's payload is three words.
+        let sites: [(&str, CostDelta, Network); 6] = [
+            ("cache.seal", span("cache.seal", 0), Network::sort(12)),
+            (
+                "cache.merge",
+                span("cache.merge", 0),
+                Network::merge(&[9, 8]),
+            ),
+            ("cache.read", span("cache.read", 3), Network::merge(&[4, 4])),
+            (
+                "compact::cache_read",
+                read.report().into(),
+                Network::sort(100),
+            ),
+            (
+                "nested-loop selection",
+                selection.into(),
+                Network::select(inner, omega),
+            ),
+            (
+                "compact_and_cut",
+                compact.report().into(),
+                Network::sort(30),
+            ),
+        ];
+        for (site, cost, network) in sites {
+            let comparators = network.count();
+            assert!(comparators > 0, "{site}: the script reaches a comparator");
+            assert_eq!(cost.compares, 0, "{site}");
+            assert_eq!(cost.ands, comparators, "{site}");
+            assert_eq!(cost.swaps, 3 * comparators, "{site}");
+        }
+    }
+
+    /// The word-keyed networks keep one secure comparison and a record-wide swap
+    /// (the key word included) per comparator.
+    #[test]
+    fn word_keyed_networks_charge_one_compare_per_comparator() {
+        let comparators = Network::sort(100).count();
+        let mut meter = CostMeter::new();
+        oblivious_sort_by_field(&mut rows(40, 60), 0, SortOrder::Ascending, &mut meter);
+        let field = meter.take();
+        assert_eq!(field.secure_compares, comparators);
+        assert_eq!(
+            (field.secure_ands, field.secure_swaps),
+            (0, comparators * 4)
+        );
+        let rng = &mut StdRng::seed_from_u64(9);
+        drop(shuffle_route(&rows(40, 60), 0, 2, 60, &mut meter, rng));
+        let tags = meter.take();
+        assert_eq!(tags.secure_compares, comparators, "the shuffle's tag sort");
+        assert_eq!(tags.secure_swaps, comparators * 4, "the shuffle's tag sort");
     }
 }

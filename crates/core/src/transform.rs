@@ -36,10 +36,10 @@
 //!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
 //!   the horizon); the whole-relation price is one
 //!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
-//!   that wants it. The paper's full per-buffer sorts add `|Δ|·(batcher_pair_count(n)
-//!   − Network::select(n, ω).count())` compares to it, and swap whole output rows
-//!   at every comparator where the selection swaps only the inner columns and the
-//!   match flag. A *public* right relation (CPDB's Award table) is scanned over
+//!   that wants it. The paper's full per-buffer sorts charge `|Δ|·batcher_pair_count(n)`
+//!   32-bit compares and whole-row swaps where the selection charges
+//!   `|Δ|·Network::select(n, ω).count()` ANDs, one per comparator on the match
+//!   flag, and swaps of the inner columns. A *public* right relation (CPDB's Award table) is scanned over
 //!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
 //!   number, since a record's time column is its upload step — two
 //!   `partition_point`s on a time column sorted once in [`TransformProtocol::new`].
@@ -91,10 +91,12 @@
 //!   ([`incshrink_oblivious::Network::select`], which drops every comparator feeding
 //!   no kept slot and takes the cheaper of two leaf lengths): the same slots on
 //!   fixed public wires, so ΔV and every released size are those of the full sort.
-//!   The network carries what varies across one buffer, the inner tuple's columns
-//!   and the match flag; the outer tuple's shares, the same in every slot, are
-//!   copied into the kept slots after it, a local operation with no gate (a
-//!   declared kernel substitution, docs/ARCHITECTURE.md's Algorithm 4 row).
+//!   The network is keyed by the match flag alone, so each comparator is one AND
+//!   ([`incshrink_oblivious::Network::charge_flag_keyed`]), and it swaps what else
+//!   varies across one buffer, the inner tuple's columns; the outer tuple's shares,
+//!   the same in every slot, are copied into the kept slots after it, a local
+//!   operation with no gate (declared kernel substitutions, docs/ARCHITECTURE.md's
+//!   Algorithm 4 row).
 
 use crate::view::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};

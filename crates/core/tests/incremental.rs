@@ -470,7 +470,10 @@ fn transform_never_costs_more_than_algorithm_4() {
 /// nothing to drop), and both swap counts when the network came to carry only the
 /// inner columns and the match flag, with CPDB's compares as its leaves took the
 /// cheaper of `ω` and `ω.next_power_of_two()` wires (ANDs, bytes, rounds and
-/// losses kept their values).
+/// losses kept their values), and all three gate counts of both when that network,
+/// keyed by the match flag alone, came to be priced as a one-bit circuit: its
+/// comparators moved from the compares to the ANDs, one each, and every swap lost
+/// the flag's word (bytes, rounds and losses kept their values).
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -485,12 +488,12 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             tpcds(200),
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (cost(306_222, 455_355, 311_539, 56_508, 801), 0),
+            (cost(154_437, 303_570, 463_324, 56_508, 801), 0),
         ),
         (
             cpdb(100),
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 }),
-            (cost(625_008, 1_592_904, 196_080, 161_608, 301), 1),
+            (cost(94_040, 1_061_936, 727_048, 161_608, 301), 1),
         ),
     ];
     for (dataset, config, (golden, losses)) in runs {

@@ -177,7 +177,10 @@ impl Default for CostModel {
         // Garbled-circuit throughput on a 3.8 GHz Xeon over LAN:
         // ~10M AND gates/s, a 32-bit comparison ~ 32 AND gates, a record swap of
         // w words ~ 32w multiplexer gates (the operators expand swaps by width),
-        // ~1 Gb/s effective bandwidth, 0.3 ms round latency.
+        // ~1 Gb/s effective bandwidth, 0.3 ms round latency. A comparator keyed by
+        // one flag bit is no 32-bit comparison but 1 AND gate, its swap carrying
+        // the other words only (`Network::charge_flag_keyed` in incshrink-oblivious,
+        // a declared substitution).
         Self {
             secs_per_compare: 32.0 / 10.0e6,
             secs_per_swap: 32.0 / 10.0e6,

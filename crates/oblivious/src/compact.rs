@@ -22,8 +22,10 @@ use incshrink_secretshare::arrays::SharedArrayPair;
 /// from a DP mechanism) and the network's shape, a function of the cache length —
 /// never the true cardinality.
 ///
-/// Cost, with `n` the cache length: `batcher_pair_count(n)` comparisons and
-/// record-wide swaps in one round, then the `read_size` record transfer in another.
+/// Cost, with `n` the cache length: `batcher_pair_count(n)` ANDs and swaps of the
+/// record's columns in one round — the flag-keyed circuit of
+/// [`crate::sort::Network::charge_flag_keyed`] — then the `read_size` record
+/// transfer in another.
 /// `O(n log² n)` in `n`, which is why keeping ΔV at the `ω·|delta|`
 /// nested-loop output contract (rather than Example 5.1's `ω·(|T1|+|T2|)`) matters:
 /// the cache would otherwise grow with the accumulated relation.
@@ -49,75 +51,53 @@ mod tests {
     use rand::SeedableRng;
 
     fn mixed_cache(real: usize, dummy: usize) -> SharedArrayPair {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut records = Vec::new();
         // Interleave real and dummy entries.
-        let mut r = 0;
-        let mut d = 0;
-        while r < real || d < dummy {
-            if r < real {
-                records.push(PlainRecord::real(vec![r as u32, 100 + r as u32]));
-                r += 1;
-            }
-            if d < dummy {
-                records.push(PlainRecord::dummy(2));
-                d += 1;
-            }
-        }
-        SharedArrayPair::share_records(&records, &mut rng)
+        let records: Vec<PlainRecord> = (0..real.max(dummy))
+            .flat_map(|i| {
+                let real = (i < real).then(|| PlainRecord::real(vec![i as u32, 100 + i as u32]));
+                real.into_iter()
+                    .chain((i < dummy).then(|| PlainRecord::dummy(2)))
+            })
+            .collect();
+        SharedArrayPair::share_records(&records, &mut StdRng::seed_from_u64(21))
     }
 
     #[test]
     fn compact_moves_real_tuples_to_front() {
-        let mut meter = CostMeter::new();
         let mut cache = mixed_cache(4, 6);
-        oblivious_sort_by_is_view(&mut cache, &mut meter);
-        let plain = cache.recover_all();
-        assert!(plain[..4].iter().all(|r| r.is_view));
-        assert!(plain[4..].iter().all(|r| !r.is_view));
-        assert_eq!(cache.true_cardinality(), 4);
+        oblivious_sort_by_is_view(&mut cache, &mut CostMeter::new());
+        let flags: Vec<bool> = cache.recover_all().iter().map(|r| r.is_view).collect();
+        assert_eq!(flags, [[true; 4].as_slice(), &[false; 6]].concat());
+    }
+
+    /// `(length, reals)` of what a read of `size` from an interleaved cache of
+    /// `real` and `dummy` entries fetches, then of what it leaves.
+    fn read(real: usize, dummy: usize, size: usize) -> [(usize, usize); 2] {
+        let mut cache = mixed_cache(real, dummy);
+        let fetched = cache_read(&mut cache, size, &mut CostMeter::new());
+        [fetched, cache].map(|side| (side.len(), side.true_cardinality()))
     }
 
     #[test]
     fn cache_read_fetches_real_before_dummy() {
-        let mut meter = CostMeter::new();
-        let mut cache = mixed_cache(5, 10);
         // Read fewer entries than there are real tuples: everything fetched is real,
         // the rest stays deferred in the cache.
-        let fetched = cache_read(&mut cache, 3, &mut meter);
-        assert_eq!(fetched.len(), 3);
-        assert_eq!(fetched.true_cardinality(), 3);
-        assert_eq!(cache.true_cardinality(), 2);
-        assert_eq!(cache.len(), 12);
+        assert_eq!(read(5, 10, 3), [(3, 3), (12, 2)]);
     }
 
     #[test]
     fn cache_read_larger_than_true_cardinality_includes_dummies() {
-        let mut meter = CostMeter::new();
-        let mut cache = mixed_cache(2, 8);
-        let fetched = cache_read(&mut cache, 6, &mut meter);
-        assert_eq!(fetched.len(), 6);
-        assert_eq!(fetched.true_cardinality(), 2);
-        assert_eq!(cache.true_cardinality(), 0);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(read(2, 8, 6), [(6, 2), (4, 0)]);
     }
 
     #[test]
     fn cache_read_larger_than_cache_drains_it() {
-        let mut meter = CostMeter::new();
-        let mut cache = mixed_cache(3, 3);
-        let fetched = cache_read(&mut cache, 100, &mut meter);
-        assert_eq!(fetched.len(), 6);
-        assert!(cache.is_empty());
+        assert_eq!(read(3, 3, 100), [(6, 3), (0, 0)]);
     }
 
     #[test]
     fn cache_read_zero_returns_nothing() {
-        let mut meter = CostMeter::new();
-        let mut cache = mixed_cache(3, 3);
-        let fetched = cache_read(&mut cache, 0, &mut meter);
-        assert!(fetched.is_empty());
-        assert_eq!(cache.len(), 6);
+        assert_eq!(read(3, 3, 0), [(0, 0), (6, 3)]);
     }
 
     /// Swap whole entries at every comparator of `pairs`, real rows to the front.

@@ -23,10 +23,10 @@
 //! ([`crate::sort::Network::select`]), which leaves exactly those slots, in
 //! order, on fixed public wires — the same function and the same leakage as the
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
-//! Algorithm 4), for fewer comparators and swaps. Algorithm 4's network also
-//! swaps narrower words than the paper's: only the inner tuple's columns and the
-//! match flag, the outer tuple being the same in every slot of a buffer (see
-//! [`nested_loop_join_cost`]).
+//! Algorithm 4), for fewer comparators and swaps. Algorithm 4's network is also
+//! keyed by the match flag alone, so each comparator is one AND rather than a
+//! 32-bit comparison, and it swaps only the inner tuple's columns, the outer tuple
+//! being the same in every slot of a buffer (see [`nested_loop_join_cost`]).
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The
@@ -358,19 +358,22 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 /// `outer_len × inner_len` inputs of `outer_arity` and `inner_arity` columns with
 /// truncation bound `bound` — exactly what the physical operator meters.
 ///
-/// Cost shape: `|outer|·|inner|` secure compares and `2·|outer|·|inner|` AND gates for
-/// the match/budget checks; per outer tuple, the top-`bound` selection network over
-/// its buffer of `|inner|` slots (`|outer| ·` [`Network::select`]`(|inner|, bound)`
-/// compares — Algorithm 4 sorts the buffer and keeps its first `bound` slots, and the
-/// network leaves exactly those); and the `b·|outer|` output write of
-/// `outer_arity + inner_arity + 1` words a slot. The network's swaps carry
-/// `inner_arity + 1` words: the inner tuple and the match flag, the only columns
-/// that differ across one buffer. The outer tuple's shares are the same in every
-/// slot, so they are copied into the kept slots after the network, a local
-/// operation with no gate — a **declared kernel substitution** for Algorithm 4's
-/// sort of whole output rows, which keeps the same slots on the same wires. The
-/// selection is part of the same circuit as the compare matrix, so the whole join
-/// is one round. Depends only on public sizes, never on data.
+/// Cost shape: `|outer|·|inner|` secure compares (the key matrix) and
+/// `2·|outer|·|inner|` AND gates for the match/budget checks; per outer tuple, the
+/// top-`bound` selection network over its buffer of `|inner|` slots
+/// ([`Network::select`]`(|inner|, bound)` — Algorithm 4 sorts the buffer and keeps
+/// its first `bound` slots, and the network leaves exactly those); and the
+/// `b·|outer|` output write of `outer_arity + inner_arity + 1` words a slot. Two
+/// **declared kernel substitutions** price the network. It is keyed by the match
+/// flag alone, so it is the one-bit circuit of [`Network::charge_flag_keyed`]: one
+/// AND per comparator (`|outer| · select` ANDs, no compare), the flag itself never
+/// swapped. Its swaps carry `inner_arity` words, the inner tuple, the only columns
+/// besides the flag that differ across one buffer; the outer tuple's shares are the
+/// same in every slot, so they are copied into the kept slots after the network, a
+/// local operation with no gate, in place of Algorithm 4's sort of whole output
+/// rows, which keeps the same slots on the same wires. The selection is part of the
+/// same circuit as the compare matrix, so the whole join is one round. Depends only
+/// on public sizes, never on data.
 #[must_use]
 pub fn nested_loop_join_cost(
     outer_len: usize,
@@ -381,13 +384,17 @@ pub fn nested_loop_join_cost(
 ) -> CostReport {
     let o = outer_len as u64;
     let i = inner_len as u64;
-    let select = Network::select(inner_len, bound).count();
-    let carried = inner_arity as u64 + 1;
+    let mut buffer = CostMeter::new();
+    Network::select(inner_len, bound).charge_flag_keyed(inner_arity as u64, &mut buffer);
+    let select = buffer.report();
     let out_width = (outer_arity + inner_arity) as u64 + 1;
     CostReport {
-        secure_compares: o.saturating_mul(i).saturating_add(o.saturating_mul(select)),
-        secure_ands: 2u64.saturating_mul(o).saturating_mul(i),
-        secure_swaps: o.saturating_mul(select).saturating_mul(carried),
+        secure_compares: o.saturating_mul(i),
+        secure_ands: 2u64
+            .saturating_mul(o)
+            .saturating_mul(i)
+            .saturating_add(o.saturating_mul(select.secure_ands)),
+        secure_swaps: o.saturating_mul(select.secure_swaps),
         secure_adds: 0,
         bytes_communicated: o
             .saturating_mul(bound as u64)
@@ -517,7 +524,7 @@ pub fn push_padded<R: Rng + ?Sized>(
 /// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, outer arity, inner
 /// arity)`:
 /// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer top-`bound`
-/// selection networks (`|inner| − 1` comparators each at `bound = 1`).
+/// selection networks of one AND per comparator (`|inner| − 1` at `bound = 1`).
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
     inner: &SharedArrayPair,
@@ -743,7 +750,9 @@ mod tests {
         let nested_loop_cost = nested_loop_join_cost(7, 19, 2, 3, 2);
         assert_eq!(nested_loop.report(), nested_loop_cost);
         let select = Network::select(19, 2).count();
-        assert_eq!(nested_loop_cost.secure_swaps, 7 * select * 3);
+        assert_eq!(nested_loop_cost.secure_compares, 7 * 19);
+        assert_eq!(nested_loop_cost.secure_ands, 2 * 7 * 19 + 7 * select);
+        assert_eq!(nested_loop_cost.secure_swaps, 7 * select * 2);
         assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
         let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);

@@ -90,12 +90,10 @@ pub(crate) fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
 /// arithmetically in `O(log² n)` time with no allocation: one O(1) closed form per
 /// `(p, k)` network level.
 ///
-/// This is the primitive every join cost model in this crate is built on: the
-/// comparator count is a *public* function of the (public) input length, so pricing a
-/// network leaks nothing beyond what the array sizes already reveal. Cost-model
-/// callers invoke it on every join shape Transform's memo has not seen, and the
-/// sort-merge join's cost with arguments as large as the padded emission
-/// (`bound · n`), so it must never pay a near-linear walk.
+/// Every join cost model in this crate is built on it: a *public* function of the
+/// (public) input length, so pricing leaks nothing the array sizes do not. It runs
+/// on every join shape Transform's memo has not seen, and in the sort-merge join's
+/// cost as large as the padded emission (`bound · n`): no near-linear walk.
 #[must_use]
 pub fn batcher_pair_count(n: usize) -> u64 {
     if n < 2 {
@@ -192,8 +190,7 @@ fn count_mod_below(start: usize, len: usize, modulus: usize, limit: usize) -> u6
 /// `p = 2^k ≥ n`, saturating at `u64::MAX`. This is the paper-faithful upper bound
 /// the non-materialized baseline in `incshrink-core` prices secure joins with (its
 /// analysis uses the closed form, never the pruned schedule); it dominates
-/// [`batcher_pair_count`] for every `n`. Kept next to the exact count so the two
-/// Batcher formulas live in one crate.
+/// [`batcher_pair_count`] for every `n`.
 #[must_use]
 pub fn batcher_padded_pair_count(n: u64) -> u64 {
     let p = u128::from(n).next_power_of_two();
@@ -360,18 +357,33 @@ impl<'a> Network<'a> {
         self.comparators
     }
 
-    /// Charge the network over `width`-word records without executing it: one secure
-    /// comparison and one record-wide swap per comparator, one round; nothing when
-    /// there is no comparator. A valley reversal relabels wires — each server
-    /// reverses its own shares — so it costs no gate, although the host kernel moves
-    /// the words. The single place a network's price is defined: the physical sorts
-    /// and merges here, the shuffle operator's permutation, and callers that must
-    /// permute side-band metadata alongside the shares (the cluster's
-    /// destination-side compaction) all charge through it. Returns the comparators.
+    /// Charge the network over `width`-word records keyed by a word (the field
+    /// sort, the shuffle's random tags), without executing it: one secure comparison
+    /// and one record-wide swap per comparator, one round; nothing when there is no
+    /// comparator. A valley reversal relabels wires — each server reverses its own
+    /// shares — so it costs no gate, although the host kernel moves the words.
+    /// Returns the comparators.
     pub fn charge(&self, width: u64, meter: &mut CostMeter) -> u64 {
         if self.comparators > 0 {
             meter.compares(self.comparators);
             meter.swaps(self.comparators, width);
+            meter.round();
+        }
+        self.comparators
+    }
+
+    /// Charge the network keyed by one flag bit (`isView`, the join's match flag) as
+    /// the Boolean circuit it is, a **declared kernel substitution** for a 32-bit
+    /// comparison per comparator. With free XOR a real-first compare-exchange of
+    /// flags `a` (low wire) and `b` (high wire) needs one AND, `t = a ∧ b`: the swap
+    /// bit is `b ⊕ t`, the new flags `a ⊕ b ⊕ t` and `t` (the other way round for
+    /// dummies first), and only the `payload_words` other words swap. The cache's
+    /// networks, [`crate::compact::cache_read`], Algorithm 4's selection and the
+    /// cluster's compaction charge here. Returns the comparators.
+    pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
+        if self.comparators > 0 {
+            meter.ands(self.comparators);
+            meter.swaps(self.comparators, payload_words);
             meter.round();
         }
         self.comparators
@@ -614,26 +626,6 @@ where
         .collect()
 }
 
-/// Oblivious sort of `array` by the key `key_fn` extracts from each record:
-/// [`Network::sort`] over the packed words of
-/// [`network_permutation`]. One secure comparison and one record-wide oblivious swap per
-/// comparator, one round, charged up front from the (public) length.
-pub(crate) fn oblivious_sort_by_key<F>(
-    array: &mut SharedArrayPair,
-    order: SortOrder,
-    meter: &mut CostMeter,
-    key_fn: F,
-) where
-    F: Fn(&SharedRecordPair) -> u64,
-{
-    if array.len() < 2 {
-        return;
-    }
-    Network::sort(array.len()).charge(array.arity().unwrap_or(1) as u64 + 1, meter);
-    let perm = network_permutation(array, order, key_fn, run_sort_network);
-    array.permute_gather(&perm);
-}
-
 /// The `isView` sort key: real tuples (0) before dummies (1) when ascending.
 fn dummy_rank(rec: &SharedRecordPair) -> u64 {
     u64::from(rec.is_view.recover() == 0)
@@ -641,14 +633,20 @@ fn dummy_rank(rec: &SharedRecordPair) -> u64 {
 
 /// Oblivious sort by a single attribute column (ascending or descending). Dummy
 /// records (`isView = 0`) are ordered after real records for ascending sorts and are
-/// given the maximum key, so they collect at the tail.
+/// given the maximum key, so they collect at the tail. [`Network::sort`] over the
+/// packed words of `network_permutation`, keyed by a word: one secure comparison
+/// and one record-wide swap per comparator, one round ([`Network::charge`]).
 pub fn oblivious_sort_by_field(
     array: &mut SharedArrayPair,
     field: usize,
     order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    oblivious_sort_by_key(array, order, meter, |rec| {
+    let width = array.arity().unwrap_or(1) as u64 + 1;
+    if Network::sort(array.len()).charge(width, meter) == 0 {
+        return;
+    }
+    let key = |rec: &SharedRecordPair| {
         let dummy = rec.is_view.recover() == 0;
         let value = rec.fields.get(field).map_or(u32::MAX, |w| w.recover());
         // Dummies always sink to the tail regardless of direction.
@@ -657,13 +655,20 @@ pub fn oblivious_sort_by_field(
             SortOrder::Descending if dummy => 0,
             SortOrder::Descending => u64::from(value),
         }
-    });
+    };
+    let perm = network_permutation(array, order, key, run_sort_network);
+    array.permute_gather(&perm);
 }
 
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
-/// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
+/// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`). Priced by
+/// [`Network::charge_flag_keyed`]: one AND and an `arity`-word swap per comparator.
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_key(array, SortOrder::Ascending, meter, dummy_rank);
+    let network = Network::sort(array.len());
+    if network.charge_flag_keyed(array.arity().unwrap_or(0) as u64, meter) > 0 {
+        let perm = network_permutation(array, SortOrder::Ascending, dummy_rank, run_sort_network);
+        array.permute_gather(&perm);
+    }
 }
 
 /// The merge-only operator: adjacent `isView`-ordered runs of the given lengths
@@ -673,7 +678,8 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
 /// [`oblivious_sort_by_is_view`] leaves them; `Descending`: the same order read back
 /// to front, which is how the secure cache keeps its runs — and the whole array
 /// comes out in that order. No sort runs: [`Network::merge`] executes on the packed
-/// words and is charged by [`Network::charge`], a single run nothing. The records
+/// words and is charged by [`Network::charge_flag_keyed`] (one AND and an
+/// `arity`-word swap per comparator), a single run nothing. The records
 /// are rearranged in place ([`SharedArrayPair::permute_in_place`]): between ordered
 /// runs most rows keep their place, and a copy of a large run made the cost of a
 /// merge depend on the state of the allocator.
@@ -688,7 +694,7 @@ pub fn oblivious_merge_by_is_view(
 ) {
     let network = Network::merge(runs);
     assert_eq!(network.wires(), array.len(), "runs must tile the array");
-    if network.charge(array.arity().unwrap_or(1) as u64 + 1, meter) == 0 {
+    if network.charge_flag_keyed(array.arity().unwrap_or(0) as u64, meter) == 0 {
         return;
     }
     let mut perm = network_permutation(array, order, dummy_rank, |words| network.run(words));
@@ -968,10 +974,9 @@ mod tests {
     /// implementation the engine is held to below.
     fn reference_aos_sort(array: &mut SharedArrayPair, order: SortOrder, meter: &mut CostMeter) {
         let n = array.len();
-        if n < 2 {
+        if Network::sort(n).charge(array.arity().unwrap_or(1) as u64 + 1, meter) == 0 {
             return;
         }
-        Network::sort(n).charge(array.arity().unwrap_or(1) as u64 + 1, meter);
         let key = |rec: &PlainRecord| {
             let dummy_rank = u64::from(!rec.is_view);
             let value = rec.fields.first().copied().unwrap_or(u32::MAX);
@@ -1170,8 +1175,11 @@ mod tests {
         let ranks: Vec<u64> = merged.entries().iter().map(rank).collect();
         assert!(ranks.is_sorted(), "lens={lens:?} {order:?}: not merged");
         let report = meter.report();
-        assert_eq!(report.secure_compares, pairs.len() as u64);
-        assert_eq!(report.secure_swaps, 2 * pairs.len() as u64);
+        assert_eq!(
+            (report.secure_compares, report.secure_ands),
+            (0, pairs.len() as u64)
+        );
+        assert_eq!(report.secure_swaps, pairs.len() as u64);
         assert_eq!(report.rounds, u64::from(!pairs.is_empty()));
     }
 
@@ -1204,12 +1212,38 @@ mod tests {
     }
 
     #[test]
+    fn one_and_flag_circuit_equals_the_packed_compare_exchange() {
+        // `isView` flags `a`, `b` on the low and high wire, four payload words each in
+        // `x`, `y`: the circuit `Network::charge_flag_keyed` prices against the kernel
+        // comparator on the dummy-rank key, read back through the position bits.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0xF1A6);
+        for (a, b) in [(0u32, 0), (0, 1), (1, 0), (1, 1)] {
+            for _ in 0..16 {
+                let (x, y): (u128, u128) = (rng.gen(), rng.gen());
+                let t = a & b;
+                let delta = u128::from(b ^ t).wrapping_neg() & (x ^ y);
+                let circuit = [(a ^ b ^ t, x ^ delta), (t, y ^ delta)];
+                let mut lo = u64::from(a == 0) << INDEX_BITS;
+                let mut hi = u64::from(b == 0) << INDEX_BITS | 1;
+                compare_exchange(&mut lo, &mut hi);
+                let slot = |word: u64| [(a, x), (b, y)][(word & INDEX_MASK) as usize];
+                assert_eq!(circuit, [slot(lo), slot(hi)], "a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds 34 bits")]
     fn key_wider_than_the_packed_word_is_rejected() {
         // The shift would drop the key's top bit and alias it with key 0.
-        let mut arr = share_values(&[1, 2, 3], 0);
-        let meter = &mut CostMeter::new();
-        oblivious_sort_by_key(&mut arr, SortOrder::Ascending, meter, |_| MAX_SORT_KEY + 1);
+        let arr = share_values(&[1, 2, 3], 0);
+        network_permutation(
+            &arr,
+            SortOrder::Ascending,
+            |_| MAX_SORT_KEY + 1,
+            run_sort_network,
+        );
     }
 
     #[test]
@@ -1252,9 +1286,8 @@ mod tests {
             .collect();
         let mut arr = SharedArrayPair::share_records(&records, &mut rng);
         oblivious_sort_by_is_view(&mut arr, &mut CostMeter::new());
-        let plain = arr.recover_all();
-        assert!(plain[..5].iter().all(|r| r.is_view));
-        assert!(plain[5..].iter().all(|r| !r.is_view));
+        let flags: Vec<bool> = arr.recover_all().iter().map(|r| r.is_view).collect();
+        assert_eq!(flags, [[true; 5], [false; 5]].concat());
     }
 
     /// What sorting these values ascending charges.

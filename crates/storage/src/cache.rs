@@ -121,12 +121,10 @@ impl SecureCache {
     /// only: reconstructs the hidden flags.
     #[must_use]
     pub fn true_cardinality(&self) -> usize {
-        let sealed: usize = self
-            .runs
-            .iter()
-            .map(|run| run.rows.true_cardinality())
-            .sum();
-        sealed + self.tail.true_cardinality()
+        let runs = self.runs.iter().map(|run| &run.rows);
+        runs.chain([&self.tail])
+            .map(SharedArrayPair::true_cardinality)
+            .sum()
     }
 
     /// Activity statistics.
@@ -258,57 +256,46 @@ mod tests {
     #[test]
     fn write_read_cycle() {
         let mut cache = SecureCache::new();
-        let mut meter = CostMeter::new();
         assert!(cache.is_empty());
         cache.write(delta(3, 5));
         cache.write(delta(2, 6));
-        assert_eq!(cache.len(), 16);
-        assert_eq!(cache.true_cardinality(), 5);
+        assert_eq!((cache.len(), cache.true_cardinality()), (16, 5));
 
-        let fetched = cache.read(4, &mut meter);
-        assert_eq!(fetched.len(), 4);
-        assert_eq!(fetched.true_cardinality(), 4, "real entries fetched first");
-        assert_eq!(cache.true_cardinality(), 1);
-        assert_eq!(cache.len(), 12);
-
+        let fetched = cache.read(4, &mut CostMeter::new());
+        let real_first = (fetched.len(), fetched.true_cardinality());
+        assert_eq!(real_first, (4, 4), "real entries fetched first");
+        assert_eq!((cache.len(), cache.true_cardinality()), (12, 1));
         let stats = cache.stats();
-        assert_eq!(stats.written, 16);
-        assert_eq!(stats.read, 4);
-        assert_eq!(stats.flush_count, 0);
+        assert_eq!((stats.written, stats.read, stats.flush_count), (16, 4, 0));
     }
 
     #[test]
     fn flush_fetches_prefix_and_recycles_rest() {
         let mut cache = SecureCache::new();
-        let mut meter = CostMeter::new();
         cache.write(delta(2, 10));
-        let fetched = cache.flush(5, &mut meter);
-        assert_eq!(fetched.len(), 5);
-        assert_eq!(fetched.true_cardinality(), 2);
+        let fetched = cache.flush(5, &mut CostMeter::new());
+        assert_eq!((fetched.len(), fetched.true_cardinality()), (5, 2));
         assert!(cache.is_empty(), "remainder recycled");
         let stats = cache.stats();
-        assert_eq!(stats.flushed, 5);
-        assert_eq!(stats.recycled, 7);
-        assert_eq!(stats.flush_count, 1);
+        assert_eq!(
+            (stats.flushed, stats.recycled, stats.flush_count),
+            (5, 7, 1)
+        );
     }
 
     #[test]
     fn read_more_than_cache_size_drains() {
         let mut cache = SecureCache::new();
-        let mut meter = CostMeter::new();
         cache.write(delta(1, 2));
-        let fetched = cache.read(10, &mut meter);
-        assert_eq!(fetched.len(), 3);
+        assert_eq!(cache.read(10, &mut CostMeter::new()).len(), 3);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn flush_with_larger_size_than_cache() {
         let mut cache = SecureCache::new();
-        let mut meter = CostMeter::new();
         cache.write(delta(2, 2));
-        let fetched = cache.flush(100, &mut meter);
-        assert_eq!(fetched.len(), 4);
+        assert_eq!(cache.flush(100, &mut CostMeter::new()).len(), 4);
         assert_eq!(cache.stats().recycled, 0);
     }
 
@@ -344,10 +331,10 @@ mod tests {
         cache.write(delta(4, 8));
         assert_eq!(cache.read(3, &mut meter).true_cardinality(), 3);
         assert_eq!(cache.run_lens(), [9]);
-        assert!(meter.take().secure_compares > 0);
+        assert!(meter.take().secure_ands > 0);
         assert_eq!(cache.flush(2, &mut meter).true_cardinality(), 1);
         assert_eq!(
-            meter.take().secure_compares,
+            meter.take().secure_ands,
             0,
             "nothing new to seal, and one run's head is in order already"
         );
@@ -472,7 +459,7 @@ mod tests {
                     if let Event::Span(span) = event {
                         let cost = span.cost.expect("cut spans carry their cost");
                         let read = span.name == "cache.read";
-                        prop_assert!(!read || (cost.compares <= batcher && cost.swaps <= 2 * batcher));
+                        prop_assert!(!read || (cost.ands <= batcher && cost.swaps <= 2 * batcher));
                     }
                 }
             }
