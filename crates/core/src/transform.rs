@@ -39,10 +39,13 @@
 //!   that wants it. The paper's full per-buffer sorts charge `|Δ|·batcher_pair_count(n)`
 //!   32-bit compares and whole-row swaps where the selection charges
 //!   `|Δ|·Network::select(n, ω).count()` ANDs, one per comparator on the match
-//!   flag, and swaps of the inner columns. A *public* right relation (CPDB's Award table) is scanned over
-//!   the rows timed `[t, t + window]` for the step-`t` delta — fixed by the step
-//!   number, since a record's time column is its upload step — two
-//!   `partition_point`s on a time column sorted once in [`TransformProtocol::new`].
+//!   flag, and swaps of the inner columns. A *public* right relation (CPDB's Award
+//!   table) is scanned over the rows timed `[t, t + window]` for the step-`t`
+//!   delta — fixed by the step number, since a record's time column is its upload
+//!   step — two `partition_point`s on a time column sorted once in
+//!   [`TransformProtocol::new`]. Its rows being public, that join selects with
+//!   the one-hot circuit of [`incshrink_oblivious::public_inner_join_cost`]: no
+//!   network, no swap (docs/ARCHITECTURE.md's Algorithm 4 row).
 //! * **What is kept for the matching** is, per accumulated relation, the plaintext
 //!   mirror of the window's real records plus a persistent join-key index
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
@@ -83,7 +86,8 @@
 //! * **One join operator, priced on the public shape.** Each direction's join is
 //!   charged as Algorithm 4's truncated nested loop:
 //!   [`incshrink_oblivious::nested_loop_join_cost`] at `(|Δ|, window rows, ω,
-//!   outer arity, inner arity)`, memoised per shape, so the operation schedule is a
+//!   outer arity, inner arity)`, memoised per shape (or the closed-form public
+//!   price above), so the operation schedule is a
 //!   function of the public sizes alone and never of the cost model, which only
 //!   turns the schedule into seconds. The match runs inside a `join.nested_loop`
 //!   span, which records that cost. Algorithm 4 sorts each per-outer buffer only to
@@ -103,7 +107,8 @@ use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
 use incshrink_mpc::hash::FxHashMap;
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::{
-    nested_loop_join_cost, push_padded, truncated_match_rows, JoinSpec, KeyIndex, RowRef,
+    nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows, JoinSpec,
+    KeyIndex, RowRef,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -485,7 +490,7 @@ pub struct TransformProtocol {
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
     /// [`nested_loop_join_cost`] per `(outer, inner, outer arity, inner arity)`
-    /// priced so far.
+    /// priced so far: secret inner windows only, the public price being O(1).
     join_costs: FxHashMap<(usize, usize, usize, usize), CostReport>,
     /// Upload steps covered so far — the clock the window blocks expire on.
     covered: u64,
@@ -612,7 +617,7 @@ impl TransformProtocol {
     /// recover/reshare, and the step's arrivals joining the window and turning
     /// active. Each direction's join is charged as Algorithm 4 at its public shape:
     /// `|Δ|` against the other side's window rows, or against the public rows the
-    /// step fixes.
+    /// step fixes ([`public_inner_join_cost`]).
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -641,7 +646,11 @@ impl TransformProtocol {
             None => self.active_right.window.rows(),
         };
         let inner_of_right = self.active_left.window.rows();
-        let left_join = self.join_cost(delta_left.len(), inner_of_left, (left_arity, right_arity));
+        let (outer, inner) = (delta_left.len(), inner_of_left);
+        let left_join = match self.public_right {
+            Some(_) => public_inner_join_cost(outer, inner, omega, left_arity, right_arity),
+            None => self.join_cost(outer, inner, (left_arity, right_arity)),
+        };
         let right_join = delta_right
             .map(|batch| self.join_cost(batch.len(), inner_of_right, (right_arity, left_arity)));
         let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
@@ -849,6 +858,51 @@ mod tests {
         assert_eq!(out.new_entries, 1);
         assert_eq!(out.delta.len(), 30, "ω·|deltaL| exhaustive padding");
         assert_eq!(transform.active_counts(), (1, 0));
+    }
+
+    /// The public join scans the step's Award range with no θ comparison, which
+    /// rests on two CPDB facts checked here in every build (the `debug_assert!` in
+    /// `invoke` guards debug runs only): every Allegation's time column is its
+    /// arrival step, which is the step that uploads it; and `range_len` counts
+    /// exactly the Award rows timed `[t, t + window]`.
+    #[test]
+    fn cpdb_times_are_upload_steps_and_the_public_range_is_exact() {
+        use crate::config::{IncShrinkConfig, UpdateStrategy};
+        use crate::framework::ShardPipeline;
+        use incshrink_workload::{CpdbGenerator, WorkloadParams};
+        for seed in [7, 101, 0xAB1E] {
+            let params = WorkloadParams {
+                steps: 120,
+                view_entries_per_step: 9.8,
+                seed,
+            };
+            let dataset = CpdbGenerator::new(params).generate();
+            let view = ViewDefinition::for_dataset(&dataset);
+            for rec in dataset.left.updates() {
+                assert_eq!(u64::from(rec.fields[view.left_time]), rec.arrival);
+            }
+            let awards = dataset.right.updates();
+            let rows = PublicRelation::from_rows(awards.iter().map(|u| u.fields.as_slice()));
+            let public = IndexedPublic::build(rows, &view);
+            for t in 0..=params.steps + 70 {
+                let range = t..=t + u64::from(view.window);
+                let timed =
+                    |u: &&LogicalUpdate| range.contains(&u64::from(u.fields[view.right_time]));
+                let expected = awards.iter().filter(timed).count();
+                assert_eq!(public.range_len(&view, t), expected, "seed {seed}, t {t}");
+            }
+            let config = IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 });
+            let model = CostModel::default();
+            let mut pipeline =
+                ShardPipeline::with_party_mode(dataset, config, seed, model, PartyMode::InProcess);
+            for t in 1..=params.steps {
+                let left = pipeline.upload_batches(t).left;
+                let real = left.ids.iter().zip(recover_padded(&left));
+                for (_, rec) in real.filter(|(id, _)| id.is_some()) {
+                    assert_eq!(u64::from(rec.fields[view.left_time]), t, "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

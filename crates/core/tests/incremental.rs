@@ -7,10 +7,11 @@
 use incshrink::prelude::*;
 use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
-use incshrink_mpc::cost::{CostModel, CostReport};
+use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::{
-    batcher_pair_count, nested_loop_join_cost, truncated_nested_loop_join, JoinSpec,
+    batcher_pair_count, nested_loop_join_cost, public_inner_join_cost, truncated_nested_loop_join,
+    JoinSpec,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -84,7 +85,8 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
 /// every invocation runs [`truncated_nested_loop_join`] (Algorithm 4) per
 /// direction over the *padded share rows* of the store's active
 /// window (dummies included, blocks in arrival order) — or, for a public right
-/// relation, over a sharing of the rows the step number fixes — then hands the
+/// relation, over a sharing of the rows the step number fixes, charging
+/// [`public_inner_join_cost`] in place of the operator's network — then hands the
 /// step's batches to the store. It keeps no budgets and no active set: the window
 /// is the retirement rule. What `TransformProtocol::invoke` must equal, step for
 /// step.
@@ -172,19 +174,52 @@ impl ReferenceTransform {
 
         let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
         let bound = self.omega as usize;
+        // A public inner side selects with the one-hot circuit: the operator's
+        // output, priced by `public_inner_join_cost` instead of its network.
+        let public_inner = self.public.is_some();
         let mut join = |outer: &SharedArrayPair,
                         inner: &SharedArrayPair,
                         spec: &JoinSpec<'_>,
+                        public_inner: bool,
                         ctx: &mut PartyContext| {
-            truncated_nested_loop_join(outer, inner, spec, bound, ctx.meter(), &mut rng)
+            if !public_inner {
+                return truncated_nested_loop_join(
+                    outer,
+                    inner,
+                    spec,
+                    bound,
+                    ctx.meter(),
+                    &mut rng,
+                );
+            }
+            let mut network = CostMeter::new();
+            let joined =
+                truncated_nested_loop_join(outer, inner, spec, bound, &mut network, &mut rng);
+            let arity = |side: &SharedArrayPair| side.arity().unwrap_or(0);
+            let (o, i) = (outer.len(), inner.len());
+            let cost = public_inner_join_cost(o, i, bound, arity(outer), arity(inner));
+            ctx.meter().record(cost);
+            joined
         };
         let outer = &delta_left.records;
         let mut potential = self.pairs(&Self::real_rows(outer), &Self::real_rows(&inner_right));
-        let mut delta = join(outer, &inner_right, &self.view.join_spec(), ctx);
+        let mut delta = join(
+            outer,
+            &inner_right,
+            &self.view.join_spec(),
+            public_inner,
+            ctx,
+        );
         if let Some(batch) = delta_right {
             let outer = &batch.records;
             potential += self.pairs(&Self::real_rows(&inner_left), &Self::real_rows(outer));
-            let joined = join(outer, &inner_left, &self.view.join_spec_reversed(), ctx);
+            let joined = join(
+                outer,
+                &inner_left,
+                &self.view.join_spec_reversed(),
+                false,
+                ctx,
+            );
             delta.extend(joined).expect("uniform arity");
         }
 
@@ -379,9 +414,11 @@ fn algorithm_4(outer: usize, inner: usize, omega: usize, out_arity: usize) -> Co
 
 /// End to end, on both workloads: every invocation's modeled Transform seconds are
 /// at most those of paper-literal Algorithm 4 over the same window — the
-/// invocation's report with each join's [`nested_loop_join_cost`] replaced by
-/// [`algorithm_4`] at its public shape — so the top-ω selection can only lower
-/// `modeled_mpc_s`, and both workloads' windows are where it does. The shapes
+/// invocation's report with each join's price ([`nested_loop_join_cost`], or
+/// [`public_inner_join_cost`] against CPDB's Award rows) replaced by
+/// [`algorithm_4`] at its public shape — so the top-ω selection, network or
+/// one-hot circuit, can only lower `modeled_mpc_s`, and both workloads' windows
+/// are where it does. The shapes
 /// come from the public sizes alone: each delta against the other side's window
 /// (an `OutsourcedStore` fed the same batches), or CPDB's Award rows the step fixes.
 #[test]
@@ -422,10 +459,11 @@ fn transform_never_costs_more_than_algorithm_4() {
                 }
                 None => store.relation(Relation::Right).window_rows(),
             };
-            let mut shapes = vec![(uploads.left.len(), inner_of_left, arities)];
+            let left_shape = (uploads.left.len(), inner_of_left, arities);
+            let mut shapes = vec![(left_shape, public.is_some())];
             if let Some(right) = &uploads.right {
                 let inner = store.relation(Relation::Left).window_rows();
-                shapes.push((right.len(), inner, (arities.1, arities.0)));
+                shapes.push(((right.len(), inner, (arities.1, arities.0)), false));
                 store.ingest(right.clone());
             }
             store.ingest(uploads.left.clone());
@@ -434,7 +472,14 @@ fn transform_never_costs_more_than_algorithm_4() {
             let charged = charged.expect("the timer transforms every step");
             let joins: CostReport = shapes
                 .iter()
-                .map(|&(outer, inner, (oa, ia))| nested_loop_join_cost(outer, inner, omega, oa, ia))
+                .map(|&((outer, inner, (oa, ia)), public_inner)| {
+                    let price = if public_inner {
+                        public_inner_join_cost
+                    } else {
+                        nested_loop_join_cost
+                    };
+                    price(outer, inner, omega, oa, ia)
+                })
                 .sum();
             let rest = charged.saturating_sub(joins);
             assert_eq!(
@@ -445,7 +490,7 @@ fn transform_never_costs_more_than_algorithm_4() {
             let paper = rest
                 + shapes
                     .iter()
-                    .map(|&(outer, inner, _)| algorithm_4(outer, inner, omega, out_arity))
+                    .map(|&((outer, inner, _), _)| algorithm_4(outer, inner, omega, out_arity))
                     .sum();
             let (charged, paper) = (model.simulate(&charged), model.simulate(&paper));
             assert!(
@@ -473,7 +518,11 @@ fn transform_never_costs_more_than_algorithm_4() {
 /// losses kept their values), and all three gate counts of both when that network,
 /// keyed by the match flag alone, came to be priced as a one-bit circuit: its
 /// comparators moved from the compares to the ANDs, one each, and every swap lost
-/// the flag's word (bytes, rounds and losses kept their values).
+/// the flag's word (bytes, rounds and losses kept their values), and CPDB's ANDs
+/// and swaps when its joins against the public Award rows came to select with the
+/// one-hot prefix circuit: ω ANDs per pair in place of the network's ANDs, no swap
+/// (compares, bytes, rounds and losses kept their values; TPC-ds, with no public
+/// relation, kept all of its).
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -493,7 +542,7 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             cpdb(100),
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 }),
-            (cost(94_040, 1_061_936, 727_048, 161_608, 301), 1),
+            (cost(94_040, 0, 1_136_480, 161_608, 301), 1),
         ),
     ];
     for (dataset, config, (golden, losses)) in runs {

@@ -8,7 +8,8 @@
 //!   budget, and keep the first `b` slots of each per-outer buffer in sorted order.
 //!   The output is exhaustively padded to `b · |outer|` entries. This is Transform's
 //!   one join operator: every invocation charges [`nested_loop_join_cost`] at each
-//!   direction's public shape.
+//!   direction's public shape, or [`public_inner_join_cost`] when the inner
+//!   relation is public and the selection needs no network.
 //! * [`truncated_sort_merge_delta_join`] — the delta-oriented instantiation of
 //!   Example 5.1's sort-merge join: union both tables, obliviously sort by join key
 //!   (left-table records break ties first), scan emitting `b` slots per merged
@@ -30,8 +31,8 @@
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The
-//! per-operator reports are exposed as [`nested_loop_join_cost`] and
-//! `delta_sort_merge_join_cost`.
+//! per-operator reports are exposed as [`nested_loop_join_cost`],
+//! [`public_inner_join_cost`] and `delta_sort_merge_join_cost`.
 //!
 //! ```
 //! use incshrink_oblivious::{truncated_nested_loop_join, JoinSpec};
@@ -373,7 +374,8 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 /// local operation with no gate, in place of Algorithm 4's sort of whole output
 /// rows, which keeps the same slots on the same wires. The selection is part of the
 /// same circuit as the compare matrix, so the whole join is one round. Depends only
-/// on public sizes, never on data.
+/// on public sizes, never on data. A public inner relation is priced by
+/// [`public_inner_join_cost`] instead.
 #[must_use]
 pub fn nested_loop_join_cost(
     outer_len: usize,
@@ -382,23 +384,65 @@ pub fn nested_loop_join_cost(
     outer_arity: usize,
     inner_arity: usize,
 ) -> CostReport {
-    let o = outer_len as u64;
-    let i = inner_len as u64;
     let mut buffer = CostMeter::new();
     Network::select(inner_len, bound).charge_flag_keyed(inner_arity as u64, &mut buffer);
     let select = buffer.report();
-    let out_width = (outer_arity + inner_arity) as u64 + 1;
+    let out_arity = outer_arity + inner_arity;
+    loop_join_cost(outer_len, inner_len, bound, out_arity, select)
+}
+
+/// Algorithm 4's price against a **public** inner relation (CPDB's Award rows):
+/// `|outer|·|inner|` compares, `(2 + bound)·|outer|·|inner|` ANDs, no swap, and
+/// the output write and round of [`nested_loop_join_cost`].
+///
+/// Per outer tuple the circuit walks the inner rows `j` in relation order. The
+/// match bit `m_j` costs the compare and the two match/budget ANDs of the secret
+/// path: a public row has no lifetime budget, but one invocation spends at most
+/// `bound` of it, as [`truncated_match_rows`] does of every inner row. A one-hot
+/// count `h ∈ {0,1}^{bound+1}` (`h_0 = 1`) of the filled slots gives
+/// `sel_{s,j} = m_j ∧ h_s`, `bound` ANDs, and `h_s ← h_s ⊕ sel_{s−1,j} ⊕ sel_{s,j}`,
+/// XOR only. Slot `s` gets `⊕_j sel_{s,j}·P_j` and the flag `⊕_j sel_{s,j}`: a
+/// secret bit times a public word is local, so no payload moves through a
+/// network. Slot `s` holds the `(s+1)`-th match, real first — the slots the
+/// selection network keeps. A secret `P_j` would make each term `inner_arity·32`
+/// ANDs, so a secret inner relation keeps the network.
+#[must_use]
+pub fn public_inner_join_cost(
+    outer_len: usize,
+    inner_len: usize,
+    bound: usize,
+    outer_arity: usize,
+    inner_arity: usize,
+) -> CostReport {
+    let selection = CostReport {
+        secure_ands: (inner_len as u64).saturating_mul(bound as u64),
+        ..CostReport::default()
+    };
+    let out_arity = outer_arity + inner_arity;
+    loop_join_cost(outer_len, inner_len, bound, out_arity, selection)
+}
+
+/// The nested loop around one per-outer `selection`: the key matrix, two ANDs a
+/// pair, `|outer|` selections and the `b·|outer|` output write, in one round.
+fn loop_join_cost(
+    outer_len: usize,
+    inner_len: usize,
+    bound: usize,
+    out_arity: usize,
+    selection: CostReport,
+) -> CostReport {
+    let o = outer_len as u64;
+    let pairs = o.saturating_mul(inner_len as u64);
     CostReport {
-        secure_compares: o.saturating_mul(i),
-        secure_ands: 2u64
-            .saturating_mul(o)
-            .saturating_mul(i)
-            .saturating_add(o.saturating_mul(select.secure_ands)),
-        secure_swaps: o.saturating_mul(select.secure_swaps),
+        secure_compares: pairs,
+        secure_ands: pairs
+            .saturating_mul(2)
+            .saturating_add(o.saturating_mul(selection.secure_ands)),
+        secure_swaps: o.saturating_mul(selection.secure_swaps),
         secure_adds: 0,
         bytes_communicated: o
             .saturating_mul(bound as u64)
-            .saturating_mul(out_width)
+            .saturating_mul(out_arity as u64 + 1)
             .saturating_mul(4),
         rounds: 1,
     }
@@ -756,6 +800,97 @@ mod tests {
         assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
         let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);
+    }
+
+    /// The one-hot prefix circuit [`public_inner_join_cost`] prices, simulated bit by
+    /// bit for one real outer tuple over every match vector of `n ≤ 14` public rows
+    /// and every `1 ≤ ω ≤ n`: the selection is exactly `ω·n` ANDs, slot `s` holds
+    /// the `(s+1)`-th set position, the filled slots come first, and the kept rows
+    /// are the ones `truncated_match_rows` keeps over a public relation with those
+    /// matches.
+    #[test]
+    fn one_hot_prefix_circuit_keeps_the_first_bound_matches_in_relation_order() {
+        let spec = JoinSpec::equi(0, 0);
+        let outer = [RowRef {
+            fields: &[1],
+            is_view: true,
+        }];
+        for n in 1..=14usize {
+            for mask in 0u32..1 << n {
+                let m: Vec<bool> = (0..n).map(|j| mask >> j & 1 == 1).collect();
+                // Public row j: key 1 where it matches, 0 elsewhere; its payload is j.
+                let public: Vec<[u32; 2]> = (0..n).map(|j| [u32::from(m[j]), j as u32]).collect();
+                let set: Vec<u32> = (0..n as u32).filter(|&j| m[j as usize]).collect();
+                for omega in 1..=n {
+                    let mut h = [false; 15];
+                    h[0] = true;
+                    let (mut flag, mut payload) = ([false; 14], [0u32; 14]);
+                    let mut ands = 0;
+                    for (j, &m_j) in m.iter().enumerate() {
+                        let mut sel = [false; 14];
+                        for s in 0..omega {
+                            sel[s] = m_j & h[s];
+                            ands += 1;
+                        }
+                        for s in 0..omega {
+                            let below = s.checked_sub(1).is_some_and(|b| sel[b]);
+                            h[s] ^= below ^ sel[s];
+                            // sel · P_j with P_j public: local, no gate.
+                            payload[s] ^= if sel[s] { public[j][1] } else { 0 };
+                            flag[s] ^= sel[s];
+                        }
+                        h[omega] ^= sel[omega - 1];
+                    }
+                    assert_eq!(ands, omega * n);
+                    let filled = set.len().min(omega);
+                    assert!(flag[..omega]
+                        .iter()
+                        .enumerate()
+                        .all(|(s, &f)| f == (s < filled)));
+                    assert_eq!(payload[..filled], set[..filled]);
+                    let (rows, mut kept) = (&public, Vec::new());
+                    truncated_match_rows(
+                        outer,
+                        |j| &rows[j][..],
+                        |key| (0..n).filter(move |&j| rows[j][0] == key),
+                        &spec,
+                        omega,
+                        |rows| kept = rows.iter().map(|row| row[2]).collect(),
+                    );
+                    assert_eq!(kept, payload[..filled], "n={n} mask={mask:b} ω={omega}");
+                }
+            }
+        }
+    }
+
+    /// The public price: no swap, the key matrix's compares, `(2 + ω)` ANDs a pair
+    /// (the match/budget pair and the one-hot state's ω) and the secret path's
+    /// output write and round. The secret path's price is pinned at shapes recorded
+    /// before the public one existed.
+    #[test]
+    fn public_inner_price_has_no_swap_and_the_secret_price_is_pinned() {
+        let cost = |secure_compares, secure_swaps, secure_ands, bytes_communicated| CostReport {
+            secure_compares,
+            secure_swaps,
+            secure_ands,
+            secure_adds: 0,
+            bytes_communicated,
+            rounds: 1,
+        };
+        let shapes = [
+            ((80, 110, 10, 2, 2), cost(8_800, 98_720, 66_960, 16_000)),
+            ((28, 63, 1, 2, 2), cost(1_764, 3_472, 5_264, 560)),
+            ((7, 19, 2, 3, 2), cost(133, 490, 511, 336)),
+            ((13, 17, 10, 2, 3), cost(221, 2_964, 1_430, 3_120)),
+            ((1, 0, 10, 2, 2), cost(0, 0, 0, 200)),
+            ((0, 50, 3, 2, 2), cost(0, 0, 0, 0)),
+        ];
+        for ((o, i, b, oa, ia), secret) in shapes {
+            assert_eq!(nested_loop_join_cost(o, i, b, oa, ia), secret);
+            let pairs = (o * i) as u64;
+            let public = cost(pairs, 0, (2 + b as u64) * pairs, secret.bytes_communicated);
+            assert_eq!(public_inner_join_cost(o, i, b, oa, ia), public);
+        }
     }
 
     #[test]

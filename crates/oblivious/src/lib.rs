@@ -10,9 +10,9 @@
 //!   `isView` bit distinguishes matches from dummies (Appendix A.1.1); and the one
 //!   predicate language, [`FilterExpr`] conjuncts lowered once to a lane mask.
 //! * [`join`] — `b`-truncated oblivious joins: Algorithm 4's nested loop, the one
-//!   operator Transform charges, with its analytic cost; and the delta-oriented
-//!   form of Example 5.1's sort-merge join (same output contract), kept as a
-//!   standalone operator the benchmark probes.
+//!   operator Transform charges, with its analytic cost (a secret or a public
+//!   inner side); and the delta-oriented form of Example 5.1's sort-merge join,
+//!   kept as a standalone operator the benchmark probes.
 //! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
 //!   `isView` order so real tuples precede dummies, then cut a prefix of a given
 //!   (DP-noised) size. The secure cache keeps its runs ordered with [`sort`]'s
@@ -41,8 +41,8 @@ pub use aggregate::{oblivious_count, oblivious_group_count_over_domain};
 pub use compact::cache_read;
 pub use filter::{oblivious_filter, selection_mask, FilterExpr, Predicate};
 pub use join::{
-    nested_loop_join_cost, push_padded, truncated_match_rows, truncated_nested_loop_join,
-    truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,
+    nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows,
+    truncated_nested_loop_join, truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,
 };
 pub use shuffle::{
     bucket_of, destination_of, shuffle_route, shuffle_route_mapped, VIRTUAL_BUCKETS,
