@@ -443,7 +443,7 @@ mod tests {
         // of 12 rows, a merge of runs 9 and 8, and a read merging two heads of 4.
         let sink = Arc::new(InMemory::new());
         let guard = incshrink_telemetry::install(sink.clone());
-        let (mut cache, mut meter) = (SecureCache::new(), CostMeter::new());
+        let (mut cache, mut meter) = (SecureCache::new(3), CostMeter::new());
         for (written, size) in [(12, 3), (8, 0), (6, 0), (5, 4)] {
             cache.write(rows(written / 3, written - written / 3));
             drop(cache.read(size, &mut meter));
@@ -480,7 +480,8 @@ mod tests {
         let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
         shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
 
-        // Every site's payload is three words.
+        // Every site's payload is three words, the nested loop's two: its inner
+        // side's join key is copied in with the outer columns after the network.
         let sites: [(&str, CostDelta, Network); 6] = [
             ("cache.seal", span("cache.seal", 0), Network::sort(12)),
             (
@@ -510,7 +511,8 @@ mod tests {
             assert!(comparators > 0, "{site}: the script reaches a comparator");
             assert_eq!(cost.compares, 0, "{site}");
             assert_eq!(cost.ands, comparators, "{site}");
-            assert_eq!(cost.swaps, 3 * comparators, "{site}");
+            let words = if site.starts_with("nested") { 2 } else { 3 };
+            assert_eq!(cost.swaps, words * comparators, "{site}");
         }
     }
 

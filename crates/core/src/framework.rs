@@ -225,7 +225,9 @@ impl ShardPipeline {
             ctx: PartyContext::new(party_mode, seed, cost_model),
             upload_rng: StdRng::seed_from_u64(seed ^ 0x0B17_A5E5),
             store: OutsourcedStore::new(transform.window_steps()),
-            cache: SecureCache::new(),
+            // The view row's second join-key copy is restored locally after each
+            // network, so the cache's networks carry one word less than the row.
+            cache: SecureCache::new(left_arity + right_arity - 1),
             view: MaterializedView::new(),
             transform,
             shrink,
@@ -555,6 +557,15 @@ impl ShardPipeline {
                 count: transform_outcome.delta.len(),
             });
             if let Some(delta) = route_delta(routing, transform_outcome.delta, &mut self.view) {
+                let key = self.dataset.left.schema.key_column;
+                let copy = self.left_arity + self.dataset.right.schema.key_column;
+                debug_assert!(
+                    delta
+                        .recover_all()
+                        .iter()
+                        .all(|row| row.fields.get(key) == row.fields.get(copy)),
+                    "a view row carries its join key twice; the cache swaps one copy"
+                );
                 self.cache.write(delta);
             }
             drop(transform_span);

@@ -239,7 +239,7 @@ mod tests {
         let mut ctx = ctx_with_counter(1, 6);
         let cfg = config(UpdateStrategy::DpTimer { interval: 10 }, 100.0);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(3);
         let mut view = MaterializedView::new();
         cache.write(delta(6, 14, 1));
 
@@ -262,7 +262,7 @@ mod tests {
         let mut ctx = ctx_with_counter(2, 0);
         let cfg = config(UpdateStrategy::DpAnt { threshold: 20.0 }, 50.0);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(3);
         let mut view = MaterializedView::new();
 
         // Counter far below the threshold: no update.
@@ -285,7 +285,7 @@ mod tests {
         let mut ctx = ctx_with_counter(3, 0);
         let cfg = config(UpdateStrategy::DpAnt { threshold: 30.0 }, 1.5);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(3);
         let mut view = MaterializedView::new();
         let _ = shrink.step(&mut ctx, &mut cache, &mut view, 1);
 
@@ -306,7 +306,7 @@ mod tests {
         cfg.flush_interval = 10;
         cfg.flush_size = 3;
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(3);
         let mut view = MaterializedView::new();
         cache.write(delta(2, 20, 3));
 
@@ -337,7 +337,7 @@ mod tests {
             let mut cfg = config(strategy, 1.5);
             cfg.flush_interval = 1_000_000;
             let mut shrink = ShrinkProtocol::new(&cfg);
-            let mut cache = SecureCache::new();
+            let mut cache = SecureCache::new(3);
             let mut view = MaterializedView::new();
             cache.write(delta(5, 5, 4));
             for t in 1..=20 {
@@ -356,7 +356,7 @@ mod tests {
             let mut ctx = ctx_with_counter(seed, 0);
             let cfg = config(UpdateStrategy::DpTimer { interval: 1 }, epsilon);
             let mut shrink = ShrinkProtocol::new(&cfg);
-            let mut cache = SecureCache::new();
+            let mut cache = SecureCache::new(3);
             let mut view = MaterializedView::new();
             let mut sizes = Vec::new();
             for t in 1..=120 {

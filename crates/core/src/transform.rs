@@ -39,10 +39,11 @@
 //!   that wants it. The paper's full per-buffer sorts charge `|Δ|·batcher_pair_count(n)`
 //!   32-bit compares and whole-row swaps where the selection charges
 //!   `|Δ|·Network::select(n, ω).count()` ANDs, one per comparator on the match
-//!   flag, and swaps of the inner columns. A *public* right relation (CPDB's Award
-//!   table) is scanned over the rows timed `[t, t + window]` for the step-`t`
-//!   delta — fixed by the step number, since a record's time column is its upload
-//!   step — two `partition_point`s on a time column sorted once in
+//!   flag, and swaps of the inner columns less the join key. A *public* right
+//!   relation (CPDB's Award table) is scanned over the rows timed
+//!   `[t, t + window]` for the step-`t` delta — fixed by the step number, since a
+//!   record's time column is its upload step — two `partition_point`s on a time
+//!   column sorted once in
 //!   [`TransformProtocol::new`]. Its rows being public, that join selects with
 //!   the one-hot circuit of [`incshrink_oblivious::public_inner_join_cost`]: no
 //!   network, no swap (docs/ARCHITECTURE.md's Algorithm 4 row).
@@ -97,10 +98,11 @@
 //!   fixed public wires, so ΔV and every released size are those of the full sort.
 //!   The network is keyed by the match flag alone, so each comparator is one AND
 //!   ([`incshrink_oblivious::Network::charge_flag_keyed`]), and it swaps what else
-//!   varies across one buffer, the inner tuple's columns; the outer tuple's shares,
-//!   the same in every slot, are copied into the kept slots after it, a local
-//!   operation with no gate (declared kernel substitutions, docs/ARCHITECTURE.md's
-//!   Algorithm 4 row).
+//!   varies across one buffer, the inner tuple's columns less its join key; the
+//!   outer tuple's shares, the same in every slot, and the key, equal to the
+//!   outer's in every kept real slot, are copied into the kept slots after it, a
+//!   local operation with no gate (declared kernel substitutions,
+//!   docs/ARCHITECTURE.md's Algorithm 4 row).
 
 use crate::view::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};

@@ -182,7 +182,9 @@ impl Default for CostModel {
         // the other words only (`Network::charge_flag_keyed` in incshrink-oblivious,
         // a declared substitution). A secret bit times a public word is free (XOR
         // shares, free XOR): a join against a public relation places its rows
-        // without swaps (`public_inner_join_cost`).
+        // without swaps (`public_inner_join_cost`). So is a local copy of shares:
+        // a view row's second join-key copy is restored after each flag-keyed
+        // network instead of swapped through it.
         Self {
             secs_per_compare: 32.0 / 10.0e6,
             secs_per_swap: 32.0 / 10.0e6,

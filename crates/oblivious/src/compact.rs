@@ -34,9 +34,9 @@ pub fn cache_read(
     read_size: usize,
     meter: &mut CostMeter,
 ) -> SharedArrayPair {
-    oblivious_sort_by_is_view(cache, meter);
-    let width = cache.arity().unwrap_or(0) as u64 + 1;
-    meter.bytes(read_size.min(cache.len()) as u64 * width * 4);
+    let arity = cache.arity().unwrap_or(0);
+    oblivious_sort_by_is_view(cache, arity, meter);
+    meter.bytes(read_size.min(cache.len()) as u64 * (arity as u64 + 1) * 4);
     meter.round();
     cache.split_front(read_size)
 }
@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn compact_moves_real_tuples_to_front() {
         let mut cache = mixed_cache(4, 6);
-        oblivious_sort_by_is_view(&mut cache, &mut CostMeter::new());
+        oblivious_sort_by_is_view(&mut cache, 2, &mut CostMeter::new());
         let flags: Vec<bool> = cache.recover_all().iter().map(|r| r.is_view).collect();
         assert_eq!(flags, [[true; 4].as_slice(), &[false; 6]].concat());
     }
@@ -129,7 +129,7 @@ mod tests {
         // the bitonic cleaner over all 5000 in valley form, read back through its
         // output wires — no sort.
         let mut delta = mixed_cache(900, 1100);
-        oblivious_sort_by_is_view(&mut delta, &mut CostMeter::new());
+        oblivious_sort_by_is_view(&mut delta, 2, &mut CostMeter::new());
         cache.extend(delta.clone()).unwrap();
         walked.extend(delta).unwrap();
         let (pairs, outputs) = Network::merge(&[3000, 2000]).pairs();
@@ -143,6 +143,7 @@ mod tests {
             &mut cache,
             &[3000, 2000],
             SortOrder::Ascending,
+            2,
             &mut CostMeter::new(),
         );
         assert_eq!(cache.entries(), walked);

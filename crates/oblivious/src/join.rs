@@ -26,8 +26,9 @@
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
 //! Algorithm 4), for fewer comparators and swaps. Algorithm 4's network is also
 //! keyed by the match flag alone, so each comparator is one AND rather than a
-//! 32-bit comparison, and it swaps only the inner tuple's columns, the outer tuple
-//! being the same in every slot of a buffer (see [`nested_loop_join_cost`]).
+//! 32-bit comparison, and it swaps only the inner tuple's columns less the join
+//! key, the outer tuple and the key being the same in every matching slot of a
+//! buffer (see [`nested_loop_join_cost`]).
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The
@@ -368,11 +369,14 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 /// **declared kernel substitutions** price the network. It is keyed by the match
 /// flag alone, so it is the one-bit circuit of [`Network::charge_flag_keyed`]: one
 /// AND per comparator (`|outer| · select` ANDs, no compare), the flag itself never
-/// swapped. Its swaps carry `inner_arity` words, the inner tuple, the only columns
-/// besides the flag that differ across one buffer; the outer tuple's shares are the
-/// same in every slot, so they are copied into the kept slots after the network, a
-/// local operation with no gate, in place of Algorithm 4's sort of whole output
-/// rows, which keeps the same slots on the same wires. The selection is part of the
+/// swapped. Its swaps carry `inner_arity − 1` words, the inner tuple less its join
+/// key, the only columns besides the flag that differ across one buffer. The outer
+/// tuple's shares are the same in every slot, so they are copied into the kept
+/// slots after the network, a local operation with no gate, in place of Algorithm
+/// 4's sort of whole output rows, which keeps the same slots on the same wires. So
+/// is the inner key: every [`JoinSpec`] is an equi-join, so a kept real slot's
+/// inner key equals the outer key, and a dummy slot's payload is don't-care, as
+/// for the outer columns. The selection is part of the
 /// same circuit as the compare matrix, so the whole join is one round. Depends only
 /// on public sizes, never on data. A public inner relation is priced by
 /// [`public_inner_join_cost`] instead.
@@ -385,7 +389,8 @@ pub fn nested_loop_join_cost(
     inner_arity: usize,
 ) -> CostReport {
     let mut buffer = CostMeter::new();
-    Network::select(inner_len, bound).charge_flag_keyed(inner_arity as u64, &mut buffer);
+    let words = inner_arity.saturating_sub(1) as u64;
+    Network::select(inner_len, bound).charge_flag_keyed(words, &mut buffer);
     let select = buffer.report();
     let out_arity = outer_arity + inner_arity;
     loop_join_cost(outer_len, inner_len, bound, out_arity, select)
@@ -776,7 +781,8 @@ mod tests {
     #[test]
     fn cost_functions_match_physical_execution() {
         let mut rng = StdRng::seed_from_u64(11);
-        // Sides of different widths: the selection's swaps carry the inner side's.
+        // Sides of different widths: the selection's swaps carry the inner side's
+        // columns less its join key.
         let mut left = PlainTable::new(&["k", "t", "x"]);
         let mut right = PlainTable::new(&["k", "t"]);
         (0..7u32).for_each(|i| left.push_row(vec![i % 3, i, 2 * i]));
@@ -796,7 +802,11 @@ mod tests {
         let select = Network::select(19, 2).count();
         assert_eq!(nested_loop_cost.secure_compares, 7 * 19);
         assert_eq!(nested_loop_cost.secure_ands, 2 * 7 * 19 + 7 * select);
-        assert_eq!(nested_loop_cost.secure_swaps, 7 * select * 2);
+        assert_eq!(
+            nested_loop_cost.secure_swaps,
+            7 * select,
+            "the inner less its key"
+        );
         assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
         let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);
@@ -866,7 +876,8 @@ mod tests {
     /// The public price: no swap, the key matrix's compares, `(2 + ω)` ANDs a pair
     /// (the match/budget pair and the one-hot state's ω) and the secret path's
     /// output write and round. The secret path's price is pinned at shapes recorded
-    /// before the public one existed.
+    /// before the public one existed, its swaps re-recorded when the selection
+    /// stopped carrying the inner join key (`inner_arity − 1` words a comparator).
     #[test]
     fn public_inner_price_has_no_swap_and_the_secret_price_is_pinned() {
         let cost = |secure_compares, secure_swaps, secure_ands, bytes_communicated| CostReport {
@@ -878,10 +889,10 @@ mod tests {
             rounds: 1,
         };
         let shapes = [
-            ((80, 110, 10, 2, 2), cost(8_800, 98_720, 66_960, 16_000)),
-            ((28, 63, 1, 2, 2), cost(1_764, 3_472, 5_264, 560)),
-            ((7, 19, 2, 3, 2), cost(133, 490, 511, 336)),
-            ((13, 17, 10, 2, 3), cost(221, 2_964, 1_430, 3_120)),
+            ((80, 110, 10, 2, 2), cost(8_800, 49_360, 66_960, 16_000)),
+            ((28, 63, 1, 2, 2), cost(1_764, 1_736, 5_264, 560)),
+            ((7, 19, 2, 3, 2), cost(133, 245, 511, 336)),
+            ((13, 17, 10, 2, 3), cost(221, 1_976, 1_430, 3_120)),
             ((1, 0, 10, 2, 2), cost(0, 0, 0, 200)),
             ((0, 50, 3, 2, 2), cost(0, 0, 0, 0)),
         ];

@@ -377,13 +377,16 @@ impl<'a> Network<'a> {
     /// comparison per comparator. With free XOR a real-first compare-exchange of
     /// flags `a` (low wire) and `b` (high wire) needs one AND, `t = a ∧ b`: the swap
     /// bit is `b ⊕ t`, the new flags `a ⊕ b ⊕ t` and `t` (the other way round for
-    /// dummies first), and only the `payload_words` other words swap. The cache's
-    /// networks, [`crate::compact::cache_read`], Algorithm 4's selection and the
-    /// cluster's compaction charge here. Returns the comparators.
+    /// dummies first), and only the `payload_words` other words swap — none at 0,
+    /// where [`Self::charge`] floors a record at one word. The cache's networks,
+    /// [`crate::compact::cache_read`], Algorithm 4's selection and the cluster's
+    /// compaction charge here. Returns the comparators.
     pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
         if self.comparators > 0 {
             meter.ands(self.comparators);
-            meter.swaps(self.comparators, payload_words);
+            if payload_words > 0 {
+                meter.swaps(self.comparators, payload_words);
+            }
             meter.round();
         }
         self.comparators
@@ -662,10 +665,11 @@ pub fn oblivious_sort_by_field(
 
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`). Priced by
-/// [`Network::charge_flag_keyed`]: one AND and an `arity`-word swap per comparator.
-pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
+/// [`Network::charge_flag_keyed`]: one AND and a `words`-word swap per comparator,
+/// fewer than the row's arity where a column is restored by a local copy after it.
+pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, words: usize, meter: &mut CostMeter) {
     let network = Network::sort(array.len());
-    if network.charge_flag_keyed(array.arity().unwrap_or(0) as u64, meter) > 0 {
+    if network.charge_flag_keyed(words as u64, meter) > 0 {
         let perm = network_permutation(array, SortOrder::Ascending, dummy_rank, run_sort_network);
         array.permute_gather(&perm);
     }
@@ -678,11 +682,10 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
 /// [`oblivious_sort_by_is_view`] leaves them; `Descending`: the same order read back
 /// to front, which is how the secure cache keeps its runs — and the whole array
 /// comes out in that order. No sort runs: [`Network::merge`] executes on the packed
-/// words and is charged by [`Network::charge_flag_keyed`] (one AND and an
-/// `arity`-word swap per comparator), a single run nothing. The records
-/// are rearranged in place ([`SharedArrayPair::permute_in_place`]): between ordered
-/// runs most rows keep their place, and a copy of a large run made the cost of a
-/// merge depend on the state of the allocator.
+/// words and is charged like [`oblivious_sort_by_is_view`], a single run nothing.
+/// The records are rearranged in place ([`SharedArrayPair::permute_in_place`]):
+/// between ordered runs most rows keep their place, and a copy of a large run made
+/// the cost of a merge depend on the state of the allocator.
 ///
 /// # Panics
 /// Panics when the run lengths do not add up to the array length.
@@ -690,14 +693,15 @@ pub fn oblivious_merge_by_is_view(
     array: &mut SharedArrayPair,
     runs: &[usize],
     order: SortOrder,
+    words: usize,
     meter: &mut CostMeter,
 ) {
     let network = Network::merge(runs);
     assert_eq!(network.wires(), array.len(), "runs must tile the array");
-    if network.charge_flag_keyed(array.arity().unwrap_or(0) as u64, meter) == 0 {
+    if network.charge_flag_keyed(words as u64, meter) == 0 {
         return;
     }
-    let mut perm = network_permutation(array, order, dummy_rank, |words| network.run(words));
+    let mut perm = network_permutation(array, order, dummy_rank, |packed| network.run(packed));
     array.permute_in_place(&mut perm);
 }
 
@@ -1158,7 +1162,7 @@ mod tests {
         let mut merged = runs_of(lens, reals, order);
         let mut entries = merged.entries().to_vec();
         let mut meter = CostMeter::new();
-        oblivious_merge_by_is_view(&mut merged, lens, order, &mut meter);
+        oblivious_merge_by_is_view(&mut merged, lens, order, 3, &mut meter);
 
         let rank = |rec: &SharedRecordPair| match order {
             SortOrder::Ascending => dummy_rank(rec),
@@ -1174,12 +1178,14 @@ mod tests {
         assert_eq!(merged.entries(), walked, "lens={lens:?} {order:?}");
         let ranks: Vec<u64> = merged.entries().iter().map(rank).collect();
         assert!(ranks.is_sorted(), "lens={lens:?} {order:?}: not merged");
-        let report = meter.report();
-        assert_eq!(
-            (report.secure_compares, report.secure_ands),
-            (0, pairs.len() as u64)
+        // Three payload words a comparator, whatever the rows' own width.
+        let (report, comparators) = (meter.report(), pairs.len() as u64);
+        let gates = (
+            report.secure_compares,
+            report.secure_ands,
+            report.secure_swaps,
         );
-        assert_eq!(report.secure_swaps, pairs.len() as u64);
+        assert_eq!(gates, (0, comparators, 3 * comparators));
         assert_eq!(report.rounds, u64::from(!pairs.is_empty()));
     }
 
@@ -1285,7 +1291,7 @@ mod tests {
             })
             .collect();
         let mut arr = SharedArrayPair::share_records(&records, &mut rng);
-        oblivious_sort_by_is_view(&mut arr, &mut CostMeter::new());
+        oblivious_sort_by_is_view(&mut arr, 2, &mut CostMeter::new());
         let flags: Vec<bool> = arr.recover_all().iter().map(|r| r.is_view).collect();
         assert_eq!(flags, [[true; 5], [false; 5]].concat());
     }

@@ -1,7 +1,9 @@
 //! Crate-boundary smoke test: oblivious sort and cache read over secret shares.
 
 use incshrink_mpc::cost::CostMeter;
-use incshrink_oblivious::{cache_read, oblivious_sort_by_field, SortOrder};
+use incshrink_oblivious::{
+    cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
+};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use rand::rngs::StdRng;
@@ -31,4 +33,24 @@ fn sort_and_cache_read_through_public_api() {
     let fetched = cache_read(&mut arr, 3, &mut meter);
     assert_eq!(fetched.len(), 3);
     assert_eq!(fetched.true_cardinality(), 3, "reals come first");
+}
+
+/// A flag-keyed network with nothing to swap besides its flag — the selection over
+/// an inner relation that is only its join key — charges its ANDs and round and no
+/// swap; a word-keyed network keeps its one-word floor.
+#[test]
+fn a_zero_word_flag_keyed_payload_charges_no_swap() {
+    let network = Network::select(19, 2);
+    let (mut flag, mut word) = (CostMeter::new(), CostMeter::new());
+    let comparators = network.charge_flag_keyed(0, &mut flag);
+    let flag = flag.report();
+    assert!(comparators > 0);
+    assert_eq!((flag.secure_ands, flag.secure_swaps), (comparators, 0));
+    assert_eq!((flag.secure_compares, flag.rounds), (0, 1));
+    network.charge(0, &mut word);
+    assert_eq!(word.report().secure_swaps, comparators, "one-word floor");
+
+    let key_only = nested_loop_join_cost(7, 19, 2, 2, 1);
+    assert_eq!(key_only.secure_swaps, 0, "a key-only inner moves nothing");
+    assert_eq!(key_only.secure_ands, 2 * 7 * 19 + 7 * comparators);
 }

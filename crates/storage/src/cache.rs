@@ -15,7 +15,8 @@
 //! of that size can reach — instead of sorting them. See [`SecureCache`].
 
 use incshrink_mpc::cost::{CostMeter, MeteredSpan};
-use incshrink_oblivious::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view, SortOrder};
+use incshrink_oblivious::sort::SortOrder::Descending;
+use incshrink_oblivious::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use serde::{Deserialize, Serialize};
 
@@ -74,11 +75,12 @@ pub struct CacheStats {
 /// network shape are a function of the sequence of write sizes, cut sizes and
 /// flushes alone — the `CacheAppend` / `ViewSync` / `CacheFlush` sizes both servers
 /// observe anyway — never of the contents.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SecureCache {
     runs: Vec<Run>,
     tail: SharedArrayPair,
     stats: CacheStats,
+    words: usize,
 }
 
 /// One sealed run.
@@ -92,10 +94,18 @@ struct Run {
 }
 
 impl SecureCache {
-    /// Empty cache.
+    /// Empty cache whose networks swap `words` words a row besides `isView` (fetches
+    /// move whole rows). The pipeline's view rows carry their join key twice, so it
+    /// passes their arity less one: the copy is restored after each network by a
+    /// local copy of shares, no gate (**declared kernel substitution**).
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(words: usize) -> Self {
+        Self {
+            runs: Vec::new(),
+            tail: SharedArrayPair::new(),
+            stats: CacheStats::default(),
+            words,
+        }
     }
 
     /// Current (padded) length of the cache.
@@ -163,7 +173,7 @@ impl SecureCache {
                 .rows
                 .extend(newer.rows)
                 .expect("view entries share one arity");
-            oblivious_merge_by_is_view(&mut older.rows, &runs, SortOrder::Descending, meter);
+            oblivious_merge_by_is_view(&mut older.rows, &runs, Descending, self.words, meter);
             self.stats.merges += 1;
             self.stats.merged_rows += older.rows.len() as u64;
         }
@@ -186,7 +196,7 @@ impl SecureCache {
         );
         let seal = MeteredSpan::enter("cache.seal", meter);
         let mut tail = std::mem::take(&mut self.tail);
-        oblivious_sort_by_is_view(&mut tail, meter);
+        oblivious_sort_by_is_view(&mut tail, self.words, meter);
         tail.entries_mut().reverse();
         seal.close(meter);
         self.push_run(tail, 1, meter);
@@ -201,7 +211,7 @@ impl SecureCache {
                 .expect("view entries share one arity");
         }
         self.runs.retain(|run| !run.rows.is_empty());
-        oblivious_merge_by_is_view(&mut candidates, &heads, SortOrder::Descending, meter);
+        oblivious_merge_by_is_view(&mut candidates, &heads, Descending, self.words, meter);
         let mut fetched = candidates.split_back(size);
         let width = candidates.arity().unwrap_or(0) as u64 + 1;
         meter.bytes(fetched.len() as u64 * width * 4);
@@ -255,7 +265,7 @@ mod tests {
 
     #[test]
     fn write_read_cycle() {
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(1);
         assert!(cache.is_empty());
         cache.write(delta(3, 5));
         cache.write(delta(2, 6));
@@ -271,21 +281,18 @@ mod tests {
 
     #[test]
     fn flush_fetches_prefix_and_recycles_rest() {
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(1);
         cache.write(delta(2, 10));
         let fetched = cache.flush(5, &mut CostMeter::new());
         assert_eq!((fetched.len(), fetched.true_cardinality()), (5, 2));
         assert!(cache.is_empty(), "remainder recycled");
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.flushed, stats.recycled, stats.flush_count),
-            (5, 7, 1)
-        );
+        let s = cache.stats();
+        assert_eq!((s.flushed, s.recycled, s.flush_count), (5, 7, 1));
     }
 
     #[test]
     fn read_more_than_cache_size_drains() {
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(1);
         cache.write(delta(1, 2));
         assert_eq!(cache.read(10, &mut CostMeter::new()).len(), 3);
         assert!(cache.is_empty());
@@ -293,7 +300,7 @@ mod tests {
 
     #[test]
     fn flush_with_larger_size_than_cache() {
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(1);
         cache.write(delta(2, 2));
         assert_eq!(cache.flush(100, &mut CostMeter::new()).len(), 4);
         assert_eq!(cache.stats().recycled, 0);
@@ -312,19 +319,14 @@ mod tests {
 
     /// Every row of the cache.
     fn rows(cache: &SecureCache) -> Vec<PlainRecord> {
-        let mut rows: Vec<PlainRecord> = cache
-            .runs
-            .iter()
-            .flat_map(|run| head_first(&run.rows))
-            .collect();
-        rows.extend(cache.tail.recover_all());
-        rows
+        let runs = cache.runs.iter().flat_map(|run| head_first(&run.rows));
+        runs.chain(cache.tail.recover_all()).collect()
     }
 
     #[test]
     fn runs_survive_sync_then_flush_drain_and_empty_write() {
         let mut meter = CostMeter::new();
-        let mut cache = SecureCache::new();
+        let mut cache = SecureCache::new(1);
 
         // A sync and a flush in the same step: the flush's seal finds an empty
         // tail, so only the one remaining run's head is sorted.
@@ -333,11 +335,7 @@ mod tests {
         assert_eq!(cache.run_lens(), [9]);
         assert!(meter.take().secure_ands > 0);
         assert_eq!(cache.flush(2, &mut meter).true_cardinality(), 1);
-        assert_eq!(
-            meter.take().secure_ands,
-            0,
-            "nothing new to seal, and one run's head is in order already"
-        );
+        assert_eq!(meter.take().secure_ands, 0, "no seal, one sorted head");
         assert!(cache.is_empty() && cache.run_lens().is_empty());
         assert_eq!(cache.stats().recycled, 7);
 
@@ -352,11 +350,7 @@ mod tests {
         assert!(cache.read(0, &mut meter).is_empty());
         assert_eq!((cache.len(), cache.run_lens()), (11, vec![11]));
         let fetched = cache.read(4, &mut meter);
-        assert_eq!(
-            fetched.true_cardinality(),
-            4,
-            "deferred and new reals first"
-        );
+        assert_eq!(fetched.true_cardinality(), 4, "deferred, new reals first");
         assert!(real_first(&fetched.recover_all()));
 
         // A read larger than the cache drains it, runs and all; so does a flush.
@@ -365,10 +359,7 @@ mod tests {
         cache.write(delta(1, 3));
         assert_eq!(cache.flush(100, &mut meter).true_cardinality(), 1);
         assert!(cache.is_empty());
-        assert!(
-            cache.read(5, &mut meter).is_empty(),
-            "empty cache, empty read"
-        );
+        assert!(cache.read(5, &mut meter).is_empty(), "empty read");
     }
 
     /// One cache operation by its released size.
@@ -436,7 +427,7 @@ mod tests {
         ) {
             // All dummies, a third real, all real.
             let contents: [fn(usize) -> usize; 3] = [|_| 0, |rows| rows / 3, |rows| rows];
-            let mut caches = contents.map(|real| (real, SecureCache::new(), CostMeter::new()));
+            let mut caches = contents.map(|real| (real, SecureCache::new(1), CostMeter::new()));
             let (mut runs, mut tail) = (Vec::new(), 0);
             let sink = Arc::new(InMemory::new());
             let _guard = incshrink_telemetry::install(sink.clone());
@@ -472,7 +463,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..12), 0..24),
         ) {
             let mut meter = CostMeter::new();
-            let mut cache = SecureCache::new();
+            let mut cache = SecureCache::new(1);
             let mut twin = SharedArrayPair::new();
             let mut seals = 0u32;
             for (kind, a, b) in ops {
