@@ -443,7 +443,7 @@ mod tests {
         // of 12 rows, a merge of runs 9 and 8, and a read merging two heads of 4.
         let sink = Arc::new(InMemory::new());
         let guard = incshrink_telemetry::install(sink.clone());
-        let (mut cache, mut meter) = (SecureCache::new(3), CostMeter::new());
+        let (mut cache, mut meter) = (SecureCache::new(3, None), CostMeter::new());
         for (written, size) in [(12, 3), (8, 0), (6, 0), (5, 4)] {
             cache.write(rows(written / 3, written - written / 3));
             drop(cache.read(size, &mut meter));

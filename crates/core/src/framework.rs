@@ -227,7 +227,7 @@ impl ShardPipeline {
             store: OutsourcedStore::new(transform.window_steps()),
             // The view row's second join-key copy is restored locally after each
             // network, so the cache's networks carry one word less than the row.
-            cache: SecureCache::new(left_arity + right_arity - 1),
+            cache: SecureCache::new(left_arity + right_arity - 1, shrink.trim_bound()),
             view: MaterializedView::new(),
             transform,
             shrink,

@@ -16,13 +16,14 @@
 //! aggregate operator's predicate slot, so a filtered query costs exactly what its
 //! unfiltered form costs and selectivity never leaks; [`Query::explain`] names that
 //! scan. The view is column-major at rest ([`MaterializedView::entries`]), so the
-//! scan *names its lanes*: the filter conjunction becomes a branch-free 0/1
-//! selection mask built from the `isView` lane and the filter columns
-//! (`incshrink_oblivious::filter::selection_mask`, the one predicate lowering), and
-//! the aggregate's lane body (`incshrink_oblivious::aggregate::{count,sum,group_count}_selected`)
-//! combines it with the one column the aggregate reads. No lane the plan does not
-//! name is recovered, nothing is transposed per query (that happened once, when the
-//! batch was synchronized), and no per-row closure or scratch record is built. Host
+//! scan *names its lanes*: the aggregate's lane body
+//! (`incshrink_oblivious::aggregate::{count,sum,group_count}_selected`) evaluates
+//! the filter conjunction as a branch-free 0/1 selection over the `isView` lane and
+//! the filter columns, 256 rows at a time in a stack block (the one predicate
+//! lowering), and combines each block with the one column the aggregate reads. No
+//! lane the plan does not name is recovered, nothing is transposed per query (that
+//! happened once, when the batch was synchronized), and no per-row closure, scratch
+//! record or view-length mask is built. Host
 //! time follows the lanes read; the modeled cost does not. Around that body:
 //!
 //! * `ShardPipeline::execute_query` runs it over one server pair's view.
@@ -46,7 +47,6 @@
 use crate::view::MaterializedView;
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use incshrink_oblivious::aggregate::{count_selected, group_count_selected, sum_selected};
-use incshrink_oblivious::filter::selection_mask;
 pub use incshrink_oblivious::filter::FilterExpr;
 use serde::{Deserialize, Serialize};
 
@@ -208,15 +208,16 @@ impl Query {
     #[must_use]
     pub fn execute(&self, view: &MaterializedView, model: &CostModel) -> QueryOutcome {
         let entries = view.entries();
-        let mut meter = CostMeter::new();
-        let mask = selection_mask(entries, &self.filters);
+        let (filters, mut meter) = (&self.filters, CostMeter::new());
         let value = match &self.aggregate {
-            AggregateSpec::Count => QueryValue::Scalar(count_selected(entries, &mask, &mut meter)),
+            AggregateSpec::Count => {
+                QueryValue::Scalar(count_selected(entries, filters, &mut meter))
+            }
             AggregateSpec::Sum { field } => {
-                QueryValue::Scalar(sum_selected(entries, *field, &mask, &mut meter))
+                QueryValue::Scalar(sum_selected(entries, *field, filters, &mut meter))
             }
             AggregateSpec::GroupCount { field, domain } => QueryValue::Vector(
-                group_count_selected(entries, *field, domain, &mask, &mut meter),
+                group_count_selected(entries, *field, domain, filters, &mut meter),
             ),
         };
         let report = meter.take();

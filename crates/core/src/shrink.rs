@@ -13,6 +13,7 @@ use crate::config::{IncShrinkConfig, UpdateStrategy};
 use crate::transform::CARDINALITY_SHARE;
 use crate::view::MaterializedView;
 use incshrink_dp::joint::{joint_laplace_noise, joint_noised_size};
+use incshrink_dp::laplace::{count_shortfall_bound, TRIM_FAILURE_PROBABILITY};
 use incshrink_mpc::cost::{CostReport, SimDuration};
 use incshrink_mpc::party::ObservedEvent;
 use incshrink_mpc::PartyExec;
@@ -81,19 +82,35 @@ impl ShrinkProtocol {
         self.store_noisy_threshold(ctx, noisy);
     }
 
+    /// ε of the draw that sizes a synchronization: ε (sDPTimer), ε/2 (sDPANT).
+    fn sync_epsilon(&self) -> f64 {
+        match self.strategy {
+            UpdateStrategy::DpAnt { .. } => self.epsilon / 2.0,
+            _ => self.epsilon,
+        }
+    }
+
+    /// The public `R` the secure cache trims its runs to: a synchronization leaves
+    /// more than `R` reals behind with probability ≤ [`TRIM_FAILURE_PROBABILITY`].
+    /// `None` for the strategies that never read the cache.
+    pub(crate) fn trim_bound(&self) -> Option<usize> {
+        let scale = self.contribution_bound as f64 / self.sync_epsilon();
+        let bound = count_shortfall_bound(scale, TRIM_FAILURE_PROBABILITY);
+        self.strategy.uses_shrink().then_some(bound)
+    }
+
     fn synchronize(
         &mut self,
         ctx: &mut impl PartyExec,
         cache: &mut SecureCache,
         view: &mut MaterializedView,
-        noise_epsilon: f64,
         time: u64,
     ) -> usize {
         let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
         let read_size = joint_noised_size(
             ctx,
             self.contribution_bound as f64,
-            noise_epsilon,
+            self.sync_epsilon(),
             u64::from(counter),
         ) as usize;
         let fetched = cache.read(read_size, ctx.meter());
@@ -111,7 +128,9 @@ impl ShrinkProtocol {
         // the next synchronization picks them up instead of stranding them until a
         // flush (resetting to zero here makes the deferred backlog a reflected random
         // walk that grows with the number of synchronizations, which inverts the
-        // paper's Figure 6 crossover for the frequently-updating sDPANT).
+        // paper's Figure 6 crossover for the frequently-updating sDPANT). A real
+        // entry the cache's trim recycled (probability ≤ β) stays counted too, which
+        // can only make a later read larger (declared).
         ctx.reshare_and_store(CARDINALITY_SHARE, counter.saturating_sub(fetched_real));
         read_size
     }
@@ -153,12 +172,11 @@ impl ShrinkProtocol {
             UpdateStrategy::DpTimer { interval } if time > 0 && time % interval == 0 => {
                 // Algorithm 2: sz ← c + Lap(b/ε).
                 let _mech = incshrink_telemetry::mechanism_scope("timer.sync");
-                outcome.read_size = self.synchronize(ctx, cache, view, self.epsilon, time);
+                outcome.read_size = self.synchronize(ctx, cache, view, time);
                 outcome.updated = true;
             }
             UpdateStrategy::DpAnt { threshold } => {
                 let epsilon1 = self.epsilon / 2.0;
-                let epsilon2 = self.epsilon / 2.0;
                 if !self.ant_initialized {
                     self.refresh_ant_threshold(ctx, threshold);
                     self.ant_initialized = true;
@@ -178,7 +196,7 @@ impl ShrinkProtocol {
                 let noisy_threshold = self.load_noisy_threshold(ctx);
                 if noisy_counter >= noisy_threshold {
                     let _mech = incshrink_telemetry::mechanism_scope("ant.sync");
-                    outcome.read_size = self.synchronize(ctx, cache, view, epsilon2, time);
+                    outcome.read_size = self.synchronize(ctx, cache, view, time);
                     outcome.updated = true;
                     // Lines 11-12: refresh the noisy threshold with fresh randomness.
                     self.refresh_ant_threshold(ctx, threshold);
@@ -239,7 +257,7 @@ mod tests {
         let mut ctx = ctx_with_counter(1, 6);
         let cfg = config(UpdateStrategy::DpTimer { interval: 10 }, 100.0);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new(3);
+        let mut cache = SecureCache::new(3, None);
         let mut view = MaterializedView::new();
         cache.write(delta(6, 14, 1));
 
@@ -262,7 +280,7 @@ mod tests {
         let mut ctx = ctx_with_counter(2, 0);
         let cfg = config(UpdateStrategy::DpAnt { threshold: 20.0 }, 50.0);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new(3);
+        let mut cache = SecureCache::new(3, None);
         let mut view = MaterializedView::new();
 
         // Counter far below the threshold: no update.
@@ -285,7 +303,7 @@ mod tests {
         let mut ctx = ctx_with_counter(3, 0);
         let cfg = config(UpdateStrategy::DpAnt { threshold: 30.0 }, 1.5);
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new(3);
+        let mut cache = SecureCache::new(3, None);
         let mut view = MaterializedView::new();
         let _ = shrink.step(&mut ctx, &mut cache, &mut view, 1);
 
@@ -306,7 +324,7 @@ mod tests {
         cfg.flush_interval = 10;
         cfg.flush_size = 3;
         let mut shrink = ShrinkProtocol::new(&cfg);
-        let mut cache = SecureCache::new(3);
+        let mut cache = SecureCache::new(3, None);
         let mut view = MaterializedView::new();
         cache.write(delta(2, 20, 3));
 
@@ -337,7 +355,7 @@ mod tests {
             let mut cfg = config(strategy, 1.5);
             cfg.flush_interval = 1_000_000;
             let mut shrink = ShrinkProtocol::new(&cfg);
-            let mut cache = SecureCache::new(3);
+            let mut cache = SecureCache::new(3, None);
             let mut view = MaterializedView::new();
             cache.write(delta(5, 5, 4));
             for t in 1..=20 {
@@ -356,7 +374,7 @@ mod tests {
             let mut ctx = ctx_with_counter(seed, 0);
             let cfg = config(UpdateStrategy::DpTimer { interval: 1 }, epsilon);
             let mut shrink = ShrinkProtocol::new(&cfg);
-            let mut cache = SecureCache::new(3);
+            let mut cache = SecureCache::new(3, None);
             let mut view = MaterializedView::new();
             let mut sizes = Vec::new();
             for t in 1..=120 {

@@ -657,8 +657,10 @@ impl TransformProtocol {
             .map(|batch| self.join_cost(batch.len(), inner_of_right, (right_arity, left_arity)));
         let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
 
+        // ΔV is ω slots per outer row of either delta: a public length.
+        let padded = delta_left.len() + delta_right.map_or(0, UploadBatch::len);
         let mut out = DeltaOut {
-            rows: SharedArrayPair::with_arity(out_arity),
+            rows: SharedArrayPair::with_capacity(out_arity, omega * padded),
             rng: StdRng::seed_from_u64(0xA11CE ^ ctx.time_step()),
             omega,
             arity: out_arity,
@@ -707,7 +709,6 @@ impl TransformProtocol {
 
         // --- Algorithm 1 lines 4-6: the AND-scan of ΔV, then recover the counter,
         // add the new cardinality and re-share it with fresh joint randomness.
-        let padded = outer_left.len() + outer_right.as_ref().map_or(0, Vec::len);
         ctx.meter().ands((padded * omega) as u64);
         let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
         ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);

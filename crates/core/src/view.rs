@@ -174,8 +174,8 @@ impl MaterializedView {
         moved: &dyn Fn(u32) -> bool,
     ) -> Vec<PlainRecord> {
         let mut leaving = self.entries.real_mask();
-        self.entries
-            .narrow_mask(key_column, &mut leaving, |key| u64::from(moved(key as u32)));
+        let test = |key: u64| u64::from(moved(key as u32));
+        self.entries.narrow_mask(key_column, 0, &mut leaving, test);
         let out: Vec<PlainRecord> = (0..self.len())
             .filter(|&i| leaving[i] != 0)
             .map(|i| self.entries.recover_row(i))

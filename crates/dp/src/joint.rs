@@ -8,7 +8,7 @@
 //! As long as at least one server samples honestly and keeps its word private — which
 //! is exactly the non-colluding assumption — the noise is unpredictable to every party.
 
-use crate::laplace::laplace_from_unit;
+use crate::laplace::{laplace_from_unit, released_count};
 use incshrink_mpc::PartyExec;
 
 /// Jointly sample `Lap(Δ/ε)` noise inside the two-party context and return
@@ -43,12 +43,7 @@ pub fn joint_noised_size(
     epsilon: f64,
     count: u64,
 ) -> u64 {
-    let noised = joint_laplace_noise(ctx, sensitivity, epsilon, count as f64);
-    if noised <= 0.0 {
-        0
-    } else {
-        noised.round() as u64
-    }
+    released_count(joint_laplace_noise(ctx, sensitivity, epsilon, count as f64))
 }
 
 #[cfg(test)]

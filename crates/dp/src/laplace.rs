@@ -73,13 +73,29 @@ impl LaplaceMechanism {
     /// Apply the mechanism to a count and clamp the released value to a non-negative
     /// integer (noised cardinalities are used as array read sizes).
     pub fn randomize_count<R: Rng + ?Sized>(&self, count: u64, rng: &mut R) -> u64 {
-        let noised = self.randomize(count as f64, rng);
-        if noised <= 0.0 {
-            0
-        } else {
-            noised.round() as u64
-        }
+        released_count(self.randomize(count as f64, rng))
     }
+}
+
+/// A noised count as a usable size: rounded to the nearest integer, clamped at 0.
+pub(crate) fn released_count(noised: f64) -> u64 {
+    if noised <= 0.0 {
+        0
+    } else {
+        noised.round() as u64
+    }
+}
+
+/// The failure probability β of the secure cache's trim: per cut, the chance that
+/// a row it recycles was real.
+pub const TRIM_FAILURE_PROBABILITY: f64 = 1e-6;
+
+/// The bound `R = ⌈scale·ln(1/(2β)) + ½⌉` (the ½ a margin for the rounding) on how
+/// far a count released as `round(c + Lap(scale))`, clamped at 0, falls below `c`:
+/// it falls further only on noise below `−(R + ½)`, probability `½·e^{−(R+½)/scale} ≤ β`.
+#[must_use]
+pub fn count_shortfall_bound(scale: f64, beta: f64) -> usize {
+    (scale * (1.0 / (2.0 * beta)).ln() + 0.5).ceil() as usize
 }
 
 #[cfg(test)]
@@ -129,6 +145,30 @@ mod tests {
         let mad = samples.iter().map(|x| x.abs()).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((mad - 2.0).abs() < 0.15, "mad {mad}");
+    }
+
+    #[test]
+    fn shortfall_bound_holds_against_the_rounded_clamped_laplace_tail() {
+        // The seed-7 pipelines: TPC-ds (b = 10, ε = 1.5), CPDB (b = 20) and a
+        // TPC-ds shard at ε/2.
+        let r = |b: f64, eps: f64| count_shortfall_bound(b / eps, TRIM_FAILURE_PROBABILITY);
+        assert_eq!((r(10.0, 1.5), r(20.0, 1.5), r(10.0, 0.75)), (88, 176, 176));
+        for scale in [0.1, 1.0, 20.0 / 3.0, 13.3, 100.0] {
+            for beta in [TRIM_FAILURE_PROBABILITY, 1e-3, 0.1, 0.49] {
+                let bound = count_shortfall_bound(scale, beta);
+                let edge = -(bound as f64 + 0.5);
+                // Closed form of P(Lap(scale) < −(R + ½)).
+                assert!(0.5 * (edge / scale).exp() <= beta, "{scale} {beta}");
+                for c in 0..bound as u64 + 40 {
+                    let short = |noise: f64| released_count(c as f64 + noise) + (bound as u64) < c;
+                    // Never short from the edge up; short just below it once c > R.
+                    assert!(!short(edge) && !short(edge + 0.25) && !short(1e9));
+                    assert_eq!(short(edge - 1e-9), c > bound as u64, "{scale} {beta} {c}");
+                    // The clamp at 0: any draw that zeroes the size.
+                    assert_eq!(short(-1e9), c > bound as u64);
+                }
+            }
+        }
     }
 
     #[test]

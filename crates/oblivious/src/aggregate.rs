@@ -17,17 +17,17 @@
 //! # Physical evaluation
 //! Each aggregate has one body, written over column-major lanes
 //! ([`incshrink_secretshare::SharedColumnsPair`]): [`count_selected`],
-//! [`sum_selected`] and [`group_count_selected`] take the array's lanes plus a
-//! selection mask (one 0/1 word per row, `isView ∧ predicate`), charge the meter
-//! from the public `(len, arity, |domain|)` and combine the mask with the one field
-//! lane they name in branch-free word arithmetic — a masked add per lane slot, no
-//! per-record allocation. An array that is column-major at rest (the materialized
-//! view) calls the bodies directly and pays no transposition; the
-//! `&SharedArrayPair` entry points ([`oblivious_count`],
-//! [`oblivious_group_count_over_domain`]) transpose once, take their mask from
-//! [`selection_mask`] and run the same body.
+//! [`sum_selected`] and [`group_count_selected`] take the array's lanes plus the
+//! selection's conjuncts, charge the meter from the public `(len, arity,
+//! |domain|)` and combine each 256-row block of the selection (`isView ∧
+//! conjuncts`, evaluated into a stack array) with the one field lane they name in
+//! branch-free word arithmetic — a masked add per lane slot, no allocation however
+//! long the array. An array that is column-major at rest (the materialized view)
+//! calls the bodies directly and pays no transposition; the `&SharedArrayPair`
+//! entry points ([`oblivious_count`], [`oblivious_group_count_over_domain`])
+//! transpose once and run the same body with their [`Predicate`]'s conjuncts.
 
-use crate::filter::{selection_mask, Predicate};
+use crate::filter::{for_each_selection_block, FilterExpr, Predicate};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
@@ -37,72 +37,68 @@ fn scan_input_bytes(columns: &SharedColumnsPair) -> u64 {
     (columns.len() * (columns.arity() + 1) * 4) as u64
 }
 
-/// Recover field `field` of every row, or `None` when the array has no such column.
-fn field_lane(columns: &SharedColumnsPair, field: usize) -> Option<Vec<u64>> {
-    (field < columns.arity()).then(|| columns.recovered_field_lane(field))
-}
-
-/// Count the rows of `columns` that `mask` selects — the lane body of
-/// [`oblivious_count`]. `mask` holds one 0/1 word per row (`isView ∧ predicate`, as
-/// [`selection_mask`] builds it). Charges one secure comparison, one AND
-/// and one addition per row, the scanned shares as input traffic and 8 bytes for
-/// the revealed count — whatever the mask selects.
-///
-/// # Panics
-/// Panics when `mask` does not hold one word per row.
-pub fn count_selected(columns: &SharedColumnsPair, mask: &[u64], meter: &mut CostMeter) -> u64 {
-    assert_eq!(mask.len(), columns.len(), "one mask word per row");
+/// Count the rows of `columns` that `isView ∧ conjuncts` selects — the lane body
+/// of [`oblivious_count`]. Charges one secure comparison, one AND and one addition
+/// per row, the scanned shares as input traffic and 8 bytes for the revealed
+/// count — whatever the selection keeps.
+pub fn count_selected(
+    columns: &SharedColumnsPair,
+    conjuncts: &[FilterExpr],
+    meter: &mut CostMeter,
+) -> u64 {
     let n = columns.len() as u64;
     meter.compares(n);
     meter.ands(n);
     meter.adds(n);
     meter.bytes(scan_input_bytes(columns) + 8);
     meter.round();
-    mask.iter().sum()
+    let mut count = 0;
+    for_each_selection_block(columns, conjuncts, |_, mask| {
+        count += mask.iter().sum::<u64>()
+    });
+    count
 }
 
-/// Sum `field` over the rows of `columns` that `mask` selects, with saturating
-/// 64-bit arithmetic (the paper's aggregates are counts; sums complete the
-/// analyst query layer's operator set). A column the array does not have sums
+/// Sum `field` over the rows of `columns` that `isView ∧ conjuncts` selects, with
+/// saturating 64-bit arithmetic (the paper's aggregates are counts; sums complete
+/// the analyst query layer's operator set). A column the array does not have sums
 /// to 0; the charge is the same either way.
-///
-/// # Panics
-/// Panics when `mask` does not hold one word per row.
 pub fn sum_selected(
     columns: &SharedColumnsPair,
     field: usize,
-    mask: &[u64],
+    conjuncts: &[FilterExpr],
     meter: &mut CostMeter,
 ) -> u64 {
-    assert_eq!(mask.len(), columns.len(), "one mask word per row");
     let n = columns.len() as u64;
     meter.compares(n);
     meter.ands(n);
     meter.adds(2 * n);
     meter.bytes(scan_input_bytes(columns) + 8);
     meter.round();
-    columns.field_shares(field).map_or(0, |(s0, s1)| {
+    let Some((s0, s1)) = columns.field_shares(field) else {
+        return 0;
+    };
+    let mut sum = 0u64;
+    for_each_selection_block(columns, conjuncts, |start, mask| {
         // mask is 0/1 and lane values are widened u32s, so the product is exact.
-        (mask.iter().zip(s0).zip(s1))
-            .fold(0u64, |acc, ((&m, &a), &b)| acc.saturating_add(m * (a ^ b)))
-    })
+        sum = (mask.iter().zip(&s0[start..]).zip(&s1[start..]))
+            .fold(sum, |acc, ((&m, &a), &b)| acc.saturating_add(m * (a ^ b)));
+    });
+    sum
 }
 
-/// Count the rows of `columns` that `mask` selects, grouped over a *public* `domain`
-/// of `group_field` values — the lane body of [`oblivious_group_count_over_domain`],
-/// which documents the output contract, leakage and cost. A column the array does
-/// not have yields an all-zero vector of the public width.
-///
-/// # Panics
-/// Panics when `mask` does not hold one word per row.
+/// Count the rows of `columns` that `isView ∧ conjuncts` selects, grouped over a
+/// *public* `domain` of `group_field` values — the lane body of
+/// [`oblivious_group_count_over_domain`], which documents the output contract,
+/// leakage and cost. A column the array does not have yields an all-zero vector of
+/// the public width.
 pub fn group_count_selected(
     columns: &SharedColumnsPair,
     group_field: usize,
     domain: &[u32],
-    mask: &[u64],
+    conjuncts: &[FilterExpr],
     meter: &mut CostMeter,
 ) -> Vec<u64> {
-    assert_eq!(mask.len(), columns.len(), "one mask word per row");
     let n = columns.len() as u64;
     let d = domain.len() as u64;
     if d == 0 {
@@ -113,18 +109,18 @@ pub fn group_count_selected(
     meter.adds(n * d);
     meter.bytes(scan_input_bytes(columns) + 8 * d);
     meter.round();
-    let Some(lane) = field_lane(columns, group_field) else {
-        return vec![0; domain.len()];
+    let mut counts = vec![0; domain.len()];
+    let Some((s0, s1)) = columns.field_shares(group_field) else {
+        return counts;
     };
-    domain
-        .iter()
-        .map(|&value| {
-            mask.iter()
-                .zip(&lane)
-                .map(|(&m, &key)| m & eq_word(key, u64::from(value)))
-                .sum()
-        })
-        .collect()
+    for_each_selection_block(columns, conjuncts, |start, mask| {
+        for (count, &value) in counts.iter_mut().zip(domain) {
+            *count += (mask.iter().zip(&s0[start..]).zip(&s1[start..]))
+                .map(|((&m, &a), &b)| m & eq_word(a ^ b, u64::from(value)))
+                .sum::<u64>();
+        }
+    });
+    counts
 }
 
 /// Obliviously count the real (`isView = 1`) entries of `array` that satisfy
@@ -137,8 +133,7 @@ pub fn oblivious_count(
     meter: &mut CostMeter,
 ) -> u64 {
     let columns = SharedColumnsPair::from_pair(array);
-    let mask = selection_mask(&columns, &predicate.conjuncts);
-    count_selected(&columns, &mask, meter)
+    count_selected(&columns, &predicate.conjuncts, meter)
 }
 
 /// Obliviously count the real entries that satisfy `predicate`, grouped over a
@@ -165,14 +160,12 @@ pub fn oblivious_group_count_over_domain(
     meter: &mut CostMeter,
 ) -> Vec<u64> {
     let columns = SharedColumnsPair::from_pair(array);
-    let mask = selection_mask(&columns, &predicate.conjuncts);
-    group_count_selected(&columns, group_field, domain, &mask, meter)
+    group_count_selected(&columns, group_field, domain, &predicate.conjuncts, meter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterExpr;
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -196,9 +189,12 @@ mod tests {
         predicate: &Predicate<'_>,
         meter: &mut CostMeter,
     ) -> u64 {
-        let columns = SharedColumnsPair::from_pair(array);
-        let mask = selection_mask(&columns, &predicate.conjuncts);
-        sum_selected(&columns, field, &mask, meter)
+        sum_selected(
+            &SharedColumnsPair::from_pair(array),
+            field,
+            &predicate.conjuncts,
+            meter,
+        )
     }
 
     /// Record-major reference implementations (what the lane kernels replaced),
@@ -300,13 +296,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one mask word per row")]
-    fn lane_bodies_reject_a_mask_of_the_wrong_length() {
-        let columns = SharedColumnsPair::from_pair(&array_with(&[(1, 5), (2, 15)], 1));
-        let _ = count_selected(&columns, &[1, 1], &mut CostMeter::new());
-    }
-
-    #[test]
     fn scan_bytes_grow_with_view_size() {
         // Regression for the flat-8-byte pricing: the scan's share traffic must make
         // a much larger array cost proportionally more bandwidth.
@@ -378,7 +367,8 @@ mod tests {
 
         #[test]
         fn prop_lane_aggregates_equal_record_major_references(
-            rows in proptest::collection::vec((0u32..8, 0u32..90), 0..40),
+            // Up to three 256-row selection blocks.
+            rows in proptest::collection::vec((0u32..8, 0u32..90), 0..700),
             dummies in 0usize..8,
             which in 0u8..4,
             field in 0usize..3,

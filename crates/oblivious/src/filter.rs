@@ -8,13 +8,15 @@
 //! input length.
 //!
 //! # Predicates
-//! A selection is a conjunction of [`FilterExpr`] column tests. [`selection_mask`]
-//! lowers it once, to one 0/1 word per row (`isView ∧ conjuncts`) in branch-free
-//! arithmetic over column-major lanes ([`incshrink_secretshare::SharedColumnsPair`]):
-//! each conjunct reads only the lane it names, and a column the array does not have
-//! matches nothing. It is the only mask builder: [`oblivious_filter`], the
-//! `&SharedArrayPair` aggregates of [`crate::aggregate`] (through a [`Predicate`],
-//! a name plus conjuncts) and the analyst query layer's plan body all call it. The
+//! A selection is a conjunction of [`FilterExpr`] column tests. One lowering,
+//! `for_each_selection_block`, evaluates it to one 0/1 word per row
+//! (`isView ∧ conjuncts`) in branch-free arithmetic over column-major lanes
+//! ([`incshrink_secretshare::SharedColumnsPair`]), 256 rows at a time in a stack
+//! block: each conjunct reads only the lane it names, and a column the array does
+//! not have matches nothing. [`oblivious_filter`] and the aggregates of
+//! [`crate::aggregate`] (the analyst query layer's plan body, and the
+//! `&SharedArrayPair` entry points through a [`Predicate`], a name plus
+//! conjuncts) consume its blocks. The
 //! filter re-shares its output drawing masks in exactly the order the record-major
 //! implementation did, so trajectories are bit-identical.
 
@@ -73,8 +75,9 @@ impl FilterExpr {
         Self::Eq { field, value }
     }
 
-    /// Evaluate the conjunct over a record's plaintext fields — the rule
-    /// [`selection_mask`] computes obliviously, and the plaintext ground truth.
+    /// Evaluate the conjunct over a record's plaintext fields — the rule the lane
+    /// bodies of [`crate::aggregate`] compute obliviously, and the plaintext ground
+    /// truth.
     #[must_use]
     pub fn matches(&self, fields: &[u32]) -> bool {
         match *self {
@@ -95,29 +98,40 @@ impl fmt::Display for FilterExpr {
     }
 }
 
-/// The selection `isView ∧ conjuncts` as one 0/1 word per row of `columns`,
-/// lowered conjunct by conjunct to branch-free lane arithmetic. Each conjunct reads
-/// only the column it names; as in [`FilterExpr::matches`], a column the array does
-/// not have matches nothing.
-#[must_use]
-pub fn selection_mask(columns: &SharedColumnsPair, conjuncts: &[FilterExpr]) -> Vec<u64> {
-    let mut mask = columns.real_mask();
-    for conjunct in conjuncts {
-        match *conjunct {
-            // v <= bound  ⇔  ¬(bound < v)
-            FilterExpr::Le { field, bound } => {
-                columns.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(u64::from(bound), v));
-            }
-            // v >= bound  ⇔  ¬(v < bound)
-            FilterExpr::Ge { field, bound } => {
-                columns.narrow_mask(field, &mut mask, |v| 1 ^ lt_word(v, u64::from(bound)));
-            }
-            FilterExpr::Eq { field, value } => {
-                columns.narrow_mask(field, &mut mask, |v| eq_word(v, u64::from(value)));
+/// Evaluate the selection `isView ∧ conjuncts` over `columns`, 256 rows at a time
+/// into a stack array (a scan allocates nothing), and hand `body` each block's
+/// first row and its 0/1 words. Each conjunct is
+/// branch-free lane arithmetic over the one column it names; as in
+/// [`FilterExpr::matches`], a column the array does not have matches nothing.
+pub(crate) fn for_each_selection_block(
+    columns: &SharedColumnsPair,
+    conjuncts: &[FilterExpr],
+    mut body: impl FnMut(usize, &[u64]),
+) {
+    let (view0, view1) = columns.is_view_shares();
+    let mut block = [0u64; 256];
+    for start in (0..columns.len()).step_by(block.len()) {
+        let mask = &mut block[..256.min(columns.len() - start)];
+        for ((m, &a), &b) in mask.iter_mut().zip(&view0[start..]).zip(&view1[start..]) {
+            *m = 1 ^ eq_word(a, b);
+        }
+        for conjunct in conjuncts {
+            match *conjunct {
+                // v <= bound  ⇔  ¬(bound < v)
+                FilterExpr::Le { field, bound } => {
+                    columns.narrow_mask(field, start, mask, |v| 1 ^ lt_word(u64::from(bound), v));
+                }
+                // v >= bound  ⇔  ¬(v < bound)
+                FilterExpr::Ge { field, bound } => {
+                    columns.narrow_mask(field, start, mask, |v| 1 ^ lt_word(v, u64::from(bound)));
+                }
+                FilterExpr::Eq { field, value } => {
+                    columns.narrow_mask(field, start, mask, |v| eq_word(v, u64::from(value)));
+                }
             }
         }
+        body(start, mask);
     }
-    mask
 }
 
 /// A named selection predicate: a conjunction of [`FilterExpr`]s (none = every
@@ -184,7 +198,6 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
     meter.round();
 
     let columns = SharedColumnsPair::from_pair(input);
-    let keep = selection_mask(&columns, &predicate.conjuncts);
     let lanes: Vec<Vec<u64>> = (0..columns.arity())
         .map(|f| columns.recovered_field_lane(f))
         .collect();
@@ -192,19 +205,28 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
     // Re-share record-major so the mask words come off the rng in exactly the order
     // `SharedRecordPair::share` would draw them.
     let mut fields = vec![0u32; lanes.len()];
-    for i in 0..input.len() {
-        for (slot, lane) in fields.iter_mut().zip(&lanes) {
-            *slot = lane[i] as u32;
+    for_each_selection_block(&columns, &predicate.conjuncts, |start, keep| {
+        for (i, &keep) in (start..).zip(keep) {
+            for (slot, lane) in fields.iter_mut().zip(&lanes) {
+                *slot = lane[i] as u32;
+            }
+            out.push(SharedRecordPair::share_row(&fields, keep != 0, rng))
+                .expect("uniform arity");
         }
-        out.push(SharedRecordPair::share_row(&fields, keep[i] != 0, rng))
-            .expect("uniform arity");
-    }
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The selection blocks, concatenated.
+    fn selection_mask(columns: &SharedColumnsPair, conjuncts: &[FilterExpr]) -> Vec<u64> {
+        let mut mask = Vec::new();
+        for_each_selection_block(columns, conjuncts, |_, block| mask.extend_from_slice(block));
+        mask
+    }
     use crate::aggregate::{
         count_selected, group_count_selected, oblivious_count, oblivious_group_count_over_domain,
     };
@@ -391,8 +413,8 @@ mod tests {
         }
 
         /// The `&SharedArrayPair` operators equal the lane bodies run directly on
-        /// `selection_mask`, for every conjunct shape, missing columns included —
-        /// and the mask is the plaintext rule `isView ∧ FilterExpr::matches`.
+        /// the conjuncts, for every conjunct shape, missing columns included — and
+        /// `selection_mask` is the plaintext rule `isView ∧ FilterExpr::matches`.
         #[test]
         fn prop_array_operators_equal_the_lane_bodies_for_every_filter_shape(
             rows in proptest::collection::vec((0u32..12, 0u32..12, any::<bool>()), 0..40),
@@ -420,12 +442,12 @@ mod tests {
             let (mut operator, mut body) = (CostMeter::new(), CostMeter::new());
             prop_assert_eq!(
                 oblivious_count(&input, &predicate, &mut operator),
-                count_selected(&columns, &mask, &mut body)
+                count_selected(&columns, &conjuncts, &mut body)
             );
             let domain = [0u32, 1, 3, 5, 7, 11];
             prop_assert_eq!(
                 oblivious_group_count_over_domain(&input, group_field, &domain, &predicate, &mut operator),
-                group_count_selected(&columns, group_field, &domain, &mask, &mut body)
+                group_count_selected(&columns, group_field, &domain, &conjuncts, &mut body)
             );
             prop_assert_eq!(operator.report(), body.report());
 

@@ -39,7 +39,7 @@ mod table;
 
 pub use aggregate::{oblivious_count, oblivious_group_count_over_domain};
 pub use compact::cache_read;
-pub use filter::{oblivious_filter, selection_mask, FilterExpr, Predicate};
+pub use filter::{oblivious_filter, FilterExpr, Predicate};
 pub use join::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows,
     truncated_nested_loop_join, truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,

@@ -56,6 +56,15 @@ impl SharedArrayPair {
         }
     }
 
+    /// Empty array of the given arity with room for `capacity` records.
+    #[must_use]
+    pub fn with_capacity(arity: usize, capacity: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(capacity),
+            arity: Some(arity),
+        }
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {

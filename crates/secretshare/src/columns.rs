@@ -213,18 +213,18 @@ impl SharedColumnsPair {
             .collect()
     }
 
-    /// Narrow a selection mask by one column test, branch-free:
-    /// `mask[i] &= test(field f of row i)`, where `test` returns a 0/1 word. Only
-    /// field `f`'s two share lanes are read. A column the array does not have
-    /// matches nothing.
+    /// Narrow a selection mask over the rows from `start` on by one column test,
+    /// branch-free: `mask[i] &= test(field f of row start + i)`, where `test`
+    /// returns a 0/1 word. Only field `f`'s two share lanes are read. A column the
+    /// array does not have matches nothing.
     ///
     /// # Panics
-    /// Panics when `mask` does not hold one word per row.
-    pub fn narrow_mask(&self, f: usize, mask: &mut [u64], test: impl Fn(u64) -> u64) {
-        assert_eq!(mask.len(), self.len(), "lane length mismatch");
+    /// Panics when `mask` runs past the last row.
+    pub fn narrow_mask(&self, f: usize, start: usize, mask: &mut [u64], test: impl Fn(u64) -> u64) {
+        assert!(start + mask.len() <= self.len(), "lane length mismatch");
         match self.field_shares(f) {
             Some((s0, s1)) => {
-                for ((m, &a), &b) in mask.iter_mut().zip(s0).zip(s1) {
+                for ((m, &a), &b) in mask.iter_mut().zip(&s0[start..]).zip(&s1[start..]) {
                     *m &= test(a ^ b);
                 }
             }
@@ -467,10 +467,10 @@ mod tests {
         assert_eq!(cols.real_mask(), vec![1, 1, 1, 1, 0, 0]);
         assert_eq!(cols.true_cardinality(), 4);
         let mut mask = cols.real_mask();
-        cols.narrow_mask(1, &mut mask, |v| lt_word(v, 60));
+        cols.narrow_mask(1, 0, &mut mask, |v| lt_word(v, 60));
         assert_eq!(mask, vec![1, 1, 0, 0, 0, 0]);
         assert!(cols.field_shares(2).is_none());
-        cols.narrow_mask(2, &mut mask, |_| 1);
+        cols.narrow_mask(2, 0, &mut mask, |_| 1);
         assert_eq!(mask, vec![0; 6], "a column the array lacks matches nothing");
     }
 

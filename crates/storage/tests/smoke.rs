@@ -51,7 +51,7 @@ fn secure_cache_serves_reals_before_dummies() {
     let mut rng = StdRng::seed_from_u64(6);
     let mut records: Vec<PlainRecord> = (0..4).map(|i| PlainRecord::real(vec![i, 0])).collect();
     records.extend((0..4).map(|_| PlainRecord::dummy(2)));
-    let mut cache = SecureCache::new(2);
+    let mut cache = SecureCache::new(2, None);
     cache.write(SharedArrayPair::share_records(&records, &mut rng));
     assert_eq!(cache.len(), 8);
     assert_eq!(cache.true_cardinality(), 4);
