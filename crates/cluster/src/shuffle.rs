@@ -38,7 +38,7 @@
 use crate::elastic::{BucketMove, ElasticReport, ElasticRouting};
 use incshrink_mpc::cost::{CostMeter, CostModel, SimDuration};
 use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
-use incshrink_oblivious::Network;
+use incshrink_oblivious::Compaction;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use incshrink_storage::{RecordId, Relation, UploadBatch};
@@ -357,15 +357,12 @@ impl ClusterShuffler {
     /// the prefix back to `ingest_size`. A destination holding more real records
     /// than that keeps them all (overflow, counted) rather than dropping data.
     ///
-    /// This stands in for the Shrink cache read's `isView` sort and relies on two
-    /// things only: the outcome is a real-first partition (every real record ahead
-    /// of every dummy — which is all the cut and the ingest after it depend on),
-    /// and the price is that sort's, the flag-keyed circuit charged through the
-    /// same [`Network::charge_flag_keyed`] so the two cannot drift. The partition is done by
-    /// hand because the record ids riding outside the shares must follow their
-    /// records. It happens to keep the reals in bucket order; an odd-even merge
-    /// network is not a stable sort and would not, so that order is no part of
-    /// the contract.
+    /// This stands in for the secure cache's real-first compaction and relies on two
+    /// things only: the outcome keeps every real record ahead of every dummy, in
+    /// bucket order, as [`Compaction`] guarantees, and the price is that
+    /// compaction's, charged through the same [`Compaction::charge`] so the two
+    /// cannot drift. The partition is done by hand because the record ids riding
+    /// outside the shares must follow their records.
     fn compact_and_cut(
         &mut self,
         dest: usize,
@@ -377,9 +374,9 @@ impl ClusterShuffler {
         let n = records.len();
         let arity = records.arity().unwrap_or(1);
         let width = arity as u64 + 1;
-        Network::sort(n).charge_flag_keyed(arity as u64, meter);
+        Compaction::new(n).charge(arity as u64, meter);
 
-        // Real-first partition: the one property of the isView sort the cut needs.
+        // Real-first partition in bucket order: what the compaction leaves.
         let mut reals: Vec<(SharedRecordPair, Option<RecordId>)> = Vec::new();
         for (entry, id) in records.entries().iter().zip(&ids) {
             if entry.recover().is_view {
@@ -419,7 +416,7 @@ mod tests {
     use super::*;
     use incshrink_mpc::cost::CostReport;
     use incshrink_oblivious::{
-        cache_read, nested_loop_join_cost, oblivious_sort_by_field, SortOrder,
+        cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
     };
     use incshrink_storage::SecureCache;
     use incshrink_telemetry::{CostDelta, Event, InMemory};
@@ -434,13 +431,10 @@ mod tests {
         SharedArrayPair::share_records(&records, &mut StdRng::seed_from_u64(3))
     }
 
-    /// Every network keyed by the `isView` / match flag alone is priced as the
-    /// one-bit circuit: no secure comparison, one AND and a swap of the other
-    /// words per comparator of the network it runs.
-    #[test]
-    fn flag_keyed_sites_charge_one_and_per_comparator_and_no_compare() {
-        // The secure cache's sub-phases, from its spans. The sizes script a seal
-        // of 12 rows, a merge of runs 9 and 8, and a read merging two heads of 4.
+    /// The secure cache's sub-phase costs, from its spans: the sizes script a seal of
+    /// 12 rows, a merge of runs 9 and 8, and a read merging two heads of 4. Returns
+    /// the cost of the `nth` span named `name`.
+    fn scripted_cache_spans() -> impl Fn(&str, usize) -> CostDelta {
         let sink = Arc::new(InMemory::new());
         let guard = incshrink_telemetry::install(sink.clone());
         let (mut cache, mut meter) = (SecureCache::new(3, None), CostMeter::new());
@@ -458,17 +452,21 @@ mod tests {
                 _ => None,
             })
             .collect();
-        // The `nth` span named `name`.
-        let span = |name: &str, nth: usize| {
+        move |name, nth| {
             let mut named = spans.iter().filter(|(n, _)| n == name);
             named
                 .nth(nth)
                 .expect("the script reaches every sub-phase")
                 .1
-        };
+        }
+    }
 
-        let mut read = CostMeter::new();
-        drop(cache_read(&mut rows(40, 60), 30, &mut read));
+    /// Every network keyed by the `isView` / match flag alone is priced as the
+    /// one-bit circuit: no secure comparison, one AND and a swap of the other
+    /// words per comparator of the network it runs.
+    #[test]
+    fn flag_keyed_sites_charge_one_and_per_comparator_and_no_compare() {
+        let span = scripted_cache_spans();
         // Algorithm 4's selection for one outer row: the join less its key matrix.
         let (inner, omega) = (63, 10);
         let selection = nested_loop_join_cost(1, inner, omega, 2, 3).saturating_sub(CostReport {
@@ -476,43 +474,67 @@ mod tests {
             secure_ands: 2 * inner as u64,
             ..CostReport::default()
         });
-        let mut compact = CostMeter::new();
-        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
-        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
 
-        // Every site's payload is three words, the nested loop's two: its inner
+        // The cache's payload is three words, the nested loop's two: its inner
         // side's join key is copied in with the outer columns after the network.
-        let sites: [(&str, CostDelta, Network); 6] = [
-            ("cache.seal", span("cache.seal", 0), Network::sort(12)),
+        let sites: [(&str, CostDelta, Network, u64); 3] = [
             (
                 "cache.merge",
                 span("cache.merge", 0),
                 Network::merge(&[9, 8]),
+                3,
             ),
-            ("cache.read", span("cache.read", 3), Network::merge(&[4, 4])),
             (
-                "compact::cache_read",
-                read.report().into(),
-                Network::sort(100),
+                "cache.read",
+                span("cache.read", 3),
+                Network::merge(&[4, 4]),
+                3,
             ),
             (
                 "nested-loop selection",
                 selection.into(),
                 Network::select(inner, omega),
-            ),
-            (
-                "compact_and_cut",
-                compact.report().into(),
-                Network::sort(30),
+                2,
             ),
         ];
-        for (site, cost, network) in sites {
+        for (site, cost, network, words) in sites {
             let comparators = network.count();
             assert!(comparators > 0, "{site}: the script reaches a comparator");
             assert_eq!(cost.compares, 0, "{site}");
             assert_eq!(cost.ands, comparators, "{site}");
-            let words = if site.starts_with("nested") { 2 } else { 3 };
             assert_eq!(cost.swaps, words * comparators, "{site}");
+        }
+    }
+
+    /// Every site that only brings the reals first charges the order-preserving
+    /// compaction of its rows: no secure comparison, its swaps' and control's ANDs
+    /// and a swap of the other words per conditional swap.
+    #[test]
+    fn real_first_sites_charge_the_compaction() {
+        let span = scripted_cache_spans();
+        let mut read = CostMeter::new();
+        drop(cache_read(&mut rows(40, 60), 30, &mut read));
+        let mut compact = CostMeter::new();
+        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
+        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
+
+        let sites: [(&str, CostDelta, usize); 3] = [
+            ("cache.seal", span("cache.seal", 0), 12),
+            ("compact::cache_read", read.report().into(), 100),
+            ("compact_and_cut", compact.report().into(), 30),
+        ];
+        for (site, cost, rows) in sites {
+            let mut charged = CostMeter::new();
+            let swaps = Compaction::new(rows).charge(3, &mut charged);
+            let charged = charged.report();
+            assert!(swaps > 0, "{site}: the script reaches a swap");
+            assert_eq!(cost.compares, 0, "{site}");
+            assert!(
+                charged.secure_ands > swaps,
+                "{site}: the control is charged"
+            );
+            assert_eq!(cost.ands, charged.secure_ands, "{site}");
+            assert_eq!(cost.swaps, 3 * swaps, "{site}");
         }
     }
 

@@ -180,7 +180,9 @@ impl Default for CostModel {
         // ~1 Gb/s effective bandwidth, 0.3 ms round latency. A comparator keyed by
         // one flag bit is no 32-bit comparison but 1 AND gate, its swap carrying
         // the other words only (`Network::charge_flag_keyed` in incshrink-oblivious,
-        // a declared substitution). A secret bit times a public word is free (XOR
+        // a declared substitution), or 1 AND per conditional swap of a compaction
+        // that only brings the reals first, plus its control's ANDs
+        // (`Compaction::charge`). A secret bit times a public word is free (XOR
         // shares, free XOR): a join against a public relation places its rows
         // without swaps (`public_inner_join_cost`). So is a local copy of shares:
         // a view row's second join-key copy is restored after each flag-keyed

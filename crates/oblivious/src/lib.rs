@@ -13,10 +13,11 @@
 //!   operator Transform charges, with its analytic cost (a secret or a public
 //!   inner side); and the delta-oriented form of Example 5.1's sort-merge join,
 //!   kept as a standalone operator the benchmark probes.
-//! * [`compact`] — the cache-read primitive of Figure 3: bring an array into
-//!   `isView` order so real tuples precede dummies, then cut a prefix of a given
-//!   (DP-noised) size. The secure cache keeps its runs ordered with [`sort`]'s
-//!   merge-only operator and reads by merging the few rows per run a cut can reach.
+//! * [`compact`] — the order-preserving tight compaction [`Compaction`]: real tuples
+//!   ahead of dummies in `(n/2)·log₂ n` swaps (the cache's seal, the cluster's
+//!   compaction), and Figure 3's read [`cache_read`]: compact, then cut a
+//!   (DP-noised) prefix. The secure cache merges its runs with [`sort`]'s merge-only
+//!   operator and reads by merging the few rows per run a cut can reach.
 //! * [`shuffle`] — oblivious permutation plus secure re-routing of a batch into
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
@@ -38,7 +39,7 @@ pub mod sort;
 mod table;
 
 pub use aggregate::{oblivious_count, oblivious_group_count_over_domain};
-pub use compact::cache_read;
+pub use compact::{cache_read, compact_by_is_view, Compaction};
 pub use filter::{oblivious_filter, FilterExpr, Predicate};
 pub use join::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows,
@@ -49,6 +50,5 @@ pub use shuffle::{
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
-    oblivious_merge_by_is_view, oblivious_sort_by_field, oblivious_sort_by_is_view, Network,
-    SortOrder,
+    oblivious_merge_by_is_view, oblivious_sort_by_field, Network, SortOrder,
 };

@@ -5,7 +5,8 @@
 //! 2PC, the servers learn nothing beyond the (public) array size. The paper uses
 //! sorting networks for the truncated joins (Algorithm 4's per-outer buffers,
 //! Example 5.1's union sort and compaction) and the cache read of the Shrink
-//! protocols (Figure 3, `ObliSort(σ, key = isView)`).
+//! protocols (Figure 3, `ObliSort(σ, key = isView)`), which only has to bring the
+//! reals first: [`crate::compact::Compaction`] does that; here, runs are merged.
 //!
 //! Every network here is one [`Network`] — blocks of public length, a tournament of
 //! bitonic merges over their sorted lists, the wires the caller keeps — in one of
@@ -378,9 +379,10 @@ impl<'a> Network<'a> {
     /// flags `a` (low wire) and `b` (high wire) needs one AND, `t = a ∧ b`: the swap
     /// bit is `b ⊕ t`, the new flags `a ⊕ b ⊕ t` and `t` (the other way round for
     /// dummies first), and only the `payload_words` other words swap — none at 0,
-    /// where [`Self::charge`] floors a record at one word. The cache's networks,
-    /// [`crate::compact::cache_read`], Algorithm 4's selection and the cluster's
-    /// compaction charge here. Returns the comparators.
+    /// where [`Self::charge`] floors a record at one word. The cache's merges and
+    /// read, Algorithm 4's selection and `elastic::migrate`'s scan charge here; what
+    /// only brings the reals first charges [`crate::compact::Compaction::charge`].
+    /// Returns the comparators.
     pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
         if self.comparators > 0 {
             meter.ands(self.comparators);
@@ -663,26 +665,14 @@ pub fn oblivious_sort_by_field(
     array.permute_gather(&perm);
 }
 
-/// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
-/// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`). Priced by
-/// [`Network::charge_flag_keyed`]: one AND and a `words`-word swap per comparator,
-/// fewer than the row's arity where a column is restored by a local copy after it.
-pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, words: usize, meter: &mut CostMeter) {
-    let network = Network::sort(array.len());
-    if network.charge_flag_keyed(words as u64, meter) > 0 {
-        let perm = network_permutation(array, SortOrder::Ascending, dummy_rank, run_sort_network);
-        array.permute_gather(&perm);
-    }
-}
-
 /// The merge-only operator: adjacent `isView`-ordered runs of the given lengths
 /// become one.
 ///
 /// Each run must be in `isView` order already — `Ascending`: real tuples first, as
-/// [`oblivious_sort_by_is_view`] leaves them; `Descending`: the same order read back
-/// to front, which is how the secure cache keeps its runs — and the whole array
-/// comes out in that order. No sort runs: [`Network::merge`] executes on the packed
-/// words and is charged like [`oblivious_sort_by_is_view`], a single run nothing.
+/// [`crate::compact::compact_by_is_view`] leaves them; `Descending`: the same order
+/// read back to front, which is how the secure cache keeps its runs — and the whole
+/// array comes out in that order. No sort runs: [`Network::merge`] executes on the
+/// packed words, charged by [`Network::charge_flag_keyed`]; a single run costs nothing.
 /// The records are rearranged in place ([`SharedArrayPair::permute_in_place`]):
 /// between ordered runs most rows keep their place, and a copy of a large run made
 /// the cost of a merge depend on the state of the allocator.
@@ -1278,22 +1268,6 @@ mod tests {
             assert!(plain[..3].iter().all(|r| r.is_view));
             assert!(plain[3..].iter().all(|r| !r.is_view));
         }
-    }
-
-    #[test]
-    fn sort_by_is_view_moves_real_tuples_first() {
-        let mut rng = StdRng::seed_from_u64(3);
-        // Interleave dummies and real records.
-        let records: Vec<PlainRecord> = (0..10u32)
-            .map(|i| match i % 2 {
-                0 => PlainRecord::dummy(2),
-                _ => PlainRecord::real(vec![i, i * 10]),
-            })
-            .collect();
-        let mut arr = SharedArrayPair::share_records(&records, &mut rng);
-        oblivious_sort_by_is_view(&mut arr, 2, &mut CostMeter::new());
-        let flags: Vec<bool> = arr.recover_all().iter().map(|r| r.is_view).collect();
-        assert_eq!(flags, [[true; 5], [false; 5]].concat());
     }
 
     /// What sorting these values ascending charges.

@@ -10,16 +10,16 @@
 //! The paper's Figure 3 re-sorts the whole cache by `isView` at every read. Here
 //! the cache rests as a short list of **real-first runs** of public length plus the
 //! rows written since the last read, and a read costs in proportion to what arrived:
-//! it sorts only those new rows into a run, merges runs log-structured-merge
-//! fashion, and merges the few rows at the head of each run — the only ones a fetch
-//! of that size can reach — instead of sorting them.
+//! it compacts only those new rows into a real-first run, merges runs
+//! log-structured-merge fashion, and merges the few rows at the head of each run —
+//! the only ones a fetch of that size can reach — instead of sorting them.
 //!
 //! Every cut also **trims** each run to a public bound `R` past which its rows are
 //! dummies with probability ≥ 1 − β, and recycles the rest. See [`SecureCache`].
 
 use incshrink_mpc::cost::{CostMeter, MeteredSpan};
 use incshrink_oblivious::sort::SortOrder::Descending;
-use incshrink_oblivious::sort::{oblivious_merge_by_is_view, oblivious_sort_by_is_view};
+use incshrink_oblivious::{compact_by_is_view, oblivious_merge_by_is_view};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use serde::{Deserialize, Serialize};
 
@@ -53,14 +53,14 @@ pub struct CacheStats {
 ///
 /// **Layout.** Sealed runs, oldest first, each in `isView` order, then the unsorted
 /// tail of rows written since the last cut. A cut (`read` or `flush`) of public size
-/// `sz` (1) *seals*: Batcher-sorts the tail into a new run and keeps its first
-/// `sz + R` rows; (2) *reads*: takes the first `min(sz, len)` rows of every run — each
-/// run is real-first, so those hold `min(sz, reals in the run)` reals and together
-/// at least `min(sz, reals in the cache)` — merges these heads into one real-first
-/// list with the merge-only operator (a tournament of bitonic merges, or the Batcher
-/// sort where that is smaller) and fetches its first `sz` rows: exactly as many
-/// reals as a sort of the whole cache would have fetched; (3) *trims* the unfetched
-/// candidates and every surviving run to their first `R` rows and writes the
+/// `sz` (1) *seals*: compacts the tail into a new run, reals first in arrival order,
+/// and keeps its first `sz + R` rows; (2) *reads*: takes the first `min(sz, len)` rows
+/// of every run — each run is real-first, so those hold `min(sz, reals in the run)`
+/// reals and together at least `min(sz, reals in the cache)` — merges these heads into
+/// one real-first list with the merge-only operator (a tournament of bitonic merges, or
+/// the Batcher sort where that is smaller) and fetches its first `sz` rows: exactly as
+/// many reals as a sort of the whole cache would have fetched; (3) *trims* the
+/// unfetched candidates and every surviving run to their first `R` rows and writes the
 /// candidates back as the newest run, still real-first.
 ///
 /// **Trim.** `sz = round(c + Lap(b/ε_sync))`, clamped at 0, and the counter `c`
@@ -89,6 +89,7 @@ pub struct CacheStats {
 /// and every network shape are a function of the sequence of write sizes, cut sizes
 /// and flushes — the `CacheAppend` / `ViewSync` / `CacheFlush` sizes both servers
 /// observe anyway — and of the public `b`, `ε` and β alone, never of the contents.
+/// The seal's compaction swaps wires fixed by the tail's length; only its bits are secret.
 #[derive(Debug, Clone)]
 pub struct SecureCache {
     runs: Vec<Run>,
@@ -215,7 +216,7 @@ impl SecureCache {
         let seal = MeteredSpan::enter("cache.seal", meter);
         // Split off, not taken: the tail is left with its capacity for the next writes.
         let mut tail = self.tail.split_back(self.tail.len());
-        oblivious_sort_by_is_view(&mut tail, self.words, meter);
+        compact_by_is_view(&mut tail, self.words, meter);
         tail.entries_mut().reverse();
         let mut trimmed = trim(&mut tail, size.saturating_add(self.bound), &mut self.stats);
         seal.close(meter);
