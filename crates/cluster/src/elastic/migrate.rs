@@ -18,15 +18,20 @@
 //!    never from party randomness, so all three party execution modes replay
 //!    the same migration bit for bit.
 //!
-//! Every transfer is priced in a [`incshrink_mpc::cost::CostReport`] (oblivious compaction scan of
-//! the source view + shipped bytes + two rounds) and simulated wall-clock, so
-//! `bench --bin elastic` can report what rebalancing actually costs.
+//! Every transfer is priced in a [`incshrink_mpc::cost::CostReport`] and simulated
+//! wall-clock, so `bench --bin elastic` can report what rebalancing actually costs:
+//! the mover flag of every source-view row (the shuffle's routing-tag circuit:
+//! `mix64`, a one-hot demux over the virtual buckets, an AND with `isView`), the
+//! order-preserving tight compaction of the whole source view on that flag
+//! ([`Compaction`]), the shipped bytes and the two rounds. Both are recorded on
+//! an `elastic.migrate` span.
 
 use super::ElasticReport;
 use incshrink::MigratedPartition;
 use incshrink_dp::LaplaceMechanism;
 use incshrink_mpc::cost::{CostMeter, CostModel};
-use incshrink_oblivious::Network;
+use incshrink_oblivious::shuffle::VIRTUAL_BUCKETS;
+use incshrink_oblivious::Compaction;
 use incshrink_secretshare::tuple::PlainRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,7 +68,10 @@ impl ViewMigrator {
     /// entries with dummies to a DP-noised size, stamp the release into the
     /// ε-ledger, price the transfer, and draw the destination's re-sharing
     /// seed. `source_view_len` is the (public, padded) length of the source
-    /// view the extraction scanned.
+    /// view the extraction scanned. The scan is priced as the order-preserving
+    /// [`Compaction`] of that view on the mover flag, which is how
+    /// `MaterializedView::migrate_out` splits it: movers in order, then stayers
+    /// in order.
     ///
     /// Returns the padded partition and the seed to pass to
     /// [`incshrink::ShardPipeline::import_partition`].
@@ -88,18 +96,30 @@ impl ViewMigrator {
             part.view_entries.push(PlainRecord::dummy(part.view_arity));
         }
 
-        // Price the transfer: the extraction is an oblivious compaction scan
-        // of the whole source view (the real network cannot touch only the
-        // moving entries), keyed by a flag, plus shipping the padded partition
-        // and the two rounds of the export/import handshake.
+        // Every source-view row's mover flag is the shuffle's routing tag: 4 adds
+        // hash the key (`mix64`), one AND per virtual bucket demuxes it one-hot and
+        // one more ANDs it with `isView`; the OR over the moving buckets' bits is
+        // an XOR, free. The compaction covers the whole source view (the network
+        // cannot touch only the moving rows); its swaps leave out the second
+        // join-key copy, restored by a local copy of shares, as in the cache.
+        let mut span = incshrink_telemetry::span!("elastic.migrate");
         let mut meter = CostMeter::new();
+        let rows = source_view_len as u64;
+        meter.adds(4 * rows);
+        meter.ands(rows * (VIRTUAL_BUCKETS as u64 + 1));
+        let payload = part.view_arity.saturating_sub(1) as u64;
+        Compaction::new(source_view_len).charge(payload, &mut meter);
+        // The padded partition ships in the two rounds of the export/import handshake.
         let width = part.view_arity as u64 + 1;
-        Network::sort(source_view_len).charge_flag_keyed(part.view_arity as u64, &mut meter);
         meter.bytes(part.shipped_records() as u64 * width * 4);
         meter.round();
         meter.round();
         let cost = meter.report();
-        self.report.migration_secs += self.cost_model.simulate(&cost).as_secs_f64();
+        let secs = self.cost_model.simulate(&cost).as_secs_f64();
+        span.record_cost(cost.into());
+        span.record_sim_secs(secs);
+        drop(span);
+        self.report.migration_secs += secs;
         self.report.migration_cost += cost;
 
         self.report.migrations += 1;
@@ -163,13 +183,27 @@ mod tests {
         assert_eq!(report.migrations, 1);
         assert_eq!(report.migrated_records, 8, "6 view reals + 2 active");
         assert!(report.shipped_records >= 8);
-        assert!(report.migration_secs > 0.0);
-        assert!(report.migration_cost.bytes_communicated > 0);
         assert!((report.epsilon_spent - 0.5).abs() < 1e-12);
 
-        let entries: Vec<_> = sink
-            .events()
-            .into_iter()
+        // The mover flag of the 40 source-view rows (4 adds, 64 + 1 ANDs each),
+        // the tight compaction of the 40 rows over the view's 4 words less the
+        // second join-key copy, the shipped rows of 4 words and the flag, and the
+        // two handshake rounds.
+        let mut expected = CostMeter::new();
+        expected.adds(4 * 40);
+        expected.ands(40 * 65);
+        Compaction::new(40).charge(3, &mut expected);
+        expected.bytes(report.shipped_records * 5 * 4);
+        expected.round();
+        expected.round();
+        let expected = expected.report();
+        assert_eq!(report.migration_cost, expected);
+        let secs = CostModel::default().simulate(&expected).as_secs_f64();
+        assert_eq!(report.migration_secs, secs);
+
+        let events = sink.events();
+        let entries: Vec<_> = events
+            .iter()
             .filter_map(|e| match e {
                 Event::Epsilon(entry) => Some(entry),
                 _ => None,
@@ -179,6 +213,18 @@ mod tests {
         assert_eq!(entries[0].mechanism, "elastic.migrate");
         assert_eq!(entries[0].shard, Some(1));
         assert_eq!(entries[0].step, Some(4));
+
+        let spans: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span(span) if span.name == "elastic.migrate" => Some(span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), 1, "one span per transfer");
+        assert_eq!((spans[0].step, spans[0].shard), (Some(4), Some(1)));
+        assert_eq!(spans[0].cost, Some(expected.into()));
+        assert_eq!(spans[0].sim_nanos, Some((secs * 1e9) as u64));
     }
 
     #[test]

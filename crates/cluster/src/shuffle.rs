@@ -414,7 +414,10 @@ impl ClusterShuffler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::ViewMigrator;
+    use incshrink::MigratedPartition;
     use incshrink_mpc::cost::CostReport;
+    use incshrink_oblivious::shuffle::VIRTUAL_BUCKETS;
     use incshrink_oblivious::{
         cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
     };
@@ -517,11 +520,28 @@ mod tests {
         let mut compact = CostMeter::new();
         let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
         shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
+        // The migration's extraction, less the mover flag of its 50 source-view
+        // rows: the view's four words carry the join key once, so three swap.
+        let mut migrator = ViewMigrator::new(1.0, 5, CostModel::default());
+        let partition = MigratedPartition {
+            view_entries: vec![PlainRecord::real(vec![1, 7, 0, 1]); 5],
+            active_left: Vec::new(),
+            active_right: Vec::new(),
+            view_arity: 4,
+            window_rows: (0, 0),
+        };
+        drop(migrator.prepare(0, 1, partition, 50));
+        let migration = migrator.report().migration_cost.saturating_sub(CostReport {
+            secure_ands: 50 * (VIRTUAL_BUCKETS as u64 + 1),
+            secure_adds: 4 * 50,
+            ..CostReport::default()
+        });
 
-        let sites: [(&str, CostDelta, usize); 3] = [
+        let sites: [(&str, CostDelta, usize); 4] = [
             ("cache.seal", span("cache.seal", 0), 12),
             ("compact::cache_read", read.report().into(), 100),
             ("compact_and_cut", compact.report().into(), 30),
+            ("elastic::migrate", migration.into(), 50),
         ];
         for (site, cost, rows) in sites {
             let mut charged = CostMeter::new();

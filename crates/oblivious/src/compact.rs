@@ -268,7 +268,12 @@ mod tests {
 
     #[test]
     fn compaction_never_charges_more_than_the_flag_keyed_batcher_sort() {
-        for n in 0..=4096 {
+        // Every length up to 4 096, then a sample up to 2¹⁵ (the cluster's per-shard
+        // views, which the migration compacts, outgrow 4 096 rows): a stride off
+        // every power of two and each power of two with its neighbours.
+        let powers = (12..=15).flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        let sampled = (4097..=1 << 15).step_by(97).chain(powers);
+        for n in (0..=4096).chain(sampled) {
             let (compaction, sort) = (Compaction::new(n), Network::sort(n));
             assert!(compaction.swaps() <= sort.count(), "n={n}");
             for words in 0..=8 {
