@@ -484,13 +484,13 @@ mod tests {
             (
                 "cache.merge",
                 span("cache.merge", 0),
-                Network::merge(&[9, 8]),
+                Network::merge(&[9, 8], usize::MAX),
                 3,
             ),
             (
                 "cache.read",
                 span("cache.read", 3),
-                Network::merge(&[4, 4]),
+                Network::merge(&[4, 4], usize::MAX),
                 3,
             ),
             (

@@ -285,13 +285,16 @@ fn out_of_range_columns_match_nothing_and_cost_the_same() {
 
 /// View fingerprints of the two fig4-shaped trajectories, recorded with the
 /// record-major view before the layout changed: the lanes hold the same share
-/// words in the same order, so the digests are these literals. Re-recorded twice
+/// words in the same order, so the digests are these literals. Re-recorded four times
 /// since: when the cache's candidate read became a merge (a different network may
-/// fetch other reals of equal `isView`, never a different number of them), and
-/// when every cut came to trim the cache to `R` (other dummies are fetched; the
-/// view's length, real rows and syncs did not move), and when the seal became an
+/// fetch other reals of equal `isView`, never a different number of them), when
+/// every cut came to trim the cache to `R` (other dummies are fetched; the view's
+/// length, real rows and syncs did not move), when the seal became an
 /// order-preserving compaction (the sealed reals keep their arrival order, so a
-/// sync may fetch other reals; again not another number of them).
+/// sync may fetch other reals; again not another number of them), and when every
+/// merge of a cut came to keep only the rows the cut keeps (a cascade's next merge
+/// runs over the cut run, so rows of equal `isView` may meet in another order; the
+/// view's length, real rows and syncs did not move).
 #[test]
 fn trajectory_fingerprints_equal_the_record_major_goldens() {
     let tpcds = TpcDsGenerator::new(WorkloadParams {
@@ -310,12 +313,12 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
         (
             tpcds,
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (0x0AF6_9996_5434_363F_u64, 237, 174, 8),
+            (0x7205_9B0D_F8F6_71FB_u64, 237, 174, 8),
         ),
         (
             cpdb,
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpAnt { threshold: 30.0 }),
-            (0x825D_AA5F_93B3_45DA_u64, 1197, 533, 22),
+            (0xDFAA_B095_C446_F043_u64, 1197, 533, 22),
         ),
     ];
     // Every `shrink` span of both trajectories, summed.
@@ -344,6 +347,9 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
     // `R`: fewer rows merged (swaps, ANDs, merged rows), the same merges and rounds.
     // Re-recorded when the seal became a tight compaction instead of a Batcher
     // sort: fewer swaps and ANDs, the same rounds, bytes, merges and merged rows.
+    // Re-recorded when each merge of a cut came to be pruned to the rows the cut
+    // keeps: fewer swaps and ANDs, fewer merged rows (a cascade's later merges run
+    // over the pruned run), the same rounds, bytes and merges.
     drop(guard);
     let mut shrink = CostDelta::default();
     for event in sink.take() {
@@ -358,13 +364,13 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
         shrink,
         CostDelta {
             compares: 0,
-            swaps: 302_082,
-            ands: 122_342,
+            swaps: 253_995,
+            ands: 106_313,
             adds: 7_616,
             bytes: 33_192,
             rounds: 475,
             merges: 53,
-            merged_rows: 17_729,
+            merged_rows: 16_393,
             window_rows: 0,
         }
     );

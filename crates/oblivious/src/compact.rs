@@ -587,7 +587,7 @@ mod tests {
         compact_by_is_view(&mut delta, 2, &mut CostMeter::new());
         cache.extend(delta.clone()).unwrap();
         walked.extend(delta).unwrap();
-        let (pairs, outputs) = Network::merge(&[3000, 2000]).pairs();
+        let (pairs, outputs) = Network::merge(&[3000, 2000], usize::MAX).pairs();
         walk(walked.entries_mut(), &pairs);
         let walked: Vec<_> = outputs
             .iter()
@@ -597,6 +597,7 @@ mod tests {
         oblivious_merge_by_is_view(
             &mut cache,
             &[3000, 2000],
+            usize::MAX,
             SortOrder::Ascending,
             2,
             &mut CostMeter::new(),

@@ -15,8 +15,10 @@
 //! * [`Network::sort`] — Batcher's odd-even merge sort, generated for arbitrary
 //!   lengths by padding to the next power of two with `+∞` keys and dropping the
 //!   comparators that touch the padding; [`batcher_pair_count`] prices it.
-//! * [`Network::merge`] — sorted runs folded into one. The secure cache executes it
-//!   with [`oblivious_merge_by_is_view`] for its run merges and its candidate read.
+//! * [`Network::merge`] — sorted runs folded into one, of which the caller keeps
+//!   the first `keep` wires. The secure cache runs it with
+//!   [`oblivious_merge_by_is_view`] for its run merges and its candidate read, each
+//!   priced pruned to the rows the cut keeps.
 //! * [`Network::select`] — the top-`k` selection both truncated joins are priced
 //!   with, since each sorts an array only to keep its head. Its leaves are blocks
 //!   of `k` or of `k.next_power_of_two()` wires, whichever counts fewer
@@ -247,6 +249,13 @@ impl Blocks<'_> {
     }
 }
 
+/// Fewer comparators than any network that sorts `n` wires has: it must tell the
+/// `n!` orders apart, so it has at least `log₂ n! > n·(log₂ n − log₂ e)`, more than
+/// `n·(⌊log₂ n⌋ − 2)`.
+fn sort_lower_bound(n: usize) -> u64 {
+    n as u64 * u64::from(n.max(1).ilog2().saturating_sub(2))
+}
+
 /// The largest power of two below `count ≥ 2`: where the tournament splits.
 fn split_point(count: usize) -> usize {
     1 << (count - 1).ilog2()
@@ -275,10 +284,14 @@ impl<'a> Network<'a> {
         Network::select(n, n)
     }
 
-    /// Merge adjacent sorted runs of these lengths into one, every wire kept.
+    /// Merge adjacent sorted runs of these lengths into one and keep its first
+    /// `keep` wires (`usize::MAX`: every wire). A run longer than `keep` enters as
+    /// its head, and every comparator that feeds no kept wire is dropped: a merge of
+    /// runs of 176 and 205 rows counts 1 578 comparators, 1 036 of them when only
+    /// the first 205 wires are kept.
     #[must_use]
-    pub fn merge(runs: &'a [usize]) -> Self {
-        Network::new(Blocks::Runs(runs), true, usize::MAX)
+    pub fn merge(runs: &'a [usize], keep: usize) -> Self {
+        Network::new(Blocks::Runs(runs), true, keep)
     }
 
     /// The top-`k` selection over `n` wires: Batcher-sorted blocks of `k` or of
@@ -297,7 +310,9 @@ impl<'a> Network<'a> {
     /// a selection on every join shape its memo has not seen, hence no allocation;
     /// the sort-merge join's cost selects over its whole emission, hence the
     /// tally's memo: without it that select walks every block, ~100× slower at an
-    /// emission of 10 × 5 000 wires.
+    /// emission of 10 × 5 000 wires. A tournament below [`sort_lower_bound`] wins
+    /// without counting the Batcher sort, which costs more than the rest of the
+    /// build (the secure cache builds two networks a merge).
     fn new(blocks: Blocks<'a>, sorted: bool, keep: usize) -> Self {
         let mut network = Network {
             blocks,
@@ -310,7 +325,11 @@ impl<'a> Network<'a> {
         if keep > 0 && n >= 2 {
             let memo = &mut [None; usize::BITS as usize];
             let (_, tournament) = network.tally(0, blocks.count(), memo);
-            let sort = batcher_pair_count(n);
+            let sort = if tournament < sort_lower_bound(n) {
+                u64::MAX
+            } else {
+                batcher_pair_count(n)
+            };
             network.comparators = tournament.min(sort);
             network.tournament = tournament < sort;
         }
@@ -481,11 +500,12 @@ impl<'a> Network<'a> {
     }
 }
 
-/// Comparators of [`Network::merge`] over two non-empty runs of `n` wires in all:
-/// the bitonic cleaner's count depends on `n` alone, never on the split.
+/// Comparators of [`Network::merge`] over two non-empty runs of `n` wires in all,
+/// every wire kept: the bitonic cleaner's count depends on `n` alone, never on the
+/// split.
 #[must_use]
 pub fn bitonic_merge_pair_count(n: usize) -> u64 {
-    Network::merge(&[n / 2, n - n / 2]).count()
+    Network::merge(&[n / 2, n - n / 2], usize::MAX).count()
 }
 
 /// Branch-free compare-exchange of two packed sort words: swap when the *key* bits
@@ -666,33 +686,46 @@ pub fn oblivious_sort_by_field(
 }
 
 /// The merge-only operator: adjacent `isView`-ordered runs of the given lengths
-/// become one.
+/// become one, charged as the merge that keeps only its first `keep` rows
+/// (`usize::MAX`: every row).
 ///
 /// Each run must be in `isView` order already — `Ascending`: real tuples first, as
 /// [`crate::compact::compact_by_is_view`] leaves them; `Descending`: the same order
 /// read back to front, which is how the secure cache keeps its runs — and the whole
-/// array comes out in that order. No sort runs: [`Network::merge`] executes on the
-/// packed words, charged by [`Network::charge_flag_keyed`]; a single run costs nothing.
-/// The records are rearranged in place ([`SharedArrayPair::permute_in_place`]):
-/// between ordered runs most rows keep their place, and a copy of a large run made
-/// the cost of a merge depend on the state of the allocator.
+/// array comes out in that order. No sort runs. The charge is `Network::merge(runs,
+/// keep)` over every run read head first ([`Network::charge_flag_keyed`]; nothing
+/// when it has no comparator); the host executes the full merge,
+/// `Network::merge(runs, usize::MAX)`, on the packed words. Keyed by one flag, both
+/// leave the sorted input's flags on the first `keep` rows, so the head the caller
+/// keeps holds as many reals as the priced network keeps, in the arrangement of the
+/// unpruned merge (**declared kernel substitution**: rows of equal `isView` may sit
+/// in another order than the pruned network would leave them). The records are
+/// rearranged in place ([`SharedArrayPair::permute_in_place`]): between ordered
+/// runs most rows keep their place, and a copy of a large run made the cost of a
+/// merge depend on the state of the allocator.
 ///
 /// # Panics
 /// Panics when the run lengths do not add up to the array length.
 pub fn oblivious_merge_by_is_view(
     array: &mut SharedArrayPair,
     runs: &[usize],
+    keep: usize,
     order: SortOrder,
     words: usize,
     meter: &mut CostMeter,
 ) {
-    let network = Network::merge(runs);
+    let network = Network::merge(runs, keep);
     assert_eq!(network.wires(), array.len(), "runs must tile the array");
-    if network.charge_flag_keyed(words as u64, meter) == 0 {
-        return;
+    network.charge_flag_keyed(words as u64, meter);
+    let merge = if keep >= array.len() {
+        network
+    } else {
+        Network::merge(runs, usize::MAX)
+    };
+    if merge.count() > 0 {
+        let mut perm = network_permutation(array, order, dummy_rank, |packed| merge.run(packed));
+        array.permute_in_place(&mut perm);
     }
-    let mut perm = network_permutation(array, order, dummy_rank, |packed| network.run(packed));
-    array.permute_in_place(&mut perm);
 }
 
 #[cfg(test)]
@@ -775,6 +808,13 @@ mod tests {
     }
 
     #[test]
+    fn no_batcher_sort_is_below_the_sorting_lower_bound() {
+        for n in (0..=5000usize).chain((11..=20).map(|shift| (1 << shift) + 3)) {
+            assert!(sort_lower_bound(n) <= batcher_pair_count(n), "n={n}");
+        }
+    }
+
+    #[test]
     fn padded_count_dominates_exact_count_and_saturates() {
         for n in 0..=4096u64 {
             assert!(
@@ -817,7 +857,7 @@ mod tests {
                     continue;
                 }
                 let runs = [a, n - a];
-                let merge = Network::merge(&runs);
+                let merge = Network::merge(&runs, usize::MAX);
                 assert_eq!(merge.count(), count, "n={n} a={a}");
                 assert_eq!(merge.pairs().0.len() as u64, count, "n={n} a={a}");
             }
@@ -859,7 +899,7 @@ mod tests {
         // these lengths.
         for n in 0..=33usize {
             for a in 0..=n {
-                let network = Network::merge(&[a, n - a]).pairs();
+                let network = Network::merge(&[a, n - a], usize::MAX).pairs();
                 for za in 0..=a {
                     for zb in 0..=n - a {
                         let mut input = vec![0u32; za];
@@ -909,58 +949,141 @@ mod tests {
         assert_eq!(select(17, 10), 76);
     }
 
+    /// One wire's bits over `inputs` 0-1 inputs: bit `x` is the wire's value in
+    /// input `x`.
+    fn lane(inputs: usize, bit: impl Fn(usize) -> bool) -> Vec<u64> {
+        let mut lane = vec![0; inputs.div_ceil(64)];
+        (0..inputs)
+            .filter(|&x| bit(x))
+            .for_each(|x| lane[x / 64] |= 1 << (x % 64));
+        lane
+    }
+
+    /// Run a materialised network over bit-sliced 0-1 inputs — a comparator is an
+    /// AND and an OR — and read its output wires.
+    fn run_lanes(
+        (pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>),
+        mut wires: Vec<Vec<u64>>,
+    ) -> Vec<Vec<u64>> {
+        use std::mem::take;
+        for &(lo, hi) in pairs {
+            let (mut min, mut max) = (take(&mut wires[lo]), take(&mut wires[hi]));
+            for (a, b) in min.iter_mut().zip(&mut max) {
+                (*a, *b) = (*a & *b, *a | *b);
+            }
+            (wires[lo], wires[hi]) = (min, max);
+        }
+        outputs.iter().map(|&wire| take(&mut wires[wire])).collect()
+    }
+
     #[test]
     fn selection_keeps_the_first_values_of_every_01_input() {
         // The 0-1 principle holds for selection networks: a network that leaves the
         // first min(k, n) values of the sorted input, ascending, on its output
         // wires for every 0-1 input does so for every input. Bit-sliced — bit `x`
-        // of wire `i` is bit `i` of input `x`, a comparator is an AND and an OR — so
-        // that n reaches 20, where leaves longer than `k` are picked.
-        use std::mem::take;
+        // of wire `i` is bit `i` of input `x` — so that n reaches 20, where leaves
+        // longer than `k` are picked.
         for n in 0..=20usize {
-            let words = (1usize << n).div_ceil(64);
-            let lanes = |bit: &dyn Fn(usize) -> bool| -> Vec<u64> {
-                let mut lane = vec![0; words];
-                (0..1 << n)
-                    .filter(|&x| bit(x))
-                    .for_each(|x| lane[x / 64] |= 1 << (x % 64));
-                lane
-            };
-            let wires: Vec<Vec<u64>> = (0..n).map(|i| lanes(&|x| x >> i & 1 == 1)).collect();
+            let wires: Vec<Vec<u64>> = (0..n).map(|i| lane(1 << n, |x| x >> i & 1 == 1)).collect();
             // Output j of the sorted input is 1 iff the input has at least n − j ones.
             let sorted: Vec<Vec<u64>> = (0..n)
-                .map(|j| lanes(&|x| x.count_ones() as usize >= n - j))
+                .map(|j| lane(1 << n, |x| x.count_ones() as usize >= n - j))
                 .collect();
             for k in 0..=n + 1 {
-                let (pairs, outputs) = Network::select(n, k).pairs();
-                let mut wires = wires.clone();
-                for (lo, hi) in pairs {
-                    let (mut min, mut max) = (take(&mut wires[lo]), take(&mut wires[hi]));
-                    for (a, b) in min.iter_mut().zip(&mut max) {
-                        (*a, *b) = (*a & *b, *a | *b);
-                    }
-                    (wires[lo], wires[hi]) = (min, max);
-                }
-                let got: Vec<&Vec<u64>> = outputs.iter().map(|&wire| &wires[wire]).collect();
-                let expect: Vec<&Vec<u64>> = sorted.iter().take(k).collect();
-                assert!(got == expect, "n={n} k={k}");
+                let got = run_lanes(&Network::select(n, k).pairs(), wires.clone());
+                assert!(got[..] == sorted[..k.min(n)], "n={n} k={k}");
             }
+        }
+    }
+
+    /// The pruned merge is the bitonic merge of what it keeps with nothing dead:
+    /// over every two-run shape to 40 + 40 and every kept count, its comparators
+    /// are those of the full merge of the runs' heads (a run longer than `keep`
+    /// enters as its first `keep` wires), in order, that feed one of that merge's
+    /// first `keep` output wires — the rest are exactly the dead ones — and on every
+    /// 0-1 run pair its kept wires hold the sorted input's first `keep` values.
+    #[test]
+    fn pruned_merge_is_the_full_merge_less_its_dead_comparators() {
+        for (a, b) in (0..=40usize).flat_map(|a| (0..=40usize).map(move |b| (a, b))) {
+            // Input x has za = x / (b + 1) zeros in A and zb = x % (b + 1) in B.
+            let inputs = (a + 1) * (b + 1);
+            let zeros = |x: usize| (x / (b + 1), x % (b + 1));
+            let wires: Vec<Vec<u64>> = (0..a + b)
+                .map(|w| {
+                    lane(inputs, |x| match zeros(x) {
+                        (za, _) if w < a => w >= za,
+                        (_, zb) => w - a >= zb,
+                    })
+                })
+                .collect();
+            let sorted: Vec<Vec<u64>> = (0..a + b)
+                .map(|j| lane(inputs, |x| j >= zeros(x).0 + zeros(x).1))
+                .collect();
+            let runs = [a, b];
+            for keep in 0..=a + b + 1 {
+                let network = Network::merge(&runs, keep);
+                let pruned = network.pairs();
+                assert_eq!(
+                    network.count(),
+                    pruned.0.len() as u64,
+                    "{a}+{b} keep {keep}"
+                );
+                assert_eq!(dead_comparators(&pruned), 0, "{a}+{b} keep {keep}");
+
+                let heads = [a.min(keep), b.min(keep)];
+                let on_runs = |w: usize| if w < heads[0] { w } else { w - heads[0] + a };
+                let (full, mut outputs) = Network::merge(&heads, usize::MAX).pairs();
+                outputs.truncate(keep);
+                let live = live_comparators(&full, &outputs);
+                let kept = full.iter().zip(live).filter(|(_, live)| *live);
+                let kept: Vec<_> = kept
+                    .map(|(&(lo, hi), _)| (on_runs(lo), on_runs(hi)))
+                    .collect();
+                assert_eq!(pruned.0, kept, "{a}+{b} keep {keep}");
+                let outputs: Vec<usize> = outputs.into_iter().map(on_runs).collect();
+                assert_eq!(pruned.1, outputs, "{a}+{b} keep {keep}");
+
+                let got = run_lanes(&pruned, wires.clone());
+                assert!(got[..] == sorted[..keep.min(a + b)], "{a}+{b} keep {keep}");
+            }
+        }
+        // The secure cache's cascade on CPDB (R = 176) and TPC-ds (R = 88): the
+        // candidates of the last read merged with a sealed tail of `sz + R` rows.
+        for (runs, keep, pruned, full) in
+            [([176, 205], 205, 1_036, 1_578), ([88, 115], 115, 507, 743)]
+        {
+            assert_eq!(Network::merge(&runs, keep).count(), pruned, "{runs:?}");
+            assert_eq!(Network::merge(&runs, usize::MAX).count(), full, "{runs:?}");
         }
     }
 
     /// A backward liveness walk: the comparators of `pairs` that feed none of the
     /// `outputs` wires.
     fn dead_comparators((pairs, outputs): &(Vec<(usize, usize)>, Vec<usize>)) -> usize {
-        let mut live: std::collections::HashSet<usize> = outputs.iter().copied().collect();
-        let mut dead = 0;
-        for &(lo, hi) in pairs.iter().rev() {
-            if live.contains(&lo) || live.contains(&hi) {
-                live.extend([lo, hi]);
-            } else {
-                dead += 1;
-            }
-        }
-        dead
+        let live = live_comparators(pairs, outputs);
+        live.into_iter().filter(|&live| !live).count()
+    }
+
+    /// Whether each comparator of `pairs` feeds one of the `outputs` wires.
+    fn live_comparators(pairs: &[(usize, usize)], outputs: &[usize]) -> Vec<bool> {
+        let ends = pairs.iter().flat_map(|&(lo, hi)| [lo, hi]);
+        let wires = ends
+            .chain(outputs.iter().copied())
+            .max()
+            .map_or(0, |w| w + 1);
+        let mut live = vec![false; wires];
+        outputs.iter().for_each(|&wire| live[wire] = true);
+        let mut feeds: Vec<bool> = pairs
+            .iter()
+            .rev()
+            .map(|&(lo, hi)| {
+                let feeds = live[lo] || live[hi];
+                (live[lo], live[hi]) = (feeds, feeds);
+                feeds
+            })
+            .collect();
+        feeds.reverse();
+        feeds
     }
 
     /// The record-at-a-time sort loop — one recovered comparison and one whole-record
@@ -1079,7 +1202,7 @@ mod tests {
             .map(|(at, key)| key << INDEX_BITS | at)
             .collect();
         let mut kernel = walk.clone();
-        let network = Network::merge(runs);
+        let network = Network::merge(runs, usize::MAX);
         network.run(&mut kernel);
         let (pairs, outputs) = network.pairs();
         for (lo, hi) in pairs {
@@ -1142,23 +1265,26 @@ mod tests {
     }
 
     /// The merge-only operator against whole-entry swaps at every comparator of the
-    /// materialised network, read back through its output wires; shares are random,
-    /// so equal arrays mean equal permutations. The charge is the network's.
+    /// full merge, read back through its output wires; shares are random, so equal
+    /// arrays mean equal permutations. The charge is the merge pruned to `keep`,
+    /// whose kept wires — every run read head first — hold the flags of the merged
+    /// array's first `keep` rows.
     fn assert_merge_operator_equals_comparator_walk(
         lens: &[usize],
         reals: &[usize],
+        keep: usize,
         order: SortOrder,
     ) {
         let mut merged = runs_of(lens, reals, order);
         let mut entries = merged.entries().to_vec();
         let mut meter = CostMeter::new();
-        oblivious_merge_by_is_view(&mut merged, lens, order, 3, &mut meter);
+        oblivious_merge_by_is_view(&mut merged, lens, keep, order, 3, &mut meter);
 
         let rank = |rec: &SharedRecordPair| match order {
             SortOrder::Ascending => dummy_rank(rec),
             SortOrder::Descending => 1 - dummy_rank(rec),
         };
-        let (pairs, outputs) = Network::merge(lens).pairs();
+        let (pairs, outputs) = Network::merge(lens, usize::MAX).pairs();
         for &(lo, hi) in &pairs {
             if rank(&entries[lo]) > rank(&entries[hi]) {
                 entries.swap(lo, hi);
@@ -1168,15 +1294,29 @@ mod tests {
         assert_eq!(merged.entries(), walked, "lens={lens:?} {order:?}");
         let ranks: Vec<u64> = merged.entries().iter().map(rank).collect();
         assert!(ranks.is_sorted(), "lens={lens:?} {order:?}: not merged");
+
+        let pruned = Network::merge(lens, keep).pairs();
+        let mut flags: Vec<u64> = lens
+            .iter()
+            .zip(reals)
+            .flat_map(|(&len, &real)| (0..len).map(move |i| u64::from(i >= real)))
+            .collect();
+        let kept = run_selection(&pruned, &mut flags);
+        let mut head: Vec<u64> = merged.entries().iter().map(dummy_rank).collect();
+        if order == SortOrder::Descending {
+            head.reverse();
+        }
+        head.truncate(kept.len());
+        assert_eq!(head, kept, "lens={lens:?} keep={keep} {order:?}");
         // Three payload words a comparator, whatever the rows' own width.
-        let (report, comparators) = (meter.report(), pairs.len() as u64);
+        let (report, comparators) = (meter.report(), pruned.0.len() as u64);
         let gates = (
             report.secure_compares,
             report.secure_ands,
             report.secure_swaps,
         );
         assert_eq!(gates, (0, comparators, 3 * comparators));
-        assert_eq!(report.rounds, u64::from(!pairs.is_empty()));
+        assert_eq!(report.rounds, u64::from(comparators > 0));
     }
 
     #[test]
@@ -1186,12 +1326,22 @@ mod tests {
             // runs meet on either side.
             let reals = [split * (n % 4) / 3, (n - split) * (split % 4) / 3];
             let order = [SortOrder::Ascending, SortOrder::Descending][(n + split) % 2];
-            assert_merge_operator_equals_comparator_walk(&[split, n - split], &reals, order);
+            for keep in [usize::MAX, (n + 3 * split) % (n + 2)] {
+                assert_merge_operator_equals_comparator_walk(
+                    &[split, n - split],
+                    &reals,
+                    keep,
+                    order,
+                );
+            }
         }
         for (n, split) in large_splits() {
             for order in [SortOrder::Ascending, SortOrder::Descending] {
                 let reals = [split / 3, (n - split) / 2];
-                assert_merge_operator_equals_comparator_walk(&[split, n - split], &reals, order);
+                for keep in [usize::MAX, n / 3] {
+                    let runs = [split, n - split];
+                    assert_merge_operator_equals_comparator_walk(&runs, &reals, keep, order);
+                }
             }
         }
     }
@@ -1199,11 +1349,14 @@ mod tests {
     #[test]
     fn tournament_at_5000_equals_the_comparator_walk() {
         // The candidate read's shape: the heads of a cache's runs, one per run,
-        // some short, some all real, merged in one tournament.
+        // some short, some all real, merged in one tournament, whole and pruned to
+        // the rows a read keeps.
         let lens = [1200, 5, 1200, 900, 1, 1694];
         let reals = [1200, 2, 300, 0, 1, 847];
         for order in [SortOrder::Ascending, SortOrder::Descending] {
-            assert_merge_operator_equals_comparator_walk(&lens, &reals, order);
+            for keep in [usize::MAX, 1500] {
+                assert_merge_operator_equals_comparator_walk(&lens, &reals, keep, order);
+            }
         }
     }
 
@@ -1336,7 +1489,7 @@ mod tests {
             let mut b = run_b;
             a.sort_unstable();
             b.sort_unstable();
-            let network = Network::merge(&[a.len(), b.len()]).pairs();
+            let network = Network::merge(&[a.len(), b.len()], usize::MAX).pairs();
             let mut input = a;
             input.extend_from_slice(&b);
             let batcher = run_selection(&Network::sort(input.len()).pairs(), &mut input.clone());

@@ -15,7 +15,8 @@
 //! the only ones a fetch of that size can reach — instead of sorting them.
 //!
 //! Every cut also **trims** each run to a public bound `R` past which its rows are
-//! dummies with probability ≥ 1 − β, and recycles the rest. See [`SecureCache`].
+//! dummies with probability ≥ 1 − β, and recycles the rest; its merges are priced
+//! for, and cut to, the rows it keeps. See [`SecureCache`].
 
 use incshrink_mpc::cost::{CostMeter, MeteredSpan};
 use incshrink_oblivious::sort::SortOrder::Descending;
@@ -36,16 +37,16 @@ pub struct CacheStats {
     pub read: u64,
     /// Total entries fetched by flushes.
     pub flushed: u64,
-    /// Total entries recycled (discarded) by flushes and by the trim to `R`.
+    /// Total entries recycled (discarded) by flushes and by the trims of every cut.
     pub recycled: u64,
-    /// Real entries the trims of reads recycled: reconstructed from the hidden
-    /// flags, for tests and reporting only.
+    /// Real entries the trims of reads recycled — the seal's, the merges' and the
+    /// read's: reconstructed from the hidden flags, for tests and reporting only.
     pub trimmed_real: u64,
     /// Number of flush operations performed.
     pub flush_count: u64,
     /// Number of run merges performed.
     pub merges: u64,
-    /// Total rows those merges covered (both runs of each).
+    /// Total rows those merges covered (both runs of each, before the cut).
     pub merged_rows: u64,
 }
 
@@ -53,15 +54,19 @@ pub struct CacheStats {
 ///
 /// **Layout.** Sealed runs, oldest first, each in `isView` order, then the unsorted
 /// tail of rows written since the last cut. A cut (`read` or `flush`) of public size
-/// `sz` (1) *seals*: compacts the tail into a new run, reals first in arrival order,
-/// and keeps its first `sz + R` rows; (2) *reads*: takes the first `min(sz, len)` rows
-/// of every run — each run is real-first, so those hold `min(sz, reals in the run)`
-/// reals and together at least `min(sz, reals in the cache)` — merges these heads into
-/// one real-first list with the merge-only operator (a tournament of bitonic merges, or
-/// the Batcher sort where that is smaller) and fetches its first `sz` rows: exactly as
-/// many reals as a sort of the whole cache would have fetched; (3) *trims* the
-/// unfetched candidates and every surviving run to their first `R` rows and writes the
-/// candidates back as the newest run, still real-first.
+/// `sz` keeps at most `keep = sz + R` rows of any run (`sz` for a flush, which
+/// recycles the rest). It (1) *seals*: compacts the tail into a new run, reals first
+/// in arrival order, keeps its first `keep` rows and adds it, each merge that fires
+/// priced as the network pruned to the first `keep` rows and its merged run cut to
+/// them at once; (2) *reads*: takes the first `min(sz, len)` rows of every run — each
+/// run is real-first, so those hold `min(sz, reals in the run)` reals and together at
+/// least `min(sz, reals in the cache)` — merges these heads into one real-first list
+/// with the merge-only operator (a tournament of bitonic merges, or the Batcher sort
+/// where that is smaller), again priced pruned to `keep`, and fetches its first `sz`
+/// rows: exactly as many reals as a sort of the whole cache would have fetched; (3)
+/// *trims* the unfetched candidates and every surviving run to their first `R` rows
+/// and writes the candidates back as the newest run, still real-first — unpruned, as
+/// the next cut's size is unknown — or, in a flush, recycles them and every run.
 ///
 /// **Trim.** `sz = round(c + Lap(b/ε_sync))`, clamped at 0, and the counter `c`
 /// counts the cached reals, so more than `R = ⌈(b/ε_sync)·ln(1/(2β)) + ½⌉` reals
@@ -85,10 +90,11 @@ pub struct CacheStats {
 /// candidates run, `k ≤ ⌊log₂ s⌋ + 2`. A cut only removes runs it empties, which
 /// keeps the ratios.
 ///
-/// **Leakage.** Run lengths, the merge schedule, the candidate count, every trim
-/// and every network shape are a function of the sequence of write sizes, cut sizes
-/// and flushes — the `CacheAppend` / `ViewSync` / `CacheFlush` sizes both servers
-/// observe anyway — and of the public `b`, `ε` and β alone, never of the contents.
+/// **Leakage.** Run lengths, the merge schedule, the candidate count, every trim,
+/// `keep` (a function of `sz` and `R` alone) and every network shape are a function
+/// of the sequence of write sizes, cut sizes and flushes — the `CacheAppend` /
+/// `ViewSync` / `CacheFlush` sizes both servers observe anyway — and of the public
+/// `b`, `ε` and β alone, never of the contents.
 /// The seal's compaction swaps wires fixed by the tail's length; only its bits are secret.
 #[derive(Debug, Clone)]
 pub struct SecureCache {
@@ -171,10 +177,18 @@ impl SecureCache {
 
     /// Add `rows`, in run order (back to front: dummies, then reals) and holding
     /// `seals` sealed tails, as the newest run, then merge the last two runs while
-    /// the merge rule asks for it.
-    fn push_run(&mut self, rows: SharedArrayPair, seals: u32, meter: &mut CostMeter) {
+    /// the merge rule asks for it, each merge pruned to its first `keep` rows and the
+    /// rest recycled. Returns the number of real rows recycled.
+    fn push_run(
+        &mut self,
+        rows: SharedArrayPair,
+        seals: u32,
+        keep: usize,
+        meter: &mut CostMeter,
+    ) -> u64 {
+        let mut trimmed = 0;
         if rows.is_empty() {
-            return;
+            return trimmed;
         }
         self.runs.push(Run { rows, seals });
         let mut span = None;
@@ -191,20 +205,24 @@ impl SecureCache {
                 .rows
                 .extend(newer.rows)
                 .expect("view entries share one arity");
-            oblivious_merge_by_is_view(&mut older.rows, &runs, Descending, self.words, meter);
+            let (words, rows) = (self.words, &mut older.rows);
+            oblivious_merge_by_is_view(rows, &runs, keep, Descending, words, meter);
             self.stats.merges += 1;
-            self.stats.merged_rows += older.rows.len() as u64;
+            self.stats.merged_rows += rows.len() as u64;
+            trimmed += trim(rows, keep, &mut self.stats);
         }
         if let Some(span) = span {
             span.close(meter);
         }
+        trimmed
     }
 
     /// Seal the tail, fetch the first `size` entries in `isView` order out of the
-    /// heads of the runs, trim, and write the unfetched candidates back — in the
-    /// child spans `cache.seal`, `cache.merge` and `cache.read`. Returns the fetched
-    /// entries and the number of real rows the trims recycled.
-    fn cut(&mut self, size: usize, meter: &mut CostMeter) -> (SharedArrayPair, u64) {
+    /// heads of the runs, trim, and write the unfetched candidates back unless the
+    /// cut is a `flush`, which recycles them and every run — in the child spans
+    /// `cache.seal`, `cache.merge` and `cache.read`. Returns the fetched entries
+    /// and the number of real rows the trims recycled.
+    fn cut(&mut self, size: usize, flush: bool, meter: &mut CostMeter) -> (SharedArrayPair, u64) {
         debug_assert!(
             self.runs.iter().all(|run| run
                 .rows
@@ -213,14 +231,21 @@ impl SecureCache {
                 .all(|w| w[0].is_view.recover() <= w[1].is_view.recover())),
             "every run must be real-first (kept back to front: dummies, then reals)"
         );
+        // The rows the cut keeps of any run: the fetch and, unless everything else is
+        // recycled, the next `R`.
+        let keep = if flush {
+            size
+        } else {
+            size.saturating_add(self.bound)
+        };
         let seal = MeteredSpan::enter("cache.seal", meter);
         // Split off, not taken: the tail is left with its capacity for the next writes.
         let mut tail = self.tail.split_back(self.tail.len());
         compact_by_is_view(&mut tail, self.words, meter);
         tail.entries_mut().reverse();
-        let mut trimmed = trim(&mut tail, size.saturating_add(self.bound), &mut self.stats);
+        let mut trimmed = trim(&mut tail, keep, &mut self.stats);
         seal.close(meter);
-        self.push_run(tail, 1, meter);
+        trimmed += self.push_run(tail, 1, keep, meter);
 
         let read = MeteredSpan::enter("cache.read", meter);
         let (mut heads, mut candidates) = (Vec::new(), SharedArrayPair::new());
@@ -233,22 +258,28 @@ impl SecureCache {
                 .expect("view entries share one arity");
         }
         self.runs.retain(|run| !run.rows.is_empty());
-        oblivious_merge_by_is_view(&mut candidates, &heads, Descending, self.words, meter);
+        oblivious_merge_by_is_view(&mut candidates, &heads, keep, Descending, self.words, meter);
         let mut fetched = candidates.split_back(size);
         let width = candidates.arity().unwrap_or(0) as u64 + 1;
         meter.bytes(fetched.len() as u64 * width * 4);
         meter.round();
         fetched.entries_mut().reverse();
         read.close(meter);
-        trimmed += trim(&mut candidates, self.bound, &mut self.stats);
-        self.push_run(candidates, 0, meter);
+        if flush {
+            self.stats.recycled += (candidates.len() + self.len()) as u64;
+            self.runs.clear();
+        } else {
+            trimmed += trim(&mut candidates, self.bound, &mut self.stats);
+            // Unpruned: the next cut's size, which would cut this merge, is unknown.
+            trimmed += self.push_run(candidates, 0, usize::MAX, meter);
+        }
         (fetched, trimmed)
     }
 
     /// The Shrink cache read: fetch the first `read_size` entries of the cache in
     /// `isView` order (Figure 3). Returns the fetched entries, real tuples first.
     pub fn read(&mut self, read_size: usize, meter: &mut CostMeter) -> SharedArrayPair {
-        let (fetched, trimmed_real) = self.cut(read_size, meter);
+        let (fetched, trimmed_real) = self.cut(read_size, false, meter);
         self.stats.read += fetched.len() as u64;
         self.stats.trimmed_real += trimmed_real;
         fetched
@@ -258,11 +289,9 @@ impl SecureCache {
     /// prefix to be synchronized immediately, and recycle (drop) the remainder.
     /// Returns the fetched prefix.
     pub fn flush(&mut self, flush_size: usize, meter: &mut CostMeter) -> SharedArrayPair {
-        let (fetched, _) = self.cut(flush_size, meter);
+        let (fetched, _) = self.cut(flush_size, true, meter);
         self.stats.flushed += fetched.len() as u64;
-        self.stats.recycled += self.len() as u64;
         self.stats.flush_count += 1;
-        self.runs.clear();
         fetched
     }
 }
@@ -278,9 +307,9 @@ fn trim(rows: &mut SharedArrayPair, keep: usize, stats: &mut CacheStats) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incshrink_oblivious::{batcher_pair_count, compact::cache_read};
+    use incshrink_oblivious::{batcher_pair_count, compact::cache_read, Network};
     use incshrink_secretshare::tuple::PlainRecord;
-    use incshrink_telemetry::{Event, InMemory};
+    use incshrink_telemetry::{CostDelta, Event, InMemory};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -364,6 +393,153 @@ mod tests {
         untrimmed.write(delta(3, 10));
         drop(untrimmed.read(4, &mut meter));
         assert_eq!((untrimmed.len(), untrimmed.stats().recycled), (9, 0));
+    }
+
+    /// Every span `act` emits, by name, with its cost.
+    fn spans_of(act: impl FnOnce()) -> Vec<(String, CostDelta)> {
+        let sink = Arc::new(InMemory::new());
+        let guard = incshrink_telemetry::install(sink.clone());
+        act();
+        drop(guard);
+        let spans = sink.take().into_iter().filter_map(|event| match event {
+            Event::Span(span) => Some((span.name, span.cost.expect("cut spans carry their cost"))),
+            _ => None,
+        });
+        spans.collect()
+    }
+
+    #[test]
+    fn a_cascade_charges_each_merge_pruned_to_the_rows_the_cut_keeps() {
+        let (bound, size) = (6, 2);
+        let keep = size + bound;
+        let (mut cache, mut meter) = (SecureCache::new(2, Some(bound)), CostMeter::new());
+        // Four cuts leave runs of 3 and 1 sealed tails and the candidates of the
+        // last read; the fifth seal merges into all three.
+        for _ in 0..4 {
+            cache.write(delta(2, 9));
+            drop(cache.read(size, &mut meter));
+        }
+        let seals: Vec<u32> = cache.runs.iter().map(|run| run.seals).collect();
+        assert_eq!(seals, [3, 1, 0]);
+        cache.write(delta(2, 9));
+
+        // The seal's cascade replayed over public lengths: the tail cut to `keep`,
+        // then every merge over the run the last one kept; unpruned, every merge
+        // over whole runs.
+        let mut runs: Vec<(usize, u32)> =
+            cache.runs.iter().map(|r| (r.rows.len(), r.seals)).collect();
+        let mut newer = (cache.tail.len().min(keep), 1);
+        let mut whole = newer.0;
+        let (mut pruned, mut unpruned, mut merges) = (0, 0, 0);
+        while let Some(&(older, seals)) = runs.last() {
+            if seals > MERGE_RATIO * newer.1 {
+                break;
+            }
+            runs.pop();
+            pruned += Network::merge(&[older, newer.0], keep).count();
+            unpruned += Network::merge(&[older, whole], usize::MAX).count();
+            (newer, whole, merges) = (
+                ((older + newer.0).min(keep), seals + newer.1),
+                older + whole,
+                merges + 1,
+            );
+        }
+        assert_eq!(merges, 3);
+
+        let before = cache.stats().merges;
+        let spans = spans_of(|| drop(cache.read(size, &mut meter)));
+        let (_, merge) = spans
+            .iter()
+            .find(|(name, _)| name == "cache.merge")
+            .expect("a cascade");
+        assert_eq!((merge.ands, merge.swaps), (pruned, 2 * pruned));
+        assert_eq!(cache.stats().merges - before, merges);
+        assert!(
+            pruned < unpruned,
+            "{pruned} comparators pruned of {unpruned}"
+        );
+        assert_eq!(cache.stats().trimmed_real, 0);
+    }
+
+    #[test]
+    fn reals_a_merge_cuts_off_count_as_trimmed() {
+        let mut meter = CostMeter::new();
+        let mut cache = SecureCache::new(1, Some(2));
+        // A sealed run of 2 reals, none fetched, then 2 more reals merged into it
+        // by a read of 1: the merge keeps 1 + R = 3 rows and recycles a real. The
+        // tail and the surviving run are within bounds, so only the merge trims.
+        cache.write(delta(2, 0));
+        assert!(cache.read(0, &mut meter).is_empty());
+        cache.write(delta(2, 0));
+        assert_eq!(cache.read(1, &mut meter).true_cardinality(), 1);
+        let s = cache.stats();
+        assert_eq!((s.merges, s.recycled, s.trimmed_real), (1, 1, 1));
+        assert_eq!((cache.run_lens(), cache.true_cardinality()), (vec![2], 2));
+    }
+
+    /// Four runs whose heads are all real: sealed tails of 8, 3 and 1 and the
+    /// candidates of the last read, each kept to `R` = 6, every real still cached,
+    /// beside a twin that re-sorts the array at every read and never trims.
+    fn four_real_runs() -> (SecureCache, SharedArrayPair, CostMeter) {
+        let (mut cache, mut twin) = (SecureCache::new(1, Some(6)), SharedArrayPair::new());
+        let mut meter = CostMeter::new();
+        // Reads of 0 seal without fetching: eight seals merge into one run of 4
+        // reals, three more into a second, and the twelfth tail stays alone.
+        let writes = [1, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1].map(|real| (real, 2));
+        for (real, dummy) in writes.into_iter().chain([(5, 0)]) {
+            cache.write(delta(real, dummy));
+            twin.extend(delta(real, dummy)).unwrap();
+            let size = if real == 5 { 3 } else { 0 };
+            let fetched = cache.read(size, &mut meter);
+            let twin_fetched = cache_read(&mut twin, size, &mut meter);
+            assert_eq!(fetched.true_cardinality(), twin_fetched.true_cardinality());
+        }
+        let seals: Vec<u32> = cache.runs.iter().map(|run| run.seals).collect();
+        assert_eq!(
+            (seals, cache.run_lens()),
+            (vec![8, 3, 1, 0], vec![3, 3, 2, 6])
+        );
+        assert_eq!(
+            (cache.true_cardinality(), cache.stats().trimmed_real),
+            (10, 0)
+        );
+        (cache, twin, meter)
+    }
+
+    #[test]
+    fn a_second_read_keeps_both_candidate_runs_whole() {
+        let (mut cache, mut twin, mut meter) = four_real_runs();
+        // No write: the four heads of 1 leave 3 candidates, which merge with the 5
+        // the last candidates kept — all real, more than 1 + R, none recycled.
+        for size in [1, 20] {
+            let fetched = cache.read(size, &mut meter);
+            let twin_fetched = cache_read(&mut twin, size, &mut meter);
+            assert_eq!(fetched.true_cardinality(), twin_fetched.true_cardinality());
+            if size == 1 {
+                assert_eq!(cache.run_lens(), [2, 2, 1, 8]);
+            }
+        }
+        assert_eq!(
+            (cache.true_cardinality(), cache.stats().trimmed_real),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn a_flush_writes_nothing_back() {
+        let (mut cache, _, mut meter) = four_real_runs();
+        let rows = cache.len() as u64;
+        let (stats, spans) = (cache.stats(), spans_of(|| drop(cache.flush(1, &mut meter))));
+        // Heads of 1, pruned to the 1 the flush fetches; the 3 other candidates are
+        // recycled with the runs, never merged back.
+        let names: Vec<&str> = spans.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["cache.seal", "cache.read"]);
+        let read = Network::merge(&[1, 1, 1, 1], 1).count();
+        assert!(read < Network::merge(&[1, 1, 1, 1], usize::MAX).count());
+        assert_eq!(spans[1].1.ands, read);
+        assert!(cache.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.flushed, s.recycled - stats.recycled), (1, rows - 1));
     }
 
     fn real_first(rows: &[PlainRecord]) -> bool {
