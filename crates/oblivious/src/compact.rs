@@ -1,7 +1,11 @@
-//! Real-first compaction: Figure 3's `ObliSort(σ, key = isView)` only has to bring
-//! real tuples ahead of dummies, which [`Compaction`] does in `(n/2)·log₂ n`
+//! Real-first arrangements: Figure 3's `ObliSort(σ, key = isView)` only has to
+//! bring real tuples ahead of dummies, which [`Compaction`] does in `(n/2)·log₂ n`
 //! conditional swaps where Batcher's sort has about `(n/4)·log₂² n` comparators.
 //! The secure cache seals every tail with it; [`cache_read`] is Figure 3's read.
+//!
+//! Every real-first network, this compaction or a flag-keyed merge of real-first
+//! runs ([`crate::sort::Network::merge`]), runs on the host as one pass,
+//! [`partition_by_is_view`], while the caller charges the network it stands for.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -86,6 +90,8 @@ impl Compaction {
 
     /// Run it over wires flagged `real`; `swap` sees every conditional swap, in
     /// order, with its bit. Position `j` of the result names the wire that ends there.
+    /// The reference the circuit twin and [`partition_by_is_view`] are held to.
+    #[cfg(test)]
     fn run(self, real: &[bool], swap: impl FnMut(usize, usize, bool)) -> Vec<usize> {
         let wires = (0..self.0).collect();
         let mut walk = Walk { real, wires, swap };
@@ -95,12 +101,14 @@ impl Compaction {
 }
 
 /// The host run of [`Compaction`]: `wires[j]` is the wire now at position `j`.
+#[cfg(test)]
 struct Walk<'a, F> {
     real: &'a [bool],
     wires: Vec<usize>,
     swap: F,
 }
 
+#[cfg(test)]
 impl<F: FnMut(usize, usize, bool)> Walk<'_, F> {
     /// `ORCompact` over positions `lo..hi`.
     fn compact(&mut self, lo: usize, hi: usize) {
@@ -145,14 +153,31 @@ impl<F: FnMut(usize, usize, bool)> Walk<'_, F> {
     }
 }
 
-/// Bring `array` into real-first order with [`Compaction`], charged over `words`
+/// The one host arrangement of a real-first network: every real row moves ahead of
+/// the dummies in one pass, a swap per real with a dummy before it. The reals keep
+/// their input order, as [`Compaction`] leaves them; the dummies' order is fixed by
+/// the flags. Uncharged: the caller charges the network it stands for —
+/// [`Compaction::charge`] for the seal, [`crate::sort::Network::charge_flag_keyed`]
+/// of `Network::merge(runs, keep)` for the cache's merges and read. Keyed by one
+/// flag, that network leaves the sorted input's flags on the wires it keeps, and so
+/// does this pass, so every real count, trim and fetch is the network's (**declared
+/// kernel substitution**: rows of equal `isView` may sit in another order).
+pub fn partition_by_is_view(array: &mut SharedArrayPair) {
+    let entries = array.entries_mut();
+    let mut reals = 0;
+    for at in 0..entries.len() {
+        if entries[at].is_view.recover() == 1 {
+            entries.swap(reals, at);
+            reals += 1;
+        }
+    }
+}
+
+/// Bring `array` into real-first order, charged as [`Compaction`] over `words`
 /// swapped words a row (fewer than the arity where a column is copied after it).
 pub fn compact_by_is_view(array: &mut SharedArrayPair, words: usize, meter: &mut CostMeter) {
-    let compaction = Compaction::new(array.len());
-    if compaction.charge(words as u64, meter) > 0 {
-        let real = array.entries().iter().map(|e| e.is_view.recover() == 1);
-        array.permute_gather(&compaction.run(&real.collect::<Vec<_>>(), |_, _, _| {}));
-    }
+    Compaction::new(array.len()).charge(words as u64, meter);
+    partition_by_is_view(array);
 }
 
 /// The secure cache read of Figure 3: compact all of `cache`, cut off and return its
@@ -174,8 +199,8 @@ pub fn cache_read(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sort::{oblivious_merge_by_is_view, Network, SortOrder};
-    use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
+    use crate::sort::Network;
+    use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -209,14 +234,29 @@ mod tests {
     }
 
     /// The compaction of `real` must put its reals first, in input order, then
-    /// every dummy.
+    /// every dummy, and so must the host pass over rows that carry their position.
     fn assert_compacts(real: &[bool]) {
-        let mut wires = Compaction::new(real.len()).run(real, |_, _, _| {});
+        let records: Vec<PlainRecord> = (0u32..)
+            .zip(real)
+            .map(|(at, &is_view)| PlainRecord {
+                fields: vec![at],
+                is_view,
+            })
+            .collect();
+        let mut array = SharedArrayPair::share_records(&records, &mut StdRng::seed_from_u64(3));
+        partition_by_is_view(&mut array);
+        let host = array
+            .recover_all()
+            .iter()
+            .map(|r| r.fields[0] as usize)
+            .collect();
         let reals: Vec<usize> = (0..real.len()).filter(|&i| real[i]).collect();
-        assert_eq!(wires[..reals.len()], reals[..], "{real:?}");
-        assert!(wires[reals.len()..].iter().all(|&w| !real[w]), "{real:?}");
-        wires.sort_unstable();
-        assert!(wires.into_iter().eq(0..real.len()));
+        for mut wires in [Compaction::new(real.len()).run(real, |_, _, _| {}), host] {
+            assert_eq!(wires[..reals.len()], reals[..], "{real:?}");
+            assert!(wires[reals.len()..].iter().all(|&w| !real[w]), "{real:?}");
+            wires.sort_unstable();
+            assert!(wires.into_iter().eq(0..real.len()));
+        }
     }
 
     #[test]
@@ -551,62 +591,21 @@ mod tests {
         assert_eq!(read(3, 3, 0), [(0, 0), (6, 3)]);
     }
 
-    /// Swap whole entries at every comparator of `pairs`, real rows to the front.
-    fn walk(entries: &mut [SharedRecordPair], pairs: &[(usize, usize)]) {
-        for &(lo, hi) in pairs {
-            if entries[lo].is_view.recover() < entries[hi].is_view.recover() {
-                entries.swap(lo, hi);
-            }
-        }
-    }
-
     #[test]
     fn cache_read_at_5000_equals_the_comparator_walk() {
         // A length off every power of two, so every block size occurs. The reference
-        // swaps whole entries wherever the materialised schedule's bit is set;
-        // shares are random, so entry-for-entry equality of both the fetched prefix
-        // and what stays behind pins the permutation.
+        // swaps whole entries wherever the materialised schedule's bit is set; shares
+        // are random, so entry-for-entry equality of the real prefix pins which real
+        // sits where. The dummies' order is the host pass's own.
         let mut cache = mixed_cache(1700, 3300);
         let mut walked = cache.clone();
-        for ((lo, hi), bit) in schedule(&flags(&walked)) {
-            if bit {
-                walked.entries_mut().swap(lo, hi);
-            }
-        }
-        let walked_front = walked.split_front(2000);
+        walked.permute_gather(&Compaction::new(5000).run(&flags(&walked), |_, _, _| {}));
 
         let fetched = cache_read(&mut cache, 2000, &mut CostMeter::new());
-        assert_eq!(fetched, walked_front);
-        assert_eq!(cache, walked);
-        assert_eq!(fetched.true_cardinality(), 1700);
-
-        // The merge-only operator over what stayed behind and a second real-first
-        // run: the bitonic cleaner over all 5000 in valley form, read back through
-        // its output wires — no sort.
-        let mut delta = mixed_cache(900, 1100);
-        compact_by_is_view(&mut delta, 2, &mut CostMeter::new());
-        cache.extend(delta.clone()).unwrap();
-        walked.extend(delta).unwrap();
-        let (pairs, outputs) = Network::merge(&[3000, 2000], usize::MAX).pairs();
-        walk(walked.entries_mut(), &pairs);
-        let walked: Vec<_> = outputs
-            .iter()
-            .map(|&wire| walked.entries()[wire].clone())
-            .collect();
-
-        oblivious_merge_by_is_view(
-            &mut cache,
-            &[3000, 2000],
-            usize::MAX,
-            SortOrder::Ascending,
-            2,
-            &mut CostMeter::new(),
-        );
-        assert_eq!(cache.entries(), walked);
-        assert!(cache.entries()[..900]
-            .iter()
-            .all(|e| e.is_view.recover() == 1));
-        assert_eq!(cache.true_cardinality(), 900);
+        assert_eq!(fetched.entries()[..1700], walked.entries()[..1700]);
+        assert!(!flags(&fetched)[1700..].contains(&true));
+        let lens = [&fetched, &cache].map(|side| (side.len(), side.true_cardinality()));
+        assert_eq!(lens, [(2000, 1700), (3000, 0)]);
     }
 
     proptest! {

@@ -16,8 +16,10 @@
 //! * [`compact`] — the order-preserving tight compaction [`Compaction`]: real tuples
 //!   ahead of dummies in `(n/2)·log₂ n` swaps (the cache's seal, the cluster's
 //!   compaction), and Figure 3's read [`cache_read`]: compact, then cut a
-//!   (DP-noised) prefix. The secure cache merges its runs with [`sort`]'s merge-only
-//!   operator and reads by merging the few rows per run a cut can reach.
+//!   (DP-noised) prefix. Every real-first network — the compaction, the secure
+//!   cache's merges of real-first runs and its read of the few rows per run a cut
+//!   can reach, each priced by [`sort`]'s [`Network::merge`] — runs on the host as
+//!   one pass, [`partition_by_is_view`].
 //! * [`shuffle`] — oblivious permutation plus secure re-routing of a batch into
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
@@ -39,7 +41,7 @@ pub mod sort;
 mod table;
 
 pub use aggregate::{oblivious_count, oblivious_group_count_over_domain};
-pub use compact::{cache_read, compact_by_is_view, Compaction};
+pub use compact::{cache_read, compact_by_is_view, partition_by_is_view, Compaction};
 pub use filter::{oblivious_filter, FilterExpr, Predicate};
 pub use join::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows,
@@ -50,5 +52,5 @@ pub use shuffle::{
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
-    oblivious_merge_by_is_view, oblivious_sort_by_field, Network, SortOrder,
+    oblivious_sort_by_field, Network, SortOrder,
 };

@@ -6,7 +6,7 @@
 //! sorting networks for the truncated joins (Algorithm 4's per-outer buffers,
 //! Example 5.1's union sort and compaction) and the cache read of the Shrink
 //! protocols (Figure 3, `ObliSort(σ, key = isView)`), which only has to bring the
-//! reals first: [`crate::compact::Compaction`] does that; here, runs are merged.
+//! reals first: [`crate::compact::Compaction`] prices that; here, runs are merged.
 //!
 //! Every network here is one [`Network`] — blocks of public length, a tournament of
 //! bitonic merges over their sorted lists, the wires the caller keeps — in one of
@@ -16,21 +16,22 @@
 //!   lengths by padding to the next power of two with `+∞` keys and dropping the
 //!   comparators that touch the padding; [`batcher_pair_count`] prices it.
 //! * [`Network::merge`] — sorted runs folded into one, of which the caller keeps
-//!   the first `keep` wires. The secure cache runs it with
-//!   [`oblivious_merge_by_is_view`] for its run merges and its candidate read, each
-//!   priced pruned to the rows the cut keeps.
+//!   the first `keep` wires. The secure cache prices its run merges and its
+//!   candidate read with it, each pruned to the rows the cut keeps, and arranges
+//!   them with [`crate::compact::partition_by_is_view`].
 //! * [`Network::select`] — the top-`k` selection both truncated joins are priced
 //!   with, since each sorts an array only to keep its head. Its leaves are blocks
 //!   of `k` or of `k.next_power_of_two()` wires, whichever counts fewer
 //!   comparators.
 //!
-//! The networks execute as a **blocked, packed-word kernel**: each record's key is
-//! extracted once and packed with the record's position into one `u64`
-//! (`key << 30 | position`); the comparators run branch-free over that single lane,
-//! one slice kernel per stage, and the record shares move through the position bits
-//! in one final pass. Swap decisions depend only on the key bits, so the arrangement
-//! — and the cost, charged from the public lengths — is bit-identical to swapping
-//! whole records at every comparator.
+//! The field sort, [`oblivious_sort_by_field`], executes Batcher's network as a
+//! **blocked, packed-word kernel**: each record's key is extracted once and packed
+//! with the record's position into one `u64` (`key << 30 | position`); the
+//! comparators run branch-free over that single lane, one slice kernel per stage,
+//! and the record shares move through the position bits in one final pass. Swap
+//! decisions depend only on the key bits, so the arrangement — and the cost,
+//! charged from the public lengths — is bit-identical to swapping whole records at
+//! every comparator. Every other network is only priced.
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -50,9 +51,8 @@ pub enum SortOrder {
 /// remaining high bits carry its key. See [`network_permutation`].
 const INDEX_BITS: u32 = 30;
 const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
-/// Largest key a packed sort word can carry (34 bits). Every sort in the tree fits:
-/// `isView` needs 1 bit, [`oblivious_sort_by_field`] 33, the sort-merge join's
-/// `(isView, key, table tag)` union sort 34.
+/// Largest key a packed sort word can carry (34 bits): [`oblivious_sort_by_field`]
+/// needs 33.
 const MAX_SORT_KEY: u64 = (1 << (64 - INDEX_BITS)) - 1;
 
 /// Enumerate the compare-exchange pairs of Batcher's odd-even merge sort for `n`
@@ -312,7 +312,7 @@ impl<'a> Network<'a> {
     /// tally's memo: without it that select walks every block, ~100× slower at an
     /// emission of 10 × 5 000 wires. A tournament below [`sort_lower_bound`] wins
     /// without counting the Batcher sort, which costs more than the rest of the
-    /// build (the secure cache builds two networks a merge).
+    /// build (the secure cache builds a network a merge).
     fn new(blocks: Blocks<'a>, sorted: bool, keep: usize) -> Self {
         let mut network = Network {
             blocks,
@@ -381,8 +381,7 @@ impl<'a> Network<'a> {
     /// sort, the shuffle's random tags), without executing it: one secure comparison
     /// and one record-wide swap per comparator, one round; nothing when there is no
     /// comparator. A valley reversal relabels wires — each server reverses its own
-    /// shares — so it costs no gate, although the host kernel moves the words.
-    /// Returns the comparators.
+    /// shares — so it costs no gate. Returns the comparators.
     pub fn charge(&self, width: u64, meter: &mut CostMeter) -> u64 {
         if self.comparators > 0 {
             meter.compares(self.comparators);
@@ -399,9 +398,8 @@ impl<'a> Network<'a> {
     /// bit is `b ⊕ t`, the new flags `a ⊕ b ⊕ t` and `t` (the other way round for
     /// dummies first), and only the `payload_words` other words swap — none at 0,
     /// where [`Self::charge`] floors a record at one word. The cache's merges and
-    /// read, Algorithm 4's selection and `elastic::migrate`'s scan charge here; what
-    /// only brings the reals first charges [`crate::compact::Compaction::charge`].
-    /// Returns the comparators.
+    /// read and Algorithm 4's selection charge here; what only brings the reals
+    /// first charges [`crate::compact::Compaction::charge`]. Returns the comparators.
     pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
         if self.comparators > 0 {
             meter.ands(self.comparators);
@@ -413,37 +411,9 @@ impl<'a> Network<'a> {
         self.comparators
     }
 
-    /// Run the network over packed sort words, one per wire. Every wire must be
-    /// kept: the kernel merges whole runs in place.
-    fn run(&self, words: &mut [u64]) {
-        debug_assert!(self.keep >= words.len() && self.wires() == words.len());
-        if self.tournament {
-            self.run_subtree(words, 0, self.blocks.count());
-        } else {
-            run_sort_network(words);
-        }
-    }
-
-    fn run_subtree(&self, words: &mut [u64], first: usize, count: usize) {
-        if count == 1 {
-            if !self.sorted {
-                run_sort_network(words);
-            }
-            return;
-        }
-        let half = split_point(count);
-        let (a, b) = words.split_at_mut(self.blocks.wires(first, half));
-        self.run_subtree(a, first, half);
-        self.run_subtree(b, first + half, count - half);
-        if !a.is_empty() && !b.is_empty() {
-            a.reverse();
-            run_bitonic_merge(words);
-        }
-    }
-
     /// The materialised network: compare-exchange pairs in execution order — each
     /// leaves the smaller key on its first wire — and the kept output wires, whose
-    /// keys end ascending. The reference the count and the kernels are held to.
+    /// keys end ascending. The reference the count and the host arrangements are held to.
     #[cfg(test)]
     pub(crate) fn pairs(&self) -> (Vec<(usize, usize)>, Vec<usize>) {
         let (n, mut pairs) = (self.wires(), Vec::new());
@@ -590,27 +560,14 @@ fn run_sort_network(words: &mut [u64]) {
     }
 }
 
-/// Run the bitonic cleaner over packed sort words in valley form — the same
-/// comparators in the same order as a [`Network::merge`] node keeping every wire. Stage
-/// `k` compares `(l, l + k)` for `l mod 2k < k`: the first `k` words of every `2k`
-/// group against the rest of it, the last group cut short by the array end exactly
-/// where the `+∞` padding rule drops comparators.
-fn run_bitonic_merge(words: &mut [u64]) {
-    let mut k = words.len().next_power_of_two() / 2;
-    while k >= 1 {
-        exchange_stride(words, k);
-        k /= 2;
-    }
-}
-
-/// The permutation `network` applies to `array`'s packed sort words: position `j`
-/// of the result names the record that ends there.
+/// The permutation Batcher's network applies to `array`'s packed sort words:
+/// position `j` of the result names the record that ends there.
 ///
 /// Each record becomes one word `key << 30 | position` — `key_fn` receives the
 /// record's share pair and reconstructs only the words its key is made of
 /// (reconstruction happens *inside* the simulated MPC, mirroring how a
 /// garbled-circuit comparator sees the joint value without either party learning
-/// it); a descending order complements the key, so ties stay ties. `network` runs
+/// it); a descending order complements the key, so ties stay ties. The network runs
 /// over that single `u64` lane, and the caller moves the record shares through the
 /// surviving position bits in one final pass. Swap decisions depend on the key bits
 /// only, so the arrangement is the one swapping whole records at every comparator
@@ -619,12 +576,7 @@ fn run_bitonic_merge(words: &mut [u64]) {
 /// # Panics
 /// Panics when a key exceeds [`MAX_SORT_KEY`] or the array has more than 2³⁰
 /// entries — either would spill into the other half of the packed word.
-fn network_permutation<F>(
-    array: &SharedArrayPair,
-    order: SortOrder,
-    key_fn: F,
-    network: impl FnOnce(&mut [u64]),
-) -> Vec<usize>
+fn network_permutation<F>(array: &SharedArrayPair, order: SortOrder, key_fn: F) -> Vec<usize>
 where
     F: Fn(&SharedRecordPair) -> u64,
 {
@@ -644,16 +596,11 @@ where
             key << INDEX_BITS | position
         })
         .collect();
-    network(&mut words);
+    run_sort_network(&mut words);
     words
         .into_iter()
         .map(|w| (w & INDEX_MASK) as usize)
         .collect()
-}
-
-/// The `isView` sort key: real tuples (0) before dummies (1) when ascending.
-fn dummy_rank(rec: &SharedRecordPair) -> u64 {
-    u64::from(rec.is_view.recover() == 0)
 }
 
 /// Oblivious sort by a single attribute column (ascending or descending). Dummy
@@ -681,51 +628,8 @@ pub fn oblivious_sort_by_field(
             SortOrder::Descending => u64::from(value),
         }
     };
-    let perm = network_permutation(array, order, key, run_sort_network);
+    let perm = network_permutation(array, order, key);
     array.permute_gather(&perm);
-}
-
-/// The merge-only operator: adjacent `isView`-ordered runs of the given lengths
-/// become one, charged as the merge that keeps only its first `keep` rows
-/// (`usize::MAX`: every row).
-///
-/// Each run must be in `isView` order already — `Ascending`: real tuples first, as
-/// [`crate::compact::compact_by_is_view`] leaves them; `Descending`: the same order
-/// read back to front, which is how the secure cache keeps its runs — and the whole
-/// array comes out in that order. No sort runs. The charge is `Network::merge(runs,
-/// keep)` over every run read head first ([`Network::charge_flag_keyed`]; nothing
-/// when it has no comparator); the host executes the full merge,
-/// `Network::merge(runs, usize::MAX)`, on the packed words. Keyed by one flag, both
-/// leave the sorted input's flags on the first `keep` rows, so the head the caller
-/// keeps holds as many reals as the priced network keeps, in the arrangement of the
-/// unpruned merge (**declared kernel substitution**: rows of equal `isView` may sit
-/// in another order than the pruned network would leave them). The records are
-/// rearranged in place ([`SharedArrayPair::permute_in_place`]): between ordered
-/// runs most rows keep their place, and a copy of a large run made the cost of a
-/// merge depend on the state of the allocator.
-///
-/// # Panics
-/// Panics when the run lengths do not add up to the array length.
-pub fn oblivious_merge_by_is_view(
-    array: &mut SharedArrayPair,
-    runs: &[usize],
-    keep: usize,
-    order: SortOrder,
-    words: usize,
-    meter: &mut CostMeter,
-) {
-    let network = Network::merge(runs, keep);
-    assert_eq!(network.wires(), array.len(), "runs must tile the array");
-    network.charge_flag_keyed(words as u64, meter);
-    let merge = if keep >= array.len() {
-        network
-    } else {
-        Network::merge(runs, usize::MAX)
-    };
-    if merge.count() > 0 {
-        let mut perm = network_permutation(array, order, dummy_rank, |packed| merge.run(packed));
-        array.permute_in_place(&mut perm);
-    }
 }
 
 #[cfg(test)]
@@ -1176,138 +1080,62 @@ mod tests {
         }
     }
 
-    /// Seeded keys in ascending runs of the given lengths, as packed words whose
-    /// positions make every word distinct: through the executed network and through
-    /// its materialised pairs one comparator at a time, read back through the output
-    /// wires. Equal vectors mean equal permutations.
-    fn assert_merge_kernel_equals_comparator_walk(runs: &[usize], seed: u64, binary: bool) {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut keys = Vec::new();
-        for &len in runs {
-            let mut run: Vec<u64> = (0..len)
-                .map(|_| {
-                    if binary {
-                        rng.gen_range(0..2)
-                    } else {
-                        rng.gen::<u64>() >> 31
-                    }
-                })
-                .collect();
-            run.sort_unstable();
-            keys.extend(run);
-        }
-        let mut walk: Vec<u64> = (0u64..)
-            .zip(&keys)
-            .map(|(at, key)| key << INDEX_BITS | at)
-            .collect();
-        let mut kernel = walk.clone();
-        let network = Network::merge(runs, usize::MAX);
-        network.run(&mut kernel);
-        let (pairs, outputs) = network.pairs();
-        for (lo, hi) in pairs {
-            if walk[lo] >> INDEX_BITS > walk[hi] >> INDEX_BITS {
-                walk.swap(lo, hi);
-            }
-        }
-        let walked: Vec<u64> = outputs.iter().map(|&wire| walk[wire]).collect();
-        assert_eq!(kernel, walked, "runs={runs:?} binary={binary}");
-        keys.sort_unstable();
-        assert!(
-            kernel.iter().map(|w| w >> INDEX_BITS).eq(keys),
-            "runs={runs:?}: not merged"
-        );
-    }
-
-    /// Every split of every length to 300, then a few of three lengths off and on
-    /// a power of two.
-    fn splits() -> impl Iterator<Item = (usize, usize)> {
-        small_splits().chain(large_splits())
-    }
-
+    /// Every split of every length to 300.
     fn small_splits() -> impl Iterator<Item = (usize, usize)> {
         (0..=300usize).flat_map(|n| (0..=n).map(move |split| (n, split)))
     }
 
+    /// A few splits of three lengths off and on a power of two.
     fn large_splits() -> impl Iterator<Item = (usize, usize)> {
         [1000usize, 4096, 5000]
             .into_iter()
             .flat_map(|n| [0, 1, n / 64, n / 2, n - n / 64, n - 1, n].map(|split| (n, split)))
     }
 
-    #[test]
-    fn merge_kernel_equals_comparator_walk_at_every_length_and_split() {
-        for binary in [true, false] {
-            for (n, split) in splits() {
-                assert_merge_kernel_equals_comparator_walk(&[split, n - split], n as u64, binary);
-            }
-        }
-    }
-
-    /// Adjacent `isView`-ordered runs of the given lengths, `reals[r]` real rows in
+    /// Adjacent real-first runs of the given lengths, `reals[r]` real rows heading
     /// run `r`, with fresh shares per row.
-    fn runs_of(lens: &[usize], reals: &[usize], order: SortOrder) -> SharedArrayPair {
+    fn runs_of(lens: &[usize], reals: &[usize]) -> SharedArrayPair {
         let mut rng = StdRng::seed_from_u64(lens.iter().fold(7, |h, &l| h * 31 + l as u64));
-        let mut rows = Vec::new();
-        for (&len, &real) in lens.iter().zip(reals) {
-            let mut run: Vec<PlainRecord> = (0..len)
-                .map(|i| PlainRecord {
+        let rows: Vec<PlainRecord> = lens
+            .iter()
+            .zip(reals)
+            .flat_map(|(&len, &real)| {
+                (0..len).map(move |i| PlainRecord {
                     fields: vec![i as u32],
                     is_view: i < real,
                 })
-                .collect();
-            if order == SortOrder::Descending {
-                run.reverse();
-            }
-            rows.extend(run);
-        }
+            })
+            .collect();
         SharedArrayPair::share_records(&rows, &mut rng)
     }
 
-    /// The merge-only operator against whole-entry swaps at every comparator of the
-    /// full merge, read back through its output wires; shares are random, so equal
-    /// arrays mean equal permutations. The charge is the merge pruned to `keep`,
-    /// whose kept wires — every run read head first — hold the flags of the merged
-    /// array's first `keep` rows.
-    fn assert_merge_operator_equals_comparator_walk(
-        lens: &[usize],
-        reals: &[usize],
-        keep: usize,
-        order: SortOrder,
-    ) {
-        let mut merged = runs_of(lens, reals, order);
-        let mut entries = merged.entries().to_vec();
+    /// The host arrangement of a merge of real-first runs against the network it is
+    /// charged as, `Network::merge(lens, keep)`: the kept wires — every run read head
+    /// first — hold the flags of the arranged array's first `keep` rows, and the
+    /// reals come out first, in input order. The charge is that network's.
+    fn assert_partition_keeps_the_merge_flags(lens: &[usize], reals: &[usize], keep: usize) {
+        let mut merged = runs_of(lens, reals);
+        let before = merged.recover_all();
+        let network = Network::merge(lens, keep);
         let mut meter = CostMeter::new();
-        oblivious_merge_by_is_view(&mut merged, lens, keep, order, 3, &mut meter);
+        network.charge_flag_keyed(3, &mut meter);
+        crate::compact::partition_by_is_view(&mut merged);
 
-        let rank = |rec: &SharedRecordPair| match order {
-            SortOrder::Ascending => dummy_rank(rec),
-            SortOrder::Descending => 1 - dummy_rank(rec),
-        };
-        let (pairs, outputs) = Network::merge(lens, usize::MAX).pairs();
-        for &(lo, hi) in &pairs {
-            if rank(&entries[lo]) > rank(&entries[hi]) {
-                entries.swap(lo, hi);
-            }
-        }
-        let walked: Vec<_> = outputs.iter().map(|&wire| entries[wire].clone()).collect();
-        assert_eq!(merged.entries(), walked, "lens={lens:?} {order:?}");
-        let ranks: Vec<u64> = merged.entries().iter().map(rank).collect();
-        assert!(ranks.is_sorted(), "lens={lens:?} {order:?}: not merged");
-
-        let pruned = Network::merge(lens, keep).pairs();
-        let mut flags: Vec<u64> = lens
-            .iter()
-            .zip(reals)
-            .flat_map(|(&len, &real)| (0..len).map(move |i| u64::from(i >= real)))
-            .collect();
+        let after = merged.recover_all();
+        let real: Vec<&PlainRecord> = before.iter().filter(|r| r.is_view).collect();
+        assert!(
+            after[..real.len()].iter().eq(real.iter().copied()),
+            "lens={lens:?}: reals in order"
+        );
+        assert!(
+            after[real.len()..].iter().all(|r| !r.is_view),
+            "lens={lens:?}"
+        );
+        let pruned = network.pairs();
+        let mut flags: Vec<u64> = before.iter().map(|r| u64::from(!r.is_view)).collect();
         let kept = run_selection(&pruned, &mut flags);
-        let mut head: Vec<u64> = merged.entries().iter().map(dummy_rank).collect();
-        if order == SortOrder::Descending {
-            head.reverse();
-        }
-        head.truncate(kept.len());
-        assert_eq!(head, kept, "lens={lens:?} keep={keep} {order:?}");
+        let head = after[..kept.len()].iter().map(|r| u64::from(!r.is_view));
+        assert!(head.eq(kept), "lens={lens:?} keep={keep}");
         // Three payload words a comparator, whatever the rows' own width.
         let (report, comparators) = (meter.report(), pruned.0.len() as u64);
         let gates = (
@@ -1325,23 +1153,14 @@ mod tests {
             // Real counts sweep with the split, so all-real, all-dummy and mixed
             // runs meet on either side.
             let reals = [split * (n % 4) / 3, (n - split) * (split % 4) / 3];
-            let order = [SortOrder::Ascending, SortOrder::Descending][(n + split) % 2];
             for keep in [usize::MAX, (n + 3 * split) % (n + 2)] {
-                assert_merge_operator_equals_comparator_walk(
-                    &[split, n - split],
-                    &reals,
-                    keep,
-                    order,
-                );
+                assert_partition_keeps_the_merge_flags(&[split, n - split], &reals, keep);
             }
         }
         for (n, split) in large_splits() {
-            for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let reals = [split / 3, (n - split) / 2];
-                for keep in [usize::MAX, n / 3] {
-                    let runs = [split, n - split];
-                    assert_merge_operator_equals_comparator_walk(&runs, &reals, keep, order);
-                }
+            let reals = [split / 3, (n - split) / 2];
+            for keep in [usize::MAX, n / 3] {
+                assert_partition_keeps_the_merge_flags(&[split, n - split], &reals, keep);
             }
         }
     }
@@ -1353,10 +1172,8 @@ mod tests {
         // the rows a read keeps.
         let lens = [1200, 5, 1200, 900, 1, 1694];
         let reals = [1200, 2, 300, 0, 1, 847];
-        for order in [SortOrder::Ascending, SortOrder::Descending] {
-            for keep in [usize::MAX, 1500] {
-                assert_merge_operator_equals_comparator_walk(&lens, &reals, keep, order);
-            }
+        for keep in [usize::MAX, 1500] {
+            assert_partition_keeps_the_merge_flags(&lens, &reals, keep);
         }
     }
 
@@ -1387,12 +1204,7 @@ mod tests {
     fn key_wider_than_the_packed_word_is_rejected() {
         // The shift would drop the key's top bit and alias it with key 0.
         let arr = share_values(&[1, 2, 3], 0);
-        network_permutation(
-            &arr,
-            SortOrder::Ascending,
-            |_| MAX_SORT_KEY + 1,
-            run_sort_network,
-        );
+        network_permutation(&arr, SortOrder::Ascending, |_| MAX_SORT_KEY + 1);
     }
 
     #[test]
@@ -1517,7 +1329,8 @@ mod tests {
         /// count is the materialised network's and at most the Batcher sort's; the
         /// kept wires hold the smallest keys of every 0-1 input, as the unpruned
         /// network's do; a tournament with no block longer than it keeps carries no
-        /// comparator that feeds no kept wire; the executed runs merge like it.
+        /// comparator that feeds no kept wire; over sorted runs, the host
+        /// arrangement leaves its kept flags.
         #[test]
         fn prop_network_generator_counts_keeps_and_prunes(
             lens in proptest::collection::vec(0usize..24, 0..9),
@@ -1537,10 +1350,13 @@ mod tests {
             }
             let mut rng = StdRng::seed_from_u64(seed);
             let mut keys: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2)).collect();
+            // Zeros per sorted run: the real rows heading it.
+            let mut reals = Vec::new();
             if sorted {
                 let mut start = 0;
                 for &len in &lens {
                     keys[start..start + len].sort_unstable();
+                    reals.push(keys[start..start + len].iter().filter(|&&key| key == 0).count());
                     start += len;
                 }
             }
@@ -1556,7 +1372,7 @@ mod tests {
                 prop_assert_eq!(dead_comparators(&pairs), 0);
             }
             if sorted {
-                assert_merge_kernel_equals_comparator_walk(&lens, seed, seed % 2 == 0);
+                assert_partition_keeps_the_merge_flags(&lens, &reals, keep);
             }
         }
 

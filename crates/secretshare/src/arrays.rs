@@ -178,8 +178,8 @@ impl SharedArrayPair {
 
     /// Split off the last `n` entries, order kept (the whole array when `n` exceeds
     /// the length). Costs `O(n)` however long the array is, where
-    /// [`Self::split_front`] slides the whole remainder down: the secure cache keeps
-    /// its runs back to front so that a cut is this one.
+    /// [`Self::split_front`] slides the whole remainder down: the secure cache trims
+    /// its real-first runs with it, recycling their dummy ends.
     pub fn split_back(&mut self, n: usize) -> SharedArrayPair {
         let at = self.entries.len().saturating_sub(n);
         SharedArrayPair {
@@ -221,34 +221,6 @@ impl SharedArrayPair {
             .iter()
             .map(|&src| slots[src].take().expect("perm must be a permutation"))
             .collect();
-    }
-
-    /// The rearrangement of [`Self::permute_gather`] without a second array: walks
-    /// the cycles of `perm`, swapping records, and leaves `perm` the identity. A row
-    /// that stays where it is costs one word's read, so this is the one to use when
-    /// few rows move (merging ordered runs); on a random permutation the gather is
-    /// about twice as fast.
-    ///
-    /// # Panics
-    /// Panics when `perm` is not a permutation of `0..len`.
-    pub fn permute_in_place(&mut self, perm: &mut [usize]) {
-        assert_eq!(
-            perm.len(),
-            self.entries.len(),
-            "permutation length mismatch"
-        );
-        for start in 0..perm.len() {
-            let mut at = start;
-            loop {
-                let src = std::mem::replace(&mut perm[at], at);
-                if src == start {
-                    break;
-                }
-                assert_ne!(src, at, "perm must be a permutation");
-                self.entries.swap(at, src);
-                at = src;
-            }
-        }
     }
 
     /// Keep only the entries whose `(index, entry)` the predicate accepts, preserving
@@ -424,30 +396,6 @@ mod tests {
         let mut empty = SharedArrayPair::new();
         empty.permute_gather(&[]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn permute_in_place_equals_permute_gather() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [0usize, 1, 2, 7, 64, 257] {
-            let mut perm: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                perm.swap(i, rng.gen_range(0..=i));
-            }
-            let mut gathered = sample_array(n, 0, 1);
-            let mut walked = gathered.clone();
-            gathered.permute_gather(&perm);
-            walked.permute_in_place(&mut perm);
-            assert_eq!(walked, gathered, "n = {n}");
-            assert!(perm.iter().copied().eq(0..n), "perm is left the identity");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "perm must be a permutation")]
-    fn permute_in_place_rejects_a_repeated_source() {
-        let mut arr = sample_array(3, 0, 1);
-        arr.permute_in_place(&mut [1, 1, 2]);
     }
 
     #[test]
