@@ -23,8 +23,9 @@
 //! the mover flag of every source-view row (the shuffle's routing-tag circuit:
 //! `mix64`, a one-hot demux over the virtual buckets, an AND with `isView`), the
 //! order-preserving tight compaction of the whole source view on that flag
-//! ([`Compaction`]), the shipped bytes and the two rounds. Both are recorded on
-//! an `elastic.migrate` span.
+//! ([`Compaction`]), the shipped bytes and two rounds: one for the circuit that
+//! ends where the migration size is released, one for the shipment. Both are
+//! recorded on an `elastic.migrate` span.
 
 use super::ElasticReport;
 use incshrink::MigratedPartition;
@@ -109,12 +110,11 @@ impl ViewMigrator {
         meter.ands(rows * (VIRTUAL_BUCKETS as u64 + 1));
         let payload = part.view_arity.saturating_sub(1) as u64;
         Compaction::new(source_view_len).charge(payload, &mut meter);
-        // The padded partition ships in the two rounds of the export/import handshake.
+        // The noised migration size is released, then the padded partition ships.
+        meter.release();
         let width = part.view_arity as u64 + 1;
         meter.bytes(part.shipped_records() as u64 * width * 4);
-        meter.round();
-        meter.round();
-        let cost = meter.report();
+        let cost = meter.take();
         let secs = self.cost_model.simulate(&cost).as_secs_f64();
         span.record_cost(cost.into());
         span.record_sim_secs(secs);
@@ -187,16 +187,16 @@ mod tests {
 
         // The mover flag of the 40 source-view rows (4 adds, 64 + 1 ANDs each),
         // the tight compaction of the 40 rows over the view's 4 words less the
-        // second join-key copy, the shipped rows of 4 words and the flag, and the
-        // two handshake rounds.
+        // second join-key copy, released with the migration size in one round, then
+        // the shipped rows of 4 words and the flag in another.
         let mut expected = CostMeter::new();
         expected.adds(4 * 40);
         expected.ands(40 * 65);
         Compaction::new(40).charge(3, &mut expected);
+        expected.release();
         expected.bytes(report.shipped_records * 5 * 4);
-        expected.round();
-        expected.round();
-        let expected = expected.report();
+        let expected = expected.take();
+        assert_eq!(expected.rounds, 2);
         assert_eq!(report.migration_cost, expected);
         let secs = CostModel::default().simulate(&expected).as_secs_f64();
         assert_eq!(report.migration_secs, secs);

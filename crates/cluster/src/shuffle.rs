@@ -296,7 +296,7 @@ impl ClusterShuffler {
                 )
             };
             self.stats.overflow_events += routed.overflows;
-            let shuffle_report = meter.report();
+            let shuffle_report = meter.take();
             route_span.record_cost(shuffle_report.into());
             max_shuffle = max_shuffle.max(self.cost_model.simulate(&shuffle_report));
             let width = batch.records.arity().unwrap_or(1) as u64 + 1;
@@ -335,7 +335,7 @@ impl ClusterShuffler {
                 .map_or(ingest_size, |cuts| cuts[dest].min(ingest_size));
             let mut meter = CostMeter::new();
             let (records, ids) = self.compact_and_cut(dest, records, ids, cut_size, &mut meter);
-            let compact_report = meter.report();
+            let compact_report = meter.take();
             route_span.record_cost(compact_report.into());
             max_compact = max_compact.max(self.cost_model.simulate(&compact_report));
             out.push(UploadBatch {
@@ -406,7 +406,6 @@ impl ClusterShuffler {
             out_ids.push(None);
         }
         meter.bytes(out.len() as u64 * width * 4);
-        meter.round();
         (out, out_ids)
     }
 }

@@ -475,7 +475,8 @@ impl NmBaselineEngine<'_> {
 
 /// Cost of answering the query without a view (NM baseline): an oblivious sort-merge
 /// join over the full outsourced relations (sizes `n_left`, `n_right` padded records of
-/// width `arity` words) followed by a truncated linear scan, per Example 5.1.
+/// width `arity` words) followed by a truncated linear scan, per Example 5.1. Like a
+/// view query, it is one circuit that ends where its answer is released: one round.
 #[must_use]
 pub(crate) fn non_materialized_query_cost(
     n_left: u64,
@@ -492,7 +493,7 @@ pub(crate) fn non_materialized_query_cost(
         secure_ands: n * truncation_bound,
         secure_adds: n,
         bytes_communicated: n * (arity + 1) * 4,
-        rounds: 2,
+        rounds: 1,
     };
     (model.simulate(&report), report)
 }

@@ -194,6 +194,8 @@ impl ShrinkProtocol {
                     )
                 };
                 let noisy_threshold = self.load_noisy_threshold(ctx);
+                // The comparison bit is released: the circuit ends here.
+                ctx.meter().release();
                 if noisy_counter >= noisy_threshold {
                     let _mech = incshrink_telemetry::mechanism_scope("ant.sync");
                     outcome.read_size = self.synchronize(ctx, cache, view, time);

@@ -1211,6 +1211,7 @@ mod tests {
                     let out = transform.invoke(&mut ctx, &left, Some(&right));
                     let rest = out.report.saturating_sub(joins);
                     assert_eq!(rest + joins, out.report, "t={t}: both joins are charged");
+                    assert_eq!(out.report.rounds, 1, "t={t}: the step is one circuit");
                     let schedule = (out.report, out.delta.len(), out.new_entries);
                     (schedule, out.duration)
                 })

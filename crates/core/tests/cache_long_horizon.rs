@@ -28,15 +28,15 @@ fn ten_flush_cycles_keep_the_run_list_short_and_shrink_cheap() {
     // bitonic merge over the whole cache (a flush in the same step found it sorted).
     // That layout never trims: its cache is every row written since the last flush
     // and not yet fetched. A flag-keyed comparator is priced as one AND and a swap
-    // of the view row's three words, a network as one round. Both sides are priced
-    // in modeled seconds: the seal's compaction adds control ANDs, so an AND is no
-    // longer a comparator.
+    // of the view row's three words; a network charges no round of its own, as it
+    // runs inside the synchronisation's circuit. Both sides are priced in modeled
+    // seconds: the seal's compaction adds control ANDs, so an AND is no longer a
+    // comparator.
     let (mut untrimmed, mut prefix, mut prefix_layout) = (0usize, 0usize, CostReport::default());
     let (mut shrink, mut max_runs, mut flushes) = (CostReport::default(), 0usize, 0u64);
     let mut network = |comparators: u64| {
         prefix_layout.secure_ands += comparators;
         prefix_layout.secure_swaps += 3 * comparators;
-        prefix_layout.rounds += u64::from(comparators > 0);
     };
     let sink = Arc::new(InMemory::new());
     let _guard = incshrink_telemetry::install(sink.clone());
@@ -80,8 +80,8 @@ fn ten_flush_cycles_keep_the_run_list_short_and_shrink_cheap() {
     assert_eq!(flushes, 10);
     assert!(max_runs <= 12, "{max_runs} runs alive");
     // The ratio read 0.047 once every run was trimmed to `R`, 0.028 once the seal
-    // became a tight compaction and 0.022 once every merge of a cut was priced for
-    // the rows the cut keeps.
+    // became a tight compaction, 0.022 once every merge of a cut was priced for
+    // the rows the cut keeps and 0.020 once rounds came to be charged per circuit.
     let model = CostModel::default();
     let [shrink, prefix_layout] =
         [shrink, prefix_layout].map(|report| model.simulate(&report).as_secs_f64());

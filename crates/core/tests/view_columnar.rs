@@ -352,6 +352,9 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
     // Re-recorded when each merge of a cut came to be pruned to the rows the cut
     // keeps: fewer swaps and ANDs, fewer merged rows (a cascade's later merges run
     // over the pruned run), the same rounds, bytes and merges.
+    // Re-recorded when a step came to be one garbled circuit closed at each release:
+    // a sync is two rounds (the released size, then the cut and counter update), a
+    // flush one; every gate, byte and merge, and the fingerprints, kept their values.
     drop(guard);
     let mut shrink = CostDelta::default();
     for event in sink.take() {
@@ -370,7 +373,7 @@ fn trajectory_fingerprints_equal_the_record_major_goldens() {
             ands: 106_313,
             adds: 7_616,
             bytes: 33_192,
-            rounds: 475,
+            rounds: 126,
             merges: 53,
             merged_rows: 16_393,
             window_rows: 0,

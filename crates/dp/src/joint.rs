@@ -12,9 +12,8 @@ use crate::laplace::{laplace_from_unit, released_count};
 use incshrink_mpc::PartyExec;
 
 /// Jointly sample `Lap(Δ/ε)` noise inside the two-party context and return
-/// `x + noise` as a real number. Charges the contribution exchange to the cost meter.
-/// Generic over the party execution mode — the joint draw is one protocol
-/// round regardless of who runs the servers.
+/// `x + noise` as a real number. Charges the contribution exchange to the cost meter,
+/// inside the caller's open circuit, the same in every party execution mode.
 pub fn joint_laplace_noise(
     ctx: &mut impl PartyExec,
     sensitivity: f64,
@@ -37,13 +36,16 @@ pub fn joint_laplace_noise(
 }
 
 /// Jointly noise an integer cardinality and clamp the result to a usable read size.
+/// The size is released to the host, so the circuit that computed it ends here.
 pub fn joint_noised_size(
     ctx: &mut impl PartyExec,
     sensitivity: f64,
     epsilon: f64,
     count: u64,
 ) -> u64 {
-    released_count(joint_laplace_noise(ctx, sensitivity, epsilon, count as f64))
+    let size = released_count(joint_laplace_noise(ctx, sensitivity, epsilon, count as f64));
+    ctx.meter().release();
+    size
 }
 
 #[cfg(test)]

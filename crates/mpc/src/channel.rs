@@ -23,8 +23,8 @@
 //!
 //! # What the endpoint does not do
 //!
-//! Endpoints meter nothing: the bytes and rounds of a joint operation are
-//! charged once, on the driver's meter, in every mode. An endpoint only counts
+//! Endpoints meter nothing: a joint operation's bytes, and its circuit's round,
+//! are charged once, on the driver's meter, in every mode. An endpoint only counts
 //! what it really wrote to the link ([`WireCounters`]). Randomness draws happen
 //! on each party's own [`Server`] rng in the order of the in-process context
 //! (word before word64), so the XOR-combined outputs are bit-identical to it.
@@ -514,7 +514,7 @@ mod tests {
             ctx.recover_named("absent"),
         );
         let (report, _) = ctx.charge();
-        assert_eq!(report.rounds, 3, "the absent recovery is not a round");
+        assert_eq!(report.rounds, 1, "the joint operations share one circuit");
 
         for (tcp, mut pair) in [
             (false, endpoint_pair(0xC0DE)),

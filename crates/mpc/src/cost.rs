@@ -80,7 +80,7 @@ pub struct CostReport {
     pub secure_adds: u64,
     /// Bytes exchanged between the two servers.
     pub bytes_communicated: u64,
-    /// Number of distinct protocol rounds (for latency accounting).
+    /// Protocol rounds (for latency accounting): one per garbled circuit ([`CostMeter`]).
     pub rounds: u64,
 }
 
@@ -168,7 +168,7 @@ pub struct CostModel {
     pub secs_per_add: f64,
     /// Seconds per byte of cross-server communication.
     pub secs_per_byte: f64,
-    /// Fixed latency per communication round.
+    /// Fixed latency per round: one per garbled circuit (see [`CostMeter`]).
     pub secs_per_round: f64,
 }
 
@@ -177,7 +177,8 @@ impl Default for CostModel {
         // Garbled-circuit throughput on a 3.8 GHz Xeon over LAN:
         // ~10M AND gates/s, a 32-bit comparison ~ 32 AND gates, a record swap of
         // w words ~ 32w multiplexer gates (the operators expand swaps by width),
-        // ~1 Gb/s effective bandwidth, 0.3 ms round latency. A comparator keyed by
+        // ~1 Gb/s effective bandwidth, 0.3 ms round latency, one round per garbled
+        // circuit whatever its depth (`CostMeter`'s rounds). A comparator keyed by
         // one flag bit is no 32-bit comparison but 1 AND gate, its swap carrying
         // the other words only (`Network::charge_flag_keyed` in incshrink-oblivious,
         // a declared substitution), or 1 AND per conditional swap of a compaction
@@ -233,10 +234,17 @@ impl CostModel {
 
 /// A running accumulator of operation counts, shared by nested oblivious operators,
 /// and the [`CostModel`] they are priced with.
+///
+/// **Rounds:** one per garbled circuit, whatever its depth, never one per kernel. A
+/// gate or byte opens a circuit; [`Self::release`] (the host learns a public value)
+/// or [`Self::take`] closes it, charging its round.
 #[derive(Debug, Default, Clone)]
 pub struct CostMeter {
     total: CostReport,
     model: CostModel,
+    /// The report as of the last close: a circuit is open while the gates and
+    /// bytes recorded differ from it.
+    closed: CostReport,
 }
 
 impl CostMeter {
@@ -273,7 +281,7 @@ impl CostMeter {
 
     /// Record `n` oblivious swaps of records that are `width` words wide.
     pub fn swaps(&mut self, n: u64, width: u64) {
-        self.total.secure_swaps += n * width.max(1);
+        self.total.secure_swaps += n * width;
     }
 
     /// Record `n` secure AND gates.
@@ -286,24 +294,29 @@ impl CostMeter {
         self.total.secure_adds += n;
     }
 
-    /// Record communicated bytes within the current round.
+    /// Record communicated bytes.
     pub fn bytes(&mut self, n: u64) {
         self.total.bytes_communicated += n;
     }
 
-    /// Record one protocol round.
-    pub fn round(&mut self) {
-        self.total.rounds += 1;
+    /// The host learns a public value here (a released size, a comparison bit):
+    /// close the open circuit, charging its one round. Nothing when none is open.
+    pub fn release(&mut self) {
+        self.closed.rounds = self.total.rounds;
+        self.total.rounds += u64::from(self.closed != self.total);
+        self.closed = self.total;
     }
 
-    /// Snapshot of the accumulated report.
+    /// Snapshot of the accumulated report, less the round of an open circuit.
     #[must_use]
     pub fn report(&self) -> CostReport {
         self.total
     }
 
-    /// Reset the meter and return what had been accumulated.
+    /// Close the open circuit, reset the meter and return what had been accumulated.
     pub fn take(&mut self) -> CostReport {
+        self.release();
+        self.closed = CostReport::default();
         std::mem::take(&mut self.total)
     }
 }
@@ -437,10 +450,8 @@ mod tests {
         meter.ands(3);
         meter.adds(7);
         meter.bytes(64);
-        meter.round();
         meter.record(CostReport {
             bytes_communicated: 36,
-            rounds: 1,
             ..CostReport::default()
         });
         let report = meter.report();
@@ -449,9 +460,20 @@ mod tests {
         assert_eq!(report.secure_ands, 3);
         assert_eq!(report.secure_adds, 7);
         assert_eq!(report.bytes_communicated, 100);
-        assert_eq!(report.rounds, 2);
-        let taken = meter.take();
-        assert_eq!(taken, report);
+        assert_eq!(
+            report.rounds, 0,
+            "an open circuit's round is charged on close"
+        );
+        let mut closed = report;
+        closed.rounds = 1;
+        assert_eq!(meter.take(), closed);
         assert!(meter.report().is_empty());
+        // One circuit whatever it evaluates, closed once; nothing recorded, none.
+        meter.ands(3);
+        meter.release();
+        meter.release();
+        meter.compares(0);
+        assert_eq!(meter.take().rounds, 1);
+        assert!(meter.take().is_empty());
     }
 }

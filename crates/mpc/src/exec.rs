@@ -110,8 +110,8 @@ pub trait PartyExec: sealed::Sealed {
     fn recover_named(&mut self, name: &str) -> Option<u32>;
     /// The driver-side meter on which oblivious operators record their gates.
     fn meter(&mut self) -> &mut CostMeter;
-    /// Drain the meter (operator gates + the bytes and rounds of the joint
-    /// operations since the previous charge), convert to simulated time,
+    /// Close the open circuit, drain the meter (gates, joint-operation bytes and
+    /// circuit rounds since the previous charge), convert to simulated time,
     /// advance the clock, and emit the `party_bytes` observable for the charge
     /// window. Protocols call this at the end of each invocation so
     /// per-invocation timings can be attributed to Transform / Shrink / queries.

@@ -16,8 +16,9 @@
 //! they differ only in *measured host time* (and, for tcp, in real bytes hitting
 //! a socket). This holds because rng draws happen on each party's own `Server`
 //! in the same order wherever it lives, and because everything that is priced —
-//! operator gates and the bytes and rounds of the three joint operations alike —
-//! is charged on the one driver meter, never by the transport.
+//! operator gates and the bytes of the three joint operations alike, and the
+//! round of each circuit they form — is charged on the one driver meter, never by
+//! the transport.
 
 use crate::channel::{endpoint_pair, endpoint_pair_tcp, WIRE_FRAME_OVERHEAD};
 use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
@@ -60,10 +61,10 @@ impl JointRandomness {
     }
 }
 
-/// Metered bytes of one joint-randomness round: a 4-byte and an 8-byte
+/// Metered bytes of one joint randomness draw: a 4-byte and an 8-byte
 /// contribution from each server.
 const JOINT_RANDOMNESS_BYTES: u64 = 2 * (4 + 8);
-/// Metered bytes of one reshare round: one 4-byte mask from each server.
+/// Metered bytes of one reshare: one 4-byte mask from each server.
 const RESHARE_BYTES: u64 = 2 * 4;
 /// Metered bytes of one named recovery: one 4-byte share from each server.
 const RECOVER_BYTES: u64 = 2 * 4;
@@ -164,11 +165,10 @@ impl PartyContext {
         }
     }
 
-    /// Price one joint operation's party-to-party traffic: `bytes` over one
-    /// round, on the driver meter, wherever the servers live.
-    fn channel_round(&mut self, bytes: u64) {
+    /// Price one joint operation's party-to-party bytes on the driver meter,
+    /// wherever the servers live; the circuit they join is charged its round on close.
+    fn channel(&mut self, bytes: u64) {
         self.meter.bytes(bytes);
-        self.meter.round();
         self.channel_bytes += bytes;
     }
 }
@@ -187,7 +187,7 @@ impl PartyExec for PartyContext {
                 }
             }
         };
-        self.channel_round(JOINT_RANDOMNESS_BYTES);
+        self.channel(JOINT_RANDOMNESS_BYTES);
         joint
     }
 
@@ -206,7 +206,7 @@ impl PartyExec for PartyContext {
                 assert_eq!(reply, PartyReply::Done, "protocol desync: expected Done");
             }
         }
-        self.channel_round(RESHARE_BYTES);
+        self.channel(RESHARE_BYTES);
     }
 
     fn recover_named(&mut self, name: &str) -> Option<u32> {
@@ -223,7 +223,7 @@ impl PartyExec for PartyContext {
             }
         };
         if value.is_some() {
-            self.channel_round(RECOVER_BYTES);
+            self.channel(RECOVER_BYTES);
         }
         value
     }

@@ -51,7 +51,6 @@ pub fn count_selected(
     meter.ands(n);
     meter.adds(n);
     meter.bytes(scan_input_bytes(columns) + 8);
-    meter.round();
     let mut count = 0;
     for_each_selection_block(columns, conjuncts, |_, mask| {
         count += mask.iter().sum::<u64>()
@@ -74,7 +73,6 @@ pub fn sum_selected(
     meter.ands(n);
     meter.adds(2 * n);
     meter.bytes(scan_input_bytes(columns) + 8);
-    meter.round();
     let Some((s0, s1)) = columns.field_shares(field) else {
         return 0;
     };
@@ -108,7 +106,6 @@ pub fn group_count_selected(
     meter.ands(n * d);
     meter.adds(n * d);
     meter.bytes(scan_input_bytes(columns) + 8 * d);
-    meter.round();
     let mut counts = vec![0; domain.len()];
     let Some((s0, s1)) = columns.field_shares(group_field) else {
         return counts;

@@ -195,7 +195,6 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
     meter.compares(input.len() as u64);
     meter.ands(input.len() as u64);
     meter.bytes((input.len() * (input.arity().unwrap_or(0) + 1) * 4) as u64);
-    meter.round();
 
     let columns = SharedColumnsPair::from_pair(input);
     let lanes: Vec<Vec<u64>> = (0..columns.arity())
@@ -250,7 +249,6 @@ mod tests {
         meter.compares(input.len() as u64);
         meter.ands(input.len() as u64);
         meter.bytes((input.len() * (input.arity().unwrap_or(0) + 1) * 4) as u64);
-        meter.round();
         for entry in input.entries() {
             let plain = entry.recover();
             let keep = plain.is_view && predicate.matches(&plain.fields);

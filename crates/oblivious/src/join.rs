@@ -376,9 +376,9 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 /// 4's sort of whole output rows, which keeps the same slots on the same wires. So
 /// is the inner key: every [`JoinSpec`] is an equi-join, so a kept real slot's
 /// inner key equals the outer key, and a dummy slot's payload is don't-care, as
-/// for the outer columns. The selection is part of the
-/// same circuit as the compare matrix, so the whole join is one round. Depends only
-/// on public sizes, never on data. A public inner relation is priced by
+/// for the outer columns. The join is part of the step's one garbled circuit, so
+/// it charges no round of its own: the meter charges one where the circuit closes.
+/// Depends only on public sizes, never on data. A public inner relation is priced by
 /// [`public_inner_join_cost`] instead.
 #[must_use]
 pub fn nested_loop_join_cost(
@@ -398,7 +398,7 @@ pub fn nested_loop_join_cost(
 
 /// Algorithm 4's price against a **public** inner relation (CPDB's Award rows):
 /// `|outer|·|inner|` compares, `(2 + bound)·|outer|·|inner|` ANDs, no swap, and
-/// the output write and round of [`nested_loop_join_cost`].
+/// the output write of [`nested_loop_join_cost`].
 ///
 /// Per outer tuple the circuit walks the inner rows `j` in relation order. The
 /// match bit `m_j` costs the compare and the two match/budget ANDs of the secret
@@ -428,7 +428,7 @@ pub fn public_inner_join_cost(
 }
 
 /// The nested loop around one per-outer `selection`: the key matrix, two ANDs a
-/// pair, `|outer|` selections and the `b·|outer|` output write, in one round.
+/// pair, `|outer|` selections and the `b·|outer|` output write.
 fn loop_join_cost(
     outer_len: usize,
     inner_len: usize,
@@ -444,12 +444,11 @@ fn loop_join_cost(
             .saturating_mul(2)
             .saturating_add(o.saturating_mul(selection.secure_ands)),
         secure_swaps: o.saturating_mul(selection.secure_swaps),
-        secure_adds: 0,
         bytes_communicated: o
             .saturating_mul(bound as u64)
             .saturating_mul(out_arity as u64 + 1)
             .saturating_mul(4),
-        rounds: 1,
+        ..CostReport::default()
     }
 }
 
@@ -481,53 +480,26 @@ pub(crate) fn delta_sort_merge_join_cost(
     merged_arity: usize,
 ) -> CostReport {
     let nm = outer_len + inner_len;
-    let emission = nm.saturating_mul(bound);
-    let run_sorts = [outer_len, inner_len].map(|run| (run >= 2).then(|| batcher_pair_count(run)));
-    let bm_merge = crate::sort::bitonic_merge_pair_count(nm);
-    let compact = Network::select(emission, outer_len.saturating_mul(bound)).count();
-    let merged_width = merged_arity as u64 + 1;
-    let out_width = out_arity as u64 + 1;
-    let mut report = CostReport {
+    let scan = (nm as u64).saturating_mul(bound as u64);
+    let kept = outer_len.saturating_mul(bound);
+    let (merged_width, out_width) = (merged_arity as u64 + 1, out_arity as u64 + 1);
+    // Whole merged records: both run sorts and the bitonic merge; then the compaction.
+    let merged = batcher_pair_count(outer_len)
+        + batcher_pair_count(inner_len)
+        + crate::sort::bitonic_merge_pair_count(nm);
+    let compact = Network::select(nm.saturating_mul(bound), kept).count();
+    CostReport {
+        secure_compares: merged.saturating_add(scan).saturating_add(compact),
+        secure_swaps: merged
+            .saturating_mul(merged_width)
+            .saturating_add(compact.saturating_mul(out_width)),
+        secure_ands: scan,
         bytes_communicated: (nm as u64)
             .saturating_mul(merged_arity as u64)
+            .saturating_add((kept as u64).saturating_mul(out_width))
             .saturating_mul(4),
         ..CostReport::default()
-    };
-    for bp_run_sort in run_sorts.into_iter().flatten() {
-        report.secure_compares = report.secure_compares.saturating_add(bp_run_sort);
-        report.secure_swaps = report
-            .secure_swaps
-            .saturating_add(bp_run_sort.saturating_mul(merged_width));
-        report.rounds += 1;
     }
-    if nm >= 2 {
-        report.secure_compares = report.secure_compares.saturating_add(bm_merge);
-        report.secure_swaps = report
-            .secure_swaps
-            .saturating_add(bm_merge.saturating_mul(merged_width));
-        report.rounds += 1;
-    }
-    report.secure_compares = report
-        .secure_compares
-        .saturating_add((nm as u64).saturating_mul(bound as u64));
-    report.secure_ands = report
-        .secure_ands
-        .saturating_add((nm as u64).saturating_mul(bound as u64));
-    report.rounds += 1;
-    if compact > 0 {
-        report.secure_compares = report.secure_compares.saturating_add(compact);
-        report.secure_swaps = report
-            .secure_swaps
-            .saturating_add(compact.saturating_mul(out_width));
-        report.rounds += 1;
-    }
-    report.bytes_communicated = report.bytes_communicated.saturating_add(
-        (outer_len as u64)
-            .saturating_mul(bound as u64)
-            .saturating_mul(out_width)
-            .saturating_mul(4),
-    );
-    report
 }
 
 /// Append one `bound`-slot output block — real join tuples first (truncated to
@@ -810,6 +782,10 @@ mod tests {
         assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
         let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);
+        // Neither join charges a round of its own: each is one circuit, closed once.
+        for meter in [&mut nested_loop, &mut sort_merge] {
+            assert_eq!(meter.take().rounds, 1);
+        }
     }
 
     /// The one-hot prefix circuit [`public_inner_join_cost`] prices, simulated bit by
@@ -875,18 +851,18 @@ mod tests {
 
     /// The public price: no swap, the key matrix's compares, `(2 + ω)` ANDs a pair
     /// (the match/budget pair and the one-hot state's ω) and the secret path's
-    /// output write and round. The secret path's price is pinned at shapes recorded
-    /// before the public one existed, its swaps re-recorded when the selection
-    /// stopped carrying the inner join key (`inner_arity − 1` words a comparator).
+    /// output write. The secret path's price is pinned at shapes recorded before the
+    /// public one existed, its swaps re-recorded when the selection stopped carrying
+    /// the inner join key (`inner_arity − 1` words a comparator), its round dropped
+    /// when rounds came to be charged per circuit instead of per kernel.
     #[test]
     fn public_inner_price_has_no_swap_and_the_secret_price_is_pinned() {
         let cost = |secure_compares, secure_swaps, secure_ands, bytes_communicated| CostReport {
             secure_compares,
             secure_swaps,
             secure_ands,
-            secure_adds: 0,
             bytes_communicated,
-            rounds: 1,
+            ..CostReport::default()
         };
         let shapes = [
             ((80, 110, 10, 2, 2), cost(8_800, 49_360, 66_960, 16_000)),

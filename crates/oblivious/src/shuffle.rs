@@ -31,8 +31,10 @@
 //!   swaps;
 //! * the routing tags — a SplitMix-style mix of the key column plus a one-hot
 //!   destination demux: 4 secure adds and `S` AND gates per record;
-//! * the scatter — the padded buckets' bytes shipped to the destination pairs in
-//!   one round (shares are re-randomized in transit, which costs no gates).
+//! * the scatter — the padded buckets' bytes shipped to the destination pairs
+//!   (shares are re-randomized in transit, which costs no gates).
+//!
+//! The three are one circuit, whose one round the meter charges where it closes.
 
 use crate::sort::Network;
 use incshrink_mpc::cost::CostMeter;
@@ -227,9 +229,6 @@ fn route_inner<R: Rng + ?Sized>(
     // destinations, all under MPC (4 adds model the mix rounds, S ANDs the demux).
     meter.adds(4 * n as u64);
     meter.ands(n as u64 * destinations as u64);
-    if n > 0 {
-        meter.round();
-    }
 
     // Phase 3 — scatter into padded buckets, re-sharing in transit.
     let mut buckets: Vec<SharedArrayPair> =
@@ -268,9 +267,6 @@ fn route_inner<R: Rng + ?Sized>(
         shipped += bucket.len() as u64;
     }
     meter.bytes(shipped * width * 4);
-    if shipped > 0 {
-        meter.round();
-    }
 
     ShuffleRouteOutcome {
         buckets,

@@ -379,15 +379,12 @@ impl<'a> Network<'a> {
 
     /// Charge the network over `width`-word records keyed by a word (the field
     /// sort, the shuffle's random tags), without executing it: one secure comparison
-    /// and one record-wide swap per comparator, one round; nothing when there is no
-    /// comparator. A valley reversal relabels wires — each server reverses its own
-    /// shares — so it costs no gate. Returns the comparators.
+    /// and one record-wide swap per comparator, and no round: the meter charges one
+    /// where the step's circuit closes. A valley reversal relabels wires — each
+    /// server reverses its own shares — so it costs no gate. Returns the comparators.
     pub fn charge(&self, width: u64, meter: &mut CostMeter) -> u64 {
-        if self.comparators > 0 {
-            meter.compares(self.comparators);
-            meter.swaps(self.comparators, width);
-            meter.round();
-        }
+        meter.compares(self.comparators);
+        meter.swaps(self.comparators, width.max(1));
         self.comparators
     }
 
@@ -399,15 +396,11 @@ impl<'a> Network<'a> {
     /// dummies first), and only the `payload_words` other words swap — none at 0,
     /// where [`Self::charge`] floors a record at one word. The cache's merges and
     /// read and Algorithm 4's selection charge here; what only brings the reals
-    /// first charges [`crate::compact::Compaction::charge`]. Returns the comparators.
+    /// first charges [`crate::compact::Compaction::charge`]. No round, as for
+    /// [`Self::charge`]. Returns the comparators.
     pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
-        if self.comparators > 0 {
-            meter.ands(self.comparators);
-            if payload_words > 0 {
-                meter.swaps(self.comparators, payload_words);
-            }
-            meter.round();
-        }
+        meter.ands(self.comparators);
+        meter.swaps(self.comparators, payload_words);
         self.comparators
     }
 
@@ -607,7 +600,7 @@ where
 /// records (`isView = 0`) are ordered after real records for ascending sorts and are
 /// given the maximum key, so they collect at the tail. [`Network::sort`] over the
 /// packed words of `network_permutation`, keyed by a word: one secure comparison
-/// and one record-wide swap per comparator, one round ([`Network::charge`]).
+/// and one record-wide swap per comparator ([`Network::charge`]).
 pub fn oblivious_sort_by_field(
     array: &mut SharedArrayPair,
     field: usize,
@@ -1136,8 +1129,9 @@ mod tests {
         let kept = run_selection(&pruned, &mut flags);
         let head = after[..kept.len()].iter().map(|r| u64::from(!r.is_view));
         assert!(head.eq(kept), "lens={lens:?} keep={keep}");
-        // Three payload words a comparator, whatever the rows' own width.
-        let (report, comparators) = (meter.report(), pruned.0.len() as u64);
+        // Three payload words a comparator, whatever the rows' own width; the
+        // network is one circuit, its round charged when the meter closes it.
+        let (report, comparators) = (meter.take(), pruned.0.len() as u64);
         let gates = (
             report.secure_compares,
             report.secure_ands,

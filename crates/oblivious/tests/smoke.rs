@@ -36,8 +36,9 @@ fn sort_and_cache_read_through_public_api() {
 }
 
 /// A flag-keyed network with nothing to swap besides its flag — the selection over
-/// an inner relation that is only its join key — charges its ANDs and round and no
-/// swap; a word-keyed network keeps its one-word floor.
+/// an inner relation that is only its join key — charges its ANDs and no swap; a
+/// word-keyed network keeps its one-word floor. Neither charges a round of its own:
+/// the one round of the circuit they form is charged when the meter closes it.
 #[test]
 fn a_zero_word_flag_keyed_payload_charges_no_swap() {
     let network = Network::select(19, 2);
@@ -46,9 +47,12 @@ fn a_zero_word_flag_keyed_payload_charges_no_swap() {
     let flag = flag.report();
     assert!(comparators > 0);
     assert_eq!((flag.secure_ands, flag.secure_swaps), (comparators, 0));
-    assert_eq!((flag.secure_compares, flag.rounds), (0, 1));
+    assert_eq!((flag.secure_compares, flag.rounds), (0, 0));
     network.charge(0, &mut word);
-    assert_eq!(word.report().secure_swaps, comparators, "one-word floor");
+    network.charge_flag_keyed(0, &mut word);
+    let word = word.take();
+    assert_eq!(word.secure_swaps, comparators, "one-word floor");
+    assert_eq!(word.rounds, 1, "two networks, one circuit");
 
     let key_only = nested_loop_join_cost(7, 19, 2, 2, 1);
     assert_eq!(key_only.secure_swaps, 0, "a key-only inner moves nothing");

@@ -257,7 +257,6 @@ impl SecureCache {
         let fetched = candidates.split_front(size);
         let width = fetched.arity().unwrap_or(0) as u64 + 1;
         meter.bytes(fetched.len() as u64 * width * 4);
-        meter.round();
         read.close(meter);
         // Unpruned: the next cut's size, which would cut this merge, is unknown.
         trimmed += self.push_run(candidates, 0, usize::MAX, meter);
@@ -580,10 +579,10 @@ mod tests {
         assert!(cache.read(5, &mut meter).is_empty(), "empty read");
     }
 
-    /// One cache operation by its released size.
+    /// One cache operation by its released size; a write also names its reals.
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        Write(usize),
+        Write(usize, usize),
         Read(usize),
         Flush(usize),
     }
@@ -591,66 +590,74 @@ mod tests {
     /// Three writes in five, one read, one flush.
     fn op((kind, size): (u8, usize)) -> Op {
         match kind {
-            0..=2 => Op::Write(size),
+            0..=2 => Op::Write(size, 0),
             3 => Op::Read(size),
             _ => Op::Flush(size),
         }
     }
 
     /// The shape of [`four_real_runs`] for a bound `R`: eleven writes of `R + 1`
-    /// rows, each sealed by a read of 0 (runs of 8 and 3 sealed tails, `R` rows
-    /// each), a twelfth sealed by a read of `R − 1`, whose candidates keep `R`
-    /// rows, then a read of 1 with no write: its `min(3, R)` candidates merge with
-    /// the `R − 1` rows the last ones kept, more than `R` for every `R ≥ 2`. Random
-    /// operations reach that write-back merge next to never: it needs three counted
-    /// runs, 12 seals without a flush.
+    /// rows, one real, each sealed by a read of 0 (runs of 8 and 3 sealed tails,
+    /// `R` rows each), a twelfth sealed by a read of `R − 1`, whose candidates keep
+    /// `R` rows, then a read of 1 with no write: its `min(3, R)` candidates merge
+    /// with the `R − 1` rows the last ones kept, more than `R` for every `R ≥ 2`.
+    /// Random operations reach that write-back merge next to never: it needs three
+    /// counted runs, 12 seals without a flush.
     fn four_runs_then_a_read(bound: usize) -> Vec<Op> {
-        let sealed = [Op::Write(bound + 1), Op::Read(0)];
+        let sealed = [Op::Write(bound + 1, 1), Op::Read(0)];
         let mut ops: Vec<Op> = sealed.into_iter().cycle().take(23).collect();
         ops.extend([Op::Read(bound.saturating_sub(1)), Op::Read(1)]);
         ops
     }
 
     /// The layout as a pure function of released sizes and the bound `R`:
-    /// `(length, seals)` of every run (oldest first) and the tail length after `op`
-    /// — what `CacheAppend` / `ViewSync` / `CacheFlush` already tell both servers.
-    /// Returns the number of candidates a cut reads (0 for a write).
+    /// `(length, seals, reals)` of every run (oldest first) and the tail's `(length,
+    /// reals)` after `op`; lengths and seals never depend on the reals, a real-first
+    /// list keeps `min(reals, k)` in its first `k` rows. Returns the number of
+    /// candidates a cut reads (0 for a write) and the reals it fetches.
     fn reference_layout(
-        runs: &mut Vec<(usize, u32)>,
-        tail: &mut usize,
+        runs: &mut Vec<(usize, u32, usize)>,
+        tail: &mut (usize, usize),
         op: Op,
         bound: usize,
-    ) -> usize {
-        fn push(runs: &mut Vec<(usize, u32)>, (rows, seals): (usize, u32)) {
-            if rows == 0 {
+    ) -> (usize, usize) {
+        fn push(runs: &mut Vec<(usize, u32, usize)>, run: (usize, u32, usize)) {
+            if run.0 == 0 {
                 return;
             }
-            runs.push((rows, seals));
+            runs.push(run);
             while let [.., older, newer] = runs[..] {
                 if older.1 > 2 * newer.1 {
                     break;
                 }
                 runs.truncate(runs.len() - 2);
-                runs.push((older.0 + newer.0, older.1 + newer.1));
+                runs.push((older.0 + newer.0, older.1 + newer.1, older.2 + newer.2));
             }
         }
+        // The first `k` rows of a real-first `(length, reals)`.
+        let head = |(len, reals): (usize, usize), k: usize| (len.min(k), reals.min(k));
         match op {
-            Op::Write(rows) => {
-                *tail += rows;
-                0
+            Op::Write(rows, reals) => {
+                *tail = (tail.0 + rows, tail.1 + reals);
+                (0, 0)
             }
             Op::Read(size) | Op::Flush(size) => {
-                let sealed = std::mem::take(tail).min(size.saturating_add(bound));
-                push(runs, (sealed, 1));
-                let candidates: usize = runs.iter().map(|r| r.0.min(size)).sum();
-                runs.iter_mut()
-                    .for_each(|r| r.0 = (r.0 - r.0.min(size)).min(bound));
+                let (len, reals) = head(std::mem::take(tail), size.saturating_add(bound));
+                push(runs, (len, 1, reals));
+                let mut candidates = (0, 0);
+                for run in runs.iter_mut() {
+                    let (len, reals) = head((run.0, run.2), size);
+                    candidates = (candidates.0 + len, candidates.1 + reals);
+                    (run.0, run.2) = head((run.0 - len, run.2 - reals), bound);
+                }
                 runs.retain(|r| r.0 > 0);
-                push(runs, ((candidates - candidates.min(size)).min(bound), 0));
+                let fetched = head(candidates, size);
+                let rest = head((candidates.0 - fetched.0, candidates.1 - fetched.1), bound);
+                push(runs, (rest.0, 0, rest.1));
                 if matches!(op, Op::Flush(_)) {
                     runs.clear();
                 }
-                candidates
+                (candidates.0, fetched.1)
             }
         }
     }
@@ -672,22 +679,22 @@ mod tests {
             // All dummies, a third real, all real.
             let contents: [fn(usize) -> usize; 3] = [|_| 0, |rows| rows / 3, |rows| rows];
             let mut caches = contents.map(|real| (real, SecureCache::new(1, bound), CostMeter::new()));
-            let (mut runs, mut tail) = (Vec::new(), 0);
+            let (mut runs, mut tail) = (Vec::new(), (0, 0));
             let sink = Arc::new(InMemory::new());
             let _guard = incshrink_telemetry::install(sink.clone());
             for op in seed.into_iter().chain(ops.into_iter().map(op)) {
-                let read = reference_layout(&mut runs, &mut tail, op, bound.unwrap_or(usize::MAX));
+                let (read, _) = reference_layout(&mut runs, &mut tail, op, bound.unwrap_or(usize::MAX));
                 let batcher = batcher_pair_count(read);
                 let mut charged = Vec::new();
                 for (real, cache, meter) in &mut caches {
                     match op {
-                        Op::Write(rows) => cache.write(delta(real(rows), rows - real(rows))),
+                        Op::Write(rows, _) => cache.write(delta(real(rows), rows - real(rows))),
                         Op::Read(size) => drop(cache.read(size, meter)),
                         Op::Flush(size) => drop(cache.flush(size, meter)),
                     }
                     let lens: Vec<usize> = runs.iter().map(|r| r.0).collect();
                     prop_assert_eq!(cache.run_lens(), lens, "{:?}", op);
-                    prop_assert_eq!(cache.tail.len(), tail);
+                    prop_assert_eq!(cache.tail.len(), tail.0);
                     charged.push(meter.take());
                 }
                 prop_assert!(charged.iter().all(|report| *report == charged[0]), "{:?}", op);
@@ -705,8 +712,9 @@ mod tests {
 
         /// Random write / read / flush sequences against a twin that re-sorts the
         /// whole array at every cut (the paper's Figure 3) and keeps the
-        /// remainder's first `R` rows (8 means no bound); half the cases start with
-        /// [`four_runs_then_a_read`], one real row a write.
+        /// remainder's first `R` rows (8 means no bound), and against the reals
+        /// [`reference_layout`] predicts for every run and fetch; half the cases
+        /// start with [`four_runs_then_a_read`], one real row a write.
         #[test]
         fn prop_incremental_cache_matches_full_resort_twin(
             ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..12), 0..24),
@@ -714,35 +722,45 @@ mod tests {
             seeded: bool,
         ) {
             let seed = if seeded { four_runs_then_a_read(bound.min(7)) } else { Vec::new() };
-            let seed = seed.into_iter().map(|op| match op {
-                Op::Write(rows) => (0, 1, rows - 1),
-                Op::Read(size) | Op::Flush(size) => (2, size, 0),
+            let ops = ops.into_iter().map(|(kind, a, b)| match kind {
+                0 | 1 => Op::Write(a + b, a),
+                2 => Op::Read(a + b),
+                _ => Op::Flush(a + b),
             });
             let bound = (bound < 8).then_some(bound);
             let mut meter = CostMeter::new();
             let mut cache = SecureCache::new(1, bound);
             let mut twin = SharedArrayPair::new();
+            let (mut runs, mut tail) = (Vec::new(), (0, 0));
             let (mut seals, mut twin_trimmed) = (0u32, 0);
             // Real rows written, and fetched by each side.
             let (mut written, mut fetched_real, mut twin_fetched_real) = (0, 0, 0);
-            for (kind, a, b) in seed.chain(ops) {
-                if kind < 2 {
-                    cache.write(delta(a, b));
-                    twin.extend(delta(a, b)).unwrap();
-                    written += a;
-                    continue;
-                }
+            for op in seed.into_iter().chain(ops) {
+                let (_, reals) = reference_layout(&mut runs, &mut tail, op, bound.unwrap_or(usize::MAX));
+                let size = match op {
+                    Op::Write(rows, real) => {
+                        cache.write(delta(real, rows - real));
+                        twin.extend(delta(real, rows - real)).unwrap();
+                        written += real;
+                        continue;
+                    }
+                    Op::Read(size) | Op::Flush(size) => size,
+                };
                 let (before, recycled) = (rows(&cache), cache.stats().recycled);
                 seals += u32::from(!cache.tail.is_empty());
-                let twin_fetched = cache_read(&mut twin, a + b, &mut meter);
-                let fetched = if kind == 2 {
+                let twin_fetched = cache_read(&mut twin, size, &mut meter);
+                let fetched = if let Op::Read(_) = op {
                     let keep = bound.unwrap_or(usize::MAX);
                     twin_trimmed += twin.split_back(twin.len().saturating_sub(keep)).true_cardinality();
-                    cache.read(a + b, &mut meter)
+                    cache.read(size, &mut meter)
                 } else {
                     twin.clear();
-                    cache.flush(a + b, &mut meter)
+                    cache.flush(size, &mut meter)
                 };
+                // Every run and fetch holds the reals its released sizes predict.
+                prop_assert_eq!(fetched.true_cardinality(), reals);
+                let run_reals: Vec<usize> = cache.runs.iter().map(|run| run.rows.true_cardinality()).collect();
+                prop_assert_eq!(run_reals, runs.iter().map(|run| run.2).collect::<Vec<_>>());
                 fetched_real += fetched.true_cardinality();
                 twin_fetched_real += twin_fetched.true_cardinality();
                 // The cache holds at least the twin's rows (each run keeps up to R).
@@ -767,7 +785,7 @@ mod tests {
                 prop_assert!(cache.runs.windows(2).all(|w| w[0].seals > w[1].seals));
                 prop_assert!(cache.runs.iter().map(|run| run.seals).sum::<u32>() <= seals);
                 prop_assert!(cache.runs.len() as u32 <= seals.checked_ilog2().map_or(1, |log| log + 2));
-                if kind != 2 {
+                if let Op::Flush(_) = op {
                     seals = 0;
                     continue;
                 }

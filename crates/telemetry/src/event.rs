@@ -23,7 +23,7 @@ pub struct CostDelta {
     pub adds: u64,
     /// Bytes exchanged between the two servers.
     pub bytes: u64,
-    /// Distinct protocol rounds.
+    /// Protocol rounds: one per garbled circuit the span closed.
     pub rounds: u64,
     /// Run merges of the secure cache (no `CostReport` counterpart: the `shrink`
     /// span stamps it, so a merge burst can be told from a large sort).
