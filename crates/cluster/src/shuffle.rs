@@ -376,27 +376,26 @@ impl ClusterShuffler {
         let width = arity as u64 + 1;
         Compaction::new(n).charge(arity as u64, meter);
 
-        // Real-first partition in bucket order: what the compaction leaves.
-        let mut reals: Vec<(SharedRecordPair, Option<RecordId>)> = Vec::new();
-        for (entry, id) in records.entries().iter().zip(&ids) {
-            if entry.recover().is_view {
-                reals.push((entry.clone(), *id));
+        // Real-first partition in bucket order: what the compaction leaves. Only
+        // the flag pair is recovered, and the reals stay where they are.
+        let mut out = records;
+        let mut out_ids = Vec::with_capacity(n.max(ingest_size));
+        out.retain_with(|i, entry| {
+            let real = entry.is_view.recover() != 0;
+            if real {
+                out_ids.push(ids[i]);
             }
-        }
-        if reals.len() > ingest_size {
+            real
+        });
+        let reals = out.len();
+        if reals > ingest_size {
             self.stats.overflow_events += 1;
             self.stats.cut_overflows[dest] += 1;
         }
-        let cut = ingest_size.max(reals.len());
-        let cut_dummies = (cut - reals.len()) as u64;
+        let cut = ingest_size.max(reals);
+        let cut_dummies = (cut - reals) as u64;
         self.stats.padded_dummy_records += cut_dummies;
         self.stats.padded_dummy_bytes += cut_dummies * width * 4;
-        let mut out = SharedArrayPair::with_arity(arity);
-        let mut out_ids = Vec::with_capacity(cut);
-        for (entry, id) in reals {
-            out.push(entry).expect("uniform arity");
-            out_ids.push(id);
-        }
         while out.len() < cut {
             out.push(SharedRecordPair::share(
                 &PlainRecord::dummy(arity),
