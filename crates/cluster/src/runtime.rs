@@ -43,9 +43,11 @@
 //! same padded sizes — at every shard count, on both workloads, co-partitioned
 //! and shuffled. Three mechanisms make that work:
 //!
-//! * **Same randomness topology.** Each shard owns its pipeline (and its rngs)
-//!   wholesale; the broker owns the arrival rngs and the shuffler. No rng is
-//!   ever shared across threads, so no schedule can reorder draws.
+//! * **Named randomness.** Every draw is a function of its name
+//!   ([`incshrink_mpc::stream`]): each shard draws from its pipeline's seed,
+//!   the broker draws the arrival shares and the shuffle from the cluster seed
+//!   per (shard, step, relation). No generator is shared across threads, so no
+//!   schedule can reorder draws.
 //! * **Run ahead between elastic moves; queries ride the step.** The broker
 //!   routes step after step until one plans bucket moves, which the driver
 //!   migrates before resuming it — between those points shard states are
@@ -92,7 +94,7 @@ use crate::executor::ScatterGatherExecutor;
 use crate::router::ShardRouter;
 use crate::sharded::{
     assert_elastic_viable, assert_routable, build_pipelines, shard_config, ClusterPrivacy,
-    ClusterRunReport, ShardReport, SHARD_SEED_STRIDE,
+    ClusterRunReport, ShardReport,
 };
 use crate::shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
 use incshrink::framework::StepUploads;
@@ -100,6 +102,7 @@ use incshrink::metrics::{ShardStep, SummaryBuilder};
 use incshrink::query::{Query, QueryOutcome};
 use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline};
 use incshrink_mpc::cost::CostModel;
+use incshrink_mpc::stream::Domain;
 use incshrink_mpc::PartyMode;
 use incshrink_storage::{Relation, UploadBatch};
 use incshrink_telemetry::Collector;
@@ -210,12 +213,14 @@ impl Shard {
 }
 
 /// The shuffle phase's owner-stream state under [`RoutingPolicy::Shuffled`]:
-/// per-arrival-shard workload slices and upload rngs, plus the shuffler (and the
-/// elastic control plane it drives). Owned by the driver thread on the inline
-/// host and by the broker thread on the threaded one.
+/// per-arrival-shard workload slices and the cluster seed (arrival shard `i`
+/// shares its step-`t` uploads from the [`Domain::OwnerShares`] stream `(i, t,
+/// relation)`), plus the shuffler (and the elastic control plane it drives).
+/// Owned by the driver thread on the inline host and by the broker thread on
+/// the threaded one.
 struct ShuffleState {
     arrival_parts: Vec<Dataset>,
-    arrival_rngs: Vec<StdRng>,
+    seed: u64,
     shuffler: ClusterShuffler,
     /// `(join-key column, per-shard ingest size)` of the left relation.
     left: (usize, usize),
@@ -246,7 +251,7 @@ impl ShuffleState {
         part: &Dataset,
         relation: Relation,
         t: u64,
-        rng: &mut StdRng,
+        mut rng: StdRng,
         chunk_rng: &mut Option<StdRng>,
     ) -> UploadBatch {
         let (db, size) = match relation {
@@ -265,7 +270,7 @@ impl ShuffleState {
             staged.extend_from_slice(chunk);
             rest = tail;
         }
-        UploadBatch::from_updates(relation, t, &staged, db.schema.arity(), size, rng)
+        UploadBatch::from_updates(relation, t, &staged, db.schema.arity(), size, &mut rng)
     }
 
     /// Batch every arrival shard's step-`t` stream for `relation` and shuffle-
@@ -279,8 +284,13 @@ impl ShuffleState {
         let batches: Vec<UploadBatch> = self
             .arrival_parts
             .iter()
-            .zip(self.arrival_rngs.iter_mut())
-            .map(|(part, rng)| Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng))
+            .enumerate()
+            .map(|(i, part)| {
+                let rng = Domain::OwnerShares
+                    .draw(i, t, relation as u64)
+                    .rng(self.seed);
+                Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng)
+            })
             .collect();
         let (routed, _) = self
             .shuffler
@@ -957,13 +967,7 @@ impl<H> ClusterSimulation<H> {
                 }
                 let state = ShuffleState {
                     arrival_parts: router.partition(dataset),
-                    arrival_rngs: (0..shards)
-                        .map(|i| {
-                            StdRng::seed_from_u64(
-                                seed ^ 0x0B17_A5E5 ^ (i as u64).wrapping_mul(SHARD_SEED_STRIDE),
-                            )
-                        })
-                        .collect(),
+                    seed,
                     shuffler,
                     left: (
                         dataset.left.schema.key_column,

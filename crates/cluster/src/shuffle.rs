@@ -30,32 +30,25 @@
 //! unless a bucket (or the ingest cut) overflows its padded size, which is the
 //! burst-tolerance contract padded uploads already have — overflow events are
 //! counted ([`ShuffleStats::overflow_events`]) so experiments can verify the
-//! cushion dominates. A co-partitioned run never enters this module, which is why
-//! [`RoutingPolicy::CoPartitioned`] adds no leakage and replays the pre-shuffle
-//! run loop bit for bit (modulo the flush-cadence bugfix shipped in the same PR,
-//! which changes `S > 1` shard configurations on purpose).
+//! cushion dominates. A co-partitioned run never enters this module, so
+//! [`RoutingPolicy::CoPartitioned`] adds no leakage.
 
 use crate::elastic::{BucketMove, ElasticReport, ElasticRouting};
 use incshrink_mpc::cost::{CostMeter, CostModel, SimDuration};
+use incshrink_mpc::stream::Domain;
 use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
 use incshrink_oblivious::Compaction;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use incshrink_storage::{RecordId, Relation, UploadBatch};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// How the cluster routes owner uploads to shard pipelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingPolicy {
     /// Records arrive partitioned by their join key; every delta is maintained on
-    /// the shard it arrives at. This is the historical cluster code path — no
-    /// shuffle work, no extra leakage — and replays the pre-shuffle driver bit for
-    /// bit *given the same per-shard configuration*. (Trajectories at `S > 1` still
-    /// differ from the earlier release because `shard_config` now stretches the
-    /// cache-flush interval ×S — the cadence bugfix shipped alongside this policy,
-    /// deliberate and independent of the routing dispatch.)
+    /// the shard it arrives at: no shuffle work, no extra leakage.
     CoPartitioned,
     /// Records arrive partitioned by a non-join attribute; a shuffle phase
     /// re-routes every delta to the shard owning its join key before maintenance.
@@ -152,12 +145,15 @@ impl ShuffleStats {
 }
 
 /// Executes the shuffle phase for a cluster run: holds the destination count,
-/// bucket cushion, cost model and the protocol randomness.
+/// bucket cushion, cost model and the seed of the protocol randomness.
 pub struct ClusterShuffler {
     shards: usize,
     bucket_cushion: usize,
     cost_model: CostModel,
-    rng: StdRng,
+    /// Arrival pair `i` shuffles a relation at step `t` with the stream
+    /// [`Domain::ShuffleRoute`] `(i, t, relation)`; destination `d` pads its cut
+    /// with [`Domain::ShuffleCut`] `(d, t, relation)`.
+    seed: u64,
     stats: ShuffleStats,
     elastic: Option<ElasticRouting>,
 }
@@ -176,7 +172,7 @@ impl ClusterShuffler {
             shards,
             bucket_cushion,
             cost_model,
-            rng: StdRng::seed_from_u64(seed ^ 0x05FF_1E5E_ED00_77AA),
+            seed,
             stats: ShuffleStats::for_shards(shards),
             elastic: None,
         }
@@ -257,7 +253,10 @@ impl ClusterShuffler {
             (0..self.shards).map(|_| SharedArrayPair::new()).collect();
         let mut dest_ids: Vec<Vec<Option<RecordId>>> = vec![Vec::new(); self.shards];
         let mut max_shuffle = SimDuration::ZERO;
-        for batch in arrival_batches {
+        for (arrival, batch) in arrival_batches.iter().enumerate() {
+            let rng = &mut Domain::ShuffleRoute
+                .draw(arrival, time, relation as u64)
+                .rng(self.seed);
             let bucket_size = batch.len().div_ceil(self.shards) + self.bucket_cushion;
             // What the wire carries to each destination pair is the padded bucket
             // size — a pure function of public parameters, recorded per destination
@@ -281,7 +280,7 @@ impl ClusterShuffler {
                     self.shards,
                     bucket_size,
                     &mut meter,
-                    &mut self.rng,
+                    rng,
                 );
                 el.observe_routed(relation, &mapped.bucket_reals);
                 mapped.route
@@ -292,7 +291,7 @@ impl ClusterShuffler {
                     self.shards,
                     bucket_size,
                     &mut meter,
-                    &mut self.rng,
+                    rng,
                 )
             };
             self.stats.overflow_events += routed.overflows;
@@ -334,7 +333,11 @@ impl ClusterShuffler {
                 .as_ref()
                 .map_or(ingest_size, |cuts| cuts[dest].min(ingest_size));
             let mut meter = CostMeter::new();
-            let (records, ids) = self.compact_and_cut(dest, records, ids, cut_size, &mut meter);
+            let rng = &mut Domain::ShuffleCut
+                .draw(dest, time, relation as u64)
+                .rng(self.seed);
+            let (records, ids) =
+                self.compact_and_cut(dest, records, ids, cut_size, &mut meter, rng);
             let compact_report = meter.take();
             route_span.record_cost(compact_report.into());
             max_compact = max_compact.max(self.cost_model.simulate(&compact_report));
@@ -370,6 +373,7 @@ impl ClusterShuffler {
         ids: Vec<Option<RecordId>>,
         ingest_size: usize,
         meter: &mut CostMeter,
+        rng: &mut StdRng,
     ) -> (SharedArrayPair, Vec<Option<RecordId>>) {
         let n = records.len();
         let arity = records.arity().unwrap_or(1);
@@ -397,11 +401,8 @@ impl ClusterShuffler {
         self.stats.padded_dummy_records += cut_dummies;
         self.stats.padded_dummy_bytes += cut_dummies * width * 4;
         while out.len() < cut {
-            out.push(SharedRecordPair::share(
-                &PlainRecord::dummy(arity),
-                &mut self.rng,
-            ))
-            .expect("uniform arity");
+            out.push(SharedRecordPair::share(&PlainRecord::dummy(arity), rng))
+                .expect("uniform arity");
             out_ids.push(None);
         }
         meter.bytes(out.len() as u64 * width * 4);
@@ -421,6 +422,7 @@ mod tests {
     };
     use incshrink_storage::SecureCache;
     use incshrink_telemetry::{CostDelta, Event, InMemory};
+    use rand::SeedableRng;
     use std::sync::Arc;
 
     /// `real` real rows of three columns, then `dummy` dummies.
@@ -517,7 +519,8 @@ mod tests {
         drop(cache_read(&mut rows(40, 60), 30, &mut read));
         let mut compact = CostMeter::new();
         let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
-        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact);
+        let rng = &mut StdRng::seed_from_u64(5);
+        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact, rng);
         // The migration's extraction, less the mover flag of its 50 source-view
         // rows: the view's four words carry the join key once, so three swap.
         let mut migrator = ViewMigrator::new(1.0, 5, CostModel::default());

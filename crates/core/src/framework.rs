@@ -22,6 +22,7 @@ use crate::transform::{BudgetedRecord, PublicRelation, TransformProtocol};
 use crate::view::{MaterializedView, ViewDefinition};
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
 use incshrink_mpc::party::ObservedEvent;
+use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -156,7 +157,8 @@ pub struct ShardPipeline {
     config: IncShrinkConfig,
     cost_model: CostModel,
     ctx: PartyContext,
-    upload_rng: StdRng,
+    /// The seed the owners' upload shares derive from ([`Domain::OwnerShares`]).
+    seed: u64,
     store: OutsourcedStore,
     cache: SecureCache,
     view: MaterializedView,
@@ -223,7 +225,7 @@ impl ShardPipeline {
 
         Self {
             ctx: PartyContext::new(party_mode, seed, cost_model),
-            upload_rng: StdRng::seed_from_u64(seed ^ 0x0B17_A5E5),
+            seed,
             store: OutsourcedStore::new(transform.window_steps()),
             // The view row's second join-key copy is restored locally after each
             // network, so the cache's networks carry one word less than the row.
@@ -451,30 +453,28 @@ impl ShardPipeline {
     /// workload — the default upload path, factored out so a cluster shuffle phase
     /// can substitute externally routed batches via
     /// [`Self::advance_with_uploads`].
-    pub fn upload_batches(&mut self, t: u64) -> StepUploads {
-        let left_updates = self.dataset.left.arrivals_at(t);
-        let left = UploadBatch::from_updates(
-            Relation::Left,
-            t,
-            &left_updates,
-            self.left_arity,
-            self.dataset.left_batch_size,
-            &mut self.upload_rng,
-        );
-        let right = if self.dataset.right_is_public {
-            None
-        } else {
-            let right_updates = self.dataset.right.arrivals_at(t);
-            Some(UploadBatch::from_updates(
-                Relation::Right,
+    pub fn upload_batches(&self, t: u64) -> StepUploads {
+        let batch = |relation: Relation| {
+            let (db, size) = match relation {
+                Relation::Left => (&self.dataset.left, self.dataset.left_batch_size),
+                Relation::Right => (&self.dataset.right, self.dataset.right_batch_size),
+            };
+            let rng = &mut Domain::OwnerShares
+                .draw(0, t, relation as u64)
+                .rng(self.seed);
+            UploadBatch::from_updates(
+                relation,
                 t,
-                &right_updates,
-                self.right_arity,
-                self.dataset.right_batch_size,
-                &mut self.upload_rng,
-            ))
+                &db.arrivals_at(t),
+                db.schema.arity(),
+                size,
+                rng,
+            )
         };
-        StepUploads { left, right }
+        StepUploads {
+            left: batch(Relation::Left),
+            right: (!self.dataset.right_is_public).then(|| batch(Relation::Right)),
+        }
     }
 
     /// Move one step's upload batches into the store.

@@ -107,6 +107,7 @@
 use crate::view::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostReport, SimDuration};
 use incshrink_mpc::hash::FxHashMap;
+use incshrink_mpc::stream::Domain;
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows, JoinSpec,
@@ -117,7 +118,6 @@ use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{ActiveWindow, RecordId, UploadBatch};
 use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// Name under which the cardinality counter is secret-shared on the two servers.
@@ -252,11 +252,13 @@ impl ActiveRelation {
     fn join_into(
         &self,
         out: &mut DeltaOut,
+        rng: &mut StdRng,
         outer: &[PlainRecord],
         spec: &JoinSpec<'_>,
         covered: u64,
     ) -> (usize, u64) {
         out.join(
+            rng,
             outer,
             |i| &self.records[i].0.fields,
             |key| {
@@ -386,6 +388,7 @@ impl IndexedPublic {
     fn join_into(
         &self,
         out: &mut DeltaOut,
+        rng: &mut StdRng,
         outer: &[PlainRecord],
         spec: &JoinSpec<'_>,
     ) -> (usize, u64) {
@@ -396,15 +399,14 @@ impl IndexedPublic {
                 .take_while(move |&&(k, _)| k == key)
                 .map(|&(_, position)| position)
         };
-        out.join(outer, |i| self.rows.row(i), candidates, spec)
+        out.join(rng, outer, |i| self.rows.row(i), candidates, spec)
     }
 }
 
 /// The ΔV under assembly: every joined delta appends one `ω`-slot block per outer
-/// row, its shares drawn from the invocation's `0xA11CE ^ time_step` stream.
+/// row, its shares drawn from the invocation's named [`Domain::DeltaShares`] stream.
 struct DeltaOut {
     rows: SharedArrayPair,
-    rng: StdRng,
     omega: usize,
     arity: usize,
 }
@@ -415,6 +417,7 @@ impl DeltaOut {
     /// output. Returns `(real entries emitted, matching pairs before truncation)`.
     fn join<'i, C: Iterator<Item = usize>>(
         &mut self,
+        rng: &mut StdRng,
         outer: &[PlainRecord],
         inner: impl Fn(usize) -> &'i [u32],
         candidates: impl Fn(u32) -> C,
@@ -429,13 +432,7 @@ impl DeltaOut {
             self.omega,
             |produced| {
                 entries += produced.len();
-                push_padded(
-                    &mut self.rows,
-                    produced,
-                    self.omega,
-                    self.arity,
-                    &mut self.rng,
-                );
+                push_padded(&mut self.rows, produced, self.omega, self.arity, rng);
             },
         );
         (entries, pairs)
@@ -661,10 +658,10 @@ impl TransformProtocol {
         let padded = delta_left.len() + delta_right.map_or(0, UploadBatch::len);
         let mut out = DeltaOut {
             rows: SharedArrayPair::with_capacity(out_arity, omega * padded),
-            rng: StdRng::seed_from_u64(0xA11CE ^ ctx.time_step()),
             omega,
             arity: out_arity,
         };
+        let rng = &mut ctx.stream(Domain::DeltaShares, 0);
         self.covered += 1;
         // --- Contribution accounting: records whose last step has passed retire.
         let outer_left = recover_padded(delta_left);
@@ -683,10 +680,11 @@ impl TransformProtocol {
         );
         let span = join_span(left_join, ctx.meter());
         let (mut new_entries, mut potential_pairs) = match &self.public_right {
-            Some(public) => public.join_into(&mut out, &outer_left, &self.spec),
-            None => self
-                .active_right
-                .join_into(&mut out, &outer_left, &self.spec, self.covered),
+            Some(public) => public.join_into(&mut out, rng, &outer_left, &self.spec),
+            None => {
+                self.active_right
+                    .join_into(&mut out, rng, &outer_left, &self.spec, self.covered)
+            }
         };
         drop(span);
 
@@ -696,6 +694,7 @@ impl TransformProtocol {
             let span = join_span(right_join, ctx.meter());
             let (entries, pairs) = self.active_left.join_into(
                 &mut out,
+                rng,
                 outer_right,
                 &self.spec_reversed,
                 self.covered,
@@ -744,6 +743,7 @@ mod tests {
     use incshrink_mpc::{PartyContext, PartyMode};
     use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
     use proptest::prelude::*;
+    use rand::SeedableRng;
 
     fn view_def() -> ViewDefinition {
         ViewDefinition {
@@ -896,7 +896,7 @@ mod tests {
             }
             let config = IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 });
             let model = CostModel::default();
-            let mut pipeline =
+            let pipeline =
                 ShardPipeline::with_party_mode(dataset, config, seed, model, PartyMode::InProcess);
             for t in 1..=params.steps {
                 let left = pipeline.upload_batches(t).left;

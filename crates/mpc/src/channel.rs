@@ -25,9 +25,10 @@
 //!
 //! Endpoints meter nothing: a joint operation's bytes, and its circuit's round,
 //! are charged once, on the driver's meter, in every mode. An endpoint only counts
-//! what it really wrote to the link ([`WireCounters`]). Randomness draws happen
-//! on each party's own [`Server`] rng in the order of the in-process context
-//! (word before word64), so the XOR-combined outputs are bit-identical to it.
+//! what it really wrote to the link ([`WireCounters`]). Each joint-randomness or
+//! re-share command carries the draw's name, and each party derives its
+//! contribution from its own [`Server`] key and that name, exactly as the
+//! in-process context does, so the XOR-combined outputs are bit-identical to it.
 //!
 //! # Failure semantics
 //!
@@ -41,6 +42,7 @@
 
 use crate::party::{Server, ServerPair};
 use crate::runtime::JointRandomness;
+use crate::stream::Draw;
 use incshrink_secretshare::{PartyId, SharePair};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -49,8 +51,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 /// One protocol message between the two party actors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PartyMessage {
-    /// Joint-randomness contribution: the sender's fresh uniform words.
-    RandContribution { word: u32, word64: u64 },
+    /// Joint-randomness contribution: the sender's words for the named draw.
+    RandContribution(JointRandomness),
     /// A reshare round: the sender's fresh mask word `z_i`.
     ReshareMask { mask: u32 },
     /// The sender's share words for a named-value recovery; an empty batch
@@ -106,7 +108,7 @@ const MAX_FRAME_PAYLOAD: usize = 1 << 24;
 fn encode_frame(msg: &PartyMessage) -> Vec<u8> {
     let mut frame = vec![0u8; 4];
     match msg {
-        PartyMessage::RandContribution { word, word64 } => {
+        PartyMessage::RandContribution(JointRandomness { word, word64 }) => {
             frame.push(tag::RAND);
             frame.extend_from_slice(&word.to_le_bytes());
             frame.extend_from_slice(&word64.to_le_bytes());
@@ -133,10 +135,10 @@ fn decode_frame(payload: &[u8]) -> ChannelResult<PartyMessage> {
     let (&tag, body) = payload.split_first().ok_or(ChannelError::Malformed)?;
     let word = |chunk: &[u8]| u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     match (tag, body.len()) {
-        (tag::RAND, 12) => Ok(PartyMessage::RandContribution {
+        (tag::RAND, 12) => Ok(PartyMessage::RandContribution(JointRandomness {
             word: word(&body[..4]),
             word64: u64::from_le_bytes(body[4..].try_into().expect("8-byte tail")),
-        }),
+        })),
         (tag::RESHARE, 4) => Ok(PartyMessage::ReshareMask { mask: word(body) }),
         (tag::SHARE_BATCH, len) if len % 4 == 0 => Ok(PartyMessage::ShareBatch {
             words: body.chunks_exact(4).map(word).collect(),
@@ -226,8 +228,8 @@ pub(crate) struct PartyEndpoint {
     wire: WireCounters,
 }
 
-/// Seeds follow [`ServerPair::new`], so a pair of endpoints replays the rng
-/// streams of the in-process context bit for bit.
+/// Keys follow [`ServerPair::new`], so a pair of endpoints replays the
+/// contributions of the in-process context bit for bit.
 fn endpoints(seed: u64, link0: PartyTransport, link1: PartyTransport) -> [PartyEndpoint; 2] {
     let ServerPair { s0, s1 } = ServerPair::new(seed);
     [(s0, link0), (s1, link1)].map(|(server, transport)| PartyEndpoint {
@@ -306,29 +308,26 @@ impl PartyEndpoint {
         Ok(())
     }
 
-    /// Jointly sample randomness: send this server's fresh uniform words,
-    /// receive the peer's, XOR-combine.
-    pub(crate) fn joint_randomness(&mut self) -> ChannelResult<JointRandomness> {
-        let word = self.server.random_word();
-        let word64 = self.server.random_word64();
-        self.send(PartyMessage::RandContribution { word, word64 })?;
-        let PartyMessage::RandContribution {
-            word: peer_word,
-            word64: peer_word64,
-        } = self.transport.recv()?
-        else {
+    /// Jointly sample the named draw: send this server's words for it, receive
+    /// the peer's, XOR-combine.
+    pub(crate) fn joint_randomness(&mut self, draw: Draw) -> ChannelResult<JointRandomness> {
+        let own = self.server.contribution(draw);
+        self.send(PartyMessage::RandContribution(own))?;
+        let PartyMessage::RandContribution(peer) = self.transport.recv()? else {
             return Err(ChannelError::Malformed);
         };
-        Ok(JointRandomness {
-            word: word ^ peer_word,
-            word64: word64 ^ peer_word64,
-        })
+        Ok(own.xor(peer))
     }
 
-    /// Re-share `value` inside the protocol with peer-exchanged masks and store
-    /// this party's resulting share under `name`.
-    pub(crate) fn reshare_and_store(&mut self, name: &str, value: u32) -> ChannelResult<()> {
-        let own_mask = self.server.random_word();
+    /// Re-share `value` inside the protocol with the peer-exchanged masks of
+    /// the named draw and store this party's resulting share under `name`.
+    pub(crate) fn reshare_and_store(
+        &mut self,
+        name: &str,
+        value: u32,
+        draw: Draw,
+    ) -> ChannelResult<()> {
+        let own_mask = self.server.contribution(draw).word;
         self.send(PartyMessage::ReshareMask { mask: own_mask })?;
         let PartyMessage::ReshareMask { mask: peer_mask } = self.transport.recv()? else {
             return Err(ChannelError::Malformed);
@@ -366,7 +365,12 @@ impl PartyEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::Domain;
     use crate::{CostModel, PartyContext, PartyExec, PartyMode};
+
+    /// The first joint draw and the first re-share of a context's step 0.
+    const JOINT: Draw = Domain::JointRandomness.draw(0, 0, 0);
+    const RESHARE: Draw = Domain::Reshare.draw(0, 0, 0);
 
     /// Run `f` on both endpoints of a pair, `S1` on its own thread.
     fn on_both<R: Send>(
@@ -384,33 +388,14 @@ mod tests {
         PartyContext::new(PartyMode::InProcess, seed, CostModel::default())
     }
 
-    #[test]
-    fn joint_randomness_matches_shared_context() {
-        let expected = in_process(1234).joint_randomness();
-        let got = on_both(&mut endpoint_pair(1234), |e| e.joint_randomness().unwrap());
-        assert_eq!(got, [expected, expected]);
-    }
-
-    #[test]
-    fn reshare_then_recover_round_trips() {
-        let got = on_both(&mut endpoint_pair(7), |e| {
-            e.reshare_and_store("c", 99).unwrap();
-            (
-                e.recover_named("c").unwrap(),
-                e.recover_named("absent").unwrap(),
-            )
-        });
-        assert_eq!(got, [(Some(99), None), (Some(99), None)]);
-    }
-
     /// A dead peer must surface as `Disconnected` on *every* operation — the
     /// regression contract for the teardown path (no operation may block on a
     /// link whose other end is gone).
     fn assert_dropped_peer_fails_every_operation([mut e0, e1]: [PartyEndpoint; 2]) {
         drop(e1);
-        assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
+        assert_eq!(e0.joint_randomness(JOINT), Err(ChannelError::Disconnected));
         assert_eq!(
-            e0.reshare_and_store("x", 1),
+            e0.reshare_and_store("x", 1, RESHARE),
             Err(ChannelError::Disconnected)
         );
         assert_eq!(e0.recover_named("x"), Err(ChannelError::Disconnected));
@@ -436,21 +421,21 @@ mod tests {
     #[test]
     fn peer_death_mid_protocol_fails_the_next_operation() {
         for mut pair in [endpoint_pair(44), endpoint_pair_tcp(44).unwrap()] {
-            let [first, peer_first] = on_both(&mut pair, |e| e.joint_randomness().unwrap());
+            let [first, peer_first] = on_both(&mut pair, |e| e.joint_randomness(JOINT).unwrap());
             assert_eq!(first, peer_first, "joint randomness must agree");
             let [mut e0, e1] = pair;
             drop(e1);
-            assert_eq!(e0.joint_randomness(), Err(ChannelError::Disconnected));
+            assert_eq!(e0.joint_randomness(JOINT), Err(ChannelError::Disconnected));
         }
     }
 
     #[test]
     fn codec_round_trips_every_message_kind() {
         let messages = [
-            PartyMessage::RandContribution {
+            PartyMessage::RandContribution(JointRandomness {
                 word: 0xDEAD_BEEF,
                 word64: 0x0123_4567_89AB_CDEF,
-            },
+            }),
             PartyMessage::ReshareMask { mask: 42 },
             PartyMessage::ShareBatch { words: vec![] },
             PartyMessage::ShareBatch {
@@ -496,7 +481,7 @@ mod tests {
         // operation* that receives it.
         let [mut e0, mut e1] = endpoint_pair_tcp(5).unwrap();
         e1.send(PartyMessage::ReshareMask { mask: 1 }).unwrap();
-        assert_eq!(e0.joint_randomness(), Err(ChannelError::Malformed));
+        assert_eq!(e0.joint_randomness(JOINT), Err(ChannelError::Malformed));
     }
 
     /// Drive the same operation sequence over mpsc and TCP endpoints and the
@@ -521,8 +506,8 @@ mod tests {
             (true, endpoint_pair_tcp(0xC0DE).unwrap()),
         ] {
             let got = on_both(&mut pair, |e| {
-                let joint = e.joint_randomness().unwrap();
-                e.reshare_and_store("c", 1234).unwrap();
+                let joint = e.joint_randomness(JOINT).unwrap();
+                e.reshare_and_store("c", 1234, RESHARE).unwrap();
                 let present = e.recover_named("c").unwrap();
                 (
                     (joint, present, e.recover_named("absent").unwrap()),

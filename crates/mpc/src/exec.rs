@@ -21,7 +21,9 @@ use crate::channel::{PartyEndpoint, WireCounters};
 use crate::cost::{CostMeter, CostReport, SimDuration};
 use crate::party::ObservedEvent;
 use crate::runtime::JointRandomness;
+use crate::stream::{Domain, Draw};
 use incshrink_secretshare::PartyId;
+use rand::rngs::StdRng;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -99,11 +101,11 @@ mod sealed {
 /// The protocol surface the Transform/Shrink hot path needs from whoever runs
 /// the two parties. Sealed — see the module docs.
 pub trait PartyExec: sealed::Sealed {
-    /// Jointly sample randomness (each party contributes fresh uniform words,
-    /// XOR-combined).
+    /// Jointly sample randomness: each party contributes its words for the
+    /// step's next joint draw, XOR-combined.
     fn joint_randomness(&mut self) -> JointRandomness;
-    /// Re-share `value` with party-contributed masks and store each party's
-    /// share under `name`.
+    /// Re-share `value` with the party-contributed masks of the step's next
+    /// re-share draw and store each party's share under `name`.
     fn reshare_and_store(&mut self, name: &str, value: u32);
     /// Recover a named shared value; `None` (charging nothing) when never
     /// stored.
@@ -122,6 +124,9 @@ pub trait PartyExec: sealed::Sealed {
     fn time_step(&self) -> u64;
     /// Advance the logical time step by one epoch.
     fn advance_time_step(&mut self);
+    /// The run seed's named stream `(domain, current step, index)`
+    /// ([`crate::stream`]), unmoved by any other draw.
+    fn stream(&self, domain: Domain, index: u64) -> StdRng;
     /// Total simulated time elapsed.
     fn elapsed(&self) -> SimDuration;
     /// Record an event both servers observe in the clear (transcripts +
@@ -132,10 +137,11 @@ pub trait PartyExec: sealed::Sealed {
 /// A command from the protocol driver to one party actor.
 #[derive(Debug)]
 pub(crate) enum PartyCommand {
-    JointRandomness,
+    JointRandomness(Draw),
     Reshare {
         name: String,
         value: u32,
+        draw: Draw,
     },
     Recover {
         name: String,
@@ -167,11 +173,11 @@ fn party_main(
 ) {
     for command in commands {
         let reply = match command {
-            PartyCommand::JointRandomness => {
-                endpoint.joint_randomness().map(PartyReply::Randomness)
+            PartyCommand::JointRandomness(draw) => {
+                endpoint.joint_randomness(draw).map(PartyReply::Randomness)
             }
-            PartyCommand::Reshare { name, value } => endpoint
-                .reshare_and_store(&name, value)
+            PartyCommand::Reshare { name, value, draw } => endpoint
+                .reshare_and_store(&name, value, draw)
                 .map(|()| PartyReply::Done),
             PartyCommand::Recover { name } => {
                 endpoint.recover_named(&name).map(PartyReply::Recovered)
@@ -281,39 +287,6 @@ pub(crate) fn round(
 mod tests {
     use super::*;
     use crate::{CostModel, PartyContext};
-
-    /// Drive the identical protocol sequence through every mode and assert
-    /// bit-for-bit equal outputs, charges and clocks.
-    fn drive(ctx: &mut impl PartyExec) -> (Vec<u32>, Vec<Option<u32>>, Vec<CostReport>) {
-        let mut words = Vec::new();
-        let mut recovered = Vec::new();
-        let mut reports = Vec::new();
-        for step in 0..4u64 {
-            assert_eq!(ctx.time_step(), step);
-            words.push(ctx.joint_randomness().word);
-            ctx.reshare_and_store("counter", 100 + step as u32);
-            ctx.meter().compares(17);
-            ctx.meter().swaps(3, 2);
-            recovered.push(ctx.recover_named("counter"));
-            recovered.push(ctx.recover_named("absent"));
-            let (report, _) = ctx.charge();
-            reports.push(report);
-            ctx.advance_time_step();
-        }
-        (words, recovered, reports)
-    }
-
-    #[test]
-    fn all_modes_replay_in_process_bit_for_bit() {
-        let mut reference = PartyContext::new(PartyMode::InProcess, 0x5EED, CostModel::default());
-        let expected = drive(&mut reference);
-        for mode in [PartyMode::Actor, PartyMode::Tcp] {
-            let mut ctx = PartyContext::new(mode, 0x5EED, CostModel::default());
-            let got = drive(&mut ctx);
-            assert_eq!(got, expected, "{mode} diverged from in-process");
-            assert_eq!(ctx.elapsed(), reference.elapsed(), "{mode} clock");
-        }
-    }
 
     #[test]
     fn mode_labels_round_trip_and_env_parses() {

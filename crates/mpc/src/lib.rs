@@ -26,6 +26,7 @@ pub mod exec;
 pub mod hash;
 pub mod party;
 pub mod runtime;
+pub mod stream;
 
 pub use channel::ChannelError;
 pub use cost::{CostModel, CostReport, SimDuration};

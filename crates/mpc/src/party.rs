@@ -1,15 +1,16 @@
 //! The two non-colluding outsourcing servers.
 //!
-//! Each [`Server`] owns an independent random-number generator (so that "each server
-//! chooses a value uniformly at random" steps are faithful to the protocol), a store of
+//! Each [`Server`] owns a key of its own (so that "each server chooses a value
+//! uniformly at random" steps are faithful to the protocol: its contribution to a
+//! named draw is derived from that key alone, see [`crate::stream`]), a store of
 //! named secret-shared words (the cardinality counter, the noisy threshold, ...), and a
 //! transcript of the values it has *observed* in the clear. The transcript is what the
 //! privacy tests inspect: anything visible to a single semi-honest server must be
 //! explainable by the DP leakage profile.
 
+use crate::runtime::JointRandomness;
+use crate::stream::{Domain, Draw};
 use incshrink_secretshare::{PartyId, Share};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -51,33 +52,32 @@ pub enum ObservedEvent {
 pub struct Server {
     /// Which role this server plays.
     pub id: PartyId,
-    rng: StdRng,
+    key: u64,
     stored_shares: HashMap<String, u32>,
     transcript: Vec<ObservedEvent>,
 }
 
 impl Server {
-    /// Create a server with a deterministic seed (seeds differ per party).
+    /// Create a server whose key derives from the run seed and its party.
     #[must_use]
     pub fn new(id: PartyId, seed: u64) -> Self {
+        let [key] = Domain::Party.draw(0, 0, id.index() as u64).words(seed);
         Self {
             id,
-            rng: StdRng::seed_from_u64(
-                seed ^ (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
+            key,
             stored_shares: HashMap::new(),
             transcript: Vec::new(),
         }
     }
 
-    /// Draw a uniformly random 32-bit word (the `z_i` contributions of Algorithms 1-3).
-    pub(crate) fn random_word(&mut self) -> u32 {
-        self.rng.gen()
-    }
-
-    /// Draw a uniformly random 64-bit word.
-    pub(crate) fn random_word64(&mut self) -> u64 {
-        self.rng.gen()
+    /// This server's contribution to the named draw (the `z_i` of Algorithms 1-3),
+    /// a function of its own key and the name alone.
+    pub(crate) fn contribution(&self, draw: Draw) -> JointRandomness {
+        let [word64, word] = draw.words(self.key);
+        JointRandomness {
+            word: word as u32,
+            word64,
+        }
     }
 
     /// Store a named share (e.g. `"cardinality"` or `"noisy_threshold"`).
@@ -121,24 +121,7 @@ impl ServerPair {
     pub fn new(seed: u64) -> Self {
         Self {
             s0: Server::new(PartyId::S0, seed),
-            s1: Server::new(PartyId::S1, seed.wrapping_add(0x5151_5151)),
-        }
-    }
-
-    /// Mutable access to a server by id.
-    pub fn get_mut(&mut self, id: PartyId) -> &mut Server {
-        match id {
-            PartyId::S0 => &mut self.s0,
-            PartyId::S1 => &mut self.s1,
-        }
-    }
-
-    /// Shared read access by id.
-    #[must_use]
-    pub fn get(&self, id: PartyId) -> &Server {
-        match id {
-            PartyId::S0 => &self.s0,
-            PartyId::S1 => &self.s1,
+            s1: Server::new(PartyId::S1, seed),
         }
     }
 
@@ -198,28 +181,25 @@ mod tests {
     use super::*;
     use incshrink_secretshare::SharePair;
 
+    const DRAW: Draw = Domain::JointRandomness.draw(0, 3, 0);
+
     #[test]
     fn servers_have_independent_randomness() {
-        let mut pair = ServerPair::new(7);
-        let a = pair.s0.random_word();
-        let b = pair.s1.random_word();
-        assert_ne!(a, b, "independent seeds should give different streams");
-        assert_ne!(pair.s0.random_word64(), pair.s1.random_word64());
+        let pair = ServerPair::new(7);
+        assert_ne!(pair.s0.contribution(DRAW), pair.s1.contribution(DRAW));
     }
 
     #[test]
     fn same_seed_is_reproducible() {
-        let mut p1 = ServerPair::new(99);
-        let mut p2 = ServerPair::new(99);
-        assert_eq!(p1.s0.random_word(), p2.s0.random_word());
-        assert_eq!(p1.s1.random_word(), p2.s1.random_word());
+        let (p1, p2) = (ServerPair::new(99), ServerPair::new(99));
+        assert_eq!(p1.s0.contribution(DRAW), p2.s0.contribution(DRAW));
+        assert_eq!(p1.s1.contribution(DRAW), p2.s1.contribution(DRAW));
     }
 
     #[test]
     fn store_and_load_named_share_pair() {
         let mut pair = ServerPair::new(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let shared = SharePair::share(4242, &mut rng);
+        let shared = SharePair::reshare_joint(4242, 1, 2);
         pair.store_share_pair("cardinality", shared);
         let loaded = pair.load_share_pair("cardinality").unwrap();
         assert_eq!(loaded.recover(), 4242);
@@ -230,10 +210,10 @@ mod tests {
     fn transcripts_record_observations() {
         let mut pair = ServerPair::new(5);
         pair.observe_both(ObservedEvent::UploadBatch { time: 1, count: 10 });
-        pair.get_mut(PartyId::S0)
+        pair.s0
             .observe(ObservedEvent::ViewSync { time: 2, count: 7 });
-        assert_eq!(pair.get(PartyId::S0).transcript().len(), 2);
-        assert_eq!(pair.get(PartyId::S1).transcript().len(), 1);
+        assert_eq!(pair.s0.transcript().len(), 2);
+        assert_eq!(pair.s1.transcript().len(), 1);
         assert_eq!(
             pair.s1.transcript()[0],
             ObservedEvent::UploadBatch { time: 1, count: 10 }

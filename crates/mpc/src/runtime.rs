@@ -14,11 +14,12 @@
 //! All three modes produce bit-for-bit identical protocol outputs, cost
 //! reports, telemetry observables and ε-ledgers for the same seed and workload;
 //! they differ only in *measured host time* (and, for tcp, in real bytes hitting
-//! a socket). This holds because rng draws happen on each party's own `Server`
-//! in the same order wherever it lives, and because everything that is priced —
-//! operator gates and the bytes of the three joint operations alike, and the
-//! round of each circuit they form — is charged on the one driver meter, never by
-//! the transport.
+//! a socket). This holds because the context names every joint-randomness and
+//! re-share draw — (domain, step, index within the step), see [`crate::stream`] —
+//! and each server derives its contribution from its own key and that name,
+//! wherever it lives; and because everything that is priced — operator gates and
+//! the bytes of the three joint operations alike, and the round of each circuit
+//! they form — is charged on the one driver meter, never by the transport.
 
 use crate::channel::{endpoint_pair, endpoint_pair_tcp, WIRE_FRAME_OVERHEAD};
 use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
@@ -26,11 +27,13 @@ use crate::exec::{
     round, PartyCommand, PartyExec, PartyHandle, PartyMode, PartyReply, PARTY_CRASH_MESSAGE,
 };
 use crate::party::{mirror_to_telemetry, ObservedEvent, ServerPair};
+use crate::stream::{Domain, Draw};
 use incshrink_secretshare::SharePair;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Joint randomness produced by both servers inside MPC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JointRandomness {
     /// XOR of the two 32-bit contributions, `z = z0 ⊕ z1`.
     pub word: u32,
@@ -57,6 +60,14 @@ impl JointRandomness {
             1.0
         } else {
             -1.0
+        }
+    }
+
+    /// Combine two servers' contributions, `z = z0 ⊕ z1`.
+    pub(crate) fn xor(self, other: Self) -> Self {
+        Self {
+            word: self.word ^ other.word,
+            word64: self.word64 ^ other.word64,
         }
     }
 }
@@ -90,6 +101,10 @@ pub struct PartyContext {
     meter: CostMeter,
     clock: SimDuration,
     time_step: u64,
+    /// The run seed every driver-side named stream derives from.
+    seed: u64,
+    /// Joint-randomness draws, then re-shares, named so far in this step.
+    draws: [u64; 2],
     /// Channel bytes metered since the previous charge.
     channel_bytes: u64,
     /// Channel bytes metered over the whole run, up to the previous charge —
@@ -123,6 +138,8 @@ impl PartyContext {
             meter: CostMeter::priced(cost_model),
             clock: SimDuration::ZERO,
             time_step: 0,
+            seed,
+            draws: [0; 2],
             channel_bytes: 0,
             charged_channel_bytes: 0,
         }
@@ -171,17 +188,27 @@ impl PartyContext {
         self.meter.bytes(bytes);
         self.channel_bytes += bytes;
     }
+
+    /// Name the next joint-randomness or re-share draw of this step.
+    fn next_draw(&mut self, domain: Domain) -> Draw {
+        let counter = &mut self.draws[usize::from(domain == Domain::Reshare)];
+        *counter += 1;
+        domain.draw(0, self.time_step, *counter - 1)
+    }
 }
 
 impl PartyExec for PartyContext {
     fn joint_randomness(&mut self) -> JointRandomness {
+        let draw = self.next_draw(Domain::JointRandomness);
         let joint = match &mut self.parties {
-            Parties::Local(servers) => JointRandomness {
-                word: servers.s0.random_word() ^ servers.s1.random_word(),
-                word64: servers.s0.random_word64() ^ servers.s1.random_word64(),
-            },
+            Parties::Local(servers) => servers
+                .s0
+                .contribution(draw)
+                .xor(servers.s1.contribution(draw)),
             Parties::Remote { handles, .. } => {
-                match round(handles, self.time_step, || PartyCommand::JointRandomness) {
+                match round(handles, self.time_step, || {
+                    PartyCommand::JointRandomness(draw)
+                }) {
                     PartyReply::Randomness(joint) => joint,
                     other => panic!("protocol desync: expected Randomness, got {other:?}"),
                 }
@@ -192,16 +219,18 @@ impl PartyExec for PartyContext {
     }
 
     fn reshare_and_store(&mut self, name: &str, value: u32) {
+        let draw = self.next_draw(Domain::Reshare);
         match &mut self.parties {
             Parties::Local(servers) => {
-                let z0 = servers.s0.random_word();
-                let z1 = servers.s1.random_word();
+                let z0 = servers.s0.contribution(draw).word;
+                let z1 = servers.s1.contribution(draw).word;
                 servers.store_share_pair(name, SharePair::reshare_joint(value, z0, z1));
             }
             Parties::Remote { handles, .. } => {
                 let reply = round(handles, self.time_step, || PartyCommand::Reshare {
                     name: name.to_string(),
                     value,
+                    draw,
                 });
                 assert_eq!(reply, PartyReply::Done, "protocol desync: expected Done");
             }
@@ -276,6 +305,11 @@ impl PartyExec for PartyContext {
 
     fn advance_time_step(&mut self) {
         self.time_step += 1;
+        self.draws = [0; 2];
+    }
+
+    fn stream(&self, domain: Domain, index: u64) -> StdRng {
+        domain.draw(0, self.time_step, index).rng(self.seed)
     }
 
     fn elapsed(&self) -> SimDuration {
@@ -306,17 +340,6 @@ mod tests {
 
     fn in_process(seed: u64) -> PartyContext {
         PartyContext::new(PartyMode::InProcess, seed, CostModel::default())
-    }
-
-    #[test]
-    fn joint_randomness_in_unit_interval() {
-        let mut ctx = in_process(11);
-        for _ in 0..256 {
-            let r = ctx.joint_randomness();
-            let u = r.unit_interval();
-            assert!(u > 0.0 && u < 1.0, "u = {u}");
-            assert!(r.sign() == 1.0 || r.sign() == -1.0);
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Crate-boundary smoke test: joint randomness and cost metering through the
-//! public 2PC-context API.
+//! Crate-boundary smoke test: joint randomness, named draws and cost metering
+//! through the public 2PC-context API.
 
 use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
 
@@ -24,4 +24,25 @@ fn named_shares_roundtrip_and_costs_accumulate() {
     let (report, duration) = ctx.charge();
     assert!(report.bytes_communicated > 0, "resharing costs bandwidth");
     assert!(duration.as_secs_f64() > 0.0);
+}
+
+#[test]
+fn every_coordinate_of_a_draw_name_moves_its_words() {
+    use incshrink_mpc::stream::Domain;
+    use rand::Rng;
+    let name = Domain::Reshare.draw(1, 2, 3);
+    let words = name.words::<2>(7);
+    assert_eq!(words, name.words::<2>(7), "a name replays");
+    assert_ne!(words, name.words::<2>(8), "the key");
+    assert_ne!(words[0], words[1]);
+    for neighbour in [
+        Domain::JointRandomness.draw(1, 2, 3),
+        Domain::Reshare.draw(0, 2, 3),
+        Domain::Reshare.draw(1, 3, 3),
+        Domain::Reshare.draw(1, 2, 4),
+    ] {
+        assert_ne!(words, neighbour.words::<2>(7), "{neighbour:?}");
+    }
+    assert_eq!(name.rng(7).gen::<u64>(), name.rng(7).gen::<u64>());
+    assert_ne!(name.rng(7).gen::<u64>(), name.rng(8).gen::<u64>());
 }
