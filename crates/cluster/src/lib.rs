@@ -65,7 +65,7 @@
 //! // Default paper configuration: sDPTimer, ε = 1.5, ω = 1, b = 10, on one
 //! // server pair.
 //! let config = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-//! let report = ShardedSimulation::new(dataset, config, 1, 0xFEED).run();
+//! let report = ShardedSimulation::new(dataset, config, 1, 1).run();
 //!
 //! assert!(report.summary.avg_relative_error < 0.5);
 //! println!("avg L1 error {:.2}", report.summary.avg_l1_error);
