@@ -213,11 +213,9 @@ impl Shard {
 }
 
 /// The shuffle phase's owner-stream state under [`RoutingPolicy::Shuffled`]:
-/// per-arrival-shard workload slices and the cluster seed (arrival shard `i`
-/// shares its step-`t` uploads from the [`Domain::OwnerShares`] stream `(i, t,
-/// relation)`), plus the shuffler (and the elastic control plane it drives).
-/// Owned by the driver thread on the inline host and by the broker thread on
-/// the threaded one.
+/// per-arrival-shard workload slices and the seed of their upload shares, plus
+/// the shuffler (and the elastic control plane it drives). Owned by the driver
+/// thread on the inline host and by the broker thread on the threaded one.
 struct ShuffleState {
     arrival_parts: Vec<Dataset>,
     seed: u64,
@@ -286,9 +284,8 @@ impl ShuffleState {
             .iter()
             .enumerate()
             .map(|(i, part)| {
-                let rng = Domain::OwnerShares
-                    .draw(i, t, relation as u64)
-                    .rng(self.seed);
+                let shares = Domain::OwnerShares.draw(i, t, relation as u64);
+                let rng = shares.rng(self.seed);
                 Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng)
             })
             .collect();

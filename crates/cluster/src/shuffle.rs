@@ -39,7 +39,7 @@ use incshrink_mpc::stream::Domain;
 use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
 use incshrink_oblivious::Compaction;
 use incshrink_secretshare::arrays::SharedArrayPair;
-use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
+use incshrink_secretshare::tuple::SharedRecordPair;
 use incshrink_storage::{RecordId, Relation, UploadBatch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -150,9 +150,8 @@ pub struct ClusterShuffler {
     shards: usize,
     bucket_cushion: usize,
     cost_model: CostModel,
-    /// Arrival pair `i` shuffles a relation at step `t` with the stream
-    /// [`Domain::ShuffleRoute`] `(i, t, relation)`; destination `d` pads its cut
-    /// with [`Domain::ShuffleCut`] `(d, t, relation)`.
+    /// Seeds arrival pair `i`'s [`Domain::ShuffleRoute`] and destination `d`'s
+    /// [`Domain::ShuffleCut`] stream of each step and relation.
     seed: u64,
     stats: ShuffleStats,
     elastic: Option<ElasticRouting>,
@@ -254,9 +253,8 @@ impl ClusterShuffler {
         let mut dest_ids: Vec<Vec<Option<RecordId>>> = vec![Vec::new(); self.shards];
         let mut max_shuffle = SimDuration::ZERO;
         for (arrival, batch) in arrival_batches.iter().enumerate() {
-            let rng = &mut Domain::ShuffleRoute
-                .draw(arrival, time, relation as u64)
-                .rng(self.seed);
+            let route = Domain::ShuffleRoute.draw(arrival, time, relation as u64);
+            let rng = &mut route.rng(self.seed);
             let bucket_size = batch.len().div_ceil(self.shards) + self.bucket_cushion;
             // What the wire carries to each destination pair is the padded bucket
             // size — a pure function of public parameters, recorded per destination
@@ -333,9 +331,8 @@ impl ClusterShuffler {
                 .as_ref()
                 .map_or(ingest_size, |cuts| cuts[dest].min(ingest_size));
             let mut meter = CostMeter::new();
-            let rng = &mut Domain::ShuffleCut
-                .draw(dest, time, relation as u64)
-                .rng(self.seed);
+            let padding = Domain::ShuffleCut.draw(dest, time, relation as u64);
+            let rng = &mut padding.rng(self.seed);
             let (records, ids) =
                 self.compact_and_cut(dest, records, ids, cut_size, &mut meter, rng);
             let compact_report = meter.take();
@@ -369,20 +366,19 @@ impl ClusterShuffler {
     fn compact_and_cut(
         &mut self,
         dest: usize,
-        records: SharedArrayPair,
+        mut out: SharedArrayPair,
         ids: Vec<Option<RecordId>>,
         ingest_size: usize,
         meter: &mut CostMeter,
         rng: &mut StdRng,
     ) -> (SharedArrayPair, Vec<Option<RecordId>>) {
-        let n = records.len();
-        let arity = records.arity().unwrap_or(1);
+        let n = out.len();
+        let arity = out.arity().unwrap_or(1);
         let width = arity as u64 + 1;
         Compaction::new(n).charge(arity as u64, meter);
 
         // Real-first partition in bucket order: what the compaction leaves. Only
         // the flag pair is recovered, and the reals stay where they are.
-        let mut out = records;
         let mut out_ids = Vec::with_capacity(n.max(ingest_size));
         out.retain_with(|i, entry| {
             let real = entry.is_view.recover() != 0;
@@ -401,7 +397,7 @@ impl ClusterShuffler {
         self.stats.padded_dummy_records += cut_dummies;
         self.stats.padded_dummy_bytes += cut_dummies * width * 4;
         while out.len() < cut {
-            out.push(SharedRecordPair::share(&PlainRecord::dummy(arity), rng))
+            out.push(SharedRecordPair::share_dummy(arity, rng))
                 .expect("uniform arity");
             out_ids.push(None);
         }
@@ -420,6 +416,7 @@ mod tests {
     use incshrink_oblivious::{
         cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
     };
+    use incshrink_secretshare::tuple::PlainRecord;
     use incshrink_storage::SecureCache;
     use incshrink_telemetry::{CostDelta, Event, InMemory};
     use rand::SeedableRng;

@@ -157,7 +157,6 @@ pub struct ShardPipeline {
     config: IncShrinkConfig,
     cost_model: CostModel,
     ctx: PartyContext,
-    /// The seed the owners' upload shares derive from ([`Domain::OwnerShares`]).
     seed: u64,
     store: OutsourcedStore,
     cache: SecureCache,

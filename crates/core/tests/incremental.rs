@@ -8,6 +8,7 @@ use incshrink::prelude::*;
 use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
+use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::{
     batcher_pair_count, nested_loop_join_cost, public_inner_join_cost, truncated_nested_loop_join,
@@ -161,7 +162,7 @@ impl ReferenceTransform {
                     .filter(in_range)
                     .map(|row| PlainRecord::real(row.clone()))
                     .collect();
-                let mut share_rng = StdRng::seed_from_u64(0xF5E5 ^ ctx.time_step());
+                let mut share_rng = StdRng::seed_from_u64(0xF5E5 ^ delta_left.time);
                 let mut shared = SharedArrayPair::with_arity(2);
                 shared
                     .extend(SharedArrayPair::share_records(&rows, &mut share_rng))
@@ -172,7 +173,7 @@ impl ReferenceTransform {
         };
         let inner_left = self.window(Relation::Left);
 
-        let mut rng = StdRng::seed_from_u64(0xA11CE ^ ctx.time_step());
+        let mut rng = ctx.stream(Domain::DeltaShares, 0);
         let bound = self.omega as usize;
         // A public inner side selects with the one-hot circuit: the operator's
         // output, priced by `public_inner_join_cost` instead of its network.

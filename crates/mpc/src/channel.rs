@@ -25,10 +25,9 @@
 //!
 //! Endpoints meter nothing: a joint operation's bytes, and its circuit's round,
 //! are charged once, on the driver's meter, in every mode. An endpoint only counts
-//! what it really wrote to the link ([`WireCounters`]). Each joint-randomness or
-//! re-share command carries the draw's name, and each party derives its
-//! contribution from its own [`Server`] key and that name, exactly as the
-//! in-process context does, so the XOR-combined outputs are bit-identical to it.
+//! what it really wrote to the link ([`WireCounters`]). Each party derives its
+//! contribution to a named draw from its own [`Server`] key, as the in-process
+//! context does, so the XOR-combined outputs are bit-identical to it.
 //!
 //! # Failure semantics
 //!

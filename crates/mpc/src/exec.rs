@@ -120,12 +120,9 @@ pub trait PartyExec: sealed::Sealed {
     /// In tcp mode it also asserts that the real socket bytes reconcile with
     /// the metered ones.
     fn charge(&mut self) -> (CostReport, SimDuration);
-    /// Current logical time step.
-    fn time_step(&self) -> u64;
     /// Advance the logical time step by one epoch.
     fn advance_time_step(&mut self);
-    /// The run seed's named stream `(domain, current step, index)`
-    /// ([`crate::stream`]), unmoved by any other draw.
+    /// The run seed's named stream `(domain, current step, index)`; see [`crate::stream`].
     fn stream(&self, domain: Domain, index: u64) -> StdRng;
     /// Total simulated time elapsed.
     fn elapsed(&self) -> SimDuration;

@@ -1,12 +1,11 @@
 //! The two non-colluding outsourcing servers.
 //!
-//! Each [`Server`] owns a key of its own (so that "each server chooses a value
-//! uniformly at random" steps are faithful to the protocol: its contribution to a
-//! named draw is derived from that key alone, see [`crate::stream`]), a store of
-//! named secret-shared words (the cardinality counter, the noisy threshold, ...), and a
-//! transcript of the values it has *observed* in the clear. The transcript is what the
-//! privacy tests inspect: anything visible to a single semi-honest server must be
-//! explainable by the DP leakage profile.
+//! Each [`Server`] owns a key its contribution to every named draw derives from
+//! (so "each server chooses a value uniformly at random" steps stay its own), a
+//! store of named secret-shared words (the cardinality counter, the noisy
+//! threshold, ...), and a transcript of the values it has *observed* in the clear.
+//! The transcript is what the privacy tests inspect: anything visible to a single
+//! semi-honest server must be explainable by the DP leakage profile.
 
 use crate::runtime::JointRandomness;
 use crate::stream::{Domain, Draw};
@@ -58,18 +57,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// Create a server whose key derives from the run seed and its party.
-    #[must_use]
-    pub fn new(id: PartyId, seed: u64) -> Self {
-        let [key] = Domain::Party.draw(0, 0, id.index() as u64).words(seed);
-        Self {
-            id,
-            key,
-            stored_shares: HashMap::new(),
-            transcript: Vec::new(),
-        }
-    }
-
     /// This server's contribution to the named draw (the `z_i` of Algorithms 1-3),
     /// a function of its own key and the name alone.
     pub(crate) fn contribution(&self, draw: Draw) -> JointRandomness {
@@ -116,12 +103,18 @@ pub struct ServerPair {
 }
 
 impl ServerPair {
-    /// Create both servers from a master seed.
+    /// Create both servers from a master seed, each keyed by the seed and its party.
     #[must_use]
     pub fn new(seed: u64) -> Self {
+        let server = |id: PartyId| Server {
+            id,
+            key: Domain::Party.draw(0, 0, id.index() as u64).words::<1>(seed)[0],
+            stored_shares: HashMap::new(),
+            transcript: Vec::new(),
+        };
         Self {
-            s0: Server::new(PartyId::S0, seed),
-            s1: Server::new(PartyId::S1, seed),
+            s0: server(PartyId::S0),
+            s1: server(PartyId::S1),
         }
     }
 

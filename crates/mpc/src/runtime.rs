@@ -14,12 +14,11 @@
 //! All three modes produce bit-for-bit identical protocol outputs, cost
 //! reports, telemetry observables and ε-ledgers for the same seed and workload;
 //! they differ only in *measured host time* (and, for tcp, in real bytes hitting
-//! a socket). This holds because the context names every joint-randomness and
-//! re-share draw — (domain, step, index within the step), see [`crate::stream`] —
-//! and each server derives its contribution from its own key and that name,
-//! wherever it lives; and because everything that is priced — operator gates and
-//! the bytes of the three joint operations alike, and the round of each circuit
-//! they form — is charged on the one driver meter, never by the transport.
+//! a socket). This holds because each server derives its contribution to a
+//! draw from its own key and the draw's name ([`crate::stream`]), wherever it
+//! lives, and because everything that is priced — operator gates and the bytes
+//! of the three joint operations alike, and the round of each circuit they form —
+//! is charged on the one driver meter, never by the transport.
 
 use crate::channel::{endpoint_pair, endpoint_pair_tcp, WIRE_FRAME_OVERHEAD};
 use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
@@ -27,7 +26,7 @@ use crate::exec::{
     round, PartyCommand, PartyExec, PartyHandle, PartyMode, PartyReply, PARTY_CRASH_MESSAGE,
 };
 use crate::party::{mirror_to_telemetry, ObservedEvent, ServerPair};
-use crate::stream::{Domain, Draw};
+use crate::stream::Domain;
 use incshrink_secretshare::SharePair;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -103,8 +102,9 @@ pub struct PartyContext {
     time_step: u64,
     /// The run seed every driver-side named stream derives from.
     seed: u64,
-    /// Joint-randomness draws, then re-shares, named so far in this step.
-    draws: [u64; 2],
+    /// Joint-randomness draws and re-shares named so far in this step.
+    joint_draws: u64,
+    reshares: u64,
     /// Channel bytes metered since the previous charge.
     channel_bytes: u64,
     /// Channel bytes metered over the whole run, up to the previous charge —
@@ -139,7 +139,8 @@ impl PartyContext {
             clock: SimDuration::ZERO,
             time_step: 0,
             seed,
-            draws: [0; 2],
+            joint_draws: 0,
+            reshares: 0,
             channel_bytes: 0,
             charged_channel_bytes: 0,
         }
@@ -188,27 +189,20 @@ impl PartyContext {
         self.meter.bytes(bytes);
         self.channel_bytes += bytes;
     }
-
-    /// Name the next joint-randomness or re-share draw of this step.
-    fn next_draw(&mut self, domain: Domain) -> Draw {
-        let counter = &mut self.draws[usize::from(domain == Domain::Reshare)];
-        *counter += 1;
-        domain.draw(0, self.time_step, *counter - 1)
-    }
 }
 
 impl PartyExec for PartyContext {
     fn joint_randomness(&mut self) -> JointRandomness {
-        let draw = self.next_draw(Domain::JointRandomness);
+        let draw = Domain::JointRandomness.draw(0, self.time_step, self.joint_draws);
+        self.joint_draws += 1;
         let joint = match &mut self.parties {
             Parties::Local(servers) => servers
                 .s0
                 .contribution(draw)
                 .xor(servers.s1.contribution(draw)),
             Parties::Remote { handles, .. } => {
-                match round(handles, self.time_step, || {
-                    PartyCommand::JointRandomness(draw)
-                }) {
+                let command = || PartyCommand::JointRandomness(draw);
+                match round(handles, self.time_step, command) {
                     PartyReply::Randomness(joint) => joint,
                     other => panic!("protocol desync: expected Randomness, got {other:?}"),
                 }
@@ -219,7 +213,8 @@ impl PartyExec for PartyContext {
     }
 
     fn reshare_and_store(&mut self, name: &str, value: u32) {
-        let draw = self.next_draw(Domain::Reshare);
+        let draw = Domain::Reshare.draw(0, self.time_step, self.reshares);
+        self.reshares += 1;
         match &mut self.parties {
             Parties::Local(servers) => {
                 let z0 = servers.s0.contribution(draw).word;
@@ -299,13 +294,9 @@ impl PartyExec for PartyContext {
         (report, duration)
     }
 
-    fn time_step(&self) -> u64 {
-        self.time_step
-    }
-
     fn advance_time_step(&mut self) {
         self.time_step += 1;
-        self.draws = [0; 2];
+        (self.joint_draws, self.reshares) = (0, 0);
     }
 
     fn stream(&self, domain: Domain, index: u64) -> StdRng {
@@ -372,10 +363,10 @@ mod tests {
     #[test]
     fn time_steps_advance() {
         let mut ctx = in_process(2);
-        assert_eq!(ctx.time_step(), 0);
+        let at_zero = ctx.stream(Domain::DeltaShares, 0);
         ctx.advance_time_step();
-        ctx.advance_time_step();
-        assert_eq!(ctx.time_step(), 2);
+        let next = ctx.stream(Domain::DeltaShares, 0);
+        assert_ne!(next, at_zero, "each step names its own streams");
     }
 
     proptest! {

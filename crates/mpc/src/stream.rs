@@ -5,7 +5,7 @@
 //! `docs/ARCHITECTURE.md` § "Named randomness" gives each domain's consumer.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{splitmix64, SeedableRng};
 
 /// What a draw is for: one consumer per domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,42 +30,28 @@ impl Domain {
     /// Name the `index`-th draw of this domain at `step` on `shard`.
     #[must_use]
     pub const fn draw(self, shard: usize, step: u64, index: u64) -> Draw {
-        Draw {
-            coordinates: [self as u64, shard as u64, step, index],
-        }
+        Draw([self as u64, shard as u64, step, index])
     }
 }
 
 /// The name of one draw; with a key it yields words or a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Draw {
-    coordinates: [u64; 4],
-}
-
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// One splitmix64 step: advance `state` by the golden gamma, then finalize.
-fn mix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(GOLDEN_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub struct Draw([u64; 4]);
 
 impl Draw {
+    /// Fold the name into one word, one splitmix64 step per coordinate.
     fn state(self, key: u64) -> u64 {
-        self.coordinates.into_iter().fold(key, |h, x| mix(h ^ x))
+        self.0.iter().fold(key, |h, x| splitmix64(&mut (h ^ x)))
     }
 
     /// The first `N` words of the name's splitmix64 expansion under `key`.
     #[must_use]
     pub fn words<const N: usize>(self, key: u64) -> [u64; N] {
-        let state = self.state(key);
-        std::array::from_fn(|k| mix(state.wrapping_add(GOLDEN_GAMMA.wrapping_mul(k as u64))))
+        let mut state = self.state(key);
+        std::array::from_fn(|_| splitmix64(&mut state))
     }
 
-    /// The stream under this name: a generator whose state is the name's first
-    /// four words.
+    /// The stream under this name, a generator seeded with the name's first words.
     #[must_use]
     pub fn rng(self, key: u64) -> StdRng {
         StdRng::seed_from_u64(self.state(key))

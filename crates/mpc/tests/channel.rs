@@ -18,8 +18,8 @@ const NAMES: [&str; 3] = ["a", "b", "c"];
 const INSERTED: &str = "inserted";
 
 /// What one script leaves behind: the value trace, the report of every charge,
-/// and the final (clock, logical step).
-type Outcome = (Vec<(u64, u64)>, Vec<CostReport>, SimDuration, u64);
+/// and the final clock.
+type Outcome = (Vec<(u64, u64)>, Vec<CostReport>, SimDuration);
 
 /// Run the script `(opcode, operand)*` on a fresh context of `mode`.
 fn run(mode: PartyMode, seed: u64, script: &[(u8, u32)]) -> Outcome {
@@ -57,7 +57,7 @@ fn run(mode: PartyMode, seed: u64, script: &[(u8, u32)]) -> Outcome {
         }
     }
     reports.push(ctx.charge().0);
-    (trace, reports, ctx.elapsed(), ctx.time_step())
+    (trace, reports, ctx.elapsed())
 }
 
 proptest! {
