@@ -122,9 +122,8 @@ fn sharded_truth_matches_global_truth() {
 /// added.
 #[test]
 fn scale_out_error_stays_within_composed_bound_and_scans_shrink() {
-    // The S = 8 scan ratio straddles the final 1/2 across seeds (it read ≥ 1/2 on
-    // 23 of seeds 1–40, both before and after the draws were named), so the seed
-    // is pinned: the first from 1 that passes under the named draws.
+    // The S = 8 scan ratio straddles the final 1/2 across seeds (≥ 1/2 on 23 of
+    // seeds 1–40), so the seed is pinned to the first from 1 that passes.
     let seed = 1;
     // CPDB's ~9.8 view entries per step make real entries dominate the DP padding,
     // which is the regime where sharding pays off.

@@ -661,7 +661,7 @@ impl TransformProtocol {
             omega,
             arity: out_arity,
         };
-        let rng = &mut ctx.stream(Domain::DeltaShares, 0);
+        let rng = &mut ctx.stream(Domain::DeltaShares);
         self.covered += 1;
         // --- Contribution accounting: records whose last step has passed retire.
         let outer_left = recover_padded(delta_left);

@@ -173,7 +173,7 @@ impl ReferenceTransform {
         };
         let inner_left = self.window(Relation::Left);
 
-        let mut rng = ctx.stream(Domain::DeltaShares, 0);
+        let mut rng = ctx.stream(Domain::DeltaShares);
         let bound = self.omega as usize;
         // A public inner side selects with the one-hot circuit: the operator's
         // output, priced by `public_inner_join_cost` instead of its network.

@@ -122,8 +122,8 @@ pub trait PartyExec: sealed::Sealed {
     fn charge(&mut self) -> (CostReport, SimDuration);
     /// Advance the logical time step by one epoch.
     fn advance_time_step(&mut self);
-    /// The run seed's named stream `(domain, current step, index)`; see [`crate::stream`].
-    fn stream(&self, domain: Domain, index: u64) -> StdRng;
+    /// The run seed's named stream `(domain, current step)`; see [`crate::stream`].
+    fn stream(&self, domain: Domain) -> StdRng;
     /// Total simulated time elapsed.
     fn elapsed(&self) -> SimDuration;
     /// Record an event both servers observe in the clear (transcripts +

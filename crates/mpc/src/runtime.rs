@@ -299,8 +299,8 @@ impl PartyExec for PartyContext {
         (self.joint_draws, self.reshares) = (0, 0);
     }
 
-    fn stream(&self, domain: Domain, index: u64) -> StdRng {
-        domain.draw(0, self.time_step, index).rng(self.seed)
+    fn stream(&self, domain: Domain) -> StdRng {
+        domain.draw(0, self.time_step, 0).rng(self.seed)
     }
 
     fn elapsed(&self) -> SimDuration {
@@ -363,9 +363,9 @@ mod tests {
     #[test]
     fn time_steps_advance() {
         let mut ctx = in_process(2);
-        let at_zero = ctx.stream(Domain::DeltaShares, 0);
+        let at_zero = ctx.stream(Domain::DeltaShares);
         ctx.advance_time_step();
-        let next = ctx.stream(Domain::DeltaShares, 0);
+        let next = ctx.stream(Domain::DeltaShares);
         assert_ne!(next, at_zero, "each step names its own streams");
     }
 

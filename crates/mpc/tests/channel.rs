@@ -42,10 +42,7 @@ fn run(mode: PartyMode, seed: u64, script: &[(u8, u32)]) -> Outcome {
                 ctx.meter().compares(u64::from(value % 97));
                 ctx.meter().swaps(u64::from(value % 13), 2);
             }
-            4 => trace.push((
-                2,
-                ctx.stream(Domain::DeltaShares, u64::from(value % 3)).gen(),
-            )),
+            4 => trace.push((2, ctx.stream(Domain::DeltaShares).gen())),
             5 => {
                 reports.push(ctx.charge().0);
                 ctx.advance_time_step();
