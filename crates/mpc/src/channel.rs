@@ -387,6 +387,27 @@ mod tests {
         PartyContext::new(PartyMode::InProcess, seed, CostModel::default())
     }
 
+    #[test]
+    fn joint_randomness_matches_shared_context() {
+        let expected = in_process(1234).joint_randomness();
+        let got = on_both(&mut endpoint_pair(1234), |e| {
+            e.joint_randomness(JOINT).unwrap()
+        });
+        assert_eq!(got, [expected, expected]);
+    }
+
+    #[test]
+    fn reshare_then_recover_round_trips() {
+        let got = on_both(&mut endpoint_pair(7), |e| {
+            e.reshare_and_store("c", 99, RESHARE).unwrap();
+            (
+                e.recover_named("c").unwrap(),
+                e.recover_named("absent").unwrap(),
+            )
+        });
+        assert_eq!(got, [(Some(99), None), (Some(99), None)]);
+    }
+
     /// A dead peer must surface as `Disconnected` on *every* operation — the
     /// regression contract for the teardown path (no operation may block on a
     /// link whose other end is gone).

@@ -285,6 +285,42 @@ mod tests {
     use super::*;
     use crate::{CostModel, PartyContext};
 
+    /// Drive the identical protocol sequence through every mode and assert
+    /// bit-for-bit equal outputs, charges, step streams and clocks.
+    fn drive(
+        ctx: &mut impl PartyExec,
+    ) -> (Vec<u32>, Vec<Option<u32>>, Vec<CostReport>, Vec<StdRng>) {
+        let mut words = Vec::new();
+        let mut recovered = Vec::new();
+        let mut reports = Vec::new();
+        let mut streams = Vec::new();
+        for step in 0..4u32 {
+            streams.push(ctx.stream(Domain::DeltaShares));
+            words.push(ctx.joint_randomness().word);
+            ctx.reshare_and_store("counter", 100 + step);
+            ctx.meter().compares(17);
+            ctx.meter().swaps(3, 2);
+            recovered.push(ctx.recover_named("counter"));
+            recovered.push(ctx.recover_named("absent"));
+            let (report, _) = ctx.charge();
+            reports.push(report);
+            ctx.advance_time_step();
+        }
+        (words, recovered, reports, streams)
+    }
+
+    #[test]
+    fn all_modes_replay_in_process_bit_for_bit() {
+        let mut reference = PartyContext::new(PartyMode::InProcess, 0x5EED, CostModel::default());
+        let expected = drive(&mut reference);
+        for mode in [PartyMode::Actor, PartyMode::Tcp] {
+            let mut ctx = PartyContext::new(mode, 0x5EED, CostModel::default());
+            let got = drive(&mut ctx);
+            assert_eq!(got, expected, "{mode} diverged from in-process");
+            assert_eq!(ctx.elapsed(), reference.elapsed(), "{mode} clock");
+        }
+    }
+
     #[test]
     fn mode_labels_round_trip_and_env_parses() {
         for mode in PartyMode::ALL {

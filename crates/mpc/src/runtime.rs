@@ -334,6 +334,17 @@ mod tests {
     }
 
     #[test]
+    fn joint_randomness_in_unit_interval() {
+        let mut ctx = in_process(11);
+        for _ in 0..256 {
+            let r = ctx.joint_randomness();
+            let u = r.unit_interval();
+            assert!(u > 0.0 && u < 1.0, "u = {u}");
+            assert!(r.sign() == 1.0 || r.sign() == -1.0);
+        }
+    }
+
+    #[test]
     fn charge_drains_meter_and_advances_clock() {
         let mut ctx = in_process(1);
         ctx.meter().compares(1000);
