@@ -30,6 +30,7 @@
 use super::ElasticReport;
 use incshrink::MigratedPartition;
 use incshrink_dp::LaplaceMechanism;
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostModel};
 use incshrink_oblivious::shuffle::VIRTUAL_BUCKETS;
 use incshrink_oblivious::Compaction;
@@ -106,10 +107,9 @@ impl ViewMigrator {
         let mut span = incshrink_telemetry::span!("elastic.migrate");
         let mut meter = CostMeter::new();
         let rows = source_view_len as u64;
-        meter.adds(4 * rows);
+        meter.kernels(4 * rows, Kernel::Add(WORD_BITS));
         meter.ands(rows * (VIRTUAL_BUCKETS as u64 + 1));
-        let payload = part.view_arity.saturating_sub(1) as u64;
-        Compaction::new(source_view_len).charge(payload, &mut meter);
+        Compaction::new(source_view_len).charge(part.view_payload_bits, &mut meter);
         // The noised migration size is released, then the padded partition ships.
         meter.release();
         let width = part.view_arity as u64 + 1;
@@ -160,6 +160,7 @@ mod tests {
                 .collect(),
             active_right: Vec::new(),
             view_arity: 4,
+            view_payload_bits: 39,
             window_rows: (active, 0),
         }
     }
@@ -186,13 +187,13 @@ mod tests {
         assert!((report.epsilon_spent - 0.5).abs() < 1e-12);
 
         // The mover flag of the 40 source-view rows (4 adds, 64 + 1 ANDs each),
-        // the tight compaction of the 40 rows over the view's 4 words less the
+        // the tight compaction of the 40 rows over the view row's bits less the
         // second join-key copy, released with the migration size in one round, then
         // the shipped rows of 4 words and the flag in another.
         let mut expected = CostMeter::new();
-        expected.adds(4 * 40);
+        expected.kernels(4 * 40, Kernel::Add(WORD_BITS));
         expected.ands(40 * 65);
-        Compaction::new(40).charge(3, &mut expected);
+        Compaction::new(40).charge(39, &mut expected);
         expected.release();
         expected.bytes(report.shipped_records * 5 * 4);
         let expected = expected.take();

@@ -14,7 +14,8 @@
 //! recomputation — into the cluster outcome.
 
 use incshrink::query::{Query, QueryOutcome, ShardBreakdown};
-use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
+use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 
 /// Obliviously aggregates the shards' partial answers to a typed analyst query.
 #[derive(Debug, Clone, Copy)]
@@ -43,11 +44,12 @@ impl ScatterGatherExecutor {
             return CostReport::default();
         }
         let tree_rounds = u64::from(usize::BITS - (shards - 1).leading_zeros());
+        let mut meter = CostMeter::new();
+        meter.kernels(((shards - 1) * width) as u64, Kernel::Add(WORD_BITS));
+        meter.bytes(8 * (shards * width) as u64);
         CostReport {
-            secure_adds: ((shards - 1) * width) as u64,
-            bytes_communicated: 8 * (shards * width) as u64,
             rounds: tree_rounds + 1,
-            ..CostReport::default()
+            ..meter.report()
         }
     }
 

@@ -96,7 +96,9 @@ impl ShardRouter {
                     update.fields.len()
                 )
             });
-            parts[self.shard_of(key)].insert(update.clone());
+            parts[self.shard_of(key)]
+                .insert(update.clone())
+                .expect("a record of the relation fits its schema");
         }
         parts
     }

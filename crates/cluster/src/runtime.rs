@@ -289,9 +289,14 @@ impl ShuffleState {
                 Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng)
             })
             .collect();
-        let (routed, _) = self
-            .shuffler
-            .route_step(t, relation, key_column, &batches, ingest);
+        let schema = match relation {
+            Relation::Left => &self.arrival_parts[0].left.schema,
+            Relation::Right => &self.arrival_parts[0].right.schema,
+        };
+        let record_bits = schema.widths().iter().sum();
+        let (routed, _) =
+            self.shuffler
+                .route_step(t, relation, key_column, &batches, ingest, record_bits);
         routed
     }
 

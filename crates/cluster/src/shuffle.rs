@@ -36,7 +36,7 @@
 use crate::elastic::{BucketMove, ElasticReport, ElasticRouting};
 use incshrink_mpc::cost::{CostMeter, CostModel, SimDuration};
 use incshrink_mpc::stream::Domain;
-use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
+use incshrink_oblivious::shuffle::{shuffle_route_mapped, Destinations};
 use incshrink_oblivious::Compaction;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::SharedRecordPair;
@@ -231,7 +231,9 @@ impl ClusterShuffler {
     /// `key_column` is the join-key column the hashed routing tag is computed from;
     /// `ingest_size` is the fixed per-destination batch size the compaction cuts
     /// back to (normally the co-partitioned router's `shard_batch_size`, so
-    /// downstream padding is identical to a co-partitioned run).
+    /// downstream padding is identical to a co-partitioned run); `record_bits` is
+    /// the relation's columns' summed public width, what the shuffle's and the
+    /// compaction's swaps carry besides the `isView` flag.
     pub fn route_step(
         &mut self,
         time: u64,
@@ -239,6 +241,7 @@ impl ClusterShuffler {
         key_column: usize,
         arrival_batches: &[UploadBatch],
         ingest_size: usize,
+        record_bits: u32,
     ) -> (Vec<UploadBatch>, SimDuration) {
         assert_eq!(
             arrival_batches.len(),
@@ -270,28 +273,26 @@ impl ClusterShuffler {
                 }
             }
             let mut meter = CostMeter::new();
-            let routed = if let Some(el) = self.elastic.as_mut() {
-                let mapped = shuffle_route_mapped(
-                    &batch.records,
-                    key_column,
-                    &el.assignment,
-                    self.shards,
-                    bucket_size,
-                    &mut meter,
-                    rng,
-                );
-                el.observe_routed(relation, &mapped.bucket_reals);
-                mapped.route
-            } else {
-                shuffle_route(
-                    &batch.records,
-                    key_column,
-                    self.shards,
-                    bucket_size,
-                    &mut meter,
-                    rng,
-                )
+            let destinations = match &self.elastic {
+                Some(el) => Destinations::Assigned {
+                    assignment: &el.assignment,
+                    shards: self.shards,
+                },
+                None => Destinations::Hashed(self.shards),
             };
+            let mapped = shuffle_route_mapped(
+                &batch.records,
+                key_column,
+                destinations,
+                bucket_size,
+                record_bits + 1,
+                &mut meter,
+                rng,
+            );
+            if let Some(el) = self.elastic.as_mut() {
+                el.observe_routed(relation, &mapped.bucket_reals);
+            }
+            let routed = mapped.route;
             self.stats.overflow_events += routed.overflows;
             let shuffle_report = meter.take();
             route_span.record_cost(shuffle_report.into());
@@ -334,7 +335,7 @@ impl ClusterShuffler {
             let padding = Domain::ShuffleCut.draw(dest, time, relation as u64);
             let rng = &mut padding.rng(self.seed);
             let (records, ids) =
-                self.compact_and_cut(dest, records, ids, cut_size, &mut meter, rng);
+                self.compact_and_cut(dest, records, ids, (cut_size, record_bits), &mut meter, rng);
             let compact_report = meter.take();
             route_span.record_cost(compact_report.into());
             max_compact = max_compact.max(self.cost_model.simulate(&compact_report));
@@ -361,21 +362,21 @@ impl ClusterShuffler {
     /// things only: the outcome keeps every real record ahead of every dummy, in
     /// bucket order, as [`Compaction`] guarantees, and the price is that
     /// compaction's, charged through the same [`Compaction::charge`] so the two
-    /// cannot drift. The partition is done by hand because the record ids riding
-    /// outside the shares must follow their records.
+    /// cannot drift, over the record's `record_bits`. The partition is done by hand
+    /// because the record ids riding outside the shares must follow their records.
     fn compact_and_cut(
         &mut self,
         dest: usize,
         mut out: SharedArrayPair,
         ids: Vec<Option<RecordId>>,
-        ingest_size: usize,
+        (ingest_size, record_bits): (usize, u32),
         meter: &mut CostMeter,
         rng: &mut StdRng,
     ) -> (SharedArrayPair, Vec<Option<RecordId>>) {
         let n = out.len();
         let arity = out.arity().unwrap_or(1);
         let width = arity as u64 + 1;
-        Compaction::new(n).charge(arity as u64, meter);
+        Compaction::new(n).charge(record_bits, meter);
 
         // Real-first partition in bucket order: what the compaction leaves. Only
         // the flag pair is recovered, and the reals stay where they are.
@@ -411,16 +412,22 @@ mod tests {
     use super::*;
     use crate::elastic::ViewMigrator;
     use incshrink::MigratedPartition;
+    use incshrink_mpc::circuit::{Kernel, WORD_BITS};
     use incshrink_mpc::cost::CostReport;
     use incshrink_oblivious::shuffle::VIRTUAL_BUCKETS;
     use incshrink_oblivious::{
-        cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
+        cache_read, nested_loop_join_cost, oblivious_sort_by_field, shuffle_route, JoinWidths,
+        Network, SortOrder,
     };
     use incshrink_secretshare::tuple::PlainRecord;
     use incshrink_storage::SecureCache;
     use incshrink_telemetry::{CostDelta, Event, InMemory};
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// The cache's payload in the scripts: a view row of key 14, dates 11 and store
+    /// 3 bits less its second key copy.
+    const CACHE_BITS: u32 = 14 + 11 + 11 + 3;
 
     /// `real` real rows of three columns, then `dummy` dummies.
     fn rows(real: usize, dummy: usize) -> SharedArrayPair {
@@ -437,7 +444,7 @@ mod tests {
     fn scripted_cache_spans() -> impl Fn(&str, usize) -> CostDelta {
         let sink = Arc::new(InMemory::new());
         let guard = incshrink_telemetry::install(sink.clone());
-        let (mut cache, mut meter) = (SecureCache::new(3, None), CostMeter::new());
+        let (mut cache, mut meter) = (SecureCache::new(CACHE_BITS, None), CostMeter::new());
         for (written, size) in [(12, 3), (8, 0), (6, 0), (5, 4)] {
             cache.write(rows(written / 3, written - written / 3));
             drop(cache.read(size, &mut meter));
@@ -462,53 +469,63 @@ mod tests {
     }
 
     /// Every network keyed by the `isView` / match flag alone is priced as the
-    /// one-bit circuit: no secure comparison, one AND and a swap of the other
-    /// words per comparator of the network it runs.
+    /// one-bit circuit: no secure comparison, one flag-keyed compare-exchange — one
+    /// AND and the swap of the other bits — per comparator of the network it runs.
     #[test]
     fn flag_keyed_sites_charge_one_and_per_comparator_and_no_compare() {
         let span = scripted_cache_spans();
-        // Algorithm 4's selection for one outer row: the join less its key matrix.
+        // Algorithm 4's selection for one outer row: the join less its key matrix,
+        // at key 14, time 11 and an inner tuple of 25 bits besides its key.
         let (inner, omega) = (63, 10);
-        let selection = nested_loop_join_cost(1, inner, omega, 2, 3).saturating_sub(CostReport {
-            secure_compares: inner as u64,
-            secure_ands: 2 * inner as u64,
+        let widths = JoinWidths {
+            key: 14,
+            theta: Some(11),
+            selection: 25,
+        };
+        let pair = Kernel::Eq(14).circuit().and_count() + Kernel::Theta(11).circuit().and_count();
+        let matrix = CostReport {
+            secure_compares: 2 * inner as u64,
+            secure_ands: (pair + 2) * inner as u64,
             ..CostReport::default()
-        });
+        };
+        let selection = nested_loop_join_cost(1, inner, omega, 2, 3, widths).saturating_sub(matrix);
 
-        // The cache's payload is three words, the nested loop's two: its inner
-        // side's join key is copied in with the outer columns after the network.
-        let sites: [(&str, CostDelta, Network, u64); 3] = [
+        // The cache's payload is the view row less a key copy, the nested loop's
+        // the inner tuple less its key: copied in with the outer columns after the
+        // network.
+        let sites: [(&str, CostDelta, Network, u32); 3] = [
             (
                 "cache.merge",
                 span("cache.merge", 0),
                 Network::merge(&[9, 8], usize::MAX),
-                3,
+                CACHE_BITS,
             ),
             (
                 "cache.read",
                 span("cache.read", 3),
                 Network::merge(&[4, 4], usize::MAX),
-                3,
+                CACHE_BITS,
             ),
             (
                 "nested-loop selection",
                 selection.into(),
                 Network::select(inner, omega),
-                2,
+                25,
             ),
         ];
-        for (site, cost, network, words) in sites {
+        for (site, cost, network, bits) in sites {
             let comparators = network.count();
+            let exchange = Kernel::CompareExchange(bits).circuit().and_count();
             assert!(comparators > 0, "{site}: the script reaches a comparator");
             assert_eq!(cost.compares, 0, "{site}");
-            assert_eq!(cost.ands, comparators, "{site}");
-            assert_eq!(cost.swaps, words * comparators, "{site}");
+            assert_eq!(cost.ands, comparators * exchange, "{site}");
+            assert_eq!(cost.swaps, comparators, "{site}");
         }
     }
 
     /// Every site that only brings the reals first charges the order-preserving
-    /// compaction of its rows: no secure comparison, its swaps' and control's ANDs
-    /// and a swap of the other words per conditional swap.
+    /// compaction of its rows: no secure comparison, its control's ANDs and a swap
+    /// of the flag and the other bits per conditional swap.
     #[test]
     fn real_first_sites_charge_the_compaction() {
         let span = scripted_cache_spans();
@@ -517,62 +534,117 @@ mod tests {
         let mut compact = CostMeter::new();
         let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
         let rng = &mut StdRng::seed_from_u64(5);
-        shuffler.compact_and_cut(0, rows(9, 21), vec![None; 30], 16, &mut compact, rng);
+        let ids = vec![None; 30];
+        shuffler.compact_and_cut(0, rows(9, 21), ids, (16, 28), &mut compact, rng);
         // The migration's extraction, less the mover flag of its 50 source-view
-        // rows: the view's four words carry the join key once, so three swap.
+        // rows: the view row carries the join key once.
         let mut migrator = ViewMigrator::new(1.0, 5, CostModel::default());
         let partition = MigratedPartition {
             view_entries: vec![PlainRecord::real(vec![1, 7, 0, 1]); 5],
             active_left: Vec::new(),
             active_right: Vec::new(),
             view_arity: 4,
+            view_payload_bits: CACHE_BITS,
             window_rows: (0, 0),
         };
         drop(migrator.prepare(0, 1, partition, 50));
+        let add = Kernel::Add(WORD_BITS).circuit().and_count();
         let migration = migrator.report().migration_cost.saturating_sub(CostReport {
-            secure_ands: 50 * (VIRTUAL_BUCKETS as u64 + 1),
+            secure_ands: 50 * (VIRTUAL_BUCKETS as u64 + 1) + 4 * 50 * add,
             secure_adds: 4 * 50,
             ..CostReport::default()
         });
 
-        let sites: [(&str, CostDelta, usize); 4] = [
-            ("cache.seal", span("cache.seal", 0), 12),
-            ("compact::cache_read", read.report().into(), 100),
-            ("compact_and_cut", compact.report().into(), 30),
-            ("elastic::migrate", migration.into(), 50),
+        // The three-column rows of a bare array are full words.
+        let sites: [(&str, CostDelta, usize, u32); 4] = [
+            ("cache.seal", span("cache.seal", 0), 12, CACHE_BITS),
+            (
+                "compact::cache_read",
+                read.report().into(),
+                100,
+                3 * WORD_BITS,
+            ),
+            ("compact_and_cut", compact.report().into(), 30, 28),
+            ("elastic::migrate", migration.into(), 50, CACHE_BITS),
         ];
-        for (site, cost, rows) in sites {
-            let mut charged = CostMeter::new();
-            let swaps = Compaction::new(rows).charge(3, &mut charged);
-            let charged = charged.report();
+        for (site, cost, rows, bits) in sites {
+            let mut control = CostMeter::new();
+            let swaps = Compaction::new(rows).charge(0, &mut control);
+            let control = control.report().secure_ands - swaps;
+            let swap = Kernel::Swap(1 + bits).circuit().and_count();
             assert!(swaps > 0, "{site}: the script reaches a swap");
+            assert!(control > 0, "{site}: the control is charged");
             assert_eq!(cost.compares, 0, "{site}");
-            assert!(
-                charged.secure_ands > swaps,
-                "{site}: the control is charged"
-            );
-            assert_eq!(cost.ands, charged.secure_ands, "{site}");
-            assert_eq!(cost.swaps, 3 * swaps, "{site}");
+            assert_eq!(cost.ands, control + swaps * swap, "{site}");
+            assert_eq!(cost.swaps, swaps, "{site}");
         }
     }
 
-    /// The word-keyed networks keep one secure comparison and a record-wide swap
-    /// (the key word included) per comparator.
+    /// A relation's routing step prices its records at the relation's widths: each
+    /// arrival pair's tag sort swaps the record's bits and its `isView` flag, each
+    /// destination's compaction the record's bits besides the flag — every gate a
+    /// generated circuit's, counted afresh.
+    #[test]
+    fn route_step_prices_the_relation_at_its_record_bits() {
+        let (n, record_bits) = (12, 28);
+        let batch = || UploadBatch {
+            relation: Relation::Left,
+            time: 1,
+            records: rows(5, n - 5),
+            ids: vec![None; n],
+        };
+        let sink = Arc::new(InMemory::new());
+        let guard = incshrink_telemetry::install(sink.clone());
+        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
+        let (routed, _) =
+            shuffler.route_step(1, Relation::Left, 0, &[batch(), batch()], 16, record_bits);
+        drop(guard);
+        let charged: u64 = sink
+            .take()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Span(span) if span.name == "shuffle.route" => span.cost,
+                _ => None,
+            })
+            .map(|cost| cost.ands)
+            .sum();
+        assert_eq!(shuffler.stats().overflow_events, 0);
+        assert!(routed.iter().all(|batch| batch.len() == 16));
+
+        let ands = |kernel: Kernel| kernel.circuit().and_count();
+        // Per arrival pair: the tag sort, 4 adds and a 2-way demux a record.
+        let sort = Network::sort(n).count();
+        let arrival = sort * (ands(Kernel::Lt(WORD_BITS)) + ands(Kernel::Swap(record_bits + 1)))
+            + n as u64 * (4 * ands(Kernel::Add(WORD_BITS)) + 2);
+        // Per destination: the compaction of both arrivals' buckets of 7 rows.
+        let mut compaction = CostMeter::new();
+        Compaction::new(14).charge(record_bits, &mut compaction);
+        let destination = compaction.report().secure_ands;
+        assert_eq!(charged, 2 * arrival + 2 * destination);
+    }
+
+    /// The word-keyed networks keep one secure comparison of the key's width and a
+    /// record-wide swap per comparator: full words for a bare array, `isView`
+    /// included.
     #[test]
     fn word_keyed_networks_charge_one_compare_per_comparator() {
         let comparators = Network::sort(100).count();
+        let record = Kernel::Lt(WORD_BITS).circuit().and_count()
+            + Kernel::Swap(4 * WORD_BITS).circuit().and_count();
         let mut meter = CostMeter::new();
         oblivious_sort_by_field(&mut rows(40, 60), 0, SortOrder::Ascending, &mut meter);
         let field = meter.take();
         assert_eq!(field.secure_compares, comparators);
         assert_eq!(
             (field.secure_ands, field.secure_swaps),
-            (0, comparators * 4)
+            (comparators * record, comparators)
         );
         let rng = &mut StdRng::seed_from_u64(9);
         drop(shuffle_route(&rows(40, 60), 0, 2, 60, &mut meter, rng));
         let tags = meter.take();
         assert_eq!(tags.secure_compares, comparators, "the shuffle's tag sort");
-        assert_eq!(tags.secure_swaps, comparators * 4, "the shuffle's tag sort");
+        assert_eq!(tags.secure_swaps, comparators, "the shuffle's tag sort");
+        let routing = 100 * (4 * Kernel::Add(WORD_BITS).circuit().and_count() + 2);
+        assert_eq!(tags.secure_ands, comparators * record + routing);
     }
 }

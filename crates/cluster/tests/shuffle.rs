@@ -287,6 +287,7 @@ proptest! {
                 dataset.left.schema.key_column,
                 &batches,
                 router.shard_batch_size(dataset.left_batch_size),
+                dataset.left.schema.widths().iter().sum(),
             );
             prop_assert_eq!(routed.len(), shards);
             if !batches.iter().all(UploadBatch::is_empty) {

@@ -120,6 +120,10 @@ pub struct MigratedPartition {
     /// Arity of view entries (`left_arity + right_arity`), kept so dummy
     /// padding can be built even when no real view entry migrates.
     pub view_arity: usize,
+    /// Bits a view row's swaps carry besides `isView` (the secure cache's
+    /// payload: the row less its second join-key copy), what the migration's
+    /// compaction of the source view is priced at.
+    pub view_payload_bits: u32,
     /// Padded rows of the source's public active windows (left, right) at export.
     /// How many of them moved is private, so the destination's windows grow by one
     /// block of these lengths each — the price of keeping Transform's join sizes
@@ -212,6 +216,10 @@ impl ShardPipeline {
         });
         let public_right_len = public_right.as_ref().map_or(0, PublicRelation::len);
 
+        let (cache_bits, view) = (
+            view_def.cache_payload_bits(),
+            MaterializedView::for_definition(&view_def),
+        );
         let transform = TransformProtocol::new(
             view_def,
             config.truncation_bound,
@@ -227,9 +235,9 @@ impl ShardPipeline {
             seed,
             store: OutsourcedStore::new(transform.window_steps()),
             // The view row's second join-key copy is restored locally after each
-            // network, so the cache's networks carry one word less than the row.
-            cache: SecureCache::new(left_arity + right_arity - 1, shrink.trim_bound()),
-            view: MaterializedView::new(),
+            // network, so the cache's networks carry the row less one key's bits.
+            cache: SecureCache::new(cache_bits, shrink.trim_bound()),
+            view,
             transform,
             shrink,
             truth,
@@ -328,6 +336,7 @@ impl ShardPipeline {
             active_left,
             active_right,
             view_arity: self.left_arity + self.right_arity,
+            view_payload_bits: self.cache.payload_bits(),
             window_rows: self.transform.window_rows(),
         }
     }

@@ -45,6 +45,7 @@
 //! data-dependent key set. Filters never change the cost or the access pattern.
 
 use crate::view::MaterializedView;
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use incshrink_oblivious::aggregate::{count_selected, group_count_selected, sum_selected};
 pub use incshrink_oblivious::filter::FilterExpr;
@@ -198,26 +199,27 @@ impl Query {
     }
 
     /// Run the query as one fused oblivious scan of `view`'s column-major entries,
-    /// pricing through `model`. The selection occupies the aggregate operator's
-    /// predicate slot: the per-entry comparison the aggregate already charges covers
-    /// the predicate circuit, the access pattern stays a fixed left-to-right pass,
-    /// and the cost is independent of both the filter *and* its selectivity. Only
+    /// pricing through `model` at the view's column widths. The selection occupies
+    /// the aggregate operator's predicate slot: the per-entry comparison the
+    /// aggregate already charges, at the widest column's width, covers the
+    /// predicate circuit, the access pattern stays a fixed left-to-right pass, and
+    /// the cost is independent of both the filter *and* its selectivity. Only
     /// the `isView` lane and the lanes the query names (its filter columns and the
     /// aggregate's column) are recovered; the meter is charged from the public
     /// `(len, arity, |domain|)` alone.
     #[must_use]
     pub fn execute(&self, view: &MaterializedView, model: &CostModel) -> QueryOutcome {
-        let entries = view.entries();
+        let (entries, bits) = (view.entries(), view.column_bits());
         let (filters, mut meter) = (&self.filters, CostMeter::new());
         let value = match &self.aggregate {
             AggregateSpec::Count => {
-                QueryValue::Scalar(count_selected(entries, filters, &mut meter))
+                QueryValue::Scalar(count_selected(entries, filters, bits, &mut meter))
             }
             AggregateSpec::Sum { field } => {
-                QueryValue::Scalar(sum_selected(entries, *field, filters, &mut meter))
+                QueryValue::Scalar(sum_selected(entries, *field, filters, bits, &mut meter))
             }
             AggregateSpec::GroupCount { field, domain } => QueryValue::Vector(
-                group_count_selected(entries, *field, domain, filters, &mut meter),
+                group_count_selected(entries, *field, domain, filters, bits, &mut meter),
             ),
         };
         let report = meter.take();
@@ -475,8 +477,11 @@ impl NmBaselineEngine<'_> {
 
 /// Cost of answering the query without a view (NM baseline): an oblivious sort-merge
 /// join over the full outsourced relations (sizes `n_left`, `n_right` padded records of
-/// width `arity` words) followed by a truncated linear scan, per Example 5.1. Like a
-/// view query, it is one circuit that ends where its answer is released: one round.
+/// width `arity` words) followed by a truncated linear scan, per Example 5.1, priced
+/// as the paper's analytic baseline over full words: the padded Batcher bound's
+/// compares and record-wide swaps, a compare and an AND per scanned slot, an
+/// addition per record. Like a view query, it is one circuit that ends where its
+/// answer is released: one round.
 #[must_use]
 pub(crate) fn non_materialized_query_cost(
     n_left: u64,
@@ -487,13 +492,15 @@ pub(crate) fn non_materialized_query_cost(
 ) -> (SimDuration, CostReport) {
     let n = n_left + n_right;
     let comparators = incshrink_oblivious::batcher_padded_pair_count(n);
+    let mut meter = CostMeter::new();
+    meter.kernels(comparators + n * truncation_bound, Kernel::Lt(WORD_BITS));
+    meter.kernels(comparators, Kernel::Swap(WORD_BITS * (arity as u32 + 1)));
+    meter.ands(n * truncation_bound);
+    meter.kernels(n, Kernel::Add(WORD_BITS));
+    meter.bytes(n * (arity + 1) * 4);
     let report = CostReport {
-        secure_compares: comparators + n * truncation_bound,
-        secure_swaps: comparators * (arity + 1),
-        secure_ands: n * truncation_bound,
-        secure_adds: n,
-        bytes_communicated: n * (arity + 1) * 4,
         rounds: 1,
+        ..meter.report()
     };
     (model.simulate(&report), report)
 }
@@ -678,7 +685,10 @@ mod tests {
         let view_qet = Query::count().execute(&view, &model).qet;
         let (nm_qet, report) = non_materialized_query_cost(50_000, 10_000, 2, 1, &model);
         assert!(nm_qet.as_secs_f64() > view_qet.as_secs_f64() * 100.0);
-        assert!(report.secure_swaps > report.secure_compares);
+        // Every comparator swaps a whole record: the swaps' gates outweigh the
+        // compares'.
+        let compares = Kernel::Lt(WORD_BITS).ands() * report.secure_compares;
+        assert!(report.secure_ands > 2 * compares);
     }
 
     #[test]

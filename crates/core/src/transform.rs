@@ -37,16 +37,21 @@
 //!   the horizon); the whole-relation price is one
 //!   [`incshrink_oblivious::nested_loop_join_cost`]`(|Δ|, n)` call for a figure
 //!   that wants it. The paper's full per-buffer sorts charge `|Δ|·batcher_pair_count(n)`
-//!   32-bit compares and whole-row swaps where the selection charges
-//!   `|Δ|·Network::select(n, ω).count()` ANDs, one per comparator on the match
-//!   flag, and swaps of the inner columns less the join key. A *public* right
+//!   word compares and whole-row swaps where the selection charges
+//!   `|Δ|·Network::select(n, ω).count()` flag-keyed compare-exchanges, one AND
+//!   each and a swap of the inner columns' bits less the join key's. Every pair
+//!   is priced at the view's public column widths
+//!   ([`crate::view::ViewDefinition::join_widths`]): the key EQ at the key's
+//!   width, and the θ-condition at the time width wherever a secret time enters
+//!   it. A *public* right
 //!   relation (CPDB's Award table) is scanned over the rows timed
 //!   `[t, t + window]` for the step-`t` delta — fixed by the step number, since a
 //!   record's time column is its upload step — two `partition_point`s on a time
 //!   column sorted once in
 //!   [`TransformProtocol::new`]. Its rows being public, that join selects with
 //!   the one-hot circuit of [`incshrink_oblivious::public_inner_join_cost`]: no
-//!   network, no swap (docs/ARCHITECTURE.md's Algorithm 4 row).
+//!   network, no swap, and no θ, which the range has applied to the public rows
+//!   (docs/ARCHITECTURE.md's Algorithm 4 row).
 //! * **What is kept for the matching** is, per accumulated relation, the plaintext
 //!   mirror of the window's real records plus a persistent join-key index
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
@@ -111,11 +116,11 @@ use incshrink_mpc::stream::Domain;
 use incshrink_mpc::PartyExec;
 use incshrink_oblivious::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows, JoinSpec,
-    KeyIndex, RowRef,
+    JoinWidths, KeyIndex, RowRef,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{ActiveWindow, RecordId, UploadBatch};
+use incshrink_storage::{ActiveWindow, RecordId, Relation, UploadBatch};
 use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -488,9 +493,15 @@ pub struct TransformProtocol {
     active_right: ActiveRelation,
     /// The public right relation (CPDB's Award table), when the right side is public.
     public_right: Option<IndexedPublic>,
-    /// [`nested_loop_join_cost`] per `(outer, inner, outer arity, inner arity)`
-    /// priced so far: secret inner windows only, the public price being O(1).
-    join_costs: FxHashMap<(usize, usize, usize, usize), CostReport>,
+    /// The widths each direction's join is priced at: against the right relation
+    /// (secret, or the public one whose θ the range lookup applies) and against the
+    /// left.
+    widths_against_right: JoinWidths,
+    widths_against_left: JoinWidths,
+    /// [`nested_loop_join_cost`] per `(outer, inner, outer arity, inner arity,
+    /// widths)` priced so far: secret inner windows only, the public price being
+    /// O(1).
+    join_costs: FxHashMap<(usize, usize, usize, usize, JoinWidths), CostReport>,
     /// Upload steps covered so far — the clock the window blocks expire on.
     covered: u64,
     total_truncation_losses: u64,
@@ -508,8 +519,10 @@ impl TransformProtocol {
     ) -> Self {
         assert!(truncation_bound >= 1);
         assert!(contribution_budget >= truncation_bound);
+        // A secret right relation's time enters θ; CPDB's public rows are ranged by
+        // time before the join, which applies θ to them.
+        let secret_right = public_right.is_none();
         Self {
-            view,
             spec: view.join_spec(),
             spec_reversed: view.join_spec_reversed(),
             omega: truncation_bound,
@@ -517,6 +530,9 @@ impl TransformProtocol {
             active_left: ActiveRelation::new(view.left_key),
             active_right: ActiveRelation::new(view.right_key),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
+            widths_against_right: view.join_widths(Relation::Right, secret_right),
+            widths_against_left: view.join_widths(Relation::Left, true),
+            view,
             join_costs: FxHashMap::default(),
             covered: 0,
             total_truncation_losses: 0,
@@ -595,19 +611,24 @@ impl TransformProtocol {
     }
 
     /// [`nested_loop_join_cost`] of `outer` padded rows against `inner`, with the
-    /// two sides' arities, priced once per shape. A run meets few shapes, so a new
-    /// one that finds the memo full just starts it over.
-    fn join_cost(&mut self, outer: usize, inner: usize, arities: (usize, usize)) -> CostReport {
+    /// two sides' arities, at `widths`, priced once per shape. A run meets few
+    /// shapes, so a new one that finds the memo full just starts it over.
+    fn join_cost(
+        &mut self,
+        outer: usize,
+        inner: usize,
+        arities: (usize, usize),
+        widths: JoinWidths,
+    ) -> CostReport {
         const CAPACITY: usize = 256;
-        let shape = (outer, inner, arities.0, arities.1);
+        let shape = (outer, inner, arities.0, arities.1, widths);
         if self.join_costs.len() >= CAPACITY && !self.join_costs.contains_key(&shape) {
             self.join_costs.clear();
         }
         let omega = self.omega as usize;
-        *self
-            .join_costs
-            .entry(shape)
-            .or_insert_with(|| nested_loop_join_cost(outer, inner, omega, arities.0, arities.1))
+        *self.join_costs.entry(shape).or_insert_with(|| {
+            nested_loop_join_cost(outer, inner, omega, arities.0, arities.1, widths)
+        })
     }
 
     /// Run one Transform invocation over the owner deltas submitted at one upload
@@ -646,12 +667,17 @@ impl TransformProtocol {
         };
         let inner_of_right = self.active_left.window.rows();
         let (outer, inner) = (delta_left.len(), inner_of_left);
+        let (against_right, against_left) = (self.widths_against_right, self.widths_against_left);
         let left_join = match self.public_right {
-            Some(_) => public_inner_join_cost(outer, inner, omega, left_arity, right_arity),
-            None => self.join_cost(outer, inner, (left_arity, right_arity)),
+            Some(_) => {
+                public_inner_join_cost(outer, inner, omega, left_arity, right_arity, against_right)
+            }
+            None => self.join_cost(outer, inner, (left_arity, right_arity), against_right),
         };
-        let right_join = delta_right
-            .map(|batch| self.join_cost(batch.len(), inner_of_right, (right_arity, left_arity)));
+        let right_join = delta_right.map(|batch| {
+            let arities = (right_arity, left_arity);
+            self.join_cost(batch.len(), inner_of_right, arities, against_left)
+        });
         let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
 
         // ΔV is ω slots per outer row of either delta: a public length.
@@ -752,6 +778,8 @@ mod tests {
             right_key: 0,
             right_time: 1,
             window: 10,
+            left_bits: vec![9, 7],
+            right_bits: vec![9, 7],
         }
     }
 
@@ -1159,6 +1187,8 @@ mod tests {
                 right_key: 2,
                 right_time: 1,
                 window: 3,
+                left_bits: vec![4; 4],
+                right_bits: vec![4; 4],
             },
         ];
         for view in views {
@@ -1204,8 +1234,13 @@ mod tests {
             (1..=12u64)
                 .map(|t| {
                     let (left_window, right_window) = transform.window_rows();
-                    let joins = nested_loop_join_cost(28, right_window, 1, 2, 2)
-                        + nested_loop_join_cost(28, left_window, 1, 2, 2);
+                    let view = view_def();
+                    let (right, left) = (
+                        view.join_widths(Relation::Right, true),
+                        view.join_widths(Relation::Left, true),
+                    );
+                    let joins = nested_loop_join_cost(28, right_window, 1, 2, 2, right)
+                        + nested_loop_join_cost(28, left_window, 1, 2, 2, left);
                     let left = batch(Relation::Left, t, &[(2 * t, 1, t as u32)], 28);
                     let right = batch(Relation::Right, t, &[(2 * t + 1, 1, t as u32)], 28);
                     let out = transform.invoke(&mut ctx, &left, Some(&right));

@@ -9,16 +9,21 @@
 //! never pays a transposition. The cache, upload batches and shuffle buckets stay
 //! record-major ([`SharedArrayPair`]); batches arrive in that layout.
 
-use incshrink_oblivious::JoinSpec;
+use incshrink_mpc::circuit::WORD_BITS;
+use incshrink_oblivious::{JoinSpec, JoinWidths};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
+use incshrink_storage::Relation;
 use incshrink_workload::{Dataset, JoinQuery};
 use serde::{Deserialize, Serialize};
 
 /// Definition of the materialized view: an equi-join between the two relations of a
-/// dataset with a temporal window predicate (the shape of both Q1 and Q2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// dataset with a temporal window predicate (the shape of both Q1 and Q2), and the
+/// public bit widths of both relations' columns, from which every width the view's
+/// kernels are priced at follows. A column past the end of a side's widths is a
+/// full share word.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViewDefinition {
     /// Join-key column index in the left relation.
     pub left_key: usize,
@@ -30,6 +35,10 @@ pub struct ViewDefinition {
     pub right_time: usize,
     /// The temporal window: `right.time − left.time ∈ [0, window]`.
     pub window: u32,
+    /// Public bit width of each left column.
+    pub left_bits: Vec<u32>,
+    /// Public bit width of each right column.
+    pub right_bits: Vec<u32>,
 }
 
 impl ViewDefinition {
@@ -43,7 +52,65 @@ impl ViewDefinition {
             right_key: dataset.right.schema.key_column,
             right_time: dataset.right.schema.time_column,
             window: dataset.join_window,
+            left_bits: dataset.left.schema.widths().to_vec(),
+            right_bits: dataset.right.schema.widths().to_vec(),
         }
+    }
+
+    /// The widths of one side's columns.
+    fn bits(&self, side: Relation) -> &[u32] {
+        match side {
+            Relation::Left => &self.left_bits,
+            Relation::Right => &self.right_bits,
+        }
+    }
+
+    /// The public width of `column` of `side`.
+    fn column_bits(&self, side: Relation, column: usize) -> u32 {
+        self.bits(side).get(column).copied().unwrap_or(WORD_BITS)
+    }
+
+    /// The join key's width: the wider of the two key columns.
+    fn key_bits(&self) -> u32 {
+        let left = self.column_bits(Relation::Left, self.left_key);
+        left.max(self.column_bits(Relation::Right, self.right_key))
+    }
+
+    /// The width the θ-condition compares times at: the wider time column.
+    fn time_bits(&self) -> u32 {
+        let left = self.column_bits(Relation::Left, self.left_time);
+        left.max(self.column_bits(Relation::Right, self.right_time))
+    }
+
+    /// The widths a join of the other side's delta against `inner` is priced at:
+    /// the key, θ at the time width when a secret time enters it, and the
+    /// selection's payload, `inner`'s columns less its join key.
+    #[must_use]
+    pub fn join_widths(&self, inner: Relation, secret_times: bool) -> JoinWidths {
+        let (key, arity) = match inner {
+            Relation::Left => (self.left_key, self.left_bits.len()),
+            Relation::Right => (self.right_key, self.right_bits.len()),
+        };
+        let row: u32 = (0..arity).map(|c| self.column_bits(inner, c)).sum();
+        JoinWidths {
+            key: self.key_bits(),
+            theta: secret_times.then(|| self.time_bits()),
+            selection: row.saturating_sub(self.column_bits(inner, key)),
+        }
+    }
+
+    /// The widths of a view row's columns, `left ++ right`.
+    fn row_bits(&self) -> Vec<u32> {
+        [&self.left_bits[..], &self.right_bits[..]].concat()
+    }
+
+    /// Bits the secure cache's networks swap a row besides `isView`: the row less
+    /// its second join-key copy, which is restored after each network by a local
+    /// copy of shares.
+    #[must_use]
+    pub(crate) fn cache_payload_bits(&self) -> u32 {
+        let row: u32 = self.row_bits().iter().sum();
+        row - self.column_bits(Relation::Right, self.right_key)
     }
 
     /// The equivalent logical counting query (for ground-truth evaluation).
@@ -92,16 +159,34 @@ impl ViewDefinition {
 #[derive(Debug, Clone, Default)]
 pub struct MaterializedView {
     entries: SharedColumnsPair,
+    /// Public bit width of each column (none: full share words).
+    bits: Vec<u32>,
     /// Running count of real entries, so the per-step metrics never rescan the view.
     real: usize,
     syncs: u64,
 }
 
 impl MaterializedView {
-    /// Empty view.
+    /// Empty view whose columns are full share words.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty view of `definition`'s rows, at their public widths.
+    #[must_use]
+    pub fn for_definition(definition: &ViewDefinition) -> Self {
+        Self {
+            bits: definition.row_bits(),
+            ..Self::default()
+        }
+    }
+
+    /// Public bit width of each column the query scans price: a column past the
+    /// end is a full share word.
+    #[must_use]
+    pub fn column_bits(&self) -> &[u32] {
+        &self.bits
     }
 
     /// Number of (real + dummy) entries currently materialized.
@@ -259,6 +344,11 @@ mod tests {
         assert_eq!(def.window, 10);
         assert_eq!(def.left_key, 0);
         assert_eq!(def.as_query().window, 10);
+        assert_eq!(def.left_bits, ds.left.schema.widths());
+        assert_eq!(
+            MaterializedView::for_definition(&def).column_bits(),
+            def.row_bits()
+        );
     }
 
     #[test]
@@ -269,7 +359,15 @@ mod tests {
             right_key: 0,
             right_time: 1,
             window: 10,
+            left_bits: vec![14, 11],
+            right_bits: vec![14, 11, 3],
         };
+        assert_eq!((def.key_bits(), def.time_bits()), (14, 11));
+        assert_eq!(def.row_bits(), [14, 11, 14, 11, 3]);
+        assert_eq!(def.cache_payload_bits(), 14 + 11 + 11 + 3);
+        let secret = def.join_widths(Relation::Right, true);
+        assert_eq!((secret.theta, secret.selection), (Some(11), 14));
+        assert_eq!(def.join_widths(Relation::Left, false).selection, 11);
         let spec = def.join_spec();
         assert!(spec.condition.as_ref().unwrap()(&[1, 100], &[1, 105]));
         assert!(!spec.condition.as_ref().unwrap()(&[1, 100], &[1, 120]));

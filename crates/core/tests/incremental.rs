@@ -7,12 +7,13 @@
 use incshrink::prelude::*;
 use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
 use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_oblivious::{
     batcher_pair_count, nested_loop_join_cost, public_inner_join_cost, truncated_nested_loop_join,
-    JoinSpec,
+    JoinSpec, JoinWidths,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -28,6 +29,8 @@ fn view_def() -> ViewDefinition {
         right_key: 0,
         right_time: 1,
         window: 10,
+        left_bits: vec![2, 5],
+        right_bits: vec![2, 6],
     }
 }
 
@@ -86,11 +89,12 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
 /// every invocation runs [`truncated_nested_loop_join`] (Algorithm 4) per
 /// direction over the *padded share rows* of the store's active
 /// window (dummies included, blocks in arrival order) — or, for a public right
-/// relation, over a sharing of the rows the step number fixes, charging
-/// [`public_inner_join_cost`] in place of the operator's network — then hands the
-/// step's batches to the store. It keeps no budgets and no active set: the window
-/// is the retirement rule. What `TransformProtocol::invoke` must equal, step for
-/// step.
+/// relation, over a sharing of the rows the step number fixes — charging the
+/// operator's price at the view's column widths ([`nested_loop_join_cost`], or
+/// [`public_inner_join_cost`] in place of its network; the bare arrays the operator
+/// meters carry no schema, so it would price full words) — then hands the step's
+/// batches to the store. It keeps no budgets and no active set: the window is the
+/// retirement rule. What `TransformProtocol::invoke` must equal, step for step.
 struct ReferenceTransform {
     view: ViewDefinition,
     omega: u64,
@@ -178,27 +182,29 @@ impl ReferenceTransform {
         // A public inner side selects with the one-hot circuit: the operator's
         // output, priced by `public_inner_join_cost` instead of its network.
         let public_inner = self.public.is_some();
+        let view = &self.view;
         let mut join = |outer: &SharedArrayPair,
                         inner: &SharedArrayPair,
                         spec: &JoinSpec<'_>,
+                        inner_side: Relation,
                         public_inner: bool,
                         ctx: &mut PartyContext| {
-            if !public_inner {
-                return truncated_nested_loop_join(
-                    outer,
-                    inner,
-                    spec,
-                    bound,
-                    ctx.meter(),
-                    &mut rng,
-                );
-            }
-            let mut network = CostMeter::new();
+            let mut words = CostMeter::new();
             let joined =
-                truncated_nested_loop_join(outer, inner, spec, bound, &mut network, &mut rng);
+                truncated_nested_loop_join(outer, inner, spec, bound, &mut words, &mut rng);
             let arity = |side: &SharedArrayPair| side.arity().unwrap_or(0);
-            let (o, i) = (outer.len(), inner.len());
-            let cost = public_inner_join_cost(o, i, bound, arity(outer), arity(inner));
+            let (o, i, oa, ia) = (outer.len(), inner.len(), arity(outer), arity(inner));
+            let widths = view.join_widths(inner_side, !public_inner);
+            assert_eq!(
+                words.report(),
+                nested_loop_join_cost(o, i, bound, oa, ia, JoinWidths::words(ia)),
+                "the operator charges its price at full words"
+            );
+            let cost = if public_inner {
+                public_inner_join_cost(o, i, bound, oa, ia, widths)
+            } else {
+                nested_loop_join_cost(o, i, bound, oa, ia, widths)
+            };
             ctx.meter().record(cost);
             joined
         };
@@ -208,6 +214,7 @@ impl ReferenceTransform {
             outer,
             &inner_right,
             &self.view.join_spec(),
+            Relation::Right,
             public_inner,
             ctx,
         );
@@ -218,6 +225,7 @@ impl ReferenceTransform {
                 outer,
                 &inner_left,
                 &self.view.join_spec_reversed(),
+                Relation::Left,
                 false,
                 ctx,
             );
@@ -397,20 +405,31 @@ fn cpdb(steps: u64) -> Dataset {
     .generate()
 }
 
-/// Paper-literal Algorithm 4 at one join shape: the `|outer|·|inner|` compare
-/// matrix, a full Batcher sort of every per-outer buffer of `|inner|` slots with
-/// record-wide swaps, and the `ω·|outer|` output write. Like the selection it is
-/// compared with, it is part of the step's one circuit and charges no round of its own.
-fn algorithm_4(outer: usize, inner: usize, omega: usize, out_arity: usize) -> CostReport {
-    let (o, i, width) = (outer as u64, inner as u64, out_arity as u64 + 1);
+/// Paper-literal Algorithm 4 at one join shape, over 32-bit words: the
+/// `|outer|·|inner|` matrix of key compares (with the θ-condition where a secret
+/// time enters it) and match/budget ANDs, a full Batcher sort of every per-outer
+/// buffer of `|inner|` slots with word compares and record-wide swaps, and the
+/// `ω·|outer|` output write. Like the selection it is compared with, it is part of
+/// the step's one circuit and charges no round of its own.
+fn algorithm_4(
+    outer: usize,
+    inner: usize,
+    omega: usize,
+    out_arity: usize,
+    theta: bool,
+) -> CostReport {
+    let (o, i, width) = (outer as u64, inner as u64, out_arity as u32 + 1);
     let sorts = o * batcher_pair_count(inner);
-    CostReport {
-        secure_compares: o * i + sorts,
-        secure_swaps: sorts * width,
-        secure_ands: 2 * o * i,
-        bytes_communicated: o * omega as u64 * width * 4,
-        ..CostReport::default()
+    let mut meter = CostMeter::new();
+    meter.kernels(o * i, Kernel::Eq(WORD_BITS));
+    if theta {
+        meter.kernels(o * i, Kernel::Theta(WORD_BITS));
     }
+    meter.ands(2 * o * i);
+    meter.kernels(sorts, Kernel::Lt(WORD_BITS));
+    meter.kernels(sorts, Kernel::Swap(WORD_BITS * width));
+    meter.bytes(o * omega as u64 * u64::from(width) * 4);
+    meter.report()
 }
 
 /// End to end, on both workloads: every invocation's modeled Transform seconds are
@@ -461,10 +480,11 @@ fn transform_never_costs_more_than_algorithm_4() {
                 None => store.relation(Relation::Right).window_rows(),
             };
             let left_shape = (uploads.left.len(), inner_of_left, arities);
-            let mut shapes = vec![(left_shape, public.is_some())];
+            let mut shapes = vec![(left_shape, public.is_some(), Relation::Right)];
             if let Some(right) = &uploads.right {
                 let inner = store.relation(Relation::Left).window_rows();
-                shapes.push(((right.len(), inner, (arities.1, arities.0)), false));
+                let shape = (right.len(), inner, (arities.1, arities.0));
+                shapes.push((shape, false, Relation::Left));
                 store.ingest(right.clone());
             }
             store.ingest(uploads.left.clone());
@@ -473,13 +493,14 @@ fn transform_never_costs_more_than_algorithm_4() {
             let charged = charged.expect("the timer transforms every step");
             let joins: CostReport = shapes
                 .iter()
-                .map(|&((outer, inner, (oa, ia)), public_inner)| {
+                .map(|&((outer, inner, (oa, ia)), public_inner, inner_side)| {
                     let price = if public_inner {
                         public_inner_join_cost
                     } else {
                         nested_loop_join_cost
                     };
-                    price(outer, inner, omega, oa, ia)
+                    let widths = view.join_widths(inner_side, !public_inner);
+                    price(outer, inner, omega, oa, ia, widths)
                 })
                 .sum();
             let rest = charged.saturating_sub(joins);
@@ -491,7 +512,9 @@ fn transform_never_costs_more_than_algorithm_4() {
             let paper = rest
                 + shapes
                     .iter()
-                    .map(|&((outer, inner, _), _)| algorithm_4(outer, inner, omega, out_arity))
+                    .map(|&((outer, inner, _), public_inner, _)| {
+                        algorithm_4(outer, inner, omega, out_arity, !public_inner)
+                    })
                     .sum();
             let (charged, paper) = (model.simulate(&charged), model.simulate(&paper));
             assert!(

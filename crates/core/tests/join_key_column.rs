@@ -95,6 +95,7 @@ fn every_cached_and_synced_row_carries_its_join_key_twice() {
 #[test]
 fn dummy_payloads_are_dont_care_to_every_query_shape() {
     let (dataset, config) = dataset(true, 7);
+    let definition = ViewDefinition::for_dataset(&dataset);
     let mut pipeline = ShardPipeline::new(dataset, config, 7, CostModel::default());
     for t in 1..=STEPS {
         let _ = pipeline.advance(t);
@@ -115,7 +116,7 @@ fn dummy_payloads_are_dont_care_to_every_query_shape() {
             };
         }
     }
-    let mut scrambled = MaterializedView::new();
+    let mut scrambled = MaterializedView::for_definition(&definition);
     scrambled.append(SharedArrayPair::share_records(&rows, &mut rng));
 
     let domain: Vec<u32> = (1..=16u32).map(|i| i * horizon / 16).collect();

@@ -9,6 +9,7 @@
 //! is exactly the non-colluding assumption — the noise is unpredictable to every party.
 
 use crate::laplace::{laplace_from_unit, released_count};
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::PartyExec;
 
 /// Jointly sample `Lap(Δ/ε)` noise inside the two-party context and return
@@ -30,7 +31,7 @@ pub fn joint_laplace_noise(
     let rnd = ctx.joint_randomness();
     // Converting the joint seed and evaluating ln / multiplication inside a garbled
     // circuit costs a small fixed number of secure additions; charge a constant.
-    ctx.meter().adds(64);
+    ctx.meter().kernels(64, Kernel::Add(WORD_BITS));
     let noise = laplace_from_unit(sensitivity / epsilon, rnd.unit_interval(), rnd.sign());
     x + noise
 }

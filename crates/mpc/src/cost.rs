@@ -1,12 +1,15 @@
 //! Oblivious-operation accounting and the simulated-time cost model.
 //!
-//! Garbled-circuit 2PC cost is dominated by the number of non-free gates evaluated and
+//! Garbled-circuit 2PC cost is dominated by the number of AND gates evaluated and
 //! the bytes shipped between the parties. Every oblivious operator in this repository
-//! reports how many *secure comparisons*, *conditional swaps*, *secure ANDs* and bytes
-//! it consumed; [`CostModel`] converts those counts into a [`SimDuration`] using
-//! per-operation constants calibrated against the paper's Table 2 (see
-//! `docs/ARCHITECTURE.md` § "Share flow" and the `table2` row of § "Experiment binaries").
+//! reports the kernels it evaluated — compares, swaps and adds, each the generated
+//! circuit of [`crate::circuit`] at its operands' public bit widths — plus its
+//! control ANDs and bytes; [`CostModel`] converts the AND gates, bytes and rounds
+//! into a [`SimDuration`] using constants calibrated against the paper's Table 2
+//! (see `docs/ARCHITECTURE.md` § "Share flow" and the `table2` row of § "Experiment
+//! binaries").
 
+use crate::circuit::{Kernel, Operation};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -67,16 +70,18 @@ impl std::iter::Sum for SimDuration {
     }
 }
 
-/// Counts of primitive oblivious operations performed by a protocol step.
+/// Counts of primitive oblivious operations performed by a protocol step. Only
+/// `secure_ands`, bytes and rounds are priced: the compares, swaps and adds are
+/// operation counts for telemetry, their gates already in `secure_ands`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostReport {
-    /// Secure (garbled) comparisons of 32-bit words.
+    /// Secure comparisons (LT, EQ and the view's θ-condition), at any width.
     pub secure_compares: u64,
-    /// Oblivious conditional swaps of whole records.
+    /// Oblivious conditional swaps of a record's payload, at any width.
     pub secure_swaps: u64,
-    /// Secure AND / multiplexer gates on single bits.
+    /// Secure AND gates: every kernel's circuit plus the control ANDs.
     pub secure_ands: u64,
-    /// Secure 32-bit additions (counter updates, noise arithmetic).
+    /// Secure additions (counter updates, sums, hashing rounds).
     pub secure_adds: u64,
     /// Bytes exchanged between the two servers.
     pub bytes_communicated: u64,
@@ -149,7 +154,7 @@ impl std::iter::Sum for CostReport {
     }
 }
 
-/// Converts [`CostReport`]s to simulated seconds.
+/// Converts [`CostReport`]s to simulated seconds: AND gates, bytes and rounds.
 ///
 /// The default constants are calibrated so that the paper's default configuration
 /// (Section 7, "Implementation and configuration": Xeon 3.8 GHz, LAN-connected GCP
@@ -158,14 +163,8 @@ impl std::iter::Sum for CostReport {
 /// experiments do not depend on these constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Seconds per secure 32-bit comparison.
-    pub secs_per_compare: f64,
-    /// Seconds per oblivious record swap.
-    pub secs_per_swap: f64,
-    /// Seconds per secure single-bit AND gate.
+    /// Seconds per secure AND gate.
     pub secs_per_and: f64,
-    /// Seconds per secure 32-bit addition.
-    pub secs_per_add: f64,
     /// Seconds per byte of cross-server communication.
     pub secs_per_byte: f64,
     /// Fixed latency per round: one per garbled circuit (see [`CostMeter`]).
@@ -174,25 +173,19 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Garbled-circuit throughput on a 3.8 GHz Xeon over LAN:
-        // ~10M AND gates/s, a 32-bit comparison ~ 32 AND gates, a record swap of
-        // w words ~ 32w multiplexer gates (the operators expand swaps by width),
+        // Garbled-circuit throughput on a 3.8 GHz Xeon over LAN: ~10M AND gates/s,
         // ~1 Gb/s effective bandwidth, 0.3 ms round latency, one round per garbled
-        // circuit whatever its depth (`CostMeter`'s rounds). A comparator keyed by
-        // one flag bit is no 32-bit comparison but 1 AND gate, its swap carrying
-        // the other words only (`Network::charge_flag_keyed` in incshrink-oblivious,
-        // a declared substitution), or 1 AND per conditional swap of a compaction
-        // that only brings the reals first, plus its control's ANDs
-        // (`Compaction::charge`). A secret bit times a public word is free (XOR
-        // shares, free XOR): a join against a public relation places its rows
-        // without swaps (`public_inner_join_cost`). So is a local copy of shares:
-        // a view row's second join-key copy is restored after each flag-keyed
-        // network instead of swapped through it.
+        // circuit whatever its depth (`CostMeter`'s rounds). A kernel costs the ANDs
+        // of its generated circuit at its operands' public widths
+        // (`crate::circuit::Kernel`): a w-bit LT w, an EQ w − 1, a swap one a
+        // payload bit, a flag-keyed compare-exchange one more than its payload.
+        // A secret bit times a public word is free (XOR shares, free XOR): a join
+        // against a public relation places its rows without swaps
+        // (`public_inner_join_cost` in incshrink-oblivious). So is a local copy of
+        // shares: a view row's second join-key copy is restored after each
+        // flag-keyed network instead of swapped through it.
         Self {
-            secs_per_compare: 32.0 / 10.0e6,
-            secs_per_swap: 32.0 / 10.0e6,
             secs_per_and: 1.0 / 10.0e6,
-            secs_per_add: 32.0 / 10.0e6,
             secs_per_byte: 8.0 / 1.0e9,
             secs_per_round: 0.3e-3,
         }
@@ -211,15 +204,12 @@ impl CostModel {
         }
     }
 
-    /// Seconds attributable to gate evaluation alone (compares, swaps, ANDs, adds) —
-    /// no bytes or round latency: the portion of the model that host-side kernel
-    /// throughput measurements can re-calibrate.
+    /// Seconds attributable to gate evaluation alone — no bytes or round latency:
+    /// the portion of the model that host-side kernel throughput measurements can
+    /// re-calibrate.
     #[must_use]
     pub(crate) fn op_secs(&self, report: &CostReport) -> f64 {
-        report.secure_compares as f64 * self.secs_per_compare
-            + report.secure_swaps as f64 * self.secs_per_swap
-            + report.secure_ands as f64 * self.secs_per_and
-            + report.secure_adds as f64 * self.secs_per_add
+        report.secure_ands as f64 * self.secs_per_and
     }
 
     /// Convert an operation report into simulated time.
@@ -234,6 +224,12 @@ impl CostModel {
 
 /// A running accumulator of operation counts, shared by nested oblivious operators,
 /// and the [`CostModel`] they are priced with.
+///
+/// **Gates:** an operator records each kernel it evaluates with [`Self::kernels`]
+/// at its operands' public width: the kernel's generated circuit
+/// ([`crate::circuit::Kernel`]) sets its ANDs, read from a memoised table, and
+/// the kernel counts once as a compare, swap or add. [`Self::ands`] records control
+/// ANDs outside any kernel.
 ///
 /// **Rounds:** one per garbled circuit, whatever its depth, never one per kernel. A
 /// gate or byte opens a circuit; [`Self::release`] (the host learns a public value)
@@ -274,24 +270,22 @@ impl CostMeter {
         self.total += report;
     }
 
-    /// Record `n` secure comparisons.
-    pub fn compares(&mut self, n: u64) {
-        self.total.secure_compares += n;
+    /// Record `n` evaluations of `kernel`: the ANDs of its generated circuit each
+    /// (read from the memoised table, never built here), and `n` compares, swaps or
+    /// adds in the operation counts.
+    pub fn kernels(&mut self, n: u64, kernel: Kernel) {
+        let count = match kernel.operation() {
+            Operation::Compare => &mut self.total.secure_compares,
+            Operation::Swap => &mut self.total.secure_swaps,
+            Operation::Add => &mut self.total.secure_adds,
+        };
+        *count += n;
+        self.total.secure_ands += n.saturating_mul(kernel.ands());
     }
 
-    /// Record `n` oblivious swaps of records that are `width` words wide.
-    pub fn swaps(&mut self, n: u64, width: u64) {
-        self.total.secure_swaps += n * width;
-    }
-
-    /// Record `n` secure AND gates.
+    /// Record `n` secure AND gates of control logic outside any [`Kernel`].
     pub fn ands(&mut self, n: u64) {
         self.total.secure_ands += n;
-    }
-
-    /// Record `n` secure additions.
-    pub fn adds(&mut self, n: u64) {
-        self.total.secure_adds += n;
     }
 
     /// Record communicated bytes.
@@ -396,11 +390,11 @@ mod tests {
     fn cost_model_monotone_in_work() {
         let model = CostModel::default();
         let small = CostReport {
-            secure_compares: 10,
+            secure_ands: 10,
             ..CostReport::default()
         };
         let large = CostReport {
-            secure_compares: 10_000,
+            secure_ands: 10_000,
             ..CostReport::default()
         };
         assert!(model.simulate(&large) > model.simulate(&small));
@@ -425,6 +419,8 @@ mod tests {
         assert!(
             (model.op_secs(&gates_only) - model.simulate(&gates_only).as_secs_f64()).abs() < 1e-12
         );
+        // Only the ANDs are priced: the operation counts carry no price of their own.
+        assert!((model.op_secs(&gates_only) - 40.0 * model.secs_per_and).abs() < 1e-15);
         // Network terms do not move op_secs.
         assert!((model.op_secs(&with_network) - model.op_secs(&gates_only)).abs() < 1e-15);
         assert!(model.simulate(&with_network) > model.simulate(&gates_only));
@@ -445,10 +441,10 @@ mod tests {
     #[test]
     fn meter_accumulates_and_takes() {
         let mut meter = CostMeter::new();
-        meter.compares(5);
-        meter.swaps(2, 4);
+        meter.kernels(5, Kernel::Lt(11));
+        meter.kernels(2, Kernel::Swap(4));
         meter.ands(3);
-        meter.adds(7);
+        meter.kernels(7, Kernel::Add(32));
         meter.bytes(64);
         meter.record(CostReport {
             bytes_communicated: 36,
@@ -456,9 +452,14 @@ mod tests {
         });
         let report = meter.report();
         assert_eq!(report.secure_compares, 5);
-        assert_eq!(report.secure_swaps, 8);
-        assert_eq!(report.secure_ands, 3);
+        assert_eq!(report.secure_swaps, 2);
         assert_eq!(report.secure_adds, 7);
+        // Each kernel's ANDs are its generated circuit's, counted afresh here.
+        let ands = 5 * Kernel::Lt(11).circuit().and_count()
+            + 2 * Kernel::Swap(4).circuit().and_count()
+            + 3
+            + 7 * Kernel::Add(32).circuit().and_count();
+        assert_eq!(report.secure_ands, ands);
         assert_eq!(report.bytes_communicated, 100);
         assert_eq!(
             report.rounds, 0,
@@ -472,8 +473,31 @@ mod tests {
         meter.ands(3);
         meter.release();
         meter.release();
-        meter.compares(0);
+        meter.kernels(0, Kernel::Eq(8));
         assert_eq!(meter.take().rounds, 1);
         assert!(meter.take().is_empty());
+    }
+
+    #[test]
+    fn each_kernel_counts_as_its_operation() {
+        let kinds = [
+            (Kernel::Lt(3), [1, 0, 0]),
+            (Kernel::Eq(3), [1, 0, 0]),
+            (Kernel::Theta(3), [1, 0, 0]),
+            (Kernel::Swap(3), [0, 1, 0]),
+            (Kernel::CompareExchange(3), [0, 1, 0]),
+            (Kernel::Add(3), [0, 0, 1]),
+        ];
+        for (kernel, [compares, swaps, adds]) in kinds {
+            let mut meter = CostMeter::new();
+            meter.kernels(1, kernel);
+            let r = meter.report();
+            assert_eq!(
+                [r.secure_compares, r.secure_swaps, r.secure_adds],
+                [compares, swaps, adds],
+                "{kernel:?}"
+            );
+            assert_eq!(r.secure_ands, kernel.circuit().and_count(), "{kernel:?}");
+        }
     }
 }

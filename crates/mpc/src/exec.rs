@@ -283,6 +283,7 @@ pub(crate) fn round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::{Kernel, WORD_BITS};
     use crate::{CostModel, PartyContext};
 
     /// Drive the identical protocol sequence through every mode and assert
@@ -298,8 +299,8 @@ mod tests {
             streams.push(ctx.stream(Domain::DeltaShares));
             words.push(ctx.joint_randomness().word);
             ctx.reshare_and_store("counter", 100 + step);
-            ctx.meter().compares(17);
-            ctx.meter().swaps(3, 2);
+            ctx.meter().kernels(17, Kernel::Lt(WORD_BITS));
+            ctx.meter().kernels(3, Kernel::Swap(2 * WORD_BITS));
             recovered.push(ctx.recover_named("counter"));
             recovered.push(ctx.recover_named("absent"));
             let (report, _) = ctx.charge();

@@ -7,11 +7,12 @@
 //! * data really is XOR secret-shared between two [`party::Server`] structs, run by
 //!   the one [`PartyContext`] — inside it, or on two actor threads linked by mpsc
 //!   channels or a loopback socket ([`PartyMode`]),
-//! * every oblivious operation executes over the shares and is *metered* — the number
-//!   of secure comparisons, conditional swaps, secure ANDs and bytes exchanged is
+//! * every oblivious operation executes over the shares and is *metered* — the
+//!   kernels it evaluates, each priced by the AND gates of its generated
+//!   [`circuit`] at its operands' public bit widths, and the bytes exchanged are
 //!   recorded in a [`cost::CostReport`], and
-//! * a calibrated [`cost::CostModel`] converts those counts into simulated wall-clock
-//!   seconds so end-to-end experiments can report Transform/Shrink/query execution
+//! * a calibrated [`cost::CostModel`] converts the ANDs, bytes and rounds into
+//!   simulated wall-clock seconds so end-to-end experiments can report Transform/Shrink/query execution
 //!   times whose *relative* magnitudes mirror the paper's measurements.
 //!
 //! See `docs/ARCHITECTURE.md` § "Share flow" for why this substitution preserves the
@@ -21,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 mod channel;
+pub mod circuit;
 pub mod cost;
 pub mod exec;
 pub mod hash;
@@ -42,7 +44,7 @@ mod tests {
     fn crate_level_smoke() {
         let model = CostModel::default();
         let mut report = CostReport::default();
-        report.secure_compares += 10;
+        report.secure_ands += 10;
         assert!(model.simulate(&report).as_secs_f64() > 0.0);
     }
 }

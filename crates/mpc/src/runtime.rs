@@ -327,6 +327,7 @@ impl PartyExec for PartyContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::{Kernel, WORD_BITS};
     use proptest::prelude::*;
 
     fn in_process(seed: u64) -> PartyContext {
@@ -347,7 +348,7 @@ mod tests {
     #[test]
     fn charge_drains_meter_and_advances_clock() {
         let mut ctx = in_process(1);
-        ctx.meter().compares(1000);
+        ctx.meter().kernels(1000, Kernel::Lt(WORD_BITS));
         let (report, d1) = ctx.charge();
         assert_eq!(report.secure_compares, 1000);
         assert!(d1.as_secs_f64() > 0.0);

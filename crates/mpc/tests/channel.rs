@@ -7,6 +7,7 @@
 //! reconciles real socket bytes against the metered ones). Re-shares and
 //! recoveries inserted anywhere into the script move no other draw.
 
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostReport, SimDuration};
 use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
@@ -39,8 +40,10 @@ fn run(mode: PartyMode, seed: u64, script: &[(u8, u32)]) -> Outcome {
                 None => (0, 0),
             }),
             3 => {
-                ctx.meter().compares(u64::from(value % 97));
-                ctx.meter().swaps(u64::from(value % 13), 2);
+                ctx.meter()
+                    .kernels(u64::from(value % 97), Kernel::Lt(WORD_BITS));
+                let swap = Kernel::Swap(2 * WORD_BITS);
+                ctx.meter().kernels(u64::from(value % 13), swap);
             }
             4 => trace.push((2, ctx.stream(Domain::DeltaShares).gen())),
             5 => {

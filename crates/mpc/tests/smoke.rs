@@ -1,6 +1,7 @@
 //! Crate-boundary smoke test: joint randomness, named draws and cost metering
 //! through the public 2PC-context API.
 
+use incshrink_mpc::circuit::Kernel;
 use incshrink_mpc::{CostModel, PartyContext, PartyExec, PartyMode};
 
 #[test]
@@ -45,4 +46,18 @@ fn every_coordinate_of_a_draw_name_moves_its_words() {
     }
     assert_eq!(name.rng(7).gen::<u64>(), name.rng(7).gen::<u64>());
     assert_ne!(name.rng(7).gen::<u64>(), name.rng(8).gen::<u64>());
+}
+
+/// A kernel's AND depth is its longest chain of ANDs: a w-bit comparison's borrow
+/// chain, an equality's balanced tree, one level for a swap.
+#[test]
+fn kernel_depths_are_those_of_the_chains_and_trees() {
+    let depth = |kernel: Kernel| kernel.circuit().and_depth();
+    assert_eq!(depth(Kernel::Lt(11)), 11);
+    assert_eq!(depth(Kernel::Eq(14)), 4);
+    assert_eq!(depth(Kernel::Eq(1)), 0);
+    assert_eq!(depth(Kernel::Swap(32)), 1);
+    assert_eq!(depth(Kernel::CompareExchange(3)), 2);
+    // The subtraction's borrow and the window compare run side by side.
+    assert_eq!(depth(Kernel::Theta(11)), 12);
 }

@@ -28,6 +28,7 @@
 //! transpose once and run the same body with their [`Predicate`]'s conjuncts.
 
 use crate::filter::{for_each_selection_block, FilterExpr, Predicate};
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
@@ -37,19 +38,38 @@ fn scan_input_bytes(columns: &SharedColumnsPair) -> u64 {
     (columns.len() * (columns.arity() + 1) * 4) as u64
 }
 
+/// The public width of `column` given the columns' `widths`: a column past their
+/// end (an array that carries no schema passes none) is a full share word.
+fn column_bits(widths: &[u32], column: usize) -> u32 {
+    widths.get(column).copied().unwrap_or(WORD_BITS)
+}
+
+/// The width the scan's predicate slot is priced at: one comparison at the widest
+/// column's width, whichever column a filter names, so the price depends on
+/// neither the filter nor its selectivity.
+fn slot_bits(columns: &SharedColumnsPair, widths: &[u32]) -> u32 {
+    let arity = columns.arity();
+    (0..arity)
+        .map(|c| column_bits(widths, c))
+        .max()
+        .unwrap_or(WORD_BITS)
+}
+
 /// Count the rows of `columns` that `isView ∧ conjuncts` selects — the lane body
-/// of [`oblivious_count`]. Charges one secure comparison, one AND and one addition
-/// per row, the scanned shares as input traffic and 8 bytes for the revealed
-/// count — whatever the selection keeps.
+/// of [`oblivious_count`]. `widths` are the columns' public bit widths. Charges per
+/// row one [`Kernel::Lt`] at the predicate slot's width (the widest column), one
+/// AND and one 32-bit addition, the scanned shares as input traffic and 8 bytes for
+/// the revealed count — whatever the selection keeps.
 pub fn count_selected(
     columns: &SharedColumnsPair,
     conjuncts: &[FilterExpr],
+    widths: &[u32],
     meter: &mut CostMeter,
 ) -> u64 {
     let n = columns.len() as u64;
-    meter.compares(n);
+    meter.kernels(n, Kernel::Lt(slot_bits(columns, widths)));
     meter.ands(n);
-    meter.adds(n);
+    meter.kernels(n, Kernel::Add(WORD_BITS));
     meter.bytes(scan_input_bytes(columns) + 8);
     let mut count = 0;
     for_each_selection_block(columns, conjuncts, |_, mask| {
@@ -61,17 +81,19 @@ pub fn count_selected(
 /// Sum `field` over the rows of `columns` that `isView ∧ conjuncts` selects, with
 /// saturating 64-bit arithmetic (the paper's aggregates are counts; sums complete
 /// the analyst query layer's operator set). A column the array does not have sums
-/// to 0; the charge is the same either way.
+/// to 0; the charge is the same either way: that of [`count_selected`] with two
+/// 32-bit additions a row.
 pub fn sum_selected(
     columns: &SharedColumnsPair,
     field: usize,
     conjuncts: &[FilterExpr],
+    widths: &[u32],
     meter: &mut CostMeter,
 ) -> u64 {
     let n = columns.len() as u64;
-    meter.compares(n);
+    meter.kernels(n, Kernel::Lt(slot_bits(columns, widths)));
     meter.ands(n);
-    meter.adds(2 * n);
+    meter.kernels(2 * n, Kernel::Add(WORD_BITS));
     meter.bytes(scan_input_bytes(columns) + 8);
     let Some((s0, s1)) = columns.field_shares(field) else {
         return 0;
@@ -95,6 +117,7 @@ pub fn group_count_selected(
     group_field: usize,
     domain: &[u32],
     conjuncts: &[FilterExpr],
+    widths: &[u32],
     meter: &mut CostMeter,
 ) -> Vec<u64> {
     let n = columns.len() as u64;
@@ -102,9 +125,9 @@ pub fn group_count_selected(
     if d == 0 {
         return Vec::new();
     }
-    meter.compares(n * d);
+    meter.kernels(n * d, Kernel::Eq(column_bits(widths, group_field)));
     meter.ands(n * d);
-    meter.adds(n * d);
+    meter.kernels(n * d, Kernel::Add(WORD_BITS));
     meter.bytes(scan_input_bytes(columns) + 8 * d);
     let mut counts = vec![0; domain.len()];
     let Some((s0, s1)) = columns.field_shares(group_field) else {
@@ -122,15 +145,15 @@ pub fn group_count_selected(
 
 /// Obliviously count the real (`isView = 1`) entries of `array` that satisfy
 /// `predicate` (pass [`Predicate::all`] for an unfiltered count).
-/// Charges one secure comparison, one AND and one addition per entry, the scanned
-/// shares as input traffic and 8 bytes for the revealed count.
+/// Charges [`count_selected`]'s price with full-word columns: the array carries no
+/// schema.
 pub fn oblivious_count(
     array: &SharedArrayPair,
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
 ) -> u64 {
     let columns = SharedColumnsPair::from_pair(array);
-    count_selected(&columns, &predicate.conjuncts, meter)
+    count_selected(&columns, &predicate.conjuncts, &[], meter)
 }
 
 /// Obliviously count the real entries that satisfy `predicate`, grouped over a
@@ -146,9 +169,10 @@ pub fn oblivious_count(
 /// is revealed.
 ///
 /// # Cost
-/// Per entry and domain slot one equality comparison, one AND (the predicate mask
-/// folds into the per-slot mux) and one addition into the slot's counter; plus the
-/// scanned shares as input traffic and 8 bytes per revealed counter.
+/// Per entry and domain slot one full-word equality comparison (the array carries
+/// no schema), one AND (the predicate mask folds into the per-slot mux) and one
+/// addition into the slot's counter; plus the scanned shares as input traffic and
+/// 8 bytes per revealed counter.
 pub fn oblivious_group_count_over_domain(
     array: &SharedArrayPair,
     group_field: usize,
@@ -157,7 +181,14 @@ pub fn oblivious_group_count_over_domain(
     meter: &mut CostMeter,
 ) -> Vec<u64> {
     let columns = SharedColumnsPair::from_pair(array);
-    group_count_selected(&columns, group_field, domain, &predicate.conjuncts, meter)
+    group_count_selected(
+        &columns,
+        group_field,
+        domain,
+        &predicate.conjuncts,
+        &[],
+        meter,
+    )
 }
 
 #[cfg(test)]
@@ -190,6 +221,7 @@ mod tests {
             &SharedColumnsPair::from_pair(array),
             field,
             &predicate.conjuncts,
+            &[],
             meter,
         )
     }
@@ -318,6 +350,42 @@ mod tests {
         let mut m2 = CostMeter::new();
         let _ = oblivious_count(&array_with(&[], 4), &all, &mut m2);
         assert_eq!(m1.report(), m2.report());
+    }
+
+    /// The circuit twin of the scans' price: at a column of 5 and one of 9 bits,
+    /// each row's predicate slot is an LT at the widest column's width, a group
+    /// slot an EQ at the grouped column's, every addition 32 bits wide — each
+    /// its generated circuit's ANDs, counted afresh — and an array without widths
+    /// is full words.
+    #[test]
+    fn scans_charge_their_kernels_at_the_column_widths() {
+        let columns = SharedColumnsPair::from_pair(&array_with(&[(1, 5), (2, 15), (3, 25)], 4));
+        let (n, d, widths) = (7u64, 3u64, [5u32, 9]);
+        let ands = |kernel: Kernel| kernel.circuit().and_count();
+        let add = ands(Kernel::Add(WORD_BITS));
+        let charge = |scan: &dyn Fn(&mut CostMeter)| {
+            let mut meter = CostMeter::new();
+            scan(&mut meter);
+            let r = meter.report();
+            (r.secure_compares, r.secure_ands, r.secure_adds)
+        };
+        let count = charge(&|m| {
+            let _ = count_selected(&columns, &[], &widths, m);
+        });
+        assert_eq!(count, (n, n * (ands(Kernel::Lt(9)) + 1 + add), n));
+        let sum = charge(&|m| {
+            let _ = sum_selected(&columns, 1, &[], &widths, m);
+        });
+        assert_eq!(sum, (n, n * (ands(Kernel::Lt(9)) + 1 + 2 * add), 2 * n));
+        let group = charge(&|m| {
+            let _ = group_count_selected(&columns, 0, &[1, 2, 3], &[], &widths, m);
+        });
+        let slot = ands(Kernel::Eq(5)) + 1 + add;
+        assert_eq!(group, (n * d, n * d * slot, n * d));
+        let words = charge(&|m| {
+            let _ = count_selected(&columns, &[], &[], m);
+        });
+        assert_eq!(words.1, n * (ands(Kernel::Lt(WORD_BITS)) + 1 + add));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! runs ([`crate::sort::Network::merge`]), runs on the host as one pass,
 //! [`partition_by_is_view`], while the caller charges the network it stands for.
 
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 
@@ -72,15 +73,16 @@ impl Compaction {
         self.blocks().map(block).sum()
     }
 
-    /// Charge the compaction over rows of `payload_words` words besides the flag as
-    /// the Boolean circuit it is: per swap one AND for the flag and the payload's
-    /// swap, plus the control's ANDs (none without a swap). Its gates join the
-    /// step's open circuit, whose round the meter charges where it closes. Two wires
-    /// cost one [`crate::sort::Network::charge_flag_keyed`] comparator. Returns the swaps.
-    pub fn charge(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
+    /// Charge the compaction over rows of `payload_bits` besides the flag as the
+    /// Boolean circuit it is: per conditional swap one [`Kernel::Swap`] of the flag
+    /// and the payload, plus the control's ANDs (none without a swap). Its gates
+    /// join the step's open circuit, whose round the meter charges where it closes.
+    /// Two wires cost one [`crate::sort::Network::charge_flag_keyed`] comparator.
+    /// Returns the swaps.
+    pub fn charge(&self, payload_bits: u32, meter: &mut CostMeter) -> u64 {
         let swaps = self.swaps();
-        meter.ands(swaps + self.control_ands());
-        meter.swaps(swaps, payload_words);
+        meter.ands(self.control_ands());
+        meter.kernels(swaps, Kernel::Swap(1 + payload_bits));
         swaps
     }
 
@@ -169,24 +171,26 @@ pub fn partition_by_is_view(array: &mut SharedArrayPair) {
     }
 }
 
-/// Bring `array` into real-first order, charged as [`Compaction`] over `words`
-/// swapped words a row (fewer than the arity where a column is copied after it).
-pub fn compact_by_is_view(array: &mut SharedArrayPair, words: usize, meter: &mut CostMeter) {
-    Compaction::new(array.len()).charge(words as u64, meter);
+/// Bring `array` into real-first order, charged as [`Compaction`] over
+/// `payload_bits` swapped a row besides the flag (fewer than the row's where a
+/// column is copied after it).
+pub fn compact_by_is_view(array: &mut SharedArrayPair, payload_bits: u32, meter: &mut CostMeter) {
+    Compaction::new(array.len()).charge(payload_bits, meter);
     partition_by_is_view(array);
 }
 
 /// The secure cache read of Figure 3: compact all of `cache`, cut off and return its
 /// first `read_size` entries (all of them, if fewer); the rest stays, real-first.
 /// The servers see `read_size` (DP-noised) and the cache length `n`. Cost: the
-/// compaction of the record's columns, `O(n log n)`, then the record transfer.
+/// compaction of the record's columns, full words (the array carries no schema),
+/// `O(n log n)`, then the record transfer.
 pub fn cache_read(
     cache: &mut SharedArrayPair,
     read_size: usize,
     meter: &mut CostMeter,
 ) -> SharedArrayPair {
     let arity = cache.arity().unwrap_or(0);
-    compact_by_is_view(cache, arity, meter);
+    compact_by_is_view(cache, WORD_BITS * arity as u32, meter);
     meter.bytes(read_size.min(cache.len()) as u64 * (arity as u64 + 1) * 4);
     cache.split_front(read_size)
 }
@@ -284,20 +288,20 @@ mod tests {
     fn compact_moves_real_tuples_to_front() {
         let mut cache = mixed_cache(4, 6);
         let before = cache.recover_all();
-        compact_by_is_view(&mut cache, 2, &mut CostMeter::new());
+        compact_by_is_view(&mut cache, 2 * WORD_BITS, &mut CostMeter::new());
         let after = cache.recover_all();
         let reals: Vec<_> = before.iter().filter(|r| r.is_view).collect();
         assert!(after[..4].iter().eq(reals), "reals first, in input order");
         assert!(after[4..].iter().all(|r| !r.is_view));
     }
 
-    /// AND-equivalents of a report: 32 per swapped word, one per AND.
-    fn and_equivalents(charge: impl FnOnce(&mut CostMeter) -> u64) -> u64 {
+    /// The ANDs a charge records: no compare, no round.
+    fn ands(charge: impl FnOnce(&mut CostMeter) -> u64) -> u64 {
         let mut meter = CostMeter::new();
         charge(&mut meter);
         let report = meter.report();
         assert_eq!((report.secure_compares, report.rounds), (0, 0));
-        report.secure_ands + 32 * report.secure_swaps
+        report.secure_ands
     }
 
     #[test]
@@ -310,12 +314,12 @@ mod tests {
         for n in (0..=4096).chain(sampled) {
             let (compaction, sort) = (Compaction::new(n), Network::sort(n));
             assert!(compaction.swaps() <= sort.count(), "n={n}");
-            for words in 0..=8 {
-                let compact = and_equivalents(|meter| compaction.charge(words, meter));
-                let batcher = and_equivalents(|meter| sort.charge_flag_keyed(words, meter));
+            for bits in [0, 1, 11, 25, 64, 256] {
+                let compact = ands(|meter| compaction.charge(bits, meter));
+                let batcher = ands(|meter| sort.charge_flag_keyed(bits, meter));
                 assert!(
                     compact <= batcher,
-                    "n={n}, words={words}: {compact} > {batcher}"
+                    "n={n}, bits={bits}: {compact} > {batcher}"
                 );
             }
         }

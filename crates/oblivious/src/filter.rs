@@ -20,6 +20,7 @@
 //! filter re-shares its output drawing masks in exactly the order the record-major
 //! implementation did, so trajectories are bit-identical.
 
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, lt_word, SharedColumnsPair};
@@ -179,9 +180,10 @@ impl<'a> Predicate<'a> {
 /// order; records failing `predicate` (and records that were already dummies) have
 /// `isView = 0` in the output (Appendix A.1.1).
 ///
-/// Cost: one secure comparison and one AND per record, plus re-sharing the rewritten
-/// array. Leakage: none beyond the public length — selectivity stays hidden because
-/// every record is emitted and only the hidden flag changes.
+/// Cost: one full-word secure comparison (the array carries no schema) and one AND
+/// per record, plus re-sharing the rewritten array. Leakage: none beyond the public
+/// length — selectivity stays hidden because every record is emitted and only the
+/// hidden flag changes.
 pub fn oblivious_filter<R: Rng + ?Sized>(
     input: &SharedArrayPair,
     predicate: &Predicate<'_>,
@@ -192,7 +194,7 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
         Some(a) => SharedArrayPair::with_arity(a),
         None => SharedArrayPair::new(),
     };
-    meter.compares(input.len() as u64);
+    meter.kernels(input.len() as u64, Kernel::Lt(WORD_BITS));
     meter.ands(input.len() as u64);
     meter.bytes((input.len() * (input.arity().unwrap_or(0) + 1) * 4) as u64);
 
@@ -246,7 +248,7 @@ mod tests {
             Some(a) => SharedArrayPair::with_arity(a),
             None => SharedArrayPair::new(),
         };
-        meter.compares(input.len() as u64);
+        meter.kernels(input.len() as u64, Kernel::Lt(WORD_BITS));
         meter.ands(input.len() as u64);
         meter.bytes((input.len() * (input.arity().unwrap_or(0) + 1) * 4) as u64);
         for entry in input.entries() {
@@ -440,12 +442,12 @@ mod tests {
             let (mut operator, mut body) = (CostMeter::new(), CostMeter::new());
             prop_assert_eq!(
                 oblivious_count(&input, &predicate, &mut operator),
-                count_selected(&columns, &conjuncts, &mut body)
+                count_selected(&columns, &conjuncts, &[], &mut body)
             );
             let domain = [0u32, 1, 3, 5, 7, 11];
             prop_assert_eq!(
                 oblivious_group_count_over_domain(&input, group_field, &domain, &predicate, &mut operator),
-                group_count_selected(&columns, group_field, &domain, &conjuncts, &mut body)
+                group_count_selected(&columns, group_field, &domain, &conjuncts, &[], &mut body)
             );
             prop_assert_eq!(operator.report(), body.report());
 

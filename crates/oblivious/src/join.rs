@@ -26,9 +26,11 @@
 //! paper's full Batcher sort (`|outer| · batcher_pair_count(|inner|)` for
 //! Algorithm 4), for fewer comparators and swaps. Algorithm 4's network is also
 //! keyed by the match flag alone, so each comparator is one AND rather than a
-//! 32-bit comparison, and it swaps only the inner tuple's columns less the join
+//! word comparison, and it swaps only the inner tuple's columns less the join
 //! key, the outer tuple and the key being the same in every matching slot of a
-//! buffer (see [`nested_loop_join_cost`]).
+//! buffer (see [`nested_loop_join_cost`]). Every kernel is priced at the public
+//! bit widths the caller passes ([`JoinWidths`]): the key EQ, the θ-condition
+//! where a secret time enters it, the selection's payload.
 //!
 //! All operators are oblivious: their operation counts and output sizes depend only
 //! on the input lengths and the truncation bound, never on the data. The
@@ -53,6 +55,7 @@
 //! ```
 
 use crate::sort::{batcher_pair_count, Network};
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostReport};
 use incshrink_mpc::hash::FxHashMap;
 use incshrink_secretshare::arrays::SharedArrayPair;
@@ -132,6 +135,33 @@ impl<'a> JoinSpec<'a> {
 
 fn join_output_arity(left: &SharedArrayPair, right: &SharedArrayPair) -> usize {
     left.arity().unwrap_or(0) + right.arity().unwrap_or(0)
+}
+
+/// The public bit widths a truncated join is priced at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JoinWidths {
+    /// The join key's width: one [`Kernel::Eq`] at it per pair.
+    pub key: u32,
+    /// The time width of the θ-condition where a secret time enters it, one
+    /// [`Kernel::Theta`] per pair; `None` when no secret time does (an equi-join,
+    /// or a condition the caller has already applied to public rows).
+    pub theta: Option<u32>,
+    /// Bits a slot of the selection network swaps: the inner tuple less its join
+    /// key.
+    pub selection: u32,
+}
+
+impl JoinWidths {
+    /// A join over arrays that carry no schema: full-word keys and columns. The
+    /// spec's condition, an opaque closure, is not priced.
+    #[must_use]
+    pub fn words(inner_arity: usize) -> Self {
+        Self {
+            key: WORD_BITS,
+            theta: None,
+            selection: WORD_BITS * inner_arity.saturating_sub(1) as u32,
+        }
+    }
 }
 
 /// The plaintext functionality every truncated join operator in this module
@@ -358,27 +388,29 @@ pub fn truncated_match_rows<'o, 'i, C: Iterator<Item = usize>>(
 
 /// Oblivious-operation counts of one [`truncated_nested_loop_join`] invocation over
 /// `outer_len × inner_len` inputs of `outer_arity` and `inner_arity` columns with
-/// truncation bound `bound` — exactly what the physical operator meters.
+/// truncation bound `bound`, at the public `widths` — exactly what the physical
+/// operator meters.
 ///
-/// Cost shape: `|outer|·|inner|` secure compares (the key matrix) and
-/// `2·|outer|·|inner|` AND gates for the match/budget checks; per outer tuple, the
-/// top-`bound` selection network over its buffer of `|inner|` slots
+/// Cost shape: per pair of the `|outer|·|inner|` matrix one key [`Kernel::Eq`] at
+/// the key's width, one [`Kernel::Theta`] at the time width where a secret time
+/// enters the θ-condition, and 2 AND gates for the match/budget checks; per outer
+/// tuple, the top-`bound` selection network over its buffer of `|inner|` slots
 /// ([`Network::select`]`(|inner|, bound)` — Algorithm 4 sorts the buffer and keeps
 /// its first `bound` slots, and the network leaves exactly those); and the
 /// `b·|outer|` output write of `outer_arity + inner_arity + 1` words a slot. Two
 /// **declared kernel substitutions** price the network. It is keyed by the match
-/// flag alone, so it is the one-bit circuit of [`Network::charge_flag_keyed`]: one
-/// AND per comparator (`|outer| · select` ANDs, no compare), the flag itself never
-/// swapped. Its swaps carry `inner_arity − 1` words, the inner tuple less its join
-/// key, the only columns besides the flag that differ across one buffer. The outer
-/// tuple's shares are the same in every slot, so they are copied into the kept
-/// slots after the network, a local operation with no gate, in place of Algorithm
-/// 4's sort of whole output rows, which keeps the same slots on the same wires. So
-/// is the inner key: every [`JoinSpec`] is an equi-join, so a kept real slot's
-/// inner key equals the outer key, and a dummy slot's payload is don't-care, as
-/// for the outer columns. The join is part of the step's one garbled circuit, so
-/// it charges no round of its own: the meter charges one where the circuit closes.
-/// Depends only on public sizes, never on data. A public inner relation is priced by
+/// flag alone, so each comparator is one [`Kernel::CompareExchange`]
+/// ([`Network::charge_flag_keyed`]), the flag itself never swapped. Its swaps carry
+/// `widths.selection` bits, the inner tuple less its join key, the only columns
+/// besides the flag that differ across one buffer. The outer tuple's shares are the
+/// same in every slot, so they are copied into the kept slots after the network, a
+/// local operation with no gate, in place of Algorithm 4's sort of whole output
+/// rows, which keeps the same slots on the same wires. So is the inner key: every
+/// [`JoinSpec`] is an equi-join, so a kept real slot's inner key equals the outer
+/// key, and a dummy slot's payload is don't-care, as for the outer columns. The
+/// join is part of the step's one garbled circuit, so it charges no round of its
+/// own: the meter charges one where the circuit closes. Depends only on public
+/// sizes and widths, never on data. A public inner relation is priced by
 /// [`public_inner_join_cost`] instead.
 #[must_use]
 pub fn nested_loop_join_cost(
@@ -387,21 +419,27 @@ pub fn nested_loop_join_cost(
     bound: usize,
     outer_arity: usize,
     inner_arity: usize,
+    widths: JoinWidths,
 ) -> CostReport {
-    let mut buffer = CostMeter::new();
-    let words = inner_arity.saturating_sub(1) as u64;
-    Network::select(inner_len, bound).charge_flag_keyed(words, &mut buffer);
-    let select = buffer.report();
-    let out_arity = outer_arity + inner_arity;
-    loop_join_cost(outer_len, inner_len, bound, out_arity, select)
+    let mut meter = loop_join_meter(
+        outer_len,
+        inner_len,
+        bound,
+        outer_arity + inner_arity,
+        widths,
+    );
+    let select = Network::select(inner_len, bound).count();
+    let comparators = (outer_len as u64).saturating_mul(select);
+    meter.kernels(comparators, Kernel::CompareExchange(widths.selection));
+    meter.report()
 }
 
 /// Algorithm 4's price against a **public** inner relation (CPDB's Award rows):
-/// `|outer|·|inner|` compares, `(2 + bound)·|outer|·|inner|` ANDs, no swap, and
-/// the output write of [`nested_loop_join_cost`].
+/// the key matrix and match/budget ANDs of [`nested_loop_join_cost`], `bound` ANDs
+/// a pair for the selection, no swap, and the same output write.
 ///
 /// Per outer tuple the circuit walks the inner rows `j` in relation order. The
-/// match bit `m_j` costs the compare and the two match/budget ANDs of the secret
+/// match bit `m_j` costs the key EQ and the two match/budget ANDs of the secret
 /// path: a public row has no lifetime budget, but one invocation spends at most
 /// `bound` of it, as [`truncated_match_rows`] does of every inner row. A one-hot
 /// count `h ∈ {0,1}^{bound+1}` (`h_0 = 1`) of the filled slots gives
@@ -409,8 +447,9 @@ pub fn nested_loop_join_cost(
 /// XOR only. Slot `s` gets `⊕_j sel_{s,j}·P_j` and the flag `⊕_j sel_{s,j}`: a
 /// secret bit times a public word is local, so no payload moves through a
 /// network. Slot `s` holds the `(s+1)`-th match, real first — the slots the
-/// selection network keeps. A secret `P_j` would make each term `inner_arity·32`
-/// ANDs, so a secret inner relation keeps the network.
+/// selection network keeps. A secret `P_j` would make each term a swap of its
+/// bits, so a secret inner relation keeps the network. `widths.selection` prices
+/// nothing here.
 #[must_use]
 pub fn public_inner_join_cost(
     outer_len: usize,
@@ -418,38 +457,40 @@ pub fn public_inner_join_cost(
     bound: usize,
     outer_arity: usize,
     inner_arity: usize,
+    widths: JoinWidths,
 ) -> CostReport {
-    let selection = CostReport {
-        secure_ands: (inner_len as u64).saturating_mul(bound as u64),
-        ..CostReport::default()
-    };
-    let out_arity = outer_arity + inner_arity;
-    loop_join_cost(outer_len, inner_len, bound, out_arity, selection)
+    let mut meter = loop_join_meter(
+        outer_len,
+        inner_len,
+        bound,
+        outer_arity + inner_arity,
+        widths,
+    );
+    let pairs = (outer_len as u64).saturating_mul(inner_len as u64);
+    meter.ands(pairs.saturating_mul(bound as u64));
+    meter.report()
 }
 
-/// The nested loop around one per-outer `selection`: the key matrix, two ANDs a
-/// pair, `|outer|` selections and the `b·|outer|` output write.
-fn loop_join_cost(
+/// The nested loop around the per-outer selections: per pair the key EQ, the
+/// θ-condition where priced and two ANDs, and the `b·|outer|` output write.
+fn loop_join_meter(
     outer_len: usize,
     inner_len: usize,
     bound: usize,
     out_arity: usize,
-    selection: CostReport,
-) -> CostReport {
+    widths: JoinWidths,
+) -> CostMeter {
     let o = outer_len as u64;
     let pairs = o.saturating_mul(inner_len as u64);
-    CostReport {
-        secure_compares: pairs,
-        secure_ands: pairs
-            .saturating_mul(2)
-            .saturating_add(o.saturating_mul(selection.secure_ands)),
-        secure_swaps: o.saturating_mul(selection.secure_swaps),
-        bytes_communicated: o
-            .saturating_mul(bound as u64)
-            .saturating_mul(out_arity as u64 + 1)
-            .saturating_mul(4),
-        ..CostReport::default()
+    let mut meter = CostMeter::new();
+    meter.kernels(pairs, Kernel::Eq(widths.key));
+    if let Some(time) = widths.theta {
+        meter.kernels(pairs, Kernel::Theta(time));
     }
+    meter.ands(pairs.saturating_mul(2));
+    let slots = o.saturating_mul(bound as u64);
+    meter.bytes(slots.saturating_mul(out_arity as u64 + 1).saturating_mul(4));
+    meter
 }
 
 /// Oblivious-operation counts of one [`truncated_sort_merge_delta_join`] invocation —
@@ -464,13 +505,13 @@ fn loop_join_cost(
 /// ([`crate::sort::bitonic_merge_pair_count`]`(n)` compares + record-wide swaps;
 /// the valley reversal of the delta run relabels wires, see [`Network::merge`]),
 /// scan the merged relation emitting `bound`
-/// slots per position (`n·bound` compares and ANDs), obliviously compact the
+/// slots per position (`n·bound` key EQs and ANDs), obliviously compact the
 /// `bound·n` emission down to the *public* `bound·|outer|` prefix with the top-k
 /// selection network (`Network::select(bound·n, bound·|outer|)` compares +
 /// swaps — the compaction keeps the real slots first and the cut reads only the
 /// prefix, so the rest of the emission is never ordered), and write the output.
-/// Every term is work the operator does on the arrays it is handed. Depends only
-/// on public sizes, never on data.
+/// Every term is work the operator does on the arrays it is handed, at full-word
+/// widths: the arrays carry no schema. Depends only on public sizes, never on data.
 #[must_use]
 pub(crate) fn delta_sort_merge_join_cost(
     outer_len: usize,
@@ -482,24 +523,25 @@ pub(crate) fn delta_sort_merge_join_cost(
     let nm = outer_len + inner_len;
     let scan = (nm as u64).saturating_mul(bound as u64);
     let kept = outer_len.saturating_mul(bound);
-    let (merged_width, out_width) = (merged_arity as u64 + 1, out_arity as u64 + 1);
+    let (merged_width, out_width) = (merged_arity as u32 + 1, out_arity as u32 + 1);
     // Whole merged records: both run sorts and the bitonic merge; then the compaction.
     let merged = batcher_pair_count(outer_len)
         + batcher_pair_count(inner_len)
         + crate::sort::bitonic_merge_pair_count(nm);
     let compact = Network::select(nm.saturating_mul(bound), kept).count();
-    CostReport {
-        secure_compares: merged.saturating_add(scan).saturating_add(compact),
-        secure_swaps: merged
-            .saturating_mul(merged_width)
-            .saturating_add(compact.saturating_mul(out_width)),
-        secure_ands: scan,
-        bytes_communicated: (nm as u64)
+    let mut meter = CostMeter::new();
+    meter.kernels(merged + compact, Kernel::Lt(WORD_BITS));
+    meter.kernels(merged, Kernel::Swap(WORD_BITS * merged_width));
+    meter.kernels(compact, Kernel::Swap(WORD_BITS * out_width));
+    meter.kernels(scan, Kernel::Eq(WORD_BITS));
+    meter.ands(scan);
+    meter.bytes(
+        (nm as u64)
             .saturating_mul(merged_arity as u64)
-            .saturating_add((kept as u64).saturating_mul(out_width))
+            .saturating_add((kept as u64).saturating_mul(u64::from(out_width)))
             .saturating_mul(4),
-        ..CostReport::default()
-    }
+    );
+    meter.report()
 }
 
 /// Append one `bound`-slot output block — real join tuples first (truncated to
@@ -543,9 +585,11 @@ pub fn push_padded<R: Rng + ?Sized>(
 ///
 /// # Cost
 /// Exactly [`nested_loop_join_cost`]`(|outer|, |inner|, bound, outer arity, inner
-/// arity)`:
+/// arity, `[`JoinWidths::words`]`(inner arity))`: the arrays carry no schema, so
+/// their keys and columns are full words and the spec's condition is not priced.
 /// `O(|outer|·|inner|)` secure compares plus `|outer|` per-buffer top-`bound`
-/// selection networks of one AND per comparator (`|inner| − 1` at `bound = 1`).
+/// selection networks of one compare-exchange per comparator (`|inner| − 1` at
+/// `bound = 1`).
 pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     outer: &SharedArrayPair,
     inner: &SharedArrayPair,
@@ -565,7 +609,7 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
 
     // Cost accounting: |outer|·|inner| secure comparisons and budget checks, plus a
     // top-`bound` selection over each per-outer buffer of |inner| slots, plus the
-    // output write.
+    // output write, at full-word widths: the arrays carry no schema.
     let arities = [outer, inner].map(|side| side.arity().unwrap_or(0));
     let cost = nested_loop_join_cost(
         outer_plain.len(),
@@ -573,6 +617,7 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
         bound,
         arities[0],
         arities[1],
+        JoinWidths::words(arities[1]),
     );
     join_span.record_cost(cost.into());
     meter.record(cost);
@@ -769,16 +814,20 @@ mod tests {
             (14, 14),
             "output contract: b · |outer|"
         );
-        let nested_loop_cost = nested_loop_join_cost(7, 19, 2, 3, 2);
+        let nested_loop_cost = nested_loop_join_cost(7, 19, 2, 3, 2, JoinWidths::words(2));
         assert_eq!(nested_loop.report(), nested_loop_cost);
         let select = Network::select(19, 2).count();
         assert_eq!(nested_loop_cost.secure_compares, 7 * 19);
-        assert_eq!(nested_loop_cost.secure_ands, 2 * 7 * 19 + 7 * select);
-        assert_eq!(
-            nested_loop_cost.secure_swaps,
-            7 * select,
-            "the inner less its key"
+        let (eq, exchange) = (
+            Kernel::Eq(WORD_BITS).circuit().and_count(),
+            Kernel::CompareExchange(WORD_BITS).circuit().and_count(),
         );
+        assert_eq!(
+            nested_loop_cost.secure_ands,
+            (eq + 2) * 7 * 19 + 7 * select * exchange,
+            "the inner less its key: one word"
+        );
+        assert_eq!(nested_loop_cost.secure_swaps, 7 * select);
         assert_eq!(nested_loop_cost.bytes_communicated, 7 * 2 * 6 * 4);
         let sort_merge_cost = delta_sort_merge_join_cost(7, 19, 2, 5, 5);
         assert_eq!(sort_merge.report(), sort_merge_cost);
@@ -849,12 +898,52 @@ mod tests {
         }
     }
 
-    /// The public price: no swap, the key matrix's compares, `(2 + ω)` ANDs a pair
-    /// (the match/budget pair and the one-hot state's ω) and the secret path's
-    /// output write. The secret path's price is pinned at shapes recorded before the
-    /// public one existed, its swaps re-recorded when the selection stopped carrying
-    /// the inner join key (`inner_arity − 1` words a comparator), its round dropped
-    /// when rounds came to be charged per circuit instead of per kernel.
+    /// The circuit twin of the nested loop's price: at distinct key, time and
+    /// payload widths (1 and 32 among them), every AND the report charges is a
+    /// generated circuit's, counted afresh.
+    #[test]
+    fn join_prices_are_their_generated_circuits_at_the_column_widths() {
+        let (o, i, b) = (5, 23, 3);
+        let pairs = (o * i) as u64;
+        let comparators = o as u64 * Network::select(i, b).count();
+        for (key, time, selection) in [(1, 1, 0), (14, 11, 11), (32, 7, 23), (9, 32, 1)] {
+            let widths = JoinWidths {
+                key,
+                theta: Some(time),
+                selection,
+            };
+            let equi = JoinWidths {
+                theta: None,
+                ..widths
+            };
+            let eq = Kernel::Eq(key).circuit().and_count();
+            let theta = Kernel::Theta(time).circuit().and_count();
+            let exchange = Kernel::CompareExchange(selection).circuit().and_count();
+            let secret = nested_loop_join_cost(o, i, b, 2, 3, widths);
+            let ands = pairs * (eq + theta + 2) + comparators * exchange;
+            assert_eq!(secret.secure_ands, ands, "{widths:?}");
+            let counts = (secret.secure_compares, secret.secure_swaps);
+            assert_eq!(counts, (2 * pairs, comparators), "{widths:?}");
+            let unconditioned = nested_loop_join_cost(o, i, b, 2, 3, equi);
+            let ands = pairs * (eq + 2) + comparators * exchange;
+            assert_eq!(unconditioned.secure_ands, ands, "{widths:?}");
+            let public = public_inner_join_cost(o, i, b, 2, 3, equi);
+            assert_eq!(
+                public.secure_ands,
+                pairs * (eq + 2 + b as u64),
+                "{widths:?}"
+            );
+            assert_eq!(public.secure_swaps, 0);
+        }
+    }
+
+    /// The public price: no swap, the key matrix's compares, `(EQ + 2 + ω)` ANDs a
+    /// pair (the key, the match/budget pair and the one-hot state's ω) and the
+    /// secret path's output write. The secret path's price is pinned at shapes
+    /// recorded before the public one existed, its swaps re-recorded when the
+    /// selection stopped carrying the inner join key, its round dropped when rounds
+    /// came to be charged per circuit instead of per kernel, and its ANDs re-recorded
+    /// when kernels came to be priced as generated circuits (here at full words).
     #[test]
     fn public_inner_price_has_no_swap_and_the_secret_price_is_pinned() {
         let cost = |secure_compares, secure_swaps, secure_ands, bytes_communicated| CostReport {
@@ -865,18 +954,20 @@ mod tests {
             ..CostReport::default()
         };
         let shapes = [
-            ((80, 110, 10, 2, 2), cost(8_800, 49_360, 66_960, 16_000)),
-            ((28, 63, 1, 2, 2), cost(1_764, 1_736, 5_264, 560)),
-            ((7, 19, 2, 3, 2), cost(133, 245, 511, 336)),
-            ((13, 17, 10, 2, 3), cost(221, 1_976, 1_430, 3_120)),
+            ((80, 110, 10, 2, 2), cost(8_800, 49_360, 1_919_280, 16_000)),
+            ((28, 63, 1, 2, 2), cost(1_764, 1_736, 115_500, 560)),
+            ((7, 19, 2, 3, 2), cost(133, 245, 12_474, 336)),
+            ((13, 17, 10, 2, 3), cost(221, 988, 71_513, 3_120)),
             ((1, 0, 10, 2, 2), cost(0, 0, 0, 200)),
             ((0, 50, 3, 2, 2), cost(0, 0, 0, 0)),
         ];
         for ((o, i, b, oa, ia), secret) in shapes {
-            assert_eq!(nested_loop_join_cost(o, i, b, oa, ia), secret);
+            let widths = JoinWidths::words(ia);
+            assert_eq!(nested_loop_join_cost(o, i, b, oa, ia, widths), secret);
             let pairs = (o * i) as u64;
-            let public = cost(pairs, 0, (2 + b as u64) * pairs, secret.bytes_communicated);
-            assert_eq!(public_inner_join_cost(o, i, b, oa, ia), public);
+            let ands = (31 + 2 + b as u64) * pairs;
+            let public = cost(pairs, 0, ands, secret.bytes_communicated);
+            assert_eq!(public_inner_join_cost(o, i, b, oa, ia, widths), public);
         }
     }
 

@@ -24,9 +24,12 @@
 //!   fixed-size padded per-destination buckets by a hashed routing tag; the
 //!   building block of the cluster layer's cross-shard (non-co-partitioned) joins.
 //!
-//! Every operator takes a [`incshrink_mpc::cost::CostMeter`] and records the secure
-//! comparisons, oblivious swaps and AND gates it would cost inside a garbled-circuit
-//! 2PC execution.
+//! Every operator takes a [`incshrink_mpc::cost::CostMeter`] and records the
+//! kernels — compares, swaps, adds, each an [`incshrink_mpc::circuit::Kernel`] at its
+//! operands' public bit widths — and control AND gates it would cost inside a
+//! garbled-circuit 2PC execution. An operator over a bare array, which carries no
+//! schema, prices its columns as full share words; the protocols pass their
+//! columns' widths.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,10 +48,11 @@ pub use compact::{cache_read, compact_by_is_view, partition_by_is_view, Compacti
 pub use filter::{oblivious_filter, FilterExpr, Predicate};
 pub use join::{
     nested_loop_join_cost, public_inner_join_cost, push_padded, truncated_match_rows,
-    truncated_nested_loop_join, truncated_sort_merge_delta_join, JoinSpec, KeyIndex, RowRef,
+    truncated_nested_loop_join, truncated_sort_merge_delta_join, JoinSpec, JoinWidths, KeyIndex,
+    RowRef,
 };
 pub use shuffle::{
-    bucket_of, destination_of, shuffle_route, shuffle_route_mapped, VIRTUAL_BUCKETS,
+    bucket_of, destination_of, shuffle_route, shuffle_route_mapped, Destinations, VIRTUAL_BUCKETS,
 };
 pub use sort::{
     batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,

@@ -26,17 +26,19 @@
 //!
 //! Charged to the [`CostMeter`] like every other operator in this crate:
 //!
-//! * the permutation — a Batcher network over random tags:
-//!   [`crate::sort::batcher_pair_count`]`(n)` secure comparisons and record-wide
-//!   swaps;
+//! * the permutation — a Batcher network over random 32-bit tags:
+//!   [`crate::sort::batcher_pair_count`]`(n)` secure comparisons and swaps of the
+//!   record's bits (full words for a bare array, the schema's widths when the
+//!   caller passes them to [`shuffle_route_mapped`]);
 //! * the routing tags — a SplitMix-style mix of the key column plus a one-hot
-//!   destination demux: 4 secure adds and `S` AND gates per record;
+//!   destination demux: 4 secure 32-bit adds and `S` AND gates per record;
 //! * the scatter — the padded buckets' bytes shipped to the destination pairs
 //!   (shares are re-randomized in transit, which costs no gates).
 //!
 //! The three are one circuit, whose one round the meter charges where it closes.
 
-use crate::sort::Network;
+use crate::sort::{word_record_bits, Network};
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
@@ -131,15 +133,33 @@ pub fn shuffle_route<R: Rng + ?Sized>(
     meter: &mut CostMeter,
     rng: &mut R,
 ) -> ShuffleRouteOutcome {
-    route_inner(
+    let payload_bits = word_record_bits(batch);
+    let hashed = Destinations::Hashed(destinations);
+    shuffle_route_mapped(
         batch,
         tag_column,
-        destinations,
+        hashed,
         bucket_size,
+        payload_bits,
         meter,
         rng,
-        &mut |key| destination_of(key, destinations),
     )
+    .route
+}
+
+/// Where [`shuffle_route_mapped`] sends a real record with routing key `k`.
+#[derive(Debug, Clone, Copy)]
+pub enum Destinations<'a> {
+    /// To [`destination_of`]`(k, shards)` of this many shards: [`shuffle_route`]'s
+    /// routing.
+    Hashed(usize),
+    /// To `assignment[bucket_of(k)]`, one of `shards`.
+    Assigned {
+        /// The owner of each virtual bucket ([`VIRTUAL_BUCKETS`] entries).
+        assignment: &'a [usize],
+        /// Number of destinations.
+        shards: usize,
+    },
 }
 
 /// Result of one [`shuffle_route_mapped`] invocation: the routed buckets plus
@@ -154,72 +174,60 @@ pub struct MappedRouteOutcome {
     pub bucket_reals: Vec<u64>,
 }
 
-/// [`shuffle_route`] with destinations resolved through a virtual-bucket
-/// `assignment` table instead of a fixed modulus: a real record with key `k`
-/// lands on shard `assignment[bucket_of(k)]`. With the identity assignment
-/// (`bucket % S`, `S` dividing [`VIRTUAL_BUCKETS`]) this is bit-for-bit
-/// [`shuffle_route`]; after a migration the table differs and routing follows
-/// the new owners. Draw order from `rng` is identical in both variants.
+/// [`shuffle_route`] with its routing and its price spelled out: a real record
+/// with key `k` lands where `destinations` says — with
+/// [`Destinations::Assigned`], on shard `assignment[bucket_of(k)]` instead of a
+/// fixed modulus — and the permutation swaps `payload_bits` a record (its
+/// columns and its `isView` flag). With the identity assignment (`bucket % S`,
+/// `S` dividing [`VIRTUAL_BUCKETS`]) and full-word records this is bit-for-bit
+/// [`shuffle_route`]; after a migration the table differs and routing follows the
+/// new owners. Draw order from `rng` is identical in every variant.
 ///
 /// # Panics
-/// Panics when `destinations` is zero, `assignment` does not have
-/// [`VIRTUAL_BUCKETS`] entries, an entry names a shard `>= destinations`, or a
-/// real record does not carry `tag_column`.
+/// Panics when there are no destinations, an `assignment` does not have
+/// [`VIRTUAL_BUCKETS`] entries or names a shard `>= shards`, or a real record does
+/// not carry `tag_column`.
 pub fn shuffle_route_mapped<R: Rng + ?Sized>(
     batch: &SharedArrayPair,
     tag_column: usize,
-    assignment: &[usize],
-    destinations: usize,
+    destinations: Destinations<'_>,
     bucket_size: usize,
+    payload_bits: u32,
     meter: &mut CostMeter,
     rng: &mut R,
 ) -> MappedRouteOutcome {
-    assert_eq!(
-        assignment.len(),
-        VIRTUAL_BUCKETS,
-        "assignment table must cover every virtual bucket"
-    );
-    assert!(
-        assignment.iter().all(|&d| d < destinations),
-        "assignment names a shard outside 0..{destinations}"
-    );
+    let shards = match destinations {
+        Destinations::Hashed(shards) => shards,
+        Destinations::Assigned { assignment, shards } => {
+            assert_eq!(
+                assignment.len(),
+                VIRTUAL_BUCKETS,
+                "assignment table must cover every virtual bucket"
+            );
+            assert!(
+                assignment.iter().all(|&d| d < shards),
+                "assignment names a shard outside 0..{shards}"
+            );
+            shards
+        }
+    };
+    assert!(shards > 0, "need at least one destination");
     let mut bucket_reals = vec![0u64; VIRTUAL_BUCKETS];
-    let route = route_inner(
-        batch,
-        tag_column,
-        destinations,
-        bucket_size,
-        meter,
-        rng,
-        &mut |key| {
-            let bucket = bucket_of(key);
-            bucket_reals[bucket] += 1;
-            assignment[bucket]
-        },
-    );
-    MappedRouteOutcome {
-        route,
-        bucket_reals,
-    }
-}
-
-fn route_inner<R: Rng + ?Sized>(
-    batch: &SharedArrayPair,
-    tag_column: usize,
-    destinations: usize,
-    bucket_size: usize,
-    meter: &mut CostMeter,
-    rng: &mut R,
-    dest_of: &mut dyn FnMut(u32) -> usize,
-) -> ShuffleRouteOutcome {
-    assert!(destinations > 0, "need at least one destination");
+    let mut dest_of = |key: u32| {
+        let bucket = bucket_of(key);
+        bucket_reals[bucket] += 1;
+        match destinations {
+            Destinations::Hashed(shards) => destination_of(key, shards),
+            Destinations::Assigned { assignment, .. } => assignment[bucket],
+        }
+    };
     let n = batch.len();
     let arity = batch.arity().unwrap_or(1);
     let width = arity as u64 + 1;
 
     // Phase 1 — unlinkability: permute the batch under a Batcher network over
     // random tags before any routing decision is made.
-    Network::sort(n).charge(width, meter);
+    Network::sort(n).charge(WORD_BITS, payload_bits, meter);
     let mut order: Vec<usize> = (0..n).collect();
     for (i, j) in permutation_swaps(n, rng) {
         order.swap(i, j);
@@ -227,13 +235,12 @@ fn route_inner<R: Rng + ?Sized>(
 
     // Phase 2 — routing tags: mix the key column and demux it one-hot across the
     // destinations, all under MPC (4 adds model the mix rounds, S ANDs the demux).
-    meter.adds(4 * n as u64);
-    meter.ands(n as u64 * destinations as u64);
+    meter.kernels(4 * n as u64, Kernel::Add(WORD_BITS));
+    meter.ands(n as u64 * shards as u64);
 
     // Phase 3 — scatter into padded buckets, re-sharing in transit.
-    let mut buckets: Vec<SharedArrayPair> =
-        (0..destinations).map(|_| SharedArrayPair::new()).collect();
-    let mut sources: Vec<Vec<Option<usize>>> = vec![Vec::new(); destinations];
+    let mut buckets: Vec<SharedArrayPair> = (0..shards).map(|_| SharedArrayPair::new()).collect();
+    let mut sources: Vec<Vec<Option<usize>>> = vec![Vec::new(); shards];
     for &i in &order {
         let plain = batch.entries()[i].recover();
         if !plain.is_view {
@@ -268,10 +275,13 @@ fn route_inner<R: Rng + ?Sized>(
     }
     meter.bytes(shipped * width * 4);
 
-    ShuffleRouteOutcome {
-        buckets,
-        sources,
-        overflows,
+    MappedRouteOutcome {
+        route: ShuffleRouteOutcome {
+            buckets,
+            sources,
+            overflows,
+        },
+        bucket_reals,
     }
 }
 
@@ -475,12 +485,16 @@ mod tests {
             let plain = shuffle_route(&b, 0, shards, 6, &mut meter_a, &mut rng_a);
             let mut meter_b = CostMeter::new();
             let mut rng_b = StdRng::seed_from_u64(21);
+            let assignment = identity_assignment(shards);
             let mapped = shuffle_route_mapped(
                 &b,
                 0,
-                &identity_assignment(shards),
-                shards,
+                Destinations::Assigned {
+                    assignment: &assignment,
+                    shards,
+                },
                 6,
+                word_record_bits(&b),
                 &mut meter_b,
                 &mut rng_b,
             );
@@ -501,7 +515,11 @@ mod tests {
         let assignment = vec![1usize; VIRTUAL_BUCKETS];
         let mut meter = CostMeter::new();
         let mut rng = StdRng::seed_from_u64(22);
-        let out = shuffle_route_mapped(&b, 0, &assignment, 3, 4, &mut meter, &mut rng);
+        let to = Destinations::Assigned {
+            assignment: &assignment,
+            shards: 3,
+        };
+        let out = shuffle_route_mapped(&b, 0, to, 4, 96, &mut meter, &mut rng);
         assert_eq!(out.route.buckets[1].true_cardinality(), keys.len());
         assert_eq!(out.route.buckets[0].true_cardinality(), 0);
         assert_eq!(out.route.buckets[2].true_cardinality(), 0);
@@ -531,6 +549,10 @@ mod tests {
         let mut meter = CostMeter::new();
         let mut rng = StdRng::seed_from_u64(23);
         let b = batch(&[1, 2], 0);
-        let _ = shuffle_route_mapped(&b, 0, &[0usize; 8], 2, 4, &mut meter, &mut rng);
+        let to = Destinations::Assigned {
+            assignment: &[0usize; 8],
+            shards: 2,
+        };
+        let _ = shuffle_route_mapped(&b, 0, to, 4, 96, &mut meter, &mut rng);
     }
 }

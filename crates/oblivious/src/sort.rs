@@ -33,6 +33,7 @@
 //! charged from the public lengths — is bit-identical to swapping whole records at
 //! every comparator. Every other network is only priced.
 
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::SharedRecordPair;
@@ -377,30 +378,27 @@ impl<'a> Network<'a> {
         self.comparators
     }
 
-    /// Charge the network over `width`-word records keyed by a word (the field
-    /// sort, the shuffle's random tags), without executing it: one secure comparison
-    /// and one record-wide swap per comparator, and no round: the meter charges one
-    /// where the step's circuit closes. A valley reversal relabels wires — each
-    /// server reverses its own shares — so it costs no gate. Returns the comparators.
-    pub fn charge(&self, width: u64, meter: &mut CostMeter) -> u64 {
-        meter.compares(self.comparators);
-        meter.swaps(self.comparators, width.max(1));
+    /// Charge the network keyed by a `key_bits`-bit word (the field sort, the
+    /// shuffle's random tags), without executing it: per comparator one
+    /// [`Kernel::Lt`] at the key's width and one [`Kernel::Swap`] of the record's
+    /// `payload_bits`, and no round: the meter charges one where the step's circuit
+    /// closes. A valley reversal relabels wires — each server reverses its own
+    /// shares — so it costs no gate. Returns the comparators.
+    pub fn charge(&self, key_bits: u32, payload_bits: u32, meter: &mut CostMeter) -> u64 {
+        meter.kernels(self.comparators, Kernel::Lt(key_bits));
+        meter.kernels(self.comparators, Kernel::Swap(payload_bits));
         self.comparators
     }
 
     /// Charge the network keyed by one flag bit (`isView`, the join's match flag) as
-    /// the Boolean circuit it is, a **declared kernel substitution** for a 32-bit
-    /// comparison per comparator. With free XOR a real-first compare-exchange of
-    /// flags `a` (low wire) and `b` (high wire) needs one AND, `t = a ∧ b`: the swap
-    /// bit is `b ⊕ t`, the new flags `a ⊕ b ⊕ t` and `t` (the other way round for
-    /// dummies first), and only the `payload_words` other words swap — none at 0,
-    /// where [`Self::charge`] floors a record at one word. The cache's merges and
-    /// read and Algorithm 4's selection charge here; what only brings the reals
-    /// first charges [`crate::compact::Compaction::charge`]. No round, as for
+    /// the Boolean circuit it is, a **declared kernel substitution** for a word
+    /// comparison per comparator: one [`Kernel::CompareExchange`] per comparator,
+    /// one AND on the flags and the swap of the other `payload_bits` (see the
+    /// kernel). The cache's merges and read charge here; what only brings the
+    /// reals first charges [`crate::compact::Compaction::charge`]. No round, as for
     /// [`Self::charge`]. Returns the comparators.
-    pub fn charge_flag_keyed(&self, payload_words: u64, meter: &mut CostMeter) -> u64 {
-        meter.ands(self.comparators);
-        meter.swaps(self.comparators, payload_words);
+    pub fn charge_flag_keyed(&self, payload_bits: u32, meter: &mut CostMeter) -> u64 {
+        meter.kernels(self.comparators, Kernel::CompareExchange(payload_bits));
         self.comparators
     }
 
@@ -596,19 +594,26 @@ where
         .collect()
 }
 
+/// Bits of a record of `array` that carries no schema: its columns and `isView`,
+/// one full word each (at least one).
+pub(crate) fn word_record_bits(array: &SharedArrayPair) -> u32 {
+    WORD_BITS * (array.arity().unwrap_or(1) as u32 + 1)
+}
+
 /// Oblivious sort by a single attribute column (ascending or descending). Dummy
 /// records (`isView = 0`) are ordered after real records for ascending sorts and are
 /// given the maximum key, so they collect at the tail. [`Network::sort`] over the
 /// packed words of `network_permutation`, keyed by a word: one secure comparison
-/// and one record-wide swap per comparator ([`Network::charge`]).
+/// and one record-wide swap per comparator ([`Network::charge`]). The array carries
+/// no schema, so the key and every column, `isView` included, are full words.
 pub fn oblivious_sort_by_field(
     array: &mut SharedArrayPair,
     field: usize,
     order: SortOrder,
     meter: &mut CostMeter,
 ) {
-    let width = array.arity().unwrap_or(1) as u64 + 1;
-    if Network::sort(array.len()).charge(width, meter) == 0 {
+    let record_bits = word_record_bits(array);
+    if Network::sort(array.len()).charge(WORD_BITS, record_bits, meter) == 0 {
         return;
     }
     let key = |rec: &SharedRecordPair| {
@@ -988,7 +993,7 @@ mod tests {
     /// implementation the engine is held to below.
     fn reference_aos_sort(array: &mut SharedArrayPair, order: SortOrder, meter: &mut CostMeter) {
         let n = array.len();
-        if Network::sort(n).charge(array.arity().unwrap_or(1) as u64 + 1, meter) == 0 {
+        if Network::sort(n).charge(WORD_BITS, word_record_bits(array), meter) == 0 {
             return;
         }
         let key = |rec: &PlainRecord| {
@@ -1111,7 +1116,7 @@ mod tests {
         let before = merged.recover_all();
         let network = Network::merge(lens, keep);
         let mut meter = CostMeter::new();
-        network.charge_flag_keyed(3, &mut meter);
+        network.charge_flag_keyed(3 * WORD_BITS, &mut meter);
         crate::compact::partition_by_is_view(&mut merged);
 
         let after = merged.recover_all();
@@ -1129,7 +1134,8 @@ mod tests {
         let kept = run_selection(&pruned, &mut flags);
         let head = after[..kept.len()].iter().map(|r| u64::from(!r.is_view));
         assert!(head.eq(kept), "lens={lens:?} keep={keep}");
-        // Three payload words a comparator, whatever the rows' own width; the
+        // Three payload words a comparator, whatever the rows' own width: one
+        // flag-keyed compare-exchange circuit each, counted as a swap; the
         // network is one circuit, its round charged when the meter closes it.
         let (report, comparators) = (meter.take(), pruned.0.len() as u64);
         let gates = (
@@ -1137,7 +1143,8 @@ mod tests {
             report.secure_ands,
             report.secure_swaps,
         );
-        assert_eq!(gates, (0, comparators, 3 * comparators));
+        let exchange = Kernel::CompareExchange(3 * WORD_BITS).circuit().and_count();
+        assert_eq!(gates, (0, comparators * exchange, comparators));
         assert_eq!(report.rounds, u64::from(comparators > 0));
     }
 

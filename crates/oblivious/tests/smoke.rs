@@ -1,8 +1,9 @@
 //! Crate-boundary smoke test: oblivious sort and cache read over secret shares.
 
+use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_oblivious::{
-    cache_read, nested_loop_join_cost, oblivious_sort_by_field, Network, SortOrder,
+    cache_read, nested_loop_join_cost, oblivious_sort_by_field, JoinWidths, Network, SortOrder,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
@@ -36,9 +37,10 @@ fn sort_and_cache_read_through_public_api() {
 }
 
 /// A flag-keyed network with nothing to swap besides its flag — the selection over
-/// an inner relation that is only its join key — charges its ANDs and no swap; a
-/// word-keyed network keeps its one-word floor. Neither charges a round of its own:
-/// the one round of the circuit they form is charged when the meter closes it.
+/// an inner relation that is only its join key — charges the one AND of each
+/// compare-exchange and no swap gate; a word-keyed network swaps the payload it is
+/// given. Neither charges a round of its own: the one round of the circuit they
+/// form is charged when the meter closes it.
 #[test]
 fn a_zero_word_flag_keyed_payload_charges_no_swap() {
     let network = Network::select(19, 2);
@@ -46,15 +48,26 @@ fn a_zero_word_flag_keyed_payload_charges_no_swap() {
     let comparators = network.charge_flag_keyed(0, &mut flag);
     let flag = flag.report();
     assert!(comparators > 0);
-    assert_eq!((flag.secure_ands, flag.secure_swaps), (comparators, 0));
+    assert_eq!(
+        (flag.secure_ands, flag.secure_swaps),
+        (comparators, comparators)
+    );
     assert_eq!((flag.secure_compares, flag.rounds), (0, 0));
-    network.charge(0, &mut word);
+    network.charge(WORD_BITS, WORD_BITS, &mut word);
     network.charge_flag_keyed(0, &mut word);
     let word = word.take();
-    assert_eq!(word.secure_swaps, comparators, "one-word floor");
+    assert_eq!(word.secure_compares, comparators);
+    assert_eq!(
+        word.secure_ands,
+        comparators * (2 * u64::from(WORD_BITS) + 1)
+    );
     assert_eq!(word.rounds, 1, "two networks, one circuit");
 
-    let key_only = nested_loop_join_cost(7, 19, 2, 2, 1);
-    assert_eq!(key_only.secure_swaps, 0, "a key-only inner moves nothing");
-    assert_eq!(key_only.secure_ands, 2 * 7 * 19 + 7 * comparators);
+    let key_only = nested_loop_join_cost(7, 19, 2, 2, 1, JoinWidths::words(1));
+    let pair = Kernel::Eq(WORD_BITS).ands() + 2;
+    assert_eq!(
+        key_only.secure_ands,
+        7 * 19 * pair + 7 * comparators,
+        "a key-only inner swaps nothing"
+    );
 }

@@ -102,7 +102,7 @@ pub struct SecureCache {
     runs: Vec<Run>,
     tail: SharedArrayPair,
     stats: CacheStats,
-    words: usize,
+    payload_bits: u32,
     bound: usize,
 }
 
@@ -116,20 +116,27 @@ struct Run {
 }
 
 impl SecureCache {
-    /// Empty cache whose networks swap `words` words a row besides `isView` (fetches
-    /// move whole rows) and whose cuts trim every run to its first `bound` rows
-    /// (`None`: never). The pipeline's view rows carry their join key twice, so it
-    /// passes their arity less one: the copy is restored after each network by a
-    /// local copy of shares, no gate (**declared kernel substitution**).
+    /// Empty cache whose networks swap `payload_bits` a row besides `isView` — the
+    /// row's columns at their public widths (fetches move whole rows) — and whose
+    /// cuts trim every run to its first `bound` rows (`None`: never). The
+    /// pipeline's view rows carry their join key twice, so it passes their bits
+    /// less one key's: the copy is restored after each network by a local copy of
+    /// shares, no gate (**declared kernel substitution**).
     #[must_use]
-    pub fn new(words: usize, bound: Option<usize>) -> Self {
+    pub fn new(payload_bits: u32, bound: Option<usize>) -> Self {
         Self {
             runs: Vec::new(),
             tail: SharedArrayPair::new(),
             stats: CacheStats::default(),
-            words,
+            payload_bits,
             bound: bound.unwrap_or(usize::MAX),
         }
+    }
+
+    /// Bits the networks swap a row besides `isView`.
+    #[must_use]
+    pub fn payload_bits(&self) -> u32 {
+        self.payload_bits
     }
 
     /// Current (padded) length of the cache.
@@ -205,7 +212,7 @@ impl SecureCache {
                 .rows
                 .extend(newer.rows)
                 .expect("view entries share one arity");
-            Network::merge(&runs, keep).charge_flag_keyed(self.words as u64, meter);
+            Network::merge(&runs, keep).charge_flag_keyed(self.payload_bits, meter);
             partition_by_is_view(&mut older.rows);
             self.stats.merges += 1;
             self.stats.merged_rows += older.rows.len() as u64;
@@ -235,7 +242,7 @@ impl SecureCache {
         let seal = MeteredSpan::enter("cache.seal", meter);
         // Split off, not taken: the tail is left with its capacity for the next writes.
         let mut tail = self.tail.split_back(self.tail.len());
-        compact_by_is_view(&mut tail, self.words, meter);
+        compact_by_is_view(&mut tail, self.payload_bits, meter);
         let mut trimmed = trim(&mut tail, keep, &mut self.stats);
         seal.close(meter);
         trimmed += self.push_run(tail, 1, keep, meter);
@@ -251,7 +258,7 @@ impl SecureCache {
                 .expect("view entries share one arity");
         }
         self.runs.retain(|run| !run.rows.is_empty());
-        Network::merge(&heads, keep).charge_flag_keyed(self.words as u64, meter);
+        Network::merge(&heads, keep).charge_flag_keyed(self.payload_bits, meter);
         partition_by_is_view(&mut candidates);
         trimmed += trim(&mut candidates, keep, &mut self.stats);
         let fetched = candidates.split_front(size);
@@ -295,6 +302,7 @@ fn trim(rows: &mut SharedArrayPair, keep: usize, stats: &mut CacheStats) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incshrink_mpc::circuit::Kernel;
     use incshrink_oblivious::{batcher_pair_count, compact::cache_read, Network};
     use incshrink_secretshare::tuple::PlainRecord;
     use incshrink_telemetry::{CostDelta, Event, InMemory};
@@ -400,7 +408,7 @@ mod tests {
     fn a_cascade_charges_each_merge_pruned_to_the_rows_the_cut_keeps() {
         let (bound, size) = (6, 2);
         let keep = size + bound;
-        let (mut cache, mut meter) = (SecureCache::new(2, Some(bound)), CostMeter::new());
+        let (mut cache, mut meter) = (SecureCache::new(23, Some(bound)), CostMeter::new());
         // Four cuts leave runs of 3 and 1 sealed tails and the candidates of the
         // last read; the fifth seal merges into all three.
         for _ in 0..4 {
@@ -440,7 +448,8 @@ mod tests {
             .iter()
             .find(|(name, _)| name == "cache.merge")
             .expect("a cascade");
-        assert_eq!((merge.ands, merge.swaps), (pruned, 2 * pruned));
+        let exchange = Kernel::CompareExchange(23).circuit().and_count();
+        assert_eq!((merge.ands, merge.swaps), (pruned * exchange, pruned));
         assert_eq!(cache.stats().merges - before, merges);
         assert!(
             pruned < unpruned,
@@ -524,7 +533,8 @@ mod tests {
         assert_eq!(names, ["cache.seal", "cache.read"]);
         let read = Network::merge(&[1, 1, 1, 1], 1).count();
         assert!(read < Network::merge(&[1, 1, 1, 1], usize::MAX).count());
-        assert_eq!(spans[1].1.ands, read);
+        let exchange = Kernel::CompareExchange(1).circuit().and_count();
+        assert_eq!(spans[1].1.ands, read * exchange);
         assert!(cache.is_empty());
         let s = cache.stats();
         assert_eq!((s.flushed, s.recycled - stats.recycled), (1, rows - 1));
@@ -704,7 +714,9 @@ mod tests {
                     if let Event::Span(span) = event {
                         let cost = span.cost.expect("cut spans carry their cost");
                         let read = span.name == "cache.read";
-                        prop_assert!(!read || (cost.ands <= batcher && cost.swaps <= 2 * batcher));
+                        let exchange = Kernel::CompareExchange(1).ands();
+                        let within = cost.ands <= exchange * batcher && cost.swaps <= batcher;
+                        prop_assert!(!read || within);
                     }
                 }
             }

@@ -22,4 +22,4 @@ pub mod schema;
 pub use cache::SecureCache;
 pub use logical::{GrowingDatabase, LogicalUpdate};
 pub use outsourced::{ActiveWindow, OutsourcedStore, UploadBatch};
-pub use schema::{RecordId, Relation, Schema};
+pub use schema::{width_for, RecordId, Relation, Schema, SchemaError};

@@ -5,7 +5,7 @@
 //! the framework replays it step by step, and the query module evaluates logical
 //! ground-truth answers `q_t(D_t)` against it.
 
-use crate::schema::{RecordId, Relation, Schema};
+use crate::schema::{RecordId, Relation, Schema, SchemaError};
 use serde::{Deserialize, Serialize};
 
 /// One timestamped logical update (an inserted record).
@@ -46,24 +46,31 @@ impl GrowingDatabase {
         }
     }
 
-    /// Insert a logical update.
+    /// Insert a logical update: the record enters its relation here, so this is
+    /// where its values are checked against the columns' public widths.
     ///
     /// Costs `O(log n)` plus one index slot moved per already-inserted update that
     /// arrives later — none for the generators' in-order inserts, a handful for
     /// their few-steps-late ones.
     ///
+    /// # Errors
+    /// [`SchemaError::OutOfWidth`] when a value does not fit its column's width;
+    /// the database is unchanged.
+    ///
     /// # Panics
     /// Panics when the record arity does not match the schema or the relation tag
     /// disagrees with the database's relation.
-    pub fn insert(&mut self, update: LogicalUpdate) {
+    pub fn insert(&mut self, update: LogicalUpdate) -> Result<(), SchemaError> {
         assert_eq!(update.fields.len(), self.schema.arity(), "arity mismatch");
         assert_eq!(update.relation, self.relation, "relation mismatch");
+        self.schema.check(&update.fields)?;
         let position = u32::try_from(self.updates.len()).expect("fewer than 2^32 updates");
         // Behind every update arriving no later, so a step's run stays in
         // insertion order.
         self.by_arrival
             .insert(self.arrived_by(update.arrival), position);
         self.updates.push(update);
+        Ok(())
     }
 
     /// Number of updates with arrival time ≤ `t`: where step `t`'s run ends in
@@ -136,7 +143,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn sample_db() -> GrowingDatabase {
-        let schema = Schema::new("sales", &["pid", "date"], 0, 1);
+        let schema = Schema::new("sales", &[("pid", 8), ("date", 8)], 0, 1);
         let mut db = GrowingDatabase::new(schema, Relation::Left);
         for (i, arrival) in [1u64, 1, 2, 4, 4, 4].iter().enumerate() {
             db.insert(LogicalUpdate {
@@ -144,7 +151,8 @@ mod tests {
                 relation: Relation::Left,
                 arrival: *arrival,
                 fields: vec![i as u32, *arrival as u32],
-            });
+            })
+            .unwrap();
         }
         db
     }
@@ -167,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_database_properties() {
-        let schema = Schema::new("x", &["a", "t"], 0, 1);
+        let schema = Schema::new("x", &[("a", 8), ("t", 8)], 0, 1);
         let db = GrowingDatabase::new(schema, Relation::Right);
         assert!(db.is_empty());
         assert_eq!(db.horizon(), 0);
@@ -182,7 +190,7 @@ mod tests {
         ) {
             // Out-of-order inserts; the indexed answers must be the same elements
             // (ids are unique) in the same insertion order as filtering every update.
-            let schema = Schema::new("sales", &["pid", "date"], 0, 1);
+            let schema = Schema::new("sales", &[("pid", 8), ("date", 8)], 0, 1);
             let mut db = GrowingDatabase::new(schema, Relation::Left);
             for (i, &arrival) in arrivals.iter().enumerate() {
                 db.insert(LogicalUpdate {
@@ -190,7 +198,8 @@ mod tests {
                     relation: Relation::Left,
                     arrival,
                     fields: vec![i as u32, arrival as u32],
-                });
+                })
+                .unwrap();
             }
             let scan_between: Vec<&LogicalUpdate> = db
                 .updates()
@@ -213,7 +222,8 @@ mod tests {
             relation: Relation::Left,
             arrival: 5,
             fields: vec![1],
-        });
+        })
+        .unwrap();
     }
 
     #[test]
@@ -225,6 +235,31 @@ mod tests {
             relation: Relation::Right,
             arrival: 5,
             fields: vec![1, 2],
-        });
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn out_of_width_value_is_a_typed_error() {
+        let mut db = sample_db();
+        let before = db.clone();
+        let err = db
+            .insert(LogicalUpdate {
+                id: 99,
+                relation: Relation::Left,
+                arrival: 5,
+                fields: vec![256, 5],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SchemaError::OutOfWidth {
+                relation: "sales".into(),
+                column: "pid".into(),
+                value: 256,
+                bits: 8,
+            }
+        );
+        assert_eq!(db, before, "a rejected record is not inserted");
     }
 }

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 #[test]
 fn growing_database_is_insert_only_and_time_indexed() {
-    let schema = Schema::new("sales", &["pid", "sale_date"], 0, 1);
+    let schema = Schema::new("sales", &[("pid", 2), ("sale_date", 2)], 0, 1);
     let mut db = GrowingDatabase::new(schema, Relation::Left);
     for t in 1..=3u64 {
         db.insert(LogicalUpdate {
@@ -19,7 +19,8 @@ fn growing_database_is_insert_only_and_time_indexed() {
             relation: Relation::Left,
             arrival: t,
             fields: vec![t as u32, t as u32],
-        });
+        })
+        .expect("values fit their widths");
     }
     assert_eq!(db.len(), 3);
     assert_eq!(db.instance_at(2).len(), 2, "prefix at t=2");

@@ -13,13 +13,13 @@ use serde::{Serialize, Value};
 /// provides the `CostReport -> CostDelta` conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostDelta {
-    /// Secure 32-bit comparisons.
+    /// Secure comparisons, at any width (an operation count).
     pub compares: u64,
-    /// Oblivious conditional swaps (already expanded by record width).
+    /// Oblivious conditional swaps of a record's payload (an operation count).
     pub swaps: u64,
-    /// Secure single-bit AND / multiplexer gates.
+    /// Secure AND gates: every kernel's circuit plus control logic (what is priced).
     pub ands: u64,
-    /// Secure 32-bit additions.
+    /// Secure additions (an operation count).
     pub adds: u64,
     /// Bytes exchanged between the two servers.
     pub bytes: u64,

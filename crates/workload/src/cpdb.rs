@@ -7,11 +7,14 @@
 //! allegation can match several awards), and on average ≈9.8 new view entries appear
 //! per upload epoch.
 
-use crate::dataset::{Dataset, DatasetKind, WorkloadParams};
-use incshrink_storage::{GrowingDatabase, LogicalUpdate, Relation, Schema};
+use crate::dataset::{insert_generated, Dataset, DatasetKind, WorkloadParams};
+use incshrink_storage::{width_for, GrowingDatabase, LogicalUpdate, Relation, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Poisson};
+
+/// The latest an out-of-window award arrives, in epochs after its allegation.
+const MAX_AWARD_GAP: u64 = 60;
 
 /// Generator for the CPDB-like workload.
 #[derive(Debug, Clone, Copy)]
@@ -38,27 +41,53 @@ impl CpdbGenerator {
         Self::new(WorkloadParams::cpdb_default())
     }
 
-    /// Allegation schema: `(officer_id, end_date)`.
-    #[must_use]
-    pub(crate) fn allegation_schema() -> Schema {
-        Schema::new("allegation", &["officer_id", "end_date"], 0, 1)
+    /// Allegations per epoch, so that (allegations/epoch) · multiplicity ≈ the
+    /// target rate.
+    fn allegation_rate(&self) -> f64 {
+        (self.params.view_entries_per_step / self.mean_multiplicity).max(1e-6)
     }
 
-    /// Award schema: `(officer_id, award_date)`.
-    #[must_use]
-    pub(crate) fn award_schema() -> Schema {
-        Schema::new("award", &["officer_id", "award_date"], 0, 1)
+    /// Padded Allegation batch size: it dominates the per-epoch arrival rate.
+    fn batch_size(&self) -> usize {
+        ((self.allegation_rate() * 2.0).ceil() as usize + 2).max(4)
+    }
+
+    /// Allegation `(officer_id, end_date)` and Award `(officer_id, award_date)`
+    /// schemas, at widths set from public parameters alone: an officer id is at most
+    /// the horizon times the padded batch, a date at most the horizon plus the
+    /// latest award.
+    fn schemas(&self) -> (Schema, Schema) {
+        let steps = self.params.steps;
+        let officer = width_for(steps.saturating_mul(self.batch_size() as u64));
+        let date = width_for(steps.saturating_add(MAX_AWARD_GAP));
+        (
+            Schema::new(
+                "allegation",
+                &[("officer_id", officer), ("end_date", date)],
+                0,
+                1,
+            ),
+            Schema::new(
+                "award",
+                &[("officer_id", officer), ("award_date", date)],
+                0,
+                1,
+            ),
+        )
     }
 
     /// Generate the workload.
+    ///
+    /// # Panics
+    /// Panics when a generated value does not fit its column's public width.
     #[must_use]
     pub fn generate(&self) -> Dataset {
         let mut rng = StdRng::seed_from_u64(self.params.seed);
-        let mut allegations = GrowingDatabase::new(Self::allegation_schema(), Relation::Left);
-        let mut awards = GrowingDatabase::new(Self::award_schema(), Relation::Right);
+        let (allegation_schema, award_schema) = self.schemas();
+        let mut allegations = GrowingDatabase::new(allegation_schema, Relation::Left);
+        let mut awards = GrowingDatabase::new(award_schema, Relation::Right);
 
-        // Allegations per epoch so that (allegations/epoch) · multiplicity ≈ target rate.
-        let alleg_rate = (self.params.view_entries_per_step / self.mean_multiplicity).max(1e-6);
+        let alleg_rate = self.allegation_rate();
         let alleg_dist = Poisson::new(alleg_rate).expect("positive rate");
         let mult_dist = Poisson::new(self.mean_multiplicity).expect("positive rate");
 
@@ -73,12 +102,13 @@ impl CpdbGenerator {
                 // per allegation record, not per officer).
                 let officer = next_officer;
                 next_officer += 1;
-                allegations.insert(LogicalUpdate {
+                let allegation = LogicalUpdate {
                     id: next_id,
                     relation: Relation::Left,
                     arrival: epoch,
                     fields: vec![officer, epoch as u32],
-                });
+                };
+                insert_generated(&mut allegations, allegation);
                 next_id += 1;
 
                 // In-window awards for this officer (the join matches).
@@ -86,29 +116,31 @@ impl CpdbGenerator {
                 for _ in 0..n_awards {
                     let gap = rng.gen_range(0..=10u64);
                     let date = epoch + gap;
-                    awards.insert(LogicalUpdate {
+                    let award = LogicalUpdate {
                         id: next_id,
                         relation: Relation::Right,
                         arrival: date,
                         fields: vec![officer, date as u32],
-                    });
+                    };
+                    insert_generated(&mut awards, award);
                     next_id += 1;
                 }
                 // Out-of-window background awards (exercise the temporal filter).
                 if rng.gen_bool(0.5) {
-                    let date = epoch + rng.gen_range(11..=60u64);
-                    awards.insert(LogicalUpdate {
+                    let date = epoch + rng.gen_range(11..=MAX_AWARD_GAP);
+                    let award = LogicalUpdate {
                         id: next_id,
                         relation: Relation::Right,
                         arrival: date,
                         fields: vec![officer, date as u32],
-                    });
+                    };
+                    insert_generated(&mut awards, award);
                     next_id += 1;
                 }
             }
         }
 
-        let left_batch = ((alleg_rate * 2.0).ceil() as usize + 2).max(4);
+        let left_batch = self.batch_size();
 
         Dataset {
             kind: DatasetKind::Cpdb,

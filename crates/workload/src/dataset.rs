@@ -1,7 +1,33 @@
 //! Dataset container shared by the generators.
 
-use incshrink_storage::GrowingDatabase;
+use incshrink_storage::{GrowingDatabase, LogicalUpdate, Schema};
 use serde::{Deserialize, Serialize};
+
+/// Insert a generated record. Every generator and variant sets its columns' widths
+/// from its own public parameters so that its records fit them.
+///
+/// # Panics
+/// Panics when a value does not fit its column's width: the widths were derived
+/// from parameters that do not bound the values.
+pub(crate) fn insert_generated(db: &mut GrowingDatabase, update: LogicalUpdate) {
+    if let Err(e) = db.insert(update) {
+        panic!("a generated record must fit its public widths: {e}");
+    }
+}
+
+/// `schema` with its join-key column `bits` wide (at most a word): how a variant
+/// re-derives the key width from its own public parameters.
+pub(crate) fn rekeyed(schema: &Schema, bits: u32) -> Schema {
+    let mut columns = schema.columns_with_widths();
+    columns[schema.key_column].1 = bits.min(32);
+    Schema::new(
+        &schema.name,
+        &columns,
+        schema.key_column,
+        schema.time_column,
+    )
+    .with_partition_column(schema.partition_column)
+}
 
 /// Which evaluation dataset a generated workload mimics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

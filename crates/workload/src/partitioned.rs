@@ -15,16 +15,16 @@
 //! workload — which is exactly what lets cluster tests compare a shuffled run
 //! against the single-pair truth.
 
-use crate::dataset::Dataset;
-use incshrink_storage::{GrowingDatabase, Schema};
+use crate::dataset::{insert_generated, Dataset};
+use incshrink_storage::{width_for, GrowingDatabase, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Append a `store` column to a relation's schema and mark it as the
-/// arrival-partition column.
-fn store_schema(base: &Schema) -> Schema {
-    let mut columns: Vec<&str> = base.columns.iter().map(String::as_str).collect();
-    columns.push("store");
+/// Append a `store` column, wide enough for `stores` stores, to a relation's schema
+/// and mark it as the arrival-partition column.
+fn store_schema(base: &Schema, stores: u32) -> Schema {
+    let mut columns = base.columns_with_widths();
+    columns.push(("store", width_for(u64::from(stores) - 1)));
     Schema::new(&base.name, &columns, base.key_column, base.time_column)
         .with_partition_column(base.arity())
 }
@@ -54,7 +54,8 @@ pub fn to_store_partitioned(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5709_E5ED);
 
     let left_key = base.left.schema.key_column;
-    let mut left = GrowingDatabase::new(store_schema(&base.left.schema), base.left.relation);
+    let mut left =
+        GrowingDatabase::new(store_schema(&base.left.schema, stores), base.left.relation);
     // Remember each key's purchase store so returns can reuse or deviate from it.
     let mut purchase_store: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
     for u in base.left.updates() {
@@ -66,11 +67,14 @@ pub fn to_store_partitioned(
         fields.push(store);
         let mut update = u.clone();
         update.fields = fields;
-        left.insert(update);
+        insert_generated(&mut left, update);
     }
 
     let right_key = base.right.schema.key_column;
-    let mut right = GrowingDatabase::new(store_schema(&base.right.schema), base.right.relation);
+    let mut right = GrowingDatabase::new(
+        store_schema(&base.right.schema, stores),
+        base.right.relation,
+    );
     for u in base.right.updates() {
         let home = u
             .fields
@@ -87,7 +91,7 @@ pub fn to_store_partitioned(
         fields.push(store);
         let mut update = u.clone();
         update.fields = fields;
-        right.insert(update);
+        insert_generated(&mut right, update);
     }
 
     Dataset {

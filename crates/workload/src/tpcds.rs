@@ -5,11 +5,14 @@
 //! once (join multiplicity 1), clients upload one batch per day, and on average ≈2.7
 //! new view entries (in-window returns) appear per day.
 
-use crate::dataset::{Dataset, DatasetKind, WorkloadParams};
-use incshrink_storage::{GrowingDatabase, LogicalUpdate, Relation, Schema};
+use crate::dataset::{insert_generated, Dataset, DatasetKind, WorkloadParams};
+use incshrink_storage::{width_for, GrowingDatabase, LogicalUpdate, Relation, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Poisson};
+
+/// The latest a late return arrives, in days after its sale.
+const MAX_RETURN_GAP: u64 = 30;
 
 /// Generator for the TPC-ds-like workload.
 #[derive(Debug, Clone, Copy)]
@@ -31,24 +34,38 @@ impl TpcDsGenerator {
         Self::new(WorkloadParams::tpcds_default())
     }
 
-    /// Sales schema: `(pid, sale_date)`.
-    #[must_use]
-    pub(crate) fn sales_schema() -> Schema {
-        Schema::new("sales", &["pid", "sale_date"], 0, 1)
+    /// Padded batch sizes `(sales, returns)`: they dominate the per-day arrival
+    /// rates (fixed-size uploads).
+    fn batch_sizes(&self) -> (usize, usize) {
+        let rate = self.params.view_entries_per_step;
+        let left_batch = ((rate * 1.8).ceil() as usize + 2).max(4);
+        let right_batch = ((rate * 1.3).ceil() as usize + 2).max(4);
+        (left_batch, right_batch)
     }
 
-    /// Returns schema: `(pid, return_date)`.
-    #[must_use]
-    pub(crate) fn returns_schema() -> Schema {
-        Schema::new("returns", &["pid", "return_date"], 0, 1)
+    /// Sales `(pid, sale_date)` and Returns `(pid, return_date)` schemas, at widths
+    /// set from public parameters alone: a pid is at most the horizon times the
+    /// padded sales batch, a date at most the horizon plus the latest return.
+    fn schemas(&self) -> (Schema, Schema) {
+        let steps = self.params.steps;
+        let pid = width_for(steps.saturating_mul(self.batch_sizes().0 as u64));
+        let date = width_for(steps.saturating_add(MAX_RETURN_GAP));
+        (
+            Schema::new("sales", &[("pid", pid), ("sale_date", date)], 0, 1),
+            Schema::new("returns", &[("pid", pid), ("return_date", date)], 0, 1),
+        )
     }
 
     /// Generate the workload.
+    ///
+    /// # Panics
+    /// Panics when a generated value does not fit its column's public width.
     #[must_use]
     pub fn generate(&self) -> Dataset {
         let mut rng = StdRng::seed_from_u64(self.params.seed);
-        let mut sales = GrowingDatabase::new(Self::sales_schema(), Relation::Left);
-        let mut returns = GrowingDatabase::new(Self::returns_schema(), Relation::Right);
+        let (sales_schema, returns_schema) = self.schemas();
+        let mut sales = GrowingDatabase::new(sales_schema, Relation::Left);
+        let mut returns = GrowingDatabase::new(returns_schema, Relation::Right);
 
         // Per day: `rate` in-window returns, plus ~30% as many late returns and ~50%
         // as many never-returned sales, matching the Sales ≫ Returns size ratio.
@@ -69,21 +86,23 @@ impl TpcDsGenerator {
              returns: &mut GrowingDatabase| {
                 let pid = *next_pid;
                 *next_pid += 1;
-                sales.insert(LogicalUpdate {
+                let sale = LogicalUpdate {
                     id: *next_id,
                     relation: Relation::Left,
                     arrival: sale_day,
                     fields: vec![pid, sale_day as u32],
-                });
+                };
+                insert_generated(sales, sale);
                 *next_id += 1;
                 if let Some(gap) = return_gap {
                     let return_day = sale_day + gap;
-                    returns.insert(LogicalUpdate {
+                    let ret = LogicalUpdate {
                         id: *next_id,
                         relation: Relation::Right,
                         arrival: return_day,
                         fields: vec![pid, return_day as u32],
-                    });
+                    };
+                    insert_generated(returns, ret);
                     *next_id += 1;
                 }
                 let _ = rng;
@@ -105,7 +124,7 @@ impl TpcDsGenerator {
             }
             let n_late: u64 = late.sample(&mut rng) as u64;
             for _ in 0..n_late {
-                let gap = rng.gen_range(11..=30u64);
+                let gap = rng.gen_range(11..=MAX_RETURN_GAP);
                 push_sale_and_return(
                     day,
                     Some(gap),
@@ -130,9 +149,7 @@ impl TpcDsGenerator {
             }
         }
 
-        // Padded batch sizes dominate the per-day arrival rates (fixed-size uploads).
-        let left_batch = ((rate * 1.8).ceil() as usize + 2).max(4);
-        let right_batch = ((rate * 1.3).ceil() as usize + 2).max(4);
+        let (left_batch, right_batch) = self.batch_sizes();
 
         Dataset {
             kind: DatasetKind::TpcDs,

@@ -7,13 +7,13 @@
 //! * **Scaling** — replicate or subsample the data volume by 0.5× / 2× / 4× with fresh
 //!   primary keys, keeping the time horizon unchanged.
 
-use crate::dataset::Dataset;
+use crate::dataset::{insert_generated, rekeyed, Dataset};
 use crate::queries::JoinQuery;
 use incshrink_storage::{GrowingDatabase, LogicalUpdate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Which variant of a base workload to run (Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,7 +60,7 @@ pub fn to_sparse(base: &Dataset, keep_fraction: f64, seed: u64) -> Dataset {
     for u in base.left.updates() {
         if rng.gen_bool(keep_fraction.clamp(0.0, 1.0)) {
             kept_keys.insert(u.fields[0]);
-            left.insert(u.clone());
+            insert_generated(&mut left, u.clone());
         }
     }
     let mut right = GrowingDatabase::new(base.right.schema.clone(), base.right.relation);
@@ -68,7 +68,7 @@ pub fn to_sparse(base: &Dataset, keep_fraction: f64, seed: u64) -> Dataset {
         // Keep right records whose key survived (so kept pairs remain intact) plus a
         // thinned sample of the unmatched background.
         if kept_keys.contains(&u.fields[0]) || rng.gen_bool(keep_fraction.clamp(0.0, 1.0)) {
-            right.insert(u.clone());
+            insert_generated(&mut right, u.clone());
         }
     }
     out.left = left;
@@ -76,8 +76,19 @@ pub fn to_sparse(base: &Dataset, keep_fraction: f64, seed: u64) -> Dataset {
     out
 }
 
+/// Widen both relations' join keys by `bits`: the key ranges a variant adds above
+/// the base's.
+fn widen_keys(out: &mut Dataset, bits: u32) {
+    for db in [&mut out.left, &mut out.right] {
+        let key = db.schema.widths()[db.schema.key_column];
+        db.schema = rekeyed(&db.schema, key + bits);
+    }
+}
+
 /// Duplicate matched pairs so the workload carries roughly `1 + extra_fraction` times
 /// as many view entries (with `extra_fraction = 1.0` this is the paper's Burst data).
+/// The fresh keys start above the base's and number at most one per left record,
+/// whose own keys they do not outnumber: the key columns grow by one bit.
 #[must_use]
 pub fn to_burst(base: &Dataset, extra_fraction: f64, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -85,16 +96,26 @@ pub fn to_burst(base: &Dataset, extra_fraction: f64, seed: u64) -> Dataset {
         window: base.join_window,
     };
     let mut out = base.clone();
+    widen_keys(&mut out, 1);
     let mut next_key = max_key(&base.left).max(max_key(&base.right)) + 1;
     let mut next_id = max_id(base) + 1;
 
-    let rights: Vec<LogicalUpdate> = base.right.updates().to_vec();
+    // The right records by key, in relation order: a pair only matches on equal keys.
+    let mut rights: HashMap<u32, Vec<&LogicalUpdate>> = HashMap::new();
+    for r in base.right.updates() {
+        if let Some(&key) = r.fields.first() {
+            rights.entry(key).or_default().push(r);
+        }
+    }
     for l in base.left.updates() {
         if !rng.gen_bool(extra_fraction.clamp(0.0, 1.0)) {
             continue;
         }
-        let matches: Vec<&LogicalUpdate> = rights
-            .iter()
+        let candidates = l.fields.first().and_then(|key| rights.get(key));
+        let matches: Vec<&LogicalUpdate> = candidates
+            .into_iter()
+            .flatten()
+            .copied()
             .filter(|r| query.pair_matches(&l.fields, &r.fields))
             .collect();
         if matches.is_empty() {
@@ -105,22 +126,24 @@ pub fn to_burst(base: &Dataset, extra_fraction: f64, seed: u64) -> Dataset {
         next_key += 1;
         let mut lf = l.fields.clone();
         lf[0] = key;
-        out.left.insert(LogicalUpdate {
+        let left = LogicalUpdate {
             id: next_id,
             relation: l.relation,
             arrival: l.arrival,
             fields: lf,
-        });
+        };
+        insert_generated(&mut out.left, left);
         next_id += 1;
         for r in matches {
             let mut rf = r.fields.clone();
             rf[0] = key;
-            out.right.insert(LogicalUpdate {
+            let right = LogicalUpdate {
                 id: next_id,
                 relation: r.relation,
                 arrival: r.arrival,
                 fields: rf,
-            });
+            };
+            insert_generated(&mut out.right, right);
             next_id += 1;
         }
     }
@@ -129,6 +152,8 @@ pub fn to_burst(base: &Dataset, extra_fraction: f64, seed: u64) -> Dataset {
 
 /// Scale a dataset's data volume by `factor` (0.5 subsamples, 2.0/4.0 replicate with
 /// fresh keys), keeping the time horizon fixed — the Section 7.5 scaling experiment.
+/// Each copy's key offset doubles the last, so `c` copies keep every key below
+/// `2^c` times the base's bound: the key columns grow by one bit a copy.
 #[must_use]
 pub fn scale_dataset(base: &Dataset, factor: f64, seed: u64) -> Dataset {
     assert!(factor > 0.0, "scale factor must be positive");
@@ -138,6 +163,8 @@ pub fn scale_dataset(base: &Dataset, factor: f64, seed: u64) -> Dataset {
     let mut out = base.clone();
     let whole_copies = factor.floor() as u64 - 1;
     let fractional = factor - factor.floor();
+    let copies = whole_copies + u64::from(fractional > 1e-9);
+    widen_keys(&mut out, copies as u32);
     let mut next_key = max_key(&base.left).max(max_key(&base.right)) + 1;
     let mut next_id = max_id(base) + 1;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -155,12 +182,13 @@ pub fn scale_dataset(base: &Dataset, factor: f64, seed: u64) -> Dataset {
                 used_any = true;
                 let mut lf = l.fields.clone();
                 lf[0] += key_offset;
-                out.left.insert(LogicalUpdate {
+                let left = LogicalUpdate {
                     id: *next_id,
                     relation: l.relation,
                     arrival: l.arrival,
                     fields: lf,
-                });
+                };
+                insert_generated(&mut out.left, left);
                 *next_id += 1;
             }
         }
@@ -169,12 +197,13 @@ pub fn scale_dataset(base: &Dataset, factor: f64, seed: u64) -> Dataset {
                 used_any = true;
                 let mut rf = r.fields.clone();
                 rf[0] += key_offset;
-                out.right.insert(LogicalUpdate {
+                let right = LogicalUpdate {
                     id: *next_id,
                     relation: r.relation,
                     arrival: r.arrival,
                     fields: rf,
-                });
+                };
+                insert_generated(&mut out.right, right);
                 *next_id += 1;
             }
         }

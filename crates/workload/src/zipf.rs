@@ -19,7 +19,7 @@
 //! to get a workload that is both store-partitioned on arrival and Zipf-hot on
 //! the join key — the `bench --bin elastic` configuration.
 
-use crate::dataset::Dataset;
+use crate::dataset::{insert_generated, rekeyed, Dataset};
 use incshrink_oblivious::shuffle::{bucket_of, VIRTUAL_BUCKETS};
 use incshrink_storage::GrowingDatabase;
 use rand::rngs::StdRng;
@@ -89,20 +89,21 @@ pub fn to_zipf_skewed(base: &Dataset, zipf_s: f64, seed: u64) -> Dataset {
         v
     };
 
+    // The fresh keys are uniform `u32`s: the key columns are full words.
     let left_key = base.left.schema.key_column;
-    let mut left = GrowingDatabase::new(base.left.schema.clone(), base.left.relation);
+    let mut left = GrowingDatabase::new(rekeyed(&base.left.schema, 32), base.left.relation);
     for u in base.left.updates() {
         let mut update = u.clone();
         update.fields[left_key] = mapped_key(update.fields[left_key], &mut rng);
-        left.insert(update);
+        insert_generated(&mut left, update);
     }
 
     let right_key = base.right.schema.key_column;
-    let mut right = GrowingDatabase::new(base.right.schema.clone(), base.right.relation);
+    let mut right = GrowingDatabase::new(rekeyed(&base.right.schema, 32), base.right.relation);
     for u in base.right.updates() {
         let mut update = u.clone();
         update.fields[right_key] = mapped_key(update.fields[right_key], &mut rng);
-        right.insert(update);
+        insert_generated(&mut right, update);
     }
 
     Dataset {

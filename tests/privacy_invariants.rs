@@ -106,6 +106,8 @@ fn contribution_budget_bounds_lifetime_epsilon() {
         right_key: 0,
         right_time: 1,
         window: 1_000,
+        left_bits: vec![10, 10],
+        right_bits: vec![10, 10],
     };
     let mut transform = TransformProtocol::new(view, omega, budget, None);
     let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
