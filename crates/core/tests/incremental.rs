@@ -551,7 +551,11 @@ fn transform_never_costs_more_than_algorithm_4() {
 /// other counts and all of CPDB's, which swaps nothing, kept their values). Both
 /// rounds were re-recorded when a step came to be one garbled circuit, one round
 /// per invocation in place of one per join and per counter recover and reshare
-/// (every gate and byte kept its value).
+/// (every gate and byte kept its value). Both ANDs were re-recorded when every
+/// kernel came to be priced as its generated circuit at the columns' public
+/// widths, the compares and swaps staying operation counts, and TPC-ds's compares
+/// when its θ-condition came to be priced, one more compare a pair (swaps, bytes,
+/// rounds and losses kept their values).
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -566,12 +570,12 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             tpcds(200),
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (cost(154_437, 151_785, 463_324, 56_508, 200), 0),
+            (cost(308_874, 151_785, 5_847_403, 56_508, 200), 0),
         ),
         (
             cpdb(100),
             IncShrinkConfig::cpdb_default(UpdateStrategy::DpTimer { interval: 3 }),
-            (cost(94_040, 0, 1_136_480, 161_608, 100), 1),
+            (cost(94_040, 0, 1_982_840, 161_608, 100), 1),
         ),
     ];
     for (dataset, config, (golden, losses)) in runs {
