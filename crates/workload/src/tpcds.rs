@@ -14,6 +14,14 @@ use rand_distr::{Distribution, Poisson};
 /// The latest a late return arrives, in days after its sale.
 const MAX_RETURN_GAP: u64 = 30;
 
+/// Padded sales batches the pid domain holds beyond the horizon's. Sales per day
+/// are Poisson with mean 1.8 · rate, at least 2 under the pad, so the horizon's
+/// pads alone bound the pids only once that margin has built up over many days
+/// (one day overflows a 3-bit domain on one seed in eight). With four more, a pid
+/// outgrows its width with probability below 10⁻⁹ at the paper's rate, whatever
+/// the horizon.
+const PID_SLACK_STEPS: u64 = 4;
+
 /// Generator for the TPC-ds-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct TpcDsGenerator {
@@ -44,11 +52,13 @@ impl TpcDsGenerator {
     }
 
     /// Sales `(pid, sale_date)` and Returns `(pid, return_date)` schemas, at widths
-    /// set from public parameters alone: a pid is at most the horizon times the
-    /// padded sales batch, a date at most the horizon plus the latest return.
+    /// set from public parameters alone: a pid is at most the horizon, plus
+    /// [`PID_SLACK_STEPS`], times the padded sales batch, a date at most the horizon
+    /// plus the latest return.
     fn schemas(&self) -> (Schema, Schema) {
         let steps = self.params.steps;
-        let pid = width_for(steps.saturating_mul(self.batch_sizes().0 as u64));
+        let pid_steps = steps.saturating_add(PID_SLACK_STEPS);
+        let pid = width_for(pid_steps.saturating_mul(self.batch_sizes().0 as u64));
         let date = width_for(steps.saturating_add(MAX_RETURN_GAP));
         (
             Schema::new("sales", &[("pid", pid), ("sale_date", date)], 0, 1),

@@ -73,6 +73,20 @@ fn every_generator_and_variant_fits_its_public_widths() {
     }
 }
 
+/// A short horizon has not built up the pad's per-step margin over the arrival
+/// rate: both generators still fit their widths from one step on.
+#[test]
+fn short_horizons_fit_their_public_widths() {
+    for kind in [DatasetKind::TpcDs, DatasetKind::Cpdb] {
+        for steps in 1..20u64 {
+            for seed in 1..=100u64 {
+                let what = format!("{kind} at {steps} steps, seed {seed}");
+                assert_fits(&generate(kind, steps, seed), &what);
+            }
+        }
+    }
+}
+
 #[test]
 fn widths_follow_the_public_parameters_not_the_values() {
     // TPC-ds at the benchmark's horizon: pids under 2 000 × 7, dates under 2 030.
