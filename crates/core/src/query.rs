@@ -45,7 +45,7 @@
 //! data-dependent key set. Filters never change the cost or the access pattern.
 
 use crate::view::MaterializedView;
-use incshrink_mpc::circuit::{Kernel, WORD_BITS};
+use incshrink_mpc::circuit::{Kernel, Reduction, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use incshrink_oblivious::aggregate::{count_selected, group_count_selected, sum_selected};
 pub use incshrink_oblivious::filter::FilterExpr;
@@ -479,9 +479,10 @@ impl NmBaselineEngine<'_> {
 /// join over the full outsourced relations (sizes `n_left`, `n_right` padded records of
 /// width `arity` words) followed by a truncated linear scan, per Example 5.1, priced
 /// as the paper's analytic baseline over full words: the padded Batcher bound's
-/// compares and record-wide swaps, a compare and an AND per scanned slot, an
-/// addition per record. Like a view query, it is one circuit that ends where its
-/// answer is released: one round.
+/// compares and record-wide swaps, a compare and an AND per scanned slot, and the
+/// view scan's count, one adder tree over the records' bits
+/// ([`Reduction::Count`]), so the two accumulate alike. Like a view query, it is
+/// one circuit that ends where its answer is released: one round.
 #[must_use]
 pub(crate) fn non_materialized_query_cost(
     n_left: u64,
@@ -496,7 +497,7 @@ pub(crate) fn non_materialized_query_cost(
     meter.kernels(comparators + n * truncation_bound, Kernel::Lt(WORD_BITS));
     meter.kernels(comparators, Kernel::Swap(WORD_BITS * (arity as u32 + 1)));
     meter.ands(n * truncation_bound);
-    meter.kernels(n, Kernel::Add(WORD_BITS));
+    meter.reductions(1, Reduction::Count { rows: n });
     meter.bytes(n * (arity + 1) * 4);
     let report = CostReport {
         rounds: 1,
@@ -508,11 +509,13 @@ pub(crate) fn non_materialized_query_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::ViewDefinition;
     use incshrink_oblivious::{oblivious_count, Predicate};
     use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// `real` rows `(i, 0, 0, 0)` followed by `dummy` dummies, shared.
     fn array_with(real: usize, dummy: usize) -> SharedArrayPair {
@@ -585,6 +588,69 @@ mod tests {
             .filter(FilterExpr::le(0, 3))
             .execute(&view, &model);
         assert_eq!(sum.value, QueryValue::Scalar(6), "ids 0 + 1 + 2 + 3");
+    }
+
+    /// A view at widths `(6, 9, 6, 12)` holding `rows`, `(real, value)` each.
+    fn view_at_widths(rows: &[(bool, u32)], seed: u64) -> MaterializedView {
+        let definition = ViewDefinition {
+            left_key: 0,
+            left_time: 1,
+            right_key: 0,
+            right_time: 1,
+            window: 10,
+            left_bits: vec![6, 9],
+            right_bits: vec![6, 12],
+        };
+        let records: Vec<PlainRecord> = rows
+            .iter()
+            .map(|&(real, v)| {
+                let fields = vec![v % 64, v % 512, v % 64, v % 4096];
+                if real {
+                    PlainRecord::real(fields)
+                } else {
+                    PlainRecord::dummy(4)
+                }
+            })
+            .collect();
+        let mut view = MaterializedView::for_definition(&definition);
+        view.append(SharedArrayPair::share_records(
+            &records,
+            &mut StdRng::seed_from_u64(seed),
+        ));
+        view
+    }
+
+    proptest! {
+        /// Extends `filtered_queries_cost_exactly_what_unfiltered_ones_do` past
+        /// counts: two views of one length, arity and widths but different data
+        /// and selectivity, queried with different filter constants, charge equal
+        /// reports for a count, a sum of every column and a group-count.
+        #[test]
+        fn prop_price_depends_only_on_public_shape(
+            a in proptest::collection::vec((any::<bool>(), any::<u32>()), 0..120),
+            b_seed in any::<u64>(),
+            constants in (any::<u32>(), any::<u32>()),
+            field in 0usize..5,
+            domain in 0usize..9,
+        ) {
+            let mut draw = StdRng::seed_from_u64(b_seed);
+            let b: Vec<(bool, u32)> = a.iter().map(|_| (draw.gen(), draw.gen())).collect();
+            let (view_a, view_b) = (view_at_widths(&a, 1), view_at_widths(&b, 2));
+            let model = CostModel::default();
+            let domain: Vec<u32> = (0..domain as u32).collect();
+            let shapes = [
+                Query::count(),
+                Query::sum(field),
+                Query::group_count(field, domain),
+            ];
+            for query in shapes {
+                let on_a = query.clone().filter(FilterExpr::le(1, constants.0));
+                let on_b = query.clone().filter(FilterExpr::ge(3, constants.1));
+                let price = query.execute(&view_a, &model).report;
+                prop_assert_eq!(on_a.execute(&view_a, &model).report, price);
+                prop_assert_eq!(on_b.execute(&view_b, &model).report, price);
+            }
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! Each [`Kernel`] the cost meter prices has a generator here at the public bit
 //! width of its operands ([`Kernel::circuit`]), and the meter reads its AND count
 //! through [`Kernel::ands`], a table filled once per (kernel, width): pricing never
-//! builds a circuit on the hot path.
+//! builds a circuit on the hot path. An aggregate's adder tree over the scanned
+//! rows is a [`Reduction`], whose generator is sized by the row count and whose
+//! AND count is a closed form the twin tests hold to it.
 //!
 //! Words enter a circuit least significant bit first.
 
 use std::sync::OnceLock;
 
-/// Width of a full share word: what shuffle tags, counters and sums are priced at,
-/// and every column of an array that carries no schema.
+/// Width of a full share word: what shuffle tags and the maintenance protocols'
+/// counters are priced at, and every column of an array that carries no schema.
 pub const WORD_BITS: u32 = 32;
 
 /// Index of a wire: the gate that drives it.
@@ -187,21 +189,147 @@ impl Circuit {
         (a2, b2)
     }
 
-    /// `x + y` modulo `2^w`: the ripple carry, whose last carry is not needed.
-    fn add(&mut self, x: &[Wire], y: &[Wire]) -> Vec<Wire> {
-        let mut sum = vec![self.xor(x[0], y[0])];
+    /// `x + y` for words of any widths, modulo `2^width` (exact where the sum is
+    /// known to fit): the ripple carry over the bits present, one AND a carry,
+    /// none out of the top bit. With both words at least one bit wide, that is
+    /// `width − 1` ANDs.
+    fn add(&mut self, x: &[Wire], y: &[Wire], width: u32) -> Vec<Wire> {
+        let mut sum = Vec::with_capacity(width as usize);
         let mut carry: Option<Wire> = None;
-        for i in 1..x.len() {
-            // The carry into bit i.
-            let c = match carry {
-                None => self.and(x[0], y[0]),
-                Some(c) => self.majority(x[i - 1], y[i - 1], c),
+        for i in 0..width as usize {
+            let top = i + 1 == width as usize;
+            let present: Vec<Wire> = [x.get(i), y.get(i), carry.as_ref()]
+                .into_iter()
+                .flatten()
+                .copied()
+                .collect();
+            let (bit, next) = match present[..] {
+                [a] => (a, None),
+                [a, b] => (self.xor(a, b), (!top).then(|| self.and(a, b))),
+                [a, b, c] => {
+                    let ab = self.xor(a, b);
+                    (self.xor(ab, c), (!top).then(|| self.majority(a, b, c)))
+                }
+                _ => unreachable!("a sum that fits its width has a bit at every position"),
             };
-            let s = self.xor(x[i], y[i]);
-            sum.push(self.xor(s, c));
-            carry = Some(c);
+            sum.push(bit);
+            carry = next;
         }
         sum
+    }
+
+    /// The halving adder tree over `leaves`: the first `⌈n/2⌉` and the last
+    /// `⌊n/2⌋` reduced alike, then added into `width(n)` bits.
+    fn adder_tree(&mut self, leaves: &[Vec<Wire>], width: &dyn Fn(u64) -> u32) -> Vec<Wire> {
+        match leaves {
+            [] => Vec::new(),
+            [leaf] => leaf.clone(),
+            _ => {
+                let (left, right) = leaves.split_at(leaves.len().div_ceil(2));
+                let x = self.adder_tree(left, width);
+                let y = self.adder_tree(right, width);
+                self.add(&x, &y, width(leaves.len() as u64))
+            }
+        }
+    }
+}
+
+/// An aggregate's reduction over the scanned rows: one circuit, an adder tree
+/// whose every node is priced at the exact width of the largest value its rows
+/// can sum to. Not a [`Kernel`]: its size is the row count, far past the
+/// kernel table's widths, so [`Reduction::ands`] is a closed form, held to the
+/// generator ([`Reduction::circuit`]) by the twin tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reduction {
+    /// The number of set bits among `rows` selection bits (inputs: one bit a
+    /// row).
+    Count {
+        /// Selection bits reduced.
+        rows: u64,
+    },
+    /// The sum of `rows` values of `bits` bits, each masked by its row's
+    /// selection bit (`bits` ANDs a row; inputs: per row the selection bit, then
+    /// the value least significant bit first).
+    Sum {
+        /// Values reduced.
+        rows: u64,
+        /// The values' public width, at most 64.
+        bits: u32,
+    },
+}
+
+impl Reduction {
+    /// The largest value one row contributes.
+    fn leaf_max(self) -> u64 {
+        match self {
+            Reduction::Count { .. } => 1,
+            Reduction::Sum { bits, .. } => {
+                assert!(bits <= 64, "a summed value is at most 64 bits wide");
+                u64::MAX.checked_shr(64 - bits).unwrap_or(0)
+            }
+        }
+    }
+
+    /// The exact width of a subtree of `rows` rows, each contributing at most
+    /// `leaf_max`: the bits of the largest value they can sum to.
+    fn width(rows: u64, leaf_max: u64) -> u32 {
+        u128::BITS - (u128::from(rows) * u128::from(leaf_max)).leading_zeros()
+    }
+
+    /// The generated circuit: a sum's masks, then the halving adder tree, each
+    /// node an exact-width ripple carry. Builds `rows` leaves: for tests, never
+    /// on a query path.
+    #[must_use]
+    pub fn circuit(self) -> Circuit {
+        let mut c = Circuit::default();
+        let leaves: Vec<Vec<Wire>> = match self {
+            Reduction::Count { rows } => (0..rows).map(|_| vec![c.input()]).collect(),
+            Reduction::Sum { rows, bits } => (0..rows)
+                .map(|_| {
+                    let selected = c.input();
+                    let value = c.word(bits);
+                    value.into_iter().map(|v| c.and(selected, v)).collect()
+                })
+                .collect(),
+        };
+        let leaf_max = self.leaf_max();
+        for bit in c.adder_tree(&leaves, &|rows| Self::width(rows, leaf_max)) {
+            c.output(bit);
+        }
+        c
+    }
+
+    /// The generated circuit's AND count in closed form, in `O(log rows)` with
+    /// no allocation: a sum's masks, then per level of the halving tree every
+    /// node of `m ≥ 2` rows adds its halves in `width(m) − 1` ANDs. At depth `d`
+    /// the `2^d` subtrees hold `k = ⌊rows / 2^d⌋` or `k + 1` rows, and since they
+    /// hold `rows` in all, `rows mod 2^d` of them hold `k + 1`.
+    #[must_use]
+    pub fn ands(self) -> u64 {
+        let (rows, masks) = match self {
+            Reduction::Count { rows } => (rows, 0),
+            Reduction::Sum { rows, bits } => (rows, rows * u64::from(bits)),
+        };
+        let leaf_max = self.leaf_max();
+        let merge = |m: u64| u64::from(Self::width(m, leaf_max)).saturating_sub(1);
+        let mut ands = masks;
+        for d in 0..u64::BITS - rows.leading_zeros() {
+            let (k, larger) = (rows >> d, rows & ((1 << d) - 1));
+            if k >= 2 {
+                ands += ((1 << d) - larger) * merge(k);
+            }
+            ands += larger * merge(k + 1);
+        }
+        ands
+    }
+
+    /// The operation count it adds to: one add a row reduced; a sum's row counts
+    /// two, its value's and its selection's.
+    pub(crate) fn adds(self) -> u64 {
+        match self {
+            Reduction::Count { rows } => rows,
+            Reduction::Sum { rows, .. } => 2 * rows,
+        }
     }
 }
 
@@ -267,7 +395,7 @@ impl Kernel {
                         c.output(eq);
                     }
                     Kernel::Add(_) => {
-                        for s in c.add(&x, &y) {
+                        for s in c.add(&x, &y, w) {
                             c.output(s);
                         }
                     }
@@ -344,7 +472,7 @@ mod tests {
     /// The widths every twin test runs at: 1 and 32 included.
     const WIDTHS: [u32; 6] = [1, 2, 7, 11, 14, 32];
 
-    fn bits(value: u64, w: u32) -> impl Iterator<Item = bool> {
+    fn bits_of(value: u64, w: u32) -> impl Iterator<Item = bool> {
         (0..w).map(move |i| value >> i & 1 == 1)
     }
 
@@ -357,7 +485,7 @@ mod tests {
     }
 
     fn eval_words(kernel: Kernel, words: &[u64], w: u32) -> Vec<bool> {
-        let inputs: Vec<bool> = words.iter().flat_map(|&v| bits(v, w)).collect();
+        let inputs: Vec<bool> = words.iter().flat_map(|&v| bits_of(v, w)).collect();
         kernel.circuit().eval(&inputs)
     }
 
@@ -392,6 +520,62 @@ mod tests {
         }
     }
 
+    /// Every row count to 300, then sampled counts to 4 096 around the powers of
+    /// two, where a halving tree's levels change shape.
+    fn reduction_rows() -> impl Iterator<Item = u64> {
+        (0..=300).chain([383, 511, 512, 513, 1000, 2047, 2049, 3001, 4095, 4096])
+    }
+
+    #[test]
+    fn reduction_ands_equal_the_generated_and_count() {
+        for rows in reduction_rows() {
+            let count = Reduction::Count { rows };
+            assert_eq!(count.ands(), count.circuit().and_count(), "{count:?}");
+            for bits in WIDTHS {
+                let sum = Reduction::Sum { rows, bits };
+                assert_eq!(sum.ands(), sum.circuit().and_count(), "{sum:?}");
+            }
+        }
+        // A count of n rows costs under two ANDs a row, a w-bit sum under w + 2
+        // beyond its w masks.
+        let (rows, bits) = (4096, 32);
+        assert!(Reduction::Count { rows }.ands() < 2 * rows);
+        assert!(Reduction::Sum { rows, bits }.ands() < rows * (2 * u64::from(bits) + 2));
+    }
+
+    /// A reduction's output is as wide as the largest answer of its rows: every
+    /// row selected, each value at its maximum.
+    #[test]
+    fn reduction_outputs_are_as_wide_as_the_largest_answer() {
+        let widest = |reduction: Reduction, inputs: u64| {
+            let out = reduction.circuit().eval(&vec![true; inputs as usize]);
+            (out.len(), word(&out))
+        };
+        for (rows, bits) in [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (300, 9)] {
+            let count = widest(Reduction::Count { rows }, rows);
+            assert_eq!(count, (bits as usize, rows), "count of {rows}");
+        }
+        for (rows, value, bits) in [(0, 11, 0), (1, 32, 32), (2, 32, 33), (3, 1, 2), (5, 0, 0)] {
+            let sum = widest(
+                Reduction::Sum { rows, bits: value },
+                rows * (1 + u64::from(value)),
+            );
+            assert_eq!(
+                sum,
+                (bits as usize, rows * mask(value)),
+                "sum of {rows} × {value}"
+            );
+        }
+        let wide = widest(
+            Reduction::Sum {
+                rows: 1000,
+                bits: 14,
+            },
+            15_000,
+        );
+        assert_eq!(wide, (24, 1000 * mask(14)), "14 bits and ⌈log₂ 1000⌉");
+    }
+
     #[test]
     #[should_panic(expected = "one bit per input gate")]
     fn eval_rejects_a_short_input() {
@@ -412,6 +596,28 @@ mod tests {
             prop_assert_eq!(eval_words(Kernel::Eq(w), &[x, x], w), vec![true]);
             let sum = word(&eval_words(Kernel::Add(w), &[x, y], w));
             prop_assert_eq!(sum, (x + y) & mask(w));
+        }
+
+        #[test]
+        fn prop_reductions_equal_the_host_count_and_sum(
+            rows in proptest::collection::vec((0u8..2, any::<u64>()), 0..90),
+            pick in 0usize..6,
+        ) {
+            let bits = WIDTHS[pick];
+            let n = rows.len() as u64;
+            let selected = |&(s, _): &(u8, u64)| s == 1;
+            let count = Reduction::Count { rows: n };
+            let inputs: Vec<bool> = rows.iter().map(selected).collect();
+            let host = rows.iter().filter(|r| selected(r)).count() as u64;
+            prop_assert_eq!(word(&count.circuit().eval(&inputs)), host);
+
+            let sum = Reduction::Sum { rows: n, bits };
+            let inputs: Vec<bool> = rows
+                .iter()
+                .flat_map(|r| [selected(r)].into_iter().chain(bits_of(r.1 & mask(bits), bits)))
+                .collect();
+            let host: u64 = rows.iter().filter(|r| selected(r)).map(|r| r.1 & mask(bits)).sum();
+            prop_assert_eq!(word(&sum.circuit().eval(&inputs)), host);
         }
 
         #[test]
@@ -442,13 +648,13 @@ mod tests {
             let (fa, fb) = (flags & 1 == 1, flags & 2 == 2);
             let split = |out: &[bool]| (word(&out[..p as usize]), word(&out[p as usize..]));
 
-            let swap: Vec<bool> = [fb].into_iter().chain(bits(a, p)).chain(bits(b, p)).collect();
+            let swap: Vec<bool> = [fb].into_iter().chain(bits_of(a, p)).chain(bits_of(b, p)).collect();
             let out = Kernel::Swap(p).circuit().eval(&swap);
             prop_assert_eq!(split(&out), if fb { (b, a) } else { (a, b) });
 
             // Reals first: the wires swap exactly when a dummy sits before a real.
             let inputs: Vec<bool> =
-                [fa, fb].into_iter().chain(bits(a, p)).chain(bits(b, p)).collect();
+                [fa, fb].into_iter().chain(bits_of(a, p)).chain(bits_of(b, p)).collect();
             let out = Kernel::CompareExchange(p).circuit().eval(&inputs);
             let swapped = !fa && fb;
             prop_assert_eq!((out[0], out[1]), (fa || fb, fa && fb));

@@ -3,13 +3,14 @@
 //! Garbled-circuit 2PC cost is dominated by the number of AND gates evaluated and
 //! the bytes shipped between the parties. Every oblivious operator in this repository
 //! reports the kernels it evaluated — compares, swaps and adds, each the generated
-//! circuit of [`crate::circuit`] at its operands' public bit widths — plus its
+//! circuit of [`crate::circuit`] at its operands' public bit widths — and an
+//! aggregate's adder tree over its rows ([`crate::circuit::Reduction`]), plus its
 //! control ANDs and bytes; [`CostModel`] converts the AND gates, bytes and rounds
 //! into a [`SimDuration`] using constants calibrated against the paper's Table 2
 //! (see `docs/ARCHITECTURE.md` § "Share flow" and the `table2` row of § "Experiment
 //! binaries").
 
-use crate::circuit::{Kernel, Operation};
+use crate::circuit::{Kernel, Operation, Reduction};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -178,7 +179,9 @@ impl Default for CostModel {
         // circuit whatever its depth (`CostMeter`'s rounds). A kernel costs the ANDs
         // of its generated circuit at its operands' public widths
         // (`crate::circuit::Kernel`): a w-bit LT w, an EQ w − 1, a swap one a
-        // payload bit, a flag-keyed compare-exchange one more than its payload.
+        // payload bit, a flag-keyed compare-exchange one more than its payload;
+        // an aggregate's adder tree at its exact widths (`Reduction`): a count
+        // under two ANDs a row.
         // A secret bit times a public word is free (XOR shares, free XOR): a join
         // against a public relation places its rows without swaps
         // (`public_inner_join_cost` in incshrink-oblivious). So is a local copy of
@@ -228,8 +231,10 @@ impl CostModel {
 /// **Gates:** an operator records each kernel it evaluates with [`Self::kernels`]
 /// at its operands' public width: the kernel's generated circuit
 /// ([`crate::circuit::Kernel`]) sets its ANDs, read from a memoised table, and
-/// the kernel counts once as a compare, swap or add. [`Self::ands`] records control
-/// ANDs outside any kernel.
+/// the kernel counts once as a compare, swap or add. An aggregate's adder tree is
+/// one [`crate::circuit::Reduction`] over the scanned rows, recorded with
+/// [`Self::reductions`] at its closed-form AND count. [`Self::ands`] records
+/// control ANDs outside any kernel.
 ///
 /// **Rounds:** one per garbled circuit, whatever its depth, never one per kernel. A
 /// gate or byte opens a circuit; [`Self::release`] (the host learns a public value)
@@ -281,6 +286,13 @@ impl CostMeter {
         };
         *count += n;
         self.total.secure_ands += n.saturating_mul(kernel.ands());
+    }
+
+    /// Record `n` evaluations of `reduction`: its closed-form AND count each (no
+    /// circuit is built), and its rows as adds in the operation counts.
+    pub fn reductions(&mut self, n: u64, reduction: Reduction) {
+        self.total.secure_adds += n.saturating_mul(reduction.adds());
+        self.total.secure_ands += n.saturating_mul(reduction.ands());
     }
 
     /// Record `n` secure AND gates of control logic outside any [`Kernel`].
@@ -476,6 +488,21 @@ mod tests {
         meter.kernels(0, Kernel::Eq(8));
         assert_eq!(meter.take().rounds, 1);
         assert!(meter.take().is_empty());
+    }
+
+    #[test]
+    fn reductions_charge_their_generated_ands_and_count_their_rows() {
+        let (count, sum) = (
+            Reduction::Count { rows: 10 },
+            Reduction::Sum { rows: 5, bits: 7 },
+        );
+        let mut meter = CostMeter::new();
+        meter.reductions(3, count);
+        meter.reductions(1, sum);
+        let r = meter.report();
+        let ands = 3 * count.circuit().and_count() + sum.circuit().and_count();
+        assert_eq!((r.secure_ands, r.secure_adds), (ands, 3 * 10 + 2 * 5));
+        assert_eq!((r.secure_compares, r.secure_swaps), (0, 0));
     }
 
     #[test]

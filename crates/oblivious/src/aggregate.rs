@@ -1,9 +1,11 @@
 //! Oblivious aggregation over secret-shared arrays.
 //!
 //! The analyst-facing queries of the evaluation are COUNT aggregates over the
-//! materialized view. Inside a 2PC execution the count is accumulated as a secret
-//! shared register while linearly scanning the array — the access pattern is a fixed
-//! left-to-right pass, so nothing about which entries are real leaks. This module
+//! materialized view. Inside a 2PC execution a linear scan selects each row — the
+//! access pattern is a fixed left-to-right pass, so nothing about which entries
+//! are real leaks — and one adder tree over the selection bits (or the masked
+//! values, for a sum) reduces them at the exact width of the largest answer the
+//! scanned rows allow ([`incshrink_mpc::circuit::Reduction`]). This module
 //! provides the oblivious COUNT / SUM primitives (optionally filtered by a predicate)
 //! plus grouped counts: [`oblivious_group_count_over_domain`] answers over a
 //! *public* domain with a data-independent output width, which is what the analyst
@@ -28,7 +30,7 @@
 //! transpose once and run the same body with their [`Predicate`]'s conjuncts.
 
 use crate::filter::{for_each_selection_block, FilterExpr, Predicate};
-use incshrink_mpc::circuit::{Kernel, WORD_BITS};
+use incshrink_mpc::circuit::{Kernel, Reduction, WORD_BITS};
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
@@ -57,9 +59,10 @@ fn slot_bits(columns: &SharedColumnsPair, widths: &[u32]) -> u32 {
 
 /// Count the rows of `columns` that `isView ∧ conjuncts` selects — the lane body
 /// of [`oblivious_count`]. `widths` are the columns' public bit widths. Charges per
-/// row one [`Kernel::Lt`] at the predicate slot's width (the widest column), one
-/// AND and one 32-bit addition, the scanned shares as input traffic and 8 bytes for
-/// the revealed count — whatever the selection keeps.
+/// row one [`Kernel::Lt`] at the predicate slot's width (the widest column) and
+/// one AND, then one [`Reduction::Count`] over the rows' selection bits, the
+/// scanned shares as input traffic and 8 bytes for the revealed count — whatever
+/// the selection keeps.
 pub fn count_selected(
     columns: &SharedColumnsPair,
     conjuncts: &[FilterExpr],
@@ -69,7 +72,7 @@ pub fn count_selected(
     let n = columns.len() as u64;
     meter.kernels(n, Kernel::Lt(slot_bits(columns, widths)));
     meter.ands(n);
-    meter.kernels(n, Kernel::Add(WORD_BITS));
+    meter.reductions(1, Reduction::Count { rows: n });
     meter.bytes(scan_input_bytes(columns) + 8);
     let mut count = 0;
     for_each_selection_block(columns, conjuncts, |_, mask| {
@@ -78,11 +81,13 @@ pub fn count_selected(
     count
 }
 
-/// Sum `field` over the rows of `columns` that `isView ∧ conjuncts` selects, with
-/// saturating 64-bit arithmetic (the paper's aggregates are counts; sums complete
-/// the analyst query layer's operator set). A column the array does not have sums
-/// to 0; the charge is the same either way: that of [`count_selected`] with two
-/// 32-bit additions a row.
+/// Sum `field` over the rows of `columns` that `isView ∧ conjuncts` selects (the
+/// paper's aggregates are counts; sums complete the analyst query layer's operator
+/// set). The circuit's output is as wide as the largest sum of `len` values at the
+/// field's width, so the answer is exact, as is the host's 64-bit sum. A column
+/// the array does not have sums to 0; the charge is the same either way: that of
+/// [`count_selected`] with a [`Reduction::Sum`] at the field's width in place of
+/// the count.
 pub fn sum_selected(
     columns: &SharedColumnsPair,
     field: usize,
@@ -93,7 +98,8 @@ pub fn sum_selected(
     let n = columns.len() as u64;
     meter.kernels(n, Kernel::Lt(slot_bits(columns, widths)));
     meter.ands(n);
-    meter.kernels(2 * n, Kernel::Add(WORD_BITS));
+    let bits = column_bits(widths, field);
+    meter.reductions(1, Reduction::Sum { rows: n, bits });
     meter.bytes(scan_input_bytes(columns) + 8);
     let Some((s0, s1)) = columns.field_shares(field) else {
         return 0;
@@ -127,7 +133,7 @@ pub fn group_count_selected(
     }
     meter.kernels(n * d, Kernel::Eq(column_bits(widths, group_field)));
     meter.ands(n * d);
-    meter.kernels(n * d, Kernel::Add(WORD_BITS));
+    meter.reductions(d, Reduction::Count { rows: n });
     meter.bytes(scan_input_bytes(columns) + 8 * d);
     let mut counts = vec![0; domain.len()];
     let Some((s0, s1)) = columns.field_shares(group_field) else {
@@ -170,9 +176,9 @@ pub fn oblivious_count(
 ///
 /// # Cost
 /// Per entry and domain slot one full-word equality comparison (the array carries
-/// no schema), one AND (the predicate mask folds into the per-slot mux) and one
-/// addition into the slot's counter; plus the scanned shares as input traffic and
-/// 8 bytes per revealed counter.
+/// no schema) and one AND (the predicate mask folds into the slot's selection
+/// bit); per slot one [`Reduction::Count`] over its entries' bits; plus the scanned
+/// shares as input traffic and 8 bytes per revealed counter.
 pub fn oblivious_group_count_over_domain(
     array: &SharedArrayPair,
     group_field: usize,
