@@ -5,6 +5,7 @@
 use incshrink::prelude::*;
 use incshrink_cluster::sharded::{ClusterRunReport, ShardReport};
 use incshrink_cluster::{ScatterGatherExecutor, ShardRouter, ShardedSimulation};
+use incshrink_mpc::circuit::Reduction;
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
 use incshrink_workload::logical_join_count;
 
@@ -160,6 +161,13 @@ fn scale_out_error_stays_within_composed_bound_and_scans_shrink() {
         let single = ShardedSimulation::new(dataset.clone(), config, 1, seed).run();
         let (single_qet, single_rows) = (last_qet(&single), largest(&single, all));
         let single_reals = largest(&single, real);
+        // A count scan's net price: a per-row price, then one adder tree over the
+        // rows' selection bits.
+        let tree = |rows: f64| {
+            let ands = Reduction::Count { rows: rows as u64 }.ands();
+            ands as f64 * model.secs_per_and
+        };
+        let per_row = (single_qet - tree(single_rows)) / single_rows;
         let mut prev_real_share = 1.0;
         for shards in [2usize, 4, 8] {
             let report = ShardedSimulation::new(dataset.clone(), config, shards, seed).run();
@@ -183,15 +191,24 @@ fn scale_out_error_stays_within_composed_bound_and_scans_shrink() {
                 report.summary.avg_relative_error
             );
 
-            // The slowest shard's scan, net of the per-query constant, is its share
-            // of the single pair's view rows: less than all of them.
-            let share = largest(&report, all) / single_rows;
+            // The slowest shard's scan, net of the per-query constant, is the
+            // single pair's per-row price times its view rows plus the count's
+            // adder tree over them: less than the single pair's, on less than all
+            // of its rows.
+            let rows = largest(&report, all);
+            let share = rows / single_rows;
             let ratio = last_qet(&report) / single_qet;
+            let want = (per_row * rows + tree(rows)) / single_qet;
             assert!(
-                (ratio - share).abs() < 1e-6,
-                "seed {seed}, S={shards}: net QET ratio {ratio} against a row share {share}"
+                (ratio - want).abs() < 1e-6,
+                "seed {seed}, S={shards}: net QET ratio {ratio} against {want} for a row \
+                 share {share}"
             );
             assert!(share < 1.0, "seed {seed}, S={shards}: row share {share}");
+            assert!(
+                ratio < 1.0,
+                "seed {seed}, S={shards}: net QET ratio {ratio}"
+            );
             // Its real rows are split S ways.
             let real_share = largest(&report, real) / single_reals;
             assert!(

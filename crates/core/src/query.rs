@@ -748,9 +748,26 @@ mod tests {
     fn nm_query_is_orders_of_magnitude_slower_than_view_scan() {
         let model = CostModel::default();
         let view = view_with(100, 100);
-        let view_qet = Query::count().execute(&view, &model).qet;
+        let scan = Query::count().execute(&view, &model);
         let (nm_qet, report) = non_materialized_query_cost(50_000, 10_000, 2, 1, &model);
-        assert!(nm_qet.as_secs_f64() > view_qet.as_secs_f64() * 100.0);
+        assert!(nm_qet.as_secs_f64() > scan.qet.as_secs_f64() * 100.0);
+        // The pinned price: the padded Batcher bound's compares and record-wide
+        // swaps, a compare and an AND per scanned slot, and the view scan's own
+        // count over the records' bits, so the two accumulate alike.
+        let (n, comparators) = (
+            60_000,
+            incshrink_oblivious::batcher_padded_pair_count(60_000),
+        );
+        let count = Reduction::Count { rows: n };
+        let want = (comparators + n) * Kernel::Lt(WORD_BITS).ands()
+            + comparators * Kernel::Swap(3 * WORD_BITS).ands()
+            + n
+            + count.ands();
+        assert_eq!(report.secure_ands, want);
+        assert_eq!(report.secure_adds, n);
+        let view_count = Reduction::Count { rows: 200 }.ands();
+        let view_rows = 200 * (Kernel::Lt(WORD_BITS).ands() + 1);
+        assert_eq!(scan.report.secure_ands, view_rows + view_count);
         // Every comparator swaps a whole record: the swaps' gates outweigh the
         // compares'.
         let compares = Kernel::Lt(WORD_BITS).ands() * report.secure_compares;

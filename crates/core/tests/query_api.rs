@@ -6,7 +6,7 @@
 //! views.
 
 use incshrink::prelude::*;
-use incshrink_mpc::circuit::{Kernel, WORD_BITS};
+use incshrink_mpc::circuit::{Kernel, Reduction};
 use incshrink_mpc::cost::{CostModel, CostReport};
 use incshrink_workload::{logical_join_group_count, logical_join_rows, logical_join_sum};
 use proptest::prelude::*;
@@ -32,9 +32,10 @@ fn cpdb(steps: u64) -> Dataset {
 /// The fig4-style trajectories (both workloads, their default DP strategies): at
 /// every step the typed `Query::count()` over the view must answer the view's real
 /// row count and charge exactly one counting scan of it — per entry one compare at
-/// the widest column's width, one AND and one 32-bit add, each its generated
-/// circuit's ANDs, its shares plus the 8-byte answer, one round — and the NM-baseline
-/// engine must reproduce the NM pricing and exact answer.
+/// the widest column's width and one AND, then one adder tree over the entries'
+/// bits, each its generated circuit's ANDs, its shares plus the 8-byte answer, one
+/// round — and the NM-baseline engine must reproduce the NM pricing and exact
+/// answer.
 #[test]
 fn typed_count_replays_fig4_trajectories_bit_for_bit() {
     let runs = [
@@ -56,12 +57,11 @@ fn typed_count_replays_fig4_trajectories_bit_for_bit() {
             let view = pipeline.view();
             let (n, width) = (view.len() as u64, view.entries().arity() as u64 + 1);
             let slot = view.column_bits().iter().copied().max().expect("widths");
-            let per_row = Kernel::Lt(slot).circuit().and_count()
-                + 1
-                + Kernel::Add(WORD_BITS).circuit().and_count();
+            let per_row = Kernel::Lt(slot).circuit().and_count() + 1;
+            let count = Reduction::Count { rows: n }.circuit().and_count();
             let scan = CostReport {
                 secure_compares: n,
-                secure_ands: n * per_row,
+                secure_ands: n * per_row + count,
                 secure_adds: n,
                 bytes_communicated: n * width * 4 + 8,
                 rounds: 1,

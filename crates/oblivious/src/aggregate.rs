@@ -359,39 +359,45 @@ mod tests {
     }
 
     /// The circuit twin of the scans' price: at a column of 5 and one of 9 bits,
-    /// each row's predicate slot is an LT at the widest column's width, a group
-    /// slot an EQ at the grouped column's, every addition 32 bits wide — each
-    /// its generated circuit's ANDs, counted afresh — and an array without widths
-    /// is full words.
+    /// each row's predicate slot is an LT at the widest column's width and a
+    /// group slot an EQ at the grouped column's, then one adder tree per answer
+    /// word — a count over the rows' selection bits, a sum over their masked
+    /// values at the summed column's width — each its generated circuit's ANDs,
+    /// counted afresh; an array without widths is full words.
     #[test]
     fn scans_charge_their_kernels_at_the_column_widths() {
         let columns = SharedColumnsPair::from_pair(&array_with(&[(1, 5), (2, 15), (3, 25)], 4));
         let (n, d, widths) = (7u64, 3u64, [5u32, 9]);
         let ands = |kernel: Kernel| kernel.circuit().and_count();
-        let add = ands(Kernel::Add(WORD_BITS));
+        let tree = |reduction: Reduction| reduction.circuit().and_count();
+        let count = tree(Reduction::Count { rows: n });
         let charge = |scan: &dyn Fn(&mut CostMeter)| {
             let mut meter = CostMeter::new();
             scan(&mut meter);
             let r = meter.report();
             (r.secure_compares, r.secure_ands, r.secure_adds)
         };
-        let count = charge(&|m| {
+        let counted = charge(&|m| {
             let _ = count_selected(&columns, &[], &widths, m);
         });
-        assert_eq!(count, (n, n * (ands(Kernel::Lt(9)) + 1 + add), n));
-        let sum = charge(&|m| {
-            let _ = sum_selected(&columns, 1, &[], &widths, m);
-        });
-        assert_eq!(sum, (n, n * (ands(Kernel::Lt(9)) + 1 + 2 * add), 2 * n));
+        assert_eq!(counted, (n, n * (ands(Kernel::Lt(9)) + 1) + count, n));
+        for (field, bits) in [(0, 5), (1, 9), (2, WORD_BITS)] {
+            let summed = charge(&|m| {
+                let _ = sum_selected(&columns, field, &[], &widths, m);
+            });
+            let sum = tree(Reduction::Sum { rows: n, bits });
+            let want = (n, n * (ands(Kernel::Lt(9)) + 1) + sum, 2 * n);
+            assert_eq!(summed, want, "field {field}");
+        }
         let group = charge(&|m| {
             let _ = group_count_selected(&columns, 0, &[1, 2, 3], &[], &widths, m);
         });
-        let slot = ands(Kernel::Eq(5)) + 1 + add;
-        assert_eq!(group, (n * d, n * d * slot, n * d));
+        let slots = n * d * (ands(Kernel::Eq(5)) + 1) + d * count;
+        assert_eq!(group, (n * d, slots, n * d));
         let words = charge(&|m| {
             let _ = count_selected(&columns, &[], &[], m);
         });
-        assert_eq!(words.1, n * (ands(Kernel::Lt(WORD_BITS)) + 1 + add));
+        assert_eq!(words.1, n * (ands(Kernel::Lt(WORD_BITS)) + 1) + count);
     }
 
     #[test]
