@@ -28,7 +28,8 @@
 //!   it came in retires `b/ω − 1` steps after its upload — a function of the upload
 //!   step, `b` and ω, which the servers already know (DP-Sync's update pattern:
 //!   batch sizes and arrival times). Per accumulated relation Transform therefore
-//!   tracks the padded lengths of the batches of the last `b/ω − 1` steps
+//!   tracks the padded lengths and time ranges of the batches of the last
+//!   `b/ω − 1` steps
 //!   ([`incshrink_storage::ActiveWindow`], the same sliding window the
 //!   `OutsourcedStore` keeps the batches' shares in) and prices every join as
 //!   `join_cost(|Δ|, window rows)`: dummies included, retired batches excluded, no
@@ -52,6 +53,22 @@
 //!   the one-hot circuit of [`incshrink_oblivious::public_inner_join_cost`]: no
 //!   network, no swap, and no θ, which the range has applied to the public rows
 //!   (docs/ARCHITECTURE.md's Algorithm 4 row).
+//! * **θ is decided on upload steps.** A record's time column is the step that
+//!   uploads it (`GrowingDatabase::insert` rejects any other time, and
+//!   `ActiveRelation::admit` asserts it), so each window block carries the public
+//!   range of its records' times: `[t, t]` for the batch uploaded at step `t`,
+//!   `[c − W, c]` for a block imported at step `c`. Against a delta of step `t`
+//!   the θ-condition accepts the inner times of
+//!   `ViewDefinition::theta_steps` — the same range the public
+//!   relation is scanned over. A block whose range misses it cannot match and
+//!   leaves the join, which is priced over the rows of the rest; θ is priced only
+//!   when one of those straddles an end of the range, which only an import can.
+//!   On TPC-ds a new sale meets no return (every one was uploaded before it) and a
+//!   new return meets the sales of the last `W` steps, all inside θ's window:
+//!   the first join is priced over no row, the second without θ. The matching is
+//!   untouched: an excluded block holds no pair θ accepts, and the candidate walk
+//!   evaluates θ on every pair as before, so ΔV and every share draw are those of
+//!   the whole-window join.
 //! * **What is kept for the matching** is, per accumulated relation, the plaintext
 //!   mirror of the window's real records plus a persistent join-key index
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
@@ -124,6 +141,7 @@ use incshrink_storage::{ActiveWindow, RecordId, Relation, UploadBatch};
 use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 /// Name under which the cardinality counter is secret-shared on the two servers.
 pub const CARDINALITY_SHARE: &str = "cardinality";
@@ -152,30 +170,41 @@ impl ActiveRecord {
 /// [`TransformProtocol::import_active`]).
 pub(crate) type BudgetedRecord = (ActiveRecord, u64);
 
+/// The closed range of upload steps a window block's records are timed in: `[t, t]`
+/// for the batch uploaded at step `t`, `[c − W, c]` for a block imported at step
+/// `c`. Public, since a record's time is the step that uploads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimeRange {
+    lo: u64,
+    hi: u64,
+}
+
 /// One accumulated relation as Transform sees it: the *public active window* — the
-/// padded lengths of the upload batches a delta can still join with, which is what
-/// every join is priced over — and, for the matching, the plaintext mirror of the
-/// window's real records, each stamped with the last step it may join at, with
-/// their join-key index (see the module docs).
+/// padded lengths of the upload batches a delta can still join with and the range
+/// of their records' times, from which every join is priced — and, for the
+/// matching, the plaintext mirror of the window's real records, each stamped with
+/// the last step it may join at, with their join-key index (see the module docs).
 ///
 /// Invariants: `index` equals a [`KeyIndex`] built from scratch over `records` by
-/// `key_column` — appends and evictions update both in lockstep; and every mirrored
+/// `key_column` — appends and evictions update both in lockstep; every mirrored
 /// record, live or dead, sits in a live window block, so
-/// `records.len() <= window.rows()`.
+/// `records.len() <= window.rows()`; and its time lies in that block's range.
 #[derive(Debug)]
 struct ActiveRelation {
     records: VecDeque<(ActiveRecord, u64)>,
     index: KeyIndex,
     key_column: usize,
-    window: ActiveWindow<()>,
+    time_column: usize,
+    window: ActiveWindow<TimeRange>,
 }
 
 impl ActiveRelation {
-    fn new(key_column: usize) -> Self {
+    fn new(key_column: usize, time_column: usize) -> Self {
         Self {
             records: VecDeque::new(),
             index: KeyIndex::default(),
             key_column,
+            time_column,
             window: ActiveWindow::default(),
         }
     }
@@ -189,26 +218,57 @@ impl ActiveRelation {
         live.map(|(rec, _)| rec)
     }
 
-    /// A block of `rows` padded rows joins the window at step `covered` and its real
-    /// `records` join the mirror, each stamped `covered` plus its steps left. The
-    /// `b`-bound is structural: no record is admitted with more steps left than a
-    /// fresh arrival's `window_steps`.
+    /// A block of `rows` padded rows, its records timed in `times`, joins the window
+    /// at step `covered` and its real `records` join the mirror, each stamped
+    /// `covered` plus its steps left. The `b`-bound is structural: no record is
+    /// admitted with more steps left than a fresh arrival's `window_steps`.
+    ///
+    /// # Panics
+    /// Panics when a record's time lies outside `times`: the joins are priced on
+    /// the block's range, so a record timed elsewhere could match where none is
+    /// charged.
     fn admit(
         &mut self,
         covered: u64,
         window_steps: u64,
         rows: usize,
+        times: TimeRange,
         records: impl IntoIterator<Item = BudgetedRecord>,
     ) {
-        self.window.admit(covered, window_steps, rows, ());
+        self.window.admit(covered, window_steps, rows, times);
         for (rec, steps_left) in records {
             debug_assert!(
                 steps_left <= window_steps,
                 "a record would join past its contribution budget"
             );
+            let time = rec.fields.get(self.time_column).map(|&t| u64::from(t));
+            assert!(
+                time.is_some_and(|t| (times.lo..=times.hi).contains(&t)),
+                "record {} timed {time:?} outside its block's steps {}..={}",
+                rec.id,
+                times.lo,
+                times.hi
+            );
             self.index.push(rec.key(self.key_column));
             self.records.push_back((rec, covered + steps_left));
         }
+    }
+
+    /// The rows of the window blocks a delta can match, the θ-condition accepting
+    /// inner times `theta`, and whether θ must still be evaluated over them. A
+    /// block whose range misses `theta` holds no pair θ accepts and leaves the
+    /// join; one inside it satisfies θ in every pair; only a block straddling an
+    /// end of `theta` (an import's) needs θ in the circuit.
+    fn theta_feasible(&self, theta: &RangeInclusive<u64>) -> (usize, bool) {
+        let (mut rows, mut mixed) = (0, false);
+        for (block_rows, times) in self.window.blocks() {
+            if times.hi < *theta.start() || times.lo > *theta.end() {
+                continue;
+            }
+            rows += block_rows;
+            mixed |= times.lo < *theta.start() || times.hi > *theta.end();
+        }
+        (rows, mixed)
     }
 
     /// The from-scratch index the persistent one must equal.
@@ -292,7 +352,8 @@ fn arrivals(
 }
 
 /// Recover an upload batch's padded records once — dummies included: they take part
-/// in the oblivious join shape but never match.
+/// in the oblivious join shape but never match. The real ones' times are checked
+/// against the upload step when they join the window ([`ActiveRelation::admit`]).
 fn recover_padded(batch: &UploadBatch) -> Vec<PlainRecord> {
     batch
         .records
@@ -379,15 +440,18 @@ impl IndexedPublic {
         }
     }
 
-    /// Number of public rows a left delta uploaded at `step` scans: those timed
-    /// `[step, step + window]`. A record's time column is its upload step, so no
-    /// row outside that range can satisfy the θ-condition — and the range is fixed
-    /// by the step number alone, never by the delta's contents.
+    /// Number of public rows a left delta uploaded at `step` scans: those timed in
+    /// [`ViewDefinition::theta_steps`]. A record's time column is its upload step,
+    /// so no row outside that range can satisfy the θ-condition — and the range is
+    /// fixed by the step number alone, never by the delta's contents.
     fn range_len(&self, view: &ViewDefinition, step: u64) -> usize {
-        let lo = u32::try_from(step).unwrap_or(u32::MAX);
-        let hi = lo.saturating_add(view.window);
-        let below = self.times.partition_point(|&t| t < lo);
-        self.times.partition_point(|&t| t <= hi) - below
+        let theta = view.theta_steps(Relation::Right, step);
+        let below = self
+            .times
+            .partition_point(|&t| u64::from(t) < *theta.start());
+        self.times
+            .partition_point(|&t| u64::from(t) <= *theta.end())
+            - below
     }
 
     fn join_into(
@@ -465,7 +529,8 @@ pub struct TransformOutcome {
     /// Simulated execution time of this invocation.
     pub duration: SimDuration,
     /// Inner rows this invocation's joins were priced over, summed over its joins:
-    /// public active-window lengths (or the step-fixed range of a public relation).
+    /// the rows of the window blocks whose public time range θ can accept (or the
+    /// step-fixed range of a public relation).
     pub window_rows: usize,
 }
 
@@ -527,8 +592,8 @@ impl TransformProtocol {
             spec_reversed: view.join_spec_reversed(),
             omega: truncation_bound,
             window_steps: contribution_budget / truncation_bound - 1,
-            active_left: ActiveRelation::new(view.left_key),
-            active_right: ActiveRelation::new(view.right_key),
+            active_left: ActiveRelation::new(view.left_key, view.left_time),
+            active_right: ActiveRelation::new(view.right_key, view.right_time),
             public_right: public_right.map(|rows| IndexedPublic::build(rows, &view)),
             widths_against_right: view.join_widths(Relation::Right, secret_right),
             widths_against_left: view.join_widths(Relation::Left, true),
@@ -594,19 +659,27 @@ impl TransformProtocol {
     /// the module docs). `source_window` is the source's [`Self::window_rows`] at
     /// export: how many of its rows moved is private, so each side's window grows
     /// by one block of that public length, live for a full [`Self::window_steps`]
-    /// — no imported record can outlive it.
-    pub(crate) fn import_active(
+    /// — no imported record can outlive it. A live record at step `c` was uploaded
+    /// at most `W` steps before, so the block's records are timed in `[c − W, c]`.
+    ///
+    /// # Panics
+    /// Panics when an imported record's time lies outside `[c − W, c]`.
+    pub fn import_active(
         &mut self,
         left: Vec<BudgetedRecord>,
         right: Vec<BudgetedRecord>,
         source_window: (usize, usize),
     ) {
+        let times = TimeRange {
+            lo: self.covered.saturating_sub(self.window_steps),
+            hi: self.covered,
+        };
         for (side, batch, rows) in [
             (&mut self.active_left, left, source_window.0),
             (&mut self.active_right, right, source_window.1),
         ] {
             debug_assert!(batch.len() <= rows, "more records than their window held");
-            side.admit(self.covered, self.window_steps, rows, batch);
+            side.admit(self.covered, self.window_steps, rows, times, batch);
         }
     }
 
@@ -631,13 +704,29 @@ impl TransformProtocol {
         })
     }
 
+    /// The inner rows a delta uploaded at `step` is priced against on `inner`'s
+    /// window — its θ-feasible blocks — and the widths, θ left out unless one of
+    /// those blocks is mixed.
+    fn priced_window(&self, inner: Relation, step: u64) -> (usize, JoinWidths) {
+        let (relation, widths) = match inner {
+            Relation::Left => (&self.active_left, self.widths_against_left),
+            Relation::Right => (&self.active_right, self.widths_against_right),
+        };
+        let (rows, mixed) = relation.theta_feasible(&self.view.theta_steps(inner, step));
+        let theta = widths.theta.filter(|_| mixed);
+        (rows, JoinWidths { theta, ..widths })
+    }
+
     /// Run one Transform invocation over the owner deltas submitted at one upload
     /// step: eviction of expired records, the truncated match of each delta against
     /// the relation accumulated so far, its `ω`-padded ΔV slice, one cardinality
     /// recover/reshare, and the step's arrivals joining the window and turning
     /// active. Each direction's join is charged as Algorithm 4 at its public shape:
-    /// `|Δ|` against the other side's window rows, or against the public rows the
-    /// step fixes ([`public_inner_join_cost`]).
+    /// `|Δ|` against the other side's θ-feasible window rows, or against the public
+    /// rows the step fixes ([`public_inner_join_cost`]).
+    ///
+    /// # Panics
+    /// Panics when a real record's time is not its batch's upload step.
     pub fn invoke(
         &mut self,
         ctx: &mut impl PartyExec,
@@ -659,26 +748,28 @@ impl TransformProtocol {
         let out_arity = left_arity + right_arity;
         let omega = self.omega as usize;
         // Price each direction's join on its public shape: the inner side is the
-        // other relation's window before this step's arrivals join it.
-        let upload_step = delta_left.time;
-        let inner_of_left = match &self.public_right {
-            Some(public) => public.range_len(&self.view, upload_step),
-            None => self.active_right.window.rows(),
-        };
-        let inner_of_right = self.active_left.window.rows();
-        let (outer, inner) = (delta_left.len(), inner_of_left);
-        let (against_right, against_left) = (self.widths_against_right, self.widths_against_left);
-        let left_join = match self.public_right {
-            Some(_) => {
-                public_inner_join_cost(outer, inner, omega, left_arity, right_arity, against_right)
+        // other relation's θ-feasible window before this step's arrivals join it.
+        let (outer, step) = (delta_left.len(), delta_left.time);
+        let left_join = match &self.public_right {
+            Some(public) => {
+                let inner = public.range_len(&self.view, step);
+                let widths = self.widths_against_right;
+                let cost =
+                    public_inner_join_cost(outer, inner, omega, left_arity, right_arity, widths);
+                (cost, inner)
             }
-            None => self.join_cost(outer, inner, (left_arity, right_arity), against_right),
+            None => {
+                let (inner, widths) = self.priced_window(Relation::Right, step);
+                let arities = (left_arity, right_arity);
+                (self.join_cost(outer, inner, arities, widths), inner)
+            }
         };
         let right_join = delta_right.map(|batch| {
+            let (inner, widths) = self.priced_window(Relation::Left, batch.time);
             let arities = (right_arity, left_arity);
-            self.join_cost(batch.len(), inner_of_right, arities, against_left)
+            (self.join_cost(batch.len(), inner, arities, widths), inner)
         });
-        let window_rows = inner_of_left + right_join.map_or(0, |_| inner_of_right);
+        let window_rows = left_join.1 + right_join.map_or(0, |(_, inner)| inner);
 
         // ΔV is ω slots per outer row of either delta: a public length.
         let padded = delta_left.len() + delta_right.map_or(0, UploadBatch::len);
@@ -696,15 +787,7 @@ impl TransformProtocol {
         self.active_right.evict(self.covered);
 
         // --- ΔV part 1: new left records ⋈ accumulated (or public) right relation.
-        debug_assert!(
-            self.public_right.is_none()
-                || delta_left.ids.iter().zip(&outer_left).all(|(id, rec)| {
-                    let time = rec.fields.get(self.view.left_time);
-                    id.is_none() || time.map(|&t| u64::from(t)) == Some(upload_step)
-                }),
-            "the public range is fixed by the step: a record's time is its upload step"
-        );
-        let span = join_span(left_join, ctx.meter());
+        let span = join_span(left_join.0, ctx.meter());
         let (mut new_entries, mut potential_pairs) = match &self.public_right {
             Some(public) => public.join_into(&mut out, rng, &outer_left, &self.spec),
             None => {
@@ -716,7 +799,7 @@ impl TransformProtocol {
 
         // --- ΔV part 2: new right records ⋈ accumulated left relation
         // (private-right workloads only).
-        if let (Some(outer_right), Some(right_join)) = (&outer_right, right_join) {
+        if let (Some(outer_right), Some((right_join, _))) = (&outer_right, right_join) {
             let span = join_span(right_join, ctx.meter());
             let (entries, pairs) = self.active_left.join_into(
                 &mut out,
@@ -738,16 +821,26 @@ impl TransformProtocol {
         let counter = ctx.recover_named(CARDINALITY_SHARE).unwrap_or(0);
         ctx.reshare_and_store(CARDINALITY_SHARE, counter + new_entries as u32);
 
-        // --- The step's batches join the window and their real records become
-        // active (live for the next W steps).
+        // --- The step's batches join the window, their records timed at the upload
+        // step, and their real records become active (live for the next W steps).
         let window_steps = self.window_steps;
+        let uploaded = |batch: &UploadBatch| TimeRange {
+            lo: batch.time,
+            hi: batch.time,
+        };
         let fresh = arrivals(delta_left, outer_left, window_steps);
+        let times = uploaded(delta_left);
         self.active_left
-            .admit(self.covered, window_steps, delta_left.len(), fresh);
+            .admit(self.covered, window_steps, delta_left.len(), times, fresh);
         if let (Some(batch), Some(outer_right)) = (delta_right, outer_right) {
             let fresh = arrivals(batch, outer_right, window_steps);
-            self.active_right
-                .admit(self.covered, window_steps, batch.len(), fresh);
+            self.active_right.admit(
+                self.covered,
+                window_steps,
+                batch.len(),
+                uploaded(batch),
+                fresh,
+            );
         }
 
         let (report, duration) = ctx.charge();
@@ -819,7 +912,7 @@ mod tests {
 
         // Step 2: a matching return for pid 100 arrives within the window.
         let left2 = batch(Relation::Left, 2, &[], 4);
-        let right2 = batch(Relation::Right, 2, &[(3, 100, 3)], 4);
+        let right2 = batch(Relation::Right, 2, &[(3, 100, 2)], 4);
         let out2 = transform.invoke(&mut ctx, &left2, Some(&right2));
         assert_eq!(out2.new_entries, 1);
         assert_eq!(out2.delta.true_cardinality(), 1);
@@ -835,7 +928,7 @@ mod tests {
         // ω = 2 but three matching right records exist for the same left key.
         let mut transform = TransformProtocol::new(view_def(), 2, 4, None);
         let left = batch(Relation::Left, 1, &[(1, 7, 1)], 2);
-        let right = batch(Relation::Right, 1, &[(2, 7, 2), (3, 7, 3), (4, 7, 4)], 4);
+        let right = batch(Relation::Right, 2, &[(2, 7, 2), (3, 7, 2), (4, 7, 2)], 4);
         // Right delta joins against active left — but left only becomes active after
         // its own invocation, so feed left first, then right in the next invocation.
         let _ = transform.invoke(&mut ctx, &left, Some(&batch(Relation::Right, 1, &[], 4)));
@@ -892,10 +985,10 @@ mod tests {
     }
 
     /// The public join scans the step's Award range with no θ comparison, which
-    /// rests on two CPDB facts checked here in every build (the `debug_assert!` in
-    /// `invoke` guards debug runs only): every Allegation's time column is its
-    /// arrival step, which is the step that uploads it; and `range_len` counts
-    /// exactly the Award rows timed `[t, t + window]`.
+    /// rests on two CPDB facts checked here (`invoke` asserts the first at every
+    /// admission): every Allegation's time column is its arrival step, which is
+    /// the step that uploads it; and `range_len` counts exactly the Award rows
+    /// timed `[t, t + window]`.
     #[test]
     fn cpdb_times_are_upload_steps_and_the_public_range_is_exact() {
         use crate::config::{IncShrinkConfig, UpdateStrategy};
@@ -936,6 +1029,39 @@ mod tests {
         }
     }
 
+    /// Against every θ range and block range of a few steps, a block joins exactly
+    /// when θ accepts one of its times, and makes θ priced exactly when θ also
+    /// rejects one — both ends of either range included, which no upload stream
+    /// reaches (a delta never meets a block timed at or after its own step).
+    #[test]
+    fn theta_feasible_equals_a_brute_force_over_block_times() {
+        let ranges = || (0..8u64).flat_map(|lo| (lo..8).map(move |hi| (lo, hi)));
+        for (start, end) in ranges() {
+            let theta = start..=end;
+            let mut window = ActiveRelation::new(0, 1);
+            let (mut rows, mut mixed) = (0, false);
+            for (i, (lo, hi)) in ranges().enumerate() {
+                let accepted = (lo..=hi).filter(|s| theta.contains(s)).count() as u64;
+                let mut block = ActiveRelation::new(0, 1);
+                let times = TimeRange { lo, hi };
+                block.admit(0, 1, i + 1, times, Vec::new());
+                let expected = (
+                    if accepted > 0 { i + 1 } else { 0 },
+                    accepted > 0 && accepted <= hi - lo,
+                );
+                assert_eq!(
+                    block.theta_feasible(&theta),
+                    expected,
+                    "{theta:?} {lo}..={hi}"
+                );
+                window.admit(0, 1, i + 1, times, Vec::new());
+                rows += expected.0;
+                mixed |= expected.1;
+            }
+            assert_eq!(window.theta_feasible(&theta), (rows, mixed), "{theta:?}");
+        }
+    }
+
     #[test]
     fn cardinality_counter_is_secret_shared_between_servers() {
         let mut ctx = PartyContext::new(PartyMode::InProcess, 5, CostModel::default());
@@ -965,7 +1091,7 @@ mod tests {
             let out = transform.invoke(&mut ctx, &left, Some(&right));
             (out.delta.len(), out.report)
         };
-        let (len_a, rep_a) = run(&[(1, 1, 1), (2, 2, 1)], &[(3, 1, 2)]);
+        let (len_a, rep_a) = run(&[(1, 1, 1), (2, 2, 1)], &[(3, 1, 1)]);
         let (len_b, rep_b) = run(&[(10, 99, 1)], &[]);
         assert_eq!(len_a, len_b);
         assert_eq!(rep_a, rep_b);
@@ -1004,12 +1130,12 @@ mod tests {
     fn uneven_imported_budgets_expire_mid_relation() {
         // Migration appends records whose remaining budgets are out of order, so the
         // next expiries are not a prefix: ids 2 and 4 die first, in place between
-        // 1, 3 and 5.
+        // 1, 3 and 5. They are imported before the first step, timed at step 0.
         let mut ctx = PartyContext::new(PartyMode::InProcess, 7, CostModel::default());
         let mut transform = TransformProtocol::new(view_def(), 1, 5, None);
         let imported = [(1u64, 3u64), (2, 1), (3, 3), (4, 1), (5, 2)]
             .map(|(id, remaining)| {
-                let fields = vec![(id % 2) as u32, 1];
+                let fields = vec![(id % 2) as u32, 0];
                 (ActiveRecord { id, fields }, remaining)
             })
             .to_vec();
@@ -1085,10 +1211,12 @@ mod tests {
             // Per id: the covered steps it was live in.
             let mut live_steps = std::collections::HashMap::<u64, u64>::new();
             let mut next_id = 1u64;
-            for (t, (kind, keys, budgets)) in ops.iter().enumerate() {
-                let t = t as u64 + 1;
+            // Upload steps count the invocations: a migration takes none.
+            let mut t = 0u64;
+            for (kind, keys, budgets) in &ops {
                 if *kind < 2 {
                     // An upload step: survivors are charged, arrivals join the tail.
+                    t += 1;
                     let mut arrivals = |keys: &[u32]| -> Vec<(u64, u32, u32)> {
                         keys.iter().map(|&k| { next_id += 1; (next_id, k, t as u32) }).collect()
                     };
@@ -1227,19 +1355,26 @@ mod tests {
         // 28-row deltas at ω = 1, b = 10 against windows of up to nine batches of
         // 28 — the shape of fig9's scaled TPC-ds deltas. Under the LAN and the WAN
         // model every invocation charges Algorithm 4 for both directions and the
-        // same report, and releases the same ΔV; only the seconds differ.
+        // same report, and releases the same ΔV; only the seconds differ. With
+        // W = 9 inside the θ window of 10 steps, the left delta meets no right row
+        // timed at or after its step, and the right delta meets left rows that all
+        // satisfy θ: it is priced over the whole left window, without θ.
         let run = |model: CostModel| {
             let mut ctx = PartyContext::new(PartyMode::InProcess, 9, model);
             let mut transform = TransformProtocol::new(view_def(), 1, 10, None);
             (1..=12u64)
                 .map(|t| {
-                    let (left_window, right_window) = transform.window_rows();
+                    let (left_window, _) = transform.window_rows();
                     let view = view_def();
                     let (right, left) = (
                         view.join_widths(Relation::Right, true),
                         view.join_widths(Relation::Left, true),
                     );
-                    let joins = nested_loop_join_cost(28, right_window, 1, 2, 2, right)
+                    let left = JoinWidths {
+                        theta: None,
+                        ..left
+                    };
+                    let joins = nested_loop_join_cost(28, 0, 1, 2, 2, right)
                         + nested_loop_join_cost(28, left_window, 1, 2, 2, left);
                     let left = batch(Relation::Left, t, &[(2 * t, 1, t as u32)], 28);
                     let right = batch(Relation::Right, t, &[(2 * t + 1, 1, t as u32)], 28);

@@ -17,6 +17,7 @@ use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::Relation;
 use incshrink_workload::{Dataset, JoinQuery};
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Definition of the materialized view: an equi-join between the two relations of a
 /// dataset with a temporal window predicate (the shape of both Q1 and Q2), and the
@@ -96,6 +97,19 @@ impl ViewDefinition {
             key: self.key_bits(),
             theta: secret_times.then(|| self.time_bits()),
             selection: row.saturating_sub(self.column_bits(inner, key)),
+        }
+    }
+
+    /// The times an `inner` record satisfies the θ-condition at against an outer
+    /// record timed `outer`: `[outer, outer + window]` for a right inner record,
+    /// `[outer − window, outer]` for a left one. A record's time is the public step
+    /// that uploads it, so this decides θ on upload steps, before any gate.
+    #[must_use]
+    pub(crate) fn theta_steps(&self, inner: Relation, outer: u64) -> RangeInclusive<u64> {
+        let window = u64::from(self.window);
+        match inner {
+            Relation::Right => outer..=outer.saturating_add(window),
+            Relation::Left => outer.saturating_sub(window)..=outer,
         }
     }
 
@@ -377,6 +391,38 @@ mod tests {
         // Reversed spec receives (right, left).
         assert!(rev.condition.as_ref().unwrap()(&[1, 105], &[1, 100]));
         assert!(!rev.condition.as_ref().unwrap()(&[1, 90], &[1, 100]));
+    }
+
+    #[test]
+    fn theta_steps_are_the_inner_times_the_condition_accepts() {
+        let def = ViewDefinition {
+            left_key: 0,
+            left_time: 1,
+            right_key: 0,
+            right_time: 1,
+            window: 3,
+            left_bits: vec![8, 8],
+            right_bits: vec![8, 8],
+        };
+        let (forward, reversed) = (def.join_spec(), def.join_spec_reversed());
+        for outer in 0..12u32 {
+            for inner in 0..16u32 {
+                let (o, i) = ([1, outer], [1, inner]);
+                let pairs = [
+                    (Relation::Right, &forward, &o, &i),
+                    (Relation::Left, &reversed, &o, &i),
+                ];
+                for (side, spec, outer_row, inner_row) in pairs {
+                    let accepts = spec.condition.as_ref().unwrap()(outer_row, inner_row);
+                    let steps = def.theta_steps(side, u64::from(outer));
+                    assert_eq!(
+                        steps.contains(&u64::from(inner)),
+                        accepts,
+                        "{side} {o:?} {i:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Algorithm 4's over the same window.
 
 use incshrink::prelude::*;
-use incshrink::transform::{PublicRelation, TransformProtocol, CARDINALITY_SHARE};
+use incshrink::transform::{ActiveRecord, PublicRelation, TransformProtocol, CARDINALITY_SHARE};
 use incshrink::ViewDefinition;
 use incshrink_mpc::circuit::{Kernel, WORD_BITS};
 use incshrink_mpc::cost::{CostMeter, CostModel, CostReport};
@@ -17,10 +17,11 @@ use incshrink_oblivious::{
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, UploadBatch};
+use incshrink_storage::{ActiveWindow, LogicalUpdate, OutsourcedStore, Relation, UploadBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 fn view_def() -> ViewDefinition {
     ViewDefinition {
@@ -54,29 +55,22 @@ fn batch(relation: Relation, time: u64, rows: &[(u64, u32, u32)], padded: usize)
 type Step = (UploadBatch, Option<UploadBatch>);
 
 /// Build a random step sequence from proptest-drawn row keys. Record ids are unique
-/// across the run; times advance with the step so the join window stays meaningful.
+/// across the run; every record is timed at the step that uploads it.
 fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
     let mut next_id = 1u64;
     let steps = left_keys.len();
     (0..steps)
         .map(|i| {
             let t = i as u64 + 1;
-            let lrows: Vec<(u64, u32, u32)> = left_keys[i]
-                .iter()
-                .map(|&k| {
-                    let id = next_id;
-                    next_id += 1;
-                    (id, k, t as u32)
-                })
-                .collect();
-            let rrows: Vec<(u64, u32, u32)> = right_keys[i]
-                .iter()
-                .map(|&k| {
-                    let id = next_id;
-                    next_id += 1;
-                    (id, k, t as u32 + 1)
-                })
-                .collect();
+            let mut rows = |keys: &[u32]| -> Vec<(u64, u32, u32)> {
+                keys.iter()
+                    .map(|&k| {
+                        next_id += 1;
+                        (next_id, k, t as u32)
+                    })
+                    .collect()
+            };
+            let (lrows, rrows) = (rows(&left_keys[i]), rows(&right_keys[i]));
             (
                 batch(Relation::Left, t, &lrows, 4),
                 Some(batch(Relation::Right, t, &rrows, 4)),
@@ -85,49 +79,111 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
         .collect()
 }
 
+/// Active records migrated in after a step, when its first element is 0: per side
+/// `(key, age)` pairs, a record of age `a` uploaded `a` steps before the import
+/// (clipped to the window), and the dummy rows that pad each side's block.
+type Import = (u8, Vec<(u32, u64)>, Vec<(u32, u64)>, usize);
+
 /// Algorithm 1 written from scratch over the share-array operators and the store:
 /// every invocation runs [`truncated_nested_loop_join`] (Algorithm 4) per
-/// direction over the *padded share rows* of the store's active
-/// window (dummies included, blocks in arrival order) — or, for a public right
+/// direction over the *padded share rows* of the store's active-window blocks
+/// whose public time range holds a time θ accepts against the delta's step
+/// (dummies included, blocks in arrival order), θ left out of the condition
+/// unless some such block also holds a time θ rejects — or, for a public right
 /// relation, over a sharing of the rows the step number fixes — charging the
 /// operator's price at the view's column widths ([`nested_loop_join_cost`], or
 /// [`public_inner_join_cost`] in place of its network; the bare arrays the operator
 /// meters carry no schema, so it would price full words) — then hands the step's
-/// batches to the store. It keeps no budgets and no active set: the window is the
-/// retirement rule. What `TransformProtocol::invoke` must equal, step for step.
+/// batches to the store. A block's range is its upload step, or `[c − W, c]` for
+/// records imported at step `c`; which blocks θ can accept is decided by
+/// evaluating the view's own condition at every time of the range. It keeps no
+/// active set: the window is the retirement rule, and an imported record, live
+/// for the steps it had left, is live while its time plus `W` has not passed.
+/// What `TransformProtocol::invoke` must equal, step for step.
 struct ReferenceTransform {
     view: ViewDefinition,
     omega: u64,
+    window_steps: u64,
     store: OutsourcedStore,
+    /// The time range of each of the store's window blocks, per relation (left,
+    /// right), admitted and retired with them.
+    ranges: [ActiveWindow<(u64, u64)>; 2],
     public: Option<Vec<Vec<u32>>>,
     initialized: bool,
     losses: u64,
     /// Real records per side that took part in the latest step or arrived in it —
     /// what `TransformProtocol`'s mirror holds until the next step's charges.
     active: (usize, usize),
+    /// Window blocks met so far that θ rejects whole, accepts whole, and splits.
+    tally: Cell<[usize; 3]>,
 }
 
 impl ReferenceTransform {
     fn new(view: ViewDefinition, omega: u64, budget: u64, public: Option<Vec<Vec<u32>>>) -> Self {
+        let window_steps = budget / omega - 1;
         Self {
             view,
             omega,
-            store: OutsourcedStore::new(budget / omega - 1),
+            window_steps,
+            store: OutsourcedStore::new(window_steps),
+            ranges: Default::default(),
             public,
             initialized: false,
             losses: 0,
             active: (0, 0),
+            tally: Cell::new([0; 3]),
         }
     }
 
-    /// One relation's window as the operator's inner input: its padded batches,
-    /// concatenated in arrival order.
-    fn window(&self, relation: Relation) -> SharedArrayPair {
+    fn ranges(&self, relation: Relation) -> &ActiveWindow<(u64, u64)> {
+        &self.ranges[relation as usize]
+    }
+
+    /// θ between an outer record timed `outer` and an `inner` record timed
+    /// `inner_time`, by the view's own join condition.
+    fn theta(&self, inner: Relation, outer: u64, inner_time: u64) -> bool {
+        let spec = match inner {
+            Relation::Right => self.view.join_spec(),
+            Relation::Left => self.view.join_spec_reversed(),
+        };
+        let (o, i) = ([0, outer as u32], [0, inner_time as u32]);
+        spec.condition.as_ref().expect("a θ-join")(&o, &i)
+    }
+
+    /// One relation's window as the operator's inner input against a delta of step
+    /// `outer`: the padded batches of the blocks θ can accept, concatenated in
+    /// arrival order, and whether any of them is mixed.
+    fn window(&self, relation: Relation, outer: u64) -> (SharedArrayPair, bool) {
         let mut rows = SharedArrayPair::with_arity(2);
-        for batch in self.store.relation(relation).window() {
-            rows.extend(batch.records.clone()).expect("uniform arity");
+        let mut mixed = false;
+        let blocks = self.store.relation(relation).window();
+        for (batch, (_, &(lo, hi))) in blocks.zip(self.ranges(relation).blocks()) {
+            let accepted = (lo..=hi)
+                .filter(|&s| self.theta(relation, outer, s))
+                .count() as u64;
+            let case = match accepted {
+                0 => 0,
+                n if n > hi - lo => 1,
+                _ => 2,
+            };
+            let mut tally = self.tally.get();
+            tally[case] += 1;
+            self.tally.set(tally);
+            if accepted > 0 {
+                mixed |= case == 2;
+                rows.extend(batch.records.clone()).expect("uniform arity");
+            }
         }
-        rows
+        (rows, mixed)
+    }
+
+    /// Real records of a relation's whole window still live at step `t`.
+    fn live(&self, relation: Relation, t: u64) -> usize {
+        let blocks = self.store.relation(relation).window();
+        let rows = blocks.flat_map(|batch| batch.records.recover_all());
+        let w = self.window_steps;
+        rows.filter(|row| row.is_view && u64::from(row.fields[1]) + w >= t)
+            .count()
     }
 
     fn real_rows(rows: &SharedArrayPair) -> Vec<Vec<u32>> {
@@ -135,16 +191,43 @@ impl ReferenceTransform {
         real.map(|row| row.fields).collect()
     }
 
-    /// Quadratic count of the pairs that exist before truncation.
-    fn pairs(&self, left: &[Vec<u32>], right: &[Vec<u32>]) -> u64 {
+    /// Quadratic count of the live pairs that exist before truncation.
+    fn pairs(&self, left: &[Vec<u32>], right: &[Vec<u32>], live: impl Fn(&[u32]) -> bool) -> u64 {
         let v = &self.view;
         let matches = |l: &Vec<u32>, r: &Vec<u32>| {
             let (lt, rt) = (l[v.left_time], r[v.right_time]);
-            l[v.left_key] == r[v.right_key] && rt >= lt && rt - lt <= v.window
+            l[v.left_key] == r[v.right_key] && rt >= lt && rt - lt <= v.window && live(l) && live(r)
         };
         left.iter()
             .map(|l| right.iter().filter(|r| matches(l, r)).count() as u64)
             .sum()
+    }
+
+    fn ingest(&mut self, batch: &UploadBatch) {
+        let (time, rows) = (batch.time, batch.len());
+        let w = self.window_steps;
+        self.ranges[batch.relation as usize].admit(time, w, rows, (time, time));
+        self.store.ingest(batch.clone());
+    }
+
+    /// Adopt `records` imported after step `c` as one block of `rows` padded rows
+    /// timed `[c − W, c]`, as the store adopts a migrated batch.
+    fn adopt(&mut self, relation: Relation, c: u64, records: &[(ActiveRecord, u64)], rows: usize) {
+        let updates: Vec<LogicalUpdate> = records
+            .iter()
+            .map(|(rec, _)| LogicalUpdate {
+                id: rec.id,
+                relation,
+                arrival: u64::from(rec.fields[1]),
+                fields: rec.fields.clone(),
+            })
+            .collect();
+        let refs: Vec<&LogicalUpdate> = updates.iter().collect();
+        let mut rng = StdRng::seed_from_u64(c ^ 0xAD0);
+        let batch = UploadBatch::from_updates(relation, c, &refs, 2, rows, &mut rng);
+        let w = self.window_steps;
+        self.ranges[relation as usize].admit(c, w, rows, (c.saturating_sub(w), c));
+        self.store.adopt(batch);
     }
 
     fn invoke(
@@ -156,10 +239,11 @@ impl ReferenceTransform {
             ctx.reshare_and_store(CARDINALITY_SHARE, 0);
             self.initialized = true;
         }
-        let inner_right = match &self.public {
+        let t = delta_left.time;
+        let (inner_right, right_mixed) = match &self.public {
             Some(public) => {
                 // The public rows timed [t, t + window], in relation order.
-                let t = delta_left.time as u32;
+                let t = t as u32;
                 let in_range = |r: &&Vec<u32>| (t..=t + self.view.window).contains(&r[1]);
                 let rows: Vec<PlainRecord> = public
                     .iter()
@@ -171,35 +255,53 @@ impl ReferenceTransform {
                 shared
                     .extend(SharedArrayPair::share_records(&rows, &mut share_rng))
                     .expect("uniform arity");
-                shared
+                (shared, false)
             }
-            None => self.window(Relation::Right),
+            None => self.window(Relation::Right, t),
         };
-        let inner_left = self.window(Relation::Left);
+        let (inner_left, left_mixed) = self.window(Relation::Left, t);
 
         let mut rng = ctx.stream(Domain::DeltaShares);
         let bound = self.omega as usize;
         // A public inner side selects with the one-hot circuit: the operator's
         // output, priced by `public_inner_join_cost` instead of its network.
         let public_inner = self.public.is_some();
-        let view = &self.view;
+        let (view, w) = (&self.view, self.window_steps);
+        // An inner record joins while its budget lasts: its time plus W.
+        let live = move |row: &[u32]| u64::from(row[1]) + w >= t;
         let mut join = |outer: &SharedArrayPair,
                         inner: &SharedArrayPair,
-                        spec: &JoinSpec<'_>,
+                        spec: JoinSpec<'_>,
                         inner_side: Relation,
-                        public_inner: bool,
+                        (public_inner, mixed): (bool, bool),
                         ctx: &mut PartyContext| {
+            let theta = spec.condition.expect("a θ-join");
+            let reversed = spec.swap_output;
+            let condition = move |o: &[u32], i: &[u32]| live(i) && (!mixed || theta(o, i));
+            let spec = JoinSpec {
+                condition: Some(Box::new(condition)),
+                ..JoinSpec::equi(spec.left_key, spec.right_key)
+            };
+            let spec = if reversed {
+                spec.with_swapped_output()
+            } else {
+                spec
+            };
             let mut words = CostMeter::new();
             let joined =
-                truncated_nested_loop_join(outer, inner, spec, bound, &mut words, &mut rng);
+                truncated_nested_loop_join(outer, inner, &spec, bound, &mut words, &mut rng);
             let arity = |side: &SharedArrayPair| side.arity().unwrap_or(0);
             let (o, i, oa, ia) = (outer.len(), inner.len(), arity(outer), arity(inner));
-            let widths = view.join_widths(inner_side, !public_inner);
             assert_eq!(
                 words.report(),
                 nested_loop_join_cost(o, i, bound, oa, ia, JoinWidths::words(ia)),
                 "the operator charges its price at full words"
             );
+            let widths = view.join_widths(inner_side, !public_inner);
+            let widths = JoinWidths {
+                theta: widths.theta.filter(|_| mixed),
+                ..widths
+            };
             let cost = if public_inner {
                 public_inner_join_cost(o, i, bound, oa, ia, widths)
             } else {
@@ -209,24 +311,29 @@ impl ReferenceTransform {
             joined
         };
         let outer = &delta_left.records;
-        let mut potential = self.pairs(&Self::real_rows(outer), &Self::real_rows(&inner_right));
+        let live_right = |row: &[u32]| public_inner || live(row);
+        let mut potential = self.pairs(
+            &Self::real_rows(outer),
+            &Self::real_rows(&inner_right),
+            live_right,
+        );
         let mut delta = join(
             outer,
             &inner_right,
-            &self.view.join_spec(),
+            self.view.join_spec(),
             Relation::Right,
-            public_inner,
+            (public_inner, right_mixed),
             ctx,
         );
         if let Some(batch) = delta_right {
             let outer = &batch.records;
-            potential += self.pairs(&Self::real_rows(&inner_left), &Self::real_rows(outer));
+            potential += self.pairs(&Self::real_rows(&inner_left), &Self::real_rows(outer), live);
             let joined = join(
                 outer,
                 &inner_left,
-                &self.view.join_spec_reversed(),
+                self.view.join_spec_reversed(),
                 Relation::Left,
-                false,
+                (false, left_mixed),
                 ctx,
             );
             delta.extend(joined).expect("uniform arity");
@@ -240,17 +347,99 @@ impl ReferenceTransform {
 
         let arrived_right = delta_right.as_ref().map_or(0, UploadBatch::real_count);
         self.active = (
-            inner_left.true_cardinality() + delta_left.real_count(),
-            self.window(Relation::Right).true_cardinality() + arrived_right,
+            self.live(Relation::Left, t) + delta_left.real_count(),
+            self.live(Relation::Right, t) + arrived_right,
         );
-        self.store.ingest(delta_left.clone());
+        self.ingest(delta_left);
         if let Some(batch) = delta_right {
-            self.store.ingest(batch.clone());
+            self.ingest(batch);
         }
         let (report, _) = ctx.charge();
         ctx.advance_time_step();
         (delta.recover_all(), new_entries, report)
     }
+}
+
+/// Run `TransformProtocol` and [`ReferenceTransform`] in lockstep over `steps`,
+/// with `imports[i]`, when present, migrated into both after step `i + 1`: every
+/// invocation's ΔV (recovered rows in order, length, `new_entries`), its
+/// `CostReport`, the truncation losses, the active counts and the window lengths
+/// must be equal, and so must the cardinality counters at the end. Returns how
+/// many window blocks θ rejected whole, accepted whole and split.
+fn lockstep(
+    view: &ViewDefinition,
+    (omega, budget): (u64, u64),
+    steps: &[Step],
+    public: Option<Vec<Vec<u32>>>,
+    imports: &[Import],
+    seed: u64,
+) -> [usize; 3] {
+    let mut transform = TransformProtocol::new(
+        view.clone(),
+        omega,
+        budget,
+        public
+            .as_ref()
+            .map(|rows| PublicRelation::from_rows(rows.iter().map(Vec::as_slice))),
+    );
+    let private_right = public.is_none();
+    let mut reference = ReferenceTransform::new(view.clone(), omega, budget, public);
+    let w = reference.window_steps;
+    let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
+    let mut ctx_ref = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
+    let mut next_id = 1_000_000u64;
+    for (c, step) in (1u64..).zip(steps) {
+        let out = transform.invoke(&mut ctx, &step.0, step.1.as_ref());
+        let (delta, new_entries, report) = reference.invoke(&mut ctx_ref, step);
+        prop_assert_eq!(out.delta.recover_all(), delta, "step {}", c);
+        prop_assert_eq!(out.new_entries, new_entries);
+        prop_assert_eq!(out.report, report, "step {}", c);
+        prop_assert_eq!(transform.truncation_losses(), reference.losses);
+        prop_assert_eq!(transform.active_counts(), reference.active);
+        let store = &reference.store;
+        prop_assert_eq!(
+            transform.window_rows(),
+            (
+                store.relation(Relation::Left).window_rows(),
+                store.relation(Relation::Right).window_rows(),
+            )
+        );
+        if let Some((0, left, right, pad)) = imports.get(c as usize - 1) {
+            // Each record has the steps its age leaves of the window.
+            let mut migrated = |records: &[(u32, u64)]| -> Vec<(ActiveRecord, u64)> {
+                let records = records.iter().map(|&(key, age)| {
+                    let time = c - age.min(w).min(c);
+                    next_id += 1;
+                    let rec = ActiveRecord {
+                        id: next_id,
+                        fields: vec![key, time as u32],
+                    };
+                    (rec, time + w - c)
+                });
+                records.collect()
+            };
+            let left = migrated(left);
+            let right = if private_right {
+                migrated(right)
+            } else {
+                Vec::new()
+            };
+            let rows = (
+                left.len() + pad,
+                if private_right { right.len() + pad } else { 0 },
+            );
+            reference.adopt(Relation::Left, c, &left, rows.0);
+            if private_right {
+                reference.adopt(Relation::Right, c, &right, rows.1);
+            }
+            transform.import_active(left, right, rows);
+        }
+    }
+    prop_assert_eq!(
+        ctx.recover_named(CARDINALITY_SHARE),
+        ctx_ref.recover_named(CARDINALITY_SHARE)
+    );
+    reference.tally.get()
 }
 
 proptest! {
@@ -260,7 +449,8 @@ proptest! {
     /// several steps — every invocation's ΔV (recovered rows in order, length,
     /// `new_entries`), its `CostReport`, the truncation losses and the active
     /// counts equal Algorithm 4's share-array operator over the padded share
-    /// rows of the store's window. Nothing else is charged: there is no gap term.
+    /// rows of the store's θ-feasible window blocks, θ evaluated only where a
+    /// block is mixed. Nothing else is charged: there is no gap term.
     #[test]
     fn prop_transform_equals_the_share_array_operator_in_lockstep(
         left_keys in proptest::collection::vec(proptest::collection::vec(0u32..3, 0..4), 2..9),
@@ -281,38 +471,49 @@ proptest! {
             }
         }
         let budget = omega + extra_budget;
-        let mut transform = TransformProtocol::new(
-            view_def(),
-            omega,
-            budget,
-            public
-                .as_ref()
-                .map(|rows| PublicRelation::from_rows(rows.iter().map(Vec::as_slice))),
-        );
-        let mut reference = ReferenceTransform::new(view_def(), omega, budget, public);
-        let mut ctx = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
-        let mut ctx_ref = PartyContext::new(PartyMode::InProcess, seed, CostModel::default());
-        for step in &steps {
-            let out = transform.invoke(&mut ctx, &step.0, step.1.as_ref());
-            let (delta, new_entries, report) = reference.invoke(&mut ctx_ref, step);
-            prop_assert_eq!(out.delta.recover_all(), delta);
-            prop_assert_eq!(out.new_entries, new_entries);
-            prop_assert_eq!(out.report, report);
-            prop_assert_eq!(transform.truncation_losses(), reference.losses);
-            prop_assert_eq!(transform.active_counts(), reference.active);
-            let store = &reference.store;
-            prop_assert_eq!(
-                transform.window_rows(),
-                (
-                    store.relation(Relation::Left).window_rows(),
-                    store.relation(Relation::Right).window_rows(),
-                )
-            );
+        let _ = lockstep(&view_def(), (omega, budget), &steps, public, &[], seed);
+    }
+
+    /// The same lockstep where the window outlasts θ (`W` above the view's window)
+    /// and active records migrate in after random steps, each import one block
+    /// timed `[c − W, c]`: a delta then meets blocks θ cannot accept (an upload
+    /// more than `window` steps old, or any right block), blocks it must accept
+    /// (a recent upload) and mixed ones (an import straddling an end of θ's
+    /// range), and the operator over the feasible blocks still equals Transform.
+    #[test]
+    fn prop_pruned_blocks_lose_no_pair_across_imports(
+        keys in proptest::collection::vec(
+            (proptest::collection::vec(0u32..3, 0..4), proptest::collection::vec(0u32..3, 0..4)),
+            3..10,
+        ),
+        imports in proptest::collection::vec(
+            (
+                0u8..2,
+                proptest::collection::vec((0u32..3, 0u64..7), 0..4),
+                proptest::collection::vec((0u32..3, 0u64..7), 0..4),
+                0usize..3,
+            ),
+            3..10,
+        ),
+        public_rows in proptest::collection::vec((0u32..3, 0u32..16), 0..40),
+        window in 0u32..3,
+        omega in 1u64..3,
+        window_steps in 3u64..7,
+        public_right: bool,
+        seed: u64,
+    ) {
+        let view = ViewDefinition { window, ..view_def() };
+        let (left_keys, right_keys): (Vec<_>, Vec<_>) = keys.into_iter().unzip();
+        let mut steps = build_steps(&left_keys, &right_keys);
+        let public: Option<Vec<Vec<u32>>> = public_right
+            .then(|| public_rows.iter().map(|&(key, time)| vec![key, time]).collect());
+        if public.is_some() {
+            for (_, delta_right) in &mut steps {
+                *delta_right = None;
+            }
         }
-        prop_assert_eq!(
-            ctx.recover_named(CARDINALITY_SHARE),
-            ctx_ref.recover_named(CARDINALITY_SHARE)
-        );
+        let budget = omega * (window_steps + 1);
+        let _ = lockstep(&view, (omega, budget), &steps, public, &imports, seed);
     }
 
     /// Transform's modeled cost is a function of padded sizes only, at every step:
@@ -352,7 +553,7 @@ proptest! {
                             .collect()
                     };
                     let lrows = rows(reals(lmixed), lkey, 0, t as u32);
-                    let rrows = rows(reals(rmixed), rkey, 1, t as u32 + 1);
+                    let rrows = rows(reals(rmixed), rkey, 1, t as u32);
                     (
                         batch(Relation::Left, t, &lrows, PADDED),
                         (!public_right).then(|| batch(Relation::Right, t, &rrows, PADDED)),
@@ -385,6 +586,29 @@ proptest! {
             prop_assert_eq!(*window, (expected, right), "after step {}", i + 1);
         }
     }
+}
+
+/// One record of key 0 a step on both sides, a θ window of one step and `W = 4`, with each
+/// side's records of the last four steps imported after step 3: the operator over
+/// the feasible blocks equals Transform while all three cases occur. A return at
+/// step 5 meets the sales of steps 4 (θ holds) and 1–3 (θ fails); one at step 4
+/// meets the import timed `[0, 3]`, which straddles θ's `[3, 4]`.
+#[test]
+fn pruning_meets_excluded_sure_and_mixed_blocks() {
+    let view = ViewDefinition {
+        window: 1,
+        ..view_def()
+    };
+    let keys = vec![vec![0u32]; 8];
+    let steps = build_steps(&keys, &keys);
+    let imported: Vec<(u32, u64)> = (0..4).map(|age| (age as u32 % 2, age)).collect();
+    let mut imports = vec![(1, Vec::new(), Vec::new(), 0); steps.len()];
+    imports[2] = (0, imported.clone(), imported, 1);
+    let [excluded, sure, mixed] = lockstep(&view, (1, 5), &steps, None, &imports, 7);
+    assert!(
+        excluded > 0 && sure > 0 && mixed > 0,
+        "{excluded} {sure} {mixed}"
+    );
 }
 
 fn tpcds(steps: u64) -> Dataset {
@@ -437,10 +661,13 @@ fn algorithm_4(
 /// invocation's report with each join's price ([`nested_loop_join_cost`], or
 /// [`public_inner_join_cost`] against CPDB's Award rows) replaced by
 /// [`algorithm_4`] at its public shape — so the top-ω selection, network or
-/// one-hot circuit, can only lower `modeled_mpc_s`, and both workloads' windows
-/// are where it does. The shapes
-/// come from the public sizes alone: each delta against the other side's window
-/// (an `OutsourcedStore` fed the same batches), or CPDB's Award rows the step fixes.
+/// one-hot circuit, and the θ-feasible blocks can only lower `modeled_mpc_s`, and
+/// both workloads' windows are where they do. The shapes come from the public
+/// sizes and upload steps alone: each delta is priced against the other side's
+/// batches (an `OutsourcedStore` fed the same batches) uploaded at a step θ
+/// accepts against its own, with no θ circuit (no run here imports a block, so
+/// none is mixed), or against CPDB's Award rows the step fixes; Algorithm 4 joins
+/// it with the whole window.
 #[test]
 fn transform_never_costs_more_than_algorithm_4() {
     let runs = [
@@ -463,6 +690,7 @@ fn transform_never_costs_more_than_algorithm_4() {
         let mut pipeline = ShardPipeline::new(dataset.clone(), config, 0x7A5F, model);
         let mut store =
             OutsourcedStore::new(config.contribution_budget / config.truncation_bound - 1);
+        let theta_window = u64::from(view.window);
         let mut cheaper_steps = 0;
         for t in 1..=dataset.params.steps {
             let uploads = pipeline.upload_batches(t);
@@ -470,20 +698,33 @@ fn transform_never_costs_more_than_algorithm_4() {
             let right_arity = uploads.right.as_ref().and_then(arity).or(public_arity);
             let arities = (arity(&uploads.left).unwrap_or(0), right_arity.unwrap_or(0));
             let out_arity = arities.0 + arities.1;
+            // The rows of a window's batches timed `right − left ∈ [0, window]`
+            // against the delta's step, and the whole window.
+            let window = |relation: Relation| {
+                let batches = store.relation(relation).window();
+                let gap = |s: u64| match relation {
+                    Relation::Right => s.checked_sub(t),
+                    Relation::Left => t.checked_sub(s),
+                };
+                let theta = |b: &&UploadBatch| gap(b.time).is_some_and(|g| g <= theta_window);
+                let feasible = batches.filter(theta).map(UploadBatch::len).sum::<usize>();
+                (feasible, store.relation(relation).window_rows())
+            };
             let inner_of_left = match public {
                 Some(rows) => {
                     let steps = t as u32..=t as u32 + view.window;
-                    rows.iter()
+                    let n = rows
+                        .iter()
                         .filter(|row| steps.contains(&row.fields[view.right_time]))
-                        .count()
+                        .count();
+                    (n, n)
                 }
-                None => store.relation(Relation::Right).window_rows(),
+                None => window(Relation::Right),
             };
             let left_shape = (uploads.left.len(), inner_of_left, arities);
             let mut shapes = vec![(left_shape, public.is_some(), Relation::Right)];
             if let Some(right) = &uploads.right {
-                let inner = store.relation(Relation::Left).window_rows();
-                let shape = (right.len(), inner, (arities.1, arities.0));
+                let shape = (right.len(), window(Relation::Left), (arities.1, arities.0));
                 shapes.push((shape, false, Relation::Left));
                 store.ingest(right.clone());
             }
@@ -493,15 +734,20 @@ fn transform_never_costs_more_than_algorithm_4() {
             let charged = charged.expect("the timer transforms every step");
             let joins: CostReport = shapes
                 .iter()
-                .map(|&((outer, inner, (oa, ia)), public_inner, inner_side)| {
-                    let price = if public_inner {
-                        public_inner_join_cost
-                    } else {
-                        nested_loop_join_cost
-                    };
-                    let widths = view.join_widths(inner_side, !public_inner);
-                    price(outer, inner, omega, oa, ia, widths)
-                })
+                .map(
+                    |&((outer, (inner, _), (oa, ia)), public_inner, inner_side)| {
+                        let price = if public_inner {
+                            public_inner_join_cost
+                        } else {
+                            nested_loop_join_cost
+                        };
+                        let widths = JoinWidths {
+                            theta: None,
+                            ..view.join_widths(inner_side, !public_inner)
+                        };
+                        price(outer, inner, omega, oa, ia, widths)
+                    },
+                )
                 .sum();
             let rest = charged.saturating_sub(joins);
             assert_eq!(
@@ -512,8 +758,8 @@ fn transform_never_costs_more_than_algorithm_4() {
             let paper = rest
                 + shapes
                     .iter()
-                    .map(|&((outer, inner, _), public_inner, _)| {
-                        algorithm_4(outer, inner, omega, out_arity, !public_inner)
+                    .map(|&((outer, (_, whole), _), public_inner, _)| {
+                        algorithm_4(outer, whole, omega, out_arity, !public_inner)
                     })
                     .sum();
             let (charged, paper) = (model.simulate(&charged), model.simulate(&paper));
@@ -555,7 +801,12 @@ fn transform_never_costs_more_than_algorithm_4() {
 /// kernel came to be priced as its generated circuit at the columns' public
 /// widths, the compares and swaps staying operation counts, and TPC-ds's compares
 /// when its θ-condition came to be priced, one more compare a pair (swaps, bytes,
-/// rounds and losses kept their values).
+/// rounds and losses kept their values). TPC-ds's compares, swaps and ANDs were
+/// re-recorded when each join came to be priced over the window blocks whose
+/// upload steps θ can accept, with no θ circuit where every such block satisfies
+/// it: a new sale meets no return uploaded at or after its step, and a new return
+/// meets sales of the last nine steps, all inside θ's ten (bytes, rounds and losses
+/// kept their values; CPDB, whose Award range already applied θ, kept all of its).
 #[test]
 fn transform_costs_equal_the_share_array_goldens() {
     let cost = |compares, swaps, ands, bytes, rounds| CostReport {
@@ -570,7 +821,7 @@ fn transform_costs_equal_the_share_array_goldens() {
         (
             tpcds(200),
             IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 }),
-            (cost(308_874, 151_785, 5_847_403, 56_508, 200), 0),
+            (cost(77_301, 76_092, 1_615_105, 56_508, 200), 0),
         ),
         (
             cpdb(100),

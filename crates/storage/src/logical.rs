@@ -47,15 +47,17 @@ impl GrowingDatabase {
     }
 
     /// Insert a logical update: the record enters its relation here, so this is
-    /// where its values are checked against the columns' public widths.
+    /// where its values are checked against the columns' public widths, and its
+    /// time column against its arrival step.
     ///
     /// Costs `O(log n)` plus one index slot moved per already-inserted update that
     /// arrives later — none for the generators' in-order inserts, a handful for
     /// their few-steps-late ones.
     ///
     /// # Errors
-    /// [`SchemaError::OutOfWidth`] when a value does not fit its column's width;
-    /// the database is unchanged.
+    /// [`SchemaError::OutOfWidth`] when a value does not fit its column's width,
+    /// [`SchemaError::TimeNotArrival`] when the record's time is not its arrival
+    /// step; the database is unchanged either way.
     ///
     /// # Panics
     /// Panics when the record arity does not match the schema or the relation tag
@@ -64,6 +66,14 @@ impl GrowingDatabase {
         assert_eq!(update.fields.len(), self.schema.arity(), "arity mismatch");
         assert_eq!(update.relation, self.relation, "relation mismatch");
         self.schema.check(&update.fields)?;
+        let time = update.fields[self.schema.time_column];
+        if u64::from(time) != update.arrival {
+            return Err(SchemaError::TimeNotArrival {
+                relation: self.schema.name.clone(),
+                time,
+                arrival: update.arrival,
+            });
+        }
         let position = u32::try_from(self.updates.len()).expect("fewer than 2^32 updates");
         // Behind every update arriving no later, so a step's run stays in
         // insertion order.
@@ -260,6 +270,26 @@ mod tests {
                 bits: 8,
             }
         );
+        assert_eq!(db, before, "a rejected record is not inserted");
+    }
+
+    #[test]
+    fn a_time_off_its_arrival_is_a_typed_error() {
+        let mut db = sample_db();
+        let before = db.clone();
+        let late = LogicalUpdate {
+            id: 99,
+            relation: Relation::Left,
+            arrival: 5,
+            fields: vec![1, 4],
+        };
+        let err = db.insert(late).unwrap_err();
+        let expected = SchemaError::TimeNotArrival {
+            relation: "sales".into(),
+            time: 4,
+            arrival: 5,
+        };
+        assert_eq!(err, expected);
         assert_eq!(db, before, "a rejected record is not inserted");
     }
 }

@@ -90,7 +90,8 @@ impl UploadBatch {
 /// A sliding window of blocks, each of a public row count and live for a public
 /// number of steps — the one place the retirement rule of the active window is
 /// written. The store keeps the padded upload batches in it; Transform keeps the
-/// same blocks by length only, to price its joins.
+/// same blocks by length and by the public range of their records' times, to
+/// price its joins.
 #[derive(Debug, Clone)]
 pub struct ActiveWindow<T> {
     /// `(last live step, rows, block)`, oldest first; last live steps never decrease.
@@ -137,9 +138,9 @@ impl<T> ActiveWindow<T> {
         self.rows
     }
 
-    /// The live blocks, oldest first.
-    pub fn blocks(&self) -> impl Iterator<Item = &T> {
-        self.blocks.iter().map(|(_, _, block)| block)
+    /// The live blocks with their row counts, oldest first.
+    pub fn blocks(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.blocks.iter().map(|(_, rows, block)| (*rows, block))
     }
 }
 
@@ -174,7 +175,7 @@ impl StoredRelation {
     /// The active window's batches (dummies included), oldest first: the rows the
     /// next step's delta of the other relation joins against, in scan order.
     pub fn window(&self) -> impl Iterator<Item = &UploadBatch> {
-        self.window.blocks()
+        self.window.blocks().map(|(_, batch)| batch)
     }
 
     /// Total (padded) rows of the active window.

@@ -42,7 +42,7 @@ pub fn width_for(max: u64) -> u32 {
     (u64::BITS - max.leading_zeros()).clamp(1, 32)
 }
 
-/// A value that does not fit the public width of its column.
+/// A record that does not fit its relation's public schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemaError {
     /// `value` needs more than the `bits` of `column` in relation `relation`.
@@ -55,6 +55,17 @@ pub enum SchemaError {
         value: u32,
         /// The column's public width.
         bits: u32,
+    },
+    /// The record's time column is not its arrival step. A record's time is the
+    /// public step that uploads it, which is what lets Transform decide the
+    /// θ-condition on upload steps.
+    TimeNotArrival {
+        /// The relation's name.
+        relation: String,
+        /// The record's time column.
+        time: u32,
+        /// The record's arrival step.
+        arrival: u64,
     },
 }
 
@@ -69,6 +80,14 @@ impl std::fmt::Display for SchemaError {
             } => write!(
                 f,
                 "{relation}.{column} = {value} does not fit the column's {bits} bits"
+            ),
+            SchemaError::TimeNotArrival {
+                relation,
+                time,
+                arrival,
+            } => write!(
+                f,
+                "a {relation} record timed {time} arrives at step {arrival}: its time must be its arrival"
             ),
         }
     }

@@ -251,14 +251,40 @@ pub struct Expectations {
     pub bucket_size: Option<u64>,
     /// No single ledger entry may spend more than this ε.
     pub max_epsilon: Option<f64>,
-    /// Transform's join input is the public active window of this many steps
-    /// (`b/ω − 1`): every `transform` span's `window_rows` must equal the sum of
-    /// the upload batch sizes its shard observed over that many preceding steps —
-    /// the cost of step `t` is a function of the batch sizes up to `t`, `b` and ω.
-    /// For runs with both relations private, per-step Transform and no elastic
-    /// imports (a public relation's range and an imported block are public too,
-    /// but not derivable from upload sizes).
-    pub window_steps: Option<u64>,
+    /// Transform's join input is the θ-feasible part of the public active window:
+    /// every `transform` span's `window_rows` must equal the sum of the upload
+    /// batch sizes its shard observed at the steps θ accepts against the span's
+    /// step, within the window's preceding steps — the cost of step `t` is a
+    /// function of the batch sizes and upload steps up to `t`, `b` and ω. For runs
+    /// with both relations private, per-step Transform and no elastic imports (a
+    /// public relation's range and an imported block are public too, but not
+    /// derivable from upload sizes).
+    pub transform_window: Option<TransformWindow>,
+}
+
+/// The public shape of Transform's join input, for
+/// [`Expectations::transform_window`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransformWindow {
+    /// How many steps after its own an upload stays joinable (`b/ω − 1`).
+    pub steps: u64,
+    /// The view's θ window: a pair joins when `right.time − left.time ∈ [0, theta]`,
+    /// and a record's time is the step that uploads it.
+    pub theta: u64,
+}
+
+impl TransformWindow {
+    /// Whether a batch of `inner`'s relation (left when `inner_left`) uploaded at
+    /// step `at` holds times θ accepts against the other relation's delta of
+    /// `step`.
+    fn accepts(self, inner_left: bool, at: u64, step: u64) -> bool {
+        let gap = if inner_left {
+            step.checked_sub(at)
+        } else {
+            at.checked_sub(step)
+        };
+        gap.is_some_and(|gap| gap <= self.theta)
+    }
 }
 
 /// A passed audit: what was checked.
@@ -319,6 +345,8 @@ impl std::error::Error for AuditError {}
 ///
 /// Exact checks run for each `Some` field of [`Expectations`]; the window check
 /// is the one place a span is audited (its `window_rows` stamp, not its timing).
+/// It tells a step's two upload observes of a shard apart by their order: the
+/// left relation's batch first, the right one's second.
 ///
 /// # Errors
 /// Returns an [`AuditError`] listing every violated claim.
@@ -338,9 +366,10 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
     let mut bucket_lanes: Vec<((u64, u64), BucketLanes)> = Vec::new();
     let mut bucket_run = 0u64;
     let mut last_bucket_step: Option<u64> = None;
-    // Per-shard upload batches `(step, size)` still inside the window. Segmented
-    // on its own: a shard's upload steps only ever advance within one run.
-    type Uploads = Vec<(u64, u64)>;
+    // Per-shard upload batches `(step, left relation, size)` still inside the
+    // window. Segmented on its own: a shard's upload steps only ever advance
+    // within one run.
+    type Uploads = Vec<(u64, bool, u64)>;
     let mut uploads: BTreeMap<Option<u64>, Uploads> = BTreeMap::new();
 
     for event in events {
@@ -350,16 +379,18 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
                 let stamped = (span.name == "transform")
                     .then_some(span.cost.zip(span.step))
                     .flatten();
-                if let (Some(window), Some((cost, step))) = (expect.window_steps, stamped) {
+                if let (Some(window), Some((cost, step))) = (expect.transform_window, stamped) {
                     let batches = uploads.entry(span.shard).or_default();
-                    batches.retain(|&(at, _)| at + window >= step);
-                    let live = batches.iter().filter(|&&(at, _)| at < step);
-                    let expected: u64 = live.map(|&(_, size)| size).sum();
+                    batches.retain(|&(at, ..)| at + window.steps >= step);
+                    let live = batches
+                        .iter()
+                        .filter(|&&(at, left, _)| at < step && window.accepts(left, at, step));
+                    let expected: u64 = live.map(|&(.., size)| size).sum();
                     if cost.window_rows != expected {
                         violations.push(format!(
                             "transform at step {step} (shard {:?}) joined against {} rows, \
-                             expected the {expected} rows uploaded over the {window} preceding steps",
-                            span.shard, cost.window_rows
+                             expected the {expected} rows uploaded at steps θ accepts over the {} preceding steps",
+                            span.shard, cost.window_rows, window.steps
                         ));
                     }
                 }
@@ -450,12 +481,16 @@ pub fn check_trace(events: &[Event], expect: &Expectations) -> Result<AuditRepor
                         }
                     }
                     ObserveKind::UploadBatch => {
-                        if expect.window_steps.is_some() {
+                        if expect.transform_window.is_some() {
                             let batches = uploads.entry(o.shard).or_default();
-                            if batches.last().is_some_and(|&(last, _)| o.step < last) {
+                            if batches.last().is_some_and(|&(last, ..)| o.step < last) {
                                 batches.clear();
                             }
-                            batches.push((o.step, o.count));
+                            // The step's first batch is the left relation's.
+                            let left = batches
+                                .last()
+                                .map_or(true, |&(last, left, _)| last < o.step || !left);
+                            batches.push((o.step, left, o.count));
                         }
                     }
                 }
@@ -639,7 +674,7 @@ mod tests {
                 timer_interval: Some(10),
                 bucket_size: Some(6),
                 max_epsilon: Some(0.15),
-                window_steps: None,
+                transform_window: None,
             },
         )
         .expect("clean trace");
@@ -738,7 +773,11 @@ mod tests {
                 }),
             })
         };
-        // Two relations of 4 and 3 rows a step, a window of two steps: 0, 7, 14, 14.
+        // Left batches of 4 rows and right ones of 3 a step, a window of two steps.
+        // A new left delta meets no right row uploaded at or after its step; a new
+        // right one meets the left rows of the steps θ's window reaches back to:
+        // both of the window's under θ = 10 (0, 4, 8, 8), the previous step's
+        // alone under θ = 1 (0, 4, 4, 4).
         let trace = |stamps: [u64; 4]| -> Vec<Event> {
             (1..=4u64)
                 .flat_map(|t| {
@@ -750,19 +789,25 @@ mod tests {
                 })
                 .collect()
         };
-        let expect = Expectations {
-            window_steps: Some(2),
+        let expect = |theta: u64| Expectations {
+            transform_window: Some(TransformWindow { steps: 2, theta }),
             ..Expectations::default()
         };
-        check_trace(&trace([0, 7, 14, 14]), &expect).expect("the window slides");
+        check_trace(&trace([0, 4, 8, 8]), &expect(10)).expect("the window slides");
+        check_trace(&trace([0, 4, 4, 4]), &expect(1)).expect("θ reaches one step back");
         // A second run in the same trace starts from an empty window.
-        let two_runs = [trace([0, 7, 14, 14]), trace([0, 7, 14, 14])].concat();
-        check_trace(&two_runs, &expect).expect("runs are segmented at upload-step resets");
+        let two_runs = [trace([0, 4, 8, 8]), trace([0, 4, 8, 8])].concat();
+        check_trace(&two_runs, &expect(10)).expect("runs are segmented at upload-step resets");
+        // A join over the whole window prices blocks θ rejects.
+        let err = check_trace(&trace([0, 7, 14, 14]), &expect(10)).expect_err("whole window");
+        assert!(err.to_string().contains("joined against 7 rows"), "{err}");
+        let err = check_trace(&trace([0, 4, 8, 8]), &expect(1)).expect_err("past θ");
+        assert!(err.to_string().contains("joined against 8 rows"), "{err}");
         // A join over everything uploaded so far (or over a data-dependent count)
         // is not a function of the window.
-        let err = check_trace(&trace([0, 7, 14, 21]), &expect).expect_err("grew past the window");
-        assert!(err.to_string().contains("joined against 21 rows"), "{err}");
-        check_trace(&trace([0, 7, 14, 21]), &Expectations::default()).expect("check is opt-in");
+        let err = check_trace(&trace([0, 4, 8, 12]), &expect(10)).expect_err("grew past it");
+        assert!(err.to_string().contains("joined against 12 rows"), "{err}");
+        check_trace(&trace([0, 4, 8, 12]), &Expectations::default()).expect("check is opt-in");
     }
 
     #[test]
@@ -785,7 +830,7 @@ mod tests {
                 timer_interval: Some(10),
                 bucket_size: None,
                 max_epsilon: Some(0.15),
-                window_steps: None,
+                transform_window: None,
             },
         )
         .expect_err("dirty trace");

@@ -4,14 +4,15 @@ use incshrink_storage::{GrowingDatabase, LogicalUpdate, Schema};
 use serde::{Deserialize, Serialize};
 
 /// Insert a generated record. Every generator and variant sets its columns' widths
-/// from its own public parameters so that its records fit them.
+/// from its own public parameters so that its records fit them, and times each
+/// record at its arrival step.
 ///
 /// # Panics
-/// Panics when a value does not fit its column's width: the widths were derived
-/// from parameters that do not bound the values.
+/// Panics when a value does not fit its column's width (the widths were derived
+/// from parameters that do not bound the values) or a time is not its arrival.
 pub(crate) fn insert_generated(db: &mut GrowingDatabase, update: LogicalUpdate) {
     if let Err(e) = db.insert(update) {
-        panic!("a generated record must fit its public widths: {e}");
+        panic!("a generated record must fit its public schema: {e}");
     }
 }
 

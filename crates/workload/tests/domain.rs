@@ -2,7 +2,9 @@
 //! parameters, and every record it produces fits them: at the horizons the
 //! benchmark, the sweep experiments and the examples run (`perf` at full size and
 //! at `--smoke`'s 1/20, `sweep` at its default, its goldens' and its quick
-//! horizon, the examples' own), on seeds 1–20. A value that did not fit would make
+//! horizon, the examples' own), on seeds 1–20. Every record is also timed at its
+//! arrival step, the public step that uploads it, which Transform decides the
+//! θ-condition on. A value that did not fit, or a time off its arrival, would make
 //! the generator panic on its `SchemaError`; the test also re-checks each record.
 
 use incshrink_workload::{
@@ -30,13 +32,21 @@ fn generate(kind: DatasetKind, steps: u64, seed: u64) -> Dataset {
     }
 }
 
-/// Every record of both relations fits its schema's widths.
+/// Every record of both relations fits its schema's widths and is timed at its
+/// arrival step.
 fn assert_fits(dataset: &Dataset, what: &str) {
     for db in [&dataset.left, &dataset.right] {
         for update in db.updates() {
             if let Err(e) = db.schema.check(&update.fields) {
                 panic!("{what}: {e}");
             }
+            let time = update.fields[db.schema.time_column];
+            assert_eq!(
+                u64::from(time),
+                update.arrival,
+                "{what}: record {}",
+                update.id
+            );
         }
     }
 }

@@ -8,7 +8,7 @@ use incshrink::prelude::*;
 use incshrink_cluster::{shard_config, ClusterRunReport, RoutingPolicy, ShardedSimulation};
 use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
 use incshrink_telemetry::audit::{
-    check_trace, Expectations, LeakageProfile, LedgerSummary, SyncTiming,
+    check_trace, Expectations, LeakageProfile, LedgerSummary, SyncTiming, TransformWindow,
 };
 use incshrink_telemetry::{install, Event, InMemory, Jsonl, LedgerEntry};
 use incshrink_workload::to_store_partitioned;
@@ -264,13 +264,18 @@ fn leakage_auditor_passes_on_both_workloads_with_config_expectations() {
     let timer = timer_cfg();
     let mut timer_ds = tpcds(40, 17);
     pin_batch_sizes(&mut timer_ds, 1);
+    let theta = u64::from(timer_ds.join_window);
     let (_, events) = traced(|| ShardedSimulation::new(timer_ds, timer, 1, 0x5EED).run());
     let expect = Expectations {
         flush_interval: Some(timer.flush_interval),
         timer_interval: Some(10),
         max_epsilon: Some(timer.epsilon),
-        // Transform joins against the b/ω − 1 = 9 preceding steps' uploads.
-        window_steps: Some(timer.contribution_budget / timer.truncation_bound - 1),
+        // Transform joins against the uploads of the b/ω − 1 = 9 preceding steps
+        // that θ accepts: a new return meets every sale of them, a new sale none.
+        transform_window: Some(TransformWindow {
+            steps: timer.contribution_budget / timer.truncation_bound - 1,
+            theta,
+        }),
         ..Expectations::default()
     };
     check_trace(&events, &expect).expect("timer trace violates its leakage claims");
@@ -295,6 +300,7 @@ fn cluster_traces_audit_cleanly_and_stamp_shards() {
     let shards = 4usize;
     let mut dataset = tpcds(120, 23);
     pin_batch_sizes(&mut dataset, shards);
+    let theta = u64::from(dataset.join_window);
     let (_, events) = traced(|| ShardedSimulation::new(dataset, cfg, shards, 0x7AB2).run());
 
     // Shard pipelines run the ε/S, ×S-cadence split configuration.
@@ -306,7 +312,10 @@ fn cluster_traces_audit_cleanly_and_stamp_shards() {
         flush_interval: Some(split.flush_interval),
         timer_interval: Some(interval),
         max_epsilon: Some(split.epsilon),
-        window_steps: Some(split.contribution_budget / split.truncation_bound - 1),
+        transform_window: Some(TransformWindow {
+            steps: split.contribution_budget / split.truncation_bound - 1,
+            theta,
+        }),
         ..Expectations::default()
     };
     check_trace(&events, &expect).expect("cluster trace violates its leakage claims");
