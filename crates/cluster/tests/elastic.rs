@@ -13,7 +13,7 @@ use incshrink_cluster::{
 };
 use incshrink_dp::accountant::{MechanismApplication, PrivacyAccountant};
 use incshrink_mpc::PartyMode;
-use incshrink_telemetry::audit::canonical_observable_trace;
+use incshrink_telemetry::audit::{canonical_observable_trace, canonical_trace_fingerprint};
 use incshrink_telemetry::{install, Event, InMemory, LedgerEntry};
 use incshrink_workload::{to_store_partitioned, to_zipf_skewed};
 use proptest::prelude::*;
@@ -427,5 +427,70 @@ proptest! {
             .map(|e| e.epsilon)
             .sum();
         prop_assert!((elastic_spent - stats.epsilon_spent).abs() < 1e-9);
+    }
+}
+
+/// One threaded, shuffled, elastic run in the `cluster_elastic_s2` shape (two
+/// shard threads, TPC-ds partitioned by store id with a Zipf(1.2) key mass) at
+/// a short horizon: its canonical-trace fingerprint, each shard's view
+/// fingerprint (every share word of the view) and its modeled MPC seconds.
+fn elastic_s2_pins(seed: u64, mode: PartyMode) -> (u64, Vec<u64>, u64) {
+    let dataset = to_store_partitioned(
+        &to_zipf_skewed(&tpcds(40, seed), 1.2, seed),
+        8,
+        0.5,
+        seed ^ 0x570E,
+    );
+    let (run, events) = traced(|| {
+        ParallelShardedSimulation::new(dataset, timer_cfg(), 2, seed ^ 0x7AB2)
+            .with_routing_policy(RoutingPolicy::shuffled())
+            .with_elastic(ElasticConfig::default())
+            .with_party_mode(mode)
+            .run()
+    });
+    let report = run.report;
+    let stats = report.elastic.as_ref().expect("elastic report");
+    assert!(stats.migrations > 0, "seed {seed}: the run must migrate");
+    let views = report.shard_reports.iter().map(|s| s.view_fingerprint);
+    (
+        canonical_trace_fingerprint(&events),
+        views.collect(),
+        report.summary.total_mpc_secs.to_bits(),
+    )
+}
+
+/// The elastic trajectory to the share word, in every party mode: a run that
+/// migrates passes through `ShardPipeline::import_partition`, whose re-sharing
+/// draws come from one local generator, so a change there that moves a view
+/// share, an observable or a modeled second shows here. The constants were
+/// recorded on the code they pin; `elastic.json` pins neither shares nor cost.
+#[test]
+fn threaded_elastic_s2_run_is_pinned_in_every_party_mode() {
+    // Per seed: the trace fingerprint, each shard's view fingerprint and the
+    // bits of the modeled MPC seconds.
+    type Pins = (u64, [u64; 2], u64);
+    let pins: [(u64, Pins); 2] = [
+        (
+            7,
+            (
+                0xcf7b_67c9_d29c_5f61,
+                [0xe24f_2ac2_8469_4826, 0xd35e_78c6_0fb8_9e0a],
+                0x3fb8_0fc3_1695_98ac,
+            ),
+        ),
+        (
+            101,
+            (
+                0x91ff_19cb_ffbf_b3d9,
+                [0xf8ea_cee1_daef_f79d, 0x30fa_db78_fa03_23c1],
+                0x3fbd_87ae_be21_96db,
+            ),
+        ),
+    ];
+    for (seed, (trace, views, mpc)) in pins {
+        for mode in [PartyMode::InProcess, PartyMode::Actor, PartyMode::Tcp] {
+            let got = elastic_s2_pins(seed, mode);
+            assert_eq!(got, (trace, views.to_vec(), mpc), "seed {seed}, {mode}");
+        }
     }
 }
