@@ -268,7 +268,7 @@ impl ShuffleState {
             staged.extend_from_slice(chunk);
             rest = tail;
         }
-        UploadBatch::from_updates(relation, t, &staged, db.schema.arity(), size, &mut rng)
+        UploadBatch::from_updates(t, &staged, db.schema.arity(), size, &mut rng)
     }
 
     /// Batch every arrival shard's step-`t` stream for `relation` and shuffle-
@@ -912,13 +912,8 @@ impl<H> ClusterSimulation<H> {
     /// (see its rustdoc for the one deliberate cadence difference);
     /// [`RoutingPolicy::Shuffled`] inserts the [`crate::shuffle`] phase and also
     /// handles workloads partitioned by a non-join attribute.
-    ///
-    /// # Panics
-    /// Panics when the policy fails [`RoutingPolicy::validate`] (e.g. a
-    /// `Shuffled` cushion of zero).
     #[must_use]
     pub fn with_routing_policy(mut self, routing: RoutingPolicy) -> Self {
-        routing.validate();
         self.routing = routing;
         self
     }
@@ -953,12 +948,11 @@ impl<H> ClusterSimulation<H> {
         let router = ShardRouter::new(shards);
         let (parts, shuffle) = match self.routing {
             RoutingPolicy::CoPartitioned => (router.partition(dataset), None),
-            RoutingPolicy::Shuffled { bucket_cushion } => {
+            RoutingPolicy::Shuffled => {
                 // The elastic control plane lives with the shuffler it drives;
                 // its releases derive from the cluster seed, never from party
                 // or thread randomness.
-                let mut shuffler =
-                    ClusterShuffler::new(shards, bucket_cushion, self.cost_model, seed);
+                let mut shuffler = ClusterShuffler::new(shards, self.cost_model, seed);
                 if let Some(cfg) = self.elastic {
                     shuffler.enable_elastic(ElasticRouting::new(
                         shards,

@@ -237,7 +237,7 @@ pub(crate) fn assert_routable(dataset: &Dataset, shards: usize, routing: Routing
 /// no shuffle.
 pub(crate) fn assert_elastic_viable(routing: RoutingPolicy, elastic: Option<&ElasticConfig>) {
     assert!(
-        elastic.is_none() || matches!(routing, RoutingPolicy::Shuffled { .. }),
+        elastic.is_none() || matches!(routing, RoutingPolicy::Shuffled),
         "the elastic control plane drives the shuffle phase's routing table: \
          use RoutingPolicy::Shuffled (co-partitioned arrivals have no shuffle \
          to adapt)"

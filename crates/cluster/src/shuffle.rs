@@ -44,6 +44,13 @@ use incshrink_storage::{RecordId, Relation, UploadBatch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+/// Additive dummy cushion on every per-destination shuffle bucket, on top of the
+/// rate-proportional `⌈batch/S⌉` share: it absorbs routing skew the way the burst
+/// cushion the workload generators build into upload batches absorbs arrival
+/// bursts, and keeps a bucket from overflowing on uniform traffic whenever `S`
+/// does not divide the batch.
+const BUCKET_CUSHION: usize = 2;
+
 /// How the cluster routes owner uploads to shard pipelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingPolicy {
@@ -52,20 +59,14 @@ pub enum RoutingPolicy {
     CoPartitioned,
     /// Records arrive partitioned by a non-join attribute; a shuffle phase
     /// re-routes every delta to the shard owning its join key before maintenance.
-    Shuffled {
-        /// Additive dummy cushion on every per-destination bucket (on top of the
-        /// rate-proportional `⌈batch/S⌉` share), absorbing routing skew the same
-        /// way upload batches absorb arrival bursts.
-        bucket_cushion: usize,
-    },
+    Shuffled,
 }
 
 impl RoutingPolicy {
-    /// The shuffled policy with the default bucket cushion (2, matching the burst
-    /// cushion the workload generators build into upload batches).
+    /// The shuffled policy.
     #[must_use]
     pub fn shuffled() -> Self {
-        RoutingPolicy::Shuffled { bucket_cushion: 2 }
+        RoutingPolicy::Shuffled
     }
 
     /// Short label used in experiment tables.
@@ -73,25 +74,7 @@ impl RoutingPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             RoutingPolicy::CoPartitioned => "co-partitioned",
-            RoutingPolicy::Shuffled { .. } => "shuffled",
-        }
-    }
-
-    /// Validate the policy's parameters, panicking with a clear message on
-    /// nonsense values. A zero bucket cushion is rejected here, at
-    /// construction time: `⌈batch/S⌉ × S` can fall short of the batch itself
-    /// whenever `S` does not divide it, so an uncushioned bucket overflows on
-    /// perfectly uniform traffic and the misconfiguration would otherwise only
-    /// surface as a confusing mid-run overflow storm.
-    pub fn validate(&self) {
-        if let RoutingPolicy::Shuffled { bucket_cushion } = self {
-            assert!(
-                *bucket_cushion > 0,
-                "RoutingPolicy::Shuffled requires bucket_cushion >= 1: \
-                 a zero cushion overflows on uniform traffic whenever the \
-                 shard count does not divide the batch size (use \
-                 RoutingPolicy::shuffled() for the default cushion)"
-            );
+            RoutingPolicy::Shuffled => "shuffled",
         }
     }
 }
@@ -145,10 +128,9 @@ impl ShuffleStats {
 }
 
 /// Executes the shuffle phase for a cluster run: holds the destination count,
-/// bucket cushion, cost model and the seed of the protocol randomness.
+/// cost model and the seed of the protocol randomness.
 pub struct ClusterShuffler {
     shards: usize,
-    bucket_cushion: usize,
     cost_model: CostModel,
     /// Seeds arrival pair `i`'s [`Domain::ShuffleRoute`] and destination `d`'s
     /// [`Domain::ShuffleCut`] stream of each step and relation.
@@ -161,15 +143,12 @@ impl ClusterShuffler {
     /// A shuffler routing to `shards` destination pipelines.
     ///
     /// # Panics
-    /// Panics when `shards` is zero or `bucket_cushion` is zero (see
-    /// [`RoutingPolicy::validate`]).
+    /// Panics when `shards` is zero.
     #[must_use]
-    pub fn new(shards: usize, bucket_cushion: usize, cost_model: CostModel, seed: u64) -> Self {
+    pub fn new(shards: usize, cost_model: CostModel, seed: u64) -> Self {
         assert!(shards > 0, "cluster needs at least one shard");
-        RoutingPolicy::Shuffled { bucket_cushion }.validate();
         Self {
             shards,
-            bucket_cushion,
             cost_model,
             seed,
             stats: ShuffleStats::for_shards(shards),
@@ -258,7 +237,7 @@ impl ClusterShuffler {
         for (arrival, batch) in arrival_batches.iter().enumerate() {
             let route = Domain::ShuffleRoute.draw(arrival, time, relation as u64);
             let rng = &mut route.rng(self.seed);
-            let bucket_size = batch.len().div_ceil(self.shards) + self.bucket_cushion;
+            let bucket_size = batch.len().div_ceil(self.shards) + BUCKET_CUSHION;
             // What the wire carries to each destination pair is the padded bucket
             // size — a pure function of public parameters, recorded per destination
             // so the leakage auditor can check routing symmetry.
@@ -339,12 +318,7 @@ impl ClusterShuffler {
             let compact_report = meter.take();
             route_span.record_cost(compact_report.into());
             max_compact = max_compact.max(self.cost_model.simulate(&compact_report));
-            out.push(UploadBatch {
-                relation,
-                time,
-                records,
-                ids,
-            });
+            out.push(UploadBatch { time, records, ids });
         }
 
         let duration = max_shuffle + max_compact;
@@ -532,7 +506,7 @@ mod tests {
         let mut read = CostMeter::new();
         drop(cache_read(&mut rows(40, 60), 30, &mut read));
         let mut compact = CostMeter::new();
-        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
+        let mut shuffler = ClusterShuffler::new(2, CostModel::default(), 5);
         let rng = &mut StdRng::seed_from_u64(5);
         let ids = vec![None; 30];
         shuffler.compact_and_cut(0, rows(9, 21), ids, (16, 28), &mut compact, rng);
@@ -588,14 +562,13 @@ mod tests {
     fn route_step_prices_the_relation_at_its_record_bits() {
         let (n, record_bits) = (12, 28);
         let batch = || UploadBatch {
-            relation: Relation::Left,
             time: 1,
             records: rows(5, n - 5),
             ids: vec![None; n],
         };
         let sink = Arc::new(InMemory::new());
         let guard = incshrink_telemetry::install(sink.clone());
-        let mut shuffler = ClusterShuffler::new(2, 1, CostModel::default(), 5);
+        let mut shuffler = ClusterShuffler::new(2, CostModel::default(), 5);
         let (routed, _) =
             shuffler.route_step(1, Relation::Left, 0, &[batch(), batch()], 16, record_bits);
         drop(guard);
@@ -616,9 +589,9 @@ mod tests {
         let sort = Network::sort(n).count();
         let arrival = sort * (ands(Kernel::Lt(WORD_BITS)) + ands(Kernel::Swap(record_bits + 1)))
             + n as u64 * (4 * ands(Kernel::Add(WORD_BITS)) + 2);
-        // Per destination: the compaction of both arrivals' buckets of 7 rows.
+        // Per destination: the compaction of both arrivals' buckets of 6 + 2 rows.
         let mut compaction = CostMeter::new();
-        Compaction::new(14).charge(record_bits, &mut compaction);
+        Compaction::new(16).charge(record_bits, &mut compaction);
         let destination = compaction.report().secure_ands;
         assert_eq!(charged, 2 * arrival + 2 * destination);
     }

@@ -145,7 +145,7 @@ fn threaded_runtime_replays_sequential_bit_for_bit_across_the_matrix() {
                 // partitioned by a non-join attribute.
                 let dataset = match routing {
                     RoutingPolicy::CoPartitioned => base.clone(),
-                    RoutingPolicy::Shuffled { .. } => to_store_partitioned(&base, 8, 0.5, 77),
+                    RoutingPolicy::Shuffled => to_store_partitioned(&base, 8, 0.5, 77),
                 };
                 let (sequential, threaded) = run_both(&dataset, config, shards, seed, routing);
                 assert_bit_for_bit(&sequential, &threaded, shards);
@@ -254,7 +254,7 @@ fn shard_thread_panic_propagates_to_the_driver() {
     for routing in [RoutingPolicy::CoPartitioned, RoutingPolicy::shuffled()] {
         let dataset = match routing {
             RoutingPolicy::CoPartitioned => dataset.clone(),
-            RoutingPolicy::Shuffled { .. } => to_store_partitioned(&dataset, 4, 0.5, 77),
+            RoutingPolicy::Shuffled => to_store_partitioned(&dataset, 4, 0.5, 77),
         };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ParallelShardedSimulation::new(dataset, config, 4, 0xBAD)

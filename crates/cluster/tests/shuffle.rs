@@ -264,7 +264,7 @@ proptest! {
         let dataset = to_store_partitioned(&base, 4, cross, seed);
         let router = ShardRouter::new(shards);
         let arrival_parts = router.partition(&dataset);
-        let mut shuffler = ClusterShuffler::new(shards, 2, CostModel::default(), seed);
+        let mut shuffler = ClusterShuffler::new(shards, CostModel::default(), seed);
         let mut rng = StdRng::seed_from_u64(seed);
 
         for t in 1..=12u64 {
@@ -272,7 +272,6 @@ proptest! {
                 .iter()
                 .map(|part| {
                     UploadBatch::from_updates(
-                        Relation::Left,
                         t,
                         &part.left.arrivals_at(t),
                         part.left.schema.arity(),
@@ -297,7 +296,6 @@ proptest! {
             // Each destination holds exactly the records whose key it owns...
             let mut routed_records: Vec<Vec<u32>> = Vec::new();
             for (dest, batch) in routed.iter().enumerate() {
-                prop_assert_eq!(batch.relation, Relation::Left);
                 for rec in batch.records.recover_all() {
                     if rec.is_view {
                         prop_assert_eq!(

@@ -1,12 +1,12 @@
 //! One server pair's view-maintenance stack, stepped one upload epoch at a time.
 //!
-//! [`ShardPipeline`] holds the machinery of one server pair — context,
-//! outsourced store, secure cache, Transform, Shrink, materialized view — and
-//! replays a workload's upload epochs exactly as Figure 1 describes: owners
-//! upload padded batches each step, Transform converts them into cached view
-//! entries, and Shrink synchronizes DP-sized batches into the materialized view
-//! (or a baseline strategy routes ΔV directly). The analyst's queries are
-//! answered separately ([`ShardPipeline::answer_query`]).
+//! [`ShardPipeline`] holds the machinery of one server pair — context, secure
+//! cache, Transform, Shrink, materialized view — and replays a workload's upload
+//! epochs exactly as Figure 1 describes: owners upload padded batches each step,
+//! Transform converts them into cached view entries, and Shrink synchronizes
+//! DP-sized batches into the materialized view (or a baseline strategy routes ΔV
+//! directly). The analyst's queries are answered separately
+//! ([`ShardPipeline::answer_query`]).
 //!
 //! The end-to-end run — the step loop, the counting query every
 //! `query_interval` steps, the per-step [`StepRecord`] trace and the Table-2
@@ -26,7 +26,7 @@ use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{LogicalUpdate, OutsourcedStore, Relation, SecureCache, UploadBatch};
+use incshrink_storage::{Relation, SecureCache, UploadBatch};
 use incshrink_telemetry::CostDelta;
 use incshrink_workload::{logical_join_counts_per_step, Dataset};
 use rand::rngs::StdRng;
@@ -149,9 +149,14 @@ impl MigratedPartition {
     }
 }
 
-/// One server pair's complete view-maintenance stack: execution context, outsourced
-/// store, secure cache, Transform, Shrink and the materialized view, stepped one
-/// upload epoch at a time.
+/// One server pair's complete view-maintenance stack: execution context, secure
+/// cache, Transform, Shrink and the materialized view, stepped one upload epoch at
+/// a time.
+///
+/// The servers keep no copy of an upload batch's shares once Transform has run
+/// over it: Transform's public active window is priced from the batches' lengths
+/// and upload steps, and nothing reads the shares again. What the NM baseline
+/// prices is a tally of the padded rows uploaded per relation.
 ///
 /// The cluster layer drives one of them per shard and answers queries by
 /// scatter-gathering over their views; with one shard, that run is the
@@ -162,13 +167,14 @@ pub struct ShardPipeline {
     cost_model: CostModel,
     ctx: PartyContext,
     seed: u64,
-    store: OutsourcedStore,
+    /// Padded rows uploaded so far, per relation (left, right): the outsourced
+    /// data the NM baseline joins in full.
+    uploaded_rows: [usize; 2],
     cache: SecureCache,
     view: MaterializedView,
     transform: TransformProtocol,
     shrink: ShrinkProtocol,
     truth: Vec<u64>,
-    public_right_len: usize,
     left_arity: usize,
     right_arity: usize,
     /// Host wall-clock seconds spent inside Transform invocations so far.
@@ -214,7 +220,6 @@ impl ShardPipeline {
         let public_right = dataset.right_is_public.then(|| {
             PublicRelation::from_rows(dataset.right.updates().iter().map(|u| u.fields.as_slice()))
         });
-        let public_right_len = public_right.as_ref().map_or(0, PublicRelation::len);
 
         let (cache_bits, view) = (
             view_def.cache_payload_bits(),
@@ -233,7 +238,7 @@ impl ShardPipeline {
         Self {
             ctx: PartyContext::new(party_mode, seed, cost_model),
             seed,
-            store: OutsourcedStore::new(transform.window_steps()),
+            uploaded_rows: [0; 2],
             // The view row's second join-key copy is restored locally after each
             // network, so the cache's networks carry the row less one key's bits.
             cache: SecureCache::new(cache_bits, shrink.trim_bound()),
@@ -241,7 +246,6 @@ impl ShardPipeline {
             transform,
             shrink,
             truth,
-            public_right_len,
             left_arity,
             right_arity,
             host_transform_secs: 0.0,
@@ -348,53 +352,16 @@ impl ShardPipeline {
     /// randomness — the driver draws it from the migration rng, so sequential and
     /// actor drivers replay identically and no party randomness is consumed.
     pub fn import_partition(&mut self, partition: MigratedPartition, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
         if !partition.view_entries.is_empty() {
             self.view.migrate_in(SharedArrayPair::share_records(
                 &partition.view_entries,
-                &mut rng,
-            ));
-        }
-        let sides = [
-            (Relation::Left, &partition.active_left, self.left_arity),
-            (Relation::Right, &partition.active_right, self.right_arity),
-        ];
-        for ((relation, active, arity), rows) in sides
-            .into_iter()
-            .zip([partition.window_rows.0, partition.window_rows.1])
-        {
-            let moved: Vec<LogicalUpdate> = active
-                .iter()
-                .map(|(rec, _)| LogicalUpdate {
-                    id: rec.id,
-                    relation,
-                    arrival: 0,
-                    fields: rec.fields.clone(),
-                })
-                .collect();
-            let moved: Vec<&LogicalUpdate> = moved.iter().collect();
-            self.store.adopt(UploadBatch::from_updates(
-                relation, 0, &moved, arity, rows, &mut rng,
+                &mut StdRng::seed_from_u64(seed),
             ));
         }
         self.transform.import_active(
             partition.active_left,
             partition.active_right,
             partition.window_rows,
-        );
-        self.debug_assert_windows_agree();
-    }
-
-    /// The store's physical window and the lengths Transform prices are two views
-    /// of one public quantity.
-    fn debug_assert_windows_agree(&self) {
-        debug_assert_eq!(
-            self.transform.window_rows(),
-            (
-                self.store.relation(Relation::Left).window_rows(),
-                self.store.relation(Relation::Right).window_rows(),
-            ),
-            "Transform prices a window the store does not hold"
         );
     }
 
@@ -434,15 +401,15 @@ impl ShardPipeline {
     /// the logical ground truth (the join recomputes it exactly).
     #[must_use]
     pub fn nm_engine(&self, t: u64) -> NmBaselineEngine<'static> {
-        let n_left = self.store.relation(Relation::Left).len() as u64;
+        let [n_left, n_uploaded_right] = self.uploaded_rows;
         let n_right = if self.dataset.right_is_public {
-            self.public_right_len as u64
+            self.dataset.right.len()
         } else {
-            self.store.relation(Relation::Right).len() as u64
+            n_uploaded_right
         };
         NmBaselineEngine::for_count(
-            n_left,
-            n_right,
+            n_left as u64,
+            n_right as u64,
             (self.left_arity + self.right_arity) as u64,
             self.config.truncation_bound,
             self.cost_model,
@@ -470,26 +437,11 @@ impl ShardPipeline {
             let rng = &mut Domain::OwnerShares
                 .draw(0, t, relation as u64)
                 .rng(self.seed);
-            UploadBatch::from_updates(
-                relation,
-                t,
-                &db.arrivals_at(t),
-                db.schema.arity(),
-                size,
-                rng,
-            )
+            UploadBatch::from_updates(t, &db.arrivals_at(t), db.schema.arity(), size, rng)
         };
         StepUploads {
             left: batch(Relation::Left),
             right: (!self.dataset.right_is_public).then(|| batch(Relation::Right)),
-        }
-    }
-
-    /// Move one step's upload batches into the store.
-    fn ingest(&mut self, uploads: StepUploads) {
-        self.store.ingest(uploads.left);
-        if let Some(batch) = uploads.right {
-            self.store.ingest(batch);
         }
     }
 
@@ -513,34 +465,27 @@ impl ShardPipeline {
         let _step_span = incshrink_telemetry::span!("pipeline.step");
         let mut outcome = PipelineStepOutcome::default();
 
-        // --- Owner uploads (fixed-size padded batches every step): kept for
-        // Transform when the strategy maintains the view, otherwise handed straight
-        // to the store.
+        // --- Owner uploads (fixed-size padded batches every step): observed and
+        // tallied on every path, joined by Transform when the strategy maintains
+        // the view.
         let ingest_span = incshrink_telemetry::span!("ingest");
-        self.ctx.observe_both(ObservedEvent::UploadBatch {
-            time: t,
-            count: uploads.left.len(),
-        });
-        if let Some(batch) = &uploads.right {
+        let batches = [Some(&uploads.left), uploads.right.as_ref()];
+        for (tally, batch) in self.uploaded_rows.iter_mut().zip(batches) {
+            let Some(batch) = batch else { continue };
             self.ctx.observe_both(ObservedEvent::UploadBatch {
                 time: t,
                 count: batch.len(),
             });
+            *tally += batch.len();
         }
         let routing = delta_routing(self.config.strategy, t);
         let maintained = routing != DeltaRouting::NoTransform && routing != DeltaRouting::Drop;
-        let uploads = if maintained {
-            Some(uploads)
-        } else {
-            self.ingest(uploads);
-            None
-        };
         drop(ingest_span);
 
         // --- Transform (strategy dependent), once per upload step. OTM after its
-        // one-time materialization and NM only ingest: owners still upload, but the
+        // one-time materialization and NM only tally: owners still upload, but the
         // servers perform no view maintenance work.
-        if let Some(uploads) = uploads {
+        if maintained {
             let mut transform_span = incshrink_telemetry::span!("transform");
             let started = std::time::Instant::now();
             let transform_outcome =
@@ -552,11 +497,6 @@ impl ShardPipeline {
                 window_rows: transform_outcome.window_rows as u64,
                 ..transform_outcome.report.into()
             });
-            // The step's batches become the newest blocks of the store's window.
-            let ingest_span = incshrink_telemetry::span!("ingest");
-            self.ingest(uploads);
-            self.debug_assert_windows_agree();
-            drop(ingest_span);
             outcome.transform_duration = Some(transform_outcome.duration);
             outcome.transform_report = Some(transform_outcome.report);
             // Algorithm 1 line 7, σ ← σ ‖ ΔV, is part of Transform and of its span.

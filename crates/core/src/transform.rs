@@ -29,9 +29,8 @@
 //!   step, `b` and ω, which the servers already know (DP-Sync's update pattern:
 //!   batch sizes and arrival times). Per accumulated relation Transform therefore
 //!   tracks the padded lengths and time ranges of the batches of the last
-//!   `b/ω − 1` steps
-//!   ([`incshrink_storage::ActiveWindow`], the same sliding window the
-//!   `OutsourcedStore` keeps the batches' shares in) and prices every join as
+//!   `b/ω − 1` steps (`ActiveWindow`, the one place the retirement rule is
+//!   written) and prices every join as
 //!   `join_cost(|Δ|, window rows)`: dummies included, retired batches excluded, no
 //!   term for the rest of the relation. This is a **declared deviation** from
 //!   Algorithm 1's "join Δ with the outsourced relation" (`|Δ|·n`, growing with
@@ -74,9 +73,10 @@
 //!   (`ActiveRelation`: records + [`incshrink_oblivious::KeyIndex`]). Arrivals
 //!   are pushed at the tail; nothing is recovered, re-shared or re-indexed per
 //!   step, so the host does `O(|Δ|)` work plus one pop per expired record. No copy
-//!   of the window's *shares* is kept here: the store holds them and nothing
-//!   downstream observes their words — ΔV's shares are drawn fresh from the
-//!   per-invocation stream in [`incshrink_oblivious::push_padded`].
+//!   of the window's *shares* is kept, here or elsewhere: nothing downstream
+//!   observes their words (a declared simplification, docs/ARCHITECTURE.md's
+//!   §2.3 row) — ΔV's shares are drawn fresh from the per-invocation stream in
+//!   [`incshrink_oblivious::push_padded`].
 //! * **Why mirror-driven matching is the same simulated circuit.** Algorithm 4's
 //!   share-array operator derives its output from
 //!   [`incshrink_oblivious::truncated_match_rows`] over recovered plaintext and
@@ -84,9 +84,9 @@
 //!   recovered plaintext of the window's real rows (a dummy never matches), in the
 //!   window's block order, and a candidate walk visits matching inner rows in
 //!   ascending position order — the order the operator's scan does — so ΔV and
-//!   truncation losses are identical to running that operator
-//!   over the store's padded window shares, and so is the `CostReport`
-//!   (lockstep-tested over both).
+//!   truncation losses are identical to running that operator over the padded
+//!   shares of the window's batches, and so is the `CostReport` (lockstep-tested
+//!   over both).
 //! * **The budget is a stamp.** Every mirrored record carries the last step it may
 //!   join at: `c + W` for an arrival admitted at step `c`, `covered + steps left`
 //!   for an import. Arrival stamps never decrease along the mirror, so what expires
@@ -137,7 +137,7 @@ use incshrink_oblivious::{
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{ActiveWindow, RecordId, Relation, UploadBatch};
+use incshrink_storage::{RecordId, Relation, UploadBatch};
 use incshrink_telemetry::Span;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -147,9 +147,9 @@ use std::ops::RangeInclusive;
 pub const CARDINALITY_SHARE: &str = "cardinality";
 
 /// A record currently eligible to participate in view transformations (it still has
-/// contribution budget). The framework keeps these as the plaintext mirror of the
-/// real rows of the store's secret-shared active window; the joins themselves run
-/// over shares.
+/// contribution budget). Transform keeps these as the plaintext mirror of the
+/// real rows of the secret-shared active window; the joins themselves run over
+/// shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveRecord {
     /// The record's id, used for contribution accounting.
@@ -179,6 +179,46 @@ struct TimeRange {
     hi: u64,
 }
 
+/// The public active window of one accumulated relation: blocks of a public row
+/// count, each live for a public number of steps and carrying the public range of
+/// its records' times — the one place the window's retirement rule is written.
+#[derive(Debug, Default)]
+struct ActiveWindow {
+    /// `(last live step, rows, times)`, oldest first; last live steps never decrease.
+    blocks: VecDeque<(u64, usize, TimeRange)>,
+    rows: usize,
+}
+
+impl ActiveWindow {
+    /// A block of `rows` rows that arrived at step `step` joins the window: it is
+    /// live for the `window_steps` steps after its own, and every block the delta
+    /// of step `step + 1` can no longer join with is dropped (with a zero-step
+    /// window, the new block among them).
+    fn admit(&mut self, step: u64, window_steps: u64, rows: usize, times: TimeRange) {
+        let last_live = step + window_steps;
+        debug_assert!(
+            self.blocks
+                .back()
+                .map_or(true, |&(last, ..)| last <= last_live),
+            "window blocks arrive in step order"
+        );
+        self.rows += rows;
+        self.blocks.push_back((last_live, rows, times));
+        while let Some(&(last, rows, _)) = self.blocks.front() {
+            if last > step {
+                break;
+            }
+            self.rows -= rows;
+            self.blocks.pop_front();
+        }
+    }
+
+    /// The live blocks' row counts and time ranges, oldest first.
+    fn blocks(&self) -> impl Iterator<Item = (usize, TimeRange)> + '_ {
+        self.blocks.iter().map(|&(_, rows, times)| (rows, times))
+    }
+}
+
 /// One accumulated relation as Transform sees it: the *public active window* — the
 /// padded lengths of the upload batches a delta can still join with and the range
 /// of their records' times, from which every join is priced — and, for the
@@ -188,14 +228,14 @@ struct TimeRange {
 /// Invariants: `index` equals a [`KeyIndex`] built from scratch over `records` by
 /// `key_column` — appends and evictions update both in lockstep; every mirrored
 /// record, live or dead, sits in a live window block, so
-/// `records.len() <= window.rows()`; and its time lies in that block's range.
+/// `records.len() <= window.rows`; and its time lies in that block's range.
 #[derive(Debug)]
 struct ActiveRelation {
     records: VecDeque<(ActiveRecord, u64)>,
     index: KeyIndex,
     key_column: usize,
     time_column: usize,
-    window: ActiveWindow<TimeRange>,
+    window: ActiveWindow,
 }
 
 impl ActiveRelation {
@@ -294,7 +334,7 @@ impl ActiveRelation {
             "persistent key index drifted from the active mirror"
         );
         debug_assert!(
-            self.records.len() <= self.window.rows(),
+            self.records.len() <= self.window.rows,
             "an active record outlived its window block"
         );
     }
@@ -552,7 +592,10 @@ pub struct TransformProtocol {
     spec: JoinSpec<'static>,
     spec_reversed: JoinSpec<'static>,
     omega: u64,
-    /// `W = b/ω − 1`: how many steps after its own an uploaded batch stays joinable.
+    /// `W = b/ω − 1`: how many steps after its own an uploaded batch stays
+    /// joinable. A record is charged ω on arrival and ω per later step whether or
+    /// not it matches, so when its batch retires is fixed by the upload step, `b`
+    /// and ω.
     window_steps: u64,
     active_left: ActiveRelation,
     active_right: ActiveRelation,
@@ -613,22 +656,11 @@ impl TransformProtocol {
         )
     }
 
-    /// How many steps after its own an uploaded batch stays joinable: `b/ω − 1`. A
-    /// record is charged ω on arrival and ω per later step whether or not it
-    /// matches, so when its batch retires is fixed by the upload step, `b` and ω.
-    #[must_use]
-    pub fn window_steps(&self) -> u64 {
-        self.window_steps
-    }
-
     /// Padded rows of each side's public active window — what the next step's
     /// deltas are priced against.
     #[must_use]
     pub fn window_rows(&self) -> (usize, usize) {
-        (
-            self.active_left.window.rows(),
-            self.active_right.window.rows(),
-        )
+        (self.active_left.window.rows, self.active_right.window.rows)
     }
 
     /// Cumulative number of real join pairs dropped because of the ω truncation.
@@ -658,7 +690,7 @@ impl TransformProtocol {
     /// whatever those are, which is what can make a later expiry non-prefix (see
     /// the module docs). `source_window` is the source's [`Self::window_rows`] at
     /// export: how many of its rows moved is private, so each side's window grows
-    /// by one block of that public length, live for a full [`Self::window_steps`]
+    /// by one block of that public length, live for a full `W = b/ω − 1` steps
     /// — no imported record can outlive it. A live record at step `c` was uploaded
     /// at most `W` steps before, so the block's records are timed in `[c − W, c]`.
     ///
@@ -893,7 +925,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&LogicalUpdate> = updates.iter().collect();
-        UploadBatch::from_updates(relation, time, &refs, 2, padded, &mut rng)
+        UploadBatch::from_updates(time, &refs, 2, padded, &mut rng)
     }
 
     #[test]

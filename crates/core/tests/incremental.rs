@@ -1,6 +1,6 @@
 //! Incremental-Transform invariants: the mirror-driven, persistently indexed
 //! invocation must be indistinguishable from Algorithm 4's share-array operator
-//! over the padded share rows of the store's public active window, its cost must be
+//! over the padded share rows of the public active window, its cost must be
 //! a function of padded sizes only at every step and never above paper-literal
 //! Algorithm 4's over the same window.
 
@@ -17,11 +17,12 @@ use incshrink_oblivious::{
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
-use incshrink_storage::{ActiveWindow, LogicalUpdate, OutsourcedStore, Relation, UploadBatch};
+use incshrink_storage::{LogicalUpdate, Relation, UploadBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 fn view_def() -> ViewDefinition {
     ViewDefinition {
@@ -47,7 +48,7 @@ fn batch(relation: Relation, time: u64, rows: &[(u64, u32, u32)], padded: usize)
         })
         .collect();
     let refs: Vec<&LogicalUpdate> = updates.iter().collect();
-    UploadBatch::from_updates(relation, time, &refs, 2, padded, &mut rng)
+    UploadBatch::from_updates(time, &refs, 2, padded, &mut rng)
 }
 
 /// One upload step's padded batches: the left one and, for a private right
@@ -84,9 +85,32 @@ fn build_steps(left_keys: &[Vec<u32>], right_keys: &[Vec<u32>]) -> Vec<Step> {
 /// (clipped to the window), and the dummy rows that pad each side's block.
 type Import = (u8, Vec<(u32, u64)>, Vec<(u32, u64)>, usize);
 
-/// Algorithm 1 written from scratch over the share-array operators and the store:
-/// every invocation runs [`truncated_nested_loop_join`] (Algorithm 4) per
-/// direction over the *padded share rows* of the store's active-window blocks
+/// One relation's active window, written here from the retirement rule alone:
+/// `(last live step, padded batch, time range)` blocks, oldest first. A block
+/// admitted at step `c` — an upload, or an import — is live through `c + W`.
+#[derive(Default)]
+struct Window(VecDeque<(u64, UploadBatch, (u64, u64))>);
+
+impl Window {
+    fn admit(&mut self, c: u64, w: u64, batch: UploadBatch, range: (u64, u64)) {
+        self.0.push_back((c + w, batch, range));
+        self.0.retain(|&(last, ..)| last > c);
+    }
+
+    /// The live blocks' batches and time ranges, oldest first.
+    fn blocks(&self) -> impl Iterator<Item = (&UploadBatch, (u64, u64))> {
+        self.0.iter().map(|(_, batch, range)| (batch, *range))
+    }
+
+    /// Padded rows of the live blocks.
+    fn rows(&self) -> usize {
+        self.0.iter().map(|(_, batch, _)| batch.len()).sum()
+    }
+}
+
+/// Algorithm 1 written from scratch over the share-array operators and a window
+/// of padded batches: every invocation runs [`truncated_nested_loop_join`]
+/// (Algorithm 4) per direction over the *padded share rows* of the [`Window`] blocks
 /// whose public time range holds a time θ accepts against the delta's step
 /// (dummies included, blocks in arrival order), θ left out of the condition
 /// unless some such block also holds a time θ rejects — or, for a public right
@@ -94,7 +118,7 @@ type Import = (u8, Vec<(u32, u64)>, Vec<(u32, u64)>, usize);
 /// operator's price at the view's column widths ([`nested_loop_join_cost`], or
 /// [`public_inner_join_cost`] in place of its network; the bare arrays the operator
 /// meters carry no schema, so it would price full words) — then hands the step's
-/// batches to the store. A block's range is its upload step, or `[c − W, c]` for
+/// batches to the window. A block's range is its upload step, or `[c − W, c]` for
 /// records imported at step `c`; which blocks θ can accept is decided by
 /// evaluating the view's own condition at every time of the range. It keeps no
 /// active set: the window is the retirement rule, and an imported record, live
@@ -104,10 +128,8 @@ struct ReferenceTransform {
     view: ViewDefinition,
     omega: u64,
     window_steps: u64,
-    store: OutsourcedStore,
-    /// The time range of each of the store's window blocks, per relation (left,
-    /// right), admitted and retired with them.
-    ranges: [ActiveWindow<(u64, u64)>; 2],
+    /// Each relation's window (left, right).
+    windows: [Window; 2],
     public: Option<Vec<Vec<u32>>>,
     initialized: bool,
     losses: u64,
@@ -125,8 +147,7 @@ impl ReferenceTransform {
             view,
             omega,
             window_steps,
-            store: OutsourcedStore::new(window_steps),
-            ranges: Default::default(),
+            windows: Default::default(),
             public,
             initialized: false,
             losses: 0,
@@ -135,8 +156,8 @@ impl ReferenceTransform {
         }
     }
 
-    fn ranges(&self, relation: Relation) -> &ActiveWindow<(u64, u64)> {
-        &self.ranges[relation as usize]
+    fn window_of(&self, relation: Relation) -> &Window {
+        &self.windows[relation as usize]
     }
 
     /// θ between an outer record timed `outer` and an `inner` record timed
@@ -156,8 +177,7 @@ impl ReferenceTransform {
     fn window(&self, relation: Relation, outer: u64) -> (SharedArrayPair, bool) {
         let mut rows = SharedArrayPair::with_arity(2);
         let mut mixed = false;
-        let blocks = self.store.relation(relation).window();
-        for (batch, (_, &(lo, hi))) in blocks.zip(self.ranges(relation).blocks()) {
+        for (batch, (lo, hi)) in self.window_of(relation).blocks() {
             let accepted = (lo..=hi)
                 .filter(|&s| self.theta(relation, outer, s))
                 .count() as u64;
@@ -179,8 +199,8 @@ impl ReferenceTransform {
 
     /// Real records of a relation's whole window still live at step `t`.
     fn live(&self, relation: Relation, t: u64) -> usize {
-        let blocks = self.store.relation(relation).window();
-        let rows = blocks.flat_map(|batch| batch.records.recover_all());
+        let blocks = self.window_of(relation).blocks();
+        let rows = blocks.flat_map(|(batch, _)| batch.records.recover_all());
         let w = self.window_steps;
         rows.filter(|row| row.is_view && u64::from(row.fields[1]) + w >= t)
             .count()
@@ -203,15 +223,13 @@ impl ReferenceTransform {
             .sum()
     }
 
-    fn ingest(&mut self, batch: &UploadBatch) {
-        let (time, rows) = (batch.time, batch.len());
-        let w = self.window_steps;
-        self.ranges[batch.relation as usize].admit(time, w, rows, (time, time));
-        self.store.ingest(batch.clone());
+    fn ingest(&mut self, relation: Relation, batch: &UploadBatch) {
+        let (time, w) = (batch.time, self.window_steps);
+        self.windows[relation as usize].admit(time, w, batch.clone(), (time, time));
     }
 
     /// Adopt `records` imported after step `c` as one block of `rows` padded rows
-    /// timed `[c − W, c]`, as the store adopts a migrated batch.
+    /// timed `[c − W, c]`, live like the batch uploaded at `c`.
     fn adopt(&mut self, relation: Relation, c: u64, records: &[(ActiveRecord, u64)], rows: usize) {
         let updates: Vec<LogicalUpdate> = records
             .iter()
@@ -224,10 +242,9 @@ impl ReferenceTransform {
             .collect();
         let refs: Vec<&LogicalUpdate> = updates.iter().collect();
         let mut rng = StdRng::seed_from_u64(c ^ 0xAD0);
-        let batch = UploadBatch::from_updates(relation, c, &refs, 2, rows, &mut rng);
+        let batch = UploadBatch::from_updates(c, &refs, 2, rows, &mut rng);
         let w = self.window_steps;
-        self.ranges[relation as usize].admit(c, w, rows, (c.saturating_sub(w), c));
-        self.store.adopt(batch);
+        self.windows[relation as usize].admit(c, w, batch, (c.saturating_sub(w), c));
     }
 
     fn invoke(
@@ -350,9 +367,9 @@ impl ReferenceTransform {
             self.live(Relation::Left, t) + delta_left.real_count(),
             self.live(Relation::Right, t) + arrived_right,
         );
-        self.ingest(delta_left);
+        self.ingest(Relation::Left, delta_left);
         if let Some(batch) = delta_right {
-            self.ingest(batch);
+            self.ingest(Relation::Right, batch);
         }
         let (report, _) = ctx.charge();
         ctx.advance_time_step();
@@ -396,13 +413,10 @@ fn lockstep(
         prop_assert_eq!(out.report, report, "step {}", c);
         prop_assert_eq!(transform.truncation_losses(), reference.losses);
         prop_assert_eq!(transform.active_counts(), reference.active);
-        let store = &reference.store;
+        let windows = &reference.windows;
         prop_assert_eq!(
             transform.window_rows(),
-            (
-                store.relation(Relation::Left).window_rows(),
-                store.relation(Relation::Right).window_rows(),
-            )
+            (windows[0].rows(), windows[1].rows())
         );
         if let Some((0, left, right, pad)) = imports.get(c as usize - 1) {
             // Each record has the steps its age leaves of the window.
@@ -449,7 +463,7 @@ proptest! {
     /// several steps — every invocation's ΔV (recovered rows in order, length,
     /// `new_entries`), its `CostReport`, the truncation losses and the active
     /// counts equal Algorithm 4's share-array operator over the padded share
-    /// rows of the store's θ-feasible window blocks, θ evaluated only where a
+    /// rows of the window's θ-feasible blocks, θ evaluated only where a
     /// block is mixed. Nothing else is charged: there is no gap term.
     #[test]
     fn prop_transform_equals_the_share_array_operator_in_lockstep(
@@ -664,7 +678,7 @@ fn algorithm_4(
 /// one-hot circuit, and the θ-feasible blocks can only lower `modeled_mpc_s`, and
 /// both workloads' windows are where they do. The shapes come from the public
 /// sizes and upload steps alone: each delta is priced against the other side's
-/// batches (an `OutsourcedStore` fed the same batches) uploaded at a step θ
+/// batches (a [`Window`] fed the same batches) uploaded at a step θ
 /// accepts against its own, with no θ circuit (no run here imports a block, so
 /// none is mixed), or against CPDB's Award rows the step fixes; Algorithm 4 joins
 /// it with the whole window.
@@ -688,8 +702,8 @@ fn transform_never_costs_more_than_algorithm_4() {
         let model = CostModel::default();
         let omega = config.truncation_bound as usize;
         let mut pipeline = ShardPipeline::new(dataset.clone(), config, 0x7A5F, model);
-        let mut store =
-            OutsourcedStore::new(config.contribution_budget / config.truncation_bound - 1);
+        let w = config.contribution_budget / config.truncation_bound - 1;
+        let mut windows: [Window; 2] = Default::default();
         let theta_window = u64::from(view.window);
         let mut cheaper_steps = 0;
         for t in 1..=dataset.params.steps {
@@ -701,14 +715,15 @@ fn transform_never_costs_more_than_algorithm_4() {
             // The rows of a window's batches timed `right − left ∈ [0, window]`
             // against the delta's step, and the whole window.
             let window = |relation: Relation| {
-                let batches = store.relation(relation).window();
+                let window = &windows[relation as usize];
                 let gap = |s: u64| match relation {
                     Relation::Right => s.checked_sub(t),
                     Relation::Left => t.checked_sub(s),
                 };
+                let batches = window.blocks().map(|(batch, _)| batch);
                 let theta = |b: &&UploadBatch| gap(b.time).is_some_and(|g| g <= theta_window);
                 let feasible = batches.filter(theta).map(UploadBatch::len).sum::<usize>();
-                (feasible, store.relation(relation).window_rows())
+                (feasible, window.rows())
             };
             let inner_of_left = match public {
                 Some(rows) => {
@@ -726,9 +741,9 @@ fn transform_never_costs_more_than_algorithm_4() {
             if let Some(right) = &uploads.right {
                 let shape = (right.len(), window(Relation::Left), (arities.1, arities.0));
                 shapes.push((shape, false, Relation::Left));
-                store.ingest(right.clone());
+                windows[1].admit(t, w, right.clone(), (t, t));
             }
-            store.ingest(uploads.left.clone());
+            windows[0].admit(t, w, uploads.left.clone(), (t, t));
 
             let charged = pipeline.advance_with_uploads(t, uploads).transform_report;
             let charged = charged.expect("the timer transforms every step");

@@ -87,6 +87,63 @@ fn typed_count_replays_fig4_trajectories_bit_for_bit() {
     }
 }
 
+/// The NM baseline prices the full join over every padded row the owners
+/// uploaded: at every step, `nm_engine` and `nm_query_duration` price exactly the
+/// rows of the batches `upload_batches` returned so far (a public right relation
+/// at its full length), whether the strategy hands the batches straight to the
+/// servers (NM) or Transform joins them first (sDPTimer). A sales pad of one row
+/// makes most TPC-ds batches overflow it; they count at their grown length.
+#[test]
+fn nm_prices_every_padded_row_uploaded() {
+    let mut overflowing = tpcds(40);
+    overflowing.left_batch_size = 1;
+    let runs = [
+        (overflowing.clone(), UpdateStrategy::NonMaterialized),
+        (overflowing, UpdateStrategy::DpTimer { interval: 10 }),
+        (cpdb(30), UpdateStrategy::NonMaterialized),
+        (cpdb(30), UpdateStrategy::DpTimer { interval: 3 }),
+    ];
+    let model = CostModel::default();
+    for (dataset, strategy) in runs {
+        let (kind, public) = (dataset.kind, dataset.right_is_public);
+        let config = match kind {
+            DatasetKind::TpcDs => IncShrinkConfig::tpcds_default(strategy),
+            DatasetKind::Cpdb => IncShrinkConfig::cpdb_default(strategy),
+        };
+        let pads = [dataset.left_batch_size, dataset.right_batch_size];
+        let arity = (dataset.left.schema.arity() + dataset.right.schema.arity()) as u64;
+        let public_rows = dataset.right.len() as u64;
+        let steps = dataset.params.steps;
+        let mut pipeline = ShardPipeline::new(dataset, config, 0x4E4D, model);
+        let (mut uploaded, mut overflows) = ([0u64; 2], 0);
+        for t in 1..=steps {
+            let uploads = pipeline.upload_batches(t);
+            let batches = [Some(&uploads.left), uploads.right.as_ref()];
+            for (side, batch) in batches.into_iter().enumerate() {
+                let Some(batch) = batch else { continue };
+                uploaded[side] += batch.len() as u64;
+                overflows += usize::from(batch.len() > pads[side]);
+            }
+            let _ = pipeline.advance_with_uploads(t, uploads);
+            let right = if public { public_rows } else { uploaded[1] };
+            let omega = config.truncation_bound;
+            let full_join =
+                NmBaselineEngine::with_joined_rows(uploaded[0], right, arity, omega, model, &[]);
+            let expected = full_join.execute(&Query::count());
+            let priced = pipeline.nm_engine(t).execute(&Query::count());
+            assert_eq!(priced.report, expected.report, "{kind} {strategy:?} t={t}");
+            assert_eq!(
+                pipeline.nm_query_duration(),
+                expected.qet,
+                "{kind} {strategy:?} t={t}"
+            );
+        }
+        if kind == DatasetKind::TpcDs {
+            assert!(overflows > 0, "{strategy:?}: no batch overflowed its pad");
+        }
+    }
+}
+
 /// View entries read in the canonical `left fields ++ right fields` order even when
 /// they were produced by the mirrored (right-delta-driven) Transform join — the
 /// property the AST's column indices rely on. On TPC-ds every pair is produced by

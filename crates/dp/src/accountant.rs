@@ -13,8 +13,8 @@
 //! The budget needs no per-record bookkeeping: a record is charged ω per invocation
 //! whether or not it matches, so it retires a fixed `b/ω − 1` steps after its upload
 //! step. `incshrink::transform` enforces that by stamping each active record with
-//! the last step it may join at, against the same public window
-//! (`incshrink_storage::ActiveWindow`) the servers keep. [`PrivacyAccountant`] tracks
+//! the last step it may join at, against the public active window it prices its
+//! joins on. [`PrivacyAccountant`] tracks
 //! the ε consumed by each mechanism application and evaluates the Theorem-3 bound.
 
 use serde::{Deserialize, Serialize};

@@ -6,9 +6,10 @@
 //!
 //! * [`schema`] — relation schemas and timestamped logical records.
 //! * [`logical`] — the owner-side growing logical database `D = {D_t}` (insert-only).
-//! * [`outsourced`] — the secret-shared outsourced store `DS` held by the two servers
-//!   (the public active window of padded batches plus lifetime counters), with the
-//!   owners' padded-batch upload pipeline.
+//! * [`outsourced`] — the owners' padded upload batches, outsourced to the two
+//!   servers as secret shares. The servers keep no copy past Transform: its
+//!   public active window is priced from the batches' lengths and upload steps,
+//!   and nothing reads their shares again.
 //! * [`cache`] — the secure outsourced cache `σ` with flush bookkeeping.
 
 #![deny(missing_docs)]
@@ -21,5 +22,5 @@ pub mod schema;
 
 pub use cache::SecureCache;
 pub use logical::{GrowingDatabase, LogicalUpdate};
-pub use outsourced::{ActiveWindow, OutsourcedStore, UploadBatch};
+pub use outsourced::UploadBatch;
 pub use schema::{width_for, RecordId, Relation, Schema, SchemaError};

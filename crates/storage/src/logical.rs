@@ -55,16 +55,27 @@ impl GrowingDatabase {
     /// their few-steps-late ones.
     ///
     /// # Errors
-    /// [`SchemaError::OutOfWidth`] when a value does not fit its column's width,
-    /// [`SchemaError::TimeNotArrival`] when the record's time is not its arrival
-    /// step; the database is unchanged either way.
-    ///
-    /// # Panics
-    /// Panics when the record arity does not match the schema or the relation tag
-    /// disagrees with the database's relation.
+    /// [`SchemaError::ArityMismatch`] when the record does not have one value per
+    /// column, [`SchemaError::RelationMismatch`] when its relation tag disagrees
+    /// with the database's relation, [`SchemaError::OutOfWidth`] when a value does
+    /// not fit its column's width, [`SchemaError::TimeNotArrival`] when the
+    /// record's time is not its arrival step; the database is unchanged in every
+    /// case.
     pub fn insert(&mut self, update: LogicalUpdate) -> Result<(), SchemaError> {
-        assert_eq!(update.fields.len(), self.schema.arity(), "arity mismatch");
-        assert_eq!(update.relation, self.relation, "relation mismatch");
+        if update.fields.len() != self.schema.arity() {
+            return Err(SchemaError::ArityMismatch {
+                relation: self.schema.name.clone(),
+                expected: self.schema.arity(),
+                found: update.fields.len(),
+            });
+        }
+        if update.relation != self.relation {
+            return Err(SchemaError::RelationMismatch {
+                relation: self.schema.name.clone(),
+                expected: self.relation,
+                found: update.relation,
+            });
+        }
         self.schema.check(&update.fields)?;
         let time = update.fields[self.schema.time_column];
         if u64::from(time) != update.arrival {
@@ -224,29 +235,49 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_rejected() {
         let mut db = sample_db();
-        db.insert(LogicalUpdate {
-            id: 99,
-            relation: Relation::Left,
-            arrival: 5,
-            fields: vec![1],
-        })
-        .unwrap();
+        let before = db.clone();
+        let err = db
+            .insert(LogicalUpdate {
+                id: 99,
+                relation: Relation::Left,
+                arrival: 5,
+                fields: vec![1],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SchemaError::ArityMismatch {
+                relation: "sales".into(),
+                expected: 2,
+                found: 1,
+            }
+        );
+        assert_eq!(db, before, "a rejected record is not inserted");
     }
 
     #[test]
-    #[should_panic(expected = "relation mismatch")]
     fn relation_mismatch_rejected() {
         let mut db = sample_db();
-        db.insert(LogicalUpdate {
-            id: 99,
-            relation: Relation::Right,
-            arrival: 5,
-            fields: vec![1, 2],
-        })
-        .unwrap();
+        let before = db.clone();
+        let err = db
+            .insert(LogicalUpdate {
+                id: 99,
+                relation: Relation::Right,
+                arrival: 5,
+                fields: vec![1, 5],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SchemaError::RelationMismatch {
+                relation: "sales".into(),
+                expected: Relation::Left,
+                found: Relation::Right,
+            }
+        );
+        assert_eq!(db, before, "a rejected record is not inserted");
     }
 
     #[test]

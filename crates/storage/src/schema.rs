@@ -67,6 +67,24 @@ pub enum SchemaError {
         /// The record's arrival step.
         arrival: u64,
     },
+    /// The record does not have one value per column of the relation.
+    ArityMismatch {
+        /// The relation's name.
+        relation: String,
+        /// The relation's column count.
+        expected: usize,
+        /// The record's value count.
+        found: usize,
+    },
+    /// The record is tagged with the other side of the view definition.
+    RelationMismatch {
+        /// The relation's name.
+        relation: String,
+        /// The side the database plays.
+        expected: Relation,
+        /// The side the record is tagged with.
+        found: Relation,
+    },
 }
 
 impl std::fmt::Display for SchemaError {
@@ -88,6 +106,22 @@ impl std::fmt::Display for SchemaError {
             } => write!(
                 f,
                 "a {relation} record timed {time} arrives at step {arrival}: its time must be its arrival"
+            ),
+            SchemaError::ArityMismatch {
+                relation,
+                expected,
+                found,
+            } => write!(
+                f,
+                "a {relation} record has {found} values for the relation's {expected} columns"
+            ),
+            SchemaError::RelationMismatch {
+                relation,
+                expected,
+                found,
+            } => write!(
+                f,
+                "a record tagged {found} was inserted into {relation}, the {expected} relation"
             ),
         }
     }

@@ -4,7 +4,7 @@ use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{
-    GrowingDatabase, LogicalUpdate, OutsourcedStore, Relation, Schema, SecureCache, UploadBatch,
+    GrowingDatabase, LogicalUpdate, Relation, Schema, SecureCache, UploadBatch,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,13 +38,9 @@ fn padded_upload_batches_hide_the_arrival_count() {
         fields: vec![7, 1],
     }];
     let refs: Vec<&LogicalUpdate> = updates.iter().collect();
-    let batch = UploadBatch::from_updates(Relation::Left, 1, &refs, 2, 6, &mut rng);
+    let batch = UploadBatch::from_updates(1, &refs, 2, 6, &mut rng);
     assert_eq!(batch.records.len(), 6, "padded to the fixed batch size");
     assert_eq!(batch.real_count(), 1);
-
-    let mut store = OutsourcedStore::new(1);
-    store.ingest(batch);
-    assert_eq!(store.relation(Relation::Left).len(), 6);
 }
 
 #[test]

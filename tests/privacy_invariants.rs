@@ -123,7 +123,7 @@ fn contribution_budget_bounds_lifetime_epsilon() {
             })
             .collect();
         let refs: Vec<&LogicalUpdate> = updates.iter().collect();
-        UploadBatch::from_updates(relation, time, &refs, 2, 1, &mut rng)
+        UploadBatch::from_updates(time, &refs, 2, 1, &mut rng)
     };
     let mut accountant = PrivacyAccountant::new();
     let (mut uses, mut joined) = (0u64, 0usize);
