@@ -8,46 +8,77 @@ use incshrink_dp::mechanisms::{run_leakage, TimerLeakage, UpdateLeakage};
 use incshrink_mpc::cost::CostModel;
 use incshrink_mpc::party::ObservedEvent;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
+use incshrink_telemetry::{install, Event, InMemory, ObserveKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 #[test]
 fn observed_upload_sizes_are_data_independent() {
-    // Two workloads with very different data rates but the same padded batch sizes
-    // must produce identical UploadBatch observations on the servers.
+    // A sparse and a dense run padded to the same batch sizes must show the
+    // servers the same UploadBatch sizes, step by step, except where a dense
+    // batch overflows its pad: such a batch uploads every real record, so its
+    // size is the arrival count (the overflow leak the fixed-size upload item
+    // of the ROADMAP closes). This pins that leak until it is closed.
     use incshrink::prelude::*;
-    let mut sparse = TpcDsGenerator::new(WorkloadParams {
+    let dense = TpcDsGenerator::new(WorkloadParams {
         steps: 30,
         view_entries_per_step: 2.7,
         seed: 1,
     })
     .generate();
-    let dense = sparse.clone();
-    sparse = to_sparse(&sparse, 0.1, 9);
-    // Force identical padded batch sizes.
-    sparse.left_batch_size = 8;
-    sparse.right_batch_size = 6;
-    let mut dense = dense;
-    dense.left_batch_size = 8;
-    dense.right_batch_size = 6;
+    let sparse = to_sparse(&dense, 0.1, 9);
+    let pads = [8usize, 6];
+    let padded = |mut ds: Dataset| {
+        ds.left_batch_size = pads[0];
+        ds.right_batch_size = pads[1];
+        ds
+    };
+    let (sparse, dense) = (padded(sparse), padded(dense));
 
-    let observe = |ds: Dataset| -> Vec<usize> {
+    // (step, size) of every UploadBatch observation, left before right within a step.
+    let uploads = |ds: &Dataset| -> Vec<(u64, u64)> {
+        let sink = Arc::new(InMemory::new());
+        let guard = install(sink.clone());
         let cfg = IncShrinkConfig::tpcds_default(UpdateStrategy::DpTimer { interval: 10 });
-        let report = ShardedSimulation::new(ds, cfg, 1, 5).run();
-        // Upload observations are not exported directly; use the per-step cache growth
-        // as the proxy: ΔV length is ω·(batch sizes), identical across the two runs.
-        report
-            .steps
-            .iter()
-            .map(|s| s.cache_len + s.view_len)
+        let _ = ShardedSimulation::new(ds.clone(), cfg, 1, 5).run();
+        drop(guard);
+        sink.take()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Observe(o) if o.kind == ObserveKind::UploadBatch => Some((o.step, o.count)),
+                _ => None,
+            })
             .collect()
     };
-    let a = observe(sparse);
-    let b = observe(dense);
-    // The total padded material produced per step is identical in count (DP noise makes
-    // the view/cache split differ, but the sum of padded entries written is the same
-    // apart from the DP-sized reads, which are also data independent in expectation).
-    assert_eq!(a.len(), b.len());
+    let (a, b) = (uploads(&sparse), uploads(&dense));
+    let expected: Vec<(u64, u64)> = (1..=30u64)
+        .flat_map(|t| pads.map(|pad| (t, pad as u64)))
+        .collect();
+    assert_eq!(a, expected, "the sparse run never overflows a pad");
+    assert_eq!(b.len(), a.len());
+
+    let mut overflows = Vec::new();
+    for (i, (&(t, sparse_size), &(step, dense_size))) in a.iter().zip(&b).enumerate() {
+        assert_eq!(step, t, "observation {i}: both runs upload in step order");
+        let relation = if i % 2 == 0 {
+            &dense.left
+        } else {
+            &dense.right
+        };
+        let arrivals = relation.arrivals_at(t).len() as u64;
+        if arrivals > sparse_size {
+            assert_eq!(
+                dense_size, arrivals,
+                "step {t}: an overflow uploads every record"
+            );
+            overflows.push((t, i % 2, arrivals));
+        } else {
+            assert_eq!(dense_size, sparse_size, "step {t}: a size the data decides");
+        }
+    }
+    // Two steps overflow, both on the right relation (pad 6): (step, side, arrivals).
+    assert_eq!(overflows, [(13, 1, 8), (30, 1, 7)]);
 }
 
 #[test]
