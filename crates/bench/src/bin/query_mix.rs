@@ -80,7 +80,6 @@ fn main() {
         let dataset = build_dataset(kind, steps, 0xAB1E);
         let join = ViewDefinition::for_dataset(&dataset).as_query();
         let queries = query_mix(steps);
-        let pair_arity = (dataset.left.schema.arity() + dataset.right.schema.arity()) as u64;
 
         println!(
             "\n=== {kind} · query mix × S ({steps} upload epochs, sDPTimer T = {interval}, \
@@ -94,32 +93,27 @@ fn main() {
         // Per-epoch ground truths and NM-baseline outcomes are independent of the
         // shard count, so compute them once per dataset instead of once per S: the
         // joined pairs at each queried step, the per-query truth values, and the
-        // NM QET (a full oblivious join over everything uploaded so far — t padded
-        // batches per private relation, the full public relation otherwise).
+        // NM QET (a full oblivious join over everything uploaded so far, as tallied
+        // by an NM pipeline over the whole workload).
         struct Epoch {
             t: u64,
             truths: Vec<QueryValue>,
             nm_qet_secs: Vec<f64>,
         }
+        let nm_config = IncShrinkConfig {
+            strategy: UpdateStrategy::NonMaterialized,
+            ..config
+        };
+        let mut nm_pipeline = ShardPipeline::new(dataset.clone(), nm_config, 0x7AB2, model);
         let epochs: Vec<Epoch> = (1..=steps)
-            .filter(|t| t % query_interval == 0)
-            .map(|t| {
+            .filter_map(|t| {
+                let _ = nm_pipeline.advance(t);
+                if t % query_interval != 0 {
+                    return None;
+                }
                 let rows = logical_join_rows(&dataset, &join, t);
-                let n_left = t * dataset.left_batch_size as u64;
-                let n_right = if dataset.right_is_public {
-                    dataset.right.len() as u64
-                } else {
-                    t * dataset.right_batch_size as u64
-                };
-                let nm = NmBaselineEngine::with_joined_rows(
-                    n_left,
-                    n_right,
-                    pair_arity,
-                    config.truncation_bound,
-                    model,
-                    &rows,
-                );
-                Epoch {
+                let nm = nm_pipeline.nm_engine_over(&rows);
+                Some(Epoch {
                     t,
                     truths: queries
                         .iter()
@@ -129,7 +123,7 @@ fn main() {
                         .iter()
                         .map(|q| nm.execute(q).qet.as_secs_f64())
                         .collect(),
-                }
+                })
             })
             .collect();
 

@@ -24,25 +24,23 @@ pub struct Telemetry {
     _trace: Option<incshrink_telemetry::InstallGuard>,
 }
 
-/// Shared startup for every experiment binary: raise the narration default to
-/// `Info` (binaries talk, tests stay quiet; `INCSHRINK_LOG` overrides either
-/// way) and install a JSONL trace collector when `INCSHRINK_TRACE=<path>` is
-/// set. Keep the returned [`Telemetry`] alive for the whole run:
+/// Shared startup for every experiment binary: install a JSONL trace collector
+/// when `INCSHRINK_TRACE=<path>` is set. Keep the returned [`Telemetry`] alive
+/// for the whole run:
 ///
 /// ```no_run
 /// let _telemetry = incshrink_bench::init();
 /// ```
 #[must_use]
 pub fn init() -> Telemetry {
-    incshrink_telemetry::log::set_default_level(incshrink_telemetry::log::Level::Info);
     let trace = match incshrink_telemetry::Jsonl::from_env() {
         Ok(Some(sink)) => {
-            incshrink_telemetry::log_info!("tracing to $INCSHRINK_TRACE");
+            eprintln!("tracing to $INCSHRINK_TRACE");
             Some(incshrink_telemetry::install(std::sync::Arc::new(sink)))
         }
         Ok(None) => None,
         Err(e) => {
-            incshrink_telemetry::log_error!("warning: could not open $INCSHRINK_TRACE: {e}");
+            eprintln!("warning: could not open $INCSHRINK_TRACE: {e}");
             None
         }
     };

@@ -66,7 +66,7 @@ pub(crate) fn envelope<T: Serialize + ?Sized>(bin: &str, rows: &T) -> serde_json
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let dir = Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
-        incshrink_telemetry::log_error!("warning: could not create results directory: {e}");
+        eprintln!("warning: could not create results directory: {e}");
         return;
     }
     let path = dir.join(format!("{name}.json"));
@@ -75,9 +75,9 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
         let text = serde_json::to_string_pretty(&wrapped).unwrap_or_else(|_| "{}".into());
         f.write_all(text.as_bytes())
     }) {
-        Ok(()) => incshrink_telemetry::log_info!("wrote {}", path.display()),
+        Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => {
-            incshrink_telemetry::log_error!("warning: could not write {}: {e}", path.display());
+            eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
 }

@@ -21,13 +21,12 @@ use crate::shrink::ShrinkProtocol;
 use crate::transform::{BudgetedRecord, PublicRelation, TransformProtocol};
 use crate::view::{MaterializedView, ViewDefinition};
 use incshrink_mpc::cost::{CostModel, CostReport, SimDuration};
-use incshrink_mpc::party::ObservedEvent;
 use incshrink_mpc::stream::Domain;
 use incshrink_mpc::{PartyContext, PartyExec, PartyMode};
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use incshrink_storage::{Relation, SecureCache, UploadBatch};
-use incshrink_telemetry::CostDelta;
+use incshrink_telemetry::{CostDelta, ObserveKind};
 use incshrink_workload::{logical_join_counts_per_step, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,8 +71,6 @@ pub struct PipelineStepOutcome {
     pub transform_report: Option<CostReport>,
     /// Simulated Shrink time; `None` for strategies that never run Shrink.
     pub shrink_duration: Option<SimDuration>,
-    /// Whether Shrink performed DP work (synchronization or flush) this step.
-    pub shrink_did_work: bool,
     /// Whether Shrink issued a view synchronization this step.
     pub synced: bool,
     /// Whether the independent cache-flush mechanism fired this step (a
@@ -401,20 +398,44 @@ impl ShardPipeline {
     /// the logical ground truth (the join recomputes it exactly).
     #[must_use]
     pub fn nm_engine(&self, t: u64) -> NmBaselineEngine<'static> {
+        let [n_left, n_right, arity] = self.nm_join_shape();
+        NmBaselineEngine::for_count(
+            n_left,
+            n_right,
+            arity,
+            self.config.truncation_bound,
+            self.cost_model,
+            self.true_count(t),
+        )
+    }
+
+    /// The NM-baseline engine over the same outsourced data, answering every query
+    /// shape from the logical join `rows` (e.g. `incshrink_workload::logical_join_rows`
+    /// at the step this pipeline has reached).
+    #[must_use]
+    pub fn nm_engine_over<'a>(&self, rows: &'a [Vec<u32>]) -> NmBaselineEngine<'a> {
+        let [n_left, n_right, arity] = self.nm_join_shape();
+        NmBaselineEngine::with_joined_rows(
+            n_left,
+            n_right,
+            arity,
+            self.config.truncation_bound,
+            self.cost_model,
+            rows,
+        )
+    }
+
+    /// What the NM baseline joins: the padded rows uploaded so far per private
+    /// relation (an overflowing batch uploads every real record), the whole public
+    /// relation otherwise; and the joined pair's width.
+    fn nm_join_shape(&self) -> [u64; 3] {
         let [n_left, n_uploaded_right] = self.uploaded_rows;
         let n_right = if self.dataset.right_is_public {
             self.dataset.right.len()
         } else {
             n_uploaded_right
         };
-        NmBaselineEngine::for_count(
-            n_left as u64,
-            n_right as u64,
-            (self.left_arity + self.right_arity) as u64,
-            self.config.truncation_bound,
-            self.cost_model,
-            self.true_count(t),
-        )
+        [n_left, n_right, self.left_arity + self.right_arity].map(|n| n as u64)
     }
 
     /// Simulated cost of answering the query without a view (NM baseline) over this
@@ -472,10 +493,7 @@ impl ShardPipeline {
         let batches = [Some(&uploads.left), uploads.right.as_ref()];
         for (tally, batch) in self.uploaded_rows.iter_mut().zip(batches) {
             let Some(batch) = batch else { continue };
-            self.ctx.observe_both(ObservedEvent::UploadBatch {
-                time: t,
-                count: batch.len(),
-            });
+            incshrink_telemetry::observe(ObserveKind::UploadBatch, t, batch.len() as u64);
             *tally += batch.len();
         }
         let routing = delta_routing(self.config.strategy, t);
@@ -500,10 +518,11 @@ impl ShardPipeline {
             outcome.transform_duration = Some(transform_outcome.duration);
             outcome.transform_report = Some(transform_outcome.report);
             // Algorithm 1 line 7, σ ← σ ‖ ΔV, is part of Transform and of its span.
-            self.ctx.observe_both(ObservedEvent::CacheAppend {
-                time: t,
-                count: transform_outcome.delta.len(),
-            });
+            incshrink_telemetry::observe(
+                ObserveKind::CacheAppend,
+                t,
+                transform_outcome.delta.len() as u64,
+            );
             if let Some(delta) = route_delta(routing, transform_outcome.delta, &mut self.view) {
                 let key = self.dataset.left.schema.key_column;
                 let copy = self.left_arity + self.dataset.right.schema.key_column;
@@ -535,7 +554,6 @@ impl ShardPipeline {
             });
             drop(shrink_span);
             outcome.shrink_duration = Some(shrink_outcome.duration);
-            outcome.shrink_did_work = shrink_outcome.updated || shrink_outcome.flushed;
             outcome.synced = shrink_outcome.updated;
             outcome.flushed = shrink_outcome.flushed;
         }

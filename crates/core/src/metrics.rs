@@ -169,7 +169,7 @@ impl SummaryBuilder {
             self.record_transform_compares(report.secure_compares);
         }
         if let Some(duration) = shrink_max {
-            self.record_shrink(duration, outcomes().any(|o| o.shrink_did_work));
+            self.record_shrink(duration, outcomes().any(|o| o.synced || o.flushed));
         }
         let true_count = shards.iter().map(|s| s.true_count).sum();
         let (answer, l1_error, qet) = match query {

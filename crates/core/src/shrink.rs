@@ -15,9 +15,9 @@ use crate::view::MaterializedView;
 use incshrink_dp::joint::{joint_laplace_noise, joint_noised_size};
 use incshrink_dp::laplace::{count_shortfall_bound, TRIM_FAILURE_PROBABILITY};
 use incshrink_mpc::cost::{CostReport, SimDuration};
-use incshrink_mpc::party::ObservedEvent;
 use incshrink_mpc::PartyExec;
 use incshrink_storage::SecureCache;
+use incshrink_telemetry::ObserveKind;
 
 /// Name under which the (scaled) noisy threshold is secret-shared on both servers.
 pub(crate) const NOISY_THRESHOLD_SHARE: &str = "noisy_threshold";
@@ -119,10 +119,7 @@ impl ShrinkProtocol {
         view.append(fetched);
         // Both servers observe the synchronized (DP-noised) size — this is exactly the
         // leakage the SIM-CDP proof simulates.
-        ctx.observe_both(ObservedEvent::ViewSync {
-            time,
-            count: fetched_len,
-        });
+        incshrink_telemetry::observe(ObserveKind::ViewSync, time, fetched_len as u64);
         // Decrement the counter by the cardinality actually synchronized and re-share
         // it. Real entries a negative noise draw left in the cache stay counted, so
         // the next synchronization picks them up instead of stranding them until a
@@ -148,7 +145,7 @@ impl ShrinkProtocol {
         let fetched = cache.flush(self.flush_size, ctx.meter());
         let count = fetched.len();
         view.append(fetched);
-        ctx.observe_both(ObservedEvent::CacheFlush { time, count });
+        incshrink_telemetry::observe(ObserveKind::CacheFlush, time, count as u64);
         // The flush empties the cache entirely (the prefix is synchronized, the
         // remainder recycled), so no counted entries remain afterwards: reset the
         // counter to zero rather than decrementing by the synchronized prefix, which

@@ -291,11 +291,6 @@ impl PartyEndpoint {
         self.server.id
     }
 
-    /// The underlying server, for the party actor loop's transcript appends.
-    pub(crate) fn server_mut(&mut self) -> &mut Server {
-        &mut self.server
-    }
-
     /// What this endpoint has written to the link so far.
     pub(crate) fn wire(&self) -> WireCounters {
         self.wire

@@ -19,7 +19,6 @@
 
 use crate::channel::{PartyEndpoint, WireCounters};
 use crate::cost::{CostMeter, CostReport, SimDuration};
-use crate::party::ObservedEvent;
 use crate::runtime::JointRandomness;
 use crate::stream::{Domain, Draw};
 use incshrink_secretshare::PartyId;
@@ -126,9 +125,6 @@ pub trait PartyExec: sealed::Sealed {
     fn stream(&self, domain: Domain) -> StdRng;
     /// Total simulated time elapsed.
     fn elapsed(&self) -> SimDuration;
-    /// Record an event both servers observe in the clear (transcripts +
-    /// telemetry mirror).
-    fn observe_both(&mut self, event: ObservedEvent);
 }
 
 /// A command from the protocol driver to one party actor.
@@ -143,8 +139,6 @@ pub(crate) enum PartyCommand {
     Recover {
         name: String,
     },
-    /// Fire-and-forget transcript append — no reply, no protocol round.
-    Observe(ObservedEvent),
     /// Leave the actor loop now: the clean end of a simulation when the driver
     /// is dropping its handle, an injected fault when it is not.
     Exit,
@@ -178,10 +172,6 @@ fn party_main(
                 .map(|()| PartyReply::Done),
             PartyCommand::Recover { name } => {
                 endpoint.recover_named(&name).map(PartyReply::Recovered)
-            }
-            PartyCommand::Observe(event) => {
-                endpoint.server_mut().observe(event);
-                continue;
             }
             PartyCommand::Exit => return,
         };

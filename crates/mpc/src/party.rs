@@ -1,50 +1,16 @@
 //! The two non-colluding outsourcing servers.
 //!
 //! Each [`Server`] owns a key its contribution to every named draw derives from
-//! (so "each server chooses a value uniformly at random" steps stay its own), a
-//! store of named secret-shared words (the cardinality counter, the noisy
-//! threshold, ...), and a transcript of the values it has *observed* in the clear.
-//! The transcript is what the privacy tests inspect: anything visible to a single
-//! semi-honest server must be explainable by the DP leakage profile.
+//! (so "each server chooses a value uniformly at random" steps stay its own) and
+//! a store of named secret-shared words (the cardinality counter, the noisy
+//! threshold, ...). What a server sees in the clear is not kept here: every
+//! server-visible size is one `incshrink_telemetry::observe` call, and the
+//! privacy tests and the leakage auditor read that stream.
 
 use crate::runtime::JointRandomness;
 use crate::stream::{Domain, Draw};
 use incshrink_secretshare::{PartyId, Share};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// An event observed in the clear by a single server during protocol execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ObservedEvent {
-    /// The server saw an upload of `count` (padded) records at `time`.
-    UploadBatch {
-        /// Logical time step of the upload.
-        time: u64,
-        /// Number of (exhaustively padded) records received.
-        count: usize,
-    },
-    /// The server saw `count` records being appended to the secure cache at `time`.
-    CacheAppend {
-        /// Logical time step.
-        time: u64,
-        /// Number of padded records appended.
-        count: usize,
-    },
-    /// The server saw a view synchronization of `count` records at `time`.
-    ViewSync {
-        /// Logical time step.
-        time: u64,
-        /// DP-noised number of records moved into the materialized view.
-        count: usize,
-    },
-    /// The server saw a cache flush of `count` records at `time`.
-    CacheFlush {
-        /// Logical time step.
-        time: u64,
-        /// Fixed flush size.
-        count: usize,
-    },
-}
 
 /// One of the two outsourcing servers.
 #[derive(Debug)]
@@ -53,7 +19,6 @@ pub struct Server {
     pub id: PartyId,
     key: u64,
     stored_shares: HashMap<String, u32>,
-    transcript: Vec<ObservedEvent>,
 }
 
 impl Server {
@@ -80,17 +45,6 @@ impl Server {
             .get(name)
             .map(|&word| Share::new(word, self.id))
     }
-
-    /// Record an event visible to this server in the clear.
-    pub fn observe(&mut self, event: ObservedEvent) {
-        self.transcript.push(event);
-    }
-
-    /// The full transcript of clear-text observations.
-    #[must_use]
-    pub fn transcript(&self) -> &[ObservedEvent] {
-        &self.transcript
-    }
 }
 
 /// Both servers, bundled for protocol simulations.
@@ -110,23 +64,11 @@ impl ServerPair {
             id,
             key: Domain::Party.draw(0, 0, id.index() as u64).words::<1>(seed)[0],
             stored_shares: HashMap::new(),
-            transcript: Vec::new(),
         };
         Self {
             s0: server(PartyId::S0),
             s1: server(PartyId::S1),
         }
-    }
-
-    /// Record the same observation on both servers (events both can see, e.g. the
-    /// padded size of an upload batch). This is the single choke point through
-    /// which every server-observable size flows, so it also mirrors the event
-    /// to any installed telemetry collector (a pure read of the event — the
-    /// leakage auditor's raw material).
-    pub fn observe_both(&mut self, event: ObservedEvent) {
-        mirror_to_telemetry(&event);
-        self.s0.observe(event.clone());
-        self.s1.observe(event);
     }
 
     /// Store the two halves of a shared word under the same name on each server.
@@ -143,30 +85,6 @@ impl ServerPair {
         let b = self.s1.load_share(name)?;
         Some(incshrink_secretshare::SharePair::from_shares(a, b))
     }
-}
-
-/// Mirror an observed event to any installed telemetry collector. Shared by
-/// the in-process `ServerPair` and the driver side of the actor modes, so the
-/// telemetry stream is identical wherever the servers live.
-pub(crate) fn mirror_to_telemetry(event: &ObservedEvent) {
-    if !incshrink_telemetry::installed() {
-        return;
-    }
-    let (kind, time, count) = match *event {
-        ObservedEvent::UploadBatch { time, count } => {
-            (incshrink_telemetry::ObserveKind::UploadBatch, time, count)
-        }
-        ObservedEvent::CacheAppend { time, count } => {
-            (incshrink_telemetry::ObserveKind::CacheAppend, time, count)
-        }
-        ObservedEvent::ViewSync { time, count } => {
-            (incshrink_telemetry::ObserveKind::ViewSync, time, count)
-        }
-        ObservedEvent::CacheFlush { time, count } => {
-            (incshrink_telemetry::ObserveKind::CacheFlush, time, count)
-        }
-    };
-    incshrink_telemetry::observe(kind, time, count as u64);
 }
 
 #[cfg(test)]
@@ -197,19 +115,5 @@ mod tests {
         let loaded = pair.load_share_pair("cardinality").unwrap();
         assert_eq!(loaded.recover(), 4242);
         assert!(pair.load_share_pair("missing").is_none());
-    }
-
-    #[test]
-    fn transcripts_record_observations() {
-        let mut pair = ServerPair::new(5);
-        pair.observe_both(ObservedEvent::UploadBatch { time: 1, count: 10 });
-        pair.s0
-            .observe(ObservedEvent::ViewSync { time: 2, count: 7 });
-        assert_eq!(pair.s0.transcript().len(), 2);
-        assert_eq!(pair.s1.transcript().len(), 1);
-        assert_eq!(
-            pair.s1.transcript()[0],
-            ObservedEvent::UploadBatch { time: 1, count: 10 }
-        );
     }
 }

@@ -25,7 +25,7 @@ use crate::cost::{CostMeter, CostModel, CostReport, SimDuration};
 use crate::exec::{
     round, PartyCommand, PartyExec, PartyHandle, PartyMode, PartyReply, PARTY_CRASH_MESSAGE,
 };
-use crate::party::{mirror_to_telemetry, ObservedEvent, ServerPair};
+use crate::party::ServerPair;
 use crate::stream::Domain;
 use incshrink_secretshare::SharePair;
 use rand::rngs::StdRng;
@@ -156,8 +156,8 @@ impl PartyContext {
         }
     }
 
-    /// The two servers (share stores, transcripts) when they live inside this
-    /// context; `None` in the actor modes, where that state lives on the party
+    /// The two servers (keys and share stores) when they live inside this
+    /// context; `None` in the actor modes, where they live on the party
     /// threads.
     #[must_use]
     pub fn local_servers(&self) -> Option<&ServerPair> {
@@ -305,22 +305,6 @@ impl PartyExec for PartyContext {
 
     fn elapsed(&self) -> SimDuration {
         self.clock
-    }
-
-    fn observe_both(&mut self, event: ObservedEvent) {
-        match &mut self.parties {
-            Parties::Local(servers) => servers.observe_both(event),
-            Parties::Remote { handles, .. } => {
-                // Telemetry is mirrored driver-side so the event stream keeps
-                // program order relative to spans and ε entries; the actors
-                // only append to their transcripts (fire-and-forget, no
-                // protocol round).
-                mirror_to_telemetry(&event);
-                for party in handles {
-                    party.send(PartyCommand::Observe(event.clone()), self.time_step);
-                }
-            }
-        }
     }
 }
 

@@ -39,7 +39,6 @@
 pub mod audit;
 mod collector;
 mod event;
-pub mod log;
 mod profile;
 mod scope;
 mod sink;

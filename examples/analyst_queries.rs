@@ -62,14 +62,7 @@ fn main() {
     //    back both the L1 error metric and the baseline's exact recomputation.
     let join = ViewDefinition::for_dataset(&dataset).as_query();
     let rows = logical_join_rows(&dataset, &join, steps);
-    let nm = NmBaselineEngine::with_joined_rows(
-        steps * dataset.left_batch_size as u64,
-        steps * dataset.right_batch_size as u64,
-        4,
-        config.truncation_bound,
-        CostModel::default(),
-        &rows,
-    );
+    let nm = single.nm_engine_over(&rows);
 
     let merger = ScatterGatherExecutor::new(CostModel::default());
     let cluster = |q: &Query| {
